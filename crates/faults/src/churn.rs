@@ -674,6 +674,6 @@ mod tests {
             vec![victim],
             "retired cache is a singleton"
         );
-        assert!(map.peers(victim).is_empty());
+        assert_eq!(map.peers(victim).count(), 0);
     }
 }

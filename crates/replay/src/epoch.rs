@@ -23,8 +23,8 @@
 //!   epoch; state that straddles a boundary (a cache still down, a
 //!   retirement, an open brownout) is reconstructed from
 //!   [`FaultSchedule::carry_state_at`] and re-announced at the epoch
-//!   start *before* any in-window event at the same instant (the event
-//!   queue's FIFO tie-break preserves push order). Re-announcement
+//!   start *before* any in-window event at the same instant (the
+//!   simulator's FIFO tie-break preserves push order). Re-announcement
 //!   means a crash spanning `k` boundaries is counted `k + 1` times by
 //!   the degradation `crashes` counter — it is genuinely announced to
 //!   each segment's simulator.

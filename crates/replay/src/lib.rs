@@ -44,8 +44,8 @@
 //!   replays the identical chain of additions;
 //! * per-shard fault schedules keep each member's crash/recover/retire
 //!   subsequence (plus all brownout windows) in the original relative
-//!   order, and the event queue's FIFO tie-break is order-preserving on
-//!   subsequences.
+//!   order, and the simulator's FIFO tie-break at equal instants is
+//!   order-preserving on subsequences.
 //!
 //! `origin_updates` is taken from shard 0 rather than summed: every
 //! shard applies the full update log, so all shards agree on it.
@@ -190,8 +190,8 @@ pub struct ReplayReport {
 /// # Errors
 ///
 /// Exactly the [`SimError`] cases the monolithic simulator reports:
-/// group/network mismatch, out-of-range trace references, invalid fault
-/// schedule.
+/// group/network mismatch, out-of-range trace references, negative or
+/// non-finite event times, invalid fault schedule.
 pub fn replay_sharded(
     network: &EdgeNetwork,
     groups: &GroupMap,
@@ -282,7 +282,8 @@ pub fn replay_sharded_observed(
 /// # Errors
 ///
 /// [`SimError`] on group/oracle size mismatch, an update referencing an
-/// unknown document, or an invalid fault schedule.
+/// unknown document or carrying a negative or non-finite time, or an
+/// invalid fault schedule.
 pub fn replay_streamed(
     rtt: &dyn RttSource,
     groups: &GroupMap,
@@ -533,6 +534,49 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SimError::Fault(_)));
+    }
+
+    #[test]
+    fn hostile_event_times_are_errors_not_worker_panics() {
+        let (network, catalog, mut trace) = fixture();
+        let groups = two_groups();
+        let config = ReplayConfig::new();
+        let victim = trace.len() / 2;
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            match &mut trace[victim] {
+                TraceEvent::Request(r) => r.time_ms = bad,
+                TraceEvent::Update(u) => u.time_ms = bad,
+            }
+            // Same error from the monolithic loop and before any shard
+            // starts.
+            let expected = SimError::EventTimeInvalid { index: victim };
+            let mono = ecg_sim::simulate(&network, &groups, &catalog, &trace, *config.sim_config());
+            assert_eq!(mono.unwrap_err(), expected, "{bad}");
+            let sharded = replay_sharded(&network, &groups, &catalog, &trace, &config);
+            assert_eq!(sharded.unwrap_err(), expected, "{bad}");
+
+            // Streamed input: requests are generated, the update log is
+            // the caller's.
+            let updates = [
+                ecg_workload::Update {
+                    time_ms: 10.0,
+                    doc: ecg_workload::DocId(1),
+                },
+                ecg_workload::Update {
+                    time_ms: bad,
+                    doc: ecg_workload::DocId(2),
+                },
+            ];
+            let workload =
+                StreamedWorkload::new(RequestConfig::default(), 5, 2_000.0).updates(&updates);
+            let streamed =
+                replay_streamed(network.rtt_matrix(), &groups, &catalog, &workload, &config);
+            assert_eq!(
+                streamed.unwrap_err(),
+                SimError::EventTimeInvalid { index: 1 },
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -5,17 +5,18 @@
 //! its members' fault events plus all brownout windows, and the RTT
 //! sub-matrix over `[origin, members…]`. Everything here is
 //! order-preserving — each shard's event sequence is a subsequence of
-//! the global one, which together with the event queue's FIFO tie-break
-//! is what makes the merged report bit-identical.
+//! the global one, which together with the simulator's FIFO tie-break
+//! at equal instants is what makes the merged report bit-identical.
 
 use ecg_sim::fault::FaultKind;
-use ecg_sim::{FaultSchedule, GroupMap, SimError};
+use ecg_sim::{FaultSchedule, GroupMap, SimError, SimTime};
 use ecg_topology::{CacheId, EdgeNetwork};
 use ecg_workload::{DocumentCatalog, Request, TraceEvent, Update};
 
-/// Mirrors the monolithic simulator's input validation so replay fails
-/// with the same [`SimError`] before any shard is spawned (shards then
-/// run on known-good inputs).
+/// Mirrors the monolithic simulator's input validation — references
+/// first, then the timestamp, event by event — so replay fails with the
+/// same [`SimError`] before any shard is spawned (shards then run on
+/// known-good inputs).
 pub(crate) fn validate(
     cache_count: usize,
     groups: &GroupMap,
@@ -30,21 +31,21 @@ pub(crate) fn validate(
         });
     }
     schedule.validate(cache_count)?;
-    for event in trace {
-        match event {
+    for (index, event) in trace.iter().enumerate() {
+        let doc = match event {
             TraceEvent::Request(r) => {
                 if r.cache >= cache_count {
                     return Err(SimError::RequestCacheOutOfRange { cache: r.cache });
                 }
-                if r.doc.index() >= catalog.len() {
-                    return Err(SimError::DocOutOfRange { doc: r.doc.index() });
-                }
+                r.doc
             }
-            TraceEvent::Update(u) => {
-                if u.doc.index() >= catalog.len() {
-                    return Err(SimError::DocOutOfRange { doc: u.doc.index() });
-                }
-            }
+            TraceEvent::Update(u) => u.doc,
+        };
+        if doc.index() >= catalog.len() {
+            return Err(SimError::DocOutOfRange { doc: doc.index() });
+        }
+        if SimTime::try_from_ms(event.time_ms()).is_none() {
+            return Err(SimError::EventTimeInvalid { index });
         }
     }
     Ok(())
@@ -94,7 +95,7 @@ impl RequestPartition {
     /// Group `g`'s sub-trace: its localized requests merged with the
     /// shared update log by original trace position. Positions are
     /// disjoint, so the merge reproduces the exact relative order the
-    /// monolithic event queue saw.
+    /// monolithic event loop saw.
     pub(crate) fn subtrace(&self, g: usize) -> Vec<TraceEvent> {
         let reqs = &self.per_group[g];
         let ups = &self.updates;

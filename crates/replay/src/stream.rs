@@ -18,7 +18,7 @@
 //! ascending-cache tie-breaking equals the stable sort — and an update
 //! at time `t` precedes any request at `t`.
 
-use ecg_sim::{FaultSchedule, GroupMap, SimError};
+use ecg_sim::{FaultSchedule, GroupMap, SimError, SimTime};
 use ecg_topology::{CacheId, EdgeNetwork, RttMatrix, RttSource};
 use ecg_workload::{
     merge_streams, DocumentCatalog, Request, RequestConfig, TraceEvent, Update, ZipfSampler,
@@ -123,7 +123,9 @@ impl<'a> StreamedWorkload<'a> {
 
 /// Mirrors the monolithic validation for a streamed input: group map
 /// against the oracle's cache count, fault schedule, update-log
-/// document references (requests are in range by construction).
+/// document references and timestamps (requests are in range and
+/// finite by construction). An [`SimError::EventTimeInvalid`] index is
+/// a position in the update log, the only event list this input has.
 pub(crate) fn validate(
     cache_count: usize,
     groups: &GroupMap,
@@ -138,9 +140,12 @@ pub(crate) fn validate(
         });
     }
     schedule.validate(cache_count)?;
-    for u in workload.update_log() {
+    for (index, u) in workload.update_log().iter().enumerate() {
         if u.doc.index() >= catalog.len() {
             return Err(SimError::DocOutOfRange { doc: u.doc.index() });
+        }
+        if SimTime::try_from_ms(u.time_ms).is_none() {
+            return Err(SimError::EventTimeInvalid { index });
         }
     }
     Ok(())

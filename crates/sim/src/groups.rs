@@ -43,15 +43,13 @@ impl std::error::Error for GroupMapError {}
 /// let groups = vec![vec![CacheId(0), CacheId(2)], vec![CacheId(1)]];
 /// let map = GroupMap::new(3, groups)?;
 /// assert_eq!(map.group_of(CacheId(2)), 0);
-/// assert_eq!(map.peers(CacheId(0)), &[CacheId(2)]);
+/// assert_eq!(map.peers(CacheId(0)).collect::<Vec<_>>(), [CacheId(2)]);
 /// # Ok::<(), ecg_sim::GroupMapError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupMap {
     groups: Vec<Vec<CacheId>>,
     group_of: Vec<usize>,
-    /// peers[c] = members of c's group except c itself.
-    peers: Vec<Vec<CacheId>>,
 }
 
 impl GroupMap {
@@ -81,20 +79,7 @@ impl GroupMap {
         if let Some(idx) = group_of.iter().position(|&g| g == usize::MAX) {
             return Err(GroupMapError::Unassigned(CacheId(idx)));
         }
-        let peers = (0..cache_count)
-            .map(|c| {
-                groups[group_of[c]]
-                    .iter()
-                    .copied()
-                    .filter(|&p| p != CacheId(c))
-                    .collect()
-            })
-            .collect();
-        Ok(GroupMap {
-            groups,
-            group_of,
-            peers,
-        })
+        Ok(GroupMap { groups, group_of })
     }
 
     /// Puts every cache in one singleton group: no cooperation. The
@@ -140,13 +125,17 @@ impl GroupMap {
         self.group_of[cache.index()]
     }
 
-    /// The other members of `cache`'s group.
+    /// The other members of `cache`'s group, in group order. Read off
+    /// the group's member list, so the map stores no per-cache copies.
     ///
     /// # Panics
     ///
     /// Panics if `cache` is out of range.
-    pub fn peers(&self, cache: CacheId) -> &[CacheId] {
-        &self.peers[cache.index()]
+    pub fn peers(&self, cache: CacheId) -> impl Iterator<Item = CacheId> + '_ {
+        self.groups[self.group_of[cache.index()]]
+            .iter()
+            .copied()
+            .filter(move |&p| p != cache)
     }
 
     /// Mean group size.
@@ -169,7 +158,7 @@ mod tests {
         assert_eq!(map.group_count(), 2);
         assert_eq!(map.cache_count(), 4);
         assert_eq!(map.group_of(CacheId(3)), 1);
-        assert_eq!(map.peers(CacheId(1)), &[CacheId(0)]);
+        assert_eq!(map.peers(CacheId(1)).collect::<Vec<_>>(), [CacheId(0)]);
         assert_eq!(map.mean_group_size(), 2.0);
     }
 
@@ -204,7 +193,7 @@ mod tests {
         let map = GroupMap::singletons(3);
         assert_eq!(map.group_count(), 3);
         for c in 0..3 {
-            assert!(map.peers(CacheId(c)).is_empty());
+            assert_eq!(map.peers(CacheId(c)).count(), 0);
         }
     }
 
@@ -212,7 +201,8 @@ mod tests {
     fn one_group_has_all_peers() {
         let map = GroupMap::one_group(4);
         assert_eq!(map.group_count(), 1);
-        assert_eq!(map.peers(CacheId(2)).len(), 3);
+        let peers: Vec<CacheId> = map.peers(CacheId(2)).collect();
+        assert_eq!(peers, [CacheId(0), CacheId(1), CacheId(3)]);
     }
 
     #[test]

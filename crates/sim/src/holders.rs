@@ -4,17 +4,21 @@
 //! holds a copy of the requested document. The naive path probes every
 //! peer's cache map — a `BTreeMap` lookup per peer per miss, which
 //! dominates trace replay for large groups. [`HolderIndex`] mirrors
-//! cache *membership* in one compact bitset per document, so the
-//! per-peer probe collapses to a bit test, and an entire group can be
-//! ruled out with a handful of word intersections against a
-//! precomputed peer mask ([`PeerMasks`]).
+//! cache *membership* in one compact bitset per document and acts as
+//! the group's directory: ANDing the document's words with a
+//! precomputed peer mask ([`PeerMasks`]) and walking the set bits
+//! ([`HolderIndex::holders_among`]) names exactly the peers that can
+//! answer, so a miss costs `words_per_doc` ANDs plus one probe per
+//! actual holder instead of one probe per group member. The same walk
+//! without a mask ([`HolderIndex::holders`]) drives multicast
+//! invalidation.
 //!
 //! The index tracks presence only. Freshness (origin version or TTL
 //! lease) is still checked against the holding peer's actual cache
 //! entry, so a lookup through the index returns exactly what a full
 //! scan would: a set bit for a stale copy simply fails the freshness
-//! check, and an absent bit short-circuits a probe that would have
-//! returned "not held" anyway.
+//! check, and an absent bit skips a probe that would have returned
+//! "not held" anyway.
 
 use crate::groups::GroupMap;
 use ecg_topology::CacheId;
@@ -126,17 +130,39 @@ impl HolderIndex {
         &self.bits[start..start + self.words_per_doc]
     }
 
-    /// Does any cache selected by `mask` (e.g. a [`PeerMasks`] row) hold
-    /// a copy of `doc`? The group-wide early-out on the miss path.
+    /// The caches holding a copy of `doc` (fresh or not), ascending.
     ///
     /// # Panics
     ///
     /// Panics if `doc` is out of range.
-    pub fn any_intersecting(&self, doc: DocId, mask: &[u64]) -> bool {
-        self.doc_words(doc)
-            .iter()
-            .zip(mask)
-            .any(|(a, b)| a & b != 0)
+    pub fn holders(&self, doc: DocId) -> impl Iterator<Item = CacheId> + '_ {
+        set_bits(self.doc_words(doc).iter().copied())
+    }
+
+    /// The holders of `doc` among the caches selected by `mask` (e.g. a
+    /// [`PeerMasks`] row), ascending: the directory lookup of the miss
+    /// path. `words_per_doc` ANDs when it comes up empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `doc` is out of range.
+    pub fn holders_among<'a>(
+        &'a self,
+        doc: DocId,
+        mask: &'a [u64],
+    ) -> impl Iterator<Item = CacheId> + 'a {
+        set_bits(self.doc_words(doc).iter().zip(mask).map(|(a, b)| a & b))
+    }
+
+    /// Drops every cache from `doc`'s holder set — the pushed
+    /// invalidation path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `doc` is out of range.
+    pub fn clear_doc(&mut self, doc: DocId) {
+        let start = doc.index() * self.words_per_doc;
+        self.bits[start..start + self.words_per_doc].fill(0);
     }
 
     /// Number of caches holding a copy of `doc`.
@@ -150,6 +176,20 @@ impl HolderIndex {
             .map(|w| w.count_ones() as usize)
             .sum()
     }
+}
+
+/// The caches whose bits are set in `words` (word `i` covers caches
+/// `64 i ..`), ascending.
+fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = CacheId> {
+    words.enumerate().flat_map(|(i, mut word)| {
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                CacheId(i * 64 + bit)
+            })
+        })
+    })
 }
 
 /// Precomputed per-cache bitmask of that cache's group peers, laid out
@@ -166,9 +206,17 @@ impl PeerMasks {
         let n = groups.cache_count();
         let words_per = n.div_ceil(64);
         let mut masks = vec![0u64; n * words_per];
-        for c in 0..n {
-            for &p in groups.peers(CacheId(c)) {
-                masks[c * words_per + p.index() / 64] |= 1 << (p.index() % 64);
+        let mut group_mask = vec![0u64; words_per];
+        for members in groups.groups() {
+            group_mask.fill(0);
+            for m in members {
+                group_mask[m.index() / 64] |= 1 << (m.index() % 64);
+            }
+            // Each member's row is the group's mask minus its own bit.
+            for m in members {
+                let row = &mut masks[m.index() * words_per..][..words_per];
+                row.copy_from_slice(&group_mask);
+                row[m.index() / 64] &= !(1 << (m.index() % 64));
             }
         }
         PeerMasks { words_per, masks }
@@ -225,19 +273,80 @@ mod tests {
             GroupMap::new(70, vec![(0..69).map(CacheId).collect(), vec![CacheId(69)]]).unwrap();
         let masks = PeerMasks::from_groups(&groups);
         let mut idx = HolderIndex::new(1, 70);
+        let peer_holds = |idx: &HolderIndex, c: CacheId| {
+            idx.holders_among(DocId(0), masks.mask(c)).next().is_some()
+        };
 
         // A copy on a peer is visible through the mask.
         idx.set(DocId(0), CacheId(68));
-        assert!(idx.any_intersecting(DocId(0), masks.mask(CacheId(3))));
+        assert!(peer_holds(&idx, CacheId(3)));
         // A cache's own copy is not a *peer* copy.
-        assert!(!idx.any_intersecting(DocId(0), masks.mask(CacheId(68))));
+        assert!(!peer_holds(&idx, CacheId(68)));
         // The singleton has no peers at all.
-        assert!(!idx.any_intersecting(DocId(0), masks.mask(CacheId(69))));
+        assert!(!peer_holds(&idx, CacheId(69)));
 
         // A copy on the singleton is invisible to the big group.
         idx.clear(DocId(0), CacheId(68));
         idx.set(DocId(0), CacheId(69));
-        assert!(!idx.any_intersecting(DocId(0), masks.mask(CacheId(3))));
+        assert!(!peer_holds(&idx, CacheId(3)));
+    }
+
+    #[test]
+    fn holder_walks_list_set_bits_in_ascending_order() {
+        let groups = GroupMap::new(
+            200,
+            vec![
+                // Shuffled on purpose: the mask is a set, not a list.
+                [130, 3, 64, 199, 63].map(CacheId).to_vec(),
+                (0..200)
+                    .filter(|c| ![130, 3, 64, 199, 63].contains(c))
+                    .map(CacheId)
+                    .collect(),
+            ],
+        )
+        .unwrap();
+        let masks = PeerMasks::from_groups(&groups);
+        let mut idx = HolderIndex::new(2, 200);
+        for c in [3, 5, 63, 64, 130, 199] {
+            idx.set(DocId(1), CacheId(c));
+        }
+        let all: Vec<usize> = idx.holders(DocId(1)).map(|c| c.index()).collect();
+        assert_eq!(all, vec![3, 5, 63, 64, 130, 199]);
+        // Cache 64's peers: its group minus itself; cache 5 is in the
+        // other group and never shows.
+        let peers: Vec<usize> = idx
+            .holders_among(DocId(1), masks.mask(CacheId(64)))
+            .map(|c| c.index())
+            .collect();
+        assert_eq!(peers, vec![3, 63, 130, 199]);
+        assert_eq!(idx.holders(DocId(0)).count(), 0);
+        assert_eq!(
+            idx.holders_among(DocId(0), masks.mask(CacheId(64))).count(),
+            0
+        );
+
+        idx.clear_doc(DocId(1));
+        assert_eq!(idx.holder_count(DocId(1)), 0);
+    }
+
+    #[test]
+    fn peer_masks_match_the_member_lists() {
+        let groups = GroupMap::new(
+            70,
+            vec![
+                vec![CacheId(69), CacheId(0), CacheId(65)],
+                (1..65).chain(66..69).map(CacheId).collect(),
+            ],
+        )
+        .unwrap();
+        let masks = PeerMasks::from_groups(&groups);
+        for c in (0..70).map(CacheId) {
+            let mut expected = vec![0u64; 2];
+            for p in groups.peers(c) {
+                expected[p.index() / 64] |= 1 << (p.index() % 64);
+            }
+            assert_eq!(masks.mask(c), expected.as_slice(), "{c}");
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! average cache latency, group hit rates, and traffic breakdowns.
 //!
 //! * [`SimTime`] — microsecond-resolution simulation clock.
-//! * [`event`] — the time-ordered event queue.
+//! * [`event`] — the event type and the in-place, time-ordered merge of
+//!   trace and fault schedule the driver walks.
 //! * [`LatencyModel`] — RTT + bandwidth transfer-cost model.
 //! * [`GroupMap`] — validated cache-to-group partition.
 //! * [`fault`] — fault schedules: cache crashes/recoveries/retirements

@@ -24,8 +24,33 @@
 //! Requests do not queue (each is served analytically from the latency
 //! model); contention effects are out of scope, as in the paper's
 //! latency-oriented evaluation.
+//!
+//! ## What a request costs the simulator
+//!
+//! The protocol above floods the group; the event loop does not. Under
+//! the default [`PeerLookup::HolderIndex`] it answers the same questions
+//! from state it keeps current instead of walking the member list:
+//!
+//! * *who is alive* — a per-group count of down members, adjusted at
+//!   fault events, gives the fan-out size and the healthy/degraded
+//!   split in O(1);
+//! * *who can answer* — the set bits of the document's holder words
+//!   ANDed with the requester's peer mask
+//!   ([`HolderIndex::holders_among`]): `words_per_doc` ANDs plus one
+//!   freshness probe and one RTT read per actual holder, equal-RTT ties
+//!   going to the earlier position in the group's member list as in a
+//!   member-order scan;
+//! * *how long the last negative reply takes* — each cache's slowest
+//!   alive-peer RTT, memoised and recomputed only after a crash,
+//!   recovery or retirement in its group (one epoch bump per fault).
+//!
+//! Multicast invalidation walks the document's holder bits the same way.
+//! The run's events are never copied: [`Timeline`] validates the trace
+//! and merges it with the fault list in place. [`PeerLookup::ScanAll`]
+//! keeps the per-member walks as the reference the tests compare
+//! against.
 
-use crate::event::{Event, EventQueue};
+use crate::event::{Event, Timeline};
 use crate::fault::{FaultError, FaultKind, FaultSchedule};
 use crate::groups::GroupMap;
 use crate::holders::{HolderIndex, PeerMasks};
@@ -219,6 +244,11 @@ pub enum SimError {
         /// The offending document index.
         doc: usize,
     },
+    /// A trace event's `time_ms` is negative, NaN, or infinite.
+    EventTimeInvalid {
+        /// Position of the offending event in the trace.
+        index: usize,
+    },
     /// The fault schedule failed validation.
     Fault(FaultError),
 }
@@ -236,6 +266,10 @@ impl fmt::Display for SimError {
             SimError::DocOutOfRange { doc } => {
                 write!(f, "trace references unknown document {doc}")
             }
+            SimError::EventTimeInvalid { index } => write!(
+                f,
+                "trace event {index} has a time that is not a finite non-negative ms value"
+            ),
             SimError::Fault(e) => write!(f, "invalid fault schedule: {e}"),
         }
     }
@@ -326,7 +360,8 @@ impl fmt::Display for SimReport {
 /// # Errors
 ///
 /// Returns [`SimError`] if the group map does not match the network or
-/// the trace references unknown caches/documents.
+/// a trace event references an unknown cache/document or carries a
+/// negative or non-finite time.
 ///
 /// # Examples
 ///
@@ -379,9 +414,10 @@ pub fn simulate(
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the group map does not match the network, the
-/// trace references unknown caches/documents, or the fault schedule
-/// fails [`FaultSchedule::validate`].
+/// Returns [`SimError`] if the group map does not match the network, a
+/// trace event references an unknown cache/document or carries a
+/// negative or non-finite time, or the fault schedule fails
+/// [`FaultSchedule::validate`].
 pub fn simulate_with_faults(
     network: &EdgeNetwork,
     groups: &GroupMap,
@@ -429,8 +465,8 @@ pub fn simulate_observed(
 ///   stale_served}` — counted over the whole run, warm-up included;
 /// * holder-index counters `sim.holder.{group_checks, ruled_out,
 ///   bit_tests}` (all zero under [`PeerLookup::ScanAll`]);
-/// * a `sim.queue.max_depth` gauge (the event queue only drains, so the
-///   high-water mark is the initially scheduled event count);
+/// * a `sim.queue.max_depth` gauge: the run's event count (trace plus
+///   faults), which is what is pending before the first event;
 /// * the request-latency distribution merged into a `sim.latency_ms`
 ///   histogram;
 /// * one `sim` trace event per fault injection, timestamped with sim
@@ -460,44 +496,10 @@ pub fn simulate_with_faults_observed(
         });
     }
     schedule.validate(n)?;
-
-    let mut queue = EventQueue::new();
-    // Faults go in first: at equal timestamps a crash lands before the
-    // requests of that instant (FIFO tie-break), so a request at the
-    // crash time already sees the cache down.
-    for (idx, fault) in schedule.events().iter().enumerate() {
-        queue.schedule(SimTime::from_ms(fault.time_ms), Event::Fault { idx });
-    }
-
-    // Load the trace into the event queue, validating references.
-    for event in trace {
-        match event {
-            TraceEvent::Request(r) => {
-                if r.cache >= n {
-                    return Err(SimError::RequestCacheOutOfRange { cache: r.cache });
-                }
-                if r.doc.index() >= catalog.len() {
-                    return Err(SimError::DocOutOfRange { doc: r.doc.index() });
-                }
-                queue.schedule(
-                    SimTime::from_ms(r.time_ms),
-                    Event::ClientRequest {
-                        cache: CacheId(r.cache),
-                        doc: r.doc,
-                    },
-                );
-            }
-            TraceEvent::Update(u) => {
-                if u.doc.index() >= catalog.len() {
-                    return Err(SimError::DocOutOfRange { doc: u.doc.index() });
-                }
-                queue.schedule(
-                    SimTime::from_ms(u.time_ms),
-                    Event::OriginUpdate { doc: u.doc },
-                );
-            }
-        }
-    }
+    // Validates the trace and fixes the processing order. At equal
+    // timestamps faults come first, so a request at the crash time
+    // already sees the cache down.
+    let timeline = Timeline::new(n, catalog.len(), trace, schedule)?;
 
     let mut caches: Vec<DocumentCache> = (0..n)
         .map(|_| DocumentCache::new(config.cache_capacity_bytes, config.policy))
@@ -516,11 +518,12 @@ pub fn simulate_with_faults_observed(
     let model = config.latency;
     let warmup = SimTime::from_ms(config.warmup_ms);
 
-    // Fault state. `down[c]` covers both transient crashes and permanent
-    // retirements; `retired[c]` keeps a retired cache from recovering.
+    // Fault state. `live.down[c]` covers both transient crashes and
+    // permanent retirements; `retired[c]` keeps a retired cache from
+    // recovering.
     // Crashed caches lose their contents immediately; their stats so far
     // are folded into `lost_stats` so the report still covers them.
-    let mut down = vec![false; n];
+    let mut live = Liveness::new(groups);
     let mut retired = vec![false; n];
     let mut brownout = 1.0f64;
     let mut lost_stats = CacheStats::default();
@@ -535,6 +538,14 @@ pub fn simulate_with_faults_observed(
             PeerMasks::from_groups(groups),
         )
     });
+    // Each cache's position in its group's member list: the tie-break
+    // between equal-RTT holders, which a member-order scan gets for free.
+    let mut position = vec![0usize; n];
+    for members in groups.groups() {
+        for (at, m) in members.iter().enumerate() {
+            position[m.index()] = at;
+        }
+    }
     // Eviction scratch reused across every insert in the event loop.
     let mut evicted_scratch: Vec<DocId> = Vec::new();
 
@@ -564,9 +575,9 @@ pub fn simulate_with_faults_observed(
 
     // Observability tallies. Plain integer bumps are cheap enough to
     // keep unconditional; they are flushed into `obs` (when present)
-    // after the loop. The queue only drains, so its high-water mark is
-    // the initial event count.
-    let queue_max_depth = queue.len();
+    // after the loop. Events are only consumed, so the pending-event
+    // high-water mark is the run's event count.
+    let queue_max_depth = timeline.event_count();
     let mut group_outcomes = vec![[0u64; 3]; groups.group_count()];
     let mut obs_failovers = 0u64;
     let mut holder_group_checks = 0u64;
@@ -575,7 +586,7 @@ pub fn simulate_with_faults_observed(
     let mut last_event_ms = 0.0f64;
 
     let freshness = config.freshness;
-    while let Some((now, event)) = queue.pop() {
+    for (now, event) in timeline {
         last_event_ms = now.as_ms();
         match event {
             Event::Fault { idx } => {
@@ -601,8 +612,8 @@ pub fn simulate_with_faults_observed(
                 match schedule.events()[idx].kind {
                     FaultKind::CacheDown { cache } => {
                         let c = cache.index();
-                        if !down[c] {
-                            down[c] = true;
+                        if !live.down[c] {
+                            live.set_down(cache, groups.group_of(cache), true);
                             deg_groups[groups.group_of(cache)].crashes += 1;
                             let old = std::mem::replace(
                                 &mut caches[c],
@@ -616,10 +627,10 @@ pub fn simulate_with_faults_observed(
                     }
                     FaultKind::CacheUp { cache } => {
                         let c = cache.index();
-                        if down[c] && !retired[c] {
+                        if live.down[c] && !retired[c] {
                             // Cold restart: contents were purged at the
                             // crash, so the cache rejoins empty.
-                            down[c] = false;
+                            live.set_down(cache, groups.group_of(cache), false);
                             deg_groups[groups.group_of(cache)].recoveries += 1;
                         }
                     }
@@ -628,8 +639,8 @@ pub fn simulate_with_faults_observed(
                         if !retired[c] {
                             retired[c] = true;
                             deg_groups[groups.group_of(cache)].retirements += 1;
-                            if !down[c] {
-                                down[c] = true;
+                            if !live.down[c] {
+                                live.set_down(cache, groups.group_of(cache), true);
                                 let old = std::mem::replace(
                                     &mut caches[c],
                                     DocumentCache::new(config.cache_capacity_bytes, config.policy),
@@ -649,12 +660,23 @@ pub fn simulate_with_faults_observed(
                 origin.apply_update(doc);
                 if freshness == FreshnessProtocol::OriginMulticast {
                     // Idealized push invalidation: drop every copy now;
-                    // one control message per holding cache.
-                    for (c, cache) in caches.iter_mut().enumerate() {
-                        if cache.remove(doc).is_some() {
-                            metrics.invalidations_sent += 1;
-                            if let Some((idx, _)) = index.as_mut() {
-                                idx.clear(doc, CacheId(c));
+                    // one control message per holding cache. The index
+                    // names the holders; without it every cache is
+                    // asked.
+                    match index.as_mut() {
+                        Some((idx, _)) => {
+                            for holder in idx.holders(doc) {
+                                if caches[holder.index()].remove(doc).is_some() {
+                                    metrics.invalidations_sent += 1;
+                                }
+                            }
+                            idx.clear_doc(doc);
+                        }
+                        None => {
+                            for cache in &mut caches {
+                                if cache.remove(doc).is_some() {
+                                    metrics.invalidations_sent += 1;
+                                }
                             }
                         }
                     }
@@ -666,14 +688,21 @@ pub fn simulate_with_faults_observed(
                 let size = catalog.document(doc).size_bytes;
                 let update_rate = catalog.document(doc).update_rate_per_sec;
 
+                let g = groups.group_of(cache);
+
                 // A request is "degraded" when its group is not whole —
                 // some member (including the home cache) down or retired
                 // — or an origin brownout is active.
                 let group_degraded = brownout > 1.0
-                    || down[cache.index()]
-                    || groups.peers(cache).iter().any(|p| down[p.index()]);
+                    || match &index {
+                        Some(_) => live.down_in_group[g] > 0,
+                        None => {
+                            live.down[cache.index()]
+                                || groups.peers(cache).any(|p| live.down[p.index()])
+                        }
+                    };
 
-                if down[cache.index()] {
+                if live.down[cache.index()] {
                     // Home cache is dead: the client times out on it and
                     // fails over straight to the origin. Nothing is
                     // cached.
@@ -685,7 +714,7 @@ pub fn simulate_with_faults_observed(
                     obs_failovers += 1;
                     if now >= warmup {
                         metrics.record(cache, latency, ServedBy::Origin);
-                        let deg = &mut deg_groups[groups.group_of(cache)];
+                        let deg = &mut deg_groups[g];
                         deg.failovers += 1;
                         deg.record(now_ms, latency, false, false, true);
                     }
@@ -724,74 +753,97 @@ pub fn simulate_with_faults_observed(
                 if local_hit.is_some() {
                     if let Some(policies) = placements.as_mut() {
                         // Pure popularity signal for the rate estimator.
-                        policies[groups.group_of(cache)].on_local_hit(doc, now_ms);
+                        policies[g].on_local_hit(doc, now_ms);
                     }
                 }
 
                 let (latency, served_by, served_version) = match local_hit {
                     Some(v) => (model.local_hit(), ServedBy::Local, v),
                     None => {
-                        let peers = groups.peers(cache);
-                        // Down peers never get queried: the failure
-                        // detector has already dropped them from the
-                        // membership view, so the group degrades to the
-                        // survivors.
-                        let alive = peers.iter().filter(|p| !down[p.index()]).count();
-                        deg_groups[groups.group_of(cache)].peer_queries_skipped +=
-                            (peers.len() - alive) as u64;
+                        let members = &groups.groups()[g];
+                        // Nearest peer holding a servable copy, if any,
+                        // and how many peers are alive to be queried.
+                        // Down peers never are: the failure detector has
+                        // already dropped them from the membership view,
+                        // so the group degrades to the survivors.
+                        let alive;
+                        let mut holder: Option<(CacheId, f64, u64)> = None;
+                        // The slowest alive peer's RTT, when the lookup
+                        // walked the members anyway.
+                        let mut scanned_slowest = None;
+                        match &index {
+                            Some((idx, masks)) => {
+                                // The requester is alive, so every down
+                                // member is a peer.
+                                alive = members.len() - 1 - live.down_in_group[g];
+                                holder_group_checks += 1;
+                                let mut may_hold = false;
+                                let mut best_position = usize::MAX;
+                                for p in idx.holders_among(doc, masks.mask(cache)) {
+                                    may_hold = true;
+                                    if live.down[p.index()] {
+                                        continue;
+                                    }
+                                    let Some(v) = servable_version(
+                                        &caches[p.index()],
+                                        freshness,
+                                        doc,
+                                        current_version,
+                                        now_ms,
+                                    ) else {
+                                        continue;
+                                    };
+                                    let rtt = network.cache_to_cache(cache, p);
+                                    let at = position[p.index()];
+                                    if holder.is_none_or(|(_, best, _)| {
+                                        rtt < best || (rtt == best && at < best_position)
+                                    }) {
+                                        holder = Some((p, rtt, v));
+                                        best_position = at;
+                                    }
+                                }
+                                // A member-order scan of a group that may
+                                // hold the document bit-tests every alive
+                                // peer; the counters keep that meaning.
+                                holder_ruled_out += u64::from(!may_hold);
+                                if may_hold {
+                                    holder_bit_tests += alive as u64;
+                                }
+                            }
+                            None => {
+                                // The reference: ask every alive peer, in
+                                // member order, so an equal-RTT tie goes
+                                // to the earlier member.
+                                let mut alive_peers = 0;
+                                let mut slowest_reply = 0.0f64;
+                                for p in groups.peers(cache) {
+                                    if live.down[p.index()] {
+                                        continue;
+                                    }
+                                    alive_peers += 1;
+                                    let rtt = network.cache_to_cache(cache, p);
+                                    slowest_reply = slowest_reply.max(rtt);
+                                    if let Some(v) = servable_version(
+                                        &caches[p.index()],
+                                        freshness,
+                                        doc,
+                                        current_version,
+                                        now_ms,
+                                    ) {
+                                        if holder.is_none_or(|(_, best, _)| rtt < best) {
+                                            holder = Some((p, rtt, v));
+                                        }
+                                    }
+                                }
+                                alive = alive_peers;
+                                scanned_slowest = Some(slowest_reply);
+                            }
+                        }
+                        deg_groups[g].peer_queries_skipped += (members.len() - 1 - alive) as u64;
                         // One query out and one reply back per peer; the
                         // fan-out itself costs per-member processing time.
                         metrics.control_messages += 2 * alive as u64;
                         let fanout = model.query_fanout(alive);
-
-                        // Nearest peer holding a servable copy, if any.
-                        // With the holder index, a few word
-                        // intersections rule a holder-free group out up
-                        // front, and a bit test replaces the per-peer
-                        // cache-map probe; peers are still visited in
-                        // group order so an equal-RTT tie picks the same
-                        // holder as the full scan.
-                        let group_may_hold = match &index {
-                            Some((idx, masks)) => {
-                                holder_group_checks += 1;
-                                let may = idx.any_intersecting(doc, masks.mask(cache));
-                                holder_ruled_out += u64::from(!may);
-                                may
-                            }
-                            None => true,
-                        };
-                        let mut holder: Option<(CacheId, f64, u64)> = None;
-                        let mut slowest_reply = 0.0f64;
-                        for &p in peers {
-                            if down[p.index()] {
-                                continue;
-                            }
-                            let rtt = network.cache_to_cache(cache, p);
-                            slowest_reply = slowest_reply.max(rtt);
-                            if !group_may_hold {
-                                continue;
-                            }
-                            if let Some((idx, _)) = &index {
-                                holder_bit_tests += 1;
-                                if !idx.holds(doc, p) {
-                                    continue;
-                                }
-                            }
-                            let peer_version = match freshness {
-                                FreshnessProtocol::InvalidateOnAccess
-                                | FreshnessProtocol::OriginMulticast => caches[p.index()]
-                                    .holds_fresh(doc, current_version)
-                                    .then_some(current_version),
-                                FreshnessProtocol::TtlLease { ttl_ms } => {
-                                    caches[p.index()].holds_unexpired(doc, now_ms, ttl_ms)
-                                }
-                            };
-                            if let Some(v) = peer_version {
-                                if holder.is_none_or(|(_, best, _)| rtt < best) {
-                                    holder = Some((p, rtt, v));
-                                }
-                            }
-                        }
 
                         match holder {
                             Some((peer, rtt, v)) => {
@@ -806,15 +858,15 @@ pub fn simulate_with_faults_observed(
                                 // requester keeps the copy.
                                 let mut keep_replica = true;
                                 if let Some(policies) = placements.as_mut() {
-                                    let policy = &mut policies[groups.group_of(cache)];
+                                    let policy = &mut policies[g];
                                     build_candidates(
                                         &mut candidates_scratch,
                                         network,
                                         &caches,
                                         index.as_ref().map(|(idx, _)| idx),
-                                        &down,
+                                        &live.down,
                                         cache,
-                                        peers,
+                                        members,
                                         doc,
                                     );
                                     place_decisions += 1;
@@ -856,6 +908,11 @@ pub fn simulate_with_faults_observed(
                                 let fetched_version = origin.serve_fetch(doc);
                                 metrics.origin_bytes += size;
                                 let rtt_origin = network.cache_to_origin(cache);
+                                // The requester gave up only once the
+                                // slowest alive peer had said no.
+                                let slowest_reply = scanned_slowest.unwrap_or_else(|| {
+                                    live.slowest_reply(cache, g, members, network)
+                                });
                                 let latency = fanout
                                     + slowest_reply
                                     + model.origin_fetch(rtt_origin, size) * brownout;
@@ -865,15 +922,15 @@ pub fn simulate_with_faults_observed(
                                 // requester still serves the client).
                                 let mut target = cache;
                                 if let Some(policies) = placements.as_mut() {
-                                    let policy = &mut policies[groups.group_of(cache)];
+                                    let policy = &mut policies[g];
                                     build_candidates(
                                         &mut candidates_scratch,
                                         network,
                                         &caches,
                                         index.as_ref().map(|(idx, _)| idx),
-                                        &down,
+                                        &live.down,
                                         cache,
-                                        peers,
+                                        members,
                                         doc,
                                     );
                                     place_decisions += 1;
@@ -920,14 +977,14 @@ pub fn simulate_with_faults_observed(
                     ServedBy::Peer => 1,
                     ServedBy::Origin => 2,
                 };
-                group_outcomes[groups.group_of(cache)][outcome_slot] += 1;
+                group_outcomes[g][outcome_slot] += 1;
                 if now >= warmup {
                     let stale = served_version < current_version;
                     metrics.record(cache, latency, served_by);
                     if stale {
                         metrics.stale_served += 1;
                     }
-                    deg_groups[groups.group_of(cache)].record(
+                    deg_groups[g].record(
                         now_ms,
                         latency,
                         served_by != ServedBy::Origin,
@@ -1019,12 +1076,98 @@ pub fn simulate_with_faults_observed(
     })
 }
 
+/// Which caches are down, per cache and counted per group, plus what
+/// the miss path derives from it. Adjusted only at fault events, so a
+/// request reads its group's health without walking the member list.
+struct Liveness {
+    /// `down[c]`: crashed and not yet recovered, or retired.
+    down: Vec<bool>,
+    /// Members of each group currently down.
+    down_in_group: Vec<usize>,
+    /// Per group, bumped whenever a member goes down or comes back;
+    /// starts at 1 so a zeroed memo stamp means "never computed".
+    epoch: Vec<u64>,
+    /// Per cache: the group epoch its slowest alive-peer RTT was
+    /// computed at, and that RTT.
+    slowest_memo: Vec<(u64, f64)>,
+}
+
+impl Liveness {
+    fn new(groups: &GroupMap) -> Self {
+        Liveness {
+            down: vec![false; groups.cache_count()],
+            down_in_group: vec![0; groups.group_count()],
+            epoch: vec![1; groups.group_count()],
+            slowest_memo: vec![(0, 0.0); groups.cache_count()],
+        }
+    }
+
+    /// Records that `cache`, a member of group `g`, went down or came
+    /// back. Callers check the transition is real.
+    fn set_down(&mut self, cache: CacheId, g: usize, down: bool) {
+        debug_assert_ne!(self.down[cache.index()], down);
+        self.down[cache.index()] = down;
+        if down {
+            self.down_in_group[g] += 1;
+        } else {
+            self.down_in_group[g] -= 1;
+        }
+        self.epoch[g] += 1;
+    }
+
+    /// The RTT from `cache` to its slowest alive peer (0 with none):
+    /// how long a group-wide miss waits for the last negative reply.
+    /// Walks `members` (group `g`'s list) only when a fault has changed
+    /// the group since the last call for this cache.
+    fn slowest_reply(
+        &mut self,
+        cache: CacheId,
+        g: usize,
+        members: &[CacheId],
+        network: &EdgeNetwork,
+    ) -> f64 {
+        let (stamp, memo) = self.slowest_memo[cache.index()];
+        if stamp == self.epoch[g] {
+            return memo;
+        }
+        let slowest = members
+            .iter()
+            .filter(|&&p| p != cache && !self.down[p.index()])
+            .fold(0.0f64, |slowest, &p| {
+                slowest.max(network.cache_to_cache(cache, p))
+            });
+        self.slowest_memo[cache.index()] = (self.epoch[g], slowest);
+        slowest
+    }
+}
+
+/// The version `holder` would serve for `doc` under the freshness
+/// protocol, if it holds a servable copy: the peer-side probe of a
+/// cooperative lookup.
+fn servable_version(
+    holder: &DocumentCache,
+    freshness: FreshnessProtocol,
+    doc: DocId,
+    current_version: u64,
+    now_ms: f64,
+) -> Option<u64> {
+    match freshness {
+        FreshnessProtocol::InvalidateOnAccess | FreshnessProtocol::OriginMulticast => holder
+            .holds_fresh(doc, current_version)
+            .then_some(current_version),
+        FreshnessProtocol::TtlLease { ttl_ms } => holder.holds_unexpired(doc, now_ms, ttl_ms),
+    }
+}
+
 /// Assembles the candidate list a placement decision sees: the
-/// requester first (RTT 0), then its *alive* group peers in group
-/// order. `holds` is presence (fresh or stale) — read from the holder
-/// index when one is maintained, and from the cache maps under
-/// [`PeerLookup::ScanAll`]; the index mirrors cache membership exactly,
-/// so both lookup strategies feed policies identical candidate lists.
+/// requester first (RTT 0), then its *alive* group peers (`members`
+/// minus the requester) in group order. The policy interface takes the
+/// whole list, so an active placement policy still costs one member
+/// walk per decision. `holds` is presence (fresh or stale) — read from
+/// the holder index when one is maintained, and from the cache maps
+/// under [`PeerLookup::ScanAll`]; the index mirrors cache membership
+/// exactly, so both lookup strategies feed policies identical candidate
+/// lists.
 #[allow(clippy::too_many_arguments)]
 fn build_candidates(
     out: &mut Vec<Candidate>,
@@ -1033,7 +1176,7 @@ fn build_candidates(
     index: Option<&HolderIndex>,
     down: &[bool],
     cache: CacheId,
-    peers: &[CacheId],
+    members: &[CacheId],
     doc: DocId,
 ) {
     out.clear();
@@ -1047,8 +1190,8 @@ fn build_candidates(
         used_bytes: caches[cache.index()].used_bytes(),
         holds: holds(cache),
     });
-    for &p in peers {
-        if down[p.index()] {
+    for &p in members {
+        if p == cache || down[p.index()] {
             continue;
         }
         out.push(Candidate {
@@ -1344,6 +1487,140 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, SimError::DocOutOfRange { doc: 99 });
+    }
+
+    #[test]
+    fn hostile_event_times_are_rejected_not_panicked_on() {
+        let net = network();
+        let cat = catalog(5);
+        let groups = GroupMap::singletons(6);
+        for bad in [f64::NAN, -0.5, f64::INFINITY, f64::NEG_INFINITY] {
+            for hostile in [request(bad, 0, 0), update(bad, 0)] {
+                let trace = [request(1.0, 0, 0), hostile];
+                let err = simulate(&net, &groups, &cat, &trace, SimConfig::default()).unwrap_err();
+                assert_eq!(err, SimError::EventTimeInvalid { index: 1 }, "{bad}");
+                assert!(err.to_string().contains("event 1"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn shuffled_trace_replays_like_the_sorted_trace() {
+        let net = network();
+        let (cat, sorted) = churny_trace(17, 60_000.0);
+        let mut schedule = FaultSchedule::new();
+        schedule.push(20_000.0, FaultKind::CacheDown { cache: CacheId(1) });
+        schedule.push(40_000.0, FaultKind::CacheUp { cache: CacheId(1) });
+        // Reversing blocks of 7 keeps equal-time events (none here share
+        // a µs) trivially stable and leaves the trace far from ordered.
+        let mut shuffled = sorted.clone();
+        for block in shuffled.chunks_mut(7) {
+            block.reverse();
+        }
+        assert_ne!(shuffled, sorted);
+        let config = SimConfig::default().cache_capacity_bytes(64 << 10);
+        let groups = GroupMap::one_group(6);
+        let a = simulate_with_faults(&net, &groups, &cat, &sorted, config, &schedule).unwrap();
+        let b = simulate_with_faults(&net, &groups, &cat, &shuffled, config, &schedule).unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn slowest_reply_memo_is_refreshed_by_every_membership_fault() {
+        // Ec0 shares a group with the near Ec1 (4 ms) and the far Ec2
+        // (17 ms). Each request is a group-wide miss on a new document,
+        // so its latency shows which peers Ec0 waited for.
+        let net = network();
+        let cat = catalog(10);
+        let groups = GroupMap::new(
+            6,
+            vec![
+                vec![CacheId(0), CacheId(1), CacheId(2)],
+                vec![CacheId(3), CacheId(4), CacheId(5)],
+            ],
+        )
+        .unwrap();
+        let mut schedule = FaultSchedule::new();
+        schedule.push(50.0, FaultKind::CacheDown { cache: CacheId(2) });
+        schedule.push(150.0, FaultKind::CacheUp { cache: CacheId(2) });
+        schedule.push(250.0, FaultKind::CacheRetire { cache: CacheId(2) });
+        let trace = [
+            request(0.0, 0, 1),   // whole group: waits for Ec2
+            request(100.0, 0, 2), // Ec2 crashed: waits for Ec1 only
+            request(200.0, 0, 3), // Ec2 back: waits for Ec2 again
+            request(300.0, 0, 4), // Ec2 retired: Ec1 only
+        ];
+        let expected = [(2usize, 17.0), (1, 4.0), (2, 17.0), (1, 4.0)];
+        let model = SimConfig::default().latency_model();
+        for lookup in [PeerLookup::HolderIndex, PeerLookup::ScanAll] {
+            let config = SimConfig::default().peer_lookup(lookup);
+            // Latency of request k = Ec0's latency sum over the first
+            // k + 1 requests minus the sum over the first k.
+            let sum_after = |k: usize| {
+                simulate_with_faults(&net, &groups, &cat, &trace[..k], config, &schedule)
+                    .unwrap()
+                    .metrics
+                    .per_cache()[0]
+                    .latency_sum_ms
+            };
+            for (k, &(alive, slowest)) in expected.iter().enumerate() {
+                let size = cat.document(DocId(k + 1)).size_bytes;
+                let want = model.query_fanout(alive)
+                    + slowest
+                    + model.origin_fetch(net.cache_to_origin(CacheId(0)), size);
+                let got = sum_after(k + 1) - sum_after(k);
+                assert!(
+                    (got - want).abs() < 1e-9,
+                    "{lookup:?} request {k}: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn equal_rtt_holders_tie_break_by_member_list_position() {
+        // Every cache pair is 10 ms apart, so any two holders tie. The
+        // member list is descending, so the earlier *member* is the
+        // higher cache id — the opposite of holder-bit order.
+        let net = EdgeNetwork::from_rtt_matrix(ecg_topology::RttMatrix::from_fn(5, |_, _| 10.0));
+        let cat = catalog(3);
+        let groups = GroupMap::new(4, vec![(0..4).rev().map(CacheId).collect()]).unwrap();
+        // Ec1 and Ec2 come to hold docs 0 and 1 with the same recency.
+        // Ec0's miss on doc 0 must be served by Ec2 (member position 1,
+        // before Ec1's 2), which touches Ec2's copy. Room for two of the
+        // three documents then makes Ec2's LRU eviction on doc 2 — doc 1
+        // goes, doc 0 stays for a final local hit — show who served.
+        let room = (0..3)
+            .map(|d| cat.document(DocId(d)).size_bytes)
+            .sum::<u64>()
+            - 1;
+        let trace = vec![
+            request(0.0, 1, 0),
+            request(10.0, 2, 0),
+            request(20.0, 1, 1),
+            request(30.0, 2, 1),
+            request(40.0, 0, 0),
+            request(50.0, 2, 2),
+            request(60.0, 2, 0),
+        ];
+        let run = |lookup| {
+            let mut obs = Obs::new();
+            let config = SimConfig::default()
+                .policy(PolicyKind::Lru)
+                .cache_capacity_bytes(room)
+                .peer_lookup(lookup);
+            let report =
+                simulate_observed(&net, &groups, &cat, &trace, config, Some(&mut obs)).unwrap();
+            (report, obs.metrics.counter("sim.holder.bit_tests"))
+        };
+        let (indexed, bit_tests) = run(PeerLookup::HolderIndex);
+        let (scanned, _) = run(PeerLookup::ScanAll);
+        assert_eq!(indexed, scanned);
+        assert_eq!(indexed.metrics.per_cache()[0].peer_hits, 1);
+        assert_eq!(indexed.metrics.per_cache()[2].local_hits, 1);
+        // Three misses saw a holder in the group, each with 3 alive
+        // peers to bit-test.
+        assert_eq!(bit_tests, 9);
     }
 
     #[test]
@@ -1900,7 +2177,13 @@ mod tests {
         assert!(m.counter("sim.peer_hits") > 0);
         assert!(m.counter("sim.coop_misses") > 0);
         assert_eq!(m.counter("sim.fault_events"), 2);
-        assert!(m.counter("sim.holder.group_checks") > 0);
+        // The holder counters keep the meaning the per-peer loop gave
+        // them — one check per miss, one bit test per alive peer of a
+        // group that may hold the document — and the values it produced
+        // on this fixture.
+        assert_eq!(m.counter("sim.holder.group_checks"), 1137);
+        assert_eq!(m.counter("sim.holder.ruled_out"), 919);
+        assert_eq!(m.counter("sim.holder.bit_tests"), 218);
         assert_eq!(
             m.gauge("sim.queue.max_depth"),
             Some(trace.len() as f64 + 2.0)

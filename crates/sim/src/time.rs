@@ -1,7 +1,7 @@
 //! Simulation clock.
 //!
 //! The simulator keeps time as integer microseconds so timestamps have a
-//! total order (no NaN) and event-queue comparisons are exact; workload
+//! total order (no NaN) and event-order comparisons are exact; workload
 //! traces use `f64` milliseconds at the boundary.
 
 use std::fmt;
@@ -39,11 +39,13 @@ impl SimTime {
     ///
     /// Panics if `ms` is negative, NaN, or infinite.
     pub fn from_ms(ms: f64) -> Self {
-        assert!(
-            ms.is_finite() && ms >= 0.0,
-            "time must be finite and >= 0, got {ms}"
-        );
-        SimTime((ms * 1_000.0).round() as u64)
+        Self::try_from_ms(ms).unwrap_or_else(|| panic!("time must be finite and >= 0, got {ms}"))
+    }
+
+    /// Like [`SimTime::from_ms`], but `None` instead of a panic for a
+    /// negative, NaN, or infinite `ms` — the form input validation uses.
+    pub fn try_from_ms(ms: f64) -> Option<Self> {
+        (ms.is_finite() && ms >= 0.0).then(|| SimTime((ms * 1_000.0).round() as u64))
     }
 
     /// Raw microseconds.
@@ -139,5 +141,13 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn negative_ms_panics() {
         let _ = SimTime::from_ms(-1.0);
+    }
+
+    #[test]
+    fn try_from_ms_rejects_what_from_ms_panics_on() {
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(SimTime::try_from_ms(bad), None, "{bad}");
+        }
+        assert_eq!(SimTime::try_from_ms(1.5), Some(SimTime::from_ms(1.5)));
     }
 }

@@ -1,6 +1,9 @@
 //! Property-based tests for the simulator.
 
-use ecg_sim::{simulate, FreshnessProtocol, GroupMap, LatencyModel, SimConfig};
+use ecg_sim::{
+    simulate, simulate_with_faults, FaultKind, FaultSchedule, FreshnessProtocol, GroupMap,
+    LatencyModel, PeerLookup, PlacementKind, SimConfig,
+};
 use ecg_topology::{CacheId, EdgeNetwork, RttMatrix};
 use ecg_workload::{generate_updates, merge_streams, CatalogConfig, RequestConfig};
 use proptest::prelude::*;
@@ -30,8 +33,110 @@ fn arb_partition(seed: u64, n: usize, max_k: usize) -> GroupMap {
     }
 }
 
+/// A network whose RTTs sit on a three-value grid, so a cache's peers
+/// mostly tie on RTT and the holder tie-break decides who serves.
+fn grid_network(seed: u64, caches: usize) -> EdgeNetwork {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let m = RttMatrix::from_fn(caches + 1, |_, _| 10.0 * f64::from(rng.gen_range(1u32..=3)));
+    EdgeNetwork::from_rtt_matrix(m)
+}
+
+/// [`arb_partition`] with every member list shuffled: member order (the
+/// tie-break) then disagrees with cache-id order (the holder-bit order).
+fn shuffled_partition(seed: u64, n: usize, max_k: usize) -> GroupMap {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5bd1_e995);
+    let mut groups = arb_partition(seed, n, max_k).groups().to_vec();
+    for members in &mut groups {
+        for i in (1..members.len()).rev() {
+            members.swap(i, rng.gen_range(0..=i));
+        }
+    }
+    GroupMap::new(n, groups).unwrap()
+}
+
+/// Crashes, recoveries and retirements spread over the trace, some for
+/// caches that are already down or were never down, plus a brownout.
+/// Cache 0 crashes, recovers and retires in every schedule.
+fn arb_schedule(seed: u64, caches: usize, duration_ms: f64) -> FaultSchedule {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut schedule = FaultSchedule::new().failover_penalty_ms(7.0);
+    let cache = CacheId(0);
+    schedule.push(0.1 * duration_ms, FaultKind::CacheDown { cache });
+    schedule.push(0.4 * duration_ms, FaultKind::CacheUp { cache });
+    schedule.push(0.8 * duration_ms, FaultKind::CacheRetire { cache });
+    for _ in 0..rng.gen_range(2..3 * caches) {
+        let cache = CacheId(rng.gen_range(0..caches));
+        let kind = match rng.gen_range(0u32..5) {
+            0 | 1 => FaultKind::CacheDown { cache },
+            2 | 3 => FaultKind::CacheUp { cache },
+            _ => FaultKind::CacheRetire { cache },
+        };
+        // Whole milliseconds: some faults share an instant.
+        schedule.push(rng.gen_range(0.0..duration_ms).floor(), kind);
+    }
+    schedule.push(0.3 * duration_ms, FaultKind::BrownoutStart { factor: 2.0 });
+    schedule.push(0.6 * duration_ms, FaultKind::BrownoutEnd);
+    schedule
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The directory path (holder bits, down counts, memoised slowest
+    /// reply) reports exactly what asking every member does.
+    #[test]
+    fn holder_index_path_equals_the_full_scan(
+        seed in any::<u64>(),
+        caches in 3usize..14,
+    ) {
+        let net = grid_network(seed, caches);
+        let groups = shuffled_partition(seed.wrapping_add(1), caches, 3);
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2));
+        let cat = CatalogConfig::default()
+            .documents(50)
+            .dynamic_fraction(0.6)
+            .dynamic_update_rate_per_sec(0.05)
+            .generate(&mut rng);
+        let duration = 40_000.0;
+        let requests = RequestConfig::default()
+            .rate_per_sec_per_cache(4.0)
+            .similarity(1.0)
+            .generate(&cat, caches, duration, &mut rng);
+        let updates = generate_updates(&cat, duration, &mut rng);
+        let trace = merge_streams(&requests, &updates);
+        let schedule = arb_schedule(seed.wrapping_add(3), caches, duration);
+        for freshness in [
+            FreshnessProtocol::InvalidateOnAccess,
+            FreshnessProtocol::OriginMulticast,
+            FreshnessProtocol::TtlLease { ttl_ms: 8_000.0 },
+        ] {
+            for placement in [
+                PlacementKind::SingleHolder,
+                PlacementKind::adaptive(),
+                PlacementKind::d_choices(),
+            ] {
+                // Small caches: evictions keep the holder sets moving.
+                let base = SimConfig::default()
+                    .cache_capacity_bytes(96 << 10)
+                    .freshness(freshness)
+                    .placement(placement);
+                let run = |lookup| {
+                    simulate_with_faults(
+                        &net, &groups, &cat, &trace, base.peer_lookup(lookup), &schedule,
+                    )
+                    .unwrap()
+                };
+                let indexed = run(PeerLookup::HolderIndex);
+                prop_assert_eq!(
+                    &indexed,
+                    &run(PeerLookup::ScanAll),
+                    "diverged under {:?} / {:?}", freshness, placement
+                );
+                prop_assert!(indexed.metrics.degradation.recoveries > 0);
+                prop_assert!(indexed.metrics.degradation.retirements > 0);
+            }
+        }
+    }
 
     #[test]
     fn report_invariants_hold(
