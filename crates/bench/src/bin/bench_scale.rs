@@ -22,6 +22,7 @@
 //! cargo run --release -p ecg-bench --bin bench_scale -- --assign tree
 //! cargo run --release -p ecg-bench --bin bench_scale -- --mb-batch 4096 --mb-iters 60
 //! cargo run --release -p ecg-bench --bin bench_scale -- --out /tmp/s.json
+//! cargo run --release -p ecg-bench --bin bench_scale -- --variant lloyd --sizes 5000,20000 --k 16,64,200
 //! ```
 //!
 //! `--variant lloyd|minibatch|both` picks the K-means engine(s);
@@ -32,7 +33,9 @@
 //! impractical on small hosts; mini-batch (whose cost is batch-sized,
 //! not N-sized) stays on the blocked kernel for continuity with the
 //! PR 7 baseline. `--mb-batch` and `--mb-iters` tune the mini-batch
-//! schedule.
+//! schedule. `--sizes` replaces every engine's N list and `--k` runs
+//! each N at the listed group counts instead of k = N/100 — the sweep
+//! behind `TREE_AUTO_MIN_K` (DESIGN.md).
 //!
 //! The synthetic oracle is generated once per N, outside the timing
 //! loop, so per-kernel timings measure formation kernels only — never
@@ -136,12 +139,12 @@ fn run_formation(
     mb: MiniBatchConfig,
     net: &SyntheticRtt,
     n: usize,
+    k: usize,
     threads: usize,
 ) -> RunResult {
     const LANDMARKS: usize = 8;
     const PLSET_MULTIPLIER: usize = 4;
     const KMEANS_ITERS: usize = 15;
-    let k = (n / 100).max(2);
 
     ecg_par::set_max_threads(Some(threads));
     let mut config = match scheme {
@@ -218,6 +221,28 @@ fn main() {
     let mb = MiniBatchConfig::default()
         .batch_size(mb_batch)
         .iterations(mb_iters);
+    let list_flag = |name: &str| -> Option<Vec<usize>> {
+        flag_value(name).map(|v| {
+            v.split(',')
+                .map(|x| {
+                    x.parse()
+                        .unwrap_or_else(|_| panic!("{name} takes comma-separated integers"))
+                })
+                .collect()
+        })
+    };
+    let sizes_override = list_flag("--sizes");
+    let k_override = list_flag("--k");
+    // The (scheme, k) cells run at each N: k = N/100 unless `--k` sweeps it.
+    let schemes = [Scheme::Sl, Scheme::Sdsl(1.0)];
+    let cells_for = |n: usize| -> Vec<(Scheme, usize)> {
+        let default_k = [(n / 100).max(2)];
+        let ks = k_override.as_deref().unwrap_or(&default_k);
+        schemes
+            .iter()
+            .flat_map(|&s| ks.iter().map(move |&k| (s, k)))
+            .collect()
+    };
 
     // The engine grid: Lloyd sweeps the requested assignment engines;
     // mini-batch stays on the blocked kernel (its scan is batch-sized,
@@ -254,13 +279,13 @@ fn main() {
     } else {
         &[20_000, 50_000, 100_000]
     };
-    let sizes_for = |engine: Engine| match (engine.variant, engine.assign) {
-        (Variant::Lloyd, AssignMode::Tree) => lloyd_tree_sizes,
-        (Variant::Lloyd, _) => lloyd_sizes,
-        (Variant::MiniBatch, _) => minibatch_sizes,
+    let sizes_for = |engine: Engine| match (&sizes_override, engine.variant, engine.assign) {
+        (Some(sizes), _, _) => sizes.as_slice(),
+        (None, Variant::Lloyd, AssignMode::Tree) => lloyd_tree_sizes,
+        (None, Variant::Lloyd, _) => lloyd_sizes,
+        (None, Variant::MiniBatch, _) => minibatch_sizes,
     };
     let thread_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
-    let schemes = [Scheme::Sl, Scheme::Sdsl(1.0)];
 
     let mut all_sizes: Vec<usize> = engines
         .iter()
@@ -278,7 +303,7 @@ fn main() {
         // per N, outside the timing loop — kernel timings never include
         // topology setup.
         let net = SyntheticRttConfig::default().generate(n + 1, 9_000 + n as u64);
-        for scheme in schemes {
+        for (scheme, k) in cells_for(n) {
             // One baseline per K-means variant, shared across thread
             // counts AND assignment engines: the tree scan must
             // reproduce the blocked scan bit for bit.
@@ -290,13 +315,14 @@ fn main() {
                     Variant::MiniBatch => &mut minibatch_baseline,
                 };
                 for &threads in thread_counts {
-                    let run = run_formation(scheme, engine, mb, &net, n, threads);
+                    let run = run_formation(scheme, engine, mb, &net, n, k, threads);
                     eprintln!(
-                        "{}/{}/{} n={} threads={}: total {:.0} ms (landmarks {:.0}, features {:.0}, kmeans {:.0} [tree build {:.1}], gic {:.0})",
+                        "{}/{}/{} n={} k={} threads={}: total {:.0} ms (landmarks {:.0}, features {:.0}, kmeans {:.0} [tree build {:.1}], gic {:.0})",
                         run.scheme,
                         run.variant,
                         run.assign,
                         run.n,
+                        run.k,
                         run.threads,
                         run.total_ms,
                         run.landmarks_ms,
@@ -335,7 +361,7 @@ fn main() {
     let mut speedups = String::new();
     for &engine in &engines {
         for &n in sizes_for(engine) {
-            for scheme in schemes {
+            for (scheme, k) in cells_for(n) {
                 let time_at = |threads: usize| {
                     runs.iter()
                         .find(|r| {
@@ -343,6 +369,7 @@ fn main() {
                                 && r.variant == engine.variant.name()
                                 && r.assign == engine.assign_name()
                                 && r.n == n
+                                && r.k == k
                                 && r.threads == threads
                         })
                         .expect("run present")
@@ -352,12 +379,17 @@ fn main() {
                 if !speedups.is_empty() {
                     speedups.push_str(", ");
                 }
+                // The key names k only when `--k` made it a swept axis.
+                let k_axis = k_override
+                    .as_ref()
+                    .map_or(String::new(), |_| format!("_k{k}"));
                 speedups.push_str(&format!(
-                    "\"{}_{}_{}_n{}_t{}\": {:.3}",
+                    "\"{}_{}_{}_n{}{}_t{}\": {:.3}",
                     scheme.name(),
                     engine.variant.name(),
                     engine.assign_name(),
                     n,
+                    k_axis,
                     max_threads,
                     s
                 ));

@@ -360,7 +360,13 @@ pub fn kmeans_observed<R: Rng + ?Sized>(
         iterations += 1;
         previous_centers.clone_from(&centers);
         update.update_centers(points, &assignments, &mut centers);
-        repair_empty_clusters(points, &mut assignments, &mut centers, &mut stolen);
+        repair_empty_clusters(
+            points,
+            &mut assignments,
+            &mut centers,
+            &mut update.counts,
+            &mut stolen,
+        );
         scanner.refill(&centers);
 
         // How far each center travelled this iteration (including any
@@ -475,7 +481,13 @@ pub fn kmeans_observed<R: Rng + ?Sized>(
     // Termination phase: make centers consistent with final assignments
     // and guarantee no empty groups.
     update.update_centers(points, &assignments, &mut centers);
-    repair_empty_clusters(points, &mut assignments, &mut centers, &mut stolen);
+    repair_empty_clusters(
+        points,
+        &mut assignments,
+        &mut centers,
+        &mut update.counts,
+        &mut stolen,
+    );
 
     if let Some(o) = obs {
         o.metrics.inc("kmeans.runs");
@@ -656,6 +668,9 @@ impl CenterUpdateScratch {
 
 /// Re-seeds every empty cluster on the point farthest from its current
 /// center, stealing it from its (necessarily non-empty) donor cluster.
+/// `counts` must hold the size of every cluster on entry — the center
+/// update has just tallied them — and is kept current across steals, so
+/// a call that finds nothing empty costs one pass over `k`, not `n`.
 /// The indices of stolen points are collected into `stolen` (cleared
 /// first) so the caller can invalidate their distance bounds. Shared
 /// with the mini-batch variant ([`crate::minibatch`]), which has the
@@ -664,18 +679,12 @@ pub(crate) fn repair_empty_clusters(
     points: &FeatureMatrix,
     assignments: &mut [usize],
     centers: &mut FeatureMatrix,
+    counts: &mut [usize],
     stolen: &mut Vec<usize>,
 ) {
-    let k = centers.len();
+    debug_assert_eq!(counts.len(), centers.len());
     stolen.clear();
-    loop {
-        let mut counts = vec![0usize; k];
-        for &c in assignments.iter() {
-            counts[c] += 1;
-        }
-        let Some(empty) = counts.iter().position(|&c| c == 0) else {
-            return;
-        };
+    while let Some(empty) = counts.iter().position(|&c| c == 0) {
         // Farthest point from its own center, from a cluster with > 1
         // members so the donor does not become empty itself.
         let mut donor: Option<(usize, f64)> = None;
@@ -694,6 +703,8 @@ pub(crate) fn repair_empty_clusters(
             // only possible when n < k, which the entry point rejects.
             return;
         };
+        counts[assignments[idx]] -= 1;
+        counts[empty] += 1;
         assignments[idx] = empty;
         let row = points.row(idx).to_vec();
         centers.set_row(empty, &row);

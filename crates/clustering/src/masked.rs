@@ -15,14 +15,14 @@
 //! * **Center update** — each center component is the mean of the
 //!   component over the cluster members that *observed* it; a component
 //!   no member observed keeps its previous value.
-//! * **Empty-cluster repair** — identical policy to [`crate::kmeans`]:
+//! * **Empty-cluster repair** — identical policy to [`crate::kmeans()`]:
 //!   re-seed on the point currently farthest (in masked distance) from
 //!   its own center; the stolen point's unobserved components keep the
 //!   center's previous values.
 //!
 //! With a fully-observed mask every one of those rules degenerates to
 //! the plain algorithm, arithmetic operation for arithmetic operation —
-//! [`kmeans_masked`] is then **bit-identical** to [`crate::kmeans`] /
+//! [`kmeans_masked`] is then **bit-identical** to [`crate::kmeans()`] /
 //! [`crate::kmeans_reference`] (see the property test). The RNG is
 //! consumed by the initializer only, exactly like the plain variants.
 //!
@@ -71,11 +71,11 @@ pub fn masked_sq_l2(p: &[f64], observed: &[bool], center: &[f64]) -> f64 {
 /// distance, center-update, and repair rules).
 ///
 /// With a fully-observed mask the result is bit-identical to
-/// [`crate::kmeans`] for the same inputs and RNG state.
+/// [`crate::kmeans()`] for the same inputs and RNG state.
 ///
 /// # Errors
 ///
-/// Exactly as [`crate::kmeans`].
+/// Exactly as [`crate::kmeans()`].
 ///
 /// # Panics
 ///

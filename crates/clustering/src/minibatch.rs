@@ -235,8 +235,18 @@ pub fn kmeans_minibatch<R: Rng + ?Sized>(
     .into_iter()
     .flatten()
     .collect();
+    let mut sizes = vec![0usize; k];
+    for &c in &assignments {
+        sizes[c] += 1;
+    }
     let mut stolen = Vec::new();
-    repair_empty_clusters(points, &mut assignments, &mut centers, &mut stolen);
+    repair_empty_clusters(
+        points,
+        &mut assignments,
+        &mut centers,
+        &mut sizes,
+        &mut stolen,
+    );
 
     Ok(Clustering::from_parts(
         assignments,

@@ -16,22 +16,48 @@ fn arb_points() -> impl Strategy<Value = FeatureMatrix> {
         .prop_map(|rows| FeatureMatrix::from_rows(&rows))
 }
 
-/// Query points and center sets of a shared random dimension, with the
-/// center coordinates snapped to a coarse grid. Snapping manufactures
-/// exact duplicate centers and mirror-symmetric (equidistant) layouts
-/// with high probability — exactly the configurations where a sloppy
-/// tie-break in the tree traversal would pick a different winner than
-/// the ascending-index blocked scan.
+/// Query points and center sets of a shared random dimension (1–24),
+/// with k drawn from the leaf-width edge cases as often as from the
+/// whole range. Center coordinates are snapped to a coarse grid that
+/// holds both zeros, and a few rows are copied over others: exact
+/// duplicate centers and mirror-symmetric (equidistant) layouts at
+/// every dimension — the configurations where a sloppy tie-break in
+/// the tree traversal would pick a different winner than the
+/// ascending-index blocked scan. Point coordinates are half free, half
+/// on the same grid: every box bound is a center coordinate, so those
+/// points sit exactly on box faces and, when all coordinates snap, on
+/// corners.
 fn arb_tree_inputs() -> impl Strategy<Value = (FeatureMatrix, FeatureMatrix)> {
-    (1usize..7).prop_flat_map(|dim| {
-        let points =
-            proptest::collection::vec(proptest::collection::vec(0.0f64..100.0, dim), 1..30)
-                .prop_map(|rows| FeatureMatrix::from_rows(&rows));
-        let centers = proptest::collection::vec(
-            proptest::collection::vec((0u8..5).prop_map(|v| f64::from(v) * 25.0), dim),
-            1..90,
+    fn grid() -> impl Strategy<Value = f64> {
+        // {-50, -25, +0, 25, 50} and, one time in six, -0.
+        (0u8..6).prop_map(|v| {
+            if v == 5 {
+                -0.0
+            } else {
+                f64::from(v) * 25.0 - 50.0
+            }
+        })
+    }
+    let k = prop_oneof![
+        (0usize..8).prop_map(|i| [1, 7, 8, 9, 16, 17, 64, 65][i]),
+        1usize..90,
+    ];
+    (1usize..25, k).prop_flat_map(|(dim, k)| {
+        let points = proptest::collection::vec(
+            proptest::collection::vec(prop_oneof![-60.0f64..60.0, grid()], dim),
+            1..30,
         )
         .prop_map(|rows| FeatureMatrix::from_rows(&rows));
+        let centers = (
+            proptest::collection::vec(proptest::collection::vec(grid(), dim), k),
+            proptest::collection::vec((0usize..k, 0usize..k), 0..4),
+        )
+            .prop_map(|(mut rows, copies)| {
+                for (from, to) in copies {
+                    rows[to] = rows[from].clone();
+                }
+                FeatureMatrix::from_rows(&rows)
+            });
         (points, centers)
     })
 }
