@@ -1,10 +1,12 @@
-//! The document cache itself.
+//! The document cache itself: a dense unordered slab of residents found
+//! through a small open-addressed index. Nothing observable depends on
+//! slab order — eviction minimises the total order `(score, DocId)`,
+//! [`DocumentCache::iter`] sorts on demand, equality compares contents.
 
 use crate::entry::Entry;
 use crate::policy::{select_victim, PolicyKind};
 use crate::stats::CacheStats;
 use ecg_workload::DocId;
-use std::collections::BTreeMap;
 
 /// Outcome of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,6 +28,29 @@ impl LookupOutcome {
     }
 }
 
+/// Up to this many residents are found by scanning the slab; the index
+/// is built when one more arrives. A cache that sees a handful of
+/// documents therefore costs a single allocation.
+const SMALL: usize = 8;
+
+/// Index value of a free position.
+const EMPTY: u32 = u32::MAX;
+
+/// Index size when first built: the smallest power of two holding
+/// `SMALL + 1` residents at load ≤ ½.
+const FIRST_INDEX_LEN: usize = (2 * (SMALL + 1)).next_power_of_two();
+
+/// The home index position of `doc` in a table of `table_len` (a power
+/// of two ≥ 2) positions: the top bits of a fixed multiplicative
+/// (Fibonacci) hash. Deliberately not `RandomState` — nothing in a
+/// replay may depend on process state.
+#[inline]
+fn home(doc: DocId, table_len: usize) -> usize {
+    debug_assert!(table_len.is_power_of_two() && table_len >= 2);
+    let hash = (doc.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (hash >> (u64::BITS - table_len.trailing_zeros())) as usize
+}
+
 /// A byte-capacity-bounded document cache with a pluggable replacement
 /// policy.
 ///
@@ -34,6 +59,15 @@ impl LookupOutcome {
 /// a cached copy with an older version is discarded as stale. This stands
 /// in for the cooperative freshness machinery of the authors' Cache
 /// Clouds system while exercising the same update-driven miss path.
+///
+/// # Storage
+///
+/// Residents sit in a dense slab in no particular order (removal is a
+/// `swap_remove`). Once more than eight have been resident at once, an
+/// open-addressed table of slab slots — power-of-two size at load ≤ ½,
+/// linear probing, backward-shift deletion — finds them; it is kept from
+/// then on. Insert, lookup and removal are O(1) and the eviction scan is
+/// a pass over contiguous memory.
 ///
 /// # Examples
 ///
@@ -48,15 +82,36 @@ impl LookupOutcome {
 /// // Origin bumped the version: the copy is stale.
 /// assert_eq!(cache.lookup(DocId(1), 2, 2.0), LookupOutcome::Stale);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DocumentCache {
     capacity_bytes: u64,
     used_bytes: u64,
     policy: PolicyKind,
-    entries: BTreeMap<DocId, Entry>,
+    /// The residents, dense and unordered.
+    slab: Vec<(DocId, Entry)>,
+    /// Slab slots by hashed document id, or empty while the slab is
+    /// scanned instead. Every resident's slot appears exactly once, on
+    /// the probe path from its [`home`] with no `EMPTY` before it.
+    index: Vec<u32>,
     stats: CacheStats,
     /// GDSF aging watermark `L`.
     watermark: f64,
+}
+
+/// Equal contents, whatever order the slabs happen to be in.
+impl PartialEq for DocumentCache {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity_bytes == other.capacity_bytes
+            && self.used_bytes == other.used_bytes
+            && self.policy == other.policy
+            && self.stats == other.stats
+            && self.watermark == other.watermark
+            && self.slab.len() == other.slab.len()
+            && self
+                .slab
+                .iter()
+                .all(|(doc, e)| other.entry(*doc) == Some(e))
+    }
 }
 
 impl DocumentCache {
@@ -72,7 +127,8 @@ impl DocumentCache {
             capacity_bytes,
             used_bytes: 0,
             policy,
-            entries: BTreeMap::new(),
+            slab: Vec::new(),
+            index: Vec::new(),
             stats: CacheStats::default(),
             watermark: 0.0,
         }
@@ -90,12 +146,12 @@ impl DocumentCache {
 
     /// Number of cached documents.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slab.len()
     }
 
     /// Returns `true` if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slab.is_empty()
     }
 
     /// The replacement policy in use.
@@ -108,6 +164,121 @@ impl DocumentCache {
         self.stats
     }
 
+    /// The slab slot holding `doc`, if it is resident.
+    #[inline]
+    fn find(&self, doc: DocId) -> Option<usize> {
+        if self.index.is_empty() {
+            return self.slab.iter().position(|&(d, _)| d == doc);
+        }
+        let mask = self.index.len() - 1;
+        let mut at = home(doc, self.index.len());
+        loop {
+            let slot = self.index[at];
+            if slot == EMPTY {
+                return None;
+            }
+            if self.slab[slot as usize].0 == doc {
+                return Some(slot as usize);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The resident copy of `doc`, if any.
+    #[inline]
+    fn entry(&self, doc: DocId) -> Option<&Entry> {
+        self.find(doc).map(|slot| &self.slab[slot].1)
+    }
+
+    /// The index position that names slab slot `slot`, whose resident is
+    /// `doc`.
+    fn index_position(&self, doc: DocId, slot: usize) -> usize {
+        let mask = self.index.len() - 1;
+        let mut at = home(doc, self.index.len());
+        while self.index[at] as usize != slot {
+            assert_ne!(self.index[at], EMPTY, "resident missing from the index");
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// Enters `slot`, whose resident is `doc`, at the first free position
+    /// on `doc`'s probe path.
+    fn link(&mut self, doc: DocId, slot: usize) {
+        let mask = self.index.len() - 1;
+        let mut at = home(doc, self.index.len());
+        while self.index[at] != EMPTY {
+            at = (at + 1) & mask;
+        }
+        assert!(slot < EMPTY as usize, "too many residents for a u32 slot");
+        self.index[at] = slot as u32;
+    }
+
+    /// Frees index position `hole` by backward-shift deletion: each later
+    /// member of the cluster moves back into the hole unless that would
+    /// put it before its home, so no probe path ever crosses an `EMPTY`.
+    fn unlink(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut at = hole;
+        loop {
+            at = (at + 1) & mask;
+            let slot = self.index[at];
+            if slot == EMPTY {
+                break;
+            }
+            let home = home(self.slab[slot as usize].0, self.index.len());
+            // Movable iff `home` is not cyclically between the hole
+            // (exclusive) and `at` (inclusive).
+            if (at.wrapping_sub(home) & mask) >= (at.wrapping_sub(hole) & mask) {
+                self.index[hole] = slot;
+                hole = at;
+            }
+        }
+        self.index[hole] = EMPTY;
+    }
+
+    /// Appends a resident known to be absent, building or doubling the
+    /// index when the population calls for it.
+    fn push(&mut self, doc: DocId, entry: Entry) {
+        let slot = self.slab.len();
+        self.slab.push((doc, entry));
+        if self.index.is_empty() {
+            if self.slab.len() > SMALL {
+                self.rebuild_index(FIRST_INDEX_LEN);
+            }
+        } else if self.slab.len() * 2 > self.index.len() {
+            self.rebuild_index(self.index.len() * 2);
+        } else {
+            self.link(doc, slot);
+        }
+    }
+
+    /// Re-enters every resident into a fresh table of `table_len`
+    /// positions.
+    fn rebuild_index(&mut self, table_len: usize) {
+        self.index.clear();
+        self.index.resize(table_len, EMPTY);
+        for slot in 0..self.slab.len() {
+            self.link(self.slab[slot].0, slot);
+        }
+    }
+
+    /// Removes and returns the resident in slab slot `slot`. The last
+    /// resident takes over the slot, and its index entry is re-pointed.
+    fn remove_slot(&mut self, slot: usize) -> (DocId, Entry) {
+        if !self.index.is_empty() {
+            self.unlink(self.index_position(self.slab[slot].0, slot));
+            let last = self.slab.len() - 1;
+            if slot != last {
+                let moved = self.index_position(self.slab[last].0, last);
+                self.index[moved] = slot as u32;
+            }
+        }
+        let removed = self.slab.swap_remove(slot);
+        self.used_bytes -= removed.1.size_bytes;
+        removed
+    }
+
     /// Serves a client lookup for `doc`, whose current origin version is
     /// `current_version`, at time `now_ms`.
     ///
@@ -116,14 +287,14 @@ impl DocumentCache {
     /// [`LookupOutcome::Stale`].
     pub fn lookup(&mut self, doc: DocId, current_version: u64, now_ms: f64) -> LookupOutcome {
         self.stats.lookups += 1;
-        match self.entries.get_mut(&doc) {
-            Some(entry) if entry.version >= current_version => {
-                entry.touch(now_ms);
+        match self.find(doc) {
+            Some(slot) if self.slab[slot].1.version >= current_version => {
+                self.slab[slot].1.touch(now_ms);
                 self.stats.fresh_hits += 1;
                 LookupOutcome::Hit
             }
-            Some(_) => {
-                self.remove(doc);
+            Some(slot) => {
+                self.remove_slot(slot);
                 self.stats.stale_hits += 1;
                 LookupOutcome::Stale
             }
@@ -138,8 +309,7 @@ impl DocumentCache {
     /// `current_version`? No statistics or recency are touched — this is
     /// the cooperative-lookup path, not a client request.
     pub fn holds_fresh(&self, doc: DocId, current_version: u64) -> bool {
-        self.entries
-            .get(&doc)
+        self.entry(doc)
             .is_some_and(|e| e.version >= current_version)
     }
 
@@ -148,7 +318,7 @@ impl DocumentCache {
     /// what the simulator's holder index tracks, so placement policies
     /// see identical replica counts under both peer-lookup strategies.
     pub fn contains(&self, doc: DocId) -> bool {
-        self.entries.contains_key(&doc)
+        self.find(doc).is_some()
     }
 
     /// Serves a lookup under a TTL lease: a cached copy is valid for
@@ -159,14 +329,15 @@ impl DocumentCache {
     /// Returns the version served on a hit.
     pub fn lookup_ttl(&mut self, doc: DocId, now_ms: f64, ttl_ms: f64) -> Option<u64> {
         self.stats.lookups += 1;
-        match self.entries.get_mut(&doc) {
-            Some(entry) if now_ms - entry.inserted_ms <= ttl_ms => {
+        match self.find(doc) {
+            Some(slot) if now_ms - self.slab[slot].1.inserted_ms <= ttl_ms => {
+                let entry = &mut self.slab[slot].1;
                 entry.touch(now_ms);
                 self.stats.fresh_hits += 1;
                 Some(entry.version)
             }
-            Some(_) => {
-                self.remove(doc);
+            Some(slot) => {
+                self.remove_slot(slot);
                 self.stats.stale_hits += 1;
                 None
             }
@@ -180,8 +351,7 @@ impl DocumentCache {
     /// Peer probe under the TTL lease model: returns the version of an
     /// unexpired copy of `doc`, if any. No statistics are touched.
     pub fn holds_unexpired(&self, doc: DocId, now_ms: f64, ttl_ms: f64) -> Option<u64> {
-        self.entries
-            .get(&doc)
+        self.entry(doc)
             .filter(|e| now_ms - e.inserted_ms <= ttl_ms)
             .map(|e| e.version)
     }
@@ -193,9 +363,9 @@ impl DocumentCache {
     ///
     /// Returns `true` if a fresh copy was present and touched.
     pub fn note_peer_serve(&mut self, doc: DocId, current_version: u64, now_ms: f64) -> bool {
-        match self.entries.get_mut(&doc) {
-            Some(entry) if entry.version >= current_version => {
-                entry.touch(now_ms);
+        match self.find(doc) {
+            Some(slot) if self.slab[slot].1.version >= current_version => {
+                self.slab[slot].1.touch(now_ms);
                 true
             }
             _ => false,
@@ -270,25 +440,29 @@ impl DocumentCache {
         if size_bytes > self.capacity_bytes {
             return false;
         }
-        // Replacing an existing copy frees its bytes first.
-        self.remove(doc);
+        // Replacing an existing copy frees its bytes first. This is the
+        // insert's only search: victims leave by slot and the new copy
+        // is appended.
+        if let Some(slot) = self.find(doc) {
+            self.remove_slot(slot);
+        }
         while self.used_bytes + size_bytes > self.capacity_bytes {
-            let Some((victim, score)) =
-                select_victim(self.policy, self.entries.iter(), now_ms, self.watermark)
+            let Some((slot, score)) =
+                select_victim(self.policy, &self.slab, now_ms, self.watermark)
             else {
                 break;
             };
             if self.policy == PolicyKind::Gdsf {
                 self.watermark = score;
             }
-            let evicted = self.remove(victim).expect("victim exists");
+            let (victim, evicted) = self.remove_slot(slot);
             self.stats.evictions += 1;
             self.stats.bytes_evicted += evicted.size_bytes;
             if let Some(out) = evicted_out.as_deref_mut() {
                 out.push(victim);
             }
         }
-        self.entries.insert(
+        self.push(
             doc,
             Entry::new(
                 version,
@@ -308,20 +482,23 @@ impl DocumentCache {
     /// Used for explicit invalidation when an origin update notification
     /// is pushed to the cache.
     pub fn remove(&mut self, doc: DocId) -> Option<Entry> {
-        let entry = self.entries.remove(&doc)?;
-        self.used_bytes -= entry.size_bytes;
-        Some(entry)
+        let slot = self.find(doc)?;
+        Some(self.remove_slot(slot).1)
     }
 
-    /// Iterates over the cached documents and entries in id order.
+    /// Iterates over the cached documents and entries in id order
+    /// (sorted on demand: this is for inspection, not the request path).
     pub fn iter(&self) -> impl Iterator<Item = (DocId, &Entry)> + '_ {
-        self.entries.iter().map(|(&d, e)| (d, e))
+        let mut residents: Vec<(DocId, &Entry)> = self.slab.iter().map(|(d, e)| (*d, e)).collect();
+        residents.sort_unstable_by_key(|&(d, _)| d);
+        residents.into_iter()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn filled(policy: PolicyKind) -> DocumentCache {
         let mut c = DocumentCache::new(1_000, policy);
@@ -515,6 +692,66 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn zero_capacity_panics() {
         let _ = DocumentCache::new(0, PolicyKind::Lru);
+    }
+
+    #[test]
+    fn equality_and_iteration_ignore_slab_order() {
+        // Same contents and history length, residents left in opposite
+        // slab order.
+        let build = |order: [usize; 2]| {
+            let mut c = DocumentCache::new(1_000, PolicyKind::Lru);
+            c.insert(DocId(0), 1, 100, 10.0, 0.0, 0.0);
+            for d in order {
+                c.insert(DocId(d), 1, 100, 10.0, 0.0, d as f64);
+            }
+            c.remove(DocId(0));
+            c
+        };
+        let (a, b) = (build([1, 2]), build([2, 1]));
+        assert_ne!(a.slab, b.slab);
+        assert_eq!(a, b);
+        assert!(a.iter().eq(b.iter()));
+        let mut c = build([1, 2]);
+        c.note_peer_serve(DocId(2), 1, 9.0);
+        assert_ne!(a, c);
+    }
+
+    #[test]
+    fn colliding_ids_survive_removal_in_any_order() {
+        // One long cluster that wraps past the last index position: ids
+        // whose home (at the final table size) is one of the last three
+        // or first two positions, plus multiples of the table size.
+        const TABLE: usize = 512;
+        let mut ids: Vec<DocId> = (1..=40).map(|k| DocId(k * TABLE)).collect();
+        ids.extend(
+            (0..)
+                .map(DocId)
+                .filter(|&d| d.0 % TABLE != 0 && (home(d, TABLE) + 3) % TABLE < 5)
+                .take(200),
+        );
+        let mut c = DocumentCache::new(u64::MAX, PolicyKind::Lru);
+        for &d in &ids {
+            // The version names the document, so a slot re-pointed at
+            // the wrong resident shows.
+            c.insert(d, d.0 as u64, 1, 1.0, 0.0, 0.0);
+        }
+        assert_eq!(c.index.len(), TABLE);
+        // Fisher–Yates with a fixed seed.
+        let mut rng = StdRng::seed_from_u64(14);
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.gen_range(0..=i));
+        }
+        for gone in 0..ids.len() {
+            let entry = c.remove(ids[gone]).expect("still resident");
+            assert_eq!(entry.version, ids[gone].0 as u64);
+            for (i, &d) in ids.iter().enumerate() {
+                assert_eq!(c.contains(d), i > gone, "doc {d:?} after {gone} removals");
+                assert_eq!(c.holds_fresh(d, d.0 as u64), i > gone);
+            }
+            assert_eq!(c.len(), ids.len() - gone - 1);
+            let linked = c.index.iter().filter(|&&slot| slot != EMPTY).count();
+            assert_eq!(linked, c.len());
+        }
     }
 
     #[test]

@@ -48,6 +48,7 @@ impl PolicyKind {
 ///
 /// `now_ms` is the current simulation time; `watermark` is the GDSF `L`
 /// value (ignored by the other policies).
+#[inline]
 pub(crate) fn eviction_score(
     policy: PolicyKind,
     entry: &Entry,
@@ -70,35 +71,53 @@ pub(crate) fn eviction_score(
     }
 }
 
-/// Selects the eviction victim: the entry with the minimum score.
+/// Selects the eviction victim among `residents`: the one with the
+/// minimum `(score, DocId)`, a total order, so the choice does not
+/// depend on the order of the slice. Returns its position and score.
 ///
-/// Returns `None` for an empty entry set.
-pub(crate) fn select_victim<'a>(
+/// Returns `None` for an empty slice.
+pub(crate) fn select_victim(
     policy: PolicyKind,
-    entries: impl Iterator<Item = (&'a DocId, &'a Entry)>,
+    residents: &[(DocId, Entry)],
     now_ms: f64,
     watermark: f64,
-) -> Option<(DocId, f64)> {
-    let mut best: Option<(DocId, f64)> = None;
-    for (&doc, entry) in entries {
-        let score = eviction_score(policy, entry, now_ms, watermark);
-        let better = match best {
-            None => true,
-            // Deterministic tie-break on DocId keeps runs reproducible.
-            Some((bdoc, bscore)) => score < bscore || (score == bscore && doc < bdoc),
+) -> Option<(usize, f64)> {
+    // The policy is matched once here, not once per resident: each arm
+    // scans with `eviction_score` specialised to a constant policy.
+    macro_rules! scan {
+        ($policy:expr) => {
+            min_score(residents, |e| eviction_score($policy, e, now_ms, watermark))
         };
-        if better {
-            best = Some((doc, score));
+    }
+    match policy {
+        PolicyKind::Lru => scan!(PolicyKind::Lru),
+        PolicyKind::Lfu => scan!(PolicyKind::Lfu),
+        PolicyKind::Utility => scan!(PolicyKind::Utility),
+        PolicyKind::Gdsf => scan!(PolicyKind::Gdsf),
+    }
+}
+
+/// The position and score of the minimum `(score, DocId)` in `residents`.
+fn min_score(
+    residents: &[(DocId, Entry)],
+    score_of: impl Fn(&Entry) -> f64,
+) -> Option<(usize, f64)> {
+    let (first, rest) = residents.split_first()?;
+    let mut best = (0, first.0, score_of(&first.1));
+    for (at, (doc, entry)) in rest.iter().enumerate() {
+        let score = score_of(entry);
+        // Deterministic tie-break on DocId keeps runs reproducible.
+        if score < best.2 || (score == best.2 && *doc < best.1) {
+            best = (at + 1, *doc, score);
         }
     }
-    best
+    Some((best.0, best.2))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::entry::Entry;
-    use std::collections::BTreeMap;
 
     fn entry(size: u64, cost: f64, accesses: u64, last_ms: f64, update_rate: f64) -> Entry {
         let mut e = Entry::new(1, size, cost, update_rate, 0.0);
@@ -107,62 +126,74 @@ mod tests {
         e
     }
 
-    fn victim(policy: PolicyKind, entries: &BTreeMap<DocId, Entry>, now: f64) -> DocId {
-        select_victim(policy, entries.iter(), now, 0.0)
-            .expect("non-empty")
-            .0
+    /// The victim among `residents`, which must come out the same
+    /// whatever order the slice is in.
+    fn victim(policy: PolicyKind, residents: &[(DocId, Entry)], now: f64) -> DocId {
+        let pick = |residents: &[(DocId, Entry)]| {
+            let (at, _) = select_victim(policy, residents, now, 0.0).expect("non-empty");
+            residents[at].0
+        };
+        let reversed: Vec<_> = residents.iter().rev().copied().collect();
+        assert_eq!(pick(residents), pick(&reversed));
+        pick(residents)
     }
 
     #[test]
     fn lru_evicts_oldest_access() {
-        let mut m = BTreeMap::new();
-        m.insert(DocId(0), entry(100, 10.0, 5, 50.0, 0.0));
-        m.insert(DocId(1), entry(100, 10.0, 5, 10.0, 0.0));
-        m.insert(DocId(2), entry(100, 10.0, 5, 90.0, 0.0));
+        let m = [
+            (DocId(0), entry(100, 10.0, 5, 50.0, 0.0)),
+            (DocId(1), entry(100, 10.0, 5, 10.0, 0.0)),
+            (DocId(2), entry(100, 10.0, 5, 90.0, 0.0)),
+        ];
         assert_eq!(victim(PolicyKind::Lru, &m, 100.0), DocId(1));
     }
 
     #[test]
     fn lfu_evicts_least_frequent() {
-        let mut m = BTreeMap::new();
-        m.insert(DocId(0), entry(100, 10.0, 9, 50.0, 0.0));
-        m.insert(DocId(1), entry(100, 10.0, 2, 99.0, 0.0));
-        m.insert(DocId(2), entry(100, 10.0, 5, 10.0, 0.0));
+        let m = [
+            (DocId(0), entry(100, 10.0, 9, 50.0, 0.0)),
+            (DocId(1), entry(100, 10.0, 2, 99.0, 0.0)),
+            (DocId(2), entry(100, 10.0, 5, 10.0, 0.0)),
+        ];
         assert_eq!(victim(PolicyKind::Lfu, &m, 100.0), DocId(1));
     }
 
     #[test]
     fn lfu_breaks_ties_by_recency() {
-        let mut m = BTreeMap::new();
-        m.insert(DocId(0), entry(100, 10.0, 3, 90.0, 0.0));
-        m.insert(DocId(1), entry(100, 10.0, 3, 10.0, 0.0));
+        let m = [
+            (DocId(0), entry(100, 10.0, 3, 90.0, 0.0)),
+            (DocId(1), entry(100, 10.0, 3, 10.0, 0.0)),
+        ];
         assert_eq!(victim(PolicyKind::Lfu, &m, 100.0), DocId(1));
     }
 
     #[test]
     fn utility_prefers_evicting_large_cheap_updated_docs() {
-        let mut m = BTreeMap::new();
-        // Small, expensive-to-fetch, static, hot: keep.
-        m.insert(DocId(0), entry(1_000, 100.0, 20, 90.0, 0.0));
-        // Huge, cheap, frequently updated, cold: evict.
-        m.insert(DocId(1), entry(1_000_000, 1.0, 1, 90.0, 1.0));
+        let m = [
+            // Small, expensive-to-fetch, static, hot: keep.
+            (DocId(0), entry(1_000, 100.0, 20, 90.0, 0.0)),
+            // Huge, cheap, frequently updated, cold: evict.
+            (DocId(1), entry(1_000_000, 1.0, 1, 90.0, 1.0)),
+        ];
         assert_eq!(victim(PolicyKind::Utility, &m, 100.0), DocId(1));
     }
 
     #[test]
     fn utility_penalizes_update_rate() {
-        let mut m = BTreeMap::new();
-        // Identical except update rate.
-        m.insert(DocId(0), entry(1_000, 10.0, 5, 50.0, 0.0));
-        m.insert(DocId(1), entry(1_000, 10.0, 5, 50.0, 2.0));
+        let m = [
+            // Identical except update rate.
+            (DocId(0), entry(1_000, 10.0, 5, 50.0, 0.0)),
+            (DocId(1), entry(1_000, 10.0, 5, 50.0, 2.0)),
+        ];
         assert_eq!(victim(PolicyKind::Utility, &m, 100.0), DocId(1));
     }
 
     #[test]
     fn gdsf_prefers_evicting_big_cheap_docs() {
-        let mut m = BTreeMap::new();
-        m.insert(DocId(0), entry(10, 50.0, 3, 0.0, 0.0)); // tiny, pricey
-        m.insert(DocId(1), entry(100_000, 50.0, 3, 0.0, 0.0)); // huge
+        let m = [
+            (DocId(0), entry(10, 50.0, 3, 0.0, 0.0)), // tiny, pricey
+            (DocId(1), entry(100_000, 50.0, 3, 0.0, 0.0)), // huge
+        ];
         assert_eq!(victim(PolicyKind::Gdsf, &m, 100.0), DocId(1));
     }
 
@@ -175,9 +206,22 @@ mod tests {
     }
 
     #[test]
+    fn equal_scores_go_to_the_smaller_id() {
+        let same = entry(100, 10.0, 3, 50.0, 0.0);
+        let m = [(DocId(7), same), (DocId(2), same), (DocId(5), same)];
+        for policy in [
+            PolicyKind::Lru,
+            PolicyKind::Lfu,
+            PolicyKind::Utility,
+            PolicyKind::Gdsf,
+        ] {
+            assert_eq!(victim(policy, &m, 100.0), DocId(2));
+        }
+    }
+
+    #[test]
     fn empty_entry_set_has_no_victim() {
-        let m: BTreeMap<DocId, Entry> = BTreeMap::new();
-        assert!(select_victim(PolicyKind::Lru, m.iter(), 0.0, 0.0).is_none());
+        assert!(select_victim(PolicyKind::Lru, &[], 0.0, 0.0).is_none());
     }
 
     #[test]

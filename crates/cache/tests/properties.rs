@@ -1,9 +1,9 @@
 //! Property-based tests for the document cache.
 
-use ecg_cache::{DocumentCache, Entry, LookupOutcome, PolicyKind};
+use ecg_cache::{CacheStats, DocumentCache, Entry, LookupOutcome, PolicyKind};
 use ecg_workload::DocId;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A random cache operation for sequence testing.
 #[derive(Debug, Clone)]
@@ -114,6 +114,167 @@ fn predict_victims(
         victims.push(victim);
     }
     (victims, watermark)
+}
+
+/// The cache as it was stored before the slab: a `BTreeMap` walked in id
+/// order, scored with the documented keys. Kept as the reference model
+/// the real store is driven against.
+struct ModelCache {
+    capacity_bytes: u64,
+    used_bytes: u64,
+    policy: PolicyKind,
+    entries: BTreeMap<DocId, Entry>,
+    stats: CacheStats,
+    watermark: f64,
+}
+
+impl ModelCache {
+    fn new(capacity_bytes: u64, policy: PolicyKind) -> Self {
+        ModelCache {
+            capacity_bytes,
+            used_bytes: 0,
+            policy,
+            entries: BTreeMap::new(),
+            stats: CacheStats::default(),
+            watermark: 0.0,
+        }
+    }
+
+    /// Shared shape of `lookup` and `lookup_ttl`: touch and serve a
+    /// copy that `valid` accepts, drop one it rejects.
+    fn lookup_by(
+        &mut self,
+        doc: DocId,
+        now_ms: f64,
+        valid: impl Fn(&Entry) -> bool,
+    ) -> LookupOutcome {
+        self.stats.lookups += 1;
+        match self.entries.get_mut(&doc) {
+            Some(entry) if valid(entry) => {
+                entry.touch(now_ms);
+                self.stats.fresh_hits += 1;
+                LookupOutcome::Hit
+            }
+            Some(_) => {
+                self.remove(doc);
+                self.stats.stale_hits += 1;
+                LookupOutcome::Stale
+            }
+            None => {
+                self.stats.misses += 1;
+                LookupOutcome::Miss
+            }
+        }
+    }
+
+    fn note_peer_serve(&mut self, doc: DocId, current_version: u64, now_ms: f64) -> bool {
+        match self.entries.get_mut(&doc) {
+            Some(entry) if entry.version >= current_version => {
+                entry.touch(now_ms);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Returns whether `doc` ended up cached, and the victims in order.
+    fn insert(&mut self, doc: DocId, version: u64, size: u64, now_ms: f64) -> (bool, Vec<DocId>) {
+        let mut victims = Vec::new();
+        if size > self.capacity_bytes {
+            return (false, victims);
+        }
+        self.remove(doc);
+        while self.used_bytes + size > self.capacity_bytes {
+            let mut best: Option<(DocId, f64)> = None;
+            for (&d, e) in &self.entries {
+                let score = documented_score(self.policy, e, now_ms, self.watermark);
+                if best.is_none_or(|(bd, bs)| score < bs || (score == bs && d < bd)) {
+                    best = Some((d, score));
+                }
+            }
+            let Some((victim, score)) = best else { break };
+            if self.policy == PolicyKind::Gdsf {
+                self.watermark = score;
+            }
+            let evicted = self.remove(victim).expect("victim exists");
+            self.stats.evictions += 1;
+            self.stats.bytes_evicted += evicted.size_bytes;
+            victims.push(victim);
+        }
+        self.entries.insert(
+            doc,
+            Entry::new(version, size, FETCH_COST_MS, UPDATE_RATE, now_ms),
+        );
+        self.used_bytes += size;
+        self.stats.insertions += 1;
+        (true, victims)
+    }
+
+    fn remove(&mut self, doc: DocId) -> Option<Entry> {
+        let entry = self.entries.remove(&doc)?;
+        self.used_bytes -= entry.size_bytes;
+        Some(entry)
+    }
+}
+
+const FETCH_COST_MS: f64 = 10.0;
+const UPDATE_RATE: f64 = 0.1;
+/// Ids the model test draws from.
+const MODEL_DOCS: usize = 48;
+/// Lease used by the model test's TTL operations.
+const MODEL_TTL_MS: f64 = 40.0;
+
+/// One step of the model test. Every public mutator of the cache
+/// appears; `tracked` picks `insert_with_evicted` over `insert`.
+#[derive(Debug, Clone)]
+enum ModelOp {
+    Lookup {
+        doc: usize,
+        version: u64,
+    },
+    LookupTtl {
+        doc: usize,
+    },
+    Insert {
+        doc: usize,
+        version: u64,
+        size: u64,
+        tracked: bool,
+    },
+    Remove {
+        doc: usize,
+    },
+    PeerServe {
+        doc: usize,
+        version: u64,
+    },
+}
+
+fn arb_model_op() -> impl Strategy<Value = ModelOp> {
+    // Half the steps insert a small body, so a 2 000-byte cache fills
+    // well past eight residents; one in twelve inserts a large one that
+    // evicts many at once (or is oversized) and takes the population
+    // back under eight.
+    let fields = (
+        0u8..12,
+        0usize..MODEL_DOCS,
+        1u64..5,
+        20u64..120,
+        700u64..2_100,
+        any::<bool>(),
+    );
+    fields.prop_map(|(kind, doc, version, small, large, tracked)| match kind {
+        0 | 1 => ModelOp::Lookup { doc, version },
+        2 => ModelOp::LookupTtl { doc },
+        3 => ModelOp::Remove { doc },
+        4 => ModelOp::PeerServe { doc, version },
+        _ => ModelOp::Insert {
+            doc,
+            version,
+            size: if kind == 5 { large } else { small },
+            tracked,
+        },
+    })
 }
 
 fn arb_policy() -> impl Strategy<Value = PolicyKind> {
@@ -265,6 +426,80 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn slab_store_matches_the_btreemap_model(
+        ops in proptest::collection::vec(arb_model_op(), 1..400),
+        policy in arb_policy(),
+    ) {
+        let mut cache = DocumentCache::new(2_000, policy);
+        let mut model = ModelCache::new(2_000, policy);
+        let mut evicted = Vec::new();
+        // Times the population rose past / fell back to eight residents.
+        let (mut rose, mut fell) = (0, 0);
+        for (t, op) in ops.iter().enumerate() {
+            let now = t as f64;
+            let resident_before = cache.len();
+            match *op {
+                ModelOp::Lookup { doc, version } => {
+                    let expected = model.lookup_by(DocId(doc), now, |e| e.version >= version);
+                    prop_assert_eq!(cache.lookup(DocId(doc), version, now), expected);
+                }
+                ModelOp::LookupTtl { doc } => {
+                    let served = model
+                        .lookup_by(DocId(doc), now, |e| now - e.inserted_ms <= MODEL_TTL_MS)
+                        .is_hit()
+                        .then(|| model.entries[&DocId(doc)].version);
+                    prop_assert_eq!(cache.lookup_ttl(DocId(doc), now, MODEL_TTL_MS), served);
+                }
+                ModelOp::Insert { doc, version, size, tracked } => {
+                    let (cached, victims) = model.insert(DocId(doc), version, size, now);
+                    if tracked {
+                        let got = cache.insert_with_evicted(
+                            DocId(doc), version, size, FETCH_COST_MS, UPDATE_RATE, now, &mut evicted,
+                        );
+                        prop_assert_eq!(got, cached);
+                        prop_assert_eq!(&evicted, &victims);
+                    } else {
+                        cache.insert(DocId(doc), version, size, FETCH_COST_MS, UPDATE_RATE, now);
+                    }
+                }
+                ModelOp::Remove { doc } => {
+                    prop_assert_eq!(cache.remove(DocId(doc)), model.remove(DocId(doc)));
+                }
+                ModelOp::PeerServe { doc, version } => {
+                    prop_assert_eq!(
+                        cache.note_peer_serve(DocId(doc), version, now),
+                        model.note_peer_serve(DocId(doc), version, now)
+                    );
+                }
+            }
+            prop_assert_eq!(cache.len(), model.entries.len());
+            prop_assert_eq!(cache.is_empty(), model.entries.is_empty());
+            prop_assert_eq!(cache.used_bytes(), model.used_bytes);
+            prop_assert_eq!(cache.stats(), model.stats);
+            prop_assert!(cache.iter().eq(model.entries.iter().map(|(&d, e)| (d, e))));
+            for d in (0..MODEL_DOCS).map(DocId) {
+                let held = model.entries.get(&d);
+                prop_assert_eq!(cache.contains(d), held.is_some());
+                for version in 1..5 {
+                    prop_assert_eq!(
+                        cache.holds_fresh(d, version),
+                        held.is_some_and(|e| e.version >= version)
+                    );
+                }
+                prop_assert_eq!(
+                    cache.holds_unexpired(d, now, MODEL_TTL_MS),
+                    held.filter(|e| now - e.inserted_ms <= MODEL_TTL_MS).map(|e| e.version)
+                );
+            }
+            rose += usize::from(resident_before <= 8 && cache.len() > 8);
+            fell += usize::from(resident_before > 8 && cache.len() <= 8);
+        }
+        // A long run takes the store across the small-mode threshold in
+        // both directions.
+        prop_assert!(ops.len() < 200 || (rose > 0 && fell > 0), "rose {rose}, fell {fell}");
     }
 
     #[test]

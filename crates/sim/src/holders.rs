@@ -2,16 +2,17 @@
 //!
 //! On every local miss the simulator asks each group peer whether it
 //! holds a copy of the requested document. The naive path probes every
-//! peer's cache map — a `BTreeMap` lookup per peer per miss, which
-//! dominates trace replay for large groups. [`HolderIndex`] mirrors
-//! cache *membership* in one compact bitset per document and acts as
-//! the group's directory: ANDing the document's words with a
-//! precomputed peer mask ([`PeerMasks`]) and walking the set bits
-//! ([`HolderIndex::holders_among`]) names exactly the peers that can
-//! answer, so a miss costs `words_per_doc` ANDs plus one probe per
-//! actual holder instead of one probe per group member. The same walk
-//! without a mask ([`HolderIndex::holders`]) drives multicast
-//! invalidation.
+//! peer's cache — a hashed lookup into another cache's store per peer
+//! per miss, which dominates trace replay for large groups.
+//! [`HolderIndex`] mirrors cache *membership* in one compact bitset per
+//! document and acts as the group's directory: ANDing the document's
+//! words with a precomputed peer mask ([`PeerMasks`]) and walking the
+//! set bits ([`HolderIndex::holders_among`]) names exactly the peers
+//! that can answer, so a miss costs `words_per_doc` ANDs plus one RTT
+//! read per alive holder and — the simulator tries them nearest-first
+//! and stops at the first servable copy — one cache probe per holder
+//! tried, instead of one probe per group member. The same walk without
+//! a mask ([`HolderIndex::holders`]) drives multicast invalidation.
 //!
 //! The index tracks presence only. Freshness (origin version or TTL
 //! lease) is still checked against the holding peer's actual cache

@@ -47,7 +47,6 @@
 pub mod event;
 pub mod fault;
 pub mod groups;
-pub mod histogram;
 pub mod holders;
 pub mod latency;
 pub mod metrics;
@@ -55,9 +54,27 @@ pub mod origin;
 mod sim;
 pub mod time;
 
+/// [`ecg_obs::Histogram`] under the simulator's historical name: every
+/// request latency goes into geometrically spaced bins (256 over
+/// 0.05 ms – 60 s by default), so a run reports percentiles with O(1)
+/// memory whatever its request count.
+///
+/// # Examples
+///
+/// ```
+/// use ecg_sim::LatencyHistogram;
+///
+/// let mut h = LatencyHistogram::default();
+/// for v in [1.0, 2.0, 3.0, 4.0, 100.0] {
+///     h.record(v);
+/// }
+/// assert_eq!(h.count(), 5);
+/// let p50 = h.percentile(0.5).unwrap();
+/// assert!(p50 >= 2.0 && p50 <= 4.0);
+/// ```
+pub use ecg_obs::Histogram as LatencyHistogram;
 pub use fault::{FaultCarryState, FaultError, FaultEvent, FaultKind, FaultSchedule};
 pub use groups::{GroupMap, GroupMapError};
-pub use histogram::LatencyHistogram;
 pub use holders::{HolderIndex, PeerMasks};
 pub use latency::LatencyModel;
 pub use metrics::{

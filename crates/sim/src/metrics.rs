@@ -6,7 +6,7 @@
 //! nearest the origin, 50 farthest) fall out of one run.
 
 use crate::groups::GroupMap;
-use crate::histogram::LatencyHistogram;
+use ecg_obs::Histogram as LatencyHistogram;
 use ecg_topology::CacheId;
 
 /// How a request was ultimately served.

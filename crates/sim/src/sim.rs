@@ -37,9 +37,10 @@
 //! * *who can answer* — the set bits of the document's holder words
 //!   ANDed with the requester's peer mask
 //!   ([`HolderIndex::holders_among`]): `words_per_doc` ANDs plus one
-//!   freshness probe and one RTT read per actual holder, equal-RTT ties
-//!   going to the earlier position in the group's member list as in a
-//!   member-order scan;
+//!   RTT read per alive holder, then one cache probe per holder tried,
+//!   nearest first — equal-RTT ties going to the earlier position in
+//!   the group's member list as in a member-order scan — until one has
+//!   a servable copy;
 //! * *how long the last negative reply takes* — each cache's slowest
 //!   alive-peer RTT, memoised and recomputed only after a crash,
 //!   recovery or retirement in its group (one epoch bump per fault).
@@ -548,6 +549,9 @@ pub fn simulate_with_faults_observed(
     }
     // Eviction scratch reused across every insert in the event loop.
     let mut evicted_scratch: Vec<DocId> = Vec::new();
+    // The alive holders of one cooperative lookup, as (RTT from the
+    // requester, member-list position, holder); reused the same way.
+    let mut holder_scratch: Vec<(f64, usize, CacheId)> = Vec::new();
 
     // Placement policies, one instance per group. `None` for the
     // single-holder baseline: the historical copy flow (replicate on
@@ -778,28 +782,39 @@ pub fn simulate_with_faults_observed(
                                 alive = members.len() - 1 - live.down_in_group[g];
                                 holder_group_checks += 1;
                                 let mut may_hold = false;
-                                let mut best_position = usize::MAX;
+                                holder_scratch.clear();
                                 for p in idx.holders_among(doc, masks.mask(cache)) {
                                     may_hold = true;
-                                    if live.down[p.index()] {
-                                        continue;
+                                    if !live.down[p.index()] {
+                                        let rtt = network.cache_to_cache(cache, p);
+                                        holder_scratch.push((rtt, position[p.index()], p));
                                     }
-                                    let Some(v) = servable_version(
+                                }
+                                // Only the servable holder smallest in
+                                // `(rtt, position)` is ever used, so probe
+                                // in that order and stop at the first
+                                // servable copy; a stale or expired one
+                                // falls through to the next nearest.
+                                while !holder_scratch.is_empty() {
+                                    let mut nearest = 0;
+                                    for (i, &(rtt, at, _)) in
+                                        holder_scratch.iter().enumerate().skip(1)
+                                    {
+                                        let (best, best_at, _) = holder_scratch[nearest];
+                                        if rtt < best || (rtt == best && at < best_at) {
+                                            nearest = i;
+                                        }
+                                    }
+                                    let (rtt, _, p) = holder_scratch.swap_remove(nearest);
+                                    if let Some(v) = servable_version(
                                         &caches[p.index()],
                                         freshness,
                                         doc,
                                         current_version,
                                         now_ms,
-                                    ) else {
-                                        continue;
-                                    };
-                                    let rtt = network.cache_to_cache(cache, p);
-                                    let at = position[p.index()];
-                                    if holder.is_none_or(|(_, best, _)| {
-                                        rtt < best || (rtt == best && at < best_position)
-                                    }) {
+                                    ) {
                                         holder = Some((p, rtt, v));
-                                        best_position = at;
+                                        break;
                                     }
                                 }
                                 // A member-order scan of a group that may
@@ -1621,6 +1636,101 @@ mod tests {
         // Three misses saw a holder in the group, each with 3 alive
         // peers to bit-test.
         assert_eq!(bit_tests, 9);
+    }
+
+    /// Ec0's group for the nearest-first tests: Ec1 is 4 ms away, Ec3
+    /// 14.4 ms and Ec2 17 ms.
+    fn four_and_two() -> GroupMap {
+        GroupMap::new(
+            6,
+            vec![(0..4).map(CacheId).collect(), vec![CacheId(4), CacheId(5)]],
+        )
+        .unwrap()
+    }
+
+    /// Runs `trace` over [`four_and_two`] under both peer lookups,
+    /// checks the reports agree and returns one.
+    fn agreed_report(trace: &[TraceEvent], freshness: FreshnessProtocol) -> SimReport {
+        let (net, cat) = (network(), catalog(10));
+        let run = |lookup| {
+            let config = SimConfig::default()
+                .freshness(freshness)
+                .peer_lookup(lookup);
+            simulate(&net, &four_and_two(), &cat, trace, config).unwrap()
+        };
+        let indexed = run(PeerLookup::HolderIndex);
+        assert_eq!(indexed, run(PeerLookup::ScanAll));
+        indexed
+    }
+
+    #[test]
+    fn stale_nearest_holder_falls_through_to_the_next_nearest() {
+        // Ec1 fetches before the update and goes stale; Ec3 refetches
+        // from the origin and Ec2 copies it. Ec0 then has three holders
+        // and the nearest is the stale one: Ec3 serves, at its RTT.
+        let trace = [
+            request(0.0, 1, 5),
+            update(10.0, 5),
+            request(20.0, 3, 5),
+            request(30.0, 2, 5),
+            request(40.0, 0, 5),
+        ];
+        let report = agreed_report(&trace, FreshnessProtocol::InvalidateOnAccess);
+        assert_eq!(report.origin_fetches, 2);
+        assert_eq!(report.metrics.stale_served, 0);
+        let ec0 = report.metrics.per_cache()[0];
+        assert_eq!(ec0.peer_hits, 1);
+        let model = SimConfig::default().latency_model();
+        let size = catalog(10).document(DocId(5)).size_bytes;
+        let want = model.query_fanout(3) + model.transfer(14.4, size);
+        assert!((ec0.latency_sum_ms - want).abs() < 1e-9);
+    }
+
+    #[test]
+    fn expired_nearest_lease_falls_through_to_the_next_nearest() {
+        // Ec1's lease (100 ms) has run out by the time Ec3 asks, so Ec3
+        // fetches version 1 from the origin and Ec2 copies it. The second
+        // update leaves those copies stale but within their lease, so
+        // Ec0 is served version 1 by Ec3 — not Ec1's expired version 0.
+        let trace = [
+            request(0.0, 1, 5),
+            update(60.0, 5),
+            request(120.0, 3, 5),
+            request(130.0, 2, 5),
+            update(140.0, 5),
+            request(150.0, 0, 5),
+        ];
+        let report = agreed_report(&trace, FreshnessProtocol::TtlLease { ttl_ms: 100.0 });
+        assert_eq!(report.origin_fetches, 2);
+        // Ec2 was served the then-current version; only Ec0's is behind.
+        assert_eq!(report.metrics.stale_served, 1);
+        let ec0 = report.metrics.per_cache()[0];
+        assert_eq!(ec0.peer_hits, 1);
+        let model = SimConfig::default().latency_model();
+        let size = catalog(10).document(DocId(5)).size_bytes;
+        let want = model.query_fanout(3) + model.transfer(14.4, size);
+        assert!((ec0.latency_sum_ms - want).abs() < 1e-9);
+    }
+
+    #[test]
+    fn all_holders_stale_is_a_group_wide_miss() {
+        // Ec1 and Ec3 both hold the pre-update version. Ec0 tries both,
+        // then waits out the slowest alive peer (Ec2, 17 ms — not a
+        // holder at all) before going to the origin.
+        let trace = [
+            request(0.0, 1, 5),
+            request(10.0, 3, 5),
+            update(20.0, 5),
+            request(30.0, 0, 5),
+        ];
+        let report = agreed_report(&trace, FreshnessProtocol::InvalidateOnAccess);
+        assert_eq!(report.origin_fetches, 2);
+        let ec0 = report.metrics.per_cache()[0];
+        assert_eq!(ec0.origin_fetches, 1);
+        let model = SimConfig::default().latency_model();
+        let size = catalog(10).document(DocId(5)).size_bytes;
+        let want = model.query_fanout(3) + 17.0 + model.origin_fetch(12.0, size);
+        assert!((ec0.latency_sum_ms - want).abs() < 1e-9);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Property-based tests for the simulator.
 
+use ecg_obs::Obs;
 use ecg_sim::{
-    simulate, simulate_with_faults, FaultKind, FaultSchedule, FreshnessProtocol, GroupMap,
+    simulate, simulate_with_faults_observed, FaultKind, FaultSchedule, FreshnessProtocol, GroupMap,
     LatencyModel, PeerLookup, PlacementKind, SimConfig,
 };
 use ecg_topology::{CacheId, EdgeNetwork, RttMatrix};
-use ecg_workload::{generate_updates, merge_streams, CatalogConfig, RequestConfig};
+use ecg_workload::{
+    generate_updates, merge_streams, CatalogConfig, DocId, Request, RequestConfig, Update,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,6 +82,54 @@ fn arb_schedule(seed: u64, caches: usize, duration_ms: f64) -> FaultSchedule {
     schedule
 }
 
+/// Plants, in the first group with three or more members, the case the
+/// nearest-first probe must get right: the requester's nearest peer
+/// fetches a document, the origin updates it, the second-nearest
+/// refetches, then the requester asks — a stale holder closer than the
+/// fresh one. Repeated through the trace on rotating documents; the
+/// update stales whatever copies the random traffic had left, so the
+/// case holds whenever the three caches are up. Returns whether a group
+/// was large enough.
+fn plant_stale_nearest(
+    net: &EdgeNetwork,
+    groups: &GroupMap,
+    documents: usize,
+    duration_ms: f64,
+    requests: &mut Vec<Request>,
+    updates: &mut Vec<Update>,
+) -> bool {
+    let Some(members) = groups.groups().iter().find(|m| m.len() >= 3) else {
+        return false;
+    };
+    let requester = members[0];
+    let mut peers = members[1..].to_vec();
+    peers.sort_by(|&a, &b| {
+        let rtt = |p| net.cache_to_cache(requester, p);
+        rtt(a).total_cmp(&rtt(b)).then(a.cmp(&b))
+    });
+    for round in 0..16 {
+        let doc = DocId(round % documents);
+        let t = duration_ms * round as f64 / 16.0;
+        let request = |dt: f64, cache: CacheId| Request {
+            time_ms: t + dt,
+            cache: cache.index(),
+            doc,
+        };
+        requests.extend([
+            request(0.25, peers[0]),
+            request(0.75, peers[1]),
+            request(1.0, requester),
+        ]);
+        updates.push(Update {
+            time_ms: t + 0.5,
+            doc,
+        });
+    }
+    requests.sort_by(|a, b| a.time_ms.total_cmp(&b.time_ms));
+    updates.sort_by(|a, b| a.time_ms.total_cmp(&b.time_ms));
+    true
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -98,11 +149,16 @@ proptest! {
             .dynamic_update_rate_per_sec(0.05)
             .generate(&mut rng);
         let duration = 40_000.0;
-        let requests = RequestConfig::default()
+        let mut requests = RequestConfig::default()
             .rate_per_sec_per_cache(4.0)
             .similarity(1.0)
             .generate(&cat, caches, duration, &mut rng);
-        let updates = generate_updates(&cat, duration, &mut rng);
+        let mut updates = generate_updates(&cat, duration, &mut rng);
+        // Every one-group partition (a third of the cases) and most
+        // others have a group to plant in.
+        let planted =
+            plant_stale_nearest(&net, &groups, cat.len(), duration, &mut requests, &mut updates);
+        prop_assert!(planted || groups.group_count() > 1);
         let trace = merge_streams(&requests, &updates);
         let schedule = arb_schedule(seed.wrapping_add(3), caches, duration);
         for freshness in [
@@ -121,19 +177,38 @@ proptest! {
                     .freshness(freshness)
                     .placement(placement);
                 let run = |lookup| {
-                    simulate_with_faults(
+                    let mut obs = Obs::new();
+                    let report = simulate_with_faults_observed(
                         &net, &groups, &cat, &trace, base.peer_lookup(lookup), &schedule,
+                        Some(&mut obs),
                     )
-                    .unwrap()
+                    .unwrap();
+                    let sim = |name: &str| obs.metrics.counter(&format!("sim.{name}"));
+                    let holder = [
+                        sim("holder.group_checks"),
+                        sim("holder.ruled_out"),
+                        sim("holder.bit_tests"),
+                    ];
+                    (report, holder, sim("peer_hits"), sim("coop_misses"))
                 };
-                let indexed = run(PeerLookup::HolderIndex);
+                let (indexed, [group_checks, ruled_out, bit_tests], peer_hits, coop_misses) =
+                    run(PeerLookup::HolderIndex);
+                let (scanned, scan_counters, ..) = run(PeerLookup::ScanAll);
                 prop_assert_eq!(
                     &indexed,
-                    &run(PeerLookup::ScanAll),
+                    &scanned,
                     "diverged under {:?} / {:?}", freshness, placement
                 );
                 prop_assert!(indexed.metrics.degradation.recoveries > 0);
                 prop_assert!(indexed.metrics.degradation.retirements > 0);
+                // One group check per cooperative lookup, whichever way
+                // it ended; a lookup not ruled out bit-tests at least
+                // the holder it saw, and only such a lookup can end in a
+                // peer hit.
+                prop_assert_eq!(group_checks, peer_hits + coop_misses);
+                prop_assert!(bit_tests >= group_checks - ruled_out);
+                prop_assert!(peer_hits <= group_checks - ruled_out);
+                prop_assert_eq!(scan_counters, [0, 0, 0]);
             }
         }
     }

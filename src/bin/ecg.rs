@@ -149,6 +149,15 @@ fn get_parsed<T: std::str::FromStr>(
     }
 }
 
+/// The cache capacity in bytes from `--capacity-kib` (default 512):
+/// positive and small enough that the byte count fits a `u64`.
+fn capacity_bytes(flags: &HashMap<String, String>) -> Result<u64, String> {
+    let kib: u64 = get_parsed(flags, "capacity-kib", 512)?;
+    kib.checked_mul(1024)
+        .filter(|&bytes| bytes > 0)
+        .ok_or_else(|| format!("--capacity-kib must be between 1 and {}", u64::MAX / 1024))
+}
+
 fn require<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, String> {
     flags
         .get(name)
@@ -418,7 +427,7 @@ fn simulate_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let map = GroupMap::new(network.cache_count(), groups).map_err(|e| e.to_string())?;
 
     let duration_secs: f64 = get_parsed(flags, "duration-secs", 120.0)?;
-    let capacity_kib: u64 = get_parsed(flags, "capacity-kib", 512)?;
+    let capacity_bytes = capacity_bytes(flags)?;
     let policy = match flags.get("policy").map(String::as_str).unwrap_or("utility") {
         "utility" => PolicyKind::Utility,
         "lru" => PolicyKind::Lru,
@@ -458,7 +467,7 @@ fn simulate_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
         &catalog,
         &trace,
         SimConfig::default()
-            .cache_capacity_bytes(capacity_kib * 1024)
+            .cache_capacity_bytes(capacity_bytes)
             .policy(policy)
             .placement(placement)
             .warmup_ms(duration_ms / 6.0),
@@ -484,7 +493,7 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let docs: usize = get_parsed(flags, "docs", 1_500)?;
     let duration_secs: f64 = get_parsed(flags, "duration-secs", 60.0)?;
     let rate: f64 = get_parsed(flags, "rate", 2.0)?;
-    let capacity_kib: u64 = get_parsed(flags, "capacity-kib", 512)?;
+    let capacity_bytes = capacity_bytes(flags)?;
     let seed: u64 = get_parsed(flags, "seed", 1)?;
     let verify: bool = get_parsed(flags, "verify", false)?;
     if caches == 0 {
@@ -545,7 +554,7 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     .updates(&updates);
     let config = ReplayConfig::default().sim(
         SimConfig::default()
-            .cache_capacity_bytes(capacity_kib * 1024)
+            .cache_capacity_bytes(capacity_bytes)
             .policy(policy)
             .placement(placement)
             .warmup_ms(duration_ms / 6.0),
@@ -792,6 +801,25 @@ mod tests {
         assert_eq!(flags.get("caches").map(String::as_str), Some("50"));
         assert_eq!(get_parsed(&flags, "seed", 0u64).unwrap(), 9);
         assert_eq!(get_parsed(&flags, "missing", 7u64).unwrap(), 7);
+    }
+
+    #[test]
+    fn capacity_flag_is_validated_not_panicked_on() {
+        let capacity = |kib: &str| {
+            let args = ["--capacity-kib".to_string(), kib.to_string()];
+            capacity_bytes(&parse_flags(&args).unwrap())
+        };
+        assert_eq!(capacity("512"), Ok(512 * 1024));
+        assert_eq!(capacity_bytes(&HashMap::new()), Ok(512 * 1024));
+        // Zero, and the smallest value whose byte count wraps to zero.
+        for bad in ["0", "18014398509481984"] {
+            let err = capacity(bad).unwrap_err();
+            assert!(err.starts_with("--capacity-kib must be"), "{err}");
+        }
+        assert!(capacity("lots").unwrap_err().contains("bad value"));
+        // Both subcommands that take the flag report it the same way.
+        let flags = parse_flags(&["--capacity-kib".to_string(), "0".to_string()]).unwrap();
+        assert!(replay_cmd(&flags).unwrap_err().contains("--capacity-kib"));
     }
 
     #[test]
