@@ -1,9 +1,10 @@
 //! Large-N scaling sweep for full SL / SDSL group formation.
 //!
-//! Drives the unified scaled pipeline
-//! ([`ecg_core::GfCoordinator::form_groups_scaled`]) — parallel landmark
-//! selection, parallel feature matrix construction, K-means through the
-//! configured engine, and the group interaction cost metric — over an
+//! Drives the formation pipeline through its large-N entry point
+//! ([`ecg_core::GfCoordinator::form_groups_scaled`]) — landmark
+//! selection and feature matrix construction on per-row derived RNG
+//! streams, K-means through the configured engine — plus the group
+//! interaction cost metric, over an
 //! implicit [`SyntheticRtt`] oracle (O(n) state, so N = 100 000 fits
 //! where a dense RTT matrix would need ~80 GB), sweeping
 //! N × variant × assignment engine × thread counts through

@@ -159,7 +159,7 @@ impl std::str::FromStr for AssignMode {
 thread_local! {
     /// Nanoseconds spent (re)building [`CenterTree`]s on this thread.
     /// Builds always run on the thread driving the Lloyd loop, so the
-    /// scaled pipeline can read one cell; queries never touch it.
+    /// formation pipeline can read one cell; queries never touch it.
     static TREE_BUILD_NS: Cell<u64> = const { Cell::new(0) };
 }
 

@@ -8,9 +8,8 @@
 //! distance between their feature vectors.
 
 use crate::matrix::FeatureMatrix;
-use crate::probe::Prober;
+use crate::probe::{Draws, Prober};
 use crate::resilience::{FeatureMask, RetryPolicy};
-use ecg_obs::Obs;
 use rand::Rng;
 use std::fmt;
 use std::ops::Index;
@@ -160,190 +159,107 @@ impl fmt::Display for FeatureVector {
     }
 }
 
-/// Builds the feature vector of every node in `nodes` by probing each
-/// landmark through `prober` (§3.2 of the paper, step 2 of both schemes).
+/// Builds the feature matrix of `nodes` by probing each landmark
+/// through `prober` (§3.2 of the paper, step 2 of both schemes) — the
+/// one builder every other function here, and the formation pipeline,
+/// reduces to.
 ///
-/// Returned vectors are in `nodes` order; component `k` of a vector is the
-/// measured RTT to `landmarks[k]`. A node that is itself a landmark
-/// measures distance zero to itself, exactly as in Figure 2 of the paper.
-pub fn build_feature_vectors<R: Rng + ?Sized>(
-    prober: &Prober<'_>,
-    nodes: &[usize],
-    landmarks: &[usize],
-    rng: &mut R,
-) -> Vec<FeatureVector> {
-    nodes
-        .iter()
-        .map(|&node| FeatureVector::new(prober.measure_all(node, landmarks, rng)))
-        .collect()
-}
-
-/// Flat-storage variant of [`build_feature_vectors`]: probes the same
-/// measurements in the same order (so a shared RNG stream is consumed
-/// identically), but packs every node's row straight into one
-/// [`FeatureMatrix`] instead of allocating a `FeatureVector` per node.
-///
-/// Row `i` of the result is node `nodes[i]`'s measured RTTs to each
-/// landmark, in landmark order.
+/// Row `i` is node `nodes[i]`'s measured RTTs to each landmark, in
+/// landmark order; a node that is itself a landmark measures distance
+/// zero to itself, exactly as in Figure 2 of the paper. The returned
+/// [`FeatureMask`] says which cells hold a real measurement: under
+/// `policy = None` all of them (a failed measurement reports the
+/// timeout sentinel, as [`Prober::measure`] does); under `Some`, cells
+/// that still failed after the retries hold a `0.0` placeholder and
+/// `false`, so masked K-means (`ecg_clustering::kmeans_masked`) can
+/// cluster on the observed cells only instead of averaging sentinels
+/// into the features. Retry policy and draw discipline are both
+/// [`Prober::measure_batch`]'s; on a healthy network a `Some` policy
+/// consumes the stream exactly like `None`.
 ///
 /// # Panics
 ///
 /// Panics if a measurement comes back negative or non-finite (the same
 /// validation [`FeatureVector::new`] applies).
+pub fn build_features<R: Rng + ?Sized>(
+    prober: &Prober<'_>,
+    nodes: &[usize],
+    landmarks: &[usize],
+    policy: Option<&RetryPolicy>,
+    draws: &mut Draws<'_>,
+    rng: &mut R,
+) -> (FeatureMatrix, FeatureMask) {
+    let dim = landmarks.len();
+    let pair = |r: usize, c: usize| (nodes[r], landmarks[c]);
+    let (values, observed) = prober.measure_batch(nodes.len(), dim, pair, policy, draws, rng);
+    for &v in &values {
+        assert!(
+            v.is_finite() && v >= 0.0,
+            "feature components must be finite and non-negative, got {v}"
+        );
+    }
+    // The batch is already the matrix, row-major; only landmark-less
+    // rows have no flat form.
+    let mut matrix = FeatureMatrix::from_flat(dim, values);
+    if dim == 0 {
+        nodes.iter().for_each(|_| matrix.push_row(&[]));
+    }
+    (matrix, FeatureMask::from_flat(dim, observed))
+}
+
+/// [`build_features`] without retries on one shared RNG stream consumed
+/// in `nodes` × `landmarks` order.
 pub fn build_feature_matrix<R: Rng + ?Sized>(
     prober: &Prober<'_>,
     nodes: &[usize],
     landmarks: &[usize],
     rng: &mut R,
 ) -> FeatureMatrix {
-    let mut matrix = FeatureMatrix::with_capacity(nodes.len(), landmarks.len());
-    let mut row = Vec::with_capacity(landmarks.len());
-    for &node in nodes {
-        prober.measure_all_into(node, landmarks, rng, &mut row);
-        for &v in &row {
-            assert!(
-                v.is_finite() && v >= 0.0,
-                "feature components must be finite and non-negative, got {v}"
-            );
-        }
-        matrix.push_row(&row);
-    }
-    matrix
+    build_features(
+        prober,
+        nodes,
+        landmarks,
+        None,
+        &mut Draws::Shared(None),
+        rng,
+    )
+    .0
 }
 
-/// Failure-aware variant of [`build_feature_matrix`]: measures every
-/// cell with bounded retries and reports which cells were actually
-/// observed instead of averaging timeout sentinels into the features.
-///
-/// Cells whose measurement failed after retries (timeout or
-/// unreachable) hold a `0.0` placeholder in the matrix and `false` in
-/// the returned [`FeatureMask`]; masked K-means
-/// (`ecg_clustering::kmeans_masked`) clusters on the observed cells
-/// only. On the healthy path (nothing times out) the first attempt of
-/// every cell consumes the shared RNG exactly like
-/// [`build_feature_matrix`], so the matrix is bit-identical to the
-/// non-resilient builder and the mask is fully observed.
-pub fn build_feature_matrix_resilient<R: Rng + ?Sized>(
+/// [`build_feature_matrix`] as one [`FeatureVector`] per node: the same
+/// measurements in the same order.
+pub fn build_feature_vectors<R: Rng + ?Sized>(
     prober: &Prober<'_>,
     nodes: &[usize],
     landmarks: &[usize],
-    policy: &RetryPolicy,
     rng: &mut R,
-) -> (FeatureMatrix, FeatureMask) {
-    build_feature_matrix_resilient_observed(prober, nodes, landmarks, policy, rng, None)
-}
-
-/// Like [`build_feature_matrix_resilient`], but records every probe
-/// attempt and retry into an observability bundle when one is supplied
-/// (see [`Prober::measure_retry_observed`]). Instrumentation never
-/// draws from the RNG.
-pub fn build_feature_matrix_resilient_observed<R: Rng + ?Sized>(
-    prober: &Prober<'_>,
-    nodes: &[usize],
-    landmarks: &[usize],
-    policy: &RetryPolicy,
-    rng: &mut R,
-    mut obs: Option<&mut Obs>,
-) -> (FeatureMatrix, FeatureMask) {
-    let dim = landmarks.len();
-    let mut matrix = FeatureMatrix::with_capacity(nodes.len(), dim);
-    let mut mask = FeatureMask::new(dim);
-    let mut row = Vec::with_capacity(dim);
-    let mut row_mask = Vec::with_capacity(dim);
-    for &node in nodes {
-        row.clear();
-        row_mask.clear();
-        for &lm in landmarks {
-            match prober
-                .measure_retry_observed(node, lm, policy, rng, obs.as_deref_mut())
-                .value()
-            {
-                Some(v) => {
-                    assert!(
-                        v.is_finite() && v >= 0.0,
-                        "feature components must be finite and non-negative, got {v}"
-                    );
-                    row.push(v);
-                    row_mask.push(true);
-                }
-                None => {
-                    row.push(0.0);
-                    row_mask.push(false);
-                }
-            }
-        }
-        matrix.push_row(&row);
-        mask.push_row(&row_mask);
-    }
-    (matrix, mask)
+) -> Vec<FeatureVector> {
+    let matrix = build_feature_matrix(prober, nodes, landmarks, rng);
+    let rows = (0..matrix.len()).map(|i| matrix.row(i).to_vec());
+    rows.map(FeatureVector::new).collect()
 }
 
 /// Parallel, thread-count-invariant variant of [`build_feature_matrix`]
-/// for the large-N scaling path.
-///
-/// Instead of threading one shared RNG stream through every probe (which
-/// would serialize the measurements), this draws a single master seed
-/// from `rng` and gives each node its own derived stream
-/// ([`ecg_par::derive_seed`] on the node's position in `nodes`). Rows
-/// are then probed on [`ecg_par`] workers over fixed chunk boundaries
-/// and reassembled in `nodes` order, so the result depends only on
-/// `(rng state, nodes, landmarks, prober config)` — never on
-/// `ECG_THREADS` or scheduling.
-///
-/// The measurements are **not** stream-compatible with
-/// [`build_feature_matrix`]: the sequential builder remains the default
-/// so historical experiment outputs stay byte-identical; this variant is
-/// for new large-N runs where per-node streams are the spec.
-///
-/// # Panics
-///
-/// Panics if a measurement comes back negative or non-finite.
+/// for large N: [`build_features`] under [`Draws::PerRow`], so the
+/// result depends only on `(rng state, nodes, landmarks, prober
+/// config)` — never on `ECG_THREADS` or scheduling. With a noisy prober
+/// the measurements are **not** stream-compatible with
+/// [`build_feature_matrix`], which stays the default so historical
+/// experiment outputs keep their bytes.
 pub fn build_feature_matrix_par<R: Rng + ?Sized>(
     prober: &Prober<'_>,
     nodes: &[usize],
     landmarks: &[usize],
     rng: &mut R,
 ) -> FeatureMatrix {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let master: u64 = rng.gen();
-    let dim = landmarks.len();
-    let mut matrix = FeatureMatrix::with_capacity(nodes.len(), dim);
-    if dim == 0 {
-        for _ in nodes {
-            matrix.push_row(&[]);
-        }
-        return matrix;
-    }
-    let chunks: Vec<Vec<f64>> = ecg_par::par_chunk_map(nodes.len(), |range| {
-        let mut flat = Vec::with_capacity(range.len() * dim);
-        let mut row = Vec::with_capacity(dim);
-        for i in range {
-            let mut node_rng = StdRng::seed_from_u64(ecg_par::derive_seed(master, i as u64));
-            prober.measure_all_into(nodes[i], landmarks, &mut node_rng, &mut row);
-            for &v in &row {
-                assert!(
-                    v.is_finite() && v >= 0.0,
-                    "feature components must be finite and non-negative, got {v}"
-                );
-            }
-            flat.extend_from_slice(&row);
-        }
-        flat
-    });
-    for flat in &chunks {
-        for row in flat.chunks(dim) {
-            matrix.push_row(row);
-        }
-    }
-    matrix
+    build_features(prober, nodes, landmarks, None, &mut Draws::PerRow, rng).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::probe::ProbeConfig;
+    use ecg_obs::Obs;
     use ecg_topology::fixtures::paper_figure1;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -496,97 +412,76 @@ mod tests {
     }
 
     #[test]
-    fn resilient_matrix_matches_plain_on_the_healthy_path() {
-        // Noisy probing, zero loss, no faults: the resilient builder
-        // must consume the shared RNG identically and mask nothing.
+    fn retry_policy_changes_nothing_on_the_healthy_path() {
+        // Noisy probing, zero loss, no faults: with or without a retry
+        // policy the builder consumes the shared RNG identically, the
+        // rows are bit-identical and nothing is masked.
         let m = paper_figure1();
         let prober = Prober::new(&m, ProbeConfig::default());
         let landmarks = [0usize, 1, 5];
         let nodes: Vec<usize> = (1..7).collect();
-        let plain =
-            build_feature_matrix(&prober, &nodes, &landmarks, &mut StdRng::seed_from_u64(13));
-        let (resilient, mask) = build_feature_matrix_resilient(
-            &prober,
-            &nodes,
-            &landmarks,
-            &RetryPolicy::default(),
-            &mut StdRng::seed_from_u64(13),
-        );
-        assert!(mask.is_fully_observed());
-        assert_eq!(resilient.len(), plain.len());
-        for i in 0..plain.len() {
-            assert_eq!(resilient.row(i), plain.row(i), "row {i}");
-        }
+        let build = |policy: Option<&RetryPolicy>| {
+            let mut rng = StdRng::seed_from_u64(13);
+            let built = build_features(
+                &prober,
+                &nodes,
+                &landmarks,
+                policy,
+                &mut Draws::Shared(None),
+                &mut rng,
+            );
+            (built, rng.gen::<u64>())
+        };
+        let ((plain, plain_mask), plain_next) = build(None);
+        let ((retried, retried_mask), retried_next) = build(Some(&RetryPolicy::default()));
+        assert!(plain_mask.is_fully_observed());
+        assert_eq!(retried_mask, plain_mask);
+        assert_eq!(retried, plain);
+        assert_eq!(retried_next, plain_next);
+        assert_eq!(prober.retries(), 0);
     }
 
     #[test]
-    fn resilient_matrix_masks_dead_landmark_column() {
+    fn retried_matrix_masks_dead_landmark_column() {
         use crate::resilience::ProbeFaults;
         // Landmark node 5 is crashed: its column must be masked for
         // every probing node, with 0.0 placeholders, and node 5's own
         // row (it cannot probe at all) must be fully masked except the
-        // free self-measurement.
+        // free self-measurement. Without a policy the same cells hold
+        // the timeout sentinel and count as observed.
         let m = paper_figure1();
         let faults = ProbeFaults::new().node_down(5);
         let prober = Prober::with_faults(&m, ProbeConfig::noiseless(), faults);
         let landmarks = [0usize, 1, 5];
         let nodes: Vec<usize> = (1..7).collect();
-        let (fm, mask) = build_feature_matrix_resilient(
+        let mut obs = Obs::new();
+        let (fm, mask) = build_features(
             &prober,
             &nodes,
             &landmarks,
-            &RetryPolicy::default(),
+            Some(&RetryPolicy::default()),
+            &mut Draws::Shared(Some(&mut obs)),
             &mut StdRng::seed_from_u64(0),
         );
+        let timeout = prober.config().timeout();
+        let sentinel =
+            build_feature_matrix(&prober, &nodes, &landmarks, &mut StdRng::seed_from_u64(0));
         for (i, &node) in nodes.iter().enumerate() {
             if node == 5 {
                 // Self-probe is free and observed even for a down node.
                 assert_eq!(mask.row(i), &[false, false, true]);
                 assert_eq!(fm.row(i), &[0.0, 0.0, 0.0]);
+                assert_eq!(sentinel.row(i), &[timeout, timeout, 0.0]);
             } else {
                 assert_eq!(mask.row(i), &[true, true, false], "node {node}");
                 assert_eq!(fm.row(i)[2], 0.0);
                 assert_eq!(fm.row(i)[0], m.get(node, 0));
+                assert_eq!(sentinel.row(i)[2], timeout);
             }
         }
-    }
-
-    #[test]
-    fn resilient_matrix_observed_matches_plain_variant() {
-        let m = paper_figure1();
-        let prober = Prober::new(
-            &m,
-            ProbeConfig::default()
-                .probes_per_measurement(2)
-                .loss_rate(0.4),
-        );
-        let landmarks = [0usize, 1, 5];
-        let nodes: Vec<usize> = (1..7).collect();
-        let policy = RetryPolicy::default();
-        let (fm_a, mask_a) = build_feature_matrix_resilient(
-            &prober,
-            &nodes,
-            &landmarks,
-            &policy,
-            &mut StdRng::seed_from_u64(50),
-        );
-        let mut obs = Obs::new();
-        let (fm_b, mask_b) = build_feature_matrix_resilient_observed(
-            &prober,
-            &nodes,
-            &landmarks,
-            &policy,
-            &mut StdRng::seed_from_u64(50),
-            Some(&mut obs),
-        );
-        assert_eq!(mask_a, mask_b);
-        for i in 0..fm_a.len() {
-            assert_eq!(fm_a.row(i), fm_b.row(i));
-        }
-        assert!(
-            obs.metrics.counter("probe.measurements") > 0,
-            "attempts recorded"
-        );
+        // Per-probe telemetry rides on the retried arm of the shared
+        // stream: the dead column of five rows plus node 5's two probes.
+        assert_eq!(obs.metrics.counter("probe.unreachable"), 7);
     }
 
     #[test]

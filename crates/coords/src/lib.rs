@@ -51,13 +51,13 @@ pub mod tiles;
 pub mod vivaldi;
 
 pub use feature::{
-    build_feature_matrix, build_feature_matrix_par, build_feature_matrix_resilient,
-    build_feature_matrix_resilient_observed, build_feature_vectors, FeatureVector,
+    build_feature_matrix, build_feature_matrix_par, build_feature_vectors, build_features,
+    FeatureVector,
 };
 pub use gnp::{embed_network, GnpConfig, GnpCoordinates, GnpModel};
 pub use matrix::FeatureMatrix;
 pub use metrics::{feature_vector_distance_error, proximity_order_preservation, ErrorStats};
-pub use probe::{ProbeConfig, Prober};
+pub use probe::{Draws, ProbeConfig, Prober};
 pub use resilience::{FeatureMask, Measurement, ProbeFaults, RetryPolicy};
 pub use tiles::{CenterTiles, LANE_WIDTH};
 pub use vivaldi::{mean_relative_error, run_vivaldi, VivaldiConfig, VivaldiNode};

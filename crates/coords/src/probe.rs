@@ -9,6 +9,7 @@
 
 use crate::resilience::{Measurement, ProbeFaults, RetryPolicy};
 use ecg_obs::Obs;
+use ecg_par::{derive_seed, par_map, DEFAULT_CHUNK};
 use ecg_topology::RttSource;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -162,6 +163,29 @@ pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// The *draw discipline* of a [`Prober::measure_batch`] call: fixed by
+/// the formation entry point, never by configuration.
+pub enum Draws<'o> {
+    /// One shared RNG stream consumed in enumeration order — what every
+    /// matrix-backed entry point, and so every golden, is pinned to.
+    /// Sequential, hence the only variant with per-probe telemetry.
+    Shared(Option<&'o mut Obs>),
+    /// One `StdRng` per row, seeded [`ecg_par::derive_seed`]`(master,
+    /// row)` from a single `u64` off the caller's stream; rows measured
+    /// on [`ecg_par`] workers, independent of the thread count.
+    PerRow,
+}
+
+impl Draws<'_> {
+    /// The telemetry bundle riding on the shared stream, if any.
+    pub fn obs(&mut self) -> Option<&mut Obs> {
+        match self {
+            Draws::Shared(obs) => obs.as_deref_mut(),
+            Draws::PerRow => None,
+        }
+    }
 }
 
 /// A simulated prober over a ground-truth RTT oracle.
@@ -438,8 +462,7 @@ impl<'a> Prober<'a> {
             if let Some(o) = obs.as_deref_mut() {
                 o.metrics.inc("probe.retries");
             }
-            let mut retry_rng =
-                StdRng::seed_from_u64(ecg_par::derive_seed(master, u64::from(attempt)));
+            let mut retry_rng = StdRng::seed_from_u64(derive_seed(master, u64::from(attempt)));
             let outcome = self.measure_outcome_observed(a, b, &mut retry_rng, obs.as_deref_mut());
             match outcome {
                 Measurement::Ok(_) => return outcome,
@@ -500,30 +523,72 @@ impl<'a> Prober<'a> {
         targets: &[usize],
         rng: &mut R,
     ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.measure_all_into(from, targets, rng, &mut out);
-        out
+        targets
+            .iter()
+            .map(|&t| self.measure(from, t, rng))
+            .collect()
     }
 
-    /// Like [`Prober::measure_all`], but writes into a caller-provided
-    /// buffer (cleared first) so tight loops can measure many nodes
-    /// without a per-node allocation.
-    pub fn measure_all_into<R: Rng + ?Sized>(
+    /// Measures a `rows × width` batch — cell `(r, c)` probes the pair
+    /// `pair(r, c)` — into row-major values and observed flags. Both
+    /// formation stages (PLSet pairs, feature rows) go through here, so
+    /// only this function knows what they may vary: the [`Draws`] and
+    /// the retry policy. `None` is [`Prober::measure`]: a failure reports
+    /// the timeout sentinel and every cell counts as observed. `Some` is
+    /// [`Prober::measure_retry`]: a failure is an unobserved `0.0`.
+    pub fn measure_batch<R: Rng + ?Sized>(
         &self,
-        from: usize,
-        targets: &[usize],
+        rows: usize,
+        width: usize,
+        pair: impl Fn(usize, usize) -> (usize, usize) + Sync,
+        policy: Option<&RetryPolicy>,
+        draws: &mut Draws<'_>,
         rng: &mut R,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.reserve(targets.len());
-        for &t in targets {
-            out.push(self.measure(from, t, rng));
+    ) -> (Vec<f64>, Vec<bool>) {
+        let mut values = vec![0.0; rows * width];
+        let mut observed = vec![true; rows * width];
+        match draws {
+            Draws::Shared(obs) => {
+                for (i, (v, o)) in values.iter_mut().zip(&mut observed).enumerate() {
+                    let ab = pair(i / width, i % width);
+                    (*v, *o) = self.measure_cell(ab, policy, rng, obs.as_deref_mut());
+                }
+            }
+            Draws::PerRow => {
+                let master: u64 = rng.gen();
+                // Workers fill disjoint spans of whole rows in place.
+                let span = DEFAULT_CHUNK * width.max(1);
+                let spans = values.chunks_mut(span).zip(observed.chunks_mut(span));
+                par_map(spans.enumerate().collect(), |(s, (values, observed))| {
+                    let rows = values.chunks_mut(width).zip(observed.chunks_mut(width));
+                    for (r, (values, observed)) in (s * DEFAULT_CHUNK..).zip(rows) {
+                        let mut rng = StdRng::seed_from_u64(derive_seed(master, r as u64));
+                        for (c, (v, o)) in values.iter_mut().zip(observed).enumerate() {
+                            (*v, *o) = self.measure_cell(pair(r, c), policy, &mut rng, None);
+                        }
+                    }
+                });
+            }
+        }
+        (values, observed)
+    }
+
+    /// One cell of [`Prober::measure_batch`]: `(value, observed)`.
+    fn measure_cell<R: Rng + ?Sized>(
+        &self,
+        (a, b): (usize, usize),
+        policy: Option<&RetryPolicy>,
+        rng: &mut R,
+        obs: Option<&mut Obs>,
+    ) -> (f64, bool) {
+        match policy.map(|p| self.measure_retry_observed(a, b, p, rng, obs)) {
+            None => (self.measure(a, b, rng), true),
+            Some(retried) => (retried.value_or(0.0), retried.is_ok()),
         }
     }
 
-    /// Like [`Prober::measure_all_into`], but records each measurement
-    /// via [`Prober::measure_observed`] when a bundle is supplied.
+    /// [`Prober::measure_all`] into a caller-provided buffer (cleared
+    /// first), via [`Prober::measure_observed`] when a bundle is supplied.
     pub fn measure_all_into_observed<R: Rng + ?Sized>(
         &self,
         from: usize,

@@ -296,6 +296,12 @@ impl FeatureMask {
         }
     }
 
+    /// Wraps an already-flat row-major buffer of whole `dim`-flag rows.
+    pub(crate) fn from_flat(dim: usize, cells: Vec<bool>) -> Self {
+        debug_assert_eq!(cells.len() % dim.max(1), 0, "ragged mask buffer");
+        FeatureMask { cells, dim }
+    }
+
     /// Appends one row of flags.
     ///
     /// # Panics

@@ -1,4 +1,4 @@
-//! Formation-run health reporting for the resilient pipeline.
+//! Formation-run health reporting for resilient formation runs.
 //!
 //! When a [`GfCoordinator`](crate::GfCoordinator) runs with a
 //! [`ResilienceConfig`], it returns a [`FormationHealth`] alongside the
@@ -7,7 +7,7 @@
 //! and failed over, how many feature cells were never observed, and
 //! which caches were quarantined into the nearest-landmark fallback.
 //! A fault-free run reports [`FormationHealth::is_healthy`] and is
-//! bit-identical to the non-resilient pipeline.
+//! bit-identical to a run without resilience.
 
 use ecg_coords::RetryPolicy;
 use ecg_topology::CacheId;

@@ -16,10 +16,8 @@
 //! uniform random selection, and the adversarial *Min-Dist* selector
 //! that greedily *minimizes* `MinDist(LmSet)`.
 
-use ecg_coords::{Measurement, Prober, RetryPolicy};
-use ecg_obs::Obs;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use ecg_coords::{Draws, Prober, RetryPolicy};
+use rand::Rng;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -72,6 +70,8 @@ pub enum LandmarkError {
     },
     /// `M` must be at least 1.
     BadMultiplier,
+    /// The network has no nodes at all, so not even an origin server.
+    NoOrigin,
 }
 
 impl fmt::Display for LandmarkError {
@@ -86,6 +86,7 @@ impl fmt::Display for LandmarkError {
                 landmarks - 1
             ),
             LandmarkError::BadMultiplier => write!(f, "PLSet multiplier M must be >= 1"),
+            LandmarkError::NoOrigin => write!(f, "the network has no origin node (zero nodes)"),
         }
     }
 }
@@ -109,7 +110,8 @@ pub struct LandmarkSelection {
     pub min_dist_ms: Option<f64>,
 }
 
-/// Selects `l` landmarks for the network behind `prober`.
+/// Selects `l` landmarks for the network behind `prober`, measuring
+/// the PLSet on one shared RNG stream without retries.
 ///
 /// # Errors
 ///
@@ -129,91 +131,19 @@ pub fn select_landmarks<R: Rng + ?Sized>(
     m: usize,
     rng: &mut R,
 ) -> Result<LandmarkSelection, LandmarkError> {
-    if l < 2 {
-        return Err(LandmarkError::TooFewLandmarks { requested: l });
-    }
-    if m < 1 {
-        return Err(LandmarkError::BadMultiplier);
-    }
-    let caches = prober.node_count() - 1;
-    if caches < l - 1 {
-        return Err(LandmarkError::TooFewCaches {
-            caches,
-            landmarks: l,
-        });
-    }
-
-    if selector == LandmarkSelector::Random {
-        // Uniform L-1 caches plus the origin; no measurement phase.
-        let mut indices: Vec<usize> = (1..=caches).collect();
-        for i in 0..(l - 1) {
-            let j = rng.gen_range(i..indices.len());
-            indices.swap(i, j);
-        }
-        let mut landmarks = vec![0usize];
-        landmarks.extend_from_slice(&indices[..l - 1]);
-        return Ok(LandmarkSelection {
-            landmarks,
-            plset: Vec::new(),
-            min_dist_ms: None,
-        });
-    }
-
-    // Phase 1: draw the PLSet — M·(L-1) distinct caches (capped at N).
-    let plset_size = (m * (l - 1)).min(caches);
-    let mut indices: Vec<usize> = (1..=caches).collect();
-    for i in 0..plset_size {
-        let j = rng.gen_range(i..indices.len());
-        indices.swap(i, j);
-    }
-    let plset: Vec<usize> = indices[..plset_size].to_vec();
-
-    // The potential landmarks measure their distances to each other and
-    // to the origin.
-    let mut measured: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut nodes = vec![0usize];
-    nodes.extend_from_slice(&plset);
-    for (a_pos, &a) in nodes.iter().enumerate() {
-        for &b in nodes.iter().skip(a_pos + 1) {
-            let d = prober.measure(a, b, rng);
-            measured.insert((a.min(b), a.max(b)), d);
-        }
-    }
-    let dist = |a: usize, b: usize| -> f64 { measured[&(a.min(b), a.max(b))] };
-
-    // Phase 2: greedy max–min (SL) or min (Min-Dist baseline).
-    let maximize = selector == LandmarkSelector::GreedyMaxMin;
-    let mut lm_set = vec![0usize];
-    let mut remaining = plset.clone();
-    max_min_fill(&mut lm_set, &mut remaining, l, maximize, &dist);
-
-    let min_dist = pairwise_min_dist(&lm_set, &dist);
-    Ok(LandmarkSelection {
-        landmarks: lm_set,
-        plset,
-        min_dist_ms: Some(min_dist),
-    })
+    select(prober, selector, l, m, None, &mut Draws::Shared(None), rng).map(|s| s.selection)
 }
 
 /// Like [`select_landmarks`], but the `O((M·L)²)` PLSet measurement
-/// phase fans out across [`ecg_par`] workers: pair `p` (in the same
-/// `(a, b)` enumeration order as the sequential pass) draws its probe
-/// noise from an independent `StdRng` stream seeded with
-/// [`ecg_par::derive_seed`]`(master, p)`, where `master` is one `u64`
-/// drawn from `rng`. Results therefore depend only on the seed, **never
-/// on the thread count** — but, like
-/// [`ecg_coords::build_feature_matrix_par`], the per-pair streams are
-/// *not* draw-for-draw compatible with the sequential prober loop, so
-/// with a noisy [`ecg_coords::ProbeConfig`] the measured values (and
-/// possibly the selection) differ from [`select_landmarks`]. Under a
-/// noiseless config a measurement draws nothing, so the selection is
+/// phase runs under [`Draws::PerRow`]: pair `p` (in the sequential
+/// `(a, b)` enumeration order) draws its probe noise from its own
+/// derived stream on an [`ecg_par`] worker. Results therefore depend
+/// only on the seed, **never on the thread count** — but with a noisy
+/// [`ecg_coords::ProbeConfig`] the measured values (and possibly the
+/// selection) differ from [`select_landmarks`]. Under a noiseless
+/// config a measurement draws nothing, so the selection is
 /// **identical** to the sequential pass (pinned by the equivalence
-/// tests).
-///
-/// The greedy phase itself goes through the same [`max_min_fill`] as
-/// the sequential selector (chunk-parallel arg-max above
-/// [`PAR_THRESHOLD`] candidates, bit-identical by construction), and
-/// the `Random` selector measures nothing and delegates outright.
+/// tests); the `Random` selector measures nothing at all.
 ///
 /// # Errors
 ///
@@ -225,16 +155,64 @@ pub fn select_landmarks_par<R: Rng + ?Sized>(
     m: usize,
     rng: &mut R,
 ) -> Result<LandmarkSelection, LandmarkError> {
-    if selector == LandmarkSelector::Random {
-        return select_landmarks(prober, selector, l, m, rng);
+    select(prober, selector, l, m, None, &mut Draws::PerRow, rng).map(|s| s.selection)
+}
+
+/// Number of caches behind `prober`: every node but the origin.
+pub(crate) fn cache_count(prober: &Prober<'_>) -> Result<usize, LandmarkError> {
+    prober
+        .node_count()
+        .checked_sub(1)
+        .ok_or(LandmarkError::NoOrigin)
+}
+
+/// Draws `count` distinct caches (node indices `1..=caches`) uniformly
+/// — a partial Fisher–Yates shuffle, in draw order.
+fn draw_caches<R: Rng + ?Sized>(caches: usize, count: usize, rng: &mut R) -> Vec<usize> {
+    let mut indices: Vec<usize> = (1..=caches).collect();
+    for i in 0..count {
+        let j = rng.gen_range(i..indices.len());
+        indices.swap(i, j);
     }
+    indices.truncate(count);
+    indices
+}
+
+/// The one landmark selector. How the PLSet pairs are measured is
+/// [`Prober::measure_batch`]'s business — `policy` and `draws` are
+/// handed through — and everything else happens once, here.
+///
+/// Under `policy = Some`, a pair that still fails after the retries
+/// reports the probe timeout as its distance (what a run without a
+/// policy records for it anyway) and is remembered as failed. A PLSet
+/// member with *no* successful pair is declared dead. The greedy phase
+/// runs over the full PLSet, after which any dead member that slipped
+/// into the landmark set — dead nodes look maximally far, so greedy
+/// max–min is actively drawn to them — is evicted and the same max–min
+/// step re-elects a replacement from the surviving PLSet. If the PLSet
+/// runs out of alive candidates the returned set is shorter than `l`
+/// (callers decide whether that is fatal); it always retains the
+/// origin — with the origin gone there is no server to form groups
+/// around. Without a policy every pair counts as measured, so nothing
+/// is ever dead and nothing fails over; on a fault-free network the
+/// two draw from `rng` identically and select identically. The
+/// `Random` selector probes nothing, so it can detect nothing.
+pub(crate) fn select<R: Rng + ?Sized>(
+    prober: &Prober<'_>,
+    selector: LandmarkSelector,
+    l: usize,
+    m: usize,
+    policy: Option<&RetryPolicy>,
+    draws: &mut Draws<'_>,
+    rng: &mut R,
+) -> Result<ResilientLandmarkSelection, LandmarkError> {
     if l < 2 {
         return Err(LandmarkError::TooFewLandmarks { requested: l });
     }
     if m < 1 {
         return Err(LandmarkError::BadMultiplier);
     }
-    let caches = prober.node_count() - 1;
+    let caches = cache_count(prober)?;
     if caches < l - 1 {
         return Err(LandmarkError::TooFewCaches {
             caches,
@@ -242,56 +220,77 @@ pub fn select_landmarks_par<R: Rng + ?Sized>(
         });
     }
 
-    // Phase 1: the same PLSet draw as the sequential path (same RNG
-    // stream), then one master seed for the measurement streams.
-    let plset_size = (m * (l - 1)).min(caches);
-    let mut indices: Vec<usize> = (1..=caches).collect();
-    for i in 0..plset_size {
-        let j = rng.gen_range(i..indices.len());
-        indices.swap(i, j);
+    if selector == LandmarkSelector::Random {
+        // Uniform L-1 caches plus the origin; no measurement phase.
+        let mut landmarks = vec![0usize];
+        landmarks.extend(draw_caches(caches, l - 1, rng));
+        return Ok(ResilientLandmarkSelection {
+            selection: LandmarkSelection {
+                landmarks,
+                plset: Vec::new(),
+                min_dist_ms: None,
+            },
+            dead_nodes: Vec::new(),
+            replaced: Vec::new(),
+        });
     }
-    let plset: Vec<usize> = indices[..plset_size].to_vec();
-    let master: u64 = rng.gen();
 
-    // Pairs in the sequential enumeration order; pair p gets its own
-    // derived stream, measured in parallel over fixed chunks and
-    // reassembled in order.
+    // Phase 1: draw the PLSet — M·(L-1) distinct caches (capped at N).
+    // The potential landmarks then measure their distances to each
+    // other and to the origin.
+    let plset = draw_caches(caches, m.saturating_mul(l - 1).min(caches), rng);
     let mut nodes = vec![0usize];
     nodes.extend_from_slice(&plset);
     let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(nodes.len() * (nodes.len() - 1) / 2);
     for (a_pos, &a) in nodes.iter().enumerate() {
-        for &b in nodes.iter().skip(a_pos + 1) {
-            pairs.push((a, b));
-        }
+        pairs.extend(nodes[a_pos + 1..].iter().map(|&b| (a, b)));
     }
-    let values: Vec<f64> = ecg_par::par_chunk_map(pairs.len(), |range| {
-        range
-            .map(|p| {
-                let (a, b) = pairs[p];
-                let mut pair_rng = StdRng::seed_from_u64(ecg_par::derive_seed(master, p as u64));
-                prober.measure(a, b, &mut pair_rng)
-            })
-            .collect::<Vec<f64>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    let mut measured: HashMap<(usize, usize), f64> = HashMap::new();
-    for (&(a, b), &d) in pairs.iter().zip(&values) {
-        measured.insert((a.min(b), a.max(b)), d);
-    }
-    let dist = |a: usize, b: usize| -> f64 { measured[&(a.min(b), a.max(b))] };
+    let (values, observed) =
+        prober.measure_batch(pairs.len(), 1, |p, _| pairs[p], policy, draws, rng);
+    let timeout = prober.config().timeout();
+    let key = |a: usize, b: usize| (a.min(b), a.max(b));
+    let measured: HashMap<(usize, usize), (f64, bool)> = pairs
+        .iter()
+        .zip(values.iter().zip(&observed))
+        .map(|(&(a, b), (&v, &ok))| (key(a, b), (if ok { v } else { timeout }, ok)))
+        .collect();
+    let dist = |a: usize, b: usize| -> f64 { measured[&key(a, b)].0 };
+    let mut dead_nodes: Vec<usize> = plset
+        .iter()
+        .copied()
+        .filter(|&n| nodes.iter().all(|&o| o == n || !measured[&key(n, o)].1))
+        .collect();
+    dead_nodes.sort_unstable();
+    let is_dead = |n: &usize| dead_nodes.binary_search(n).is_ok();
 
+    // Phase 2: greedy max–min (SL) or min (Min-Dist baseline) over the
+    // full PLSet, re-run over the survivors while a dead member holds a
+    // slot (at most once: the second pass sees no dead candidate).
     let maximize = selector == LandmarkSelector::GreedyMaxMin;
     let mut lm_set = vec![0usize];
     let mut remaining = plset.clone();
-    max_min_fill(&mut lm_set, &mut remaining, l, maximize, &dist);
+    let mut replaced: Vec<usize> = Vec::new();
+    loop {
+        max_min_fill(&mut lm_set, &mut remaining, l, maximize, &dist);
+        let evicted = replaced.len();
+        replaced.extend(lm_set.iter().copied().filter(is_dead));
+        if replaced.len() == evicted {
+            break;
+        }
+        lm_set.retain(|n| !is_dead(n));
+        remaining.retain(|n| !is_dead(n));
+    }
+    replaced.sort_unstable();
 
     let min_dist = pairwise_min_dist(&lm_set, &dist);
-    Ok(LandmarkSelection {
-        landmarks: lm_set,
-        plset,
-        min_dist_ms: Some(min_dist),
+    Ok(ResilientLandmarkSelection {
+        selection: LandmarkSelection {
+            landmarks: lm_set,
+            plset,
+            min_dist_ms: Some(min_dist),
+        },
+        dead_nodes,
+        replaced,
     })
 }
 
@@ -365,8 +364,8 @@ fn pairwise_min_dist(lm_set: &[usize], dist: &impl Fn(usize, usize) -> f64) -> f
     min_dist
 }
 
-/// Result of [`select_landmarks_resilient`]: the selection plus what
-/// the failure-detection pass saw.
+/// A landmark selection plus what the failure-detection pass saw —
+/// nothing, unless the PLSet was measured under a retry policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilientLandmarkSelection {
     /// The (possibly failed-over) landmark selection.
@@ -388,163 +387,13 @@ impl ResilientLandmarkSelection {
     }
 }
 
-/// [`select_landmarks`] hardened against probe loss and crashed nodes.
-///
-/// Every pairwise PLSet measurement goes through
-/// [`Prober::measure_retry`] under `policy`; pairs that still fail
-/// report the probe timeout as their distance (matching the legacy
-/// sentinel semantics). A PLSet member with *no* successful pair is
-/// declared dead. The greedy phase then runs unchanged, after which any
-/// dead member that slipped into the landmark set — dead nodes look
-/// maximally far, so greedy max–min is actively drawn to them — is
-/// evicted and the existing max–min step re-elects a replacement from
-/// the surviving PLSet.
-///
-/// On a fault-free network this draws from `rng` exactly like
-/// [`select_landmarks`] and returns the identical selection.
-///
-/// If the PLSet runs out of alive candidates the returned set is
-/// shorter than `l` (callers decide whether that is fatal); it always
-/// retains the origin. The `Random` selector probes nothing, so no
-/// failure detection is possible: it delegates to [`select_landmarks`]
-/// unchanged.
-///
-/// # Errors
-///
-/// Exactly as [`select_landmarks`].
-pub fn select_landmarks_resilient<R: Rng + ?Sized>(
-    prober: &Prober<'_>,
-    selector: LandmarkSelector,
-    l: usize,
-    m: usize,
-    policy: &RetryPolicy,
-    rng: &mut R,
-) -> Result<ResilientLandmarkSelection, LandmarkError> {
-    select_landmarks_resilient_observed(prober, selector, l, m, policy, rng, None)
-}
-
-/// [`select_landmarks_resilient`] with optional observability: probe
-/// retry counters flow through the prober, and the selection records
-/// `landmarks.dead` / `landmarks.failovers`.
-///
-/// # Errors
-///
-/// Exactly as [`select_landmarks`].
-pub fn select_landmarks_resilient_observed<R: Rng + ?Sized>(
-    prober: &Prober<'_>,
-    selector: LandmarkSelector,
-    l: usize,
-    m: usize,
-    policy: &RetryPolicy,
-    rng: &mut R,
-    mut obs: Option<&mut Obs>,
-) -> Result<ResilientLandmarkSelection, LandmarkError> {
-    if selector == LandmarkSelector::Random {
-        let selection = select_landmarks(prober, selector, l, m, rng)?;
-        return Ok(ResilientLandmarkSelection {
-            selection,
-            dead_nodes: Vec::new(),
-            replaced: Vec::new(),
-        });
-    }
-    if l < 2 {
-        return Err(LandmarkError::TooFewLandmarks { requested: l });
-    }
-    if m < 1 {
-        return Err(LandmarkError::BadMultiplier);
-    }
-    let caches = prober.node_count() - 1;
-    if caches < l - 1 {
-        return Err(LandmarkError::TooFewCaches {
-            caches,
-            landmarks: l,
-        });
-    }
-
-    // Phase 1: same PLSet draw as the legacy path (same RNG stream).
-    let plset_size = (m * (l - 1)).min(caches);
-    let mut indices: Vec<usize> = (1..=caches).collect();
-    for i in 0..plset_size {
-        let j = rng.gen_range(i..indices.len());
-        indices.swap(i, j);
-    }
-    let plset: Vec<usize> = indices[..plset_size].to_vec();
-
-    // Pairwise measurements, retried under `policy`. The outcome is
-    // kept per pair so failure detection can distinguish "far" from
-    // "gone"; distances fall back to the timeout sentinel, matching
-    // what the legacy path would have recorded.
-    let timeout = prober.config().timeout();
-    let mut measured: HashMap<(usize, usize), Measurement> = HashMap::new();
-    let mut nodes = vec![0usize];
-    nodes.extend_from_slice(&plset);
-    for (a_pos, &a) in nodes.iter().enumerate() {
-        for &b in nodes.iter().skip(a_pos + 1) {
-            let outcome = prober.measure_retry_observed(a, b, policy, rng, obs.as_deref_mut());
-            measured.insert((a.min(b), a.max(b)), outcome);
-        }
-    }
-    let dist = |a: usize, b: usize| -> f64 { measured[&(a.min(b), a.max(b))].value_or(timeout) };
-
-    // Failure detection: a PLSet member with zero successful pairs is
-    // dead. (The origin is never evicted — with the origin gone there
-    // is no server to form groups around.)
-    let mut dead_nodes: Vec<usize> = plset
-        .iter()
-        .copied()
-        .filter(|&n| {
-            nodes
-                .iter()
-                .filter(|&&o| o != n)
-                .all(|&o| !measured[&(n.min(o), n.max(o))].is_ok())
-        })
-        .collect();
-    dead_nodes.sort_unstable();
-
-    // Phase 2: legacy greedy over the full PLSet (dead nodes included,
-    // exactly as a non-resilient run would see them) ...
-    let maximize = selector == LandmarkSelector::GreedyMaxMin;
-    let mut lm_set = vec![0usize];
-    let mut remaining = plset.clone();
-    max_min_fill(&mut lm_set, &mut remaining, l, maximize, &dist);
-
-    // ... then evict dead electees and re-run the same max–min step
-    // over the surviving candidates.
-    let mut replaced: Vec<usize> = lm_set
-        .iter()
-        .copied()
-        .filter(|n| dead_nodes.binary_search(n).is_ok())
-        .collect();
-    if !replaced.is_empty() {
-        lm_set.retain(|n| dead_nodes.binary_search(n).is_err());
-        remaining.retain(|n| dead_nodes.binary_search(n).is_err());
-        max_min_fill(&mut lm_set, &mut remaining, l, maximize, &dist);
-    }
-    replaced.sort_unstable();
-
-    let min_dist = pairwise_min_dist(&lm_set, &dist);
-    if let Some(o) = obs {
-        o.metrics.add("landmarks.dead", dead_nodes.len() as u64);
-        o.metrics.add("landmarks.failovers", replaced.len() as u64);
-    }
-    Ok(ResilientLandmarkSelection {
-        selection: LandmarkSelection {
-            landmarks: lm_set,
-            plset,
-            min_dist_ms: Some(min_dist),
-        },
-        dead_nodes,
-        replaced,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ecg_coords::ProbeConfig;
     use ecg_topology::fixtures::paper_figure1;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// A prober over the Figure 1 matrix with exact measurements.
     fn prober(m: &ecg_topology::RttMatrix) -> Prober<'_> {
@@ -685,8 +534,32 @@ mod tests {
         assert!(LandmarkError::BadMultiplier.to_string().contains('M'));
     }
 
+    /// [`select`] on the shared stream under a retry policy.
+    fn select_retried(
+        p: &Prober<'_>,
+        l: usize,
+        m: usize,
+        policy: &RetryPolicy,
+        seed: u64,
+    ) -> ResilientLandmarkSelection {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let draws = &mut Draws::Shared(None);
+        select(
+            p,
+            LandmarkSelector::GreedyMaxMin,
+            l,
+            m,
+            Some(policy),
+            draws,
+            &mut rng,
+        )
+        .unwrap()
+    }
+
     #[test]
-    fn resilient_selection_matches_legacy_on_healthy_network() {
+    fn retry_policy_changes_nothing_on_a_healthy_network() {
+        // Noisy probes, no loss, no faults: with or without a policy
+        // the selector draws identically and selects identically.
         let m = paper_figure1();
         let policy = RetryPolicy::default();
         for selector in [
@@ -695,23 +568,17 @@ mod tests {
             LandmarkSelector::Random,
         ] {
             for seed in 0..20u64 {
-                let p = prober(&m);
-                let legacy =
-                    select_landmarks(&p, selector, 3, 2, &mut StdRng::seed_from_u64(seed)).unwrap();
-                let p = prober(&m);
-                let resilient = select_landmarks_resilient(
-                    &p,
-                    selector,
-                    3,
-                    2,
-                    &policy,
-                    &mut StdRng::seed_from_u64(seed),
-                )
-                .unwrap();
-                assert_eq!(resilient.selection, legacy, "{selector} seed {seed}");
-                assert!(resilient.dead_nodes.is_empty());
-                assert!(resilient.replaced.is_empty());
-                assert_eq!(resilient.failover_count(), 0);
+                let run = |policy: Option<&RetryPolicy>| {
+                    let p = prober_noisy(&m);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let draws = &mut Draws::Shared(None);
+                    let sel = select(&p, selector, 3, 2, policy, draws, &mut rng).unwrap();
+                    (sel, rng.gen::<u64>(), p.probes_sent())
+                };
+                let (plain, retried) = (run(None), run(Some(&policy)));
+                assert_eq!(retried, plain, "{selector} seed {seed}");
+                assert!(plain.0.dead_nodes.is_empty());
+                assert_eq!(plain.0.failover_count(), 0);
             }
         }
     }
@@ -723,47 +590,56 @@ mod tests {
         // Ec4 (node 5) crashes — one of the figure's natural picks.
         let faults = ProbeFaults::new().node_down(5);
         let p = Prober::with_faults(&m, ProbeConfig::noiseless(), faults);
-        let mut rng = StdRng::seed_from_u64(1);
         // M(L-1) = 10 > 6 caches: the PLSet covers every cache, so the
         // crashed node is guaranteed to be a candidate. Dead nodes look
         // timeout-far, which greedy max–min would elect immediately.
-        let sel = select_landmarks_resilient(
-            &p,
-            LandmarkSelector::GreedyMaxMin,
-            3,
-            5,
-            &RetryPolicy::default(),
-            &mut rng,
-        )
-        .unwrap();
+        let sel = select_retried(&p, 3, 5, &RetryPolicy::default(), 1);
         assert_eq!(sel.dead_nodes, vec![5]);
         assert_eq!(sel.replaced, vec![5]);
         assert_eq!(sel.failover_count(), 1);
         assert_eq!(sel.selection.landmarks.len(), 3);
         assert_eq!(sel.selection.landmarks[0], 0);
         assert!(!sel.selection.landmarks.contains(&5), "dead landmark kept");
+        // Without a policy the same run elects the dead node and says
+        // nothing about it.
+        let p = Prober::with_faults(&m, ProbeConfig::noiseless(), p.faults().clone());
+        let plain = select_landmarks(
+            &p,
+            LandmarkSelector::GreedyMaxMin,
+            3,
+            5,
+            &mut StdRng::seed_from_u64(1),
+        )
+        .unwrap();
+        assert!(plain.landmarks.contains(&5));
     }
 
     #[test]
-    fn resilient_selection_survives_every_cache_down_but_one() {
+    fn retried_selection_survives_every_cache_down_but_one() {
         use ecg_coords::ProbeFaults;
         let m = paper_figure1();
         let faults = (2..=6).fold(ProbeFaults::new(), ProbeFaults::node_down);
         let p = Prober::with_faults(&m, ProbeConfig::noiseless(), faults);
-        let mut rng = StdRng::seed_from_u64(0);
-        let sel = select_landmarks_resilient(
-            &p,
-            LandmarkSelector::GreedyMaxMin,
-            4,
-            5,
-            &RetryPolicy::none(),
-            &mut rng,
-        )
-        .unwrap();
+        let sel = select_retried(&p, 4, 5, &RetryPolicy::none(), 0);
         // Only the origin and cache 1 survive: the set degrades to two
         // members instead of panicking or electing the dead.
         assert_eq!(sel.selection.landmarks, vec![0, 1]);
         assert_eq!(sel.dead_nodes, vec![2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn zero_node_prober_is_a_typed_error() {
+        // `RttMatrix::zeros(0)` is constructible; `node_count() - 1`
+        // used to overflow on it.
+        let m = ecg_topology::RttMatrix::zeros(0);
+        let p = prober(&m);
+        for selector in [LandmarkSelector::GreedyMaxMin, LandmarkSelector::Random] {
+            let err = select_landmarks(&p, selector, 2, 1, &mut StdRng::seed_from_u64(0));
+            assert_eq!(err, Err(LandmarkError::NoOrigin));
+            let err = select_landmarks_par(&p, selector, 2, 1, &mut StdRng::seed_from_u64(0));
+            assert_eq!(err, Err(LandmarkError::NoOrigin));
+        }
+        assert!(LandmarkError::NoOrigin.to_string().contains("no origin"));
     }
 
     #[test]

@@ -51,8 +51,7 @@ pub mod scheme;
 
 pub use health::{FormationHealth, ResilienceConfig};
 pub use landmarks::{
-    select_landmarks, select_landmarks_par, select_landmarks_resilient,
-    select_landmarks_resilient_observed, LandmarkError, LandmarkSelection, LandmarkSelector,
+    select_landmarks, select_landmarks_par, LandmarkError, LandmarkSelection, LandmarkSelector,
     ResilientLandmarkSelection,
 };
 pub use maintenance::{GroupMaintainer, MaintenanceError, PartialReformOutcome, RetireOutcome};

@@ -11,18 +11,15 @@
 //!    `Pr(Ec_j) ∝ 1 / Dist(Ec_j, Os)^θ`.
 
 use crate::health::{FormationHealth, ResilienceConfig};
-use crate::landmarks::{
-    select_landmarks, select_landmarks_par, select_landmarks_resilient_observed, LandmarkError,
-    LandmarkSelection, LandmarkSelector,
-};
+use crate::landmarks::{cache_count, select, LandmarkError, LandmarkSelection, LandmarkSelector};
 use ecg_clustering::{
-    kmeans_capped, kmeans_masked_observed, kmeans_observed, server_distance_weights, AssignMode,
-    CapError, Initializer, KmeansConfig, KmeansError, KmeansVariant,
+    kmeans_capped, kmeans_masked_observed, kmeans_observed, kmeans_variant,
+    server_distance_weights, take_tree_build_ms, AssignMode, CapError, Initializer, KmeansConfig,
+    KmeansError, KmeansVariant,
 };
 use ecg_coords::{
-    build_feature_matrix, build_feature_matrix_par, build_feature_matrix_resilient_observed,
-    embed_network, run_vivaldi, FeatureMask, FeatureMatrix, GnpConfig, ProbeConfig, ProbeFaults,
-    Prober, VivaldiConfig,
+    build_features, embed_network, run_vivaldi, Draws, FeatureMask, FeatureMatrix, GnpConfig,
+    GnpCoordinates, ProbeConfig, ProbeFaults, Prober, VivaldiConfig,
 };
 use ecg_obs::Obs;
 use ecg_topology::{CacheId, EdgeNetwork, RttSource};
@@ -66,6 +63,20 @@ pub enum GroupInit {
     /// k-means++ seeding — not in the paper; available for the
     /// initialization ablation.
     KmeansPlusPlus,
+}
+
+impl GroupInit {
+    /// The K-means initializer this rule stands for, over the measured
+    /// server distances of the caches being clustered.
+    fn initializer(self, server_distances_ms: &[f64]) -> Initializer {
+        match self {
+            GroupInit::Uniform => Initializer::RandomRepresentative,
+            GroupInit::ServerDistance { theta } => {
+                Initializer::Weighted(server_distance_weights(server_distances_ms, theta))
+            }
+            GroupInit::KmeansPlusPlus => Initializer::KmeansPlusPlus,
+        }
+    }
 }
 
 /// Full configuration of a group formation run.
@@ -182,19 +193,18 @@ impl SchemeConfig {
         self
     }
 
-    /// Selects the K-means engine for the *scaled* pipeline
-    /// ([`GfCoordinator::form_groups_scaled`]): full-batch Lloyd (the
-    /// default, byte-exact with the paper path) or the deterministic
-    /// mini-batch variant for large `N`. The paper-exact entry points
-    /// ([`GfCoordinator::form_groups`] and friends) always run
-    /// full-batch Lloyd regardless of this setting, so historical
-    /// experiment outputs cannot move.
+    /// Selects the K-means engine: full-batch Lloyd (the default — the
+    /// paper's algorithm, what every historical experiment output ran)
+    /// or the deterministic mini-batch variant for large `N`. Every
+    /// entry point honours it; it yields to a
+    /// [`SchemeConfig::max_group_size`] cap and to a degraded feature
+    /// mask, which have one engine each.
     pub fn kmeans_variant(mut self, variant: KmeansVariant) -> Self {
         self.kmeans_variant = variant;
         self
     }
 
-    /// The K-means engine the scaled pipeline uses.
+    /// The configured K-means engine.
     pub fn kmeans_variant_config(&self) -> &KmeansVariant {
         &self.kmeans_variant
     }
@@ -228,16 +238,16 @@ impl SchemeConfig {
         self
     }
 
-    /// Enables the resilient pipeline: probe retries under the
-    /// configured policy, landmark failover when a PLSet node is
-    /// detected dead, masked clustering over the observed feature
+    /// Enables resilient formation, at every entry point: probe retries
+    /// under the configured policy, landmark failover when a PLSet node
+    /// is detected dead, masked clustering over the observed feature
     /// cells, and quarantine of caches below the observation floor.
     /// The outcome then carries a [`FormationHealth`] report.
     ///
-    /// On a fault-free network the resilient pipeline produces a
-    /// bit-identical grouping to the plain one (it draws from the RNG
-    /// in exactly the same sequence), so enabling resilience cannot
-    /// perturb healthy runs.
+    /// On a fault-free network a resilient run produces a bit-identical
+    /// grouping to a plain one (it draws from the RNG in exactly the
+    /// same sequence), so enabling resilience cannot perturb healthy
+    /// runs.
     pub fn resilience(mut self, resilience: ResilienceConfig) -> Self {
         self.resilience = Some(resilience);
         self
@@ -323,6 +333,23 @@ impl From<LandmarkError> for SchemeError {
 impl From<KmeansError> for SchemeError {
     fn from(e: KmeansError) -> Self {
         SchemeError::Clustering(e)
+    }
+}
+
+impl From<CapError> for SchemeError {
+    fn from(e: CapError) -> Self {
+        match e {
+            CapError::InsufficientCapacity {
+                points: caches,
+                k,
+                max_size,
+            } => SchemeError::CapTooTight {
+                groups: k,
+                max_group_size: max_size,
+                caches,
+            },
+            CapError::Kmeans(inner) => SchemeError::Clustering(inner),
+        }
     }
 }
 
@@ -474,14 +501,7 @@ impl GfCoordinator {
         // position estimates, then sweep.
         let probe_run = GfCoordinator::new(self.config.clone().groups_count(1));
         let outcome = probe_run.form_groups(network, rng)?;
-        let initializer = match self.config.init {
-            GroupInit::Uniform => Initializer::RandomRepresentative,
-            GroupInit::ServerDistance { theta } => Initializer::Weighted(server_distance_weights(
-                outcome.server_distances_ms(),
-                theta,
-            )),
-            GroupInit::KmeansPlusPlus => Initializer::KmeansPlusPlus,
-        };
+        let initializer = self.config.init.initializer(outcome.server_distances_ms());
         ecg_clustering::suggest_k(outcome.points(), candidates, &initializer, 3, rng)
             .map_err(SchemeError::Clustering)
     }
@@ -505,7 +525,7 @@ impl GfCoordinator {
     /// `scheme.landmarks` / `scheme.positions` phase spans whose work is
     /// the probe packets each step sent, a `scheme.clustering` span
     /// whose work is the K-means iteration count, the `kmeans.*`
-    /// per-iteration stats (uncapped clustering only), `scheme.*`
+    /// per-iteration stats (full-batch Lloyd only), `scheme.*`
     /// counters, and one `scheme`/`formed` trace event. With
     /// `obs = None` this is exactly [`GfCoordinator::form_groups`];
     /// instrumentation never draws from the RNG, so the grouping is
@@ -537,7 +557,7 @@ impl GfCoordinator {
     /// out of clustering, and the outcome carries a
     /// [`FormationHealth`].
     ///
-    /// An empty fault set leaves both paths bit-identical to
+    /// An empty fault set leaves both bit-identical to
     /// [`GfCoordinator::form_groups`].
     ///
     /// # Errors
@@ -556,9 +576,10 @@ impl GfCoordinator {
     }
 
     /// [`GfCoordinator::form_groups_faulted`] with optional
-    /// observability (see [`GfCoordinator::form_groups_observed`]; the
-    /// resilient path additionally records `probe.retries` /
-    /// `probe.gave_up` / `landmarks.failovers` / `scheme.quarantined`).
+    /// observability (see [`GfCoordinator::form_groups_observed`]; a
+    /// resilient run additionally records the per-probe `probe.*`
+    /// counters, `landmarks.dead` / `landmarks.failovers` and
+    /// `scheme.quarantined` / `scheme.failovers`).
     ///
     /// # Errors
     ///
@@ -570,374 +591,198 @@ impl GfCoordinator {
         rng: &mut R,
         obs: Option<&mut Obs>,
     ) -> Result<GroupingOutcome, SchemeError> {
+        let prober = Prober::with_faults(network.rtt_matrix(), self.config.probe, faults.clone());
+        Ok(self.run(&prober, Draws::Shared(obs), rng)?.0)
+    }
+
+    /// The same pipeline over any [`RttSource`] oracle (e.g. the
+    /// O(n)-state [`ecg_topology::SyntheticRtt`]) instead of a dense
+    /// `EdgeNetwork`, for large N. It differs from
+    /// [`GfCoordinator::form_groups`] in one thing only, the draw
+    /// discipline: every batch of probes runs under
+    /// [`Draws::PerRow`] — derived per-row RNG streams on [`ecg_par`]
+    /// workers — so the result depends only on the seed, never the
+    /// thread count, and is not draw-compatible with the matrix entry
+    /// points once probes are noisy. Every [`SchemeConfig`] field means
+    /// what it means there, [`SchemeConfig::resilience`] included (a
+    /// lossy [`ProbeConfig`] is retried, masked and quarantined at any
+    /// N); there is no per-probe telemetry on worker threads, so the
+    /// run takes no [`Obs`]. The per-stage wall-clock comes back in
+    /// [`FormationTimings`]; timings are measurement-only — no RNG draw
+    /// or control-flow decision reads the clock.
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`GfCoordinator::form_groups_faulted`].
+    pub fn form_groups_scaled<R: Rng + ?Sized>(
+        &self,
+        source: &dyn RttSource,
+        rng: &mut R,
+    ) -> Result<ScaledFormation, SchemeError> {
+        let prober = Prober::new(source, self.config.probe);
+        let (outcome, timings) = self.run(&prober, Draws::PerRow, rng)?;
+        Ok(ScaledFormation { outcome, timings })
+    }
+
+    /// The one formation pipeline: landmarks → positions → quarantine →
+    /// K-means → groups, over a freshly built prober (its counters are
+    /// read as the run's). The two things
+    /// that differ between entry points are data handed down to
+    /// [`Prober::measure_batch`], not paths: the retry policy (from
+    /// [`SchemeConfig::resilience`]; without one every cell comes back
+    /// observed, so nothing below is ever masked, quarantined or failed
+    /// over) and the draw discipline `draws`, which also carries the
+    /// run's telemetry bundle when there is one.
+    fn run<R: Rng + ?Sized>(
+        &self,
+        prober: &Prober<'_>,
+        mut draws: Draws<'_>,
+        rng: &mut R,
+    ) -> Result<(GroupingOutcome, FormationTimings), SchemeError> {
         let cfg = &self.config;
-        let n = network.cache_count();
+        let policy = cfg.resilience.as_ref().map(ResilienceConfig::retry_policy);
+        let n = cache_count(prober)?;
         if cfg.groups > n {
             return Err(SchemeError::TooManyGroups {
                 groups: cfg.groups,
                 caches: n,
             });
         }
-        let prober = Prober::with_faults(network.rtt_matrix(), cfg.probe, faults.clone());
-        match cfg.resilience {
-            None => self.run_legacy(&prober, n, rng, obs),
-            Some(res) => self.run_resilient(&prober, &res, n, rng, obs),
-        }
-    }
+        let ms_since = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+        let started = Instant::now();
 
-    /// The original (non-resilient) pipeline over an already-built
-    /// prober.
-    fn run_legacy<R: Rng + ?Sized>(
-        &self,
-        prober: &Prober<'_>,
-        n: usize,
-        rng: &mut R,
-        mut obs: Option<&mut Obs>,
-    ) -> Result<GroupingOutcome, SchemeError> {
-        let cfg = &self.config;
-
-        // Step 1: landmark selection.
-        let probes_before = prober.probes_sent();
-        let selection = select_landmarks(
-            prober,
-            cfg.selector,
-            cfg.landmarks.min(n + 1),
-            cfg.plset_multiplier,
-            rng,
-        )?;
-        if let Some(o) = obs.as_deref_mut() {
-            let mut span = o.phases.span("scheme.landmarks");
-            span.add_work((prober.probes_sent() - probes_before) as f64);
-        }
-
-        // Step 2: position estimation. Cache Ec_i is matrix index i + 1.
-        let probes_before = prober.probes_sent();
-        let nodes: Vec<usize> = (1..=n).collect();
-        let (points, server_distances_ms): (FeatureMatrix, Vec<f64>) = match cfg.representation {
-            Representation::FeatureVectors => {
-                let fm = build_feature_matrix(prober, &nodes, &selection.landmarks, rng);
-                // landmarks[0] is always the origin, so component 0
-                // of every feature vector *is* the measured server
-                // distance — SDSL reuses it for free.
-                let dists = fm.iter_rows().map(|row| row[0]).collect();
-                (fm, dists)
-            }
-            Representation::Gnp(gnp) => {
-                let coords = embed_network(gnp, prober, &nodes, &selection.landmarks, rng);
-                let dists = nodes
-                    .iter()
-                    .map(|&node| prober.measure(node, 0, rng))
-                    .collect();
-                let dim = coords.first().map(|c| c.as_slice().len()).unwrap_or(0);
-                let mut fm = FeatureMatrix::with_capacity(coords.len(), dim);
-                for c in &coords {
-                    fm.push_row(c.as_slice());
-                }
-                (fm, dists)
-            }
-            Representation::Vivaldi(vivaldi) => {
-                let states = run_vivaldi(vivaldi, prober, &nodes, rng);
-                let dists = nodes
-                    .iter()
-                    .map(|&node| prober.measure(node, 0, rng))
-                    .collect();
-                let dim = states
-                    .first()
-                    .map(|s| s.coords().as_slice().len())
-                    .unwrap_or(0);
-                let mut fm = FeatureMatrix::with_capacity(states.len(), dim);
-                for s in &states {
-                    fm.push_row(s.coords().as_slice());
-                }
-                (fm, dists)
-            }
-        };
-        if let Some(o) = obs.as_deref_mut() {
-            let mut span = o.phases.span("scheme.positions");
-            span.add_work((prober.probes_sent() - probes_before) as f64);
-        }
-
-        // Step 3: clustering with the scheme's initialization.
-        let initializer = match cfg.init {
-            GroupInit::Uniform => Initializer::RandomRepresentative,
-            GroupInit::ServerDistance { theta } => {
-                Initializer::Weighted(server_distance_weights(&server_distances_ms, theta))
-            }
-            GroupInit::KmeansPlusPlus => Initializer::KmeansPlusPlus,
-        };
-        let kmeans_config = KmeansConfig::new(cfg.groups)
-            .max_iterations(cfg.kmeans_max_iterations)
-            .assign(cfg.kmeans_assign);
-        let clustering = match cfg.max_group_size {
-            None => kmeans_observed(
-                &points,
-                kmeans_config,
-                &initializer,
-                rng,
-                obs.as_deref_mut(),
-            )?,
-            Some(cap) => kmeans_capped(&points, kmeans_config, &initializer, cap, rng).map_err(
-                |e| match e {
-                    CapError::InsufficientCapacity {
-                        points: caches,
-                        k,
-                        max_size,
-                    } => SchemeError::CapTooTight {
-                        groups: k,
-                        max_group_size: max_size,
-                        caches,
-                    },
-                    CapError::Kmeans(inner) => SchemeError::Clustering(inner),
-                },
-            )?,
-        };
-
-        if let Some(o) = obs.as_deref_mut() {
-            let mut span = o.phases.span("scheme.clustering");
-            span.add_work(clustering.iterations() as f64);
-        }
-
-        if let Some(o) = obs {
-            o.metrics.inc("scheme.runs");
-            o.metrics.add("scheme.probes_sent", prober.probes_sent());
-            o.trace.push(
-                clustering.iterations() as f64,
-                "scheme",
-                "formed",
-                vec![
-                    ("groups", cfg.groups.into()),
-                    ("probes_sent", prober.probes_sent().into()),
-                    ("kmeans_iterations", clustering.iterations().into()),
-                ],
-            );
-        }
-
-        let groups: Vec<Vec<CacheId>> = clustering
-            .clusters()
-            .into_iter()
-            .map(|members| members.into_iter().map(CacheId).collect())
-            .collect();
-        Ok(GroupingOutcome {
-            groups,
-            assignments: clustering.assignments().to_vec(),
-            landmarks: selection,
-            server_distances_ms,
-            probes_sent: prober.probes_sent(),
-            kmeans_iterations: clustering.iterations(),
-            centers: clustering.centers().clone(),
-            points,
-            health: None,
-        })
-    }
-
-    /// The resilient pipeline: retried probing, landmark failover,
-    /// masked clustering, quarantine, and a [`FormationHealth`] report.
-    fn run_resilient<R: Rng + ?Sized>(
-        &self,
-        prober: &Prober<'_>,
-        res: &ResilienceConfig,
-        n: usize,
-        rng: &mut R,
-        mut obs: Option<&mut Obs>,
-    ) -> Result<GroupingOutcome, SchemeError> {
-        let cfg = &self.config;
-        let policy = res.retry_policy();
-
-        // Step 1: landmark selection with failure detection and
-        // failover.
-        let probes_before = prober.probes_sent();
-        let rsel = select_landmarks_resilient_observed(
+        // Stage 1: landmark selection (with failure detection and
+        // failover under a retry policy).
+        let selected = select(
             prober,
             cfg.selector,
             cfg.landmarks.min(n + 1),
             cfg.plset_multiplier,
             policy,
+            &mut draws,
             rng,
-            obs.as_deref_mut(),
         )?;
-        if let Some(o) = obs.as_deref_mut() {
-            let mut span = o.phases.span("scheme.landmarks");
-            span.add_work((prober.probes_sent() - probes_before) as f64);
+        let landmark_probes = prober.probes_sent();
+        if let Some(o) = draws.obs() {
+            o.phases
+                .span("scheme.landmarks")
+                .add_work(landmark_probes as f64);
         }
-        let selection = rsel.selection;
+        let landmarks_ms = ms_since(started);
 
-        // Step 2: position estimation. Masking applies to the paper's
-        // feature vectors; the embedding representations keep their
-        // legacy estimators (which substitute the timeout sentinel for
-        // failed measurements) under a fully-observed mask.
-        let probes_before = prober.probes_sent();
+        // Stage 2: position estimation. Cache Ec_i is node i + 1.
+        // Masking applies to the paper's feature vectors; the embedding
+        // representations keep their own estimators (which substitute
+        // the timeout sentinel for failed measurements) under a
+        // fully-observed mask.
+        let positions_started = Instant::now();
         let nodes: Vec<usize> = (1..=n).collect();
-        let (points, mask, server_distances_ms): (FeatureMatrix, FeatureMask, Vec<f64>) =
-            match cfg.representation {
-                Representation::FeatureVectors => {
-                    let (fm, mask) = build_feature_matrix_resilient_observed(
-                        prober,
-                        &nodes,
-                        &selection.landmarks,
-                        policy,
-                        rng,
-                        obs.as_deref_mut(),
-                    );
-                    // Component 0 is the measured server distance where
-                    // observed; a cache that never reached the origin
-                    // falls back to the mean observed server distance
-                    // (the timeout if nobody reached it) so SDSL's
-                    // weights stay finite.
-                    let observed: Vec<f64> = (0..n)
-                        .filter(|&i| mask.is_observed(i, 0))
-                        .map(|i| fm.row(i)[0])
-                        .collect();
-                    let fallback = if observed.is_empty() {
-                        prober.config().timeout()
-                    } else {
-                        observed.iter().sum::<f64>() / observed.len() as f64
-                    };
-                    let dists = (0..n)
-                        .map(|i| {
-                            if mask.is_observed(i, 0) {
-                                fm.row(i)[0]
-                            } else {
-                                fallback
-                            }
-                        })
-                        .collect();
-                    (fm, mask, dists)
-                }
-                Representation::Gnp(gnp) => {
-                    let coords = embed_network(gnp, prober, &nodes, &selection.landmarks, rng);
-                    let dists = nodes
-                        .iter()
-                        .map(|&node| prober.measure(node, 0, rng))
-                        .collect();
-                    let dim = coords.first().map(|c| c.as_slice().len()).unwrap_or(0);
-                    let mut fm = FeatureMatrix::with_capacity(coords.len(), dim);
-                    for c in &coords {
-                        fm.push_row(c.as_slice());
-                    }
-                    let mask = FeatureMask::all_observed(fm.len(), dim);
-                    (fm, mask, dists)
-                }
-                Representation::Vivaldi(vivaldi) => {
-                    let states = run_vivaldi(vivaldi, prober, &nodes, rng);
-                    let dists = nodes
-                        .iter()
-                        .map(|&node| prober.measure(node, 0, rng))
-                        .collect();
-                    let dim = states
-                        .first()
-                        .map(|s| s.coords().as_slice().len())
-                        .unwrap_or(0);
-                    let mut fm = FeatureMatrix::with_capacity(states.len(), dim);
-                    for s in &states {
-                        fm.push_row(s.coords().as_slice());
-                    }
-                    let mask = FeatureMask::all_observed(fm.len(), dim);
-                    (fm, mask, dists)
-                }
-            };
-        if let Some(o) = obs.as_deref_mut() {
-            let mut span = o.phases.span("scheme.positions");
-            span.add_work((prober.probes_sent() - probes_before) as f64);
+        let landmarks = &selected.selection.landmarks;
+        let (points, mask, server_distances_ms) = match cfg.representation {
+            Representation::FeatureVectors => {
+                let (fm, mask) = build_features(prober, &nodes, landmarks, policy, &mut draws, rng);
+                let dists = server_distances(&fm, &mask, prober.config().timeout());
+                (fm, mask, dists)
+            }
+            Representation::Gnp(gnp) => {
+                let coords = embed_network(gnp, prober, &nodes, landmarks, rng);
+                embedded(&coords, prober, &nodes, &mut draws, rng)
+            }
+            Representation::Vivaldi(vivaldi) => {
+                let states = run_vivaldi(vivaldi, prober, &nodes, rng);
+                let coords: Vec<GnpCoordinates> = states.iter().map(|s| s.coords()).collect();
+                embedded(&coords, prober, &nodes, &mut draws, rng)
+            }
+        };
+        if let Some(o) = draws.obs() {
+            o.phases
+                .span("scheme.positions")
+                .add_work((prober.probes_sent() - landmark_probes) as f64);
         }
+        let features_ms = ms_since(positions_started);
 
-        // Step 3: quarantine. A cache below the observation floor
+        // Stage 3: quarantine. A cache below the observation floor
         // carries too little positional signal to cluster; it is routed
         // to its nearest observed landmark's group instead. The floor
         // is clamped to the feature dimension so a fully-observed row
         // is never quarantined.
-        let floor = res.min_observed().min(mask.dim()).max(1);
-        let mut quarantined: Vec<CacheId> = Vec::new();
-        let mut kept: Vec<usize> = Vec::new();
-        for i in 0..n {
-            if mask.observed_count(i) < floor {
-                quarantined.push(CacheId(i));
-            } else {
-                kept.push(i);
-            }
-        }
-        if kept.len() < cfg.groups {
+        let floor = cfg.resilience.map_or(1, |r| r.min_observed());
+        let floor = floor.min(mask.dim()).max(1);
+        let quarantined: Vec<usize> = (0..n).filter(|&i| mask.observed_count(i) < floor).collect();
+        let kept = || (0..n).filter(|i| quarantined.binary_search(i).is_err());
+        if n - quarantined.len() < cfg.groups {
             return Err(SchemeError::TooManyGroups {
                 groups: cfg.groups,
-                caches: kept.len(),
+                caches: n - quarantined.len(),
             });
         }
-        let (kept_points, kept_mask) = if quarantined.is_empty() {
-            (points.clone(), mask.clone())
+        let subset;
+        let (kept_points, kept_mask, kept_dists) = if quarantined.is_empty() {
+            (&points, &mask, &server_distances_ms)
         } else {
-            let mut kp = FeatureMatrix::with_capacity(kept.len(), points.dim());
+            let mut kp = FeatureMatrix::new(points.dim());
             let mut km = FeatureMask::new(mask.dim());
-            for &i in &kept {
+            for i in kept() {
                 kp.push_row(points.row(i));
                 km.push_row(mask.row(i));
             }
-            (kp, km)
+            let kd: Vec<f64> = kept().map(|i| server_distances_ms[i]).collect();
+            subset = (kp, km, kd);
+            (&subset.0, &subset.1, &subset.2)
         };
 
-        // Step 4: masked clustering of the participating caches. SDSL
-        // weights come from the kept caches' server distances.
-        let initializer = match cfg.init {
-            GroupInit::Uniform => Initializer::RandomRepresentative,
-            GroupInit::ServerDistance { theta } => {
-                let kept_dists: Vec<f64> = kept.iter().map(|&i| server_distances_ms[i]).collect();
-                Initializer::Weighted(server_distance_weights(&kept_dists, theta))
-            }
-            GroupInit::KmeansPlusPlus => Initializer::KmeansPlusPlus,
-        };
+        // Stage 4: clustering of the participating caches with the
+        // scheme's initialization. The tree-build accumulator is
+        // drained before the stage so the after-read covers exactly
+        // this clustering's rebuilds.
+        let _ = take_tree_build_ms();
+        let clustering_started = Instant::now();
+        let initializer = cfg.init.initializer(kept_dists);
         let kmeans_config = KmeansConfig::new(cfg.groups)
             .max_iterations(cfg.kmeans_max_iterations)
             .assign(cfg.kmeans_assign);
-        let clustering = match cfg.max_group_size {
-            None => kmeans_masked_observed(
-                &kept_points,
-                &kept_mask,
+        let clustering = match (cfg.max_group_size, &cfg.kmeans_variant) {
+            // The size-capped variant has no masked twin: the cap path
+            // clusters the raw rows, placeholders included.
+            (Some(cap), _) => kmeans_capped(kept_points, kmeans_config, &initializer, cap, rng)?,
+            (None, _) if !kept_mask.is_fully_observed() => kmeans_masked_observed(
+                kept_points,
+                kept_mask,
                 kmeans_config,
                 &initializer,
                 rng,
-                obs.as_deref_mut(),
+                draws.obs(),
             )?,
-            // The size-capped variant has no masked twin: the cap path
-            // clusters the raw rows, placeholders included.
-            Some(cap) => kmeans_capped(&kept_points, kmeans_config, &initializer, cap, rng)
-                .map_err(|e| match e {
-                    CapError::InsufficientCapacity {
-                        points: caches,
-                        k,
-                        max_size,
-                    } => SchemeError::CapTooTight {
-                        groups: k,
-                        max_group_size: max_size,
-                        caches,
-                    },
-                    CapError::Kmeans(inner) => SchemeError::Clustering(inner),
-                })?,
+            (None, KmeansVariant::Lloyd) => {
+                kmeans_observed(kept_points, kmeans_config, &initializer, rng, draws.obs())?
+            }
+            (None, variant) => {
+                kmeans_variant(kept_points, kmeans_config, variant, &initializer, rng)?
+            }
         };
-        if let Some(o) = obs.as_deref_mut() {
-            let mut span = o.phases.span("scheme.clustering");
-            span.add_work(clustering.iterations() as f64);
+        if let Some(o) = draws.obs() {
+            o.phases
+                .span("scheme.clustering")
+                .add_work(clustering.iterations() as f64);
         }
+        let clustering_ms = ms_since(clustering_started);
+        let tree_build_ms = take_tree_build_ms();
 
         // Map the kept-subset assignments back to cache order, then
         // place each quarantined cache with its nearest observed
         // landmark's cache (group 0 if it observed no landmark cache at
         // all).
         let mut assignments = vec![usize::MAX; n];
-        for (ki, &i) in kept.iter().enumerate() {
-            assignments[i] = clustering.assignments()[ki];
+        for (i, &g) in kept().zip(clustering.assignments()) {
+            assignments[i] = g;
         }
-        for &c in &quarantined {
-            let i = c.index();
-            let mut best: Option<(f64, usize)> = None;
-            for j in 1..mask.dim() {
-                if mask.is_observed(i, j) {
-                    let d = points.row(i)[j];
-                    if best.is_none_or(|(bd, _)| d < bd) {
-                        best = Some((d, j));
-                    }
-                }
-            }
-            assignments[i] = best
-                .and_then(|(_, j)| {
-                    let lm_cache = selection.landmarks.get(j)?.checked_sub(1)?;
+        for &i in &quarantined {
+            let nearest = (1..mask.dim())
+                .filter(|&j| mask.is_observed(i, j))
+                .min_by(|&a, &b| points.row(i)[a].total_cmp(&points.row(i)[b]));
+            assignments[i] = nearest
+                .and_then(|j| {
+                    let lm_cache = landmarks.get(j)?.checked_sub(1)?;
                     let g = assignments[lm_cache];
                     (g != usize::MAX).then_some(g)
                 })
@@ -948,166 +793,111 @@ impl GfCoordinator {
             groups[g].push(CacheId(i));
         }
 
-        let health = FormationHealth {
+        let probes_sent = prober.probes_sent();
+        let kmeans_iterations = clustering.iterations();
+        let health = cfg.resilience.map(|_| FormationHealth {
             probe_retries: prober.retries(),
             probe_gave_up: prober.gave_up(),
             backoff_ms: prober.backoff_ms(),
-            dead_landmarks: rsel.dead_nodes,
-            landmark_failovers: rsel.replaced.len(),
+            dead_landmarks: selected.dead_nodes,
+            landmark_failovers: selected.replaced.len(),
             masked_cells: mask.masked_cells(),
-            quarantined: quarantined.clone(),
-        };
-        if let Some(o) = obs {
+            quarantined: quarantined.into_iter().map(CacheId).collect(),
+        });
+        if let Some(o) = draws.obs() {
             o.metrics.inc("scheme.runs");
-            o.metrics.add("scheme.probes_sent", prober.probes_sent());
-            o.metrics
-                .add("scheme.quarantined", quarantined.len() as u64);
-            o.metrics
-                .add("scheme.failovers", health.landmark_failovers as u64);
-            o.trace.push(
-                clustering.iterations() as f64,
-                "scheme",
-                "formed",
-                vec![
-                    ("groups", cfg.groups.into()),
-                    ("probes_sent", prober.probes_sent().into()),
-                    ("kmeans_iterations", clustering.iterations().into()),
-                    ("degraded", u64::from(health.is_degraded()).into()),
-                ],
-            );
-        }
-
-        Ok(GroupingOutcome {
-            groups,
-            assignments,
-            landmarks: selection,
-            server_distances_ms,
-            probes_sent: prober.probes_sent(),
-            kmeans_iterations: clustering.iterations(),
-            centers: clustering.centers().clone(),
-            points,
-            health: Some(health),
-        })
-    }
-
-    /// The large-N pipeline over any [`RttSource`] oracle: parallel
-    /// landmark probing ([`select_landmarks_par`]), parallel feature
-    /// construction ([`build_feature_matrix_par`]), and the configured
-    /// [`KmeansVariant`] (full-batch Lloyd by default, mini-batch via
-    /// [`SchemeConfig::kmeans_variant`]).
-    ///
-    /// This is the same three-step pipeline as
-    /// [`GfCoordinator::form_groups`], but over an O(n)-state oracle
-    /// (e.g. [`ecg_topology::SyntheticRtt`]) instead of a dense
-    /// `EdgeNetwork`, with every probing stage on derived-seed parallel
-    /// kernels — so the result depends only on the seed, never the
-    /// thread count, and the per-stage wall-clock is reported in
-    /// [`FormationTimings`]. Timings are measurement-only: no RNG draw
-    /// or control-flow decision reads the clock.
-    ///
-    /// Two deliberate scope limits versus the paper path: positions are
-    /// always landmark feature vectors (no GNP/Vivaldi embedding — both
-    /// are quadratic-ish and exist for small-scale comparisons), and
-    /// [`SchemeConfig::max_group_size`] is ignored (the balanced
-    /// assignment pass is sequential and paper-scale only). Resilience
-    /// is likewise a paper-path feature. The outcome carries no
-    /// [`FormationHealth`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemeError`] if the network is too small for the
-    /// requested landmarks or groups, or clustering fails.
-    pub fn form_groups_scaled<R: Rng + ?Sized>(
-        &self,
-        source: &dyn RttSource,
-        rng: &mut R,
-    ) -> Result<ScaledFormation, SchemeError> {
-        let cfg = &self.config;
-        let n = source.node_count() - 1;
-        if cfg.groups > n {
-            return Err(SchemeError::TooManyGroups {
-                groups: cfg.groups,
-                caches: n,
-            });
-        }
-        let prober = Prober::new(source, cfg.probe);
-        let started = Instant::now();
-
-        // Step 1: landmark selection, parallel measurement phase.
-        let selection = select_landmarks_par(
-            &prober,
-            cfg.selector,
-            cfg.landmarks.min(n + 1),
-            cfg.plset_multiplier,
-            rng,
-        )?;
-        let landmarks_ms = started.elapsed().as_secs_f64() * 1e3;
-
-        // Step 2: feature vectors, parallel row construction. Component
-        // 0 of every row is the measured server distance (landmarks[0]
-        // is always the origin).
-        let features_started = Instant::now();
-        let nodes: Vec<usize> = (1..=n).collect();
-        let points = build_feature_matrix_par(&prober, &nodes, &selection.landmarks, rng);
-        let server_distances_ms: Vec<f64> = points.iter_rows().map(|row| row[0]).collect();
-        let features_ms = features_started.elapsed().as_secs_f64() * 1e3;
-
-        // Step 3: clustering through the configured engine. The
-        // tree-build accumulator is drained before the phase so the
-        // after-read covers exactly this clustering's rebuilds.
-        let _ = ecg_clustering::take_tree_build_ms();
-        let clustering_started = Instant::now();
-        let initializer = match cfg.init {
-            GroupInit::Uniform => Initializer::RandomRepresentative,
-            GroupInit::ServerDistance { theta } => {
-                Initializer::Weighted(server_distance_weights(&server_distances_ms, theta))
+            o.metrics.add("scheme.probes_sent", probes_sent);
+            let mut formed = vec![
+                ("groups", cfg.groups.into()),
+                ("probes_sent", probes_sent.into()),
+                ("kmeans_iterations", kmeans_iterations.into()),
+            ];
+            if let Some(h) = &health {
+                let failovers = h.landmark_failovers as u64;
+                o.metrics
+                    .add("landmarks.dead", h.dead_landmarks.len() as u64);
+                o.metrics.add("landmarks.failovers", failovers);
+                o.metrics
+                    .add("scheme.quarantined", h.quarantined.len() as u64);
+                o.metrics.add("scheme.failovers", failovers);
+                formed.push(("degraded", u64::from(h.is_degraded()).into()));
             }
-            GroupInit::KmeansPlusPlus => Initializer::KmeansPlusPlus,
-        };
-        let kmeans_config = KmeansConfig::new(cfg.groups)
-            .max_iterations(cfg.kmeans_max_iterations)
-            .assign(cfg.kmeans_assign);
-        let clustering = ecg_clustering::kmeans_variant(
-            &points,
-            kmeans_config,
-            &cfg.kmeans_variant,
-            &initializer,
-            rng,
-        )?;
-        let clustering_ms = clustering_started.elapsed().as_secs_f64() * 1e3;
-        let tree_build_ms = ecg_clustering::take_tree_build_ms();
+            o.trace
+                .push(kmeans_iterations as f64, "scheme", "formed", formed);
+        }
 
-        let groups: Vec<Vec<CacheId>> = clustering
-            .clusters()
-            .into_iter()
-            .map(|members| members.into_iter().map(CacheId).collect())
-            .collect();
         let outcome = GroupingOutcome {
             groups,
-            assignments: clustering.assignments().to_vec(),
-            landmarks: selection,
+            assignments,
+            landmarks: selected.selection,
             server_distances_ms,
-            probes_sent: prober.probes_sent(),
-            kmeans_iterations: clustering.iterations(),
+            probes_sent,
+            kmeans_iterations,
             centers: clustering.centers().clone(),
             points,
-            health: None,
+            health,
         };
-        Ok(ScaledFormation {
-            outcome,
-            timings: FormationTimings {
-                landmarks_ms,
-                features_ms,
-                clustering_ms,
-                tree_build_ms,
-                total_ms: started.elapsed().as_secs_f64() * 1e3,
-            },
-        })
+        let timings = FormationTimings {
+            landmarks_ms,
+            features_ms,
+            clustering_ms,
+            tree_build_ms,
+            total_ms: ms_since(started),
+        };
+        Ok((outcome, timings))
     }
 }
 
-/// Per-stage wall-clock of a [`GfCoordinator::form_groups_scaled`] run,
-/// in milliseconds. Purely observational — the pipeline never branches
+/// The server distances SDSL weights by, off the feature matrix:
+/// `landmarks[0]` is always the origin, so component 0 of every feature
+/// vector *is* the measured server distance — reused for free. A cache
+/// that never reached the origin falls back to the mean observed server
+/// distance (the timeout if nobody reached it) so the weights stay
+/// finite.
+fn server_distances(points: &FeatureMatrix, mask: &FeatureMask, timeout: f64) -> Vec<f64> {
+    let n = points.len();
+    let reached = |i: &usize| mask.is_observed(*i, 0);
+    let count = (0..n).filter(reached).count();
+    let sum: f64 = (0..n).filter(reached).map(|i| points.row(i)[0]).sum();
+    let fallback = if count == 0 {
+        timeout
+    } else {
+        sum / count as f64
+    };
+    let distance = |i| {
+        if reached(&i) {
+            points.row(i)[0]
+        } else {
+            fallback
+        }
+    };
+    (0..n).map(distance).collect()
+}
+
+/// Packs embedding coordinates (GNP, Vivaldi) into the pipeline's
+/// position triple: the matrix, a fully-observed mask, and the server
+/// distances — which an embedding does not yield, so each cache
+/// measures the origin once more.
+fn embedded<R: Rng + ?Sized>(
+    coords: &[GnpCoordinates],
+    prober: &Prober<'_>,
+    nodes: &[usize],
+    draws: &mut Draws<'_>,
+    rng: &mut R,
+) -> (FeatureMatrix, FeatureMask, Vec<f64>) {
+    let dim = coords.first().map_or(0, |c| c.as_slice().len());
+    let mut fm = FeatureMatrix::with_capacity(coords.len(), dim);
+    for c in coords {
+        fm.push_row(c.as_slice());
+    }
+    let mask = FeatureMask::all_observed(fm.len(), dim);
+    let to_origin = |r: usize, _| (nodes[r], 0);
+    let (dists, _) = prober.measure_batch(nodes.len(), 1, to_origin, None, draws, rng);
+    (fm, mask, dists)
+}
+
+/// Per-stage wall-clock of a formation run (every run measures it;
+/// [`GfCoordinator::form_groups_scaled`] returns it), in milliseconds. Purely observational — the pipeline never branches
 /// on the clock, so timings cannot perturb results.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FormationTimings {
@@ -1126,11 +916,11 @@ pub struct FormationTimings {
     pub total_ms: f64,
 }
 
-/// A grouping from the scaled pipeline plus its per-stage timings.
+/// What [`GfCoordinator::form_groups_scaled`] returns: the grouping
+/// plus its per-stage timings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaledFormation {
-    /// The grouping, identical in shape to the paper path's outcome
-    /// (health is always `None` — resilience is a paper-path feature).
+    /// The grouping, exactly as the matrix entry points shape it.
     pub outcome: GroupingOutcome,
     /// Per-stage wall-clock of this run.
     pub timings: FormationTimings,
@@ -1637,6 +1427,46 @@ mod tests {
                 caches: 10
             }
         );
+    }
+
+    #[test]
+    fn zero_node_source_is_a_typed_error() {
+        // `RttMatrix::zeros(0)` has not even an origin; `node_count() - 1`
+        // used to overflow on it (debug) or wrap into a misleading
+        // `TooFewLandmarks { requested: 0 }` (release).
+        let err = GfCoordinator::new(SchemeConfig::sl(1))
+            .form_groups_scaled(&RttMatrix::zeros(0), &mut StdRng::seed_from_u64(0))
+            .unwrap_err();
+        assert_eq!(err, SchemeError::Landmarks(LandmarkError::NoOrigin));
+        assert!(err.to_string().contains("no origin"), "{err}");
+    }
+
+    #[test]
+    fn scaled_pipeline_honours_the_representation() {
+        use ecg_topology::SyntheticRttConfig;
+        let net = SyntheticRttConfig::default().generate(41, 5);
+        let coord = GfCoordinator::new(
+            SchemeConfig::sdsl(4, 1.0)
+                .landmarks(5)
+                .plset_multiplier(2)
+                .representation(Representation::Gnp(
+                    ecg_coords::GnpConfig::default().dimensions(2).restarts(1),
+                )),
+        );
+        let run_at = |threads: usize| {
+            ecg_par::set_max_threads(Some(threads));
+            let formed = coord.form_groups_scaled(&net, &mut StdRng::seed_from_u64(2));
+            ecg_par::set_max_threads(None);
+            formed.unwrap().outcome
+        };
+        let at1 = run_at(1);
+        assert_eq!(
+            at1.points().dim(),
+            2,
+            "GNP coordinates, not feature vectors"
+        );
+        assert_eq!(at1.server_distances_ms().len(), 40);
+        assert_eq!(run_at(4), at1);
     }
 
     #[test]

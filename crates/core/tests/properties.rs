@@ -1,7 +1,9 @@
 //! Property-based tests for the group formation schemes.
 
-use ecg_coords::ProbeConfig;
-use ecg_core::{GfCoordinator, LandmarkSelector, SchemeConfig};
+use ecg_coords::{GnpConfig, ProbeConfig, VivaldiConfig};
+use ecg_core::{
+    GfCoordinator, GroupInit, LandmarkSelector, Representation, ResilienceConfig, SchemeConfig,
+};
 use ecg_topology::{EdgeNetwork, RttMatrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -129,5 +131,67 @@ proptest! {
             coord.form_groups(&net, &mut rng).unwrap()
         };
         prop_assert_eq!(run(seed), run(seed));
+    }
+
+    #[test]
+    fn resilience_changes_nothing_on_a_fault_free_network(
+        net in arb_edge_network(),
+        selector in 0usize..3,
+        representation in 0usize..3,
+        init in 0usize..3,
+        capped in 0usize..2,
+        seed in any::<u64>(),
+    ) {
+        // Noisy (default) but loss-free probing, no faults: across the
+        // whole configuration space a retry policy must leave every
+        // RNG draw, and so every output, where it was.
+        let n = net.cache_count();
+        let k = (n / 3).max(1);
+        let mut scheme = SchemeConfig::sl(k)
+            .landmarks(4)
+            .plset_multiplier(2)
+            .selector([
+                LandmarkSelector::GreedyMaxMin,
+                LandmarkSelector::MinDist,
+                LandmarkSelector::Random,
+            ][selector])
+            .representation([
+                Representation::FeatureVectors,
+                Representation::Gnp(GnpConfig::default().dimensions(2).restarts(1)),
+                Representation::Vivaldi(VivaldiConfig::default().dimensions(2).rounds(30)),
+            ][representation])
+            .init([
+                GroupInit::Uniform,
+                GroupInit::ServerDistance { theta: 1.5 },
+                GroupInit::KmeansPlusPlus,
+            ][init]);
+        if capped == 1 {
+            scheme = scheme.max_group_size(n.div_ceil(k) + 1);
+        }
+        let run = |scheme: SchemeConfig| {
+            GfCoordinator::new(scheme)
+                .form_groups(&net, &mut StdRng::seed_from_u64(seed))
+                .unwrap()
+        };
+        let plain = run(scheme.clone());
+        let resilient = run(scheme.resilience(ResilienceConfig::default()));
+        prop_assert_eq!(resilient.groups(), plain.groups());
+        prop_assert_eq!(resilient.assignments(), plain.assignments());
+        prop_assert_eq!(resilient.landmarks(), plain.landmarks());
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(resilient.points().as_flat()),
+            bits(plain.points().as_flat())
+        );
+        prop_assert_eq!(
+            bits(resilient.server_distances_ms()),
+            bits(plain.server_distances_ms())
+        );
+        prop_assert_eq!(resilient.probes_sent(), plain.probes_sent());
+        prop_assert_eq!(resilient.kmeans_iterations(), plain.kmeans_iterations());
+        prop_assert!(plain.health().is_none());
+        let health = resilient.health().expect("resilient run reports health");
+        prop_assert!(health.is_healthy(), "{}", health);
+        prop_assert_eq!(health.probe_retries, 0);
     }
 }

@@ -158,6 +158,17 @@ fn capacity_bytes(flags: &HashMap<String, String>) -> Result<u64, String> {
         .ok_or_else(|| format!("--capacity-kib must be between 1 and {}", u64::MAX / 1024))
 }
 
+/// SDSL's exponent from `--theta` (default 1): finite and non-negative,
+/// the invariant `SchemeConfig::sdsl` asserts.
+fn theta(flags: &HashMap<String, String>) -> Result<f64, String> {
+    let theta: f64 = get_parsed(flags, "theta", 1.0)?;
+    if theta.is_finite() && theta >= 0.0 {
+        Ok(theta)
+    } else {
+        Err("--theta must be finite and non-negative".into())
+    }
+}
+
 fn require<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, String> {
     flags
         .get(name)
@@ -200,9 +211,9 @@ fn load_network(path: &str) -> Result<EdgeNetwork, String> {
 }
 
 fn form(flags: &HashMap<String, String>) -> Result<(), String> {
+    let theta = theta(flags)?;
     let network = load_network(require(flags, "network")?)?;
     let k: usize = get_parsed(flags, "groups", network.cache_count() / 10)?;
-    let theta: f64 = get_parsed(flags, "theta", 1.0)?;
     let seed: u64 = get_parsed(flags, "seed", 1)?;
     let landmarks: usize = get_parsed(flags, "landmarks", 25)?;
     let plset: usize = get_parsed(flags, "plset-multiplier", 4)?;
@@ -252,7 +263,7 @@ fn form(flags: &HashMap<String, String>) -> Result<(), String> {
 fn scale_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let caches: usize = get_parsed(flags, "caches", 10_000)?;
     let k: usize = get_parsed(flags, "groups", (caches / 100).max(2))?;
-    let theta: f64 = get_parsed(flags, "theta", 1.0)?;
+    let theta = theta(flags)?;
     let seed: u64 = get_parsed(flags, "seed", 1)?;
     let landmarks: usize = get_parsed(flags, "landmarks", 8)?;
     let plset: usize = get_parsed(flags, "plset-multiplier", 4)?;
@@ -820,6 +831,24 @@ mod tests {
         // Both subcommands that take the flag report it the same way.
         let flags = parse_flags(&["--capacity-kib".to_string(), "0".to_string()]).unwrap();
         assert!(replay_cmd(&flags).unwrap_err().contains("--capacity-kib"));
+    }
+
+    #[test]
+    fn theta_flag_is_validated_not_panicked_on() {
+        let flags = |value: &str| parse_flags(&["--theta".to_string(), value.to_string()]).unwrap();
+        assert_eq!(theta(&flags("0")), Ok(0.0));
+        assert_eq!(theta(&flags("2.5")), Ok(2.5));
+        assert_eq!(theta(&HashMap::new()), Ok(1.0));
+        for bad in ["nan", "inf", "-inf", "-1"] {
+            let err = theta(&flags(bad)).unwrap_err();
+            assert_eq!(err, "--theta must be finite and non-negative", "{bad}");
+        }
+        assert!(theta(&flags("far")).unwrap_err().contains("bad value"));
+        // Both subcommands that take the flag report it the same way.
+        let mut scale = flags("nan");
+        scale.insert("caches".into(), "50".into());
+        assert!(scale_cmd(&scale).unwrap_err().contains("--theta"));
+        assert!(form(&flags("-1")).unwrap_err().contains("--theta"));
     }
 
     #[test]

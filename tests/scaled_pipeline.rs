@@ -1,9 +1,11 @@
-//! Integration coverage for the unified large-N pipeline
-//! ([`GfCoordinator::form_groups_scaled`]) through the facade crate:
-//! the scaled path must agree with itself across thread counts and
-//! K-means variants, and its outcome must interoperate with the same
-//! downstream machinery (GIC, `GroupMap`) as the paper path.
+//! Integration coverage for the formation pipeline's large-N entry point
+//! ([`GfCoordinator::form_groups_scaled`]) through the facade crate: it
+//! must agree with itself across thread counts and K-means variants,
+//! its outcome must interoperate with the same downstream machinery
+//! (GIC, `GroupMap`) as `form_groups`', and every `SchemeConfig` field
+//! must mean the same thing at both.
 
+use edge_cache_groups::core::{ResilienceConfig, SchemeError};
 use edge_cache_groups::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,17 +16,28 @@ fn form(
     threads: usize,
     seed: u64,
 ) -> (ScaledFormation, SyntheticRtt) {
+    let (formed, net) = form_with(n, threads, seed, |s| s.kmeans_variant(variant));
+    (formed.expect("scaled formation"), net)
+}
+
+/// [`form`] with the rest of the `SchemeConfig` open to the caller.
+fn form_with(
+    n: usize,
+    threads: usize,
+    seed: u64,
+    configure: impl Fn(SchemeConfig) -> SchemeConfig,
+) -> (Result<ScaledFormation, SchemeError>, SyntheticRtt) {
     let net = SyntheticRttConfig::default().generate(n + 1, seed);
-    let scheme = SchemeConfig::sdsl((n / 50).max(2), 1.0)
-        .landmarks(6)
-        .plset_multiplier(4)
-        .kmeans_max_iterations(15)
-        .kmeans_variant(variant)
-        .probe(ProbeConfig::noiseless());
+    let scheme = configure(
+        SchemeConfig::sdsl((n / 50).max(2), 1.0)
+            .landmarks(6)
+            .plset_multiplier(4)
+            .kmeans_max_iterations(15)
+            .probe(ProbeConfig::noiseless()),
+    );
     edge_cache_groups::par::set_max_threads(Some(threads));
-    let formed = GfCoordinator::new(scheme)
-        .form_groups_scaled(&net, &mut StdRng::seed_from_u64(seed))
-        .expect("scaled formation");
+    let formed =
+        GfCoordinator::new(scheme).form_groups_scaled(&net, &mut StdRng::seed_from_u64(seed));
     edge_cache_groups::par::set_max_threads(None);
     (formed, net)
 }
@@ -124,4 +137,87 @@ fn scaled_outcome_feeds_downstream_group_machinery() {
     let t = formed.timings;
     assert!(t.landmarks_ms >= 0.0 && t.features_ms >= 0.0 && t.clustering_ms >= 0.0);
     assert!(t.total_ms >= t.clustering_ms);
+}
+
+#[test]
+fn scaled_formation_honours_the_group_size_cap() {
+    // 200 caches in 4 groups: uncapped K-means leaves them uneven (one
+    // group above 100 at this seed); a cap of 50 leaves no slack at all.
+    for threads in [1, 2, 8] {
+        let (formed, _) = form_with(200, threads, 7, |s| s.max_group_size(50));
+        let sizes: Vec<usize> = formed
+            .expect("capped formation")
+            .outcome
+            .groups()
+            .iter()
+            .map(Vec::len)
+            .collect();
+        assert_eq!(sizes, vec![50; 4], "{threads} threads");
+    }
+    let (uncapped, _) = form_with(200, 1, 7, |s| s);
+    let uncapped = uncapped.expect("uncapped formation");
+    assert!(uncapped.outcome.groups().iter().any(|g| g.len() > 50));
+    let (too_tight, _) = form_with(200, 1, 7, |s| s.max_group_size(49));
+    assert_eq!(
+        too_tight.unwrap_err(),
+        SchemeError::CapTooTight {
+            groups: 4,
+            max_group_size: 49,
+            caches: 200
+        }
+    );
+}
+
+#[test]
+fn scaled_formation_is_resilient_under_loss_at_any_thread_count() {
+    // 40 % probe loss: a measurement of 3 probes times out 6.4 % of the
+    // time. With resilience those are retried on the per-row streams
+    // (and what still fails is masked), identically at any worker
+    // count; without it they land in the features as timeout sentinels
+    // and the run reports nothing.
+    let lossy = ProbeConfig::default().loss_rate(0.4);
+    let resilient = |s: SchemeConfig| s.probe(lossy).resilience(ResilienceConfig::default());
+    let (base, _) = form_with(600, 1, 77, resilient);
+    let base = base.expect("resilient formation").outcome;
+    let health = base.health().expect("resilient run reports health");
+    assert!(health.probe_retries > 0, "{health}");
+    assert!(health.backoff_ms >= health.probe_retries * 50);
+    assert_eq!(base.points().len(), 600);
+    for threads in [2, 8] {
+        let (wide, _) = form_with(600, threads, 77, resilient);
+        let wide = wide.expect("resilient formation").outcome;
+        assert_eq!(wide, base, "outcome diverged at {threads} threads");
+    }
+    let (plain, _) = form_with(600, 2, 77, |s| s.probe(lossy));
+    let plain = plain.expect("plain formation").outcome;
+    assert!(plain.health().is_none());
+    let timeout = lossy.timeout();
+    assert!(plain.points().as_flat().contains(&timeout));
+    assert!(!base.points().as_flat().contains(&timeout));
+}
+
+#[test]
+fn matrix_formation_honours_the_kmeans_variant() {
+    let mut rng = StdRng::seed_from_u64(3);
+    let topo = TransitStubConfig::for_caches(120).generate(&mut rng);
+    let network =
+        EdgeNetwork::place(&topo, 120, OriginPlacement::TransitNode, &mut rng).expect("placement");
+    let scheme = SchemeConfig::sl(6)
+        .landmarks(6)
+        .plset_multiplier(2)
+        .kmeans_max_iterations(15);
+    let form = |scheme: SchemeConfig| {
+        GfCoordinator::new(scheme)
+            .form_groups(&network, &mut StdRng::seed_from_u64(11))
+            .expect("formation")
+    };
+    let lloyd = form(scheme.clone());
+    assert!(lloyd.kmeans_iterations() <= 15);
+    // Mini-batch reports its own schedule, which Lloyd's cap rules out.
+    let minibatch = form(scheme.kmeans_variant(KmeansVariant::MiniBatch(
+        MiniBatchConfig::default().batch_size(32).iterations(40),
+    )));
+    assert_eq!(minibatch.kmeans_iterations(), 40);
+    assert_eq!(minibatch.landmarks(), lloyd.landmarks());
+    assert_eq!(minibatch.points(), lloyd.points());
 }
