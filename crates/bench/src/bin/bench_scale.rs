@@ -41,7 +41,11 @@
 //! The synthetic oracle is generated once per N, outside the timing
 //! loop, so per-kernel timings measure formation kernels only — never
 //! topology setup. Tree (re)build time is reported separately from the
-//! kmeans total (`tree_build_ms`, one rebuild per Lloyd iteration).
+//! kmeans total (`tree_build_ms`: one rebuild per Lloyd iteration plus
+//! the neighbour tables of the iterations that use them). `seed_ms`,
+//! `neighbour_build_ms` and `neighbour_share` are side measurements on
+//! the formed outcome — one seeding draw, one table build over the
+//! final centers, and the share of points those tables settle.
 //!
 //! The emitted JSON records the host context (logical CPUs, the
 //! `ECG_THREADS` environment override, quick/full mode) alongside
@@ -50,7 +54,10 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use ecg_clustering::{AssignMode, KmeansVariant, MiniBatchConfig};
+use ecg_clustering::{
+    server_distance_weights, AssignMode, CenterTree, Initializer, KmeansVariant, MiniBatchConfig,
+    NeighbourTiles, NEIGHBOURS,
+};
 use ecg_core::{GfCoordinator, SchemeConfig};
 use ecg_topology::{RttSource, SyntheticRtt, SyntheticRttConfig};
 use rand::rngs::StdRng;
@@ -119,6 +126,9 @@ struct RunResult {
     features_ms: f64,
     kmeans_ms: f64,
     tree_build_ms: f64,
+    seed_ms: f64,
+    neighbour_build_ms: f64,
+    neighbour_share: f64,
     gic_ms: f64,
     total_ms: f64,
     gic_value: f64,
@@ -171,6 +181,48 @@ fn run_formation(
         .outcome
         .average_interaction_cost(|a, b| net.rtt_ms(a.index() + 1, b.index() + 1));
     let gic_ms = ms(t);
+
+    // Side measurements of two K-means stages, taken on the formed
+    // outcome and outside every total: one seeding draw of this
+    // scheme's initializer; and, where Lloyd's exact scans run on
+    // neighbour tables, one table build over the final centers and the
+    // share of all points whose two-nearest query those tables settle.
+    let points = formed.outcome.points();
+    let initializer = match scheme {
+        Scheme::Sl => Initializer::RandomRepresentative,
+        Scheme::Sdsl(theta) => Initializer::Weighted(server_distance_weights(
+            formed.outcome.server_distances_ms(),
+            theta,
+        )),
+    };
+    let t = Instant::now();
+    initializer
+        .select(points, k, &mut StdRng::seed_from_u64(n as u64))
+        .expect("seeding draw");
+    let seed_ms = ms(t);
+    let tabled = engine.variant == Variant::Lloyd && engine.assign.uses_tree(k) && k > NEIGHBOURS;
+    let (neighbour_build_ms, neighbour_share) = if tabled {
+        let centers = formed.outcome.centers();
+        let tree = CenterTree::new(centers);
+        let t = Instant::now();
+        let tables = NeighbourTiles::new(centers, &tree);
+        let build_ms = ms(t);
+        let settled = points
+            .iter_rows()
+            .zip(formed.outcome.assignments())
+            .filter(|&(p, &a)| {
+                let d2: f64 = p
+                    .iter()
+                    .zip(centers.row(a))
+                    .map(|(x, c)| (x - c) * (x - c))
+                    .sum();
+                tables.scan(a, d2.sqrt(), p).is_some()
+            })
+            .count();
+        (build_ms, settled as f64 / n as f64)
+    } else {
+        (0.0, 0.0)
+    };
     ecg_par::set_max_threads(None);
 
     let timings = formed.timings;
@@ -186,6 +238,9 @@ fn run_formation(
         features_ms: timings.features_ms,
         kmeans_ms: timings.clustering_ms,
         tree_build_ms: timings.tree_build_ms,
+        seed_ms,
+        neighbour_build_ms,
+        neighbour_share,
         gic_ms,
         total_ms: timings.total_ms + gic_ms,
         gic_value,
@@ -417,7 +472,8 @@ fn main() {
             "    {{\"scheme\": \"{}\", \"variant\": \"{}\", \"assign\": \"{}\", \"n\": {}, \
              \"threads\": {}, \"k\": {}, \"landmarks\": {}, \"total_ms\": {:.3}, \
              \"kernels\": {{\"landmarks_ms\": {:.3}, \"features_ms\": {:.3}, \
-             \"kmeans_ms\": {:.3}, \"tree_build_ms\": {:.3}, \"gic_ms\": {:.3}}}, \
+             \"kmeans_ms\": {:.3}, \"tree_build_ms\": {:.3}, \"seed_ms\": {:.3}, \
+             \"neighbour_build_ms\": {:.3}, \"neighbour_share\": {:.4}, \"gic_ms\": {:.3}}}, \
              \"gic_value\": {:.6}, \"determinism_ok\": true}}",
             r.scheme,
             r.variant,
@@ -431,6 +487,9 @@ fn main() {
             r.features_ms,
             r.kmeans_ms,
             r.tree_build_ms,
+            r.seed_ms,
+            r.neighbour_build_ms,
+            r.neighbour_share,
             r.gic_ms,
             r.gic_value
         ));

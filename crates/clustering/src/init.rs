@@ -8,6 +8,50 @@
 //! the origin server". [`Initializer::Weighted`] implements that biased
 //! draw for arbitrary weights; k-means++ is included as an extension
 //! baseline for the ablation benches.
+//!
+//! # The weighted draw: cost and why it is exact
+//!
+//! The draw the goldens pin is a loop of `K` rounds, each summing all
+//! `N` remaining weights, scaling the sum by one `gen::<f64>()` and
+//! subtracting weights in index order until the target reaches zero —
+//! O(N·K), ≈ 100 ms at N = 100k, K = 1 000. `weighted_draws` returns
+//! the same indices from the same stream in **O(N + K·√N)**: it keeps
+//! the left-fold sum of each block of `B = ⌈√N⌉` weights, and per draw
+//! folds the `⌈N/B⌉` block sums into a total, walks them to the block
+//! holding the target, walks at most `B` weights inside it, and re-sums
+//! the one block the pick zeroed (≈ 1.5 ms at that size).
+//!
+//! Those sums round differently from the reference loop's, so a located
+//! pick is *accepted only when rounding provably cannot matter*, and the
+//! reference draw runs on the same `u` otherwise. With `W` the exact sum
+//! of the remaining weights, `S_i` the exact prefix through weight `i`,
+//! `T = u·W` and `ε = f64::EPSILON` (twice the unit roundoff):
+//!
+//! * **Reference.** Its total is a left fold of `N` terms, `u * total`
+//!   rounds once, and each of its fewer than `N` subtractions rounds a
+//!   value no larger than the total — so every `target` it tests is
+//!   within `N·ε·W` of `T − S_i`, and the *sign* of a rounded difference
+//!   is the exact sign. Hence `S_{i−1} + N·ε·W < T < S_i − N·ε·W` forces
+//!   it to pick `i`.
+//! * **Fast path.** Its target carries the `B`-term block folds, the
+//!   `⌈N/B⌉`-term fold over them and one product; its prefix adds at
+//!   most `⌈N/B⌉` block sums and `B` weights. The two gaps it tests,
+//!   `target − below` and `above − target`, are each within
+//!   `(⌈N/B⌉ + 1.5·B + 1)·ε·W` of `T − S_{i−1}` and `S_i − T`.
+//! * **Margin.** It accepts only if both gaps exceed `8·N·ε·total`.
+//!   Since `7·N ≥ ⌈N/B⌉ + 1.5·B + 1` for every `N ≥ 1` (the right side is
+//!   at most `2.5·√N + 3.5`), an accepted gap leaves the true gap above
+//!   `N·ε·W`, with a factor ≈ 7 to spare for the second-order terms
+//!   (`N·ε ≪ 1` for any `N` that fits in memory).
+//!
+//! The bound assumes no underflow or overflow, so the fast path also
+//! stands down when the margin is not a normal float (a zero, subnormal
+//! or non-finite total) or the total is within a factor two of
+//! `f64::MAX`; the "last positive weight" slack case sits at the top
+//! edge of the last interval and is never accepted. Each of the `N`
+//! interval edges is guarded by a window of two margins, so a draw falls
+//! back with probability ≈ `16·N²·ε` — once in ≈ 30 000 draws at
+//! N = 100k; the reference's own worst-case rounding sets that scale.
 
 use crate::kmeans::{sq_l2, KmeansError};
 use ecg_coords::FeatureMatrix;
@@ -79,33 +123,7 @@ impl Initializer {
                         "need at least {k} positive weights"
                     )));
                 }
-                let mut remaining = weights.clone();
-                let mut chosen = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let total: f64 = remaining.iter().sum();
-                    let mut target = rng.gen::<f64>() * total;
-                    let mut pick = None;
-                    for (i, &w) in remaining.iter().enumerate() {
-                        if w <= 0.0 {
-                            continue;
-                        }
-                        target -= w;
-                        if target <= 0.0 {
-                            pick = Some(i);
-                            break;
-                        }
-                    }
-                    // Floating-point slack: fall back to the last positive.
-                    let pick = pick.unwrap_or_else(|| {
-                        remaining
-                            .iter()
-                            .rposition(|&w| w > 0.0)
-                            .expect("positive weights remain")
-                    });
-                    chosen.push(pick);
-                    remaining[pick] = 0.0;
-                }
-                Ok(chosen)
+                Ok(weighted_draws(weights, k, rng))
             }
             Initializer::KmeansPlusPlus => {
                 let mut chosen = Vec::with_capacity(k);
@@ -164,6 +182,94 @@ impl Initializer {
     }
 }
 
+/// `k` weighted draws without replacement: after each pick the weight is
+/// zeroed and the next draw sees the rest. Every draw consumes exactly
+/// one `gen::<f64>()` and returns what [`reference_draw`] returns for it
+/// — [`certified_draw`] answers when it can prove that, the reference
+/// scan otherwise (module docs).
+fn weighted_draws<R: Rng + ?Sized>(weights: &[f64], k: usize, rng: &mut R) -> Vec<usize> {
+    let n = weights.len();
+    let mut remaining = weights.to_vec();
+    let width = ((n as f64).sqrt().ceil() as usize).max(1);
+    let mut blocks: Vec<f64> = remaining.chunks(width).map(|b| b.iter().sum()).collect();
+    let mut chosen = Vec::with_capacity(k);
+    for _ in 0..k {
+        let u = rng.gen::<f64>();
+        let pick = certified_draw(&remaining, &blocks, width, u)
+            .unwrap_or_else(|| reference_draw(&remaining, u));
+        chosen.push(pick);
+        remaining[pick] = 0.0;
+        let block = pick / width;
+        blocks[block] = remaining[block * width..n.min((block + 1) * width)]
+            .iter()
+            .sum();
+    }
+    chosen
+}
+
+/// One draw of the O(N) reference: the first positive weight at which
+/// `u · Σw` minus the running prefix reaches zero. The fallback of
+/// [`weighted_draws`] and the oracle its tests compare against.
+fn reference_draw(remaining: &[f64], u: f64) -> usize {
+    let total: f64 = remaining.iter().sum();
+    let mut target = u * total;
+    for (i, &w) in remaining.iter().enumerate() {
+        if w <= 0.0 {
+            continue;
+        }
+        target -= w;
+        if target <= 0.0 {
+            return i;
+        }
+    }
+    // Floating-point slack: fall back to the last positive.
+    remaining
+        .iter()
+        .rposition(|&w| w > 0.0)
+        .expect("positive weights remain")
+}
+
+/// The same draw located on the block sums (`blocks[b]` is the left-fold
+/// sum of `remaining[b·width ..][.. width]`), or `None` when `u · Σw`
+/// lies too close to an edge of the located weight's interval — or the
+/// total is too small or too large — for the module-docs bound to prove
+/// the reference picks the same index.
+fn certified_draw(remaining: &[f64], blocks: &[f64], width: usize, u: f64) -> Option<usize> {
+    #[cfg(test)]
+    if tests::FORCE_REFERENCE.with(std::cell::Cell::get) {
+        return None;
+    }
+    let total: f64 = blocks.iter().sum();
+    let margin = 8.0 * remaining.len() as f64 * f64::EPSILON * total;
+    // A normal margin also rules out a zero, non-finite or underflowing
+    // total; half the range keeps the reference's own sums finite.
+    if !margin.is_normal() || total >= f64::MAX / 2.0 {
+        return None;
+    }
+    let target = u * total;
+    let mut below = 0.0;
+    let mut block = 0;
+    for &sum in blocks {
+        if below + sum >= target {
+            break;
+        }
+        below += sum;
+        block += 1;
+    }
+    let start = block * width;
+    for (i, &w) in remaining.iter().enumerate().skip(start).take(width) {
+        if w <= 0.0 {
+            continue;
+        }
+        let above = below + w;
+        if above >= target {
+            return (target - below > margin && above - target > margin).then_some(i);
+        }
+        below = above;
+    }
+    None
+}
+
 /// Builds the SDSL initialization weights `w_j = 1 / d_j^θ` from
 /// per-point server distances.
 ///
@@ -206,11 +312,169 @@ pub fn server_distance_weights(server_distances: &[f64], theta: f64) -> Vec<f64>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// While set, `certified_draw` declines every draw on this
+        /// thread, so `weighted_draws` runs on its fallback alone.
+        pub(super) static FORCE_REFERENCE: Cell<bool> = const { Cell::new(false) };
+    }
 
     fn points(n: usize) -> FeatureMatrix {
         FeatureMatrix::from_rows(&(0..n).map(|i| vec![i as f64]).collect::<Vec<_>>())
+    }
+
+    /// The O(N·K) loop `weighted_draws` replaced: the oracle.
+    fn weighted_reference<R: Rng + ?Sized>(weights: &[f64], k: usize, rng: &mut R) -> Vec<usize> {
+        let mut remaining = weights.to_vec();
+        let mut chosen = Vec::with_capacity(k);
+        for _ in 0..k {
+            let u = rng.gen::<f64>();
+            let pick = reference_draw(&remaining, u);
+            chosen.push(pick);
+            remaining[pick] = 0.0;
+        }
+        chosen
+    }
+
+    /// Plays back chosen `gen::<f64>()` values (as 53-bit numerators),
+    /// then continues on a seeded stream.
+    struct Scripted {
+        numerators: Vec<u64>,
+        played: usize,
+        tail: StdRng,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            let scripted = self.numerators.get(self.played).map(|&x| x << 11);
+            self.played += 1;
+            scripted.unwrap_or_else(|| self.tail.next_u64())
+        }
+    }
+
+    /// Same indices and the same next output as the oracle, on the fast
+    /// path and with every draw forced down the fallback.
+    fn assert_same_draws(weights: &[f64], k: usize, numerators: &[u64], seed: u64) {
+        let rng = || Scripted {
+            numerators: numerators.to_vec(),
+            played: 0,
+            tail: StdRng::seed_from_u64(seed),
+        };
+        let mut oracle_rng = rng();
+        let expected = weighted_reference(weights, k, &mut oracle_rng);
+        let after = oracle_rng.next_u64();
+        for force in [false, true] {
+            FORCE_REFERENCE.with(|f| f.set(force));
+            let mut fast_rng = rng();
+            let got = weighted_draws(weights, k, &mut fast_rng);
+            FORCE_REFERENCE.with(|f| f.set(false));
+            assert_eq!(got, expected, "forced fallback: {force}");
+            assert_eq!(fast_rng.next_u64(), after, "stream position");
+        }
+    }
+
+    fn positive(weights: &[f64]) -> usize {
+        weights.iter().filter(|w| **w > 0.0).count()
+    }
+
+    /// Weight vectors that stress the certificate: equal weights (every
+    /// interval edge a short float), zeros, 600 decades of magnitude,
+    /// and totals past `f64::MAX`.
+    fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
+        let weight = prop_oneof![
+            Just(1.0f64),
+            Just(0.0f64),
+            0.0f64..10.0,
+            (-300i32..300).prop_map(|e| 10f64.powi(e)),
+            Just(1.0e308f64),
+        ];
+        let uniform = (
+            1usize..700,
+            prop_oneof![Just(1.0f64), Just(0.1f64), Just(3.0e-310f64)],
+        )
+            .prop_map(|(n, w)| vec![w; n]);
+        prop_oneof![
+            proptest::collection::vec(weight, 1..700),
+            proptest::collection::vec(prop_oneof![0.5f64..2.0, Just(0.0f64)], 1..700),
+            uniform,
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn weighted_draws_match_the_reference_loop(
+            weights in arb_weights(),
+            k_frac in 0.0f64..1.0,
+            all in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let drawable = positive(&weights);
+            // Half the cases draw every positive weight: the tail of such
+            // a run has one candidate left and sits on the slack case.
+            let k = if all { drawable } else { (k_frac * drawable as f64) as usize };
+            assert_same_draws(&weights, k, &[], seed);
+        }
+
+        #[test]
+        fn draws_on_interval_edges_match_the_reference_loop(
+            log_n in 0u32..10,
+            hits in proptest::collection::vec(0u64..1024, 1..40),
+            seed in any::<u64>(),
+        ) {
+            // n equal weights and u = j/n exactly: `u · total` lands on an
+            // interval edge in the first draw and within a few ulps of one
+            // after, where only the reference's own rounding decides.
+            let n = 1usize << log_n;
+            let numerators: Vec<u64> = hits.iter().map(|j| (j % n as u64) << (53 - log_n)).collect();
+            let k = numerators.len().min(n);
+            for w in [1.0, 0.1, 1.0 / 3.0] {
+                assert_same_draws(&vec![w; n], k, &numerators, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_draws_handle_the_smallest_and_largest_inputs() {
+        assert_same_draws(&[2.5], 1, &[], 0);
+        assert_same_draws(&[0.0, 4.0, 0.0], 1, &[0], 0);
+        // u = 0 and the largest u, on one block and on several.
+        let top = (1u64 << 53) - 1;
+        for n in [1usize, 2, 3, 17, 300] {
+            assert_same_draws(&vec![1.0; n], n, &[0, top, 0, top], 1);
+        }
+        // A total that overflows: every target is infinite and the
+        // reference takes the last positive weight each time.
+        assert_same_draws(&[1.0e308; 40], 40, &[], 2);
+        // Subnormal weights: the margin underflows.
+        assert_same_draws(&[5.0e-324; 33], 33, &[], 3);
+    }
+
+    #[test]
+    fn certificate_answers_nearly_every_draw_on_sdsl_weights() {
+        // SDSL weights over 10 000 server distances: the fast path must
+        // carry the load (a certificate that always declines would pass
+        // every equality test above), and whatever it answers is the
+        // reference's pick.
+        let mut gen = StdRng::seed_from_u64(0x5D51);
+        let distances: Vec<f64> = (0..10_000).map(|_| gen.gen_range(1.0..400.0)).collect();
+        let mut remaining = server_distance_weights(&distances, 1.0);
+        let width = 100;
+        let mut answered = 0usize;
+        for round in 0..2_000 {
+            let blocks: Vec<f64> = remaining.chunks(width).map(|b| b.iter().sum()).collect();
+            let u = gen.gen::<f64>();
+            let expected = reference_draw(&remaining, u);
+            if let Some(pick) = certified_draw(&remaining, &blocks, width, u) {
+                assert_eq!(pick, expected, "round {round}");
+                answered += 1;
+            }
+            remaining[expected] = 0.0;
+        }
+        assert!(answered >= 1_990, "certified only {answered} of 2000 draws");
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! iteration counts, and convergence flags identical to the retained
 //! naive implementation [`kmeans_reference`]. The two prunings compose:
 //! the tree is consulted only for points whose Hamerly bound is
-//! violated, which is where the large-K win lives.
+//! violated, which is where the large-K win lives — and, where the
+//! centers are separated, most of those are settled from the 24
+//! centers around the point's own without a traversal
+//! ([`crate::tree::NeighbourTiles`]).
 //!
 //! The O(n·k·d) assignment scans (the initial pass and the
 //! per-iteration re-scan) fan out across [`ecg_par`] workers in fixed
@@ -300,9 +303,13 @@ pub fn kmeans<R: Rng + ?Sized>(
 /// (iterations, reassignments, Hamerly-pruned points, bound-tightened
 /// points, exact scans), a `kmeans` phase span whose work is the
 /// iteration count, and one `kmeans`/`iter` trace event per iteration
-/// keyed by iteration number (never wall clock). With `obs = None` this
-/// is exactly [`kmeans`]; instrumentation never draws from the RNG, so
-/// the clustering is identical either way.
+/// keyed by iteration number (never wall clock). An iteration whose
+/// exact scans ran on neighbour tables ([`crate::tree`]) also records
+/// how many they settled and how many fell through to the tree, as
+/// `kmeans.neighbour_hits` / `kmeans.neighbour_fallbacks` and two more
+/// fields on its event; other iterations record neither. With
+/// `obs = None` this is exactly [`kmeans`]; instrumentation never draws
+/// from the RNG, so the clustering is identical either way.
 pub fn kmeans_observed<R: Rng + ?Sized>(
     points: &FeatureMatrix,
     config: KmeansConfig,
@@ -356,6 +363,10 @@ pub fn kmeans_observed<R: Rng + ?Sized>(
     let mut movement = vec![0.0f64; k];
     let mut stolen: Vec<usize> = Vec::new();
     let mut update = CenterUpdateScratch::new(k, points.dim());
+    // What the last scan phase did, for `refresh_neighbours`: the
+    // initial pass scanned every point, on no neighbour tables.
+    let mut last_exact_scans = n;
+    let mut last_neighbour_hits: Option<usize> = None;
     while iterations < config.max_iterations {
         iterations += 1;
         previous_centers.clone_from(&centers);
@@ -368,6 +379,11 @@ pub fn kmeans_observed<R: Rng + ?Sized>(
             &mut stolen,
         );
         scanner.refill(&centers);
+        // Where the centers are separated, most exact scans below are
+        // settled from the few centers around the point's own
+        // ([`crate::tree::NeighbourTiles`]) — same triple, no traversal.
+        let neighbours =
+            scanner.refresh_neighbours(&centers, last_exact_scans, last_neighbour_hits);
 
         // How far each center travelled this iteration (including any
         // repair re-seeding); by the triangle inequality a point's
@@ -433,7 +449,8 @@ pub fn kmeans_observed<R: Rng + ?Sized>(
                         continue;
                     }
                     counts.exact_scans += 1;
-                    let (best, best_d2, second_d2) = scanner.scan(p);
+                    let ((best, best_d2, second_d2), near) = scanner.rescan(p, *a, d_a);
+                    counts.neighbour_hits += usize::from(near);
                     *u = best_d2.sqrt();
                     *l = second_d2.sqrt();
                     if best != *a {
@@ -450,27 +467,37 @@ pub fn kmeans_observed<R: Rng + ?Sized>(
             pruned,
             tightened,
             exact_scans,
+            neighbour_hits,
         } = partials
             .into_iter()
             .fold(ScanCounts::default(), |s, c| s + c);
+        last_exact_scans = exact_scans;
+        last_neighbour_hits = neighbours.then_some(neighbour_hits);
         if let Some(o) = obs.as_deref_mut() {
             o.metrics.inc("kmeans.iterations");
             o.metrics.add("kmeans.reassigned", reassigned as u64);
             o.metrics.add("kmeans.pruned", pruned as u64);
             o.metrics.add("kmeans.tightened", tightened as u64);
             o.metrics.add("kmeans.exact_scans", exact_scans as u64);
-            o.trace.push(
-                iterations as f64,
-                "kmeans",
-                "iter",
-                vec![
-                    ("reassigned", reassigned.into()),
-                    ("pruned", pruned.into()),
-                    ("tightened", tightened.into()),
-                    ("exact_scans", exact_scans.into()),
-                    ("max_center_move", max_move.into()),
-                ],
-            );
+            let mut fields = vec![
+                ("reassigned", reassigned.into()),
+                ("pruned", pruned.into()),
+                ("tightened", tightened.into()),
+                ("exact_scans", exact_scans.into()),
+                ("max_center_move", max_move.into()),
+            ];
+            if neighbours {
+                // Only iterations that ran on neighbour tables report
+                // how the exact scans split between them and the tree.
+                let fallbacks = exact_scans - neighbour_hits;
+                o.metrics
+                    .add("kmeans.neighbour_hits", neighbour_hits as u64);
+                o.metrics
+                    .add("kmeans.neighbour_fallbacks", fallbacks as u64);
+                fields.push(("neighbour_hits", neighbour_hits.into()));
+                fields.push(("neighbour_fallbacks", fallbacks.into()));
+            }
+            o.trace.push(iterations as f64, "kmeans", "iter", fields);
         }
         if reassigned <= config.reassignment_threshold {
             converged = true;
@@ -577,6 +604,8 @@ struct ScanCounts {
     pruned: usize,
     tightened: usize,
     exact_scans: usize,
+    /// Of `exact_scans`, those the neighbour tables settled.
+    neighbour_hits: usize,
 }
 
 impl std::ops::Add for ScanCounts {
@@ -588,6 +617,7 @@ impl std::ops::Add for ScanCounts {
             pruned: self.pruned + other.pruned,
             tightened: self.tightened + other.tightened,
             exact_scans: self.exact_scans + other.exact_scans,
+            neighbour_hits: self.neighbour_hits + other.neighbour_hits,
         }
     }
 }

@@ -74,4 +74,6 @@ pub use quality::{
     average_group_interaction_cost, euclidean_cost, group_interaction_cost, group_size_stats,
     mean_silhouette,
 };
-pub use tree::{take_tree_build_ms, AssignMode, CenterTree, TREE_AUTO_MIN_K};
+pub use tree::{
+    take_tree_build_ms, AssignMode, CenterTree, NeighbourTiles, NEIGHBOURS, TREE_AUTO_MIN_K,
+};

@@ -54,15 +54,60 @@
 //! The proptest suite pins `tree == blocked == kmeans_reference` down
 //! to the bit, including duplicate points and equidistant centers.
 //!
+//! # Neighbour tables: the re-scan without the traversal
+//!
+//! A point that fails the Hamerly test in [`crate::kmeans()`] arrives
+//! at its exact scan knowing its assigned center `a` and the exact
+//! distance `d_a` to it. [`NeighbourTiles`] holds, per center, the
+//! [`NEIGHBOURS`] = 24 centers nearest to it (itself included) as three
+//! leaf-layout tiles, and `R_a`, the distance from `a` to the nearest
+//! center *left out*. [`NeighbourTiles::scan`] evaluates those 24
+//! distances with the leaf's accumulation and the same lexicographic
+//! `(d², index)` selection, and **accepts only if
+//! `√second + slack < R_a − d_a`**:
+//!
+//! * by the triangle inequality every excluded center lies at least
+//!   `R_a − d_a` from the point, so under the inequality each is
+//!   *strictly* farther than the second-nearest found. None can supply
+//!   either of the two smallest distances, and none can tie with the
+//!   best, so the lowest-index tie-break is decided among the 24 too:
+//!   the triple is the one [`CenterTree::query`] returns, bit for bit.
+//!   A non-strict test would be wrong exactly when an excluded,
+//!   lower-indexed center sits `R_a − d_a` away (a unit test builds
+//!   that case);
+//! * `R_a`, `d_a` and `√second` are each a correctly rounded square
+//!   root of a sum that the tiles reproduce bit for bit, so the three
+//!   roots and the subtraction err by a few 10⁻¹⁶ of `R_a + d_a`;
+//!   `slack = 10⁻⁹·(R_a + d_a)` is seven orders above that. A NaN
+//!   anywhere fails the comparison.
+//!
+//! Anything not accepted runs the traversal as before, so assignments,
+//! bounds, the `kmeans.{pruned,tightened,exact_scans,reassigned}`
+//! counters and trace events cannot move; only mini-batch, masked and
+//! capped K-means never see the tables.
+//!
+//! The tables are rebuilt after each refill by one bounded
+//! nearest-set traversal per center — the same descent with a 25-entry
+//! sorted set in place of the best/second pair, not k² distances.
+//! Whether to build them is decided from
+//! what the previous scan phase observed, never from a setting: a
+//! phase that settled **under half** its exact scans from the tables
+//! (centers not separated: it paid three tiles and then the tree)
+//! retires them for the rest of the run, and a phase with fewer than
+//! 16 exact scans per center — about what one table costs to build —
+//! goes without.
+//!
 //! # Cost model
 //!
 //! **Rebuild** is O(k log k · (log k + d)) per iteration: ⌈log₂(k/8)⌉
 //! levels, each sorting its slices on one coordinate (log² k — a sort,
 //! not a selection, keeps the partition deterministic on `(coordinate,
 //! index)`) and folding every center into its node's box (d · log k),
-//! reusing every allocation. Measured ≈ 0.5 ms at k = 1 000, d = 8 —
-//! 16 rebuilds are ≈ 2 % of a `form-100k` K-means — and reported
-//! separately via [`take_tree_build_ms`].
+//! reusing every allocation. Measured ≈ 0.5 ms at k = 1 000, d = 8. The
+//! neighbour tables add ≈ 2.1 µs per center (≈ 2.1 ms at k = 1 000,
+//! 1.5 MB), sequential on the driving thread; both are reported via
+//! [`take_tree_build_ms`] and together are ≈ 20 % of a `form-100k`
+//! K-means.
 //!
 //! **A query** costs what its arithmetic costs. On `form-100k`
 //! (k = 1 000, d = 8) it enters 10.7 internal nodes and 2.5 leaves of
@@ -81,21 +126,34 @@
 //! * the nearer child is entered in place and only the farther one
 //!   stacked, on 384 bytes rather than 1 KiB zeroed per call.
 //!
+//! **A table scan** is 24 distances, 192 multiply-adds and no
+//! data-dependent descent. In the 15 capped iterations of `form-100k`
+//! the Hamerly test sends 99 % → 45 % of the points to an exact scan
+//! (mean 63 %: the bound is not what is slow), and the tables settle
+//! 96.4–97.7 % of those per iteration, so K-means falls from ≈ 228 to
+//! ≈ 108 ns per point-iteration (traced, seed 7, 2 threads). Three
+//! tiles by measurement: two
+//! settle 84.0–88.4 % and four 99.1–99.5 %, and over three alternating
+//! rounds three tiles formed the most caches per CPU-second each time
+//! (284–314k against 277–297k and 255–307k).
+//!
 //! Without separation a query degrades towards the full scan, never
 //! worse than a constant factor over it (uniform random centers in 8
-//! dimensions: ≈ 46 internal nodes, 18 leaves); [`TREE_AUTO_MIN_K`]
-//! records where the tree starts to win.
+//! dimensions: ≈ 46 internal nodes, 18 leaves), and the tables settle
+//! well under half the scans and retire after one iteration;
+//! [`TREE_AUTO_MIN_K`] records where the tree starts to win.
 //!
 //! Measured on `form-100k` and **not** adopted: skipping a leaf's
 //! per-lane selection when no lane is within the second-best distance,
 //! or testing that per lane — within noise; a stack of 8 / 32 / 64
 //! entries — indistinguishable; a warm-start prune cap from the
-//! point's previous two nearest centers — an ideal cap saved < 2 %
-//! (the first leaf already sets it); Hamerly's `s(a)/2` test — 3 %
-//! fewer exact scans; neighbour-local lower-bound drift — 25 % fewer,
-//! but needs per-iteration center-neighbour tables and moves the
+//! point's previous two nearest centers, *seeding* the traversal that
+//! the tables replace — an ideal cap saved < 2 % (the first leaf
+//! already sets it); Hamerly's `s(a)/2` test — 3 % fewer exact scans;
+//! neighbour-local lower-bound drift — 25 % fewer, but it moves the
 //! golden `kmeans.*` counters; visiting points in cluster order —
-//! × 1.3 per query only with a permuted 6.4 MB copy of the points.
+//! × 1.3 per query only with a permuted 6.4 MB copy of the points;
+//! two or four tiles per table (above).
 
 use crate::blocked::BlockedCenters;
 use ecg_coords::{FeatureMatrix, LANE_WIDTH};
@@ -157,9 +215,10 @@ impl std::str::FromStr for AssignMode {
 }
 
 thread_local! {
-    /// Nanoseconds spent (re)building [`CenterTree`]s on this thread.
-    /// Builds always run on the thread driving the Lloyd loop, so the
-    /// formation pipeline can read one cell; queries never touch it.
+    /// Nanoseconds spent (re)building [`CenterTree`]s and
+    /// [`NeighbourTiles`] on this thread. Builds always run on the
+    /// thread driving the Lloyd loop, so the formation pipeline can
+    /// read one cell; queries never touch it.
     static TREE_BUILD_NS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -378,25 +437,26 @@ impl CenterTree {
     /// Panics (in debug builds) if `p` has the wrong dimension.
     #[inline]
     pub fn query(&self, p: &[f64]) -> (usize, f64, f64) {
-        self.descend(p, |_| {})
+        let mut found = TwoNearest::new();
+        self.descend(p, &mut found, |_| {});
+        found.triple()
     }
 
-    /// The traversal behind [`query`](CenterTree::query); `visit(is_leaf)`
+    /// The traversal behind [`query`](CenterTree::query) and the
+    /// neighbour tables: every center that `found` could still want is
+    /// offered to it with its exact squared distance; `visit(is_leaf)`
     /// is called once per node entered (a no-op outside the tests that
     /// pin the visit counts).
     #[inline(always)]
-    fn descend(&self, p: &[f64], mut visit: impl FnMut(bool)) -> (usize, f64, f64) {
+    fn descend<N: Nearest>(&self, p: &[f64], found: &mut N, mut visit: impl FnMut(bool)) {
         debug_assert_eq!(p.len(), self.dim);
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        let mut second_d = f64::INFINITY;
         if self.nodes.is_empty() {
-            return (best, best_d, second_d);
+            return;
         }
         let block_len = 4 * self.dim;
         let tile_len = self.dim * LANE_WIDTH;
         // Farther children still to try, with their box lower bounds;
-        // a bound is re-tested at pop time because `second_d` shrinks.
+        // a bound is re-tested at pop time because the reach shrinks.
         let mut far_ids = [0u32; MAX_DEPTH];
         let mut far_lbs = [0.0f64; MAX_DEPTH];
         let mut top = 0usize;
@@ -421,16 +481,17 @@ impl CenterTree {
                     }
                     // Nearer child first (ties: left), in place; only
                     // the farther one is stacked. Strict tests: a bound
-                    // equal to the second-best distance may still hide
-                    // an equal-distance center that changes the
-                    // lowest-index tie-break.
+                    // equal to the reach may still hide an equal-
+                    // distance center that changes the lowest-index
+                    // tie-break.
                     let (near, lb_near, far, lb_far) = if lb_left <= lb_right {
                         (id + 1, lb_left, right, lb_right)
                     } else {
                         (right, lb_right, id + 1, lb_left)
                     };
-                    if lb_near <= second_d {
-                        if lb_far <= second_d {
+                    let reach = found.reach();
+                    if lb_near <= reach {
+                        if lb_far <= reach {
                             far_ids[top] = far;
                             far_lbs[top] = lb_far;
                             top += 1;
@@ -442,39 +503,19 @@ impl CenterTree {
                 Node::Leaf { tile, lanes } => {
                     visit(true);
                     let t = tile as usize;
-                    let tile_data = &self.tiles[t * tile_len..(t + 1) * tile_len];
-                    // Identical accumulation to the blocked kernel:
-                    // coordinate-ascending, one accumulator per lane.
-                    let mut acc = [0.0f64; LANE_WIDTH];
-                    for (d, &pv) in p.iter().enumerate() {
-                        let row = &tile_data[d * LANE_WIDTH..(d + 1) * LANE_WIDTH];
-                        for (a, &cv) in acc.iter_mut().zip(row) {
-                            let diff = pv - cv;
-                            *a += diff * diff;
-                        }
-                    }
+                    let acc = lane_distances(p, &self.tiles[t * tile_len..(t + 1) * tile_len]);
                     let lane_base = t * LANE_WIDTH;
                     for (lane, &d2) in acc.iter().take(lanes as usize).enumerate() {
-                        let idx = self.leaf_centers[lane_base + lane] as usize;
-                        // Lexicographic (d², index): order-independent
-                        // lowest-index argmin plus the two smallest
-                        // distance values.
-                        if d2 < best_d || (d2 == best_d && idx < best) {
-                            second_d = best_d;
-                            best_d = d2;
-                            best = idx;
-                        } else if d2 < second_d {
-                            second_d = d2;
-                        }
+                        found.offer(d2, self.leaf_centers[lane_base + lane]);
                     }
                 }
             }
             loop {
                 if top == 0 {
-                    return (best, best_d, second_d);
+                    return;
                 }
                 top -= 1;
-                if far_lbs[top] <= second_d {
+                if far_lbs[top] <= found.reach() {
                     id = far_ids[top];
                     break;
                 }
@@ -483,20 +524,287 @@ impl CenterTree {
     }
 }
 
+/// Squared distances from `p` to the [`LANE_WIDTH`] centers of one
+/// [`ecg_coords::CenterTiles`]-layout tile: coordinate-ascending, one
+/// accumulator per lane — the blocked kernel's accumulation, so each
+/// value is bit-identical to the scalar `sq_l2` left fold.
+#[inline(always)]
+fn lane_distances(p: &[f64], tile: &[f64]) -> [f64; LANE_WIDTH] {
+    let mut acc = [0.0f64; LANE_WIDTH];
+    for (&pv, row) in p.iter().zip(tile.chunks_exact(LANE_WIDTH)) {
+        for (a, &cv) in acc.iter_mut().zip(row) {
+            let diff = pv - cv;
+            *a += diff * diff;
+        }
+    }
+    acc
+}
+
+/// What a traversal is looking for: it is offered centers with their
+/// exact squared distances and says how far one may lie and still
+/// matter. Every implementation orders centers lexicographically on
+/// `(d², center index)`, so what it keeps cannot depend on the order
+/// the leaves were reached in.
+trait Nearest {
+    /// Subtrees whose box lower bound *strictly* exceeds this are
+    /// skipped; it only ever shrinks.
+    fn reach(&self) -> f64;
+    fn offer(&mut self, d2: f64, center: u32);
+}
+
+/// The lowest-index nearest center and the two smallest distance
+/// values — the triple the Hamerly bounds need.
+struct TwoNearest {
+    best: u32,
+    best_d: f64,
+    second_d: f64,
+}
+
+impl TwoNearest {
+    #[inline(always)]
+    fn new() -> Self {
+        TwoNearest {
+            best: 0,
+            best_d: f64::INFINITY,
+            second_d: f64::INFINITY,
+        }
+    }
+
+    #[inline(always)]
+    fn triple(&self) -> (usize, f64, f64) {
+        (self.best as usize, self.best_d, self.second_d)
+    }
+}
+
+impl Nearest for TwoNearest {
+    #[inline(always)]
+    fn reach(&self) -> f64 {
+        self.second_d
+    }
+
+    #[inline(always)]
+    fn offer(&mut self, d2: f64, center: u32) {
+        if precedes((d2, center), (self.best_d, self.best)) {
+            self.second_d = self.best_d;
+            self.best_d = d2;
+            self.best = center;
+        } else if d2 < self.second_d {
+            self.second_d = d2;
+        }
+    }
+}
+
+/// Tiles per neighbour table — three, by measurement (module docs).
+const NEIGHBOUR_TILES: usize = 3;
+
+/// Centers per [`NeighbourTiles`] table, the center itself included;
+/// tables exist only over more centers than this.
+pub const NEIGHBOURS: usize = NEIGHBOUR_TILES * LANE_WIDTH;
+
+/// The [`NEIGHBOURS`]` + 1` lexicographically smallest `(d², center)`
+/// pairs offered, ascending: a center's table and, last, the nearest
+/// center left out of it.
+struct NearestSet {
+    d2: [f64; NEIGHBOURS + 1],
+    center: [u32; NEIGHBOURS + 1],
+    len: usize,
+}
+
+impl NearestSet {
+    fn new() -> Self {
+        NearestSet {
+            d2: [0.0; NEIGHBOURS + 1],
+            center: [0; NEIGHBOURS + 1],
+            len: 0,
+        }
+    }
+}
+
+impl Nearest for NearestSet {
+    #[inline(always)]
+    fn reach(&self) -> f64 {
+        if self.len <= NEIGHBOURS {
+            f64::INFINITY
+        } else {
+            self.d2[NEIGHBOURS]
+        }
+    }
+
+    #[inline(always)]
+    fn offer(&mut self, d2: f64, center: u32) {
+        let mut slot = self.len;
+        if slot > NEIGHBOURS {
+            slot = NEIGHBOURS;
+            if !precedes((d2, center), (self.d2[slot], self.center[slot])) {
+                return;
+            }
+        } else {
+            self.len += 1;
+        }
+        while slot > 0 && precedes((d2, center), (self.d2[slot - 1], self.center[slot - 1])) {
+            self.d2[slot] = self.d2[slot - 1];
+            self.center[slot] = self.center[slot - 1];
+            slot -= 1;
+        }
+        self.d2[slot] = d2;
+        self.center[slot] = center;
+    }
+}
+
+/// Lexicographic `(d², center index)` order.
+#[inline(always)]
+fn precedes(a: (f64, u32), b: (f64, u32)) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
+/// Relative slack of the [`NeighbourTiles::scan`] acceptance test,
+/// far above the rounding of the three square roots and the
+/// subtraction it compares (a few 10⁻¹⁶ of the same magnitudes).
+const ACCEPT_SLACK: f64 = 1e-9;
+
+/// Per-center neighbour tables for re-scanning a point whose assigned
+/// center `a` and exact distance `d_a` are already known: the
+/// [`NEIGHBOURS`] centers nearest to `a` (itself included) staged as
+/// [`ecg_coords::CenterTiles`]-layout tiles, and `R_a`, the distance
+/// from `a` to the nearest center left out.
+/// [`scan`](NeighbourTiles::scan) answers the two-nearest query from
+/// those tiles alone when the triangle inequality proves no excluded
+/// center can matter (module docs), with the triple
+/// [`CenterTree::query`] would return.
+#[derive(Debug, Clone, Default)]
+pub struct NeighbourTiles {
+    dim: usize,
+    /// Per center, `NEIGHBOUR_TILES` tiles of `dim · LANE_WIDTH` values.
+    tiles: Vec<f64>,
+    /// Original center index of each table lane, nearest first.
+    ids: Vec<u32>,
+    /// `R_a` per center.
+    reach: Vec<f64>,
+}
+
+impl NeighbourTiles {
+    /// Builds the tables of `centers` through `tree`, which must have
+    /// been built over the same matrix.
+    ///
+    /// # Panics
+    ///
+    /// As [`refill`](NeighbourTiles::refill).
+    pub fn new(centers: &FeatureMatrix, tree: &CenterTree) -> Self {
+        let mut tiles = NeighbourTiles::default();
+        tiles.refill(centers, tree);
+        tiles
+    }
+
+    /// Rebuilds every table after the centers moved and `tree` was
+    /// refilled over them, reusing the allocations: one bounded
+    /// nearest-set traversal per center. The wall-clock joins
+    /// [`take_tree_build_ms`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree` holds a different number of centers or another
+    /// dimension than `centers`, or if there are too few centers to
+    /// leave one out of a table.
+    pub fn refill(&mut self, centers: &FeatureMatrix, tree: &CenterTree) {
+        let started = Instant::now();
+        let (k, dim) = (centers.len(), centers.dim());
+        assert!(
+            k == tree.centers && dim == tree.dim,
+            "tree was built over other centers"
+        );
+        assert!(k > NEIGHBOURS, "a table needs a center to leave out");
+        let tile_len = dim * LANE_WIDTH;
+        let table_len = NEIGHBOUR_TILES * tile_len;
+        self.dim = dim;
+        // Every lane of every table is overwritten below.
+        self.tiles.resize(k * table_len, 0.0);
+        self.ids.resize(k * NEIGHBOURS, 0);
+        self.reach.clear();
+        for (a, row) in centers.iter_rows().enumerate() {
+            let mut nearest = NearestSet::new();
+            tree.descend(row, &mut nearest, |_| {});
+            self.reach.push(nearest.d2[NEIGHBOURS].sqrt());
+            let table = &mut self.tiles[a * table_len..(a + 1) * table_len];
+            let ids = &mut self.ids[a * NEIGHBOURS..(a + 1) * NEIGHBOURS];
+            for (slot, (id, &c)) in ids.iter_mut().zip(&nearest.center).enumerate() {
+                *id = c;
+                let lane = slot / LANE_WIDTH * tile_len + slot % LANE_WIDTH;
+                for (d, &v) in centers.row(c as usize).iter().enumerate() {
+                    table[lane + d * LANE_WIDTH] = v;
+                }
+            }
+        }
+        TREE_BUILD_NS.with(|c| c.set(c.get() + started.elapsed().as_nanos() as u64));
+    }
+
+    /// The two-nearest-centers triple of `p` — bit-identical to
+    /// [`CenterTree::query`] — from the table of center `a` alone, given
+    /// `d_a`, the distance (not squared) from `p` to `a`; `None` when
+    /// there is no table for `a` or it cannot prove the answer, and the
+    /// caller must ask the tree. Accepts only if
+    /// `√second + slack < R_a − d_a`: every center outside the table is
+    /// at least `R_a − d_a` from `p`, so strictly farther than the
+    /// second-nearest found — it can neither supply one of the two
+    /// smallest distances nor tie for the lowest index.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `p` has the wrong dimension.
+    #[inline]
+    pub fn scan(&self, a: usize, d_a: f64, p: &[f64]) -> Option<(usize, f64, f64)> {
+        let reach = *self.reach.get(a)?;
+        debug_assert_eq!(p.len(), self.dim);
+        let tile_len = self.dim * LANE_WIDTH;
+        let table = &self.tiles[a * NEIGHBOUR_TILES * tile_len..][..NEIGHBOUR_TILES * tile_len];
+        let ids = &self.ids[a * NEIGHBOURS..][..NEIGHBOURS];
+        let mut found = TwoNearest::new();
+        for (tile, ids) in table
+            .chunks_exact(tile_len)
+            .zip(ids.chunks_exact(LANE_WIDTH))
+        {
+            for (&d2, &center) in lane_distances(p, tile).iter().zip(ids) {
+                found.offer(d2, center);
+            }
+        }
+        (found.second_d.sqrt() + ACCEPT_SLACK * (reach + d_a) < reach - d_a).then(|| found.triple())
+    }
+}
+
+/// Below this many exact scans per center in the previous iteration,
+/// rebuilding the neighbour tables costs more than the scans it
+/// shortens: ≈ 2 µs per table against ≈ 0.1–0.2 µs saved per scan.
+const NEIGHBOUR_MIN_SCANS_PER_CENTER: usize = 16;
+
 /// The nearest-center engine an assignment scan runs on: the flat
 /// blocked kernel or the KD-tree, per [`AssignMode`]. Both arms return
 /// bit-identical triples, so callers are free to switch on k.
+// One scanner lives on the stack per clustering run and its arms are
+// matched on every scan: boxing the tree arm buys nothing.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub(crate) enum CenterScanner {
     Blocked(BlockedCenters),
-    Tree(CenterTree),
+    Tree {
+        tree: CenterTree,
+        /// Tables for [`rescan`](CenterScanner::rescan): built by
+        /// [`refresh_neighbours`](CenterScanner::refresh_neighbours),
+        /// emptied (no table for any center) whenever `tree` moves on.
+        near: NeighbourTiles,
+        /// A phase settled under half its scans from `near`: the
+        /// centers are not separated enough, never build again.
+        near_retired: bool,
+    },
 }
 
 impl CenterScanner {
     /// Stages `centers` on the engine `mode` selects for this k.
     pub(crate) fn stage(centers: &FeatureMatrix, mode: AssignMode) -> Self {
         if mode.uses_tree(centers.len()) {
-            CenterScanner::Tree(CenterTree::new(centers))
+            CenterScanner::Tree {
+                tree: CenterTree::new(centers),
+                near: NeighbourTiles::default(),
+                near_retired: false,
+            }
         } else {
             CenterScanner::Blocked(BlockedCenters::new(centers))
         }
@@ -506,8 +814,46 @@ impl CenterScanner {
     pub(crate) fn refill(&mut self, centers: &FeatureMatrix) {
         match self {
             CenterScanner::Blocked(b) => b.refill(centers),
-            CenterScanner::Tree(t) => t.refill(centers),
+            CenterScanner::Tree { tree, near, .. } => {
+                tree.refill(centers);
+                near.reach.clear();
+            }
         }
+    }
+
+    /// After [`refill`](CenterScanner::refill), decides from what the
+    /// previous re-scan phase observed — its exact scans and, if it ran
+    /// on neighbour tables, how many of those they settled — whether
+    /// the next phase gets tables, and builds them if so. Returns
+    /// whether it did. Neither input is a setting: centers that are
+    /// not separated (most scans pay for three tiles and then the tree
+    /// anyway) retire the tables for the rest of the run, and a phase
+    /// with too few exact scans to repay the build goes without.
+    pub(crate) fn refresh_neighbours(
+        &mut self,
+        centers: &FeatureMatrix,
+        last_exact_scans: usize,
+        last_hits: Option<usize>,
+    ) -> bool {
+        let CenterScanner::Tree {
+            tree,
+            near,
+            near_retired,
+        } = self
+        else {
+            return false;
+        };
+        if last_hits.is_some_and(|hits| 2 * hits < last_exact_scans) {
+            *near_retired = true;
+        }
+        let k = tree.centers();
+        let build = k > NEIGHBOURS
+            && !*near_retired
+            && last_exact_scans >= NEIGHBOUR_MIN_SCANS_PER_CENTER * k;
+        if build {
+            near.refill(centers, tree);
+        }
+        build
     }
 
     /// `(best index, best d², second-best d²)` — see
@@ -516,8 +862,22 @@ impl CenterScanner {
     pub(crate) fn scan(&self, p: &[f64]) -> (usize, f64, f64) {
         match self {
             CenterScanner::Blocked(b) => b.scan(p),
-            CenterScanner::Tree(t) => t.query(p),
+            CenterScanner::Tree { tree, .. } => tree.query(p),
         }
+    }
+
+    /// [`scan`](CenterScanner::scan) for a point whose assigned center
+    /// `a` lies at distance `d_a`: the same triple, from the neighbour
+    /// tables when they are live and can prove it (`true`), from the
+    /// full engine otherwise (`false`).
+    #[inline]
+    pub(crate) fn rescan(&self, p: &[f64], a: usize, d_a: f64) -> ((usize, f64, f64), bool) {
+        if let CenterScanner::Tree { near, .. } = self {
+            if let Some(found) = near.scan(a, d_a, p) {
+                return (found, true);
+            }
+        }
+        (self.scan(p), false)
     }
 }
 
@@ -607,14 +967,15 @@ mod tests {
         /// it entered — the same traversal, counted.
         fn query_counted(&self, p: &[f64]) -> ((usize, f64, f64), usize, usize) {
             let (mut internal, mut leaves) = (0usize, 0usize);
-            let found = self.descend(p, |is_leaf| {
+            let mut found = TwoNearest::new();
+            self.descend(p, &mut found, |is_leaf| {
                 if is_leaf {
                     leaves += 1;
                 } else {
                     internal += 1;
                 }
             });
-            (found, internal, leaves)
+            (found.triple(), internal, leaves)
         }
 
         fn leaf_count(&self) -> usize {
@@ -882,15 +1243,7 @@ mod tests {
         // layout or ordering change that makes the traversal enter
         // more nodes fails here, not in a benchmark.
         let mut gen = StdRng::seed_from_u64(0x51ED);
-        let landmarks: Vec<(f64, f64)> = (0..8)
-            .map(|_| (gen.gen_range(0.0..100.0), gen.gen_range(0.0..100.0)))
-            .collect();
-        let features = |x: f64, y: f64| -> Vec<f64> {
-            landmarks
-                .iter()
-                .map(|&(lx, ly)| ((x - lx) * (x - lx) + (y - ly) * (y - ly)).sqrt())
-                .collect()
-        };
+        let features = landmark_features(&mut gen);
         let positions: Vec<(f64, f64)> = (0..1_000)
             .map(|_| (gen.gen_range(0.0..100.0), gen.gen_range(0.0..100.0)))
             .collect();
@@ -909,6 +1262,185 @@ mod tests {
             leaves += opened;
         }
         assert_eq!((internal, leaves), (4392, 880));
+    }
+
+    /// The `form-100k` feature map: a position in the plane to its
+    /// distances from 8 random landmarks.
+    fn landmark_features(gen: &mut StdRng) -> impl Fn(f64, f64) -> Vec<f64> {
+        let landmarks: Vec<(f64, f64)> = (0..8)
+            .map(|_| (gen.gen_range(0.0..100.0), gen.gen_range(0.0..100.0)))
+            .collect();
+        move |x, y| {
+            landmarks
+                .iter()
+                .map(|&(lx, ly)| ((x - lx) * (x - lx) + (y - ly) * (y - ly)).sqrt())
+                .collect()
+        }
+    }
+
+    /// `count` random positions in the plane under [`landmark_features`].
+    fn planar_fixture(gen: &mut StdRng, count: usize) -> FeatureMatrix {
+        let features = landmark_features(gen);
+        let mut rows = FeatureMatrix::new(8);
+        for _ in 0..count {
+            rows.push_row(&features(
+                gen.gen_range(0.0..100.0),
+                gen.gen_range(0.0..100.0),
+            ));
+        }
+        rows
+    }
+
+    /// Every table against a brute-force ranking, and every `scan` —
+    /// from each point's nearest center and from an arbitrary one —
+    /// against the tree and the blocked scan. Returns the accepted
+    /// share of the nearest-center scans.
+    fn check_neighbour_tiles(points: &FeatureMatrix, centers: &FeatureMatrix, label: &str) -> f64 {
+        let k = centers.len();
+        let tree = CenterTree::new(centers);
+        let blocked = BlockedCenters::new(centers);
+        let tables = NeighbourTiles::new(centers, &tree);
+        for (a, row) in centers.iter_rows().enumerate() {
+            let mut ranked: Vec<(f64, u32)> = (0..k)
+                .map(|c| (crate::kmeans::sq_l2(row, centers.row(c)), c as u32))
+                .collect();
+            ranked.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+            let ids: Vec<u32> = ranked[..NEIGHBOURS].iter().map(|r| r.1).collect();
+            assert_eq!(
+                &tables.ids[a * NEIGHBOURS..][..NEIGHBOURS],
+                ids,
+                "{label}: table {a}"
+            );
+            assert_eq!(
+                tables.reach[a].to_bits(),
+                ranked[NEIGHBOURS].0.sqrt().to_bits(),
+                "{label}: reach {a}"
+            );
+        }
+        let mut accepted = 0usize;
+        for (i, p) in points.iter_rows().enumerate() {
+            let expected = blocked.scan(p);
+            assert_eq!(tree.query(p), expected, "{label}: tree, point {i}");
+            for (anchor, nearest) in [(expected.0, true), (i % k, false)] {
+                let d_a = crate::kmeans::sq_l2(p, centers.row(anchor)).sqrt();
+                if let Some((best, best_d, second_d)) = tables.scan(anchor, d_a, p) {
+                    assert_eq!(best, expected.0, "{label}: best, point {i}");
+                    assert_eq!(best_d.to_bits(), expected.1.to_bits(), "{label}: point {i}");
+                    assert_eq!(
+                        second_d.to_bits(),
+                        expected.2.to_bits(),
+                        "{label}: point {i}"
+                    );
+                    accepted += usize::from(nearest);
+                }
+            }
+        }
+        accepted as f64 / points.len() as f64
+    }
+
+    #[test]
+    fn neighbour_tables_settle_separated_centers_and_decline_the_rest() {
+        // Centers on a 2-d manifold in 8-d landmark space, each query a
+        // short step off a center: the tables answer nearly all.
+        let mut gen = StdRng::seed_from_u64(0x51ED);
+        let centers = planar_fixture(&mut gen, 1_000);
+        let mut points = FeatureMatrix::new(8);
+        for row in centers.iter_rows() {
+            let moved: Vec<f64> = row.iter().map(|v| v + gen.gen_range(-1.0..1.0)).collect();
+            points.push_row(&moved);
+        }
+        let share = check_neighbour_tiles(&points, &centers, "planar");
+        assert!(share >= 0.9, "planar fixture accepted only {share}");
+
+        // Uniform random centers in 8 dimensions have no such structure:
+        // 24 neighbours reach nowhere near the second-nearest center.
+        let centers = rand_matrix(&mut gen, 1_000, 8, 50.0);
+        let points = rand_matrix(&mut gen, 500, 8, 50.0);
+        let share = check_neighbour_tiles(&points, &centers, "uniform 8-d");
+        assert!(share < 0.5, "uniform fixture accepted {share}");
+    }
+
+    #[test]
+    fn neighbour_tables_are_exact_on_ties_duplicates_and_every_shape() {
+        let mut gen = StdRng::seed_from_u64(0x7AB1E);
+        let grid = [-50.0, -25.0, -0.0, 0.0, 25.0, 50.0];
+        for k in [NEIGHBOURS + 1, NEIGHBOURS + 2, 64, 200] {
+            for dim in [1usize, 2, 3, 8, 24] {
+                let label = format!("k={k} dim={dim}");
+                let centers = rand_matrix(&mut gen, k, dim, 50.0);
+                check_neighbour_tiles(&rand_matrix(&mut gen, 40, dim, 60.0), &centers, &label);
+                check_neighbour_tiles(&boundary_points(&mut gen, &centers, 60.0), &centers, &label);
+                // Duplicate and equidistant centers, points on the grid.
+                let label = format!("grid k={k} dim={dim}");
+                let mut centers = grid_matrix(&mut gen, k, dim, &grid);
+                for c in 0..k / 4 {
+                    let row: Vec<f64> = (0..dim).map(|_| gen.gen_range(-50.0..50.0)).collect();
+                    centers.set_row(c * 4, &row);
+                }
+                check_neighbour_tiles(&grid_matrix(&mut gen, 30, dim, &grid), &centers, &label);
+                check_neighbour_tiles(&rand_matrix(&mut gen, 30, dim, 60.0), &centers, &label);
+            }
+        }
+        // The tie the strict acceptance exists for: 24 centers at 0, and
+        // center 0 — lower index, outside their tables — at 12. From
+        // x = 6 every center is 6 away, the excluded one exactly
+        // `R_a − d_a`, and it wins the tie-break; the table must decline.
+        let mut tie = FeatureMatrix::from_rows(&[vec![12.0]]);
+        for _ in 0..NEIGHBOURS {
+            tie.push_row(&[0.0]);
+        }
+        let tables = NeighbourTiles::new(&tie, &CenterTree::new(&tie));
+        assert_eq!(tables.reach[1], 12.0);
+        assert_eq!(tables.scan(1, 6.0, &[6.0]), None);
+        assert_eq!(CenterTree::new(&tie).query(&[6.0]), (0, 36.0, 36.0));
+        assert_eq!(tables.scan(1, 5.0, &[5.0]), Some((1, 25.0, 25.0)));
+        check_neighbour_tiles(&FeatureMatrix::from_rows(&[vec![6.0]]), &tie, "tie");
+
+        // All centers in one place: every reach is zero, nothing is
+        // ever accepted, nothing goes wrong.
+        let mut same = FeatureMatrix::new(2);
+        for _ in 0..40 {
+            same.push_row(&[3.0, -1.0]);
+        }
+        let share = check_neighbour_tiles(&rand_matrix(&mut gen, 10, 2, 9.0), &same, "one place");
+        assert_eq!(share, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a center to leave out")]
+    fn neighbour_tables_need_more_centers_than_a_table_holds() {
+        let centers = rand_matrix(&mut StdRng::seed_from_u64(1), NEIGHBOURS, 2, 5.0);
+        let _ = NeighbourTiles::new(&centers, &CenterTree::new(&centers));
+    }
+
+    #[test]
+    fn scanner_builds_tables_only_while_they_pay() {
+        let mut gen = StdRng::seed_from_u64(0x6A7E);
+        let centers = planar_fixture(&mut gen, 100);
+        let floor = NEIGHBOUR_MIN_SCANS_PER_CENTER * 100;
+        let mut scanner = CenterScanner::stage(&centers, AssignMode::Tree);
+        let p = centers.row(3).to_vec();
+        // No tables before the first refresh, nor on too few scans.
+        assert!(!scanner.rescan(&p, 3, 0.0).1);
+        assert!(!scanner.refresh_neighbours(&centers, floor - 1, None));
+        assert!(!scanner.rescan(&p, 3, 0.0).1);
+        // Enough scans: built, and a point on its own center is settled.
+        assert!(scanner.refresh_neighbours(&centers, floor, None));
+        assert_eq!(scanner.rescan(&p, 3, 0.0), (scanner.scan(&p), true));
+        // Moving the centers on drops the stale tables.
+        scanner.refill(&centers);
+        assert!(!scanner.rescan(&p, 3, 0.0).1);
+        // Half the scans settled keeps them; under half retires them
+        // for good, however many scans follow.
+        assert!(scanner.refresh_neighbours(&centers, floor, Some(floor / 2)));
+        assert!(!scanner.refresh_neighbours(&centers, floor, Some(floor / 2 - 1)));
+        assert!(!scanner.refresh_neighbours(&centers, 100 * floor, None));
+        // The blocked engine and a k no larger than one table: never.
+        let mut blocked = CenterScanner::stage(&centers, AssignMode::Blocked);
+        assert!(!blocked.refresh_neighbours(&centers, floor, None));
+        let few = planar_fixture(&mut gen, NEIGHBOURS);
+        let mut small = CenterScanner::stage(&few, AssignMode::Tree);
+        assert!(!small.refresh_neighbours(&few, 1_000_000, None));
     }
 
     #[test]
@@ -932,7 +1464,7 @@ mod tests {
         let tree = CenterScanner::stage(&centers, AssignMode::Tree);
         let blocked = CenterScanner::stage(&centers, AssignMode::Blocked);
         let auto = CenterScanner::stage(&centers, AssignMode::Auto);
-        assert!(matches!(auto, CenterScanner::Tree(_)));
+        assert!(matches!(auto, CenterScanner::Tree { .. }));
         for p in points.iter_rows() {
             assert_eq!(tree.scan(p), blocked.scan(p));
             assert_eq!(auto.scan(p), blocked.scan(p));

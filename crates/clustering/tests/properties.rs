@@ -3,8 +3,8 @@
 use ecg_clustering::hierarchical::{agglomerative, Linkage};
 use ecg_clustering::{
     average_group_interaction_cost, group_interaction_cost, kmeans, kmeans_capped, kmeans_masked,
-    kmeans_minibatch, kmeans_reference, server_distance_weights, AssignMode, BlockedCenters,
-    CenterTree, FeatureMatrix, Initializer, KmeansConfig, MiniBatchConfig,
+    kmeans_minibatch, kmeans_observed, kmeans_reference, server_distance_weights, AssignMode,
+    BlockedCenters, CenterTree, FeatureMatrix, Initializer, KmeansConfig, MiniBatchConfig,
 };
 use ecg_coords::FeatureMask;
 use proptest::prelude::*;
@@ -620,4 +620,195 @@ fn multi_chunk_quality_metrics_are_thread_count_invariant() {
     let (gic4, sil4) = run_at(4);
     assert_eq!(gic1.to_bits(), gic4.to_bits());
     assert_eq!(sil1.to_bits(), sil4.to_bits());
+}
+
+/// `n` points on a 2-d manifold in landmark space (each coordinate the
+/// distance from a planar position to one of six landmarks), `copies` of
+/// them overwritten with earlier rows: duplicate points make exact
+/// distance ties and — two seeds on one spot — empty clusters for the
+/// repair to refill.
+fn planar_points(n: usize, copies: usize, seed: u64) -> FeatureMatrix {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let landmarks: Vec<(f64, f64)> = (0..6)
+        .map(|_| (rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)))
+        .collect();
+    let mut rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            let (x, y) = (rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0));
+            landmarks
+                .iter()
+                .map(|&(lx, ly)| ((x - lx) * (x - lx) + (y - ly) * (y - ly)).sqrt())
+                .collect()
+        })
+        .collect();
+    for _ in 0..copies {
+        let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        rows[to] = rows[from].clone();
+    }
+    FeatureMatrix::from_rows(&rows)
+}
+
+/// One observed Lloyd run; returns the clustering with its telemetry.
+fn observed_lloyd(
+    points: &FeatureMatrix,
+    config: KmeansConfig,
+    initializer: &Initializer,
+    seed: u64,
+) -> (ecg_clustering::Clustering, ecg_obs::Obs) {
+    let mut obs = ecg_obs::Obs::new();
+    let clustering = kmeans_observed(
+        points,
+        config,
+        initializer,
+        &mut StdRng::seed_from_u64(seed),
+        Some(&mut obs),
+    )
+    .unwrap();
+    (clustering, obs)
+}
+
+/// Tree-engine Lloyd with its re-scans on the neighbour tables ==
+/// blocked-engine Lloyd == the naive reference, and the Hamerly
+/// counters do not move. Returns the tree run's telemetry.
+fn assert_neighbour_rescans_change_nothing(
+    points: &FeatureMatrix,
+    config: KmeansConfig,
+    initializer: &Initializer,
+    seed: u64,
+) -> ecg_obs::Obs {
+    let (tree, tree_obs) =
+        observed_lloyd(points, config.assign(AssignMode::Tree), initializer, seed);
+    let (blocked, blocked_obs) = observed_lloyd(
+        points,
+        config.assign(AssignMode::Blocked),
+        initializer,
+        seed,
+    );
+    let reference = kmeans_reference(
+        points,
+        config,
+        initializer,
+        &mut StdRng::seed_from_u64(seed),
+    )
+    .unwrap();
+    assert_eq!(tree, blocked);
+    assert_eq!(tree, reference);
+    for (a, b) in tree
+        .centers()
+        .as_flat()
+        .iter()
+        .zip(reference.centers().as_flat())
+    {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
+    for counter in [
+        "iterations",
+        "reassigned",
+        "pruned",
+        "tightened",
+        "exact_scans",
+    ] {
+        let name = format!("kmeans.{counter}");
+        assert_eq!(
+            tree_obs.metrics.counter(&name),
+            blocked_obs.metrics.counter(&name),
+            "{name}"
+        );
+    }
+    assert_eq!(blocked_obs.metrics.counter("kmeans.neighbour_hits"), 0);
+    assert_eq!(blocked_obs.metrics.counter("kmeans.neighbour_fallbacks"), 0);
+    tree_obs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn neighbour_rescans_leave_lloyd_bit_identical(
+        k in prop_oneof![Just(25usize), Just(26usize), Just(64usize)],
+        copies in 0usize..300,
+        seed in any::<u64>(),
+    ) {
+        // 17 points per center keeps the first re-scans on the tables.
+        let points = planar_points(17 * k, copies, seed);
+        let uniform = Initializer::RandomRepresentative;
+        let obs =
+            assert_neighbour_rescans_change_nothing(&points, KmeansConfig::new(k), &uniform, seed);
+        prop_assert!(obs.metrics.counter("kmeans.neighbour_hits") > 0);
+    }
+}
+
+#[test]
+fn neighbour_rescans_settle_points_the_repair_moved() {
+    // Five seeds on one spot: four clusters start empty, the repair
+    // re-seeds each on a stolen point whose bounds are ±∞, and those
+    // points' exact scans — anchored on a center they sit on — go
+    // through the tables in the first iteration.
+    let mut points = planar_points(450, 0, 0xE0);
+    let spot = points.row(0).to_vec();
+    for duplicate in 1..5 {
+        points.set_row(duplicate, &spot);
+    }
+    let seeds = Initializer::Provided((0..25).collect());
+    let obs = assert_neighbour_rescans_change_nothing(&points, KmeansConfig::new(25), &seeds, 0);
+    assert!(obs.metrics.counter("kmeans.neighbour_hits") > 0);
+}
+
+#[test]
+fn neighbour_rescans_at_two_hundred_centers_are_thread_invariant() {
+    // k = 200 over 13 chunks of points, duplicates included; the
+    // iteration cap keeps the naive reference affordable.
+    let points = planar_points(3_300, 200, 0x200);
+    let config = KmeansConfig::new(200).max_iterations(8);
+    let uniform = Initializer::RandomRepresentative;
+    let obs = assert_neighbour_rescans_change_nothing(&points, config, &uniform, 21);
+    let hits = obs.metrics.counter("kmeans.neighbour_hits");
+    let fallbacks = obs.metrics.counter("kmeans.neighbour_fallbacks");
+    assert!(hits > 9 * fallbacks, "{hits} hits, {fallbacks} fallbacks");
+    // Forced 1, 2 and 8 workers: same clustering, same telemetry —
+    // the per-iteration hit counts included.
+    let run_at = |threads: usize| {
+        ecg_par::set_max_threads(Some(threads));
+        let run = observed_lloyd(&points, config.assign(AssignMode::Tree), &uniform, 21);
+        ecg_par::set_max_threads(None);
+        run
+    };
+    let (t1, obs1) = run_at(1);
+    assert_eq!(obs1, obs);
+    for threads in [2, 8] {
+        let (wide, wide_obs) = run_at(threads);
+        assert_eq!(wide, t1, "{threads} threads");
+        assert_eq!(wide_obs, obs1, "{threads} threads");
+    }
+}
+
+#[test]
+fn neighbour_tables_retire_themselves_on_unseparated_centers() {
+    // Uniform random points in 8 dimensions: 24 neighbours do not reach
+    // the second-nearest center, the first re-scan settles under half
+    // its scans from the tables, and no later iteration builds them —
+    // with the clustering what the blocked engine computes.
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(0x8D);
+    let rows: Vec<Vec<f64>> = (0..3_300)
+        .map(|_| (0..8).map(|_| rng.gen_range(-50.0..50.0)).collect())
+        .collect();
+    let points = FeatureMatrix::from_rows(&rows);
+    let config = KmeansConfig::new(200).max_iterations(6);
+    let uniform = Initializer::RandomRepresentative;
+    let (tree, obs) = observed_lloyd(&points, config.assign(AssignMode::Tree), &uniform, 4);
+    let (blocked, _) = observed_lloyd(&points, config.assign(AssignMode::Blocked), &uniform, 4);
+    assert_eq!(tree, blocked);
+    let tabled: Vec<f64> = obs
+        .trace
+        .events()
+        .filter(|e| e.fields.iter().any(|(name, _)| *name == "neighbour_hits"))
+        .map(|e| e.t)
+        .collect();
+    assert_eq!(tabled, [1.0], "iterations that ran on neighbour tables");
+    assert_eq!(tree.iterations(), 6);
+    let hits = obs.metrics.counter("kmeans.neighbour_hits");
+    let fallbacks = obs.metrics.counter("kmeans.neighbour_fallbacks");
+    assert!(hits < fallbacks, "{hits} hits, {fallbacks} fallbacks");
 }

@@ -188,6 +188,14 @@ impl Draws<'_> {
     }
 }
 
+/// Probes sent and lost by measurements not yet added to a
+/// [`Prober`]'s shared counters.
+#[derive(Debug, Clone, Copy, Default)]
+struct ProbeTally {
+    sent: u64,
+    lost: u64,
+}
+
 /// A simulated prober over a ground-truth RTT oracle.
 ///
 /// The ground truth is any [`RttSource`] — a dense
@@ -338,13 +346,26 @@ impl<'a> Prober<'a> {
     ///
     /// Panics if an index is out of range of the wrapped matrix.
     pub fn measure_outcome<R: Rng + ?Sized>(&self, a: usize, b: usize, rng: &mut R) -> Measurement {
+        self.tallied(|tally| self.measure_tallied(a, b, rng, tally))
+    }
+
+    /// [`Prober::measure_outcome`] with the probes it sent and lost
+    /// added to `tally` instead of the shared counters (see
+    /// [`Prober::tallied`]).
+    fn measure_tallied<R: Rng + ?Sized>(
+        &self,
+        a: usize,
+        b: usize,
+        rng: &mut R,
+        tally: &mut ProbeTally,
+    ) -> Measurement {
         if a == b {
             return Measurement::Ok(0.0);
         }
+        let probes = self.config.probes as u64;
+        tally.sent += probes;
         if !self.faults.is_empty() && self.faults.link_dead(a, b) {
-            let probes = self.config.probes as u64;
-            self.probes_sent.fetch_add(probes, Ordering::Relaxed);
-            self.probes_lost.fetch_add(probes, Ordering::Relaxed);
+            tally.lost += probes;
             return Measurement::Unreachable;
         }
         let truth = self.truth.rtt_ms(a, b);
@@ -355,7 +376,7 @@ impl<'a> Prober<'a> {
             // from the RNG (keeps loss_rate = 0 streams identical to
             // the pre-loss model).
             if self.config.loss_rate > 0.0 && rng.gen_bool(self.config.loss_rate) {
-                self.probes_lost.fetch_add(1, Ordering::Relaxed);
+                tally.lost += 1;
                 continue;
             }
             let noise = if self.config.noise_sigma == 0.0 {
@@ -366,13 +387,25 @@ impl<'a> Prober<'a> {
             sum += truth * noise;
             answered += 1;
         }
-        self.probes_sent
-            .fetch_add(self.config.probes as u64, Ordering::Relaxed);
         if answered == 0 {
             Measurement::Timeout
         } else {
             Measurement::Ok(sum / answered as f64)
         }
+    }
+
+    /// Runs `measure` against a fresh tally, then adds what it counted
+    /// to the shared counters — once, however many measurements ran.
+    fn tallied<T>(&self, measure: impl FnOnce(&mut ProbeTally) -> T) -> T {
+        let mut tally = ProbeTally::default();
+        let result = measure(&mut tally);
+        if tally.sent > 0 {
+            self.probes_sent.fetch_add(tally.sent, Ordering::Relaxed);
+        }
+        if tally.lost > 0 {
+            self.probes_lost.fetch_add(tally.lost, Ordering::Relaxed);
+        }
+        result
     }
 
     /// Like [`Prober::measure_outcome`], but records the attempt into an
@@ -388,21 +421,29 @@ impl<'a> Prober<'a> {
         rng: &mut R,
         obs: Option<&mut Obs>,
     ) -> Measurement {
-        let Some(obs) = obs else {
-            return self.measure_outcome(a, b, rng);
-        };
-        let sent_before = self.probes_sent();
-        let lost_before = self.probes_lost();
-        let outcome = self.measure_outcome(a, b, rng);
-        obs.metrics.inc("probe.measurements");
-        obs.metrics
-            .add("probe.sent", self.probes_sent() - sent_before);
-        obs.metrics
-            .add("probe.lost", self.probes_lost() - lost_before);
-        match outcome {
-            Measurement::Ok(rtt) => obs.metrics.observe("probe.rtt_ms", rtt),
-            Measurement::Timeout => obs.metrics.inc("probe.timeouts"),
-            Measurement::Unreachable => obs.metrics.inc("probe.unreachable"),
+        self.tallied(|tally| self.measure_observed_tallied(a, b, rng, obs, tally))
+    }
+
+    /// [`Prober::measure_outcome_observed`] over [`Prober::measure_tallied`].
+    fn measure_observed_tallied<R: Rng + ?Sized>(
+        &self,
+        a: usize,
+        b: usize,
+        rng: &mut R,
+        obs: Option<&mut Obs>,
+        tally: &mut ProbeTally,
+    ) -> Measurement {
+        let before = *tally;
+        let outcome = self.measure_tallied(a, b, rng, tally);
+        if let Some(obs) = obs {
+            obs.metrics.inc("probe.measurements");
+            obs.metrics.add("probe.sent", tally.sent - before.sent);
+            obs.metrics.add("probe.lost", tally.lost - before.lost);
+            match outcome {
+                Measurement::Ok(rtt) => obs.metrics.observe("probe.rtt_ms", rtt),
+                Measurement::Timeout => obs.metrics.inc("probe.timeouts"),
+                Measurement::Unreachable => obs.metrics.inc("probe.unreachable"),
+            }
         }
         outcome
     }
@@ -438,9 +479,22 @@ impl<'a> Prober<'a> {
         b: usize,
         policy: &RetryPolicy,
         rng: &mut R,
-        mut obs: Option<&mut Obs>,
+        obs: Option<&mut Obs>,
     ) -> Measurement {
-        let first = self.measure_outcome_observed(a, b, rng, obs.as_deref_mut());
+        self.tallied(|tally| self.measure_retry_tallied(a, b, policy, rng, obs, tally))
+    }
+
+    /// [`Prober::measure_retry_observed`] over [`Prober::measure_tallied`].
+    fn measure_retry_tallied<R: Rng + ?Sized>(
+        &self,
+        a: usize,
+        b: usize,
+        policy: &RetryPolicy,
+        rng: &mut R,
+        mut obs: Option<&mut Obs>,
+        tally: &mut ProbeTally,
+    ) -> Measurement {
+        let first = self.measure_observed_tallied(a, b, rng, obs.as_deref_mut(), tally);
         match first {
             Measurement::Ok(_) => return first,
             Measurement::Unreachable => {
@@ -463,7 +517,8 @@ impl<'a> Prober<'a> {
                 o.metrics.inc("probe.retries");
             }
             let mut retry_rng = StdRng::seed_from_u64(derive_seed(master, u64::from(attempt)));
-            let outcome = self.measure_outcome_observed(a, b, &mut retry_rng, obs.as_deref_mut());
+            let outcome =
+                self.measure_observed_tallied(a, b, &mut retry_rng, obs.as_deref_mut(), tally);
             match outcome {
                 Measurement::Ok(_) => return outcome,
                 Measurement::Unreachable => {
@@ -551,7 +606,9 @@ impl<'a> Prober<'a> {
             Draws::Shared(obs) => {
                 for (i, (v, o)) in values.iter_mut().zip(&mut observed).enumerate() {
                     let ab = pair(i / width, i % width);
-                    (*v, *o) = self.measure_cell(ab, policy, rng, obs.as_deref_mut());
+                    (*v, *o) = self.tallied(|tally| {
+                        self.measure_cell(ab, policy, rng, obs.as_deref_mut(), tally)
+                    });
                 }
             }
             Draws::PerRow => {
@@ -560,30 +617,43 @@ impl<'a> Prober<'a> {
                 let span = DEFAULT_CHUNK * width.max(1);
                 let spans = values.chunks_mut(span).zip(observed.chunks_mut(span));
                 par_map(spans.enumerate().collect(), |(s, (values, observed))| {
-                    let rows = values.chunks_mut(width).zip(observed.chunks_mut(width));
-                    for (r, (values, observed)) in (s * DEFAULT_CHUNK..).zip(rows) {
-                        let mut rng = StdRng::seed_from_u64(derive_seed(master, r as u64));
-                        for (c, (v, o)) in values.iter_mut().zip(observed).enumerate() {
-                            (*v, *o) = self.measure_cell(pair(r, c), policy, &mut rng, None);
+                    // One add per span: a shared counter bumped per
+                    // measurement is a cache line the workers fight over.
+                    self.tallied(|tally| {
+                        let rows = values.chunks_mut(width).zip(observed.chunks_mut(width));
+                        for (r, (values, observed)) in (s * DEFAULT_CHUNK..).zip(rows) {
+                            let mut rng = StdRng::seed_from_u64(derive_seed(master, r as u64));
+                            for (c, (v, o)) in values.iter_mut().zip(observed).enumerate() {
+                                (*v, *o) =
+                                    self.measure_cell(pair(r, c), policy, &mut rng, None, tally);
+                            }
                         }
-                    }
+                    });
                 });
             }
         }
         (values, observed)
     }
 
-    /// One cell of [`Prober::measure_batch`]: `(value, observed)`.
+    /// One cell of [`Prober::measure_batch`]: `(value, observed)`, its
+    /// probes added to `tally`.
     fn measure_cell<R: Rng + ?Sized>(
         &self,
         (a, b): (usize, usize),
         policy: Option<&RetryPolicy>,
         rng: &mut R,
         obs: Option<&mut Obs>,
+        tally: &mut ProbeTally,
     ) -> (f64, bool) {
-        match policy.map(|p| self.measure_retry_observed(a, b, p, rng, obs)) {
-            None => (self.measure(a, b, rng), true),
-            Some(retried) => (retried.value_or(0.0), retried.is_ok()),
+        match policy {
+            None => {
+                let outcome = self.measure_tallied(a, b, rng, tally);
+                (outcome.value_or(self.config.timeout_ms), true)
+            }
+            Some(policy) => {
+                let retried = self.measure_retry_tallied(a, b, policy, rng, obs, tally);
+                (retried.value_or(0.0), retried.is_ok())
+            }
         }
     }
 
@@ -999,6 +1069,48 @@ mod tests {
         assert_eq!(obs.metrics.counter("probe.unreachable"), 1);
         assert_eq!(obs.metrics.counter("probe.gave_up"), 1);
         assert_eq!(obs.metrics.counter("probe.retries"), 0);
+    }
+
+    #[test]
+    fn per_row_batch_counts_what_its_measurements_count_one_by_one() {
+        // A lossy batch wider than one span, with and without retries:
+        // the counters after the span-wise adds equal those of a second
+        // prober replaying every row's stream through the public
+        // per-measurement calls, at any thread count.
+        let m = paper_figure1();
+        let nodes = m.len();
+        let config = ProbeConfig::default().loss_rate(0.4);
+        let rows = 2 * DEFAULT_CHUNK + 7;
+        let pair = |r: usize, c: usize| (r % nodes, c % nodes);
+        let policy = RetryPolicy::default();
+        for policy in [None, Some(&policy)] {
+            let replay = Prober::new(&m, config);
+            let master: u64 = StdRng::seed_from_u64(9).gen();
+            let mut expected = Vec::new();
+            for r in 0..rows {
+                let mut rng = StdRng::seed_from_u64(derive_seed(master, r as u64));
+                for c in 0..3 {
+                    let (a, b) = pair(r, c);
+                    expected.push(match policy {
+                        None => replay.measure(a, b, &mut rng),
+                        Some(p) => replay.measure_retry(a, b, p, &mut rng).value_or(0.0),
+                    });
+                }
+            }
+            for threads in [1, 2] {
+                ecg_par::set_max_threads(Some(threads));
+                let batch = Prober::new(&m, config);
+                let mut rng = StdRng::seed_from_u64(9);
+                let (values, _) =
+                    batch.measure_batch(rows, 3, pair, policy, &mut Draws::PerRow, &mut rng);
+                ecg_par::set_max_threads(None);
+                assert_eq!(values, expected);
+                assert_eq!(batch.probes_sent(), replay.probes_sent());
+                assert_eq!(batch.probes_lost(), replay.probes_lost());
+                assert!(batch.probes_lost() > 0);
+                assert_eq!(batch.retries(), replay.retries());
+            }
+        }
     }
 
     #[test]

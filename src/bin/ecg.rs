@@ -71,6 +71,7 @@ usage:
   ecg stats       --trace FILE
   ecg simulate    --network FILE --groups FILE [--trace FILE] [--docs D]
                   [--duration-secs T] [--rate R] [--capacity-kib C]
+                  [--preset sporting|news|flashcrowd]
                   [--policy utility|lru|lfu|gdsf]
                   [--placement single-holder|adaptive|dchoices] [--seed S]
   ecg replay      [--caches N] [--group-size G] [--docs D]
@@ -84,7 +85,8 @@ usage:
                   [--mean-downtime-secs D] [--retirement-fraction F]
                   [--policy static|repair|eager|balanced]
                   [--timeline-out FILE] [--replay true|false]
-                  [--docs D] [--rate R] [--threads T]
+                  [--docs D] [--rate R] [--preset sporting|news|flashcrowd]
+                  [--threads T]
 
 simulate regenerates the workload from its flags unless --trace is given;
 with --trace, --docs must match the catalog the trace was generated for
@@ -105,17 +107,114 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err("missing subcommand".into());
     };
     let flags = parse_flags(rest)?;
-    match command.as_str() {
-        "gen-network" => gen_network(&flags),
-        "form" => form(&flags),
-        "scale" => scale_cmd(&flags),
-        "gen-trace" => gen_trace(&flags),
-        "stats" => stats_cmd(&flags),
-        "simulate" => simulate_cmd(&flags),
-        "replay" => replay_cmd(&flags),
-        "lifecycle" => lifecycle_cmd(&flags),
-        other => Err(format!("unknown subcommand {other:?}")),
+    // Each subcommand with every flag it reads: a flag outside its list
+    // would be silently ignored, so it is a mistake to report.
+    type Handler = fn(&HashMap<String, String>) -> Result<(), String>;
+    let (handler, known): (Handler, &[&str]) = match command.as_str() {
+        "gen-network" => (gen_network, &["caches", "seed", "origin", "out"]),
+        "form" => (
+            form,
+            &[
+                "network",
+                "scheme",
+                "groups",
+                "theta",
+                "landmarks",
+                "plset-multiplier",
+                "max-group-size",
+                "seed",
+                "out",
+            ],
+        ),
+        "scale" => (
+            scale_cmd,
+            &[
+                "caches",
+                "groups",
+                "scheme",
+                "theta",
+                "landmarks",
+                "plset-multiplier",
+                "seed",
+                "minibatch",
+                "batch-size",
+                "iters",
+                "assign",
+            ],
+        ),
+        "gen-trace" => (
+            gen_trace,
+            &[
+                "caches",
+                "docs",
+                "duration-secs",
+                "rate",
+                "preset",
+                "seed",
+                "out",
+            ],
+        ),
+        "stats" => (stats_cmd, &["trace"]),
+        "simulate" => (
+            simulate_cmd,
+            &[
+                "network",
+                "groups",
+                "trace",
+                "docs",
+                "duration-secs",
+                "rate",
+                "preset",
+                "capacity-kib",
+                "policy",
+                "placement",
+                "seed",
+            ],
+        ),
+        "replay" => (
+            replay_cmd,
+            &[
+                "caches",
+                "group-size",
+                "docs",
+                "duration-secs",
+                "rate",
+                "capacity-kib",
+                "policy",
+                "placement",
+                "seed",
+                "threads",
+                "verify",
+            ],
+        ),
+        "lifecycle" => (
+            lifecycle_cmd,
+            &[
+                "caches",
+                "groups",
+                "landmarks",
+                "duration-secs",
+                "step-secs",
+                "seed",
+                "churn-rate",
+                "mean-downtime-secs",
+                "retirement-fraction",
+                "policy",
+                "timeline-out",
+                "replay",
+                "docs",
+                "rate",
+                "preset",
+                "threads",
+            ],
+        ),
+        other => return Err(format!("unknown subcommand {other:?}")),
+    };
+    // The alphabetically first, so the message does not depend on map order.
+    if let Some(unknown) = flags.keys().filter(|f| !known.contains(&f.as_str())).min() {
+        return Err(format!("unknown flag --{unknown} for `ecg {command}`"));
     }
+    handler(&flags)
 }
 
 /// Parses `--key value` pairs into a map.
@@ -169,6 +268,15 @@ fn theta(flags: &HashMap<String, String>) -> Result<f64, String> {
     }
 }
 
+/// The group count from `--groups` (default `default`): positive, the
+/// invariant `KmeansConfig::new` asserts.
+fn groups(flags: &HashMap<String, String>, default: usize) -> Result<usize, String> {
+    match get_parsed(flags, "groups", default)? {
+        0 => Err("--groups must be positive".into()),
+        k => Ok(k),
+    }
+}
+
 fn require<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, String> {
     flags
         .get(name)
@@ -213,14 +321,14 @@ fn load_network(path: &str) -> Result<EdgeNetwork, String> {
 fn form(flags: &HashMap<String, String>) -> Result<(), String> {
     let theta = theta(flags)?;
     let network = load_network(require(flags, "network")?)?;
-    let k: usize = get_parsed(flags, "groups", network.cache_count() / 10)?;
+    let k = groups(flags, (network.cache_count() / 10).max(1))?;
     let seed: u64 = get_parsed(flags, "seed", 1)?;
     let landmarks: usize = get_parsed(flags, "landmarks", 25)?;
     let plset: usize = get_parsed(flags, "plset-multiplier", 4)?;
 
     let mut scheme = match flags.get("scheme").map(String::as_str).unwrap_or("sdsl") {
-        "sl" => SchemeConfig::sl(k.max(1)),
-        "sdsl" => SchemeConfig::sdsl(k.max(1), theta),
+        "sl" => SchemeConfig::sl(k),
+        "sdsl" => SchemeConfig::sdsl(k, theta),
         other => return Err(format!("--scheme must be sl or sdsl, got {other:?}")),
     }
     .landmarks(landmarks)
@@ -262,7 +370,7 @@ fn form(flags: &HashMap<String, String>) -> Result<(), String> {
 /// matrix file, O(n) state, derived-seed parallel kernels throughout.
 fn scale_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let caches: usize = get_parsed(flags, "caches", 10_000)?;
-    let k: usize = get_parsed(flags, "groups", (caches / 100).max(2))?;
+    let k = groups(flags, (caches / 100).max(2))?;
     let theta = theta(flags)?;
     let seed: u64 = get_parsed(flags, "seed", 1)?;
     let landmarks: usize = get_parsed(flags, "landmarks", 8)?;
@@ -276,8 +384,8 @@ fn scale_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     let mut scheme = match flags.get("scheme").map(String::as_str).unwrap_or("sdsl") {
-        "sl" => SchemeConfig::sl(k.max(1)),
-        "sdsl" => SchemeConfig::sdsl(k.max(1), theta),
+        "sl" => SchemeConfig::sl(k),
+        "sdsl" => SchemeConfig::sdsl(k, theta),
         other => return Err(format!("--scheme must be sl or sdsl, got {other:?}")),
     }
     .landmarks(landmarks)
@@ -622,7 +730,7 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `--threads` / `ECG_THREADS` setting.
 fn lifecycle_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let caches: usize = get_parsed(flags, "caches", 60)?;
-    let groups: usize = get_parsed(flags, "groups", (caches / 8).max(2))?;
+    let groups = groups(flags, (caches / 8).max(2))?;
     let landmarks: usize = get_parsed(flags, "landmarks", 8)?;
     let duration_secs: f64 = get_parsed(flags, "duration-secs", 120.0)?;
     let step_secs: f64 = get_parsed(flags, "step-secs", 10.0)?;
@@ -849,6 +957,27 @@ mod tests {
         scale.insert("caches".into(), "50".into());
         assert!(scale_cmd(&scale).unwrap_err().contains("--theta"));
         assert!(form(&flags("-1")).unwrap_err().contains("--theta"));
+    }
+
+    #[test]
+    fn unknown_flags_and_zero_groups_are_errors() {
+        // A misspelt flag used to be ignored (`--group 50` formed the
+        // default K); `--groups 0` formed one group or panicked.
+        let to_args =
+            |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
+        let err = run(&to_args(&["scale", "--caches", "2000", "--bogus", "3"])).unwrap_err();
+        assert_eq!(err, "unknown flag --bogus for `ecg scale`");
+        let err = run(&to_args(&["replay", "--zeta", "1", "--alpha", "2"])).unwrap_err();
+        assert_eq!(err, "unknown flag --alpha for `ecg replay`");
+        // A flag another subcommand reads is still unknown here.
+        assert!(run(&to_args(&["stats", "--seed", "1"])).is_err());
+        for command in ["scale", "lifecycle"] {
+            let err = run(&to_args(&[command, "--groups", "0"])).unwrap_err();
+            assert_eq!(err, "--groups must be positive", "{command}");
+        }
+        let zero = parse_flags(&["--groups".to_string(), "0".to_string()]).unwrap();
+        assert_eq!(groups(&zero, 5).unwrap_err(), "--groups must be positive");
+        assert_eq!(groups(&HashMap::new(), 5), Ok(5));
     }
 
     #[test]
