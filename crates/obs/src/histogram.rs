@@ -33,10 +33,13 @@ pub struct Histogram {
     /// Bin counts; the last entry is the overflow bin.
     bins: Vec<u64>,
     count: u64,
-    /// Cached parameters: lower bound and per-bin growth factor (as
-    /// integers-in-disguise they stay `Eq`-friendly via bit patterns).
+    /// Cached parameters: lower bound, per-bin growth factor, and the
+    /// growth factor's natural log — `record`'s divisor, taken once here
+    /// instead of once per sample (as integers-in-disguise they stay
+    /// `Eq`-friendly via bit patterns).
     min_bits: u64,
     growth_bits: u64,
+    ln_growth_bits: u64,
 }
 
 impl Default for Histogram {
@@ -65,6 +68,7 @@ impl Histogram {
             count: 0,
             min_bits: min.to_bits(),
             growth_bits: growth.to_bits(),
+            ln_growth_bits: growth.ln().to_bits(),
         }
     }
 
@@ -105,7 +109,7 @@ impl Histogram {
         if value < self.min() {
             return 0;
         }
-        let idx = (value / self.min()).ln() / self.growth().ln();
+        let idx = (value / self.min()).ln() / f64::from_bits(self.ln_growth_bits);
         (idx as usize).min(self.bins.len() - 1)
     }
 
@@ -247,6 +251,46 @@ mod tests {
         let mut h = Histogram::new(1.0, 16.0, 4);
         h.record(16.0);
         assert!(h.percentile(1.0).unwrap() >= 16.0);
+    }
+
+    #[test]
+    fn cached_log_divisor_bins_exactly_like_the_per_sample_one() {
+        // The expression `bin_index` evaluated before the divisor was
+        // cached, on a histogram's own parameters.
+        fn uncached(h: &Histogram, value: f64) -> usize {
+            if value < h.min() {
+                return 0;
+            }
+            let idx = (value / h.min()).ln() / h.growth().ln();
+            (idx as usize).min(h.bins.len() - 1)
+        }
+        let step =
+            |v: f64, up: bool| f64::from_bits(if up { v.to_bits() + 1 } else { v.to_bits() - 1 });
+        for h in [
+            Histogram::default(),
+            Histogram::new(1.0, 16.0, 4),
+            Histogram::new(0.1, 10_000.0, 400),
+        ] {
+            let mut probes = vec![0.0, h.min() / 2.0, step(h.min(), false), 1e9, f64::MAX];
+            // Every bin edge (the last one is the overflow threshold)
+            // and its neighbours one ulp either side.
+            for idx in 0..=h.bins.len() {
+                let edge = h.bin_lower(idx);
+                probes.extend([step(edge, false), edge, step(edge, true)]);
+            }
+            // A dense geometric sweep across and beyond the range.
+            let sweep = 100_000;
+            let ratio =
+                (h.bin_lower(h.bins.len()) * 4.0 / (h.min() / 4.0)).powf(1.0 / sweep as f64);
+            let mut v = h.min() / 4.0;
+            for _ in 0..sweep {
+                probes.push(v);
+                v *= ratio;
+            }
+            for v in probes {
+                assert_eq!(h.bin_index(v), uncached(&h, v), "value {v:e}");
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,25 @@
 //! `origin_updates` is taken from shard 0 rather than summed: every
 //! shard applies the full update log, so all shards agree on it.
 //!
+//! ## What a shard builds, and what it costs
+//!
+//! The paper sweeps the *number* of groups, so replay throughput must
+//! not depend on how finely formation partitions the network: a shard
+//! of `g` members pays for its group, its events and the catalog, never
+//! for the `N` caches around it.
+//!
+//! | a shard builds | from | cost |
+//! |---|---|---|
+//! | its `(g + 1)²` sub-topology | one batched [`RttSource::submatrix`] query over `[origin, members…]` | `O(g²)` arithmetic or copies, no per-pair call |
+//! | its fault script | nothing — the plan stage routed every fault event to its group in one pass | `O(1)` |
+//! | its sub-trace | its members' streams drained into one buffer and stable-sorted (streamed), or its pre-split run merged with the update log (materialized) | `O(events · log g)` / `O(events)` |
+//! | its simulator state | the unmodified simulator: holder index and origin over the catalog, one cache per member | `O(docs + g)`, then `O(events)` |
+//!
+//! Everything that reads the whole network happens once, in the plan
+//! stage: input validation, the global-to-local id map (skipped by the
+//! streamed path when there are no fault events to route), the request
+//! split and the fault split.
+//!
 //! # Examples
 //!
 //! ```
@@ -224,44 +243,22 @@ pub fn replay_sharded_observed(
 ) -> Result<ReplayReport, SimError> {
     let t0 = Instant::now();
     let n = network.cache_count();
-    shard::validate(n, groups, catalog, trace, config.fault_schedule())?;
-    let plan = shard::RequestPartition::build(groups, trace);
+    let schedule = config.fault_schedule();
+    shard::validate(n, groups, catalog, trace, schedule)?;
+    let local_of = shard::local_ids(groups);
+    let plan = shard::RequestPartition::build(groups, &local_of, trace);
+    let schedules = shard::member_schedules(schedule, groups, &local_of);
     let plan_ms = ms_since(t0);
 
-    let t1 = Instant::now();
-    let shard_results: Vec<(SimReport, u64)> =
-        ecg_par::par_map((0..groups.group_count()).collect(), |g| {
-            let members = &groups.groups()[g];
-            let sub_network = shard::member_network(network, members);
-            let sub_schedule = shard::member_schedule(config.fault_schedule(), groups, g);
-            let sub_trace = plan.subtrace(g);
-            let report = ecg_sim::simulate_with_faults(
-                &sub_network,
-                &GroupMap::one_group(members.len()),
-                catalog,
-                &sub_trace,
-                *config.sim_config(),
-                &sub_schedule,
-            )
-            .expect("shard inputs were validated up front");
-            (report, sub_trace.len() as u64)
-        });
-    let shards_ms = ms_since(t1);
-
-    let t2 = Instant::now();
-    let (report, shard_events) = merge_reports(n, groups, config.fault_schedule(), shard_results);
-    let merge_ms = ms_since(t2);
-
-    let out = ReplayReport {
-        report,
-        timings: ReplayTimings {
-            plan_ms,
-            shards_ms,
-            merge_ms,
-        },
-        shards: groups.group_count(),
-        shard_events,
-    };
+    let out = run_shards(
+        network.rtt_matrix(),
+        groups,
+        catalog,
+        config,
+        &schedules,
+        plan_ms,
+        |g| plan.subtrace(g),
+    );
     record_obs(obs, &out, n, trace.len() as u64);
     Ok(out)
 }
@@ -269,10 +266,10 @@ pub fn replay_sharded_observed(
 /// Replays a *streamed* workload sharded per group: no global trace is
 /// ever materialized. Each shard regenerates its members' request
 /// streams from the workload's master seed
-/// ([`ecg_workload::RequestConfig::stream_cache`]), k-way-merges them
-/// with the shared update log, and simulates over its members'
-/// sub-topology read straight from the [`RttSource`] oracle (node 0 is
-/// the origin, node `i + 1` is cache `i`).
+/// ([`ecg_workload::RequestConfig::stream_cache`]), orders them and
+/// interleaves the shared update log, and simulates over its members'
+/// sub-topology, one [`RttSource::submatrix`] query to the oracle (node
+/// 0 is the origin, node `i + 1` is cache `i`).
 ///
 /// The merged report is bit-identical to running the monolithic
 /// simulator over [`StreamedWorkload::materialize_trace`] and the
@@ -281,9 +278,10 @@ pub fn replay_sharded_observed(
 ///
 /// # Errors
 ///
-/// [`SimError`] on group/oracle size mismatch, an update referencing an
-/// unknown document or carrying a negative or non-finite time, or an
-/// invalid fault schedule.
+/// [`SimError`] on group/oracle size mismatch, an invalid fault
+/// schedule, an empty catalog ([`SimError::EmptyCatalog`] — there is
+/// nothing to generate requests for), or an update referencing an
+/// unknown document or carrying a negative or non-finite time.
 pub fn replay_streamed(
     rtt: &dyn RttSource,
     groups: &GroupMap,
@@ -311,26 +309,57 @@ pub fn replay_streamed_observed(
 ) -> Result<ReplayReport, SimError> {
     let t0 = Instant::now();
     let n = rtt.node_count().saturating_sub(1);
-    stream::validate(n, groups, catalog, workload, config.fault_schedule())?;
+    let schedule = config.fault_schedule();
+    stream::validate(n, groups, catalog, workload, schedule)?;
     // One shared sampler: it is read-only and identical to the one the
     // eager generator builds, so shards can borrow it concurrently.
     let zipf = ZipfSampler::new(catalog.len(), workload.zipf_exponent());
+    // Nothing else here localizes cache ids, so the N-entry map exists
+    // only when there are fault events to route through it.
+    let local_of = if schedule.is_empty() {
+        Vec::new()
+    } else {
+        shard::local_ids(groups)
+    };
+    let schedules = shard::member_schedules(schedule, groups, &local_of);
     let plan_ms = ms_since(t0);
 
+    let out = run_shards(rtt, groups, catalog, config, &schedules, plan_ms, |g| {
+        stream::member_subtrace(workload, &zipf, &groups.groups()[g])
+    });
+    // The streamed path has no global trace; its "input events" figure
+    // is the replayed request total plus the shared update log.
+    let input_events = report_request_total(&out.report) + workload.update_log().len() as u64;
+    record_obs(obs, &out, n, input_events);
+    Ok(out)
+}
+
+/// The shards and merge stages both replay paths share: one work item
+/// per group on the [`ecg_par`] pool — the group's sub-topology, its
+/// planned fault script and the sub-trace `subtrace(g)` builds, through
+/// the unmodified simulator — then the group-order fold.
+fn run_shards(
+    rtt: &dyn RttSource,
+    groups: &GroupMap,
+    catalog: &DocumentCatalog,
+    config: &ReplayConfig,
+    schedules: &[FaultSchedule],
+    plan_ms: f64,
+    subtrace: impl Fn(usize) -> Vec<TraceEvent> + Sync,
+) -> ReplayReport {
     let t1 = Instant::now();
     let shard_results: Vec<(SimReport, u64)> =
         ecg_par::par_map((0..groups.group_count()).collect(), |g| {
             let members = &groups.groups()[g];
-            let sub_network = stream::member_network(rtt, members);
-            let sub_schedule = shard::member_schedule(config.fault_schedule(), groups, g);
-            let sub_trace = stream::member_subtrace(workload, &zipf, members);
+            let sub_network = shard::member_network(rtt, members);
+            let sub_trace = subtrace(g);
             let report = ecg_sim::simulate_with_faults(
                 &sub_network,
                 &GroupMap::one_group(members.len()),
                 catalog,
                 &sub_trace,
                 *config.sim_config(),
-                &sub_schedule,
+                &schedules[g],
             )
             .expect("shard inputs were validated up front");
             (report, sub_trace.len() as u64)
@@ -338,10 +367,10 @@ pub fn replay_streamed_observed(
     let shards_ms = ms_since(t1);
 
     let t2 = Instant::now();
-    let (report, shard_events) = merge_reports(n, groups, config.fault_schedule(), shard_results);
+    let (report, shard_events) = merge_reports(groups, config.fault_schedule(), shard_results);
     let merge_ms = ms_since(t2);
 
-    let out = ReplayReport {
+    ReplayReport {
         report,
         timings: ReplayTimings {
             plan_ms,
@@ -350,23 +379,17 @@ pub fn replay_streamed_observed(
         },
         shards: groups.group_count(),
         shard_events,
-    };
-    // The streamed path has no global trace; its "input events" figure
-    // is the replayed request total plus the shared update log.
-    let input_events = report_request_total(&out.report) + workload.update_log().len() as u64;
-    record_obs(obs, &out, n, input_events);
-    Ok(out)
+    }
 }
 
 /// Folds per-shard reports into the merged network-wide report, in
 /// group order (the order every f64 chain was validated against).
 fn merge_reports(
-    cache_count: usize,
     groups: &GroupMap,
     schedule: &FaultSchedule,
     shard_results: Vec<(SimReport, u64)>,
 ) -> (SimReport, u64) {
-    let mut metrics = MetricsRecorder::new(cache_count);
+    let mut metrics = MetricsRecorder::new(groups.cache_count());
     metrics.degradation = DegradationMetrics::new(schedule.timeline_bucket());
     let mut cache_stats = CacheStats::default();
     let mut origin_fetches = 0u64;
@@ -577,6 +600,30 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    #[test]
+    fn streamed_replay_over_an_empty_catalog_is_an_error_not_a_panic() {
+        let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
+        let groups = two_groups();
+        let empty = DocumentCatalog::from_documents(vec![]);
+        let workload = StreamedWorkload::new(RequestConfig::default(), 5, 2_000.0);
+        let config = ReplayConfig::new();
+        let plain = replay_streamed(network.rtt_matrix(), &groups, &empty, &workload, &config);
+        assert_eq!(plain.unwrap_err(), SimError::EmptyCatalog);
+        let mut obs = Obs::new();
+        let observed = replay_streamed_observed(
+            network.rtt_matrix(),
+            &groups,
+            &empty,
+            &workload,
+            &config,
+            Some(&mut obs),
+        );
+        assert_eq!(observed.unwrap_err(), SimError::EmptyCatalog);
+        // Rejected in the plan stage: nothing was replayed or recorded.
+        assert_eq!(obs.metrics.counter("replay.shards"), 0);
+        assert!(SimError::EmptyCatalog.to_string().contains("catalog"));
     }
 
     #[test]

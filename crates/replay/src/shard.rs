@@ -1,4 +1,4 @@
-//! Shard planning for materialized traces.
+//! Shard planning: what both replay paths split once, up front.
 //!
 //! A shard is the restriction of the global replay to one group: its
 //! members' requests (re-indexed to local ids), **all** origin updates,
@@ -7,10 +7,13 @@
 //! order-preserving — each shard's event sequence is a subsequence of
 //! the global one, which together with the simulator's FIFO tie-break
 //! at equal instants is what makes the merged report bit-identical.
+//!
+//! Whatever reads the whole network (id map, trace and fault-schedule
+//! passes) runs here once per replay; a shard touches only its group.
 
 use ecg_sim::fault::FaultKind;
 use ecg_sim::{FaultSchedule, GroupMap, SimError, SimTime};
-use ecg_topology::{CacheId, EdgeNetwork};
+use ecg_topology::{CacheId, EdgeNetwork, RttSource};
 use ecg_workload::{DocumentCatalog, Request, TraceEvent, Update};
 
 /// Mirrors the monolithic simulator's input validation — references
@@ -51,6 +54,18 @@ pub(crate) fn validate(
     Ok(())
 }
 
+/// Global cache id → position within its group's member list: the one
+/// map the request split and the fault split both localize through.
+pub(crate) fn local_ids(groups: &GroupMap) -> Vec<usize> {
+    let mut local_of = vec![0usize; groups.cache_count()];
+    for members in groups.groups() {
+        for (local, &m) in members.iter().enumerate() {
+            local_of[m.index()] = local;
+        }
+    }
+    local_of
+}
+
 /// The global trace split once, up front: per-group request runs plus
 /// the shared update log, each entry tagged with its original trace
 /// position so a shard's sub-trace can be rebuilt as an exact
@@ -65,15 +80,8 @@ pub(crate) struct RequestPartition {
 
 impl RequestPartition {
     /// One pass over the trace: `O(len(trace))` plus one localized
-    /// request copy per event.
-    pub(crate) fn build(groups: &GroupMap, trace: &[TraceEvent]) -> Self {
-        // global cache id -> position within its group's member list.
-        let mut local_of = vec![0usize; groups.cache_count()];
-        for members in groups.groups() {
-            for (local, &m) in members.iter().enumerate() {
-                local_of[m.index()] = local;
-            }
-        }
+    /// request copy per event. `local_of` is [`local_ids`] of `groups`.
+    pub(crate) fn build(groups: &GroupMap, local_of: &[usize], trace: &[TraceEvent]) -> Self {
         let mut per_group: Vec<Vec<(usize, Request)>> =
             (0..groups.group_count()).map(|_| Vec::new()).collect();
         let mut updates = Vec::new();
@@ -119,67 +127,63 @@ impl RequestPartition {
     }
 }
 
-/// The shard's edge network: the RTT sub-matrix over
-/// `[origin, members…]`, in member-list order so local cache `i` is
-/// `members[i]` and equal-RTT peer ties resolve as in the full network.
-pub(crate) fn member_network(network: &EdgeNetwork, members: &[CacheId]) -> EdgeNetwork {
-    let mut indices = Vec::with_capacity(members.len() + 1);
-    indices.push(0); // origin row/column of the [origin, caches…] matrix
-    indices.extend(members.iter().map(|m| m.index() + 1));
-    EdgeNetwork::from_rtt_matrix(network.rtt_matrix().submatrix(&indices))
+/// The shard's edge network: one batched [`RttSource::submatrix`] query
+/// over `[origin, members…]` (node 0 is the origin, node `i + 1` cache
+/// `i`), in member-list order so local cache `i` is `members[i]` and
+/// equal-RTT peer ties resolve as in the full network.
+pub(crate) fn member_network(rtt: &dyn RttSource, members: &[CacheId]) -> EdgeNetwork {
+    let mut nodes = Vec::with_capacity(members.len() + 1);
+    nodes.push(0);
+    nodes.extend(members.iter().map(|m| m.index() + 1));
+    EdgeNetwork::from_rtt_matrix(rtt.submatrix(&nodes))
 }
 
-/// The shard's fault script: group `g`'s member events re-indexed to
-/// local ids, plus every brownout window (the origin is shared), in the
+/// Every group's fault script from one pass over the global schedule:
+/// a cache event goes to its cache's group re-indexed to the local id,
+/// a brownout event to every group (the origin is shared), all in the
 /// original push order. Failover penalty and timeline bucket carry over
-/// so degradation metrics bucket identically.
-pub(crate) fn member_schedule(
+/// so degradation metrics bucket identically, events or no events.
+///
+/// `local_of` is [`local_ids`] of `groups`, read only for cache events:
+/// a caller with an empty schedule need not build it.
+pub(crate) fn member_schedules(
     schedule: &FaultSchedule,
     groups: &GroupMap,
-    g: usize,
-) -> FaultSchedule {
-    let mut local_of = vec![usize::MAX; groups.cache_count()];
-    for (local, &m) in groups.groups()[g].iter().enumerate() {
-        local_of[m.index()] = local;
-    }
-    let mut sub = FaultSchedule::new()
+    local_of: &[usize],
+) -> Vec<FaultSchedule> {
+    let empty = FaultSchedule::new()
         .failover_penalty_ms(schedule.failover_penalty())
         .timeline_bucket_ms(schedule.timeline_bucket());
+    let mut subs = vec![empty; groups.group_count()];
     for event in schedule.events() {
-        match event.kind {
+        let mut kind = event.kind;
+        match &mut kind {
             FaultKind::CacheDown { cache }
             | FaultKind::CacheUp { cache }
             | FaultKind::CacheRetire { cache } => {
-                let local = local_of[cache.index()];
-                if local == usize::MAX {
-                    continue;
-                }
-                let kind = match event.kind {
-                    FaultKind::CacheDown { .. } => FaultKind::CacheDown {
-                        cache: CacheId(local),
-                    },
-                    FaultKind::CacheUp { .. } => FaultKind::CacheUp {
-                        cache: CacheId(local),
-                    },
-                    _ => FaultKind::CacheRetire {
-                        cache: CacheId(local),
-                    },
-                };
-                sub.push(event.time_ms, kind);
+                let group = groups.group_of(*cache);
+                *cache = CacheId(local_of[cache.index()]);
+                subs[group].push(event.time_ms, kind);
             }
             FaultKind::BrownoutStart { .. } | FaultKind::BrownoutEnd => {
-                sub.push(event.time_ms, event.kind);
+                for sub in &mut subs {
+                    sub.push(event.time_ms, kind);
+                }
             }
         }
     }
-    sub
+    subs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ecg_topology::fixtures::paper_figure1;
+    use ecg_topology::{RttMatrix, SyntheticRttConfig};
     use ecg_workload::DocId;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn groups() -> GroupMap {
         GroupMap::new(
@@ -204,6 +208,48 @@ mod tests {
         })
     }
 
+    /// The per-shard filter the plan-stage partition replaced, kept as
+    /// its oracle: group `g`'s member events re-indexed to local ids
+    /// through an N-entry map of its own, plus every brownout window, in
+    /// push order.
+    fn member_schedule(schedule: &FaultSchedule, groups: &GroupMap, g: usize) -> FaultSchedule {
+        let mut local_of = vec![usize::MAX; groups.cache_count()];
+        for (local, &m) in groups.groups()[g].iter().enumerate() {
+            local_of[m.index()] = local;
+        }
+        let mut sub = FaultSchedule::new()
+            .failover_penalty_ms(schedule.failover_penalty())
+            .timeline_bucket_ms(schedule.timeline_bucket());
+        for event in schedule.events() {
+            match event.kind {
+                FaultKind::CacheDown { cache }
+                | FaultKind::CacheUp { cache }
+                | FaultKind::CacheRetire { cache } => {
+                    let local = local_of[cache.index()];
+                    if local == usize::MAX {
+                        continue;
+                    }
+                    let kind = match event.kind {
+                        FaultKind::CacheDown { .. } => FaultKind::CacheDown {
+                            cache: CacheId(local),
+                        },
+                        FaultKind::CacheUp { .. } => FaultKind::CacheUp {
+                            cache: CacheId(local),
+                        },
+                        _ => FaultKind::CacheRetire {
+                            cache: CacheId(local),
+                        },
+                    };
+                    sub.push(event.time_ms, kind);
+                }
+                FaultKind::BrownoutStart { .. } | FaultKind::BrownoutEnd => {
+                    sub.push(event.time_ms, event.kind);
+                }
+            }
+        }
+        sub
+    }
+
     #[test]
     fn partition_localizes_and_preserves_order() {
         let trace = vec![
@@ -214,7 +260,8 @@ mod tests {
             upd(4.0, 6),
             req(5.0, 3, 3), // group 1, local id 1
         ];
-        let plan = RequestPartition::build(&groups(), &trace);
+        let groups = groups();
+        let plan = RequestPartition::build(&groups, &local_ids(&groups), &trace);
         assert_eq!(
             plan.subtrace(0),
             vec![upd(2.0, 5), req(2.0, 0, 1), req(3.0, 1, 2), upd(4.0, 6)]
@@ -229,7 +276,7 @@ mod tests {
     fn member_network_reads_origin_and_member_rows() {
         let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
         let members = [CacheId(2), CacheId(0)];
-        let sub = member_network(&network, &members);
+        let sub = member_network(network.rtt_matrix(), &members);
         assert_eq!(sub.cache_count(), 2);
         assert_eq!(
             sub.cache_to_origin(CacheId(0)),
@@ -246,7 +293,20 @@ mod tests {
     }
 
     #[test]
-    fn member_schedule_keeps_members_and_brownouts() {
+    fn member_network_is_the_same_over_an_oracle_and_its_materialization() {
+        let rtt = SyntheticRttConfig::default().generate(9, 5);
+        let full = RttMatrix::from_fn(9, |a, b| rtt.rtt_ms(a, b));
+        let members = [CacheId(5), CacheId(0), CacheId(7)];
+        let via_oracle = member_network(&rtt, &members);
+        assert_eq!(via_oracle, member_network(&full, &members));
+        assert_eq!(
+            via_oracle,
+            EdgeNetwork::from_rtt_matrix(full.submatrix(&[0, 6, 1, 8]))
+        );
+    }
+
+    #[test]
+    fn member_schedules_keep_members_and_brownouts() {
         let mut schedule = FaultSchedule::new()
             .failover_penalty_ms(7.0)
             .timeline_bucket_ms(2_000.0);
@@ -256,7 +316,10 @@ mod tests {
         schedule.push(4.0, FaultKind::CacheUp { cache: CacheId(0) });
         schedule.push(5.0, FaultKind::BrownoutEnd);
         schedule.push(6.0, FaultKind::CacheRetire { cache: CacheId(3) });
-        let sub = member_schedule(&schedule, &groups(), 0);
+        let groups = groups();
+        let subs = member_schedules(&schedule, &groups, &local_ids(&groups));
+        assert_eq!(subs.len(), 2);
+        let sub = &subs[0];
         assert_eq!(sub.failover_penalty(), 7.0);
         assert_eq!(sub.timeline_bucket(), 2_000.0);
         // Member order is [2, 0], so global cache 0 is local 1; the
@@ -271,5 +334,74 @@ mod tests {
                 FaultKind::BrownoutEnd,
             ]
         );
+    }
+
+    #[test]
+    fn an_empty_schedule_partitions_without_the_id_map_and_keeps_its_knobs() {
+        let schedule = FaultSchedule::new()
+            .failover_penalty_ms(9.0)
+            .timeline_bucket_ms(750.0);
+        let groups = groups();
+        let subs = member_schedules(&schedule, &groups, &[]);
+        assert_eq!(subs.len(), groups.group_count());
+        for (g, sub) in subs.iter().enumerate() {
+            assert_eq!(sub, &member_schedule(&schedule, &groups, g));
+            assert!(sub.is_empty());
+            assert_eq!(sub.failover_penalty(), 9.0);
+            assert_eq!(sub.timeline_bucket(), 750.0);
+        }
+    }
+
+    /// A random partition of `caches` caches into non-empty groups whose
+    /// member lists are in arbitrary (non-ascending) order.
+    fn random_group_map(caches: usize, rng: &mut StdRng) -> GroupMap {
+        let mut ids: Vec<CacheId> = (0..caches).map(CacheId).collect();
+        for i in (1..caches).rev() {
+            ids.swap(i, rng.gen_range(0..=i));
+        }
+        let mut groups: Vec<Vec<CacheId>> = Vec::new();
+        while !ids.is_empty() {
+            let take = rng.gen_range(1..=ids.len().min(6));
+            groups.push(ids.split_off(ids.len() - take));
+        }
+        GroupMap::new(caches, groups).expect("valid partition")
+    }
+
+    proptest! {
+        #[test]
+        fn member_schedules_equal_the_per_shard_filter(
+            seed in any::<u64>(),
+            caches in 1usize..40,
+            events in 0usize..60,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let groups = random_group_map(caches, &mut rng);
+            let mut schedule = FaultSchedule::new()
+                .failover_penalty_ms(rng.gen_range(0.0..20.0))
+                .timeline_bucket_ms(rng.gen_range(1.0..9_000.0));
+            for _ in 0..events {
+                // A coarse clock makes equal instants (and outright
+                // duplicate events) common; the partition is a pure
+                // routing of events, so it need not be a valid script.
+                let time_ms = f64::from(rng.gen_range(0u32..8)) * 500.0;
+                let cache = CacheId(rng.gen_range(0..caches));
+                let kind = match rng.gen_range(0..5) {
+                    0 => FaultKind::CacheDown { cache },
+                    1 => FaultKind::CacheUp { cache },
+                    2 => FaultKind::CacheRetire { cache },
+                    3 => FaultKind::BrownoutStart { factor: 2.0 },
+                    _ => FaultKind::BrownoutEnd,
+                };
+                schedule.push(time_ms, kind);
+                if rng.gen_bool(0.2) {
+                    schedule.push(time_ms, kind);
+                }
+            }
+            let subs = member_schedules(&schedule, &groups, &local_ids(&groups));
+            prop_assert_eq!(subs.len(), groups.group_count());
+            for (g, sub) in subs.iter().enumerate() {
+                prop_assert_eq!(sub, &member_schedule(&schedule, &groups, g));
+            }
+        }
     }
 }

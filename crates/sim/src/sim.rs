@@ -252,6 +252,10 @@ pub enum SimError {
     },
     /// The fault schedule failed validation.
     Fault(FaultError),
+    /// A workload that generates its requests from the document catalog
+    /// (a streamed replay) was given a catalog with no documents, so
+    /// there is nothing to request.
+    EmptyCatalog,
 }
 
 impl fmt::Display for SimError {
@@ -272,6 +276,12 @@ impl fmt::Display for SimError {
                 "trace event {index} has a time that is not a finite non-negative ms value"
             ),
             SimError::Fault(e) => write!(f, "invalid fault schedule: {e}"),
+            SimError::EmptyCatalog => {
+                write!(
+                    f,
+                    "generated workload needs a catalog with at least one document"
+                )
+            }
         }
     }
 }

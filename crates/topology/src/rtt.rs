@@ -30,6 +30,28 @@ pub trait RttSource: fmt::Debug + Sync {
     ///
     /// Panics if an index is out of range.
     fn rtt_ms(&self, a: usize, b: usize) -> f64;
+
+    /// The dense sub-matrix over `nodes`, in the given order: entry
+    /// `(a, b)` is `rtt_ms(nodes[a], nodes[b])`, the diagonal is zero.
+    /// This is the batched form of the pairwise query — one call builds a
+    /// replay shard's whole `[origin, members…]` topology.
+    ///
+    /// The default asks `rtt_ms` once per unordered pair. An
+    /// implementation may override it to fill the block faster, but is
+    /// obliged to return **bit-identical** entries (`to_bits()`-equal to
+    /// the default's, repeated nodes and `nodes.len() < 2` included) and
+    /// to keep every check `rtt_ms` makes: consumers rely on the two
+    /// forms being interchangeable, and the sharded replay's equivalence
+    /// to the monolithic simulator rests on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node is out of range, as `rtt_ms` does (the default
+    /// meets a node only through a pair, so a lone out-of-range node in
+    /// a one-element list passes it unnoticed).
+    fn submatrix(&self, nodes: &[usize]) -> RttMatrix {
+        RttMatrix::from_fn(nodes.len(), |a, b| self.rtt_ms(nodes[a], nodes[b]))
+    }
 }
 
 impl RttSource for RttMatrix {
@@ -39,6 +61,12 @@ impl RttSource for RttMatrix {
 
     fn rtt_ms(&self, a: usize, b: usize) -> f64 {
         self.get(a, b)
+    }
+
+    fn submatrix(&self, nodes: &[usize]) -> RttMatrix {
+        // The inherent row-gather: stored entries are already symmetric
+        // and validated, so copying them equals re-deriving them.
+        RttMatrix::submatrix(self, nodes)
     }
 }
 
@@ -87,6 +115,35 @@ impl RttMatrix {
             }
         }
         m
+    }
+
+    /// Completes a row-major `n × n` block whose strict upper triangle
+    /// the caller has filled: mirrors it into the lower half, zeroes the
+    /// diagonal, and makes the check [`RttMatrix::set`] makes per entry
+    /// over the whole block at once — so a batched producer need not go
+    /// through `set` pair by pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != n * n` or an upper-triangle entry is
+    /// negative or not finite.
+    pub(crate) fn from_upper_triangle(n: usize, mut data: Vec<f64>) -> Self {
+        assert_eq!(data.len(), n * n, "block is not {n} x {n}");
+        for a in 0..n {
+            data[a * n + a] = 0.0;
+            for b in (a + 1)..n {
+                data[b * n + a] = data[a * n + b];
+            }
+        }
+        // `0 <= v <= MAX` is `set`'s "finite and non-negative" (NaN fails
+        // both comparisons). Counted, not short-circuited: a branch-free
+        // pass vectorizes.
+        let invalid = data
+            .iter()
+            .filter(|v| !(0.0..=f64::MAX).contains(*v))
+            .count();
+        assert!(invalid == 0, "rtt must be finite and non-negative");
+        RttMatrix { n, data }
     }
 
     /// Builds an RTT matrix from per-source *one-way* latency rows, i.e.
@@ -182,8 +239,12 @@ impl RttMatrix {
         out.n = n;
         out.data.clear();
         out.data.reserve(n * n);
+        // Checked before any row is read: an index is also a column.
+        assert!(
+            indices.iter().all(|&i| i < self.n),
+            "rtt index out of range"
+        );
         for &i in indices {
-            assert!(i < self.n, "rtt index out of range");
             let row = &self.data[i * self.n..(i + 1) * self.n];
             out.data.extend(indices.iter().map(|&j| row[j]));
         }
@@ -324,6 +385,21 @@ mod tests {
         assert_eq!(m.get(1, 3), 4.0);
         assert_eq!(m.get(3, 1), 4.0);
         assert_eq!(m.get(2, 2), 0.0);
+    }
+
+    #[test]
+    fn from_upper_triangle_mirrors_and_pins_the_diagonal() {
+        // Lower half and diagonal hold junk the constructor must not keep.
+        let block = vec![9.0, 1.0, 2.0, 9.0, 9.0, 3.0, 9.0, 9.0, 9.0];
+        let m = RttMatrix::from_upper_triangle(3, block);
+        assert_eq!(m, RttMatrix::from_fn(3, |i, j| (i + j) as f64));
+        assert_eq!(RttMatrix::from_upper_triangle(0, Vec::new()).len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn from_upper_triangle_rejects_what_set_rejects() {
+        let _ = RttMatrix::from_upper_triangle(2, vec![0.0, f64::NAN, 0.0, 0.0]);
     }
 
     #[test]

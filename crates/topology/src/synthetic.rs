@@ -12,7 +12,7 @@
 //! short-intra-site / long-inter-site structure the transit-stub
 //! generator produces.
 
-use crate::rtt::RttSource;
+use crate::rtt::{RttMatrix, RttSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -139,6 +139,18 @@ pub struct SyntheticRtt {
     access_ms: Vec<f64>,
 }
 
+/// RTT between two *distinct* nodes from their plane coordinates and
+/// access penalties — the one expression both the pairwise and the
+/// batched query evaluate, so they cannot drift apart.
+#[inline]
+fn pair_rtt(ax: f64, ay: f64, access_a: f64, bx: f64, by: f64, access_b: f64) -> f64 {
+    let one_way = ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt();
+    // The access pair is summed first: f64 addition is commutative
+    // but not associative, and exact rtt(a,b) == rtt(b,a) symmetry
+    // requires the same grouping from both directions.
+    2.0 * one_way + (access_a + access_b)
+}
+
 impl RttSource for SyntheticRtt {
     fn node_count(&self) -> usize {
         self.positions.len()
@@ -154,11 +166,51 @@ impl RttSource for SyntheticRtt {
         }
         let (ax, ay) = self.positions[a];
         let (bx, by) = self.positions[b];
-        let one_way = ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt();
-        // The access pair is summed first: f64 addition is commutative
-        // but not associative, and exact rtt(a,b) == rtt(b,a) symmetry
-        // requires the same grouping from both directions.
-        2.0 * one_way + (self.access_ms[a] + self.access_ms[b])
+        pair_rtt(ax, ay, self.access_ms[a], bx, by, self.access_ms[b])
+    }
+
+    /// Gathers the listed nodes' coordinates and access penalties into
+    /// contiguous buffers once, then fills the upper triangle row by row
+    /// with `pair_rtt` — no per-pair range check, virtual call or
+    /// scattered read, and nothing in the loop body to stop it
+    /// vectorizing. `RttMatrix::from_upper_triangle` validates and
+    /// mirrors it, which is exact because `pair_rtt` is symmetric.
+    fn submatrix(&self, nodes: &[usize]) -> RttMatrix {
+        let n = nodes.len();
+        let mut xs = Vec::with_capacity(n);
+        let mut ys = Vec::with_capacity(n);
+        let mut access = Vec::with_capacity(n);
+        for &node in nodes {
+            assert!(node < self.positions.len(), "rtt index out of range");
+            let (x, y) = self.positions[node];
+            xs.push(x);
+            ys.push(y);
+            access.push(self.access_ms[node]);
+        }
+        let mut data = vec![0.0; n * n];
+        for a in 0..n {
+            let (ax, ay, access_a) = (xs[a], ys[a], access[a]);
+            let later = a + 1..n;
+            let row = &mut data[a * n..(a + 1) * n];
+            for (((out, &bx), &by), &access_b) in row[later.clone()]
+                .iter_mut()
+                .zip(&xs[later.clone()])
+                .zip(&ys[later.clone()])
+                .zip(&access[later])
+            {
+                *out = pair_rtt(ax, ay, access_a, bx, by, access_b);
+            }
+        }
+        // A node listed twice is at distance zero from itself, not two
+        // access links away.
+        for a in 0..n {
+            for b in (a + 1)..n {
+                if nodes[b] == nodes[a] {
+                    data[a * n + b] = 0.0;
+                }
+            }
+        }
+        RttMatrix::from_upper_triangle(n, data)
     }
 }
 

@@ -2,7 +2,8 @@
 
 use ecg_topology::shortest_path::{all_pairs_rtt, dijkstra, multi_source_latencies};
 use ecg_topology::{
-    EdgeNetwork, Graph, NodeId, OriginPlacement, RttMatrix, TransitStubConfig, WaxmanConfig,
+    EdgeNetwork, Graph, NodeId, OriginPlacement, RttMatrix, RttSource, SyntheticRttConfig,
+    TransitStubConfig, WaxmanConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -30,7 +31,108 @@ fn arb_connected_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// An oracle that implements only the two required methods — the shape
+/// of the benchmark's call-counting wrapper — so `submatrix` is the
+/// trait's default.
+#[derive(Debug)]
+struct PairwiseOnly<'a>(&'a dyn RttSource);
+
+impl RttSource for PairwiseOnly<'_> {
+    fn node_count(&self) -> usize {
+        self.0.node_count()
+    }
+
+    fn rtt_ms(&self, a: usize, b: usize) -> f64 {
+        self.0.rtt_ms(a, b)
+    }
+}
+
+/// Node lists the batched query must handle: node 0 first (the replay
+/// shape), repeated nodes, and the degenerate lengths 1 and 2.
+fn arb_node_list(nodes: usize, seed: u64) -> Vec<usize> {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let len = match rng.gen_range(0..4) {
+        0 => 1,
+        1 => 2,
+        _ => rng.gen_range(1..40),
+    };
+    let mut list: Vec<usize> = (0..len).map(|_| rng.gen_range(0..nodes)).collect();
+    if rng.gen_bool(0.5) {
+        list[0] = 0;
+    }
+    if len > 2 && rng.gen_bool(0.5) {
+        list[len - 1] = list[rng.gen_range(0..len - 1)];
+    }
+    list
+}
+
+/// `sub` is bit-for-bit the pairwise matrix over `nodes`, symmetric,
+/// with a zero diagonal.
+fn assert_is_pairwise_block(source: &dyn RttSource, nodes: &[usize], sub: &RttMatrix) {
+    let pairwise = RttMatrix::from_fn(nodes.len(), |a, b| source.rtt_ms(nodes[a], nodes[b]));
+    assert_eq!(sub.len(), nodes.len());
+    for a in 0..nodes.len() {
+        assert_eq!(sub.get(a, a).to_bits(), 0.0f64.to_bits(), "diagonal {a}");
+        for b in 0..nodes.len() {
+            assert_eq!(
+                sub.get(a, b).to_bits(),
+                pairwise.get(a, b).to_bits(),
+                "entry ({a}, {b}) of {nodes:?}"
+            );
+            assert_eq!(sub.get(a, b).to_bits(), sub.get(b, a).to_bits());
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "rtt index out of range")]
+fn synthetic_submatrix_rejects_an_out_of_range_node_like_rtt_ms() {
+    let net = SyntheticRttConfig::default().generate(10, 1);
+    // Length 1: the pairwise default would never evaluate a pair, the
+    // override still range-checks what it gathers.
+    let _ = net.submatrix(&[10]);
+}
+
+#[test]
+#[should_panic(expected = "rtt index out of range")]
+fn matrix_submatrix_rejects_an_out_of_range_node_like_rtt_ms() {
+    let full = RttMatrix::from_fn(4, |a, b| (a + b) as f64);
+    let _ = RttSource::submatrix(&full, &[0, 4]);
+}
+
+#[test]
+#[should_panic(expected = "rtt index out of range")]
+fn default_submatrix_rejects_an_out_of_range_node_like_rtt_ms() {
+    let net = SyntheticRttConfig::default().generate(10, 1);
+    let _ = PairwiseOnly(&net).submatrix(&[0, 10]);
+}
+
 proptest! {
+    #[test]
+    fn submatrix_equals_pairwise_rtt(
+        nodes in 1usize..300,
+        net_seed in any::<u64>(),
+        list_seed in any::<u64>(),
+    ) {
+        let synthetic = SyntheticRttConfig::default().generate(nodes, net_seed);
+        let list = arb_node_list(nodes, list_seed);
+        // The override, bit-equal to the pairwise definition.
+        let batched = synthetic.submatrix(&list);
+        assert_is_pairwise_block(&synthetic, &list, &batched);
+        // A wrapper with only the required methods gets the default and
+        // the same matrix.
+        prop_assert_eq!(&PairwiseOnly(&synthetic).submatrix(&list), &batched);
+
+        // A materialized matrix answers through its row gather.
+        let dense_nodes = nodes.min(40);
+        let dense = RttMatrix::from_fn(dense_nodes, |a, b| synthetic.rtt_ms(a, b));
+        let list = arb_node_list(dense_nodes, list_seed);
+        let gathered = RttSource::submatrix(&dense, &list);
+        assert_is_pairwise_block(&dense, &list, &gathered);
+        prop_assert_eq!(&PairwiseOnly(&dense).submatrix(&list), &gathered);
+    }
+
     #[test]
     fn dijkstra_distances_are_metric(g in arb_connected_graph()) {
         let n = g.node_count();

@@ -569,6 +569,37 @@ mod tests {
     }
 
     #[test]
+    fn generate_with_master_output_is_pinned() {
+        // Recorded with the binary-search Zipf sampler: the guide table
+        // (and anything else under the generator) must not move a bit.
+        let cat = catalog(1_500, 0);
+        let cfg = RequestConfig::default()
+            .rate_per_sec_per_cache(4.0)
+            .modulation(RateModulation::FlashCrowd {
+                start_ms: 2_000.0,
+                end_ms: 6_000.0,
+                multiplier: 5.0,
+            });
+        let reqs = cfg.generate_with_master(&cat, 12, 15_000.0, 0xBEEF_CAFE);
+        let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+        for r in &reqs {
+            for word in [r.time_ms.to_bits(), r.cache as u64, r.doc.index() as u64] {
+                fnv = (fnv ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(reqs.len(), 1_465);
+        assert_eq!(fnv, 0x3d44_90f9_bc5a_fd2a);
+        assert_eq!(
+            reqs[0],
+            Request {
+                time_ms: 89.757_037_467_802_42,
+                cache: 8,
+                doc: DocId(130),
+            }
+        );
+    }
+
+    #[test]
     fn stream_cache_is_resumable_and_fused() {
         let cat = catalog(40, 0);
         let cfg = RequestConfig::default().rate_per_sec_per_cache(6.0);

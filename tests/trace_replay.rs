@@ -124,11 +124,16 @@ fn sharded_replay_matches_monolithic_under_faults_and_freshness() {
         let monolithic =
             simulate_with_faults(&network, &groups, &catalog, &trace, sim, &schedule).expect("sim");
         let config = ReplayConfig::default().sim(sim).schedule(schedule.clone());
-        let sharded = replay_sharded(&network, &groups, &catalog, &trace, &config).expect("replay");
-        assert_eq!(
-            sharded, monolithic,
-            "sharded replay diverged under faults ({freshness:?})"
-        );
+        for threads in [1usize, 2, 8] {
+            edge_cache_groups::par::set_max_threads(Some(threads));
+            let sharded =
+                replay_sharded(&network, &groups, &catalog, &trace, &config).expect("replay");
+            edge_cache_groups::par::set_max_threads(None);
+            assert_eq!(
+                sharded, monolithic,
+                "sharded replay diverged under faults ({freshness:?}, {threads} threads)"
+            );
+        }
     }
 }
 
@@ -137,10 +142,12 @@ fn streamed_replay_matches_monolithic_on_materialized_inputs() {
     let caches = 40;
     let seed = 5u64;
     let net = SyntheticRttConfig::default().generate(caches + 1, seed);
+    // Ragged groups whose member lists do not ascend: local ids, peer
+    // order and fault routing all go through the member position.
     let groups: Vec<Vec<CacheId>> = (0..caches)
         .collect::<Vec<_>>()
         .chunks(7)
-        .map(|c| c.iter().map(|&i| CacheId(i)).collect())
+        .map(|c| c.iter().rev().map(|&i| CacheId(i)).collect())
         .collect();
     let map = GroupMap::new(caches, groups).expect("groups");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -156,19 +163,37 @@ fn streamed_replay_matches_monolithic_on_materialized_inputs() {
     let sim = SimConfig::default()
         .placement(PlacementKind::adaptive())
         .warmup_ms(1_500.0);
-    let config = ReplayConfig::default().sim(sim);
+    let full =
+        EdgeNetwork::from_rtt_matrix(RttMatrix::from_fn(caches + 1, |a, b| net.rtt_ms(a, b)));
+    let trace = workload.materialize_trace(&catalog, caches);
 
-    let streamed = replay_streamed(&net, &map, &catalog, &workload, &config).expect("replay");
-    let full = RttMatrix::from_fn(caches + 1, |a, b| net.rtt_ms(a, b));
-    let monolithic = simulate(
-        &EdgeNetwork::from_rtt_matrix(full),
-        &map,
-        &catalog,
-        &workload.materialize_trace(&catalog, caches),
-        sim,
-    )
-    .expect("sim");
-    assert_eq!(streamed, monolithic);
+    let mut faulted = FaultSchedule::new()
+        .failover_penalty_ms(6.0)
+        .timeline_bucket_ms(4_000.0);
+    faulted.push(2_000.0, FaultKind::CacheDown { cache: CacheId(9) });
+    faulted.push(2_000.0, FaultKind::CacheDown { cache: CacheId(30) });
+    faulted.push(4_000.0, FaultKind::BrownoutStart { factor: 3.0 });
+    faulted.push(7_000.0, FaultKind::CacheUp { cache: CacheId(9) });
+    faulted.push(8_500.0, FaultKind::BrownoutEnd);
+    faulted.push(10_000.0, FaultKind::CacheRetire { cache: CacheId(39) });
+
+    for schedule in [FaultSchedule::new(), faulted] {
+        let monolithic =
+            simulate_with_faults(&full, &map, &catalog, &trace, sim, &schedule).expect("sim");
+        let config = ReplayConfig::default().sim(sim).schedule(schedule.clone());
+        for threads in [1usize, 2, 8] {
+            edge_cache_groups::par::set_max_threads(Some(threads));
+            let streamed =
+                replay_streamed(&net, &map, &catalog, &workload, &config).expect("replay");
+            edge_cache_groups::par::set_max_threads(None);
+            assert_eq!(
+                streamed,
+                monolithic,
+                "streamed replay diverged ({} fault events, {threads} threads)",
+                schedule.len()
+            );
+        }
+    }
 }
 
 proptest! {
