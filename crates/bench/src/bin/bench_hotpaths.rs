@@ -12,7 +12,13 @@
 //! * `trace_replay/scan_all` vs `trace_replay/holder_index` — the
 //!   simulator's cooperative-miss path probing every peer's cache map
 //!   against the document→holder bitset (identical reports, see
-//!   `ecg_sim::PeerLookup`).
+//!   `ecg_sim::PeerLookup`);
+//! * `sim_order/time_major` vs `sim_order/group_major` — one pass of the
+//!   event loop over the whole map (the reference oracle,
+//!   `ecg_sim::simulate_time_major`) against `simulate`'s group-major
+//!   driver, on a partitioned network large enough that the whole map's
+//!   working set outgrows the cache and one group's does not (identical
+//!   reports).
 //!
 //! Writes the run as machine-readable JSON (per-benchmark stats plus
 //! derived speedups) so regressions can be diffed against the committed
@@ -30,7 +36,8 @@ use criterion::{Criterion, SampleStats, Throughput};
 use ecg_bench::Scenario;
 use ecg_clustering::{kmeans, kmeans_reference, FeatureMatrix, Initializer, KmeansConfig};
 use ecg_core::{GfCoordinator, SchemeConfig};
-use ecg_sim::{simulate, GroupMap, PeerLookup, SimConfig};
+use ecg_sim::{simulate, simulate_time_major, FaultSchedule, GroupMap, PeerLookup, SimConfig};
+use ecg_topology::CacheId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,6 +48,9 @@ struct Sizes {
     formation_caches: usize,
     replay_caches: usize,
     replay_duration_ms: f64,
+    order_caches: usize,
+    order_group_size: usize,
+    order_duration_ms: f64,
     samples: usize,
 }
 
@@ -51,6 +61,9 @@ const FULL: Sizes = Sizes {
     formation_caches: 200,
     replay_caches: 128,
     replay_duration_ms: 60_000.0,
+    order_caches: 500,
+    order_group_size: 20,
+    order_duration_ms: 60_000.0,
     samples: 15,
 };
 
@@ -61,6 +74,9 @@ const QUICK: Sizes = Sizes {
     formation_caches: 60,
     replay_caches: 16,
     replay_duration_ms: 10_000.0,
+    order_caches: 24,
+    order_group_size: 4,
+    order_duration_ms: 10_000.0,
     samples: 3,
 };
 
@@ -183,13 +199,54 @@ fn main() {
         group.finish();
     }
 
+    // Execution order: the paper's shape — many groups of ~20 — time-major
+    // over the whole map against group-major, one group live at a time.
+    {
+        let scenario = Scenario::build(sizes.order_caches, sizes.order_duration_ms, 77);
+        let members: Vec<CacheId> = (0..sizes.order_caches).map(CacheId).collect();
+        let lists = members
+            .chunks(sizes.order_group_size)
+            .map(<[CacheId]>::to_vec);
+        let groups = GroupMap::new(sizes.order_caches, lists.collect()).expect("chunks partition");
+        let config = SimConfig::default();
+        let schedule = FaultSchedule::new();
+        let mut group = c.benchmark_group("sim_order");
+        group
+            .sample_size(sizes.samples)
+            .throughput(Throughput::Elements(scenario.trace.len() as u64));
+        let (network, catalog) = (&scenario.network, &scenario.workload.catalog);
+        group.bench_function("time_major", |b| {
+            b.iter(|| {
+                simulate_time_major(
+                    network,
+                    &groups,
+                    catalog,
+                    &scenario.trace,
+                    config,
+                    &schedule,
+                    None,
+                )
+                .expect("simulation")
+            })
+        });
+        group.bench_function("group_major", |b| {
+            b.iter(|| {
+                simulate(network, &groups, catalog, &scenario.trace, config).expect("simulation")
+            })
+        });
+        group.finish();
+    }
+
     let stats = c.stats();
     let kmeans_speedup =
         median_of(stats, "kmeans/reference") / median_of(stats, "kmeans/pruned_flat");
     let replay_speedup =
         median_of(stats, "trace_replay/scan_all") / median_of(stats, "trace_replay/holder_index");
+    let order_speedup =
+        median_of(stats, "sim_order/time_major") / median_of(stats, "sim_order/group_major");
     println!("\nkmeans speedup (pruned_flat vs reference):    {kmeans_speedup:.2}x");
     println!("trace replay speedup (holder_index vs scan):  {replay_speedup:.2}x");
+    println!("sim order speedup (group- vs time-major):     {order_speedup:.2}x");
 
     // Record the run context alongside the numbers: a timing baseline
     // is only comparable to runs with the same core budget and sizes.
@@ -218,7 +275,7 @@ fn main() {
     }
     doc.push_str("\n  ],\n");
     doc.push_str(&format!(
-        "  \"speedups\": {{\"kmeans\": {kmeans_speedup:.3}, \"trace_replay\": {replay_speedup:.3}}}\n}}\n"
+        "  \"speedups\": {{\"kmeans\": {kmeans_speedup:.3}, \"trace_replay\": {replay_speedup:.3}, \"sim_order\": {order_speedup:.3}}}\n}}\n"
     ));
     std::fs::write(&out_path, doc).expect("write baseline json");
     println!("wrote {out_path}");

@@ -8,8 +8,8 @@
 //! replaying each segment — via the sharded engine in [`crate`] — under
 //! its own epoch's grouping, then folding the per-segment reports in
 //! epoch order. Absolute timestamps are preserved end to end, so warmup
-//! cutoffs and degradation-timeline buckets land exactly where the
-//! monolithic simulator would put them.
+//! cutoffs and degradation-timeline buckets land exactly where a
+//! single-grouping run would put them.
 //!
 //! ## Boundary semantics
 //!
@@ -32,6 +32,7 @@
 //!   segment is the thread-invariant sharded replay, so the merged
 //!   report is byte-identical at any `ECG_THREADS` setting.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -87,8 +88,8 @@ pub enum EpochReplayError {
         /// Caches covered by the epoch's grouping.
         found: usize,
     },
-    /// A segment replay failed (same cases as the monolithic
-    /// simulator).
+    /// A segment replay failed (same cases as
+    /// [`ecg_sim::simulate_with_faults`]).
     Sim(SimError),
 }
 
@@ -191,13 +192,10 @@ pub fn replay_epochs_observed(
     let mut shards = 0usize;
     let mut segment_events: Vec<u64> = Vec::with_capacity(epochs.len());
     let mut segments: Vec<SimReport> = Vec::with_capacity(epochs.len());
+    let in_time_order = trace.windows(2).all(|w| w[0].time_ms() <= w[1].time_ms());
     for (i, epoch) in epochs.iter().enumerate() {
         let end_ms = epochs.get(i + 1).map_or(f64::INFINITY, |e| e.start_ms);
-        let segment_trace: Vec<TraceEvent> = trace
-            .iter()
-            .filter(|e| e.time_ms() >= epoch.start_ms && e.time_ms() < end_ms)
-            .copied()
-            .collect();
+        let segment_trace = segment(trace, in_time_order, epoch.start_ms, end_ms);
         let segment_config =
             ReplayConfig::new()
                 .sim(*config.sim_config())
@@ -242,6 +240,24 @@ pub fn replay_epochs_observed(
         }
     }
     Ok(out)
+}
+
+/// The events of `trace` with a time in `[start_ms, end_ms)`, in trace
+/// order: a sub-slice of a trace that is in time order (every generator
+/// emits one), a filtered copy of any other.
+fn segment(
+    trace: &[TraceEvent],
+    in_time_order: bool,
+    start_ms: f64,
+    end_ms: f64,
+) -> Cow<'_, [TraceEvent]> {
+    if in_time_order {
+        let from = trace.partition_point(|e| e.time_ms() < start_ms);
+        let to = trace.partition_point(|e| e.time_ms() < end_ms);
+        return Cow::Borrowed(&trace[from..to]);
+    }
+    let inside = |e: &&TraceEvent| e.time_ms() >= start_ms && e.time_ms() < end_ms;
+    Cow::Owned(trace.iter().filter(inside).copied().collect())
 }
 
 /// Checks the timeline invariants: at least one epoch, first at time 0,
@@ -350,6 +366,22 @@ mod tests {
             ],
         )
         .expect("valid partition")
+    }
+
+    #[test]
+    fn a_segment_of_an_ordered_trace_is_borrowed_and_equals_the_filtered_copy() {
+        let (_, _, trace) = fixture();
+        let at = trace[trace.len() / 3].time_ms();
+        for (start, end) in [
+            (0.0, at),
+            (at, 12_345.6),
+            (12_345.6, f64::INFINITY),
+            (30_000.0, f64::INFINITY),
+        ] {
+            let slice = segment(&trace, true, start, end);
+            assert!(matches!(slice, Cow::Borrowed(_)));
+            assert_eq!(slice, segment(&trace, false, start, end));
+        }
     }
 
     #[test]

@@ -1,73 +1,58 @@
 //! Sharded, streaming trace replay at production scale.
 //!
-//! The monolithic [`ecg_sim::simulate`] driver materializes one global
-//! trace and walks it serially — fine at paper scale (tens of caches,
-//! tens of thousands of requests), impossible at the roadmap's
-//! north-star scale of 50 000 caches × millions of requests. This crate
-//! exploits the structural fact the paper's evaluation rests on: *groups
-//! are independent between re-formation events*. A request at cache `c`
-//! only ever touches `c`'s group peers and the origin, so the request
-//! stream partitions perfectly per group and each partition can be
-//! replayed as its own small simulation — a **shard** — on the
-//! [`ecg_par`] persistent worker pool.
+//! Every run of the simulator is **group-major**: groups are independent
+//! between re-formation events — a request at cache `c` only ever
+//! touches `c`'s group peers and the origin — so `ecg-sim`'s driver
+//! validates and plans a run once, simulates one group at a time over
+//! that group's sub-topology, and folds the per-group results in group
+//! order. [`ecg_sim::simulate`] does this serially on the caller's
+//! thread over a materialized trace. This crate adds what that entry
+//! point cannot do at the roadmap's north-star scale of 50 000 caches ×
+//! millions of requests:
 //!
-//! Two ingredients make this production-scale rather than a port:
-//!
-//! 1. **Streaming generation.** [`replay_streamed`] never materializes
+//! 1. **The pool fan-out.** [`replay_sharded`] hands the same planned
+//!    run's groups — **shards** — to the [`ecg_par`] persistent worker
+//!    pool instead of a loop; plan, sub-topology, fault split and merge
+//!    are `ecg-sim`'s, used as they are.
+//! 2. **Streaming generation.** [`replay_streamed`] never materializes
 //!    the global trace: each shard regenerates exactly its own members'
 //!    arrivals from a master seed via
 //!    [`ecg_workload::RequestConfig::stream_cache`] (derived-seed
 //!    per-cache streams), so peak memory is bounded by the largest
 //!    group's event count times the worker count, not by `N × requests`.
-//! 2. **Update-boundary synchronization.** Origin interactions (the
-//!    freshness protocols: on-access invalidation, multicast push, TTL
-//!    leases) are modeled per shard by replaying the *full* update log
-//!    into every shard, so each shard's origin reaches the same document
-//!    version at the same simulated instant as the monolithic origin.
-//!    Cross-group behavior therefore matches without any cross-shard
-//!    communication: shard origins agree at every update boundary by
-//!    construction.
+//! 3. **Epochs.** [`replay_epochs`] replays one trace across a timeline
+//!    of groupings, one sharded replay per segment.
+//!
+//! Origin interactions (the freshness protocols: on-access invalidation,
+//! multicast push, TTL leases) are modeled per shard by replaying the
+//! *full* update log into every shard, so each shard's origin reaches
+//! the same document version at the same simulated instant as a single
+//! shared origin would. Cross-group behavior therefore matches without
+//! any cross-shard communication.
 //!
 //! ## The merge contract
 //!
 //! Equivalence is load-bearing, not best-effort: on any input the
-//! monolithic `simulate` can handle, the sharded replay produces a
-//! **bit-identical** merged [`SimReport`], at any `ECG_THREADS` setting.
-//! This holds because
+//! time-major reference oracle (`ecg_sim::simulate_time_major`, one
+//! pass of the event loop over the whole map) can handle, every engine
+//! here produces a **bit-identical** merged [`SimReport`], at any
+//! `ECG_THREADS` setting — integer metrics add associatively, every f64
+//! accumulator sums in per-cache or per-group event order and shards
+//! are merged in group order, and each shard's fault script is an
+//! order-preserving subsequence of the global one (DESIGN.md, "Sharded
+//! Replay", has the argument in full).
 //!
-//! * every integer metric is a sum of per-event increments, and u64
-//!   addition is associative;
-//! * every f64 accumulator in [`ecg_sim::MetricsRecorder`] sums in
-//!   *per-cache* or *per-group* event order (the simulator folds its
-//!   per-group degradation recorders in group order for exactly this
-//!   reason), and shards are merged in group order, so each f64 sum
-//!   replays the identical chain of additions;
-//! * per-shard fault schedules keep each member's crash/recover/retire
-//!   subsequence (plus all brownout windows) in the original relative
-//!   order, and the simulator's FIFO tie-break at equal instants is
-//!   order-preserving on subsequences.
-//!
-//! `origin_updates` is taken from shard 0 rather than summed: every
-//! shard applies the full update log, so all shards agree on it.
-//!
-//! ## What a shard builds, and what it costs
+//! ## What a shard costs
 //!
 //! The paper sweeps the *number* of groups, so replay throughput must
 //! not depend on how finely formation partitions the network: a shard
-//! of `g` members pays for its group, its events and the catalog, never
-//! for the `N` caches around it.
-//!
-//! | a shard builds | from | cost |
-//! |---|---|---|
-//! | its `(g + 1)²` sub-topology | one batched [`RttSource::submatrix`] query over `[origin, members…]` | `O(g²)` arithmetic or copies, no per-pair call |
-//! | its fault script | nothing — the plan stage routed every fault event to its group in one pass | `O(1)` |
-//! | its sub-trace | its members' streams drained into one buffer and stable-sorted (streamed), or its pre-split run merged with the update log (materialized) | `O(events · log g)` / `O(events)` |
-//! | its simulator state | the unmodified simulator: holder index and origin over the catalog, one cache per member | `O(docs + g)`, then `O(events)` |
-//!
+//! of `g` members pays for its group — one batched
+//! [`RttSource::submatrix`] query, a ready-made fault script, its own
+//! events (regenerated and sorted when streamed, walked by position in
+//! the caller's trace when materialized), simulator state over `g`
+//! caches and the catalog — never for the `N` caches around it.
 //! Everything that reads the whole network happens once, in the plan
-//! stage: input validation, the global-to-local id map (skipped by the
-//! streamed path when there are no fault events to route), the request
-//! split and the fault split.
+//! stage.
 //!
 //! # Examples
 //!
@@ -90,9 +75,8 @@
 //!
 //! let config = ReplayConfig::new();
 //! let sharded = replay_sharded(&network, &groups, &catalog, &trace, &config)?;
-//! let monolithic =
-//!     simulate(&network, &groups, &catalog, &trace, *config.sim_config())?;
-//! assert_eq!(sharded, monolithic);
+//! let serial = simulate(&network, &groups, &catalog, &trace, *config.sim_config())?;
+//! assert_eq!(sharded, serial);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -103,7 +87,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod epoch;
-mod shard;
 mod stream;
 
 pub use epoch::{
@@ -111,11 +94,8 @@ pub use epoch::{
 };
 pub use stream::StreamedWorkload;
 
-use ecg_cache::CacheStats;
 use ecg_obs::Obs;
-use ecg_sim::{
-    DegradationMetrics, FaultSchedule, GroupMap, MetricsRecorder, SimConfig, SimError, SimReport,
-};
+use ecg_sim::{FaultSchedule, GroupMap, GroupOutcome, GroupRun, SimConfig, SimError, SimReport};
 use ecg_topology::{EdgeNetwork, RttSource};
 use ecg_workload::{DocumentCatalog, TraceEvent, ZipfSampler};
 use std::time::Instant;
@@ -124,7 +104,7 @@ use std::time::Instant;
 /// plus the fault script injected alongside the workload.
 ///
 /// The default is the default [`SimConfig`] with no faults — byte-for-
-/// byte the monolithic simulator's defaults.
+/// byte [`ecg_sim::simulate`]'s defaults.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReplayConfig {
     sim: SimConfig,
@@ -187,7 +167,7 @@ impl ReplayTimings {
 /// A merged replay result plus its run telemetry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayReport {
-    /// The merged simulation report — bit-identical to the monolithic
+    /// The merged simulation report — bit-identical to
     /// [`ecg_sim::simulate`] on the same input.
     pub report: SimReport,
     /// Wall-clock stage timings (non-deterministic; for benchmarks).
@@ -208,9 +188,10 @@ pub struct ReplayReport {
 ///
 /// # Errors
 ///
-/// Exactly the [`SimError`] cases the monolithic simulator reports:
-/// group/network mismatch, out-of-range trace references, negative or
-/// non-finite event times, invalid fault schedule.
+/// Exactly the [`SimError`] cases [`ecg_sim::simulate_with_faults`]
+/// reports, with the same precedence: group/network mismatch, invalid
+/// fault schedule, then the first trace event with an out-of-range
+/// reference or a negative or non-finite time.
 pub fn replay_sharded(
     network: &EdgeNetwork,
     groups: &GroupMap,
@@ -242,24 +223,18 @@ pub fn replay_sharded_observed(
     obs: Option<&mut Obs>,
 ) -> Result<ReplayReport, SimError> {
     let t0 = Instant::now();
-    let n = network.cache_count();
-    let schedule = config.fault_schedule();
-    shard::validate(n, groups, catalog, trace, schedule)?;
-    let local_of = shard::local_ids(groups);
-    let plan = shard::RequestPartition::build(groups, &local_of, trace);
-    let schedules = shard::member_schedules(schedule, groups, &local_of);
-    let plan_ms = ms_since(t0);
-
-    let out = run_shards(
+    let run = GroupRun::new(
         network.rtt_matrix(),
         groups,
         catalog,
-        config,
-        &schedules,
-        plan_ms,
-        |g| plan.subtrace(g),
-    );
-    record_obs(obs, &out, n, trace.len() as u64);
+        Some(trace),
+        *config.sim_config(),
+        config.fault_schedule(),
+    )?;
+    let plan_ms = ms_since(t0);
+
+    let out = run_shards(&run, groups.group_count(), plan_ms, |g| run.group(g, None));
+    record_obs(obs, &out, network.cache_count(), trace.len() as u64);
     Ok(out)
 }
 
@@ -271,10 +246,10 @@ pub fn replay_sharded_observed(
 /// sub-topology, one [`RttSource::submatrix`] query to the oracle (node
 /// 0 is the origin, node `i + 1` is cache `i`).
 ///
-/// The merged report is bit-identical to running the monolithic
-/// simulator over [`StreamedWorkload::materialize_trace`] and the
-/// materialized full RTT matrix — see that method for the exact
-/// equivalent input.
+/// The merged report is bit-identical to running
+/// [`ecg_sim::simulate_with_faults`] over
+/// [`StreamedWorkload::materialize_trace`] and the materialized full
+/// RTT matrix — see that method for the exact equivalent input.
 ///
 /// # Errors
 ///
@@ -308,66 +283,48 @@ pub fn replay_streamed_observed(
     obs: Option<&mut Obs>,
 ) -> Result<ReplayReport, SimError> {
     let t0 = Instant::now();
-    let n = rtt.node_count().saturating_sub(1);
-    let schedule = config.fault_schedule();
-    stream::validate(n, groups, catalog, workload, schedule)?;
+    let run = GroupRun::new(
+        rtt,
+        groups,
+        catalog,
+        None,
+        *config.sim_config(),
+        config.fault_schedule(),
+    )?;
+    stream::validate(catalog, workload)?;
     // One shared sampler: it is read-only and identical to the one the
     // eager generator builds, so shards can borrow it concurrently.
     let zipf = ZipfSampler::new(catalog.len(), workload.zipf_exponent());
-    // Nothing else here localizes cache ids, so the N-entry map exists
-    // only when there are fault events to route through it.
-    let local_of = if schedule.is_empty() {
-        Vec::new()
-    } else {
-        shard::local_ids(groups)
-    };
-    let schedules = shard::member_schedules(schedule, groups, &local_of);
     let plan_ms = ms_since(t0);
 
-    let out = run_shards(rtt, groups, catalog, config, &schedules, plan_ms, |g| {
-        stream::member_subtrace(workload, &zipf, &groups.groups()[g])
+    let out = run_shards(&run, groups.group_count(), plan_ms, |g| {
+        run.group_on(
+            g,
+            &stream::member_subtrace(workload, &zipf, &groups.groups()[g]),
+        )
     });
     // The streamed path has no global trace; its "input events" figure
     // is the replayed request total plus the shared update log.
-    let input_events = report_request_total(&out.report) + workload.update_log().len() as u64;
-    record_obs(obs, &out, n, input_events);
+    let input_events = out.report.metrics.total_requests() + workload.update_log().len() as u64;
+    record_obs(obs, &out, groups.cache_count(), input_events);
     Ok(out)
 }
 
 /// The shards and merge stages both replay paths share: one work item
-/// per group on the [`ecg_par`] pool — the group's sub-topology, its
-/// planned fault script and the sub-trace `subtrace(g)` builds, through
-/// the unmodified simulator — then the group-order fold.
+/// per group on the [`ecg_par`] pool — `shard(g)` simulates group `g`
+/// through `run` — then `run`'s group-order fold.
 fn run_shards(
-    rtt: &dyn RttSource,
-    groups: &GroupMap,
-    catalog: &DocumentCatalog,
-    config: &ReplayConfig,
-    schedules: &[FaultSchedule],
+    run: &GroupRun<'_>,
+    shards: usize,
     plan_ms: f64,
-    subtrace: impl Fn(usize) -> Vec<TraceEvent> + Sync,
+    shard: impl Fn(usize) -> GroupOutcome + Sync,
 ) -> ReplayReport {
     let t1 = Instant::now();
-    let shard_results: Vec<(SimReport, u64)> =
-        ecg_par::par_map((0..groups.group_count()).collect(), |g| {
-            let members = &groups.groups()[g];
-            let sub_network = shard::member_network(rtt, members);
-            let sub_trace = subtrace(g);
-            let report = ecg_sim::simulate_with_faults(
-                &sub_network,
-                &GroupMap::one_group(members.len()),
-                catalog,
-                &sub_trace,
-                *config.sim_config(),
-                &schedules[g],
-            )
-            .expect("shard inputs were validated up front");
-            (report, sub_trace.len() as u64)
-        });
+    let outcomes = ecg_par::par_map((0..shards).collect(), shard);
     let shards_ms = ms_since(t1);
 
     let t2 = Instant::now();
-    let (report, shard_events) = merge_reports(groups, config.fault_schedule(), shard_results);
+    let (report, shard_events) = run.merge(outcomes);
     let merge_ms = ms_since(t2);
 
     ReplayReport {
@@ -377,43 +334,9 @@ fn run_shards(
             shards_ms,
             merge_ms,
         },
-        shards: groups.group_count(),
+        shards,
         shard_events,
     }
-}
-
-/// Folds per-shard reports into the merged network-wide report, in
-/// group order (the order every f64 chain was validated against).
-fn merge_reports(
-    groups: &GroupMap,
-    schedule: &FaultSchedule,
-    shard_results: Vec<(SimReport, u64)>,
-) -> (SimReport, u64) {
-    let mut metrics = MetricsRecorder::new(groups.cache_count());
-    metrics.degradation = DegradationMetrics::new(schedule.timeline_bucket());
-    let mut cache_stats = CacheStats::default();
-    let mut origin_fetches = 0u64;
-    // Every shard applies the full update log, so all shards agree on
-    // the applied-update count; an empty network has no shards and no
-    // updates applied.
-    let mut origin_updates = 0u64;
-    let mut shard_events = 0u64;
-    for (g, (shard, events)) in shard_results.iter().enumerate() {
-        metrics.merge_shard(&groups.groups()[g], &shard.metrics);
-        cache_stats += shard.cache_stats;
-        origin_fetches += shard.origin_fetches;
-        origin_updates = shard.origin_updates;
-        shard_events += events;
-    }
-    (
-        SimReport {
-            metrics,
-            cache_stats,
-            origin_updates,
-            origin_fetches,
-        },
-        shard_events,
-    )
 }
 
 /// Emits the replay-level observability: counters plus a `replay` span
@@ -426,7 +349,7 @@ fn record_obs(obs: Option<&mut Obs>, out: &ReplayReport, caches: usize, input_ev
     o.metrics.add("replay.input_events", input_events);
     o.metrics.add("replay.shard_events", out.shard_events);
     o.metrics
-        .add("replay.requests", report_request_total(&out.report));
+        .add("replay.requests", out.report.metrics.total_requests());
     let mut span = o.phases.span("replay");
     span.add_work(out.shards as f64);
     {
@@ -441,12 +364,6 @@ fn record_obs(obs: Option<&mut Obs>, out: &ReplayReport, caches: usize, input_ev
         let mut merge = span.child("merge");
         merge.add_work(out.shards as f64);
     }
-}
-
-/// Requests counted by the merged report (all outcomes, post-warmup —
-/// the same figure the monolithic report exposes).
-fn report_request_total(report: &SimReport) -> u64 {
-    report.metrics.total_requests()
 }
 
 fn ms_since(start: Instant) -> f64 {
@@ -474,6 +391,26 @@ mod tests {
         (network, catalog, merge_streams(&requests, &updates))
     }
 
+    /// The time-major reference run of `config` over the whole map.
+    fn oracle(
+        network: &EdgeNetwork,
+        groups: &GroupMap,
+        catalog: &DocumentCatalog,
+        trace: &[TraceEvent],
+        config: &ReplayConfig,
+    ) -> SimReport {
+        ecg_sim::simulate_time_major(
+            network,
+            groups,
+            catalog,
+            trace,
+            *config.sim_config(),
+            config.fault_schedule(),
+            None,
+        )
+        .unwrap()
+    }
+
     fn two_groups() -> GroupMap {
         GroupMap::new(
             6,
@@ -491,9 +428,10 @@ mod tests {
         let groups = two_groups();
         let config = ReplayConfig::new();
         let sharded = replay_sharded(&network, &groups, &catalog, &trace, &config).unwrap();
-        let monolithic =
-            ecg_sim::simulate(&network, &groups, &catalog, &trace, *config.sim_config()).unwrap();
-        assert_eq!(sharded, monolithic);
+        assert_eq!(
+            sharded,
+            oracle(&network, &groups, &catalog, &trace, &config)
+        );
     }
 
     #[test]
@@ -506,18 +444,12 @@ mod tests {
         schedule.push(6_000.0, FaultKind::BrownoutStart { factor: 2.5 });
         schedule.push(12_000.0, FaultKind::BrownoutEnd);
         schedule.push(15_000.0, FaultKind::CacheRetire { cache: CacheId(5) });
-        let config = ReplayConfig::new().schedule(schedule.clone());
+        let config = ReplayConfig::new().schedule(schedule);
         let sharded = replay_sharded(&network, &groups, &catalog, &trace, &config).unwrap();
-        let monolithic = ecg_sim::simulate_with_faults(
-            &network,
-            &groups,
-            &catalog,
-            &trace,
-            *config.sim_config(),
-            &schedule,
-        )
-        .unwrap();
-        assert_eq!(sharded, monolithic);
+        assert_eq!(
+            sharded,
+            oracle(&network, &groups, &catalog, &trace, &config)
+        );
     }
 
     #[test]
@@ -526,9 +458,10 @@ mod tests {
         let groups = GroupMap::singletons(6);
         let config = ReplayConfig::new();
         let sharded = replay_sharded(&network, &groups, &catalog, &trace, &config).unwrap();
-        let monolithic =
-            ecg_sim::simulate(&network, &groups, &catalog, &trace, *config.sim_config()).unwrap();
-        assert_eq!(sharded, monolithic);
+        assert_eq!(
+            sharded,
+            oracle(&network, &groups, &catalog, &trace, &config)
+        );
     }
 
     #[test]
@@ -570,10 +503,18 @@ mod tests {
                 TraceEvent::Request(r) => r.time_ms = bad,
                 TraceEvent::Update(u) => u.time_ms = bad,
             }
-            // Same error from the monolithic loop and before any shard
-            // starts.
+            // Same error from the time-major oracle and before any
+            // shard starts.
             let expected = SimError::EventTimeInvalid { index: victim };
-            let mono = ecg_sim::simulate(&network, &groups, &catalog, &trace, *config.sim_config());
+            let mono = ecg_sim::simulate_time_major(
+                &network,
+                &groups,
+                &catalog,
+                &trace,
+                *config.sim_config(),
+                config.fault_schedule(),
+                None,
+            );
             assert_eq!(mono.unwrap_err(), expected, "{bad}");
             let sharded = replay_sharded(&network, &groups, &catalog, &trace, &config);
             assert_eq!(sharded.unwrap_err(), expected, "{bad}");

@@ -33,14 +33,14 @@
 //!   than a full sort's `events · log events`.
 //! * **Why ties go to the lower global id**, not the lower local id:
 //!   local ids are positions in the member list, which formation may
-//!   emit in any order, while the monolithic trace knows only global
+//!   emit in any order, while the materialized trace knows only global
 //!   ids. Requests are localized before the sort (the simulator wants
 //!   local ids), so the tie-break maps back through `members`.
 //! * **Updates first.** An update at time `t` precedes any request at
 //!   `t`, exactly as [`merge_streams`] interleaves the eager trace —
 //!   the shard calls the same function.
 
-use ecg_sim::{FaultSchedule, GroupMap, SimError, SimTime};
+use ecg_sim::{SimError, SimTime};
 use ecg_topology::CacheId;
 use ecg_workload::{
     merge_streams, DocumentCatalog, Request, RequestConfig, TraceEvent, Update, ZipfSampler,
@@ -122,10 +122,10 @@ impl<'a> StreamedWorkload<'a> {
         self.requests.zipf_exponent_value()
     }
 
-    /// Materializes the monolithic trace this workload describes —
+    /// Materializes the global trace this workload describes —
     /// [`ecg_workload::RequestConfig::generate_with_master`] merged with
     /// the update log. [`crate::replay_streamed`] over `caches` caches
-    /// is bit-identical to the monolithic simulator over this trace;
+    /// is bit-identical to [`ecg_sim::simulate`] over this trace;
     /// only tests, verification harnesses, and small-N tooling should
     /// call it (it allocates the whole trace the streamed path exists to
     /// avoid).
@@ -141,26 +141,15 @@ impl<'a> StreamedWorkload<'a> {
     }
 }
 
-/// Mirrors the monolithic validation for a streamed input: group map
-/// against the oracle's cache count, fault schedule, a catalog to draw
-/// requests from, update-log document references and timestamps
-/// (requests are in range and finite by construction). An
-/// [`SimError::EventTimeInvalid`] index is a position in the update
-/// log, the only event list this input has.
+/// What a streamed input adds to the map and schedule checks every run
+/// makes first: a catalog to draw requests from, and update-log
+/// document references and timestamps (requests are in range and finite
+/// by construction). An [`SimError::EventTimeInvalid`] index is a
+/// position in the update log, the only event list this input has.
 pub(crate) fn validate(
-    cache_count: usize,
-    groups: &GroupMap,
     catalog: &DocumentCatalog,
     workload: &StreamedWorkload<'_>,
-    schedule: &FaultSchedule,
 ) -> Result<(), SimError> {
-    if groups.cache_count() != cache_count {
-        return Err(SimError::CacheCountMismatch {
-            network: cache_count,
-            groups: groups.cache_count(),
-        });
-    }
-    schedule.validate(cache_count)?;
     if catalog.is_empty() {
         return Err(SimError::EmptyCatalog);
     }

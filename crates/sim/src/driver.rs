@@ -1,137 +1,211 @@
-//! Shard planning: what both replay paths split once, up front.
+//! The group-major driver: how every run reaches the kernel.
 //!
-//! A shard is the restriction of the global replay to one group: its
-//! members' requests (re-indexed to local ids), **all** origin updates,
-//! its members' fault events plus all brownout windows, and the RTT
-//! sub-matrix over `[origin, members…]`. Everything here is
-//! order-preserving — each shard's event sequence is a subsequence of
-//! the global one, which together with the simulator's FIFO tie-break
-//! at equal instants is what makes the merged report bit-identical.
+//! Groups are independent between re-formations — a request at cache
+//! `c` touches only `c`'s group peers and the origin — so a run is the
+//! kernel ([`crate::sim`]'s event loop) applied to **one group at a
+//! time**: that group's requests plus the full update log, its members'
+//! fault events plus every brownout window, over the RTT sub-matrix of
+//! `[origin, members…]`, with one cache per member. An event's working
+//! set is then its group's, not the network's.
 //!
-//! Whatever reads the whole network (id map, trace and fault-schedule
-//! passes) runs here once per replay; a shard touches only its group.
+//! Everything that reads the whole network happens once, before the
+//! first group runs: input validation in trace order (the first invalid
+//! event yields its [`SimError`] whichever group it belongs to), the
+//! by-position [`TracePlan`], the fault split. Per-group outcomes are
+//! folded in group order — the order every `f64` chain of the
+//! time-major loop already follows — so the merged [`SimReport`] is
+//! bit-identical to [`simulate_time_major`] however the groups were
+//! scheduled: serially on the caller's thread ([`run`], behind the four
+//! `simulate*` entry points) or fanned over a worker pool by
+//! `ecg-replay` through [`GroupRun`].
 
-use ecg_sim::fault::FaultKind;
-use ecg_sim::{FaultSchedule, GroupMap, SimError, SimTime};
+use crate::event::{local_ids, Timeline, TracePlan};
+use crate::fault::{FaultKind, FaultSchedule};
+use crate::groups::GroupMap;
+use crate::metrics::{DegradationMetrics, MetricsRecorder};
+use crate::sim::{
+    check_inputs, kernel, simulate_time_major, GroupOutcome, SimConfig, SimError, SimReport,
+    Tallies,
+};
+use ecg_cache::CacheStats;
+use ecg_obs::Obs;
 use ecg_topology::{CacheId, EdgeNetwork, RttSource};
-use ecg_workload::{DocumentCatalog, Request, TraceEvent, Update};
+use ecg_workload::{DocumentCatalog, TraceEvent};
 
-/// Mirrors the monolithic simulator's input validation — references
-/// first, then the timestamp, event by event — so replay fails with the
-/// same [`SimError`] before any shard is spawned (shards then run on
-/// known-good inputs).
-pub(crate) fn validate(
-    cache_count: usize,
+/// Whether `groups` is at most one group listing the caches in id
+/// order: local ids equal global ids and the sub-matrix is the matrix.
+fn is_whole_network(groups: &GroupMap) -> bool {
+    match groups.groups() {
+        [] => true,
+        [members] => members.iter().enumerate().all(|(i, m)| m.index() == i),
+        _ => false,
+    }
+}
+
+/// One simulation, serially on the caller's thread: what the four
+/// `simulate*` entry points call. One group in id order *is* the whole
+/// network, so that case goes to the kernel on the caller's inputs — no
+/// plan, no sub-matrix.
+pub(crate) fn run(
+    network: &EdgeNetwork,
     groups: &GroupMap,
     catalog: &DocumentCatalog,
     trace: &[TraceEvent],
+    config: SimConfig,
     schedule: &FaultSchedule,
-) -> Result<(), SimError> {
-    if groups.cache_count() != cache_count {
-        return Err(SimError::CacheCountMismatch {
-            network: cache_count,
-            groups: groups.cache_count(),
-        });
+    mut obs: Option<&mut Obs>,
+) -> Result<SimReport, SimError> {
+    if is_whole_network(groups) {
+        return simulate_time_major(network, groups, catalog, trace, config, schedule, obs);
     }
-    schedule.validate(cache_count)?;
-    for (index, event) in trace.iter().enumerate() {
-        let doc = match event {
-            TraceEvent::Request(r) => {
-                if r.cache >= cache_count {
-                    return Err(SimError::RequestCacheOutOfRange { cache: r.cache });
-                }
-                r.doc
-            }
-            TraceEvent::Update(u) => u.doc,
+    let rtt = network.rtt_matrix();
+    let run = GroupRun::new(rtt, groups, catalog, Some(trace), config, schedule)?;
+    // Folded as they finish: one group's caches are live at a time.
+    let each = (0..groups.group_count()).map(|g| run.group(g, obs.as_deref_mut()));
+    let merged = run.fold(each);
+    Ok(merged.finish(obs, config, schedule, trace.len()))
+}
+
+/// A validated, planned run whose groups can be simulated in any order
+/// and on any thread, then merged: the seam `ecg-replay` fans out over
+/// its worker pool.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct GroupRun<'a> {
+    rtt: &'a dyn RttSource,
+    groups: &'a GroupMap,
+    catalog: &'a DocumentCatalog,
+    config: SimConfig,
+    schedule: &'a FaultSchedule,
+    /// [`local_ids`] of `groups`; empty when nothing is routed through it.
+    local_of: Vec<u32>,
+    /// Each group's fault script, from [`member_schedules`].
+    schedules: Vec<FaultSchedule>,
+    /// The materialized trace and its split; `None` when the caller
+    /// supplies each group's sub-trace ([`GroupRun::group_on`]).
+    planned: Option<(&'a [TraceEvent], TracePlan)>,
+}
+
+impl<'a> GroupRun<'a> {
+    /// Validates the inputs as [`simulate_time_major`] does — map, then
+    /// schedule, then `trace` event by event — and plans the run. With
+    /// no global `trace` (the caller generates each group's sub-trace)
+    /// there is only the fault split to plan. `rtt` spans
+    /// `[origin, caches…]`.
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`crate::simulate_with_faults`].
+    pub fn new(
+        rtt: &'a dyn RttSource,
+        groups: &'a GroupMap,
+        catalog: &'a DocumentCatalog,
+        trace: Option<&'a [TraceEvent]>,
+        config: SimConfig,
+        schedule: &'a FaultSchedule,
+    ) -> Result<Self, SimError> {
+        check_inputs(rtt.node_count().saturating_sub(1), groups, schedule)?;
+        let planned = match trace {
+            Some(trace) => Some((trace, TracePlan::build(groups, catalog.len(), trace)?)),
+            None => None,
         };
-        if doc.index() >= catalog.len() {
-            return Err(SimError::DocOutOfRange { doc: doc.index() });
-        }
-        if SimTime::try_from_ms(event.time_ms()).is_none() {
-            return Err(SimError::EventTimeInvalid { index });
-        }
-    }
-    Ok(())
-}
-
-/// Global cache id → position within its group's member list: the one
-/// map the request split and the fault split both localize through.
-pub(crate) fn local_ids(groups: &GroupMap) -> Vec<usize> {
-    let mut local_of = vec![0usize; groups.cache_count()];
-    for members in groups.groups() {
-        for (local, &m) in members.iter().enumerate() {
-            local_of[m.index()] = local;
-        }
-    }
-    local_of
-}
-
-/// The global trace split once, up front: per-group request runs plus
-/// the shared update log, each entry tagged with its original trace
-/// position so a shard's sub-trace can be rebuilt as an exact
-/// subsequence by a two-pointer position merge.
-///
-/// Requests are localized (global cache id → index within the member
-/// list) at split time; updates are shared untouched across all shards.
-pub(crate) struct RequestPartition {
-    per_group: Vec<Vec<(usize, Request)>>,
-    updates: Vec<(usize, Update)>,
-}
-
-impl RequestPartition {
-    /// One pass over the trace: `O(len(trace))` plus one localized
-    /// request copy per event. `local_of` is [`local_ids`] of `groups`.
-    pub(crate) fn build(groups: &GroupMap, local_of: &[usize], trace: &[TraceEvent]) -> Self {
-        let mut per_group: Vec<Vec<(usize, Request)>> =
-            (0..groups.group_count()).map(|_| Vec::new()).collect();
-        let mut updates = Vec::new();
-        for (pos, event) in trace.iter().enumerate() {
-            match event {
-                TraceEvent::Request(r) => {
-                    let localized = Request {
-                        cache: local_of[r.cache],
-                        ..*r
-                    };
-                    per_group[groups.group_of(CacheId(r.cache))].push((pos, localized));
-                }
-                TraceEvent::Update(u) => updates.push((pos, *u)),
-            }
-        }
-        RequestPartition { per_group, updates }
+        // Only planned requests and cache fault events go through the
+        // N-entry id map.
+        let local_of = if planned.is_some() || !schedule.is_empty() {
+            local_ids(groups)
+        } else {
+            Vec::new()
+        };
+        Ok(GroupRun {
+            rtt,
+            groups,
+            catalog,
+            config,
+            schedule,
+            schedules: member_schedules(schedule, groups, &local_of),
+            local_of,
+            planned,
+        })
     }
 
-    /// Group `g`'s sub-trace: its localized requests merged with the
-    /// shared update log by original trace position. Positions are
-    /// disjoint, so the merge reproduces the exact relative order the
-    /// monolithic event loop saw.
-    pub(crate) fn subtrace(&self, g: usize) -> Vec<TraceEvent> {
-        let reqs = &self.per_group[g];
-        let ups = &self.updates;
-        let mut out = Vec::with_capacity(reqs.len() + ups.len());
-        let (mut ri, mut ui) = (0usize, 0usize);
-        while ri < reqs.len() || ui < ups.len() {
-            let take_update = match (reqs.get(ri), ups.get(ui)) {
-                (Some(&(rp, _)), Some(&(up, _))) => up < rp,
-                (None, Some(_)) => true,
-                _ => false,
-            };
-            if take_update {
-                out.push(TraceEvent::Update(ups[ui].1));
-                ui += 1;
-            } else {
-                out.push(TraceEvent::Request(reqs[ri].1));
-                ri += 1;
-            }
+    /// Simulates group `g`'s share of the planned trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run was built without a trace.
+    pub fn group(&self, g: usize, obs: Option<&mut Obs>) -> GroupOutcome {
+        let (trace, plan) = self
+            .planned
+            .as_ref()
+            .expect("a run without a trace takes sub-traces through `group_on`");
+        let timeline = Timeline::for_group(trace, plan, g, &self.local_of, &self.schedules[g]);
+        self.kernel_on(g, timeline, obs)
+    }
+
+    /// Simulates group `g` over `subtrace`: its members' requests under
+    /// local ids (member-list positions) plus the update log, as
+    /// `ecg-replay`'s streamed shards regenerate them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subtrace` is not valid for the group and catalog.
+    pub fn group_on(&self, g: usize, subtrace: &[TraceEvent]) -> GroupOutcome {
+        let members = self.groups.groups()[g].len();
+        let timeline = Timeline::new(members, self.catalog.len(), subtrace, &self.schedules[g])
+            .expect("a generated sub-trace references its own members and catalog");
+        self.kernel_on(g, timeline, None)
+    }
+
+    fn kernel_on(&self, g: usize, timeline: Timeline<'_>, obs: Option<&mut Obs>) -> GroupOutcome {
+        let members = &self.groups.groups()[g];
+        kernel(
+            &member_network(self.rtt, members),
+            &GroupMap::one_group(members.len()),
+            self.catalog,
+            timeline,
+            self.config,
+            &self.schedules[g],
+            obs,
+        )
+    }
+
+    /// Folds every group's outcome, given in group order, into the
+    /// run's report; also returns the trace events fed across all
+    /// groups (each replays the full update log).
+    pub fn merge(&self, outcomes: Vec<GroupOutcome>) -> (SimReport, u64) {
+        let merged = self.fold(outcomes.into_iter());
+        (merged.report, merged.tallies.trace_events)
+    }
+
+    /// The group-order fold (the order every `f64` chain was validated
+    /// against), consuming each outcome as the iterator yields it.
+    fn fold(&self, outcomes: impl Iterator<Item = GroupOutcome>) -> GroupOutcome {
+        let mut metrics = MetricsRecorder::new(self.groups.cache_count());
+        metrics.degradation = DegradationMetrics::new(self.schedule.timeline_bucket());
+        let mut report = SimReport {
+            metrics,
+            cache_stats: CacheStats::default(),
+            origin_updates: 0,
+            origin_fetches: 0,
+        };
+        let mut tallies = Tallies::default();
+        for (members, outcome) in self.groups.groups().iter().zip(outcomes) {
+            report.metrics.merge_shard(members, &outcome.report.metrics);
+            report.cache_stats += outcome.report.cache_stats;
+            report.origin_fetches += outcome.report.origin_fetches;
+            // Every group applies the full update log, so all agree.
+            report.origin_updates = outcome.report.origin_updates;
+            tallies.absorb(outcome.tallies);
         }
-        out
+        GroupOutcome { report, tallies }
     }
 }
 
-/// The shard's edge network: one batched [`RttSource::submatrix`] query
+/// A group's edge network: one batched [`RttSource::submatrix`] query
 /// over `[origin, members…]` (node 0 is the origin, node `i + 1` cache
 /// `i`), in member-list order so local cache `i` is `members[i]` and
 /// equal-RTT peer ties resolve as in the full network.
-pub(crate) fn member_network(rtt: &dyn RttSource, members: &[CacheId]) -> EdgeNetwork {
+fn member_network(rtt: &dyn RttSource, members: &[CacheId]) -> EdgeNetwork {
     let mut nodes = Vec::with_capacity(members.len() + 1);
     nodes.push(0);
     nodes.extend(members.iter().map(|m| m.index() + 1));
@@ -141,15 +215,17 @@ pub(crate) fn member_network(rtt: &dyn RttSource, members: &[CacheId]) -> EdgeNe
 /// Every group's fault script from one pass over the global schedule:
 /// a cache event goes to its cache's group re-indexed to the local id,
 /// a brownout event to every group (the origin is shared), all in the
-/// original push order. Failover penalty and timeline bucket carry over
-/// so degradation metrics bucket identically, events or no events.
+/// original push order — the kernel's FIFO tie-break at equal instants
+/// is order-preserving on subsequences. Failover penalty and timeline
+/// bucket carry over so degradation metrics bucket identically, events
+/// or no events.
 ///
 /// `local_of` is [`local_ids`] of `groups`, read only for cache events:
 /// a caller with an empty schedule need not build it.
-pub(crate) fn member_schedules(
+fn member_schedules(
     schedule: &FaultSchedule,
     groups: &GroupMap,
-    local_of: &[usize],
+    local_of: &[u32],
 ) -> Vec<FaultSchedule> {
     let empty = FaultSchedule::new()
         .failover_penalty_ms(schedule.failover_penalty())
@@ -162,7 +238,7 @@ pub(crate) fn member_schedules(
             | FaultKind::CacheUp { cache }
             | FaultKind::CacheRetire { cache } => {
                 let group = groups.group_of(*cache);
-                *cache = CacheId(local_of[cache.index()]);
+                *cache = CacheId(local_of[cache.index()] as usize);
                 subs[group].push(event.time_ms, kind);
             }
             FaultKind::BrownoutStart { .. } | FaultKind::BrownoutEnd => {
@@ -180,7 +256,6 @@ mod tests {
     use super::*;
     use ecg_topology::fixtures::paper_figure1;
     use ecg_topology::{RttMatrix, SyntheticRttConfig};
-    use ecg_workload::DocId;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -191,21 +266,6 @@ mod tests {
             vec![vec![CacheId(2), CacheId(0)], vec![CacheId(1), CacheId(3)]],
         )
         .expect("valid partition")
-    }
-
-    fn req(time_ms: f64, cache: usize, doc: usize) -> TraceEvent {
-        TraceEvent::Request(Request {
-            time_ms,
-            cache,
-            doc: DocId(doc),
-        })
-    }
-
-    fn upd(time_ms: f64, doc: usize) -> TraceEvent {
-        TraceEvent::Update(Update {
-            time_ms,
-            doc: DocId(doc),
-        })
     }
 
     /// The per-shard filter the plan-stage partition replaced, kept as
@@ -251,25 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn partition_localizes_and_preserves_order() {
-        let trace = vec![
-            req(1.0, 1, 0),
-            upd(2.0, 5),
-            req(2.0, 2, 1), // group 0, local id 0 (member order [2, 0])
-            req(3.0, 0, 2), // group 0, local id 1
-            upd(4.0, 6),
-            req(5.0, 3, 3), // group 1, local id 1
-        ];
-        let groups = groups();
-        let plan = RequestPartition::build(&groups, &local_ids(&groups), &trace);
-        assert_eq!(
-            plan.subtrace(0),
-            vec![upd(2.0, 5), req(2.0, 0, 1), req(3.0, 1, 2), upd(4.0, 6)]
-        );
-        assert_eq!(
-            plan.subtrace(1),
-            vec![req(1.0, 0, 0), upd(2.0, 5), upd(4.0, 6), req(5.0, 1, 3)]
-        );
+    fn only_one_group_in_id_order_is_the_whole_network() {
+        let cid = |ids: &[usize]| ids.iter().copied().map(CacheId).collect::<Vec<_>>();
+        assert!(is_whole_network(&GroupMap::one_group(5)));
+        assert!(is_whole_network(&GroupMap::singletons(1)));
+        let backwards = GroupMap::new(3, vec![cid(&[2, 1, 0])]).unwrap();
+        assert!(!is_whole_network(&backwards));
+        assert!(!is_whole_network(&GroupMap::singletons(2)));
+        assert!(!is_whole_network(&groups()));
     }
 
     #[test]

@@ -10,12 +10,28 @@
 //!
 //! * [`SimTime`] — microsecond-resolution simulation clock.
 //! * [`event`] — the event type and the in-place, time-ordered merge of
-//!   trace and fault schedule the driver walks.
+//!   a trace — or of one group's share of it, by position — with the
+//!   fault schedule that the event loop walks.
 //! * [`LatencyModel`] — RTT + bandwidth transfer-cost model.
 //! * [`GroupMap`] — validated cache-to-group partition.
 //! * [`fault`] — fault schedules: cache crashes/recoveries/retirements
 //!   and origin brownouts, replayed by [`simulate_with_faults`].
-//! * [`simulate`] — the driver; see its docs for the protocol details.
+//! * [`simulate`] — the entry point; see its docs for the protocol
+//!   details.
+//!
+//! ## Execution order
+//!
+//! Groups are independent between re-formations, and a run uses it: it
+//! is **group-major**. The inputs are validated and planned once, in
+//! trace order; then the event loop runs one group at a time — that
+//! group's requests, every origin update, its members' faults — over
+//! the group's own RTT sub-matrix and caches, and the per-group results
+//! are folded in group order. At most one group's caches are live at a
+//! time, and an event's working set is its group's, not the network's.
+//! The report is bit-identical to one time-major pass over the whole
+//! map (kept, hidden, as the reference oracle the tests compare
+//! against); `ecg-replay` fans the same per-group runs over a worker
+//! pool.
 //!
 //! # Examples
 //!
@@ -44,6 +60,7 @@
 // panic opaquely; tests may still unwrap.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+mod driver;
 pub mod event;
 pub mod fault;
 pub mod groups;
@@ -84,9 +101,13 @@ pub use metrics::{
 pub use origin::OriginServer;
 // Re-exported so simulation configs can pick a placement policy without
 // a direct `ecg-place` dependency.
+#[doc(hidden)]
+pub use driver::GroupRun;
 pub use ecg_place::{AdaptiveConfig, DChoicesConfig, PlacementKind};
 pub use sim::{
     simulate, simulate_observed, simulate_with_faults, simulate_with_faults_observed,
     FreshnessProtocol, PeerLookup, SimConfig, SimError, SimReport,
 };
+#[doc(hidden)]
+pub use sim::{simulate_time_major, GroupOutcome};
 pub use time::SimTime;

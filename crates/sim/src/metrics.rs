@@ -511,8 +511,8 @@ impl MetricsRecorder {
     /// the copy exact. Histogram bins and the `u64` traffic counters add
     /// exactly; the degradation split folds through
     /// [`DegradationMetrics::merge_from`], which is the order-sensitive
-    /// part — callers must merge shards in group order to reproduce the
-    /// monolithic simulator bit for bit.
+    /// part — callers must merge shards in group order to reproduce a
+    /// whole-map run of the event loop bit for bit.
     ///
     /// # Panics
     ///

@@ -1,8 +1,12 @@
-//! The simulation driver.
+//! The simulation entry points and the event loop behind them.
 //!
 //! Replays a merged workload trace against a cooperative edge cache
 //! network and records the paper's client-side metric (average cache
-//! latency) plus hit-rate and traffic breakdowns.
+//! latency) plus hit-rate and traffic breakdowns. The four `simulate*`
+//! functions hand their inputs to the group-major driver
+//! (`crate::driver`), which calls the event loop here — `kernel` — once
+//! per group; the loop itself runs whatever map it is given, which is
+//! how `simulate_time_major` keeps the whole-map pass as the reference.
 //!
 //! ## Cooperative miss handling
 //!
@@ -46,12 +50,12 @@
 //!   recovery or retirement in its group (one epoch bump per fault).
 //!
 //! Multicast invalidation walks the document's holder bits the same way.
-//! The run's events are never copied: [`Timeline`] validates the trace
-//! and merges it with the fault list in place. [`PeerLookup::ScanAll`]
-//! keeps the per-member walks as the reference the tests compare
-//! against.
+//! The run's events are never copied: [`Timeline`] walks the trace — or
+//! a group's positions in it — in place, merged with the fault list.
+//! [`PeerLookup::ScanAll`] keeps the per-member walks as the reference
+//! the tests compare against.
 
-use crate::event::{Event, Timeline};
+use crate::event::{fault_order, Event, Timeline};
 use crate::fault::{FaultError, FaultKind, FaultSchedule};
 use crate::groups::GroupMap;
 use crate::holders::{HolderIndex, PeerMasks};
@@ -497,20 +501,221 @@ pub fn simulate_with_faults_observed(
     trace: &[TraceEvent],
     config: SimConfig,
     schedule: &FaultSchedule,
+    obs: Option<&mut Obs>,
+) -> Result<SimReport, SimError> {
+    crate::driver::run(network, groups, catalog, trace, config, schedule, obs)
+}
+
+/// The whole map in one time-major pass of the kernel: every cache's
+/// events interleaved in trace order, all `N` caches live at once — how
+/// every run executed before the group-major driver, and exactly what
+/// the driver still does for one group in id order. Kept reachable as
+/// the **reference oracle** the driver is proven against (tests and the
+/// `bench_hotpaths` row); same report, same [`SimError`]s and the same
+/// observability document as [`simulate_with_faults_observed`], to the
+/// byte.
+///
+/// # Errors
+///
+/// Exactly as [`simulate_with_faults_observed`].
+#[doc(hidden)]
+pub fn simulate_time_major(
+    network: &EdgeNetwork,
+    groups: &GroupMap,
+    catalog: &DocumentCatalog,
+    trace: &[TraceEvent],
+    config: SimConfig,
+    schedule: &FaultSchedule,
     mut obs: Option<&mut Obs>,
 ) -> Result<SimReport, SimError> {
     let n = network.cache_count();
-    if groups.cache_count() != n {
-        return Err(SimError::CacheCountMismatch {
-            network: n,
-            groups: groups.cache_count(),
-        });
-    }
-    schedule.validate(n)?;
+    check_inputs(n, groups, schedule)?;
     // Validates the trace and fixes the processing order. At equal
     // timestamps faults come first, so a request at the crash time
     // already sees the cache down.
     let timeline = Timeline::new(n, catalog.len(), trace, schedule)?;
+    let run = kernel(
+        network,
+        groups,
+        catalog,
+        timeline,
+        config,
+        schedule,
+        obs.as_deref_mut(),
+    );
+    Ok(run.finish(obs, config, schedule, trace.len()))
+}
+
+/// The checks every run makes before it reads the trace: the map covers
+/// the network, the schedule is valid.
+pub(crate) fn check_inputs(
+    cache_count: usize,
+    groups: &GroupMap,
+    schedule: &FaultSchedule,
+) -> Result<(), SimError> {
+    if groups.cache_count() != cache_count {
+        return Err(SimError::CacheCountMismatch {
+            network: cache_count,
+            groups: groups.cache_count(),
+        });
+    }
+    Ok(schedule.validate(cache_count)?)
+}
+
+/// What one kernel run hands the driver: its report plus the
+/// observability tallies the driver flushes once per run.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct GroupOutcome {
+    pub(crate) report: SimReport,
+    pub(crate) tallies: Tallies,
+}
+
+impl GroupOutcome {
+    /// Ends a simulation whose every group `self` covers, in group
+    /// order: flushes the telemetry of the run — `config` over a trace
+    /// of `trace_len` events under `schedule` — into `obs` when one is
+    /// supplied, and yields the report.
+    pub(crate) fn finish(
+        self,
+        obs: Option<&mut Obs>,
+        config: SimConfig,
+        schedule: &FaultSchedule,
+        trace_len: usize,
+    ) -> SimReport {
+        if let Some(o) = obs {
+            let placement = !config.placement.is_single_holder();
+            self.tallies
+                .flush(o, &self.report.metrics, schedule, trace_len, placement);
+        }
+        self.report
+    }
+}
+
+/// Integer bumps the kernel keeps unconditionally — cheap enough not to
+/// depend on an [`Obs`] being present — summed over the runs of one
+/// simulation and flushed by [`Tallies::flush`].
+#[derive(Debug, Default)]
+pub(crate) struct Tallies {
+    /// Per group of the map the kernel ran: requests served locally, by
+    /// a peer, by the origin — warm-up included.
+    group_outcomes: Vec<[u64; 3]>,
+    failovers: u64,
+    /// `sim.holder.{group_checks, ruled_out, bit_tests}`.
+    holder: [u64; 3],
+    place_decisions: u64,
+    /// Timestamp of the last processed event, ms.
+    last_event_ms: f64,
+    /// Trace events fed to the kernel (faults excluded).
+    pub(crate) trace_events: u64,
+}
+
+impl Tallies {
+    /// Appends a later run's tallies: group rows in run order, counters
+    /// summed, the later of the two last-event times.
+    pub(crate) fn absorb(&mut self, other: Tallies) {
+        self.group_outcomes.extend(other.group_outcomes);
+        self.failovers += other.failovers;
+        for (mine, theirs) in self.holder.iter_mut().zip(other.holder) {
+            *mine += theirs;
+        }
+        self.place_decisions += other.place_decisions;
+        self.last_event_ms = self.last_event_ms.max(other.last_event_ms);
+        self.trace_events += other.trace_events;
+    }
+
+    /// Writes one simulation's telemetry into `o` — the document
+    /// [`simulate_with_faults_observed`] describes. `self` covers every
+    /// group in group order and `metrics` is the merged recorder, so
+    /// the bytes do not depend on how many kernel runs produced them;
+    /// the fault events come from the global `schedule` in firing
+    /// order, once, whichever groups replayed them.
+    fn flush(
+        &self,
+        o: &mut Obs,
+        metrics: &MetricsRecorder,
+        schedule: &FaultSchedule,
+        trace_len: usize,
+        placement: bool,
+    ) {
+        for (at, idx) in fault_order(schedule) {
+            let (kind, field) = match schedule.events()[idx].kind {
+                FaultKind::CacheDown { cache } => ("cache_down", ("cache", cache.index().into())),
+                FaultKind::CacheUp { cache } => ("cache_up", ("cache", cache.index().into())),
+                FaultKind::CacheRetire { cache } => {
+                    ("cache_retire", ("cache", cache.index().into()))
+                }
+                FaultKind::BrownoutStart { factor } => {
+                    ("brownout_start", ("factor", factor.into()))
+                }
+                FaultKind::BrownoutEnd => ("brownout_end", ("factor", 1.0f64.into())),
+            };
+            o.metrics.inc("sim.fault_events");
+            o.trace.push(at.as_ms(), "sim", kind, vec![field]);
+        }
+        let mut totals = [0u64; 3];
+        for (g, counts) in self.group_outcomes.iter().enumerate() {
+            for (slot, name) in ["local_hits", "peer_hits", "coop_misses"]
+                .iter()
+                .enumerate()
+            {
+                o.metrics
+                    .add(&format!("sim.group.{g:03}.{name}"), counts[slot]);
+                totals[slot] += counts[slot];
+            }
+        }
+        o.metrics.add("sim.local_hits", totals[0]);
+        o.metrics.add("sim.peer_hits", totals[1]);
+        o.metrics.add("sim.coop_misses", totals[2]);
+        o.metrics.add("sim.failovers", self.failovers);
+        o.metrics
+            .add("sim.control_messages", metrics.control_messages);
+        o.metrics.add("sim.stale_served", metrics.stale_served);
+        o.metrics.add("sim.holder.group_checks", self.holder[0]);
+        o.metrics.add("sim.holder.ruled_out", self.holder[1]);
+        o.metrics.add("sim.holder.bit_tests", self.holder[2]);
+        // Events are only consumed, so the pending-event high-water
+        // mark is the run's event count.
+        o.metrics
+            .max_gauge("sim.queue.max_depth", (trace_len + schedule.len()) as f64);
+        o.metrics
+            .merge_histogram("sim.latency_ms", metrics.latency_histogram());
+        if placement {
+            o.metrics.add("place.decisions", self.place_decisions);
+            o.metrics
+                .add("place.replicas_created", metrics.replicas_created);
+            o.metrics
+                .add("place.replicas_suppressed", metrics.replicas_suppressed);
+            o.metrics
+                .add("place.remote_placements", metrics.remote_placements);
+        }
+        let mut span = o.phases.span("sim");
+        span.add_work(self.last_event_ms);
+        if placement {
+            let mut place_span = span.child("place");
+            place_span.add_work(self.place_decisions as f64);
+        }
+    }
+}
+
+/// The event loop: replays `timeline` — a whole trace, or one group's
+/// share of one — against `groups` over `network`. Inputs are already
+/// validated (a [`Timeline`] only exists for a valid trace, `schedule`
+/// passed [`FaultSchedule::validate`], `groups` covers `network`).
+/// `obs` receives only the `place.replica_count` observations, whose
+/// histogram is count-based and so indifferent to the order runs are
+/// made in; everything else observable comes back as [`Tallies`].
+pub(crate) fn kernel(
+    network: &EdgeNetwork,
+    groups: &GroupMap,
+    catalog: &DocumentCatalog,
+    timeline: Timeline<'_>,
+    config: SimConfig,
+    schedule: &FaultSchedule,
+    mut obs: Option<&mut Obs>,
+) -> GroupOutcome {
+    let n = network.cache_count();
+    debug_assert_eq!(groups.cache_count(), n);
 
     let mut caches: Vec<DocumentCache> = (0..n)
         .map(|_| DocumentCache::new(config.cache_capacity_bytes, config.policy))
@@ -520,9 +725,9 @@ pub fn simulate_with_faults_observed(
     metrics.degradation = crate::metrics::DegradationMetrics::new(schedule.timeline_bucket());
     // Degradation accumulates per group and is folded in group order
     // after the loop. Groups are independent between re-formation
-    // events, so this makes every f64 sum reconstructible by a sharded
-    // replay (ecg-replay) that runs one group per shard and merges the
-    // shard recorders through the same fold.
+    // events, so this makes every f64 sum reconstructible by the
+    // group-major driver, which runs one group per kernel call and
+    // merges the recorders through the same fold.
     let mut deg_groups: Vec<crate::metrics::DegradationMetrics> = (0..groups.group_count())
         .map(|_| crate::metrics::DegradationMetrics::new(schedule.timeline_bucket()))
         .collect();
@@ -587,11 +792,8 @@ pub fn simulate_with_faults_observed(
     let mut candidates_scratch: Vec<Candidate> = Vec::new();
     let mut place_decisions = 0u64;
 
-    // Observability tallies. Plain integer bumps are cheap enough to
-    // keep unconditional; they are flushed into `obs` (when present)
-    // after the loop. Events are only consumed, so the pending-event
-    // high-water mark is the run's event count.
-    let queue_max_depth = timeline.event_count();
+    // Observability tallies (see `Tallies`).
+    let trace_events = timeline.trace_events() as u64;
     let mut group_outcomes = vec![[0u64; 3]; groups.group_count()];
     let mut obs_failovers = 0u64;
     let mut holder_group_checks = 0u64;
@@ -604,25 +806,6 @@ pub fn simulate_with_faults_observed(
         last_event_ms = now.as_ms();
         match event {
             Event::Fault { idx } => {
-                if let Some(o) = obs.as_deref_mut() {
-                    let (kind, field) = match schedule.events()[idx].kind {
-                        FaultKind::CacheDown { cache } => {
-                            ("cache_down", ("cache", cache.index().into()))
-                        }
-                        FaultKind::CacheUp { cache } => {
-                            ("cache_up", ("cache", cache.index().into()))
-                        }
-                        FaultKind::CacheRetire { cache } => {
-                            ("cache_retire", ("cache", cache.index().into()))
-                        }
-                        FaultKind::BrownoutStart { factor } => {
-                            ("brownout_start", ("factor", factor.into()))
-                        }
-                        FaultKind::BrownoutEnd => ("brownout_end", ("factor", 1.0f64.into())),
-                    };
-                    o.metrics.inc("sim.fault_events");
-                    o.trace.push(now.as_ms(), "sim", kind, vec![field]);
-                }
                 match schedule.events()[idx].kind {
                     FaultKind::CacheDown { cache } => {
                         let c = cache.index();
@@ -1045,60 +1228,26 @@ pub fn simulate_with_faults_observed(
         }
     }
 
-    if let Some(o) = obs {
-        let mut totals = [0u64; 3];
-        for (g, counts) in group_outcomes.iter().enumerate() {
-            for (slot, name) in ["local_hits", "peer_hits", "coop_misses"]
-                .iter()
-                .enumerate()
-            {
-                o.metrics
-                    .add(&format!("sim.group.{g:03}.{name}"), counts[slot]);
-                totals[slot] += counts[slot];
-            }
-        }
-        o.metrics.add("sim.local_hits", totals[0]);
-        o.metrics.add("sim.peer_hits", totals[1]);
-        o.metrics.add("sim.coop_misses", totals[2]);
-        o.metrics.add("sim.failovers", obs_failovers);
-        o.metrics
-            .add("sim.control_messages", metrics.control_messages);
-        o.metrics.add("sim.stale_served", metrics.stale_served);
-        o.metrics
-            .add("sim.holder.group_checks", holder_group_checks);
-        o.metrics.add("sim.holder.ruled_out", holder_ruled_out);
-        o.metrics.add("sim.holder.bit_tests", holder_bit_tests);
-        o.metrics
-            .max_gauge("sim.queue.max_depth", queue_max_depth as f64);
-        o.metrics
-            .merge_histogram("sim.latency_ms", metrics.latency_histogram());
-        if placements.is_some() {
-            o.metrics.add("place.decisions", place_decisions);
-            o.metrics
-                .add("place.replicas_created", metrics.replicas_created);
-            o.metrics
-                .add("place.replicas_suppressed", metrics.replicas_suppressed);
-            o.metrics
-                .add("place.remote_placements", metrics.remote_placements);
-        }
-        let mut span = o.phases.span("sim");
-        span.add_work(last_event_ms);
-        if placements.is_some() {
-            let mut place_span = span.child("place");
-            place_span.add_work(place_decisions as f64);
-        }
-    }
-
     let cache_stats = caches
         .iter()
         .map(|c| c.stats())
         .fold(lost_stats, |acc, s| acc + s);
-    Ok(SimReport {
-        metrics,
-        cache_stats,
-        origin_updates: origin.updates_applied(),
-        origin_fetches: origin.fetches_served(),
-    })
+    GroupOutcome {
+        report: SimReport {
+            metrics,
+            cache_stats,
+            origin_updates: origin.updates_applied(),
+            origin_fetches: origin.fetches_served(),
+        },
+        tallies: Tallies {
+            group_outcomes,
+            failovers: obs_failovers,
+            holder: [holder_group_checks, holder_ruled_out, holder_bit_tests],
+            place_decisions,
+            last_event_ms,
+            trace_events,
+        },
+    }
 }
 
 /// Which caches are down, per cache and counted per group, plus what
@@ -1143,7 +1292,12 @@ impl Liveness {
     /// The RTT from `cache` to its slowest alive peer (0 with none):
     /// how long a group-wide miss waits for the last negative reply.
     /// Walks `members` (group `g`'s list) only when a fault has changed
-    /// the group since the last call for this cache.
+    /// the group since the last call for this cache — and then gathers
+    /// from the requester's matrix row into four independent maxima
+    /// (`max` is exact and order-free, so the value does not depend on
+    /// the split), without the liveness test while the group is whole.
+    /// The requester need not be skipped: its own RTT is the zero
+    /// diagonal, and it is alive.
     fn slowest_reply(
         &mut self,
         cache: CacheId,
@@ -1155,12 +1309,30 @@ impl Liveness {
         if stamp == self.epoch[g] {
             return memo;
         }
-        let slowest = members
-            .iter()
-            .filter(|&&p| p != cache && !self.down[p.index()])
-            .fold(0.0f64, |slowest, &p| {
-                slowest.max(network.cache_to_cache(cache, p))
-            });
+        // Matrix node 0 is the origin; cache `c` is node `c + 1`.
+        let row = &network.rtt_matrix().row(cache.index() + 1)[1..];
+        let mut lanes = [0.0f64; 4];
+        if self.down_in_group[g] == 0 {
+            let quads = members.chunks_exact(4);
+            for p in quads.remainder() {
+                lanes[0] = lanes[0].max(row[p.index()]);
+            }
+            for quad in quads {
+                for (lane, p) in lanes.iter_mut().zip(quad) {
+                    *lane = lane.max(row[p.index()]);
+                }
+            }
+        } else {
+            for (i, p) in members.iter().enumerate() {
+                let reply = if self.down[p.index()] {
+                    0.0
+                } else {
+                    row[p.index()]
+                };
+                lanes[i % 4] = lanes[i % 4].max(reply);
+            }
+        }
+        let slowest = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
         self.slowest_memo[cache.index()] = (self.epoch[g], slowest);
         slowest
     }

@@ -2,16 +2,55 @@
 
 use ecg_obs::Obs;
 use ecg_sim::{
-    simulate, simulate_with_faults_observed, FaultKind, FaultSchedule, FreshnessProtocol, GroupMap,
-    LatencyModel, PeerLookup, PlacementKind, SimConfig,
+    simulate, simulate_time_major, simulate_with_faults_observed, FaultKind, FaultSchedule,
+    FreshnessProtocol, GroupMap, LatencyModel, PeerLookup, PlacementKind, SimConfig, SimError,
 };
 use ecg_topology::{CacheId, EdgeNetwork, RttMatrix};
 use ecg_workload::{
-    generate_updates, merge_streams, CatalogConfig, DocId, Request, RequestConfig, Update,
+    generate_updates, merge_streams, CatalogConfig, DocId, Request, RequestConfig, TraceEvent,
+    Update,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes the current thread has asked the allocator for.
+    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting per thread what is requested (tests
+/// run on parallel threads, so a global count would mix them).
+struct CountingAlloc;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` without a destructor, so touching it neither
+// allocates nor outlives its thread.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATED.try_with(|bytes| bytes.set(bytes.get() + layout.size() as u64));
+        // SAFETY: the caller's obligations are passed on as they came.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as in `alloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Bytes `work` allocates on this thread.
+fn allocated_by<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATED.with(Cell::get);
+    let out = work();
+    (out, ALLOCATED.with(Cell::get) - before)
+}
 
 /// A random edge network: origin plus n caches with synthetic RTTs.
 fn arb_network(seed: u64, caches: usize) -> EdgeNetwork {
@@ -130,8 +169,240 @@ fn plant_stale_nearest(
     true
 }
 
+/// The partition shapes the group-major driver must get right: one
+/// group in id order (run in place), one group out of id order, all
+/// singletons, and ragged partitions whose member lists descend or are
+/// shuffled.
+fn shaped_partition(shape: usize, seed: u64, n: usize) -> GroupMap {
+    let reversed = |map: GroupMap| {
+        let lists = map
+            .groups()
+            .iter()
+            .map(|m| m.iter().rev().copied().collect());
+        GroupMap::new(n, lists.collect()).unwrap()
+    };
+    match shape {
+        0 => GroupMap::one_group(n),
+        1 => reversed(GroupMap::one_group(n)),
+        2 => GroupMap::singletons(n),
+        3 => reversed(arb_partition(seed, n, 5)),
+        _ => shuffled_partition(seed, n, 5),
+    }
+}
+
+/// Plain report, observed report and the observed run's metrics
+/// document, from the driver every entry point goes through or from the
+/// time-major oracle.
+fn run_both_ways(
+    oracle: bool,
+    net: &EdgeNetwork,
+    groups: &GroupMap,
+    cat: &ecg_workload::DocumentCatalog,
+    trace: &[TraceEvent],
+    config: SimConfig,
+    schedule: &FaultSchedule,
+) -> Result<(ecg_sim::SimReport, String), SimError> {
+    let run = if oracle {
+        simulate_time_major
+    } else {
+        simulate_with_faults_observed
+    };
+    let plain = run(net, groups, cat, trace, config, schedule, None)?;
+    let mut obs = Obs::new();
+    let observed = run(net, groups, cat, trace, config, schedule, Some(&mut obs))?;
+    assert_eq!(plain, observed, "observation changed the report");
+    Ok((plain, obs.to_json()))
+}
+
+/// One group in id order is the whole network: the driver runs the
+/// kernel on the caller's inputs and allocates what the time-major
+/// oracle allocates, to the byte — no position lists, no sub-matrix.
+/// The same group listed backwards needs both, and pays for them.
+#[test]
+fn one_group_in_id_order_runs_in_place() {
+    let caches = 12;
+    let net = arb_network(3, caches);
+    let mut rng = StdRng::seed_from_u64(4);
+    let cat = CatalogConfig::default().documents(40).generate(&mut rng);
+    let requests = RequestConfig::default().generate(&cat, caches, 10_000.0, &mut rng);
+    let trace = merge_streams(&requests, &generate_updates(&cat, 10_000.0, &mut rng));
+    let config = SimConfig::default();
+    let schedule = FaultSchedule::new();
+    let in_order = GroupMap::one_group(caches);
+    let backwards = shaped_partition(1, 0, caches);
+
+    let (oracle, oracle_bytes) = allocated_by(|| {
+        simulate_time_major(&net, &in_order, &cat, &trace, config, &schedule, None).unwrap()
+    });
+    let (in_place, in_place_bytes) =
+        allocated_by(|| simulate(&net, &in_order, &cat, &trace, config).unwrap());
+    assert_eq!(in_place, oracle);
+    assert_eq!(in_place_bytes, oracle_bytes);
+
+    let (planned, planned_bytes) =
+        allocated_by(|| simulate(&net, &backwards, &cat, &trace, config).unwrap());
+    assert_eq!(
+        planned.metrics.total_requests(),
+        oracle.metrics.total_requests()
+    );
+    let positions = 4 * trace.len() as u64;
+    let sub_matrix = 8 * ((caches + 1) * (caches + 1)) as u64;
+    assert!(planned_bytes >= oracle_bytes + positions + sub_matrix);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The group-major driver — per-group position plan, sub-topology,
+    /// fault split, group-order fold, one observability flush — reports
+    /// and observes exactly what one time-major pass over the whole map
+    /// does, and fails with the same error.
+    #[test]
+    fn group_major_driver_equals_the_time_major_oracle(
+        seed in any::<u64>(),
+        caches in 1usize..14,
+        shape in 0usize..5,
+        trace_kind in 0usize..5,
+        faulted in any::<bool>(),
+    ) {
+        let net = grid_network(seed, caches);
+        let groups = shaped_partition(shape, seed.wrapping_add(1), caches);
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2));
+        let cat = CatalogConfig::default()
+            .documents(50)
+            .dynamic_fraction(0.6)
+            .dynamic_update_rate_per_sec(0.05)
+            .generate(&mut rng);
+        let duration = 20_000.0;
+        let mut requests = RequestConfig::default()
+            .rate_per_sec_per_cache(4.0)
+            .similarity(1.0)
+            .generate(&cat, caches, duration, &mut rng);
+        let mut updates = generate_updates(&cat, duration, &mut rng);
+        plant_stale_nearest(&net, &groups, cat.len(), duration, &mut requests, &mut updates);
+        // The last group sees updates and faults but no request.
+        let idle = groups.groups().last().unwrap();
+        if groups.group_count() > 1 {
+            requests.retain(|r| !idle.contains(&CacheId(r.cache)));
+        }
+        let mut trace = match trace_kind {
+            0 => Vec::new(),
+            1 => merge_streams(&[], &updates),
+            _ => merge_streams(&requests, &updates),
+        };
+        if trace_kind == 2 {
+            // Out of time order: the stable sort decides, and whole-ms
+            // rounding makes some of the shuffled events tie.
+            for event in &mut trace {
+                match event {
+                    TraceEvent::Request(r) => r.time_ms = r.time_ms.round(),
+                    TraceEvent::Update(u) => u.time_ms = u.time_ms.round(),
+                }
+            }
+            for i in (1..trace.len()).rev() {
+                trace.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        let mut schedule = FaultSchedule::new();
+        if faulted {
+            schedule =
+                arb_schedule(seed.wrapping_add(3), caches, duration).timeline_bucket_ms(3_000.0);
+            // Two caches crash at one instant — in one group or in two —
+            // and the last is retired while still down.
+            let last = CacheId(caches - 1);
+            let before = CacheId(caches.saturating_sub(2));
+            schedule.push(0.25 * duration, FaultKind::CacheDown { cache: last });
+            schedule.push(0.25 * duration, FaultKind::CacheDown { cache: before });
+            schedule.push(0.5 * duration, FaultKind::CacheRetire { cache: last });
+        }
+        for freshness in [
+            FreshnessProtocol::InvalidateOnAccess,
+            FreshnessProtocol::OriginMulticast,
+            FreshnessProtocol::TtlLease { ttl_ms: 6_000.0 },
+        ] {
+            for placement in [
+                PlacementKind::SingleHolder,
+                PlacementKind::adaptive(),
+                PlacementKind::d_choices(),
+            ] {
+                for lookup in [PeerLookup::HolderIndex, PeerLookup::ScanAll] {
+                    let config = SimConfig::default()
+                        .cache_capacity_bytes(96 << 10)
+                        .warmup_ms(duration / 8.0)
+                        .freshness(freshness)
+                        .placement(placement)
+                        .peer_lookup(lookup);
+                    let driver =
+                        run_both_ways(false, &net, &groups, &cat, &trace, config, &schedule);
+                    let oracle =
+                        run_both_ways(true, &net, &groups, &cat, &trace, config, &schedule);
+                    prop_assert_eq!(
+                        driver, oracle,
+                        "diverged under {:?} / {:?} / {:?}", freshness, placement, lookup
+                    );
+                }
+            }
+        }
+    }
+
+    /// The first invalid event in *trace order* decides the error, even
+    /// when it belongs to the last group and an earlier group's share of
+    /// the trace is also invalid further on.
+    #[test]
+    fn the_first_invalid_event_in_trace_order_is_the_error(
+        seed in any::<u64>(),
+        caches in 2usize..10,
+        first_kind in 0usize..5,
+        second_kind in 0usize..5,
+    ) {
+        let net = arb_network(seed, caches);
+        let groups = shuffled_partition(seed.wrapping_add(1), caches, 4);
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2));
+        let cat = CatalogConfig::default().documents(30).generate(&mut rng);
+        let requests = RequestConfig::default()
+            .rate_per_sec_per_cache(3.0)
+            .generate(&cat, caches, 8_000.0, &mut rng);
+        let updates = generate_updates(&cat, 8_000.0, &mut rng);
+        let mut trace = merge_streams(&requests, &updates);
+        prop_assert!(trace.len() >= 4);
+        // The earlier corruption lands on a request of the last group
+        // (when it has one), the later one anywhere after it.
+        let last = groups.groups().last().unwrap();
+        let in_last = |e: &TraceEvent| matches!(e, TraceEvent::Request(r) if last.contains(&CacheId(r.cache)));
+        let first = trace[..trace.len() / 2].iter().position(in_last).unwrap_or(0);
+        let second = rng.gen_range(first + 1..trace.len());
+        for (at, kind) in [(first, first_kind), (second, second_kind)] {
+            let bad_time = [f64::NAN, -1.0, f64::INFINITY][kind % 3];
+            match (&mut trace[at], kind) {
+                (TraceEvent::Request(r), 3) => r.cache = caches + 3,
+                (TraceEvent::Request(r), 4) => r.doc = DocId(cat.len() + 7),
+                (TraceEvent::Update(u), 3 | 4) => u.doc = DocId(cat.len() + 7),
+                (TraceEvent::Request(r), _) => r.time_ms = bad_time,
+                (TraceEvent::Update(u), _) => u.time_ms = bad_time,
+            }
+        }
+        let config = SimConfig::default();
+        let schedule = FaultSchedule::new();
+        let driver = run_both_ways(false, &net, &groups, &cat, &trace, config, &schedule);
+        let oracle = run_both_ways(true, &net, &groups, &cat, &trace, config, &schedule);
+        prop_assert!(oracle.is_err());
+        prop_assert_eq!(&driver, &oracle);
+        if first_kind < 3 {
+            prop_assert_eq!(driver.unwrap_err(), SimError::EventTimeInvalid { index: first });
+        }
+
+        // A map or schedule that does not fit the network is rejected
+        // before the trace is read at all, corrupt or not.
+        let short = GroupMap::one_group(caches - 1);
+        let err = simulate(&net, &short, &cat, &trace, config).unwrap_err();
+        prop_assert!(matches!(err, SimError::CacheCountMismatch { .. }));
+        let mut bad_schedule = FaultSchedule::new();
+        bad_schedule.push(1.0, FaultKind::CacheDown { cache: CacheId(caches) });
+        let driver = run_both_ways(false, &net, &groups, &cat, &trace, config, &bad_schedule);
+        let oracle = run_both_ways(true, &net, &groups, &cat, &trace, config, &bad_schedule);
+        prop_assert!(matches!(oracle, Err(SimError::Fault(_))));
+        prop_assert_eq!(driver, oracle);
+    }
 
     /// The directory path (holder bits, down counts, memoised slowest
     /// reply) reports exactly what asking every member does.

@@ -34,15 +34,15 @@ pub trait RttSource: fmt::Debug + Sync {
     /// The dense sub-matrix over `nodes`, in the given order: entry
     /// `(a, b)` is `rtt_ms(nodes[a], nodes[b])`, the diagonal is zero.
     /// This is the batched form of the pairwise query — one call builds a
-    /// replay shard's whole `[origin, members…]` topology.
+    /// group's whole `[origin, members…]` topology for the simulator.
     ///
     /// The default asks `rtt_ms` once per unordered pair. An
     /// implementation may override it to fill the block faster, but is
     /// obliged to return **bit-identical** entries (`to_bits()`-equal to
     /// the default's, repeated nodes and `nodes.len() < 2` included) and
     /// to keep every check `rtt_ms` makes: consumers rely on the two
-    /// forms being interchangeable, and the sharded replay's equivalence
-    /// to the monolithic simulator rests on it.
+    /// forms being interchangeable, and the equivalence of a group-major
+    /// simulation to a whole-map one rests on it.
     ///
     /// # Panics
     ///
@@ -190,6 +190,19 @@ impl RttMatrix {
     pub fn get(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.n && j < self.n, "rtt index out of range");
         self.data[i * self.n + j]
+    }
+
+    /// Row `i` of the matrix: the RTT from node `i` to every node, in
+    /// node order (`row(i)[j] == get(i, j)`). One bounds check for a
+    /// caller that reads many entries of one node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[f64] {
+        assert!(i < self.n, "rtt index out of range");
+        &self.data[i * self.n..(i + 1) * self.n]
     }
 
     /// Sets the RTT between `i` and `j` (and `j` and `i`).
@@ -375,6 +388,7 @@ mod tests {
             assert_eq!(m.get(i, i), 0.0);
             for j in 0..7 {
                 assert_eq!(m.get(i, j), m.get(j, i));
+                assert_eq!(m.row(i)[j], m.get(i, j));
             }
         }
     }

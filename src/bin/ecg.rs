@@ -92,9 +92,9 @@ simulate regenerates the workload from its flags unless --trace is given;
 with --trace, --docs must match the catalog the trace was generated for
 (use the same --seed/--docs as gen-trace).
 replay streams the workload shard by shard (nothing is materialized
-globally); --verify additionally runs the monolithic simulator on the
-equivalent materialized input and asserts bit-identical reports (small N
-only). Stdout is byte-identical at any --threads / ECG_THREADS setting;
+globally); --verify additionally runs `simulate` (serial, materialized
+trace and full RTT matrix) on the equivalent input and asserts
+bit-identical reports (small N only). Stdout is byte-identical at any --threads / ECG_THREADS setting;
 wall-clock timings go to stderr.
 lifecycle runs the formation supervisor over a generated churn schedule
 and prints the decision timeline; --timeline-out writes the full
@@ -705,7 +705,7 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
 
     if verify {
         let full = RttMatrix::from_fn(caches + 1, |a, b| net.rtt_ms(a, b));
-        let monolithic = simulate(
+        let materialized = simulate(
             &EdgeNetwork::from_rtt_matrix(full),
             &map,
             &catalog,
@@ -713,10 +713,10 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
             *config.sim_config(),
         )
         .map_err(|e| e.to_string())?;
-        if monolithic != replayed.report {
-            return Err("sharded replay diverged from monolithic simulate".into());
+        if materialized != replayed.report {
+            return Err("sharded replay diverged from simulate on the materialized trace".into());
         }
-        println!("verify: sharded report is bit-identical to monolithic simulate");
+        println!("verify: sharded report is bit-identical to simulate on the materialized trace");
     }
     Ok(())
 }
@@ -1226,8 +1226,9 @@ mod tests {
     fn replay_subcommand_verifies_against_monolithic() {
         let to_args =
             |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
-        // Small N with --verify: the sharded report must be bit-identical
-        // to the monolithic simulator, at an explicit thread count too.
+        // Small N with --verify: the streamed, sharded report must be
+        // bit-identical to the serial run over the materialized trace, at
+        // an explicit thread count too.
         run(&to_args(&[
             "replay",
             "--caches",

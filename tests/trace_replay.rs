@@ -2,18 +2,26 @@
 //!
 //! The paper's simulator is log-file-driven; these tests check that a
 //! workload written to the text trace format replays to bit-identical
-//! simulation results, and that the sharded replay engine
-//! ([`ecg_replay`](edge_cache_groups::replay)) is bit-identical to the
-//! monolithic simulator on every input the latter accepts — across
+//! simulation results, and that the group-major engines — `simulate`
+//! on the caller's thread, the sharded replay of
+//! [`ecg_replay`](edge_cache_groups::replay) on the worker pool — are
+//! bit-identical to the time-major reference oracle
+//! ([`simulate_time_major`]) on every input it accepts — across
 //! placement policies, freshness protocols, fault schedules, and
 //! thread counts.
 
 use edge_cache_groups::prelude::*;
-use edge_cache_groups::sim::{FaultKind, FaultSchedule, FreshnessProtocol};
-use edge_cache_groups::workload::{generate_updates, read_trace, write_trace};
+use edge_cache_groups::replay::replay_sharded_observed;
+use edge_cache_groups::sim::{
+    simulate_time_major, FaultKind, FaultSchedule, FreshnessProtocol, SimError,
+};
+use edge_cache_groups::workload::{
+    generate_updates, read_trace, write_trace, DocumentCatalog, TraceEvent,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
 fn persisted_trace_replays_identically() {
@@ -46,18 +54,26 @@ fn persisted_trace_replays_identically() {
     assert_eq!(a, b);
 }
 
+/// The reference every engine is held to: one time-major pass of the
+/// event loop over the whole map.
+fn oracle(
+    network: &EdgeNetwork,
+    groups: &GroupMap,
+    catalog: &DocumentCatalog,
+    trace: &[TraceEvent],
+    sim: SimConfig,
+    schedule: &FaultSchedule,
+) -> Result<SimReport, SimError> {
+    simulate_time_major(network, groups, catalog, trace, sim, schedule, None)
+}
+
 /// A formed network + sporting-event workload shared by the sharded
 /// equivalence tests.
 fn formed_fixture(
     caches: usize,
     k: usize,
     seed: u64,
-) -> (
-    EdgeNetwork,
-    GroupMap,
-    edge_cache_groups::workload::DocumentCatalog,
-    Vec<edge_cache_groups::workload::TraceEvent>,
-) {
+) -> (EdgeNetwork, GroupMap, DocumentCatalog, Vec<TraceEvent>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let topo = TransitStubConfig::for_caches(caches).generate(&mut rng);
     let network = EdgeNetwork::place(&topo, caches, OriginPlacement::TransitNode, &mut rng)
@@ -88,7 +104,20 @@ fn sharded_replay_matches_monolithic_across_placements_and_threads() {
         PlacementKind::d_choices(),
     ] {
         let sim = SimConfig::default().placement(placement).warmup_ms(2_000.0);
-        let monolithic = simulate(&network, &groups, &catalog, &trace, sim).expect("sim");
+        let monolithic = oracle(
+            &network,
+            &groups,
+            &catalog,
+            &trace,
+            sim,
+            &FaultSchedule::new(),
+        )
+        .expect("sim");
+        assert_eq!(
+            simulate(&network, &groups, &catalog, &trace, sim).expect("sim"),
+            monolithic,
+            "simulate diverged ({placement:?})"
+        );
         let config = ReplayConfig::default().sim(sim);
         for threads in [1usize, 2, 8] {
             edge_cache_groups::par::set_max_threads(Some(threads));
@@ -121,8 +150,12 @@ fn sharded_replay_matches_monolithic_under_faults_and_freshness() {
         FreshnessProtocol::TtlLease { ttl_ms: 2_000.0 },
     ] {
         let sim = SimConfig::default().freshness(freshness);
-        let monolithic =
-            simulate_with_faults(&network, &groups, &catalog, &trace, sim, &schedule).expect("sim");
+        let monolithic = oracle(&network, &groups, &catalog, &trace, sim, &schedule).expect("sim");
+        assert_eq!(
+            simulate_with_faults(&network, &groups, &catalog, &trace, sim, &schedule).expect("sim"),
+            monolithic,
+            "simulate diverged under faults ({freshness:?})"
+        );
         let config = ReplayConfig::default().sim(sim).schedule(schedule.clone());
         for threads in [1usize, 2, 8] {
             edge_cache_groups::par::set_max_threads(Some(threads));
@@ -134,6 +167,31 @@ fn sharded_replay_matches_monolithic_under_faults_and_freshness() {
                 "sharded replay diverged under faults ({freshness:?}, {threads} threads)"
             );
         }
+    }
+}
+
+/// An RTT oracle that counts how it is asked: pair by pair, or one
+/// batched sub-matrix at a time.
+#[derive(Debug)]
+struct CountingRtt<'a> {
+    inner: &'a dyn RttSource,
+    pair_queries: AtomicUsize,
+    submatrix_queries: AtomicUsize,
+}
+
+impl RttSource for CountingRtt<'_> {
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+
+    fn rtt_ms(&self, a: usize, b: usize) -> f64 {
+        self.pair_queries.fetch_add(1, Ordering::Relaxed);
+        self.inner.rtt_ms(a, b)
+    }
+
+    fn submatrix(&self, nodes: &[usize]) -> RttMatrix {
+        self.submatrix_queries.fetch_add(1, Ordering::Relaxed);
+        self.inner.submatrix(nodes)
     }
 }
 
@@ -177,14 +235,18 @@ fn streamed_replay_matches_monolithic_on_materialized_inputs() {
     faulted.push(8_500.0, FaultKind::BrownoutEnd);
     faulted.push(10_000.0, FaultKind::CacheRetire { cache: CacheId(39) });
 
+    let counted = CountingRtt {
+        inner: &net,
+        pair_queries: AtomicUsize::new(0),
+        submatrix_queries: AtomicUsize::new(0),
+    };
     for schedule in [FaultSchedule::new(), faulted] {
-        let monolithic =
-            simulate_with_faults(&full, &map, &catalog, &trace, sim, &schedule).expect("sim");
+        let monolithic = oracle(&full, &map, &catalog, &trace, sim, &schedule).expect("sim");
         let config = ReplayConfig::default().sim(sim).schedule(schedule.clone());
         for threads in [1usize, 2, 8] {
             edge_cache_groups::par::set_max_threads(Some(threads));
             let streamed =
-                replay_streamed(&net, &map, &catalog, &workload, &config).expect("replay");
+                replay_streamed(&counted, &map, &catalog, &workload, &config).expect("replay");
             edge_cache_groups::par::set_max_threads(None);
             assert_eq!(
                 streamed,
@@ -194,21 +256,32 @@ fn streamed_replay_matches_monolithic_on_materialized_inputs() {
             );
         }
     }
+    // A shard is one batched sub-topology query and one kernel run on
+    // it in place: six replays of the map's groups, nothing pairwise.
+    assert_eq!(
+        counted.submatrix_queries.load(Ordering::Relaxed),
+        6 * map.group_count()
+    );
+    assert_eq!(counted.pair_queries.load(Ordering::Relaxed), 0);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The load-bearing contract: on ANY input the monolithic simulator
-    /// accepts, sharded replay is bit-identical — whatever the group
-    /// shapes, placement policy, or thread count.
+    /// The load-bearing contract: on ANY input the time-major oracle
+    /// accepts, `simulate` and the sharded replay are bit-identical to
+    /// it — whatever the group shapes, placement policy, freshness
+    /// protocol, fault script or thread count — and the replay's
+    /// observability document does not depend on the thread count.
     #[test]
     fn sharded_replay_is_bit_identical_on_arbitrary_inputs(
         seed in any::<u64>(),
         caches in 6usize..30,
         chunk in 1usize..9,
         placement_idx in 0usize..3,
-        threads_idx in 0usize..3,
+        freshness_idx in 0usize..3,
+        descending in any::<bool>(),
+        faulted in any::<bool>(),
         flash in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -217,17 +290,25 @@ proptest! {
             &topo, caches, OriginPlacement::TransitNode, &mut rng,
         ).unwrap();
         // Contiguous chunks of arbitrary width cover singleton, ragged,
-        // and whole-network groups alike.
+        // and whole-network groups alike; descending member lists make
+        // local ids disagree with cache-id order.
         let groups: Vec<Vec<CacheId>> = (0..caches)
             .collect::<Vec<_>>()
             .chunks(chunk)
-            .map(|c| c.iter().map(|&i| CacheId(i)).collect())
+            .map(|c| {
+                let mut members: Vec<CacheId> = c.iter().map(|&i| CacheId(i)).collect();
+                if descending {
+                    members.reverse();
+                }
+                members
+            })
             .collect();
         let map = GroupMap::new(caches, groups).unwrap();
+        let duration = 8_000.0;
         let workload = SportingEventConfig::default()
             .caches(caches)
             .documents(150)
-            .duration_ms(8_000.0)
+            .duration_ms(duration)
             .flash_crowd(flash)
             .generate(&mut rng);
         let placement = [
@@ -235,17 +316,44 @@ proptest! {
             PlacementKind::adaptive(),
             PlacementKind::d_choices(),
         ][placement_idx];
-        let sim = SimConfig::default().placement(placement);
+        let freshness = [
+            FreshnessProtocol::InvalidateOnAccess,
+            FreshnessProtocol::OriginMulticast,
+            FreshnessProtocol::TtlLease { ttl_ms: 1_500.0 },
+        ][freshness_idx];
+        let sim = SimConfig::default().placement(placement).freshness(freshness);
+        let mut schedule = FaultSchedule::new().timeline_bucket_ms(2_000.0);
+        if faulted {
+            // Two same-instant crashes, a retirement of a cache that is
+            // still down, a recovery, and a brownout over all of it.
+            let (a, b) = (CacheId(rng.gen_range(0..caches)), CacheId(caches - 1));
+            schedule.push(0.2 * duration, FaultKind::CacheDown { cache: a });
+            schedule.push(0.2 * duration, FaultKind::CacheDown { cache: b });
+            schedule.push(0.3 * duration, FaultKind::BrownoutStart { factor: 2.0 });
+            schedule.push(0.5 * duration, FaultKind::CacheRetire { cache: b });
+            schedule.push(0.6 * duration, FaultKind::CacheUp { cache: a });
+            schedule.push(0.7 * duration, FaultKind::BrownoutEnd);
+        }
         let trace = workload.merged_trace();
         let monolithic =
-            simulate(&network, &map, &workload.catalog, &trace, sim).unwrap();
-        let config = ReplayConfig::default().sim(sim);
-        let threads = [1usize, 2, 8][threads_idx];
-        edge_cache_groups::par::set_max_threads(Some(threads));
-        let sharded =
-            replay_sharded(&network, &map, &workload.catalog, &trace, &config).unwrap();
-        edge_cache_groups::par::set_max_threads(None);
-        prop_assert_eq!(sharded, monolithic);
+            oracle(&network, &map, &workload.catalog, &trace, sim, &schedule).unwrap();
+        let simulated =
+            simulate_with_faults(&network, &map, &workload.catalog, &trace, sim, &schedule)
+                .unwrap();
+        prop_assert_eq!(&simulated, &monolithic);
+        let config = ReplayConfig::default().sim(sim).schedule(schedule);
+        let mut documents = Vec::new();
+        for threads in [1usize, 2, 8] {
+            let mut obs = Obs::new();
+            edge_cache_groups::par::set_max_threads(Some(threads));
+            let sharded = replay_sharded_observed(
+                &network, &map, &workload.catalog, &trace, &config, Some(&mut obs),
+            ).unwrap();
+            edge_cache_groups::par::set_max_threads(None);
+            prop_assert_eq!(&sharded.report, &monolithic, "{} threads", threads);
+            documents.push(obs.to_json());
+        }
+        prop_assert!(documents.windows(2).all(|pair| pair[0] == pair[1]));
     }
 }
 
