@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ecg_bench::Scenario;
 use ecg_core::{GfCoordinator, SchemeConfig};
-use ecg_sim::{simulate, GroupMap};
+use ecg_sim::{simulate, GroupMap, RunContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,16 +23,8 @@ fn bench_replay(c: &mut Criterion) {
             BenchmarkId::from_parameter(caches),
             &scenario,
             |b, scenario| {
-                b.iter(|| {
-                    simulate(
-                        &scenario.network,
-                        &map,
-                        &scenario.workload.catalog,
-                        &scenario.trace,
-                        config,
-                    )
-                    .expect("simulation")
-                })
+                let plan = scenario.plan(config);
+                b.iter(|| simulate(&plan, &map, &mut RunContext::serial()).expect("simulation"))
             },
         );
     }

@@ -24,7 +24,7 @@ use ecg_coords::ProbeConfig;
 use ecg_core::{GfCoordinator, GroupMaintainer, SchemeConfig};
 use ecg_faults::{report_to_json, ChurnConfig, ChurnDriver, FaultPlan};
 use ecg_obs::Obs;
-use ecg_sim::{simulate_with_faults_observed, GroupMap, SimReport};
+use ecg_sim::{simulate, GroupMap, RunContext, SimReport};
 use ecg_topology::CacheId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -139,16 +139,10 @@ fn main() {
     let pairs: Vec<(CellResult, Option<Obs>)> = par_map(cells, |cell| {
         let mut cell_obs = if collect { Some(Obs::new()) } else { None };
         let map = GroupMap::new(CACHES, cell.groups.clone()).expect("valid partition");
-        let report = simulate_with_faults_observed(
-            &scenario.network,
-            &map,
-            &scenario.workload.catalog,
-            &scenario.trace,
-            config,
-            &cell.plan.schedule(),
-            cell_obs.as_mut(),
-        )
-        .expect("simulation succeeds");
+        let schedule = cell.plan.schedule();
+        let plan = scenario.plan(config).faults(&schedule);
+        let mut ctx = RunContext::serial().observe(cell_obs.as_mut());
+        let report = simulate(&plan, &map, &mut ctx).expect("simulation succeeds");
         let max_drift = cell.maintainer.map(|m| {
             let mut driver = ChurnDriver::new(m);
             driver

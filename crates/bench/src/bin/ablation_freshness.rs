@@ -59,7 +59,7 @@ fn main() {
         ),
     ] {
         let config = scenario.sim_config(duration_ms).freshness(protocol);
-        let report = scenario.simulate_groups_observed(outcome.groups(), config, obs.as_mut());
+        let report = scenario.simulate_groups(outcome.groups(), config, obs.as_mut());
         let total = report.metrics.total_requests().max(1);
         table.row([
             name.to_string(),

@@ -25,8 +25,7 @@ use ecg_lifecycle::{
     FormationSupervisor, FormationTimeline, ReformDecision, ReformPolicy, SupervisorConfig,
 };
 use ecg_obs::Obs;
-use ecg_replay::{replay_epochs_observed, ReplayConfig, ReplayEpoch};
-use ecg_sim::SimReport;
+use ecg_sim::{simulate_epochs, ReplayEpoch, RunContext, SimReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -113,21 +112,16 @@ fn main() {
             .epoch_spans()
             .map(|(start, groups)| ReplayEpoch::new(start, groups.clone()))
             .collect();
-        let replay = replay_epochs_observed(
-            &scenario.network,
-            &epochs,
-            &scenario.workload.catalog,
-            &scenario.trace,
-            &ReplayConfig::new().sim(config).schedule(schedule),
-            cell_obs.as_mut(),
-        )
-        .expect("epoch replay succeeds");
+        let plan = scenario.plan(config).faults(&schedule);
+        // Serial: this is one cell of the sweep's own `par_map`.
+        let mut ctx = RunContext::serial().observe(cell_obs.as_mut());
+        let report = simulate_epochs(&plan, &epochs, &mut ctx).expect("epoch replay succeeds");
         (
             CellResult {
                 policy: cell.policy,
                 churn_per_hour: cell.churn_per_hour,
                 timeline,
-                report: replay.report,
+                report,
             },
             cell_obs,
         )

@@ -16,7 +16,7 @@
 
 use ecg_bench::{f2, mean, MetricsSink, Table};
 use ecg_core::{GfCoordinator, SchemeConfig};
-use ecg_sim::{simulate_observed, GroupMap, SimConfig};
+use ecg_sim::{simulate, GroupMap, RunContext, SimConfig, SimPlan};
 use ecg_topology::{EdgeNetwork, OriginPlacement, TransitStubConfig};
 use ecg_workload::SportingEventConfig;
 use rand::rngs::StdRng;
@@ -60,15 +60,10 @@ fn main() {
                     .form_groups_observed(&network, &mut form_rng, obs.as_mut())
                     .expect("group formation");
                 let map = GroupMap::new(caches, outcome.groups().to_vec()).expect("valid groups");
-                let report = simulate_observed(
-                    &network,
-                    &map,
-                    &workload.catalog,
-                    &trace,
-                    config,
-                    obs.as_mut(),
-                )
-                .expect("simulation");
+                let plan =
+                    SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace).config(config);
+                let mut ctx = RunContext::serial().observe(obs.as_mut());
+                let report = simulate(&plan, &map, &mut ctx).expect("simulation");
                 latencies[slot].push(report.average_latency_ms());
             }
         }

@@ -29,7 +29,7 @@ use ecg_bench::{f2, par_map, MetricsSink, Table};
 use ecg_cache::PolicyKind;
 use ecg_core::{GfCoordinator, SchemeConfig};
 use ecg_obs::Obs;
-use ecg_sim::{simulate_observed, GroupMap, PlacementKind, SimConfig};
+use ecg_sim::{simulate, GroupMap, PlacementKind, RunContext, SimConfig, SimPlan};
 use ecg_topology::{EdgeNetwork, OriginPlacement, TransitStubConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -102,15 +102,9 @@ fn main() {
             .policy(policy)
             .placement(placement)
             .warmup_ms(DURATION_MS / 6.0);
-        let report = simulate_observed(
-            &network,
-            &map,
-            &workload.catalog,
-            &trace,
-            config,
-            cell_obs.as_mut(),
-        )
-        .expect("simulation inputs are consistent");
+        let plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace).config(config);
+        let mut ctx = RunContext::serial().observe(cell_obs.as_mut());
+        let report = simulate(&plan, &map, &mut ctx).expect("simulation inputs are consistent");
         (report, cell_obs)
     });
     sink.absorb(obs);

@@ -45,7 +45,7 @@ fn main() {
         PolicyKind::Gdsf,
     ] {
         let config = scenario.sim_config(duration_ms).policy(policy);
-        let report = scenario.simulate_groups_observed(outcome.groups(), config, obs.as_mut());
+        let report = scenario.simulate_groups(outcome.groups(), config, obs.as_mut());
         table.row([
             policy.name().to_string(),
             f2(report.average_latency_ms()),

@@ -46,7 +46,7 @@ fn main() {
             let outcome = coord
                 .form_groups_observed(&scenario.network, &mut rng, obs.as_mut())
                 .expect("group formation");
-            let report = scenario.simulate_groups_observed(outcome.groups(), config, obs.as_mut());
+            let report = scenario.simulate_groups(outcome.groups(), config, obs.as_mut());
             lat.push(report.average_latency_ms());
             let avg_size_of = |subset: &[ecg_topology::CacheId]| -> f64 {
                 subset

@@ -15,7 +15,7 @@
 
 use ecg_bench::{f2, mean, MetricsSink, Table};
 use ecg_core::{GfCoordinator, SchemeConfig};
-use ecg_sim::{simulate_observed, GroupMap, SimConfig};
+use ecg_sim::{simulate, GroupMap, RunContext, SimConfig, SimPlan};
 use ecg_topology::{EdgeNetwork, OriginPlacement, TransitStubConfig};
 use ecg_workload::{NewsSiteConfig, SportingEventConfig, TraceEvent};
 use rand::rngs::StdRng;
@@ -74,9 +74,9 @@ fn main() {
                     .form_groups_observed(&network, &mut form_rng, obs.as_mut())
                     .expect("formation");
                 let map = GroupMap::new(caches, outcome.groups().to_vec()).expect("groups");
-                let report =
-                    simulate_observed(&network, &map, catalog, trace, config, obs.as_mut())
-                        .expect("simulation");
+                let plan = SimPlan::new(network.rtt_matrix(), catalog, trace).config(config);
+                let mut ctx = RunContext::serial().observe(obs.as_mut());
+                let report = simulate(&plan, &map, &mut ctx).expect("simulation");
                 latencies[slot].push(report.average_latency_ms());
                 if slot == 1 {
                     hit_rates.push(report.metrics.group_hit_rate().unwrap_or(0.0));

@@ -36,7 +36,9 @@ use criterion::{Criterion, SampleStats, Throughput};
 use ecg_bench::Scenario;
 use ecg_clustering::{kmeans, kmeans_reference, FeatureMatrix, Initializer, KmeansConfig};
 use ecg_core::{GfCoordinator, SchemeConfig};
-use ecg_sim::{simulate, simulate_time_major, FaultSchedule, GroupMap, PeerLookup, SimConfig};
+use ecg_sim::{
+    simulate, simulate_time_major, FaultSchedule, GroupMap, PeerLookup, RunContext, SimConfig,
+};
 use ecg_topology::CacheId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -182,18 +184,9 @@ fn main() {
             ("scan_all", PeerLookup::ScanAll),
             ("holder_index", PeerLookup::HolderIndex),
         ] {
-            let config = base.peer_lookup(lookup);
+            let plan = scenario.plan(base.peer_lookup(lookup));
             group.bench_function(name, |b| {
-                b.iter(|| {
-                    simulate(
-                        &scenario.network,
-                        &groups,
-                        &scenario.workload.catalog,
-                        &scenario.trace,
-                        config,
-                    )
-                    .expect("simulation")
-                })
+                b.iter(|| simulate(&plan, &groups, &mut RunContext::serial()).expect("simulation"))
             });
         }
         group.finish();
@@ -229,10 +222,9 @@ fn main() {
                 .expect("simulation")
             })
         });
+        let plan = scenario.plan(config);
         group.bench_function("group_major", |b| {
-            b.iter(|| {
-                simulate(network, &groups, catalog, &scenario.trace, config).expect("simulation")
-            })
+            b.iter(|| simulate(&plan, &groups, &mut RunContext::serial()).expect("simulation"))
         });
         group.finish();
     }

@@ -1,7 +1,7 @@
-//! Large-N scaling sweep for the sharded, streaming trace replay
-//! engine ([`ecg_replay`]).
+//! Large-N scaling sweep for pooled runs over a streamed workload.
 //!
-//! Drives [`ecg_replay::replay_streamed_observed`] over an implicit
+//! Drives [`ecg_sim::simulate`] — a [`SimPlan::streamed`] plan under
+//! [`RunContext::pooled`] — over an implicit
 //! [`SyntheticRtt`](ecg_topology::SyntheticRtt) oracle and contiguous
 //! groups of 100 caches, sweeping N × thread counts through
 //! [`ecg_par::set_max_threads`]. Nothing global is ever materialized:
@@ -23,8 +23,8 @@
 //!
 //! The synthetic oracle, catalog, and update log are generated once per
 //! N, outside the timing loop, so per-stage timings (`plan` /
-//! `shards` / `merge`, from [`ecg_replay::ReplayTimings`]) measure the
-//! replay engine only — never input setup.
+//! `shards` / `merge`, from [`ecg_sim::RunStats`]) measure the run
+//! only — never input setup.
 //!
 //! The emitted JSON records the host context (logical CPUs, the
 //! `ECG_THREADS` environment override, quick/full mode) alongside the
@@ -33,8 +33,7 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use ecg_replay::{replay_streamed_observed, ReplayConfig, ReplayReport, StreamedWorkload};
-use ecg_sim::{GroupMap, SimConfig};
+use ecg_sim::{simulate, GroupMap, RunContext, SimConfig, SimPlan, SimReport, StreamedWorkload};
 use ecg_topology::{CacheId, SyntheticRtt, SyntheticRttConfig};
 use ecg_workload::{generate_updates, CatalogConfig, DocumentCatalog, RequestConfig, Update};
 use rand::rngs::StdRng;
@@ -94,7 +93,7 @@ fn build_inputs(n: usize) -> Inputs {
 
 /// One replay at a forced thread count. Inputs are fixed per N, so two
 /// runs that differ only in `threads` must produce identical reports.
-fn run_replay(inputs: &Inputs, n: usize, threads: usize) -> (ReplayReport, RunResult) {
+fn run_replay(inputs: &Inputs, n: usize, threads: usize) -> (SimReport, RunResult) {
     let duration_ms = DURATION_SECS * 1_000.0;
     let workload = StreamedWorkload::new(
         RequestConfig::default().rate_per_sec_per_cache(RATE_PER_SEC),
@@ -102,35 +101,29 @@ fn run_replay(inputs: &Inputs, n: usize, threads: usize) -> (ReplayReport, RunRe
         duration_ms,
     )
     .updates(&inputs.updates);
-    let config = ReplayConfig::default().sim(SimConfig::default().warmup_ms(duration_ms / 6.0));
+    let plan = SimPlan::streamed(&inputs.net, &inputs.catalog, &workload)
+        .config(SimConfig::default().warmup_ms(duration_ms / 6.0));
+    let mut ctx = RunContext::pooled();
 
     ecg_par::set_max_threads(Some(threads));
-    let replayed = replay_streamed_observed(
-        &inputs.net,
-        &inputs.map,
-        &inputs.catalog,
-        &workload,
-        &config,
-        None,
-    )
-    .expect("streamed replay");
+    let report = simulate(&plan, &inputs.map, &mut ctx).expect("streamed replay");
     ecg_par::set_max_threads(None);
 
-    let t = &replayed.timings;
+    let stats = ctx.stats();
     let result = RunResult {
         n,
         threads,
-        shards: replayed.shards,
-        requests: replayed.report.metrics.total_requests(),
-        shard_events: replayed.shard_events,
-        plan_ms: t.plan_ms,
-        shards_ms: t.shards_ms,
-        merge_ms: t.merge_ms,
-        total_ms: t.total_ms(),
-        group_hit_rate: replayed.report.metrics.group_hit_rate().unwrap_or(0.0),
-        avg_latency_ms: replayed.report.average_latency_ms(),
+        shards: stats.shards,
+        requests: report.metrics.total_requests(),
+        shard_events: stats.shard_events,
+        plan_ms: stats.plan_ms,
+        shards_ms: stats.shards_ms,
+        merge_ms: stats.merge_ms,
+        total_ms: stats.total_ms(),
+        group_hit_rate: report.metrics.group_hit_rate().unwrap_or(0.0),
+        avg_latency_ms: report.average_latency_ms(),
     };
-    (replayed, result)
+    (report, result)
 }
 
 fn main() {
@@ -161,7 +154,7 @@ fn main() {
         let inputs = build_inputs(n);
         let mut baseline = None;
         for &threads in thread_counts {
-            let (replayed, run) = run_replay(&inputs, n, threads);
+            let (report, run) = run_replay(&inputs, n, threads);
             eprintln!(
                 "n={} threads={}: {} requests in {} shards, total {:.0} ms (plan {:.0}, shards {:.0}, merge {:.0})",
                 run.n,
@@ -174,10 +167,10 @@ fn main() {
                 run.merge_ms
             );
             match &baseline {
-                None => baseline = Some(replayed.report),
-                Some(report) => {
+                None => baseline = Some(report),
+                Some(first) => {
                     assert_eq!(
-                        report, &replayed.report,
+                        first, &report,
                         "n={n}: merged report diverged at {threads} threads"
                     );
                 }

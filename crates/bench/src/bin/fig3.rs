@@ -49,8 +49,7 @@ fn main() {
             let outcome = GfCoordinator::new(SchemeConfig::sl(k))
                 .form_groups_observed(&scenario_ref.network, &mut rng, obs.as_mut())
                 .expect("group formation");
-            let report =
-                scenario_ref.simulate_groups_observed(outcome.groups(), config, obs.as_mut());
+            let report = scenario_ref.simulate_groups(outcome.groups(), config, obs.as_mut());
             all.push(report.average_latency_ms());
             near_l.push(report.metrics.mean_latency_of(near_ref).unwrap_or(0.0));
             far_l.push(report.metrics.mean_latency_of(far_ref).unwrap_or(0.0));

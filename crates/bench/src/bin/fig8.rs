@@ -51,8 +51,7 @@ fn main() {
                     let outcome = GfCoordinator::new(scheme)
                         .form_groups_observed(&scenario.network, &mut rng, obs.as_mut())
                         .expect("group formation");
-                    let report =
-                        scenario.simulate_groups_observed(outcome.groups(), config, obs.as_mut());
+                    let report = scenario.simulate_groups(outcome.groups(), config, obs.as_mut());
                     latencies[slot].push(report.average_latency_ms());
                 }
             }

@@ -54,7 +54,7 @@ fn main() {
         let outcome = GfCoordinator::new(scheme)
             .form_groups_observed(&scenario_ref.network, &mut rng, obs.as_mut())
             .expect("group formation");
-        let report = scenario_ref.simulate_groups_observed(outcome.groups(), config, obs.as_mut());
+        let report = scenario_ref.simulate_groups(outcome.groups(), config, obs.as_mut());
         ((k, slot, report.average_latency_ms()), obs)
     });
     let mut results = Vec::with_capacity(pairs.len());

@@ -18,7 +18,7 @@
 
 use ecg_core::GroupingOutcome;
 use ecg_obs::Obs;
-use ecg_sim::{simulate, simulate_observed, GroupMap, LatencyModel, SimConfig, SimReport};
+use ecg_sim::{simulate, GroupMap, LatencyModel, RunContext, SimConfig, SimPlan, SimReport};
 use ecg_topology::{EdgeNetwork, OriginPlacement, TransitStubConfig};
 use ecg_workload::{SportingEventConfig, SportingEventWorkload, TraceEvent};
 use rand::rngs::StdRng;
@@ -82,7 +82,22 @@ impl Scenario {
             .warmup_ms(duration_ms / 6.0)
     }
 
-    /// Simulates a grouping on this scenario.
+    /// What the simulator runs on this scenario: its network, catalog
+    /// and trace under `config`, fault-free until the caller attaches a
+    /// schedule.
+    pub fn plan(&self, config: SimConfig) -> SimPlan<'_> {
+        SimPlan::new(
+            self.network.rtt_matrix(),
+            &self.workload.catalog,
+            &self.trace,
+        )
+        .config(config)
+    }
+
+    /// Simulates a grouping on this scenario, serially on the caller's
+    /// thread (the callers are cells of their own parallel sweeps),
+    /// recording the simulator's telemetry (`sim.*` counters, latency
+    /// histogram, event trace) into `obs` when one is supplied.
     ///
     /// # Panics
     ///
@@ -91,42 +106,14 @@ impl Scenario {
         &self,
         groups: &[Vec<ecg_topology::CacheId>],
         config: SimConfig,
-    ) -> SimReport {
-        let map = GroupMap::new(self.network.cache_count(), groups.to_vec())
-            .expect("grouping partitions the caches");
-        simulate(
-            &self.network,
-            &map,
-            &self.workload.catalog,
-            &self.trace,
-            config,
-        )
-        .expect("simulation inputs are consistent")
-    }
-
-    /// Like [`Scenario::simulate_groups`], but records the simulator's
-    /// telemetry (`sim.*` counters, latency histogram, event trace) into
-    /// an observability bundle when one is supplied. With `obs = None`
-    /// this is exactly [`Scenario::simulate_groups`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the groups do not partition the scenario's caches.
-    pub fn simulate_groups_observed(
-        &self,
-        groups: &[Vec<ecg_topology::CacheId>],
-        config: SimConfig,
         obs: Option<&mut Obs>,
     ) -> SimReport {
         let map = GroupMap::new(self.network.cache_count(), groups.to_vec())
             .expect("grouping partitions the caches");
-        simulate_observed(
-            &self.network,
+        simulate(
+            &self.plan(config),
             &map,
-            &self.workload.catalog,
-            &self.trace,
-            config,
-            obs,
+            &mut RunContext::serial().observe(obs),
         )
         .expect("simulation inputs are consistent")
     }
@@ -250,7 +237,7 @@ mod tests {
         let outcome = GfCoordinator::new(SchemeConfig::sl(3).landmarks(4))
             .form_groups(&s.network, &mut rng)
             .unwrap();
-        let report = s.simulate_groups(outcome.groups(), s.sim_config(10_000.0));
+        let report = s.simulate_groups(outcome.groups(), s.sim_config(10_000.0), None);
         assert!(report.average_latency_ms() > 0.0);
         let gic = interaction_cost_ms(&outcome, &s.network);
         assert!(gic > 0.0);

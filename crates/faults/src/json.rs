@@ -16,23 +16,18 @@ use ecg_sim::{DegradationMetrics, SimReport, WindowAggregate};
 ///
 /// ```
 /// use ecg_faults::report_to_json;
-/// use ecg_sim::{simulate, GroupMap, SimConfig};
-/// use ecg_topology::{fixtures::paper_figure1, EdgeNetwork};
+/// use ecg_sim::{simulate, GroupMap, RunContext, SimPlan};
+/// use ecg_topology::fixtures::paper_figure1;
 /// use ecg_workload::{merge_streams, CatalogConfig, RequestConfig};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
-/// let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
+/// let rtt = paper_figure1();
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let catalog = CatalogConfig::default().documents(50).generate(&mut rng);
 /// let requests = RequestConfig::default().generate(&catalog, 6, 5_000.0, &mut rng);
 /// let trace = merge_streams(&requests, &[]);
-/// let report = simulate(
-///     &network,
-///     &GroupMap::one_group(6),
-///     &catalog,
-///     &trace,
-///     SimConfig::default(),
-/// )?;
+/// let plan = SimPlan::new(&rtt, &catalog, &trace);
+/// let report = simulate(&plan, &GroupMap::one_group(6), &mut RunContext::serial())?;
 /// let json = report_to_json(&report);
 /// assert!(json.starts_with("{\"requests\":"));
 /// # Ok::<(), ecg_sim::SimError>(())
@@ -180,25 +175,20 @@ fn push_raw(out: &mut String, key: &str, v: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecg_sim::{simulate, GroupMap, SimConfig};
-    use ecg_topology::{fixtures::paper_figure1, EdgeNetwork};
+    use ecg_sim::{simulate, GroupMap, RunContext, SimPlan};
+    use ecg_topology::fixtures::paper_figure1;
     use ecg_workload::{merge_streams, CatalogConfig, RequestConfig};
     use rand::{rngs::StdRng, SeedableRng};
 
     fn sample_report() -> SimReport {
-        let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
+        let rtt = paper_figure1();
         let mut rng = StdRng::seed_from_u64(5);
         let catalog = CatalogConfig::default().documents(80).generate(&mut rng);
         let requests = RequestConfig::default().generate(&catalog, 6, 10_000.0, &mut rng);
         let trace = merge_streams(&requests, &[]);
-        simulate(
-            &network,
-            &GroupMap::one_group(6),
-            &catalog,
-            &trace,
-            SimConfig::default(),
-        )
-        .expect("simulation succeeds")
+        let plan = SimPlan::new(&rtt, &catalog, &trace);
+        simulate(&plan, &GroupMap::one_group(6), &mut RunContext::serial())
+            .expect("simulation succeeds")
     }
 
     #[test]

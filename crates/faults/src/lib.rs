@@ -6,8 +6,8 @@
 //! layers three pieces over the rest of the workspace:
 //!
 //! * [`FaultPlan`] — a builder DSL for fault scripts. Compiles to the
-//!   simulator's [`ecg_sim::FaultSchedule`] (consumed by
-//!   [`ecg_sim::simulate_with_faults`]) and can degrade
+//!   simulator's [`ecg_sim::FaultSchedule`] (which
+//!   [`ecg_sim::SimPlan::faults`] takes) and can degrade
 //!   maintenance-time probing via [`FaultPlan::probe_config`].
 //! * [`ChurnConfig`] / [`ChurnDriver`] — seeded random churn generation
 //!   and its replay through [`ecg_core::maintenance`]: crashed caches
@@ -28,26 +28,20 @@
 //!
 //! ```
 //! use ecg_faults::FaultPlan;
-//! use ecg_sim::{simulate_with_faults, GroupMap, SimConfig};
-//! use ecg_topology::{fixtures::paper_figure1, CacheId, EdgeNetwork};
+//! use ecg_sim::{simulate, GroupMap, RunContext, SimPlan};
+//! use ecg_topology::{fixtures::paper_figure1, CacheId};
 //! use ecg_workload::{merge_streams, CatalogConfig, RequestConfig};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
-//! let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
+//! let rtt = paper_figure1();
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let catalog = CatalogConfig::default().documents(100).generate(&mut rng);
 //! let requests = RequestConfig::default().generate(&catalog, 6, 20_000.0, &mut rng);
 //! let trace = merge_streams(&requests, &[]);
 //!
-//! let plan = FaultPlan::new().crash(CacheId(0), 5_000.0, 10_000.0);
-//! let report = simulate_with_faults(
-//!     &network,
-//!     &GroupMap::one_group(6),
-//!     &catalog,
-//!     &trace,
-//!     SimConfig::default(),
-//!     &plan.schedule(),
-//! )?;
+//! let schedule = FaultPlan::new().crash(CacheId(0), 5_000.0, 10_000.0).schedule();
+//! let plan = SimPlan::new(&rtt, &catalog, &trace).faults(&schedule);
+//! let report = simulate(&plan, &GroupMap::one_group(6), &mut RunContext::serial())?;
 //! assert!(report.metrics.degradation.saw_faults());
 //! # Ok::<(), ecg_sim::SimError>(())
 //! ```

@@ -57,7 +57,7 @@ impl Error for PlanParseError {}
 ///
 /// Build one with the chained methods, then hand
 /// [`FaultPlan::schedule`] to
-/// [`ecg_sim::simulate_with_faults`] and (optionally)
+/// [`ecg_sim::SimPlan::faults`] and (optionally)
 /// [`FaultPlan::probe_config`] to maintenance-time probing.
 ///
 /// # Examples

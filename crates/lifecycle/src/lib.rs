@@ -18,7 +18,7 @@
 //! via [`FormationTimeline::to_json`]. The previous grouping serves
 //! until its replacement exists — there is never a formation gap —
 //! and [`FormationTimeline::epoch_spans`] feeds straight into
-//! `ecg_replay`'s epoch-spanning replay.
+//! [`ecg_sim::simulate_epochs`].
 //!
 //! # Examples
 //!

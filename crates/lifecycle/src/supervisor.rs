@@ -481,7 +481,7 @@ fn repair_pass<R: Rng + ?Sized>(
 
 /// The serving partition: the maintainer's non-empty groups, plus a
 /// singleton group for every out-of-service cache so the map always
-/// covers the full id space (the replay engine requires a partition;
+/// covers the full id space (the simulator requires a partition;
 /// the fault schedule keeps traffic away from down caches).
 fn serving_map(cache_count: usize, maintainer: &GroupMaintainer) -> GroupMap {
     let mut groups: Vec<Vec<CacheId>> = maintainer

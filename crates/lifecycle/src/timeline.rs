@@ -117,10 +117,9 @@ impl FormationTimeline {
             + self.decision_count(ReformDecision::FullReform)
     }
 
-    /// The `(start_ms, groups)` spans an epoch-spanning replay needs,
-    /// in time order. Shaped so callers can glue to
-    /// `ecg_replay::ReplayEpoch` without this crate depending on the
-    /// replay engine.
+    /// The `(start_ms, groups)` spans a timeline run
+    /// ([`ecg_sim::simulate_epochs`]) needs, in time order: one
+    /// [`ecg_sim::ReplayEpoch`] each.
     pub fn epoch_spans(&self) -> impl Iterator<Item = (f64, &GroupMap)> + '_ {
         self.epochs.iter().map(|e| (e.start_ms, &e.groups))
     }

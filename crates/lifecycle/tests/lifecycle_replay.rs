@@ -1,17 +1,16 @@
-//! End-to-end: supervisor timelines feed epoch-spanning replay.
+//! End-to-end: supervisor timelines feed the simulator's timeline run.
 //!
 //! The acceptance contract of the lifecycle subsystem: a fault-free,
-//! zero-churn stream produces zero re-formations and a replay
+//! zero-churn stream produces zero re-formations and a run
 //! bit-identical to serving the static `GroupMap` for the whole trace;
-//! a churny stream produces a multi-epoch timeline whose replay is
+//! a churny stream produces a multi-epoch timeline whose run is
 //! byte-identical across thread counts.
 
 use ecg_coords::ProbeConfig;
 use ecg_core::SchemeConfig;
 use ecg_faults::FaultPlan;
 use ecg_lifecycle::{FormationSupervisor, ReformPolicy, SupervisorConfig};
-use ecg_replay::{replay_epochs, replay_sharded, ReplayConfig, ReplayEpoch};
-use ecg_sim::FaultSchedule;
+use ecg_sim::{simulate, simulate_epochs, FaultSchedule, ReplayEpoch, RunContext, SimPlan};
 use ecg_topology::{fixtures::paper_figure1, CacheId, EdgeNetwork};
 use ecg_workload::{generate_updates, merge_streams, CatalogConfig, RequestConfig, TraceEvent};
 use rand::{rngs::StdRng, SeedableRng};
@@ -54,16 +53,14 @@ fn zero_churn_timeline_replays_identically_to_static_groups() {
     assert_eq!(timeline.reformations(), 0);
     assert_eq!(timeline.epochs().len(), 1);
 
-    let config = ReplayConfig::new();
+    let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace);
     let epochs = to_replay_epochs(&timeline);
     let lifecycle =
-        replay_epochs(&network, &epochs, &catalog, &trace, &config).expect("epoch replay succeeds");
-    let static_groups = replay_sharded(
-        &network,
+        simulate_epochs(&plan, &epochs, &mut RunContext::pooled()).expect("epoch replay succeeds");
+    let static_groups = simulate(
+        &plan,
         &timeline.epochs()[0].groups,
-        &catalog,
-        &trace,
-        &config,
+        &mut RunContext::pooled(),
     )
     .expect("static replay succeeds");
     assert_eq!(
@@ -85,12 +82,12 @@ fn churny_timeline_replay_is_thread_invariant() {
         .expect("churny run succeeds");
     assert!(timeline.epochs().len() > 1, "churn must open epochs");
 
-    let config = ReplayConfig::new().schedule(schedule);
+    let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace).faults(&schedule);
     let epochs = to_replay_epochs(&timeline);
     ecg_par::set_max_threads(Some(1));
-    let single = replay_epochs(&network, &epochs, &catalog, &trace, &config);
+    let single = simulate_epochs(&plan, &epochs, &mut RunContext::pooled());
     ecg_par::set_max_threads(Some(4));
-    let multi = replay_epochs(&network, &epochs, &catalog, &trace, &config);
+    let multi = simulate_epochs(&plan, &epochs, &mut RunContext::pooled());
     ecg_par::set_max_threads(None);
     assert_eq!(
         single.expect("1-thread replay succeeds"),

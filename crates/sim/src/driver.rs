@@ -1,4 +1,13 @@
-//! The group-major driver: how every run reaches the kernel.
+//! The entry point and the group-major driver behind it: how every
+//! run reaches the kernel.
+//!
+//! A run is described by two values. The [`SimPlan`] says **what** is
+//! simulated — topology, catalog, trace source, simulator settings,
+//! fault schedule — and the [`RunContext`] says **how**: with or
+//! without an observability bundle, on the caller's thread or on the
+//! [`ecg_par`] worker pool. [`simulate`] takes both and a grouping;
+//! [`crate::simulate_epochs`] takes a timeline of groupings instead.
+//! Nothing in the [`SimReport`] or in the bundle depends on the how.
 //!
 //! Groups are independent between re-formations — a request at cache
 //! `c` touches only `c`'s group peers and the origin — so a run is the
@@ -11,177 +20,427 @@
 //! Everything that reads the whole network happens once, before the
 //! first group runs: input validation in trace order (the first invalid
 //! event yields its [`SimError`] whichever group it belongs to), the
-//! by-position [`TracePlan`], the fault split. Per-group outcomes are
+//! by-position [`TracePlan`] — or, for a streamed source, the one
+//! shared Zipf sampler — and the fault split. Per-group outcomes are
 //! folded in group order — the order every `f64` chain of the
 //! time-major loop already follows — so the merged [`SimReport`] is
-//! bit-identical to [`simulate_time_major`] however the groups were
-//! scheduled: serially on the caller's thread ([`run`], behind the four
-//! `simulate*` entry points) or fanned over a worker pool by
-//! `ecg-replay` through [`GroupRun`].
+//! bit-identical to [`crate::simulate_time_major`] however the groups
+//! were scheduled: serially, each folded as it finishes so one group's
+//! caches are live at a time, or fanned over the pool and folded after.
 
 use crate::event::{local_ids, Timeline, TracePlan};
 use crate::fault::{FaultKind, FaultSchedule};
 use crate::groups::GroupMap;
 use crate::metrics::{DegradationMetrics, MetricsRecorder};
-use crate::sim::{
-    check_inputs, kernel, simulate_time_major, GroupOutcome, SimConfig, SimError, SimReport,
-    Tallies,
-};
+use crate::sim::{check_inputs, kernel, GroupOutcome, SimConfig, SimError, SimReport, Tallies};
+use crate::stream::{self, StreamedWorkload};
 use ecg_cache::CacheStats;
 use ecg_obs::Obs;
 use ecg_topology::{CacheId, EdgeNetwork, RttSource};
-use ecg_workload::{DocumentCatalog, TraceEvent};
+use ecg_workload::{DocumentCatalog, TraceEvent, ZipfSampler};
+use std::time::Instant;
 
-/// Whether `groups` is at most one group listing the caches in id
-/// order: local ids equal global ids and the sub-matrix is the matrix.
-fn is_whole_network(groups: &GroupMap) -> bool {
-    match groups.groups() {
-        [] => true,
-        [members] => members.iter().enumerate().all(|(i, m)| m.index() == i),
-        _ => false,
+/// The schedule of a plan nobody gave one: no faults, default knobs.
+static NO_FAULTS: FaultSchedule = FaultSchedule::new();
+
+/// Where a run's events come from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum TraceSource<'a> {
+    /// A materialized trace, walked in place.
+    Events(&'a [TraceEvent]),
+    /// Generation parameters: each group regenerates its own members'
+    /// requests, so no global trace ever exists.
+    Streamed(StreamedWorkload<'a>),
+}
+
+/// **What** a run simulates: the topology, the document catalog, the
+/// trace source, the simulator configuration and the fault schedule.
+/// Starts with the default [`SimConfig`] and no faults.
+///
+/// The topology is any [`RttSource`] spanning `[origin, caches…]`
+/// (node 0 is the origin, node `i + 1` cache `i`); a caller holding an
+/// [`EdgeNetwork`] passes [`EdgeNetwork::rtt_matrix`].
+///
+/// # Examples
+///
+/// ```
+/// use ecg_sim::{FaultKind, FaultSchedule, SimConfig, SimPlan};
+/// use ecg_topology::{fixtures::paper_figure1, CacheId};
+/// use ecg_workload::DocumentCatalog;
+///
+/// let rtt = paper_figure1();
+/// let catalog = DocumentCatalog::from_documents(vec![]);
+/// let mut schedule = FaultSchedule::new();
+/// schedule.push(1_000.0, FaultKind::CacheDown { cache: CacheId(2) });
+/// let plan = SimPlan::new(&rtt, &catalog, &[])
+///     .config(SimConfig::default().warmup_ms(500.0))
+///     .faults(&schedule);
+/// # let _ = plan;
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct SimPlan<'a> {
+    pub(crate) rtt: &'a dyn RttSource,
+    pub(crate) catalog: &'a DocumentCatalog,
+    pub(crate) trace: TraceSource<'a>,
+    pub(crate) config: SimConfig,
+    pub(crate) schedule: &'a FaultSchedule,
+}
+
+impl<'a> SimPlan<'a> {
+    /// A plan over a materialized `trace`, walked in place (it need
+    /// not be in time order; an unordered trace pays one index sort).
+    pub fn new(
+        rtt: &'a dyn RttSource,
+        catalog: &'a DocumentCatalog,
+        trace: &'a [TraceEvent],
+    ) -> Self {
+        Self::over(rtt, catalog, TraceSource::Events(trace))
+    }
+
+    /// A plan over a streamed `workload`: each group regenerates its
+    /// members' request streams from the workload's master seed and
+    /// interleaves the shared update log, so peak memory is bounded by
+    /// the groups in flight. The run is bit-identical — report and
+    /// observability document — to one over
+    /// [`StreamedWorkload::materialize_trace`].
+    pub fn streamed(
+        rtt: &'a dyn RttSource,
+        catalog: &'a DocumentCatalog,
+        workload: &StreamedWorkload<'a>,
+    ) -> Self {
+        Self::over(rtt, catalog, TraceSource::Streamed(*workload))
+    }
+
+    fn over(rtt: &'a dyn RttSource, catalog: &'a DocumentCatalog, trace: TraceSource<'a>) -> Self {
+        SimPlan {
+            rtt,
+            catalog,
+            trace,
+            config: SimConfig::default(),
+            schedule: &NO_FAULTS,
+        }
+    }
+
+    /// Sets the simulator configuration every group runs with.
+    pub fn config(mut self, config: SimConfig) -> Self {
+        self.config = config;
+        self
+    }
+
+    /// Injects the faults in `schedule` alongside the workload (cache
+    /// ids are global). Fault semantics are documented on
+    /// [`crate::fault`]; in brief: a down cache serves nothing (its
+    /// clients fail over to the origin, paying the schedule's failover
+    /// penalty), cooperative lookups skip down peers, recovery is cold,
+    /// retirement is permanent, and origin brownouts multiply every
+    /// origin fetch latency. An empty schedule is the fault-free run.
+    pub fn faults(mut self, schedule: &'a FaultSchedule) -> Self {
+        self.schedule = schedule;
+        self
     }
 }
 
-/// One simulation, serially on the caller's thread: what the four
-/// `simulate*` entry points call. One group in id order *is* the whole
-/// network, so that case goes to the kernel on the caller's inputs — no
-/// plan, no sub-matrix.
-pub(crate) fn run(
-    network: &EdgeNetwork,
-    groups: &GroupMap,
-    catalog: &DocumentCatalog,
-    trace: &[TraceEvent],
-    config: SimConfig,
-    schedule: &FaultSchedule,
-    mut obs: Option<&mut Obs>,
-) -> Result<SimReport, SimError> {
-    if is_whole_network(groups) {
-        return simulate_time_major(network, groups, catalog, trace, config, schedule, obs);
+/// What a run did that is not simulation output: how it was cut up and
+/// how long its stages took on the wall clock. The counts are
+/// deterministic; the times are *measurements* — they vary run to run
+/// and never feed back into the report or the observability bundle.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RunStats {
+    /// Groupings run: 1, or the epochs of a timeline.
+    pub epochs: usize,
+    /// Kernel runs — one per group per epoch.
+    pub shards: usize,
+    /// Trace events fed across all shards (each replays its own
+    /// requests plus the shared update log).
+    pub shard_events: u64,
+    /// Input validation and planning, ms.
+    pub plan_ms: f64,
+    /// Sub-topology construction and simulation of every group, ms
+    /// (a serial run folds each group as it finishes, inside this).
+    pub shards_ms: f64,
+    /// The group-order fold of a pooled run, ms.
+    pub merge_ms: f64,
+}
+
+impl RunStats {
+    /// Total measured time across all stages, ms.
+    pub fn total_ms(&self) -> f64 {
+        self.plan_ms + self.shards_ms + self.merge_ms
     }
-    let rtt = network.rtt_matrix();
-    let run = GroupRun::new(rtt, groups, catalog, Some(trace), config, schedule)?;
-    // Folded as they finish: one group's caches are live at a time.
-    let each = (0..groups.group_count()).map(|g| run.group(g, obs.as_deref_mut()));
-    let merged = run.fold(each);
-    Ok(merged.finish(obs, config, schedule, trace.len()))
+}
+
+/// **How** a run executes, and what it hands back besides the report:
+/// an optional observability bundle to record into, whether groups run
+/// on the caller's thread or on the [`ecg_par`] worker pool, and the
+/// [`RunStats`] of the last run made with it.
+///
+/// Serial suits a caller that is itself one cell of a parallel sweep
+/// (and keeps one group's caches live at a time); pooled suits one big
+/// run. The report and the bundle are the same bytes either way, at
+/// any `ECG_THREADS`.
+#[derive(Debug, Default)]
+pub struct RunContext<'o> {
+    obs: Option<&'o mut Obs>,
+    pooled: bool,
+    stats: RunStats,
+}
+
+impl<'o> RunContext<'o> {
+    /// Groups run one after another on the caller's thread.
+    pub fn serial() -> Self {
+        Self::default()
+    }
+
+    /// Groups run as work items on the [`ecg_par`] worker pool.
+    pub fn pooled() -> Self {
+        RunContext {
+            pooled: true,
+            ..Self::default()
+        }
+    }
+
+    /// Records the run's telemetry into `obs` when one is supplied
+    /// (see [`simulate`] for the document). The report is identical
+    /// with and without a bundle — the simulator is RNG-free and
+    /// instrumentation only reads state.
+    pub fn observe(mut self, obs: Option<&'o mut Obs>) -> Self {
+        self.obs = obs;
+        self
+    }
+
+    /// Counts and stage times of the last run made with this context.
+    pub fn stats(&self) -> RunStats {
+        self.stats
+    }
+
+    /// Starts a run of `epochs` groupings.
+    pub(crate) fn begin(&mut self, epochs: usize) -> (bool, &mut RunStats) {
+        self.stats = RunStats {
+            epochs,
+            ..RunStats::default()
+        };
+        (self.pooled, &mut self.stats)
+    }
+
+    /// Ends a run: flushes its telemetry — one document per run,
+    /// whatever produced `outcome` — and yields the report.
+    pub(crate) fn finish(
+        &mut self,
+        outcome: GroupOutcome,
+        plan: &SimPlan<'_>,
+        trace_len: usize,
+    ) -> SimReport {
+        let obs = self.obs.as_deref_mut();
+        outcome.finish(obs, plan.config, plan.schedule, trace_len)
+    }
+}
+
+/// Simulates `plan` under the grouping `groups` and returns the
+/// collected metrics: the one entry point of the simulator.
+///
+/// When `ctx` carries an observability bundle the run records into it:
+///
+/// * per-group outcome counters `sim.group.NNN.{local_hits, peer_hits,
+///   coop_misses}` (zero-padded so sorted export order equals numeric
+///   group order) plus workload-wide totals `sim.{local_hits,
+///   peer_hits, coop_misses, failovers, control_messages,
+///   stale_served}` — counted over the whole run, warm-up included;
+/// * holder-index counters `sim.holder.{group_checks, ruled_out,
+///   bit_tests}` (all zero under [`crate::PeerLookup::ScanAll`]);
+/// * a `sim.queue.max_depth` gauge: the run's event count (trace plus
+///   faults), which is what is pending before the first event;
+/// * the request-latency distribution merged into a `sim.latency_ms`
+///   histogram;
+/// * under an active placement policy, `place.{decisions,
+///   replicas_created, replicas_suppressed, remote_placements}`, the
+///   `place.replica_count` histogram and a `place` child span;
+/// * one `sim` trace event per fault injection, timestamped with sim
+///   time, and a `sim` phase span whose work is the timestamp of the
+///   last processed event in ms.
+///
+/// One run writes one document, the same bytes serial or pooled,
+/// materialized or streamed.
+///
+/// # Errors
+///
+/// Returns [`SimError`] — in this order of precedence — if the group
+/// map does not match the topology, the fault schedule fails
+/// [`FaultSchedule::validate`], or a trace event references an unknown
+/// cache / document or carries a negative or non-finite time (the
+/// first such event in trace order; for a streamed source, whose
+/// requests are valid by construction, the first such update, or
+/// [`SimError::EmptyCatalog`] when there is nothing to request).
+///
+/// # Examples
+///
+/// ```
+/// use ecg_sim::{simulate, GroupMap, RunContext, SimPlan};
+/// use ecg_topology::fixtures::paper_figure1;
+/// use ecg_workload::{merge_streams, CatalogConfig, RequestConfig};
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// let rtt = paper_figure1();
+/// let mut rng = StdRng::seed_from_u64(1);
+/// let catalog = CatalogConfig::default().documents(100).generate(&mut rng);
+/// let requests = RequestConfig::default().generate(&catalog, 6, 10_000.0, &mut rng);
+/// let trace = merge_streams(&requests, &[]);
+/// let groups = GroupMap::one_group(6);
+///
+/// let plan = SimPlan::new(&rtt, &catalog, &trace);
+/// let mut ctx = RunContext::pooled();
+/// let report = simulate(&plan, &groups, &mut ctx)?;
+/// assert!(report.average_latency_ms() > 0.0);
+/// assert_eq!(ctx.stats().shards, 1);
+/// // The same report from the caller's thread.
+/// assert_eq!(simulate(&plan, &groups, &mut RunContext::serial())?, report);
+/// # Ok::<(), ecg_sim::SimError>(())
+/// ```
+pub fn simulate(
+    plan: &SimPlan<'_>,
+    groups: &GroupMap,
+    ctx: &mut RunContext<'_>,
+) -> Result<SimReport, SimError> {
+    let (pooled, stats) = ctx.begin(1);
+    let outcome = run(plan, groups, pooled, stats)?;
+    let trace_len = match plan.trace {
+        TraceSource::Events(trace) => trace.len(),
+        // Every group replayed the whole update log; the materialized
+        // trace holds it once.
+        TraceSource::Streamed(workload) => {
+            let repeats = groups.group_count().saturating_sub(1);
+            outcome.tallies.trace_events as usize - repeats * workload.update_log().len()
+        }
+    };
+    Ok(ctx.finish(outcome, plan, trace_len))
+}
+
+/// One grouping of `plan`, group-major: validated and planned once,
+/// every group through the kernel — on the pool when `pooled` — and
+/// folded in group order. Adds its counts and stage times to `stats`;
+/// the caller flushes the telemetry.
+pub(crate) fn run(
+    plan: &SimPlan<'_>,
+    groups: &GroupMap,
+    pooled: bool,
+    stats: &mut RunStats,
+) -> Result<GroupOutcome, SimError> {
+    let t0 = Instant::now();
+    let run = GroupRun::new(plan, groups)?;
+    stats.plan_ms += ms_since(t0);
+
+    let t1 = Instant::now();
+    let shards = groups.group_count();
+    let merged = if pooled {
+        let outcomes = ecg_par::par_map((0..shards).collect(), |g| run.group(g));
+        stats.shards_ms += ms_since(t1);
+        let t2 = Instant::now();
+        let merged = run.fold(outcomes.into_iter());
+        stats.merge_ms += ms_since(t2);
+        merged
+    } else {
+        // Folded as they finish: one group's caches are live at a time.
+        let merged = run.fold((0..shards).map(|g| run.group(g)));
+        stats.shards_ms += ms_since(t1);
+        merged
+    };
+    stats.shards += shards;
+    stats.shard_events += merged.tallies.trace_events;
+    Ok(merged)
+}
+
+fn ms_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1_000.0
 }
 
 /// A validated, planned run whose groups can be simulated in any order
-/// and on any thread, then merged: the seam `ecg-replay` fans out over
-/// its worker pool.
-#[doc(hidden)]
+/// and on any thread, then folded.
 #[derive(Debug)]
-pub struct GroupRun<'a> {
-    rtt: &'a dyn RttSource,
+struct GroupRun<'a> {
+    plan: &'a SimPlan<'a>,
     groups: &'a GroupMap,
-    catalog: &'a DocumentCatalog,
-    config: SimConfig,
-    schedule: &'a FaultSchedule,
     /// [`local_ids`] of `groups`; empty when nothing is routed through it.
     local_of: Vec<u32>,
     /// Each group's fault script, from [`member_schedules`].
     schedules: Vec<FaultSchedule>,
-    /// The materialized trace and its split; `None` when the caller
-    /// supplies each group's sub-trace ([`GroupRun::group_on`]).
-    planned: Option<(&'a [TraceEvent], TracePlan)>,
+    events: GroupEvents<'a>,
+}
+
+/// Where [`GroupRun::group`] finds a group's events.
+#[derive(Debug)]
+enum GroupEvents<'a> {
+    /// The materialized trace and its split by position.
+    Planned(&'a [TraceEvent], TracePlan),
+    /// The streamed workload and the one sampler its groups share: it
+    /// is read-only and identical to the one the eager generator
+    /// builds, so groups can borrow it concurrently.
+    Streamed(StreamedWorkload<'a>, ZipfSampler),
 }
 
 impl<'a> GroupRun<'a> {
-    /// Validates the inputs as [`simulate_time_major`] does — map, then
-    /// schedule, then `trace` event by event — and plans the run. With
-    /// no global `trace` (the caller generates each group's sub-trace)
-    /// there is only the fault split to plan. `rtt` spans
-    /// `[origin, caches…]`.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`crate::simulate_with_faults`].
-    pub fn new(
-        rtt: &'a dyn RttSource,
-        groups: &'a GroupMap,
-        catalog: &'a DocumentCatalog,
-        trace: Option<&'a [TraceEvent]>,
-        config: SimConfig,
-        schedule: &'a FaultSchedule,
-    ) -> Result<Self, SimError> {
-        check_inputs(rtt.node_count().saturating_sub(1), groups, schedule)?;
-        let planned = match trace {
-            Some(trace) => Some((trace, TracePlan::build(groups, catalog.len(), trace)?)),
-            None => None,
+    /// Validates the inputs as [`crate::simulate_time_major`] does —
+    /// map, then schedule, then the trace event by event (for a
+    /// streamed source: the catalog and the update log) — and plans the
+    /// run.
+    fn new(plan: &'a SimPlan<'a>, groups: &'a GroupMap) -> Result<Self, SimError> {
+        let schedule = plan.schedule;
+        check_inputs(plan.rtt.node_count().saturating_sub(1), groups, schedule)?;
+        let events = match plan.trace {
+            TraceSource::Events(trace) => {
+                GroupEvents::Planned(trace, TracePlan::build(groups, plan.catalog.len(), trace)?)
+            }
+            TraceSource::Streamed(workload) => {
+                stream::validate(plan.catalog, &workload)?;
+                let zipf = ZipfSampler::new(plan.catalog.len(), workload.zipf_exponent());
+                GroupEvents::Streamed(workload, zipf)
+            }
         };
         // Only planned requests and cache fault events go through the
         // N-entry id map.
-        let local_of = if planned.is_some() || !schedule.is_empty() {
+        let local_of = if matches!(events, GroupEvents::Planned(..)) || !schedule.is_empty() {
             local_ids(groups)
         } else {
             Vec::new()
         };
         Ok(GroupRun {
-            rtt,
+            plan,
             groups,
-            catalog,
-            config,
-            schedule,
             schedules: member_schedules(schedule, groups, &local_of),
             local_of,
-            planned,
+            events,
         })
     }
 
-    /// Simulates group `g`'s share of the planned trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run was built without a trace.
-    pub fn group(&self, g: usize, obs: Option<&mut Obs>) -> GroupOutcome {
-        let (trace, plan) = self
-            .planned
-            .as_ref()
-            .expect("a run without a trace takes sub-traces through `group_on`");
-        let timeline = Timeline::for_group(trace, plan, g, &self.local_of, &self.schedules[g]);
-        self.kernel_on(g, timeline, obs)
-    }
-
-    /// Simulates group `g` over `subtrace`: its members' requests under
-    /// local ids (member-list positions) plus the update log, as
-    /// `ecg-replay`'s streamed shards regenerate them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subtrace` is not valid for the group and catalog.
-    pub fn group_on(&self, g: usize, subtrace: &[TraceEvent]) -> GroupOutcome {
-        let members = self.groups.groups()[g].len();
-        let timeline = Timeline::new(members, self.catalog.len(), subtrace, &self.schedules[g])
-            .expect("a generated sub-trace references its own members and catalog");
-        self.kernel_on(g, timeline, None)
-    }
-
-    fn kernel_on(&self, g: usize, timeline: Timeline<'_>, obs: Option<&mut Obs>) -> GroupOutcome {
+    /// Simulates group `g`: its share of the planned trace by position,
+    /// or its members' regenerated streams under local ids.
+    fn group(&self, g: usize) -> GroupOutcome {
         let members = &self.groups.groups()[g];
+        let (catalog, schedule) = (self.plan.catalog, &self.schedules[g]);
+        let subtrace;
+        let timeline = match &self.events {
+            GroupEvents::Planned(trace, plan) => {
+                Timeline::for_group(trace, plan, g, &self.local_of, schedule)
+            }
+            GroupEvents::Streamed(workload, zipf) => {
+                subtrace = stream::member_subtrace(workload, zipf, members);
+                Timeline::new(members.len(), catalog.len(), &subtrace, schedule)
+                    .expect("a generated sub-trace references its own members and catalog")
+            }
+        };
         kernel(
-            &member_network(self.rtt, members),
+            &member_network(self.plan.rtt, members),
             &GroupMap::one_group(members.len()),
-            self.catalog,
+            catalog,
             timeline,
-            self.config,
-            &self.schedules[g],
-            obs,
+            self.plan.config,
+            schedule,
         )
-    }
-
-    /// Folds every group's outcome, given in group order, into the
-    /// run's report; also returns the trace events fed across all
-    /// groups (each replays the full update log).
-    pub fn merge(&self, outcomes: Vec<GroupOutcome>) -> (SimReport, u64) {
-        let merged = self.fold(outcomes.into_iter());
-        (merged.report, merged.tallies.trace_events)
     }
 
     /// The group-order fold (the order every `f64` chain was validated
     /// against), consuming each outcome as the iterator yields it.
     fn fold(&self, outcomes: impl Iterator<Item = GroupOutcome>) -> GroupOutcome {
         let mut metrics = MetricsRecorder::new(self.groups.cache_count());
-        metrics.degradation = DegradationMetrics::new(self.schedule.timeline_bucket());
+        metrics.degradation = DegradationMetrics::new(self.plan.schedule.timeline_bucket());
         let mut report = SimReport {
             metrics,
             cache_stats: CacheStats::default(),
@@ -254,11 +513,167 @@ fn member_schedules(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate_time_major;
     use ecg_topology::fixtures::paper_figure1;
     use ecg_topology::{RttMatrix, SyntheticRttConfig};
+    use ecg_workload::{generate_updates, merge_streams, CatalogConfig, RequestConfig};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    fn fixture() -> (EdgeNetwork, DocumentCatalog, Vec<TraceEvent>) {
+        let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
+        let mut rng = StdRng::seed_from_u64(11);
+        let catalog = CatalogConfig::default().documents(120).generate(&mut rng);
+        let requests = RequestConfig::default()
+            .rate_per_sec_per_cache(4.0)
+            .generate(&catalog, 6, 20_000.0, &mut rng);
+        let updates = generate_updates(&catalog, 20_000.0, &mut rng);
+        (network, catalog, merge_streams(&requests, &updates))
+    }
+
+    fn two_groups() -> GroupMap {
+        GroupMap::new(
+            6,
+            vec![
+                vec![CacheId(0), CacheId(2), CacheId(4)],
+                vec![CacheId(1), CacheId(3), CacheId(5)],
+            ],
+        )
+        .expect("valid partition")
+    }
+
+    /// `groups` under `schedule` over the fixture: the entry point on
+    /// the caller's thread and on the pool, with and without a bundle,
+    /// against the time-major reference run — report and document.
+    fn assert_every_context_matches_the_oracle(groups: &GroupMap, schedule: &FaultSchedule) {
+        let (network, catalog, trace) = fixture();
+        let config = SimConfig::default();
+        let mut oracle_obs = Obs::new();
+        let oracle = simulate_time_major(
+            &network,
+            groups,
+            &catalog,
+            &trace,
+            config,
+            schedule,
+            Some(&mut oracle_obs),
+        )
+        .unwrap();
+        let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace).faults(schedule);
+        for context in [RunContext::serial, RunContext::pooled] {
+            let mut ctx = context();
+            assert_eq!(simulate(&plan, groups, &mut ctx).unwrap(), oracle);
+            assert_eq!(ctx.stats().shards, groups.group_count());
+            assert!(ctx.stats().shard_events >= trace.len() as u64);
+            assert!(ctx.stats().total_ms() >= 0.0);
+            let mut obs = Obs::new();
+            let mut ctx = context().observe(Some(&mut obs));
+            assert_eq!(simulate(&plan, groups, &mut ctx).unwrap(), oracle);
+            assert_eq!(obs.to_json(), oracle_obs.to_json());
+        }
+    }
+
+    #[test]
+    fn serial_and_pooled_match_the_oracle_bit_for_bit() {
+        assert_every_context_matches_the_oracle(&two_groups(), &FaultSchedule::new());
+    }
+
+    #[test]
+    fn serial_and_pooled_match_the_oracle_under_faults() {
+        let mut schedule = FaultSchedule::new().failover_penalty_ms(5.0);
+        schedule.push(4_000.0, FaultKind::CacheDown { cache: CacheId(2) });
+        schedule.push(9_000.0, FaultKind::CacheUp { cache: CacheId(2) });
+        schedule.push(6_000.0, FaultKind::BrownoutStart { factor: 2.5 });
+        schedule.push(12_000.0, FaultKind::BrownoutEnd);
+        schedule.push(15_000.0, FaultKind::CacheRetire { cache: CacheId(5) });
+        assert_every_context_matches_the_oracle(&two_groups(), &schedule);
+    }
+
+    #[test]
+    fn singleton_groups_shard_per_cache() {
+        assert_every_context_matches_the_oracle(&GroupMap::singletons(6), &FaultSchedule::new());
+    }
+
+    #[test]
+    fn one_group_in_id_order_is_a_group_like_any_other() {
+        assert_every_context_matches_the_oracle(&GroupMap::one_group(6), &FaultSchedule::new());
+    }
+
+    #[test]
+    fn the_entry_point_rejects_what_the_oracle_rejects() {
+        let (network, catalog, trace) = fixture();
+        let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace);
+        let err = simulate(&plan, &GroupMap::one_group(5), &mut RunContext::pooled()).unwrap_err();
+        assert!(matches!(err, SimError::CacheCountMismatch { .. }));
+
+        let mut bad_schedule = FaultSchedule::new();
+        bad_schedule.push(1.0, FaultKind::CacheDown { cache: CacheId(9) });
+        let plan = plan.faults(&bad_schedule);
+        let err = simulate(&plan, &two_groups(), &mut RunContext::pooled()).unwrap_err();
+        assert!(matches!(err, SimError::Fault(_)));
+    }
+
+    #[test]
+    fn hostile_event_times_are_errors_not_worker_panics() {
+        let (network, catalog, mut trace) = fixture();
+        let groups = two_groups();
+        let victim = trace.len() / 2;
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            match &mut trace[victim] {
+                TraceEvent::Request(r) => r.time_ms = bad,
+                TraceEvent::Update(u) => u.time_ms = bad,
+            }
+            // Same error from the time-major oracle and before any
+            // shard starts.
+            let expected = SimError::EventTimeInvalid { index: victim };
+            let (config, schedule) = (SimConfig::default(), FaultSchedule::new());
+            let mono =
+                simulate_time_major(&network, &groups, &catalog, &trace, config, &schedule, None);
+            assert_eq!(mono.unwrap_err(), expected, "{bad}");
+            let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace);
+            let pooled = simulate(&plan, &groups, &mut RunContext::pooled());
+            assert_eq!(pooled.unwrap_err(), expected, "{bad}");
+
+            // Streamed input: requests are generated, the update log is
+            // the caller's.
+            let updates = [
+                ecg_workload::Update {
+                    time_ms: 10.0,
+                    doc: ecg_workload::DocId(1),
+                },
+                ecg_workload::Update {
+                    time_ms: bad,
+                    doc: ecg_workload::DocId(2),
+                },
+            ];
+            let workload =
+                StreamedWorkload::new(RequestConfig::default(), 5, 2_000.0).updates(&updates);
+            let plan = SimPlan::streamed(network.rtt_matrix(), &catalog, &workload);
+            let streamed = simulate(&plan, &groups, &mut RunContext::pooled());
+            assert_eq!(
+                streamed.unwrap_err(),
+                SimError::EventTimeInvalid { index: 1 },
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_streamed_run_over_an_empty_catalog_is_an_error_not_a_panic() {
+        let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
+        let empty = DocumentCatalog::from_documents(vec![]);
+        let workload = StreamedWorkload::new(RequestConfig::default(), 5, 2_000.0);
+        let plan = SimPlan::streamed(network.rtt_matrix(), &empty, &workload);
+        let mut obs = Obs::new();
+        let mut ctx = RunContext::pooled().observe(Some(&mut obs));
+        let observed = simulate(&plan, &two_groups(), &mut ctx);
+        assert_eq!(observed.unwrap_err(), SimError::EmptyCatalog);
+        // Rejected in the plan stage: nothing was simulated or recorded.
+        assert_eq!(ctx.stats().shards, 0);
+        assert!(obs.metrics.is_empty());
+        assert!(SimError::EmptyCatalog.to_string().contains("catalog"));
+    }
 
     fn groups() -> GroupMap {
         GroupMap::new(
@@ -308,17 +723,6 @@ mod tests {
             }
         }
         sub
-    }
-
-    #[test]
-    fn only_one_group_in_id_order_is_the_whole_network() {
-        let cid = |ids: &[usize]| ids.iter().copied().map(CacheId).collect::<Vec<_>>();
-        assert!(is_whole_network(&GroupMap::one_group(5)));
-        assert!(is_whole_network(&GroupMap::singletons(1)));
-        let backwards = GroupMap::new(3, vec![cid(&[2, 1, 0])]).unwrap();
-        assert!(!is_whole_network(&backwards));
-        assert!(!is_whole_network(&GroupMap::singletons(2)));
-        assert!(!is_whole_network(&groups()));
     }
 
     #[test]

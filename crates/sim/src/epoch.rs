@@ -1,24 +1,31 @@
-//! Epoch-spanning replay: one trace, a *sequence* of groupings.
+//! The timeline run: one trace, a *sequence* of groupings.
 //!
 //! A continuously maintained deployment re-forms its groups while
 //! traffic keeps flowing: the lifecycle supervisor emits a timeline of
 //! **epochs**, each an interval `[start, next_start)` served by one
-//! [`GroupMap`]. This module replays a single request/update trace
-//! across such a timeline by splitting it at the epoch boundaries and
-//! replaying each segment — via the sharded engine in [`crate`] — under
-//! its own epoch's grouping, then folding the per-segment reports in
-//! epoch order. Absolute timestamps are preserved end to end, so warmup
-//! cutoffs and degradation-timeline buckets land exactly where a
-//! single-grouping run would put them.
+//! [`GroupMap`]. [`simulate_epochs`] runs a single request/update trace
+//! across such a timeline: it validates the whole input once, in trace
+//! order, then splits the trace at the epoch boundaries and runs each
+//! segment through the group-major driver under its own epoch's
+//! grouping, folding the per-segment reports in epoch order. Absolute
+//! timestamps are preserved end to end, so warmup cutoffs and
+//! degradation-timeline buckets land exactly where a single-grouping
+//! run would put them.
 //!
 //! ## Boundary semantics
 //!
+//! * **Validate, then segment.** Timeline, schedule and trace are
+//!   checked before anything is cut, with [`crate::simulate`]'s
+//!   precedence and the caller's trace positions in the error — an
+//!   event whose time is NaN, negative or infinite lies in no
+//!   `[start, end)` window, so segmenting first would drop it silently.
 //! * **Cold restart.** Caches and the origin restart empty at every
 //!   epoch boundary — the conservative model of a re-formation that
 //!   reshuffles membership (content held under the old grouping is not
 //!   guaranteed to be reachable under the new one). With a single
-//!   epoch there is no boundary and the result is bit-identical to
-//!   [`crate::replay_sharded`] on the same input.
+//!   epoch there is no boundary and the result — report and
+//!   observability document — is bit-identical to [`crate::simulate`]
+//!   on the same input.
 //! * **Fault carry-over.** The global [`FaultSchedule`] is split per
 //!   epoch; state that straddles a boundary (a cache still down, a
 //!   retirement, an open brownout) is reconstructed from
@@ -28,22 +35,27 @@
 //!   means a crash spanning `k` boundaries is counted `k + 1` times by
 //!   the degradation `crashes` counter — it is genuinely announced to
 //!   each segment's simulator.
-//! * **Determinism.** Segments replay serially in epoch order and each
-//!   segment is the thread-invariant sharded replay, so the merged
-//!   report is byte-identical at any `ECG_THREADS` setting.
+//! * **Determinism.** Segments run in epoch order and each is the
+//!   thread-invariant group-major run, so the merged report and the
+//!   one document the run flushes — group rows in run order, fault
+//!   events once from the *global* schedule, queue depth and `sim` span
+//!   for the whole trace — are byte-identical serial or pooled, at any
+//!   `ECG_THREADS` setting.
 
 use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
 use ecg_cache::CacheStats;
-use ecg_obs::Obs;
-use ecg_sim::fault::FaultKind;
-use ecg_sim::{DegradationMetrics, FaultSchedule, GroupMap, MetricsRecorder, SimError, SimReport};
-use ecg_topology::{CacheId, EdgeNetwork};
-use ecg_workload::{DocumentCatalog, TraceEvent};
+use ecg_topology::CacheId;
+use ecg_workload::TraceEvent;
 
-use crate::{replay_sharded_observed, ReplayConfig, ReplayTimings};
+use crate::driver::{self, RunContext, SimPlan, TraceSource};
+use crate::event::validate_trace;
+use crate::fault::{FaultKind, FaultSchedule};
+use crate::groups::GroupMap;
+use crate::metrics::{DegradationMetrics, MetricsRecorder};
+use crate::sim::{GroupOutcome, SimError, SimReport, Tallies};
 
 /// One serving interval of a formation timeline: from `start_ms` until
 /// the next epoch's start (or forever, for the last epoch), requests
@@ -63,7 +75,7 @@ impl ReplayEpoch {
     }
 }
 
-/// Why an epoch-spanning replay was rejected.
+/// Why a timeline run was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EpochReplayError {
     /// The timeline has no epochs at all.
@@ -88,8 +100,13 @@ pub enum EpochReplayError {
         /// Caches covered by the epoch's grouping.
         found: usize,
     },
-    /// A segment replay failed (same cases as
-    /// [`ecg_sim::simulate_with_faults`]).
+    /// The plan's trace source is a [`crate::StreamedWorkload`]: a
+    /// timeline segments a materialized trace, and generation
+    /// parameters have nothing to cut.
+    StreamedTrace,
+    /// The schedule or the trace is invalid (same cases as
+    /// [`crate::simulate`]; an event index is a position in the
+    /// caller's trace).
     Sim(SimError),
 }
 
@@ -112,7 +129,10 @@ impl fmt::Display for EpochReplayError {
                 out,
                 "epoch {epoch} groups {found} caches but the network has {expected}"
             ),
-            EpochReplayError::Sim(e) => write!(out, "segment replay failed: {e}"),
+            EpochReplayError::StreamedTrace => {
+                write!(out, "a timeline run needs a materialized trace")
+            }
+            EpochReplayError::Sim(e) => write!(out, "timeline run failed: {e}"),
         }
     }
 }
@@ -132,114 +152,80 @@ impl From<SimError> for EpochReplayError {
     }
 }
 
-/// A merged epoch-spanning replay result plus its run telemetry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochReplayReport {
-    /// The merged simulation report across all epochs.
-    pub report: SimReport,
-    /// Wall-clock stage timings summed over all segments
-    /// (non-deterministic; for benchmarks).
-    pub timings: ReplayTimings,
-    /// Number of epochs replayed.
-    pub epochs: usize,
-    /// Total shards across all segments.
-    pub shards: usize,
-    /// Total events fed across all shards of all segments.
-    pub shard_events: u64,
-}
-
-/// Replays `trace` across a timeline of groupings, one sharded replay
-/// per epoch, and merges the segment reports in epoch order.
+/// Simulates `plan` across a timeline of groupings — each epoch's
+/// segment of the trace under that epoch's grouping — and merges the
+/// segment reports in epoch order: [`crate::simulate`]'s timeline
+/// form. `ctx` works as there; its [`crate::RunStats`] count every
+/// epoch's shards.
 ///
 /// See the [module docs](self) for the boundary semantics. With a
-/// single epoch starting at 0 this is bit-identical to
-/// [`crate::replay_sharded`].
+/// single epoch this is bit-identical to [`crate::simulate`], report
+/// and observability document.
 ///
 /// # Errors
 ///
-/// [`EpochReplayError`] on an invalid timeline, or any [`SimError`] a
-/// segment replay reports.
-pub fn replay_epochs(
-    network: &EdgeNetwork,
+/// [`EpochReplayError`] — in this order of precedence — on a streamed
+/// trace source, an invalid timeline, an invalid fault schedule, or the
+/// first invalid event in trace order.
+///
+/// # Examples
+///
+/// ```
+/// use ecg_sim::{simulate_epochs, GroupMap, ReplayEpoch, RunContext, SimPlan};
+/// use ecg_topology::fixtures::paper_figure1;
+/// use ecg_workload::{merge_streams, CatalogConfig, RequestConfig};
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// let rtt = paper_figure1();
+/// let mut rng = StdRng::seed_from_u64(1);
+/// let catalog = CatalogConfig::default().documents(100).generate(&mut rng);
+/// let requests = RequestConfig::default().generate(&catalog, 6, 10_000.0, &mut rng);
+/// let trace = merge_streams(&requests, &[]);
+///
+/// // One group for the first half, every cache on its own after it.
+/// let epochs = [
+///     ReplayEpoch::new(0.0, GroupMap::one_group(6)),
+///     ReplayEpoch::new(5_000.0, GroupMap::singletons(6)),
+/// ];
+/// let mut ctx = RunContext::pooled();
+/// let report = simulate_epochs(&SimPlan::new(&rtt, &catalog, &trace), &epochs, &mut ctx)?;
+/// assert_eq!(report.metrics.total_requests(), requests.len() as u64);
+/// assert_eq!((ctx.stats().epochs, ctx.stats().shards), (2, 7));
+/// # Ok::<(), ecg_sim::EpochReplayError>(())
+/// ```
+pub fn simulate_epochs(
+    plan: &SimPlan<'_>,
     epochs: &[ReplayEpoch],
-    catalog: &DocumentCatalog,
-    trace: &[TraceEvent],
-    config: &ReplayConfig,
+    ctx: &mut RunContext<'_>,
 ) -> Result<SimReport, EpochReplayError> {
-    replay_epochs_observed(network, epochs, catalog, trace, config, None).map(|r| r.report)
-}
-
-/// Like [`replay_epochs`], returning aggregated timings and recording
-/// `replay.epochs` counters plus a `replay_epochs` phase span (one
-/// child per epoch, work = segment events) into `obs` when supplied.
-/// All observed values are deterministic counts, never wall-clock.
-///
-/// # Errors
-///
-/// Exactly as [`replay_epochs`].
-pub fn replay_epochs_observed(
-    network: &EdgeNetwork,
-    epochs: &[ReplayEpoch],
-    catalog: &DocumentCatalog,
-    trace: &[TraceEvent],
-    config: &ReplayConfig,
-    obs: Option<&mut Obs>,
-) -> Result<EpochReplayReport, EpochReplayError> {
-    let n = network.cache_count();
+    let TraceSource::Events(trace) = plan.trace else {
+        return Err(EpochReplayError::StreamedTrace);
+    };
+    let n = plan.rtt.node_count().saturating_sub(1);
     validate_epochs(n, epochs)?;
+    plan.schedule.validate(n).map_err(SimError::from)?;
+    validate_trace(n, plan.catalog.len(), trace)?;
 
-    let mut timings = ReplayTimings::default();
-    let mut shards = 0usize;
-    let mut segment_events: Vec<u64> = Vec::with_capacity(epochs.len());
+    let (pooled, stats) = ctx.begin(epochs.len());
+    let mut tallies = Tallies::default();
     let mut segments: Vec<SimReport> = Vec::with_capacity(epochs.len());
     let in_time_order = trace.windows(2).all(|w| w[0].time_ms() <= w[1].time_ms());
     for (i, epoch) in epochs.iter().enumerate() {
         let end_ms = epochs.get(i + 1).map_or(f64::INFINITY, |e| e.start_ms);
         let segment_trace = segment(trace, in_time_order, epoch.start_ms, end_ms);
-        let segment_config =
-            ReplayConfig::new()
-                .sim(*config.sim_config())
-                .schedule(segment_schedule(
-                    config.fault_schedule(),
-                    epoch.start_ms,
-                    end_ms,
-                ));
-        let seg = replay_sharded_observed(
-            network,
-            &epoch.groups,
-            catalog,
-            &segment_trace,
-            &segment_config,
-            None,
-        )?;
-        timings.plan_ms += seg.timings.plan_ms;
-        timings.shards_ms += seg.timings.shards_ms;
-        timings.merge_ms += seg.timings.merge_ms;
-        shards += seg.shards;
-        segment_events.push(seg.shard_events);
-        segments.push(seg.report);
+        let schedule = segment_schedule(plan.schedule, epoch.start_ms, end_ms);
+        let segment_plan = SimPlan {
+            trace: TraceSource::Events(&segment_trace),
+            schedule: &schedule,
+            ..*plan
+        };
+        let outcome = driver::run(&segment_plan, &epoch.groups, pooled, stats)?;
+        tallies.absorb(outcome.tallies);
+        segments.push(outcome.report);
     }
 
-    let report = merge_segments(n, config.fault_schedule().timeline_bucket(), &segments);
-    let out = EpochReplayReport {
-        report,
-        timings,
-        epochs: epochs.len(),
-        shards,
-        shard_events: segment_events.iter().sum(),
-    };
-    if let Some(o) = obs {
-        o.metrics.add("replay.epochs", out.epochs as u64);
-        o.metrics.add("replay.epoch_shards", out.shards as u64);
-        o.metrics.add("replay.epoch_events", out.shard_events);
-        let mut span = o.phases.span("replay_epochs");
-        span.add_work(out.epochs as f64);
-        for (i, events) in segment_events.iter().enumerate() {
-            let mut child = span.child(&format!("epoch{i}"));
-            child.add_work(*events as f64);
-        }
-    }
-    Ok(out)
+    let report = merge_segments(n, plan.schedule.timeline_bucket(), &segments);
+    Ok(ctx.finish(GroupOutcome { report, tallies }, plan, trace.len()))
 }
 
 /// The events of `trace` with a time in `[start_ms, end_ms)`, in trace
@@ -340,20 +326,24 @@ fn merge_segments(cache_count: usize, bucket_ms: f64, segments: &[SimReport]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate;
+    use ecg_obs::Obs;
     use ecg_topology::fixtures::paper_figure1;
-    use ecg_workload::{generate_updates, merge_streams, CatalogConfig, RequestConfig};
+    use ecg_topology::RttMatrix;
+    use ecg_workload::{
+        generate_updates, merge_streams, CatalogConfig, DocumentCatalog, RequestConfig,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn fixture() -> (EdgeNetwork, DocumentCatalog, Vec<TraceEvent>) {
-        let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
+    fn fixture() -> (RttMatrix, DocumentCatalog, Vec<TraceEvent>) {
         let mut rng = StdRng::seed_from_u64(21);
         let catalog = CatalogConfig::default().documents(100).generate(&mut rng);
         let requests = RequestConfig::default()
             .rate_per_sec_per_cache(4.0)
             .generate(&catalog, 6, 20_000.0, &mut rng);
         let updates = generate_updates(&catalog, 20_000.0, &mut rng);
-        (network, catalog, merge_streams(&requests, &updates))
+        (paper_figure1(), catalog, merge_streams(&requests, &updates))
     }
 
     fn pairs() -> GroupMap {
@@ -366,6 +356,11 @@ mod tests {
             ],
         )
         .expect("valid partition")
+    }
+
+    /// The timeline run of `plan` on the pool, no bundle.
+    fn run(plan: &SimPlan<'_>, epochs: &[ReplayEpoch]) -> Result<SimReport, EpochReplayError> {
+        simulate_epochs(plan, epochs, &mut RunContext::pooled())
     }
 
     #[test]
@@ -385,31 +380,46 @@ mod tests {
     }
 
     #[test]
-    fn single_epoch_is_bit_identical_to_sharded_replay() {
-        let (network, catalog, trace) = fixture();
+    fn single_epoch_is_bit_identical_to_the_one_grouping_run() {
+        let (rtt, catalog, trace) = fixture();
         let mut schedule = FaultSchedule::new();
         schedule.push(4_000.0, FaultKind::CacheDown { cache: CacheId(2) });
         schedule.push(9_000.0, FaultKind::CacheUp { cache: CacheId(2) });
-        let config = ReplayConfig::new().schedule(schedule);
+        let plan = SimPlan::new(&rtt, &catalog, &trace).faults(&schedule);
         let epochs = [ReplayEpoch::new(0.0, pairs())];
-        let merged = replay_epochs(&network, &epochs, &catalog, &trace, &config).unwrap();
-        let flat = crate::replay_sharded(&network, &pairs(), &catalog, &trace, &config).unwrap();
-        assert_eq!(merged, flat);
+        // Report, counts and the observability document, serial or pooled.
+        for context in [RunContext::serial, RunContext::pooled] {
+            let (mut timeline_obs, mut flat_obs) = (Obs::new(), Obs::new());
+            let mut ctx = context().observe(Some(&mut timeline_obs));
+            let merged = simulate_epochs(&plan, &epochs, &mut ctx).unwrap();
+            let timeline_stats = ctx.stats();
+            let mut ctx = context().observe(Some(&mut flat_obs));
+            let flat = simulate(&plan, &pairs(), &mut ctx).unwrap();
+            let stats = ctx.stats();
+            assert_eq!(merged, flat);
+            assert_eq!(timeline_obs.to_json(), flat_obs.to_json());
+            assert_eq!(
+                (
+                    timeline_stats.epochs,
+                    timeline_stats.shards,
+                    timeline_stats.shard_events
+                ),
+                (stats.epochs, stats.shards, stats.shard_events)
+            );
+        }
     }
 
     #[test]
     fn epoch_switch_changes_serving_groups() {
-        let (network, catalog, trace) = fixture();
-        let config = ReplayConfig::new();
+        let (rtt, catalog, trace) = fixture();
+        let plan = SimPlan::new(&rtt, &catalog, &trace);
         let epochs = [
             ReplayEpoch::new(0.0, GroupMap::one_group(6)),
             ReplayEpoch::new(10_000.0, GroupMap::singletons(6)),
         ];
-        let merged = replay_epochs(&network, &epochs, &catalog, &trace, &config).unwrap();
+        let merged = run(&plan, &epochs).unwrap();
         // Request conservation: splitting the trace loses nothing.
-        let flat =
-            crate::replay_sharded(&network, &GroupMap::one_group(6), &catalog, &trace, &config)
-                .unwrap();
+        let flat = simulate(&plan, &GroupMap::one_group(6), &mut RunContext::pooled()).unwrap();
         assert_eq!(
             merged.metrics.total_requests(),
             flat.metrics.total_requests()
@@ -421,13 +431,12 @@ mod tests {
             |r: &SimReport| -> u64 { r.metrics.per_cache().iter().map(|a| a.peer_hits).sum() };
         assert!(peer_hits(&merged) < peer_hits(&flat));
         // And byte-stable: same inputs, same bytes.
-        let again = replay_epochs(&network, &epochs, &catalog, &trace, &config).unwrap();
-        assert_eq!(merged, again);
+        assert_eq!(merged, run(&plan, &epochs).unwrap());
     }
 
     #[test]
     fn faults_carry_across_epoch_boundaries() {
-        let (network, catalog, trace) = fixture();
+        let (rtt, catalog, trace) = fixture();
         // Down at 4 s, recovering at 15 s — spanning the 10 s boundary —
         // plus a brownout open across it and a permanent retirement.
         let mut schedule = FaultSchedule::new();
@@ -436,12 +445,14 @@ mod tests {
         schedule.push(6_000.0, FaultKind::BrownoutStart { factor: 3.0 });
         schedule.push(18_000.0, FaultKind::BrownoutEnd);
         schedule.push(2_000.0, FaultKind::CacheRetire { cache: CacheId(5) });
-        let config = ReplayConfig::new().schedule(schedule);
+        let plan = SimPlan::new(&rtt, &catalog, &trace).faults(&schedule);
         let epochs = [
             ReplayEpoch::new(0.0, pairs()),
             ReplayEpoch::new(10_000.0, pairs()),
         ];
-        let merged = replay_epochs(&network, &epochs, &catalog, &trace, &config).unwrap();
+        let mut obs = Obs::new();
+        let mut ctx = RunContext::pooled().observe(Some(&mut obs));
+        let merged = simulate_epochs(&plan, &epochs, &mut ctx).unwrap();
         let d = &merged.metrics.degradation;
         // The boundary re-announces the open crash and the retirement:
         // one announcement per segment that sees them.
@@ -449,32 +460,55 @@ mod tests {
         assert_eq!(d.recoveries, 1, "recovery only in the second");
         assert_eq!(d.retirements, 2, "retirement re-announced");
         assert!(d.saw_faults());
+        // The document lists the global schedule once, carry events
+        // excluded, and one group row per shard in run order.
+        assert_eq!(obs.metrics.counter("sim.fault_events"), 5);
+        assert_eq!(obs.trace.len(), 5);
+        let served = |g: usize| -> u64 {
+            ["local_hits", "peer_hits", "coop_misses"]
+                .iter()
+                .map(|name| obs.metrics.counter(&format!("sim.group.{g:03}.{name}")))
+                .sum()
+        };
+        assert_eq!(
+            (0..6).map(served).sum::<u64>() + obs.metrics.counter("sim.failovers"),
+            merged.metrics.total_requests()
+        );
+        assert_eq!(served(6), 0);
+        assert_eq!(
+            obs.metrics.gauge("sim.queue.max_depth"),
+            Some((trace.len() + schedule.len()) as f64)
+        );
     }
 
     #[test]
-    fn epoch_replay_is_thread_invariant() {
-        let (network, catalog, trace) = fixture();
+    fn timeline_run_is_thread_invariant() {
+        let (rtt, catalog, trace) = fixture();
+        let plan = SimPlan::new(&rtt, &catalog, &trace);
         let epochs = [
             ReplayEpoch::new(0.0, GroupMap::one_group(6)),
             ReplayEpoch::new(8_000.0, pairs()),
             ReplayEpoch::new(14_000.0, GroupMap::singletons(6)),
         ];
-        let config = ReplayConfig::new();
-        ecg_par::set_max_threads(Some(1));
-        let serial = replay_epochs(&network, &epochs, &catalog, &trace, &config);
-        ecg_par::set_max_threads(Some(4));
-        let parallel = replay_epochs(&network, &epochs, &catalog, &trace, &config);
-        ecg_par::set_max_threads(None);
-        assert_eq!(serial.unwrap(), parallel.unwrap());
+        let observed = |ctx: RunContext<'_>| {
+            let mut obs = Obs::new();
+            let report = simulate_epochs(&plan, &epochs, &mut ctx.observe(Some(&mut obs)));
+            (report.unwrap(), obs.to_json())
+        };
+        let serial = observed(RunContext::serial());
+        for threads in [1, 4] {
+            ecg_par::set_max_threads(Some(threads));
+            let pooled = observed(RunContext::pooled());
+            ecg_par::set_max_threads(None);
+            assert_eq!(pooled, serial, "{threads} threads");
+        }
     }
 
     #[test]
     fn invalid_timelines_are_rejected() {
-        let (network, catalog, trace) = fixture();
-        let config = ReplayConfig::new();
-        let run = |epochs: &[ReplayEpoch]| {
-            replay_epochs(&network, epochs, &catalog, &trace, &config).unwrap_err()
-        };
+        let (rtt, catalog, trace) = fixture();
+        let plan = SimPlan::new(&rtt, &catalog, &trace);
+        let run = |epochs: &[ReplayEpoch]| run(&plan, epochs).unwrap_err();
         assert_eq!(run(&[]), EpochReplayError::NoEpochs);
         assert_eq!(
             run(&[ReplayEpoch::new(5.0, pairs())]),
@@ -504,25 +538,47 @@ mod tests {
     }
 
     #[test]
-    fn observed_variant_matches_plain_and_counts_epochs() {
-        let (network, catalog, trace) = fixture();
+    fn a_streamed_source_has_nothing_to_segment() {
+        let (rtt, catalog, _) = fixture();
+        let workload = crate::StreamedWorkload::new(RequestConfig::default(), 3, 5_000.0);
+        let plan = SimPlan::streamed(&rtt, &catalog, &workload);
+        let epochs = [
+            ReplayEpoch::new(0.0, pairs()),
+            ReplayEpoch::new(2_500.0, GroupMap::one_group(6)),
+        ];
+        let err = run(&plan, &epochs).unwrap_err();
+        assert_eq!(err, EpochReplayError::StreamedTrace);
+        assert!(err.to_string().contains("materialized"));
+    }
+
+    #[test]
+    fn an_invalid_schedule_or_event_is_rejected_before_anything_is_cut() {
+        let (rtt, catalog, mut trace) = fixture();
         let epochs = [
             ReplayEpoch::new(0.0, pairs()),
             ReplayEpoch::new(10_000.0, GroupMap::one_group(6)),
         ];
-        let config = ReplayConfig::new();
-        let mut obs = Obs::new();
-        let observed =
-            replay_epochs_observed(&network, &epochs, &catalog, &trace, &config, Some(&mut obs))
-                .unwrap();
-        let plain = replay_epochs(&network, &epochs, &catalog, &trace, &config).unwrap();
-        assert_eq!(observed.report, plain);
-        assert_eq!(observed.epochs, 2);
-        assert_eq!(observed.shards, 4, "three pairs + one big group");
-        assert_eq!(obs.metrics.counter("replay.epochs"), 2);
+        // A NaN fault time used to reach the carry-state sort.
+        let mut bad_schedule = FaultSchedule::new();
+        bad_schedule.push(f64::NAN, FaultKind::CacheDown { cache: CacheId(1) });
+        let plan = SimPlan::new(&rtt, &catalog, &trace).faults(&bad_schedule);
+        assert!(matches!(
+            run(&plan, &epochs),
+            Err(EpochReplayError::Sim(SimError::Fault(_)))
+        ));
+        // An event with no valid time lies in no epoch's window; it is
+        // the error, under its position in the caller's trace.
+        let victim = trace.len() - 1;
+        match &mut trace[victim] {
+            TraceEvent::Request(r) => r.time_ms = f64::NAN,
+            TraceEvent::Update(u) => u.time_ms = f64::NAN,
+        }
+        let plan = SimPlan::new(&rtt, &catalog, &trace);
         assert_eq!(
-            obs.metrics.counter("replay.epoch_events"),
-            observed.shard_events
+            run(&plan, &epochs),
+            Err(EpochReplayError::Sim(SimError::EventTimeInvalid {
+                index: victim
+            }))
         );
     }
 }

@@ -92,6 +92,17 @@ fn scan_trace(
     Ok(ordered)
 }
 
+/// The trace checks of [`Timeline::new`] on their own, with the same
+/// errors: what a timeline run makes once, over the caller's whole
+/// trace, before it cuts the trace into segments.
+pub(crate) fn validate_trace(
+    caches: usize,
+    docs: usize,
+    trace: &[TraceEvent],
+) -> Result<(), SimError> {
+    scan_trace(caches, docs, trace, |_| {}).map(drop)
+}
+
 /// Processing order of a validated trace: every position, in place when
 /// `ordered`, else stably sorted by quantised time.
 fn processing_order(trace: &[TraceEvent], ordered: bool) -> Option<Vec<u32>> {

@@ -6,8 +6,8 @@
 //! see origin slowdowns (flash crowds, upstream incidents). A
 //! [`FaultSchedule`] is the simulator-level description of such an
 //! outage script: a time-ordered list of [`FaultEvent`]s that
-//! [`crate::simulate_with_faults`] replays alongside the workload
-//! trace.
+//! [`crate::simulate`] replays alongside the workload trace
+//! ([`crate::SimPlan::faults`]).
 //!
 //! Semantics of each [`FaultKind`]:
 //!
@@ -153,9 +153,8 @@ impl FaultCarryState {
 /// A validated-on-use script of fault events plus the fault-model knobs
 /// the simulator needs.
 ///
-/// An empty schedule (the [`Default`]) makes
-/// [`crate::simulate_with_faults`] behave exactly like
-/// [`crate::simulate`].
+/// An empty schedule (the [`Default`], and what a [`crate::SimPlan`]
+/// starts with) is the fault-free run, bit for bit.
 ///
 /// # Examples
 ///
@@ -180,18 +179,18 @@ impl Default for FaultSchedule {
     /// No faults, a 3 ms failover-detection penalty, 10 s timeline
     /// buckets.
     fn default() -> Self {
-        FaultSchedule {
-            events: Vec::new(),
-            failover_penalty_ms: 3.0,
-            timeline_bucket_ms: 10_000.0,
-        }
+        Self::new()
     }
 }
 
 impl FaultSchedule {
     /// Creates an empty schedule.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        FaultSchedule {
+            events: Vec::new(),
+            failover_penalty_ms: 3.0,
+            timeline_bucket_ms: 10_000.0,
+        }
     }
 
     /// Appends a fault. Events may be pushed in any order; the simulator

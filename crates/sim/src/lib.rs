@@ -15,9 +15,14 @@
 //! * [`LatencyModel`] — RTT + bandwidth transfer-cost model.
 //! * [`GroupMap`] — validated cache-to-group partition.
 //! * [`fault`] — fault schedules: cache crashes/recoveries/retirements
-//!   and origin brownouts, replayed by [`simulate_with_faults`].
-//! * [`simulate`] — the entry point; see its docs for the protocol
-//!   details.
+//!   and origin brownouts, injected through [`SimPlan::faults`].
+//! * [`simulate`] — **the** entry point: a [`SimPlan`] (what is
+//!   simulated), a [`GroupMap`] and a [`RunContext`] (how). Its
+//!   timeline form [`simulate_epochs`] takes a sequence of
+//!   [`ReplayEpoch`]s in place of the one grouping ([`epoch`] has its
+//!   boundary semantics).
+//! * [`StreamedWorkload`] — a trace source that is never materialized:
+//!   each group regenerates its members' requests from a master seed.
 //!
 //! ## Execution order
 //!
@@ -26,17 +31,20 @@
 //! trace order; then the event loop runs one group at a time — that
 //! group's requests, every origin update, its members' faults — over
 //! the group's own RTT sub-matrix and caches, and the per-group results
-//! are folded in group order. At most one group's caches are live at a
-//! time, and an event's working set is its group's, not the network's.
-//! The report is bit-identical to one time-major pass over the whole
-//! map (kept, hidden, as the reference oracle the tests compare
-//! against); `ecg-replay` fans the same per-group runs over a worker
-//! pool.
+//! are folded in group order. An event's working set is its group's,
+//! not the network's. The groups run one after another on the caller's
+//! thread, at most one group's caches live at a time
+//! ([`RunContext::serial`]), or as work items on the [`ecg_par`] worker
+//! pool ([`RunContext::pooled`]); the choice changes wall-clock time
+//! and peak memory, never a byte of the report or of the observability
+//! document, both of which are bit-identical to one time-major pass
+//! over the whole map (kept, hidden, as the reference oracle the tests
+//! compare against).
 //!
 //! # Examples
 //!
 //! ```
-//! use ecg_sim::{simulate, GroupMap, SimConfig};
+//! use ecg_sim::{simulate, GroupMap, RunContext, SimConfig, SimPlan};
 //! use ecg_topology::{fixtures::paper_figure1, EdgeNetwork};
 //! use ecg_workload::{merge_streams, generate_updates, CatalogConfig, RequestConfig};
 //! use rand::{rngs::StdRng, SeedableRng};
@@ -49,7 +57,9 @@
 //! let trace = merge_streams(&requests, &updates);
 //!
 //! let groups = GroupMap::one_group(6);
-//! let report = simulate(&network, &groups, &catalog, &trace, SimConfig::default())?;
+//! let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace)
+//!     .config(SimConfig::default().warmup_ms(5_000.0));
+//! let report = simulate(&plan, &groups, &mut RunContext::serial())?;
 //! println!("avg latency: {:.2} ms", report.average_latency_ms());
 //! # Ok::<(), ecg_sim::SimError>(())
 //! ```
@@ -61,6 +71,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod driver;
+pub mod epoch;
 pub mod event;
 pub mod fault;
 pub mod groups;
@@ -68,9 +79,12 @@ pub mod holders;
 pub mod latency;
 pub mod metrics;
 pub mod origin;
+mod shim;
 mod sim;
+mod stream;
 pub mod time;
 
+pub use driver::{simulate, RunContext, RunStats, SimPlan};
 /// [`ecg_obs::Histogram`] under the simulator's historical name: every
 /// request latency goes into geometrically spaced bins (256 over
 /// 0.05 ms – 60 s by default), so a run reports percentiles with O(1)
@@ -101,13 +115,12 @@ pub use metrics::{
 pub use origin::OriginServer;
 // Re-exported so simulation configs can pick a placement policy without
 // a direct `ecg-place` dependency.
-#[doc(hidden)]
-pub use driver::GroupRun;
 pub use ecg_place::{AdaptiveConfig, DChoicesConfig, PlacementKind};
-pub use sim::{
-    simulate, simulate_observed, simulate_with_faults, simulate_with_faults_observed,
-    FreshnessProtocol, PeerLookup, SimConfig, SimError, SimReport,
-};
+pub use epoch::{simulate_epochs, EpochReplayError, ReplayEpoch};
 #[doc(hidden)]
-pub use sim::{simulate_time_major, GroupOutcome};
+pub use shim::simulate_observed;
+#[doc(hidden)]
+pub use sim::simulate_time_major;
+pub use sim::{FreshnessProtocol, PeerLookup, SimConfig, SimError, SimReport};
+pub use stream::StreamedWorkload;
 pub use time::SimTime;

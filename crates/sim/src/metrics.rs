@@ -174,7 +174,7 @@ pub struct TimelineBucket {
 /// origin brownout active) and aggregated both overall and as a bucketed
 /// time series.
 ///
-/// In a fault-free run ([`crate::simulate`]) everything lands in the
+/// In a fault-free run (an empty schedule) everything lands in the
 /// healthy class and all fault counters stay zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradationMetrics {

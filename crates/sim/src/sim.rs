@@ -1,12 +1,12 @@
-//! The simulation entry points and the event loop behind them.
+//! The event loop, its configuration and its report.
 //!
 //! Replays a merged workload trace against a cooperative edge cache
 //! network and records the paper's client-side metric (average cache
-//! latency) plus hit-rate and traffic breakdowns. The four `simulate*`
-//! functions hand their inputs to the group-major driver
-//! (`crate::driver`), which calls the event loop here — `kernel` — once
-//! per group; the loop itself runs whatever map it is given, which is
-//! how `simulate_time_major` keeps the whole-map pass as the reference.
+//! latency) plus hit-rate and traffic breakdowns. [`crate::simulate`]
+//! hands its inputs to the group-major driver (`crate::driver`), which
+//! calls the event loop here — `kernel` — once per group; the loop
+//! itself runs whatever map it is given, which is how
+//! `simulate_time_major` keeps the whole-map pass as the reference.
 //!
 //! ## Cooperative miss handling
 //!
@@ -228,7 +228,7 @@ impl SimConfig {
     }
 }
 
-/// Error from [`simulate`].
+/// Error from [`crate::simulate`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The group map covers a different number of caches than the
@@ -369,155 +369,17 @@ impl fmt::Display for SimReport {
     }
 }
 
-/// Replays `trace` against the network and returns the collected
-/// metrics.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the group map does not match the network or
-/// a trace event references an unknown cache/document or carries a
-/// negative or non-finite time.
-///
-/// # Examples
-///
-/// ```
-/// use ecg_sim::{simulate, GroupMap, SimConfig};
-/// use ecg_topology::{fixtures::paper_figure1, EdgeNetwork};
-/// use ecg_workload::{merge_streams, CatalogConfig, RequestConfig};
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
-/// let mut rng = StdRng::seed_from_u64(1);
-/// let catalog = CatalogConfig::default().documents(100).generate(&mut rng);
-/// let requests = RequestConfig::default().generate(&catalog, 6, 10_000.0, &mut rng);
-/// let trace = merge_streams(&requests, &[]);
-/// let groups = GroupMap::one_group(6);
-/// let report = simulate(&network, &groups, &catalog, &trace, SimConfig::default())?;
-/// assert!(report.average_latency_ms() > 0.0);
-/// # Ok::<(), ecg_sim::SimError>(())
-/// ```
-pub fn simulate(
-    network: &EdgeNetwork,
-    groups: &GroupMap,
-    catalog: &DocumentCatalog,
-    trace: &[TraceEvent],
-    config: SimConfig,
-) -> Result<SimReport, SimError> {
-    simulate_with_faults(
-        network,
-        groups,
-        catalog,
-        trace,
-        config,
-        &FaultSchedule::new(),
-    )
-}
-
-/// Replays `trace` against the network while injecting the faults in
-/// `schedule`, and returns the collected metrics — including the
-/// healthy/degraded split in
-/// [`MetricsRecorder::degradation`](crate::metrics::DegradationMetrics).
-///
-/// With an empty schedule this is exactly [`simulate`] (which delegates
-/// here), so a zero-fault plan reproduces baseline results bit for bit.
-///
-/// Fault semantics are documented on [`crate::fault`]; in brief: a down
-/// cache serves nothing (its clients fail over to the origin, paying the
-/// schedule's failover penalty), cooperative lookups skip down peers,
-/// recovery is cold, retirement is permanent, and origin brownouts
-/// multiply every origin fetch latency.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the group map does not match the network, a
-/// trace event references an unknown cache/document or carries a
-/// negative or non-finite time, or the fault schedule fails
-/// [`FaultSchedule::validate`].
-pub fn simulate_with_faults(
-    network: &EdgeNetwork,
-    groups: &GroupMap,
-    catalog: &DocumentCatalog,
-    trace: &[TraceEvent],
-    config: SimConfig,
-    schedule: &FaultSchedule,
-) -> Result<SimReport, SimError> {
-    simulate_with_faults_observed(network, groups, catalog, trace, config, schedule, None)
-}
-
-/// Like [`simulate`], but records internal telemetry into an
-/// observability bundle when one is supplied (see
-/// [`simulate_with_faults_observed`] for what is recorded).
-///
-/// # Errors
-///
-/// Exactly as [`simulate`].
-pub fn simulate_observed(
-    network: &EdgeNetwork,
-    groups: &GroupMap,
-    catalog: &DocumentCatalog,
-    trace: &[TraceEvent],
-    config: SimConfig,
-    obs: Option<&mut Obs>,
-) -> Result<SimReport, SimError> {
-    simulate_with_faults_observed(
-        network,
-        groups,
-        catalog,
-        trace,
-        config,
-        &FaultSchedule::new(),
-        obs,
-    )
-}
-
-/// Like [`simulate_with_faults`], but records internal telemetry into an
-/// observability bundle when one is supplied:
-///
-/// * per-group outcome counters `sim.group.NNN.{local_hits, peer_hits,
-///   coop_misses}` (zero-padded so sorted export order equals numeric
-///   group order) plus workload-wide totals `sim.{local_hits,
-///   peer_hits, coop_misses, failovers, control_messages,
-///   stale_served}` — counted over the whole run, warm-up included;
-/// * holder-index counters `sim.holder.{group_checks, ruled_out,
-///   bit_tests}` (all zero under [`PeerLookup::ScanAll`]);
-/// * a `sim.queue.max_depth` gauge: the run's event count (trace plus
-///   faults), which is what is pending before the first event;
-/// * the request-latency distribution merged into a `sim.latency_ms`
-///   histogram;
-/// * one `sim` trace event per fault injection, timestamped with sim
-///   time, and a `sim` phase span whose work is the timestamp of the
-///   last processed event in ms.
-///
-/// The report is identical with and without a bundle — the simulator is
-/// RNG-free and instrumentation only reads state.
-///
-/// # Errors
-///
-/// Exactly as [`simulate_with_faults`].
-pub fn simulate_with_faults_observed(
-    network: &EdgeNetwork,
-    groups: &GroupMap,
-    catalog: &DocumentCatalog,
-    trace: &[TraceEvent],
-    config: SimConfig,
-    schedule: &FaultSchedule,
-    obs: Option<&mut Obs>,
-) -> Result<SimReport, SimError> {
-    crate::driver::run(network, groups, catalog, trace, config, schedule, obs)
-}
-
 /// The whole map in one time-major pass of the kernel: every cache's
 /// events interleaved in trace order, all `N` caches live at once — how
-/// every run executed before the group-major driver, and exactly what
-/// the driver still does for one group in id order. Kept reachable as
+/// every run executed before the group-major driver. Kept reachable as
 /// the **reference oracle** the driver is proven against (tests and the
 /// `bench_hotpaths` row); same report, same [`SimError`]s and the same
-/// observability document as [`simulate_with_faults_observed`], to the
-/// byte.
+/// observability document as [`crate::simulate`] over the same trace,
+/// to the byte.
 ///
 /// # Errors
 ///
-/// Exactly as [`simulate_with_faults_observed`].
+/// Exactly as [`crate::simulate`].
 #[doc(hidden)]
 pub fn simulate_time_major(
     network: &EdgeNetwork,
@@ -526,7 +388,7 @@ pub fn simulate_time_major(
     trace: &[TraceEvent],
     config: SimConfig,
     schedule: &FaultSchedule,
-    mut obs: Option<&mut Obs>,
+    obs: Option<&mut Obs>,
 ) -> Result<SimReport, SimError> {
     let n = network.cache_count();
     check_inputs(n, groups, schedule)?;
@@ -534,15 +396,7 @@ pub fn simulate_time_major(
     // timestamps faults come first, so a request at the crash time
     // already sees the cache down.
     let timeline = Timeline::new(n, catalog.len(), trace, schedule)?;
-    let run = kernel(
-        network,
-        groups,
-        catalog,
-        timeline,
-        config,
-        schedule,
-        obs.as_deref_mut(),
-    );
+    let run = kernel(network, groups, catalog, timeline, config, schedule);
     Ok(run.finish(obs, config, schedule, trace.len()))
 }
 
@@ -564,15 +418,14 @@ pub(crate) fn check_inputs(
 
 /// What one kernel run hands the driver: its report plus the
 /// observability tallies the driver flushes once per run.
-#[doc(hidden)]
 #[derive(Debug)]
-pub struct GroupOutcome {
+pub(crate) struct GroupOutcome {
     pub(crate) report: SimReport,
     pub(crate) tallies: Tallies,
 }
 
 impl GroupOutcome {
-    /// Ends a simulation whose every group `self` covers, in group
+    /// Ends a simulation whose every kernel run `self` covers, in run
     /// order: flushes the telemetry of the run — `config` over a trace
     /// of `trace_len` events under `schedule` — into `obs` when one is
     /// supplied, and yields the report.
@@ -604,6 +457,11 @@ pub(crate) struct Tallies {
     /// `sim.holder.{group_checks, ruled_out, bit_tests}`.
     holder: [u64; 3],
     place_decisions: u64,
+    /// `place.replica_count`: entry `h` counts the placement decisions
+    /// that saw `h` holders among their candidates (empty without an
+    /// active placement policy). The flushed histogram bins counts, so
+    /// it does not depend on the order decisions were made in.
+    replica_counts: Vec<u64>,
     /// Timestamp of the last processed event, ms.
     last_event_ms: f64,
     /// Trace events fed to the kernel (faults excluded).
@@ -620,14 +478,20 @@ impl Tallies {
             *mine += theirs;
         }
         self.place_decisions += other.place_decisions;
+        if self.replica_counts.len() < other.replica_counts.len() {
+            self.replica_counts.resize(other.replica_counts.len(), 0);
+        }
+        for (mine, theirs) in self.replica_counts.iter_mut().zip(other.replica_counts) {
+            *mine += theirs;
+        }
         self.last_event_ms = self.last_event_ms.max(other.last_event_ms);
         self.trace_events += other.trace_events;
     }
 
     /// Writes one simulation's telemetry into `o` — the document
-    /// [`simulate_with_faults_observed`] describes. `self` covers every
-    /// group in group order and `metrics` is the merged recorder, so
-    /// the bytes do not depend on how many kernel runs produced them;
+    /// [`crate::simulate`] describes. `self` covers every kernel run in
+    /// run order and `metrics` is the merged recorder, so the bytes do
+    /// not depend on how many kernel runs produced them or where;
     /// the fault events come from the global `schedule` in firing
     /// order, once, whichever groups replayed them.
     fn flush(
@@ -688,6 +552,11 @@ impl Tallies {
                 .add("place.replicas_suppressed", metrics.replicas_suppressed);
             o.metrics
                 .add("place.remote_placements", metrics.remote_placements);
+            for (holders, &decisions) in self.replica_counts.iter().enumerate() {
+                for _ in 0..decisions {
+                    o.metrics.observe("place.replica_count", holders as f64);
+                }
+            }
         }
         let mut span = o.phases.span("sim");
         span.add_work(self.last_event_ms);
@@ -702,9 +571,8 @@ impl Tallies {
 /// share of one — against `groups` over `network`. Inputs are already
 /// validated (a [`Timeline`] only exists for a valid trace, `schedule`
 /// passed [`FaultSchedule::validate`], `groups` covers `network`).
-/// `obs` receives only the `place.replica_count` observations, whose
-/// histogram is count-based and so indifferent to the order runs are
-/// made in; everything else observable comes back as [`Tallies`].
+/// It writes no telemetry itself: everything observable comes back as
+/// [`Tallies`], so a run observes the same whichever thread ran it.
 pub(crate) fn kernel(
     network: &EdgeNetwork,
     groups: &GroupMap,
@@ -712,7 +580,6 @@ pub(crate) fn kernel(
     timeline: Timeline<'_>,
     config: SimConfig,
     schedule: &FaultSchedule,
-    mut obs: Option<&mut Obs>,
 ) -> GroupOutcome {
     let n = network.cache_count();
     debug_assert_eq!(groups.cache_count(), n);
@@ -778,16 +645,16 @@ pub(crate) fn kernel(
     // one group's traffic from steering another's replicas and makes
     // each group's decision stream a pure function of that group's
     // events (the property sharded replay relies on).
-    let mut placements: Option<Vec<Box<dyn PlacementPolicy>>> =
-        (!config.placement.is_single_holder()).then(|| {
-            (0..groups.group_count())
-                .map(|g| {
-                    config
-                        .placement
-                        .build(groups.groups()[g].len(), catalog.len())
-                })
-                .collect()
-        });
+    // With the policies goes the `Tallies::replica_counts` row they
+    // feed: one slot per possible holder count, 0..=largest group.
+    let mut placements = (!config.placement.is_single_holder()).then(|| {
+        let sizes = groups.groups().iter().map(Vec::len);
+        let policies: Vec<Box<dyn PlacementPolicy>> = sizes
+            .clone()
+            .map(|members| config.placement.build(members, catalog.len()))
+            .collect();
+        (policies, vec![0u64; sizes.max().unwrap_or(0) + 1])
+    });
     // Candidate scratch reused across every placement decision.
     let mut candidates_scratch: Vec<Candidate> = Vec::new();
     let mut place_decisions = 0u64;
@@ -948,7 +815,7 @@ pub(crate) fn kernel(
                 };
 
                 if local_hit.is_some() {
-                    if let Some(policies) = placements.as_mut() {
+                    if let Some((policies, _)) = placements.as_mut() {
                         // Pure popularity signal for the rate estimator.
                         policies[g].on_local_hit(doc, now_ms);
                     }
@@ -1065,7 +932,7 @@ pub(crate) fn kernel(
                                 // an active policy decides whether the
                                 // requester keeps the copy.
                                 let mut keep_replica = true;
-                                if let Some(policies) = placements.as_mut() {
+                                if let Some((policies, replica_counts)) = placements.as_mut() {
                                     let policy = &mut policies[g];
                                     build_candidates(
                                         &mut candidates_scratch,
@@ -1078,13 +945,9 @@ pub(crate) fn kernel(
                                         doc,
                                     );
                                     place_decisions += 1;
-                                    if let Some(o) = obs.as_deref_mut() {
-                                        o.metrics.observe(
-                                            "place.replica_count",
-                                            candidates_scratch.iter().filter(|c| c.holds).count()
-                                                as f64,
-                                        );
-                                    }
+                                    replica_counts
+                                        [candidates_scratch.iter().filter(|c| c.holds).count()] +=
+                                        1;
                                     match policy.on_peer_hit(doc, now_ms, &candidates_scratch, peer)
                                     {
                                         PeerHitAction::Replicate => {
@@ -1129,7 +992,7 @@ pub(crate) fn kernel(
                                 // copy to a better-placed member (the
                                 // requester still serves the client).
                                 let mut target = cache;
-                                if let Some(policies) = placements.as_mut() {
+                                if let Some((policies, replica_counts)) = placements.as_mut() {
                                     let policy = &mut policies[g];
                                     build_candidates(
                                         &mut candidates_scratch,
@@ -1142,13 +1005,9 @@ pub(crate) fn kernel(
                                         doc,
                                     );
                                     place_decisions += 1;
-                                    if let Some(o) = obs.as_deref_mut() {
-                                        o.metrics.observe(
-                                            "place.replica_count",
-                                            candidates_scratch.iter().filter(|c| c.holds).count()
-                                                as f64,
-                                        );
-                                    }
+                                    replica_counts
+                                        [candidates_scratch.iter().filter(|c| c.holds).count()] +=
+                                        1;
                                     target =
                                         policy.on_origin_fetch(doc, now_ms, &candidates_scratch);
                                     if target != cache {
@@ -1244,6 +1103,7 @@ pub(crate) fn kernel(
             failovers: obs_failovers,
             holder: [holder_group_checks, holder_ruled_out, holder_bit_tests],
             place_decisions,
+            replica_counts: placements.map(|(_, counts)| counts).unwrap_or_default(),
             last_event_ms,
             trace_events,
         },
@@ -1449,6 +1309,7 @@ fn insert_tracked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{simulate, RunContext, SimPlan};
     use ecg_topology::fixtures::paper_figure1;
     use ecg_workload::{merge_streams, CatalogConfig, DocId, Request, Update};
     use rand::rngs::StdRng;
@@ -1456,6 +1317,43 @@ mod tests {
 
     fn network() -> EdgeNetwork {
         EdgeNetwork::from_rtt_matrix(paper_figure1())
+    }
+
+    /// The entry point on the caller's thread, under `schedule`.
+    fn sim_observed(
+        net: &EdgeNetwork,
+        groups: &GroupMap,
+        cat: &DocumentCatalog,
+        trace: &[TraceEvent],
+        config: SimConfig,
+        schedule: &FaultSchedule,
+        obs: Option<&mut Obs>,
+    ) -> Result<SimReport, SimError> {
+        let plan = SimPlan::new(net.rtt_matrix(), cat, trace)
+            .config(config)
+            .faults(schedule);
+        simulate(&plan, groups, &mut RunContext::serial().observe(obs))
+    }
+
+    fn sim_faulted(
+        net: &EdgeNetwork,
+        groups: &GroupMap,
+        cat: &DocumentCatalog,
+        trace: &[TraceEvent],
+        config: SimConfig,
+        schedule: &FaultSchedule,
+    ) -> Result<SimReport, SimError> {
+        sim_observed(net, groups, cat, trace, config, schedule, None)
+    }
+
+    fn sim(
+        net: &EdgeNetwork,
+        groups: &GroupMap,
+        cat: &DocumentCatalog,
+        trace: &[TraceEvent],
+        config: SimConfig,
+    ) -> Result<SimReport, SimError> {
+        sim_faulted(net, groups, cat, trace, config, &FaultSchedule::new())
     }
 
     fn catalog(n: usize) -> DocumentCatalog {
@@ -1485,7 +1383,7 @@ mod tests {
         let net = network();
         let cat = catalog(10);
         let trace = vec![request(0.0, 0, 3), request(100.0, 0, 3)];
-        let report = simulate(
+        let report = sim(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -1516,7 +1414,7 @@ mod tests {
         )
         .unwrap();
         let trace = vec![request(0.0, 0, 3), request(100.0, 1, 3)];
-        let report = simulate(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
+        let report = sim(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
         assert_eq!(report.metrics.per_cache()[1].peer_hits, 1);
         assert_eq!(report.origin_fetches, 1);
         assert!(report.metrics.peer_bytes > 0);
@@ -1540,11 +1438,11 @@ mod tests {
         )
         .unwrap();
         let trace_peer = vec![request(0.0, 1, 3), request(100.0, 0, 3)];
-        let report = simulate(&net, &groups, &cat, &trace_peer, SimConfig::default()).unwrap();
+        let report = sim(&net, &groups, &cat, &trace_peer, SimConfig::default()).unwrap();
         let peer_latency = report.metrics.per_cache()[0].latency_sum_ms;
 
         let trace_alone = vec![request(0.0, 0, 3)];
-        let report2 = simulate(
+        let report2 = sim(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -1564,7 +1462,7 @@ mod tests {
         let net = network();
         let cat = catalog(10);
         let trace = vec![request(0.0, 0, 2), update(50.0, 2), request(100.0, 0, 2)];
-        let report = simulate(
+        let report = sim(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -1595,8 +1493,8 @@ mod tests {
         )
         .unwrap();
         let trace = vec![request(0.0, 0, 5)];
-        let report = simulate(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
-        let solo = simulate(
+        let report = sim(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
+        let solo = sim(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -1616,7 +1514,7 @@ mod tests {
         let net = network();
         let cat = catalog(10);
         let trace = vec![request(0.0, 0, 1), request(2_000.0, 0, 1)];
-        let report = simulate(
+        let report = sim(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -1635,7 +1533,7 @@ mod tests {
     fn mismatched_groups_are_rejected() {
         let net = network();
         let cat = catalog(5);
-        let err = simulate(
+        let err = sim(
             &net,
             &GroupMap::singletons(4),
             &cat,
@@ -1657,7 +1555,7 @@ mod tests {
         let net = network();
         let cat = catalog(5);
         let groups = GroupMap::singletons(6);
-        let err = simulate(
+        let err = sim(
             &net,
             &groups,
             &cat,
@@ -1666,7 +1564,7 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, SimError::RequestCacheOutOfRange { cache: 9 });
-        let err = simulate(
+        let err = sim(
             &net,
             &groups,
             &cat,
@@ -1675,7 +1573,7 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, SimError::DocOutOfRange { doc: 99 });
-        let err = simulate(
+        let err = sim(
             &net,
             &groups,
             &cat,
@@ -1694,7 +1592,7 @@ mod tests {
         for bad in [f64::NAN, -0.5, f64::INFINITY, f64::NEG_INFINITY] {
             for hostile in [request(bad, 0, 0), update(bad, 0)] {
                 let trace = [request(1.0, 0, 0), hostile];
-                let err = simulate(&net, &groups, &cat, &trace, SimConfig::default()).unwrap_err();
+                let err = sim(&net, &groups, &cat, &trace, SimConfig::default()).unwrap_err();
                 assert_eq!(err, SimError::EventTimeInvalid { index: 1 }, "{bad}");
                 assert!(err.to_string().contains("event 1"), "{err}");
             }
@@ -1717,8 +1615,8 @@ mod tests {
         assert_ne!(shuffled, sorted);
         let config = SimConfig::default().cache_capacity_bytes(64 << 10);
         let groups = GroupMap::one_group(6);
-        let a = simulate_with_faults(&net, &groups, &cat, &sorted, config, &schedule).unwrap();
-        let b = simulate_with_faults(&net, &groups, &cat, &shuffled, config, &schedule).unwrap();
+        let a = sim_faulted(&net, &groups, &cat, &sorted, config, &schedule).unwrap();
+        let b = sim_faulted(&net, &groups, &cat, &shuffled, config, &schedule).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1754,7 +1652,7 @@ mod tests {
             // Latency of request k = Ec0's latency sum over the first
             // k + 1 requests minus the sum over the first k.
             let sum_after = |k: usize| {
-                simulate_with_faults(&net, &groups, &cat, &trace[..k], config, &schedule)
+                sim_faulted(&net, &groups, &cat, &trace[..k], config, &schedule)
                     .unwrap()
                     .metrics
                     .per_cache()[0]
@@ -1806,8 +1704,16 @@ mod tests {
                 .policy(PolicyKind::Lru)
                 .cache_capacity_bytes(room)
                 .peer_lookup(lookup);
-            let report =
-                simulate_observed(&net, &groups, &cat, &trace, config, Some(&mut obs)).unwrap();
+            let report = sim_observed(
+                &net,
+                &groups,
+                &cat,
+                &trace,
+                config,
+                &FaultSchedule::new(),
+                Some(&mut obs),
+            )
+            .unwrap();
             (report, obs.metrics.counter("sim.holder.bit_tests"))
         };
         let (indexed, bit_tests) = run(PeerLookup::HolderIndex);
@@ -1838,7 +1744,7 @@ mod tests {
             let config = SimConfig::default()
                 .freshness(freshness)
                 .peer_lookup(lookup);
-            simulate(&net, &four_and_two(), &cat, trace, config).unwrap()
+            sim(&net, &four_and_two(), &cat, trace, config).unwrap()
         };
         let indexed = run(PeerLookup::HolderIndex);
         assert_eq!(indexed, run(PeerLookup::ScanAll));
@@ -1948,8 +1854,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let grouped = simulate(&net, &paired, &cat, &trace, config).unwrap();
-        let solo = simulate(&net, &GroupMap::singletons(6), &cat, &trace, config).unwrap();
+        let grouped = sim(&net, &paired, &cat, &trace, config).unwrap();
+        let solo = sim(&net, &GroupMap::singletons(6), &cat, &trace, config).unwrap();
         assert!(
             grouped.average_latency_ms() < solo.average_latency_ms(),
             "grouped {} vs solo {}",
@@ -1964,7 +1870,7 @@ mod tests {
         let net = network();
         let cat = catalog(10);
         let trace = vec![request(0.0, 0, 2), update(50.0, 2), request(100.0, 0, 2)];
-        let report = simulate(
+        let report = sim(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -1990,7 +1896,7 @@ mod tests {
             request(100.0, 0, 2),   // within lease: stale serve
             request(2_000.0, 0, 2), // past lease: refetch
         ];
-        let report = simulate(
+        let report = sim(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -2023,7 +1929,7 @@ mod tests {
             // Ec1 misses locally; Ec0 has an unexpired (stale) copy.
             request(100.0, 1, 3),
         ];
-        let report = simulate(
+        let report = sim(
             &net,
             &groups,
             &cat,
@@ -2057,7 +1963,7 @@ mod tests {
         let groups = GroupMap::one_group(6);
 
         let run = |freshness: FreshnessProtocol| {
-            simulate(
+            sim(
                 &net,
                 &groups,
                 &cat,
@@ -2095,8 +2001,8 @@ mod tests {
         let updates = ecg_workload::generate_updates(&cat, 30_000.0, &mut rng);
         let trace = merge_streams(&requests, &updates);
         let groups = GroupMap::one_group(6);
-        let a = simulate(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
-        let b = simulate(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
+        let a = sim(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
+        let b = sim(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -2144,7 +2050,7 @@ mod tests {
                 let base = SimConfig::default()
                     .cache_capacity_bytes(64 << 10)
                     .freshness(freshness);
-                let scanned = simulate(
+                let scanned = sim(
                     &net,
                     &groups,
                     &cat,
@@ -2152,7 +2058,7 @@ mod tests {
                     base.peer_lookup(PeerLookup::ScanAll),
                 )
                 .unwrap();
-                let indexed = simulate(
+                let indexed = sim(
                     &net,
                     &groups,
                     &cat,
@@ -2177,7 +2083,7 @@ mod tests {
         schedule.push(80_000.0, FaultKind::BrownoutEnd);
         let groups = GroupMap::one_group(6);
         let base = SimConfig::default().cache_capacity_bytes(64 << 10);
-        let scanned = simulate_with_faults(
+        let scanned = sim_faulted(
             &net,
             &groups,
             &cat,
@@ -2186,7 +2092,7 @@ mod tests {
             &schedule,
         )
         .unwrap();
-        let indexed = simulate_with_faults(
+        let indexed = sim_faulted(
             &net,
             &groups,
             &cat,
@@ -2211,8 +2117,8 @@ mod tests {
         let updates = ecg_workload::generate_updates(&cat, 30_000.0, &mut rng);
         let trace = merge_streams(&requests, &updates);
         let groups = pair_groups();
-        let base = simulate(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
-        let faulted = simulate_with_faults(
+        let base = sim(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
+        let faulted = sim_faulted(
             &net,
             &groups,
             &cat,
@@ -2235,7 +2141,7 @@ mod tests {
         // Prime the cache, crash it, then request again: the second
         // request must go to the origin even though the doc was cached.
         let trace = vec![request(0.0, 0, 3), request(100.0, 0, 3)];
-        let report = simulate_with_faults(
+        let report = sim_faulted(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -2264,7 +2170,7 @@ mod tests {
         schedule.push(50.0, FaultKind::CacheDown { cache: CacheId(0) });
         schedule.push(60.0, FaultKind::CacheUp { cache: CacheId(0) });
         let trace = vec![request(0.0, 0, 3), request(100.0, 0, 3)];
-        let report = simulate_with_faults(
+        let report = sim_faulted(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -2290,7 +2196,7 @@ mod tests {
         // Ec0 fetches doc 3; after Ec0 crashes, Ec1's cooperative lookup
         // cannot use it and pays the origin.
         let trace = vec![request(0.0, 0, 3), request(100.0, 1, 3)];
-        let report = simulate_with_faults(
+        let report = sim_faulted(
             &net,
             &pair_groups(),
             &cat,
@@ -2307,7 +2213,7 @@ mod tests {
         // down) even though Ec1 itself is healthy.
         assert_eq!(report.metrics.degradation.degraded.requests, 1);
         // Without the fault the same trace is a peer hit.
-        let healthy = simulate(&net, &pair_groups(), &cat, &trace, SimConfig::default()).unwrap();
+        let healthy = sim(&net, &pair_groups(), &cat, &trace, SimConfig::default()).unwrap();
         assert_eq!(healthy.metrics.per_cache()[1].peer_hits, 1);
     }
 
@@ -2319,7 +2225,7 @@ mod tests {
         schedule.push(10.0, FaultKind::CacheRetire { cache: CacheId(0) });
         schedule.push(20.0, FaultKind::CacheUp { cache: CacheId(0) });
         let trace = vec![request(100.0, 0, 3)];
-        let report = simulate_with_faults(
+        let report = sim_faulted(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -2342,7 +2248,7 @@ mod tests {
         schedule.push(0.0, FaultKind::BrownoutStart { factor: 3.0 });
         schedule.push(50.0, FaultKind::BrownoutEnd);
         let trace = vec![request(10.0, 0, 3)];
-        let slow = simulate_with_faults(
+        let slow = sim_faulted(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -2351,7 +2257,7 @@ mod tests {
             &schedule,
         )
         .unwrap();
-        let fast = simulate(
+        let fast = sim(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -2369,7 +2275,7 @@ mod tests {
         assert_eq!(slow.metrics.degradation.degraded.requests, 1);
         // After the window ends the penalty disappears.
         let trace_late = vec![request(100.0, 0, 3)];
-        let late = simulate_with_faults(
+        let late = sim_faulted(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -2395,7 +2301,7 @@ mod tests {
             request(1_500.0, 0, 1), // degraded bucket 1 (peer down)
             request(2_500.0, 0, 1), // healthy bucket 2
         ];
-        let report = simulate_with_faults(
+        let report = sim_faulted(
             &net,
             &pair_groups(),
             &cat,
@@ -2419,7 +2325,7 @@ mod tests {
         let cat = catalog(5);
         let mut schedule = FaultSchedule::new();
         schedule.push(1.0, FaultKind::CacheDown { cache: CacheId(9) });
-        let err = simulate_with_faults(
+        let err = sim_faulted(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -2443,9 +2349,9 @@ mod tests {
         schedule.push(30_000.0, FaultKind::CacheUp { cache: CacheId(2) });
         let groups = pair_groups();
         let config = SimConfig::default().cache_capacity_bytes(64 << 10);
-        let plain = simulate_with_faults(&net, &groups, &cat, &trace, config, &schedule).unwrap();
+        let plain = sim_faulted(&net, &groups, &cat, &trace, config, &schedule).unwrap();
         let mut obs = Obs::new();
-        let observed = simulate_with_faults_observed(
+        let observed = sim_observed(
             &net,
             &groups,
             &cat,
@@ -2491,8 +2397,8 @@ mod tests {
         let net = network();
         let (cat, trace) = churny_trace(31, 120_000.0);
         let groups = pair_groups();
-        let base = simulate(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
-        let explicit = simulate(
+        let base = sim(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
+        let explicit = sim(
             &net,
             &groups,
             &cat,
@@ -2510,7 +2416,7 @@ mod tests {
         let net = network();
         let (cat, trace) = churny_trace(33, 240_000.0);
         let groups = GroupMap::one_group(6);
-        let report = simulate(
+        let report = sim(
             &net,
             &groups,
             &cat,
@@ -2535,8 +2441,8 @@ mod tests {
         let config = SimConfig::default()
             .cache_capacity_bytes(256 << 10)
             .placement(PlacementKind::d_choices());
-        let a = simulate(&net, &groups, &cat, &trace, config).unwrap();
-        let b = simulate(&net, &groups, &cat, &trace, config).unwrap();
+        let a = sim(&net, &groups, &cat, &trace, config).unwrap();
+        let b = sim(&net, &groups, &cat, &trace, config).unwrap();
         assert_eq!(a, b);
         assert!(a.metrics.remote_placements > 0, "{a}");
         // d-choices never replicates on peer hits.
@@ -2553,7 +2459,7 @@ mod tests {
                 let base = SimConfig::default()
                     .cache_capacity_bytes(64 << 10)
                     .placement(placement);
-                let scanned = simulate(
+                let scanned = sim(
                     &net,
                     &groups,
                     &cat,
@@ -2561,7 +2467,7 @@ mod tests {
                     base.peer_lookup(PeerLookup::ScanAll),
                 )
                 .unwrap();
-                let indexed = simulate(
+                let indexed = sim(
                     &net,
                     &groups,
                     &cat,
@@ -2586,7 +2492,7 @@ mod tests {
                 FreshnessProtocol::InvalidateOnAccess,
                 FreshnessProtocol::OriginMulticast,
             ] {
-                let report = simulate_with_faults(
+                let report = sim_faulted(
                     &net,
                     &GroupMap::one_group(6),
                     &cat,
@@ -2616,8 +2522,16 @@ mod tests {
             .cache_capacity_bytes(128 << 10)
             .placement(PlacementKind::adaptive());
         let mut obs = Obs::new();
-        let report =
-            simulate_observed(&net, &groups, &cat, &trace, config, Some(&mut obs)).unwrap();
+        let report = sim_observed(
+            &net,
+            &groups,
+            &cat,
+            &trace,
+            config,
+            &FaultSchedule::new(),
+            Some(&mut obs),
+        )
+        .unwrap();
         let m = &obs.metrics;
         assert!(m.counter("place.decisions") > 0);
         assert_eq!(
@@ -2639,12 +2553,13 @@ mod tests {
         assert_eq!(sim_span.children()[0].name(), "place");
         // A baseline observed run emits no placement telemetry at all.
         let mut base_obs = Obs::new();
-        let _ = simulate_observed(
+        let _ = sim_observed(
             &net,
             &groups,
             &cat,
             &trace,
             SimConfig::default(),
+            &FaultSchedule::new(),
             Some(&mut base_obs),
         )
         .unwrap();
@@ -2660,7 +2575,7 @@ mod tests {
         let mut schedule = FaultSchedule::new();
         schedule.push(50.0, FaultKind::CacheDown { cache: CacheId(0) });
         let trace = vec![request(0.0, 0, 3), request(100.0, 0, 3)];
-        let report = simulate_with_faults(
+        let report = sim_faulted(
             &net,
             &GroupMap::singletons(6),
             &cat,
@@ -2673,7 +2588,7 @@ mod tests {
         assert!(text.contains("failovers"), "{text}");
         assert!(text.contains("1 crashes"), "{text}");
         // A healthy run keeps the original compact summary.
-        let healthy = simulate(
+        let healthy = sim(
             &net,
             &GroupMap::singletons(6),
             &cat,

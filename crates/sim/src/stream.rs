@@ -1,6 +1,6 @@
-//! Streamed shard construction: derived-seed request regeneration.
+//! The streamed trace source: derived-seed request regeneration.
 //!
-//! The streamed path never materializes the global trace. A shard
+//! A streamed run never materializes the global trace. A group's shard
 //! rebuilds exactly its members' arrivals from the workload's master
 //! seed ([`ecg_workload::RequestConfig::stream_cache`] is a pure
 //! function of `(master, cache)`), orders them, and interleaves the
@@ -40,20 +40,22 @@
 //!   `t`, exactly as [`merge_streams`] interleaves the eager trace —
 //!   the shard calls the same function.
 
-use ecg_sim::{SimError, SimTime};
+use crate::sim::SimError;
+use crate::time::SimTime;
 use ecg_topology::CacheId;
 use ecg_workload::{
     merge_streams, DocumentCatalog, Request, RequestConfig, TraceEvent, Update, ZipfSampler,
 };
 
-/// A replay workload defined by generation parameters instead of a
+/// A workload defined by generation parameters instead of a
 /// materialized trace: per-cache Poisson request streams regenerated
 /// from `master` on demand, plus a shared (small) origin update log.
+/// [`crate::SimPlan::streamed`] runs one.
 ///
 /// # Examples
 ///
 /// ```
-/// use ecg_replay::StreamedWorkload;
+/// use ecg_sim::StreamedWorkload;
 /// use ecg_workload::RequestConfig;
 ///
 /// let workload =
@@ -124,9 +126,9 @@ impl<'a> StreamedWorkload<'a> {
 
     /// Materializes the global trace this workload describes —
     /// [`ecg_workload::RequestConfig::generate_with_master`] merged with
-    /// the update log. [`crate::replay_streamed`] over `caches` caches
-    /// is bit-identical to [`ecg_sim::simulate`] over this trace;
-    /// only tests, verification harnesses, and small-N tooling should
+    /// the update log. A run of [`crate::SimPlan::streamed`] over
+    /// `caches` caches is bit-identical to one of
+    /// [`crate::SimPlan::new`] over this trace; only tests, verification harnesses, and small-N tooling should
     /// call it (it allocates the whole trace the streamed path exists to
     /// avoid).
     ///

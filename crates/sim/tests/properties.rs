@@ -2,13 +2,14 @@
 
 use ecg_obs::Obs;
 use ecg_sim::{
-    simulate, simulate_time_major, simulate_with_faults_observed, FaultKind, FaultSchedule,
-    FreshnessProtocol, GroupMap, LatencyModel, PeerLookup, PlacementKind, SimConfig, SimError,
+    simulate, simulate_epochs, simulate_time_major, EpochReplayError, FaultKind, FaultSchedule,
+    FreshnessProtocol, GroupMap, LatencyModel, PeerLookup, PlacementKind, ReplayEpoch, RunContext,
+    SimConfig, SimError, SimPlan, SimReport, StreamedWorkload,
 };
 use ecg_topology::{CacheId, EdgeNetwork, RttMatrix};
 use ecg_workload::{
-    generate_updates, merge_streams, CatalogConfig, DocId, Request, RequestConfig, TraceEvent,
-    Update,
+    generate_updates, merge_streams, CatalogConfig, DocId, DocumentCatalog, Request, RequestConfig,
+    TraceEvent, Update,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -190,36 +191,74 @@ fn shaped_partition(shape: usize, seed: u64, n: usize) -> GroupMap {
     }
 }
 
-/// Plain report, observed report and the observed run's metrics
-/// document, from the driver every entry point goes through or from the
-/// time-major oracle.
-fn run_both_ways(
-    oracle: bool,
-    net: &EdgeNetwork,
-    groups: &GroupMap,
-    cat: &ecg_workload::DocumentCatalog,
-    trace: &[TraceEvent],
-    config: SimConfig,
-    schedule: &FaultSchedule,
-) -> Result<(ecg_sim::SimReport, String), SimError> {
-    let run = if oracle {
-        simulate_time_major
-    } else {
-        simulate_with_faults_observed
-    };
-    let plain = run(net, groups, cat, trace, config, schedule, None)?;
+/// A run's report and, from the same inputs run again under
+/// observation, its metrics document.
+type Observed = Result<(SimReport, String), SimError>;
+
+/// Runs `run` without a bundle and with one; the reports must agree.
+fn plain_and_observed(
+    mut run: impl FnMut(Option<&mut Obs>) -> Result<SimReport, SimError>,
+) -> Observed {
+    let plain = run(None)?;
     let mut obs = Obs::new();
-    let observed = run(net, groups, cat, trace, config, schedule, Some(&mut obs))?;
+    let observed = run(Some(&mut obs))?;
     assert_eq!(plain, observed, "observation changed the report");
     Ok((plain, obs.to_json()))
 }
 
-/// One group in id order is the whole network: the driver runs the
-/// kernel on the caller's inputs and allocates what the time-major
-/// oracle allocates, to the byte — no position lists, no sub-matrix.
-/// The same group listed backwards needs both, and pays for them.
+/// The entry point on the caller's thread, fault-free and unobserved.
+fn sim(
+    net: &EdgeNetwork,
+    groups: &GroupMap,
+    cat: &DocumentCatalog,
+    trace: &[TraceEvent],
+    config: SimConfig,
+) -> Result<SimReport, SimError> {
+    let plan = SimPlan::new(net.rtt_matrix(), cat, trace).config(config);
+    simulate(&plan, groups, &mut RunContext::serial())
+}
+
+/// The time-major reference run.
+fn oracle(
+    net: &EdgeNetwork,
+    groups: &GroupMap,
+    cat: &DocumentCatalog,
+    trace: &[TraceEvent],
+    config: SimConfig,
+    schedule: &FaultSchedule,
+) -> Observed {
+    plain_and_observed(|obs| simulate_time_major(net, groups, cat, trace, config, schedule, obs))
+}
+
+/// The entry point on the caller's thread.
+fn serial(plan: &SimPlan<'_>, groups: &GroupMap) -> Observed {
+    plain_and_observed(|obs| simulate(plan, groups, &mut RunContext::serial().observe(obs)))
+}
+
+/// Every way of running `plan` under `groups` — the caller's thread,
+/// the pool at 1, 2 and 8 threads; each plain and observed — as
+/// `(label, outcome)`.
+fn every_context(plan: &SimPlan<'_>, groups: &GroupMap) -> Vec<(String, Observed)> {
+    let mut outcomes = vec![("serial".to_string(), serial(plan, groups))];
+    for threads in [1usize, 2, 8] {
+        ecg_par::set_max_threads(Some(threads));
+        let pooled = plain_and_observed(|obs| {
+            simulate(plan, groups, &mut RunContext::pooled().observe(obs))
+        });
+        ecg_par::set_max_threads(None);
+        outcomes.push((format!("pooled, {threads} threads"), pooled));
+    }
+    outcomes
+}
+
+/// One group in id order is a group like any other. It used to run on
+/// the caller's matrix and trace with the time-major oracle's
+/// allocations, to the byte; it now pays what every group-major run
+/// pays — 4 bytes of plan per trace event, one `(N + 1)²` sub-matrix,
+/// and the per-cache recorder the fold merges into — and no more,
+/// whichever order the one group's members are listed in.
 #[test]
-fn one_group_in_id_order_runs_in_place() {
+fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
     let caches = 12;
     let net = arb_network(3, caches);
     let mut rng = StdRng::seed_from_u64(4);
@@ -230,33 +269,41 @@ fn one_group_in_id_order_runs_in_place() {
     let schedule = FaultSchedule::new();
     let in_order = GroupMap::one_group(caches);
     let backwards = shaped_partition(1, 0, caches);
+    let plan = SimPlan::new(net.rtt_matrix(), &cat, &trace);
 
     let (oracle, oracle_bytes) = allocated_by(|| {
         simulate_time_major(&net, &in_order, &cat, &trace, config, &schedule, None).unwrap()
     });
-    let (in_place, in_place_bytes) =
-        allocated_by(|| simulate(&net, &in_order, &cat, &trace, config).unwrap());
-    assert_eq!(in_place, oracle);
-    assert_eq!(in_place_bytes, oracle_bytes);
-
-    let (planned, planned_bytes) =
-        allocated_by(|| simulate(&net, &backwards, &cat, &trace, config).unwrap());
-    assert_eq!(
-        planned.metrics.total_requests(),
-        oracle.metrics.total_requests()
-    );
     let positions = 4 * trace.len() as u64;
     let sub_matrix = 8 * ((caches + 1) * (caches + 1)) as u64;
-    assert!(planned_bytes >= oracle_bytes + positions + sub_matrix);
+    for (groups, in_id_order) in [(&in_order, true), (&backwards, false)] {
+        let (planned, planned_bytes) =
+            allocated_by(|| simulate(&plan, groups, &mut RunContext::serial()).unwrap());
+        assert_eq!(
+            planned.metrics.total_requests(),
+            oracle.metrics.total_requests()
+        );
+        let extra = planned_bytes - oracle_bytes;
+        assert!(extra >= positions + sub_matrix, "{extra} B");
+        assert!(extra < positions + sub_matrix + (8 << 10), "{extra} B");
+        if in_id_order {
+            assert_eq!(planned, oracle);
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The group-major driver — per-group position plan, sub-topology,
-    /// fault split, group-order fold, one observability flush — reports
-    /// and observes exactly what one time-major pass over the whole map
-    /// does, and fails with the same error.
+    /// The group-major driver — per-group position plan or regenerated
+    /// streams, sub-topology, fault split, pool fan-out, group-order
+    /// fold, one observability flush — reports and observes exactly what
+    /// one time-major pass over the whole map does, however it is run:
+    /// on the caller's thread or on the pool at 1, 2 and 8 threads, with
+    /// or without a bundle, over a materialized trace or over the
+    /// streamed workload it materializes; a one-epoch timeline is the
+    /// same run again, and a timeline of several epochs does not depend
+    /// on the context either.
     #[test]
     fn group_major_driver_equals_the_time_major_oracle(
         seed in any::<u64>(),
@@ -303,6 +350,23 @@ proptest! {
                 trace.swap(i, rng.gen_range(0..=i));
             }
         }
+        // The streamed source of the same shape: its own request
+        // streams, the case's update log.
+        let workload = StreamedWorkload::new(
+            RequestConfig::default().rate_per_sec_per_cache(4.0),
+            seed.wrapping_add(4),
+            if trace_kind == 0 { 0.0 } else { duration },
+        )
+        .updates(&updates);
+        let streamed_trace = workload.materialize_trace(&cat, caches);
+        // The same grouping, then a change of grouping, then the same
+        // grouping again with everything cold.
+        let one_epoch = [ReplayEpoch::new(0.0, groups.clone())];
+        let three_epochs = [
+            ReplayEpoch::new(0.0, groups.clone()),
+            ReplayEpoch::new(0.3 * duration, shaped_partition((shape + 1) % 5, seed, caches)),
+            ReplayEpoch::new(0.7 * duration, groups.clone()),
+        ];
         let mut schedule = FaultSchedule::new();
         if faulted {
             schedule =
@@ -332,14 +396,47 @@ proptest! {
                         .freshness(freshness)
                         .placement(placement)
                         .peer_lookup(lookup);
-                    let driver =
-                        run_both_ways(false, &net, &groups, &cat, &trace, config, &schedule);
-                    let oracle =
-                        run_both_ways(true, &net, &groups, &cat, &trace, config, &schedule);
-                    prop_assert_eq!(
-                        driver, oracle,
-                        "diverged under {:?} / {:?} / {:?}", freshness, placement, lookup
-                    );
+                    let rtt = net.rtt_matrix();
+                    let sources = [
+                        (SimPlan::new(rtt, &cat, &trace), &trace),
+                        (SimPlan::streamed(rtt, &cat, &workload), &streamed_trace),
+                    ];
+                    for (plan, materialized) in sources {
+                        let plan = plan.config(config).faults(&schedule);
+                        let reference =
+                            oracle(&net, &groups, &cat, materialized, config, &schedule);
+                        for (context, outcome) in every_context(&plan, &groups) {
+                            prop_assert_eq!(
+                                &outcome, &reference,
+                                "{} diverged under {:?} / {:?} / {:?}",
+                                context, freshness, placement, lookup
+                            );
+                        }
+                    }
+                    // Timelines, over the materialized trace.
+                    let plan = SimPlan::new(rtt, &cat, &trace).config(config).faults(&schedule);
+                    let timeline = |epochs: &[ReplayEpoch], pooled: bool| {
+                        plain_and_observed(|obs| {
+                            let context =
+                                if pooled { RunContext::pooled() } else { RunContext::serial() };
+                            simulate_epochs(&plan, epochs, &mut context.observe(obs)).map_err(
+                                |e| match e {
+                                    EpochReplayError::Sim(e) => e,
+                                    other => panic!("valid timeline rejected: {other}"),
+                                },
+                            )
+                        })
+                    };
+                    let flat = serial(&plan, &groups);
+                    prop_assert_eq!(&timeline(&one_epoch, false), &flat);
+                    prop_assert_eq!(&timeline(&one_epoch, true), &flat);
+                    let on_this_thread = timeline(&three_epochs, false);
+                    for threads in [1usize, 2, 8] {
+                        ecg_par::set_max_threads(Some(threads));
+                        let pooled = timeline(&three_epochs, true);
+                        ecg_par::set_max_threads(None);
+                        prop_assert_eq!(&pooled, &on_this_thread, "{} threads", threads);
+                    }
                 }
             }
         }
@@ -347,13 +444,19 @@ proptest! {
 
     /// The first invalid event in *trace order* decides the error, even
     /// when it belongs to the last group and an earlier group's share of
-    /// the trace is also invalid further on.
+    /// the trace is also invalid further on — for the one-grouping run in
+    /// every context and for a timeline run, whose epochs' windows an
+    /// event without a valid time falls outside of: the index is a
+    /// position in the caller's trace, ordered or shuffled, never in a
+    /// segment.
     #[test]
     fn the_first_invalid_event_in_trace_order_is_the_error(
         seed in any::<u64>(),
         caches in 2usize..10,
         first_kind in 0usize..5,
         second_kind in 0usize..5,
+        first_at in 0usize..3,
+        shuffled in any::<bool>(),
     ) {
         let net = arb_network(seed, caches);
         let groups = shuffled_partition(seed.wrapping_add(1), caches, 4);
@@ -365,14 +468,26 @@ proptest! {
         let updates = generate_updates(&cat, 8_000.0, &mut rng);
         let mut trace = merge_streams(&requests, &updates);
         prop_assert!(trace.len() >= 4);
-        // The earlier corruption lands on a request of the last group
-        // (when it has one), the later one anywhere after it.
+        if shuffled {
+            for i in (1..trace.len()).rev() {
+                trace.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        // The earlier corruption lands on the first event, on a request
+        // of the last group (when it has one) or on the last event —
+        // in a time-ordered trace, in the last epoch's window; the
+        // later one anywhere after it.
         let last = groups.groups().last().unwrap();
         let in_last = |e: &TraceEvent| matches!(e, TraceEvent::Request(r) if last.contains(&CacheId(r.cache)));
-        let first = trace[..trace.len() / 2].iter().position(in_last).unwrap_or(0);
-        let second = rng.gen_range(first + 1..trace.len());
-        for (at, kind) in [(first, first_kind), (second, second_kind)] {
-            let bad_time = [f64::NAN, -1.0, f64::INFINITY][kind % 3];
+        let first = match first_at {
+            0 => 0,
+            1 => trace[..trace.len() / 2].iter().position(in_last).unwrap_or(1),
+            _ => trace.len() - 1,
+        };
+        let second = (first + 1 < trace.len()).then(|| rng.gen_range(first + 1..trace.len()));
+        for (at, kind) in [(Some(first), first_kind), (second, second_kind)] {
+            let Some(at) = at else { continue };
+            let bad_time = [f64::NAN, -5.0, f64::INFINITY][kind % 3];
             match (&mut trace[at], kind) {
                 (TraceEvent::Request(r), 3) => r.cache = caches + 3,
                 (TraceEvent::Request(r), 4) => r.doc = DocId(cat.len() + 7),
@@ -383,25 +498,44 @@ proptest! {
         }
         let config = SimConfig::default();
         let schedule = FaultSchedule::new();
-        let driver = run_both_ways(false, &net, &groups, &cat, &trace, config, &schedule);
-        let oracle = run_both_ways(true, &net, &groups, &cat, &trace, config, &schedule);
-        prop_assert!(oracle.is_err());
-        prop_assert_eq!(&driver, &oracle);
+        let plan = SimPlan::new(net.rtt_matrix(), &cat, &trace);
+        let reference = oracle(&net, &groups, &cat, &trace, config, &schedule);
+        prop_assert!(reference.is_err());
+        for (context, outcome) in every_context(&plan, &groups) {
+            prop_assert_eq!(&outcome, &reference, "{}", context);
+        }
+        let epochs = [
+            ReplayEpoch::new(0.0, groups.clone()),
+            ReplayEpoch::new(3_000.0, GroupMap::singletons(caches)),
+            ReplayEpoch::new(6_000.0, groups.clone()),
+        ];
+        let expected = reference.unwrap_err();
+        for context in [RunContext::serial, RunContext::pooled] {
+            let timeline = simulate_epochs(&plan, &epochs, &mut context());
+            prop_assert_eq!(timeline, Err(EpochReplayError::Sim(expected.clone())));
+        }
         if first_kind < 3 {
-            prop_assert_eq!(driver.unwrap_err(), SimError::EventTimeInvalid { index: first });
+            prop_assert_eq!(expected, SimError::EventTimeInvalid { index: first });
         }
 
         // A map or schedule that does not fit the network is rejected
         // before the trace is read at all, corrupt or not.
         let short = GroupMap::one_group(caches - 1);
-        let err = simulate(&net, &short, &cat, &trace, config).unwrap_err();
+        let err = simulate(&plan, &short, &mut RunContext::serial()).unwrap_err();
         prop_assert!(matches!(err, SimError::CacheCountMismatch { .. }));
+        let short_epoch = [epochs[0].clone(), ReplayEpoch::new(3_000.0, short)];
+        let err = simulate_epochs(&plan, &short_epoch, &mut RunContext::serial()).unwrap_err();
+        prop_assert!(matches!(err, EpochReplayError::CacheCountMismatch { epoch: 1, .. }));
         let mut bad_schedule = FaultSchedule::new();
         bad_schedule.push(1.0, FaultKind::CacheDown { cache: CacheId(caches) });
-        let driver = run_both_ways(false, &net, &groups, &cat, &trace, config, &bad_schedule);
-        let oracle = run_both_ways(true, &net, &groups, &cat, &trace, config, &bad_schedule);
-        prop_assert!(matches!(oracle, Err(SimError::Fault(_))));
-        prop_assert_eq!(driver, oracle);
+        let plan = plan.faults(&bad_schedule);
+        let reference = oracle(&net, &groups, &cat, &trace, config, &bad_schedule);
+        prop_assert!(matches!(reference, Err(SimError::Fault(_))));
+        for (context, outcome) in every_context(&plan, &groups) {
+            prop_assert_eq!(&outcome, &reference, "{}", context);
+        }
+        let timeline = simulate_epochs(&plan, &epochs, &mut RunContext::pooled());
+        prop_assert_eq!(timeline, Err(EpochReplayError::Sim(reference.unwrap_err())));
     }
 
     /// The directory path (holder bits, down counts, memoised slowest
@@ -449,11 +583,11 @@ proptest! {
                     .placement(placement);
                 let run = |lookup| {
                     let mut obs = Obs::new();
-                    let report = simulate_with_faults_observed(
-                        &net, &groups, &cat, &trace, base.peer_lookup(lookup), &schedule,
-                        Some(&mut obs),
-                    )
-                    .unwrap();
+                    let plan = SimPlan::new(net.rtt_matrix(), &cat, &trace)
+                        .config(base.peer_lookup(lookup))
+                        .faults(&schedule);
+                    let mut ctx = RunContext::serial().observe(Some(&mut obs));
+                    let report = simulate(&plan, &groups, &mut ctx).unwrap();
                     let sim = |name: &str| obs.metrics.counter(&format!("sim.{name}"));
                     let holder = [
                         sim("holder.group_checks"),
@@ -501,7 +635,7 @@ proptest! {
         let requests = RequestConfig::default().generate(&cat, caches, duration, &mut rng);
         let updates = generate_updates(&cat, duration, &mut rng);
         let trace = merge_streams(&requests, &updates);
-        let report = simulate(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
+        let report = sim(&net, &groups, &cat, &trace, SimConfig::default()).unwrap();
 
         // Every request is accounted for exactly once.
         prop_assert_eq!(report.metrics.total_requests(), requests.len() as u64);
@@ -534,8 +668,7 @@ proptest! {
         let cat = CatalogConfig::default().documents(30).generate(&mut rng);
         let requests = RequestConfig::default().generate(&cat, caches, 10_000.0, &mut rng);
         let trace = merge_streams(&requests, &[]);
-        let report = simulate(
-            &net,
+        let report = sim(&net,
             &GroupMap::singletons(caches),
             &cat,
             &trace,
@@ -568,8 +701,8 @@ proptest! {
         let trace = merge_streams(&requests, &[]);
         let groups = GroupMap::one_group(caches);
         let cfg = SimConfig::default();
-        let slow_report = simulate(&slow, &groups, &cat, &trace, cfg).unwrap();
-        let fast_report = simulate(&fast, &groups, &cat, &trace, cfg).unwrap();
+        let slow_report = sim(&slow, &groups, &cat, &trace, cfg).unwrap();
+        let fast_report = sim(&fast, &groups, &cat, &trace, cfg).unwrap();
         prop_assert!(
             fast_report.average_latency_ms() <= slow_report.average_latency_ms() + 1e-9
         );
@@ -586,12 +719,10 @@ proptest! {
         let requests = RequestConfig::default().generate(&cat, caches, 20_000.0, &mut rng);
         let trace = merge_streams(&requests, &[]);
         let groups = GroupMap::one_group(caches);
-        let slow = simulate(
-            &net, &groups, &cat, &trace,
+        let slow = sim(&net, &groups, &cat, &trace,
             SimConfig::default().latency(LatencyModel::default().bandwidth_mbps(5.0)),
         ).unwrap();
-        let fast = simulate(
-            &net, &groups, &cat, &trace,
+        let fast = sim(&net, &groups, &cat, &trace,
             SimConfig::default().latency(LatencyModel::default().bandwidth_mbps(500.0)),
         ).unwrap();
         prop_assert!(fast.average_latency_ms() <= slow.average_latency_ms() + 1e-9);
@@ -616,7 +747,7 @@ proptest! {
         let groups = GroupMap::one_group(caches);
 
         let run = |protocol| {
-            simulate(&net, &groups, &cat, &trace,
+            sim(&net, &groups, &cat, &trace,
                 SimConfig::default().freshness(protocol)).unwrap()
         };
         let lazy = run(FreshnessProtocol::InvalidateOnAccess);

@@ -239,8 +239,8 @@ impl RequestConfig {
     /// [`RequestConfig::stream_cache`] on an [`ecg_par`] worker, then
     /// the streams are concatenated in cache order and stably sorted by
     /// time (so simultaneous arrivals order by ascending cache id —
-    /// exactly the order `ecg-replay`'s streaming shard merge
-    /// reproduces without ever materializing this vector).
+    /// exactly the order the shards of `ecg-sim`'s `StreamedWorkload`
+    /// reproduce without ever materializing this vector).
     ///
     /// # Panics
     ///
@@ -281,7 +281,7 @@ impl RequestConfig {
     /// arrivals until `duration_ms`. Any shard can therefore (re)build
     /// exactly its own caches' arrivals from the master seed alone —
     /// no shared generator state, no materialized global trace — which
-    /// is what lets `ecg-replay` run 50k-cache, million-request replays
+    /// is what lets `ecg-sim` run 50k-cache, million-request replays
     /// in bounded memory.
     ///
     /// `zipf` must be built over the catalog's document count with this

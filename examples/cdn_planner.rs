@@ -53,6 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "K", "SL (ms)", "SDSL (ms)", "SDSL gain"
     );
 
+    let plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace).config(sim_config);
     let mut best: Option<(usize, &str, f64)> = None;
     for k in [4, 8, 12, 16, 24, 32] {
         let mut latencies = [0.0f64; 2];
@@ -68,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let outcome =
                     GfCoordinator::new(scheme.clone()).form_groups(&network, &mut form_rng)?;
                 let groups = GroupMap::new(caches, outcome.groups().to_vec())?;
-                let report = simulate(&network, &groups, &workload.catalog, &trace, sim_config)?;
+                let report = simulate(&plan, &groups, &mut RunContext::pooled())?;
                 sum += report.average_latency_ms();
             }
             latencies[slot] = sum / seeds as f64;

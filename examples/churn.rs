@@ -41,7 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = workload.merged_trace();
     let config = SimConfig::default().warmup_ms(duration_ms / 6.0);
 
-    let baseline = simulate(&network, &groups, &workload.catalog, &trace, config)?;
+    let sim_plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace).config(config);
+    let baseline = simulate(&sim_plan, &groups, &mut RunContext::pooled())?;
     println!("— fault-free baseline —");
     println!("{baseline}\n");
 
@@ -52,13 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .crash(CacheId(3), 15_000.0, 20_000.0)
         .retire(CacheId(7), 25_000.0)
         .brownout(30_000.0, 10_000.0, 4.0);
-    let faulted = simulate_with_faults(
-        &network,
+    let schedule = plan.schedule();
+    let faulted = simulate(
+        &sim_plan.faults(&schedule),
         &groups,
-        &workload.catalog,
-        &trace,
-        config,
-        &plan.schedule(),
+        &mut RunContext::pooled(),
     )?;
     println!("— same trace, with faults —");
     println!("{faulted}\n");

@@ -46,22 +46,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .duration_ms(120_000.0)
         .generate(&mut rng);
     let trace = workload.merged_trace();
-    let config = SimConfig::default();
+    // The plan says what is simulated; the context says how (here: on
+    // the worker pool, unobserved). The grouping is the only variable.
+    let plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace);
+    let mut ctx = RunContext::pooled();
 
-    let grouped = simulate(
-        &network,
-        &GroupMap::new(caches, outcome.groups().to_vec())?,
-        &workload.catalog,
-        &trace,
-        config,
-    )?;
-    let isolated = simulate(
-        &network,
-        &GroupMap::singletons(caches),
-        &workload.catalog,
-        &trace,
-        config,
-    )?;
+    let formed = GroupMap::new(caches, outcome.groups().to_vec())?;
+    let grouped = simulate(&plan, &formed, &mut ctx)?;
+    let isolated = simulate(&plan, &GroupMap::singletons(caches), &mut ctx)?;
 
     println!("\n{:<22} {:>12} {:>12}", "", "cooperative", "isolated");
     println!(

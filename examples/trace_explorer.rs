@@ -83,13 +83,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let network = EdgeNetwork::place(&topo, caches, OriginPlacement::TransitNode, &mut rng)?;
     let outcome = GfCoordinator::new(SchemeConfig::sl(5)).form_groups(&network, &mut rng)?;
     let groups = GroupMap::new(caches, outcome.groups().to_vec())?;
-    let report = simulate(
-        &network,
-        &groups,
-        &workload.catalog,
-        &reloaded,
-        SimConfig::default(),
-    )?;
+    let plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &reloaded);
+    let report = simulate(&plan, &groups, &mut RunContext::pooled())?;
     println!(
         "replay: avg latency {:.2} ms, group hit rate {:.1}%, {} origin fetches, {} updates applied",
         report.average_latency_ms(),

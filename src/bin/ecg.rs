@@ -17,17 +17,18 @@
 //! * `scale` runs the large-N pipeline ([`GfCoordinator::form_groups_scaled`])
 //!   over an implicit synthetic RTT oracle — no matrix file, O(n) state —
 //!   and prints per-stage timings plus group-size statistics.
-//! * `simulate` replays a synthetic sporting-event workload over the
+//! * `simulate` runs a synthetic sporting-event workload over the
 //!   groups and prints the latency/hit-rate report.
-//! * `replay` runs the sharded, streaming replay engine
-//!   ([`ecg_replay`](edge_cache_groups::replay)) over an implicit
-//!   synthetic oracle and contiguous groups — the large-N counterpart
-//!   of `simulate`, byte-identical output at any thread count.
+//! * `replay` runs the same entry point ([`simulate`]) over a
+//!   *streamed* workload, an implicit synthetic oracle and contiguous
+//!   groups on the worker pool — the large-N counterpart of
+//!   `simulate`, byte-identical output at any thread count.
 //! * `lifecycle` runs the [`FormationSupervisor`] over a generated
 //!   churn schedule: windows tick, caches crash/recover/retire, and a
 //!   re-formation policy decides hold / repair / partial / full each
 //!   window. Prints the decision timeline; `--replay` additionally
-//!   replays a workload epoch by epoch under the evolving groupings.
+//!   runs a workload epoch by epoch under the evolving groupings
+//!   ([`simulate_epochs`]).
 //!
 //! Argument parsing is hand-rolled (no CLI dependency); every flag has
 //! a default so each subcommand runs bare.
@@ -88,18 +89,22 @@ usage:
                   [--docs D] [--rate R] [--preset sporting|news|flashcrowd]
                   [--threads T]
 
-simulate regenerates the workload from its flags unless --trace is given;
-with --trace, --docs must match the catalog the trace was generated for
-(use the same --seed/--docs as gen-trace).
-replay streams the workload shard by shard (nothing is materialized
-globally); --verify additionally runs `simulate` (serial, materialized
-trace and full RTT matrix) on the equivalent input and asserts
-bit-identical reports (small N only). Stdout is byte-identical at any --threads / ECG_THREADS setting;
-wall-clock timings go to stderr.
+simulate runs `simulate` over a materialized trace: regenerated from its
+flags unless --trace is given; with --trace, --docs must match the
+catalog the trace was generated for (use the same --seed/--docs as
+gen-trace).
+replay runs `simulate` over a streamed workload, group by group on the
+worker pool (nothing is materialized globally); --verify additionally
+runs `simulate` serially on the equivalent materialized trace and full
+RTT matrix and asserts bit-identical reports (small N only). Stdout is
+byte-identical at any --threads / ECG_THREADS setting; wall-clock
+timings go to stderr.
+--duration-secs, --rate and --mean-downtime-secs must be positive and
+finite; --caches, --docs, --groups and --group-size at least 1.
 lifecycle runs the formation supervisor over a generated churn schedule
 and prints the decision timeline; --timeline-out writes the full
-timeline JSON, --replay additionally replays a workload epoch by epoch
-under the evolving groupings. Stdout and the timeline JSON are
+timeline JSON, --replay additionally runs `simulate_epochs`: a workload
+epoch by epoch under the evolving groupings. Stdout and the timeline JSON are
 byte-identical at any --threads / ECG_THREADS setting.";
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -268,12 +273,27 @@ fn theta(flags: &HashMap<String, String>) -> Result<f64, String> {
     }
 }
 
-/// The group count from `--groups` (default `default`): positive, the
-/// invariant `KmeansConfig::new` asserts.
-fn groups(flags: &HashMap<String, String>, default: usize) -> Result<usize, String> {
-    match get_parsed(flags, "groups", default)? {
-        0 => Err("--groups must be positive".into()),
-        k => Ok(k),
+/// A count from `--{name}` (default `default`): at least 1, the
+/// invariant the generators and `KmeansConfig::new` assert.
+fn at_least_one(
+    flags: &HashMap<String, String>,
+    name: &str,
+    default: usize,
+) -> Result<usize, String> {
+    match get_parsed(flags, name, default)? {
+        0 => Err(format!("--{name} must be positive")),
+        n => Ok(n),
+    }
+}
+
+/// A duration or rate from `--{name}` (default `default`): positive and
+/// finite, the invariant the workload and churn generators assert.
+fn positive(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
+    let value: f64 = get_parsed(flags, name, default)?;
+    if value.is_finite() && value > 0.0 {
+        Ok(value)
+    } else {
+        Err(format!("--{name} must be positive and finite"))
     }
 }
 
@@ -321,7 +341,7 @@ fn load_network(path: &str) -> Result<EdgeNetwork, String> {
 fn form(flags: &HashMap<String, String>) -> Result<(), String> {
     let theta = theta(flags)?;
     let network = load_network(require(flags, "network")?)?;
-    let k = groups(flags, (network.cache_count() / 10).max(1))?;
+    let k = at_least_one(flags, "groups", (network.cache_count() / 10).max(1))?;
     let seed: u64 = get_parsed(flags, "seed", 1)?;
     let landmarks: usize = get_parsed(flags, "landmarks", 25)?;
     let plset: usize = get_parsed(flags, "plset-multiplier", 4)?;
@@ -370,18 +390,15 @@ fn form(flags: &HashMap<String, String>) -> Result<(), String> {
 /// matrix file, O(n) state, derived-seed parallel kernels throughout.
 fn scale_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let caches: usize = get_parsed(flags, "caches", 10_000)?;
-    let k = groups(flags, (caches / 100).max(2))?;
+    let k = at_least_one(flags, "groups", (caches / 100).max(2))?;
     let theta = theta(flags)?;
     let seed: u64 = get_parsed(flags, "seed", 1)?;
     let landmarks: usize = get_parsed(flags, "landmarks", 8)?;
     let plset: usize = get_parsed(flags, "plset-multiplier", 4)?;
     let minibatch: bool = get_parsed(flags, "minibatch", false)?;
-    let batch_size: usize = get_parsed(flags, "batch-size", 2_048)?;
+    let batch_size = at_least_one(flags, "batch-size", 2_048)?;
     let iters: usize = get_parsed(flags, "iters", 40)?;
     let assign: AssignMode = get_parsed(flags, "assign", AssignMode::Auto)?;
-    if batch_size == 0 {
-        return Err("--batch-size must be positive".into());
-    }
 
     let mut scheme = match flags.get("scheme").map(String::as_str).unwrap_or("sdsl") {
         "sl" => SchemeConfig::sl(k),
@@ -461,11 +478,10 @@ fn build_workload(
     ),
     String,
 > {
-    let docs: usize = get_parsed(flags, "docs", 1_500)?;
-    let duration_secs: f64 = get_parsed(flags, "duration-secs", 120.0)?;
-    let rate: f64 = get_parsed(flags, "rate", 2.0)?;
+    let docs = at_least_one(flags, "docs", 1_500)?;
+    let duration_ms = positive(flags, "duration-secs", 120.0)? * 1_000.0;
+    let rate = positive(flags, "rate", 2.0)?;
     let seed: u64 = get_parsed(flags, "seed", 1)?;
-    let duration_ms = duration_secs * 1_000.0;
     let mut rng = StdRng::seed_from_u64(seed);
     match flags
         .get("preset")
@@ -506,7 +522,7 @@ fn build_workload(
 }
 
 fn gen_trace(flags: &HashMap<String, String>) -> Result<(), String> {
-    let caches: usize = get_parsed(flags, "caches", 100)?;
+    let caches = at_least_one(flags, "caches", 100)?;
     let out = require(flags, "out")?;
     let (_, trace) = build_workload(flags, caches)?;
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
@@ -545,7 +561,7 @@ fn simulate_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let groups = parse_groups(&text).map_err(|e| format!("{groups_path}: {e}"))?;
     let map = GroupMap::new(network.cache_count(), groups).map_err(|e| e.to_string())?;
 
-    let duration_secs: f64 = get_parsed(flags, "duration-secs", 120.0)?;
+    let duration_ms = positive(flags, "duration-secs", 120.0)? * 1_000.0;
     let capacity_bytes = capacity_bytes(flags)?;
     let policy = match flags.get("policy").map(String::as_str).unwrap_or("utility") {
         "utility" => PolicyKind::Utility,
@@ -565,7 +581,6 @@ fn simulate_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
         other => return Err(format!("unknown --placement {other:?}")),
     };
 
-    let duration_ms = duration_secs * 1_000.0;
     // Workload: regenerate from flags, or replay a persisted trace
     // against the flag-described catalog.
     let (catalog, trace) = {
@@ -580,47 +595,36 @@ fn simulate_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
             }
         }
     };
-    let report = simulate(
-        &network,
-        &map,
-        &catalog,
-        &trace,
-        SimConfig::default()
-            .cache_capacity_bytes(capacity_bytes)
-            .policy(policy)
-            .placement(placement)
-            .warmup_ms(duration_ms / 6.0),
-    )
-    .map_err(|e| e.to_string())?;
+    let config = SimConfig::default()
+        .cache_capacity_bytes(capacity_bytes)
+        .policy(policy)
+        .placement(placement)
+        .warmup_ms(duration_ms / 6.0);
+    let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace).config(config);
+    let report = simulate(&plan, &map, &mut RunContext::pooled()).map_err(|e| e.to_string())?;
 
     println!("{report}");
     Ok(())
 }
 
-/// The sharded, streaming replay engine over an implicit synthetic RTT
-/// oracle and contiguous groups: the large-N counterpart of `simulate`.
-/// Nothing global is materialized — each shard regenerates its members'
-/// request streams from the master seed — so stdout is byte-identical
-/// at any `--threads` / `ECG_THREADS` setting.
+/// `simulate` over a streamed workload, an implicit synthetic RTT
+/// oracle and contiguous groups, on the worker pool: the large-N
+/// counterpart of the `simulate` subcommand. Nothing global is
+/// materialized — each shard regenerates its members' request streams
+/// from the master seed — so stdout is byte-identical at any
+/// `--threads` / `ECG_THREADS` setting.
 fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
-    use edge_cache_groups::replay::replay_streamed_observed;
     use edge_cache_groups::workload::generate_updates;
     use rand::Rng;
 
-    let caches: usize = get_parsed(flags, "caches", 200)?;
-    let group_size: usize = get_parsed(flags, "group-size", 25)?;
-    let docs: usize = get_parsed(flags, "docs", 1_500)?;
-    let duration_secs: f64 = get_parsed(flags, "duration-secs", 60.0)?;
-    let rate: f64 = get_parsed(flags, "rate", 2.0)?;
+    let caches = at_least_one(flags, "caches", 200)?;
+    let group_size = at_least_one(flags, "group-size", 25)?;
+    let docs = at_least_one(flags, "docs", 1_500)?;
+    let duration_ms = positive(flags, "duration-secs", 60.0)? * 1_000.0;
+    let rate = positive(flags, "rate", 2.0)?;
     let capacity_bytes = capacity_bytes(flags)?;
     let seed: u64 = get_parsed(flags, "seed", 1)?;
     let verify: bool = get_parsed(flags, "verify", false)?;
-    if caches == 0 {
-        return Err("--caches must be positive".into());
-    }
-    if group_size == 0 {
-        return Err("--group-size must be positive".into());
-    }
     let policy = match flags.get("policy").map(String::as_str).unwrap_or("utility") {
         "utility" => PolicyKind::Utility,
         "lru" => PolicyKind::Lru,
@@ -651,7 +655,6 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     };
 
-    let duration_ms = duration_secs * 1_000.0;
     // Node 0 is the origin; the caches are nodes 1..=caches.
     let net = SyntheticRttConfig::default().generate(caches + 1, seed);
     let groups: Vec<Vec<CacheId>> = (0..caches)
@@ -671,49 +674,44 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
         duration_ms,
     )
     .updates(&updates);
-    let config = ReplayConfig::default().sim(
-        SimConfig::default()
-            .cache_capacity_bytes(capacity_bytes)
-            .policy(policy)
-            .placement(placement)
-            .warmup_ms(duration_ms / 6.0),
-    );
+    let config = SimConfig::default()
+        .cache_capacity_bytes(capacity_bytes)
+        .policy(policy)
+        .placement(placement)
+        .warmup_ms(duration_ms / 6.0);
+    let plan = SimPlan::streamed(&net, &catalog, &workload).config(config);
+    let mut ctx = RunContext::pooled();
 
     if threads.is_some() {
         edge_cache_groups::par::set_max_threads(threads);
     }
-    let outcome = replay_streamed_observed(&net, &map, &catalog, &workload, &config, None)
-        .map_err(|e| e.to_string());
+    let outcome = simulate(&plan, &map, &mut ctx).map_err(|e| e.to_string());
     if threads.is_some() {
         edge_cache_groups::par::set_max_threads(None);
     }
-    let replayed = outcome?;
+    let report = outcome?;
 
+    let stats = ctx.stats();
     println!(
         "{} caches in {} shards (group size <= {group_size}), {} shard events",
-        caches, replayed.shards, replayed.shard_events
+        caches, stats.shards, stats.shard_events
     );
-    println!("{}", replayed.report);
-    let t = &replayed.timings;
+    println!("{report}");
     eprintln!(
         "timings: plan {:.0} ms, shards {:.0} ms, merge {:.0} ms, total {:.0} ms",
-        t.plan_ms,
-        t.shards_ms,
-        t.merge_ms,
-        t.total_ms()
+        stats.plan_ms,
+        stats.shards_ms,
+        stats.merge_ms,
+        stats.total_ms()
     );
 
     if verify {
         let full = RttMatrix::from_fn(caches + 1, |a, b| net.rtt_ms(a, b));
-        let materialized = simulate(
-            &EdgeNetwork::from_rtt_matrix(full),
-            &map,
-            &catalog,
-            &workload.materialize_trace(&catalog, caches),
-            *config.sim_config(),
-        )
-        .map_err(|e| e.to_string())?;
-        if materialized != replayed.report {
+        let trace = workload.materialize_trace(&catalog, caches);
+        let plan = SimPlan::new(&full, &catalog, &trace).config(config);
+        let materialized =
+            simulate(&plan, &map, &mut RunContext::serial()).map_err(|e| e.to_string())?;
+        if materialized != report {
             return Err("sharded replay diverged from simulate on the materialized trace".into());
         }
         println!("verify: sharded report is bit-identical to simulate on the materialized trace");
@@ -723,25 +721,27 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// Runs the formation supervisor over a generated churn schedule on a
 /// transit-stub network, prints the per-window decision timeline, and
-/// (optionally) replays a sporting-event workload epoch by epoch under
-/// the groupings the supervisor served. The supervisor itself is
-/// serial and the epoch replay merges shards deterministically, so
+/// (optionally) runs a sporting-event workload epoch by epoch under
+/// the groupings the supervisor served (`simulate_epochs`). The
+/// supervisor itself is serial and a timeline run folds its shards in
+/// a fixed order, so
 /// stdout and the `--timeline-out` JSON are byte-identical at any
 /// `--threads` / `ECG_THREADS` setting.
 fn lifecycle_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
-    let caches: usize = get_parsed(flags, "caches", 60)?;
-    let groups = groups(flags, (caches / 8).max(2))?;
+    let caches = at_least_one(flags, "caches", 60)?;
+    let groups = at_least_one(flags, "groups", (caches / 8).max(2))?;
     let landmarks: usize = get_parsed(flags, "landmarks", 8)?;
-    let duration_secs: f64 = get_parsed(flags, "duration-secs", 120.0)?;
+    let duration_secs = positive(flags, "duration-secs", 120.0)?;
     let step_secs: f64 = get_parsed(flags, "step-secs", 10.0)?;
     let seed: u64 = get_parsed(flags, "seed", 1)?;
     let churn_rate: f64 = get_parsed(flags, "churn-rate", 12.0)?;
-    let mean_downtime_secs: f64 = get_parsed(flags, "mean-downtime-secs", 15.0)?;
+    let mean_downtime_secs = positive(flags, "mean-downtime-secs", 15.0)?;
     let retirement_fraction: f64 = get_parsed(flags, "retirement-fraction", 0.1)?;
-    let do_replay: bool = get_parsed(flags, "replay", false)?;
-    if caches == 0 {
-        return Err("--caches must be positive".into());
-    }
+    // The workload flags are checked before the supervisor runs.
+    let workload = match get_parsed(flags, "replay", false)? {
+        true => Some(build_workload(flags, caches)?),
+        false => None,
+    };
     if !churn_rate.is_finite() || churn_rate < 0.0 {
         return Err("--churn-rate must be finite and non-negative".into());
     }
@@ -844,22 +844,16 @@ fn lifecycle_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
             println!("wrote {path}");
         }
 
-        if do_replay {
-            let (catalog, trace) = build_workload(flags, caches)?;
+        if let Some((catalog, trace)) = &workload {
             let epochs: Vec<ReplayEpoch> = timeline
                 .epoch_spans()
                 .map(|(start, map)| ReplayEpoch::new(start, map.clone()))
                 .collect();
-            let report = replay_epochs(
-                &network,
-                &epochs,
-                &catalog,
-                &trace,
-                &ReplayConfig::new()
-                    .sim(SimConfig::default().warmup_ms(duration_ms / 6.0))
-                    .schedule(schedule),
-            )
-            .map_err(|e| e.to_string())?;
+            let plan = SimPlan::new(network.rtt_matrix(), catalog, trace)
+                .config(SimConfig::default().warmup_ms(duration_ms / 6.0))
+                .faults(&schedule);
+            let report = simulate_epochs(&plan, &epochs, &mut RunContext::pooled())
+                .map_err(|e| e.to_string())?;
             println!("epoch-spanning replay across {} epochs:", epochs.len());
             println!("{report}");
         }
@@ -976,8 +970,61 @@ mod tests {
             assert_eq!(err, "--groups must be positive", "{command}");
         }
         let zero = parse_flags(&["--groups".to_string(), "0".to_string()]).unwrap();
-        assert_eq!(groups(&zero, 5).unwrap_err(), "--groups must be positive");
-        assert_eq!(groups(&HashMap::new(), 5), Ok(5));
+        assert_eq!(
+            at_least_one(&zero, "groups", 5).unwrap_err(),
+            "--groups must be positive"
+        );
+        assert_eq!(at_least_one(&HashMap::new(), "groups", 5), Ok(5));
+    }
+
+    #[test]
+    fn workload_flags_are_range_checked_not_asserted() {
+        // Each of these used to reach a library `assert!` and panic.
+        let to_args =
+            |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
+        let finite = "must be positive and finite";
+        let cases: &[(&[&str], &str, &str)] = &[
+            (&["replay"], "duration-secs", "-1"),
+            (&["replay"], "duration-secs", "nan"),
+            (&["replay"], "duration-secs", "inf"),
+            (&["replay"], "rate", "nan"),
+            (&["replay"], "rate", "-1"),
+            (&["replay"], "rate", "0"),
+            (&["replay"], "docs", "0"),
+            (&["lifecycle"], "duration-secs", "0"),
+            (&["lifecycle"], "mean-downtime-secs", "0"),
+            (&["lifecycle", "--replay", "true"], "rate", "nan"),
+            (&["lifecycle", "--replay", "true"], "docs", "0"),
+            (&["gen-trace", "--out", "/nonexistent/x"], "rate", "nan"),
+            (
+                &["gen-trace", "--out", "/nonexistent/x"],
+                "duration-secs",
+                "-3",
+            ),
+            (&["gen-trace", "--out", "/nonexistent/x"], "docs", "0"),
+            (&["gen-trace", "--out", "/nonexistent/x"], "caches", "0"),
+        ];
+        for &(command, flag, value) in cases {
+            let mut args = to_args(command);
+            args.extend([format!("--{flag}"), value.to_string()]);
+            let expected = match flag {
+                "docs" | "caches" => format!("--{flag} must be positive"),
+                _ => format!("--{flag} {finite}"),
+            };
+            assert_eq!(run(&args), Err(expected), "{args:?}");
+        }
+        // `ecg simulate` reads the same workload flags through the same
+        // helper, after it has loaded its network.
+        for (flag, value) in [("rate", "inf"), ("duration-secs", "0"), ("docs", "0")] {
+            let flags = parse_flags(&to_args(&[&format!("--{flag}"), value])).unwrap();
+            let err = build_workload(&flags, 10).unwrap_err();
+            assert!(
+                err.starts_with(&format!("--{flag} must be positive")),
+                "{err}"
+            );
+        }
+        assert_eq!(positive(&HashMap::new(), "rate", 2.0), Ok(2.0));
+        assert_eq!(at_least_one(&HashMap::new(), "docs", 7), Ok(7));
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //! | [`workload`] | `ecg-workload` | Zipf catalogs, request/update streams, traces |
 //! | [`cache`] | `ecg-cache` | utility/LRU/LFU/GDSF document caches |
 //! | [`place`] | `ecg-place` | in-group replica placement policies |
-//! | [`sim`] | `ecg-sim` | the discrete-event network simulator |
-//! | [`replay`] | `ecg-replay` | sharded, streaming million-request trace replay |
+//! | [`sim`] | `ecg-sim` | the discrete-event network simulator: one entry point over materialized or streamed traces, one grouping or a timeline |
 //! | [`core`] | `ecg-core` | the SL and SDSL schemes themselves |
 //! | [`faults`] | `ecg-faults` | fault plans, churn generation, degradation reporting |
 //! | [`lifecycle`] | `ecg-lifecycle` | continuous re-formation: supervisor, policies, epoch timelines |
@@ -53,13 +52,9 @@
 //!     .duration_ms(60_000.0)
 //!     .generate(&mut rng);
 //! let groups = GroupMap::new(80, outcome.groups().to_vec())?;
-//! let report = simulate(
-//!     &network,
-//!     &groups,
-//!     &workload.catalog,
-//!     &workload.merged_trace(),
-//!     SimConfig::default(),
-//! )?;
+//! let trace = workload.merged_trace();
+//! let plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace);
+//! let report = simulate(&plan, &groups, &mut RunContext::pooled())?;
 //! println!("average client latency: {:.2} ms", report.average_latency_ms());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -77,7 +72,6 @@ pub use ecg_lifecycle as lifecycle;
 pub use ecg_obs as obs;
 pub use ecg_par as par;
 pub use ecg_place as place;
-pub use ecg_replay as replay;
 pub use ecg_sim as sim;
 pub use ecg_topology as topology;
 pub use ecg_workload as workload;
@@ -97,12 +91,9 @@ pub mod prelude {
     };
     pub use ecg_obs::Obs;
     pub use ecg_place::{AdaptiveConfig, DChoicesConfig, PlacementKind};
-    pub use ecg_replay::{
-        replay_epochs, replay_sharded, replay_streamed, ReplayConfig, ReplayEpoch, StreamedWorkload,
-    };
     pub use ecg_sim::{
-        simulate, simulate_with_faults, simulate_with_faults_observed, GroupMap, LatencyModel,
-        SimConfig, SimReport,
+        simulate, simulate_epochs, GroupMap, LatencyModel, ReplayEpoch, RunContext, RunStats,
+        SimConfig, SimPlan, SimReport, StreamedWorkload,
     };
     pub use ecg_topology::{
         CacheId, EdgeNetwork, OriginPlacement, RttMatrix, RttSource, SyntheticRtt,

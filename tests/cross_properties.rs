@@ -43,13 +43,9 @@ proptest! {
             .duration_ms(5_000.0)
             .flash_crowd(false)
             .generate(&mut rng);
-        let report = simulate(
-            &network,
-            &map,
-            &workload.catalog,
-            &workload.merged_trace(),
-            SimConfig::default(),
-        ).unwrap();
+        let trace = workload.merged_trace();
+        let plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace);
+        let report = simulate(&plan, &map, &mut RunContext::pooled()).unwrap();
         prop_assert_eq!(
             report.metrics.total_requests(),
             workload.requests.len() as u64

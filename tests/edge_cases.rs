@@ -14,6 +14,18 @@ fn figure1_network() -> EdgeNetwork {
     EdgeNetwork::from_rtt_matrix(paper_figure1())
 }
 
+/// One fault-free run of `trace` under `groups` through the entry point.
+fn sim(
+    net: &EdgeNetwork,
+    groups: &GroupMap,
+    cat: &edge_cache_groups::workload::DocumentCatalog,
+    trace: &[TraceEvent],
+    config: SimConfig,
+) -> Result<SimReport, edge_cache_groups::sim::SimError> {
+    let plan = SimPlan::new(net.rtt_matrix(), cat, trace).config(config);
+    simulate(&plan, groups, &mut RunContext::pooled())
+}
+
 fn small_catalog(n: usize) -> edge_cache_groups::workload::DocumentCatalog {
     CatalogConfig::default()
         .documents(n)
@@ -33,7 +45,7 @@ fn req(time_ms: f64, cache: usize, doc: usize) -> TraceEvent {
 fn empty_trace_produces_empty_report() {
     let net = figure1_network();
     let cat = small_catalog(5);
-    let report = simulate(
+    let report = sim(
         &net,
         &GroupMap::one_group(6),
         &cat,
@@ -59,7 +71,7 @@ fn updates_only_trace_touches_no_cache() {
             })
         })
         .collect();
-    let report = simulate(
+    let report = sim(
         &net,
         &GroupMap::one_group(6),
         &cat,
@@ -82,7 +94,7 @@ fn same_instant_event_storm_is_deterministic_fifo() {
     for i in 0..30 {
         trace.push(req(1.0, i % 6, 0));
     }
-    let a = simulate(
+    let a = sim(
         &net,
         &GroupMap::singletons(6),
         &cat,
@@ -90,7 +102,7 @@ fn same_instant_event_storm_is_deterministic_fifo() {
         SimConfig::default(),
     )
     .unwrap();
-    let b = simulate(
+    let b = sim(
         &net,
         &GroupMap::singletons(6),
         &cat,
@@ -109,7 +121,7 @@ fn cache_smaller_than_every_document_degrades_to_origin_only() {
     let net = figure1_network();
     let cat = small_catalog(4);
     let trace: Vec<TraceEvent> = (0..20).map(|i| req(i as f64 * 10.0, 0, i % 4)).collect();
-    let report = simulate(
+    let report = sim(
         &net,
         &GroupMap::one_group(6),
         &cat,
@@ -132,7 +144,7 @@ fn single_cache_network_works_end_to_end() {
     let mut rng = StdRng::seed_from_u64(1);
     let requests = RequestConfig::default().generate(&cat, 1, 20_000.0, &mut rng);
     let trace: Vec<TraceEvent> = requests.into_iter().map(TraceEvent::Request).collect();
-    let report = simulate(
+    let report = sim(
         &net,
         &GroupMap::singletons(1),
         &cat,
@@ -159,7 +171,7 @@ fn k_equals_n_grouping_simulates_like_singletons() {
 
     let requests = RequestConfig::default().generate(&cat, 6, 10_000.0, &mut rng);
     let trace: Vec<TraceEvent> = requests.into_iter().map(TraceEvent::Request).collect();
-    let from_scheme = simulate(
+    let from_scheme = sim(
         &net,
         &GroupMap::new(6, outcome.groups().to_vec()).unwrap(),
         &cat,
@@ -167,7 +179,7 @@ fn k_equals_n_grouping_simulates_like_singletons() {
         SimConfig::default(),
     )
     .unwrap();
-    let singleton = simulate(
+    let singleton = sim(
         &net,
         &GroupMap::singletons(6),
         &cat,

@@ -37,16 +37,16 @@ fn setup(seed: u64) -> Setup {
 
 fn run(setup: &Setup, groups: &[Vec<CacheId>]) -> SimReport {
     let map = GroupMap::new(CACHES, groups.to_vec()).expect("valid partition");
-    simulate(
-        &setup.network,
-        &map,
+    let config = SimConfig::default()
+        .cache_capacity_bytes(512 * 1024)
+        .warmup_ms(DURATION_MS / 6.0);
+    let plan = SimPlan::new(
+        setup.network.rtt_matrix(),
         &setup.workload.catalog,
         &setup.trace,
-        SimConfig::default()
-            .cache_capacity_bytes(512 * 1024)
-            .warmup_ms(DURATION_MS / 6.0),
     )
-    .expect("simulation")
+    .config(config);
+    simulate(&plan, &map, &mut RunContext::pooled()).expect("simulation")
 }
 
 #[test]

@@ -44,14 +44,19 @@ fn setup(seed: u64) -> Setup {
     }
 }
 
+/// The fault-free plan of a setup: what is simulated before any
+/// schedule is attached.
+fn sim_plan(s: &Setup) -> SimPlan<'_> {
+    SimPlan::new(s.network.rtt_matrix(), &s.workload.catalog, &s.trace)
+        .config(SimConfig::default().warmup_ms(DURATION_MS / 6.0))
+}
+
 fn run(s: &Setup, plan: &FaultPlan) -> String {
-    let report = simulate_with_faults(
-        &s.network,
+    let schedule = plan.schedule();
+    let report = simulate(
+        &sim_plan(s).faults(&schedule),
         &s.groups,
-        &s.workload.catalog,
-        &s.trace,
-        SimConfig::default().warmup_ms(DURATION_MS / 6.0),
-        &plan.schedule(),
+        &mut RunContext::pooled(),
     )
     .expect("simulation succeeds");
     report_to_json(&report)
@@ -82,14 +87,8 @@ fn same_seed_and_plan_give_byte_identical_reports() {
 fn zero_fault_plan_matches_plain_simulate_exactly() {
     let s = setup(7);
     let faulted = run(&s, &FaultPlan::new());
-    let baseline = simulate(
-        &s.network,
-        &s.groups,
-        &s.workload.catalog,
-        &s.trace,
-        SimConfig::default().warmup_ms(DURATION_MS / 6.0),
-    )
-    .expect("simulation succeeds");
+    let baseline =
+        simulate(&sim_plan(&s), &s.groups, &mut RunContext::pooled()).expect("simulation succeeds");
     assert_eq!(
         faulted,
         report_to_json(&baseline),

@@ -15,9 +15,10 @@ use rand::SeedableRng;
 const CACHES: usize = 30;
 const DURATION_MS: f64 = 40_000.0;
 
-/// Runs the full observed pipeline from a seed and returns the
+/// Runs the full observed pipeline from a seed — the simulation on the
+/// worker pool when `pooled`, else on this thread — and returns the
 /// serialized metrics document.
-fn observed_run(seed: u64) -> String {
+fn observed_run(seed: u64, pooled: bool) -> String {
     let mut rng = StdRng::seed_from_u64(seed);
     let topo = TransitStubConfig::for_caches(CACHES).generate(&mut rng);
     let network = EdgeNetwork::place(&topo, CACHES, OriginPlacement::TransitNode, &mut rng)
@@ -40,16 +41,17 @@ fn observed_run(seed: u64) -> String {
         .form_groups_observed(&network, &mut rng, Some(&mut obs))
         .expect("formation");
     let groups = GroupMap::new(CACHES, outcome.groups().to_vec()).expect("partition");
-    simulate_with_faults_observed(
-        &network,
-        &groups,
-        &workload.catalog,
-        &trace,
-        SimConfig::default().warmup_ms(DURATION_MS / 6.0),
-        &plan.schedule(),
-        Some(&mut obs),
-    )
-    .expect("simulation succeeds");
+    let schedule = plan.schedule();
+    let sim_plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace)
+        .config(SimConfig::default().warmup_ms(DURATION_MS / 6.0))
+        .faults(&schedule);
+    let context = if pooled {
+        RunContext::pooled()
+    } else {
+        RunContext::serial()
+    };
+    simulate(&sim_plan, &groups, &mut context.observe(Some(&mut obs)))
+        .expect("simulation succeeds");
     let maintainer = GroupMaintainer::new(&network, outcome, ProbeConfig::default());
     ChurnDriver::new(maintainer)
         .apply_observed(&network, &plan, &mut rng, Some(&mut obs))
@@ -59,17 +61,20 @@ fn observed_run(seed: u64) -> String {
 
 #[test]
 fn same_seed_gives_byte_identical_metrics_json() {
-    let a = observed_run(5);
-    let b = observed_run(5);
-    assert_eq!(a, b, "same seeds must serialize identically");
+    let a = observed_run(5, false);
+    let b = observed_run(5, true);
+    assert_eq!(
+        a, b,
+        "same seeds must serialize identically, on this thread or on the pool"
+    );
 
-    let c = observed_run(6);
+    let c = observed_run(6, true);
     assert_ne!(a, c, "a different seed must change the document");
 }
 
 #[test]
 fn observed_run_covers_every_instrumented_subsystem() {
-    let json = observed_run(5);
+    let json = observed_run(5, true);
     for key in [
         // clustering
         "\"kmeans.iterations\"",
@@ -120,16 +125,14 @@ fn instrumentation_does_not_perturb_results() {
 
     let groups = GroupMap::new(CACHES, plain.groups().to_vec()).expect("partition");
     let config = SimConfig::default().warmup_ms(DURATION_MS / 6.0);
+    let sim_plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace).config(config);
     let baseline =
-        simulate(&network, &groups, &workload.catalog, &trace, config).expect("plain simulation");
-    let instrumented = simulate_with_faults_observed(
-        &network,
+        simulate(&sim_plan, &groups, &mut RunContext::pooled()).expect("plain simulation");
+    let schedule = FaultPlan::new().schedule();
+    let instrumented = simulate(
+        &sim_plan.faults(&schedule),
         &groups,
-        &workload.catalog,
-        &trace,
-        config,
-        &FaultPlan::new().schedule(),
-        Some(&mut obs),
+        &mut RunContext::pooled().observe(Some(&mut obs)),
     )
     .expect("observed simulation");
     assert_eq!(

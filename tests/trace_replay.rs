@@ -2,16 +2,16 @@
 //!
 //! The paper's simulator is log-file-driven; these tests check that a
 //! workload written to the text trace format replays to bit-identical
-//! simulation results, and that the group-major engines — `simulate`
-//! on the caller's thread, the sharded replay of
-//! [`ecg_replay`](edge_cache_groups::replay) on the worker pool — are
-//! bit-identical to the time-major reference oracle
+//! simulation results, and that every way of running `simulate` — on
+//! the caller's thread or on the worker pool, over a materialized or a
+//! streamed trace, observed or not — is bit-identical, report and
+//! observability document, to the time-major reference oracle
 //! ([`simulate_time_major`]) on every input it accepts — across
 //! placement policies, freshness protocols, fault schedules, and
-//! thread counts.
+//! thread counts; and that a timeline run does not depend on the
+//! thread count either.
 
 use edge_cache_groups::prelude::*;
-use edge_cache_groups::replay::replay_sharded_observed;
 use edge_cache_groups::sim::{
     simulate_time_major, FaultKind, FaultSchedule, FreshnessProtocol, SimError,
 };
@@ -48,13 +48,14 @@ fn persisted_trace_replays_identically() {
         .form_groups(&network, &mut rng)
         .expect("formation");
     let groups = GroupMap::new(caches, outcome.groups().to_vec()).expect("groups");
-    let config = SimConfig::default();
-    let a = simulate(&network, &groups, &workload.catalog, &trace, config).expect("sim");
-    let b = simulate(&network, &groups, &workload.catalog, &reloaded, config).expect("sim");
-    assert_eq!(a, b);
+    let run = |trace: &[TraceEvent]| {
+        let plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, trace);
+        simulate(&plan, &groups, &mut RunContext::pooled()).expect("sim")
+    };
+    assert_eq!(run(&trace), run(&reloaded));
 }
 
-/// The reference every engine is held to: one time-major pass of the
+/// The reference every run is held to: one time-major pass of the
 /// event loop over the whole map.
 fn oracle(
     network: &EdgeNetwork,
@@ -65,6 +66,19 @@ fn oracle(
     schedule: &FaultSchedule,
 ) -> Result<SimReport, SimError> {
     simulate_time_major(network, groups, catalog, trace, sim, schedule, None)
+}
+
+/// `plan` under `groups` on the worker pool at `threads` threads.
+fn pooled_at(
+    threads: usize,
+    plan: &SimPlan<'_>,
+    groups: &GroupMap,
+    obs: Option<&mut Obs>,
+) -> Result<SimReport, SimError> {
+    edge_cache_groups::par::set_max_threads(Some(threads));
+    let report = simulate(plan, groups, &mut RunContext::pooled().observe(obs));
+    edge_cache_groups::par::set_max_threads(None);
+    report
 }
 
 /// A formed network + sporting-event workload shared by the sharded
@@ -113,17 +127,14 @@ fn sharded_replay_matches_monolithic_across_placements_and_threads() {
             &FaultSchedule::new(),
         )
         .expect("sim");
+        let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace).config(sim);
         assert_eq!(
-            simulate(&network, &groups, &catalog, &trace, sim).expect("sim"),
+            simulate(&plan, &groups, &mut RunContext::serial()).expect("sim"),
             monolithic,
             "simulate diverged ({placement:?})"
         );
-        let config = ReplayConfig::default().sim(sim);
         for threads in [1usize, 2, 8] {
-            edge_cache_groups::par::set_max_threads(Some(threads));
-            let sharded =
-                replay_sharded(&network, &groups, &catalog, &trace, &config).expect("replay");
-            edge_cache_groups::par::set_max_threads(None);
+            let sharded = pooled_at(threads, &plan, &groups, None).expect("replay");
             assert_eq!(
                 sharded, monolithic,
                 "sharded replay diverged ({placement:?}, {threads} threads)"
@@ -151,17 +162,16 @@ fn sharded_replay_matches_monolithic_under_faults_and_freshness() {
     ] {
         let sim = SimConfig::default().freshness(freshness);
         let monolithic = oracle(&network, &groups, &catalog, &trace, sim, &schedule).expect("sim");
+        let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace)
+            .config(sim)
+            .faults(&schedule);
         assert_eq!(
-            simulate_with_faults(&network, &groups, &catalog, &trace, sim, &schedule).expect("sim"),
+            simulate(&plan, &groups, &mut RunContext::serial()).expect("sim"),
             monolithic,
             "simulate diverged under faults ({freshness:?})"
         );
-        let config = ReplayConfig::default().sim(sim).schedule(schedule.clone());
         for threads in [1usize, 2, 8] {
-            edge_cache_groups::par::set_max_threads(Some(threads));
-            let sharded =
-                replay_sharded(&network, &groups, &catalog, &trace, &config).expect("replay");
-            edge_cache_groups::par::set_max_threads(None);
+            let sharded = pooled_at(threads, &plan, &groups, None).expect("replay");
             assert_eq!(
                 sharded, monolithic,
                 "sharded replay diverged under faults ({freshness:?}, {threads} threads)"
@@ -241,19 +251,32 @@ fn streamed_replay_matches_monolithic_on_materialized_inputs() {
         submatrix_queries: AtomicUsize::new(0),
     };
     for schedule in [FaultSchedule::new(), faulted] {
-        let monolithic = oracle(&full, &map, &catalog, &trace, sim, &schedule).expect("sim");
-        let config = ReplayConfig::default().sim(sim).schedule(schedule.clone());
+        // The oracle's document too: a streamed, pooled run writes the
+        // `sim.*` document of the materialized whole-map run.
+        let mut oracle_obs = Obs::new();
+        let monolithic = simulate_time_major(
+            &full,
+            &map,
+            &catalog,
+            &trace,
+            sim,
+            &schedule,
+            Some(&mut oracle_obs),
+        )
+        .expect("sim");
+        let plan = SimPlan::streamed(&counted, &catalog, &workload)
+            .config(sim)
+            .faults(&schedule);
         for threads in [1usize, 2, 8] {
-            edge_cache_groups::par::set_max_threads(Some(threads));
-            let streamed =
-                replay_streamed(&counted, &map, &catalog, &workload, &config).expect("replay");
-            edge_cache_groups::par::set_max_threads(None);
+            let mut obs = Obs::new();
+            let streamed = pooled_at(threads, &plan, &map, Some(&mut obs)).expect("replay");
             assert_eq!(
                 streamed,
                 monolithic,
                 "streamed replay diverged ({} fault events, {threads} threads)",
                 schedule.len()
             );
+            assert_eq!(obs.to_json(), oracle_obs.to_json(), "{threads} threads");
         }
     }
     // A shard is one batched sub-topology query and one kernel run on
@@ -269,10 +292,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The load-bearing contract: on ANY input the time-major oracle
-    /// accepts, `simulate` and the sharded replay are bit-identical to
-    /// it — whatever the group shapes, placement policy, freshness
-    /// protocol, fault script or thread count — and the replay's
-    /// observability document does not depend on the thread count.
+    /// accepts, `simulate` is bit-identical to it, report and
+    /// observability document, serial or pooled — whatever the group
+    /// shapes, placement policy, freshness protocol, fault script or
+    /// thread count; a one-epoch timeline is that run again, and a
+    /// timeline that changes grouping mid-trace does not depend on the
+    /// thread count.
     #[test]
     fn sharded_replay_is_bit_identical_on_arbitrary_inputs(
         seed in any::<u64>(),
@@ -335,25 +360,49 @@ proptest! {
             schedule.push(0.7 * duration, FaultKind::BrownoutEnd);
         }
         let trace = workload.merged_trace();
-        let monolithic =
-            oracle(&network, &map, &workload.catalog, &trace, sim, &schedule).unwrap();
+        let mut oracle_obs = Obs::new();
+        let monolithic = simulate_time_major(
+            &network, &map, &workload.catalog, &trace, sim, &schedule, Some(&mut oracle_obs),
+        ).unwrap();
+        let document = oracle_obs.to_json();
+        let plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace)
+            .config(sim)
+            .faults(&schedule);
+        let mut obs = Obs::new();
         let simulated =
-            simulate_with_faults(&network, &map, &workload.catalog, &trace, sim, &schedule)
-                .unwrap();
+            simulate(&plan, &map, &mut RunContext::serial().observe(Some(&mut obs))).unwrap();
         prop_assert_eq!(&simulated, &monolithic);
-        let config = ReplayConfig::default().sim(sim).schedule(schedule);
-        let mut documents = Vec::new();
+        prop_assert_eq!(&obs.to_json(), &document);
+        // Mid-trace the grouping changes to singletons and back.
+        let one_epoch = [ReplayEpoch::new(0.0, map.clone())];
+        let three_epochs = [
+            ReplayEpoch::new(0.0, map.clone()),
+            ReplayEpoch::new(0.4 * duration, GroupMap::singletons(caches)),
+            ReplayEpoch::new(0.8 * duration, map.clone()),
+        ];
+        let mut timelines = Vec::new();
         for threads in [1usize, 2, 8] {
             let mut obs = Obs::new();
+            let sharded = pooled_at(threads, &plan, &map, Some(&mut obs)).unwrap();
+            prop_assert_eq!(&sharded, &monolithic, "{} threads", threads);
+            prop_assert_eq!(&obs.to_json(), &document, "{} threads", threads);
+
             edge_cache_groups::par::set_max_threads(Some(threads));
-            let sharded = replay_sharded_observed(
-                &network, &map, &workload.catalog, &trace, &config, Some(&mut obs),
-            ).unwrap();
+            let mut obs = Obs::new();
+            let mut ctx = RunContext::pooled().observe(Some(&mut obs));
+            let flat = simulate_epochs(&plan, &one_epoch, &mut ctx).unwrap();
+            let mut timeline_obs = Obs::new();
+            let mut ctx = RunContext::pooled().observe(Some(&mut timeline_obs));
+            let timeline = simulate_epochs(&plan, &three_epochs, &mut ctx).unwrap();
             edge_cache_groups::par::set_max_threads(None);
-            prop_assert_eq!(&sharded.report, &monolithic, "{} threads", threads);
-            documents.push(obs.to_json());
+            prop_assert_eq!(&flat, &monolithic, "one epoch, {} threads", threads);
+            prop_assert_eq!(&obs.to_json(), &document, "one epoch, {} threads", threads);
+            prop_assert_eq!(
+                timeline.metrics.total_requests(), monolithic.metrics.total_requests()
+            );
+            timelines.push((timeline, timeline_obs.to_json()));
         }
-        prop_assert!(documents.windows(2).all(|pair| pair[0] == pair[1]));
+        prop_assert!(timelines.windows(2).all(|pair| pair[0] == pair[1]));
     }
 }
 
@@ -379,7 +428,8 @@ R 400.0 1 0
         .dynamic_fraction(0.0)
         .generate(&mut StdRng::seed_from_u64(1));
     let groups = GroupMap::one_group(6);
-    let report = simulate(&network, &groups, &catalog, &trace, SimConfig::default()).expect("sim");
+    let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace);
+    let report = simulate(&plan, &groups, &mut RunContext::pooled()).expect("sim");
 
     // Request 1: origin fetch. Request 2: peer hit. After the update,
     // both caches are stale: one more origin fetch, one more peer hit.

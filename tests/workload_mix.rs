@@ -1,7 +1,7 @@
 //! Workload-mix assertions at scale.
 //!
-//! Replays flash-crowd and diurnal request mixes over N = 10 000 caches
-//! with the streaming sharded engine and checks the merged report's
+//! Runs flash-crowd and diurnal request mixes over N = 10 000 caches —
+//! streamed, on the worker pool — and checks the merged report's
 //! invariants: sane hit rates, ordered latency percentiles, and the
 //! load shifts each modulation is supposed to cause. Nothing here pins
 //! exact values — these are the structural properties any correct
@@ -18,7 +18,7 @@ const DURATION_MS: f64 = 5_000.0;
 const RATE_PER_SEC: f64 = 1.5;
 const SEED: u64 = 42;
 
-/// Streams one modulated workload through the sharded replay engine.
+/// Streams one modulated workload through the simulator, pooled.
 /// Topology, groups, catalog, updates, and master seed are identical
 /// across calls — only the rate modulation differs.
 fn replay_mix(modulation: RateModulation) -> SimReport {
@@ -41,8 +41,9 @@ fn replay_mix(modulation: RateModulation) -> SimReport {
         DURATION_MS,
     )
     .updates(&updates);
-    let config = ReplayConfig::default().sim(SimConfig::default().warmup_ms(DURATION_MS / 6.0));
-    replay_streamed(&net, &map, &catalog, &workload, &config).expect("replay")
+    let plan = SimPlan::streamed(&net, &catalog, &workload)
+        .config(SimConfig::default().warmup_ms(DURATION_MS / 6.0));
+    simulate(&plan, &map, &mut RunContext::pooled()).expect("replay")
 }
 
 #[test]
