@@ -18,7 +18,13 @@
 //!   `ecg_sim::simulate_time_major`) against `simulate`'s group-major
 //!   driver, on a partitioned network large enough that the whole map's
 //!   working set outgrows the cache and one group's does not (identical
-//!   reports).
+//!   reports);
+//! * `utility_victim/reference_scan_*` vs `utility_victim/fast_*` — an
+//!   insert that evicts 1, 2 or 8 of 69 residents under the utility
+//!   policy: `DocumentCache::insert` (one approximate pass over the
+//!   score keys, exact verification, index upkeep included) against a
+//!   bare slab that scores every resident per victim (identical
+//!   victims, checked before timing).
 //!
 //! Writes the run as machine-readable JSON (per-benchmark stats plus
 //! derived speedups) so regressions can be diffed against the committed
@@ -34,12 +40,14 @@
 
 use criterion::{Criterion, SampleStats, Throughput};
 use ecg_bench::Scenario;
+use ecg_cache::{DocumentCache, Entry, PolicyKind};
 use ecg_clustering::{kmeans, kmeans_reference, FeatureMatrix, Initializer, KmeansConfig};
 use ecg_core::{GfCoordinator, SchemeConfig};
 use ecg_sim::{
     simulate, simulate_time_major, FaultSchedule, GroupMap, PeerLookup, RunContext, SimConfig,
 };
 use ecg_topology::CacheId;
+use ecg_workload::DocId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,6 +61,8 @@ struct Sizes {
     order_caches: usize,
     order_group_size: usize,
     order_duration_ms: f64,
+    /// Evicting inserts per timed sample of `utility_victim`.
+    victim_inserts: usize,
     samples: usize,
 }
 
@@ -66,6 +76,7 @@ const FULL: Sizes = Sizes {
     order_caches: 500,
     order_group_size: 20,
     order_duration_ms: 60_000.0,
+    victim_inserts: 20_000,
     samples: 15,
 };
 
@@ -79,6 +90,7 @@ const QUICK: Sizes = Sizes {
     order_caches: 24,
     order_group_size: 4,
     order_duration_ms: 10_000.0,
+    victim_inserts: 500,
     samples: 3,
 };
 
@@ -101,6 +113,107 @@ fn clustered_points(n: usize, dim: usize, blobs: usize, spread: f64, seed: u64) 
         m.push_row(&row);
     }
     m
+}
+
+/// Residents of the `utility_victim` caches, and their common size.
+const VICTIM_RESIDENTS: u64 = 69;
+const VICTIM_UNIT_BYTES: u64 = 1_000;
+
+/// What the `utility_victim` rows drive: a store that evicts on insert.
+trait Evicting {
+    /// Inserts `doc`, appending the victims to `evicted` in order.
+    fn put(&mut self, doc: DocId, size: u64, cost: f64, now_ms: f64, evicted: &mut Vec<DocId>);
+    fn take(&mut self, doc: DocId);
+}
+
+impl Evicting for DocumentCache {
+    fn put(&mut self, doc: DocId, size: u64, cost: f64, now_ms: f64, evicted: &mut Vec<DocId>) {
+        self.insert_with_evicted(doc, 1, size, cost, 0.05, now_ms, evicted);
+    }
+
+    fn take(&mut self, doc: DocId) {
+        let _ = self.remove(doc);
+    }
+}
+
+/// The utility policy as the cache ran it before the score keys: a bare
+/// slab whose every victim is the `(Entry::utility, DocId)` minimum of
+/// a scan over all residents. No index — the rows never look a
+/// document up — so the comparison flatters it, not the cache.
+struct ReferenceSlab {
+    capacity_bytes: u64,
+    used_bytes: u64,
+    slab: Vec<(DocId, Entry)>,
+}
+
+impl Evicting for ReferenceSlab {
+    fn put(&mut self, doc: DocId, size: u64, cost: f64, now_ms: f64, evicted: &mut Vec<DocId>) {
+        evicted.clear();
+        while self.used_bytes + size > self.capacity_bytes {
+            let mut best: Option<(usize, DocId, f64)> = None;
+            for (at, (resident, entry)) in self.slab.iter().enumerate() {
+                let score = entry.utility(now_ms);
+                if best
+                    .is_none_or(|(_, d, least)| score < least || (score == least && *resident < d))
+                {
+                    best = Some((at, *resident, score));
+                }
+            }
+            let Some((at, victim, _)) = best else { break };
+            self.used_bytes -= self.slab.swap_remove(at).1.size_bytes;
+            evicted.push(victim);
+        }
+        self.slab
+            .push((doc, Entry::new(1, size, cost, 0.05, now_ms)));
+        self.used_bytes += size;
+    }
+
+    fn take(&mut self, doc: DocId) {
+        if let Some(at) = self.slab.iter().rposition(|(d, _)| *d == doc) {
+            self.used_bytes -= self.slab.swap_remove(at).1.size_bytes;
+        }
+    }
+}
+
+/// The `utility_victim` workload: `inserts` times, one document of
+/// `burst` units arrives 40 ms after the last and evicts `burst`
+/// unit-size residents, then leaves again and `burst` unit documents
+/// take its place (none of which evicts), so the next arrival finds 69
+/// residents of mixed age and cost. Returns every victim, in order.
+fn victim_cycles(
+    store: &mut impl Evicting,
+    burst: u64,
+    inserts: usize,
+    clock: &mut u64,
+) -> Vec<DocId> {
+    let mut victims = Vec::new();
+    let mut evicted = Vec::new();
+    for _ in 0..inserts {
+        *clock += 1;
+        let now_ms = *clock as f64 * 40.0;
+        let next = *clock as usize * 16;
+        let cost = |doc: usize| 20.0 + (doc * 37 % 101) as f64;
+        store.put(
+            DocId(next),
+            burst * VICTIM_UNIT_BYTES,
+            cost(next),
+            now_ms,
+            &mut evicted,
+        );
+        victims.extend_from_slice(&evicted);
+        store.take(DocId(next));
+        for unit in 1..=burst as usize {
+            let doc = next + unit;
+            store.put(
+                DocId(doc),
+                VICTIM_UNIT_BYTES,
+                cost(doc),
+                now_ms,
+                &mut evicted,
+            );
+        }
+    }
+    victims
 }
 
 fn median_of(stats: &[SampleStats], name: &str) -> f64 {
@@ -229,7 +342,53 @@ fn main() {
         group.finish();
     }
 
+    // Utility eviction: the cache's approximate pass + exact verification
+    // against a scan that scores every resident for every victim.
+    {
+        let mut group = c.benchmark_group("utility_victim");
+        group
+            .sample_size(sizes.samples)
+            .throughput(Throughput::Elements(sizes.victim_inserts as u64));
+        let capacity_bytes = VICTIM_RESIDENTS * VICTIM_UNIT_BYTES;
+        for burst in [1u64, 2, 8] {
+            let mut fast = DocumentCache::new(capacity_bytes, PolicyKind::Utility);
+            let mut reference = ReferenceSlab {
+                capacity_bytes,
+                used_bytes: 0,
+                slab: Vec::new(),
+            };
+            // Fill both, then check they evict alike before timing.
+            let (mut fast_clock, mut reference_clock) = (0, 0);
+            let warm = VICTIM_RESIDENTS as usize + 200;
+            assert_eq!(
+                victim_cycles(&mut fast, burst, warm, &mut fast_clock),
+                victim_cycles(&mut reference, burst, warm, &mut reference_clock),
+                "the cache's victims are not the reference scan's"
+            );
+            group.bench_function(format!("reference_scan_burst_{burst}"), |b| {
+                b.iter(|| {
+                    victim_cycles(
+                        &mut reference,
+                        burst,
+                        sizes.victim_inserts,
+                        &mut reference_clock,
+                    )
+                })
+            });
+            group.bench_function(format!("fast_burst_{burst}"), |b| {
+                b.iter(|| victim_cycles(&mut fast, burst, sizes.victim_inserts, &mut fast_clock))
+            });
+        }
+        group.finish();
+    }
+
     let stats = c.stats();
+    let victim_speedup = |burst: u64| {
+        median_of(
+            stats,
+            &format!("utility_victim/reference_scan_burst_{burst}"),
+        ) / median_of(stats, &format!("utility_victim/fast_burst_{burst}"))
+    };
     let kmeans_speedup =
         median_of(stats, "kmeans/reference") / median_of(stats, "kmeans/pruned_flat");
     let replay_speedup =
@@ -239,6 +398,10 @@ fn main() {
     println!("\nkmeans speedup (pruned_flat vs reference):    {kmeans_speedup:.2}x");
     println!("trace replay speedup (holder_index vs scan):  {replay_speedup:.2}x");
     println!("sim order speedup (group- vs time-major):     {order_speedup:.2}x");
+    for burst in [1, 2, 8] {
+        let speedup = victim_speedup(burst);
+        println!("utility victim speedup, {burst} per insert:         {speedup:.2}x");
+    }
 
     // Record the run context alongside the numbers: a timing baseline
     // is only comparable to runs with the same core budget and sizes.
@@ -267,7 +430,10 @@ fn main() {
     }
     doc.push_str("\n  ],\n");
     doc.push_str(&format!(
-        "  \"speedups\": {{\"kmeans\": {kmeans_speedup:.3}, \"trace_replay\": {replay_speedup:.3}, \"sim_order\": {order_speedup:.3}}}\n}}\n"
+        "  \"speedups\": {{\"kmeans\": {kmeans_speedup:.3}, \"trace_replay\": {replay_speedup:.3}, \"sim_order\": {order_speedup:.3}, \"utility_victim_burst_1\": {:.3}, \"utility_victim_burst_2\": {:.3}, \"utility_victim_burst_8\": {:.3}}}\n}}\n",
+        victim_speedup(1),
+        victim_speedup(2),
+        victim_speedup(8),
     ));
     std::fs::write(&out_path, doc).expect("write baseline json");
     println!("wrote {out_path}");

@@ -4,9 +4,17 @@
 //! [`DocumentCache::iter`] sorts on demand, equality compares contents.
 
 use crate::entry::Entry;
-use crate::policy::{select_victim, PolicyKind};
+use crate::policy::{approximate_utilities, select_victim, utility_victim, PolicyKind, UtilityKey};
 use crate::stats::CacheStats;
 use ecg_workload::DocId;
+use std::cell::RefCell;
+
+thread_local! {
+    /// The approximate utilities of the cache an insert is evicting
+    /// from, parallel to its slab for the duration of that insert: one
+    /// buffer per thread, shared by every cache that evicts on it.
+    static SCORES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Outcome of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +101,14 @@ pub struct DocumentCache {
     /// scanned instead. Every resident's slot appears exactly once, on
     /// the probe path from its [`home`] with no `EMPTY` before it.
     index: Vec<u32>,
+    /// [`UtilityKey::of`] every resident, in slab order — or empty: the
+    /// keys are built by the first [`PolicyKind::Utility`] eviction
+    /// (never, under another policy) and kept in step from then on.
+    keys: Vec<UtilityKey>,
+    /// The document the last lookup found absent (or dropped as stale
+    /// or expired) if nothing has been appended since: the insert that
+    /// follows a miss need not search for a copy to replace.
+    absent: Option<DocId>,
     stats: CacheStats,
     /// GDSF aging watermark `L`.
     watermark: f64,
@@ -129,6 +145,8 @@ impl DocumentCache {
             policy,
             slab: Vec::new(),
             index: Vec::new(),
+            keys: Vec::new(),
+            absent: None,
             stats: CacheStats::default(),
             watermark: 0.0,
         }
@@ -242,6 +260,11 @@ impl DocumentCache {
     fn push(&mut self, doc: DocId, entry: Entry) {
         let slot = self.slab.len();
         self.slab.push((doc, entry));
+        if !self.keys.is_empty() {
+            self.keys.push(UtilityKey::of(&entry));
+        }
+        self.absent = None;
+        debug_assert!(self.keys_in_step(), "score keys out of step after a push");
         if self.index.is_empty() {
             if self.slab.len() > SMALL {
                 self.rebuild_index(FIRST_INDEX_LEN);
@@ -275,8 +298,39 @@ impl DocumentCache {
             }
         }
         let removed = self.slab.swap_remove(slot);
+        if !self.keys.is_empty() {
+            self.keys.swap_remove(slot);
+        }
         self.used_bytes -= removed.1.size_bytes;
+        debug_assert!(
+            self.keys_in_step(),
+            "score keys out of step after a removal"
+        );
         removed
+    }
+
+    /// Records an access to the resident in slab slot `slot`.
+    #[inline]
+    fn touch(&mut self, slot: usize, now_ms: f64) -> &Entry {
+        let entry = &mut self.slab[slot].1;
+        entry.touch(now_ms);
+        if let Some(key) = self.keys.get_mut(slot) {
+            key.touched(entry.access_count);
+        }
+        debug_assert!(self.keys_in_step(), "score keys out of step after a touch");
+        &self.slab[slot].1
+    }
+
+    /// Whether the score keys are what a rebuild from the slab gives
+    /// (to the bit: a hostile entry may hold a NaN): absent, or
+    /// parallel to it.
+    fn keys_in_step(&self) -> bool {
+        self.keys.is_empty()
+            || self
+                .slab
+                .iter()
+                .map(|(_, entry)| UtilityKey::of(entry).bits())
+                .eq(self.keys.iter().map(UtilityKey::bits))
     }
 
     /// Serves a client lookup for `doc`, whose current origin version is
@@ -289,16 +343,18 @@ impl DocumentCache {
         self.stats.lookups += 1;
         match self.find(doc) {
             Some(slot) if self.slab[slot].1.version >= current_version => {
-                self.slab[slot].1.touch(now_ms);
+                self.touch(slot, now_ms);
                 self.stats.fresh_hits += 1;
                 LookupOutcome::Hit
             }
             Some(slot) => {
                 self.remove_slot(slot);
+                self.absent = Some(doc);
                 self.stats.stale_hits += 1;
                 LookupOutcome::Stale
             }
             None => {
+                self.absent = Some(doc);
                 self.stats.misses += 1;
                 LookupOutcome::Miss
             }
@@ -331,17 +387,18 @@ impl DocumentCache {
         self.stats.lookups += 1;
         match self.find(doc) {
             Some(slot) if now_ms - self.slab[slot].1.inserted_ms <= ttl_ms => {
-                let entry = &mut self.slab[slot].1;
-                entry.touch(now_ms);
+                let version = self.touch(slot, now_ms).version;
                 self.stats.fresh_hits += 1;
-                Some(entry.version)
+                Some(version)
             }
             Some(slot) => {
                 self.remove_slot(slot);
+                self.absent = Some(doc);
                 self.stats.stale_hits += 1;
                 None
             }
             None => {
+                self.absent = Some(doc);
                 self.stats.misses += 1;
                 None
             }
@@ -365,7 +422,7 @@ impl DocumentCache {
     pub fn note_peer_serve(&mut self, doc: DocId, current_version: u64, now_ms: f64) -> bool {
         match self.find(doc) {
             Some(slot) if self.slab[slot].1.version >= current_version => {
-                self.slab[slot].1.touch(now_ms);
+                self.touch(slot, now_ms);
                 true
             }
             _ => false,
@@ -435,32 +492,24 @@ impl DocumentCache {
         fetch_cost_ms: f64,
         update_rate_per_sec: f64,
         now_ms: f64,
-        mut evicted_out: Option<&mut Vec<DocId>>,
+        evicted_out: Option<&mut Vec<DocId>>,
     ) -> bool {
         if size_bytes > self.capacity_bytes {
             return false;
         }
         // Replacing an existing copy frees its bytes first. This is the
-        // insert's only search: victims leave by slot and the new copy
-        // is appended.
-        if let Some(slot) = self.find(doc) {
-            self.remove_slot(slot);
+        // insert's only search — skipped when the lookup just before it
+        // found no copy: victims leave by slot and the new copy is
+        // appended.
+        if self.absent != Some(doc) {
+            if let Some(slot) = self.find(doc) {
+                self.remove_slot(slot);
+            }
         }
-        while self.used_bytes + size_bytes > self.capacity_bytes {
-            let Some((slot, score)) =
-                select_victim(self.policy, &self.slab, now_ms, self.watermark)
-            else {
-                break;
-            };
-            if self.policy == PolicyKind::Gdsf {
-                self.watermark = score;
-            }
-            let (victim, evicted) = self.remove_slot(slot);
-            self.stats.evictions += 1;
-            self.stats.bytes_evicted += evicted.size_bytes;
-            if let Some(out) = evicted_out.as_deref_mut() {
-                out.push(victim);
-            }
+        if self.used_bytes + size_bytes > self.capacity_bytes {
+            SCORES.with_borrow_mut(|scores| {
+                self.make_room(size_bytes, now_ms, scores, evicted_out);
+            });
         }
         self.push(
             doc,
@@ -475,6 +524,56 @@ impl DocumentCache {
         self.used_bytes += size_bytes;
         self.stats.insertions += 1;
         true
+    }
+
+    /// Evicts until `size_bytes` more fit. LRU, LFU and GDSF score the
+    /// whole slab once per victim. The utility policy makes one
+    /// approximate pass over the score keys (built here if this is the
+    /// cache's first eviction) into `scores`, and every victim of the
+    /// insert is picked from those: `now_ms` is the same for all of
+    /// them, and a victim takes its score out with it.
+    fn make_room(
+        &mut self,
+        size_bytes: u64,
+        now_ms: f64,
+        scores: &mut Vec<f64>,
+        mut evicted_out: Option<&mut Vec<DocId>>,
+    ) {
+        let by_utility = self.policy == PolicyKind::Utility;
+        if by_utility {
+            if self.keys.len() != self.slab.len() {
+                debug_assert!(self.keys.is_empty());
+                self.keys.reserve_exact(self.slab.capacity());
+                self.keys
+                    .extend(self.slab.iter().map(|(_, entry)| UtilityKey::of(entry)));
+            }
+            approximate_utilities(&self.keys, now_ms, scores);
+        }
+        while self.used_bytes + size_bytes > self.capacity_bytes {
+            let slot = if by_utility {
+                let Some(slot) = utility_victim(&self.slab, scores, now_ms) else {
+                    break;
+                };
+                scores.swap_remove(slot);
+                slot
+            } else {
+                let Some((slot, score)) =
+                    select_victim(self.policy, &self.slab, now_ms, self.watermark)
+                else {
+                    break;
+                };
+                if self.policy == PolicyKind::Gdsf {
+                    self.watermark = score;
+                }
+                slot
+            };
+            let (victim, evicted) = self.remove_slot(slot);
+            self.stats.evictions += 1;
+            self.stats.bytes_evicted += evicted.size_bytes;
+            if let Some(out) = evicted_out.as_deref_mut() {
+                out.push(victim);
+            }
+        }
     }
 
     /// Drops the cached copy of `doc` (if any), returning its entry.
@@ -752,6 +851,82 @@ mod tests {
             let linked = c.index.iter().filter(|&&slot| slot != EMPTY).count();
             assert_eq!(linked, c.len());
         }
+    }
+
+    #[test]
+    fn score_keys_are_built_by_the_first_utility_eviction_and_kept_in_step() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for policy in [PolicyKind::Utility, PolicyKind::Lru] {
+            let mut c = DocumentCache::new(4_000, policy);
+            let mut evicted = Vec::new();
+            for step in 0..6_000u32 {
+                let now = f64::from(step) * 7.0;
+                let doc = DocId(rng.gen_range(0..60));
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let size = rng.gen_range(50..400);
+                        let was_empty = c.keys.is_empty();
+                        c.insert_with_evicted(doc, 1, size, 20.0, 0.1, now, &mut evicted);
+                        if policy == PolicyKind::Utility && !evicted.is_empty() {
+                            // Built by the eviction, then extended by
+                            // the push that followed it.
+                            assert_eq!(c.keys.len(), c.slab.len());
+                        } else if was_empty {
+                            assert!(c.keys.is_empty(), "keys built without an eviction");
+                        }
+                    }
+                    5 | 6 => drop(c.lookup(doc, rng.gen_range(1..3), now)),
+                    7 => drop(c.lookup_ttl(doc, now, 900.0)),
+                    8 => drop(c.note_peer_serve(doc, 1, now)),
+                    _ => drop(c.remove(doc)),
+                }
+                assert!(c.keys_in_step(), "step {step}");
+                assert!(c.keys.is_empty() || c.keys.len() == c.slab.len());
+            }
+            assert_eq!(c.keys.is_empty(), policy != PolicyKind::Utility);
+            assert!(c.stats().evictions > 100);
+        }
+    }
+
+    #[test]
+    fn a_million_touches_leave_the_key_exact() {
+        let mut c = DocumentCache::new(1_000, PolicyKind::Utility);
+        for i in 0..4 {
+            c.insert(DocId(i), 1, 300, 10.0 + i as f64, 0.0, 0.0);
+        }
+        assert_eq!(c.stats().evictions, 1);
+        assert!(!c.keys.is_empty());
+        for t in 0..1_000_000 {
+            assert!(c.lookup(DocId(2), 1, 1.0 + f64::from(t) * 0.25).is_hit());
+        }
+        // The key holds the count itself, not a running sum: nothing
+        // has drifted, and the hot document outlives the others.
+        assert!(c.keys_in_step());
+        let mut evicted = Vec::new();
+        c.insert_with_evicted(DocId(9), 1, 900, 10.0, 0.0, 300_000.0, &mut evicted);
+        assert_eq!(evicted, [DocId(1), DocId(3), DocId(2)]);
+    }
+
+    #[test]
+    fn an_insert_after_a_miss_skips_the_search_and_nothing_else_does() {
+        let mut c = DocumentCache::new(10_000, PolicyKind::Utility);
+        c.insert(DocId(1), 1, 100, 10.0, 0.0, 0.0);
+        assert_eq!(c.absent, None);
+        assert_eq!(c.lookup(DocId(2), 1, 1.0), LookupOutcome::Miss);
+        assert_eq!(c.absent, Some(DocId(2)));
+        // Another document arrives first: the memo is spent, and the
+        // replaced copy's bytes are still returned.
+        c.insert(DocId(1), 2, 150, 10.0, 0.0, 2.0);
+        assert_eq!((c.absent, c.len(), c.used_bytes()), (None, 1, 150));
+        assert_eq!(c.lookup(DocId(1), 3, 3.0), LookupOutcome::Stale);
+        assert_eq!(c.absent, Some(DocId(1)));
+        c.insert(DocId(1), 3, 120, 10.0, 0.0, 4.0);
+        assert_eq!((c.len(), c.used_bytes()), (1, 120));
+        assert_eq!(c.lookup_ttl(DocId(1), 5_000.0, 100.0), None);
+        assert_eq!(c.absent, Some(DocId(1)));
+        c.insert(DocId(1), 4, 80, 10.0, 0.0, 6.0);
+        c.insert(DocId(1), 5, 90, 10.0, 0.0, 7.0);
+        assert_eq!((c.len(), c.used_bytes()), (1, 90));
     }
 
     #[test]

@@ -177,8 +177,16 @@ impl ModelCache {
         }
     }
 
-    /// Returns whether `doc` ended up cached, and the victims in order.
-    fn insert(&mut self, doc: DocId, version: u64, size: u64, now_ms: f64) -> (bool, Vec<DocId>) {
+    /// Returns whether `doc` ended up cached, and the victims in order
+    /// with the score each was evicted at.
+    fn insert(
+        &mut self,
+        doc: DocId,
+        version: u64,
+        size: u64,
+        (cost, rate): (f64, f64),
+        now_ms: f64,
+    ) -> (bool, Vec<(DocId, f64)>) {
         let mut victims = Vec::new();
         if size > self.capacity_bytes {
             return (false, victims);
@@ -199,12 +207,10 @@ impl ModelCache {
             let evicted = self.remove(victim).expect("victim exists");
             self.stats.evictions += 1;
             self.stats.bytes_evicted += evicted.size_bytes;
-            victims.push(victim);
+            victims.push((victim, score));
         }
-        self.entries.insert(
-            doc,
-            Entry::new(version, size, FETCH_COST_MS, UPDATE_RATE, now_ms),
-        );
+        self.entries
+            .insert(doc, Entry::new(version, size, cost, rate, now_ms));
         self.used_bytes += size;
         self.stats.insertions += 1;
         (true, victims)
@@ -219,6 +225,25 @@ impl ModelCache {
 
 const FETCH_COST_MS: f64 = 10.0;
 const UPDATE_RATE: f64 = 0.1;
+/// `(fetch cost, update rate)` of the model test's inserts: mostly the
+/// plain pair, so equal utilities meet and the id decides; a cost one
+/// `f64` place above it; and values the utility screen does not vouch
+/// for — zero and astronomically small or large costs, a rate that
+/// swamps the size factor.
+const COSTS_AND_RATES: [(f64, f64); 12] = [
+    (FETCH_COST_MS, UPDATE_RATE),
+    (FETCH_COST_MS, UPDATE_RATE),
+    (FETCH_COST_MS, UPDATE_RATE),
+    (FETCH_COST_MS, UPDATE_RATE),
+    (10.000000000000002, UPDATE_RATE),
+    (37.5, 0.0),
+    (2.25, 4.0),
+    (0.0, UPDATE_RATE),
+    (1e-200, UPDATE_RATE),
+    (1e200, 0.0),
+    (FETCH_COST_MS, 1e300),
+    (FETCH_COST_MS, f64::INFINITY),
+];
 /// Ids the model test draws from.
 const MODEL_DOCS: usize = 48;
 /// Lease used by the model test's TTL operations.
@@ -239,6 +264,8 @@ enum ModelOp {
         doc: usize,
         version: u64,
         size: u64,
+        /// Index into [`COSTS_AND_RATES`].
+        kind: usize,
         tracked: bool,
     },
     Remove {
@@ -254,27 +281,30 @@ fn arb_model_op() -> impl Strategy<Value = ModelOp> {
     // Half the steps insert a small body, so a 2 000-byte cache fills
     // well past eight residents; one in twelve inserts a large one that
     // evicts many at once (or is oversized) and takes the population
-    // back under eight.
+    // back under eight; one in a few hundred has no body at all.
     let fields = (
         0u8..12,
         0usize..MODEL_DOCS,
         1u64..5,
-        20u64..120,
-        700u64..2_100,
+        (0u64..120, 700u64..2_100),
+        0usize..COSTS_AND_RATES.len(),
         any::<bool>(),
     );
-    fields.prop_map(|(kind, doc, version, small, large, tracked)| match kind {
-        0 | 1 => ModelOp::Lookup { doc, version },
-        2 => ModelOp::LookupTtl { doc },
-        3 => ModelOp::Remove { doc },
-        4 => ModelOp::PeerServe { doc, version },
-        _ => ModelOp::Insert {
-            doc,
-            version,
-            size: if kind == 5 { large } else { small },
-            tracked,
+    fields.prop_map(
+        |(op, doc, version, (small, large), kind, tracked)| match op {
+            0 | 1 => ModelOp::Lookup { doc, version },
+            2 => ModelOp::LookupTtl { doc },
+            3 => ModelOp::Remove { doc },
+            4 => ModelOp::PeerServe { doc, version },
+            _ => ModelOp::Insert {
+                doc,
+                version,
+                size: if op == 5 { large } else { small },
+                kind,
+                tracked,
+            },
         },
-    })
+    )
 }
 
 fn arb_policy() -> impl Strategy<Value = PolicyKind> {
@@ -284,6 +314,92 @@ fn arb_policy() -> impl Strategy<Value = PolicyKind> {
         Just(PolicyKind::Utility),
         Just(PolicyKind::Gdsf),
     ]
+}
+
+/// Fills a utility cache and the model with `residents` — `(doc, size,
+/// cost, rate, inserted at)`, in the given order and then reversed, so
+/// the slab is laid out both ways — touches a few of them, and evicts
+/// everything at `now` with one insert: the burst must be the model's.
+fn assert_utility_burst_matches_the_model(residents: &[(usize, u64, f64, f64, f64)], now: f64) {
+    let reversed: Vec<_> = residents.iter().rev().copied().collect();
+    let mut bursts = Vec::new();
+    for order in [residents, &reversed] {
+        let mut cache = DocumentCache::new(1 << 20, PolicyKind::Utility);
+        let mut model = ModelCache::new(1 << 20, PolicyKind::Utility);
+        for &(doc, size, cost, rate, at) in order {
+            cache.insert(DocId(doc), 1, size, cost, rate, at);
+            model.insert(DocId(doc), 1, size, (cost, rate), at);
+        }
+        for &(doc, ..) in residents.iter().step_by(3) {
+            assert!(cache.lookup(DocId(doc), 1, now - 1.0).is_hit());
+            assert!(model.lookup_by(DocId(doc), now - 1.0, |_| true).is_hit());
+            assert!(cache.note_peer_serve(DocId(doc), 1, now - 0.5));
+            assert!(model.note_peer_serve(DocId(doc), 1, now - 0.5));
+        }
+        let mut evicted = Vec::new();
+        cache.insert_with_evicted(DocId(999), 1, 1 << 20, 5.0, 0.0, now, &mut evicted);
+        let (_, victims) = model.insert(DocId(999), 1, 1 << 20, (5.0, 0.0), now);
+        let expected: Vec<DocId> = victims.iter().map(|&(d, _)| d).collect();
+        assert_eq!(evicted, expected);
+        assert_eq!(evicted.len(), residents.len());
+        assert_eq!(cache.stats(), model.stats);
+        bursts.push(evicted);
+    }
+    // The order the residents went in does not show in the order they
+    // come out.
+    assert_eq!(bursts[0], bursts[1]);
+}
+
+#[test]
+fn utility_bursts_match_the_model_on_adversarial_residents() {
+    // Scores one place apart and exactly equal: id order decides ties.
+    let close: Vec<_> = [
+        10.0,
+        10.0f64.next_up(),
+        10.0,
+        10.0f64.next_up().next_up(),
+        10.0,
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, cost)| (40 - i, 500, cost, 0.1, 0.0))
+    .collect();
+    for now in [10.0, 1_000.0, 123_456.789] {
+        assert_utility_burst_matches_the_model(&close, now);
+    }
+    // Ages just below, at and just above the 1 s floor of the window.
+    let now = 90_000.0;
+    let ages = [
+        0.0,
+        999.999_999_999_9,
+        1_000.0,
+        1_000.000_000_000_1,
+        1_001.0,
+    ];
+    let floor: Vec<_> = ages
+        .into_iter()
+        .enumerate()
+        .map(|(i, age)| (i, 300, 12.0, 0.0, now - age))
+        .collect();
+    assert_utility_burst_matches_the_model(&floor, now);
+    // What the approximate screen does not vouch for, among ordinary
+    // residents: no cost, no body, an update rate that swamps the size,
+    // magnitudes at the far ends of the range.
+    let odd = [
+        (0, 400, 0.0, 0.1, 5.0),
+        (1, 0, 10.0, 0.1, 6.0),
+        (2, 400, 10.0, 1e300, 7.0),
+        (3, 400, 10.0, f64::INFINITY, 8.0),
+        (4, 400, 1e-250, 0.1, 9.0),
+        (5, 400, 1e250, 0.1, 10.0),
+        (6, 400, 10.0, 0.1, 11.0),
+        (7, 900, 25.0, 0.0, 12.0),
+        (8, 0, 0.0, 0.0, 13.0),
+    ];
+    for now in [20.0, 5_000.0, 1e12] {
+        assert_utility_burst_matches_the_model(&odd, now);
+        assert_utility_burst_matches_the_model(&odd[5..], now);
+    }
 }
 
 proptest! {
@@ -428,10 +544,18 @@ proptest! {
         }
     }
 
+    /// Every public mutator, every policy: contents, statistics and
+    /// probes equal the model's after each step, and every insert's
+    /// victims — whole bursts, in order — are the model's repeated
+    /// `(score, DocId)` minimum over all residents. The clock steps by
+    /// a drawn amount, so resident ages sit below, at (`step` 250 puts
+    /// every fourth insert exactly 1 000 ms back) and above the utility
+    /// window's 1 s floor.
     #[test]
     fn slab_store_matches_the_btreemap_model(
         ops in proptest::collection::vec(arb_model_op(), 1..400),
         policy in arb_policy(),
+        step in prop_oneof![Just(1.0), Just(250.0), Just(1_000.0 / 3.0), Just(4_000.0)],
     ) {
         let mut cache = DocumentCache::new(2_000, policy);
         let mut model = ModelCache::new(2_000, policy);
@@ -439,7 +563,7 @@ proptest! {
         // Times the population rose past / fell back to eight residents.
         let (mut rose, mut fell) = (0, 0);
         for (t, op) in ops.iter().enumerate() {
-            let now = t as f64;
+            let now = t as f64 * step;
             let resident_before = cache.len();
             match *op {
                 ModelOp::Lookup { doc, version } => {
@@ -447,22 +571,31 @@ proptest! {
                     prop_assert_eq!(cache.lookup(DocId(doc), version, now), expected);
                 }
                 ModelOp::LookupTtl { doc } => {
+                    let ttl = MODEL_TTL_MS * step;
                     let served = model
-                        .lookup_by(DocId(doc), now, |e| now - e.inserted_ms <= MODEL_TTL_MS)
+                        .lookup_by(DocId(doc), now, |e| now - e.inserted_ms <= ttl)
                         .is_hit()
                         .then(|| model.entries[&DocId(doc)].version);
-                    prop_assert_eq!(cache.lookup_ttl(DocId(doc), now, MODEL_TTL_MS), served);
+                    prop_assert_eq!(cache.lookup_ttl(DocId(doc), now, ttl), served);
                 }
-                ModelOp::Insert { doc, version, size, tracked } => {
-                    let (cached, victims) = model.insert(DocId(doc), version, size, now);
+                ModelOp::Insert { doc, version, size, kind, tracked } => {
+                    let (cost, rate) = COSTS_AND_RATES[kind];
+                    let (cached, victims) =
+                        model.insert(DocId(doc), version, size, (cost, rate), now);
+                    // Scores never rise along a burst: each victim is
+                    // the minimum of what the one before it left.
+                    for pair in victims.windows(2) {
+                        prop_assert!(policy == PolicyKind::Gdsf || pair[0].1 <= pair[1].1);
+                    }
                     if tracked {
                         let got = cache.insert_with_evicted(
-                            DocId(doc), version, size, FETCH_COST_MS, UPDATE_RATE, now, &mut evicted,
+                            DocId(doc), version, size, cost, rate, now, &mut evicted,
                         );
                         prop_assert_eq!(got, cached);
-                        prop_assert_eq!(&evicted, &victims);
+                        let expected: Vec<DocId> = victims.iter().map(|&(d, _)| d).collect();
+                        prop_assert_eq!(&evicted, &expected);
                     } else {
-                        cache.insert(DocId(doc), version, size, FETCH_COST_MS, UPDATE_RATE, now);
+                        cache.insert(DocId(doc), version, size, cost, rate, now);
                     }
                 }
                 ModelOp::Remove { doc } => {
@@ -489,9 +622,10 @@ proptest! {
                         held.is_some_and(|e| e.version >= version)
                     );
                 }
+                let ttl = MODEL_TTL_MS * step;
                 prop_assert_eq!(
-                    cache.holds_unexpired(d, now, MODEL_TTL_MS),
-                    held.filter(|e| now - e.inserted_ms <= MODEL_TTL_MS).map(|e| e.version)
+                    cache.holds_unexpired(d, now, ttl),
+                    held.filter(|e| now - e.inserted_ms <= ttl).map(|e| e.version)
                 );
             }
             rose += usize::from(resident_before <= 8 && cache.len() > 8);

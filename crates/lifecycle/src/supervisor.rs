@@ -93,8 +93,10 @@ pub struct SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// A supervisor for `scheme`, with noise-free default probing, a
-    /// ten-second maintenance window, and the balanced policy.
+    /// A supervisor for `scheme`, with the default probing
+    /// ([`ProbeConfig::default`]: three probes per measurement under 5 %
+    /// log-normal jitter, no loss), a ten-second maintenance window, and
+    /// the balanced policy.
     pub fn new(scheme: SchemeConfig) -> Self {
         SupervisorConfig {
             scheme,

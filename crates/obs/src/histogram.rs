@@ -96,13 +96,25 @@ impl Histogram {
     ///
     /// Panics if the value is negative or not finite.
     pub fn record(&mut self, value: f64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `count` samples of the same `value`: what `count` calls
+    /// of [`record`](Self::record) leave, for one bin lookup. Bins only
+    /// count, so it does not matter when, relative to other samples, a
+    /// caller that sees one value many times hands them over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value is negative or not finite.
+    pub fn record_n(&mut self, value: f64, count: u64) {
         assert!(
             value.is_finite() && value >= 0.0,
             "sample must be finite and >= 0, got {value}"
         );
         let idx = self.bin_index(value);
-        self.bins[idx] += 1;
-        self.count += 1;
+        self.bins[idx] += count;
+        self.count += count;
     }
 
     fn bin_index(&self, value: f64) -> usize {
@@ -306,6 +318,21 @@ mod tests {
         // Median sits between the two clusters.
         let p50 = a.percentile(0.5).unwrap();
         assert!((10.0..=110.0).contains(&p50), "p50 {p50}");
+    }
+
+    #[test]
+    fn record_n_is_n_records_in_any_order() {
+        let mut one_by_one = Histogram::default();
+        let mut bulk = Histogram::default();
+        for i in 0..40 {
+            one_by_one.record(1.5);
+            one_by_one.record(i as f64);
+            bulk.record(i as f64);
+        }
+        bulk.record_n(1.5, 40);
+        bulk.record_n(9.0, 0);
+        assert_eq!(bulk, one_by_one);
+        assert_eq!(bulk.count(), 80);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! were scheduled: serially, each folded as it finishes so one group's
 //! caches are live at a time, or fanned over the pool and folded after.
 
-use crate::event::{local_ids, Timeline, TracePlan};
+use crate::event::{local_ids, GroupWalk, RecordBlock, Timeline, TracePlan};
 use crate::fault::{FaultKind, FaultSchedule};
 use crate::groups::GroupMap;
 use crate::metrics::{DegradationMetrics, MetricsRecorder};
@@ -386,10 +386,11 @@ impl<'a> GroupRun<'a> {
         check_inputs(plan.rtt.node_count().saturating_sub(1), groups, schedule)?;
         let events = match plan.trace {
             TraceSource::Events(trace) => {
-                GroupEvents::Planned(trace, TracePlan::build(groups, plan.catalog.len(), trace)?)
+                let docs = plan.catalog.len();
+                GroupEvents::Planned(trace, TracePlan::build(groups, docs, schedule, trace)?)
             }
             TraceSource::Streamed(workload) => {
-                stream::validate(plan.catalog, &workload)?;
+                stream::validate(plan.catalog, &workload, schedule)?;
                 let zipf = ZipfSampler::new(plan.catalog.len(), workload.zipf_exponent());
                 GroupEvents::Streamed(workload, zipf)
             }
@@ -414,26 +415,27 @@ impl<'a> GroupRun<'a> {
     /// or its members' regenerated streams under local ids.
     fn group(&self, g: usize) -> GroupOutcome {
         let members = &self.groups.groups()[g];
-        let (catalog, schedule) = (self.plan.catalog, &self.schedules[g]);
-        let subtrace;
-        let timeline = match &self.events {
-            GroupEvents::Planned(trace, plan) => {
-                Timeline::for_group(trace, plan, g, &self.local_of, schedule)
-            }
+        let (catalog, config, schedule) = (self.plan.catalog, self.plan.config, &self.schedules[g]);
+        let network = member_network(self.plan.rtt, members);
+        let one_group = GroupMap::one_group(members.len());
+        match &self.events {
+            GroupEvents::Planned(trace, plan) => RecordBlock::on_this_thread(|block| {
+                let walk = GroupWalk::new(trace, plan, g, &self.local_of, schedule, block);
+                let events = walk.trace_events();
+                kernel(
+                    &network, &one_group, catalog, walk, events, config, schedule,
+                )
+            }),
             GroupEvents::Streamed(workload, zipf) => {
-                subtrace = stream::member_subtrace(workload, zipf, members);
-                Timeline::new(members.len(), catalog.len(), &subtrace, schedule)
-                    .expect("a generated sub-trace references its own members and catalog")
+                let subtrace = stream::member_subtrace(workload, zipf, members);
+                let timeline = Timeline::new(members.len(), catalog.len(), &subtrace, schedule)
+                    .expect("a generated sub-trace references its own members and catalog");
+                let events = timeline.trace_events();
+                kernel(
+                    &network, &one_group, catalog, timeline, events, config, schedule,
+                )
             }
-        };
-        kernel(
-            &member_network(self.plan.rtt, members),
-            &GroupMap::one_group(members.len()),
-            catalog,
-            timeline,
-            self.plan.config,
-            schedule,
-        )
+        }
     }
 
     /// The group-order fold (the order every `f64` chain was validated

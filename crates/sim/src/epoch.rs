@@ -204,7 +204,7 @@ pub fn simulate_epochs(
     let n = plan.rtt.node_count().saturating_sub(1);
     validate_epochs(n, epochs)?;
     plan.schedule.validate(n).map_err(SimError::from)?;
-    validate_trace(n, plan.catalog.len(), trace)?;
+    validate_trace(n, plan.catalog.len(), plan.schedule, trace)?;
 
     let (pooled, stats) = ctx.begin(epochs.len());
     let mut tallies = Tallies::default();

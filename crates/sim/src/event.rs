@@ -3,23 +3,34 @@
 //! A run interleaves the workload trace with the fault schedule by
 //! `(time quantised to µs, faults before trace events, input order)`:
 //! at equal instants a crash lands before the requests of that instant,
-//! and same-instant trace events keep their trace order. The
-//! crate-internal `Timeline` produces that order without copying the
-//! trace, for the whole trace or for **one group's share of it**:
+//! and same-instant trace events keep their trace order. Two
+//! crate-internal walks produce that order without copying the trace:
 //!
-//! * the whole trace is walked in place — every generator
+//! * `Timeline` walks a **whole trace** in place — every generator
 //!   (`merge_streams`, the streamed shards' sub-traces) already emits
-//!   time-ordered events — and merged with the short, time-sorted fault
-//!   list by two cursors; only a trace that is not already ordered pays
-//!   for one stable index sort;
-//! * a group's share is two lists of `u32` trace positions out of a
-//!   `TracePlan` — the group's own requests and the update log every
-//!   group replays — both already in processing order, merged by
-//!   `(time, position)`. That is the order the stable sort gives the
-//!   whole trace, so the group sees the exact subsequence of the
-//!   whole-trace walk, and the plan costs 4 bytes per event where a
-//!   per-group copy of the events cost 32. Requests are re-indexed to
-//!   the group's local cache ids as they are yielded.
+//!   time-ordered events — merged with the short, time-sorted fault
+//!   list; only a trace that is not already ordered pays for one stable
+//!   index sort. The time-major oracle and the streamed shards (whose
+//!   sub-trace *is* their group's share, contiguous) run on it.
+//! * `GroupWalk` walks **one group's share** of a planned trace: two
+//!   lists of `u32` trace positions out of a `TracePlan` — the group's
+//!   own requests and the update log every group replays — both already
+//!   in processing order, merged by `(time, position)`. That is the
+//!   order the stable sort gives the whole trace, so the group sees the
+//!   exact subsequence of the whole-trace walk, and the plan costs 4
+//!   bytes per event where a per-group copy of the events cost 32.
+//!
+//! A group's events lie scattered through the trace — with 25 groups,
+//! some 800 bytes apart — so reading them one at a time, between
+//! events that each cost a few hundred nanoseconds, is one cache miss
+//! per event that nothing overlaps. `GroupWalk` therefore reads *dense
+//! records* instead: a fixed-capacity `RecordBlock`, one per worker
+//! thread and reused by every group it runs, that a tight gather loop
+//! refills from the next positions of each list — time quantised,
+//! cache re-indexed to the group's local id, document copied, once —
+//! so the misses of one refill overlap one another and the event loop
+//! reads 24-byte records side by side. Memory stays at the plan's 4
+//! bytes per event plus one block, whatever the group's size.
 
 use crate::fault::FaultSchedule;
 use crate::groups::GroupMap;
@@ -27,7 +38,7 @@ use crate::sim::SimError;
 use crate::time::SimTime;
 use ecg_topology::CacheId;
 use ecg_workload::{DocId, TraceEvent};
-use std::borrow::Cow;
+use std::cell::RefCell;
 
 /// An event processed by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,22 +63,26 @@ pub enum Event {
     },
 }
 
-/// Validates `trace` against a network of `caches` caches and a catalog
-/// of `docs` documents, event by event in trace order — references
-/// first, then the timestamp — handing each valid event to `visit`.
-/// Returns whether the quantised times never decrease, i.e. whether
-/// trace order already is processing order.
+/// Validates `trace` against a network of `caches` caches, a catalog of
+/// `docs` documents and the run horizon of `schedule`
+/// ([`FaultSchedule::horizon`]), event by event in trace order —
+/// references first, then the timestamp — handing each valid event to
+/// `visit`. Returns whether the quantised times never decrease, i.e.
+/// whether trace order already is processing order.
 ///
 /// # Errors
 ///
 /// The first trace event, in trace order, with an unknown cache or
-/// document or a negative / NaN / infinite timestamp.
+/// document, a negative / NaN / infinite timestamp, or one at or past
+/// the horizon.
 fn scan_trace(
     caches: usize,
     docs: usize,
+    schedule: &FaultSchedule,
     trace: &[TraceEvent],
     mut visit: impl FnMut(&TraceEvent),
 ) -> Result<bool, SimError> {
+    let horizon = schedule.horizon();
     let mut ordered = true;
     let mut previous = SimTime::ZERO;
     for (index, event) in trace.iter().enumerate() {
@@ -85,6 +100,9 @@ fn scan_trace(
         }
         let at =
             SimTime::try_from_ms(event.time_ms()).ok_or(SimError::EventTimeInvalid { index })?;
+        if at >= horizon {
+            return Err(SimError::EventTimeBeyondHorizon { index });
+        }
         ordered &= previous <= at;
         previous = at;
         visit(event);
@@ -98,9 +116,10 @@ fn scan_trace(
 pub(crate) fn validate_trace(
     caches: usize,
     docs: usize,
+    schedule: &FaultSchedule,
     trace: &[TraceEvent],
 ) -> Result<(), SimError> {
-    scan_trace(caches, docs, trace, |_| {}).map(drop)
+    scan_trace(caches, docs, schedule, trace, |_| {}).map(drop)
 }
 
 /// Processing order of a validated trace: every position, in place when
@@ -108,7 +127,7 @@ pub(crate) fn validate_trace(
 fn processing_order(trace: &[TraceEvent], ordered: bool) -> Option<Vec<u32>> {
     (!ordered).then(|| {
         let mut order: Vec<u32> = (0..position_count(trace)).collect();
-        order.sort_by_key(|&i| SimTime::from_ms(trace[i as usize].time_ms()));
+        order.sort_by_key(|&i| SimTime::from_valid_ms(trace[i as usize].time_ms()));
         order
     })
 }
@@ -132,6 +151,34 @@ pub(crate) fn fault_order(schedule: &FaultSchedule) -> Vec<(SimTime, usize)> {
     faults
 }
 
+/// The faults of a walk, in firing order, and how far it has got.
+struct FaultCursor {
+    /// [`fault_order`] of the walk's schedule.
+    order: Vec<(SimTime, usize)>,
+    next: usize,
+}
+
+impl FaultCursor {
+    fn new(schedule: &FaultSchedule) -> Self {
+        FaultCursor {
+            order: fault_order(schedule),
+            next: 0,
+        }
+    }
+
+    /// The next fault, if it fires no later than the next trace event
+    /// at `trace_head` (none: the trace is exhausted): at equal
+    /// instants the fault comes first.
+    #[inline]
+    fn due(&mut self, trace_head: Option<SimTime>) -> Option<(SimTime, Event)> {
+        let &(at, idx) = self.order.get(self.next)?;
+        trace_head.is_none_or(|trace_at| at <= trace_at).then(|| {
+            self.next += 1;
+            (at, Event::Fault { idx })
+        })
+    }
+}
+
 /// Global cache id → position within its group's member list: the one
 /// map requests and cache fault events are both re-indexed through.
 pub(crate) fn local_ids(groups: &GroupMap) -> Vec<u32> {
@@ -144,9 +191,9 @@ pub(crate) fn local_ids(groups: &GroupMap) -> Vec<u32> {
     local_of
 }
 
-/// The trace split per group **by position**: one validated pass yields
-/// each group's request positions and the shared update positions, all
-/// in processing order. Nothing of the trace is copied.
+/// The trace split per group **by position**: each group's request
+/// positions and the shared update positions, all in processing order.
+/// Nothing of the trace is copied.
 #[derive(Debug)]
 pub(crate) struct TracePlan {
     /// Request positions, group by group: group `g`'s are
@@ -158,20 +205,24 @@ pub(crate) struct TracePlan {
 
 impl TracePlan {
     /// Validates `trace` (as [`Timeline::new`] does, with the same
-    /// errors) and splits it over `groups`: a counting pass sizes the
-    /// lists exactly, a second pass in processing order fills them.
+    /// errors) and splits it over `groups`: the one pass that validates
+    /// and quantises every event also counts each list's length, so the
+    /// lists are sized exactly; a second loop, which only routes
+    /// positions, fills them in processing order.
     pub(crate) fn build(
         groups: &GroupMap,
         docs: usize,
+        schedule: &FaultSchedule,
         trace: &[TraceEvent],
     ) -> Result<Self, SimError> {
         let k = groups.group_count();
         let mut starts = vec![0usize; k + 1];
         let mut update_count = 0usize;
-        let ordered = scan_trace(groups.cache_count(), docs, trace, |event| match event {
+        let count = |event: &TraceEvent| match event {
             TraceEvent::Request(r) => starts[groups.group_of(CacheId(r.cache)) + 1] += 1,
             TraceEvent::Update(_) => update_count += 1,
-        })?;
+        };
+        let ordered = scan_trace(groups.cache_count(), docs, schedule, trace, count)?;
         for g in 0..k {
             starts[g + 1] += starts[g];
         }
@@ -198,120 +249,48 @@ impl TracePlan {
     }
 }
 
-/// The events of one run — trace (or a group's share of it) plus fault
-/// schedule — in processing order, yielded lazily as `(time, event)`:
-/// a merge of up to three cursors, each already in processing order.
+/// The events of one run over a whole trace — the trace plus the fault
+/// schedule — in processing order, yielded lazily as `(time, event)`.
 pub(crate) struct Timeline<'a> {
     trace: &'a [TraceEvent],
-    /// The main cursor's trace positions: `None` walks the trace in
-    /// place; otherwise the whole trace stably sorted by time, or one
-    /// group's requests.
-    positions: Option<Cow<'a, [u32]>>,
+    /// `None` walks the trace in place; otherwise its positions stably
+    /// sorted by time.
+    order: Option<Vec<u32>>,
     next: usize,
-    /// The second cursor of a group walk: every update's position.
-    updates: &'a [u32],
-    next_update: usize,
-    /// `(time, position)` at each of the two cursors.
-    head: Option<(SimTime, usize)>,
-    update_head: Option<(SimTime, usize)>,
-    /// Re-indexes the cache of a yielded request ([`local_ids`]).
-    local_of: Option<&'a [u32]>,
-    /// [`fault_order`] of the run's schedule.
-    faults: Vec<(SimTime, usize)>,
-    next_fault: usize,
+    faults: FaultCursor,
 }
 
 impl<'a> Timeline<'a> {
-    /// Validates `trace` against a network of `caches` caches and a
-    /// catalog of `docs` documents and fixes the processing order, in
-    /// one pass over the trace. `schedule` must already have passed
-    /// [`FaultSchedule::validate`] (its times are then finite).
+    /// Validates `trace` against a network of `caches` caches, a
+    /// catalog of `docs` documents and `schedule`'s horizon, and fixes
+    /// the processing order, in one pass over the trace. `schedule`
+    /// must already have passed [`FaultSchedule::validate`] (its times
+    /// are then finite).
     ///
     /// # Errors
     ///
     /// The first trace event, in trace order, with an unknown cache or
-    /// document or a negative / NaN / infinite timestamp.
+    /// document, a negative / NaN / infinite timestamp, or one at or
+    /// past the horizon.
     pub(crate) fn new(
         caches: usize,
         docs: usize,
         trace: &'a [TraceEvent],
         schedule: &FaultSchedule,
     ) -> Result<Self, SimError> {
-        let ordered = scan_trace(caches, docs, trace, |_| {})?;
-        let order = processing_order(trace, ordered).map(Cow::Owned);
-        Ok(Self::over(trace, order, &[], None, schedule))
-    }
-
-    /// Group `g`'s share of the trace `plan` was built from — its
-    /// requests, re-indexed through `local_of` ([`local_ids`] of the
-    /// plan's groups), and every update — merged with `schedule`, the
-    /// group's own (validated, local-id) fault script.
-    pub(crate) fn for_group(
-        trace: &'a [TraceEvent],
-        plan: &'a TracePlan,
-        g: usize,
-        local_of: &'a [u32],
-        schedule: &FaultSchedule,
-    ) -> Self {
-        let requests = &plan.requests[plan.starts[g]..plan.starts[g + 1]];
-        Self::over(
+        let ordered = scan_trace(caches, docs, schedule, trace, |_| {})?;
+        Ok(Timeline {
             trace,
-            Some(Cow::Borrowed(requests)),
-            &plan.updates,
-            Some(local_of),
-            schedule,
-        )
-    }
-
-    fn over(
-        trace: &'a [TraceEvent],
-        positions: Option<Cow<'a, [u32]>>,
-        updates: &'a [u32],
-        local_of: Option<&'a [u32]>,
-        schedule: &FaultSchedule,
-    ) -> Self {
-        let mut timeline = Timeline {
-            trace,
-            positions,
+            order: processing_order(trace, ordered),
             next: 0,
-            updates,
-            next_update: 0,
-            head: None,
-            update_head: None,
-            local_of,
-            faults: fault_order(schedule),
-            next_fault: 0,
-        };
-        timeline.head = timeline.main_head();
-        timeline.update_head = timeline.second_head();
-        timeline
+            faults: FaultCursor::new(schedule),
+        })
     }
 
     /// Number of trace events in the run (yielded or not), faults
     /// excluded.
     pub(crate) fn trace_events(&self) -> usize {
-        let main = self
-            .positions
-            .as_ref()
-            .map_or(self.trace.len(), |p| p.len());
-        main + self.updates.len()
-    }
-
-    /// `(time, position)` of the trace event at `position`.
-    fn at(&self, position: usize) -> (SimTime, usize) {
-        (SimTime::from_ms(self.trace[position].time_ms()), position)
-    }
-
-    fn main_head(&self) -> Option<(SimTime, usize)> {
-        let position = match &self.positions {
-            None => (self.next < self.trace.len()).then_some(self.next)?,
-            Some(positions) => *positions.get(self.next)? as usize,
-        };
-        Some(self.at(position))
-    }
-
-    fn second_head(&self) -> Option<(SimTime, usize)> {
-        Some(self.at(*self.updates.get(self.next_update)? as usize))
+        self.trace.len()
     }
 }
 
@@ -319,43 +298,236 @@ impl Iterator for Timeline<'_> {
     type Item = (SimTime, Event);
 
     fn next(&mut self) -> Option<(SimTime, Event)> {
-        // Both cursors hold disjoint positions of one trace, whose
-        // processing order is `(time, position)`.
-        let from_updates = match (self.head, self.update_head) {
-            (Some(main), Some(update)) => update < main,
-            (None, Some(_)) => true,
-            _ => false,
+        let head = match &self.order {
+            None => self.trace.get(self.next),
+            Some(order) => order.get(self.next).map(|&p| &self.trace[p as usize]),
         };
-        let trace_head = if from_updates {
-            self.update_head
-        } else {
-            self.head
-        };
-        if let Some(&(at, idx)) = self.faults.get(self.next_fault) {
-            if trace_head.is_none_or(|(trace_at, _)| at <= trace_at) {
-                self.next_fault += 1;
-                return Some((at, Event::Fault { idx }));
-            }
+        let at = head.map(|event| SimTime::from_valid_ms(event.time_ms()));
+        if let Some(fault) = self.faults.due(at) {
+            return Some(fault);
         }
-        let (at, position) = trace_head?;
-        if from_updates {
-            self.next_update += 1;
-            self.update_head = self.second_head();
-        } else {
-            self.next += 1;
-            self.head = self.main_head();
-        }
-        let event = match self.trace[position] {
+        self.next += 1;
+        let event = match *head? {
             TraceEvent::Request(r) => Event::ClientRequest {
-                cache: CacheId(
-                    self.local_of
-                        .map_or(r.cache, |local_of| local_of[r.cache] as usize),
-                ),
+                cache: CacheId(r.cache),
                 doc: r.doc,
             },
             TraceEvent::Update(u) => Event::OriginUpdate { doc: u.doc },
         };
-        Some((at, event))
+        Some((at?, event))
+    }
+}
+
+/// One trace event of a group's share, gathered out of the trace: what
+/// the event loop needs of it, 24 bytes, next to its successor.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    /// The event's time, quantised.
+    at: SimTime,
+    /// Its position in the trace: the tie-break between an update and
+    /// a request of one instant.
+    position: u32,
+    /// The requesting cache's local id, or [`Record::UPDATE`].
+    cache: u32,
+    doc: DocId,
+}
+
+impl Record {
+    /// In place of a cache id: the record is an origin update.
+    const UPDATE: u32 = u32::MAX;
+
+    const EMPTY: Record = Record {
+        at: SimTime::ZERO,
+        position: 0,
+        cache: 0,
+        doc: DocId(0),
+    };
+}
+
+/// The records a [`GroupWalk`] reads its events from: a fixed number of
+/// slots, half for the group's requests and half for the update log,
+/// refilled as the walk drains them. One per worker thread
+/// ([`RecordBlock::on_this_thread`]) serves every group that thread
+/// runs.
+pub(crate) struct RecordBlock {
+    records: Vec<Record>,
+}
+
+impl RecordBlock {
+    /// Events of each kind gathered per refill: enough for the cache
+    /// misses of a refill to overlap, few enough (2 × 128 × 24 B) to
+    /// sit in L1 beside the group's caches.
+    const LANE: usize = 128;
+
+    /// A block whose two lanes hold `lane` (≥ 1) records each.
+    fn with_lanes_of(lane: usize) -> Self {
+        assert!(lane >= 1, "a lane holds at least one record");
+        RecordBlock {
+            records: vec![Record::EMPTY; 2 * lane],
+        }
+    }
+
+    /// Runs `run` with the calling thread's block, allocated by the
+    /// thread's first walk and reused by all its later ones.
+    pub(crate) fn on_this_thread<T>(run: impl FnOnce(&mut RecordBlock) -> T) -> T {
+        thread_local! {
+            static BLOCK: RefCell<Option<RecordBlock>> = const { RefCell::new(None) };
+        }
+        BLOCK.with_borrow_mut(|block| {
+            run(block.get_or_insert_with(|| RecordBlock::with_lanes_of(RecordBlock::LANE)))
+        })
+    }
+}
+
+/// One of a group walk's two position lists and the records gathered
+/// from its front.
+struct Lane<'a> {
+    /// Positions not yet gathered.
+    positions: &'a [u32],
+    records: &'a mut [Record],
+    /// `records[next..len]` are gathered and not yet yielded.
+    next: usize,
+    len: usize,
+}
+
+impl<'a> Lane<'a> {
+    fn new(positions: &'a [u32], records: &'a mut [Record]) -> Self {
+        Lane {
+            positions,
+            records,
+            next: 0,
+            len: 0,
+        }
+    }
+
+    /// The next record to yield, if any is left.
+    #[inline]
+    fn head(&self) -> Option<&Record> {
+        self.records[..self.len].get(self.next)
+    }
+
+    /// Steps past [`head`](Self::head), refilling from the trace when
+    /// that was the last gathered record.
+    #[inline]
+    fn advance(&mut self, trace: &[TraceEvent], local_of: &[u32]) {
+        self.next += 1;
+        if self.next == self.len {
+            self.refill(trace, local_of);
+        }
+    }
+
+    /// Gathers the next positions' events into the records: a loop of
+    /// independent loads — the trace event, then the requester's local
+    /// id — whose misses overlap. The trace passed [`scan_trace`], so
+    /// times quantise and caches index `local_of`.
+    fn refill(&mut self, trace: &[TraceEvent], local_of: &[u32]) {
+        let (gathered, rest) = self
+            .positions
+            .split_at(self.positions.len().min(self.records.len()));
+        for (record, &position) in self.records.iter_mut().zip(gathered) {
+            *record = match trace[position as usize] {
+                TraceEvent::Request(r) => Record {
+                    at: SimTime::from_valid_ms(r.time_ms),
+                    position,
+                    cache: local_of[r.cache],
+                    doc: r.doc,
+                },
+                TraceEvent::Update(u) => Record {
+                    at: SimTime::from_valid_ms(u.time_ms),
+                    position,
+                    cache: Record::UPDATE,
+                    doc: u.doc,
+                },
+            };
+        }
+        self.positions = rest;
+        self.next = 0;
+        self.len = gathered.len();
+    }
+}
+
+/// The events of one run over **one group's share** of a planned trace
+/// — its requests under local cache ids, every update, its fault script
+/// — in processing order, yielded lazily as `(time, event)` out of a
+/// [`RecordBlock`].
+pub(crate) struct GroupWalk<'a> {
+    trace: &'a [TraceEvent],
+    /// [`local_ids`] of the plan's groups.
+    local_of: &'a [u32],
+    requests: Lane<'a>,
+    updates: Lane<'a>,
+    trace_events: usize,
+    faults: FaultCursor,
+}
+
+impl<'a> GroupWalk<'a> {
+    /// Group `g`'s share of the trace `plan` was built from, merged
+    /// with `schedule`, the group's own (validated, local-id) fault
+    /// script, reading through `block`.
+    pub(crate) fn new(
+        trace: &'a [TraceEvent],
+        plan: &'a TracePlan,
+        g: usize,
+        local_of: &'a [u32],
+        schedule: &FaultSchedule,
+        block: &'a mut RecordBlock,
+    ) -> Self {
+        let requests = &plan.requests[plan.starts[g]..plan.starts[g + 1]];
+        let lane = block.records.len() / 2;
+        let (request_records, update_records) = block.records.split_at_mut(lane);
+        let mut walk = GroupWalk {
+            trace,
+            local_of,
+            requests: Lane::new(requests, request_records),
+            updates: Lane::new(&plan.updates, update_records),
+            trace_events: requests.len() + plan.updates.len(),
+            faults: FaultCursor::new(schedule),
+        };
+        walk.requests.refill(trace, local_of);
+        walk.updates.refill(trace, local_of);
+        walk
+    }
+
+    /// Number of trace events in the run (yielded or not), faults
+    /// excluded.
+    pub(crate) fn trace_events(&self) -> usize {
+        self.trace_events
+    }
+}
+
+impl Iterator for GroupWalk<'_> {
+    type Item = (SimTime, Event);
+
+    fn next(&mut self) -> Option<(SimTime, Event)> {
+        // Both lanes hold disjoint positions of one trace, whose
+        // processing order is `(time, position)`.
+        let from_updates = match (self.requests.head(), self.updates.head()) {
+            (Some(request), Some(update)) => {
+                (update.at, update.position) < (request.at, request.position)
+            }
+            (None, Some(_)) => true,
+            _ => false,
+        };
+        let lane = if from_updates {
+            &mut self.updates
+        } else {
+            &mut self.requests
+        };
+        let head = lane.head().copied();
+        if let Some(fault) = self.faults.due(head.map(|record| record.at)) {
+            return Some(fault);
+        }
+        let record = head?;
+        lane.advance(self.trace, self.local_of);
+        let event = if record.cache == Record::UPDATE {
+            Event::OriginUpdate { doc: record.doc }
+        } else {
+            Event::ClientRequest {
+                cache: CacheId(record.cache as usize),
+                doc: record.doc,
+            }
+        };
+        Some((record.at, event))
     }
 }
 
@@ -451,7 +623,7 @@ mod tests {
     }
 
     fn walked_in_place(timeline: &Timeline<'_>) -> bool {
-        timeline.positions.is_none()
+        timeline.order.is_none()
     }
 
     fn docs_of(timeline: Timeline<'_>) -> Vec<usize> {
@@ -523,6 +695,65 @@ mod tests {
         assert_eq!(err, Some(SimError::DocOutOfRange { doc: 7 }));
     }
 
+    /// Group `g`'s walk of `trace` under `plan`, through a block whose
+    /// lanes hold `lane` records.
+    fn walk_group(
+        trace: &[TraceEvent],
+        plan: &TracePlan,
+        g: usize,
+        local_of: &[u32],
+        schedule: &FaultSchedule,
+        lane: usize,
+    ) -> Vec<(SimTime, Event)> {
+        let mut block = RecordBlock::with_lanes_of(lane);
+        let walk = GroupWalk::new(trace, plan, g, local_of, schedule, &mut block);
+        let expected = plan.starts[g + 1] - plan.starts[g] + plan.updates.len();
+        assert_eq!(walk.trace_events(), expected);
+        walk.collect()
+    }
+
+    /// What group `g` must see of `trace` under `schedule`: the whole
+    /// walk restricted to the group's requests (under local ids), every
+    /// update and every fault.
+    fn share_of_the_whole_walk(
+        groups: &GroupMap,
+        g: usize,
+        trace: &[TraceEvent],
+        schedule: &FaultSchedule,
+    ) -> Vec<(SimTime, Event)> {
+        let members = &groups.groups()[g];
+        Timeline::new(groups.cache_count(), usize::MAX, trace, schedule)
+            .unwrap()
+            .filter_map(|(at, event)| match event {
+                Event::ClientRequest { cache, doc } => {
+                    let local = members.iter().position(|&m| m == cache)?;
+                    Some((
+                        at,
+                        Event::ClientRequest {
+                            cache: CacheId(local),
+                            doc,
+                        },
+                    ))
+                }
+                other => Some((at, other)),
+            })
+            .collect()
+    }
+
+    /// Every group's walk of `trace`, at every lane capacity from 1 to
+    /// two past the longest list, equals its share of the whole walk.
+    fn assert_walks_match(groups: &GroupMap, trace: &[TraceEvent], schedule: &FaultSchedule) {
+        let plan = TracePlan::build(groups, usize::MAX, schedule, trace).unwrap();
+        let local_of = local_ids(groups);
+        for g in 0..groups.group_count() {
+            let expected = share_of_the_whole_walk(groups, g, trace, schedule);
+            for lane in 1..=trace.len() + 2 {
+                let walked = walk_group(trace, &plan, g, &local_of, schedule, lane);
+                assert_eq!(walked, expected, "group {g}, lanes of {lane}");
+            }
+        }
+    }
+
     #[test]
     fn plan_splits_by_position_and_localizes_on_the_way_out() {
         // Member order [2, 0] and [1, 3]: global cache 2 is local 0.
@@ -539,33 +770,98 @@ mod tests {
             update(4.0, 6),
             request(5.0, 3, 3),
         ];
-        let plan = TracePlan::build(&groups, 7, &trace).unwrap();
+        let schedule = FaultSchedule::new();
+        let plan = TracePlan::build(&groups, 7, &schedule, &trace).unwrap();
         assert_eq!(plan.requests, [2, 3, 0, 5]);
         assert_eq!(plan.starts, [0, 2, 4]);
         assert_eq!(plan.updates, [1, 4]);
         let local_of = local_ids(&groups);
         assert_eq!(local_of, [1, 0, 0, 1]);
-        let walk = |g| {
-            let timeline = Timeline::for_group(&trace, &plan, g, &local_of, &FaultSchedule::new());
-            assert_eq!(timeline.trace_events(), 4);
-            timeline.map(|(_, event)| event).collect::<Vec<_>>()
-        };
         let served = |cache, doc| Event::ClientRequest {
             cache: CacheId(cache),
             doc: DocId(doc),
         };
         let updated = |doc| Event::OriginUpdate { doc: DocId(doc) };
-        assert_eq!(
-            walk(0),
-            [updated(5), served(0, 1), served(1, 2), updated(6)]
-        );
-        assert_eq!(
-            walk(1),
-            [served(0, 0), updated(5), updated(6), served(1, 3)]
-        );
+        // Each list holds two events: lanes of 1 (capacity + 1 events),
+        // 2 (capacity), 3 (capacity − 1) and more records.
+        for lane in 1..=4 {
+            let walk = |g| {
+                let events = walk_group(&trace, &plan, g, &local_of, &schedule, lane);
+                events.into_iter().map(|(_, e)| e).collect::<Vec<_>>()
+            };
+            assert_eq!(
+                walk(0),
+                [updated(5), served(0, 1), served(1, 2), updated(6)]
+            );
+            assert_eq!(
+                walk(1),
+                [served(0, 0), updated(5), updated(6), served(1, 3)]
+            );
+        }
         // Same errors, same precedence as the whole-trace walk.
-        let err = TracePlan::build(&groups, 3, &trace).err();
+        let err = TracePlan::build(&groups, 3, &schedule, &trace).err();
         assert_eq!(err, Some(SimError::DocOutOfRange { doc: 5 }));
+    }
+
+    #[test]
+    fn walks_cross_block_boundaries_where_the_whole_walk_does_not_notice() {
+        let two = GroupMap::new(3, vec![vec![CacheId(1)], vec![CacheId(2), CacheId(0)]]).unwrap();
+        // An update and requests of one quantised µs (2.0004 ms and
+        // 2.0 ms are both 2000 µs), in both trace orders: position
+        // decides, across the two lanes.
+        let same_instant = [
+            vec![
+                update(2.0, 0),
+                request(2.0004, 0, 1),
+                request(2.0, 1, 2),
+                update(2.0004, 3),
+            ],
+            vec![
+                request(2.0004, 1, 0),
+                update(2.0, 1),
+                request(2.0, 0, 2),
+                request(2.0, 1, 3),
+                update(2.0004, 4),
+            ],
+        ];
+        for trace in &same_instant {
+            assert_walks_match(&two, trace, &FaultSchedule::new());
+        }
+        // An unordered trace: the plan's lists follow the stable sort.
+        let unordered = vec![
+            request(5.0, 0, 0),
+            request(2.0004, 2, 1),
+            update(2.0, 2),
+            request(0.0, 1, 3),
+            update(0.0, 4),
+            request(5.0, 1, 5),
+            request(2.0, 0, 6),
+        ];
+        assert_walks_match(&two, &unordered, &FaultSchedule::new());
+        // Cache 1's group gets no request at all: updates and faults
+        // only. And a trace with nothing but requests, or nothing.
+        let no_requests_for_one = vec![update(1.0, 0), request(1.0, 2, 1), update(3.0, 2)];
+        let mut schedule = FaultSchedule::new();
+        schedule.push(1.0, FaultKind::BrownoutStart { factor: 2.0 });
+        schedule.push(9.0, FaultKind::BrownoutEnd);
+        assert_walks_match(&two, &no_requests_for_one, &schedule);
+        assert_walks_match(&two, &[request(1.0, 0, 0), request(1.0, 1, 1)], &schedule);
+        assert_walks_match(&two, &[], &schedule);
+        // Faults at every instant of an eight-request group, so one
+        // falls before, on and after each refill whatever the lane.
+        let steady: Vec<TraceEvent> = (0..8)
+            .map(|i| request(f64::from(i), 0, i as usize))
+            .collect();
+        let mut schedule = FaultSchedule::new();
+        for tick in 0..9 {
+            let kind = if tick % 2 == 0 {
+                FaultKind::CacheDown { cache: CacheId(0) }
+            } else {
+                FaultKind::CacheUp { cache: CacheId(0) }
+            };
+            schedule.push(f64::from(tick), kind);
+        }
+        assert_walks_match(&GroupMap::one_group(1), &steady, &schedule);
     }
 
     proptest! {
@@ -573,13 +869,15 @@ mod tests {
 
         /// Each group's walk is the whole-trace walk restricted to that
         /// group's requests (under local ids), every update and every
-        /// fault — ordered or not, ties and all.
+        /// fault — ordered or not, ties and all, whatever the size of
+        /// the record block it reads through.
         #[test]
         fn group_walks_are_subsequences_of_the_whole_walk(
             ticks in proptest::collection::vec(0u32..300, 0..80),
             fault_ticks in proptest::collection::vec(0u32..300, 0..6),
             presorted in any::<bool>(),
             stride in 1usize..4,
+            lane in 1usize..40,
         ) {
             let mut ticks = ticks;
             if presorted {
@@ -606,24 +904,21 @@ mod tests {
             }
             lists.retain(|members| !members.is_empty());
             let groups = GroupMap::new(5, lists).unwrap();
-            let plan = TracePlan::build(&groups, trace.len(), &trace).unwrap();
+            let plan = TracePlan::build(&groups, trace.len(), &schedule, &trace).unwrap();
             let local_of = local_ids(&groups);
-            let whole: Vec<(SimTime, Event)> =
-                Timeline::new(5, trace.len(), &trace, &schedule).unwrap().collect();
-            for (g, members) in groups.groups().iter().enumerate() {
-                let expected: Vec<(SimTime, Event)> = whole
-                    .iter()
-                    .filter_map(|&(at, event)| match event {
-                        Event::ClientRequest { cache, doc } => members
-                            .iter()
-                            .position(|&m| m == cache)
-                            .map(|local| (at, Event::ClientRequest { cache: CacheId(local), doc })),
-                        other => Some((at, other)),
-                    })
-                    .collect();
-                let walked: Vec<(SimTime, Event)> =
-                    Timeline::for_group(&trace, &plan, g, &local_of, &schedule).collect();
-                prop_assert_eq!(walked, expected);
+            for g in 0..groups.group_count() {
+                let expected = share_of_the_whole_walk(&groups, g, &trace, &schedule);
+                // The drawn capacity, and the group's own list lengths
+                // less one, exactly, and plus one.
+                let requests = plan.starts[g + 1] - plan.starts[g];
+                let mut lanes = vec![lane];
+                for events in [requests, plan.updates.len()] {
+                    lanes.extend([events.saturating_sub(1).max(1), events.max(1), events + 1]);
+                }
+                for lane in lanes {
+                    let walked = walk_group(&trace, &plan, g, &local_of, &schedule, lane);
+                    prop_assert_eq!(&walked, &expected, "lanes of {}", lane);
+                }
             }
         }
 

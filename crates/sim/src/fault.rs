@@ -29,6 +29,7 @@
 //! operator-facing `FaultPlan` builder (crash-with-recovery, churn
 //! generation) on top and compiles down to this type.
 
+use crate::time::SimTime;
 use ecg_topology::CacheId;
 use std::fmt;
 
@@ -76,7 +77,10 @@ pub enum FaultError {
         /// The offending cache index.
         cache: usize,
     },
-    /// A fault time is negative or not finite.
+    /// A fault time is negative, not finite, or at or past the run
+    /// horizon: 2¹⁸ timeline buckets of the schedule's width
+    /// ([`FaultSchedule::timeline_bucket_ms`]; see
+    /// [`SimError::EventTimeBeyondHorizon`](crate::SimError::EventTimeBeyondHorizon)).
     BadTime {
         /// The offending time.
         time_ms: f64,
@@ -107,7 +111,7 @@ impl fmt::Display for FaultError {
             FaultError::BadTime { time_ms } => {
                 write!(
                     f,
-                    "fault time {time_ms} is not a finite non-negative ms value"
+                    "fault time {time_ms} is not a finite non-negative ms value before the run horizon"
                 )
             }
             FaultError::BadBrownoutFactor { factor } => {
@@ -149,6 +153,12 @@ impl FaultCarryState {
         self.down.is_empty() && self.retired.is_empty() && self.brownout_factor.is_none()
     }
 }
+
+/// The most buckets a run's degradation timeline may hold; with the
+/// bucket width it fixes the run horizon ([`FaultSchedule::horizon`]).
+/// A power of two, so `time / width < MAX_TIMELINE_BUCKETS` and
+/// `time < width × MAX_TIMELINE_BUCKETS` are the same test in `f64`.
+pub(crate) const MAX_TIMELINE_BUCKETS: usize = 1 << 18;
 
 /// A validated-on-use script of fault events plus the fault-model knobs
 /// the simulator needs.
@@ -230,6 +240,21 @@ impl FaultSchedule {
     /// The degradation-timeline bucket width in ms.
     pub fn timeline_bucket(&self) -> f64 {
         self.timeline_bucket_ms
+    }
+
+    /// The run horizon: every timestamp of a run — trace events and
+    /// faults alike — must be quantised to a time before it, i.e. read
+    /// back ([`SimTime::as_ms`]) as less than
+    /// `timeline_bucket_ms × MAX_TIMELINE_BUCKETS`. A run's degradation
+    /// timeline is dense from time zero (88 bytes a bucket, one
+    /// timeline per group being simulated plus the merged one), so a
+    /// single far-future event would otherwise size an allocation: the
+    /// horizon is [`MAX_TIMELINE_BUCKETS`] (2¹⁸) buckets of this
+    /// schedule's width — about 30 simulated days at the default 10 s,
+    /// 22 MiB per timeline at the very most — and a longer run asks for
+    /// wider buckets ([`timeline_bucket_ms`](Self::timeline_bucket_ms)).
+    pub(crate) fn horizon(&self) -> SimTime {
+        SimTime::first_reading_at_least_ms(self.timeline_bucket_ms * MAX_TIMELINE_BUCKETS as f64)
     }
 
     /// The scheduled events, in push order.
@@ -365,8 +390,9 @@ impl FaultSchedule {
                 penalty_ms: self.failover_penalty_ms,
             });
         }
+        let horizon = self.horizon();
         for e in &self.events {
-            if !(e.time_ms.is_finite() && e.time_ms >= 0.0) {
+            if SimTime::try_from_ms(e.time_ms).is_none_or(|at| at >= horizon) {
                 return Err(FaultError::BadTime { time_ms: e.time_ms });
             }
             match e.kind {
@@ -443,6 +469,36 @@ mod tests {
         let mut s = FaultSchedule::new();
         s.push(f64::NAN, FaultKind::BrownoutEnd);
         assert!(matches!(s.validate(1), Err(FaultError::BadTime { .. })));
+    }
+
+    #[test]
+    fn times_at_or_past_the_horizon_are_bad_times() {
+        // 2^18 buckets of 10 s by default, of 2 ms here.
+        for (schedule, horizon_ms) in [
+            (FaultSchedule::new(), 2_621_440_000.0),
+            (FaultSchedule::new().timeline_bucket_ms(2.0), 524_288.0),
+        ] {
+            assert_eq!(schedule.horizon().as_ms(), horizon_ms);
+            for (time_ms, ok) in [
+                (horizon_ms - 0.001, true),
+                (horizon_ms - 0.000_4, false), // quantises onto it
+                (horizon_ms, false),
+                (1e12, false),
+                (f64::INFINITY, false),
+            ] {
+                let mut s = schedule.clone();
+                s.push(time_ms, FaultKind::CacheDown { cache: CacheId(0) });
+                let expected = if ok {
+                    Ok(())
+                } else {
+                    Err(FaultError::BadTime { time_ms })
+                };
+                assert_eq!(s.validate(1), expected, "{time_ms}");
+            }
+        }
+        // Buckets so wide that no time reaches the horizon.
+        let wide = FaultSchedule::new().timeline_bucket_ms(1e300);
+        assert_eq!(wide.horizon(), SimTime::from_micros(u64::MAX));
     }
 
     #[test]

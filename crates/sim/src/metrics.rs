@@ -5,6 +5,7 @@
 //! keeps per-cache aggregates so the Figure-3 breakdowns (all caches, 50
 //! nearest the origin, 50 farthest) fall out of one run.
 
+use crate::fault::MAX_TIMELINE_BUCKETS;
 use crate::groups::GroupMap;
 use ecg_obs::Histogram as LatencyHistogram;
 use ecg_topology::CacheId;
@@ -238,7 +239,10 @@ impl DegradationMetrics {
     ///
     /// # Panics
     ///
-    /// Panics if `time_ms` is negative or not finite.
+    /// Panics if `time_ms` is negative or not finite, or lies 2¹⁸
+    /// buckets or more from time zero — the run horizon the simulator
+    /// validates its inputs against, so the dense timeline cannot be
+    /// made to allocate without bound.
     pub fn record(
         &mut self,
         time_ms: f64,
@@ -252,6 +256,10 @@ impl DegradationMetrics {
             "time must be finite and >= 0, got {time_ms}"
         );
         let idx = (time_ms / self.bucket_width_ms) as usize;
+        assert!(
+            idx < MAX_TIMELINE_BUCKETS,
+            "time {time_ms} lies past the timeline's {MAX_TIMELINE_BUCKETS} buckets"
+        );
         while self.timeline.len() <= idx {
             let start_ms = self.timeline.len() as f64 * self.bucket_width_ms;
             self.timeline.push(TimelineBucket {
@@ -324,6 +332,10 @@ impl DegradationMetrics {
         self.crashes += other.crashes;
         self.recoveries += other.recoveries;
         self.retirements += other.retirements;
+        // The length is known here, so the buckets missing are
+        // allocated once — every kernel run ends in this fold.
+        let missing = other.timeline.len().saturating_sub(self.timeline.len());
+        self.timeline.reserve_exact(missing);
         while self.timeline.len() < other.timeline.len() {
             let start_ms = self.timeline.len() as f64 * self.bucket_width_ms;
             self.timeline.push(TimelineBucket {
@@ -400,11 +412,26 @@ impl MetricsRecorder {
     /// Panics if `cache` is out of range or the latency is negative/not
     /// finite.
     pub fn record(&mut self, cache: CacheId, latency_ms: f64, served_by: ServedBy) {
+        self.record_unbinned(cache, latency_ms, served_by);
+        self.histogram.record(latency_ms);
+    }
+
+    /// Adds `count` requests of latency `latency_ms` to the latency
+    /// distribution alone: the other half of
+    /// [`record_unbinned`](Self::record_unbinned).
+    pub(crate) fn bin_latencies(&mut self, latency_ms: f64, count: u64) {
+        self.histogram.record_n(latency_ms, count);
+    }
+
+    /// [`record`](Self::record) without the latency distribution, for a
+    /// caller that sees one latency many times (a local hit costs a
+    /// constant) and hands the lot to
+    /// [`bin_latencies`](Self::bin_latencies) once.
+    pub(crate) fn record_unbinned(&mut self, cache: CacheId, latency_ms: f64, served_by: ServedBy) {
         assert!(
             latency_ms.is_finite() && latency_ms >= 0.0,
             "latency must be finite and >= 0, got {latency_ms}"
         );
-        self.histogram.record(latency_ms);
         let agg = &mut self.per_cache[cache.index()];
         agg.requests += 1;
         agg.latency_sum_ms += latency_ms;

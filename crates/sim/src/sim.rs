@@ -50,8 +50,10 @@
 //!   recovery or retirement in its group (one epoch bump per fault).
 //!
 //! Multicast invalidation walks the document's holder bits the same way.
-//! The run's events are never copied: [`Timeline`] walks the trace — or
-//! a group's positions in it — in place, merged with the fault list.
+//! The run's events are never copied: [`Timeline`] walks a trace in
+//! place and [`crate::event::GroupWalk`] a group's positions in it
+//! (through a small block of gathered records), merged with the fault
+//! list.
 //! [`PeerLookup::ScanAll`] keeps the per-member walks as the reference
 //! the tests compare against.
 
@@ -254,6 +256,18 @@ pub enum SimError {
         /// Position of the offending event in the trace.
         index: usize,
     },
+    /// A trace event's `time_ms` lies at or past the run horizon: 2¹⁸
+    /// degradation-timeline buckets of the fault schedule's width
+    /// ([`FaultSchedule::timeline_bucket_ms`] — about 30 simulated
+    /// days at the default 10 s). The timeline is dense from time zero
+    /// at 88 bytes a bucket, so the horizon is what bounds the memory a
+    /// single far-future timestamp can make a run allocate (22 MiB per
+    /// timeline at the very most); a longer run asks for wider buckets.
+    /// Fault times past the horizon are [`FaultError::BadTime`].
+    EventTimeBeyondHorizon {
+        /// Position of the offending event in the trace.
+        index: usize,
+    },
     /// The fault schedule failed validation.
     Fault(FaultError),
     /// A workload that generates its requests from the document catalog
@@ -278,6 +292,10 @@ impl fmt::Display for SimError {
             SimError::EventTimeInvalid { index } => write!(
                 f,
                 "trace event {index} has a time that is not a finite non-negative ms value"
+            ),
+            SimError::EventTimeBeyondHorizon { index } => write!(
+                f,
+                "trace event {index} lies past the run horizon of 2^18 timeline buckets"
             ),
             SimError::Fault(e) => write!(f, "invalid fault schedule: {e}"),
             SimError::EmptyCatalog => {
@@ -396,7 +414,16 @@ pub fn simulate_time_major(
     // timestamps faults come first, so a request at the crash time
     // already sees the cache down.
     let timeline = Timeline::new(n, catalog.len(), trace, schedule)?;
-    let run = kernel(network, groups, catalog, timeline, config, schedule);
+    let trace_events = timeline.trace_events();
+    let run = kernel(
+        network,
+        groups,
+        catalog,
+        timeline,
+        trace_events,
+        config,
+        schedule,
+    );
     Ok(run.finish(obs, config, schedule, trace.len()))
 }
 
@@ -567,17 +594,20 @@ impl Tallies {
     }
 }
 
-/// The event loop: replays `timeline` — a whole trace, or one group's
-/// share of one — against `groups` over `network`. Inputs are already
-/// validated (a [`Timeline`] only exists for a valid trace, `schedule`
-/// passed [`FaultSchedule::validate`], `groups` covers `network`).
-/// It writes no telemetry itself: everything observable comes back as
-/// [`Tallies`], so a run observes the same whichever thread ran it.
+/// The event loop: replays `events` — a whole trace's [`Timeline`], or
+/// one group's share of one ([`crate::event::GroupWalk`]), `trace_events`
+/// of them from the trace — against `groups` over `network`. Inputs are
+/// already validated (either walk only exists for a valid trace,
+/// `schedule` passed [`FaultSchedule::validate`], `groups` covers
+/// `network`). It writes no telemetry itself: everything observable
+/// comes back as [`Tallies`], so a run observes the same whichever
+/// thread ran it.
 pub(crate) fn kernel(
     network: &EdgeNetwork,
     groups: &GroupMap,
     catalog: &DocumentCatalog,
-    timeline: Timeline<'_>,
+    events: impl Iterator<Item = (SimTime, Event)>,
+    trace_events: usize,
     config: SimConfig,
     schedule: &FaultSchedule,
 ) -> GroupOutcome {
@@ -631,9 +661,12 @@ pub(crate) fn kernel(
     }
     // Eviction scratch reused across every insert in the event loop.
     let mut evicted_scratch: Vec<DocId> = Vec::new();
-    // The alive holders of one cooperative lookup, as (RTT from the
-    // requester, member-list position, holder); reused the same way.
-    let mut holder_scratch: Vec<(f64, usize, CacheId)> = Vec::new();
+    // The alive holders of one cooperative lookup, each under its
+    // nearest-first key; reused the same way, and sized once for the
+    // largest group's peers rather than grown lookup by lookup.
+    let largest_group = groups.groups().iter().map(Vec::len).max().unwrap_or(0);
+    let mut holder_scratch: Vec<(HolderKey, CacheId)> =
+        Vec::with_capacity(largest_group.saturating_sub(1));
 
     // Placement policies, one instance per group. `None` for the
     // single-holder baseline: the historical copy flow (replicate on
@@ -659,8 +692,12 @@ pub(crate) fn kernel(
     let mut candidates_scratch: Vec<Candidate> = Vec::new();
     let mut place_decisions = 0u64;
 
+    // Local hits all cost the model's constant, so the latency
+    // distribution gets them in one sample of this multiplicity after
+    // the loop: its bins only count, whatever the order.
+    let mut local_hits_recorded = 0u64;
+
     // Observability tallies (see `Tallies`).
-    let trace_events = timeline.trace_events() as u64;
     let mut group_outcomes = vec![[0u64; 3]; groups.group_count()];
     let mut obs_failovers = 0u64;
     let mut holder_group_checks = 0u64;
@@ -669,7 +706,7 @@ pub(crate) fn kernel(
     let mut last_event_ms = 0.0f64;
 
     let freshness = config.freshness;
-    for (now, event) in timeline {
+    for (now, event) in events {
         last_event_ms = now.as_ms();
         match event {
             Event::Fault { idx } => {
@@ -843,38 +880,48 @@ pub(crate) fn kernel(
                                 holder_group_checks += 1;
                                 let mut may_hold = false;
                                 holder_scratch.clear();
-                                for p in idx.holders_among(doc, masks.mask(cache)) {
-                                    may_hold = true;
-                                    if !live.down[p.index()] {
-                                        let rtt = network.cache_to_cache(cache, p);
-                                        holder_scratch.push((rtt, position[p.index()], p));
-                                    }
-                                }
                                 // Only the servable holder smallest in
                                 // `(rtt, position)` is ever used, so probe
                                 // in that order and stop at the first
                                 // servable copy; a stale or expired one
-                                // falls through to the next nearest.
-                                while !holder_scratch.is_empty() {
-                                    let mut nearest = 0;
-                                    for (i, &(rtt, at, _)) in
-                                        holder_scratch.iter().enumerate().skip(1)
-                                    {
-                                        let (best, best_at, _) = holder_scratch[nearest];
-                                        if rtt < best || (rtt == best && at < best_at) {
-                                            nearest = i;
+                                // falls through to the next nearest. The
+                                // nearest of all is known by the time the
+                                // holders are collected.
+                                let mut nearest = (0, FARTHEST);
+                                // Matrix node 0 is the origin; cache `c`
+                                // is node `c + 1`.
+                                let rtts = &network.rtt_matrix().row(cache.index() + 1)[1..];
+                                idx.for_each_holder_among(doc, masks.mask(cache), |p| {
+                                    may_hold = true;
+                                    if !live.down[p.index()] {
+                                        let key = holder_key(rtts[p.index()], position[p.index()]);
+                                        if key < nearest.1 {
+                                            nearest = (holder_scratch.len(), key);
                                         }
+                                        holder_scratch.push((key, p));
                                     }
-                                    let (rtt, _, p) = holder_scratch.swap_remove(nearest);
-                                    if let Some(v) = servable_version(
-                                        &caches[p.index()],
+                                });
+                                while !holder_scratch.is_empty() {
+                                    let (_, p) = holder_scratch.swap_remove(nearest.0);
+                                    // Probe and peer-serve bookkeeping in
+                                    // one search of the holder's cache:
+                                    // the first servable copy is the one
+                                    // served.
+                                    if let Some(v) = serve_from_peer(
+                                        &mut caches[p.index()],
                                         freshness,
                                         doc,
                                         current_version,
                                         now_ms,
                                     ) {
-                                        holder = Some((p, rtt, v));
+                                        holder = Some((p, rtts[p.index()], v));
                                         break;
+                                    }
+                                    nearest = (0, FARTHEST);
+                                    for (i, &(key, _)) in holder_scratch.iter().enumerate() {
+                                        if key < nearest.1 {
+                                            nearest = (i, key);
+                                        }
                                     }
                                 }
                                 // A member-order scan of a group that may
@@ -910,6 +957,11 @@ pub(crate) fn kernel(
                                         }
                                     }
                                 }
+                                // The scan only probed; the index
+                                // path's probe is the serve itself.
+                                if let Some((peer, _, v)) = holder {
+                                    caches[peer.index()].note_peer_serve(doc, v, now_ms);
+                                }
                                 alive = alive_peers;
                                 scanned_slowest = Some(slowest_reply);
                             }
@@ -922,7 +974,6 @@ pub(crate) fn kernel(
 
                         match holder {
                             Some((peer, rtt, v)) => {
-                                caches[peer.index()].note_peer_serve(doc, v, now_ms);
                                 metrics.peer_bytes += size;
                                 // Hit reply piggybacks the body: fan-out
                                 // plus one RTT plus serialization.
@@ -1047,7 +1098,12 @@ pub(crate) fn kernel(
                 group_outcomes[g][outcome_slot] += 1;
                 if now >= warmup {
                     let stale = served_version < current_version;
-                    metrics.record(cache, latency, served_by);
+                    if served_by == ServedBy::Local {
+                        metrics.record_unbinned(cache, latency, served_by);
+                        local_hits_recorded += 1;
+                    } else {
+                        metrics.record(cache, latency, served_by);
+                    }
                     if stale {
                         metrics.stale_served += 1;
                     }
@@ -1062,6 +1118,8 @@ pub(crate) fn kernel(
             }
         }
     }
+
+    metrics.bin_latencies(model.local_hit(), local_hits_recorded);
 
     // Fold the per-group degradation recorders in group order. The same
     // fold over per-shard recorders reproduces these sums bit for bit.
@@ -1105,7 +1163,7 @@ pub(crate) fn kernel(
             place_decisions,
             replica_counts: placements.map(|(_, counts)| counts).unwrap_or_default(),
             last_event_ms,
-            trace_events,
+            trace_events: trace_events as u64,
         },
     }
 }
@@ -1213,6 +1271,49 @@ fn servable_version(
             .holds_fresh(doc, current_version)
             .then_some(current_version),
         FreshnessProtocol::TtlLease { ttl_ms } => holder.holds_unexpired(doc, now_ms, ttl_ms),
+    }
+}
+
+/// What a cooperative lookup orders a document's holders by: RTT from
+/// the requester, then position in the group's member list — the
+/// tie-break a member-order scan gets for free. The RTT is held as its
+/// bit pattern, which for the finite non-negative values a matrix
+/// holds orders exactly as the number does, so picking the nearest is
+/// integer comparisons the compiler turns into selects rather than
+/// branches on effectively random floats.
+type HolderKey = (u64, usize);
+
+/// Past every holder's key: where a search for the nearest starts.
+const FARTHEST: HolderKey = (u64::MAX, usize::MAX);
+
+/// The [`HolderKey`] of a holder at `rtt_ms` and member-list `position`.
+#[inline]
+fn holder_key(rtt_ms: f64, position: usize) -> HolderKey {
+    debug_assert!(rtt_ms.is_finite() && rtt_ms >= 0.0);
+    // Adding zero folds a negative zero into the positive one.
+    ((rtt_ms + 0.0).to_bits(), position)
+}
+
+/// [`servable_version`] of `holder` and, when there is one, the
+/// bookkeeping of serving it to a peer: under the version-checked
+/// protocols [`DocumentCache::note_peer_serve`] is the probe too, so the
+/// holder's cache is searched once.
+fn serve_from_peer(
+    holder: &mut DocumentCache,
+    freshness: FreshnessProtocol,
+    doc: DocId,
+    current_version: u64,
+    now_ms: f64,
+) -> Option<u64> {
+    match freshness {
+        FreshnessProtocol::InvalidateOnAccess | FreshnessProtocol::OriginMulticast => holder
+            .note_peer_serve(doc, current_version, now_ms)
+            .then_some(current_version),
+        FreshnessProtocol::TtlLease { ttl_ms } => {
+            let version = holder.holds_unexpired(doc, now_ms, ttl_ms)?;
+            holder.note_peer_serve(doc, version, now_ms);
+            Some(version)
+        }
     }
 }
 

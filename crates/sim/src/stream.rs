@@ -40,6 +40,7 @@
 //!   `t`, exactly as [`merge_streams`] interleaves the eager trace —
 //!   the shard calls the same function.
 
+use crate::fault::FaultSchedule;
 use crate::sim::SimError;
 use crate::time::SimTime;
 use ecg_topology::CacheId;
@@ -146,22 +147,32 @@ impl<'a> StreamedWorkload<'a> {
 /// What a streamed input adds to the map and schedule checks every run
 /// makes first: a catalog to draw requests from, and update-log
 /// document references and timestamps (requests are in range and finite
-/// by construction). An [`SimError::EventTimeInvalid`] index is a
-/// position in the update log, the only event list this input has.
+/// by construction) and, like every timestamp of a run, before the
+/// horizon of `schedule`. An event index in the error is a position in
+/// the update log, the only event list this input has — or the log's
+/// length, when it is the generated requests that would cross the
+/// horizon (the workload's duration reaches past it).
 pub(crate) fn validate(
     catalog: &DocumentCatalog,
     workload: &StreamedWorkload<'_>,
+    schedule: &FaultSchedule,
 ) -> Result<(), SimError> {
     if catalog.is_empty() {
         return Err(SimError::EmptyCatalog);
     }
+    let horizon = schedule.horizon();
     for (index, u) in workload.update_log().iter().enumerate() {
         if u.doc.index() >= catalog.len() {
             return Err(SimError::DocOutOfRange { doc: u.doc.index() });
         }
-        if SimTime::try_from_ms(u.time_ms).is_none() {
-            return Err(SimError::EventTimeInvalid { index });
+        let at = SimTime::try_from_ms(u.time_ms).ok_or(SimError::EventTimeInvalid { index })?;
+        if at >= horizon {
+            return Err(SimError::EventTimeBeyondHorizon { index });
         }
+    }
+    if SimTime::from_ms(workload.duration_ms()) >= horizon {
+        let index = workload.update_log().len();
+        return Err(SimError::EventTimeBeyondHorizon { index });
     }
     Ok(())
 }

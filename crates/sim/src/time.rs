@@ -44,8 +44,39 @@ impl SimTime {
 
     /// Like [`SimTime::from_ms`], but `None` instead of a panic for a
     /// negative, NaN, or infinite `ms` — the form input validation uses.
+    #[inline]
     pub fn try_from_ms(ms: f64) -> Option<Self> {
-        (ms.is_finite() && ms >= 0.0).then(|| SimTime((ms * 1_000.0).round() as u64))
+        (ms.is_finite() && ms >= 0.0).then(|| SimTime(round_to_u64(ms * 1_000.0)))
+    }
+
+    /// [`SimTime::from_ms`] of a time input validation has already
+    /// accepted: the quantisation alone.
+    #[inline]
+    pub(crate) fn from_valid_ms(ms: f64) -> Self {
+        debug_assert!(ms.is_finite() && ms >= 0.0, "unvalidated time {ms}");
+        SimTime(round_to_u64(ms * 1_000.0))
+    }
+
+    /// The earliest time that reads back as at least `ms` milliseconds:
+    /// [`as_ms`](Self::as_ms) is `>= ms` from it on and for no time
+    /// before it. Quantising a timestamp and dividing it back can carry
+    /// a value just short of `ms` onto it, so a bound on what `as_ms`
+    /// returns is a bound on the quantised time, and this is it. The
+    /// latest time there is when none reads back that large.
+    pub(crate) fn first_reading_at_least_ms(ms: f64) -> Self {
+        let latest = SimTime(u64::MAX);
+        if latest.as_ms() < ms {
+            return latest;
+        }
+        // Within a place or two of the answer; `as_ms` never decreases.
+        let mut t = round_to_u64(ms.max(0.0) * 1_000.0);
+        while t > 0 && SimTime(t - 1).as_ms() >= ms {
+            t -= 1;
+        }
+        while SimTime(t).as_ms() < ms {
+            t += 1;
+        }
+        SimTime(t)
     }
 
     /// Raw microseconds.
@@ -61,6 +92,26 @@ impl SimTime {
     /// Saturating difference, as milliseconds.
     pub fn ms_since(self, earlier: SimTime) -> f64 {
         (self.0.saturating_sub(earlier.0)) as f64 / 1_000.0
+    }
+}
+
+/// `x.round() as u64` for a non-negative (or `+∞`) `x`, without the
+/// call into libm that `f64::round` is on baseline x86-64 — this runs
+/// once per event. Below 2⁵² the truncation `t` is exact and so is
+/// `x − t` (both are multiples of `x`'s last place and the difference is
+/// under 1), so comparing it with one half rounds ties away from zero
+/// exactly as `round` does; from 2⁵² on every `f64` is an integer and
+/// the cast alone (saturating, like `round`'s) is the answer. The
+/// common case goes through `i64`, which converts in one instruction
+/// each way where `u64` takes a dozen.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    const INTEGERS_FROM: f64 = (1u64 << 52) as f64;
+    if x < INTEGERS_FROM {
+        let truncated = x as i64;
+        (truncated + i64::from(x - truncated as f64 >= 0.5)) as u64
+    } else {
+        x as u64
     }
 }
 
@@ -141,6 +192,82 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn negative_ms_panics() {
         let _ = SimTime::from_ms(-1.0);
+    }
+
+    #[test]
+    fn inline_rounding_is_f64_round() {
+        let same = |x: f64| assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
+        // Ties, and the values one place either side of them.
+        for whole in [0u64, 1, 2, 3, 1_000, 999_999, (1 << 51) - 1, (1 << 52) - 1] {
+            let tie = whole as f64 + 0.5;
+            for x in [whole as f64, tie.next_down(), tie, tie.next_up()] {
+                same(x);
+            }
+        }
+        // Where the fractions end, and where the cast saturates.
+        let two52 = (1u64 << 52) as f64;
+        for x in [
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            two52 * 2.0 + 2.0,
+        ] {
+            same(x);
+        }
+        for x in [
+            0.49999999999999994,
+            1e19,
+            1.8446744073709552e19,
+            1e300,
+            f64::MAX,
+        ] {
+            same(x);
+        }
+        assert_eq!(round_to_u64(f64::INFINITY), u64::MAX);
+        // 5 M pseudo-random values across every binade a time can have.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..5_000_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let mantissa = (state >> 12) as f64 / (1u64 << 52) as f64;
+            same((1.0 + mantissa) * 2f64.powi((state % 66) as i32 - 2));
+        }
+    }
+
+    #[test]
+    fn the_first_time_reading_at_least_a_bound_is_exactly_that() {
+        for ms in [
+            0.0,
+            0.0004,
+            0.0005,
+            1.0,
+            262_144.0,
+            2_621_440_000.0,
+            2_621_440_000.0f64.next_down(),
+            1e15 / 3.0,
+            9.1e15,
+            1.8e16,
+        ] {
+            let first = SimTime::first_reading_at_least_ms(ms);
+            assert!(first.as_ms() >= ms, "{ms}");
+            assert!(
+                first == SimTime::ZERO || SimTime(first.0 - 1).as_ms() < ms,
+                "{ms}"
+            );
+        }
+        // The case that needs it: a timestamp one place short of a
+        // bound quantises onto the bound.
+        let bound = 2_621_440_000.0f64;
+        assert_eq!(SimTime::from_ms(bound.next_down()).as_ms(), bound);
+        assert!(SimTime::from_ms(bound.next_down()) >= SimTime::first_reading_at_least_ms(bound));
+        for unreachable in [1.9e16, 1e300, f64::INFINITY] {
+            assert_eq!(
+                SimTime::first_reading_at_least_ms(unreachable),
+                SimTime(u64::MAX)
+            );
+        }
     }
 
     #[test]

@@ -255,8 +255,12 @@ fn every_context(plan: &SimPlan<'_>, groups: &GroupMap) -> Vec<(String, Observed
 /// the caller's matrix and trace with the time-major oracle's
 /// allocations, to the byte; it now pays what every group-major run
 /// pays — 4 bytes of plan per trace event, one `(N + 1)²` sub-matrix,
-/// and the per-cache recorder the fold merges into — and no more,
-/// whichever order the one group's members are listed in.
+/// the per-cache recorder the fold merges into, and, for the first walk
+/// on its thread only, one block of gathered records — and no more,
+/// whichever order the one group's members are listed in. The caches
+/// evict, so the score keys of every evicting cache (24 bytes per slab
+/// slot) are allocated too — by both runs alike, from the same sequence
+/// of inserts, which is why they do not show in the difference.
 #[test]
 fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
     let caches = 12;
@@ -265,17 +269,23 @@ fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
     let cat = CatalogConfig::default().documents(40).generate(&mut rng);
     let requests = RequestConfig::default().generate(&cat, caches, 10_000.0, &mut rng);
     let trace = merge_streams(&requests, &generate_updates(&cat, 10_000.0, &mut rng));
-    let config = SimConfig::default();
+    let config = SimConfig::default().cache_capacity_bytes(48 << 10);
     let schedule = FaultSchedule::new();
     let in_order = GroupMap::one_group(caches);
     let backwards = shaped_partition(1, 0, caches);
-    let plan = SimPlan::new(net.rtt_matrix(), &cat, &trace);
+    let plan = SimPlan::new(net.rtt_matrix(), &cat, &trace).config(config);
 
-    let (oracle, oracle_bytes) = allocated_by(|| {
-        simulate_time_major(&net, &in_order, &cat, &trace, config, &schedule, None).unwrap()
-    });
+    let time_major =
+        || simulate_time_major(&net, &in_order, &cat, &trace, config, &schedule, None).unwrap();
+    // Unmeasured: leaves the thread's eviction score buffer at the size
+    // every later run needs.
+    assert!(time_major().cache_stats.evictions > 0);
+    let (oracle, oracle_bytes) = allocated_by(time_major);
     let positions = 4 * trace.len() as u64;
     let sub_matrix = 8 * ((caches + 1) * (caches + 1)) as u64;
+    // Two lanes of 128 records of 24 bytes, allocated by the thread's
+    // first group walk and reused by every later one.
+    let mut record_block = 2 * 128 * 24;
     for (groups, in_id_order) in [(&in_order, true), (&backwards, false)] {
         let (planned, planned_bytes) =
             allocated_by(|| simulate(&plan, groups, &mut RunContext::serial()).unwrap());
@@ -284,12 +294,140 @@ fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
             oracle.metrics.total_requests()
         );
         let extra = planned_bytes - oracle_bytes;
-        assert!(extra >= positions + sub_matrix, "{extra} B");
-        assert!(extra < positions + sub_matrix + (8 << 10), "{extra} B");
+        let budget = positions + sub_matrix + record_block;
+        assert!(extra >= budget, "{extra} B");
+        assert!(extra < budget + (4 << 10), "{extra} B");
         if in_id_order {
             assert_eq!(planned, oracle);
         }
+        record_block = 0;
     }
+}
+
+/// A timestamp is accepted up to the run horizon — 2¹⁸ degradation
+/// timeline buckets of the schedule's width — and a typed error from
+/// there on, from every entry point: one request at 10¹² ms used to make
+/// the dense timeline ask for 5.9 GB and abort the process.
+#[test]
+fn a_far_future_event_is_a_typed_error_not_an_allocation() {
+    let net = arb_network(9, 4);
+    let cat = CatalogConfig::default()
+        .documents(8)
+        .generate(&mut StdRng::seed_from_u64(9));
+    let groups = GroupMap::new(
+        4,
+        vec![vec![CacheId(2), CacheId(0)], vec![CacheId(3), CacheId(1)]],
+    )
+    .unwrap();
+    let epochs = [
+        ReplayEpoch::new(0.0, GroupMap::singletons(4)),
+        ReplayEpoch::new(50.0, groups.clone()),
+    ];
+    let at = |time_ms: f64| {
+        vec![
+            TraceEvent::Request(Request {
+                time_ms: 1.0,
+                cache: 1,
+                doc: DocId(0),
+            }),
+            TraceEvent::Update(Update {
+                time_ms: 2.0,
+                doc: DocId(0),
+            }),
+            TraceEvent::Request(Request {
+                time_ms,
+                cache: 3,
+                doc: DocId(0),
+            }),
+            TraceEvent::Update(Update {
+                time_ms,
+                doc: DocId(1),
+            }),
+        ]
+    };
+    // Every way in: the oracle, the one-grouping run serial and pooled,
+    // a timeline run (whose error names the caller's trace position).
+    let every_entry_point = |trace: &[TraceEvent], schedule: &FaultSchedule| {
+        let config = SimConfig::default();
+        let plan = SimPlan::new(net.rtt_matrix(), &cat, trace).faults(schedule);
+        let reference = simulate_time_major(&net, &groups, &cat, trace, config, schedule, None);
+        for context in [RunContext::serial, RunContext::pooled] {
+            assert_eq!(simulate(&plan, &groups, &mut context()), reference);
+            let timeline = simulate_epochs(&plan, &epochs, &mut context());
+            match &reference {
+                Ok(report) => assert_eq!(
+                    timeline.unwrap().metrics.total_requests(),
+                    report.metrics.total_requests()
+                ),
+                Err(e) => assert_eq!(timeline, Err(EpochReplayError::Sim(e.clone()))),
+            }
+        }
+        reference
+    };
+    let default = FaultSchedule::new();
+    let horizon_ms = 10_000.0 * (1u64 << 18) as f64;
+    // The last microsecond before the horizon is simulated, in the
+    // timeline's last bucket.
+    let report = every_entry_point(&at(horizon_ms - 0.001), &default).unwrap();
+    let timeline = report.metrics.degradation.timeline();
+    assert_eq!(timeline.len(), 1 << 18);
+    assert_eq!(timeline[(1 << 18) - 1].healthy.requests, 1);
+    // At the horizon and anywhere past it: rejected, by position.
+    let too_late = Err(SimError::EventTimeBeyondHorizon { index: 2 });
+    // (Times are quantised to µs first: the `f64` just under the
+    // horizon is on it.)
+    let just_under = horizon_ms.next_down();
+    for time_ms in [just_under, horizon_ms, 1e10, 1e12, f64::MAX] {
+        assert_eq!(
+            every_entry_point(&at(time_ms), &default),
+            too_late,
+            "{time_ms}"
+        );
+    }
+    assert!(too_late
+        .as_ref()
+        .unwrap_err()
+        .to_string()
+        .contains("horizon"));
+    // The horizon follows the bucket width, not the clock.
+    let fine = FaultSchedule::new().timeline_bucket_ms(1.0);
+    assert!(every_entry_point(&at(262_143.5), &fine).is_ok());
+    assert_eq!(every_entry_point(&at(262_143.999_6), &fine), too_late);
+    assert_eq!(every_entry_point(&at(262_144.0), &fine), too_late);
+    let coarse = FaultSchedule::new().timeline_bucket_ms(1e9);
+    assert!(every_entry_point(&at(1e12), &coarse).is_ok());
+    // The same rule for the schedule's own times, with the schedule's
+    // precedence: before the trace is read.
+    let mut late_fault = FaultSchedule::new();
+    late_fault.push(1e12, FaultKind::CacheDown { cache: CacheId(0) });
+    let err = every_entry_point(&at(1e12), &late_fault).unwrap_err();
+    assert!(matches!(err, SimError::Fault(_)), "{err}");
+    // And for a streamed workload's update log and duration.
+    let updates = [
+        Update {
+            time_ms: 5.0,
+            doc: DocId(1),
+        },
+        Update {
+            time_ms: 1e12,
+            doc: DocId(2),
+        },
+    ];
+    let streamed = |updates: &[Update], duration_ms: f64| {
+        let workload =
+            StreamedWorkload::new(RequestConfig::default(), 3, duration_ms).updates(updates);
+        let plan = SimPlan::streamed(net.rtt_matrix(), &cat, &workload);
+        simulate(&plan, &groups, &mut RunContext::pooled()).map(drop)
+    };
+    assert_eq!(
+        streamed(&updates, 100.0),
+        Err(SimError::EventTimeBeyondHorizon { index: 1 })
+    );
+    assert_eq!(streamed(&updates[..1], 100.0), Ok(()));
+    assert_eq!(
+        streamed(&updates[..1], 1e12),
+        Err(SimError::EventTimeBeyondHorizon { index: 1 })
+    );
 }
 
 proptest! {
@@ -453,8 +591,8 @@ proptest! {
     fn the_first_invalid_event_in_trace_order_is_the_error(
         seed in any::<u64>(),
         caches in 2usize..10,
-        first_kind in 0usize..5,
-        second_kind in 0usize..5,
+        first_kind in 0usize..6,
+        second_kind in 0usize..6,
         first_at in 0usize..3,
         shuffled in any::<bool>(),
     ) {
@@ -487,7 +625,9 @@ proptest! {
         let second = (first + 1 < trace.len()).then(|| rng.gen_range(first + 1..trace.len()));
         for (at, kind) in [(Some(first), first_kind), (second, second_kind)] {
             let Some(at) = at else { continue };
-            let bad_time = [f64::NAN, -5.0, f64::INFINITY][kind % 3];
+            // Kind 5 is a time that passes every per-value check and
+            // lies past the run horizon.
+            let bad_time = [f64::NAN, -5.0, f64::INFINITY, 1e12][if kind == 5 { 3 } else { kind % 3 }];
             match (&mut trace[at], kind) {
                 (TraceEvent::Request(r), 3) => r.cache = caches + 3,
                 (TraceEvent::Request(r), 4) => r.doc = DocId(cat.len() + 7),
@@ -516,6 +656,8 @@ proptest! {
         }
         if first_kind < 3 {
             prop_assert_eq!(expected, SimError::EventTimeInvalid { index: first });
+        } else if first_kind == 5 {
+            prop_assert_eq!(expected, SimError::EventTimeBeyondHorizon { index: first });
         }
 
         // A map or schedule that does not fit the network is rejected

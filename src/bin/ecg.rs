@@ -1139,6 +1139,24 @@ mod tests {
         ]))
         .unwrap();
 
+        // A hand-edited trace whose one request lies a thousand years
+        // out passes every per-value check; it used to size the
+        // degradation timeline (5.9 GB) and abort the process.
+        std::fs::write(&trc, "R 1000000000000 3 7\n").unwrap();
+        let err = run(&to_args(&[
+            "simulate",
+            "--network",
+            net.to_str().unwrap(),
+            "--groups",
+            grp.to_str().unwrap(),
+            "--docs",
+            "200",
+            "--trace",
+            trc.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("horizon"), "{err}");
+
         std::fs::remove_file(&net).ok();
         std::fs::remove_file(&grp).ok();
         std::fs::remove_file(&trc).ok();
