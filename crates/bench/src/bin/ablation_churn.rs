@@ -22,7 +22,9 @@
 use ecg_bench::{f2, par_map, MetricsSink, Scenario, Table};
 use ecg_coords::ProbeConfig;
 use ecg_core::{GfCoordinator, GroupMaintainer, SchemeConfig};
-use ecg_faults::{report_to_json, ChurnConfig, ChurnDriver, FaultPlan};
+use ecg_faults::json::write_report;
+use ecg_faults::{ChurnConfig, ChurnDriver, FaultPlan};
+use ecg_obs::json::JsonWriter;
 use ecg_obs::Obs;
 use ecg_sim::{simulate, GroupMap, RunContext, SimReport};
 use ecg_topology::CacheId;
@@ -185,7 +187,6 @@ fn main() {
         "failovers",
         "max_drift",
     ]);
-    let mut json_cells = Vec::new();
     for r in &results {
         let deg = &r.report.metrics.degradation;
         table.row([
@@ -202,13 +203,6 @@ fn main() {
             deg.failovers.to_string(),
             r.max_drift.map_or("-".into(), f2),
         ]);
-        json_cells.push(format!(
-            "{{\"scheme\":\"{}\",\"churn_per_hour_per_cache\":{},\"max_drift\":{},\"report\":{}}}",
-            r.scheme,
-            r.churn_per_hour,
-            r.max_drift.map_or("null".to_string(), |d| format!("{d}")),
-            report_to_json(&r.report)
-        ));
     }
     table.print();
     println!(
@@ -220,17 +214,29 @@ fn main() {
          to."
     );
 
-    let json = format!(
-        "{{\"caches\":{CACHES},\"groups\":{GROUPS},\"duration_ms\":{DURATION_MS},\
-         \"mean_downtime_ms\":{MEAN_DOWNTIME_MS},\"retirement_fraction\":{RETIREMENT_FRACTION},\
-         \"cells\":[{}]}}",
-        json_cells.join(",")
-    );
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("caches").usize(CACHES);
+        w.key("groups").usize(GROUPS);
+        w.key("duration_ms").f64(DURATION_MS);
+        w.key("mean_downtime_ms").f64(MEAN_DOWNTIME_MS);
+        w.key("retirement_fraction").f64(RETIREMENT_FRACTION);
+        w.key("cells").array(|w| {
+            for r in &results {
+                w.object(|w| {
+                    w.key("scheme").str(r.scheme);
+                    w.key("churn_per_hour_per_cache").f64(r.churn_per_hour);
+                    w.key("max_drift").opt_f64(r.max_drift);
+                    write_report(w.key("report"), &r.report);
+                });
+            }
+        });
+    });
     let path = std::path::Path::new("results").join("ablation_churn.json");
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).expect("create results dir");
     }
-    std::fs::write(&path, &json).expect("write results JSON");
+    std::fs::write(&path, w.finish()).expect("write results JSON");
     println!("\nfull reports written to {}", path.display());
     sink.write();
 }

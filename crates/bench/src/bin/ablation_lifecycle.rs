@@ -20,10 +20,12 @@
 
 use ecg_bench::{f2, par_map, MetricsSink, Scenario, Table};
 use ecg_core::SchemeConfig;
-use ecg_faults::{report_to_json, ChurnConfig, FaultPlan};
+use ecg_faults::json::write_report;
+use ecg_faults::{ChurnConfig, FaultPlan};
 use ecg_lifecycle::{
     FormationSupervisor, FormationTimeline, ReformDecision, ReformPolicy, SupervisorConfig,
 };
+use ecg_obs::json::JsonWriter;
 use ecg_obs::Obs;
 use ecg_sim::{simulate_epochs, ReplayEpoch, RunContext, SimReport};
 use rand::rngs::StdRng;
@@ -146,7 +148,6 @@ fn main() {
         "hit%",
         "failovers",
     ]);
-    let mut json_cells = Vec::new();
     for r in &results {
         let t = &r.timeline;
         table.row([
@@ -164,13 +165,6 @@ fn main() {
             ),
             r.report.metrics.degradation.failovers.to_string(),
         ]);
-        json_cells.push(format!(
-            "{{\"policy\":\"{}\",\"churn_per_hour_per_cache\":{},\"timeline\":{},\"report\":{}}}",
-            r.policy,
-            r.churn_per_hour,
-            t.to_json(),
-            report_to_json(&r.report)
-        ));
     }
     table.print();
     println!(
@@ -184,17 +178,30 @@ fn main() {
          its tighter grouping."
     );
 
-    let json = format!(
-        "{{\"caches\":{CACHES},\"groups\":{GROUPS},\"duration_ms\":{DURATION_MS},\
-         \"step_ms\":{STEP_MS},\"mean_downtime_ms\":{MEAN_DOWNTIME_MS},\
-         \"retirement_fraction\":{RETIREMENT_FRACTION},\"cells\":[{}]}}",
-        json_cells.join(",")
-    );
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("caches").usize(CACHES);
+        w.key("groups").usize(GROUPS);
+        w.key("duration_ms").f64(DURATION_MS);
+        w.key("step_ms").f64(STEP_MS);
+        w.key("mean_downtime_ms").f64(MEAN_DOWNTIME_MS);
+        w.key("retirement_fraction").f64(RETIREMENT_FRACTION);
+        w.key("cells").array(|w| {
+            for r in &results {
+                w.object(|w| {
+                    w.key("policy").str(r.policy);
+                    w.key("churn_per_hour_per_cache").f64(r.churn_per_hour);
+                    r.timeline.write_json(w.key("timeline"));
+                    write_report(w.key("report"), &r.report);
+                });
+            }
+        });
+    });
     let path = std::path::Path::new("results").join("ablation_lifecycle.json");
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).expect("create results dir");
     }
-    std::fs::write(&path, &json).expect("write results JSON");
+    std::fs::write(&path, w.finish()).expect("write results JSON");
     println!("\nfull timelines and reports written to {}", path.display());
     sink.write();
 }

@@ -28,6 +28,7 @@
 use ecg_bench::{f2, par_map, MetricsSink, Table};
 use ecg_cache::PolicyKind;
 use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_obs::json::JsonWriter;
 use ecg_obs::Obs;
 use ecg_sim::{simulate, GroupMap, PlacementKind, RunContext, SimConfig, SimPlan};
 use ecg_topology::{EdgeNetwork, OriginPlacement, TransitStubConfig};
@@ -125,7 +126,6 @@ fn main() {
         "suppressed",
         "remote",
     ]);
-    let mut json_cells = Vec::new();
     for ((placement, policy), report) in cells.iter().zip(&reports) {
         let hit = 100.0 * report.metrics.group_hit_rate().unwrap_or(0.0);
         let latency = report.average_latency_ms();
@@ -141,22 +141,6 @@ fn main() {
             report.metrics.replicas_suppressed.to_string(),
             report.metrics.remote_placements.to_string(),
         ]);
-        json_cells.push(format!(
-            "{{\"placement\":\"{}\",\"policy\":\"{}\",\"group_hit_rate\":{},\
-             \"avg_latency_ms\":{},\"peer_bytes\":{},\"origin_fetches\":{},\
-             \"replicas_created\":{},\"replicas_suppressed\":{},\
-             \"remote_placements\":{},\"stale_served\":{}}}",
-            placement.name(),
-            policy.name(),
-            report.metrics.group_hit_rate().unwrap_or(0.0),
-            report.average_latency_ms(),
-            report.metrics.peer_bytes,
-            report.origin_fetches,
-            report.metrics.replicas_created,
-            report.metrics.replicas_suppressed,
-            report.metrics.remote_placements,
-            report.metrics.stale_served,
-        ));
     }
     table.print();
     println!(
@@ -168,17 +152,37 @@ fn main() {
          surge."
     );
 
-    let json = format!(
-        "{{\"caches\":{CACHES},\"groups\":{GROUPS},\"documents\":{DOCUMENTS},\
-         \"duration_ms\":{DURATION_MS},\"capacity_bytes\":{CAPACITY_BYTES},\
-         \"cells\":[{}]}}",
-        json_cells.join(",")
-    );
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("caches").usize(CACHES);
+        w.key("groups").usize(GROUPS);
+        w.key("documents").usize(DOCUMENTS);
+        w.key("duration_ms").f64(DURATION_MS);
+        w.key("capacity_bytes").u64(CAPACITY_BYTES);
+        w.key("cells").array(|w| {
+            for ((placement, policy), report) in cells.iter().zip(&reports) {
+                let m = &report.metrics;
+                w.object(|w| {
+                    w.key("placement").str(placement.name());
+                    w.key("policy").str(policy.name());
+                    w.key("group_hit_rate")
+                        .f64(m.group_hit_rate().unwrap_or(0.0));
+                    w.key("avg_latency_ms").f64(report.average_latency_ms());
+                    w.key("peer_bytes").u64(m.peer_bytes);
+                    w.key("origin_fetches").u64(report.origin_fetches);
+                    w.key("replicas_created").u64(m.replicas_created);
+                    w.key("replicas_suppressed").u64(m.replicas_suppressed);
+                    w.key("remote_placements").u64(m.remote_placements);
+                    w.key("stale_served").u64(m.stale_served);
+                });
+            }
+        });
+    });
     let path = std::path::Path::new("results").join("ablation_placement.json");
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).expect("create results dir");
     }
-    std::fs::write(&path, &json).expect("write results JSON");
+    std::fs::write(&path, w.finish()).expect("write results JSON");
     println!("\nfull cells written to {}", path.display());
     sink.write();
 }

@@ -27,6 +27,7 @@ use ecg_bench::{f2, interaction_cost_ms, mean, par_map, MetricsSink, Table};
 use ecg_coords::ProbeConfig;
 use ecg_core::{GfCoordinator, ResilienceConfig, SchemeConfig};
 use ecg_faults::FormationFaults;
+use ecg_obs::json::JsonWriter;
 use ecg_obs::Obs;
 use ecg_topology::{CacheId, EdgeNetwork, OriginPlacement, TransitStubConfig};
 use rand::rngs::StdRng;
@@ -142,13 +143,13 @@ fn main() {
         "quarantined",
         "masked",
     ]);
-    let mut json_cells = Vec::new();
-    for (cell, r) in LOSS_RATES
-        .iter()
-        .flat_map(|&loss| [(loss, false), (loss, true)])
-        .zip(&results)
-    {
-        let (loss, resilient) = cell;
+    let labelled = || {
+        LOSS_RATES
+            .iter()
+            .flat_map(|&loss| [(loss, false), (loss, true)])
+            .zip(&results)
+    };
+    for ((loss, resilient), r) in labelled() {
         let gic = mean(&r.gic_ms);
         table.row([
             format!("{loss:.1}"),
@@ -180,20 +181,6 @@ fn main() {
                 "-".into()
             },
         ]);
-        let per_seed: Vec<String> = r.gic_ms.iter().map(|g| format!("{g}")).collect();
-        json_cells.push(format!(
-            "{{\"loss_rate\":{loss},\"resilience\":{resilient},\"mean_gic_ms\":{gic},\
-             \"gic_ms\":[{}],\"probe_retries\":{},\"probe_gave_up\":{},\
-             \"landmark_failovers\":{},\"dead_landmarks\":{},\"quarantined\":{},\
-             \"masked_cells\":{}}}",
-            per_seed.join(","),
-            r.retries,
-            r.gave_up,
-            r.failovers,
-            r.dead_landmarks,
-            r.quarantined,
-            r.masked_cells,
-        ));
     }
     table.print();
     println!(
@@ -205,18 +192,42 @@ fn main() {
          value."
     );
 
-    let crashed_json: Vec<String> = crashed.iter().map(|c| c.to_string()).collect();
-    let json = format!(
-        "{{\"caches\":{CACHES},\"groups\":{GROUPS},\"repeats\":{REPEATS},\
-         \"crashed_caches\":[{}],\"cells\":[{}]}}",
-        crashed_json.join(","),
-        json_cells.join(",")
-    );
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("caches").usize(CACHES);
+        w.key("groups").usize(GROUPS);
+        w.key("repeats").u64(REPEATS);
+        w.key("crashed_caches").array(|w| {
+            for &c in &crashed {
+                w.usize(c);
+            }
+        });
+        w.key("cells").array(|w| {
+            for ((loss, resilient), r) in labelled() {
+                w.object(|w| {
+                    w.key("loss_rate").f64(loss);
+                    w.key("resilience").bool(resilient);
+                    w.key("mean_gic_ms").f64(mean(&r.gic_ms));
+                    w.key("gic_ms").array(|w| {
+                        for &g in &r.gic_ms {
+                            w.f64(g);
+                        }
+                    });
+                    w.key("probe_retries").u64(r.retries);
+                    w.key("probe_gave_up").u64(r.gave_up);
+                    w.key("landmark_failovers").usize(r.failovers);
+                    w.key("dead_landmarks").usize(r.dead_landmarks);
+                    w.key("quarantined").usize(r.quarantined);
+                    w.key("masked_cells").usize(r.masked_cells);
+                });
+            }
+        });
+    });
     let path = std::path::Path::new("results").join("ablation_resilience.json");
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).expect("create results dir");
     }
-    std::fs::write(&path, &json).expect("write results JSON");
+    std::fs::write(&path, w.finish()).expect("write results JSON");
     println!("\nfull cells written to {}", path.display());
     sink.write();
 }

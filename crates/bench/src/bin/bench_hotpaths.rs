@@ -39,10 +39,11 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 use criterion::{Criterion, SampleStats, Throughput};
-use ecg_bench::Scenario;
+use ecg_bench::{write_host_context, Scenario};
 use ecg_cache::{DocumentCache, Entry, PolicyKind};
 use ecg_clustering::{kmeans, kmeans_reference, FeatureMatrix, Initializer, KmeansConfig};
 use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_obs::json::JsonWriter;
 use ecg_sim::{
     simulate, simulate_time_major, FaultSchedule, GroupMap, PeerLookup, RunContext, SimConfig,
 };
@@ -403,38 +404,43 @@ fn main() {
         println!("utility victim speedup, {burst} per insert:         {speedup:.2}x");
     }
 
-    // Record the run context alongside the numbers: a timing baseline
-    // is only comparable to runs with the same core budget and sizes.
-    let logical_cpus = std::thread::available_parallelism().map_or(0, usize::from);
-    let threads_used = ecg_par::max_threads();
-    let ecg_threads_env = std::env::var("ECG_THREADS").ok();
-
-    let mut doc = String::from("{\n  \"context\": {\n");
-    doc.push_str(&format!("    \"logical_cpus\": {logical_cpus},\n"));
-    doc.push_str(&format!("    \"threads_used\": {threads_used},\n"));
-    doc.push_str(&format!(
-        "    \"ecg_threads_env\": {},\n",
-        ecg_threads_env.map_or("null".to_string(), |v| format!("\"{v}\""))
-    ));
-    doc.push_str(&format!(
-        "    \"mode\": \"{}\"\n  }},\n",
-        if quick { "quick" } else { "full" }
-    ));
-    doc.push_str("  \"benchmarks\": [\n");
-    for (i, s) in stats.iter().enumerate() {
-        if i > 0 {
-            doc.push_str(",\n");
-        }
-        doc.push_str("    ");
-        doc.push_str(&s.to_json());
-    }
-    doc.push_str("\n  ],\n");
-    doc.push_str(&format!(
-        "  \"speedups\": {{\"kmeans\": {kmeans_speedup:.3}, \"trace_replay\": {replay_speedup:.3}, \"sim_order\": {order_speedup:.3}, \"utility_victim_burst_1\": {:.3}, \"utility_victim_burst_2\": {:.3}, \"utility_victim_burst_8\": {:.3}}}\n}}\n",
-        victim_speedup(1),
-        victim_speedup(2),
-        victim_speedup(8),
-    ));
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("context").object(|w| {
+            write_host_context(w, std::env::var("ECG_THREADS").ok().as_deref(), quick);
+            w.key("threads_used").usize(ecg_par::max_threads());
+        });
+        w.key("benchmarks").array(|w| {
+            for s in stats {
+                w.object(|w| {
+                    w.key("name").str(&s.name);
+                    w.key("samples").usize(s.samples);
+                    w.key("mean_ns").f64(s.mean_ns);
+                    w.key("median_ns").f64(s.median_ns);
+                    w.key("min_ns").f64(s.min_ns);
+                    w.key("max_ns").f64(s.max_ns);
+                    w.key("throughput_per_sec").opt_f64(s.throughput_per_sec());
+                    w.key("throughput_unit");
+                    match s.throughput {
+                        Some(Throughput::Elements(_)) => w.str("elements"),
+                        Some(Throughput::Bytes(_)) => w.str("bytes"),
+                        None => w.null(),
+                    };
+                });
+            }
+        });
+        w.key("speedups").object(|w| {
+            w.key("kmeans").f64(kmeans_speedup);
+            w.key("trace_replay").f64(replay_speedup);
+            w.key("sim_order").f64(order_speedup);
+            for burst in [1, 2, 8] {
+                w.key(&format!("utility_victim_burst_{burst}"))
+                    .f64(victim_speedup(burst));
+            }
+        });
+    });
+    let mut doc = w.finish();
+    doc.push('\n');
     std::fs::write(&out_path, doc).expect("write baseline json");
     println!("wrote {out_path}");
 }

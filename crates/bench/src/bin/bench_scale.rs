@@ -54,11 +54,13 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+use ecg_bench::write_host_context;
 use ecg_clustering::{
     server_distance_weights, AssignMode, CenterTree, Initializer, KmeansVariant, MiniBatchConfig,
     NeighbourTiles, NEIGHBOURS,
 };
 use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_obs::json::JsonWriter;
 use ecg_topology::{RttSource, SyntheticRtt, SyntheticRttConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -350,9 +352,6 @@ fn main() {
     all_sizes.sort_unstable();
     all_sizes.dedup();
 
-    let logical_cpus = std::thread::available_parallelism().map_or(0, usize::from);
-    let ecg_threads_env = std::env::var("ECG_THREADS").ok();
-
     let mut runs: Vec<RunResult> = Vec::new();
     for &n in &all_sizes {
         // Node 0 is the origin; n edge caches follow. Generated once
@@ -414,7 +413,7 @@ fn main() {
     // End-to-end speedups of the widest run vs threads = 1, per
     // (scheme, variant, assign, n).
     let max_threads = *thread_counts.last().expect("non-empty thread list");
-    let mut speedups = String::new();
+    let mut speedups: Vec<(String, f64)> = Vec::new();
     for &engine in &engines {
         for &n in sizes_for(engine) {
             for (scheme, k) in cells_for(n) {
@@ -431,71 +430,63 @@ fn main() {
                         .expect("run present")
                         .total_ms
                 };
-                let s = time_at(1) / time_at(max_threads);
-                if !speedups.is_empty() {
-                    speedups.push_str(", ");
-                }
                 // The key names k only when `--k` made it a swept axis.
                 let k_axis = k_override
                     .as_ref()
                     .map_or(String::new(), |_| format!("_k{k}"));
-                speedups.push_str(&format!(
-                    "\"{}_{}_{}_n{}{}_t{}\": {:.3}",
-                    scheme.name(),
-                    engine.variant.name(),
-                    engine.assign_name(),
-                    n,
-                    k_axis,
-                    max_threads,
-                    s
+                speedups.push((
+                    format!(
+                        "{}_{}_{}_n{n}{k_axis}_t{max_threads}",
+                        scheme.name(),
+                        engine.variant.name(),
+                        engine.assign_name(),
+                    ),
+                    time_at(1) / time_at(max_threads),
                 ));
             }
         }
     }
 
-    let mut doc = String::from("{\n  \"context\": {\n");
-    doc.push_str(&format!("    \"logical_cpus\": {logical_cpus},\n"));
-    doc.push_str(&format!(
-        "    \"ecg_threads_env\": {},\n",
-        ecg_threads_env.map_or("null".to_string(), |v| format!("\"{v}\""))
-    ));
-    doc.push_str(&format!(
-        "    \"mode\": \"{}\"\n  }},\n",
-        if quick { "quick" } else { "full" }
-    ));
-    doc.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        if i > 0 {
-            doc.push_str(",\n");
-        }
-        doc.push_str(&format!(
-            "    {{\"scheme\": \"{}\", \"variant\": \"{}\", \"assign\": \"{}\", \"n\": {}, \
-             \"threads\": {}, \"k\": {}, \"landmarks\": {}, \"total_ms\": {:.3}, \
-             \"kernels\": {{\"landmarks_ms\": {:.3}, \"features_ms\": {:.3}, \
-             \"kmeans_ms\": {:.3}, \"tree_build_ms\": {:.3}, \"seed_ms\": {:.3}, \
-             \"neighbour_build_ms\": {:.3}, \"neighbour_share\": {:.4}, \"gic_ms\": {:.3}}}, \
-             \"gic_value\": {:.6}, \"determinism_ok\": true}}",
-            r.scheme,
-            r.variant,
-            r.assign,
-            r.n,
-            r.threads,
-            r.k,
-            r.landmarks,
-            r.total_ms,
-            r.landmarks_ms,
-            r.features_ms,
-            r.kmeans_ms,
-            r.tree_build_ms,
-            r.seed_ms,
-            r.neighbour_build_ms,
-            r.neighbour_share,
-            r.gic_ms,
-            r.gic_value
-        ));
-    }
-    doc.push_str("\n  ],\n");
-    doc.push_str(&format!("  \"end_to_end_speedups\": {{{speedups}}}\n}}\n"));
+    let mut w = JsonWriter::new();
+    w.object(|w| {
+        w.key("context").object(|w| {
+            write_host_context(w, std::env::var("ECG_THREADS").ok().as_deref(), quick);
+        });
+        w.key("runs").array(|w| {
+            for r in &runs {
+                w.object(|w| {
+                    w.key("scheme").str(r.scheme);
+                    w.key("variant").str(r.variant);
+                    w.key("assign").str(r.assign);
+                    w.key("n").usize(r.n);
+                    w.key("threads").usize(r.threads);
+                    w.key("k").usize(r.k);
+                    w.key("landmarks").usize(r.landmarks);
+                    w.key("total_ms").f64(r.total_ms);
+                    w.key("kernels").object(|w| {
+                        w.key("landmarks_ms").f64(r.landmarks_ms);
+                        w.key("features_ms").f64(r.features_ms);
+                        w.key("kmeans_ms").f64(r.kmeans_ms);
+                        w.key("tree_build_ms").f64(r.tree_build_ms);
+                        w.key("seed_ms").f64(r.seed_ms);
+                        w.key("neighbour_build_ms").f64(r.neighbour_build_ms);
+                        w.key("neighbour_share").f64(r.neighbour_share);
+                        w.key("gic_ms").f64(r.gic_ms);
+                    });
+                    w.key("gic_value").f64(r.gic_value);
+                    // A diverging run panicked above.
+                    w.key("determinism_ok").bool(true);
+                });
+            }
+        });
+        w.key("end_to_end_speedups").object(|w| {
+            for (name, speedup) in &speedups {
+                w.key(name).f64(*speedup);
+            }
+        });
+    });
+    let mut doc = w.finish();
+    doc.push('\n');
     std::fs::write(&out_path, doc).expect("write scale json");
     println!("wrote {out_path}");
 }

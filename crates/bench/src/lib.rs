@@ -17,6 +17,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 use ecg_core::GroupingOutcome;
+use ecg_obs::json::JsonWriter;
 use ecg_obs::Obs;
 use ecg_sim::{simulate, GroupMap, LatencyModel, RunContext, SimConfig, SimPlan, SimReport};
 use ecg_topology::{EdgeNetwork, OriginPlacement, TransitStubConfig};
@@ -216,10 +217,26 @@ pub fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
 
+/// Writes the host-context members of a timing record into the open
+/// object: logical CPUs, the `ECG_THREADS` override (`null` when
+/// unset) and the size mode. A timing baseline is only comparable to
+/// runs with the same core budget and sizes.
+pub fn write_host_context(w: &mut JsonWriter, ecg_threads_env: Option<&str>, quick: bool) {
+    let logical_cpus = std::thread::available_parallelism().map_or(0, usize::from);
+    w.key("logical_cpus").usize(logical_cpus);
+    w.key("ecg_threads_env");
+    match ecg_threads_env {
+        Some(v) => w.str(v),
+        None => w.null(),
+    };
+    w.key("mode").str(if quick { "quick" } else { "full" });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ecg_core::{GfCoordinator, SchemeConfig};
+    use ecg_obs::json::{parse, JsonValue};
 
     #[test]
     fn scenario_is_deterministic() {
@@ -241,6 +258,24 @@ mod tests {
         assert!(report.average_latency_ms() > 0.0);
         let gic = interaction_cost_ms(&outcome, &s.network);
         assert!(gic > 0.0);
+    }
+
+    #[test]
+    fn host_context_escapes_the_environment_value() {
+        let context = |env: Option<&str>| {
+            let mut w = JsonWriter::new();
+            w.object(|w| write_host_context(w, env, true));
+            parse(&w.finish()).expect("the context parses")
+        };
+        let doc = context(Some("4\"\\x"));
+        assert_eq!(
+            doc.get("ecg_threads_env").and_then(JsonValue::as_str),
+            Some("4\"\\x")
+        );
+        assert_eq!(doc.get("mode").and_then(JsonValue::as_str), Some("quick"));
+        assert!(context(None)
+            .get("ecg_threads_env")
+            .is_some_and(JsonValue::is_null));
     }
 
     #[test]

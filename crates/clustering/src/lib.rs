@@ -67,7 +67,7 @@ pub use kmeans::{
     kmeans, kmeans_observed, kmeans_reference, Clustering, KmeansConfig, KmeansError,
 };
 pub use masked::{kmeans_masked, kmeans_masked_observed, masked_sq_l2};
-pub use medoids::{pam, pam_euclidean, Medoids};
+pub use medoids::{pam, Medoids};
 pub use minibatch::{kmeans_minibatch, kmeans_variant, KmeansVariant, MiniBatchConfig};
 pub use model_selection::{suggest_k, KSelection};
 pub use quality::{

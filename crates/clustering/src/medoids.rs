@@ -7,8 +7,6 @@
 //! `N(N-1)/2` pairs. The probing-overhead ablation uses this module to
 //! quantify what that avoided measurement would have bought.
 
-use crate::quality::euclidean_cost;
-use ecg_coords::FeatureMatrix;
 use rand::Rng;
 
 /// Result of a PAM run.
@@ -129,23 +127,6 @@ pub fn pam<R: Rng + ?Sized>(
     }
 }
 
-/// PAM over the rows of a [`FeatureMatrix`] with Euclidean
-/// dissimilarity — the flat-storage convenience wrapper used when the
-/// caller already holds clustering points rather than a measured
-/// dissimilarity matrix.
-///
-/// # Panics
-///
-/// Panics if `k == 0` or `k > points.len()` (as [`pam`]).
-pub fn pam_euclidean<R: Rng + ?Sized>(
-    points: &FeatureMatrix,
-    k: usize,
-    max_iterations: usize,
-    rng: &mut R,
-) -> Medoids {
-    pam(points.len(), k, euclidean_cost(points), max_iterations, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,17 +188,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let r = pam(3, 3, line(&pos), 10, &mut rng);
         assert_eq!(r.cost(line(&pos)), 0.0);
-    }
-
-    #[test]
-    fn euclidean_wrapper_matches_explicit_closure() {
-        let pos = [0.0, 1.0, 2.0, 100.0, 101.0, 102.0];
-        let m = FeatureMatrix::from_rows(&pos.iter().map(|&p| vec![p]).collect::<Vec<_>>());
-        let mut rng_a = StdRng::seed_from_u64(4);
-        let mut rng_b = StdRng::seed_from_u64(4);
-        let via_wrapper = pam_euclidean(&m, 2, 50, &mut rng_a);
-        let via_closure = pam(6, 2, line(&pos), 50, &mut rng_b);
-        assert_eq!(via_wrapper, via_closure);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! derived from the median sample.
 //!
 //! Every completed benchmark is also recorded as a [`SampleStats`] on
-//! the [`Criterion`] driver, and [`Criterion::json_report`] renders the
-//! whole run as machine-readable JSON for tooling (e.g. the
-//! `bench_hotpaths` baseline file).
+//! the [`Criterion`] driver ([`Criterion::stats`]) for tooling to read
+//! (e.g. the `bench_hotpaths` baseline file).
 //!
 //! No statistical analysis, no HTML reports, no comparison against
 //! saved baselines — run times are indicative, not criterion-grade.
@@ -150,50 +149,6 @@ impl SampleStats {
         };
         Some(units / (self.median_ns / 1e9))
     }
-
-    /// Renders this benchmark as one JSON object (the element format of
-    /// [`Criterion::json_report`]).
-    pub fn to_json(&self) -> String {
-        let (tput, unit) = match (self.throughput, self.throughput_per_sec()) {
-            (Some(Throughput::Elements(_)), Some(per_sec)) => {
-                (format!("{per_sec:.3}"), "\"elements\"".to_string())
-            }
-            (Some(Throughput::Bytes(_)), Some(per_sec)) => {
-                (format!("{per_sec:.3}"), "\"bytes\"".to_string())
-            }
-            _ => ("null".to_string(), "null".to_string()),
-        };
-        format!(
-            "{{\"name\":{},\"samples\":{},\"mean_ns\":{:.3},\"median_ns\":{:.3},\
-             \"min_ns\":{:.3},\"max_ns\":{:.3},\"throughput_per_sec\":{},\
-             \"throughput_unit\":{}}}",
-            json_string(&self.name),
-            self.samples,
-            self.mean_ns,
-            self.median_ns,
-            self.min_ns,
-            self.max_ns,
-            tput,
-            unit,
-        )
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn human_ns(ns: f64) -> String {
@@ -341,23 +296,6 @@ impl Criterion {
     pub fn stats(&self) -> &[SampleStats] {
         &self.records
     }
-
-    /// Renders every completed benchmark as a JSON document:
-    /// `{"benchmarks":[{...}, ...]}`, one object per benchmark with
-    /// `name`, `samples`, `mean_ns`, `median_ns`, `min_ns`, `max_ns`,
-    /// `throughput_per_sec`, and `throughput_unit` fields.
-    pub fn json_report(&self) -> String {
-        let mut out = String::from("{\"benchmarks\":[\n");
-        for (i, stats) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("  ");
-            out.push_str(&stats.to_json());
-        }
-        out.push_str("\n]}\n");
-        out
-    }
 }
 
 /// Opaque hint preventing the optimizer from deleting a value.
@@ -448,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn criterion_collects_stats_and_emits_json() {
+    fn criterion_collects_stats() {
         let mut c = Criterion::default();
         {
             let mut group = c.benchmark_group("g");
@@ -463,20 +401,6 @@ mod tests {
         assert_eq!(c.stats()[0].name, "g/fast");
         assert_eq!(c.stats()[0].samples, 3);
         assert_eq!(c.stats()[1].name, "standalone");
-
-        let json = c.json_report();
-        assert!(json.starts_with("{\"benchmarks\":["));
-        assert!(json.contains("\"name\":\"g/fast\""));
-        assert!(json.contains("\"throughput_unit\":\"bytes\""));
-        assert!(json.contains("\"name\":\"standalone\""));
-        assert!(json.contains("\"throughput_unit\":null"));
-        assert!(json.trim_end().ends_with("]}"));
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("x\ny"), "\"x\\ny\"");
     }
 
     #[test]

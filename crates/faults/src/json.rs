@@ -1,13 +1,12 @@
 //! Deterministic JSON serialization of simulation reports.
 //!
-//! The workspace has no serde, so this is a tiny hand-rolled emitter:
-//! fixed key order, `{}`-formatted numbers (shortest round-trip for
-//! floats), no whitespace variability. Two equal [`SimReport`]s always
-//! serialize to byte-identical strings, which is what the determinism
-//! tests and the ablation result files rely on.
+//! Written through the workspace's one JSON writer
+//! ([`ecg_obs::json`]): fixed key order, shortest round-trip floats,
+//! no whitespace. Two equal [`SimReport`]s always serialize to
+//! byte-identical strings, which is what the determinism tests and the
+//! ablation result files rely on.
 
-use std::fmt::Write as _;
-
+use ecg_obs::json::JsonWriter;
 use ecg_sim::{DegradationMetrics, SimReport, WindowAggregate};
 
 /// Serializes `report` to a deterministic single-line JSON object.
@@ -33,148 +32,102 @@ use ecg_sim::{DegradationMetrics, SimReport, WindowAggregate};
 /// # Ok::<(), ecg_sim::SimError>(())
 /// ```
 pub fn report_to_json(report: &SimReport) -> String {
+    let mut w = JsonWriter::new();
+    write_report(&mut w, report);
+    w.finish()
+}
+
+/// Writes `report` — the object [`report_to_json`] returns — as the
+/// next value of a larger document.
+pub fn write_report(w: &mut JsonWriter, report: &SimReport) {
     let m = &report.metrics;
-    let mut out = String::with_capacity(1024);
-    out.push('{');
-    push_u64(&mut out, "requests", m.total_requests());
-    push_f64(&mut out, "avg_latency_ms", report.average_latency_ms());
-    push_opt_f64(&mut out, "p50_latency_ms", m.latency_percentile_ms(0.5));
-    push_opt_f64(&mut out, "p95_latency_ms", m.latency_percentile_ms(0.95));
-    push_opt_f64(&mut out, "p99_latency_ms", m.latency_percentile_ms(0.99));
-    push_opt_f64(&mut out, "group_hit_rate", m.group_hit_rate());
-    push_u64(&mut out, "origin_fetches", report.origin_fetches);
-    push_u64(&mut out, "origin_updates", report.origin_updates);
-    push_u64(&mut out, "peer_bytes", m.peer_bytes);
-    push_u64(&mut out, "origin_bytes", m.origin_bytes);
-    push_u64(&mut out, "control_messages", m.control_messages);
-    push_u64(&mut out, "invalidations_sent", m.invalidations_sent);
-    push_u64(&mut out, "stale_served", m.stale_served);
+    w.object(|w| {
+        w.key("requests").u64(m.total_requests());
+        w.key("avg_latency_ms").f64(report.average_latency_ms());
+        w.key("p50_latency_ms")
+            .opt_f64(m.latency_percentile_ms(0.5));
+        w.key("p95_latency_ms")
+            .opt_f64(m.latency_percentile_ms(0.95));
+        w.key("p99_latency_ms")
+            .opt_f64(m.latency_percentile_ms(0.99));
+        w.key("group_hit_rate").opt_f64(m.group_hit_rate());
+        w.key("origin_fetches").u64(report.origin_fetches);
+        w.key("origin_updates").u64(report.origin_updates);
+        w.key("peer_bytes").u64(m.peer_bytes);
+        w.key("origin_bytes").u64(m.origin_bytes);
+        w.key("control_messages").u64(m.control_messages);
+        w.key("invalidations_sent").u64(m.invalidations_sent);
+        w.key("stale_served").u64(m.stale_served);
 
-    let s = &report.cache_stats;
-    push_raw(
-        &mut out,
-        "cache_stats",
-        &format!(
-            "{{\"lookups\":{},\"fresh_hits\":{},\"stale_hits\":{},\"misses\":{},\
-             \"insertions\":{},\"evictions\":{},\"bytes_evicted\":{}}}",
-            s.lookups,
-            s.fresh_hits,
-            s.stale_hits,
-            s.misses,
-            s.insertions,
-            s.evictions,
-            s.bytes_evicted
-        ),
-    );
+        let s = &report.cache_stats;
+        w.key("cache_stats").object(|w| {
+            w.key("lookups").u64(s.lookups);
+            w.key("fresh_hits").u64(s.fresh_hits);
+            w.key("stale_hits").u64(s.stale_hits);
+            w.key("misses").u64(s.misses);
+            w.key("insertions").u64(s.insertions);
+            w.key("evictions").u64(s.evictions);
+            w.key("bytes_evicted").u64(s.bytes_evicted);
+        });
 
-    push_raw(&mut out, "degradation", &degradation_json(&m.degradation));
+        write_degradation(w.key("degradation"), &m.degradation);
 
-    let per_cache: Vec<String> = m
-        .per_cache()
-        .iter()
-        .map(|a| {
-            format!(
-                "{{\"requests\":{},\"mean_latency_ms\":{},\"latency_max_ms\":{},\
-                 \"local_hits\":{},\"peer_hits\":{},\"origin_fetches\":{}}}",
-                a.requests,
-                f(a.mean_latency_ms().unwrap_or(0.0)),
-                f(a.latency_max_ms),
-                a.local_hits,
-                a.peer_hits,
-                a.origin_fetches
-            )
-        })
-        .collect();
-    push_raw(&mut out, "per_cache", &format!("[{}]", per_cache.join(",")));
-
-    // Strip the trailing comma the pushers leave behind.
-    out.pop();
-    out.push('}');
-    out
+        w.key("per_cache").array(|w| {
+            for a in m.per_cache() {
+                w.object(|w| {
+                    w.key("requests").u64(a.requests);
+                    w.key("mean_latency_ms")
+                        .f64(a.mean_latency_ms().unwrap_or(0.0));
+                    w.key("latency_max_ms").f64(a.latency_max_ms);
+                    w.key("local_hits").u64(a.local_hits);
+                    w.key("peer_hits").u64(a.peer_hits);
+                    w.key("origin_fetches").u64(a.origin_fetches);
+                });
+            }
+        });
+    });
 }
 
-fn degradation_json(d: &DegradationMetrics) -> String {
-    let timeline: Vec<String> = d
-        .timeline()
-        .iter()
-        .map(|b| {
-            format!(
-                "{{\"start_ms\":{},\"healthy\":{},\"degraded\":{}}}",
-                f(b.start_ms),
-                window_json(&b.healthy),
-                window_json(&b.degraded)
-            )
-        })
-        .collect();
-    let mut out = String::with_capacity(256);
-    out.push('{');
-    push_raw(&mut out, "healthy", &window_json(&d.healthy));
-    push_raw(&mut out, "degraded", &window_json(&d.degraded));
-    push_u64(&mut out, "failovers", d.failovers);
-    push_u64(&mut out, "peer_queries_skipped", d.peer_queries_skipped);
-    push_u64(&mut out, "crashes", d.crashes);
-    push_u64(&mut out, "recoveries", d.recoveries);
-    push_u64(&mut out, "retirements", d.retirements);
-    push_opt_f64(&mut out, "degraded_fraction", d.degraded_fraction());
-    push_opt_f64(
-        &mut out,
-        "degradation_penalty_ms",
-        d.degradation_penalty_ms(),
-    );
-    push_f64(&mut out, "bucket_width_ms", d.bucket_width_ms());
-    push_raw(&mut out, "timeline", &format!("[{}]", timeline.join(",")));
-    out.pop();
-    out.push('}');
-    out
+fn write_degradation(w: &mut JsonWriter, d: &DegradationMetrics) {
+    w.object(|w| {
+        write_window(w.key("healthy"), &d.healthy);
+        write_window(w.key("degraded"), &d.degraded);
+        w.key("failovers").u64(d.failovers);
+        w.key("peer_queries_skipped").u64(d.peer_queries_skipped);
+        w.key("crashes").u64(d.crashes);
+        w.key("recoveries").u64(d.recoveries);
+        w.key("retirements").u64(d.retirements);
+        w.key("degraded_fraction").opt_f64(d.degraded_fraction());
+        w.key("degradation_penalty_ms")
+            .opt_f64(d.degradation_penalty_ms());
+        w.key("bucket_width_ms").f64(d.bucket_width_ms());
+        w.key("timeline").array(|w| {
+            for b in d.timeline() {
+                w.object(|w| {
+                    w.key("start_ms").f64(b.start_ms);
+                    write_window(w.key("healthy"), &b.healthy);
+                    write_window(w.key("degraded"), &b.degraded);
+                });
+            }
+        });
+    });
 }
 
-fn window_json(w: &WindowAggregate) -> String {
-    format!(
-        "{{\"requests\":{},\"mean_latency_ms\":{},\"latency_max_ms\":{},\
-         \"group_hits\":{},\"stale_served\":{}}}",
-        w.requests,
-        f(w.mean_latency_ms().unwrap_or(0.0)),
-        f(w.latency_max_ms),
-        w.group_hits,
-        w.stale_served
-    )
-}
-
-/// Formats a float as a JSON number (JSON has no NaN/Infinity; they
-/// become null, which the emitters above never actually produce).
-/// Shared with the plan serializer in [`crate::plan`].
-pub(crate) fn f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn push_u64(out: &mut String, key: &str, v: u64) {
-    let _ = write!(out, "\"{key}\":{v},");
-}
-
-fn push_f64(out: &mut String, key: &str, v: f64) {
-    let _ = write!(out, "\"{key}\":{},", f(v));
-}
-
-fn push_opt_f64(out: &mut String, key: &str, v: Option<f64>) {
-    match v {
-        Some(v) => push_f64(out, key, v),
-        None => {
-            let _ = write!(out, "\"{key}\":null,");
-        }
-    }
-}
-
-fn push_raw(out: &mut String, key: &str, v: &str) {
-    let _ = write!(out, "\"{key}\":{v},");
+fn write_window(w: &mut JsonWriter, a: &WindowAggregate) {
+    w.object(|w| {
+        w.key("requests").u64(a.requests);
+        w.key("mean_latency_ms")
+            .f64(a.mean_latency_ms().unwrap_or(0.0));
+        w.key("latency_max_ms").f64(a.latency_max_ms);
+        w.key("group_hits").u64(a.group_hits);
+        w.key("stale_served").u64(a.stale_served);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecg_obs::json::{parse, JsonValue};
     use ecg_sim::{simulate, GroupMap, RunContext, SimPlan};
     use ecg_topology::fixtures::paper_figure1;
     use ecg_workload::{merge_streams, CatalogConfig, RequestConfig};
@@ -200,22 +153,27 @@ mod tests {
     #[test]
     fn json_is_well_formed_and_carries_headline_numbers() {
         let report = sample_report();
-        let json = report_to_json(&report);
-        assert!(json.starts_with('{') && json.ends_with('}'));
+        let doc = parse(&report_to_json(&report)).expect("the document parses");
+        let num = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_f64);
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces"
+            num(&doc, "requests"),
+            Some(report.metrics.total_requests() as f64)
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(
-            !json.contains(",}") && !json.contains(",]"),
-            "no dangling commas"
+        assert_eq!(
+            num(&doc, "origin_fetches"),
+            Some(report.origin_fetches as f64)
         );
-        assert!(json.contains(&format!("\"requests\":{}", report.metrics.total_requests())));
-        assert!(json.contains(&format!("\"origin_fetches\":{}", report.origin_fetches)));
-        assert!(json.contains("\"degradation\":{\"healthy\":"));
-        assert!(json.contains("\"per_cache\":["));
+        assert_eq!(
+            num(&doc, "avg_latency_ms"),
+            Some(report.average_latency_ms())
+        );
+        let healthy = doc.get("degradation").and_then(|d| d.get("healthy"));
+        assert_eq!(
+            healthy.and_then(|h| num(h, "requests")),
+            Some(report.metrics.degradation.healthy.requests as f64)
+        );
+        let per_cache = doc.get("per_cache").and_then(JsonValue::as_arr);
+        assert_eq!(per_cache.map(<[_]>::len), Some(6));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   are retired from their groups, recovered ones re-admitted, and the
 //!   interaction-cost drift of the surviving grouping is tracked as a
 //!   time series ([`DriftSample`]).
-//! * [`report_to_json`] — a deterministic (byte-stable) JSON emitter for
-//!   [`ecg_sim::SimReport`], used by the churn ablation to write result
-//!   files without a serde dependency.
+//! * [`report_to_json`] — the deterministic (byte-stable) JSON form of
+//!   an [`ecg_sim::SimReport`], written through [`ecg_obs::json`]; the
+//!   churn and lifecycle ablations embed it in their result files.
 //! * [`FormationFaults`] — cache-level faults (crashes, link blackholes,
 //!   correlated stub-domain outages) injected into *group formation
 //!   itself*, compiled to [`ecg_coords::ProbeFaults`] for the resilient
@@ -53,7 +53,6 @@
 pub mod churn;
 pub mod formation;
 pub mod json;
-mod jsonparse;
 pub mod plan;
 
 pub use churn::{ChurnConfig, ChurnDriver, DriftSample, MembershipPressure};

@@ -8,14 +8,11 @@
 
 use std::error::Error;
 use std::fmt;
-use std::fmt::Write as _;
 
 use ecg_coords::ProbeConfig;
+use ecg_obs::json::{self, JsonValue, JsonWriter};
 use ecg_sim::fault::{FaultEvent, FaultKind, FaultSchedule};
 use ecg_topology::CacheId;
-
-use crate::json::f;
-use crate::jsonparse::{self, JsonValue};
 
 /// Schema tag written into (and required from) plan JSON documents.
 const PLAN_SCHEMA: &str = "ecg-faultplan/v1";
@@ -23,8 +20,9 @@ const PLAN_SCHEMA: &str = "ecg-faultplan/v1";
 /// Why a [`FaultPlan::from_json`] call was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanParseError {
-    /// The document is not well-formed JSON (of the subset the
-    /// workspace emits).
+    /// The document is not well-formed JSON, or nests deeper than
+    /// [`ecg_obs::json::MAX_DEPTH`]; carries the parser's message,
+    /// which names the offending byte.
     Syntax(String),
     /// The document parses but is not an `ecg-faultplan/v1` object.
     Schema(String),
@@ -279,51 +277,38 @@ impl FaultPlan {
     /// # Ok::<(), ecg_faults::PlanParseError>(())
     /// ```
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + 64 * self.events.len());
-        out.push('{');
-        let _ = write!(out, "\"schema\":\"{PLAN_SCHEMA}\",");
-        let _ = write!(
-            out,
-            "\"failover_penalty_ms\":{},",
-            f(self.failover_penalty_ms)
-        );
-        let _ = write!(
-            out,
-            "\"timeline_bucket_ms\":{},",
-            f(self.timeline_bucket_ms)
-        );
-        let _ = write!(out, "\"probe_loss_rate\":{},", f(self.probe_loss_rate));
-        match self.probe_timeout_ms {
-            Some(ms) => {
-                let _ = write!(out, "\"probe_timeout_ms\":{},", f(ms));
-            }
-            None => out.push_str("\"probe_timeout_ms\":null,"),
-        }
-        out.push_str("\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"t\":{},", f(e.time_ms));
-            match e.kind {
-                FaultKind::CacheDown { cache } => {
-                    let _ = write!(out, "\"kind\":\"cache_down\",\"cache\":{}", cache.index());
+        let mut w = JsonWriter::new();
+        w.object(|w| {
+            w.key("schema").str(PLAN_SCHEMA);
+            w.key("failover_penalty_ms").f64(self.failover_penalty_ms);
+            w.key("timeline_bucket_ms").f64(self.timeline_bucket_ms);
+            w.key("probe_loss_rate").f64(self.probe_loss_rate);
+            w.key("probe_timeout_ms").opt_f64(self.probe_timeout_ms);
+            w.key("events").array(|w| {
+                for e in &self.events {
+                    w.object(|w| {
+                        w.key("t").f64(e.time_ms);
+                        w.key("kind");
+                        match e.kind {
+                            FaultKind::CacheDown { cache } => {
+                                w.str("cache_down").key("cache").usize(cache.index())
+                            }
+                            FaultKind::CacheUp { cache } => {
+                                w.str("cache_up").key("cache").usize(cache.index())
+                            }
+                            FaultKind::CacheRetire { cache } => {
+                                w.str("cache_retire").key("cache").usize(cache.index())
+                            }
+                            FaultKind::BrownoutStart { factor } => {
+                                w.str("brownout_start").key("factor").f64(factor)
+                            }
+                            FaultKind::BrownoutEnd => w.str("brownout_end"),
+                        };
+                    });
                 }
-                FaultKind::CacheUp { cache } => {
-                    let _ = write!(out, "\"kind\":\"cache_up\",\"cache\":{}", cache.index());
-                }
-                FaultKind::CacheRetire { cache } => {
-                    let _ = write!(out, "\"kind\":\"cache_retire\",\"cache\":{}", cache.index());
-                }
-                FaultKind::BrownoutStart { factor } => {
-                    let _ = write!(out, "\"kind\":\"brownout_start\",\"factor\":{}", f(factor));
-                }
-                FaultKind::BrownoutEnd => out.push_str("\"kind\":\"brownout_end\""),
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+            });
+        });
+        w.finish()
     }
 
     /// Parses a plan previously written by [`FaultPlan::to_json`].
@@ -335,7 +320,7 @@ impl FaultPlan {
     /// enforce (so a parsed plan is always one the builders could have
     /// produced).
     pub fn from_json(text: &str) -> Result<FaultPlan, PlanParseError> {
-        let doc = jsonparse::parse(text).map_err(PlanParseError::Syntax)?;
+        let doc = json::parse(text).map_err(|e| PlanParseError::Syntax(e.to_string()))?;
         match doc.get("schema").and_then(JsonValue::as_str) {
             Some(PLAN_SCHEMA) => {}
             Some(other) => return Err(PlanParseError::Schema(format!("{other:?}"))),
@@ -436,6 +421,7 @@ fn parse_event(e: &JsonValue) -> Result<FaultEvent, PlanParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecg_obs::json::MAX_DEPTH;
 
     #[test]
     fn crash_expands_to_down_then_up() {
@@ -516,6 +502,22 @@ mod tests {
         // Malformed JSON.
         assert!(matches!(
             FaultPlan::from_json("{"),
+            Err(PlanParseError::Syntax(_))
+        ));
+        // Nesting past the parser's bound — 100 KB of either of these
+        // overflowed the stack of the reader this crate used to carry.
+        for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = FaultPlan::from_json(&deep).expect_err("rejected");
+            assert!(matches!(err, PlanParseError::Syntax(_)), "{err}");
+            assert!(err.to_string().contains("nested deeper"), "{err}");
+        }
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(matches!(
+            FaultPlan::from_json(&nested(MAX_DEPTH)),
+            Err(PlanParseError::Schema(_))
+        ));
+        assert!(matches!(
+            FaultPlan::from_json(&nested(MAX_DEPTH + 1)),
             Err(PlanParseError::Syntax(_))
         ));
         // Wrong or missing schema.

@@ -1,9 +1,12 @@
-//! Property test: `FaultPlan` JSON round-trips exactly.
+//! Property tests: `FaultPlan` JSON round-trips exactly, and damaged
+//! JSON is refused without a panic.
 //!
 //! For any plan the builder DSL can produce, `to_json` → `from_json` →
 //! `to_json` must be the identity on both the value and the bytes —
 //! this is what lets plan files be re-emitted without drifting the
-//! determinism goldens that diff them.
+//! determinism goldens that diff them. And `from_json` reads bytes from
+//! outside the program: whatever they are, it answers `Ok` or a typed
+//! error.
 
 use ecg_faults::FaultPlan;
 use ecg_topology::CacheId;
@@ -51,6 +54,45 @@ fn build(ops: &[PlanOp], knobs: (f64, f64, Option<(f64, f64)>)) -> FaultPlan {
     plan
 }
 
+/// One byte-level edit of a document, placed by a fraction of its
+/// length so the same edit applies to documents of any size. Nothing
+/// here knows the format being damaged: any reader of outside bytes
+/// can be driven by `mutate`.
+#[derive(Debug, Clone)]
+enum Mutation {
+    Flip { at: f64, bit: u8 },
+    Insert { at: f64, byte: u8 },
+    Delete { at: f64 },
+    Truncate { at: f64 },
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (0.0f64..1.0, 0u8..8).prop_map(|(at, bit)| Mutation::Flip { at, bit }),
+        (0.0f64..1.0, any::<u8>()).prop_map(|(at, byte)| Mutation::Insert { at, byte }),
+        (0.0f64..1.0).prop_map(|at| Mutation::Delete { at }),
+        (0.0f64..1.0).prop_map(|at| Mutation::Truncate { at }),
+    ]
+}
+
+fn mutate(document: &[u8], edits: &[Mutation]) -> Vec<u8> {
+    let mut bytes = document.to_vec();
+    for edit in edits {
+        let len = bytes.len();
+        let offset = |at: f64| (at * len as f64) as usize;
+        match *edit {
+            Mutation::Insert { at, byte } => bytes.insert(offset(at), byte),
+            _ if len == 0 => {}
+            Mutation::Flip { at, bit } => bytes[offset(at)] ^= 1 << bit,
+            Mutation::Delete { at } => {
+                bytes.remove(offset(at));
+            }
+            Mutation::Truncate { at } => bytes.truncate(offset(at)),
+        }
+    }
+    bytes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -85,5 +127,22 @@ proptest! {
             parsed.probe_config(Default::default()),
             plan.probe_config(Default::default())
         );
+    }
+
+    #[test]
+    fn damaged_documents_are_refused_not_panicked_on(
+        ops in proptest::collection::vec(arb_op(), 0..8),
+        edit_lists in proptest::collection::vec(
+            proptest::collection::vec(arb_mutation(), 1..4),
+            32usize,
+        ),
+    ) {
+        let json = build(&ops, (3.0, 10_000.0, Some((0.25, 500.0)))).to_json();
+        for edits in &edit_lists {
+            let damaged = mutate(json.as_bytes(), edits);
+            // `Ok` (the edit kept the plan legal) or `Err`: returning
+            // at all is the property.
+            let _ = FaultPlan::from_json(&String::from_utf8_lossy(&damaged));
+        }
     }
 }

@@ -8,9 +8,8 @@
 //! byte-identical strings — the property the CI determinism matrix
 //! diffs across `ECG_THREADS` settings.
 
-use std::fmt::Write as _;
-
 use ecg_core::FormationHealth;
+use ecg_obs::json::JsonWriter;
 use ecg_sim::GroupMap;
 
 use crate::policy::{ReformDecision, WindowSignals};
@@ -134,118 +133,110 @@ impl FormationTimeline {
     }
 
     /// Serializes the timeline to a deterministic single-line JSON
-    /// object (schema `ecg-lifecycle/v1`): fixed key order, shortest
-    /// round-trip floats, byte-identical for equal timelines.
+    /// object (schema `ecg-lifecycle/v1`) through [`ecg_obs::json`]:
+    /// fixed key order, shortest round-trip floats (an infinite drift
+    /// is `null`), byte-identical for equal timelines.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + 128 * self.decisions.len());
-        out.push('{');
-        let _ = write!(out, "\"schema\":\"ecg-lifecycle/v1\",");
-        let _ = write!(out, "\"step_ms\":{},", f(self.step_ms));
-        let _ = write!(out, "\"horizon_ms\":{},", f(self.horizon_ms));
-        let _ = write!(out, "\"windows\":{},", self.decisions.len());
-        let _ = write!(out, "\"epochs\":{},", self.epochs.len());
-        for which in [
-            ReformDecision::Hold,
-            ReformDecision::Repair,
-            ReformDecision::PartialReform,
-            ReformDecision::FullReform,
-        ] {
-            let _ = write!(
-                out,
-                "\"{}s\":{},",
-                which.as_str(),
-                self.decision_count(which)
-            );
-        }
-        let _ = write!(out, "\"max_drift\":{},", f(self.max_drift()));
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
 
-        out.push_str("\"epoch_list\":[");
-        for (i, e) in self.epochs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    /// Writes the timeline — the object [`FormationTimeline::to_json`]
+    /// returns — as the next value of a larger document.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("schema").str("ecg-lifecycle/v1");
+            w.key("step_ms").f64(self.step_ms);
+            w.key("horizon_ms").f64(self.horizon_ms);
+            w.key("windows").usize(self.decisions.len());
+            w.key("epochs").usize(self.epochs.len());
+            for which in [
+                ReformDecision::Hold,
+                ReformDecision::Repair,
+                ReformDecision::PartialReform,
+                ReformDecision::FullReform,
+            ] {
+                w.key(&format!("{}s", which.as_str()))
+                    .usize(self.decision_count(which));
             }
-            let _ = write!(out, "{{\"start_ms\":{},", f(e.start_ms));
-            out.push_str("\"groups\":[");
-            for (g, members) in e.groups.groups().iter().enumerate() {
-                if g > 0 {
-                    out.push(',');
+            w.key("max_drift").f64(self.max_drift());
+            w.key("epoch_list").array(|w| {
+                for e in &self.epochs {
+                    write_epoch(w, e);
                 }
-                let ids: Vec<String> = members.iter().map(|c| c.index().to_string()).collect();
-                let _ = write!(out, "[{}]", ids.join(","));
-            }
-            out.push_str("],");
-            let lms: Vec<String> = e.landmarks.iter().map(|l| l.to_string()).collect();
-            let _ = write!(out, "\"landmarks\":[{}],", lms.join(","));
-            let _ = write!(out, "\"drift\":{},", f(e.drift));
-            match &e.health {
-                Some(h) => {
-                    let _ = write!(
-                        out,
-                        "\"health\":{{\"probe_gave_up\":{},\"dead_landmarks\":{},\
-                         \"landmark_failovers\":{},\"masked_cells\":{},\"quarantined\":{}}}",
-                        h.probe_gave_up,
-                        h.dead_landmarks.len(),
-                        h.landmark_failovers,
-                        h.masked_cells,
-                        h.quarantined.len()
-                    );
+            });
+            w.key("decisions").array(|w| {
+                for d in &self.decisions {
+                    write_decision(w, d);
                 }
-                None => out.push_str("\"health\":null"),
-            }
-            out.push('}');
-        }
-        out.push_str("],");
-
-        out.push_str("\"decisions\":[");
-        for (i, d) in self.decisions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"t\":{},", f(d.window_end_ms));
-            let _ = write!(out, "\"decision\":\"{}\",", d.decision.as_str());
-            match d.demoted_from {
-                Some(from) => {
-                    let _ = write!(out, "\"demoted_from\":\"{}\",", from.as_str());
-                }
-                None => out.push_str("\"demoted_from\":null,"),
-            }
-            let _ = write!(out, "\"escalated\":{},", d.escalated);
-            let s = &d.signals;
-            let _ = write!(
-                out,
-                "\"signals\":{{\"drift\":{},\"retirements\":{},\"landmark_retirements\":{},\
-                 \"readmissions\":{},\"skipped_retirements\":{},\"dead_landmarks\":{},\
-                 \"down_caches\":{},\"health_degraded\":{}}},",
-                f(s.drift),
-                s.retirements,
-                s.landmark_retirements,
-                s.readmissions,
-                s.skipped_retirements,
-                s.dead_landmarks,
-                s.down_caches,
-                s.health_degraded
-            );
-            let _ = write!(out, "\"epoch\":{}}}", d.epoch);
-        }
-        out.push_str("]}");
-        out
+            });
+        });
     }
 }
 
-/// Formats a float as a JSON number (finite values only in practice;
-/// non-finite become `null`). Mirrors the convention of
-/// `ecg_faults::report_to_json`.
-fn f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+fn write_epoch(w: &mut JsonWriter, e: &Epoch) {
+    w.object(|w| {
+        w.key("start_ms").f64(e.start_ms);
+        w.key("groups").array(|w| {
+            for members in e.groups.groups() {
+                w.array(|w| {
+                    for c in members {
+                        w.usize(c.index());
+                    }
+                });
+            }
+        });
+        w.key("landmarks").array(|w| {
+            for &l in &e.landmarks {
+                w.usize(l);
+            }
+        });
+        // Infinite by design when the baseline cost is zero: `null`.
+        w.key("drift").f64(e.drift);
+        w.key("health");
+        match &e.health {
+            Some(h) => w.object(|w| {
+                w.key("probe_gave_up").u64(h.probe_gave_up);
+                w.key("dead_landmarks").usize(h.dead_landmarks.len());
+                w.key("landmark_failovers").usize(h.landmark_failovers);
+                w.key("masked_cells").usize(h.masked_cells);
+                w.key("quarantined").usize(h.quarantined.len());
+            }),
+            None => w.null(),
+        };
+    });
+}
+
+fn write_decision(w: &mut JsonWriter, d: &DecisionRecord) {
+    w.object(|w| {
+        w.key("t").f64(d.window_end_ms);
+        w.key("decision").str(d.decision.as_str());
+        w.key("demoted_from");
+        match d.demoted_from {
+            Some(from) => w.str(from.as_str()),
+            None => w.null(),
+        };
+        w.key("escalated").bool(d.escalated);
+        let s = &d.signals;
+        w.key("signals").object(|w| {
+            w.key("drift").f64(s.drift);
+            w.key("retirements").u64(s.retirements);
+            w.key("landmark_retirements").u64(s.landmark_retirements);
+            w.key("readmissions").u64(s.readmissions);
+            w.key("skipped_retirements").u64(s.skipped_retirements);
+            w.key("dead_landmarks").usize(s.dead_landmarks);
+            w.key("down_caches").usize(s.down_caches);
+            w.key("health_degraded").bool(s.health_degraded);
+        });
+        w.key("epoch").usize(d.epoch);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecg_obs::json::{parse, JsonValue};
 
     fn sample() -> FormationTimeline {
         let epoch = Epoch {
@@ -259,7 +250,7 @@ mod tests {
             start_ms: 10_000.0,
             groups: GroupMap::singletons(4),
             landmarks: vec![1],
-            drift: 1.0,
+            drift: f64::INFINITY,
             health: None,
         };
         let decisions = vec![
@@ -306,9 +297,20 @@ mod tests {
         let json = t.to_json();
         assert_eq!(json, t.clone().to_json(), "byte-identical re-render");
         assert!(json.starts_with("{\"schema\":\"ecg-lifecycle/v1\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains(",}") && !json.contains(",]"));
+        let doc = parse(&json).expect("the document parses");
+        let epochs = doc.get("epoch_list").and_then(JsonValue::as_arr);
+        let epochs = epochs.expect("epoch list");
+        let drifts: Vec<_> = epochs.iter().map(|e| e.get("drift")).collect();
+        // A zero-cost baseline makes the drift ratio infinite by design.
+        assert_eq!(
+            drifts,
+            [Some(&JsonValue::Num(1.0)), Some(&JsonValue::Null)],
+            "{json}"
+        );
+        let signals = doc.get("decisions").and_then(JsonValue::as_arr);
+        let signals = signals.and_then(|d| d[0].get("signals")).expect("signals");
+        assert_eq!(signals.get("drift"), Some(&JsonValue::Num(1.7)));
+        assert_eq!(signals.get("retirements"), Some(&JsonValue::Num(2.0)));
         assert!(json.contains("\"partial_reforms\":1"));
         assert!(json.contains("\"holds\":1"));
         assert!(json.contains("\"max_drift\":1.7"));

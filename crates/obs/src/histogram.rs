@@ -5,7 +5,7 @@
 //! spaced bins, so percentiles cost O(1) memory per run, independent of
 //! sample count.
 
-use crate::json::push_f64;
+use crate::json::JsonWriter;
 
 /// A histogram over `[min, max)` with geometrically spaced bins.
 ///
@@ -173,19 +173,13 @@ impl Histogram {
 
     /// Appends the export summary (`count` plus p50/p90/p99/max bucket
     /// edges) as a JSON object.
-    pub(crate) fn write_json(&self, out: &mut String) {
-        out.push_str("{\"count\":");
-        out.push_str(&self.count.to_string());
-        for (label, p) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99), ("max", 1.0)] {
-            out.push_str(",\"");
-            out.push_str(label);
-            out.push_str("\":");
-            match self.percentile(p) {
-                Some(v) => push_f64(out, v),
-                None => out.push_str("null"),
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("count").u64(self.count);
+            for (label, p) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99), ("max", 1.0)] {
+                w.key(label).opt_f64(self.percentile(p));
             }
-        }
-        out.push('}');
+        });
     }
 }
 
@@ -345,16 +339,19 @@ mod tests {
 
     #[test]
     fn json_summary_shape() {
+        let json = |h: &Histogram| {
+            let mut w = JsonWriter::new();
+            h.write_json(&mut w);
+            w.finish()
+        };
         let mut h = Histogram::default();
-        let mut s = String::new();
-        h.write_json(&mut s);
+        let s = json(&h);
         assert!(
             s.contains("\"count\":0") && s.contains("\"p50\":null"),
             "{s}"
         );
         h.record(5.0);
-        s.clear();
-        h.write_json(&mut s);
+        let s = json(&h);
         assert!(s.contains("\"count\":1") && !s.contains("null"), "{s}");
     }
 

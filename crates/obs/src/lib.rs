@@ -16,9 +16,11 @@
 //!   [`TraceEvent`]s with JSON-lines and aligned-table exporters.
 //!
 //! [`Obs`] bundles the three and serializes them with [`Obs::to_json`];
-//! two runs with the same seeds produce byte-identical JSON (Rust
-//! formats `f64` with the shortest round-trip representation, which is
-//! platform-independent).
+//! two runs with the same seeds produce byte-identical JSON.
+//!
+//! The crate is also the home of [`json`], the workspace's one JSON
+//! writer and parser: every document any crate emits or reads — this
+//! one's included — goes through it.
 //!
 //! ## Metric naming convention
 //!
@@ -32,12 +34,13 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod histogram;
-mod json;
+pub mod json;
 mod metrics;
 mod span;
 mod trace;
 
 pub use histogram::Histogram;
+use json::JsonWriter;
 pub use metrics::MetricsRegistry;
 pub use span::{PhaseNode, PhaseRecorder, SpanGuard};
 pub use trace::{EventTrace, FieldValue, TraceEvent};
@@ -113,15 +116,14 @@ impl Obs {
     /// with every map in sorted-key order, so equal bundles always
     /// produce byte-identical output.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"schema\":\"ecg-obs/v1\",\"metrics\":");
-        self.metrics.write_json(&mut out);
-        out.push_str(",\"phases\":");
-        self.phases.write_json(&mut out);
-        out.push_str(",\"trace\":");
-        self.trace.write_json(&mut out);
-        out.push('}');
-        out
+        let mut w = JsonWriter::new();
+        w.object(|w| {
+            w.key("schema").str("ecg-obs/v1");
+            self.metrics.write_json(w.key("metrics"));
+            self.phases.write_json(w.key("phases"));
+            self.trace.write_json(w.key("trace"));
+        });
+        w.finish()
     }
 }
 
@@ -160,6 +162,47 @@ mod tests {
         assert_eq!(merged.metrics.counter("a.count"), 2);
         assert_eq!(merged.trace.len(), 2);
         assert!(merged.to_json().starts_with("{\"schema\":\"ecg-obs/v1\""));
+    }
+
+    #[test]
+    fn the_document_reads_back_with_the_numbers_it_was_given() {
+        use json::{parse, JsonValue};
+        let mut o = Obs::new();
+        // A control character in a name is escaped, and read back.
+        o.metrics.add("a\u{1}b", 7);
+        o.metrics.set_gauge("g", 2.5);
+        o.metrics.observe("h", 12.0);
+        o.phases.span("outer").child("inner").add_work(4.0);
+        o.trace
+            .push(1.5, "c", "k", vec![("x", 7u64.into()), ("s", "v".into())]);
+
+        let doc = parse(&o.to_json()).expect("the document parses");
+        let num = |v: Option<&JsonValue>| v.and_then(JsonValue::as_f64);
+        let metrics = doc.get("metrics").expect("metrics");
+        let counters = metrics.get("counters").expect("counters");
+        assert_eq!(num(counters.get("a\u{1}b")), Some(7.0));
+        assert_eq!(
+            num(metrics.get("gauges").and_then(|g| g.get("g"))),
+            Some(2.5)
+        );
+        let hist = metrics.get("histograms").and_then(|h| h.get("h"));
+        assert_eq!(num(hist.and_then(|h| h.get("count"))), Some(1.0));
+        let outer = &doc
+            .get("phases")
+            .and_then(JsonValue::as_arr)
+            .expect("phases")[0];
+        let inner = &outer
+            .get("children")
+            .and_then(JsonValue::as_arr)
+            .expect("children")[0];
+        assert_eq!(inner.get("name").and_then(JsonValue::as_str), Some("inner"));
+        assert_eq!(num(inner.get("work")), Some(4.0));
+        let events = doc.get("trace").and_then(|t| t.get("events"));
+        let event = &events.and_then(JsonValue::as_arr).expect("events")[0];
+        assert_eq!(num(event.get("t")), Some(1.5));
+        let fields = event.get("fields").expect("fields");
+        assert_eq!(num(fields.get("x")), Some(7.0));
+        assert_eq!(fields.get("s").and_then(JsonValue::as_str), Some("v"));
     }
 
     #[test]

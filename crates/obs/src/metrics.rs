@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::histogram::Histogram;
-use crate::json::{push_f64, push_str_literal};
+use crate::json::JsonWriter;
 
 /// A registry of named metrics.
 ///
@@ -152,35 +152,24 @@ impl MetricsRegistry {
 
     /// Appends the registry as a JSON object
     /// `{"counters":{...},"gauges":{...},"histograms":{...}}`.
-    pub(crate) fn write_json(&self, out: &mut String) {
-        out.push_str("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_str_literal(out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_str_literal(out, name);
-            out.push(':');
-            push_f64(out, *v);
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_str_literal(out, name);
-            out.push(':');
-            h.write_json(out);
-        }
-        out.push_str("}}");
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("counters").object(|w| {
+                for (name, v) in &self.counters {
+                    w.key(name).u64(*v);
+                }
+            });
+            w.key("gauges").object(|w| {
+                for (name, v) in &self.gauges {
+                    w.key(name).f64(*v);
+                }
+            });
+            w.key("histograms").object(|w| {
+                for (name, h) in &self.histograms {
+                    h.write_json(w.key(name));
+                }
+            });
+        });
     }
 }
 
@@ -229,8 +218,9 @@ mod tests {
         m.inc("z.last");
         m.inc("a.first");
         m.inc("m.mid");
-        let mut s = String::new();
-        m.write_json(&mut s);
+        let mut w = JsonWriter::new();
+        m.write_json(&mut w);
+        let s = w.finish();
         let a = s.find("a.first").expect("a.first present");
         let mid = s.find("m.mid").expect("m.mid present");
         let z = s.find("z.last").expect("z.last present");

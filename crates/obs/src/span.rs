@@ -5,7 +5,7 @@
 //! iterations, probes sent). Two identical seeded runs therefore build
 //! identical trees.
 
-use crate::json::{push_f64, push_str_literal};
+use crate::json::JsonWriter;
 
 /// One node of the phase tree: a named phase with call count,
 /// accumulated work, and child phases.
@@ -64,21 +64,17 @@ impl PhaseNode {
         }
     }
 
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"name\":");
-        push_str_literal(out, &self.name);
-        out.push_str(",\"calls\":");
-        out.push_str(&self.calls.to_string());
-        out.push_str(",\"work\":");
-        push_f64(out, self.work);
-        out.push_str(",\"children\":[");
-        for (i, child) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            child.write_json(out);
-        }
-        out.push_str("]}");
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("name").str(&self.name);
+            w.key("calls").u64(self.calls);
+            w.key("work").f64(self.work);
+            w.key("children").array(|w| {
+                for child in &self.children {
+                    child.write_json(w);
+                }
+            });
+        });
     }
 }
 
@@ -172,15 +168,12 @@ impl PhaseRecorder {
     }
 
     /// Appends the tree as a JSON array of nodes.
-    pub(crate) fn write_json(&self, out: &mut String) {
-        out.push('[');
-        for (i, root) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.array(|w| {
+            for root in &self.roots {
+                root.write_json(w);
             }
-            root.write_json(out);
-        }
-        out.push(']');
+        });
     }
 }
 
@@ -296,10 +289,10 @@ mod tests {
             let mut s = rec.span("p");
             s.add_work(1.5);
         }
-        let mut out = String::new();
-        rec.write_json(&mut out);
+        let mut w = JsonWriter::new();
+        rec.write_json(&mut w);
         assert_eq!(
-            out,
+            w.finish(),
             "[{\"name\":\"p\",\"calls\":1,\"work\":1.5,\"children\":[]}]"
         );
     }

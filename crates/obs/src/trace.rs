@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use crate::json::{push_f64, push_str_literal};
+use crate::json::JsonWriter;
 
 /// One field value attached to a [`TraceEvent`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,12 +46,12 @@ impl From<&'static str> for FieldValue {
 }
 
 impl FieldValue {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            FieldValue::U64(v) => out.push_str(&v.to_string()),
-            FieldValue::F64(v) => push_f64(out, *v),
-            FieldValue::Str(s) => push_str_literal(out, s),
-        }
+    fn write_json(&self, w: &mut JsonWriter) {
+        match *self {
+            FieldValue::U64(v) => w.u64(v),
+            FieldValue::F64(v) => w.f64(v),
+            FieldValue::Str(s) => w.str(s),
+        };
     }
 
     fn render(&self) -> String {
@@ -79,25 +79,18 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"seq\":");
-        out.push_str(&self.seq.to_string());
-        out.push_str(",\"t\":");
-        push_f64(out, self.t);
-        out.push_str(",\"component\":");
-        push_str_literal(out, self.component);
-        out.push_str(",\"kind\":");
-        push_str_literal(out, self.kind);
-        out.push_str(",\"fields\":{");
-        for (i, (name, value)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_str_literal(out, name);
-            out.push(':');
-            value.write_json(out);
-        }
-        out.push_str("}}");
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("seq").u64(self.seq);
+            w.key("t").f64(self.t);
+            w.key("component").str(self.component);
+            w.key("kind").str(self.kind);
+            w.key("fields").object(|w| {
+                for (name, value) in &self.fields {
+                    value.write_json(w.key(name));
+                }
+            });
+        });
     }
 }
 
@@ -203,7 +196,9 @@ impl EventTrace {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for event in &self.events {
-            event.write_json(&mut out);
+            let mut w = JsonWriter::new();
+            event.write_json(&mut w);
+            out.push_str(&w.finish());
             out.push('\n');
         }
         out
@@ -259,21 +254,17 @@ impl EventTrace {
 
     /// Appends the trace as a JSON object
     /// `{"capacity":..,"recorded":..,"dropped":..,"events":[...]}`.
-    pub(crate) fn write_json(&self, out: &mut String) {
-        out.push_str("{\"capacity\":");
-        out.push_str(&self.capacity.to_string());
-        out.push_str(",\"recorded\":");
-        out.push_str(&self.next_seq.to_string());
-        out.push_str(",\"dropped\":");
-        out.push_str(&self.dropped.to_string());
-        out.push_str(",\"events\":[");
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            event.write_json(out);
-        }
-        out.push_str("]}");
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.key("capacity").usize(self.capacity);
+            w.key("recorded").u64(self.next_seq);
+            w.key("dropped").u64(self.dropped);
+            w.key("events").array(|w| {
+                for event in &self.events {
+                    event.write_json(w);
+                }
+            });
+        });
     }
 }
 
@@ -317,9 +308,11 @@ mod tests {
             "{\"seq\":0,\"t\":1.5,\"component\":\"sim\",\"kind\":\"crash\",\
              \"fields\":{\"cache\":3}}\n"
         );
-        let mut out = String::new();
-        trace.write_json(&mut out);
-        assert!(out.starts_with("{\"capacity\":4,\"recorded\":1,\"dropped\":0,"));
+        let mut w = JsonWriter::new();
+        trace.write_json(&mut w);
+        assert!(w
+            .finish()
+            .starts_with("{\"capacity\":4,\"recorded\":1,\"dropped\":0,"));
     }
 
     #[test]
