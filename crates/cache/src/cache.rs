@@ -1,6 +1,7 @@
 //! The document cache itself: a dense unordered slab of residents found
-//! through a small open-addressed index. Nothing observable depends on
-//! slab order — eviction minimises the total order `(score, DocId)`,
+//! through a small open-addressed index or a table addressed by document
+//! id. Nothing observable depends on slab order or index form — eviction
+//! minimises the total order `(score, DocId)`,
 //! [`DocumentCache::iter`] sorts on demand, equality compares contents.
 
 use crate::entry::Entry;
@@ -48,6 +49,10 @@ const EMPTY: u32 = u32::MAX;
 /// `SMALL + 1` residents at load ≤ ½.
 const FIRST_INDEX_LEN: usize = (2 * (SMALL + 1)).next_power_of_two();
 
+/// A document-addressed table grows to any id below this (64 MiB at
+/// most); a larger id turns the cache hashed.
+const BY_DOC_LIMIT: usize = 1 << 24;
+
 /// The home index position of `doc` in a table of `table_len` (a power
 /// of two ≥ 2) positions: the top bits of a fixed multiplicative
 /// (Fibonacci) hash. Deliberately not `RandomState` — nothing in a
@@ -77,6 +82,9 @@ fn home(doc: DocId, table_len: usize) -> usize {
 /// then on. Insert, lookup and removal are O(1) and the eviction scan is
 /// a pass over contiguous memory.
 ///
+/// [`DocumentCache::with_doc_index`] finds residents through a table
+/// indexed by document id instead: one load, 4 bytes per document.
+///
 /// # Examples
 ///
 /// ```
@@ -100,7 +108,10 @@ pub struct DocumentCache {
     /// Slab slots by hashed document id, or empty while the slab is
     /// scanned instead. Every resident's slot appears exactly once, on
     /// the probe path from its [`home`] with no `EMPTY` before it.
+    /// When `by_doc`, slab slots by document id (`EMPTY`, or past the
+    /// end, for an absent one).
     index: Vec<u32>,
+    by_doc: bool,
     /// [`UtilityKey::of`] every resident, in slab order — or empty: the
     /// keys are built by the first [`PolicyKind::Utility`] eviction
     /// (never, under another policy) and kept in step from then on.
@@ -145,10 +156,25 @@ impl DocumentCache {
             policy,
             slab: Vec::new(),
             index: Vec::new(),
+            by_doc: false,
             keys: Vec::new(),
             absent: None,
             stats: CacheStats::default(),
             watermark: 0.0,
+        }
+    }
+
+    /// [`DocumentCache::new`] finding residents through a table indexed
+    /// by document id, sized for ids below `docs` (a larger one grows it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity_bytes == 0`.
+    pub fn with_doc_index(capacity_bytes: u64, policy: PolicyKind, docs: usize) -> Self {
+        DocumentCache {
+            index: vec![EMPTY; docs.min(BY_DOC_LIMIT)],
+            by_doc: true,
+            ..Self::new(capacity_bytes, policy)
         }
     }
 
@@ -185,6 +211,12 @@ impl DocumentCache {
     /// The slab slot holding `doc`, if it is resident.
     #[inline]
     fn find(&self, doc: DocId) -> Option<usize> {
+        if self.by_doc {
+            return match self.index.get(doc.index()) {
+                Some(&slot) if slot != EMPTY => Some(slot as usize),
+                _ => None,
+            };
+        }
         if self.index.is_empty() {
             return self.slab.iter().position(|&(d, _)| d == doc);
         }
@@ -256,7 +288,8 @@ impl DocumentCache {
     }
 
     /// Appends a resident known to be absent, building or doubling the
-    /// index when the population calls for it.
+    /// index when the population calls for it, or growing a table too
+    /// short for `doc`.
     fn push(&mut self, doc: DocId, entry: Entry) {
         let slot = self.slab.len();
         self.slab.push((doc, entry));
@@ -265,7 +298,16 @@ impl DocumentCache {
         }
         self.absent = None;
         debug_assert!(self.keys_in_step(), "score keys out of step after a push");
-        if self.index.is_empty() {
+        if self.by_doc && doc.index() >= BY_DOC_LIMIT {
+            self.by_doc = false;
+            self.rebuild_index(FIRST_INDEX_LEN.max((2 * self.slab.len()).next_power_of_two()));
+        } else if self.by_doc {
+            if doc.index() >= self.index.len() {
+                let len = (doc.index() + 1).max(2 * self.index.len());
+                self.index.resize(len.min(BY_DOC_LIMIT), EMPTY);
+            }
+            self.index[doc.index()] = u32::try_from(slot).expect("fewer than 2^32 residents");
+        } else if self.index.is_empty() {
             if self.slab.len() > SMALL {
                 self.rebuild_index(FIRST_INDEX_LEN);
             }
@@ -289,9 +331,13 @@ impl DocumentCache {
     /// Removes and returns the resident in slab slot `slot`. The last
     /// resident takes over the slot, and its index entry is re-pointed.
     fn remove_slot(&mut self, slot: usize) -> (DocId, Entry) {
-        if !self.index.is_empty() {
+        let last = self.slab.len() - 1;
+        if self.by_doc {
+            // Re-pointed first, so a removed last resident ends `EMPTY`.
+            self.index[self.slab[last].0.index()] = slot as u32;
+            self.index[self.slab[slot].0.index()] = EMPTY;
+        } else if !self.index.is_empty() {
             self.unlink(self.index_position(self.slab[slot].0, slot));
-            let last = self.slab.len() - 1;
             if slot != last {
                 let moved = self.index_position(self.slab[last].0, last);
                 self.index[moved] = slot as u32;
@@ -851,6 +897,44 @@ mod tests {
             let linked = c.index.iter().filter(|&&slot| slot != EMPTY).count();
             assert_eq!(linked, c.len());
         }
+    }
+
+    #[test]
+    fn a_document_addressed_table_grows_for_any_id_and_never_panics() {
+        let mut c = DocumentCache::with_doc_index(u64::MAX, PolicyKind::Lru, 4);
+        assert_eq!(c.index, [EMPTY; 4]);
+        assert!(!c.contains(DocId(3)) && !c.contains(DocId(1_000)));
+        let ids = [3, 9, 12, 2, 40];
+        for (i, d) in ids.into_iter().enumerate() {
+            c.insert(DocId(d), d as u64, 1, 1.0, 0.0, i as f64);
+            // Stretched to reach 9, doubled for 12, stretched for 40.
+            assert_eq!(c.index.len(), [4, 10, 20, 20, 41][i]);
+        }
+        // A removal re-points the resident that takes the freed slot.
+        c.remove(DocId(3));
+        assert_eq!(c.index[3], EMPTY);
+        for d in [9, 12, 2, 40] {
+            assert!(c.holds_fresh(DocId(d), d as u64), "{d}");
+        }
+        // An id no table should grow to turns the cache hashed, with
+        // every resident still found.
+        let unbounded = [BY_DOC_LIMIT, usize::MAX];
+        for &d in &unbounded {
+            c.insert(DocId(d), 7, 1, 1.0, 0.0, 5.0);
+        }
+        assert!(!c.by_doc && c.index.len().is_power_of_two());
+        for d in [9, 12, 2, 40].into_iter().chain(unbounded) {
+            assert!(c.contains(DocId(d)), "{d}");
+        }
+        let mut hashed = DocumentCache::new(u64::MAX, PolicyKind::Lru);
+        for (i, d) in ids.into_iter().enumerate() {
+            hashed.insert(DocId(d), d as u64, 1, 1.0, 0.0, i as f64);
+        }
+        hashed.remove(DocId(3));
+        for &d in &unbounded {
+            hashed.insert(DocId(d), 7, 1, 1.0, 0.0, 5.0);
+        }
+        assert_eq!(c, hashed);
     }
 
     #[test]

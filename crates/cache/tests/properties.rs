@@ -307,6 +307,16 @@ fn arb_model_op() -> impl Strategy<Value = ModelOp> {
     )
 }
 
+/// A cache of either index form: hashed, or addressed by document id
+/// through a table shorter than the ids drawn, so it grows mid-run.
+fn cache_of(capacity_bytes: u64, policy: PolicyKind, by_doc: bool) -> DocumentCache {
+    if by_doc {
+        DocumentCache::with_doc_index(capacity_bytes, policy, 8)
+    } else {
+        DocumentCache::new(capacity_bytes, policy)
+    }
+}
+
 fn arb_policy() -> impl Strategy<Value = PolicyKind> {
     prop_oneof![
         Just(PolicyKind::Lru),
@@ -318,13 +328,18 @@ fn arb_policy() -> impl Strategy<Value = PolicyKind> {
 
 /// Fills a utility cache and the model with `residents` — `(doc, size,
 /// cost, rate, inserted at)`, in the given order and then reversed, so
-/// the slab is laid out both ways — touches a few of them, and evicts
-/// everything at `now` with one insert: the burst must be the model's.
+/// the slab is laid out both ways, in a cache of either index form —
+/// touches a few of them, and evicts everything at `now` with one
+/// insert: the burst must be the model's.
 fn assert_utility_burst_matches_the_model(residents: &[(usize, u64, f64, f64, f64)], now: f64) {
     let reversed: Vec<_> = residents.iter().rev().copied().collect();
     let mut bursts = Vec::new();
-    for order in [residents, &reversed] {
-        let mut cache = DocumentCache::new(1 << 20, PolicyKind::Utility);
+    for (order, by_doc) in [
+        (residents, false),
+        (&reversed[..], false),
+        (residents, true),
+    ] {
+        let mut cache = cache_of(1 << 20, PolicyKind::Utility, by_doc);
         let mut model = ModelCache::new(1 << 20, PolicyKind::Utility);
         for &(doc, size, cost, rate, at) in order {
             cache.insert(DocId(doc), 1, size, cost, rate, at);
@@ -345,9 +360,10 @@ fn assert_utility_burst_matches_the_model(residents: &[(usize, u64, f64, f64, f6
         assert_eq!(cache.stats(), model.stats);
         bursts.push(evicted);
     }
-    // The order the residents went in does not show in the order they
-    // come out.
+    // Neither the order the residents went in nor the index form shows
+    // in the order they come out.
     assert_eq!(bursts[0], bursts[1]);
+    assert_eq!(bursts[0], bursts[2]);
 }
 
 #[test]
@@ -407,8 +423,9 @@ proptest! {
     fn capacity_is_never_exceeded(
         ops in proptest::collection::vec(arb_op(), 1..200),
         policy in arb_policy(),
+        by_doc in any::<bool>(),
     ) {
-        let mut cache = DocumentCache::new(1_000, policy);
+        let mut cache = cache_of(1_000, policy, by_doc);
         for (t, op) in ops.iter().enumerate() {
             let now = t as f64;
             match *op {
@@ -433,8 +450,9 @@ proptest! {
     fn stats_counters_are_consistent(
         ops in proptest::collection::vec(arb_op(), 1..200),
         policy in arb_policy(),
+        by_doc in any::<bool>(),
     ) {
-        let mut cache = DocumentCache::new(2_000, policy);
+        let mut cache = cache_of(2_000, policy, by_doc);
         for (t, op) in ops.iter().enumerate() {
             match *op {
                 Op::Lookup { doc, version } => {
@@ -460,8 +478,9 @@ proptest! {
         version in 1u64..100,
         size in 1u64..900,
         policy in arb_policy(),
+        by_doc in any::<bool>(),
     ) {
-        let mut cache = DocumentCache::new(1_000, policy);
+        let mut cache = cache_of(1_000, policy, by_doc);
         cache.insert(DocId(doc), version, size, 5.0, 0.0, 0.0);
         prop_assert_eq!(cache.lookup(DocId(doc), version, 1.0), LookupOutcome::Hit);
         // Any newer origin version makes it stale.
@@ -475,12 +494,13 @@ proptest! {
     fn stale_versions_are_never_served(
         ops in proptest::collection::vec(arb_origin_op(), 1..200),
         policy in arb_policy(),
+        by_doc in any::<bool>(),
     ) {
         // Model an origin whose per-document version only moves forward;
         // inserts always carry the version current at insert time. A
         // copy inserted before a bump is stale and must never be
         // reported fresh (or served as a hit) at the new version.
-        let mut cache = DocumentCache::new(1_500, policy);
+        let mut cache = cache_of(1_500, policy, by_doc);
         let mut origin: [u64; 20] = [1; 20];
         let mut inserted: HashMap<usize, u64> = HashMap::new();
         for (t, op) in ops.iter().enumerate() {
@@ -514,12 +534,13 @@ proptest! {
     fn eviction_order_matches_documented_keys(
         ops in proptest::collection::vec(arb_op(), 1..200),
         policy in arb_policy(),
+        by_doc in any::<bool>(),
     ) {
         // Replays the op sequence, predicting every insert's eviction
         // victims from the policies' *documented* scoring keys computed
         // independently of the implementation (including a shadow GDSF
         // watermark, which the cache keeps private).
-        let mut cache = DocumentCache::new(1_000, policy);
+        let mut cache = cache_of(1_000, policy, by_doc);
         let mut watermark = 0.0_f64;
         let mut evicted = Vec::new();
         for (t, op) in ops.iter().enumerate() {
@@ -555,9 +576,10 @@ proptest! {
     fn slab_store_matches_the_btreemap_model(
         ops in proptest::collection::vec(arb_model_op(), 1..400),
         policy in arb_policy(),
+        by_doc in any::<bool>(),
         step in prop_oneof![Just(1.0), Just(250.0), Just(1_000.0 / 3.0), Just(4_000.0)],
     ) {
-        let mut cache = DocumentCache::new(2_000, policy);
+        let mut cache = cache_of(2_000, policy, by_doc);
         let mut model = ModelCache::new(2_000, policy);
         let mut evicted = Vec::new();
         // Times the population rose past / fell back to eight residents.
@@ -640,8 +662,9 @@ proptest! {
     fn eviction_preserves_newly_inserted_doc(
         fill in proptest::collection::vec((1u64..400u64, 1u64..3), 2..20),
         policy in arb_policy(),
+        by_doc in any::<bool>(),
     ) {
-        let mut cache = DocumentCache::new(1_000, policy);
+        let mut cache = cache_of(1_000, policy, by_doc);
         for (i, &(size, version)) in fill.iter().enumerate() {
             cache.insert(DocId(i), version, size, 10.0, 0.0, i as f64);
             // The just-inserted document must survive its own insertion.

@@ -150,6 +150,9 @@ pub struct RunStats {
     pub epochs: usize,
     /// Kernel runs — one per group per epoch.
     pub shards: usize,
+    /// Kernel runs that took the dense lookup layout, same report: `R ≥ m ·
+    /// max(m − 1, ⌈D / 8⌉)` for `m` members, `R` requests, `D` documents.
+    pub dense_shards: usize,
     /// Trace events fed across all shards (each replays its own
     /// requests plus the shared update log).
     pub shard_events: u64,
@@ -181,8 +184,15 @@ impl RunStats {
 #[derive(Debug, Default)]
 pub struct RunContext<'o> {
     obs: Option<&'o mut Obs>,
-    pooled: bool,
+    exec: Execution,
     stats: RunStats,
+}
+
+/// How a run's groups execute: pooled or not, and any layout forced.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Execution {
+    pooled: bool,
+    forced_dense: Option<bool>,
 }
 
 impl<'o> RunContext<'o> {
@@ -193,10 +203,18 @@ impl<'o> RunContext<'o> {
 
     /// Groups run as work items on the [`ecg_par`] worker pool.
     pub fn pooled() -> Self {
-        RunContext {
-            pooled: true,
-            ..Self::default()
-        }
+        let mut ctx = Self::default();
+        ctx.exec.pooled = true;
+        ctx
+    }
+
+    /// Every kernel run takes the dense layout (`true`) or the sparse
+    /// one, whatever its traffic: the hook tests hold both layouts to
+    /// the oracle through. Nothing a run reports depends on it.
+    #[doc(hidden)]
+    pub fn force_layout(mut self, dense: bool) -> Self {
+        self.exec.forced_dense = Some(dense);
+        self
     }
 
     /// Records the run's telemetry into `obs` when one is supplied
@@ -214,12 +232,12 @@ impl<'o> RunContext<'o> {
     }
 
     /// Starts a run of `epochs` groupings.
-    pub(crate) fn begin(&mut self, epochs: usize) -> (bool, &mut RunStats) {
+    pub(crate) fn begin(&mut self, epochs: usize) -> (Execution, &mut RunStats) {
         self.stats = RunStats {
             epochs,
             ..RunStats::default()
         };
-        (self.pooled, &mut self.stats)
+        (self.exec, &mut self.stats)
     }
 
     /// Ends a run: flushes its telemetry — one document per run,
@@ -300,8 +318,8 @@ pub fn simulate(
     groups: &GroupMap,
     ctx: &mut RunContext<'_>,
 ) -> Result<SimReport, SimError> {
-    let (pooled, stats) = ctx.begin(1);
-    let outcome = run(plan, groups, pooled, stats)?;
+    let (exec, stats) = ctx.begin(1);
+    let outcome = run(plan, groups, exec, stats)?;
     let trace_len = match plan.trace {
         TraceSource::Events(trace) => trace.len(),
         // Every group replayed the whole update log; the materialized
@@ -315,13 +333,13 @@ pub fn simulate(
 }
 
 /// One grouping of `plan`, group-major: validated and planned once,
-/// every group through the kernel — on the pool when `pooled` — and
-/// folded in group order. Adds its counts and stage times to `stats`;
-/// the caller flushes the telemetry.
+/// every group through the kernel as `exec` says, and folded in group
+/// order. Adds its counts and stage times to `stats`; the caller flushes
+/// the telemetry.
 pub(crate) fn run(
     plan: &SimPlan<'_>,
     groups: &GroupMap,
-    pooled: bool,
+    exec: Execution,
     stats: &mut RunStats,
 ) -> Result<GroupOutcome, SimError> {
     let t0 = Instant::now();
@@ -330,8 +348,8 @@ pub(crate) fn run(
 
     let t1 = Instant::now();
     let shards = groups.group_count();
-    let merged = if pooled {
-        let outcomes = ecg_par::par_map((0..shards).collect(), |g| run.group(g));
+    let merged = if exec.pooled {
+        let outcomes = ecg_par::par_map((0..shards).collect(), |g| run.group(g, exec.forced_dense));
         stats.shards_ms += ms_since(t1);
         let t2 = Instant::now();
         let merged = run.fold(outcomes.into_iter());
@@ -339,11 +357,12 @@ pub(crate) fn run(
         merged
     } else {
         // Folded as they finish: one group's caches are live at a time.
-        let merged = run.fold((0..shards).map(|g| run.group(g)));
+        let merged = run.fold((0..shards).map(|g| run.group(g, exec.forced_dense)));
         stats.shards_ms += ms_since(t1);
         merged
     };
     stats.shards += shards;
+    stats.dense_shards += merged.tallies.dense_runs;
     stats.shard_events += merged.tallies.trace_events;
     Ok(merged)
 }
@@ -412,27 +431,34 @@ impl<'a> GroupRun<'a> {
     }
 
     /// Simulates group `g`: its share of the planned trace by position,
-    /// or its members' regenerated streams under local ids.
-    fn group(&self, g: usize) -> GroupOutcome {
+    /// or its members' regenerated streams under local ids — in the
+    /// `forced` layout, or the one [`crate::sim::dense_layout`] picks.
+    fn group(&self, g: usize, forced: Option<bool>) -> GroupOutcome {
         let members = &self.groups.groups()[g];
         let (catalog, config, schedule) = (self.plan.catalog, self.plan.config, &self.schedules[g]);
         let network = member_network(self.plan.rtt, members);
         let one_group = GroupMap::one_group(members.len());
+        let dense = |requests| {
+            forced
+                .unwrap_or_else(|| crate::sim::dense_layout(members.len(), requests, catalog.len()))
+        };
         match &self.events {
             GroupEvents::Planned(trace, plan) => RecordBlock::on_this_thread(|block| {
+                let dense = dense(plan.request_count(g));
                 let walk = GroupWalk::new(trace, plan, g, &self.local_of, schedule, block);
                 let events = walk.trace_events();
                 kernel(
-                    &network, &one_group, catalog, walk, events, config, schedule,
+                    &network, &one_group, catalog, walk, events, config, schedule, dense,
                 )
             }),
             GroupEvents::Streamed(workload, zipf) => {
                 let subtrace = stream::member_subtrace(workload, zipf, members);
+                let dense = dense(subtrace.len() - workload.update_log().len());
                 let timeline = Timeline::new(members.len(), catalog.len(), &subtrace, schedule)
                     .expect("a generated sub-trace references its own members and catalog");
                 let events = timeline.trace_events();
                 kernel(
-                    &network, &one_group, catalog, timeline, events, config, schedule,
+                    &network, &one_group, catalog, timeline, events, config, schedule, dense,
                 )
             }
         }
@@ -600,6 +626,43 @@ mod tests {
     #[test]
     fn one_group_in_id_order_is_a_group_like_any_other() {
         assert_every_context_matches_the_oracle(&GroupMap::one_group(6), &FaultSchedule::new());
+    }
+
+    #[test]
+    fn run_stats_count_the_shards_that_went_dense() {
+        // 3 members, ~240 requests each group, 120 documents: the rule
+        // needs 3 · max(2, 15) = 45.
+        let (network, catalog, trace) = fixture();
+        let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace);
+        for context in [RunContext::serial, RunContext::pooled] {
+            let mut ctx = context();
+            simulate(&plan, &two_groups(), &mut ctx).unwrap();
+            assert_eq!((ctx.stats().shards, ctx.stats().dense_shards), (2, 2));
+        }
+        // Two seconds of traffic streamed to one group of 6: some 50
+        // requests against 6 · max(5, 15) = 90 needed.
+        let workload = StreamedWorkload::new(
+            RequestConfig::default().rate_per_sec_per_cache(4.0),
+            3,
+            2_000.0,
+        );
+        let plan = SimPlan::streamed(network.rtt_matrix(), &catalog, &workload);
+        let mut ctx = RunContext::pooled();
+        let report = simulate(&plan, &GroupMap::one_group(6), &mut ctx).unwrap();
+        assert!(report.metrics.total_requests() > 0);
+        assert_eq!((ctx.stats().shards, ctx.stats().dense_shards), (1, 0));
+        // A forced layout overrides the rule, and the scan-all reference
+        // never goes dense.
+        let mut ctx = RunContext::serial().force_layout(true);
+        assert_eq!(
+            simulate(&plan, &GroupMap::one_group(6), &mut ctx),
+            Ok(report)
+        );
+        assert_eq!(ctx.stats().dense_shards, 1);
+        let scan = plan.config(SimConfig::default().peer_lookup(crate::PeerLookup::ScanAll));
+        let mut ctx = RunContext::serial().force_layout(true);
+        simulate(&scan, &GroupMap::one_group(6), &mut ctx).unwrap();
+        assert_eq!(ctx.stats().dense_shards, 0);
     }
 
     #[test]

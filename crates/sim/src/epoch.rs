@@ -206,7 +206,7 @@ pub fn simulate_epochs(
     plan.schedule.validate(n).map_err(SimError::from)?;
     validate_trace(n, plan.catalog.len(), plan.schedule, trace)?;
 
-    let (pooled, stats) = ctx.begin(epochs.len());
+    let (exec, stats) = ctx.begin(epochs.len());
     let mut tallies = Tallies::default();
     let mut segments: Vec<SimReport> = Vec::with_capacity(epochs.len());
     let in_time_order = trace.windows(2).all(|w| w[0].time_ms() <= w[1].time_ms());
@@ -219,7 +219,7 @@ pub fn simulate_epochs(
             schedule: &schedule,
             ..*plan
         };
-        let outcome = driver::run(&segment_plan, &epoch.groups, pooled, stats)?;
+        let outcome = driver::run(&segment_plan, &epoch.groups, exec, stats)?;
         tallies.absorb(outcome.tallies);
         segments.push(outcome.report);
     }
@@ -479,6 +479,33 @@ mod tests {
             obs.metrics.gauge("sim.queue.max_depth"),
             Some((trace.len() + schedule.len()) as f64)
         );
+    }
+
+    #[test]
+    fn the_carried_state_is_the_one_the_simulator_fired_into() {
+        // 1.0004 ms and 1.0001 ms are both 1 000 µs: the recovery (pushed
+        // first) fires before the second crash, so cache 0 is down from
+        // then on — in one segment or across a boundary at 2 ms.
+        let (rtt, catalog, _) = fixture();
+        let trace = [TraceEvent::Request(ecg_workload::Request {
+            time_ms: 3.0,
+            cache: 0,
+            doc: ecg_workload::DocId(0),
+        })];
+        let mut schedule = FaultSchedule::new();
+        let cache = CacheId(0);
+        schedule.push(0.5, FaultKind::CacheDown { cache });
+        schedule.push(1.0004, FaultKind::CacheUp { cache });
+        schedule.push(1.0001, FaultKind::CacheDown { cache });
+        let plan = SimPlan::new(&rtt, &catalog, &trace).faults(&schedule);
+        let flat = simulate(&plan, &pairs(), &mut RunContext::serial()).unwrap();
+        let epochs = [
+            ReplayEpoch::new(0.0, pairs()),
+            ReplayEpoch::new(2.0, pairs()),
+        ];
+        let split = run(&plan, &epochs).unwrap();
+        assert_eq!(flat.metrics.degradation.failovers, 1);
+        assert_eq!(split.metrics.degradation.failovers, 1);
     }
 
     #[test]

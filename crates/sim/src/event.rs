@@ -137,15 +137,15 @@ fn position_count(trace: &[TraceEvent]) -> u32 {
     u32::try_from(trace.len()).expect("a trace holds fewer than 2^32 events")
 }
 
-/// `(time, schedule index)` of every fault, stably sorted by time: the
-/// order a run fires them in. `schedule` must already have passed
-/// [`FaultSchedule::validate`] (its times are then finite).
+/// `(time, schedule index)` of every fault, stably sorted by quantised
+/// time: the order a run fires them in. The schedule's own queries
+/// replay it too, on any schedule: a time no run accepts sorts first.
 pub(crate) fn fault_order(schedule: &FaultSchedule) -> Vec<(SimTime, usize)> {
     let mut faults: Vec<(SimTime, usize)> = schedule
         .events()
         .iter()
         .enumerate()
-        .map(|(idx, fault)| (SimTime::from_ms(fault.time_ms), idx))
+        .map(|(idx, fault)| (SimTime::try_from_ms(fault.time_ms).unwrap_or_default(), idx))
         .collect();
     faults.sort_by_key(|&(at, _)| at);
     faults
@@ -246,6 +246,11 @@ impl TracePlan {
             starts,
             updates,
         })
+    }
+
+    /// How many requests group `g` has.
+    pub(crate) fn request_count(&self, g: usize) -> usize {
+        self.starts[g + 1] - self.starts[g]
     }
 }
 

@@ -29,6 +29,7 @@
 //! operator-facing `FaultPlan` builder (crash-with-recovery, churn
 //! generation) on top and compiles down to this type.
 
+use crate::event::fault_order;
 use crate::time::SimTime;
 use ecg_topology::CacheId;
 use std::fmt;
@@ -204,7 +205,8 @@ impl FaultSchedule {
     }
 
     /// Appends a fault. Events may be pushed in any order; the simulator
-    /// processes them in time order (ties in push order).
+    /// processes them in time order, quantised to the microsecond (ties
+    /// in push order).
     pub fn push(&mut self, time_ms: f64, kind: FaultKind) {
         self.events.push(FaultEvent { time_ms, kind });
     }
@@ -272,10 +274,20 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
+    /// The kinds of the events whose time `keep` accepts, in the order a
+    /// run fires them: by time quantised to the simulator's clock, ties
+    /// in push order.
+    fn fired(&self, keep: impl Fn(f64) -> bool) -> Vec<FaultKind> {
+        let order = fault_order(self)
+            .into_iter()
+            .map(|(_, idx)| self.events[idx]);
+        order.filter(|e| keep(e.time_ms)).map(|e| e.kind).collect()
+    }
+
     /// The caches that are unavailable at simulation time `time_ms`,
     /// ascending: crashed and not yet recovered, or retired. Replays
-    /// the events up to and including `time_ms` in time order (ties in
-    /// push order), with the simulator's semantics — a `CacheUp` after
+    /// the events up to and including `time_ms` in the order a run
+    /// fires them, with the simulator's semantics — a `CacheUp` after
     /// `CacheRetire` is ignored.
     ///
     /// This is the bridge from a simulation fault script to
@@ -283,26 +295,15 @@ impl FaultSchedule {
     /// derive the crashed-node set a (re-)formation run at `time_ms`
     /// would face.
     pub fn down_caches_at(&self, time_ms: f64) -> Vec<CacheId> {
-        let mut ordered: Vec<&FaultEvent> = self
-            .events
-            .iter()
-            .filter(|e| e.time_ms <= time_ms)
-            .collect();
-        ordered.sort_by(|a, b| {
-            a.time_ms
-                .partial_cmp(&b.time_ms)
-                .expect("times are not NaN")
-        });
         let mut down: Vec<CacheId> = Vec::new();
         let mut retired: Vec<CacheId> = Vec::new();
-        for e in ordered {
-            match e.kind {
+        for kind in self.fired(|t| t <= time_ms) {
+            match kind {
                 FaultKind::CacheDown { cache } | FaultKind::CacheRetire { cache } => {
                     if !down.contains(&cache) {
                         down.push(cache);
                     }
-                    if matches!(e.kind, FaultKind::CacheRetire { .. }) && !retired.contains(&cache)
-                    {
+                    if matches!(kind, FaultKind::CacheRetire { .. }) && !retired.contains(&cache) {
                         retired.push(cache);
                     }
                 }
@@ -329,25 +330,14 @@ impl FaultSchedule {
     /// events, so the simulator's FIFO tie-break applies them first) and
     /// then behaves as if it had replayed the whole history. The cutoff
     /// is exclusive — an event scheduled exactly at `time_ms` belongs to
-    /// the segment itself, not to its carried-in state.
+    /// the segment itself, not to its carried-in state. The events before
+    /// it are replayed in the order a run fires them.
     pub fn carry_state_at(&self, time_ms: f64) -> FaultCarryState {
-        let mut ordered: Vec<(usize, &FaultEvent)> = self
-            .events
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.time_ms < time_ms)
-            .collect();
-        // Stable on push order, as the simulator replays them.
-        ordered.sort_by(|a, b| {
-            a.1.time_ms
-                .partial_cmp(&b.1.time_ms)
-                .expect("times are not NaN")
-        });
         let mut down: Vec<CacheId> = Vec::new();
         let mut retired: Vec<CacheId> = Vec::new();
         let mut brownout_factor = None;
-        for (_, e) in ordered {
-            match e.kind {
+        for kind in self.fired(|t| t < time_ms) {
+            match kind {
                 FaultKind::CacheDown { cache } => {
                     if !down.contains(&cache) && !retired.contains(&cache) {
                         down.push(cache);
@@ -413,18 +403,11 @@ impl FaultSchedule {
                 FaultKind::BrownoutEnd => {}
             }
         }
-        // Brownout windows must alternate start/end in time order. Sort
-        // stably so same-time events keep push order, as the simulator
-        // replays them.
-        let mut ordered: Vec<&FaultEvent> = self.events.iter().collect();
-        ordered.sort_by(|a, b| {
-            a.time_ms
-                .partial_cmp(&b.time_ms)
-                .expect("times validated finite above")
-        });
+        // Brownout windows must alternate start/end in the order the
+        // simulator fires them.
         let mut active = false;
-        for e in ordered {
-            match e.kind {
+        for kind in self.fired(|_| true) {
+            match kind {
                 FaultKind::BrownoutStart { .. } => {
                     if active {
                         return Err(FaultError::OverlappingBrownout);
@@ -576,6 +559,41 @@ mod tests {
         assert_eq!(late.retired, vec![CacheId(0)]);
         assert_eq!(late.brownout_factor, None);
         assert!(!late.is_clean());
+    }
+
+    #[test]
+    fn state_queries_replay_the_firing_order_not_the_raw_times() {
+        // 1.0004 ms and 1.0001 ms are both 1 000 µs: the simulator fires
+        // the recovery (pushed first) before the second crash, and c0
+        // ends down — though raw times would order them the other way.
+        let mut s = FaultSchedule::new();
+        let c0 = CacheId(0);
+        s.push(0.5, FaultKind::CacheDown { cache: c0 });
+        s.push(1.0004, FaultKind::CacheUp { cache: c0 });
+        s.push(1.0001, FaultKind::CacheDown { cache: c0 });
+        let fired: Vec<usize> = fault_order(&s).into_iter().map(|(_, idx)| idx).collect();
+        assert_eq!(fired, [0, 1, 2]);
+        assert_eq!(s.down_caches_at(2.0), [c0]);
+        assert_eq!(s.carry_state_at(2.0).down, [c0]);
+        // A brownout window pushed start-first at one quantised instant
+        // is a window, whichever raw time is smaller; pushed end-first it
+        // is an end with nothing open.
+        let mut window = FaultSchedule::new();
+        window.push(1.0004, FaultKind::BrownoutStart { factor: 2.0 });
+        window.push(1.0001, FaultKind::BrownoutEnd);
+        assert_eq!(window.validate(1), Ok(()));
+        assert_eq!(window.carry_state_at(2.0).brownout_factor, None);
+        let mut reversed = FaultSchedule::new();
+        reversed.push(1.0004, FaultKind::BrownoutEnd);
+        reversed.push(1.0001, FaultKind::BrownoutStart { factor: 2.0 });
+        assert_eq!(reversed.validate(1), Err(FaultError::UnmatchedBrownoutEnd));
+        // Times no run accepts still get an answer, not a panic.
+        let mut hostile = FaultSchedule::new();
+        hostile.push(f64::NAN, FaultKind::CacheDown { cache: c0 });
+        hostile.push(-3.0, FaultKind::CacheDown { cache: CacheId(1) });
+        hostile.push(f64::INFINITY, FaultKind::CacheDown { cache: CacheId(2) });
+        assert_eq!(hostile.down_caches_at(1.0), [CacheId(1)]);
+        assert_eq!(hostile.carry_state_at(f64::INFINITY).down, [CacheId(1)]);
     }
 
     #[test]

@@ -2,17 +2,19 @@
 //!
 //! On every local miss the simulator asks each group peer whether it
 //! holds a copy of the requested document. The naive path probes every
-//! peer's cache — a hashed lookup into another cache's store per peer
-//! per miss, which dominates trace replay for large groups.
+//! peer's cache — a lookup into another cache's store per peer per
+//! miss, which dominates trace replay for large groups.
 //! [`HolderIndex`] mirrors cache *membership* in one compact bitset per
 //! document and acts as the group's directory: ANDing the document's
-//! words with a precomputed peer mask ([`PeerMasks`]) and walking the
-//! set bits ([`HolderIndex::holders_among`]) names exactly the peers
-//! that can answer, so a miss costs `words_per_doc` ANDs plus one RTT
-//! read per alive holder and — the simulator tries them nearest-first
-//! and stops at the first servable copy — one cache probe per holder
-//! tried, instead of one probe per group member. The same walk without
-//! a mask ([`HolderIndex::holders`]) drives multicast invalidation.
+//! words with a precomputed peer mask ([`PeerMasks`]) rules a group out
+//! in `words_per_doc` ANDs, and the peers that can answer are the set
+//! bits — walked in cache order ([`HolderIndex::for_each_holder_among`])
+//! by a sparse run, which ranks them nearest-first, or tested one by one
+//! along the requester's nearest-first peer order by a dense run. Either
+//! way the simulator stops at the first servable copy, so a miss costs
+//! one cache probe per holder tried instead of one per group member.
+//! The walk without a mask ([`HolderIndex::holders`]) drives multicast
+//! invalidation.
 //!
 //! The index tracks presence only. Freshness (origin version or TTL
 //! lease) is still checked against the holding peer's actual cache
@@ -27,27 +29,12 @@ use ecg_workload::DocId;
 
 /// One bitset of holding caches per document.
 ///
-/// The caller (the simulation driver) is responsible for keeping the
+/// The caller (the simulation kernel) is responsible for keeping the
 /// index in sync with every membership change: inserts, policy
 /// evictions, stale/expired drops, pushed invalidations, and crash
 /// purges.
-///
-/// # Examples
-///
-/// ```
-/// use ecg_sim::HolderIndex;
-/// use ecg_topology::CacheId;
-/// use ecg_workload::DocId;
-///
-/// let mut idx = HolderIndex::new(10, 70);
-/// idx.set(DocId(3), CacheId(65));
-/// assert!(idx.holds(DocId(3), CacheId(65)));
-/// assert!(!idx.holds(DocId(3), CacheId(0)));
-/// idx.clear_cache(CacheId(65));
-/// assert_eq!(idx.holder_count(DocId(3)), 0);
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HolderIndex {
+pub(crate) struct HolderIndex {
     caches: usize,
     words_per_doc: usize,
     bits: Vec<u64>,
@@ -59,7 +46,7 @@ impl HolderIndex {
     /// # Panics
     ///
     /// Panics if `caches == 0`.
-    pub fn new(docs: usize, caches: usize) -> Self {
+    pub(crate) fn new(docs: usize, caches: usize) -> Self {
         assert!(caches > 0, "need at least one cache");
         let words_per_doc = caches.div_ceil(64);
         HolderIndex {
@@ -80,7 +67,7 @@ impl HolderIndex {
     /// # Panics
     ///
     /// Panics if `doc` or `cache` is out of range.
-    pub fn set(&mut self, doc: DocId, cache: CacheId) {
+    pub(crate) fn set(&mut self, doc: DocId, cache: CacheId) {
         let (word, mask) = self.locate(doc, cache);
         self.bits[word] |= mask;
     }
@@ -90,7 +77,7 @@ impl HolderIndex {
     /// # Panics
     ///
     /// Panics if `doc` or `cache` is out of range.
-    pub fn clear(&mut self, doc: DocId, cache: CacheId) {
+    pub(crate) fn clear(&mut self, doc: DocId, cache: CacheId) {
         let (word, mask) = self.locate(doc, cache);
         self.bits[word] &= !mask;
     }
@@ -100,7 +87,7 @@ impl HolderIndex {
     /// # Panics
     ///
     /// Panics if `doc` or `cache` is out of range.
-    pub fn holds(&self, doc: DocId, cache: CacheId) -> bool {
+    pub(crate) fn holds(&self, doc: DocId, cache: CacheId) -> bool {
         let (word, mask) = self.locate(doc, cache);
         self.bits[word] & mask != 0
     }
@@ -111,7 +98,7 @@ impl HolderIndex {
     /// # Panics
     ///
     /// Panics if `cache` is out of range.
-    pub fn clear_cache(&mut self, cache: CacheId) {
+    pub(crate) fn clear_cache(&mut self, cache: CacheId) {
         assert!(cache.index() < self.caches, "cache {cache} out of range");
         let mask = !(1u64 << (cache.index() % 64));
         let mut word = cache.index() / 64;
@@ -121,12 +108,13 @@ impl HolderIndex {
         }
     }
 
-    /// The raw bit words of `doc`'s holder set.
+    /// The raw bit words of `doc`'s holder set: cache `c` is bit `c % 64`
+    /// of word `c / 64`.
     ///
     /// # Panics
     ///
     /// Panics if `doc` is out of range.
-    pub fn doc_words(&self, doc: DocId) -> &[u64] {
+    pub(crate) fn doc_words(&self, doc: DocId) -> &[u64] {
         let start = doc.index() * self.words_per_doc;
         &self.bits[start..start + self.words_per_doc]
     }
@@ -136,29 +124,31 @@ impl HolderIndex {
     /// # Panics
     ///
     /// Panics if `doc` is out of range.
-    pub fn holders(&self, doc: DocId) -> impl Iterator<Item = CacheId> + '_ {
-        set_bits(self.doc_words(doc).iter().copied())
+    pub(crate) fn holders(&self, doc: DocId) -> impl Iterator<Item = CacheId> + '_ {
+        let words = self.doc_words(doc).iter().enumerate();
+        words.flat_map(|(i, &word)| {
+            (0..64)
+                .filter(move |bit| word >> bit & 1 != 0)
+                .map(move |bit| CacheId(i * 64 + bit))
+        })
     }
 
-    /// The holders of `doc` among the caches selected by `mask` (e.g. a
-    /// [`PeerMasks`] row), ascending: the directory lookup of the miss
-    /// path. `words_per_doc` ANDs when it comes up empty.
+    /// Whether any cache selected by `mask` (e.g. a [`PeerMasks`] row)
+    /// holds `doc`: `words_per_doc` ANDs.
+    pub(crate) fn any_among(&self, doc: DocId, mask: &[u64]) -> bool {
+        self.doc_words(doc)
+            .iter()
+            .zip(mask)
+            .any(|(a, b)| a & b != 0)
+    }
+
+    /// Calls `visit` on each holder of `doc` among the caches selected
+    /// by `mask`, ascending: the directory lookup of a sparse run's miss
+    /// path. The per-word bit scan compiles to just that.
     ///
     /// # Panics
     ///
     /// Panics if `doc` is out of range.
-    pub fn holders_among<'a>(
-        &'a self,
-        doc: DocId,
-        mask: &'a [u64],
-    ) -> impl Iterator<Item = CacheId> + 'a {
-        set_bits(self.doc_words(doc).iter().zip(mask).map(|(a, b)| a & b))
-    }
-
-    /// [`holders_among`](Self::holders_among) as a loop: `visit` is
-    /// called on each holder in the same order, and the per-word bit
-    /// scan compiles to just that — the miss path visits a dozen holders
-    /// per lookup.
     pub(crate) fn for_each_holder_among(
         &self,
         doc: DocId,
@@ -180,49 +170,23 @@ impl HolderIndex {
     /// # Panics
     ///
     /// Panics if `doc` is out of range.
-    pub fn clear_doc(&mut self, doc: DocId) {
+    pub(crate) fn clear_doc(&mut self, doc: DocId) {
         let start = doc.index() * self.words_per_doc;
         self.bits[start..start + self.words_per_doc].fill(0);
     }
-
-    /// Number of caches holding a copy of `doc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `doc` is out of range.
-    pub fn holder_count(&self, doc: DocId) -> usize {
-        self.doc_words(doc)
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
-    }
-}
-
-/// The caches whose bits are set in `words` (word `i` covers caches
-/// `64 i ..`), ascending.
-fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = CacheId> {
-    words.enumerate().flat_map(|(i, mut word)| {
-        std::iter::from_fn(move || {
-            (word != 0).then(|| {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                CacheId(i * 64 + bit)
-            })
-        })
-    })
 }
 
 /// Precomputed per-cache bitmask of that cache's group peers, laid out
 /// to line up word-for-word with [`HolderIndex::doc_words`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeerMasks {
+pub(crate) struct PeerMasks {
     words_per: usize,
     masks: Vec<u64>,
 }
 
 impl PeerMasks {
     /// Builds the peer masks for a group partition.
-    pub fn from_groups(groups: &GroupMap) -> Self {
+    pub(crate) fn from_groups(groups: &GroupMap) -> Self {
         let n = groups.cache_count();
         let words_per = n.div_ceil(64);
         let mut masks = vec![0u64; n * words_per];
@@ -247,7 +211,7 @@ impl PeerMasks {
     /// # Panics
     ///
     /// Panics if `cache` is out of range.
-    pub fn mask(&self, cache: CacheId) -> &[u64] {
+    pub(crate) fn mask(&self, cache: CacheId) -> &[u64] {
         let start = cache.index() * self.words_per;
         &self.masks[start..start + self.words_per]
     }
@@ -256,6 +220,15 @@ impl PeerMasks {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The holders of `doc` among `mask`, as [`HolderIndex::for_each_holder_among`]
+    /// visits them.
+    fn among(idx: &HolderIndex, doc: DocId, mask: &[u64]) -> Vec<usize> {
+        let mut visited = Vec::new();
+        idx.for_each_holder_among(doc, mask, |c| visited.push(c.index()));
+        assert_eq!(idx.any_among(doc, mask), !visited.is_empty());
+        visited
+    }
 
     #[test]
     fn set_clear_holds_roundtrip() {
@@ -266,11 +239,11 @@ mod tests {
         assert!(idx.holds(DocId(2), CacheId(129)));
         assert!(idx.holds(DocId(2), CacheId(0)));
         assert!(!idx.holds(DocId(3), CacheId(0)));
-        assert_eq!(idx.holder_count(DocId(2)), 2);
+        assert_eq!(idx.holders(DocId(2)).count(), 2);
         idx.clear(DocId(2), CacheId(0));
         idx.clear(DocId(2), CacheId(0)); // idempotent
         assert!(!idx.holds(DocId(2), CacheId(0)));
-        assert_eq!(idx.holder_count(DocId(2)), 1);
+        assert!(idx.holders(DocId(2)).eq([CacheId(129)]));
     }
 
     #[test]
@@ -293,9 +266,8 @@ mod tests {
             GroupMap::new(70, vec![(0..69).map(CacheId).collect(), vec![CacheId(69)]]).unwrap();
         let masks = PeerMasks::from_groups(&groups);
         let mut idx = HolderIndex::new(1, 70);
-        let peer_holds = |idx: &HolderIndex, c: CacheId| {
-            idx.holders_among(DocId(0), masks.mask(c)).next().is_some()
-        };
+        let peer_holds =
+            |idx: &HolderIndex, c: CacheId| !among(idx, DocId(0), masks.mask(c)).is_empty();
 
         // A copy on a peer is visible through the mask.
         idx.set(DocId(0), CacheId(68));
@@ -334,28 +306,16 @@ mod tests {
         assert_eq!(all, vec![3, 5, 63, 64, 130, 199]);
         // Cache 64's peers: its group minus itself; cache 5 is in the
         // other group and never shows.
-        let peers: Vec<usize> = idx
-            .holders_among(DocId(1), masks.mask(CacheId(64)))
-            .map(|c| c.index())
-            .collect();
-        assert_eq!(peers, vec![3, 63, 130, 199]);
-        // The loop form visits the same holders in the same order.
-        let mut visited = Vec::new();
-        idx.for_each_holder_among(DocId(1), masks.mask(CacheId(64)), |c| {
-            visited.push(c.index());
-        });
-        assert_eq!(visited, peers);
-        idx.for_each_holder_among(DocId(0), masks.mask(CacheId(64)), |c| {
-            panic!("document 0 has no holder, visited {c:?}");
-        });
-        assert_eq!(idx.holders(DocId(0)).count(), 0);
         assert_eq!(
-            idx.holders_among(DocId(0), masks.mask(CacheId(64))).count(),
-            0
+            among(&idx, DocId(1), masks.mask(CacheId(64))),
+            [3, 63, 130, 199]
         );
+        assert!(among(&idx, DocId(0), masks.mask(CacheId(64))).is_empty());
+        assert_eq!(idx.holders(DocId(0)).count(), 0);
 
         idx.clear_doc(DocId(1));
-        assert_eq!(idx.holder_count(DocId(1)), 0);
+        assert_eq!(idx.holders(DocId(1)).count(), 0);
+        assert!(among(&idx, DocId(1), masks.mask(CacheId(64))).is_empty());
     }
 
     #[test]

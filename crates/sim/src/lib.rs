@@ -75,7 +75,7 @@ pub mod epoch;
 pub mod event;
 pub mod fault;
 pub mod groups;
-pub mod holders;
+mod holders;
 pub mod latency;
 pub mod metrics;
 pub mod origin;
@@ -106,7 +106,6 @@ pub use driver::{simulate, RunContext, RunStats, SimPlan};
 pub use ecg_obs::Histogram as LatencyHistogram;
 pub use fault::{FaultCarryState, FaultError, FaultEvent, FaultKind, FaultSchedule};
 pub use groups::{GroupMap, GroupMapError};
-pub use holders::{HolderIndex, PeerMasks};
 pub use latency::LatencyModel;
 pub use metrics::{
     CacheAggregate, DegradationMetrics, GroupAggregate, MetricsRecorder, ServedBy, TimelineBucket,

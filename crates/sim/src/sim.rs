@@ -38,24 +38,28 @@
 //! * *who is alive* — a per-group count of down members, adjusted at
 //!   fault events, gives the fan-out size and the healthy/degraded
 //!   split in O(1);
-//! * *who can answer* — the set bits of the document's holder words
-//!   ANDed with the requester's peer mask
-//!   ([`HolderIndex::holders_among`]): `words_per_doc` ANDs plus one
-//!   RTT read per alive holder, then one cache probe per holder tried,
-//!   nearest first — equal-RTT ties going to the earlier position in
-//!   the group's member list as in a member-order scan — until one has
-//!   a servable copy;
+//! * *who can answer* — the document's holder bits (`HolderIndex`)
+//!   ANDed with the requester's peer mask: `words_per_doc` ANDs rule a
+//!   group out, and otherwise the alive holders are tried nearest first
+//!   — equal-RTT ties going to the earlier position in the group's
+//!   member list, as in a member-order scan — one cache probe each,
+//!   until one has a servable copy;
 //! * *how long the last negative reply takes* — each cache's slowest
 //!   alive-peer RTT, memoised and recomputed only after a crash,
 //!   recovery or retirement in its group (one epoch bump per fault).
 //!
-//! Multicast invalidation walks the document's holder bits the same way.
+//! Per kernel run, [`dense_layout`] picks how, with the same holder and
+//! `sim.holder.*` tallies either way: **sparse** ranks the alive holders
+//! collected from the set bits; **dense** walks the requester's peers,
+//! sorted by the key once per run, over caches addressed by document id
+//! ([`DocumentCache::with_doc_index`]). Multicast invalidation walks the
+//! document's holder bits.
 //! The run's events are never copied: [`Timeline`] walks a trace in
 //! place and [`crate::event::GroupWalk`] a group's positions in it
 //! (through a small block of gathered records), merged with the fault
 //! list.
 //! [`PeerLookup::ScanAll`] keeps the per-member walks as the reference
-//! the tests compare against.
+//! the tests compare against; it and the time-major oracle run sparse.
 
 use crate::event::{fault_order, Event, Timeline};
 use crate::fault::{FaultError, FaultKind, FaultSchedule};
@@ -102,7 +106,7 @@ pub enum PeerLookup {
     /// Probe every alive peer's cache map on every miss. The reference
     /// implementation.
     ScanAll,
-    /// Maintain a document→holder bitset ([`HolderIndex`]) updated on
+    /// Maintain a document→holder bitset updated on
     /// every insert, eviction, invalidation, and crash, so the per-peer
     /// probe is a bit test and holder-free groups are ruled out with a
     /// few word intersections. Produces reports identical to
@@ -423,6 +427,7 @@ pub fn simulate_time_major(
         trace_events,
         config,
         schedule,
+        false,
     );
     Ok(run.finish(obs, config, schedule, trace.len()))
 }
@@ -493,6 +498,8 @@ pub(crate) struct Tallies {
     last_event_ms: f64,
     /// Trace events fed to the kernel (faults excluded).
     pub(crate) trace_events: u64,
+    /// Kernel runs that took the dense layout (never flushed).
+    pub(crate) dense_runs: usize,
 }
 
 impl Tallies {
@@ -513,6 +520,7 @@ impl Tallies {
         }
         self.last_event_ms = self.last_event_ms.max(other.last_event_ms);
         self.trace_events += other.trace_events;
+        self.dense_runs += other.dense_runs;
     }
 
     /// Writes one simulation's telemetry into `o` — the document
@@ -601,7 +609,9 @@ impl Tallies {
 /// `schedule` passed [`FaultSchedule::validate`], `groups` covers
 /// `network`). It writes no telemetry itself: everything observable
 /// comes back as [`Tallies`], so a run observes the same whichever
-/// thread ran it.
+/// thread ran it. `dense` asks for the dense layout (not under
+/// [`PeerLookup::ScanAll`]); the report is the same bits either way.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn kernel(
     network: &EdgeNetwork,
     groups: &GroupMap,
@@ -610,13 +620,18 @@ pub(crate) fn kernel(
     trace_events: usize,
     config: SimConfig,
     schedule: &FaultSchedule,
+    dense: bool,
 ) -> GroupOutcome {
     let n = network.cache_count();
     debug_assert_eq!(groups.cache_count(), n);
+    let dense = dense && config.peer_lookup == PeerLookup::HolderIndex;
 
-    let mut caches: Vec<DocumentCache> = (0..n)
-        .map(|_| DocumentCache::new(config.cache_capacity_bytes, config.policy))
-        .collect();
+    let (capacity, policy) = (config.cache_capacity_bytes, config.policy);
+    let new_cache = || match dense.then_some(catalog.len()) {
+        Some(docs) => DocumentCache::with_doc_index(capacity, policy, docs),
+        None => DocumentCache::new(capacity, policy),
+    };
+    let mut caches: Vec<DocumentCache> = (0..n).map(|_| new_cache()).collect();
     let mut origin = OriginServer::new(catalog);
     let mut metrics = MetricsRecorder::new(n);
     metrics.degradation = crate::metrics::DegradationMetrics::new(schedule.timeline_bucket());
@@ -659,9 +674,10 @@ pub(crate) fn kernel(
             position[m.index()] = at;
         }
     }
+    let peer_order = dense.then(|| PeerOrder::new(network, groups, &position));
     // Eviction scratch reused across every insert in the event loop.
     let mut evicted_scratch: Vec<DocId> = Vec::new();
-    // The alive holders of one cooperative lookup, each under its
+    // The alive holders of one sparse cooperative lookup, each under its
     // nearest-first key; reused the same way, and sized once for the
     // largest group's peers rather than grown lookup by lookup.
     let largest_group = groups.groups().iter().map(Vec::len).max().unwrap_or(0);
@@ -716,10 +732,7 @@ pub(crate) fn kernel(
                         if !live.down[c] {
                             live.set_down(cache, groups.group_of(cache), true);
                             deg_groups[groups.group_of(cache)].crashes += 1;
-                            let old = std::mem::replace(
-                                &mut caches[c],
-                                DocumentCache::new(config.cache_capacity_bytes, config.policy),
-                            );
+                            let old = std::mem::replace(&mut caches[c], new_cache());
                             lost_stats += old.stats();
                             if let Some((idx, _)) = index.as_mut() {
                                 idx.clear_cache(cache);
@@ -742,10 +755,7 @@ pub(crate) fn kernel(
                             deg_groups[groups.group_of(cache)].retirements += 1;
                             if !live.down[c] {
                                 live.set_down(cache, groups.group_of(cache), true);
-                                let old = std::mem::replace(
-                                    &mut caches[c],
-                                    DocumentCache::new(config.cache_capacity_bytes, config.policy),
-                                );
+                                let old = std::mem::replace(&mut caches[c], new_cache());
                                 lost_stats += old.stats();
                                 if let Some((idx, _)) = index.as_mut() {
                                     idx.clear_cache(cache);
@@ -878,49 +888,68 @@ pub(crate) fn kernel(
                                 // member is a peer.
                                 alive = members.len() - 1 - live.down_in_group[g];
                                 holder_group_checks += 1;
-                                let mut may_hold = false;
-                                holder_scratch.clear();
                                 // Only the servable holder smallest in
                                 // `(rtt, position)` is ever used, so probe
                                 // in that order and stop at the first
                                 // servable copy; a stale or expired one
-                                // falls through to the next nearest. The
-                                // nearest of all is known by the time the
-                                // holders are collected.
-                                let mut nearest = (0, FARTHEST);
+                                // falls through to the next nearest.
+                                // Probe and peer-serve bookkeeping are one
+                                // search of the holder's cache.
+                                let serve = |holder: &mut DocumentCache| {
+                                    serve_from_peer(holder, freshness, doc, current_version, now_ms)
+                                };
                                 // Matrix node 0 is the origin; cache `c`
                                 // is node `c + 1`.
                                 let rtts = &network.rtt_matrix().row(cache.index() + 1)[1..];
-                                idx.for_each_holder_among(doc, masks.mask(cache), |p| {
-                                    may_hold = true;
-                                    if !live.down[p.index()] {
-                                        let key = holder_key(rtts[p.index()], position[p.index()]);
-                                        if key < nearest.1 {
-                                            nearest = (holder_scratch.len(), key);
-                                        }
-                                        holder_scratch.push((key, p));
+                                let mut may_hold = false;
+                                match &peer_order {
+                                    // Dense: the requester's peers are
+                                    // already in that order.
+                                    Some(order) => {
+                                        may_hold = idx.any_among(doc, masks.mask(cache));
+                                        let words = idx.doc_words(doc);
+                                        let held = |&p: &usize| words[p / 64] >> (p % 64) & 1 != 0;
+                                        holder = order
+                                            .row(cache, members.len() - 1)
+                                            .take_while(|_| may_hold)
+                                            .filter(|p| held(p) && !live.down[*p])
+                                            .find_map(|p| {
+                                                let v = serve(&mut caches[p])?;
+                                                Some((CacheId(p), rtts[p], v))
+                                            });
                                     }
-                                });
-                                while !holder_scratch.is_empty() {
-                                    let (_, p) = holder_scratch.swap_remove(nearest.0);
-                                    // Probe and peer-serve bookkeeping in
-                                    // one search of the holder's cache:
-                                    // the first servable copy is the one
-                                    // served.
-                                    if let Some(v) = serve_from_peer(
-                                        &mut caches[p.index()],
-                                        freshness,
-                                        doc,
-                                        current_version,
-                                        now_ms,
-                                    ) {
-                                        holder = Some((p, rtts[p.index()], v));
-                                        break;
-                                    }
-                                    nearest = (0, FARTHEST);
-                                    for (i, &(key, _)) in holder_scratch.iter().enumerate() {
-                                        if key < nearest.1 {
-                                            nearest = (i, key);
+                                    // Sparse: collect the alive holders —
+                                    // the nearest of all is known by the
+                                    // time they are collected — and rank.
+                                    None => {
+                                        holder_scratch.clear();
+                                        let mut nearest = (0, FARTHEST);
+                                        idx.for_each_holder_among(doc, masks.mask(cache), |p| {
+                                            may_hold = true;
+                                            if !live.down[p.index()] {
+                                                let key = holder_key(
+                                                    rtts[p.index()],
+                                                    position[p.index()],
+                                                );
+                                                if key < nearest.1 {
+                                                    nearest = (holder_scratch.len(), key);
+                                                }
+                                                holder_scratch.push((key, p));
+                                            }
+                                        });
+                                        while !holder_scratch.is_empty() {
+                                            let (_, p) = holder_scratch.swap_remove(nearest.0);
+                                            if let Some(v) = serve(&mut caches[p.index()]) {
+                                                holder = Some((p, rtts[p.index()], v));
+                                                break;
+                                            }
+                                            nearest = (0, FARTHEST);
+                                            for (i, &(key, _)) in holder_scratch.iter().enumerate()
+                                            {
+                                                if key < nearest.1 {
+                                                    nearest = (i, key);
+                                                }
+                                            }
                                         }
                                     }
                                 }
@@ -1164,7 +1193,49 @@ pub(crate) fn kernel(
             replica_counts: placements.map(|(_, counts)| counts).unwrap_or_default(),
             last_event_ms,
             trace_events: trace_events as u64,
+            dense_runs: usize::from(dense),
         },
+    }
+}
+
+/// The traffic rule: a run of `members` caches fed `requests` requests
+/// over `docs` documents is dense iff `requests ≥ members · max(members
+/// − 1, ⌈docs / 8⌉)`. The terms pay for the peer orders (`4 · m(m − 1)`
+/// bytes) and the document-addressed tables (`4 · m · docs`) out of the
+/// run's own requests, at most 36 bytes each (DESIGN.md, Performance).
+pub(crate) fn dense_layout(members: usize, requests: usize, docs: usize) -> bool {
+    let per_member = members.saturating_sub(1).max(docs.div_ceil(8));
+    requests >= members.saturating_mul(per_member)
+}
+
+/// Every cache's group peers, nearest first by [`holder_key`]: the order
+/// a dense run's lookups try them in. Cache `c`'s row starts at `c ×
+/// stride`, the largest group's peer count (no padding in one group).
+struct PeerOrder {
+    peers: Vec<u32>,
+    stride: usize,
+}
+
+impl PeerOrder {
+    fn new(network: &EdgeNetwork, groups: &GroupMap, position: &[usize]) -> Self {
+        let stride = groups.groups().iter().map(Vec::len).max().unwrap_or(1) - 1;
+        let mut peers = Vec::with_capacity(groups.cache_count() * stride);
+        let id = |p: CacheId| u32::try_from(p.index()).expect("a run has < 2^32 caches");
+        for c in 0..groups.cache_count() {
+            let (rtts, row) = (&network.rtt_matrix().row(c + 1)[1..], peers.len());
+            peers.extend(groups.peers(CacheId(c)).map(id));
+            // Keys are distinct (positions are), so the order is total.
+            peers[row..]
+                .sort_unstable_by_key(|&p| holder_key(rtts[p as usize], position[p as usize]));
+            peers.resize(row + stride, 0);
+        }
+        PeerOrder { peers, stride }
+    }
+
+    /// `cache`'s first `len` peers, nearest first.
+    fn row(&self, cache: CacheId, len: usize) -> impl Iterator<Item = usize> + '_ {
+        let row = &self.peers[cache.index() * self.stride..][..len];
+        row.iter().map(|&p| p as usize)
     }
 }
 
@@ -1477,6 +1548,25 @@ mod tests {
             time_ms,
             doc: DocId(doc),
         })
+    }
+
+    #[test]
+    fn the_layout_rule_holds_at_its_boundaries() {
+        // need = m · max(m − 1, ⌈D / 8⌉): the group term, then the
+        // catalog term, binding.
+        for (m, docs, need) in [(20, 1_500, 20 * 188), (30, 80, 30 * 29), (4, 17, 4 * 3)] {
+            assert!(!dense_layout(m, need - 1, docs), "{m} {docs}");
+            assert!(dense_layout(m, need, docs), "{m} {docs}");
+        }
+        // One member has no peers to order: only the tables count.
+        assert!(!dense_layout(1, 187, 1_500));
+        assert!(dense_layout(1, 188, 1_500));
+        assert!(dense_layout(1, 0, 0));
+        // An empty share is sparse unless there is nothing to build.
+        assert!(!dense_layout(2, 0, 1));
+        assert!(!dense_layout(3, 0, 0));
+        // No overflow on absurd sizes.
+        assert!(!dense_layout(usize::MAX, usize::MAX - 1, usize::MAX));
     }
 
     #[test]

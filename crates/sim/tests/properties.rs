@@ -260,7 +260,9 @@ fn every_context(plan: &SimPlan<'_>, groups: &GroupMap) -> Vec<(String, Observed
 /// whichever order the one group's members are listed in. The caches
 /// evict, so the score keys of every evicting cache (24 bytes per slab
 /// slot) are allocated too — by both runs alike, from the same sequence
-/// of inserts, which is why they do not show in the difference.
+/// of inserts, which is why they do not show in the difference. (That is
+/// the sparse layout, the oracle's own; the dense one adds at most 36
+/// bytes per request on top, below.)
 #[test]
 fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
     let caches = 12;
@@ -287,8 +289,9 @@ fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
     // first group walk and reused by every later one.
     let mut record_block = 2 * 128 * 24;
     for (groups, in_id_order) in [(&in_order, true), (&backwards, false)] {
+        let sparse = || RunContext::serial().force_layout(false);
         let (planned, planned_bytes) =
-            allocated_by(|| simulate(&plan, groups, &mut RunContext::serial()).unwrap());
+            allocated_by(|| simulate(&plan, groups, &mut sparse()).unwrap());
         assert_eq!(
             planned.metrics.total_requests(),
             oracle.metrics.total_requests()
@@ -301,6 +304,16 @@ fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
             assert_eq!(planned, oracle);
         }
         record_block = 0;
+
+        // The traffic clears the rule, so the run goes dense: peer
+        // orders and document-addressed tables, in place of the hashed
+        // indices, within 36 bytes a request.
+        let mut ctx = RunContext::serial();
+        let (dense, dense_bytes) = allocated_by(|| simulate(&plan, groups, &mut ctx).unwrap());
+        assert_eq!(ctx.stats().dense_shards, 1);
+        assert_eq!(dense, planned);
+        let bound = planned_bytes + 36 * requests.len() as u64;
+        assert!(dense_bytes <= bound, "{dense_bytes} B > {bound} B");
     }
 }
 
@@ -574,6 +587,105 @@ proptest! {
                         let pooled = timeline(&three_epochs, true);
                         ecg_par::set_max_threads(None);
                         prop_assert_eq!(&pooled, &on_this_thread, "{} threads", threads);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both layouts of the cooperative lookup — forced on every kernel
+    /// run, and as the traffic rule picks them — report and observe
+    /// exactly what the time-major oracle (always sparse) does: random
+    /// groups down to one member, RTTs all equal or on a three-value
+    /// grid so member position breaks the ties, updates that leave the
+    /// nearest holder stale so the walk falls through to the next, down
+    /// and retired peers, every freshness protocol, with and without an
+    /// active placement policy, over a trace and over a streamed source,
+    /// on the caller's thread and on the pool.
+    #[test]
+    fn dense_and_sparse_layouts_equal_the_time_major_oracle(
+        seed in any::<u64>(),
+        caches in 1usize..13,
+        shape in 0usize..5,
+        flat_rtts in any::<bool>(),
+        faulted in any::<bool>(),
+    ) {
+        let net = if flat_rtts {
+            EdgeNetwork::from_rtt_matrix(RttMatrix::from_fn(caches + 1, |_, _| 20.0))
+        } else {
+            grid_network(seed, caches)
+        };
+        let groups = shaped_partition(shape, seed.wrapping_add(1), caches);
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2));
+        let cat = CatalogConfig::default()
+            .documents(40)
+            .dynamic_fraction(0.6)
+            .dynamic_update_rate_per_sec(0.05)
+            .generate(&mut rng);
+        let duration = 20_000.0;
+        let mut requests = RequestConfig::default()
+            .rate_per_sec_per_cache(3.0)
+            .similarity(1.0)
+            .generate(&cat, caches, duration, &mut rng);
+        let mut updates = generate_updates(&cat, duration, &mut rng);
+        plant_stale_nearest(&net, &groups, cat.len(), duration, &mut requests, &mut updates);
+        let trace = merge_streams(&requests, &updates);
+        let workload = StreamedWorkload::new(
+            RequestConfig::default().rate_per_sec_per_cache(3.0),
+            seed.wrapping_add(4),
+            duration,
+        )
+        .updates(&updates);
+        let streamed_trace = workload.materialize_trace(&cat, caches);
+        let schedule = if faulted {
+            arb_schedule(seed.wrapping_add(3), caches, duration)
+        } else {
+            FaultSchedule::new()
+        };
+        for freshness in [
+            FreshnessProtocol::InvalidateOnAccess,
+            FreshnessProtocol::OriginMulticast,
+            FreshnessProtocol::TtlLease { ttl_ms: 6_000.0 },
+        ] {
+            for placement in [PlacementKind::SingleHolder, PlacementKind::adaptive()] {
+                let config = SimConfig::default()
+                    .cache_capacity_bytes(64 << 10)
+                    .warmup_ms(duration / 8.0)
+                    .freshness(freshness)
+                    .placement(placement);
+                let rtt = net.rtt_matrix();
+                let sources = [
+                    (SimPlan::new(rtt, &cat, &trace), &trace),
+                    (SimPlan::streamed(rtt, &cat, &workload), &streamed_trace),
+                ];
+                for (plan, materialized) in sources {
+                    let plan = plan.config(config).faults(&schedule);
+                    let reference = oracle(&net, &groups, &cat, materialized, config, &schedule);
+                    for forced in [Some(true), Some(false), None] {
+                        for pooled in [false, true] {
+                            let mut dense_shards = 0;
+                            let outcome = plain_and_observed(|obs| {
+                                let ctx = if pooled { RunContext::pooled() } else { RunContext::serial() };
+                                let mut ctx = match forced {
+                                    Some(dense) => ctx.force_layout(dense),
+                                    None => ctx,
+                                }
+                                .observe(obs);
+                                let report = simulate(&plan, &groups, &mut ctx);
+                                dense_shards = ctx.stats().dense_shards;
+                                report
+                            });
+                            prop_assert_eq!(
+                                &outcome, &reference,
+                                "layout {:?}, pooled {} under {:?} / {:?}",
+                                forced, pooled, freshness, placement
+                            );
+                            match forced {
+                                Some(true) => prop_assert_eq!(dense_shards, groups.group_count()),
+                                Some(false) => prop_assert_eq!(dense_shards, 0),
+                                None => {}
+                            }
+                        }
                     }
                 }
             }
