@@ -39,6 +39,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 use criterion::{Criterion, SampleStats, Throughput};
+use ecg_bench::args::{finish, Args};
 use ecg_bench::{write_host_context, Scenario};
 use ecg_cache::{DocumentCache, Entry, PolicyKind};
 use ecg_clustering::{kmeans, kmeans_reference, FeatureMatrix, Initializer, KmeansConfig};
@@ -51,6 +52,7 @@ use ecg_topology::CacheId;
 use ecg_workload::DocId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::process::ExitCode;
 
 struct Sizes {
     kmeans_n: usize,
@@ -225,15 +227,15 @@ fn median_of(stats: &[SampleStats], name: &str) -> f64 {
         .median_ns
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_hotpaths.json".to_string());
+fn main() -> ExitCode {
+    finish(run())
+}
+
+fn run() -> Result<(), String> {
+    let args = Args::parse(std::env::args().skip(1), &["quick"], &["out"])?;
+    args.no_positionals()?;
+    let quick = args.switch("quick");
+    let out_path = args.value("out").unwrap_or("BENCH_hotpaths.json");
     let sizes = if quick { QUICK } else { FULL };
 
     let mut c = Criterion::default();
@@ -441,6 +443,7 @@ fn main() {
     });
     let mut doc = w.finish();
     doc.push('\n');
-    std::fs::write(&out_path, doc).expect("write baseline json");
+    std::fs::write(out_path, doc).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     println!("wrote {out_path}");
+    Ok(())
 }

@@ -54,6 +54,7 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+use ecg_bench::args::{finish, Args};
 use ecg_bench::write_host_context;
 use ecg_clustering::{
     server_distance_weights, AssignMode, CenterTree, Initializer, KmeansVariant, MiniBatchConfig,
@@ -64,6 +65,7 @@ use ecg_obs::json::JsonWriter;
 use ecg_topology::{RttSource, SyntheticRtt, SyntheticRttConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// One formation scheme to sweep.
@@ -250,47 +252,38 @@ fn run_formation(
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_scale.json".to_string());
-    let variants: Vec<Variant> = match flag_value("--variant").as_deref() {
+fn main() -> ExitCode {
+    finish(run())
+}
+
+fn run() -> Result<(), String> {
+    let args = Args::parse(
+        std::env::args().skip(1),
+        &["quick"],
+        &[
+            "out", "variant", "assign", "mb-batch", "mb-iters", "sizes", "k",
+        ],
+    )?;
+    args.no_positionals()?;
+    let quick = args.switch("quick");
+    let out_path = args.value("out").unwrap_or("BENCH_scale.json");
+    let variants: Vec<Variant> = match args.value("variant") {
         None | Some("both") => vec![Variant::Lloyd, Variant::MiniBatch],
         Some("lloyd") => vec![Variant::Lloyd],
         Some("minibatch") => vec![Variant::MiniBatch],
-        Some(other) => panic!("--variant must be lloyd, minibatch, or both, got {other:?}"),
+        Some(v) => return Err(format!("--variant is lloyd, minibatch or both, not {v:?}")),
     };
-    let lloyd_assigns: Vec<AssignMode> = match flag_value("--assign").as_deref() {
+    let lloyd_assigns: Vec<AssignMode> = match args.value("assign") {
         None | Some("both") => vec![AssignMode::Blocked, AssignMode::Tree],
         Some("blocked") => vec![AssignMode::Blocked],
         Some("tree") => vec![AssignMode::Tree],
-        Some(other) => panic!("--assign must be blocked, tree, or both, got {other:?}"),
+        Some(v) => return Err(format!("--assign is blocked, tree or both, not {v:?}")),
     };
-    let mb_batch: usize =
-        flag_value("--mb-batch").map_or(2_048, |v| v.parse().expect("--mb-batch takes an integer"));
-    let mb_iters: usize =
-        flag_value("--mb-iters").map_or(40, |v| v.parse().expect("--mb-iters takes an integer"));
     let mb = MiniBatchConfig::default()
-        .batch_size(mb_batch)
-        .iterations(mb_iters);
-    let list_flag = |name: &str| -> Option<Vec<usize>> {
-        flag_value(name).map(|v| {
-            v.split(',')
-                .map(|x| {
-                    x.parse()
-                        .unwrap_or_else(|_| panic!("{name} takes comma-separated integers"))
-                })
-                .collect()
-        })
-    };
-    let sizes_override = list_flag("--sizes");
-    let k_override = list_flag("--k");
+        .batch_size(args.parsed("mb-batch", 2_048)?)
+        .iterations(args.parsed("mb-iters", 40)?);
+    let sizes_override: Option<Vec<usize>> = args.list("sizes")?;
+    let k_override: Option<Vec<usize>> = args.list("k")?;
     // The (scheme, k) cells run at each N: k = N/100 unless `--k` sweeps it.
     let schemes = [Scheme::Sl, Scheme::Sdsl(1.0)];
     let cells_for = |n: usize| -> Vec<(Scheme, usize)> {
@@ -487,6 +480,7 @@ fn main() {
     });
     let mut doc = w.finish();
     doc.push('\n');
-    std::fs::write(&out_path, doc).expect("write scale json");
+    std::fs::write(out_path, doc).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     println!("wrote {out_path}");
+    Ok(())
 }

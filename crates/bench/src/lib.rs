@@ -1,7 +1,10 @@
 //! Shared experiment harness for reproducing the paper's figures.
 //!
-//! Every figure binary (`fig3` … `fig9`) and ablation uses the same
-//! scenario construction so results are comparable:
+//! Every figure (`fig3` … `fig9`) and ablation is one row of the
+//! [`experiments::EXPERIMENTS`] registry, run by the `ecg-bench` binary
+//! (`ecg-bench run fig5`, `ecg-bench run --all --check`) into a [`Run`].
+//! All of them use the same scenario construction so results are
+//! comparable:
 //!
 //! * a transit-stub topology sized for the requested cache count,
 //! * an [`EdgeNetwork`] with the origin on a transit node,
@@ -25,8 +28,11 @@ use ecg_workload::{SportingEventConfig, SportingEventWorkload, TraceEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-pub mod obs;
-pub use obs::MetricsSink;
+pub mod args;
+pub mod experiments;
+mod run;
+
+pub use run::Run;
 
 /// A fully built experiment scenario: network + workload + trace.
 #[derive(Debug, Clone)]
@@ -141,15 +147,6 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Applies `f` to every item on a thread pool sized by
-/// [`ecg_par::threads_for`] (honoring the `ECG_THREADS` override),
-/// returning results in input order. The figure binaries use this to
-/// run independent (seed, parameter) cells concurrently.
-///
-/// This is a re-export of [`ecg_par::par_map`], kept under the
-/// historical `ecg_bench::par_map` path the experiment binaries import.
-pub use ecg_par::par_map;
-
 /// An aligned text table accumulated row by row.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -177,8 +174,9 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Renders the table with right-aligned, width-fitted columns.
-    pub fn render(&self) -> String {
+    /// Prints the table into a run's text, columns right-aligned and
+    /// width-fitted.
+    pub fn print(&self, run: &mut Run) {
         let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
@@ -186,29 +184,19 @@ impl Table {
                 widths[c] = widths[c].max(row[c].len());
             }
         }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
+        let fmt_row = |cells: &[String]| -> String {
             cells
                 .iter()
-                .zip(widths)
+                .zip(&widths)
                 .map(|(cell, w)| format!("{cell:>w$}", w = w))
                 .collect::<Vec<_>>()
                 .join("  ")
         };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
-        out.push('\n');
+        run.line(fmt_row(&self.headers));
+        run.line("-".repeat(widths.iter().sum::<usize>() + 2 * (cols - 1)));
         for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
+            run.line(fmt_row(row));
         }
-        out
-    }
-
-    /// Prints the rendered table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 
@@ -283,7 +271,9 @@ mod tests {
         let mut t = Table::new(["K", "SL", "SDSL"]);
         t.row(["10", "1.00", "2.00"]);
         t.row(["100", "10.25", "20.50"]);
-        let s = t.render();
+        let mut run = Run::new(false);
+        t.print(&mut run);
+        let s = run.finish("t").remove(0).1;
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("SDSL"));
@@ -304,26 +294,5 @@ mod tests {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(f2(1.005), "1.00");
         assert_eq!(f2(12.3456), "12.35");
-    }
-
-    #[test]
-    fn par_map_preserves_order_and_covers_all_items() {
-        let items: Vec<usize> = (0..100).collect();
-        let out = par_map(items, |i| i * i);
-        let expect: Vec<usize> = (0..100).map(|i| i * i).collect();
-        assert_eq!(out, expect);
-        assert!(par_map(Vec::<usize>::new(), |i: usize| i).is_empty());
-    }
-
-    #[test]
-    fn par_map_runs_closures_once_each() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = AtomicUsize::new(0);
-        let out = par_map((0..37).collect::<Vec<_>>(), |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(out.len(), 37);
-        assert_eq!(calls.load(Ordering::Relaxed), 37);
     }
 }

@@ -1,7 +1,7 @@
 //! Deterministic observability for the edge-cache-groups workspace.
 //!
 //! The experiment pipeline is seeded end to end and its outputs are
-//! byte-gated (`run_all_experiments.sh --check`), so any telemetry
+//! byte-gated (`ecg-bench run --all --check`), so any telemetry
 //! layered on top must be just as reproducible. This crate provides
 //! three building blocks that never touch a wall clock or an RNG:
 //!

@@ -1,113 +1,11 @@
 #!/usr/bin/env bash
-# Regenerates every figure and ablation of EXPERIMENTS.md into results/.
+# Regenerates every figure and ablation of EXPERIMENTS.md into results/
+# (or results_dir); --check instead compares them, in memory, with the
+# committed results/ both ways and exits non-zero on any difference.
+# The experiment list is the registry behind `ecg-bench run --all`.
 #
 # Usage: ./run_all_experiments.sh [results_dir]
 #        ./run_all_experiments.sh --check
-#
-# --check regenerates everything into a temporary directory and diffs it
-# against the committed copies under results/, exiting non-zero on any
-# drift. Every experiment is seeded, so the outputs are byte-stable; a
-# diff means a code change altered experiment behaviour.
 set -euo pipefail
-
-check=0
-out="results"
-if [[ "${1:-}" == "--check" ]]; then
-  check=1
-  out="$(mktemp -d)"
-  trap 'rm -rf "$out"' EXIT
-elif [[ -n "${1:-}" ]]; then
-  out="$1"
-fi
-
-figures=(fig3 fig4 fig5 fig6 fig7 fig8 fig9)
-ablations=(
-  ablation_theta ablation_noise ablation_m ablation_init ablation_policy
-  ablation_origin ablation_representation ablation_freshness
-  ablation_probing ablation_workload ablation_maintenance ablation_churn
-  ablation_resilience ablation_placement ablation_lifecycle
-)
-
-cargo build --release -p ecg-bench --bins
-
-root="$(pwd)"
-# Some binaries (ablation_churn) write side files under results/ relative
-# to their working directory; in check mode they run inside the temp dir
-# so the working tree is never touched.
-mkdir -p "$out" "$out/results"
-
-for bin in "${figures[@]}" "${ablations[@]}"; do
-  echo "=== $bin"
-  # ablation_maintenance and ablation_placement double as observability
-  # goldens: their metrics JSON is committed under results/ and
-  # re-checked for drift.
-  extra=()
-  case "$bin" in
-    ablation_maintenance|ablation_placement)
-      extra=(--metrics-out "metrics_$bin.json")
-      ;;
-  esac
-  if [[ $check -eq 1 ]]; then
-    (cd "$out" && "$root/target/release/$bin" "${extra[@]}" > "$bin.txt")
-  else
-    if [[ ${#extra[@]} -gt 0 ]]; then
-      extra=(--metrics-out "$out/metrics_$bin.json")
-    fi
-    cargo run --release -q -p ecg-bench --bin "$bin" -- "${extra[@]}" | tee "$out/$bin.txt"
-  fi
-done
-
-if [[ $check -eq 1 ]]; then
-  status=0
-  for committed in results/*; do
-    name="$(basename "$committed")"
-    fresh="$out/$name"
-    [[ -f "$fresh" ]] || fresh="$out/results/$name"
-    if [[ ! -f "$fresh" ]]; then
-      echo "MISSING: $name was not regenerated" >&2
-      status=1
-      continue
-    fi
-    if ! diff -q "$committed" "$fresh" > /dev/null; then
-      echo "DRIFT: $name differs from the committed copy:" >&2
-      diff -u "$committed" "$fresh" | head -40 >&2 || true
-      status=1
-    fi
-  done
-  if [[ $status -eq 0 ]]; then
-    echo "check passed: regenerated outputs match results/ byte for byte"
-  fi
-  exit $status
-fi
-
-# Observability summary: pretty-print the captured metrics document.
-metrics="$out/metrics_ablation_maintenance.json"
-if [[ -f "$metrics" ]] && command -v python3 > /dev/null; then
-  echo
-  echo "=== observability summary ($metrics)"
-  python3 - "$metrics" <<'PY'
-import json, sys
-
-doc = json.load(open(sys.argv[1]))
-metrics = doc["metrics"]
-rows = [("counter", k, str(v)) for k, v in metrics["counters"].items()]
-rows += [("gauge", k, f"{v:g}") for k, v in metrics["gauges"].items()]
-rows += [
-    ("histogram", k, f"n={h['count']} p50={h['p50']:g} p99={h['p99']:g}")
-    for k, h in metrics["histograms"].items()
-]
-
-def walk(nodes, depth=0):
-    for p in nodes:
-        rows.append(("phase", "  " * depth + p["name"], f"calls={p['calls']} work={p['work']:g}"))
-        walk(p["children"], depth + 1)
-
-walk(doc["phases"])
-rows.append(("trace", "events", str(doc["trace"]["recorded"])))
-width = max(len(k) for _, k, _ in rows)
-for kind, key, val in rows:
-    print(f"{kind:<9} {key:<{width}}  {val}")
-PY
-fi
-
-echo "all outputs written to $out/"
+case "${1:-}" in --check) set -- --check ;; "") ;; *) set -- --out "$1" ;; esac
+exec cargo run --release -p ecg-bench --bin ecg-bench -- run --all "$@"
