@@ -39,7 +39,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 use criterion::{Criterion, SampleStats, Throughput};
-use ecg_bench::args::{finish, Args};
 use ecg_bench::{write_host_context, Scenario};
 use ecg_cache::{DocumentCache, Entry, PolicyKind};
 use ecg_clustering::{kmeans, kmeans_reference, FeatureMatrix, Initializer, KmeansConfig};
@@ -50,6 +49,7 @@ use ecg_sim::{
 };
 use ecg_topology::CacheId;
 use ecg_workload::DocId;
+use edge_cache_groups::cli::{finish, Args};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::process::ExitCode;

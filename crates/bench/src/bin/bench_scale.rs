@@ -54,7 +54,6 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use ecg_bench::args::{finish, Args};
 use ecg_bench::write_host_context;
 use ecg_clustering::{
     server_distance_weights, AssignMode, CenterTree, Initializer, KmeansVariant, MiniBatchConfig,
@@ -63,6 +62,7 @@ use ecg_clustering::{
 use ecg_core::{GfCoordinator, SchemeConfig};
 use ecg_obs::json::JsonWriter;
 use ecg_topology::{RttSource, SyntheticRtt, SyntheticRttConfig};
+use edge_cache_groups::cli::{finish, Args};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -106,16 +106,6 @@ impl Variant {
 struct Engine {
     variant: Variant,
     assign: AssignMode,
-}
-
-impl Engine {
-    fn assign_name(self) -> &'static str {
-        match self.assign {
-            AssignMode::Auto => "auto",
-            AssignMode::Blocked => "blocked",
-            AssignMode::Tree => "tree",
-        }
-    }
 }
 
 struct RunResult {
@@ -233,7 +223,7 @@ fn run_formation(
     RunResult {
         scheme: scheme.name(),
         variant: engine.variant.name(),
-        assign: engine.assign_name(),
+        assign: engine.assign.name(),
         n,
         threads,
         k,
@@ -415,7 +405,7 @@ fn run() -> Result<(), String> {
                         .find(|r| {
                             r.scheme == scheme.name()
                                 && r.variant == engine.variant.name()
-                                && r.assign == engine.assign_name()
+                                && r.assign == engine.assign.name()
                                 && r.n == n
                                 && r.k == k
                                 && r.threads == threads
@@ -432,7 +422,7 @@ fn run() -> Result<(), String> {
                         "{}_{}_{}_n{n}{k_axis}_t{max_threads}",
                         scheme.name(),
                         engine.variant.name(),
-                        engine.assign_name(),
+                        engine.assign.name(),
                     ),
                     time_at(1) / time_at(max_threads),
                 ));

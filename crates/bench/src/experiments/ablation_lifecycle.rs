@@ -85,7 +85,7 @@ pub fn run(run: &mut Run) {
     }
 
     let results = run.cells(cells, |cell, cell_obs| {
-        let policy = ReformPolicy::by_name(cell.policy).expect("known policy preset");
+        let policy: ReformPolicy = cell.policy.parse().expect("known policy preset");
         let supervisor = FormationSupervisor::new(
             SupervisorConfig::new(SchemeConfig::sl(GROUPS))
                 .step_ms(STEP_MS)

@@ -28,7 +28,6 @@ use ecg_workload::{SportingEventConfig, SportingEventWorkload, TraceEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-pub mod args;
 pub mod experiments;
 mod run;
 

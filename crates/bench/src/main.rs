@@ -9,8 +9,8 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use ecg_bench::args::{finish, Args};
 use ecg_bench::experiments::{check, find, EXPERIMENTS};
+use edge_cache_groups::cli::{finish, Args};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;

@@ -43,6 +43,18 @@ impl PolicyKind {
     }
 }
 
+impl std::str::FromStr for PolicyKind {
+    type Err = String;
+
+    /// The inverse of [`PolicyKind::name`].
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        [Self::Lru, Self::Lfu, Self::Utility, Self::Gdsf]
+            .into_iter()
+            .find(|kind| kind.name() == s)
+            .ok_or_else(|| format!("policy must be lru, lfu, utility or gdsf, got {s:?}"))
+    }
+}
+
 /// The eviction score of an entry under a policy: the entry with the
 /// *smallest* score is evicted first.
 ///

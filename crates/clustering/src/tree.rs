@@ -188,6 +188,15 @@ pub enum AssignMode {
 }
 
 impl AssignMode {
+    /// The mode's name, for output and the command line.
+    pub fn name(self) -> &'static str {
+        match self {
+            AssignMode::Auto => "auto",
+            AssignMode::Blocked => "blocked",
+            AssignMode::Tree => "tree",
+        }
+    }
+
     /// Whether this mode routes a `k`-center scan through the tree.
     #[inline]
     pub fn uses_tree(self, k: usize) -> bool {
@@ -202,15 +211,12 @@ impl AssignMode {
 impl std::str::FromStr for AssignMode {
     type Err = String;
 
+    /// The inverse of [`AssignMode::name`].
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(AssignMode::Auto),
-            "blocked" => Ok(AssignMode::Blocked),
-            "tree" => Ok(AssignMode::Tree),
-            other => Err(format!(
-                "assign mode must be auto, blocked, or tree, got {other:?}"
-            )),
-        }
+        [AssignMode::Auto, AssignMode::Blocked, AssignMode::Tree]
+            .into_iter()
+            .find(|mode| mode.name() == s)
+            .ok_or_else(|| format!("assign mode must be auto, blocked, or tree, got {s:?}"))
     }
 }
 

@@ -12,6 +12,10 @@ use ecg_faults::FaultPlan;
 use ecg_topology::CacheId;
 use proptest::prelude::*;
 
+#[path = "../../../tests/support/mutation.rs"]
+mod mutation;
+use mutation::{arb_mutation, mutate};
+
 /// One builder call, sampled independently.
 #[derive(Debug, Clone)]
 enum PlanOp {
@@ -52,45 +56,6 @@ fn build(ops: &[PlanOp], knobs: (f64, f64, Option<(f64, f64)>)) -> FaultPlan {
         };
     }
     plan
-}
-
-/// One byte-level edit of a document, placed by a fraction of its
-/// length so the same edit applies to documents of any size. Nothing
-/// here knows the format being damaged: any reader of outside bytes
-/// can be driven by `mutate`.
-#[derive(Debug, Clone)]
-enum Mutation {
-    Flip { at: f64, bit: u8 },
-    Insert { at: f64, byte: u8 },
-    Delete { at: f64 },
-    Truncate { at: f64 },
-}
-
-fn arb_mutation() -> impl Strategy<Value = Mutation> {
-    prop_oneof![
-        (0.0f64..1.0, 0u8..8).prop_map(|(at, bit)| Mutation::Flip { at, bit }),
-        (0.0f64..1.0, any::<u8>()).prop_map(|(at, byte)| Mutation::Insert { at, byte }),
-        (0.0f64..1.0).prop_map(|at| Mutation::Delete { at }),
-        (0.0f64..1.0).prop_map(|at| Mutation::Truncate { at }),
-    ]
-}
-
-fn mutate(document: &[u8], edits: &[Mutation]) -> Vec<u8> {
-    let mut bytes = document.to_vec();
-    for edit in edits {
-        let len = bytes.len();
-        let offset = |at: f64| (at * len as f64) as usize;
-        match *edit {
-            Mutation::Insert { at, byte } => bytes.insert(offset(at), byte),
-            _ if len == 0 => {}
-            Mutation::Flip { at, bit } => bytes[offset(at)] ^= 1 << bit,
-            Mutation::Delete { at } => {
-                bytes.remove(offset(at));
-            }
-            Mutation::Truncate { at } => bytes.truncate(offset(at)),
-        }
-    }
-    bytes
 }
 
 proptest! {

@@ -137,6 +137,24 @@ impl Default for ReformPolicy {
     }
 }
 
+impl std::str::FromStr for ReformPolicy {
+    type Err = String;
+
+    /// A preset by its experiment name: `static` (or `hold`), `repair`,
+    /// `eager`, or `balanced`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "static" | "hold" => Ok(Self::hold_only()),
+            "repair" => Ok(Self::repair_only()),
+            "eager" => Ok(Self::eager()),
+            "balanced" => Ok(Self::balanced()),
+            _ => Err(format!(
+                "policy must be static, repair, eager, or balanced, got {s:?}"
+            )),
+        }
+    }
+}
+
 impl ReformPolicy {
     /// The default production posture: partial re-form at 1.5× drift
     /// (disarm at 1.2×), full re-form at 2.5×, react to any landmark
@@ -201,18 +219,6 @@ impl ReformPolicy {
             reform_budget: 0,
             budget_span_windows: 1,
             react_to_health: false,
-        }
-    }
-
-    /// Looks up a preset by its experiment name: `static`, `repair`,
-    /// `eager`, or `balanced`.
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "static" | "hold" => Some(Self::hold_only()),
-            "repair" => Some(Self::repair_only()),
-            "eager" => Some(Self::eager()),
-            "balanced" => Some(Self::balanced()),
-            _ => None,
         }
     }
 
@@ -530,19 +536,10 @@ mod tests {
 
     #[test]
     fn presets_resolve_by_name() {
-        assert_eq!(
-            ReformPolicy::by_name("static"),
-            Some(ReformPolicy::hold_only())
-        );
-        assert_eq!(
-            ReformPolicy::by_name("repair"),
-            Some(ReformPolicy::repair_only())
-        );
-        assert_eq!(ReformPolicy::by_name("eager"), Some(ReformPolicy::eager()));
-        assert_eq!(
-            ReformPolicy::by_name("balanced"),
-            Some(ReformPolicy::balanced())
-        );
-        assert_eq!(ReformPolicy::by_name("yolo"), None);
+        assert_eq!("static".parse(), Ok(ReformPolicy::hold_only()));
+        assert_eq!("repair".parse(), Ok(ReformPolicy::repair_only()));
+        assert_eq!("eager".parse(), Ok(ReformPolicy::eager()));
+        assert_eq!("balanced".parse(), Ok(ReformPolicy::balanced()));
+        assert!("yolo".parse::<ReformPolicy>().is_err());
     }
 }

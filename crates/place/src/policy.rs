@@ -158,6 +158,22 @@ impl PlacementKind {
     }
 }
 
+impl std::str::FromStr for PlacementKind {
+    type Err = String;
+
+    /// The inverse of [`PlacementKind::name`], with default parameters;
+    /// `dchoices` is accepted for `d-choices`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let name = if s == "dchoices" { "d-choices" } else { s };
+        [Self::SingleHolder, Self::adaptive(), Self::d_choices()]
+            .into_iter()
+            .find(|kind| kind.name() == name)
+            .ok_or_else(|| {
+                format!("placement must be single-holder, adaptive or dchoices, got {s:?}")
+            })
+    }
+}
+
 /// Number of candidates currently holding a copy — the document's
 /// in-group replica count as visible to a decision.
 pub(crate) fn holder_count(candidates: &[Candidate]) -> usize {

@@ -52,6 +52,19 @@ pub enum OriginPlacement {
     StubNode,
 }
 
+impl std::str::FromStr for OriginPlacement {
+    type Err = String;
+
+    /// `transit` or `stub`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "transit" => Ok(OriginPlacement::TransitNode),
+            "stub" => Ok(OriginPlacement::StubNode),
+            other => Err(format!("origin must be transit or stub, got {other:?}")),
+        }
+    }
+}
+
 /// Error from [`EdgeNetwork::place`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlacementError {

@@ -30,19 +30,29 @@
 //!   runs a workload epoch by epoch under the evolving groupings
 //!   ([`simulate_epochs`]).
 //!
-//! Argument parsing is hand-rolled (no CLI dependency); every flag has
-//! a default so each subcommand runs bare.
+//! Each subcommand is a row of [`COMMANDS`]: its handler and its flags,
+//! each flag with what an absent value means (a default, required, or
+//! unset). A flag is declared once, as a [`Flag`] constant with its
+//! usage placeholder and its range [`Check`]. The table drives the
+//! known-flag check, the range checks (all of them, on given and default
+//! values, before a subcommand starts), and the usage text; values are
+//! parsed by [`edge_cache_groups::cli::Args`].
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+use edge_cache_groups::cli::{parse_value, Args};
 use edge_cache_groups::prelude::*;
 use edge_cache_groups::topology::{read_rtt_matrix, write_rtt_matrix};
+use edge_cache_groups::workload::{
+    read_trace, write_trace, DocumentCatalog, NewsSiteConfig, RegionalFlashCrowdConfig, TraceEvent,
+    TraceStats,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,274 +61,311 @@ fn main() -> ExitCode {
         Err(message) => {
             eprintln!("error: {message}");
             eprintln!();
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             ExitCode::FAILURE
         }
     }
 }
 
-const USAGE: &str = "\
-usage:
-  ecg gen-network [--caches N] [--seed S] [--origin transit|stub] --out FILE
-  ecg form        --network FILE [--scheme sl|sdsl] [--groups K] [--theta T]
-                  [--landmarks L] [--plset-multiplier M] [--max-group-size S]
-                  [--seed S] [--out FILE]
-  ecg scale       [--caches N] [--groups K] [--scheme sl|sdsl] [--theta T]
-                  [--landmarks L] [--plset-multiplier M] [--seed S]
-                  [--minibatch true|false] [--batch-size B] [--iters I]
-                  [--assign auto|blocked|tree]
-  ecg gen-trace   [--caches N] [--docs D] [--duration-secs T] [--rate R]
-                  [--preset sporting|news|flashcrowd] [--seed S] --out FILE
-  ecg stats       --trace FILE
-  ecg simulate    --network FILE --groups FILE [--trace FILE] [--docs D]
-                  [--duration-secs T] [--rate R] [--capacity-kib C]
-                  [--preset sporting|news|flashcrowd]
-                  [--policy utility|lru|lfu|gdsf]
-                  [--placement single-holder|adaptive|dchoices] [--seed S]
-  ecg replay      [--caches N] [--group-size G] [--docs D]
-                  [--duration-secs T] [--rate R] [--capacity-kib C]
-                  [--policy utility|lru|lfu|gdsf]
-                  [--placement single-holder|adaptive|dchoices]
-                  [--seed S] [--threads T] [--verify true|false]
-  ecg lifecycle   [--caches N] [--groups K] [--landmarks L]
-                  [--duration-secs T] [--step-secs W] [--seed S]
-                  [--churn-rate CRASHES_PER_HOUR_PER_CACHE]
-                  [--mean-downtime-secs D] [--retirement-fraction F]
-                  [--policy static|repair|eager|balanced]
-                  [--timeline-out FILE] [--replay true|false]
-                  [--docs D] [--rate R] [--preset sporting|news|flashcrowd]
-                  [--threads T]
-
-simulate runs `simulate` over a materialized trace: regenerated from its
-flags unless --trace is given; with --trace, --docs must match the
-catalog the trace was generated for (use the same --seed/--docs as
-gen-trace).
-replay runs `simulate` over a streamed workload, group by group on the
-worker pool (nothing is materialized globally); --verify additionally
-runs `simulate` serially on the equivalent materialized trace and full
-RTT matrix and asserts bit-identical reports (small N only). Stdout is
-byte-identical at any --threads / ECG_THREADS setting; wall-clock
-timings go to stderr.
---duration-secs, --rate and --mean-downtime-secs must be positive and
-finite; --caches, --docs, --groups and --group-size at least 1.
-lifecycle runs the formation supervisor over a generated churn schedule
-and prints the decision timeline; --timeline-out writes the full
-timeline JSON, --replay additionally runs `simulate_epochs`: a workload
-epoch by epoch under the evolving groupings. Stdout and the timeline JSON are
-byte-identical at any --threads / ECG_THREADS setting.";
-
-fn run(args: &[String]) -> Result<(), String> {
-    let Some((command, rest)) = args.split_first() else {
-        return Err("missing subcommand".into());
-    };
-    let flags = parse_flags(rest)?;
-    // Each subcommand with every flag it reads: a flag outside its list
-    // would be silently ignored, so it is a mistake to report.
-    type Handler = fn(&HashMap<String, String>) -> Result<(), String>;
-    let (handler, known): (Handler, &[&str]) = match command.as_str() {
-        "gen-network" => (gen_network, &["caches", "seed", "origin", "out"]),
-        "form" => (
-            form,
-            &[
-                "network",
-                "scheme",
-                "groups",
-                "theta",
-                "landmarks",
-                "plset-multiplier",
-                "max-group-size",
-                "seed",
-                "out",
-            ],
-        ),
-        "scale" => (
-            scale_cmd,
-            &[
-                "caches",
-                "groups",
-                "scheme",
-                "theta",
-                "landmarks",
-                "plset-multiplier",
-                "seed",
-                "minibatch",
-                "batch-size",
-                "iters",
-                "assign",
-            ],
-        ),
-        "gen-trace" => (
-            gen_trace,
-            &[
-                "caches",
-                "docs",
-                "duration-secs",
-                "rate",
-                "preset",
-                "seed",
-                "out",
-            ],
-        ),
-        "stats" => (stats_cmd, &["trace"]),
-        "simulate" => (
-            simulate_cmd,
-            &[
-                "network",
-                "groups",
-                "trace",
-                "docs",
-                "duration-secs",
-                "rate",
-                "preset",
-                "capacity-kib",
-                "policy",
-                "placement",
-                "seed",
-            ],
-        ),
-        "replay" => (
-            replay_cmd,
-            &[
-                "caches",
-                "group-size",
-                "docs",
-                "duration-secs",
-                "rate",
-                "capacity-kib",
-                "policy",
-                "placement",
-                "seed",
-                "threads",
-                "verify",
-            ],
-        ),
-        "lifecycle" => (
-            lifecycle_cmd,
-            &[
-                "caches",
-                "groups",
-                "landmarks",
-                "duration-secs",
-                "step-secs",
-                "seed",
-                "churn-rate",
-                "mean-downtime-secs",
-                "retirement-fraction",
-                "policy",
-                "timeline-out",
-                "replay",
-                "docs",
-                "rate",
-                "preset",
-                "threads",
-            ],
-        ),
-        other => return Err(format!("unknown subcommand {other:?}")),
-    };
-    // The alphabetically first, so the message does not depend on map order.
-    if let Some(unknown) = flags.keys().filter(|f| !known.contains(&f.as_str())).min() {
-        return Err(format!("unknown flag --{unknown} for `ecg {command}`"));
-    }
-    handler(&flags)
+/// What a flag's value must satisfy.
+#[derive(Clone, Copy)]
+enum Check {
+    /// Anything the handler's type parses.
+    Any,
+    /// An integer from 1 to the bound.
+    Count(u64),
+    /// A finite number above zero.
+    Positive,
+    /// A finite number at or above zero.
+    NonNegative,
+    /// A number in [0, 1].
+    Fraction,
 }
 
-/// Parses `--key value` pairs into a map.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut iter = args.iter();
-    while let Some(key) = iter.next() {
-        let Some(name) = key.strip_prefix("--") else {
-            return Err(format!("expected --flag, got {key:?}"));
+use Check::{Any, Count, Fraction, NonNegative, Positive};
+
+/// An integer of at least 1: the invariant the generators,
+/// `KmeansConfig::new` and the group-size cap assert.
+const COUNT: Check = Count(u64::MAX);
+
+impl Check {
+    /// `Err` naming `--name` unless `raw` passes.
+    fn check(self, name: &str, raw: &str) -> Result<(), String> {
+        let number = || parse_value::<f64>(name, raw);
+        let passes = match self {
+            Any => true,
+            Count(max) => (1..=max).contains(&parse_value::<u64>(name, raw)?),
+            Positive => number().map(|x| x.is_finite() && x > 0.0)?,
+            NonNegative => number().map(|x| x.is_finite() && x >= 0.0)?,
+            Fraction => (0.0..=1.0).contains(&number()?),
         };
-        let Some(value) = iter.next() else {
-            return Err(format!("flag --{name} needs a value"));
-        };
-        if flags.insert(name.to_string(), value.clone()).is_some() {
-            return Err(format!("flag --{name} given twice"));
+        if passes {
+            Ok(())
+        } else {
+            Err(format!("--{name} must be {}", self.rule()))
         }
     }
-    Ok(flags)
-}
 
-fn get_parsed<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("bad value for --{name}: {raw:?}")),
+    fn rule(self) -> String {
+        match self {
+            Any => "parseable".into(),
+            Count(u64::MAX) => "positive".into(),
+            Count(max) => format!("between 1 and {max}"),
+            Positive => "positive and finite".into(),
+            NonNegative => "finite and non-negative".into(),
+            Fraction => "in [0, 1]".into(),
+        }
     }
 }
 
-/// The cache capacity in bytes from `--capacity-kib` (default 512):
-/// positive and small enough that the byte count fits a `u64`.
-fn capacity_bytes(flags: &HashMap<String, String>) -> Result<u64, String> {
-    let kib: u64 = get_parsed(flags, "capacity-kib", 512)?;
-    kib.checked_mul(1024)
-        .filter(|&bytes| bytes > 0)
-        .ok_or_else(|| format!("--capacity-kib must be between 1 and {}", u64::MAX / 1024))
+/// One flag: `--name PLACEHOLDER`, and the check its value must pass.
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    check: Check,
 }
 
-/// SDSL's exponent from `--theta` (default 1): finite and non-negative,
-/// the invariant `SchemeConfig::sdsl` asserts.
-fn theta(flags: &HashMap<String, String>) -> Result<f64, String> {
-    let theta: f64 = get_parsed(flags, "theta", 1.0)?;
-    if theta.is_finite() && theta >= 0.0 {
-        Ok(theta)
-    } else {
-        Err("--theta must be finite and non-negative".into())
+const fn flag(name: &'static str, value: &'static str, check: Check) -> Flag {
+    Flag { name, value, check }
+}
+
+// Two names mean different things to different subcommands: `--groups`
+// is K or a groups file, `--policy` a cache or a re-formation policy.
+const CACHES: Flag = flag("caches", "N", COUNT);
+const SEED: Flag = flag("seed", "S", Any);
+const OUT: Flag = flag("out", "FILE", Any);
+const ORIGIN: Flag = flag("origin", "transit|stub", Any);
+const NETWORK: Flag = flag("network", "FILE", Any);
+const SCHEME: Flag = flag("scheme", "sl|sdsl", Any);
+const GROUPS: Flag = flag("groups", "K", COUNT);
+const GROUPS_FILE: Flag = flag("groups", "FILE", Any);
+const THETA: Flag = flag("theta", "T", NonNegative);
+const LANDMARKS: Flag = flag("landmarks", "L", Any);
+const PLSET: Flag = flag("plset-multiplier", "M", Any);
+const MAX_GROUP_SIZE: Flag = flag("max-group-size", "S", COUNT);
+const MINIBATCH: Flag = flag("minibatch", "true|false", Any);
+const BATCH_SIZE: Flag = flag("batch-size", "B", COUNT);
+const ITERS: Flag = flag("iters", "I", Any);
+const ASSIGN: Flag = flag("assign", "auto|blocked|tree", Any);
+const TRACE: Flag = flag("trace", "FILE", Any);
+const DOCS: Flag = flag("docs", "D", COUNT);
+const DURATION: Flag = flag("duration-secs", "T", Positive);
+const RATE: Flag = flag("rate", "R", Positive);
+const PRESET: Flag = flag("preset", "sporting|news|flashcrowd", Any);
+/// In KiB; the byte count must fit a `u64`.
+const CAPACITY: Flag = flag("capacity-kib", "C", Count(u64::MAX / 1024));
+const POLICY: Flag = flag("policy", "utility|lru|lfu|gdsf", Any);
+const PLACEMENT: Flag = flag("placement", "single-holder|adaptive|dchoices", Any);
+const GROUP_SIZE: Flag = flag("group-size", "G", COUNT);
+const THREADS: Flag = flag("threads", "T", COUNT);
+const VERIFY: Flag = flag("verify", "true|false", Any);
+const STEP: Flag = flag("step-secs", "W", Positive);
+const CHURN_RATE: Flag = flag("churn-rate", "CRASHES_PER_HOUR_PER_CACHE", NonNegative);
+const DOWNTIME: Flag = flag("mean-downtime-secs", "D", Positive);
+const RETIREMENT: Flag = flag("retirement-fraction", "F", Fraction);
+const REFORM_POLICY: Flag = flag("policy", "static|repair|eager|balanced", Any);
+const TIMELINE_OUT: Flag = flag("timeline-out", "FILE", Any);
+const REPLAY: Flag = flag("replay", "true|false", Any);
+
+/// What a subcommand takes a flag it was not given to mean.
+enum Absent {
+    /// This value, parsed and checked like a given one.
+    Default(&'static str),
+    /// An error.
+    Required,
+    /// Nothing: the handler derives a value or does without.
+    Unset,
+}
+
+use Absent::{Default as D, Required, Unset};
+
+/// A subcommand: its name, what it does, its flags, and its handler.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    flags: &'static [(Flag, Absent)],
+    run: fn(&Opts) -> Result<(), String>,
+}
+
+impl Command {
+    fn entry(&self, name: &str) -> Option<&(Flag, Absent)> {
+        self.flags.iter().find(|(flag, _)| flag.name == name)
     }
 }
 
-/// A count from `--{name}` (default `default`): at least 1, the
-/// invariant the generators and `KmeansConfig::new` assert.
-fn at_least_one(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: usize,
-) -> Result<usize, String> {
-    match get_parsed(flags, name, default)? {
-        0 => Err(format!("--{name} must be positive")),
-        n => Ok(n),
+/// Every subcommand, in usage order.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "gen-network", run: gen_network, about: "", flags: &[
+        (CACHES, D("100")), (SEED, D("1")), (ORIGIN, D("transit")), (OUT, Required),
+    ] },
+    Command { name: "form", run: form, about: "", flags: &[
+        (NETWORK, Required), (SCHEME, D("sdsl")), (GROUPS, Unset), (THETA, D("1")),
+        (LANDMARKS, D("25")), (PLSET, D("4")), (MAX_GROUP_SIZE, Unset), (SEED, D("1")),
+        (OUT, Unset),
+    ] },
+    Command { name: "scale", run: scale_cmd, about: "", flags: &[
+        (CACHES, D("10000")), (GROUPS, Unset), (SCHEME, D("sdsl")), (THETA, D("1")),
+        (LANDMARKS, D("8")), (PLSET, D("4")), (SEED, D("1")), (MINIBATCH, D("false")),
+        (BATCH_SIZE, D("2048")), (ITERS, D("40")), (ASSIGN, D("auto")),
+    ] },
+    Command { name: "gen-trace", run: gen_trace, about: "", flags: &[
+        (CACHES, D("100")), (DOCS, D("1500")), (DURATION, D("120")), (RATE, D("2")),
+        (PRESET, D("sporting")), (SEED, D("1")), (OUT, Required),
+    ] },
+    Command { name: "stats", run: stats_cmd, about: "", flags: &[(TRACE, Required)] },
+    Command { name: "simulate", run: simulate_cmd, flags: &[
+        (NETWORK, Required), (GROUPS_FILE, Required), (TRACE, Unset), (DOCS, D("1500")),
+        (DURATION, D("120")), (RATE, D("2")), (CAPACITY, D("512")), (PRESET, D("sporting")),
+        (POLICY, D("utility")), (PLACEMENT, D("single-holder")), (SEED, D("1")),
+    ], about: "regenerates the workload from its flags unless given a trace file, \
+        which must come from gen-trace with the same seed and document count." },
+    Command { name: "replay", run: replay_cmd, flags: &[
+        (CACHES, D("200")), (GROUP_SIZE, D("25")), (DOCS, D("1500")), (DURATION, D("60")),
+        (RATE, D("2")), (CAPACITY, D("512")), (POLICY, D("utility")),
+        (PLACEMENT, D("single-holder")), (SEED, D("1")), (THREADS, Unset), (VERIFY, D("false")),
+    ], about: "streams the workload group by group on the worker pool; verifying also \
+        simulates the materialized trace serially and asserts a bit-identical report \
+        (small N only). Timings go to stderr." },
+    Command { name: "lifecycle", run: lifecycle_cmd, flags: &[
+        (CACHES, D("60")), (GROUPS, Unset), (LANDMARKS, D("8")), (DURATION, D("120")),
+        (STEP, D("10")), (SEED, D("1")), (CHURN_RATE, D("12")), (DOWNTIME, D("15")),
+        (RETIREMENT, D("0.1")), (REFORM_POLICY, D("balanced")), (TIMELINE_OUT, Unset),
+        (REPLAY, D("false")), (DOCS, D("1500")), (RATE, D("2")), (PRESET, D("sporting")),
+        (THREADS, Unset),
+    ], about: "when replaying, also simulates the workload epoch by epoch under the \
+        evolving groupings. Stdout and the timeline JSON are byte-identical at any thread count." },
+];
+
+/// The usage text, generated from [`COMMANDS`].
+fn usage() -> String {
+    let mut out = String::from("usage:\n");
+    for command in COMMANDS {
+        let items = command.flags.iter().map(|(flag, absent)| match absent {
+            Required => format!("--{} {}", flag.name, flag.value),
+            _ => format!("[--{} {}]", flag.name, flag.value),
+        });
+        out += &wrap(format!("  ecg {:<11}", command.name), items, 17);
+    }
+    for command in COMMANDS.iter().filter(|c| !c.about.is_empty()) {
+        let about = format!("{} {}", command.name, command.about);
+        out.push('\n');
+        out += &wrap(String::new(), about.split(' ').map(str::to_owned), 0);
+    }
+    out.pop();
+    out
+}
+
+/// `head` and then `items`, space-separated, in lines of at most 78
+/// columns, each continuation line indented by `indent`.
+fn wrap(head: String, items: impl Iterator<Item = String>, indent: usize) -> String {
+    let mut out = String::new();
+    let mut line = head;
+    for item in items {
+        if !line.trim().is_empty() && line.len() + 1 + item.len() > 78 {
+            out += &line;
+            out.push('\n');
+            line = " ".repeat(indent);
+        }
+        if !line.is_empty() {
+            line.push(' ');
+        }
+        line += &item;
+    }
+    out + &line + "\n"
+}
+
+/// A subcommand's flags as given, read through its row of the table.
+struct Opts {
+    command: &'static Command,
+    args: Args,
+}
+
+impl Opts {
+    /// The given value of `flag`, else its default.
+    fn raw(&self, flag: &Flag) -> Option<&str> {
+        self.args
+            .value(flag.name)
+            .or(match self.command.entry(flag.name) {
+                Some((_, D(value))) => Some(value),
+                _ => None,
+            })
+    }
+
+    /// `flag`'s value (given or default) parsed, if it has one.
+    fn opt<T: FromStr>(&self, flag: &Flag) -> Result<Option<T>, String> {
+        self.raw(flag)
+            .map(|raw| parse_value(flag.name, raw))
+            .transpose()
+    }
+
+    /// `flag`'s value (given or default) parsed; an error if it has none.
+    fn get<T: FromStr>(&self, flag: &Flag) -> Result<T, String> {
+        self.opt(flag)?
+            .ok_or_else(|| format!("missing required flag --{}", flag.name))
     }
 }
 
-/// A duration or rate from `--{name}` (default `default`): positive and
-/// finite, the invariant the workload and churn generators assert.
-fn positive(flags: &HashMap<String, String>, name: &str, default: f64) -> Result<f64, String> {
-    let value: f64 = get_parsed(flags, name, default)?;
-    if value.is_finite() && value > 0.0 {
-        Ok(value)
-    } else {
-        Err(format!("--{name} must be positive and finite"))
-    }
-}
-
-fn require<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, String> {
-    flags
-        .get(name)
-        .map(String::as_str)
-        .ok_or_else(|| format!("missing required flag --{name}"))
-}
-
-fn gen_network(flags: &HashMap<String, String>) -> Result<(), String> {
-    let caches: usize = get_parsed(flags, "caches", 100)?;
-    let seed: u64 = get_parsed(flags, "seed", 1)?;
-    let origin = match flags.get("origin").map(String::as_str).unwrap_or("transit") {
-        "transit" => OriginPlacement::TransitNode,
-        "stub" => OriginPlacement::StubNode,
-        other => return Err(format!("--origin must be transit or stub, got {other:?}")),
+/// Parses `args` (subcommand first) against the table and runs every
+/// range check.
+fn parse(args: &[String]) -> Result<Opts, String> {
+    let Some((name, rest)) = args.split_first() else {
+        return Err("missing subcommand".into());
     };
-    let out = require(flags, "out")?;
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown subcommand {name:?}"))?;
+    // `Args` takes every `--token` for a flag, so this finds the first
+    // one the subcommand does not read: a misspelt or misplaced flag is
+    // a mistake to report, not to run past.
+    let mut flags = rest.iter().filter_map(|arg| arg.strip_prefix("--"));
+    if let Some(unknown) = flags.find(|f| command.entry(f).is_none()) {
+        let readers = COMMANDS.iter().filter(|c| c.entry(unknown).is_some());
+        let readers: Vec<&str> = readers.map(|c| c.name).collect();
+        let read_by = match readers.is_empty() {
+            true => String::new(),
+            false => format!(" (read by {})", readers.join(", ")),
+        };
+        return Err(format!(
+            "unknown flag --{unknown} for `ecg {name}`{read_by}"
+        ));
+    }
+    let names: Vec<&str> = command.flags.iter().map(|(flag, _)| flag.name).collect();
+    let args = Args::parse(rest.iter().cloned(), &[], &names)?;
+    args.no_positionals()?;
+    let opts = Opts { command, args };
+    for (flag, _) in command.flags {
+        if let Some(raw) = opts.raw(flag) {
+            flag.check.check(flag.name, raw)?;
+        }
+    }
+    Ok(opts)
+}
 
-    let mut rng = StdRng::seed_from_u64(seed);
+fn run(args: &[String]) -> Result<(), String> {
+    let opts = parse(args)?;
+    let threads: Option<usize> = opts.opt(&THREADS)?;
+    if threads.is_some() {
+        edge_cache_groups::par::set_max_threads(threads);
+    }
+    let outcome = (opts.command.run)(&opts);
+    if threads.is_some() {
+        edge_cache_groups::par::set_max_threads(None);
+    }
+    outcome
+}
+
+fn gen_network(opts: &Opts) -> Result<(), String> {
+    let caches: usize = opts.get(&CACHES)?;
+    let origin: OriginPlacement = opts.get(&ORIGIN)?;
+    let out: String = opts.get(&OUT)?;
+
+    let mut rng = StdRng::seed_from_u64(opts.get(&SEED)?);
     let topo = TransitStubConfig::for_caches(caches).generate(&mut rng);
     let network = EdgeNetwork::place(&topo, caches, origin, &mut rng).map_err(|e| e.to_string())?;
 
-    let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
+    let file = File::create(&out).map_err(|e| format!("cannot create {out}: {e}"))?;
     write_rtt_matrix(BufWriter::new(file), network.rtt_matrix())
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     println!(
@@ -338,37 +385,43 @@ fn load_network(path: &str) -> Result<EdgeNetwork, String> {
     Ok(EdgeNetwork::from_rtt_matrix(matrix))
 }
 
-fn form(flags: &HashMap<String, String>) -> Result<(), String> {
-    let theta = theta(flags)?;
-    let network = load_network(require(flags, "network")?)?;
-    let k = at_least_one(flags, "groups", (network.cache_count() / 10).max(1))?;
-    let seed: u64 = get_parsed(flags, "seed", 1)?;
-    let landmarks: usize = get_parsed(flags, "landmarks", 25)?;
-    let plset: usize = get_parsed(flags, "plset-multiplier", 4)?;
-
-    let mut scheme = match flags.get("scheme").map(String::as_str).unwrap_or("sdsl") {
+/// The SL or SDSL scheme the scheme flag names, for `k` groups, with the
+/// landmark flags applied.
+fn scheme(opts: &Opts, k: usize) -> Result<SchemeConfig, String> {
+    let scheme = match opts.get::<String>(&SCHEME)?.as_str() {
         "sl" => SchemeConfig::sl(k),
-        "sdsl" => SchemeConfig::sdsl(k, theta),
-        other => return Err(format!("--scheme must be sl or sdsl, got {other:?}")),
-    }
-    .landmarks(landmarks)
-    .plset_multiplier(plset);
-    if let Some(cap) = flags.get("max-group-size") {
-        let cap: usize = cap
-            .parse()
-            .map_err(|_| format!("bad value for --max-group-size: {cap:?}"))?;
+        "sdsl" => SchemeConfig::sdsl(k, opts.get(&THETA)?),
+        other => {
+            return Err(format!(
+                "--{} must be sl or sdsl, got {other:?}",
+                SCHEME.name
+            ))
+        }
+    };
+    Ok(scheme
+        .landmarks(opts.get(&LANDMARKS)?)
+        .plset_multiplier(opts.get(&PLSET)?))
+}
+
+fn form(opts: &Opts) -> Result<(), String> {
+    let network = load_network(&opts.get::<String>(&NETWORK)?)?;
+    let k = opts
+        .opt(&GROUPS)?
+        .unwrap_or((network.cache_count() / 10).max(1));
+    let mut scheme = scheme(opts, k)?;
+    if let Some(cap) = opts.opt(&MAX_GROUP_SIZE)? {
         scheme = scheme.max_group_size(cap);
     }
 
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(opts.get(&SEED)?);
     let outcome = GfCoordinator::new(scheme)
         .form_groups(&network, &mut rng)
         .map_err(|e| e.to_string())?;
 
     let rendered = render_groups(outcome.groups());
-    match flags.get("out") {
+    match opts.opt::<String>(&OUT)? {
         Some(path) => {
-            let mut file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+            let mut file = File::create(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
             file.write_all(rendered.as_bytes())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             println!("wrote {path}");
@@ -388,26 +441,16 @@ fn form(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// The large-N pipeline over an implicit synthetic RTT oracle: no
 /// matrix file, O(n) state, derived-seed parallel kernels throughout.
-fn scale_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
-    let caches: usize = get_parsed(flags, "caches", 10_000)?;
-    let k = at_least_one(flags, "groups", (caches / 100).max(2))?;
-    let theta = theta(flags)?;
-    let seed: u64 = get_parsed(flags, "seed", 1)?;
-    let landmarks: usize = get_parsed(flags, "landmarks", 8)?;
-    let plset: usize = get_parsed(flags, "plset-multiplier", 4)?;
-    let minibatch: bool = get_parsed(flags, "minibatch", false)?;
-    let batch_size = at_least_one(flags, "batch-size", 2_048)?;
-    let iters: usize = get_parsed(flags, "iters", 40)?;
-    let assign: AssignMode = get_parsed(flags, "assign", AssignMode::Auto)?;
+fn scale_cmd(opts: &Opts) -> Result<(), String> {
+    let caches: usize = opts.get(&CACHES)?;
+    let seed: u64 = opts.get(&SEED)?;
+    let minibatch: bool = opts.get(&MINIBATCH)?;
+    let batch_size: usize = opts.get(&BATCH_SIZE)?;
+    let iters: usize = opts.get(&ITERS)?;
+    let assign: AssignMode = opts.get(&ASSIGN)?;
 
-    let mut scheme = match flags.get("scheme").map(String::as_str).unwrap_or("sdsl") {
-        "sl" => SchemeConfig::sl(k),
-        "sdsl" => SchemeConfig::sdsl(k, theta),
-        other => return Err(format!("--scheme must be sl or sdsl, got {other:?}")),
-    }
-    .landmarks(landmarks)
-    .plset_multiplier(plset)
-    .kmeans_assign(assign);
+    let k = opts.opt(&GROUPS)?.unwrap_or((caches / 100).max(2));
+    let mut scheme = scheme(opts, k)?.kmeans_assign(assign);
     if minibatch {
         scheme = scheme.kmeans_variant(KmeansVariant::MiniBatch(
             MiniBatchConfig::default()
@@ -426,18 +469,16 @@ fn scale_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let outcome = &formed.outcome;
     let sizes: Vec<usize> = outcome.groups().iter().map(Vec::len).collect();
     let gic = outcome.average_interaction_cost(|a, b| net.rtt_ms(a.index() + 1, b.index() + 1));
+    let engine = if minibatch {
+        format!("mini-batch {batch_size}x{iters}")
+    } else {
+        "full-batch Lloyd".into()
+    };
     println!(
-        "{} caches -> {} groups ({}), sizes min/mean/max {}/{:.1}/{}",
+        "{} caches -> {} groups ({engine}, {} assign), sizes min/mean/max {}/{:.1}/{}",
         caches,
         outcome.groups().len(),
-        if minibatch {
-            format!(
-                "mini-batch {batch_size}x{iters}, {} assign",
-                assign_name(assign)
-            )
-        } else {
-            format!("full-batch Lloyd, {} assign", assign_name(assign))
-        },
+        assign.name(),
         sizes.iter().min().copied().unwrap_or(0),
         caches as f64 / sizes.len().max(1) as f64,
         sizes.iter().max().copied().unwrap_or(0),
@@ -457,87 +498,56 @@ fn scale_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Display name of an assignment engine choice.
-fn assign_name(mode: AssignMode) -> &'static str {
-    match mode {
-        AssignMode::Auto => "auto",
-        AssignMode::Blocked => "blocked",
-        AssignMode::Tree => "tree",
-    }
-}
-
-/// Builds the workload a set of flags describes (shared by `gen-trace`
-/// and `simulate`).
+/// The workload the preset, document, duration, rate and seed flags
+/// describe, over `caches` caches (shared by `gen-trace`, `simulate`
+/// and `lifecycle`).
 fn build_workload(
-    flags: &HashMap<String, String>,
+    opts: &Opts,
     caches: usize,
-) -> Result<
-    (
-        edge_cache_groups::workload::DocumentCatalog,
-        Vec<edge_cache_groups::workload::TraceEvent>,
-    ),
-    String,
-> {
-    let docs = at_least_one(flags, "docs", 1_500)?;
-    let duration_ms = positive(flags, "duration-secs", 120.0)? * 1_000.0;
-    let rate = positive(flags, "rate", 2.0)?;
-    let seed: u64 = get_parsed(flags, "seed", 1)?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    match flags
-        .get("preset")
-        .map(String::as_str)
-        .unwrap_or("sporting")
-    {
-        "sporting" => {
-            let w = SportingEventConfig::default()
+) -> Result<(DocumentCatalog, Vec<TraceEvent>), String> {
+    let docs: usize = opts.get(&DOCS)?;
+    let duration_ms = opts.get::<f64>(&DURATION)? * 1_000.0;
+    let rate: f64 = opts.get(&RATE)?;
+    let mut rng = StdRng::seed_from_u64(opts.get(&SEED)?);
+    macro_rules! generate {
+        ($config:ty) => {{
+            let w = <$config>::default()
                 .caches(caches)
                 .documents(docs)
                 .duration_ms(duration_ms)
                 .rate_per_sec_per_cache(rate)
                 .generate(&mut rng);
-            Ok((w.catalog.clone(), w.merged_trace()))
-        }
-        "news" => {
-            let w = edge_cache_groups::workload::NewsSiteConfig::default()
-                .caches(caches)
-                .documents(docs)
-                .duration_ms(duration_ms)
-                .rate_per_sec_per_cache(rate)
-                .generate(&mut rng);
-            Ok((w.catalog.clone(), w.merged_trace()))
-        }
-        "flashcrowd" => {
-            let w = edge_cache_groups::workload::RegionalFlashCrowdConfig::default()
-                .caches(caches)
-                .documents(docs)
-                .duration_ms(duration_ms)
-                .rate_per_sec_per_cache(rate)
-                .generate(&mut rng);
-            Ok((w.catalog.clone(), w.merged_trace()))
-        }
+            let trace = w.merged_trace();
+            Ok((w.catalog, trace))
+        }};
+    }
+    match opts.get::<String>(&PRESET)?.as_str() {
+        "sporting" => generate!(SportingEventConfig),
+        "news" => generate!(NewsSiteConfig),
+        "flashcrowd" => generate!(RegionalFlashCrowdConfig),
         other => Err(format!(
-            "--preset must be sporting, news, or flashcrowd, got {other:?}"
+            "--{} must be sporting, news, or flashcrowd, got {other:?}",
+            PRESET.name
         )),
     }
 }
 
-fn gen_trace(flags: &HashMap<String, String>) -> Result<(), String> {
-    let caches = at_least_one(flags, "caches", 100)?;
-    let out = require(flags, "out")?;
-    let (_, trace) = build_workload(flags, caches)?;
-    let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-    edge_cache_groups::workload::write_trace(BufWriter::new(file), &trace)
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
+fn read_trace_file(path: &str) -> Result<Vec<TraceEvent>, String> {
+    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    read_trace(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
+}
+
+fn gen_trace(opts: &Opts) -> Result<(), String> {
+    let out: String = opts.get(&OUT)?;
+    let (_, trace) = build_workload(opts, opts.get(&CACHES)?)?;
+    let file = File::create(&out).map_err(|e| format!("cannot create {out}: {e}"))?;
+    write_trace(BufWriter::new(file), &trace).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("wrote {out}: {} events", trace.len());
     Ok(())
 }
 
-fn stats_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
-    let path = require(flags, "trace")?;
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let trace = edge_cache_groups::workload::read_trace(BufReader::new(file))
-        .map_err(|e| format!("{path}: {e}"))?;
-    let s = edge_cache_groups::workload::TraceStats::compute(&trace);
+fn stats_cmd(opts: &Opts) -> Result<(), String> {
+    let s = TraceStats::compute(&read_trace_file(&opts.get::<String>(&TRACE)?)?);
     println!("events            {}", s.requests + s.updates);
     println!("requests          {}", s.requests);
     println!("updates           {}", s.updates);
@@ -553,53 +563,31 @@ fn stats_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn simulate_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
-    let network = load_network(require(flags, "network")?)?;
-    let groups_path = require(flags, "groups")?;
-    let text = std::fs::read_to_string(groups_path)
+/// The cache capacity, policy and placement flags, and a warm-up of a
+/// sixth of the run.
+fn sim_config(opts: &Opts, duration_ms: f64) -> Result<SimConfig, String> {
+    Ok(SimConfig::default()
+        .cache_capacity_bytes(opts.get::<u64>(&CAPACITY)? * 1024)
+        .policy(opts.get(&POLICY)?)
+        .placement(opts.get(&PLACEMENT)?)
+        .warmup_ms(duration_ms / 6.0))
+}
+
+fn simulate_cmd(opts: &Opts) -> Result<(), String> {
+    let network = load_network(&opts.get::<String>(&NETWORK)?)?;
+    let groups_path: String = opts.get(&GROUPS_FILE)?;
+    let text = std::fs::read_to_string(&groups_path)
         .map_err(|e| format!("cannot read {groups_path}: {e}"))?;
     let groups = parse_groups(&text).map_err(|e| format!("{groups_path}: {e}"))?;
     let map = GroupMap::new(network.cache_count(), groups).map_err(|e| e.to_string())?;
-
-    let duration_ms = positive(flags, "duration-secs", 120.0)? * 1_000.0;
-    let capacity_bytes = capacity_bytes(flags)?;
-    let policy = match flags.get("policy").map(String::as_str).unwrap_or("utility") {
-        "utility" => PolicyKind::Utility,
-        "lru" => PolicyKind::Lru,
-        "lfu" => PolicyKind::Lfu,
-        "gdsf" => PolicyKind::Gdsf,
-        other => return Err(format!("unknown --policy {other:?}")),
-    };
-    let placement = match flags
-        .get("placement")
-        .map(String::as_str)
-        .unwrap_or("single-holder")
-    {
-        "single-holder" => PlacementKind::SingleHolder,
-        "adaptive" => PlacementKind::adaptive(),
-        "dchoices" => PlacementKind::d_choices(),
-        other => return Err(format!("unknown --placement {other:?}")),
-    };
+    let config = sim_config(opts, opts.get::<f64>(&DURATION)? * 1_000.0)?;
 
     // Workload: regenerate from flags, or replay a persisted trace
     // against the flag-described catalog.
-    let (catalog, trace) = {
-        let (catalog, generated) = build_workload(flags, network.cache_count())?;
-        match flags.get("trace") {
-            None => (catalog, generated),
-            Some(path) => {
-                let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-                let trace = edge_cache_groups::workload::read_trace(BufReader::new(file))
-                    .map_err(|e| format!("{path}: {e}"))?;
-                (catalog, trace)
-            }
-        }
-    };
-    let config = SimConfig::default()
-        .cache_capacity_bytes(capacity_bytes)
-        .policy(policy)
-        .placement(placement)
-        .warmup_ms(duration_ms / 6.0);
+    let (catalog, mut trace) = build_workload(opts, network.cache_count())?;
+    if let Some(path) = opts.opt::<String>(&TRACE)? {
+        trace = read_trace_file(&path)?;
+    }
     let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace).config(config);
     let report = simulate(&plan, &map, &mut RunContext::pooled()).map_err(|e| e.to_string())?;
 
@@ -613,47 +601,16 @@ fn simulate_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
 /// materialized — each shard regenerates its members' request streams
 /// from the master seed — so stdout is byte-identical at any
 /// `--threads` / `ECG_THREADS` setting.
-fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
+fn replay_cmd(opts: &Opts) -> Result<(), String> {
     use edge_cache_groups::workload::generate_updates;
     use rand::Rng;
 
-    let caches = at_least_one(flags, "caches", 200)?;
-    let group_size = at_least_one(flags, "group-size", 25)?;
-    let docs = at_least_one(flags, "docs", 1_500)?;
-    let duration_ms = positive(flags, "duration-secs", 60.0)? * 1_000.0;
-    let rate = positive(flags, "rate", 2.0)?;
-    let capacity_bytes = capacity_bytes(flags)?;
-    let seed: u64 = get_parsed(flags, "seed", 1)?;
-    let verify: bool = get_parsed(flags, "verify", false)?;
-    let policy = match flags.get("policy").map(String::as_str).unwrap_or("utility") {
-        "utility" => PolicyKind::Utility,
-        "lru" => PolicyKind::Lru,
-        "lfu" => PolicyKind::Lfu,
-        "gdsf" => PolicyKind::Gdsf,
-        other => return Err(format!("unknown --policy {other:?}")),
-    };
-    let placement = match flags
-        .get("placement")
-        .map(String::as_str)
-        .unwrap_or("single-holder")
-    {
-        "single-holder" => PlacementKind::SingleHolder,
-        "adaptive" => PlacementKind::adaptive(),
-        "dchoices" => PlacementKind::d_choices(),
-        other => return Err(format!("unknown --placement {other:?}")),
-    };
-    let threads: Option<usize> = match flags.get("threads") {
-        None => None,
-        Some(raw) => {
-            let t: usize = raw
-                .parse()
-                .map_err(|_| format!("bad value for --threads: {raw:?}"))?;
-            if t == 0 {
-                return Err("--threads must be positive".into());
-            }
-            Some(t)
-        }
-    };
+    let caches: usize = opts.get(&CACHES)?;
+    let group_size: usize = opts.get(&GROUP_SIZE)?;
+    let duration_ms = opts.get::<f64>(&DURATION)? * 1_000.0;
+    let seed: u64 = opts.get(&SEED)?;
+    let verify: bool = opts.get(&VERIFY)?;
+    let config = sim_config(opts, duration_ms)?;
 
     // Node 0 is the origin; the caches are nodes 1..=caches.
     let net = SyntheticRttConfig::default().generate(caches + 1, seed);
@@ -665,31 +622,20 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let map = GroupMap::new(caches, groups).map_err(|e| e.to_string())?;
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let catalog = CatalogConfig::default().documents(docs).generate(&mut rng);
+    let catalog = CatalogConfig::default()
+        .documents(opts.get(&DOCS)?)
+        .generate(&mut rng);
     let updates = generate_updates(&catalog, duration_ms, &mut rng);
     let master: u64 = rng.gen();
     let workload = StreamedWorkload::new(
-        RequestConfig::default().rate_per_sec_per_cache(rate),
+        RequestConfig::default().rate_per_sec_per_cache(opts.get(&RATE)?),
         master,
         duration_ms,
     )
     .updates(&updates);
-    let config = SimConfig::default()
-        .cache_capacity_bytes(capacity_bytes)
-        .policy(policy)
-        .placement(placement)
-        .warmup_ms(duration_ms / 6.0);
     let plan = SimPlan::streamed(&net, &catalog, &workload).config(config);
     let mut ctx = RunContext::pooled();
-
-    if threads.is_some() {
-        edge_cache_groups::par::set_max_threads(threads);
-    }
-    let outcome = simulate(&plan, &map, &mut ctx).map_err(|e| e.to_string());
-    if threads.is_some() {
-        edge_cache_groups::par::set_max_threads(None);
-    }
-    let report = outcome?;
+    let report = simulate(&plan, &map, &mut ctx).map_err(|e| e.to_string())?;
 
     let stats = ctx.stats();
     println!(
@@ -727,44 +673,17 @@ fn replay_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
 /// a fixed order, so
 /// stdout and the `--timeline-out` JSON are byte-identical at any
 /// `--threads` / `ECG_THREADS` setting.
-fn lifecycle_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
-    let caches = at_least_one(flags, "caches", 60)?;
-    let groups = at_least_one(flags, "groups", (caches / 8).max(2))?;
-    let landmarks: usize = get_parsed(flags, "landmarks", 8)?;
-    let duration_secs = positive(flags, "duration-secs", 120.0)?;
-    let step_secs: f64 = get_parsed(flags, "step-secs", 10.0)?;
-    let seed: u64 = get_parsed(flags, "seed", 1)?;
-    let churn_rate: f64 = get_parsed(flags, "churn-rate", 12.0)?;
-    let mean_downtime_secs = positive(flags, "mean-downtime-secs", 15.0)?;
-    let retirement_fraction: f64 = get_parsed(flags, "retirement-fraction", 0.1)?;
-    // The workload flags are checked before the supervisor runs.
-    let workload = match get_parsed(flags, "replay", false)? {
-        true => Some(build_workload(flags, caches)?),
+fn lifecycle_cmd(opts: &Opts) -> Result<(), String> {
+    let caches: usize = opts.get(&CACHES)?;
+    let groups = opts.opt(&GROUPS)?.unwrap_or((caches / 8).max(2));
+    let duration_secs: f64 = opts.get(&DURATION)?;
+    let step_secs: f64 = opts.get(&STEP)?;
+    let seed: u64 = opts.get(&SEED)?;
+    let policy_name: String = opts.get(&REFORM_POLICY)?;
+    let policy: ReformPolicy = opts.get(&REFORM_POLICY)?;
+    let workload = match opts.get(&REPLAY)? {
+        true => Some(build_workload(opts, caches)?),
         false => None,
-    };
-    if !churn_rate.is_finite() || churn_rate < 0.0 {
-        return Err("--churn-rate must be finite and non-negative".into());
-    }
-    if !(0.0..=1.0).contains(&retirement_fraction) {
-        return Err("--retirement-fraction must be in [0, 1]".into());
-    }
-    let policy_name = flags
-        .get("policy")
-        .map(String::as_str)
-        .unwrap_or("balanced");
-    let policy = ReformPolicy::by_name(policy_name)
-        .ok_or_else(|| format!("unknown --policy {policy_name:?}"))?;
-    let threads: Option<usize> = match flags.get("threads") {
-        None => None,
-        Some(raw) => {
-            let t: usize = raw
-                .parse()
-                .map_err(|_| format!("bad value for --threads: {raw:?}"))?;
-            if t == 0 {
-                return Err("--threads must be positive".into());
-            }
-            Some(t)
-        }
     };
 
     let duration_ms = duration_secs * 1_000.0;
@@ -776,9 +695,9 @@ fn lifecycle_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     // Churn plan and supervisor RNG are derived from --seed so the whole
     // run is reproducible from the command line alone.
     let plan = ChurnConfig::default()
-        .crashes_per_hour_per_cache(churn_rate)
-        .mean_downtime_ms(mean_downtime_secs * 1_000.0)
-        .retirement_fraction(retirement_fraction)
+        .crashes_per_hour_per_cache(opts.get(&CHURN_RATE)?)
+        .mean_downtime_ms(opts.get::<f64>(&DOWNTIME)? * 1_000.0)
+        .retirement_fraction(opts.get(&RETIREMENT)?)
         .generate(
             caches,
             duration_ms,
@@ -787,82 +706,73 @@ fn lifecycle_cmd(flags: &HashMap<String, String>) -> Result<(), String> {
     let schedule = plan.schedule();
 
     let supervisor = FormationSupervisor::new(
-        SupervisorConfig::new(SchemeConfig::sl(groups).landmarks(landmarks))
+        SupervisorConfig::new(SchemeConfig::sl(groups).landmarks(opts.get(&LANDMARKS)?))
             .step_ms(step_secs * 1_000.0)
             .policy(policy),
     );
-    if threads.is_some() {
-        edge_cache_groups::par::set_max_threads(threads);
+    let timeline = supervisor
+        .run(&network, &schedule, duration_ms, &mut rng)
+        .map_err(|e| e.to_string())?;
+
+    println!(
+        "{caches} caches, K = {groups}, policy {policy_name}: \
+         {} windows of {:.0} s over {:.0} s",
+        timeline.decisions().len(),
+        step_secs,
+        duration_secs,
+    );
+    println!(
+        "{} epochs | holds {} repairs {} partial {} full {} | max drift {:.2}",
+        timeline.epochs().len(),
+        timeline.decision_count(ReformDecision::Hold),
+        timeline.decision_count(ReformDecision::Repair),
+        timeline.decision_count(ReformDecision::PartialReform),
+        timeline.decision_count(ReformDecision::FullReform),
+        timeline.max_drift(),
+    );
+    for d in timeline.decisions() {
+        if d.decision == ReformDecision::Hold && d.demoted_from.is_none() {
+            continue;
+        }
+        let demoted = match d.demoted_from {
+            Some(from) => format!(" (demoted from {from})"),
+            None => String::new(),
+        };
+        let escalated = if d.escalated { " (escalated)" } else { "" };
+        println!(
+            "  t={:>5.0}s {}{demoted}{escalated}: drift {:.2}, \
+             {} down, {} retired, {} dead landmarks -> epoch {}",
+            d.window_end_ms / 1_000.0,
+            d.decision,
+            d.signals.drift,
+            d.signals.down_caches,
+            d.signals.retirements,
+            d.signals.dead_landmarks,
+            d.epoch,
+        );
     }
-    let run_outcome = (|| -> Result<_, String> {
-        let timeline = supervisor
-            .run(&network, &schedule, duration_ms, &mut rng)
+
+    if let Some(path) = opts.opt::<String>(&TIMELINE_OUT)? {
+        let mut json = timeline.to_json();
+        json.push('\n');
+        std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
+        println!("wrote {path}");
+    }
+
+    if let Some((catalog, trace)) = &workload {
+        let epochs: Vec<ReplayEpoch> = timeline
+            .epoch_spans()
+            .map(|(start, map)| ReplayEpoch::new(start, map.clone()))
+            .collect();
+        let plan = SimPlan::new(network.rtt_matrix(), catalog, trace)
+            .config(SimConfig::default().warmup_ms(duration_ms / 6.0))
+            .faults(&schedule);
+        let report = simulate_epochs(&plan, &epochs, &mut RunContext::pooled())
             .map_err(|e| e.to_string())?;
-
-        println!(
-            "{caches} caches, K = {groups}, policy {policy_name}: \
-             {} windows of {:.0} s over {:.0} s",
-            timeline.decisions().len(),
-            step_secs,
-            duration_secs,
-        );
-        println!(
-            "{} epochs | holds {} repairs {} partial {} full {} | max drift {:.2}",
-            timeline.epochs().len(),
-            timeline.decision_count(ReformDecision::Hold),
-            timeline.decision_count(ReformDecision::Repair),
-            timeline.decision_count(ReformDecision::PartialReform),
-            timeline.decision_count(ReformDecision::FullReform),
-            timeline.max_drift(),
-        );
-        for d in timeline.decisions() {
-            if d.decision == ReformDecision::Hold && d.demoted_from.is_none() {
-                continue;
-            }
-            let demoted = match d.demoted_from {
-                Some(from) => format!(" (demoted from {from})"),
-                None => String::new(),
-            };
-            let escalated = if d.escalated { " (escalated)" } else { "" };
-            println!(
-                "  t={:>5.0}s {}{demoted}{escalated}: drift {:.2}, \
-                 {} down, {} retired, {} dead landmarks -> epoch {}",
-                d.window_end_ms / 1_000.0,
-                d.decision,
-                d.signals.drift,
-                d.signals.down_caches,
-                d.signals.retirements,
-                d.signals.dead_landmarks,
-                d.epoch,
-            );
-        }
-
-        if let Some(path) = flags.get("timeline-out") {
-            let mut json = timeline.to_json();
-            json.push('\n');
-            std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("wrote {path}");
-        }
-
-        if let Some((catalog, trace)) = &workload {
-            let epochs: Vec<ReplayEpoch> = timeline
-                .epoch_spans()
-                .map(|(start, map)| ReplayEpoch::new(start, map.clone()))
-                .collect();
-            let plan = SimPlan::new(network.rtt_matrix(), catalog, trace)
-                .config(SimConfig::default().warmup_ms(duration_ms / 6.0))
-                .faults(&schedule);
-            let report = simulate_epochs(&plan, &epochs, &mut RunContext::pooled())
-                .map_err(|e| e.to_string())?;
-            println!("epoch-spanning replay across {} epochs:", epochs.len());
-            println!("{report}");
-        }
-        Ok(())
-    })();
-    if threads.is_some() {
-        edge_cache_groups::par::set_max_threads(None);
+        println!("epoch-spanning replay across {} epochs:", epochs.len());
+        println!("{report}");
     }
-    run_outcome
+    Ok(())
 }
 
 /// Renders groups as one line of space-separated cache ids per group.
@@ -901,87 +811,124 @@ fn parse_groups(text: &str) -> Result<Vec<Vec<CacheId>>, String> {
 }
 
 #[cfg(test)]
+#[path = "../../tests/support/mutation.rs"]
+mod mutation;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mutation;
+    use proptest::prelude::*;
+
+    fn argv(parts: &[&str]) -> Vec<String> {
+        parts.iter().map(|s| s.to_string()).collect()
+    }
 
     #[test]
     fn flags_parse_key_value_pairs() {
-        let args: Vec<String> = ["--caches", "50", "--seed", "9"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let flags = parse_flags(&args).unwrap();
-        assert_eq!(flags.get("caches").map(String::as_str), Some("50"));
-        assert_eq!(get_parsed(&flags, "seed", 0u64).unwrap(), 9);
-        assert_eq!(get_parsed(&flags, "missing", 7u64).unwrap(), 7);
+        let opts = parse(&argv(&["gen-network", "--caches", "50", "--seed", "9"])).unwrap();
+        assert_eq!(opts.get::<usize>(&CACHES), Ok(50));
+        assert_eq!(opts.get::<u64>(&SEED), Ok(9));
+        // An absent flag reads as its row's default, or as nothing.
+        assert_eq!(opts.get::<String>(&ORIGIN).unwrap(), "transit");
+        assert_eq!(opts.opt::<String>(&OUT), Ok(None));
+        assert_eq!(
+            opts.get::<String>(&OUT).unwrap_err(),
+            "missing required flag --out"
+        );
     }
 
     #[test]
     fn capacity_flag_is_validated_not_panicked_on() {
-        let capacity = |kib: &str| {
-            let args = ["--capacity-kib".to_string(), kib.to_string()];
-            capacity_bytes(&parse_flags(&args).unwrap())
-        };
-        assert_eq!(capacity("512"), Ok(512 * 1024));
-        assert_eq!(capacity_bytes(&HashMap::new()), Ok(512 * 1024));
+        let capacity = |args: &[&str]| parse(&argv(args)).and_then(|o| o.get::<u64>(&CAPACITY));
+        assert_eq!(capacity(&["replay", "--capacity-kib", "512"]), Ok(512));
+        assert_eq!(capacity(&["replay"]), Ok(512));
         // Zero, and the smallest value whose byte count wraps to zero.
         for bad in ["0", "18014398509481984"] {
-            let err = capacity(bad).unwrap_err();
+            let err = capacity(&["replay", "--capacity-kib", bad]).unwrap_err();
             assert!(err.starts_with("--capacity-kib must be"), "{err}");
         }
-        assert!(capacity("lots").unwrap_err().contains("bad value"));
+        let err = capacity(&["replay", "--capacity-kib", "lots"]).unwrap_err();
+        assert!(err.contains("bad value"), "{err}");
         // Both subcommands that take the flag report it the same way.
-        let flags = parse_flags(&["--capacity-kib".to_string(), "0".to_string()]).unwrap();
-        assert!(replay_cmd(&flags).unwrap_err().contains("--capacity-kib"));
+        for command in ["replay", "simulate"] {
+            let err = run(&argv(&[command, "--capacity-kib", "0"])).unwrap_err();
+            assert!(err.contains("--capacity-kib"), "{command}: {err}");
+        }
     }
 
     #[test]
     fn theta_flag_is_validated_not_panicked_on() {
-        let flags = |value: &str| parse_flags(&["--theta".to_string(), value.to_string()]).unwrap();
-        assert_eq!(theta(&flags("0")), Ok(0.0));
-        assert_eq!(theta(&flags("2.5")), Ok(2.5));
-        assert_eq!(theta(&HashMap::new()), Ok(1.0));
+        let theta = |args: &[&str]| parse(&argv(args)).and_then(|o| o.get::<f64>(&THETA));
+        assert_eq!(theta(&["form", "--theta", "0"]), Ok(0.0));
+        assert_eq!(theta(&["form", "--theta", "2.5"]), Ok(2.5));
+        assert_eq!(theta(&["form"]), Ok(1.0));
         for bad in ["nan", "inf", "-inf", "-1"] {
-            let err = theta(&flags(bad)).unwrap_err();
+            let err = theta(&["form", "--theta", bad]).unwrap_err();
             assert_eq!(err, "--theta must be finite and non-negative", "{bad}");
         }
-        assert!(theta(&flags("far")).unwrap_err().contains("bad value"));
+        let err = theta(&["form", "--theta", "far"]).unwrap_err();
+        assert!(err.contains("bad value"), "{err}");
         // Both subcommands that take the flag report it the same way.
-        let mut scale = flags("nan");
-        scale.insert("caches".into(), "50".into());
-        assert!(scale_cmd(&scale).unwrap_err().contains("--theta"));
-        assert!(form(&flags("-1")).unwrap_err().contains("--theta"));
+        let scale = run(&argv(&["scale", "--caches", "50", "--theta", "nan"]));
+        assert!(scale.unwrap_err().contains("--theta"));
+        assert!(run(&argv(&["form", "--theta", "-1"]))
+            .unwrap_err()
+            .contains("--theta"));
     }
 
     #[test]
     fn unknown_flags_and_zero_groups_are_errors() {
         // A misspelt flag used to be ignored (`--group 50` formed the
         // default K); `--groups 0` formed one group or panicked.
-        let to_args =
-            |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
-        let err = run(&to_args(&["scale", "--caches", "2000", "--bogus", "3"])).unwrap_err();
+        let err = run(&argv(&["scale", "--caches", "2000", "--bogus", "3"])).unwrap_err();
         assert_eq!(err, "unknown flag --bogus for `ecg scale`");
-        let err = run(&to_args(&["replay", "--zeta", "1", "--alpha", "2"])).unwrap_err();
-        assert_eq!(err, "unknown flag --alpha for `ecg replay`");
-        // A flag another subcommand reads is still unknown here.
-        assert!(run(&to_args(&["stats", "--seed", "1"])).is_err());
-        for command in ["scale", "lifecycle"] {
-            let err = run(&to_args(&[command, "--groups", "0"])).unwrap_err();
+        // The first unknown flag in argv order.
+        let err = run(&argv(&["replay", "--zeta", "1", "--alpha", "2"])).unwrap_err();
+        assert_eq!(err, "unknown flag --zeta for `ecg replay`");
+        // A flag another subcommand reads is still unknown here, and the
+        // error names the subcommands that read it.
+        let err = run(&argv(&["stats", "--seed", "1"])).unwrap_err();
+        assert!(
+            err.starts_with("unknown flag --seed for `ecg stats` (read by gen-network, form,"),
+            "{err}"
+        );
+        for command in ["scale", "lifecycle", "form"] {
+            let err = run(&argv(&[command, "--groups", "0"])).unwrap_err();
             assert_eq!(err, "--groups must be positive", "{command}");
         }
-        let zero = parse_flags(&["--groups".to_string(), "0".to_string()]).unwrap();
+        // Absent, K is derived from the network size.
         assert_eq!(
-            at_least_one(&zero, "groups", 5).unwrap_err(),
-            "--groups must be positive"
+            parse(&argv(&["scale"])).unwrap().opt::<usize>(&GROUPS),
+            Ok(None)
         );
-        assert_eq!(at_least_one(&HashMap::new(), "groups", 5), Ok(5));
+    }
+
+    #[test]
+    fn zero_group_size_cap_is_an_error_not_a_panic() {
+        // `form --max-group-size 0` used to reach the scheme's
+        // `assert!` and exit 101.
+        let net = std::env::temp_dir().join("ecg_cli_cap.rtt");
+        let net = net.to_str().unwrap();
+        run(&argv(&["gen-network", "--caches", "12", "--out", net])).unwrap();
+        let err = run(&argv(&["form", "--network", net, "--max-group-size", "0"]));
+        assert_eq!(err, Err("--max-group-size must be positive".into()));
+        run(&argv(&[
+            "form",
+            "--network",
+            net,
+            "--groups",
+            "3",
+            "--max-group-size",
+            "6",
+        ]))
+        .unwrap();
+        std::fs::remove_file(net).ok();
     }
 
     #[test]
     fn workload_flags_are_range_checked_not_asserted() {
         // Each of these used to reach a library `assert!` and panic.
-        let to_args =
-            |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
         let finite = "must be positive and finite";
         let cases: &[(&[&str], &str, &str)] = &[
             (&["replay"], "duration-secs", "-1"),
@@ -1005,7 +952,7 @@ mod tests {
             (&["gen-trace", "--out", "/nonexistent/x"], "caches", "0"),
         ];
         for &(command, flag, value) in cases {
-            let mut args = to_args(command);
+            let mut args = argv(command);
             args.extend([format!("--{flag}"), value.to_string()]);
             let expected = match flag {
                 "docs" | "caches" => format!("--{flag} must be positive"),
@@ -1013,29 +960,72 @@ mod tests {
             };
             assert_eq!(run(&args), Err(expected), "{args:?}");
         }
-        // `ecg simulate` reads the same workload flags through the same
-        // helper, after it has loaded its network.
+        // `ecg simulate` checks the same workload flags, before it loads
+        // its network.
         for (flag, value) in [("rate", "inf"), ("duration-secs", "0"), ("docs", "0")] {
-            let flags = parse_flags(&to_args(&[&format!("--{flag}"), value])).unwrap();
-            let err = build_workload(&flags, 10).unwrap_err();
+            let err = run(&argv(&["simulate", &format!("--{flag}"), value])).unwrap_err();
             assert!(
                 err.starts_with(&format!("--{flag} must be positive")),
                 "{err}"
             );
         }
-        assert_eq!(positive(&HashMap::new(), "rate", 2.0), Ok(2.0));
-        assert_eq!(at_least_one(&HashMap::new(), "docs", 7), Ok(7));
+        let defaults = parse(&argv(&["replay"])).unwrap();
+        assert_eq!(defaults.get::<f64>(&RATE), Ok(2.0));
+        assert_eq!(defaults.get::<usize>(&DOCS), Ok(1_500));
     }
 
     #[test]
     fn flags_reject_malformed_input() {
-        let bad = |args: &[&str]| {
-            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            parse_flags(&args).is_err()
-        };
-        assert!(bad(&["caches", "50"])); // missing --
-        assert!(bad(&["--caches"])); // missing value
-        assert!(bad(&["--a", "1", "--a", "2"])); // duplicate
+        let bad = |args: &[&str]| parse(&argv(args)).is_err();
+        assert!(bad(&["gen-network", "caches", "50"])); // missing --
+        assert!(bad(&["gen-network", "--caches"])); // missing value
+        assert!(bad(&["gen-network", "--seed", "1", "--seed", "2"])); // duplicate
+                                                                      // A value the range checks do not cover is parsed when read.
+        assert!(parse(&argv(&["gen-network", "--seed", "x"]))
+            .unwrap()
+            .get::<u64>(&SEED)
+            .is_err());
+    }
+
+    #[test]
+    fn every_row_parses_bare_and_shows_in_the_usage() {
+        // Every default passes its own check, no row names a flag twice,
+        // and the generated usage shows every flag.
+        let usage = usage();
+        for command in COMMANDS {
+            parse(&argv(&[command.name])).unwrap_or_else(|e| panic!("{}: {e}", command.name));
+            for (at, (flag, _)) in command.flags.iter().enumerate() {
+                let later = &command.flags[at + 1..];
+                assert!(
+                    later.iter().all(|(f, _)| f.name != flag.name),
+                    "{}",
+                    flag.name
+                );
+                assert!(usage.contains(&format!("--{} {}", flag.name, flag.value)));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn damaged_groups_files_are_refused_or_round_trip(
+            groups in proptest::collection::vec(
+                proptest::collection::vec(0usize..500, 1..6),
+                1..6,
+            ),
+            edits in proptest::collection::vec(mutation::arb_mutation(), 1..4),
+        ) {
+            let groups: Vec<Vec<CacheId>> = groups
+                .into_iter()
+                .map(|g| g.into_iter().map(CacheId).collect())
+                .collect();
+            let damaged = mutation::mutate(render_groups(&groups).as_bytes(), &edits);
+            if let Ok(parsed) = parse_groups(&String::from_utf8_lossy(&damaged)) {
+                prop_assert_eq!(parse_groups(&render_groups(&parsed)), Ok(parsed));
+            }
+        }
     }
 
     #[test]
@@ -1069,10 +1059,8 @@ mod tests {
         let dir = std::env::temp_dir();
         let net = dir.join("ecg_cli_test.rtt");
         let grp = dir.join("ecg_cli_test.groups");
-        let to_args =
-            |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
 
-        run(&to_args(&[
+        run(&argv(&[
             "gen-network",
             "--caches",
             "24",
@@ -1082,7 +1070,7 @@ mod tests {
             net.to_str().unwrap(),
         ]))
         .unwrap();
-        run(&to_args(&[
+        run(&argv(&[
             "form",
             "--network",
             net.to_str().unwrap(),
@@ -1096,7 +1084,7 @@ mod tests {
             grp.to_str().unwrap(),
         ]))
         .unwrap();
-        run(&to_args(&[
+        run(&argv(&[
             "simulate",
             "--network",
             net.to_str().unwrap(),
@@ -1111,7 +1099,7 @@ mod tests {
 
         // Trace tooling: generate, inspect, replay.
         let trc = dir.join("ecg_cli_test.trace");
-        run(&to_args(&[
+        run(&argv(&[
             "gen-trace",
             "--caches",
             "24",
@@ -1123,8 +1111,8 @@ mod tests {
             trc.to_str().unwrap(),
         ]))
         .unwrap();
-        run(&to_args(&["stats", "--trace", trc.to_str().unwrap()])).unwrap();
-        run(&to_args(&[
+        run(&argv(&["stats", "--trace", trc.to_str().unwrap()])).unwrap();
+        run(&argv(&[
             "simulate",
             "--network",
             net.to_str().unwrap(),
@@ -1143,7 +1131,7 @@ mod tests {
         // out passes every per-value check; it used to size the
         // degradation timeline (5.9 GB) and abort the process.
         std::fs::write(&trc, "R 1000000000000 3 7\n").unwrap();
-        let err = run(&to_args(&[
+        let err = run(&argv(&[
             "simulate",
             "--network",
             net.to_str().unwrap(),
@@ -1167,10 +1155,8 @@ mod tests {
         let dir = std::env::temp_dir();
         let net = dir.join("ecg_cli_place.rtt");
         let grp = dir.join("ecg_cli_place.groups");
-        let to_args =
-            |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
 
-        run(&to_args(&[
+        run(&argv(&[
             "gen-network",
             "--caches",
             "12",
@@ -1180,7 +1166,7 @@ mod tests {
             net.to_str().unwrap(),
         ]))
         .unwrap();
-        run(&to_args(&[
+        run(&argv(&[
             "form",
             "--network",
             net.to_str().unwrap(),
@@ -1193,7 +1179,7 @@ mod tests {
         ]))
         .unwrap();
         for placement in ["single-holder", "adaptive", "dchoices"] {
-            run(&to_args(&[
+            run(&argv(&[
                 "simulate",
                 "--network",
                 net.to_str().unwrap(),
@@ -1210,7 +1196,7 @@ mod tests {
             ]))
             .unwrap();
         }
-        assert!(run(&to_args(&[
+        assert!(run(&argv(&[
             "simulate",
             "--network",
             net.to_str().unwrap(),
@@ -1227,9 +1213,7 @@ mod tests {
 
     #[test]
     fn scale_subcommand_runs_both_variants() {
-        let to_args =
-            |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
-        run(&to_args(&[
+        run(&argv(&[
             "scale",
             "--caches",
             "300",
@@ -1241,7 +1225,7 @@ mod tests {
             "2",
         ]))
         .unwrap();
-        run(&to_args(&[
+        run(&argv(&[
             "scale",
             "--caches",
             "300",
@@ -1261,7 +1245,7 @@ mod tests {
         .unwrap();
         // Forced tree assignment must run (and match the other engines
         // bit for bit — pinned by the scaled-pipeline suite).
-        run(&to_args(&[
+        run(&argv(&[
             "scale",
             "--caches",
             "300",
@@ -1275,7 +1259,7 @@ mod tests {
             "tree",
         ]))
         .unwrap();
-        assert!(run(&to_args(&[
+        assert!(run(&argv(&[
             "scale",
             "--minibatch",
             "true",
@@ -1283,18 +1267,16 @@ mod tests {
             "0"
         ]))
         .is_err());
-        assert!(run(&to_args(&["scale", "--scheme", "bogus"])).is_err());
-        assert!(run(&to_args(&["scale", "--assign", "kd"])).is_err());
+        assert!(run(&argv(&["scale", "--scheme", "bogus"])).is_err());
+        assert!(run(&argv(&["scale", "--assign", "kd"])).is_err());
     }
 
     #[test]
     fn replay_subcommand_verifies_against_monolithic() {
-        let to_args =
-            |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
         // Small N with --verify: the streamed, sharded report must be
         // bit-identical to the serial run over the materialized trace, at
         // an explicit thread count too.
-        run(&to_args(&[
+        run(&argv(&[
             "replay",
             "--caches",
             "18",
@@ -1308,7 +1290,7 @@ mod tests {
             "true",
         ]))
         .unwrap();
-        run(&to_args(&[
+        run(&argv(&[
             "replay",
             "--caches",
             "18",
@@ -1326,10 +1308,10 @@ mod tests {
             "true",
         ]))
         .unwrap();
-        assert!(run(&to_args(&["replay", "--caches", "0"])).is_err());
-        assert!(run(&to_args(&["replay", "--group-size", "0"])).is_err());
-        assert!(run(&to_args(&["replay", "--threads", "0"])).is_err());
-        assert!(run(&to_args(&["replay", "--policy", "bogus"])).is_err());
+        assert!(run(&argv(&["replay", "--caches", "0"])).is_err());
+        assert!(run(&argv(&["replay", "--group-size", "0"])).is_err());
+        assert!(run(&argv(&["replay", "--threads", "0"])).is_err());
+        assert!(run(&argv(&["replay", "--policy", "bogus"])).is_err());
     }
 
     #[test]
@@ -1337,12 +1319,10 @@ mod tests {
         let dir = std::env::temp_dir();
         let t1 = dir.join("ecg_cli_lifecycle_t1.json");
         let t2 = dir.join("ecg_cli_lifecycle_t2.json");
-        let to_args =
-            |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
         // Heavy churn on a small network so the policy actually acts;
         // the timeline JSON must not depend on the worker count.
         let base = |out: &str, threads: &str| {
-            to_args(&[
+            argv(&[
                 "lifecycle",
                 "--caches",
                 "24",
@@ -1372,7 +1352,7 @@ mod tests {
         assert_eq!(a, b, "timeline JSON differs across thread counts");
 
         // Epoch-spanning replay path over the same run.
-        run(&to_args(&[
+        run(&argv(&[
             "lifecycle",
             "--caches",
             "24",
@@ -1395,11 +1375,11 @@ mod tests {
         ]))
         .unwrap();
 
-        assert!(run(&to_args(&["lifecycle", "--caches", "0"])).is_err());
-        assert!(run(&to_args(&["lifecycle", "--churn-rate", "-1"])).is_err());
-        assert!(run(&to_args(&["lifecycle", "--threads", "0"])).is_err());
-        assert!(run(&to_args(&["lifecycle", "--policy", "bogus"])).is_err());
-        assert!(run(&to_args(&["lifecycle", "--retirement-fraction", "2"])).is_err());
+        assert!(run(&argv(&["lifecycle", "--caches", "0"])).is_err());
+        assert!(run(&argv(&["lifecycle", "--churn-rate", "-1"])).is_err());
+        assert!(run(&argv(&["lifecycle", "--threads", "0"])).is_err());
+        assert!(run(&argv(&["lifecycle", "--policy", "bogus"])).is_err());
+        assert!(run(&argv(&["lifecycle", "--retirement-fraction", "2"])).is_err());
 
         std::fs::remove_file(&t1).ok();
         std::fs::remove_file(&t2).ok();
@@ -1409,9 +1389,7 @@ mod tests {
     fn news_preset_and_bad_preset() {
         let dir = std::env::temp_dir();
         let trc = dir.join("ecg_cli_news.trace");
-        let to_args =
-            |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
-        run(&to_args(&[
+        run(&argv(&[
             "gen-trace",
             "--caches",
             "6",
@@ -1425,7 +1403,7 @@ mod tests {
             trc.to_str().unwrap(),
         ]))
         .unwrap();
-        assert!(run(&to_args(&[
+        assert!(run(&argv(&[
             "gen-trace",
             "--preset",
             "bogus",

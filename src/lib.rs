@@ -29,6 +29,7 @@
 //! | [`faults`] | `ecg-faults` | fault plans, churn generation, degradation reporting |
 //! | [`lifecycle`] | `ecg-lifecycle` | continuous re-formation: supervisor, policies, epoch timelines |
 //! | [`par`] | `ecg-par` | deterministic fixed-chunk parallel kernels and the worker pool |
+//! | [`cli`] | — | the one command-line flag parser of the workspace's binaries |
 //!
 //! ## Quickstart
 //!
@@ -62,6 +63,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
+pub mod cli;
 
 pub use ecg_cache as cache;
 pub use ecg_clustering as clustering;
