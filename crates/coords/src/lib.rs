@@ -13,8 +13,6 @@
 //!   minimizer ([`simplex`]).
 //! * [`vivaldi`] — decentralized Vivaldi coordinates (cited in related
 //!   work; included as an extension).
-//! * [`metrics`] — embedding quality metrics (relative error, proximity
-//!   order preservation).
 //!
 //! # Examples
 //!
@@ -43,7 +41,6 @@
 pub mod feature;
 pub mod gnp;
 pub mod matrix;
-pub mod metrics;
 pub mod probe;
 pub mod resilience;
 pub mod simplex;
@@ -56,7 +53,6 @@ pub use feature::{
 };
 pub use gnp::{embed_network, GnpConfig, GnpCoordinates, GnpModel};
 pub use matrix::FeatureMatrix;
-pub use metrics::{feature_vector_distance_error, proximity_order_preservation, ErrorStats};
 pub use probe::{Draws, ProbeConfig, Prober};
 pub use resilience::{FeatureMask, Measurement, ProbeFaults, RetryPolicy};
 pub use tiles::{CenterTiles, LANE_WIDTH};

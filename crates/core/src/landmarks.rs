@@ -21,12 +21,6 @@ use rand::Rng;
 use std::collections::HashMap;
 use std::fmt;
 
-/// Candidate count above which the greedy arg-max fans out across
-/// [`ecg_par`] workers. Paper-scale PLSets (tens of candidates) stay on
-/// the sequential branch; the parallel branch only engages at bench
-/// scale, and is bit-identical anyway (see [`max_min_fill`]).
-const PAR_THRESHOLD: usize = 512;
-
 /// Strategy for choosing the landmark set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LandmarkSelector {
@@ -305,13 +299,13 @@ pub(crate) fn select<R: Rng + ?Sized>(
 /// remaining-position candidate (the comparator reverses the index, and
 /// `max_by` keeps the last maximum).
 ///
-/// Above [`PAR_THRESHOLD`] candidates the arg-max fans out over fixed
-/// [`ecg_par::chunk_ranges`] chunks with an in-order reduction of the
-/// per-chunk winners. The comparator is a *total* order on
-/// `(position, score)` pairs (distinct positions never compare equal),
-/// so the maximum is unique and the chunked reduction returns exactly
-/// the sequential winner — bit-identical at any thread count, which the
-/// parallel==sequential equivalence tests pin.
+/// The arg-max runs over fixed [`ecg_par::chunk_ranges`] chunks with an
+/// in-order reduction of the per-chunk winners; paper-scale PLSets (tens
+/// of candidates) are one chunk, run inline. The comparator is a *total*
+/// order on `(position, score)` pairs (distinct positions never compare
+/// equal), so the maximum is unique and the chunked reduction returns
+/// exactly the flat sequential winner — bit-identical at any thread
+/// count, which the equivalence tests pin.
 fn max_min_fill(
     lm_set: &mut Vec<usize>,
     remaining: &mut Vec<usize>,
@@ -336,19 +330,12 @@ fn max_min_fill(
                 .fold(f64::INFINITY, f64::min);
             (pos, to_set)
         };
-        let (best_pos, _) = if remaining.len() >= PAR_THRESHOLD {
-            ecg_par::par_chunk_map(remaining.len(), |range| {
-                range.map(score).max_by(better).expect("chunk is non-empty")
-            })
-            .into_iter()
-            .max_by(better)
-            .expect("PLSet has candidates")
-        } else {
-            (0..remaining.len())
-                .map(score)
-                .max_by(better)
-                .expect("PLSet has candidates")
-        };
+        let (best_pos, _) = ecg_par::par_chunk_map(remaining.len(), |range| {
+            range.map(score).max_by(better).expect("chunk is non-empty")
+        })
+        .into_iter()
+        .max_by(better)
+        .expect("PLSet has candidates");
         lm_set.push(remaining.swap_remove(best_pos));
     }
 }
@@ -702,9 +689,9 @@ mod tests {
     #[test]
     fn parallel_argmax_branch_matches_sequential_at_bench_scale() {
         // l=4, m=200 over a 700-cache synthetic network: the PLSet has
-        // 600 candidates, past PAR_THRESHOLD, so the greedy fill takes
-        // the chunk-parallel arg-max branch — which must elect exactly
-        // the sequential winners (total order on (position, score)).
+        // 600 candidates, three chunks, so the greedy fill's arg-max
+        // fans out — and must elect the same winners at any thread count
+        // (total order on (position, score)).
         use ecg_topology::SyntheticRttConfig;
         let net = SyntheticRttConfig::default().generate(701, 42);
         let run = |threads: Option<usize>| {
@@ -737,6 +724,40 @@ mod tests {
         )
         .unwrap();
         assert_eq!(at1, seq);
+    }
+
+    #[test]
+    fn chunked_fill_elects_the_flat_argmax_winners() {
+        // 1 000 candidates (four chunks) on distances that repeat every
+        // 7 values, so exact ties straddle the chunk boundaries and the
+        // earliest-position tie-break decides most steps.
+        let dist = |a: usize, b: usize| ((a * 31 + b * 17) % 7) as f64;
+        for maximize in [true, false] {
+            let mut lm_set = vec![0usize];
+            let mut remaining: Vec<usize> = (1..=1_000).collect();
+            max_min_fill(&mut lm_set, &mut remaining, 8, maximize, &dist);
+
+            // Reference: one flat pass over every remaining position.
+            let mut flat_set = vec![0usize];
+            let mut flat_remaining: Vec<usize> = (1..=1_000).collect();
+            while flat_set.len() < 8 {
+                let score = |pos: usize| {
+                    let cand = flat_remaining[pos];
+                    flat_set
+                        .iter()
+                        .map(|&s| dist(s, cand))
+                        .fold(f64::INFINITY, f64::min)
+                };
+                let best = (0..flat_remaining.len())
+                    .max_by(|&a, &b| {
+                        let ord = score(a).total_cmp(&score(b));
+                        if maximize { ord } else { ord.reverse() }.then(b.cmp(&a))
+                    })
+                    .unwrap();
+                flat_set.push(flat_remaining.swap_remove(best));
+            }
+            assert_eq!(lm_set, flat_set, "maximize={maximize}");
+        }
     }
 
     #[test]

@@ -248,14 +248,17 @@ impl ChurnDriver {
     /// A retirement that would empty its group is skipped (counted in
     /// [`skipped_retirements`](Self::skipped_retirements)) — the cache
     /// stays nominally grouped, mirroring a deployment that refuses to
-    /// dissolve a group implicitly. Brownouts don't touch membership and
-    /// are ignored.
+    /// dissolve a group implicitly. A retired cache stays out for good:
+    /// a later recovery of it is ignored, as the simulator ignores it.
+    /// Brownouts don't touch membership and are ignored.
     ///
     /// # Errors
     ///
-    /// Propagates [`MaintenanceError`] on structural mismatches (unknown
-    /// cache ids, network/maintainer size disagreement); never errors on
-    /// the expected churn races handled above.
+    /// [`MaintenanceError::UnknownCache`] before anything is applied if
+    /// the plan names a cache the maintainer does not track; otherwise
+    /// propagates [`MaintenanceError`] on structural mismatches
+    /// (network/maintainer size disagreement), and never errors on the
+    /// expected churn races handled above.
     pub fn apply<R: Rng + ?Sized>(
         &mut self,
         network: &EdgeNetwork,
@@ -284,15 +287,30 @@ impl ChurnDriver {
         rng: &mut R,
         mut obs: Option<&mut Obs>,
     ) -> Result<(), MaintenanceError> {
+        let caches = self.maintainer.cache_count();
         let mut events: Vec<_> = plan.events().to_vec();
+        for event in &events {
+            if let FaultKind::CacheDown { cache }
+            | FaultKind::CacheUp { cache }
+            | FaultKind::CacheRetire { cache } = event.kind
+            {
+                if cache.index() >= caches {
+                    return Err(MaintenanceError::UnknownCache(cache));
+                }
+            }
+        }
         events.sort_by(|a, b| {
             a.time_ms
                 .partial_cmp(&b.time_ms)
                 .expect("times are not NaN")
         });
+        let mut retired = vec![false; caches];
         for event in &events {
             let applied = match event.kind {
                 FaultKind::CacheDown { cache } | FaultKind::CacheRetire { cache } => {
+                    if let FaultKind::CacheRetire { .. } = event.kind {
+                        retired[cache.index()] = true;
+                    }
                     match self.maintainer.retire_observed(cache, obs.as_deref_mut()) {
                         Ok(_) => true,
                         Err(MaintenanceError::WouldEmptyGroup { .. }) => {
@@ -313,6 +331,7 @@ impl ChurnDriver {
                         Err(e) => return Err(e),
                     }
                 }
+                FaultKind::CacheUp { cache } if retired[cache.index()] => false,
                 FaultKind::CacheUp { cache } => {
                     match self
                         .maintainer
@@ -401,29 +420,28 @@ impl ChurnDriver {
     pub fn into_maintainer(self) -> GroupMaintainer {
         self.maintainer
     }
+}
 
-    /// The current membership as a simulator [`GroupMap`].
-    ///
-    /// Caches with no group (currently down or retired) become
-    /// singletons, so the map always covers the full id space the
-    /// simulator expects.
-    pub fn group_map(&self) -> GroupMap {
-        let mut groups: Vec<Vec<CacheId>> = self
-            .maintainer
-            .groups()
-            .iter()
-            .filter(|g| !g.is_empty())
-            .cloned()
-            .collect();
-        for idx in 0..self.maintainer.cache_count() {
-            let cache = CacheId(idx);
-            if self.maintainer.group_of(cache).is_none() {
-                groups.push(vec![cache]);
-            }
-        }
-        GroupMap::new(self.maintainer.cache_count(), groups)
-            .expect("maintainer state is a valid partition")
-    }
+/// The partition a maintained grouping serves, as a simulator
+/// [`GroupMap`]: the maintainer's non-empty groups, plus a singleton for
+/// every cache with no group (currently down or retired), so the map
+/// always covers the full id space the simulator expects. The fault
+/// schedule, not the map, keeps traffic away from down caches.
+pub fn serving_map(maintainer: &GroupMaintainer) -> GroupMap {
+    let mut groups: Vec<Vec<CacheId>> = maintainer
+        .groups()
+        .iter()
+        .filter(|g| !g.is_empty())
+        .cloned()
+        .collect();
+    let caches = maintainer.cache_count();
+    groups.extend(
+        (0..caches)
+            .map(CacheId)
+            .filter(|&c| maintainer.group_of(c).is_none())
+            .map(|c| vec![c]),
+    );
+    GroupMap::new(caches, groups).expect("maintainer state is a valid partition")
 }
 
 #[cfg(test)]
@@ -573,6 +591,42 @@ mod tests {
     }
 
     #[test]
+    fn retired_cache_stays_out_after_a_later_recovery() {
+        // Down at 0.5 s, retired for good at 1 s, "up" at 2.5 s: the
+        // simulator and the supervisor keep it out, so must the driver.
+        let (network, maintainer) = network_and_maintainer();
+        let cache = CacheId(0);
+        let plan = FaultPlan::new()
+            .crash(cache, 500.0, 2_000.0)
+            .retire(cache, 1_000.0);
+        let mut driver = ChurnDriver::new(maintainer);
+        driver
+            .apply(&network, &plan, &mut StdRng::seed_from_u64(3))
+            .expect("apply succeeds");
+        assert_eq!(driver.maintainer().group_of(cache), None);
+        assert_eq!(driver.retirements(), 1);
+        assert_eq!(driver.readmissions(), 0);
+    }
+
+    #[test]
+    fn unknown_caches_are_an_error_before_anything_applies() {
+        let (network, maintainer) = network_and_maintainer();
+        let unknown = CacheId(maintainer.cache_count() + 93);
+        for plan in [
+            FaultPlan::new().retire(unknown, 1_000.0),
+            FaultPlan::new()
+                .crash(CacheId(0), 100.0, 200.0)
+                .crash(unknown, 500.0, 1_000.0),
+        ] {
+            let mut driver = ChurnDriver::new(maintainer.clone());
+            let result = driver.apply(&network, &plan, &mut StdRng::seed_from_u64(5));
+            assert_eq!(result, Err(MaintenanceError::UnknownCache(unknown)));
+            assert_eq!(driver.maintainer(), &maintainer);
+            assert!(driver.drift_series().is_empty());
+        }
+    }
+
+    #[test]
     fn pressure_stays_flat_without_skips() {
         let (network, maintainer) = network_and_maintainer();
         let plan = FaultPlan::new().crash(CacheId(0), 1_000.0, 2_000.0);
@@ -657,7 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn group_map_covers_full_id_space_with_singletons() {
+    fn serving_map_covers_full_id_space_with_singletons() {
         let (network, maintainer) = network_and_maintainer();
         let n = maintainer.cache_count();
         let victim = maintainer.groups()[1][0];
@@ -666,7 +720,7 @@ mod tests {
         driver
             .apply(&network, &plan, &mut StdRng::seed_from_u64(6))
             .expect("apply succeeds");
-        let map = driver.group_map();
+        let map = serving_map(driver.maintainer());
         assert_eq!(map.cache_count(), n);
         let g = map.group_of(victim);
         assert_eq!(

@@ -13,7 +13,8 @@
 //!   and its replay through [`ecg_core::maintenance`]: crashed caches
 //!   are retired from their groups, recovered ones re-admitted, and the
 //!   interaction-cost drift of the surviving grouping is tracked as a
-//!   time series ([`DriftSample`]).
+//!   time series ([`DriftSample`]). [`serving_map`] is the partition a
+//!   maintained grouping serves, for the simulator.
 //! * [`report_to_json`] — the deterministic (byte-stable) JSON form of
 //!   an [`ecg_sim::SimReport`], written through [`ecg_obs::json`]; the
 //!   churn and lifecycle ablations embed it in their result files.
@@ -55,7 +56,7 @@ pub mod formation;
 pub mod json;
 pub mod plan;
 
-pub use churn::{ChurnConfig, ChurnDriver, DriftSample, MembershipPressure};
+pub use churn::{serving_map, ChurnConfig, ChurnDriver, DriftSample, MembershipPressure};
 pub use formation::FormationFaults;
 pub use json::report_to_json;
 pub use plan::{FaultPlan, PlanParseError};

@@ -22,9 +22,9 @@ use ecg_coords::ProbeConfig;
 use ecg_core::{
     FormationHealth, GfCoordinator, GroupMaintainer, MaintenanceError, SchemeConfig, SchemeError,
 };
-use ecg_faults::FormationFaults;
+use ecg_faults::{serving_map, FormationFaults};
 use ecg_obs::Obs;
-use ecg_sim::{FaultError, FaultKind, FaultSchedule, GroupMap};
+use ecg_sim::{FaultError, FaultKind, FaultSchedule};
 use ecg_topology::{CacheId, EdgeNetwork};
 use rand::Rng;
 
@@ -242,7 +242,7 @@ impl FormationSupervisor {
         let mut state = self.policy.state();
         let mut epochs = vec![Epoch {
             start_ms: 0.0,
-            groups: serving_map(n, &maintainer),
+            groups: serving_map(&maintainer),
             landmarks: maintainer.landmarks().to_vec(),
             drift: 1.0,
             health: last_health.clone(),
@@ -386,7 +386,7 @@ impl FormationSupervisor {
             // it. Under Hold the previous grouping keeps serving — the
             // "never a formation gap" guarantee.
             if decision != ReformDecision::Hold && te < horizon_ms {
-                let serving = serving_map(n, &maintainer);
+                let serving = serving_map(&maintainer);
                 if serving != epochs[epochs.len() - 1].groups {
                     epochs.push(Epoch {
                         start_ms: te,
@@ -479,25 +479,6 @@ fn repair_pass<R: Rng + ?Sized>(
         maintainer.readmit_observed(network, cache, rng, obs.as_deref_mut())?;
     }
     Ok(())
-}
-
-/// The serving partition: the maintainer's non-empty groups, plus a
-/// singleton group for every out-of-service cache so the map always
-/// covers the full id space (the simulator requires a partition;
-/// the fault schedule keeps traffic away from down caches).
-fn serving_map(cache_count: usize, maintainer: &GroupMaintainer) -> GroupMap {
-    let mut groups: Vec<Vec<CacheId>> = maintainer
-        .groups()
-        .iter()
-        .filter(|g| !g.is_empty())
-        .cloned()
-        .collect();
-    for i in 0..cache_count {
-        if maintainer.group_of(CacheId(i)).is_none() {
-            groups.push(vec![CacheId(i)]);
-        }
-    }
-    GroupMap::new(cache_count, groups).expect("maintainer invariants give a disjoint cover")
 }
 
 #[cfg(test)]

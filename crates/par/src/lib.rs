@@ -16,13 +16,14 @@
 //!    into an independent per-item stream, so randomized per-item work
 //!    consumes no shared generator and is scheduling-invariant.
 //!
-//! The worker pool itself is self-scheduling (an atomic next-index over
-//! a process-wide pool of persistent workers — see the `pool` module),
-//! which is
-//! safe *because* nothing order-sensitive happens at scheduling
-//! granularity. Workers park between calls instead of being respawned
-//! per call, so a parallel call costs a condvar wake, not a thread
-//! spawn.
+//! Only *who* runs an item is left to scheduling: a parallel call spawns
+//! scoped workers ([`std::thread::scope`]) that take items off a shared
+//! atomic next-index beside the calling thread, and joins them before it
+//! returns. That is sound *because* nothing order-sensitive happens at
+//! scheduling granularity. A parallel call made from inside another one
+//! (a K-means run inside a sweep cell) runs inline on the thread that
+//! made it, so one call tree never runs on more than [`max_threads`]
+//! threads.
 //!
 //! Thread count resolution, in precedence order: the programmatic
 //! [`set_max_threads`] override (used by benchmark sweeps), the
@@ -31,11 +32,12 @@
 //! every entry point degrades to a plain sequential loop with no thread
 //! spawns and no synchronization.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-mod pool;
-
+use std::cell::Cell;
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -90,19 +92,36 @@ pub fn max_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// [`max_threads`] clamped to the number of work items (never zero):
-/// spawning more workers than items is pure overhead.
-pub fn threads_for(items: usize) -> usize {
-    max_threads().min(items.max(1))
+thread_local! {
+    /// Set while this thread runs the items of a parallel call.
+    static IN_CALL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Applies `f` to every item on up to [`threads_for`]`(len)` worker
-/// threads, returning results in input order.
+/// Marks the current thread as inside a parallel call until dropped,
+/// unwinding included.
+struct InCall;
+
+impl InCall {
+    fn enter() -> Self {
+        IN_CALL.set(true);
+        InCall
+    }
+}
+
+impl Drop for InCall {
+    fn drop(&mut self) {
+        IN_CALL.set(false);
+    }
+}
+
+/// Applies `f` to every item on up to [`max_threads`] threads (never
+/// more than there are items), returning results in input order.
 ///
 /// Workers self-schedule items off a shared atomic index, so long and
 /// short items balance automatically; the output order is the input
-/// order regardless. With one resolved thread this is a plain
-/// sequential `map` — no spawns, no locks.
+/// order regardless. With one resolved thread, or when called from
+/// inside another parallel call, this is a plain sequential `map` on
+/// the calling thread — no spawns, no locks.
 ///
 /// # Panics
 ///
@@ -120,18 +139,17 @@ where
     U: Send,
     F: Fn(T) -> U + Sync,
 {
-    let threads = threads_for(items.len());
-    par_map_with(items, threads, f)
+    par_map_with(items, max_threads(), f)
 }
 
-/// [`par_map`] with an explicit worker-thread count (still clamped to
-/// the item count). Callers that expose a `threads` parameter of their
-/// own delegate here.
+/// [`par_map`] on at most `threads` threads, the caller's included:
+/// never more threads than items, as the extra ones would idle.
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`; propagates a panic from any worker.
-pub fn par_map_with<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
+/// Panics if `threads == 0`; re-raises a worker's panic with its own
+/// payload.
+fn par_map_with<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -139,31 +157,43 @@ where
 {
     assert!(threads > 0, "need at least one thread");
     let n = items.len();
-    if threads == 1 || n <= 1 {
+    if threads == 1 || n <= 1 || IN_CALL.get() {
         return items.into_iter().map(f).collect();
     }
-    let threads = threads.min(n);
     let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let out: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
-    // The submitting thread plus `threads - 1` persistent pool workers
-    // all run the same self-scheduling loop; `pool::run` returns once
-    // every participant has drained out.
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
+    // The caller and `threads - 1` scoped workers all run this
+    // self-scheduling loop, each marked as inside the call so that a
+    // parallel call made from an item runs inline.
+    let worker = || {
+        let _in_call = InCall::enter();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let item = work[i]
+                .lock()
+                .expect("work slot lock")
+                .take()
+                .expect("each slot is taken once");
+            let result = f(item);
+            *out[i].lock().expect("out slot lock") = Some(result);
         }
-        let item = work[i]
-            .lock()
-            .expect("work slot lock")
-            .take()
-            .expect("each slot is taken once");
-        let result = f(item);
-        *out[i].lock().expect("out slot lock") = Some(result);
     };
-    pool::run(threads - 1, &worker);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads.min(n)).map(|_| scope.spawn(worker)).collect();
+        worker();
+        // A bare `scope` would re-panic with a generic message; joining
+        // here keeps the first failed worker's own payload.
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                resume_unwind(payload);
+            }
+        }
+    });
 
     out.into_iter()
         .map(|slot| {
@@ -177,16 +207,7 @@ where
 /// Splits `0..n` into consecutive ranges of [`DEFAULT_CHUNK`] (the last
 /// may be shorter). The boundaries depend only on `n`.
 pub fn chunk_ranges(n: usize) -> Vec<Range<usize>> {
-    chunk_ranges_with(n, DEFAULT_CHUNK)
-}
-
-/// [`chunk_ranges`] with an explicit chunk length.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0`.
-pub fn chunk_ranges_with(n: usize, chunk: usize) -> Vec<Range<usize>> {
-    assert!(chunk > 0, "chunk length must be positive");
+    let chunk = DEFAULT_CHUNK;
     (0..n.div_ceil(chunk))
         .map(|c| c * chunk..((c + 1) * chunk).min(n))
         .collect()
@@ -197,6 +218,9 @@ pub fn chunk_ranges_with(n: usize, chunk: usize) -> Vec<Range<usize>> {
 /// map-reduce. Folding the returned partials left-to-right gives a
 /// reduction whose floating-point association is independent of the
 /// thread count (it depends only on `n` via the chunk boundaries).
+///
+/// The chunk is also the one sequential cutoff: below [`DEFAULT_CHUNK`]
+/// items there is one chunk, and it runs on the calling thread.
 ///
 /// # Examples
 ///
@@ -333,13 +357,10 @@ mod tests {
         // race each other across the parallel test harness.
         set_max_threads(Some(5));
         assert_eq!(max_threads(), 5);
-        assert_eq!(threads_for(3), 3);
-        assert_eq!(threads_for(100), 5);
         set_max_threads(Some(0)); // clamps to 1, still an override
         assert_eq!(max_threads(), 1);
         set_max_threads(None);
         assert!(max_threads() >= 1);
-        assert_eq!(threads_for(0), 1);
     }
 
     #[test]
@@ -354,5 +375,72 @@ mod tests {
         assert_eq!(derive_seed(42, 7), derive_seed(42, 7));
         assert_ne!(derive_seed(42, 7), derive_seed(42, 8));
         assert_ne!(derive_seed(42, 7), derive_seed(43, 7));
+    }
+
+    #[test]
+    fn nested_parallel_calls_do_not_deadlock() {
+        let out = par_map_with((0..8).collect::<Vec<usize>>(), 4, |outer| {
+            let inner = par_map_with((0..100).collect::<Vec<usize>>(), 4, move |i| i + outer);
+            inner.into_iter().sum::<usize>()
+        });
+        let expect: Vec<usize> = (0..8)
+            .map(|outer| (0..100).map(|i| i + outer).sum())
+            .collect();
+        assert_eq!(out, expect);
+    }
+
+    #[test]
+    fn nested_calls_stay_within_the_outer_thread_count() {
+        // Each inner call runs inline on the thread that made it, so the
+        // whole tree runs on the outer call's threads and no more.
+        let threads = 4;
+        let ids = Mutex::new(HashSet::new());
+        par_map_with((0..16).collect::<Vec<usize>>(), threads, |_| {
+            par_map_with((0..64).collect::<Vec<usize>>(), threads, |_| {
+                ids.lock().unwrap().insert(std::thread::current().id());
+                std::thread::yield_now();
+            })
+        });
+        let distinct = ids.lock().unwrap().len();
+        assert!((1..=threads).contains(&distinct), "{distinct} threads");
+    }
+
+    #[test]
+    #[should_panic(expected = "intentional kernel panic")]
+    fn worker_panic_propagates_to_the_caller() {
+        let _ = par_map_with((0..64).collect::<Vec<usize>>(), 4, |i| {
+            if i == 33 {
+                panic!("intentional kernel panic");
+            }
+            i
+        });
+    }
+
+    #[test]
+    fn the_next_call_works_after_a_panic() {
+        let poisoned = std::panic::catch_unwind(|| {
+            par_map_with((0..64).collect::<Vec<usize>>(), 4, |i| {
+                assert!(i != 10, "poison");
+                i
+            })
+        });
+        assert!(poisoned.is_err());
+        // The caller's in-call mark unwound with the panic: this call
+        // fans out again instead of running inline.
+        assert!(!IN_CALL.get());
+        let out = par_map_with((0..300).collect::<Vec<usize>>(), 4, |i| i + 1);
+        assert_eq!(out, (1..=300).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_calls_from_many_threads_complete() {
+        std::thread::scope(|scope| {
+            for t in 0..6usize {
+                scope.spawn(move || {
+                    let out = par_map_with((0..400).collect::<Vec<usize>>(), 3, move |i| i * t);
+                    assert_eq!(out, (0..400).map(|i| i * t).collect::<Vec<_>>());
+                });
+            }
+        });
     }
 }

@@ -4,8 +4,8 @@
 //! A run is described by two values. The [`SimPlan`] says **what** is
 //! simulated — topology, catalog, trace source, simulator settings,
 //! fault schedule — and the [`RunContext`] says **how**: with or
-//! without an observability bundle, on the caller's thread or on the
-//! [`ecg_par`] worker pool. [`simulate`] takes both and a grouping;
+//! without an observability bundle, on the caller's thread or on
+//! [`ecg_par`] workers. [`simulate`] takes both and a grouping;
 //! [`crate::simulate_epochs`] takes a timeline of groupings instead.
 //! Nothing in the [`SimReport`] or in the bundle depends on the how.
 //!
@@ -26,7 +26,8 @@
 //! time-major loop already follows — so the merged [`SimReport`] is
 //! bit-identical to [`crate::simulate_time_major`] however the groups
 //! were scheduled: serially, each folded as it finishes so one group's
-//! caches are live at a time, or fanned over the pool and folded after.
+//! caches are live at a time, or fanned over [`ecg_par`] workers and
+//! folded after.
 
 use crate::event::{local_ids, GroupWalk, RecordBlock, Timeline, TracePlan};
 use crate::fault::{FaultKind, FaultSchedule};
@@ -174,7 +175,7 @@ impl RunStats {
 
 /// **How** a run executes, and what it hands back besides the report:
 /// an optional observability bundle to record into, whether groups run
-/// on the caller's thread or on the [`ecg_par`] worker pool, and the
+/// on the caller's thread or on [`ecg_par`] workers, and the
 /// [`RunStats`] of the last run made with it.
 ///
 /// Serial suits a caller that is itself one cell of a parallel sweep
@@ -201,7 +202,7 @@ impl<'o> RunContext<'o> {
         Self::default()
     }
 
-    /// Groups run as work items on the [`ecg_par`] worker pool.
+    /// Groups run as work items on [`ecg_par`] workers.
     pub fn pooled() -> Self {
         let mut ctx = Self::default();
         ctx.exec.pooled = true;

@@ -92,24 +92,24 @@ pub fn dijkstra(graph: &Graph, source: NodeId) -> Vec<f64> {
 
 /// Shortest one-way latencies from every node in `sources`.
 ///
-/// Runs the single-source computations on [`ecg_par`] workers, at most
-/// `threads` of them. Rows are returned in `sources` order; each row is
+/// Splits `sources` into one run of consecutive sources per
+/// [`ecg_par::max_threads`] thread and runs each run's Dijkstras on an
+/// [`ecg_par`] worker. Rows are returned in `sources` order; each row is
 /// an independent Dijkstra run, so the result is identical at any
 /// thread count.
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0` or any source is out of range.
-pub fn multi_source_latencies(graph: &Graph, sources: &[NodeId], threads: usize) -> Vec<Vec<f64>> {
-    assert!(threads > 0, "need at least one thread");
+/// Panics if any source is out of range.
+pub fn multi_source_latencies(graph: &Graph, sources: &[NodeId]) -> Vec<Vec<f64>> {
     for &s in sources {
         assert!(s.index() < graph.node_count(), "source {s} out of range");
     }
     let mut rows: Vec<Vec<f64>> = vec![Vec::new(); sources.len()];
-    let chunk = sources.len().div_ceil(threads).max(1);
+    let chunk = sources.len().div_ceil(ecg_par::max_threads()).max(1);
     let work: Vec<(&mut [Vec<f64>], &[NodeId])> =
         rows.chunks_mut(chunk).zip(sources.chunks(chunk)).collect();
-    ecg_par::par_map_with(work, threads, |(row_chunk, src_chunk)| {
+    ecg_par::par_map(work, |(row_chunk, src_chunk)| {
         for (row, &src) in row_chunk.iter_mut().zip(src_chunk) {
             *row = dijkstra(graph, src);
         }
@@ -119,18 +119,15 @@ pub fn multi_source_latencies(graph: &Graph, sources: &[NodeId], threads: usize)
 
 /// Builds the all-pairs round-trip-time matrix of `graph`.
 ///
-/// `rtt(i, j) = 2 × shortest one-way latency(i, j)`. Uses
-/// [`multi_source_latencies`] internally with the thread count resolved
-/// by [`ecg_par::threads_for`] (honoring the `ECG_THREADS` override).
+/// `rtt(i, j) = 2 × shortest one-way latency(i, j)`, from
+/// [`multi_source_latencies`] over every node.
 ///
 /// # Panics
 ///
 /// Panics if the graph is disconnected (an RTT would be infinite).
 pub fn all_pairs_rtt(graph: &Graph) -> RttMatrix {
-    let n = graph.node_count();
-    let sources: Vec<NodeId> = (0..n).map(NodeId).collect();
-    let rows = multi_source_latencies(graph, &sources, ecg_par::threads_for(n));
-    RttMatrix::from_rows_one_way(&rows)
+    let sources: Vec<NodeId> = (0..graph.node_count()).map(NodeId).collect();
+    RttMatrix::from_rows_one_way(&multi_source_latencies(graph, &sources))
 }
 
 #[cfg(test)]
@@ -166,7 +163,9 @@ mod tests {
         let g = diamond();
         let sources = [NodeId(0), NodeId(2), NodeId(3)];
         for threads in [1, 2, 7] {
-            let rows = multi_source_latencies(&g, &sources, threads);
+            ecg_par::set_max_threads(Some(threads));
+            let rows = multi_source_latencies(&g, &sources);
+            ecg_par::set_max_threads(None);
             for (row, &s) in rows.iter().zip(&sources) {
                 assert_eq!(row, &dijkstra(&g, s), "threads={threads}");
             }

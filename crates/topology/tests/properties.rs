@@ -165,8 +165,11 @@ proptest! {
     #[test]
     fn multi_source_thread_count_is_irrelevant(g in arb_connected_graph()) {
         let sources: Vec<NodeId> = g.nodes().collect();
-        let one = multi_source_latencies(&g, &sources, 1);
-        let many = multi_source_latencies(&g, &sources, 4);
+        ecg_par::set_max_threads(Some(1));
+        let one = multi_source_latencies(&g, &sources);
+        ecg_par::set_max_threads(Some(4));
+        let many = multi_source_latencies(&g, &sources);
+        ecg_par::set_max_threads(None);
         prop_assert_eq!(one, many);
     }
 
