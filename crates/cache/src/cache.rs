@@ -171,11 +171,34 @@ impl DocumentCache {
     ///
     /// Panics if `capacity_bytes == 0`.
     pub fn with_doc_index(capacity_bytes: u64, policy: PolicyKind, docs: usize) -> Self {
-        DocumentCache {
-            index: vec![EMPTY; docs.min(BY_DOC_LIMIT)],
-            by_doc: true,
-            ..Self::new(capacity_bytes, policy)
+        let mut cache = Self::new(capacity_bytes, policy);
+        cache.reset(capacity_bytes, policy, Some(docs));
+        cache
+    }
+
+    /// Empties the cache into what [`DocumentCache::new`] (`docs` is
+    /// `None`) or [`DocumentCache::with_doc_index`] (`Some(docs)`) would
+    /// return, keeping the buffers it has grown: a cache reused for
+    /// another run allocates only where that run outgrows them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity_bytes == 0`.
+    pub fn reset(&mut self, capacity_bytes: u64, policy: PolicyKind, docs: Option<usize>) {
+        assert!(capacity_bytes > 0, "cache capacity must be positive");
+        self.capacity_bytes = capacity_bytes;
+        self.used_bytes = 0;
+        self.policy = policy;
+        self.slab.clear();
+        self.index.clear();
+        self.by_doc = docs.is_some();
+        if let Some(docs) = docs {
+            self.index.resize(docs.min(BY_DOC_LIMIT), EMPTY);
         }
+        self.keys.clear();
+        self.absent = None;
+        self.stats = CacheStats::default();
+        self.watermark = 0.0;
     }
 
     /// Capacity in bytes.
@@ -935,6 +958,31 @@ mod tests {
             hashed.insert(DocId(d), 7, 1, 1.0, 0.0, 5.0);
         }
         assert_eq!(c, hashed);
+    }
+
+    #[test]
+    fn a_reset_keeps_the_buffers_and_takes_the_new_layout() {
+        let mut c = DocumentCache::with_doc_index(1_000, PolicyKind::Utility, 4);
+        for d in 0..40 {
+            c.insert(DocId(d), 1, 100, 10.0, 0.0, d as f64);
+        }
+        assert!(!c.keys.is_empty() && c.index.len() > 4 && c.stats().evictions > 0);
+        let buffers =
+            |c: &DocumentCache| (c.slab.capacity(), c.index.capacity(), c.keys.capacity());
+        let grown = buffers(&c);
+        c.reset(2_000, PolicyKind::Lru, None);
+        assert_eq!(c, DocumentCache::new(2_000, PolicyKind::Lru));
+        assert!(!c.by_doc && c.index.is_empty() && c.keys.is_empty());
+        assert_eq!(buffers(&c), grown);
+        // Hashed now: scanned up to eight residents, then indexed.
+        for d in 0..9 {
+            c.insert(DocId(d), 1, 100, 10.0, 0.0, 0.0);
+            assert_eq!(c.index.len(), if d < 8 { 0 } else { FIRST_INDEX_LEN });
+        }
+        c.reset(1_000, PolicyKind::Gdsf, Some(6));
+        assert!(c.by_doc && c.is_empty());
+        assert_eq!(c.index, [EMPTY; 6]);
+        assert_eq!(c, DocumentCache::with_doc_index(1_000, PolicyKind::Gdsf, 6));
     }
 
     #[test]

@@ -317,6 +317,46 @@ fn cache_of(capacity_bytes: u64, policy: PolicyKind, by_doc: bool) -> DocumentCa
     }
 }
 
+/// Everything one step of the model test reports.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Lookup(LookupOutcome),
+    Served(Option<u64>),
+    Inserted(bool, Vec<DocId>),
+    Removed(Option<Entry>),
+    PeerServed(bool),
+}
+
+/// Runs `op` against `cache` at `now`, TTL operations under a lease of
+/// `ttl`.
+fn apply(cache: &mut DocumentCache, op: &ModelOp, now: f64, ttl: f64) -> Outcome {
+    match *op {
+        ModelOp::Lookup { doc, version } => Outcome::Lookup(cache.lookup(DocId(doc), version, now)),
+        ModelOp::LookupTtl { doc } => Outcome::Served(cache.lookup_ttl(DocId(doc), now, ttl)),
+        ModelOp::Insert {
+            doc,
+            version,
+            size,
+            kind,
+            tracked,
+        } => {
+            let (cost, rate) = COSTS_AND_RATES[kind];
+            let mut evicted = Vec::new();
+            let cached = if tracked {
+                cache.insert_with_evicted(DocId(doc), version, size, cost, rate, now, &mut evicted)
+            } else {
+                cache.insert(DocId(doc), version, size, cost, rate, now);
+                cache.contains(DocId(doc))
+            };
+            Outcome::Inserted(cached, evicted)
+        }
+        ModelOp::Remove { doc } => Outcome::Removed(cache.remove(DocId(doc))),
+        ModelOp::PeerServe { doc, version } => {
+            Outcome::PeerServed(cache.note_peer_serve(DocId(doc), version, now))
+        }
+    }
+}
+
 fn arb_policy() -> impl Strategy<Value = PolicyKind> {
     prop_oneof![
         Just(PolicyKind::Lru),
@@ -669,6 +709,51 @@ proptest! {
             cache.insert(DocId(i), version, size, 10.0, 0.0, i as f64);
             // The just-inserted document must survive its own insertion.
             prop_assert!(cache.holds_fresh(DocId(i), version), "doc {i} evicted itself");
+        }
+    }
+
+    /// A reset cache is a new one: equal at once and op for op after,
+    /// over both index forms on either side of the reset and across a
+    /// change of capacity and policy. Before the reset every history
+    /// starts with 48 inserts of 100 bytes into at most 2 000, so the
+    /// hashed index was built and doubled (twenty residents), a by-doc
+    /// table grew from 8 slots past 40, and evictions built the utility
+    /// score keys or raised the GDSF watermark — whatever the random
+    /// rest of the history then did.
+    #[test]
+    fn a_reset_cache_behaves_like_a_new_one(
+        history in proptest::collection::vec(arb_model_op(), 0..300),
+        ops in proptest::collection::vec(arb_model_op(), 1..300),
+        policies in (arb_policy(), arb_policy()),
+        by_doc in (any::<bool>(), any::<bool>()),
+        capacities in (prop_oneof![Just(2_000u64), Just(1_200)], prop_oneof![Just(2_000u64), Just(900)]),
+    ) {
+        let mut reused = cache_of(capacities.0, policies.0, by_doc.0);
+        let filling = (0..MODEL_DOCS).map(|doc| ModelOp::Insert {
+            doc,
+            version: 1,
+            size: 100,
+            kind: 0,
+            tracked: doc % 2 == 0,
+        });
+        for (t, op) in filling.chain(history).enumerate() {
+            apply(&mut reused, &op, t as f64 * 250.0, 10_000.0);
+        }
+        prop_assert!(reused.stats().evictions > 0);
+        let docs = by_doc.1.then_some(8);
+        reused.reset(capacities.1, policies.1, docs);
+        let mut fresh = cache_of(capacities.1, policies.1, by_doc.1);
+        prop_assert_eq!(&reused, &fresh);
+        for (t, op) in ops.iter().enumerate() {
+            let now = t as f64 * 250.0;
+            let ttl = MODEL_TTL_MS * 250.0;
+            prop_assert_eq!(apply(&mut reused, op, now, ttl), apply(&mut fresh, op, now, ttl));
+            prop_assert_eq!(&reused, &fresh);
+            prop_assert_eq!(reused.used_bytes(), fresh.used_bytes());
+            for d in (0..MODEL_DOCS).map(DocId) {
+                prop_assert_eq!(reused.holds_fresh(d, 2), fresh.holds_fresh(d, 2));
+                prop_assert_eq!(reused.holds_unexpired(d, now, ttl), fresh.holds_unexpired(d, now, ttl));
+            }
         }
     }
 }

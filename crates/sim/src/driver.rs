@@ -34,11 +34,12 @@ use crate::fault::{FaultKind, FaultSchedule};
 use crate::groups::GroupMap;
 use crate::metrics::{DegradationMetrics, MetricsRecorder};
 use crate::sim::{check_inputs, kernel, GroupOutcome, SimConfig, SimError, SimReport, Tallies};
-use crate::stream::{self, StreamedWorkload};
-use ecg_cache::CacheStats;
+use crate::stream::{self, StreamedWorkload, SubtraceBuffers};
+use ecg_cache::{CacheStats, DocumentCache};
 use ecg_obs::Obs;
 use ecg_topology::{CacheId, EdgeNetwork, RttSource};
 use ecg_workload::{DocumentCatalog, TraceEvent, ZipfSampler};
+use std::cell::RefCell;
 use std::time::Instant;
 
 /// The schedule of a plan nobody gave one: no faults, default knobs.
@@ -393,7 +394,38 @@ enum GroupEvents<'a> {
     /// The streamed workload and the one sampler its groups share: it
     /// is read-only and identical to the one the eager generator
     /// builds, so groups can borrow it concurrently.
-    Streamed(StreamedWorkload<'a>, ZipfSampler),
+    Streamed {
+        workload: StreamedWorkload<'a>,
+        zipf: ZipfSampler,
+        /// Whether every sub-trace is in processing order as merged
+        /// (what [`stream::validate`] found of the update log).
+        ordered: bool,
+    },
+}
+
+/// What a worker thread keeps across the groups it runs, so a group
+/// pays for its own work and not for its buffers: the record block a
+/// planned walk reads through, the caches a kernel run takes its
+/// members' from, and the buffers a streamed sub-trace is built in.
+/// Nothing a run reports depends on what an earlier group left here.
+#[derive(Debug, Default)]
+struct GroupStore {
+    block: RecordBlock,
+    caches: Vec<DocumentCache>,
+    subtrace: SubtraceBuffers,
+}
+
+impl GroupStore {
+    /// Runs `run` with the calling thread's store, built by the thread's
+    /// first group and reused by all its later ones. The store is
+    /// borrowed for exactly one kernel run, which makes no parallel or
+    /// nested simulation call of its own.
+    fn on_this_thread<T>(run: impl FnOnce(&mut GroupStore) -> T) -> T {
+        thread_local! {
+            static STORE: RefCell<GroupStore> = RefCell::new(GroupStore::default());
+        }
+        STORE.with_borrow_mut(run)
+    }
 }
 
 impl<'a> GroupRun<'a> {
@@ -410,9 +442,13 @@ impl<'a> GroupRun<'a> {
                 GroupEvents::Planned(trace, TracePlan::build(groups, docs, schedule, trace)?)
             }
             TraceSource::Streamed(workload) => {
-                stream::validate(plan.catalog, &workload, schedule)?;
+                let ordered = stream::validate(plan.catalog, &workload, schedule)?;
                 let zipf = ZipfSampler::new(plan.catalog.len(), workload.zipf_exponent());
-                GroupEvents::Streamed(workload, zipf)
+                GroupEvents::Streamed {
+                    workload,
+                    zipf,
+                    ordered,
+                }
             }
         };
         // Only planned requests and cache fault events go through the
@@ -431,9 +467,10 @@ impl<'a> GroupRun<'a> {
         })
     }
 
-    /// Simulates group `g`: its share of the planned trace by position,
-    /// or its members' regenerated streams under local ids — in the
-    /// `forced` layout, or the one [`crate::sim::dense_layout`] picks.
+    /// Simulates group `g` out of the thread's [`GroupStore`]: its share
+    /// of the planned trace by position, or its members' regenerated
+    /// streams under local ids — in the `forced` layout, or the one
+    /// [`crate::sim::dense_layout`] picks.
     fn group(&self, g: usize, forced: Option<bool>) -> GroupOutcome {
         let members = &self.groups.groups()[g];
         let (catalog, config, schedule) = (self.plan.catalog, self.plan.config, &self.schedules[g]);
@@ -443,26 +480,47 @@ impl<'a> GroupRun<'a> {
             forced
                 .unwrap_or_else(|| crate::sim::dense_layout(members.len(), requests, catalog.len()))
         };
-        match &self.events {
-            GroupEvents::Planned(trace, plan) => RecordBlock::on_this_thread(|block| {
+        GroupStore::on_this_thread(|store| match &self.events {
+            GroupEvents::Planned(trace, plan) => {
                 let dense = dense(plan.request_count(g));
+                let block = &mut store.block;
                 let walk = GroupWalk::new(trace, plan, g, &self.local_of, schedule, block);
                 let events = walk.trace_events();
                 kernel(
-                    &network, &one_group, catalog, walk, events, config, schedule, dense,
-                )
-            }),
-            GroupEvents::Streamed(workload, zipf) => {
-                let subtrace = stream::member_subtrace(workload, zipf, members);
-                let dense = dense(subtrace.len() - workload.update_log().len());
-                let timeline = Timeline::new(members.len(), catalog.len(), &subtrace, schedule)
-                    .expect("a generated sub-trace references its own members and catalog");
-                let events = timeline.trace_events();
-                kernel(
-                    &network, &one_group, catalog, timeline, events, config, schedule, dense,
+                    &network,
+                    &one_group,
+                    catalog,
+                    walk,
+                    events,
+                    config,
+                    schedule,
+                    dense,
+                    &mut store.caches,
                 )
             }
-        }
+            GroupEvents::Streamed {
+                workload,
+                zipf,
+                ordered,
+            } => {
+                let subtrace =
+                    stream::member_subtrace(workload, zipf, members, &mut store.subtrace);
+                let dense = dense(subtrace.len() - workload.update_log().len());
+                let timeline = Timeline::generated(subtrace, *ordered, schedule);
+                let events = timeline.trace_events();
+                kernel(
+                    &network,
+                    &one_group,
+                    catalog,
+                    timeline,
+                    events,
+                    config,
+                    schedule,
+                    dense,
+                    &mut store.caches,
+                )
+            }
+        })
     }
 
     /// The group-order fold (the order every `f64` chain was validated

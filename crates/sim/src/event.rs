@@ -38,7 +38,6 @@ use crate::sim::SimError;
 use crate::time::SimTime;
 use ecg_topology::CacheId;
 use ecg_workload::{DocId, TraceEvent};
-use std::cell::RefCell;
 
 /// An event processed by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,12 +283,33 @@ impl<'a> Timeline<'a> {
         schedule: &FaultSchedule,
     ) -> Result<Self, SimError> {
         let ordered = scan_trace(caches, docs, schedule, trace, |_| {})?;
-        Ok(Timeline {
+        Ok(Self::generated(trace, ordered, schedule))
+    }
+
+    /// The timeline of a trace valid by construction — every cache,
+    /// document and time within what a [`Timeline::new`] over it would
+    /// accept — without the checking scan: walked in place when
+    /// `ordered` (its quantised times never decrease), else in the
+    /// stable sort's order.
+    pub(crate) fn generated(
+        trace: &'a [TraceEvent],
+        ordered: bool,
+        schedule: &FaultSchedule,
+    ) -> Self {
+        debug_assert!(
+            !ordered
+                || trace.windows(2).all(|pair| {
+                    let [a, b] = [&pair[0], &pair[1]].map(|e| SimTime::from_valid_ms(e.time_ms()));
+                    a <= b
+                }),
+            "a trace said to be ordered is not"
+        );
+        Timeline {
             trace,
             order: processing_order(trace, ordered),
             next: 0,
             faults: FaultCursor::new(schedule),
-        })
+        }
     }
 
     /// Number of trace events in the run (yielded or not), faults
@@ -351,9 +371,9 @@ impl Record {
 
 /// The records a [`GroupWalk`] reads its events from: a fixed number of
 /// slots, half for the group's requests and half for the update log,
-/// refilled as the walk drains them. One per worker thread
-/// ([`RecordBlock::on_this_thread`]) serves every group that thread
-/// runs.
+/// refilled as the walk drains them. One per worker thread, in its
+/// group store, serves every group that thread runs.
+#[derive(Debug)]
 pub(crate) struct RecordBlock {
     records: Vec<Record>,
 }
@@ -371,16 +391,11 @@ impl RecordBlock {
             records: vec![Record::EMPTY; 2 * lane],
         }
     }
+}
 
-    /// Runs `run` with the calling thread's block, allocated by the
-    /// thread's first walk and reused by all its later ones.
-    pub(crate) fn on_this_thread<T>(run: impl FnOnce(&mut RecordBlock) -> T) -> T {
-        thread_local! {
-            static BLOCK: RefCell<Option<RecordBlock>> = const { RefCell::new(None) };
-        }
-        BLOCK.with_borrow_mut(|block| {
-            run(block.get_or_insert_with(|| RecordBlock::with_lanes_of(RecordBlock::LANE)))
-        })
+impl Default for RecordBlock {
+    fn default() -> Self {
+        RecordBlock::with_lanes_of(RecordBlock::LANE)
     }
 }
 

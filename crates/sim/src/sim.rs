@@ -428,6 +428,7 @@ pub fn simulate_time_major(
         config,
         schedule,
         false,
+        &mut Vec::new(),
     );
     Ok(run.finish(obs, config, schedule, trace.len()))
 }
@@ -611,6 +612,11 @@ impl Tallies {
 /// comes back as [`Tallies`], so a run observes the same whichever
 /// thread ran it. `dense` asks for the dense layout (not under
 /// [`PeerLookup::ScanAll`]); the report is the same bits either way.
+///
+/// The run's `n` caches are the first `n` of `pool` (grown to `n` if
+/// shorter), each [`DocumentCache::reset`] to the run's layout first:
+/// a pool kept across runs lends them its buffers, and whatever an
+/// earlier run left in them is gone before the first event.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn kernel(
     network: &EdgeNetwork,
@@ -621,17 +627,21 @@ pub(crate) fn kernel(
     config: SimConfig,
     schedule: &FaultSchedule,
     dense: bool,
+    pool: &mut Vec<DocumentCache>,
 ) -> GroupOutcome {
     let n = network.cache_count();
     debug_assert_eq!(groups.cache_count(), n);
     let dense = dense && config.peer_lookup == PeerLookup::HolderIndex;
 
     let (capacity, policy) = (config.cache_capacity_bytes, config.policy);
-    let new_cache = || match dense.then_some(catalog.len()) {
-        Some(docs) => DocumentCache::with_doc_index(capacity, policy, docs),
-        None => DocumentCache::new(capacity, policy),
-    };
-    let mut caches: Vec<DocumentCache> = (0..n).map(|_| new_cache()).collect();
+    let layout = dense.then_some(catalog.len());
+    if pool.len() < n {
+        pool.resize_with(n, || DocumentCache::new(capacity, policy));
+    }
+    let caches = &mut pool[..n];
+    for cache in caches.iter_mut() {
+        cache.reset(capacity, policy, layout);
+    }
     let mut origin = OriginServer::new(catalog);
     let mut metrics = MetricsRecorder::new(n);
     metrics.degradation = crate::metrics::DegradationMetrics::new(schedule.timeline_bucket());
@@ -732,8 +742,8 @@ pub(crate) fn kernel(
                         if !live.down[c] {
                             live.set_down(cache, groups.group_of(cache), true);
                             deg_groups[groups.group_of(cache)].crashes += 1;
-                            let old = std::mem::replace(&mut caches[c], new_cache());
-                            lost_stats += old.stats();
+                            lost_stats += caches[c].stats();
+                            caches[c].reset(capacity, policy, layout);
                             if let Some((idx, _)) = index.as_mut() {
                                 idx.clear_cache(cache);
                             }
@@ -755,8 +765,8 @@ pub(crate) fn kernel(
                             deg_groups[groups.group_of(cache)].retirements += 1;
                             if !live.down[c] {
                                 live.set_down(cache, groups.group_of(cache), true);
-                                let old = std::mem::replace(&mut caches[c], new_cache());
-                                lost_stats += old.stats();
+                                lost_stats += caches[c].stats();
+                                caches[c].reset(capacity, policy, layout);
                                 if let Some((idx, _)) = index.as_mut() {
                                     idx.clear_cache(cache);
                                 }
@@ -784,7 +794,7 @@ pub(crate) fn kernel(
                             idx.clear_doc(doc);
                         }
                         None => {
-                            for cache in &mut caches {
+                            for cache in caches.iter_mut() {
                                 if cache.remove(doc).is_some() {
                                     metrics.invalidations_sent += 1;
                                 }
@@ -1017,7 +1027,7 @@ pub(crate) fn kernel(
                                     build_candidates(
                                         &mut candidates_scratch,
                                         network,
-                                        &caches,
+                                        caches,
                                         index.as_ref().map(|(idx, _)| idx),
                                         &live.down,
                                         cache,
@@ -1077,7 +1087,7 @@ pub(crate) fn kernel(
                                     build_candidates(
                                         &mut candidates_scratch,
                                         network,
-                                        &caches,
+                                        caches,
                                         index.as_ref().map(|(idx, _)| idx),
                                         &live.down,
                                         cache,

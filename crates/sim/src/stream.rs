@@ -20,32 +20,43 @@
 //!   concatenation in ascending cache order, so among equal times the
 //!   lower cache id comes first — the key's second component — and two
 //!   arrivals of one cache at one instant keep their stream order.
-//! * **Why a stable sort over concatenated runs suffices.** The shard
-//!   concatenates its members' streams in *member-list* order, which
-//!   need not ascend. That only permutes whole runs; the key above is
-//!   total across different caches, and within one cache each stream is
+//! * **Why any stable order by that key suffices.** The shard drains
+//!   its members' streams in *member-list* order, which need not
+//!   ascend. That only permutes whole runs; the key above is total
+//!   across different caches, and within one cache each stream is
 //!   already time-sorted and sits in one run, where stability keeps it
 //!   in stream order. So the result is the unique `(time, cache,
 //!   stream position)` order whatever the run order was — the same
 //!   order the eager concatenate-then-stable-sort yields on those
-//!   caches. The standard stable sort is run-adaptive, so `g` long
-//!   presorted runs cost about `events · log g` comparisons rather
-//!   than a full sort's `events · log events`.
+//!   caches.
+//! * **A bucketed pass, not a comparison sort.** The `R` requests are
+//!   counted into `⌈R / 2⌉` buckets over `[0, duration)` — the bucket
+//!   index is monotone in time, so equal times share a bucket and a
+//!   later bucket holds only later times — scattered in input order,
+//!   and each bucket is ordered by the exact key with a stable
+//!   insertion. A bucket of Poisson arrivals holds about two requests,
+//!   so the pass is linear; one fuller than [`INSERTION_MAX`] (a flash
+//!   crowd squeezed into one instant) takes the stable sort instead,
+//!   so the worst case stays `R log R`.
 //! * **Why ties go to the lower global id**, not the lower local id:
 //!   local ids are positions in the member list, which formation may
 //!   emit in any order, while the materialized trace knows only global
-//!   ids. Requests are localized before the sort (the simulator wants
-//!   local ids), so the tie-break maps back through `members`.
+//!   ids. Requests are localized before they are ordered (the simulator
+//!   wants local ids), so the tie-break maps back through `members`.
 //! * **Updates first.** An update at time `t` precedes any request at
-//!   `t`, exactly as [`merge_streams`] interleaves the eager trace —
-//!   the shard calls the same function.
+//!   `t`, exactly as [`ecg_workload::merge_streams`] interleaves the
+//!   eager trace — the shard's merge takes the same decision at every
+//!   step, the log's order included.
+//!
+//! A shard builds all of this in buffers its worker keeps across groups
+//! ([`SubtraceBuffers`]), so a warm worker allocates nothing for it.
 
 use crate::fault::FaultSchedule;
 use crate::sim::SimError;
 use crate::time::SimTime;
 use ecg_topology::CacheId;
 use ecg_workload::{
-    merge_streams, DocumentCatalog, Request, RequestConfig, TraceEvent, Update, ZipfSampler,
+    merge_streams, DocId, DocumentCatalog, Request, RequestConfig, TraceEvent, Update, ZipfSampler,
 };
 
 /// A workload defined by generation parameters instead of a
@@ -92,9 +103,10 @@ impl<'a> StreamedWorkload<'a> {
     }
 
     /// Attaches the origin update log (time-sorted, as produced by
-    /// [`ecg_workload::generate_updates`]). The log is shared by every
-    /// shard — this is the update-boundary synchronization that keeps
-    /// shard origins in lockstep.
+    /// [`ecg_workload::generate_updates`]; an unsorted log replays like
+    /// the trace [`StreamedWorkload::materialize_trace`] merges it into).
+    /// The log is shared by every shard — this is the update-boundary
+    /// synchronization that keeps shard origins in lockstep.
     pub fn updates(mut self, updates: &'a [Update]) -> Self {
         self.updates = updates;
         self
@@ -152,15 +164,21 @@ impl<'a> StreamedWorkload<'a> {
 /// the update log, the only event list this input has — or the log's
 /// length, when it is the generated requests that would cross the
 /// horizon (the workload's duration reaches past it).
+///
+/// Returns whether the log's quantised times never decrease. Every
+/// sub-trace merged from such a log is then in processing order (each
+/// merge step emits the head that is no later, so two ordered inputs
+/// give an ordered output); one merged from any other log may not be.
 pub(crate) fn validate(
     catalog: &DocumentCatalog,
     workload: &StreamedWorkload<'_>,
     schedule: &FaultSchedule,
-) -> Result<(), SimError> {
+) -> Result<bool, SimError> {
     if catalog.is_empty() {
         return Err(SimError::EmptyCatalog);
     }
     let horizon = schedule.horizon();
+    let (mut ordered, mut previous) = (true, SimTime::ZERO);
     for (index, u) in workload.update_log().iter().enumerate() {
         if u.doc.index() >= catalog.len() {
             return Err(SimError::DocOutOfRange { doc: u.doc.index() });
@@ -169,35 +187,152 @@ pub(crate) fn validate(
         if at >= horizon {
             return Err(SimError::EventTimeBeyondHorizon { index });
         }
+        ordered &= previous <= at;
+        previous = at;
     }
     if SimTime::from_ms(workload.duration_ms()) >= horizon {
         let index = workload.update_log().len();
         return Err(SimError::EventTimeBeyondHorizon { index });
     }
-    Ok(())
+    Ok(ordered)
 }
 
-/// Builds a group's sub-trace: its members' regenerated streams, drained
-/// in member-list order into one buffer, ordered per the module's
+/// The buffers a group's sub-trace is built in. A worker keeps one set
+/// across the groups it runs; each build clears and refills them.
+#[derive(Debug, Default)]
+pub(crate) struct SubtraceBuffers {
+    /// The members' streams, drained in member-list order.
+    drained: Vec<Request>,
+    /// Bucket boundaries of [`order_requests`].
+    buckets: Vec<u32>,
+    /// The sub-trace.
+    events: Vec<TraceEvent>,
+}
+
+/// Builds a group's sub-trace in `buffers`: its members' regenerated
+/// streams, drained in member-list order, ordered per the module's
 /// ordering contract, then interleaved with the shared update log.
 /// Requests are localized (local id = position in the member list).
-pub(crate) fn member_subtrace(
+/// Every event is valid by construction once [`validate`] has passed.
+pub(crate) fn member_subtrace<'b>(
     workload: &StreamedWorkload<'_>,
     zipf: &ZipfSampler,
     members: &[CacheId],
-) -> Vec<TraceEvent> {
+    buffers: &'b mut SubtraceBuffers,
+) -> &'b [TraceEvent] {
     let cfg = workload.request_config();
-    let expected = cfg.expected_requests(members.len(), workload.duration_ms());
-    let mut requests: Vec<Request> = Vec::with_capacity(expected as usize);
+    let duration_ms = workload.duration_ms();
+    let drained = &mut buffers.drained;
+    drained.clear();
     for (local, m) in members.iter().enumerate() {
-        let stream = cfg.stream_cache(zipf, m.index(), workload.master(), workload.duration_ms());
-        requests.extend(stream.map(|r| Request { cache: local, ..r }));
+        let stream = cfg.stream_cache(zipf, m.index(), workload.master(), duration_ms);
+        drained.extend(stream.map(|r| Request { cache: local, ..r }));
     }
-    sort_requests(&mut requests, members);
-    merge_streams(&requests, workload.update_log())
+    // The requests in order behind room for the log, then
+    // `merge_streams` in place: each update goes after the requests
+    // that precede it and before the rest. The write position never
+    // passes the next request to read, and once the log is spent the
+    // remaining requests are where they belong.
+    let updates = workload.update_log();
+    let events = &mut buffers.events;
+    events.clear();
+    events.resize(updates.len() + drained.len(), PLACEHOLDER);
+    let ordered = &mut events[updates.len()..];
+    order_requests(drained, members, duration_ms, &mut buffers.buckets, ordered);
+    let (mut write, mut read) = (0, updates.len());
+    for &u in updates {
+        while read < events.len() && events[read].time_ms() < u.time_ms {
+            events[write] = events[read];
+            (write, read) = (write + 1, read + 1);
+        }
+        events[write] = TraceEvent::Update(u);
+        write += 1;
+    }
+    debug_assert_eq!(write, read);
+    events
 }
 
-/// Orders localized requests by `(time, global cache id)`, stably.
+/// Most requests one bucket of [`order_requests`] orders by insertion;
+/// a fuller bucket takes the stable sort, so a burst of arrivals in
+/// one bucket costs `n log n`, not `n²`.
+const INSERTION_MAX: usize = 32;
+
+/// `requests` (localized, times in `[0, duration_ms)`) into `out` (as
+/// long) by `(time, global cache id)`, stably — [`sort_requests`]'
+/// order — with one bucketed pass (the module's ordering contract);
+/// `buckets` is scratch.
+fn order_requests(
+    requests: &[Request],
+    members: &[CacheId],
+    duration_ms: f64,
+    buckets: &mut Vec<u32>,
+    out: &mut [TraceEvent],
+) {
+    debug_assert_eq!(requests.len(), out.len());
+    if requests.is_empty() {
+        return;
+    }
+    assert!(
+        u32::try_from(requests.len()).is_ok(),
+        "a group has fewer than 2^32 requests"
+    );
+    let count = requests.len().div_ceil(2);
+    let scale = count as f64 / duration_ms;
+    // Monotone in time (a product rounds monotonically, the conversion
+    // truncates and saturates); the clamp takes a product that rounds
+    // up to `count`.
+    let bucket = |r: &Request| ((r.time_ms * scale) as usize).min(count - 1);
+    // Times are finite and ≥ 0, so the bit pattern (negative zero
+    // folded into the positive one) orders as the number does.
+    let key = |event: &TraceEvent| match event {
+        TraceEvent::Request(r) => ((r.time_ms + 0.0).to_bits(), members[r.cache]),
+        TraceEvent::Update(_) => unreachable!("only requests are ordered"),
+    };
+
+    // Counts, then starts, then — advanced by the scatter — ends.
+    buckets.clear();
+    buckets.resize(count + 1, 0);
+    for r in requests {
+        buckets[bucket(r) + 1] += 1;
+    }
+    for b in 0..count {
+        buckets[b + 1] += buckets[b];
+    }
+    for r in requests {
+        let at = &mut buckets[bucket(r)];
+        out[*at as usize] = TraceEvent::Request(*r);
+        *at += 1;
+    }
+    let mut start = 0;
+    for &end in &buckets[..count] {
+        let run = &mut out[start..end as usize];
+        if run.len() > INSERTION_MAX {
+            run.sort_by_key(key);
+        } else {
+            for i in 1..run.len() {
+                let event = run[i];
+                let k = key(&event);
+                let mut at = i;
+                while at > 0 && key(&run[at - 1]) > k {
+                    run[at] = run[at - 1];
+                    at -= 1;
+                }
+                run[at] = event;
+            }
+        }
+        start = end as usize;
+    }
+}
+
+/// What [`member_subtrace`] overwrites.
+const PLACEHOLDER: TraceEvent = TraceEvent::Update(Update {
+    time_ms: 0.0,
+    doc: DocId(0),
+});
+
+/// Orders localized requests by `(time, global cache id)`, stably: the
+/// comparison sort [`order_requests`] replaced, kept as its oracle.
+#[cfg(test)]
 fn sort_requests(requests: &mut [Request], members: &[CacheId]) {
     requests.sort_by(|a, b| {
         a.time_ms
@@ -210,7 +345,7 @@ fn sort_requests(requests: &mut [Request], members: &[CacheId]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecg_workload::{CatalogConfig, DocId, RateModulation};
+    use ecg_workload::{CatalogConfig, RateModulation};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -235,6 +370,36 @@ mod tests {
             .collect()
     }
 
+    /// [`order_requests`] with buffers of its own.
+    fn bucketed(requests: &[Request], members: &[CacheId], duration_ms: f64) -> Vec<Request> {
+        let mut out = vec![PLACEHOLDER; requests.len()];
+        order_requests(requests, members, duration_ms, &mut vec![7; 5], &mut out);
+        out.into_iter()
+            .map(|event| match event {
+                TraceEvent::Request(r) => r,
+                TraceEvent::Update(_) => panic!("an update among the ordered requests"),
+            })
+            .collect()
+    }
+
+    /// The comparison sort's order of `requests`.
+    fn sorted(requests: &[Request], members: &[CacheId]) -> Vec<Request> {
+        let mut sorted = requests.to_vec();
+        sort_requests(&mut sorted, members);
+        sorted
+    }
+
+    /// `0..caches` in an arbitrary order, cut to a random non-empty
+    /// prefix: a member list as formation may emit one.
+    fn shuffled_members(caches: usize, rng: &mut StdRng) -> Vec<CacheId> {
+        let mut members: Vec<CacheId> = (0..caches).map(CacheId).collect();
+        for i in (1..caches).rev() {
+            members.swap(i, rng.gen_range(0..=i));
+        }
+        members.truncate(rng.gen_range(1..=caches));
+        members
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -244,6 +409,7 @@ mod tests {
             caches in 1usize..14,
             rate in 0.1f64..20.0,
             flash in any::<bool>(),
+            sorted_log in any::<bool>(),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let cat = catalog(150);
@@ -259,18 +425,11 @@ mod tests {
             let master: u64 = rng.gen();
             let zipf = ZipfSampler::new(cat.len(), cfg.zipf_exponent_value());
 
-            // A random member subset in arbitrary (non-ascending) order.
-            let mut members: Vec<CacheId> = (0..caches).map(CacheId).collect();
-            for i in (1..caches).rev() {
-                members.swap(i, rng.gen_range(0..=i));
-            }
-            members.truncate(rng.gen_range(1..=caches));
-
             // Update instants: some arbitrary, some landing exactly on a
             // request instant (of a member or not), where the update
             // must come first.
             let requests = cfg.generate_with_master(&cat, caches, duration_ms, master);
-            let mut updates: Vec<Update> = (0..rng.gen_range(0..6))
+            let mut updates: Vec<Update> = (0..rng.gen_range(0..12))
                 .map(|_| Update {
                     time_ms: rng.gen_range(0.0..duration_ms * 1.2),
                     doc: DocId(rng.gen_range(0..cat.len())),
@@ -284,32 +443,147 @@ mod tests {
                     });
                 }
             }
-            updates.sort_by(|a, b| a.time_ms.partial_cmp(&b.time_ms).expect("finite"));
+            // In time order, as generated — or not: the merge decides
+            // step by step, as the eager one does.
+            if sorted_log {
+                updates.sort_by(|a, b| a.time_ms.partial_cmp(&b.time_ms).expect("finite"));
+            } else {
+                updates.reverse();
+            }
 
             let workload = StreamedWorkload::new(cfg, master, duration_ms).updates(&updates);
             let full = workload.materialize_trace(&cat, caches);
-            let sub = member_subtrace(&workload, &zipf, &members);
-            prop_assert_eq!(sub, filtered(&full, &members));
+            // Two member subsets in arbitrary (non-ascending) order, one
+            // after the other in the same buffers.
+            let mut buffers = SubtraceBuffers::default();
+            for _ in 0..2 {
+                let members = shuffled_members(caches, &mut rng);
+                let sub = member_subtrace(&workload, &zipf, &members, &mut buffers);
+                prop_assert_eq!(sub, &filtered(&full, &members)[..]);
+            }
+        }
+
+        /// The bucketed pass is the comparison sort, element for element:
+        /// over drained member streams (any member order, flash crowds
+        /// or not), and over times on a coarse grid, where arrivals of
+        /// different members — and of one member — share an instant.
+        #[test]
+        fn the_bucketed_order_is_the_comparison_sort(
+            seed in any::<u64>(),
+            caches in 1usize..14,
+            rate in 0.1f64..40.0,
+            flash in any::<bool>(),
+            grid in 1u32..40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let duration_ms = 3_000.0;
+            let mut cfg = RequestConfig::default().rate_per_sec_per_cache(rate);
+            if flash {
+                cfg = cfg.modulation(RateModulation::FlashCrowd {
+                    start_ms: 500.0,
+                    end_ms: 700.0,
+                    multiplier: 40.0,
+                });
+            }
+            let zipf = ZipfSampler::new(150, cfg.zipf_exponent_value());
+            let members = shuffled_members(caches, &mut rng);
+            let master: u64 = rng.gen();
+            let mut drained = Vec::new();
+            for (local, m) in members.iter().enumerate() {
+                let stream = cfg.stream_cache(&zipf, m.index(), master, duration_ms);
+                drained.extend(stream.map(|r| Request { cache: local, ..r }));
+            }
+            prop_assert_eq!(bucketed(&drained, &members, duration_ms), sorted(&drained, &members));
+
+            // `grid` instants over the horizon, the document numbering
+            // each request so the order of equal keys shows.
+            let step = duration_ms / f64::from(grid);
+            let coarse: Vec<Request> = (0..rng.gen_range(0..200))
+                .map(|doc| Request {
+                    time_ms: f64::from(rng.gen_range(0..grid)) * step,
+                    cache: rng.gen_range(0..members.len()),
+                    doc: DocId(doc),
+                })
+                .collect();
+            prop_assert_eq!(bucketed(&coarse, &members, duration_ms), sorted(&coarse, &members));
         }
     }
 
     #[test]
     fn simultaneous_arrivals_order_by_global_id_not_member_position() {
         // No seed makes two Poisson streams collide, so the tie-break is
-        // exercised on its own: the comparator `member_subtrace` sorts
-        // with, over hand-made equal instants.
+        // exercised on its own, over hand-made equal instants, by the
+        // bucketed pass and by the comparison sort it replaced.
         let members = [CacheId(6), CacheId(1), CacheId(3)];
-        let at = |time_ms: f64, local: usize| Request {
+        let at = |time_ms: f64, local: usize, doc: usize| Request {
             time_ms,
             cache: local,
-            doc: DocId(local),
+            doc: DocId(doc),
         };
-        // Member-list order, as the drained buffer would hold them.
-        let mut requests = vec![at(5.0, 0), at(9.0, 0), at(5.0, 1), at(5.0, 2), at(7.0, 2)];
-        sort_requests(&mut requests, &members);
-        let order: Vec<(f64, usize)> = requests.iter().map(|r| (r.time_ms, r.cache)).collect();
-        // At t = 5: global 1 (local 1), then 3 (local 2), then 6 (local 0).
-        assert_eq!(order, [(5.0, 1), (5.0, 2), (5.0, 0), (7.0, 2), (9.0, 0)]);
+        // Member-list order, as the drained buffer would hold them; two
+        // arrivals of global 6 at t = 5 keep their stream order, and a
+        // negative zero is the instant zero.
+        let requests = [
+            at(0.0, 0, 0),
+            at(5.0, 0, 1),
+            at(5.0, 0, 2),
+            at(9.0, 0, 3),
+            at(-0.0, 1, 4),
+            at(5.0, 1, 5),
+            at(5.0, 2, 6),
+            at(7.0, 2, 7),
+        ];
+        let order = |requests: &[Request]| -> Vec<(f64, usize, usize)> {
+            requests
+                .iter()
+                .map(|r| (r.time_ms, r.cache, r.doc.index()))
+                .collect()
+        };
+        let expected = [
+            // At t = 0 (either sign): global 1 (local 1), then 6.
+            (-0.0, 1, 4),
+            (0.0, 0, 0),
+            // At t = 5: global 1 (local 1), then 3 (local 2), then 6
+            // (local 0) twice, in stream order.
+            (5.0, 1, 5),
+            (5.0, 2, 6),
+            (5.0, 0, 1),
+            (5.0, 0, 2),
+            (7.0, 2, 7),
+            (9.0, 0, 3),
+        ];
+        assert_eq!(order(&sorted(&requests, &members)), expected);
+        for duration_ms in [9.5, 10.0, 1e6] {
+            assert_eq!(order(&bucketed(&requests, &members, duration_ms)), expected);
+        }
+        // One member, one request, none.
+        let one = [CacheId(4)];
+        let single = [at(3.0, 0, 0), at(1.0, 0, 1), at(1.0, 0, 2), at(2.0, 0, 3)];
+        assert_eq!(bucketed(&single, &one, 4.0), sorted(&single, &one));
+        assert_eq!(bucketed(&single[..1], &one, 4.0), single[..1]);
+        assert!(bucketed(&[], &one, 4.0).is_empty());
+        assert!(bucketed(&[], &[], 0.0).is_empty());
+    }
+
+    #[test]
+    fn a_burst_in_one_bucket_takes_the_stable_sort() {
+        // 100 000 arrivals inside the first of 50 000 buckets, each
+        // member later than the last and each run backwards: by
+        // insertion alone that is 5 · 10⁹ moves, seconds even optimized;
+        // the stable sort takes milliseconds unoptimized.
+        let members: Vec<CacheId> = (0..1_000).rev().map(CacheId).collect();
+        let burst: Vec<Request> = (0..100_000)
+            .map(|i| Request {
+                time_ms: f64::from(100_000 - i) * 1e-5,
+                cache: i as usize / 100,
+                doc: DocId(i as usize),
+            })
+            .collect();
+        let start = std::time::Instant::now();
+        let ordered = bucketed(&burst, &members, 100_000.0);
+        let took = start.elapsed();
+        assert_eq!(ordered, sorted(&burst, &members));
+        assert!(took.as_millis() < 500, "{took:?}");
     }
 
     #[test]
@@ -322,7 +596,8 @@ mod tests {
         }];
         let workload = StreamedWorkload::new(cfg, 7, 1_000.0).updates(&updates);
         let zipf = ZipfSampler::new(cat.len(), cfg.zipf_exponent_value());
-        let sub = member_subtrace(&workload, &zipf, &[CacheId(0)]);
+        let mut buffers = SubtraceBuffers::default();
+        let sub = member_subtrace(&workload, &zipf, &[CacheId(0)], &mut buffers);
         assert_eq!(
             sub.last(),
             Some(&TraceEvent::Update(updates[0])),

@@ -1,5 +1,6 @@
 //! Property-based tests for the simulator.
 
+use ecg_cache::PolicyKind;
 use ecg_obs::Obs;
 use ecg_sim::{
     simulate, simulate_epochs, simulate_time_major, EpochReplayError, FaultKind, FaultSchedule,
@@ -255,14 +256,15 @@ fn every_context(plan: &SimPlan<'_>, groups: &GroupMap) -> Vec<(String, Observed
 /// the caller's matrix and trace with the time-major oracle's
 /// allocations, to the byte; it now pays what every group-major run
 /// pays — 4 bytes of plan per trace event, one `(N + 1)²` sub-matrix,
-/// the per-cache recorder the fold merges into, and, for the first walk
-/// on its thread only, one block of gathered records — and no more,
-/// whichever order the one group's members are listed in. The caches
-/// evict, so the score keys of every evicting cache (24 bytes per slab
-/// slot) are allocated too — by both runs alike, from the same sequence
-/// of inserts, which is why they do not show in the difference. (That is
-/// the sparse layout, the oracle's own; the dense one adds at most 36
-/// bytes per request on top, below.)
+/// the per-cache recorder the fold merges into — and, for the first
+/// group on its thread only, the thread's group store: one block of
+/// gathered records, and caches whose buffers grow as the oracle's do
+/// (the caches evict, so that includes the score keys of every evicting
+/// cache, 24 bytes per slab slot). A later run on the thread finds the
+/// store warm and allocates none of that again, whichever order the one
+/// group's members are listed in. (That is the sparse layout, the
+/// oracle's own; the dense one adds at most 36 bytes per request on
+/// top, below.)
 #[test]
 fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
     let caches = 12;
@@ -285,25 +287,28 @@ fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
     let (oracle, oracle_bytes) = allocated_by(time_major);
     let positions = 4 * trace.len() as u64;
     let sub_matrix = 8 * ((caches + 1) * (caches + 1)) as u64;
-    // Two lanes of 128 records of 24 bytes, allocated by the thread's
-    // first group walk and reused by every later one.
-    let mut record_block = 2 * 128 * 24;
-    for (groups, in_id_order) in [(&in_order, true), (&backwards, false)] {
-        let sparse = || RunContext::serial().force_layout(false);
-        let (planned, planned_bytes) =
-            allocated_by(|| simulate(&plan, groups, &mut sparse()).unwrap());
+    // Two lanes of 128 records of 24 bytes.
+    let record_block = 2 * 128 * 24;
+    let sparse = || RunContext::serial().force_layout(false);
+    let (cold, cold_bytes) = allocated_by(|| simulate(&plan, &in_order, &mut sparse()).unwrap());
+    assert_eq!(cold, oracle);
+    let extra = cold_bytes - oracle_bytes;
+    let budget = positions + sub_matrix + record_block;
+    assert!(extra >= budget, "{extra} B");
+    assert!(extra < budget + (4 << 10), "{extra} B");
+
+    // Warm, the run costs less than the oracle, plan and sub-matrix
+    // included: the oracle grows its caches, the store lends its own.
+    let mut warm_runs = Vec::new();
+    for groups in [&in_order, &backwards] {
+        let (warm, warm_bytes) = allocated_by(|| simulate(&plan, groups, &mut sparse()).unwrap());
         assert_eq!(
-            planned.metrics.total_requests(),
+            warm.metrics.total_requests(),
             oracle.metrics.total_requests()
         );
-        let extra = planned_bytes - oracle_bytes;
-        let budget = positions + sub_matrix + record_block;
-        assert!(extra >= budget, "{extra} B");
-        assert!(extra < budget + (4 << 10), "{extra} B");
-        if in_id_order {
-            assert_eq!(planned, oracle);
-        }
-        record_block = 0;
+        assert!(warm_bytes >= positions + sub_matrix, "{warm_bytes} B");
+        assert!(warm_bytes < oracle_bytes, "{warm_bytes} B");
+        warm_runs.push(warm_bytes);
 
         // The traffic clears the rule, so the run goes dense: peer
         // orders and document-addressed tables, in place of the hashed
@@ -311,9 +316,148 @@ fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
         let mut ctx = RunContext::serial();
         let (dense, dense_bytes) = allocated_by(|| simulate(&plan, groups, &mut ctx).unwrap());
         assert_eq!(ctx.stats().dense_shards, 1);
-        assert_eq!(dense, planned);
-        let bound = planned_bytes + 36 * requests.len() as u64;
+        assert_eq!(dense, warm);
+        let bound = warm_bytes + 36 * requests.len() as u64;
         assert!(dense_bytes <= bound, "{dense_bytes} B > {bound} B");
+    }
+    assert_eq!(
+        warm_runs[0], warm_runs[1],
+        "member order showed in the bytes"
+    );
+}
+
+/// A thread's group store keeps caches and buffers from one group to
+/// the next, and nothing of what they held: a run on a thread whose
+/// store earlier runs have used — dense and sparse groups, crash-heavy
+/// ones, planned and streamed sources, other capacities and policies,
+/// in any order — reports and observes exactly what it does on a fresh
+/// thread, serial and pooled.
+#[test]
+fn a_reused_group_store_is_a_fresh_one() {
+    let caches = 12;
+    let net = grid_network(21, caches);
+    let mut rng = StdRng::seed_from_u64(22);
+    let cat = CatalogConfig::default()
+        .documents(40)
+        .dynamic_fraction(0.6)
+        .dynamic_update_rate_per_sec(0.05)
+        .generate(&mut rng);
+    let duration = 20_000.0;
+    let requests = RequestConfig::default()
+        .rate_per_sec_per_cache(5.0)
+        .generate(&cat, caches, duration, &mut rng);
+    let updates = generate_updates(&cat, duration, &mut rng);
+    let trace = merge_streams(&requests, &updates);
+    let workload = StreamedWorkload::new(
+        RequestConfig::default().rate_per_sec_per_cache(2.0),
+        23,
+        duration,
+    )
+    .updates(&updates);
+    let mut crashes = arb_schedule(24, caches, duration);
+    for at in 1..12 {
+        let cache = CacheId(at % caches);
+        crashes.push(
+            f64::from(at as u32) * 1_500.0,
+            FaultKind::CacheDown { cache },
+        );
+        crashes.push(
+            f64::from(at as u32) * 1_500.0 + 700.0,
+            FaultKind::CacheUp { cache },
+        );
+    }
+    let rtt = net.rtt_matrix();
+    let config = |capacity: u64, policy| {
+        SimConfig::default()
+            .cache_capacity_bytes(capacity)
+            .policy(policy)
+            .warmup_ms(1_000.0)
+    };
+    let pairs = shuffled_partition(25, caches, 6);
+    let one = shaped_partition(1, 0, caches);
+    // (plan, grouping, forced layout): one group and several, dense by
+    // the rule and forced either way, faulted and not, streamed.
+    let cases = [
+        (
+            SimPlan::new(rtt, &cat, &trace).config(config(96 << 10, PolicyKind::Utility)),
+            &one,
+            None,
+        ),
+        (
+            SimPlan::new(rtt, &cat, &trace).config(config(24 << 10, PolicyKind::Gdsf)),
+            &pairs,
+            Some(true),
+        ),
+        (
+            SimPlan::new(rtt, &cat, &trace).config(config(64 << 10, PolicyKind::Lru)),
+            &pairs,
+            Some(false),
+        ),
+        (
+            SimPlan::new(rtt, &cat, &trace)
+                .config(config(32 << 10, PolicyKind::Utility))
+                .faults(&crashes),
+            &pairs,
+            None,
+        ),
+        (
+            SimPlan::new(rtt, &cat, &trace)
+                .config(config(48 << 10, PolicyKind::Lfu))
+                .faults(&crashes),
+            &one,
+            Some(true),
+        ),
+        (
+            SimPlan::streamed(rtt, &cat, &workload).config(config(40 << 10, PolicyKind::Utility)),
+            &pairs,
+            None,
+        ),
+        (
+            SimPlan::streamed(rtt, &cat, &workload).faults(&crashes),
+            &one,
+            None,
+        ),
+    ];
+    let run = |(plan, groups, forced): &(SimPlan<'_>, &GroupMap, Option<bool>), pooled: bool| {
+        plain_and_observed(|obs| {
+            let ctx = if pooled {
+                RunContext::pooled()
+            } else {
+                RunContext::serial()
+            };
+            let ctx = match forced {
+                Some(dense) => ctx.force_layout(*dense),
+                None => ctx,
+            };
+            simulate(plan, groups, &mut ctx.observe(obs))
+        })
+    };
+    // Each case alone on a thread of its own.
+    let fresh: Vec<Observed> = std::thread::scope(|scope| {
+        let handles: Vec<_> = cases
+            .iter()
+            .map(|case| scope.spawn(|| run(case, false)))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(fresh.iter().all(Result::is_ok));
+    let mut order: Vec<usize> = (0..cases.len()).collect();
+    for round in 0..6 {
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        for &case in &order {
+            let pooled = round % 2 == 1;
+            if pooled {
+                ecg_par::set_max_threads(Some(1 + round % 3));
+            }
+            let outcome = run(&cases[case], pooled);
+            ecg_par::set_max_threads(None);
+            assert_eq!(
+                outcome, fresh[case],
+                "case {case}, round {round}, order {order:?}"
+            );
+        }
     }
 }
 

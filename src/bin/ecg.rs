@@ -56,6 +56,10 @@ use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if asks_for_help(&args) {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
@@ -65,6 +69,13 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// `ecg help`, or `--help` / `-h` anywhere on the command line: a
+/// request for the usage, not a subcommand or a flag to reject.
+fn asks_for_help(args: &[String]) -> bool {
+    args.first().is_some_and(|arg| arg == "help")
+        || args.iter().any(|arg| arg == "--help" || arg == "-h")
 }
 
 /// What a flag's value must satisfy.
@@ -1046,6 +1057,29 @@ mod tests {
         assert_eq!(ok.len(), 2);
         assert!(parse_groups("0 x\n").is_err());
         assert!(parse_groups("# only comments\n").is_err());
+    }
+
+    #[test]
+    fn asking_for_help_is_not_an_error() {
+        for asked in [
+            &["help"][..],
+            &["--help"],
+            &["-h"],
+            &["replay", "--help"],
+            &["replay", "--caches", "40", "-h"],
+            &["help", "replay"],
+        ] {
+            assert!(asks_for_help(&argv(asked)), "{asked:?}");
+        }
+        for not_asked in [
+            &[][..],
+            &["replay"],
+            &["replay", "--caches", "40"],
+            &["helpful"],
+        ] {
+            assert!(!asks_for_help(&argv(not_asked)), "{not_asked:?}");
+        }
+        assert!(usage().starts_with("usage:\n"));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use edge_cache_groups::sim::{
     simulate_time_major, FaultKind, FaultSchedule, FreshnessProtocol, SimError,
 };
 use edge_cache_groups::workload::{
-    generate_updates, read_trace, write_trace, DocumentCatalog, TraceEvent,
+    generate_updates, read_trace, write_trace, DocumentCatalog, TraceEvent, Update,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -286,6 +286,78 @@ fn streamed_replay_matches_monolithic_on_materialized_inputs() {
         6 * map.group_count()
     );
     assert_eq!(counted.pair_queries.load(Ordering::Relaxed), 0);
+}
+
+/// `StreamedWorkload::updates` asks for a time-sorted log, but nothing
+/// rejects another: a streamed run over 400 shuffled updates — some on
+/// one instant, some on a request's — is the run over the trace it
+/// materializes, report and document, serial and pooled at 1 and 8
+/// threads. A shard that merged the log as a presumed-sorted lane would
+/// diverge here.
+#[test]
+fn streamed_replay_over_an_unsorted_update_log_matches_its_materialized_trace() {
+    let caches = 30;
+    let seed = 8u64;
+    let duration_ms = 12_000.0;
+    let net = SyntheticRttConfig::default().generate(caches + 1, seed);
+    let groups: Vec<Vec<CacheId>> = (0..caches)
+        .collect::<Vec<_>>()
+        .chunks(6)
+        .map(|c| c.iter().rev().map(|&i| CacheId(i)).collect())
+        .collect();
+    let map = GroupMap::new(caches, groups).expect("groups");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let catalog = CatalogConfig::default().documents(200).generate(&mut rng);
+    let requests = RequestConfig::default().rate_per_sec_per_cache(3.0);
+    let master: u64 = rng.gen();
+    let on_requests = requests.generate_with_master(&catalog, caches, duration_ms, master);
+    let mut updates: Vec<Update> = (0..400)
+        .map(|i| Update {
+            time_ms: match i % 4 {
+                0 => on_requests[rng.gen_range(0..on_requests.len())].time_ms,
+                1 => f64::from(rng.gen_range(0u32..12)) * 1_000.0,
+                _ => rng.gen_range(0.0..duration_ms),
+            },
+            doc: DocId(rng.gen_range(0..catalog.len())),
+        })
+        .collect();
+    for i in (1..updates.len()).rev() {
+        updates.swap(i, rng.gen_range(0..=i));
+    }
+    assert!(updates.windows(2).any(|w| w[0].time_ms > w[1].time_ms));
+    let workload = StreamedWorkload::new(requests, master, duration_ms).updates(&updates);
+    let trace = workload.materialize_trace(&catalog, caches);
+    let sim = SimConfig::default()
+        .freshness(FreshnessProtocol::OriginMulticast)
+        .warmup_ms(1_000.0);
+
+    let mut materialized_obs = Obs::new();
+    let materialized = simulate(
+        &SimPlan::new(&net, &catalog, &trace).config(sim),
+        &map,
+        &mut RunContext::serial().observe(Some(&mut materialized_obs)),
+    )
+    .expect("sim");
+    assert!(materialized.origin_updates > 0);
+    let plan = SimPlan::streamed(&net, &catalog, &workload).config(sim);
+    let mut obs = Obs::new();
+    let serial = simulate(
+        &plan,
+        &map,
+        &mut RunContext::serial().observe(Some(&mut obs)),
+    );
+    assert_eq!(serial.expect("replay"), materialized, "serial");
+    assert_eq!(obs.to_json(), materialized_obs.to_json(), "serial");
+    for threads in [1usize, 8] {
+        let mut obs = Obs::new();
+        let streamed = pooled_at(threads, &plan, &map, Some(&mut obs)).expect("replay");
+        assert_eq!(streamed, materialized, "{threads} threads");
+        assert_eq!(
+            obs.to_json(),
+            materialized_obs.to_json(),
+            "{threads} threads"
+        );
+    }
 }
 
 proptest! {
