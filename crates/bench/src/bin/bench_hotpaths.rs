@@ -11,8 +11,8 @@
 //!   feature matrix, clustering) as an absolute figure;
 //! * `trace_replay/scan_all` vs `trace_replay/holder_index` — the
 //!   simulator's cooperative-miss path probing every peer's cache map
-//!   against the document→holder bitset (identical reports, see
-//!   `ecg_sim::PeerLookup`);
+//!   against the document→holder bitset (identical reports; the scan is
+//!   forced through `ecg_sim::RunContext::force_lookup`);
 //! * `sim_order/time_major` vs `sim_order/group_major` — one pass of the
 //!   event loop over the whole map (the reference oracle,
 //!   `ecg_sim::simulate_time_major`) against `simulate`'s group-major
@@ -45,7 +45,7 @@ use ecg_clustering::{kmeans, kmeans_reference, FeatureMatrix, Initializer, Kmean
 use ecg_core::{GfCoordinator, SchemeConfig};
 use ecg_obs::json::JsonWriter;
 use ecg_sim::{
-    simulate, simulate_time_major, FaultSchedule, GroupMap, PeerLookup, RunContext, SimConfig,
+    simulate, simulate_time_major, FaultSchedule, GroupMap, Lookup, RunContext, SimConfig,
 };
 use ecg_topology::CacheId;
 use ecg_workload::DocId;
@@ -296,13 +296,14 @@ fn run() -> Result<(), String> {
         group
             .sample_size(sizes.samples)
             .throughput(Throughput::Elements(scenario.trace.len() as u64));
-        for (name, lookup) in [
-            ("scan_all", PeerLookup::ScanAll),
-            ("holder_index", PeerLookup::HolderIndex),
-        ] {
-            let plan = scenario.plan(base.peer_lookup(lookup));
+        let plan = scenario.plan(base);
+        for (name, forced) in [("scan_all", Some(Lookup::Scan)), ("holder_index", None)] {
+            let context = || match forced {
+                Some(lookup) => RunContext::serial().force_lookup(lookup),
+                None => RunContext::serial(),
+            };
             group.bench_function(name, |b| {
-                b.iter(|| simulate(&plan, &groups, &mut RunContext::serial()).expect("simulation"))
+                b.iter(|| simulate(&plan, &groups, &mut context()).expect("simulation"))
             });
         }
         group.finish();

@@ -540,12 +540,13 @@ impl<'a> Prober<'a> {
         Measurement::Timeout
     }
 
-    /// Like [`Prober::measure`], but also records the measurement into
-    /// an observability bundle when one is supplied: `probe.sent` /
-    /// `probe.lost` / `probe.timeouts` counters, a `probe.measurements`
-    /// counter, and a `probe.rtt_ms` histogram. With `obs = None` this
-    /// is exactly [`Prober::measure`] — instrumentation never touches
-    /// the RNG stream either way.
+    /// Like [`Prober::measure`], but records the measurement into an
+    /// observability bundle when one is supplied, as
+    /// [`Prober::measure_outcome_observed`] does: a timed-out or
+    /// unreachable measurement is counted, not sampled into
+    /// `probe.rtt_ms`. With `obs = None` this is exactly
+    /// [`Prober::measure`] — instrumentation never touches the RNG
+    /// stream either way.
     pub fn measure_observed<R: Rng + ?Sized>(
         &self,
         a: usize,
@@ -553,22 +554,8 @@ impl<'a> Prober<'a> {
         rng: &mut R,
         obs: Option<&mut Obs>,
     ) -> f64 {
-        let Some(obs) = obs else {
-            return self.measure(a, b, rng);
-        };
-        let sent_before = self.probes_sent();
-        let lost_before = self.probes_lost();
-        let rtt = self.measure(a, b, rng);
-        let lost = self.probes_lost() - lost_before;
-        obs.metrics.inc("probe.measurements");
-        obs.metrics
-            .add("probe.sent", self.probes_sent() - sent_before);
-        obs.metrics.add("probe.lost", lost);
-        obs.metrics.observe("probe.rtt_ms", rtt);
-        if a != b && lost == self.config.probes as u64 {
-            obs.metrics.inc("probe.timeouts");
-        }
-        rtt
+        self.measure_outcome_observed(a, b, rng, obs)
+            .value_or(self.config.timeout_ms)
     }
 
     /// Measures the RTT from `from` to every node in `targets`, in order.
@@ -866,6 +853,36 @@ mod tests {
         p.measure_all_into_observed(0, &[1], &mut rng, &mut out, Some(&mut obs));
         assert_eq!(obs.metrics.counter("probe.lost"), 3);
         assert_eq!(obs.metrics.counter("probe.timeouts"), 1);
+    }
+
+    #[test]
+    fn observed_failures_are_counted_not_sampled() {
+        let m = paper_figure1();
+        let lossy = ProbeConfig::noiseless()
+            .probes_per_measurement(3)
+            .loss_rate(0.999);
+        let dead = ProbeFaults::default().blackhole(0, 1);
+        for (p, counter) in [
+            (Prober::new(&m, lossy), "probe.timeouts"),
+            (
+                Prober::with_faults(&m, ProbeConfig::noiseless(), dead),
+                "probe.unreachable",
+            ),
+        ] {
+            let mut obs = Obs::new();
+            let rtt = p.measure_observed(0, 1, &mut StdRng::seed_from_u64(0), Some(&mut obs));
+            assert_eq!(rtt, p.config().timeout(), "{counter}");
+            assert_eq!(p.measure(0, 1, &mut StdRng::seed_from_u64(0)), rtt);
+            assert_eq!(obs.metrics.counter(counter), 1);
+            let failures = ["probe.timeouts", "probe.unreachable"].map(|c| obs.metrics.counter(c));
+            assert_eq!(failures.iter().sum::<u64>(), 1, "{counter}");
+            assert_eq!(obs.metrics.counter("probe.measurements"), 1);
+            let samples = obs
+                .metrics
+                .histogram("probe.rtt_ms")
+                .map_or(0, |h| h.count());
+            assert_eq!(samples, 0, "{counter}");
+        }
     }
 
     #[test]

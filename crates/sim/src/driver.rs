@@ -21,7 +21,9 @@
 //! first group runs: input validation in trace order (the first invalid
 //! event yields its [`SimError`] whichever group it belongs to), the
 //! by-position [`TracePlan`] — or, for a streamed source, the one
-//! shared Zipf sampler — and the fault split. Per-group outcomes are
+//! shared Zipf sampler and the update log's records — and the fault
+//! split. Every group then goes through one walk, [`GroupWalk`], and
+//! one call of the kernel. Per-group outcomes are
 //! folded in group order — the order every `f64` chain of the
 //! time-major loop already follows — so the merged [`SimReport`] is
 //! bit-identical to [`crate::simulate_time_major`] however the groups
@@ -29,12 +31,15 @@
 //! caches are live at a time, or fanned over [`ecg_par`] workers and
 //! folded after.
 
-use crate::event::{local_ids, GroupWalk, RecordBlock, Timeline, TracePlan};
+use crate::event::{local_ids, log_records, GroupWalk, Record, RecordBlock, TracePlan};
 use crate::fault::{FaultKind, FaultSchedule};
 use crate::groups::GroupMap;
 use crate::metrics::{DegradationMetrics, MetricsRecorder};
-use crate::sim::{check_inputs, kernel, GroupOutcome, SimConfig, SimError, SimReport, Tallies};
-use crate::stream::{self, StreamedWorkload, SubtraceBuffers};
+use crate::sim::{
+    check_inputs, dense_layout, kernel, GroupOutcome, Lookup, SimConfig, SimError, SimReport,
+    Tallies,
+};
+use crate::stream::{self, RequestBuffers, StreamedWorkload};
 use ecg_cache::{CacheStats, DocumentCache};
 use ecg_obs::Obs;
 use ecg_topology::{CacheId, EdgeNetwork, RttSource};
@@ -190,11 +195,11 @@ pub struct RunContext<'o> {
     stats: RunStats,
 }
 
-/// How a run's groups execute: pooled or not, and any layout forced.
+/// How a run's groups execute: pooled or not, and any lookup forced.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Execution {
     pooled: bool,
-    forced_dense: Option<bool>,
+    forced: Option<Lookup>,
 }
 
 impl<'o> RunContext<'o> {
@@ -210,12 +215,13 @@ impl<'o> RunContext<'o> {
         ctx
     }
 
-    /// Every kernel run takes the dense layout (`true`) or the sparse
-    /// one, whatever its traffic: the hook tests hold both layouts to
-    /// the oracle through. Nothing a run reports depends on it.
+    /// Every kernel run takes `lookup`, whatever its traffic: the hook
+    /// tests and benches reach the reference scan and hold both layouts
+    /// to the oracle through. The report is the same bits whichever
+    /// lookup ran; the scan leaves the `sim.holder.*` counters at zero.
     #[doc(hidden)]
-    pub fn force_layout(mut self, dense: bool) -> Self {
-        self.exec.forced_dense = Some(dense);
+    pub fn force_lookup(mut self, lookup: Lookup) -> Self {
+        self.exec.forced = Some(lookup);
         self
     }
 
@@ -266,7 +272,7 @@ impl<'o> RunContext<'o> {
 ///   peer_hits, coop_misses, failovers, control_messages,
 ///   stale_served}` — counted over the whole run, warm-up included;
 /// * holder-index counters `sim.holder.{group_checks, ruled_out,
-///   bit_tests}` (all zero under [`crate::PeerLookup::ScanAll`]);
+///   bit_tests}`;
 /// * a `sim.queue.max_depth` gauge: the run's event count (trace plus
 ///   faults), which is what is pending before the first event;
 /// * the request-latency distribution merged into a `sim.latency_ms`
@@ -351,7 +357,7 @@ pub(crate) fn run(
     let t1 = Instant::now();
     let shards = groups.group_count();
     let merged = if exec.pooled {
-        let outcomes = ecg_par::par_map((0..shards).collect(), |g| run.group(g, exec.forced_dense));
+        let outcomes = ecg_par::par_map((0..shards).collect(), |g| run.group(g, exec.forced));
         stats.shards_ms += ms_since(t1);
         let t2 = Instant::now();
         let merged = run.fold(outcomes.into_iter());
@@ -359,7 +365,7 @@ pub(crate) fn run(
         merged
     } else {
         // Folded as they finish: one group's caches are live at a time.
-        let merged = run.fold((0..shards).map(|g| run.group(g, exec.forced_dense)));
+        let merged = run.fold((0..shards).map(|g| run.group(g, exec.forced)));
         stats.shards_ms += ms_since(t1);
         merged
     };
@@ -391,28 +397,27 @@ struct GroupRun<'a> {
 enum GroupEvents<'a> {
     /// The materialized trace and its split by position.
     Planned(&'a [TraceEvent], TracePlan),
-    /// The streamed workload and the one sampler its groups share: it
-    /// is read-only and identical to the one the eager generator
-    /// builds, so groups can borrow it concurrently.
+    /// The streamed workload and what its groups share, read-only so
+    /// they can borrow it concurrently: the one sampler, identical to
+    /// the one the eager generator builds, and the update lane.
     Streamed {
         workload: StreamedWorkload<'a>,
         zipf: ZipfSampler,
-        /// Whether every sub-trace is in processing order as merged
-        /// (what [`stream::validate`] found of the update log).
-        ordered: bool,
+        /// [`log_records`] of the workload's update log.
+        log: Vec<Record>,
     },
 }
 
 /// What a worker thread keeps across the groups it runs, so a group
 /// pays for its own work and not for its buffers: the record block a
-/// planned walk reads through, the caches a kernel run takes its
-/// members' from, and the buffers a streamed sub-trace is built in.
-/// Nothing a run reports depends on what an earlier group left here.
+/// walk reads through, the caches a kernel run takes its members' from,
+/// and the buffers a streamed group's requests are ordered in. Nothing
+/// a run reports depends on what an earlier group left here.
 #[derive(Debug, Default)]
 struct GroupStore {
     block: RecordBlock,
     caches: Vec<DocumentCache>,
-    subtrace: SubtraceBuffers,
+    requests: RequestBuffers,
 }
 
 impl GroupStore {
@@ -436,18 +441,19 @@ impl<'a> GroupRun<'a> {
     fn new(plan: &'a SimPlan<'a>, groups: &'a GroupMap) -> Result<Self, SimError> {
         let schedule = plan.schedule;
         check_inputs(plan.rtt.node_count().saturating_sub(1), groups, schedule)?;
+        let docs_fit = u32::try_from(plan.catalog.len()).is_ok();
+        assert!(docs_fit, "a record holds a document id in 32 bits");
         let events = match plan.trace {
             TraceSource::Events(trace) => {
                 let docs = plan.catalog.len();
                 GroupEvents::Planned(trace, TracePlan::build(groups, docs, schedule, trace)?)
             }
             TraceSource::Streamed(workload) => {
-                let ordered = stream::validate(plan.catalog, &workload, schedule)?;
-                let zipf = ZipfSampler::new(plan.catalog.len(), workload.zipf_exponent());
+                stream::validate(plan.catalog, &workload, schedule)?;
                 GroupEvents::Streamed {
                     workload,
-                    zipf,
-                    ordered,
+                    zipf: ZipfSampler::new(plan.catalog.len(), workload.zipf_exponent()),
+                    log: log_records(workload.update_log()),
                 }
             }
         };
@@ -469,57 +475,49 @@ impl<'a> GroupRun<'a> {
 
     /// Simulates group `g` out of the thread's [`GroupStore`]: its share
     /// of the planned trace by position, or its members' regenerated
-    /// streams under local ids — in the `forced` layout, or the one
-    /// [`crate::sim::dense_layout`] picks.
-    fn group(&self, g: usize, forced: Option<bool>) -> GroupOutcome {
+    /// requests under local ids, with the update log — with the `forced`
+    /// lookup, or the layout [`dense_layout`] picks.
+    fn group(&self, g: usize, forced: Option<Lookup>) -> GroupOutcome {
         let members = &self.groups.groups()[g];
         let (catalog, config, schedule) = (self.plan.catalog, self.plan.config, &self.schedules[g]);
         let network = member_network(self.plan.rtt, members);
-        let one_group = GroupMap::one_group(members.len());
-        let dense = |requests| {
-            forced
-                .unwrap_or_else(|| crate::sim::dense_layout(members.len(), requests, catalog.len()))
-        };
-        GroupStore::on_this_thread(|store| match &self.events {
-            GroupEvents::Planned(trace, plan) => {
-                let dense = dense(plan.request_count(g));
-                let block = &mut store.block;
-                let walk = GroupWalk::new(trace, plan, g, &self.local_of, schedule, block);
-                let events = walk.trace_events();
-                kernel(
-                    &network,
-                    &one_group,
-                    catalog,
-                    walk,
-                    events,
-                    config,
-                    schedule,
-                    dense,
-                    &mut store.caches,
-                )
-            }
-            GroupEvents::Streamed {
-                workload,
-                zipf,
-                ordered,
-            } => {
-                let subtrace =
-                    stream::member_subtrace(workload, zipf, members, &mut store.subtrace);
-                let dense = dense(subtrace.len() - workload.update_log().len());
-                let timeline = Timeline::generated(subtrace, *ordered, schedule);
-                let events = timeline.trace_events();
-                kernel(
-                    &network,
-                    &one_group,
-                    catalog,
-                    timeline,
-                    events,
-                    config,
-                    schedule,
-                    dense,
-                    &mut store.caches,
-                )
-            }
+        GroupStore::on_this_thread(|store| {
+            let (walk, requests) = match &self.events {
+                GroupEvents::Planned(trace, plan) => {
+                    let (local_of, block) = (&self.local_of, &mut store.block);
+                    let walk = GroupWalk::planned(trace, plan, g, local_of, schedule, block);
+                    (walk, plan.request_count(g))
+                }
+                GroupEvents::Streamed {
+                    workload,
+                    zipf,
+                    log,
+                } => {
+                    let buffers = &mut store.requests;
+                    let requests = stream::member_requests(workload, zipf, members, buffers);
+                    let walk = GroupWalk::streamed(requests, log, schedule, &mut store.block);
+                    (walk, requests.len())
+                }
+            };
+            let lookup =
+                forced.unwrap_or(if dense_layout(members.len(), requests, catalog.len()) {
+                    Lookup::NearestFirst
+                } else {
+                    Lookup::Ranked
+                });
+            let events = walk.trace_events();
+            let one_group = GroupMap::one_group(members.len());
+            kernel(
+                &network,
+                &one_group,
+                catalog,
+                walk,
+                events,
+                config,
+                schedule,
+                lookup,
+                &mut store.caches,
+            )
         })
     }
 
@@ -710,18 +708,14 @@ mod tests {
         let report = simulate(&plan, &GroupMap::one_group(6), &mut ctx).unwrap();
         assert!(report.metrics.total_requests() > 0);
         assert_eq!((ctx.stats().shards, ctx.stats().dense_shards), (1, 0));
-        // A forced layout overrides the rule, and the scan-all reference
-        // never goes dense.
-        let mut ctx = RunContext::serial().force_layout(true);
-        assert_eq!(
-            simulate(&plan, &GroupMap::one_group(6), &mut ctx),
-            Ok(report)
-        );
-        assert_eq!(ctx.stats().dense_shards, 1);
-        let scan = plan.config(SimConfig::default().peer_lookup(crate::PeerLookup::ScanAll));
-        let mut ctx = RunContext::serial().force_layout(true);
-        simulate(&scan, &GroupMap::one_group(6), &mut ctx).unwrap();
-        assert_eq!(ctx.stats().dense_shards, 0);
+        // A forced lookup overrides the rule, and the reference scan
+        // is not dense.
+        for (lookup, dense) in [(Lookup::NearestFirst, 1), (Lookup::Scan, 0)] {
+            let mut ctx = RunContext::serial().force_lookup(lookup);
+            let forced = simulate(&plan, &GroupMap::one_group(6), &mut ctx);
+            assert_eq!(forced.as_ref(), Ok(&report));
+            assert_eq!(ctx.stats().dense_shards, dense);
+        }
     }
 
     #[test]

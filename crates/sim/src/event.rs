@@ -6,38 +6,36 @@
 //! and same-instant trace events keep their trace order. Two
 //! crate-internal walks produce that order without copying the trace:
 //!
-//! * `Timeline` walks a **whole trace** in place — every generator
-//!   (`merge_streams`, the streamed shards' sub-traces) already emits
-//!   time-ordered events — merged with the short, time-sorted fault
-//!   list; only a trace that is not already ordered pays for one stable
-//!   index sort. The time-major oracle and the streamed shards (whose
-//!   sub-trace *is* their group's share, contiguous) run on it.
-//! * `GroupWalk` walks **one group's share** of a planned trace: two
-//!   lists of `u32` trace positions out of a `TracePlan` — the group's
-//!   own requests and the update log every group replays — both already
-//!   in processing order, merged by `(time, position)`. That is the
-//!   order the stable sort gives the whole trace, so the group sees the
-//!   exact subsequence of the whole-trace walk, and the plan costs 4
-//!   bytes per event where a per-group copy of the events cost 32.
+//! * `Timeline` walks a **whole trace** in place, merged with the short,
+//!   time-sorted fault list; only a trace that is not already ordered
+//!   pays for one stable index sort. The time-major oracle runs on it.
+//! * `GroupWalk` walks **one group's share**, planned or streamed: two
+//!   lanes, the group's requests and the update log every group
+//!   replays, each in processing order, merged by `(time, key)`. A
+//!   planned lane is `u32` positions out of a `TracePlan`, keyed by
+//!   position — the stable sort's order, 4 bytes of plan per event. A
+//!   streamed lane is records built ahead: the members' regenerated
+//!   requests keyed by time, and the run's one copy of the log
+//!   (`log_records`), keyed so the merge takes `merge_streams`'
+//!   decisions. Either way the group sees the exact subsequence of the
+//!   whole-trace walk.
 //!
-//! A group's events lie scattered through the trace — with 25 groups,
-//! some 800 bytes apart — so reading them one at a time, between
-//! events that each cost a few hundred nanoseconds, is one cache miss
-//! per event that nothing overlaps. `GroupWalk` therefore reads *dense
-//! records* instead: a fixed-capacity `RecordBlock`, one per worker
-//! thread and reused by every group it runs, that a tight gather loop
-//! refills from the next positions of each list — time quantised,
-//! cache re-indexed to the group's local id, document copied, once —
-//! so the misses of one refill overlap one another and the event loop
-//! reads 24-byte records side by side. Memory stays at the plan's 4
-//! bytes per event plus one block, whatever the group's size.
+//! A planned group's events lie scattered through the trace — with 25
+//! groups, some 800 bytes apart — so reading them one at a time is one
+//! cache miss per event that nothing overlaps. `GroupWalk` therefore
+//! reads *dense records*: a fixed-capacity `RecordBlock`, one per
+//! worker thread and reused by every group it runs, that a tight loop
+//! refills from the front of each lane — gathered (time quantised,
+//! cache re-indexed to the group's local id, once) or copied — so the
+//! misses of one refill overlap and the event loop reads 24-byte
+//! records side by side, whatever the group's size.
 
 use crate::fault::FaultSchedule;
 use crate::groups::GroupMap;
 use crate::sim::SimError;
 use crate::time::SimTime;
 use ecg_topology::CacheId;
-use ecg_workload::{DocId, TraceEvent};
+use ecg_workload::{DocId, TraceEvent, Update};
 
 /// An event processed by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,33 +281,12 @@ impl<'a> Timeline<'a> {
         schedule: &FaultSchedule,
     ) -> Result<Self, SimError> {
         let ordered = scan_trace(caches, docs, schedule, trace, |_| {})?;
-        Ok(Self::generated(trace, ordered, schedule))
-    }
-
-    /// The timeline of a trace valid by construction — every cache,
-    /// document and time within what a [`Timeline::new`] over it would
-    /// accept — without the checking scan: walked in place when
-    /// `ordered` (its quantised times never decrease), else in the
-    /// stable sort's order.
-    pub(crate) fn generated(
-        trace: &'a [TraceEvent],
-        ordered: bool,
-        schedule: &FaultSchedule,
-    ) -> Self {
-        debug_assert!(
-            !ordered
-                || trace.windows(2).all(|pair| {
-                    let [a, b] = [&pair[0], &pair[1]].map(|e| SimTime::from_valid_ms(e.time_ms()));
-                    a <= b
-                }),
-            "a trace said to be ordered is not"
-        );
-        Timeline {
+        Ok(Timeline {
             trace,
             order: processing_order(trace, ordered),
             next: 0,
             faults: FaultCursor::new(schedule),
-        }
+        })
     }
 
     /// Number of trace events in the run (yielded or not), faults
@@ -343,30 +320,65 @@ impl Iterator for Timeline<'_> {
     }
 }
 
-/// One trace event of a group's share, gathered out of the trace: what
-/// the event loop needs of it, 24 bytes, next to its successor.
-#[derive(Debug, Clone, Copy)]
-struct Record {
-    /// The event's time, quantised.
-    at: SimTime,
-    /// Its position in the trace: the tie-break between an update and
-    /// a request of one instant.
-    position: u32,
-    /// The requesting cache's local id, or [`Record::UPDATE`].
-    cache: u32,
-    doc: DocId,
+/// `ms` (finite, ≥ 0) as a [`Record::key`]: the bit pattern, negative
+/// zero folded into the positive one, orders as the number does.
+#[inline]
+pub(crate) fn time_key(ms: f64) -> u64 {
+    (ms + 0.0).to_bits()
 }
+
+/// One trace event of a group's share: what the event loop needs of it,
+/// 24 bytes, next to its successor.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Record {
+    /// The event's time, quantised.
+    pub(crate) at: SimTime,
+    /// What orders an update before a request of the same µs, at equal
+    /// keys too: a planned event's trace position; a streamed request's
+    /// [`time_key`]; a streamed update's running maximum of the log's
+    /// times up to it ([`log_records`]).
+    pub(crate) key: u64,
+    /// The requesting cache's local id, or [`Record::UPDATE`].
+    pub(crate) cache: u32,
+    pub(crate) doc: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() == 24);
 
 impl Record {
     /// In place of a cache id: the record is an origin update.
-    const UPDATE: u32 = u32::MAX;
+    pub(crate) const UPDATE: u32 = u32::MAX;
 
-    const EMPTY: Record = Record {
-        at: SimTime::ZERO,
-        position: 0,
-        cache: 0,
-        doc: DocId(0),
-    };
+    /// The record of an event at `time_ms` (already validated) for local
+    /// `cache` (or [`Record::UPDATE`]) and `doc`, an index into a catalog
+    /// the driver has checked holds fewer than 2³² documents.
+    #[inline]
+    pub(crate) fn new(time_ms: f64, key: u64, cache: u32, doc: DocId) -> Self {
+        Record {
+            at: SimTime::from_valid_ms(time_ms),
+            key,
+            cache,
+            doc: doc.index() as u32,
+        }
+    }
+}
+
+/// A validated update log as a streamed lane, built once per run: its
+/// records stably sorted by quantised time, each keyed by the running
+/// maximum of the log's times up to it. Under
+/// [`ecg_workload::merge_streams`]' step rule a request precedes update
+/// `j` exactly when its time is below that maximum, sorted log or not.
+pub(crate) fn log_records(updates: &[Update]) -> Vec<Record> {
+    let mut latest = 0.0f64;
+    let mut records: Vec<Record> = updates
+        .iter()
+        .map(|u| {
+            latest = latest.max(u.time_ms);
+            Record::new(u.time_ms, time_key(latest), Record::UPDATE, u.doc)
+        })
+        .collect();
+    records.sort_by_key(|record| record.at);
+    records
 }
 
 /// The records a [`GroupWalk`] reads its events from: a fixed number of
@@ -388,7 +400,7 @@ impl RecordBlock {
     fn with_lanes_of(lane: usize) -> Self {
         assert!(lane >= 1, "a lane holds at least one record");
         RecordBlock {
-            records: vec![Record::EMPTY; 2 * lane],
+            records: vec![Record::default(); 2 * lane],
         }
     }
 }
@@ -399,25 +411,40 @@ impl Default for RecordBlock {
     }
 }
 
-/// One of a group walk's two position lists and the records gathered
-/// from its front.
+/// What a lane has not yet refilled from.
+enum Pending<'a> {
+    /// Positions in a planned trace, gathered and localized through
+    /// `local_of` ([`local_ids`]) on refill.
+    Positions {
+        positions: &'a [u32],
+        trace: &'a [TraceEvent],
+        local_of: &'a [u32],
+    },
+    /// Records built ahead, copied on refill.
+    Records(&'a [Record]),
+}
+
+/// One of a group walk's two lanes and the records refilled from its
+/// front.
 struct Lane<'a> {
-    /// Positions not yet gathered.
-    positions: &'a [u32],
+    pending: Pending<'a>,
     records: &'a mut [Record],
-    /// `records[next..len]` are gathered and not yet yielded.
+    /// `records[next..len]` are refilled and not yet yielded.
     next: usize,
     len: usize,
 }
 
 impl<'a> Lane<'a> {
-    fn new(positions: &'a [u32], records: &'a mut [Record]) -> Self {
-        Lane {
-            positions,
+    /// A lane through `records`, refilled once.
+    fn new(pending: Pending<'a>, records: &'a mut [Record]) -> Self {
+        let mut lane = Lane {
+            pending,
             records,
             next: 0,
             len: 0,
-        }
+        };
+        lane.refill();
+        lane
     }
 
     /// The next record to yield, if any is left.
@@ -426,54 +453,57 @@ impl<'a> Lane<'a> {
         self.records[..self.len].get(self.next)
     }
 
-    /// Steps past [`head`](Self::head), refilling from the trace when
-    /// that was the last gathered record.
+    /// Steps past [`head`](Self::head), refilling when that was the last
+    /// refilled record.
     #[inline]
-    fn advance(&mut self, trace: &[TraceEvent], local_of: &[u32]) {
+    fn advance(&mut self) {
         self.next += 1;
         if self.next == self.len {
-            self.refill(trace, local_of);
+            self.refill();
         }
     }
 
-    /// Gathers the next positions' events into the records: a loop of
-    /// independent loads — the trace event, then the requester's local
-    /// id — whose misses overlap. The trace passed [`scan_trace`], so
-    /// times quantise and caches index `local_of`.
-    fn refill(&mut self, trace: &[TraceEvent], local_of: &[u32]) {
-        let (gathered, rest) = self
-            .positions
-            .split_at(self.positions.len().min(self.records.len()));
-        for (record, &position) in self.records.iter_mut().zip(gathered) {
-            *record = match trace[position as usize] {
-                TraceEvent::Request(r) => Record {
-                    at: SimTime::from_valid_ms(r.time_ms),
-                    position,
-                    cache: local_of[r.cache],
-                    doc: r.doc,
-                },
-                TraceEvent::Update(u) => Record {
-                    at: SimTime::from_valid_ms(u.time_ms),
-                    position,
-                    cache: Record::UPDATE,
-                    doc: u.doc,
-                },
-            };
-        }
-        self.positions = rest;
+    /// Refills the records from the front of what is pending. Positions
+    /// are gathered in a loop of independent loads — the trace event,
+    /// then the requester's local id — whose misses overlap; the trace
+    /// passed [`scan_trace`], so times quantise and caches index
+    /// `local_of`.
+    fn refill(&mut self) {
+        let room = self.records.len();
+        self.len = match &mut self.pending {
+            Pending::Positions {
+                positions,
+                trace,
+                local_of,
+            } => {
+                let (gathered, rest) = positions.split_at(positions.len().min(room));
+                for (record, &position) in self.records.iter_mut().zip(gathered) {
+                    let key = u64::from(position);
+                    *record = match trace[position as usize] {
+                        TraceEvent::Request(r) => {
+                            Record::new(r.time_ms, key, local_of[r.cache], r.doc)
+                        }
+                        TraceEvent::Update(u) => Record::new(u.time_ms, key, Record::UPDATE, u.doc),
+                    };
+                }
+                *positions = rest;
+                gathered.len()
+            }
+            Pending::Records(records) => {
+                let (copied, rest) = records.split_at(records.len().min(room));
+                self.records[..copied.len()].copy_from_slice(copied);
+                *records = rest;
+                copied.len()
+            }
+        };
         self.next = 0;
-        self.len = gathered.len();
     }
 }
 
-/// The events of one run over **one group's share** of a planned trace
-/// — its requests under local cache ids, every update, its fault script
-/// — in processing order, yielded lazily as `(time, event)` out of a
-/// [`RecordBlock`].
+/// The events of one run over **one group's share** — its requests
+/// under local cache ids, every update, its fault script — in processing
+/// order, yielded lazily as `(time, event)` out of a [`RecordBlock`].
 pub(crate) struct GroupWalk<'a> {
-    trace: &'a [TraceEvent],
-    /// [`local_ids`] of the plan's groups.
-    local_of: &'a [u32],
     requests: Lane<'a>,
     updates: Lane<'a>,
     trace_events: usize,
@@ -484,7 +514,7 @@ impl<'a> GroupWalk<'a> {
     /// Group `g`'s share of the trace `plan` was built from, merged
     /// with `schedule`, the group's own (validated, local-id) fault
     /// script, reading through `block`.
-    pub(crate) fn new(
+    pub(crate) fn planned(
         trace: &'a [TraceEvent],
         plan: &'a TracePlan,
         g: usize,
@@ -493,19 +523,43 @@ impl<'a> GroupWalk<'a> {
         block: &'a mut RecordBlock,
     ) -> Self {
         let requests = &plan.requests[plan.starts[g]..plan.starts[g + 1]];
-        let lane = block.records.len() / 2;
-        let (request_records, update_records) = block.records.split_at_mut(lane);
-        let mut walk = GroupWalk {
+        let events = requests.len() + plan.updates.len();
+        let lane = |positions| Pending::Positions {
+            positions,
             trace,
             local_of,
-            requests: Lane::new(requests, request_records),
-            updates: Lane::new(&plan.updates, update_records),
-            trace_events: requests.len() + plan.updates.len(),
-            faults: FaultCursor::new(schedule),
         };
-        walk.requests.refill(trace, local_of);
-        walk.updates.refill(trace, local_of);
-        walk
+        let lanes = [lane(requests), lane(&plan.updates)];
+        Self::new(lanes, events, schedule, block)
+    }
+
+    /// A streamed group's walk: its ordered, localized `requests`, keyed
+    /// by [`time_key`], and the run's [`log_records`], merged with
+    /// `schedule` as [`GroupWalk::planned`] does, through `block`.
+    pub(crate) fn streamed(
+        requests: &'a [Record],
+        log: &'a [Record],
+        schedule: &FaultSchedule,
+        block: &'a mut RecordBlock,
+    ) -> Self {
+        let lanes = [Pending::Records(requests), Pending::Records(log)];
+        Self::new(lanes, requests.len() + log.len(), schedule, block)
+    }
+
+    fn new(
+        [requests, updates]: [Pending<'a>; 2],
+        trace_events: usize,
+        schedule: &FaultSchedule,
+        block: &'a mut RecordBlock,
+    ) -> Self {
+        let lane = block.records.len() / 2;
+        let (request_records, update_records) = block.records.split_at_mut(lane);
+        GroupWalk {
+            requests: Lane::new(requests, request_records),
+            updates: Lane::new(updates, update_records),
+            trace_events,
+            faults: FaultCursor::new(schedule),
+        }
     }
 
     /// Number of trace events in the run (yielded or not), faults
@@ -519,12 +573,11 @@ impl Iterator for GroupWalk<'_> {
     type Item = (SimTime, Event);
 
     fn next(&mut self) -> Option<(SimTime, Event)> {
-        // Both lanes hold disjoint positions of one trace, whose
-        // processing order is `(time, position)`.
+        // Each lane is in processing order, and `(time, key)` orders an
+        // update and a request as processing does, the update first at
+        // equal keys (planned keys, positions, never are).
         let from_updates = match (self.requests.head(), self.updates.head()) {
-            (Some(request), Some(update)) => {
-                (update.at, update.position) < (request.at, request.position)
-            }
+            (Some(request), Some(update)) => (update.at, update.key) <= (request.at, request.key),
             (None, Some(_)) => true,
             _ => false,
         };
@@ -538,13 +591,14 @@ impl Iterator for GroupWalk<'_> {
             return Some(fault);
         }
         let record = head?;
-        lane.advance(self.trace, self.local_of);
+        lane.advance();
+        let doc = DocId(record.doc as usize);
         let event = if record.cache == Record::UPDATE {
-            Event::OriginUpdate { doc: record.doc }
+            Event::OriginUpdate { doc }
         } else {
             Event::ClientRequest {
                 cache: CacheId(record.cache as usize),
-                doc: record.doc,
+                doc,
             }
         };
         Some((record.at, event))
@@ -555,8 +609,11 @@ impl Iterator for GroupWalk<'_> {
 mod tests {
     use super::*;
     use crate::fault::FaultKind;
-    use ecg_workload::{Request, Update};
+    use crate::stream::{member_requests, RequestBuffers, StreamedWorkload};
+    use ecg_workload::{CatalogConfig, Request, RequestConfig, ZipfSampler};
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
 
@@ -726,10 +783,34 @@ mod tests {
         lane: usize,
     ) -> Vec<(SimTime, Event)> {
         let mut block = RecordBlock::with_lanes_of(lane);
-        let walk = GroupWalk::new(trace, plan, g, local_of, schedule, &mut block);
+        let walk = GroupWalk::planned(trace, plan, g, local_of, schedule, &mut block);
         let expected = plan.starts[g + 1] - plan.starts[g] + plan.updates.len();
         assert_eq!(walk.trace_events(), expected);
         walk.collect()
+    }
+
+    /// A streamed group's walk of its `requests` and the `log`, through
+    /// a block whose lanes hold `lane` records.
+    fn walk_streamed(
+        requests: &[Record],
+        log: &[Record],
+        schedule: &FaultSchedule,
+        lane: usize,
+    ) -> Vec<(SimTime, Event)> {
+        let mut block = RecordBlock::with_lanes_of(lane);
+        let walk = GroupWalk::streamed(requests, log, schedule, &mut block);
+        assert_eq!(walk.trace_events(), requests.len() + log.len());
+        walk.collect()
+    }
+
+    /// The drawn lane capacity, and each of `lists`' lengths less one,
+    /// exactly, and plus one.
+    fn lanes_around(lane: usize, lists: [usize; 2]) -> Vec<usize> {
+        let mut lanes = vec![lane];
+        for events in lists {
+            lanes.extend([events.saturating_sub(1).max(1), events.max(1), events + 1]);
+        }
+        lanes
     }
 
     /// What group `g` must see of `trace` under `schedule`: the whole
@@ -890,7 +971,8 @@ mod tests {
         /// Each group's walk is the whole-trace walk restricted to that
         /// group's requests (under local ids), every update and every
         /// fault — ordered or not, ties and all, whatever the size of
-        /// the record block it reads through.
+        /// the record block it reads through — for a planned trace, and
+        /// for a streamed workload against the trace it materializes.
         #[test]
         fn group_walks_are_subsequences_of_the_whole_walk(
             ticks in proptest::collection::vec(0u32..300, 0..80),
@@ -898,6 +980,7 @@ mod tests {
             presorted in any::<bool>(),
             stride in 1usize..4,
             lane in 1usize..40,
+            seed in any::<u64>(),
         ) {
             let mut ticks = ticks;
             if presorted {
@@ -928,16 +1011,51 @@ mod tests {
             let local_of = local_ids(&groups);
             for g in 0..groups.group_count() {
                 let expected = share_of_the_whole_walk(&groups, g, &trace, &schedule);
-                // The drawn capacity, and the group's own list lengths
-                // less one, exactly, and plus one.
                 let requests = plan.starts[g + 1] - plan.starts[g];
-                let mut lanes = vec![lane];
-                for events in [requests, plan.updates.len()] {
-                    lanes.extend([events.saturating_sub(1).max(1), events.max(1), events + 1]);
-                }
-                for lane in lanes {
+                for lane in lanes_around(lane, [requests, plan.updates.len()]) {
                     let walked = walk_group(&trace, &plan, g, &local_of, &schedule, lane);
                     prop_assert_eq!(&walked, &expected, "lanes of {}", lane);
+                }
+            }
+
+            // Streamed: the five caches' regenerated requests and a log on
+            // an 8 ms grid, sorted or not, some of it past the last
+            // request — plus, in the µs of some requests, an update on the
+            // request's time (the update goes first) and one a hair after
+            // it (the request goes first).
+            let mut rng = StdRng::seed_from_u64(seed);
+            let catalog = CatalogConfig::default().documents(30).generate(&mut rng);
+            let cfg = RequestConfig::default().rate_per_sec_per_cache(20.0);
+            let (master, duration_ms) = (rng.gen(), 2_000.0);
+            let mut log: Vec<Update> = ticks
+                .iter()
+                .map(|&tick| Update {
+                    time_ms: f64::from(tick) * 8.0,
+                    doc: DocId(rng.gen_range(0..catalog.len())),
+                })
+                .collect();
+            let drawn = cfg.generate_with_master(&catalog, 5, duration_ms, master);
+            for r in drawn.iter().step_by(drawn.len() / 4 + 1) {
+                let hair = r.time_ms + 1e-7;
+                log.push(Update { time_ms: r.time_ms, doc: r.doc });
+                if SimTime::from_ms(hair) == SimTime::from_ms(r.time_ms) {
+                    log.push(Update { time_ms: hair, doc: r.doc });
+                }
+            }
+            if presorted {
+                log.sort_by(|a, b| a.time_ms.total_cmp(&b.time_ms));
+            }
+            let workload = StreamedWorkload::new(cfg, master, duration_ms).updates(&log);
+            let full = workload.materialize_trace(&catalog, 5);
+            let zipf = ZipfSampler::new(catalog.len(), cfg.zipf_exponent_value());
+            let log = log_records(&log);
+            let mut buffers = RequestBuffers::default();
+            for (g, members) in groups.groups().iter().enumerate() {
+                let expected = share_of_the_whole_walk(&groups, g, &full, &schedule);
+                let requests = member_requests(&workload, &zipf, members, &mut buffers);
+                for lane in lanes_around(lane, [requests.len(), log.len()]) {
+                    let walked = walk_streamed(requests, &log, &schedule, lane);
+                    prop_assert_eq!(&walked, &expected, "streamed, lanes of {}", lane);
                 }
             }
         }

@@ -9,9 +9,9 @@
 //! average cache latency, group hit rates, and traffic breakdowns.
 //!
 //! * [`SimTime`] — microsecond-resolution simulation clock.
-//! * [`event`] — the event type and the in-place, time-ordered merge of
-//!   a trace — or of one group's share of it, by position — with the
-//!   fault schedule that the event loop walks.
+//! * [`event`] — the event type and the time-ordered merge of a group's
+//!   requests and the update log — planned by trace position or
+//!   streamed — with the fault schedule, which the event loop walks.
 //! * [`LatencyModel`] — RTT + bandwidth transfer-cost model.
 //! * [`GroupMap`] — validated cache-to-group partition.
 //! * [`fault`] — fault schedules: cache crashes/recoveries/retirements
@@ -34,12 +34,13 @@
 //! are folded in group order. An event's working set is its group's,
 //! not the network's. The groups run one after another on the caller's
 //! thread, at most one group's caches live at a time
-//! ([`RunContext::serial`]), or as work items on the [`ecg_par`] worker
-//! pool ([`RunContext::pooled`]); the choice changes wall-clock time
+//! ([`RunContext::serial`]), or as work items on [`ecg_par`]'s scoped
+//! threads ([`RunContext::pooled`]); the choice changes wall-clock time
 //! and peak memory, never a byte of the report or of the observability
 //! document, both of which are bit-identical to one time-major pass
 //! over the whole map (kept, hidden, as the reference oracle the tests
-//! compare against).
+//! compare against). Every group, planned or streamed, goes through
+//! the same walk of its requests and the update log.
 //!
 //! # Examples
 //!
@@ -119,7 +120,7 @@ pub use epoch::{simulate_epochs, EpochReplayError, ReplayEpoch};
 #[doc(hidden)]
 pub use shim::simulate_observed;
 #[doc(hidden)]
-pub use sim::simulate_time_major;
-pub use sim::{FreshnessProtocol, PeerLookup, SimConfig, SimError, SimReport};
+pub use sim::{simulate_time_major, Lookup};
+pub use sim::{FreshnessProtocol, SimConfig, SimError, SimReport};
 pub use stream::StreamedWorkload;
 pub use time::SimTime;

@@ -31,9 +31,9 @@
 //!
 //! ## What a request costs the simulator
 //!
-//! The protocol above floods the group; the event loop does not. Under
-//! the default [`PeerLookup::HolderIndex`] it answers the same questions
-//! from state it keeps current instead of walking the member list:
+//! The protocol above floods the group; the event loop does not. It
+//! answers the same questions from state it keeps current instead of
+//! walking the member list:
 //!
 //! * *who is alive* — a per-group count of down members, adjusted at
 //!   fault events, gives the fan-out size and the healthy/degraded
@@ -49,17 +49,17 @@
 //!   recovery or retirement in its group (one epoch bump per fault).
 //!
 //! Per kernel run, [`dense_layout`] picks how, with the same holder and
-//! `sim.holder.*` tallies either way: **sparse** ranks the alive holders
-//! collected from the set bits; **dense** walks the requester's peers,
-//! sorted by the key once per run, over caches addressed by document id
+//! `sim.holder.*` tallies either way: **sparse** ([`Lookup::Ranked`])
+//! ranks the alive holders collected from the set bits; **dense**
+//! ([`Lookup::NearestFirst`]) walks the requester's peers, sorted by the
+//! key once per run, over caches addressed by document id
 //! ([`DocumentCache::with_doc_index`]). Multicast invalidation walks the
-//! document's holder bits.
-//! The run's events are never copied: [`Timeline`] walks a trace in
-//! place and [`crate::event::GroupWalk`] a group's positions in it
-//! (through a small block of gathered records), merged with the fault
-//! list.
-//! [`PeerLookup::ScanAll`] keeps the per-member walks as the reference
-//! the tests compare against; it and the time-major oracle run sparse.
+//! document's holder bits. [`Lookup::Scan`] keeps the per-member walks
+//! as the reference the tests reach through the one hidden hook,
+//! [`crate::RunContext::force_lookup`]; the time-major oracle ranks.
+//! The run's events are never copied: [`Timeline`] walks the oracle's
+//! whole trace in place and [`crate::event::GroupWalk`] every group's
+//! share through a small block of records, merged with the fault list.
 
 use crate::event::{fault_order, Event, Timeline};
 use crate::fault::{FaultError, FaultKind, FaultSchedule};
@@ -100,19 +100,20 @@ pub enum FreshnessProtocol {
     },
 }
 
-/// How cooperative misses locate a peer copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PeerLookup {
-    /// Probe every alive peer's cache map on every miss. The reference
-    /// implementation.
-    ScanAll,
-    /// Maintain a document→holder bitset updated on
-    /// every insert, eviction, invalidation, and crash, so the per-peer
-    /// probe is a bit test and holder-free groups are ruled out with a
-    /// few word intersections. Produces reports identical to
-    /// [`PeerLookup::ScanAll`]; the default.
-    #[default]
-    HolderIndex,
+/// How a kernel run's cooperative misses find a peer copy: the value of
+/// the hidden [`crate::RunContext::force_lookup`] hook. Every lookup
+/// produces the same report.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    /// Probe every alive peer's cache, in member order: the reference.
+    Scan,
+    /// Rank the alive holders the document's holder bits name: the
+    /// sparse layout.
+    Ranked,
+    /// Walk the requester's peers nearest first over caches addressed
+    /// by document id: the dense layout.
+    NearestFirst,
 }
 
 /// Configuration of a simulation run.
@@ -123,7 +124,6 @@ pub struct SimConfig {
     latency: LatencyModel,
     warmup_ms: f64,
     freshness: FreshnessProtocol,
-    peer_lookup: PeerLookup,
     placement: PlacementKind,
 }
 
@@ -137,7 +137,6 @@ impl Default for SimConfig {
             latency: LatencyModel::default(),
             warmup_ms: 0.0,
             freshness: FreshnessProtocol::InvalidateOnAccess,
-            peer_lookup: PeerLookup::HolderIndex,
             placement: PlacementKind::SingleHolder,
         }
     }
@@ -196,14 +195,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the cooperative-miss lookup strategy. Both settings produce
-    /// identical reports; [`PeerLookup::ScanAll`] exists as the
-    /// reference for equivalence tests and benchmarks.
-    pub fn peer_lookup(mut self, lookup: PeerLookup) -> Self {
-        self.peer_lookup = lookup;
-        self
-    }
-
     /// Sets the in-group placement/replication policy (see
     /// [`ecg_place`]). The default [`PlacementKind::SingleHolder`] is
     /// short-circuited entirely, so baseline runs are bit-identical to
@@ -211,26 +202,6 @@ impl SimConfig {
     pub fn placement(mut self, placement: PlacementKind) -> Self {
         self.placement = placement;
         self
-    }
-
-    /// The configured placement policy.
-    pub fn placement_kind(&self) -> PlacementKind {
-        self.placement
-    }
-
-    /// The configured latency model.
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency
-    }
-
-    /// The configured cooperative-miss lookup strategy.
-    pub fn peer_lookup_strategy(&self) -> PeerLookup {
-        self.peer_lookup
-    }
-
-    /// The configured freshness protocol.
-    pub fn freshness_protocol(&self) -> FreshnessProtocol {
-        self.freshness
     }
 }
 
@@ -395,9 +366,9 @@ impl fmt::Display for SimReport {
 /// events interleaved in trace order, all `N` caches live at once — how
 /// every run executed before the group-major driver. Kept reachable as
 /// the **reference oracle** the driver is proven against (tests and the
-/// `bench_hotpaths` row); same report, same [`SimError`]s and the same
-/// observability document as [`crate::simulate`] over the same trace,
-/// to the byte.
+/// `bench_hotpaths` row), with the ranked lookup; same report, same
+/// [`SimError`]s and the same observability document as
+/// [`crate::simulate`] over the same trace, to the byte.
 ///
 /// # Errors
 ///
@@ -427,7 +398,7 @@ pub fn simulate_time_major(
         trace_events,
         config,
         schedule,
-        false,
+        Lookup::Ranked,
         &mut Vec::new(),
     );
     Ok(run.finish(obs, config, schedule, trace.len()))
@@ -610,8 +581,8 @@ impl Tallies {
 /// `schedule` passed [`FaultSchedule::validate`], `groups` covers
 /// `network`). It writes no telemetry itself: everything observable
 /// comes back as [`Tallies`], so a run observes the same whichever
-/// thread ran it. `dense` asks for the dense layout (not under
-/// [`PeerLookup::ScanAll`]); the report is the same bits either way.
+/// thread ran it. `lookup` says how cooperative misses find a copy;
+/// the report is the same bits whichever it is.
 ///
 /// The run's `n` caches are the first `n` of `pool` (grown to `n` if
 /// shorter), each [`DocumentCache::reset`] to the run's layout first:
@@ -626,12 +597,12 @@ pub(crate) fn kernel(
     trace_events: usize,
     config: SimConfig,
     schedule: &FaultSchedule,
-    dense: bool,
+    lookup: Lookup,
     pool: &mut Vec<DocumentCache>,
 ) -> GroupOutcome {
     let n = network.cache_count();
     debug_assert_eq!(groups.cache_count(), n);
-    let dense = dense && config.peer_lookup == PeerLookup::HolderIndex;
+    let dense = lookup == Lookup::NearestFirst;
 
     let (capacity, policy) = (config.cache_capacity_bytes, config.policy);
     let layout = dense.then_some(catalog.len());
@@ -669,8 +640,8 @@ pub(crate) fn kernel(
     // Holder index: mirrors cache membership so the cooperative-miss
     // path tests a bit instead of probing every peer's cache map. Kept
     // in sync on insert/evict/invalidate/crash below; `None` under
-    // `PeerLookup::ScanAll`.
-    let mut index = (config.peer_lookup == PeerLookup::HolderIndex).then(|| {
+    // `Lookup::Scan`.
+    let mut index = (lookup != Lookup::Scan).then(|| {
         (
             HolderIndex::new(catalog.len(), n),
             PeerMasks::from_groups(groups),
@@ -1404,7 +1375,7 @@ fn serve_from_peer(
 /// whole list, so an active placement policy still costs one member
 /// walk per decision. `holds` is presence (fresh or stale) — read from
 /// the holder index when one is maintained, and from the cache maps
-/// under [`PeerLookup::ScanAll`]; the index mirrors cache membership
+/// under [`Lookup::Scan`]; the index mirrors cache membership
 /// exactly, so both lookup strategies feed policies identical candidate
 /// lists.
 #[allow(clippy::too_many_arguments)]
@@ -1501,6 +1472,22 @@ mod tests {
         EdgeNetwork::from_rtt_matrix(paper_figure1())
     }
 
+    /// The entry point under `schedule`, run as `ctx` says.
+    fn sim_in(
+        mut ctx: RunContext<'_>,
+        net: &EdgeNetwork,
+        groups: &GroupMap,
+        cat: &DocumentCatalog,
+        trace: &[TraceEvent],
+        config: SimConfig,
+        schedule: &FaultSchedule,
+    ) -> Result<SimReport, SimError> {
+        let plan = SimPlan::new(net.rtt_matrix(), cat, trace)
+            .config(config)
+            .faults(schedule);
+        simulate(&plan, groups, &mut ctx)
+    }
+
     /// The entry point on the caller's thread, under `schedule`.
     fn sim_observed(
         net: &EdgeNetwork,
@@ -1511,10 +1498,21 @@ mod tests {
         schedule: &FaultSchedule,
         obs: Option<&mut Obs>,
     ) -> Result<SimReport, SimError> {
-        let plan = SimPlan::new(net.rtt_matrix(), cat, trace)
-            .config(config)
-            .faults(schedule);
-        simulate(&plan, groups, &mut RunContext::serial().observe(obs))
+        let ctx = RunContext::serial().observe(obs);
+        sim_in(ctx, net, groups, cat, trace, config, schedule)
+    }
+
+    /// [`sim_faulted`] through the reference scan.
+    fn scanned(
+        net: &EdgeNetwork,
+        groups: &GroupMap,
+        cat: &DocumentCatalog,
+        trace: &[TraceEvent],
+        config: SimConfig,
+        schedule: &FaultSchedule,
+    ) -> Result<SimReport, SimError> {
+        let ctx = RunContext::serial().force_lookup(Lookup::Scan);
+        sim_in(ctx, net, groups, cat, trace, config, schedule)
     }
 
     fn sim_faulted(
@@ -1706,7 +1704,7 @@ mod tests {
         let grouped_latency = report.metrics.per_cache()[0].latency_sum_ms;
         let solo_latency = solo.metrics.per_cache()[0].latency_sum_ms;
         // Extra cost = slowest negative reply (17 ms) + 2-peer fan-out.
-        let fanout = SimConfig::default().latency_model().query_fanout(2);
+        let fanout = LatencyModel::default().query_fanout(2);
         assert!((grouped_latency - solo_latency - 17.0 - fanout).abs() < 1e-6);
     }
 
@@ -1847,13 +1845,14 @@ mod tests {
             request(300.0, 0, 4), // Ec2 retired: Ec1 only
         ];
         let expected = [(2usize, 17.0), (1, 4.0), (2, 17.0), (1, 4.0)];
-        let model = SimConfig::default().latency_model();
-        for lookup in [PeerLookup::HolderIndex, PeerLookup::ScanAll] {
-            let config = SimConfig::default().peer_lookup(lookup);
+        let model = LatencyModel::default();
+        for lookup in [Lookup::Ranked, Lookup::NearestFirst, Lookup::Scan] {
+            let config = SimConfig::default();
             // Latency of request k = Ec0's latency sum over the first
             // k + 1 requests minus the sum over the first k.
             let sum_after = |k: usize| {
-                sim_faulted(&net, &groups, &cat, &trace[..k], config, &schedule)
+                let ctx = RunContext::serial().force_lookup(lookup);
+                sim_in(ctx, &net, &groups, &cat, &trace[..k], config, &schedule)
                     .unwrap()
                     .metrics
                     .per_cache()[0]
@@ -1903,22 +1902,16 @@ mod tests {
             let mut obs = Obs::new();
             let config = SimConfig::default()
                 .policy(PolicyKind::Lru)
-                .cache_capacity_bytes(room)
-                .peer_lookup(lookup);
-            let report = sim_observed(
-                &net,
-                &groups,
-                &cat,
-                &trace,
-                config,
-                &FaultSchedule::new(),
-                Some(&mut obs),
-            )
-            .unwrap();
+                .cache_capacity_bytes(room);
+            let ctx = RunContext::serial()
+                .force_lookup(lookup)
+                .observe(Some(&mut obs));
+            let schedule = FaultSchedule::new();
+            let report = sim_in(ctx, &net, &groups, &cat, &trace, config, &schedule).unwrap();
             (report, obs.metrics.counter("sim.holder.bit_tests"))
         };
-        let (indexed, bit_tests) = run(PeerLookup::HolderIndex);
-        let (scanned, _) = run(PeerLookup::ScanAll);
+        let (indexed, bit_tests) = run(Lookup::Ranked);
+        let (scanned, _) = run(Lookup::Scan);
         assert_eq!(indexed, scanned);
         assert_eq!(indexed.metrics.per_cache()[0].peer_hits, 1);
         assert_eq!(indexed.metrics.per_cache()[2].local_hits, 1);
@@ -1937,19 +1930,22 @@ mod tests {
         .unwrap()
     }
 
-    /// Runs `trace` over [`four_and_two`] under both peer lookups,
-    /// checks the reports agree and returns one.
+    /// Runs `trace` over [`four_and_two`] under every lookup, checks
+    /// the reports agree and returns one.
     fn agreed_report(trace: &[TraceEvent], freshness: FreshnessProtocol) -> SimReport {
         let (net, cat) = (network(), catalog(10));
         let run = |lookup| {
-            let config = SimConfig::default()
-                .freshness(freshness)
-                .peer_lookup(lookup);
-            sim(&net, &four_and_two(), &cat, trace, config).unwrap()
+            let (config, schedule) = (
+                SimConfig::default().freshness(freshness),
+                FaultSchedule::new(),
+            );
+            let ctx = RunContext::serial().force_lookup(lookup);
+            sim_in(ctx, &net, &four_and_two(), &cat, trace, config, &schedule).unwrap()
         };
-        let indexed = run(PeerLookup::HolderIndex);
-        assert_eq!(indexed, run(PeerLookup::ScanAll));
-        indexed
+        let ranked = run(Lookup::Ranked);
+        assert_eq!(ranked, run(Lookup::NearestFirst));
+        assert_eq!(ranked, run(Lookup::Scan));
+        ranked
     }
 
     #[test]
@@ -1969,7 +1965,7 @@ mod tests {
         assert_eq!(report.metrics.stale_served, 0);
         let ec0 = report.metrics.per_cache()[0];
         assert_eq!(ec0.peer_hits, 1);
-        let model = SimConfig::default().latency_model();
+        let model = LatencyModel::default();
         let size = catalog(10).document(DocId(5)).size_bytes;
         let want = model.query_fanout(3) + model.transfer(14.4, size);
         assert!((ec0.latency_sum_ms - want).abs() < 1e-9);
@@ -1995,7 +1991,7 @@ mod tests {
         assert_eq!(report.metrics.stale_served, 1);
         let ec0 = report.metrics.per_cache()[0];
         assert_eq!(ec0.peer_hits, 1);
-        let model = SimConfig::default().latency_model();
+        let model = LatencyModel::default();
         let size = catalog(10).document(DocId(5)).size_bytes;
         let want = model.query_fanout(3) + model.transfer(14.4, size);
         assert!((ec0.latency_sum_ms - want).abs() < 1e-9);
@@ -2016,7 +2012,7 @@ mod tests {
         assert_eq!(report.origin_fetches, 2);
         let ec0 = report.metrics.per_cache()[0];
         assert_eq!(ec0.origin_fetches, 1);
-        let model = SimConfig::default().latency_model();
+        let model = LatencyModel::default();
         let size = catalog(10).document(DocId(5)).size_bytes;
         let want = model.query_fanout(3) + 17.0 + model.origin_fetch(12.0, size);
         assert!((ec0.latency_sum_ms - want).abs() < 1e-9);
@@ -2044,7 +2040,7 @@ mod tests {
         let trace = merge_streams(&requests, &updates);
         let config = SimConfig::default()
             .cache_capacity_bytes(1 << 22)
-            .latency(crate::latency::LatencyModel::default().bandwidth_mbps(100.0));
+            .latency(LatencyModel::default().bandwidth_mbps(100.0));
 
         let paired = GroupMap::new(
             6,
@@ -2251,22 +2247,9 @@ mod tests {
                 let base = SimConfig::default()
                     .cache_capacity_bytes(64 << 10)
                     .freshness(freshness);
-                let scanned = sim(
-                    &net,
-                    &groups,
-                    &cat,
-                    &trace,
-                    base.peer_lookup(PeerLookup::ScanAll),
-                )
-                .unwrap();
-                let indexed = sim(
-                    &net,
-                    &groups,
-                    &cat,
-                    &trace,
-                    base.peer_lookup(PeerLookup::HolderIndex),
-                )
-                .unwrap();
+                let none = FaultSchedule::new();
+                let scanned = scanned(&net, &groups, &cat, &trace, base, &none).unwrap();
+                let indexed = sim(&net, &groups, &cat, &trace, base).unwrap();
                 assert_eq!(scanned, indexed, "diverged under {freshness:?}");
             }
         }
@@ -2284,24 +2267,8 @@ mod tests {
         schedule.push(80_000.0, FaultKind::BrownoutEnd);
         let groups = GroupMap::one_group(6);
         let base = SimConfig::default().cache_capacity_bytes(64 << 10);
-        let scanned = sim_faulted(
-            &net,
-            &groups,
-            &cat,
-            &trace,
-            base.peer_lookup(PeerLookup::ScanAll),
-            &schedule,
-        )
-        .unwrap();
-        let indexed = sim_faulted(
-            &net,
-            &groups,
-            &cat,
-            &trace,
-            base.peer_lookup(PeerLookup::HolderIndex),
-            &schedule,
-        )
-        .unwrap();
+        let scanned = scanned(&net, &groups, &cat, &trace, base, &schedule).unwrap();
+        let indexed = sim_faulted(&net, &groups, &cat, &trace, base, &schedule).unwrap();
         assert_eq!(scanned, indexed);
         // The fault machinery was actually exercised.
         assert!(indexed.metrics.degradation.saw_faults());
@@ -2660,22 +2627,9 @@ mod tests {
                 let base = SimConfig::default()
                     .cache_capacity_bytes(64 << 10)
                     .placement(placement);
-                let scanned = sim(
-                    &net,
-                    &groups,
-                    &cat,
-                    &trace,
-                    base.peer_lookup(PeerLookup::ScanAll),
-                )
-                .unwrap();
-                let indexed = sim(
-                    &net,
-                    &groups,
-                    &cat,
-                    &trace,
-                    base.peer_lookup(PeerLookup::HolderIndex),
-                )
-                .unwrap();
+                let none = FaultSchedule::new();
+                let scanned = scanned(&net, &groups, &cat, &trace, base, &none).unwrap();
+                let indexed = sim(&net, &groups, &cat, &trace, base).unwrap();
                 assert_eq!(scanned, indexed, "diverged under {placement:?}");
             }
         }

@@ -3,9 +3,10 @@
 //! A streamed run never materializes the global trace. A group's shard
 //! rebuilds exactly its members' arrivals from the workload's master
 //! seed ([`ecg_workload::RequestConfig::stream_cache`] is a pure
-//! function of `(master, cache)`), orders them, and interleaves the
-//! shared update log. Peak memory is therefore bounded by the events of
-//! the shards in flight, not by `N × requests`.
+//! function of `(master, cache)`) and orders them into the request lane
+//! of its walk; the update lane is the run's one copy of the shared
+//! log ([`crate::event::log_records`]). Peak memory is therefore bounded
+//! by the requests of the shards in flight, not by `N × requests`.
 //!
 //! ## Ordering contract
 //!
@@ -45,18 +46,22 @@
 //!   wants local ids), so the tie-break maps back through `members`.
 //! * **Updates first.** An update at time `t` precedes any request at
 //!   `t`, exactly as [`ecg_workload::merge_streams`] interleaves the
-//!   eager trace — the shard's merge takes the same decision at every
-//!   step, the log's order included.
+//!   eager trace: a request's key is its time, an update's the running
+//!   maximum of the log's times up to it, and the walk takes the update
+//!   at equal keys — the merge's decision at every step, whatever the
+//!   log's order.
 //!
-//! A shard builds all of this in buffers its worker keeps across groups
-//! ([`SubtraceBuffers`]), so a warm worker allocates nothing for it.
+//! A shard orders its requests in buffers its worker keeps across
+//! groups ([`RequestBuffers`]), so a warm worker allocates nothing for
+//! them, and no group holds a copy of the log.
 
+use crate::event::{time_key, Record};
 use crate::fault::FaultSchedule;
 use crate::sim::SimError;
 use crate::time::SimTime;
 use ecg_topology::CacheId;
 use ecg_workload::{
-    merge_streams, DocId, DocumentCatalog, Request, RequestConfig, TraceEvent, Update, ZipfSampler,
+    merge_streams, DocumentCatalog, Request, RequestConfig, TraceEvent, Update, ZipfSampler,
 };
 
 /// A workload defined by generation parameters instead of a
@@ -164,21 +169,15 @@ impl<'a> StreamedWorkload<'a> {
 /// the update log, the only event list this input has — or the log's
 /// length, when it is the generated requests that would cross the
 /// horizon (the workload's duration reaches past it).
-///
-/// Returns whether the log's quantised times never decrease. Every
-/// sub-trace merged from such a log is then in processing order (each
-/// merge step emits the head that is no later, so two ordered inputs
-/// give an ordered output); one merged from any other log may not be.
 pub(crate) fn validate(
     catalog: &DocumentCatalog,
     workload: &StreamedWorkload<'_>,
     schedule: &FaultSchedule,
-) -> Result<bool, SimError> {
+) -> Result<(), SimError> {
     if catalog.is_empty() {
         return Err(SimError::EmptyCatalog);
     }
     let horizon = schedule.horizon();
-    let (mut ordered, mut previous) = (true, SimTime::ZERO);
     for (index, u) in workload.update_log().iter().enumerate() {
         if u.doc.index() >= catalog.len() {
             return Err(SimError::DocOutOfRange { doc: u.doc.index() });
@@ -187,39 +186,37 @@ pub(crate) fn validate(
         if at >= horizon {
             return Err(SimError::EventTimeBeyondHorizon { index });
         }
-        ordered &= previous <= at;
-        previous = at;
     }
     if SimTime::from_ms(workload.duration_ms()) >= horizon {
         let index = workload.update_log().len();
         return Err(SimError::EventTimeBeyondHorizon { index });
     }
-    Ok(ordered)
+    Ok(())
 }
 
-/// The buffers a group's sub-trace is built in. A worker keeps one set
-/// across the groups it runs; each build clears and refills them.
+/// The buffers a group's requests are ordered in. A worker keeps one
+/// set across the groups it runs; each group clears and refills them.
 #[derive(Debug, Default)]
-pub(crate) struct SubtraceBuffers {
+pub(crate) struct RequestBuffers {
     /// The members' streams, drained in member-list order.
     drained: Vec<Request>,
     /// Bucket boundaries of [`order_requests`].
     buckets: Vec<u32>,
-    /// The sub-trace.
-    events: Vec<TraceEvent>,
+    /// The request lane.
+    ordered: Vec<Record>,
 }
 
-/// Builds a group's sub-trace in `buffers`: its members' regenerated
-/// streams, drained in member-list order, ordered per the module's
-/// ordering contract, then interleaved with the shared update log.
-/// Requests are localized (local id = position in the member list).
-/// Every event is valid by construction once [`validate`] has passed.
-pub(crate) fn member_subtrace<'b>(
+/// A group's request lane, built in `buffers`: its members' regenerated
+/// streams, drained in member-list order and ordered per the module's
+/// ordering contract, as records under local ids (position in the
+/// member list) keyed by [`time_key`]. Every request is valid by
+/// construction once [`validate`] has passed.
+pub(crate) fn member_requests<'b>(
     workload: &StreamedWorkload<'_>,
     zipf: &ZipfSampler,
     members: &[CacheId],
-    buffers: &'b mut SubtraceBuffers,
-) -> &'b [TraceEvent] {
+    buffers: &'b mut RequestBuffers,
+) -> &'b [Record] {
     let cfg = workload.request_config();
     let duration_ms = workload.duration_ms();
     let drained = &mut buffers.drained;
@@ -228,28 +225,9 @@ pub(crate) fn member_subtrace<'b>(
         let stream = cfg.stream_cache(zipf, m.index(), workload.master(), duration_ms);
         drained.extend(stream.map(|r| Request { cache: local, ..r }));
     }
-    // The requests in order behind room for the log, then
-    // `merge_streams` in place: each update goes after the requests
-    // that precede it and before the rest. The write position never
-    // passes the next request to read, and once the log is spent the
-    // remaining requests are where they belong.
-    let updates = workload.update_log();
-    let events = &mut buffers.events;
-    events.clear();
-    events.resize(updates.len() + drained.len(), PLACEHOLDER);
-    let ordered = &mut events[updates.len()..];
+    let ordered = &mut buffers.ordered;
     order_requests(drained, members, duration_ms, &mut buffers.buckets, ordered);
-    let (mut write, mut read) = (0, updates.len());
-    for &u in updates {
-        while read < events.len() && events[read].time_ms() < u.time_ms {
-            events[write] = events[read];
-            (write, read) = (write + 1, read + 1);
-        }
-        events[write] = TraceEvent::Update(u);
-        write += 1;
-    }
-    debug_assert_eq!(write, read);
-    events
+    ordered
 }
 
 /// Most requests one bucket of [`order_requests`] orders by insertion;
@@ -257,8 +235,8 @@ pub(crate) fn member_subtrace<'b>(
 /// one bucket costs `n log n`, not `n²`.
 const INSERTION_MAX: usize = 32;
 
-/// `requests` (localized, times in `[0, duration_ms)`) into `out` (as
-/// long) by `(time, global cache id)`, stably — [`sort_requests`]'
+/// `requests` (localized, times in `[0, duration_ms)`) as records into
+/// `out`, by `(time, global cache id)`, stably — [`sort_requests`]'
 /// order — with one bucketed pass (the module's ordering contract);
 /// `buckets` is scratch.
 fn order_requests(
@@ -266,9 +244,9 @@ fn order_requests(
     members: &[CacheId],
     duration_ms: f64,
     buckets: &mut Vec<u32>,
-    out: &mut [TraceEvent],
+    out: &mut Vec<Record>,
 ) {
-    debug_assert_eq!(requests.len(), out.len());
+    out.clear();
     if requests.is_empty() {
         return;
     }
@@ -276,18 +254,14 @@ fn order_requests(
         u32::try_from(requests.len()).is_ok(),
         "a group has fewer than 2^32 requests"
     );
+    out.resize(requests.len(), Record::default());
     let count = requests.len().div_ceil(2);
     let scale = count as f64 / duration_ms;
     // Monotone in time (a product rounds monotonically, the conversion
     // truncates and saturates); the clamp takes a product that rounds
     // up to `count`.
     let bucket = |r: &Request| ((r.time_ms * scale) as usize).min(count - 1);
-    // Times are finite and ≥ 0, so the bit pattern (negative zero
-    // folded into the positive one) orders as the number does.
-    let key = |event: &TraceEvent| match event {
-        TraceEvent::Request(r) => ((r.time_ms + 0.0).to_bits(), members[r.cache]),
-        TraceEvent::Update(_) => unreachable!("only requests are ordered"),
-    };
+    let key = |record: &Record| (record.key, members[record.cache as usize]);
 
     // Counts, then starts, then — advanced by the scatter — ends.
     buckets.clear();
@@ -300,7 +274,7 @@ fn order_requests(
     }
     for r in requests {
         let at = &mut buckets[bucket(r)];
-        out[*at as usize] = TraceEvent::Request(*r);
+        out[*at as usize] = Record::new(r.time_ms, time_key(r.time_ms), r.cache as u32, r.doc);
         *at += 1;
     }
     let mut start = 0;
@@ -310,25 +284,19 @@ fn order_requests(
             run.sort_by_key(key);
         } else {
             for i in 1..run.len() {
-                let event = run[i];
-                let k = key(&event);
+                let record = run[i];
+                let k = key(&record);
                 let mut at = i;
                 while at > 0 && key(&run[at - 1]) > k {
                     run[at] = run[at - 1];
                     at -= 1;
                 }
-                run[at] = event;
+                run[at] = record;
             }
         }
         start = end as usize;
     }
 }
-
-/// What [`member_subtrace`] overwrites.
-const PLACEHOLDER: TraceEvent = TraceEvent::Update(Update {
-    time_ms: 0.0,
-    doc: DocId(0),
-});
 
 /// Orders localized requests by `(time, global cache id)`, stably: the
 /// comparison sort [`order_requests`] replaced, kept as its oracle.
@@ -345,7 +313,7 @@ fn sort_requests(requests: &mut [Request], members: &[CacheId]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecg_workload::{CatalogConfig, RateModulation};
+    use ecg_workload::{CatalogConfig, DocId, RateModulation};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -356,30 +324,37 @@ mod tests {
             .generate(&mut StdRng::seed_from_u64(3))
     }
 
-    /// The materialized trace restricted to `members`' requests
-    /// (localized) plus all updates, in trace order.
-    fn filtered(full: &[TraceEvent], members: &[CacheId]) -> Vec<TraceEvent> {
+    /// The request a record holds (a negative zero time reads back as
+    /// the positive one).
+    fn request_of(record: &Record) -> Request {
+        assert_ne!(record.cache, Record::UPDATE, "an update among the requests");
+        assert_eq!(record.at, SimTime::from_ms(f64::from_bits(record.key)));
+        Request {
+            time_ms: f64::from_bits(record.key),
+            cache: record.cache as usize,
+            doc: DocId(record.doc as usize),
+        }
+    }
+
+    /// The materialized trace's requests at `members`, localized, in
+    /// trace order.
+    fn filtered(full: &[TraceEvent], members: &[CacheId]) -> Vec<Request> {
         full.iter()
             .filter_map(|event| match event {
                 TraceEvent::Request(r) => members
                     .iter()
                     .position(|m| m.index() == r.cache)
-                    .map(|local| TraceEvent::Request(Request { cache: local, ..*r })),
-                TraceEvent::Update(u) => Some(TraceEvent::Update(*u)),
+                    .map(|local| Request { cache: local, ..*r }),
+                TraceEvent::Update(_) => None,
             })
             .collect()
     }
 
-    /// [`order_requests`] with buffers of its own.
+    /// [`order_requests`] with buffers of its own, read back.
     fn bucketed(requests: &[Request], members: &[CacheId], duration_ms: f64) -> Vec<Request> {
-        let mut out = vec![PLACEHOLDER; requests.len()];
+        let mut out = vec![Record::default(); 3];
         order_requests(requests, members, duration_ms, &mut vec![7; 5], &mut out);
-        out.into_iter()
-            .map(|event| match event {
-                TraceEvent::Request(r) => r,
-                TraceEvent::Update(_) => panic!("an update among the ordered requests"),
-            })
-            .collect()
+        out.iter().map(request_of).collect()
     }
 
     /// The comparison sort's order of `requests`.
@@ -403,13 +378,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
+        /// A group's buffer holds its members' requests — localized, in
+        /// the materialized trace's order — and nothing of the update
+        /// log, whose records every group shares.
         #[test]
         fn member_subtrace_is_the_materialized_subsequence(
             seed in any::<u64>(),
             caches in 1usize..14,
             rate in 0.1f64..20.0,
             flash in any::<bool>(),
-            sorted_log in any::<bool>(),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let cat = catalog(150);
@@ -424,42 +401,23 @@ mod tests {
             }
             let master: u64 = rng.gen();
             let zipf = ZipfSampler::new(cat.len(), cfg.zipf_exponent_value());
-
-            // Update instants: some arbitrary, some landing exactly on a
-            // request instant (of a member or not), where the update
-            // must come first.
-            let requests = cfg.generate_with_master(&cat, caches, duration_ms, master);
-            let mut updates: Vec<Update> = (0..rng.gen_range(0..12))
+            let updates: Vec<Update> = (0..rng.gen_range(0..12))
                 .map(|_| Update {
                     time_ms: rng.gen_range(0.0..duration_ms * 1.2),
                     doc: DocId(rng.gen_range(0..cat.len())),
                 })
                 .collect();
-            if !requests.is_empty() {
-                for _ in 0..rng.gen_range(0..4) {
-                    updates.push(Update {
-                        time_ms: requests[rng.gen_range(0..requests.len())].time_ms,
-                        doc: DocId(rng.gen_range(0..cat.len())),
-                    });
-                }
-            }
-            // In time order, as generated — or not: the merge decides
-            // step by step, as the eager one does.
-            if sorted_log {
-                updates.sort_by(|a, b| a.time_ms.partial_cmp(&b.time_ms).expect("finite"));
-            } else {
-                updates.reverse();
-            }
 
             let workload = StreamedWorkload::new(cfg, master, duration_ms).updates(&updates);
             let full = workload.materialize_trace(&cat, caches);
             // Two member subsets in arbitrary (non-ascending) order, one
             // after the other in the same buffers.
-            let mut buffers = SubtraceBuffers::default();
+            let mut buffers = RequestBuffers::default();
             for _ in 0..2 {
                 let members = shuffled_members(caches, &mut rng);
-                let sub = member_subtrace(&workload, &zipf, &members, &mut buffers);
-                prop_assert_eq!(sub, &filtered(&full, &members)[..]);
+                let lane = member_requests(&workload, &zipf, &members, &mut buffers);
+                let requests: Vec<Request> = lane.iter().map(request_of).collect();
+                prop_assert_eq!(requests, filtered(&full, &members));
             }
         }
 
@@ -584,25 +542,6 @@ mod tests {
         let took = start.elapsed();
         assert_eq!(ordered, sorted(&burst, &members));
         assert!(took.as_millis() < 500, "{took:?}");
-    }
-
-    #[test]
-    fn trailing_updates_survive_the_merge() {
-        let cat = catalog(20);
-        let cfg = RequestConfig::default().rate_per_sec_per_cache(1.0);
-        let updates = vec![Update {
-            time_ms: 900_000.0,
-            doc: DocId(1),
-        }];
-        let workload = StreamedWorkload::new(cfg, 7, 1_000.0).updates(&updates);
-        let zipf = ZipfSampler::new(cat.len(), cfg.zipf_exponent_value());
-        let mut buffers = SubtraceBuffers::default();
-        let sub = member_subtrace(&workload, &zipf, &[CacheId(0)], &mut buffers);
-        assert_eq!(
-            sub.last(),
-            Some(&TraceEvent::Update(updates[0])),
-            "update after the last request must still be delivered"
-        );
     }
 
     #[test]

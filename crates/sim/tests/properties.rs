@@ -4,7 +4,7 @@ use ecg_cache::PolicyKind;
 use ecg_obs::Obs;
 use ecg_sim::{
     simulate, simulate_epochs, simulate_time_major, EpochReplayError, FaultKind, FaultSchedule,
-    FreshnessProtocol, GroupMap, LatencyModel, PeerLookup, PlacementKind, ReplayEpoch, RunContext,
+    FreshnessProtocol, GroupMap, LatencyModel, Lookup, PlacementKind, ReplayEpoch, RunContext,
     SimConfig, SimError, SimPlan, SimReport, StreamedWorkload,
 };
 use ecg_topology::{CacheId, EdgeNetwork, RttMatrix};
@@ -289,7 +289,7 @@ fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
     let sub_matrix = 8 * ((caches + 1) * (caches + 1)) as u64;
     // Two lanes of 128 records of 24 bytes.
     let record_block = 2 * 128 * 24;
-    let sparse = || RunContext::serial().force_layout(false);
+    let sparse = || RunContext::serial().force_lookup(Lookup::Ranked);
     let (cold, cold_bytes) = allocated_by(|| simulate(&plan, &in_order, &mut sparse()).unwrap());
     assert_eq!(cold, oracle);
     let extra = cold_bytes - oracle_bytes;
@@ -375,7 +375,7 @@ fn a_reused_group_store_is_a_fresh_one() {
     };
     let pairs = shuffled_partition(25, caches, 6);
     let one = shaped_partition(1, 0, caches);
-    // (plan, grouping, forced layout): one group and several, dense by
+    // (plan, grouping, forced lookup): one group and several, dense by
     // the rule and forced either way, faulted and not, streamed.
     let cases = [
         (
@@ -386,12 +386,12 @@ fn a_reused_group_store_is_a_fresh_one() {
         (
             SimPlan::new(rtt, &cat, &trace).config(config(24 << 10, PolicyKind::Gdsf)),
             &pairs,
-            Some(true),
+            Some(Lookup::NearestFirst),
         ),
         (
             SimPlan::new(rtt, &cat, &trace).config(config(64 << 10, PolicyKind::Lru)),
             &pairs,
-            Some(false),
+            Some(Lookup::Ranked),
         ),
         (
             SimPlan::new(rtt, &cat, &trace)
@@ -405,7 +405,7 @@ fn a_reused_group_store_is_a_fresh_one() {
                 .config(config(48 << 10, PolicyKind::Lfu))
                 .faults(&crashes),
             &one,
-            Some(true),
+            Some(Lookup::NearestFirst),
         ),
         (
             SimPlan::streamed(rtt, &cat, &workload).config(config(40 << 10, PolicyKind::Utility)),
@@ -418,7 +418,7 @@ fn a_reused_group_store_is_a_fresh_one() {
             None,
         ),
     ];
-    let run = |(plan, groups, forced): &(SimPlan<'_>, &GroupMap, Option<bool>), pooled: bool| {
+    let run = |(plan, groups, forced): &(SimPlan<'_>, &GroupMap, Option<Lookup>), pooled: bool| {
         plain_and_observed(|obs| {
             let ctx = if pooled {
                 RunContext::pooled()
@@ -426,7 +426,7 @@ fn a_reused_group_store_is_a_fresh_one() {
                 RunContext::serial()
             };
             let ctx = match forced {
-                Some(dense) => ctx.force_layout(*dense),
+                Some(lookup) => ctx.force_lookup(*lookup),
                 None => ctx,
             };
             simulate(plan, groups, &mut ctx.observe(obs))
@@ -684,54 +684,56 @@ proptest! {
                 PlacementKind::adaptive(),
                 PlacementKind::d_choices(),
             ] {
-                for lookup in [PeerLookup::HolderIndex, PeerLookup::ScanAll] {
-                    let config = SimConfig::default()
-                        .cache_capacity_bytes(96 << 10)
-                        .warmup_ms(duration / 8.0)
-                        .freshness(freshness)
-                        .placement(placement)
-                        .peer_lookup(lookup);
-                    let rtt = net.rtt_matrix();
-                    let sources = [
-                        (SimPlan::new(rtt, &cat, &trace), &trace),
-                        (SimPlan::streamed(rtt, &cat, &workload), &streamed_trace),
-                    ];
-                    for (plan, materialized) in sources {
-                        let plan = plan.config(config).faults(&schedule);
-                        let reference =
-                            oracle(&net, &groups, &cat, materialized, config, &schedule);
-                        for (context, outcome) in every_context(&plan, &groups) {
-                            prop_assert_eq!(
-                                &outcome, &reference,
-                                "{} diverged under {:?} / {:?} / {:?}",
-                                context, freshness, placement, lookup
-                            );
-                        }
+                let config = SimConfig::default()
+                    .cache_capacity_bytes(96 << 10)
+                    .warmup_ms(duration / 8.0)
+                    .freshness(freshness)
+                    .placement(placement);
+                let rtt = net.rtt_matrix();
+                let sources = [
+                    (SimPlan::new(rtt, &cat, &trace), &trace),
+                    (SimPlan::streamed(rtt, &cat, &workload), &streamed_trace),
+                ];
+                for (plan, materialized) in sources {
+                    let plan = plan.config(config).faults(&schedule);
+                    let reference =
+                        oracle(&net, &groups, &cat, materialized, config, &schedule);
+                    for (context, outcome) in every_context(&plan, &groups) {
+                        prop_assert_eq!(
+                            &outcome, &reference,
+                            "{} diverged under {:?} / {:?}",
+                            context, freshness, placement
+                        );
                     }
-                    // Timelines, over the materialized trace.
-                    let plan = SimPlan::new(rtt, &cat, &trace).config(config).faults(&schedule);
-                    let timeline = |epochs: &[ReplayEpoch], pooled: bool| {
-                        plain_and_observed(|obs| {
-                            let context =
-                                if pooled { RunContext::pooled() } else { RunContext::serial() };
-                            simulate_epochs(&plan, epochs, &mut context.observe(obs)).map_err(
-                                |e| match e {
-                                    EpochReplayError::Sim(e) => e,
-                                    other => panic!("valid timeline rejected: {other}"),
-                                },
-                            )
-                        })
-                    };
-                    let flat = serial(&plan, &groups);
-                    prop_assert_eq!(&timeline(&one_epoch, false), &flat);
-                    prop_assert_eq!(&timeline(&one_epoch, true), &flat);
-                    let on_this_thread = timeline(&three_epochs, false);
-                    for threads in [1usize, 2, 8] {
-                        ecg_par::set_max_threads(Some(threads));
-                        let pooled = timeline(&three_epochs, true);
-                        ecg_par::set_max_threads(None);
-                        prop_assert_eq!(&pooled, &on_this_thread, "{} threads", threads);
-                    }
+                    // The reference scan, through the hook: the same
+                    // report (its document counts no holder work).
+                    let mut scan = RunContext::serial().force_lookup(Lookup::Scan);
+                    let scanned = simulate(&plan, &groups, &mut scan);
+                    prop_assert_eq!(scanned, reference.map(|(report, _)| report));
+                }
+                // Timelines, over the materialized trace.
+                let plan = SimPlan::new(rtt, &cat, &trace).config(config).faults(&schedule);
+                let timeline = |epochs: &[ReplayEpoch], pooled: bool| {
+                    plain_and_observed(|obs| {
+                        let context =
+                            if pooled { RunContext::pooled() } else { RunContext::serial() };
+                        simulate_epochs(&plan, epochs, &mut context.observe(obs)).map_err(
+                            |e| match e {
+                                EpochReplayError::Sim(e) => e,
+                                other => panic!("valid timeline rejected: {other}"),
+                            },
+                        )
+                    })
+                };
+                let flat = serial(&plan, &groups);
+                prop_assert_eq!(&timeline(&one_epoch, false), &flat);
+                prop_assert_eq!(&timeline(&one_epoch, true), &flat);
+                let on_this_thread = timeline(&three_epochs, false);
+                for threads in [1usize, 2, 8] {
+                    ecg_par::set_max_threads(Some(threads));
+                    let pooled = timeline(&three_epochs, true);
+                    ecg_par::set_max_threads(None);
+                    prop_assert_eq!(&pooled, &on_this_thread, "{} threads", threads);
                 }
             }
         }
@@ -805,13 +807,13 @@ proptest! {
                 for (plan, materialized) in sources {
                     let plan = plan.config(config).faults(&schedule);
                     let reference = oracle(&net, &groups, &cat, materialized, config, &schedule);
-                    for forced in [Some(true), Some(false), None] {
+                    for forced in [Some(Lookup::NearestFirst), Some(Lookup::Ranked), None] {
                         for pooled in [false, true] {
                             let mut dense_shards = 0;
                             let outcome = plain_and_observed(|obs| {
                                 let ctx = if pooled { RunContext::pooled() } else { RunContext::serial() };
                                 let mut ctx = match forced {
-                                    Some(dense) => ctx.force_layout(dense),
+                                    Some(lookup) => ctx.force_lookup(lookup),
                                     None => ctx,
                                 }
                                 .observe(obs);
@@ -825,8 +827,10 @@ proptest! {
                                 forced, pooled, freshness, placement
                             );
                             match forced {
-                                Some(true) => prop_assert_eq!(dense_shards, groups.group_count()),
-                                Some(false) => prop_assert_eq!(dense_shards, 0),
+                                Some(Lookup::NearestFirst) => {
+                                    prop_assert_eq!(dense_shards, groups.group_count())
+                                }
+                                Some(_) => prop_assert_eq!(dense_shards, 0),
                                 None => {}
                             }
                         }
@@ -979,12 +983,17 @@ proptest! {
                     .cache_capacity_bytes(96 << 10)
                     .freshness(freshness)
                     .placement(placement);
-                let run = |lookup| {
+                let run = |forced: Option<Lookup>| {
                     let mut obs = Obs::new();
                     let plan = SimPlan::new(net.rtt_matrix(), &cat, &trace)
-                        .config(base.peer_lookup(lookup))
+                        .config(base)
                         .faults(&schedule);
-                    let mut ctx = RunContext::serial().observe(Some(&mut obs));
+                    let ctx = RunContext::serial();
+                    let ctx = match forced {
+                        Some(lookup) => ctx.force_lookup(lookup),
+                        None => ctx,
+                    };
+                    let mut ctx = ctx.observe(Some(&mut obs));
                     let report = simulate(&plan, &groups, &mut ctx).unwrap();
                     let sim = |name: &str| obs.metrics.counter(&format!("sim.{name}"));
                     let holder = [
@@ -995,8 +1004,8 @@ proptest! {
                     (report, holder, sim("peer_hits"), sim("coop_misses"))
                 };
                 let (indexed, [group_checks, ruled_out, bit_tests], peer_hits, coop_misses) =
-                    run(PeerLookup::HolderIndex);
-                let (scanned, scan_counters, ..) = run(PeerLookup::ScanAll);
+                    run(None);
+                let (scanned, scan_counters, ..) = run(Some(Lookup::Scan));
                 prop_assert_eq!(
                     &indexed,
                     &scanned,
