@@ -102,10 +102,21 @@ impl Variant {
 }
 
 /// One (K-means engine, nearest-center engine) combination to sweep.
+/// The nearest-center engine is forced through the scheme's hidden
+/// hook, whatever k is, so the sweep can time each engine on every k.
 #[derive(Clone, Copy)]
 struct Engine {
     variant: Variant,
     assign: AssignMode,
+}
+
+impl Engine {
+    fn assign_name(self) -> &'static str {
+        match self.assign {
+            AssignMode::Blocked => "blocked",
+            AssignMode::Tree => "tree",
+        }
+    }
 }
 
 struct RunResult {
@@ -159,7 +170,7 @@ fn run_formation(
     .landmarks(LANDMARKS)
     .plset_multiplier(PLSET_MULTIPLIER)
     .kmeans_max_iterations(KMEANS_ITERS)
-    .kmeans_assign(engine.assign);
+    .force_assign(engine.assign);
     if engine.variant == Variant::MiniBatch {
         config = config.kmeans_variant(KmeansVariant::MiniBatch(mb));
     }
@@ -194,7 +205,8 @@ fn run_formation(
         .select(points, k, &mut StdRng::seed_from_u64(n as u64))
         .expect("seeding draw");
     let seed_ms = ms(t);
-    let tabled = engine.variant == Variant::Lloyd && engine.assign.uses_tree(k) && k > NEIGHBOURS;
+    let tabled =
+        engine.variant == Variant::Lloyd && engine.assign == AssignMode::Tree && k > NEIGHBOURS;
     let (neighbour_build_ms, neighbour_share) = if tabled {
         let centers = formed.outcome.centers();
         let tree = CenterTree::new(centers);
@@ -223,7 +235,7 @@ fn run_formation(
     RunResult {
         scheme: scheme.name(),
         variant: engine.variant.name(),
-        assign: engine.assign.name(),
+        assign: engine.assign_name(),
         n,
         threads,
         k,
@@ -405,7 +417,7 @@ fn run() -> Result<(), String> {
                         .find(|r| {
                             r.scheme == scheme.name()
                                 && r.variant == engine.variant.name()
-                                && r.assign == engine.assign.name()
+                                && r.assign == engine.assign_name()
                                 && r.n == n
                                 && r.k == k
                                 && r.threads == threads
@@ -422,7 +434,7 @@ fn run() -> Result<(), String> {
                         "{}_{}_{}_n{n}{k_axis}_t{max_threads}",
                         scheme.name(),
                         engine.variant.name(),
-                        engine.assign.name(),
+                        engine.assign_name(),
                     ),
                     time_at(1) / time_at(max_threads),
                 ));

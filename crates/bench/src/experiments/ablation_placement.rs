@@ -7,7 +7,7 @@
 //! documents crowd out the rest of the catalog, so the *group* hit rate
 //! falls even as local hit rates look healthy. This experiment pits the
 //! single-holder baseline against two replica-aware placement policies
-//! (`ecg-place`): Leconte-style adaptive replication (replicate only
+//! (`ecg_sim::place`): Leconte-style adaptive replication (replicate only
 //! documents whose decayed request rate clears a promote threshold) and
 //! Pourmiri-style proximity-aware power-of-d-choices (one balanced copy
 //! per document, placed on the least-loaded of d RTT-weighted samples).

@@ -127,7 +127,7 @@ pub fn kmeans_capped<R: Rng + ?Sized>(
             .filter(|(a, b)| a != b)
             .count();
         assignments = next;
-        if reassigned <= config.threshold() {
+        if reassigned == 0 {
             converged = true;
             break;
         }

@@ -12,8 +12,8 @@
 //! center rows stay in L1/L2 and the inner loop auto-vectorizes across
 //! centers — or, at large k, through the KD-tree over centers in
 //! [`crate::tree`], whose branch-and-bound query returns the identical
-//! triple while visiting only a few tiles (see [`AssignMode`]). The
-//! Lloyd loop uses
+//! triple while visiting only a few tiles (from
+//! [`crate::TREE_AUTO_MIN_K`] centers up). The Lloyd loop uses
 //! Hamerly-style upper/lower distance bounds ("Making k-means even
 //! faster", SDM 2010) to skip the k-way scan for points whose assignment
 //! provably cannot change; every surviving candidate is settled with
@@ -37,7 +37,7 @@
 //! order to preserve exact equality with [`kmeans_reference`].
 
 use crate::init::Initializer;
-use crate::tree::{AssignMode, CenterScanner};
+use crate::tree::{AssignMode, CenterScanner, TREE_AUTO_MIN_K};
 use ecg_coords::FeatureMatrix;
 use ecg_obs::Obs;
 use rand::Rng;
@@ -60,22 +60,21 @@ pub(crate) fn sq_l2(a: &[f64], b: &[f64]) -> f64 {
 /// ```
 /// use ecg_clustering::KmeansConfig;
 ///
-/// let cfg = KmeansConfig::new(3).max_iterations(50).reassignment_threshold(1);
+/// let cfg = KmeansConfig::new(3).max_iterations(50);
 /// assert_eq!(cfg.k(), 3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KmeansConfig {
     k: usize,
     max_iterations: usize,
-    reassignment_threshold: usize,
-    assign: AssignMode,
+    forced_assign: Option<AssignMode>,
 }
 
 impl KmeansConfig {
     /// Creates a configuration for `k` clusters with the defaults the
-    /// experiments use: at most 100 iterations, terminating once an
-    /// iteration reassigns no points (the paper's "number of caches
-    /// reassigned becomes minimal" condition with minimal = 0).
+    /// experiments use: at most 100 iterations. Every variant stops
+    /// once an iteration reassigns no points (the paper's "number of
+    /// caches reassigned becomes minimal" condition with minimal = 0).
     ///
     /// # Panics
     ///
@@ -85,8 +84,7 @@ impl KmeansConfig {
         KmeansConfig {
             k,
             max_iterations: 100,
-            reassignment_threshold: 0,
-            assign: AssignMode::default(),
+            forced_assign: None,
         }
     }
 
@@ -96,19 +94,12 @@ impl KmeansConfig {
         self
     }
 
-    /// Sets the termination threshold: the loop stops as soon as an
-    /// iteration reassigns at most this many points.
-    pub fn reassignment_threshold(mut self, threshold: usize) -> Self {
-        self.reassignment_threshold = threshold;
-        self
-    }
-
-    /// Selects the nearest-center engine for the assignment scans:
-    /// the flat blocked kernel, the KD-tree over centers, or (the
-    /// default) automatic selection on k. All modes produce
-    /// bit-identical clusterings — see [`crate::tree`].
-    pub fn assign(mut self, mode: AssignMode) -> Self {
-        self.assign = mode;
+    /// Runs every assignment scan on `engine`, whatever k is: the
+    /// hook the tree == blocked tests reach both engines through. The
+    /// clustering is the same bits either way.
+    #[doc(hidden)]
+    pub fn force_assign(mut self, engine: AssignMode) -> Self {
+        self.forced_assign = Some(engine);
         self
     }
 
@@ -117,19 +108,18 @@ impl KmeansConfig {
         self.k
     }
 
-    /// The configured nearest-center engine.
-    pub fn assign_mode(&self) -> AssignMode {
-        self.assign
+    /// Whether the assignment scans run on the KD-tree: from
+    /// [`TREE_AUTO_MIN_K`] centers up unless an engine is forced.
+    pub(crate) fn uses_tree(&self) -> bool {
+        match self.forced_assign {
+            None => self.k >= TREE_AUTO_MIN_K,
+            Some(engine) => engine == AssignMode::Tree,
+        }
     }
 
     /// The iteration cap.
     pub fn iteration_cap(&self) -> usize {
         self.max_iterations
-    }
-
-    /// The reassignment termination threshold.
-    pub fn threshold(&self) -> usize {
-        self.reassignment_threshold
     }
 }
 
@@ -175,8 +165,8 @@ impl Clustering {
         self.iterations
     }
 
-    /// Whether the reassignment threshold was reached before the
-    /// iteration cap.
+    /// Whether an iteration reassigned no point before the iteration
+    /// cap.
     pub fn converged(&self) -> bool {
         self.converged
     }
@@ -203,16 +193,6 @@ impl Clustering {
             sizes[c] += 1;
         }
         sizes
-    }
-
-    /// Within-cluster sum of squared distances to centers — the K-means
-    /// objective value for this clustering.
-    pub fn inertia(&self, points: &FeatureMatrix) -> f64 {
-        self.assignments
-            .iter()
-            .zip(points.iter_rows())
-            .map(|(&c, p)| sq_l2(p, self.centers.row(c)))
-            .sum()
     }
 }
 
@@ -250,8 +230,7 @@ impl std::error::Error for KmeansError {}
 ///    every point is assigned to its nearest seed.
 /// 2. **Iteration** — recompute each cluster's mean vector, then
 ///    re-assign every point to its nearest center; repeat until an
-///    iteration reassigns no more than the configured threshold or the
-///    iteration cap is reached.
+///    iteration reassigns no point or the iteration cap is reached.
 /// 3. **Empty-cluster repair** — a cluster left empty by re-assignment is
 ///    re-seeded on the point currently farthest from its own center, so
 ///    exactly `k` non-empty groups come out.
@@ -331,11 +310,11 @@ pub fn kmeans_observed<R: Rng + ?Sized>(
         centers.push_row(points.row(i));
     }
 
-    // Centers staged on the configured nearest-center engine: the
+    // Centers staged on the nearest-center engine for this k: the
     // blocked kernel ([`crate::blocked`]) or the KD-tree over centers
     // ([`crate::tree`]). Both return bit-identical (best, d², second
     // d²) triples, so the engine choice moves wall-clock only.
-    let mut scanner = CenterScanner::stage(&centers, config.assign);
+    let mut scanner = CenterScanner::stage(&centers, config.uses_tree());
 
     let mut assignments = vec![0usize; n];
     // Hamerly bounds, in the metric (sqrt) domain where the triangle
@@ -499,7 +478,7 @@ pub fn kmeans_observed<R: Rng + ?Sized>(
             }
             o.trace.push(iterations as f64, "kmeans", "iter", fields);
         }
-        if reassigned <= config.reassignment_threshold {
+        if reassigned == 0 {
             converged = true;
             break;
         }
@@ -580,7 +559,7 @@ pub fn kmeans_reference<R: Rng + ?Sized>(
                 reassigned += 1;
             }
         }
-        if reassigned <= config.reassignment_threshold {
+        if reassigned == 0 {
             converged = true;
             break;
         }
@@ -926,28 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn inertia_never_increases_with_more_clusters() {
-        let pts = three_blobs();
-        let best_inertia = |k: usize| -> f64 {
-            (0..5)
-                .map(|seed| {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    kmeans(
-                        &pts,
-                        KmeansConfig::new(k),
-                        &Initializer::RandomRepresentative,
-                        &mut rng,
-                    )
-                    .unwrap()
-                    .inertia(&pts)
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
-        assert!(best_inertia(3) <= best_inertia(2) + 1e-9);
-        assert!(best_inertia(2) <= best_inertia(1) + 1e-9);
-    }
-
-    #[test]
     fn provided_initializer_is_deterministic() {
         let pts = three_blobs();
         let run = || {
@@ -1062,6 +1019,17 @@ mod tests {
     #[should_panic(expected = "at least one cluster")]
     fn zero_k_rejected() {
         let _ = KmeansConfig::new(0);
+    }
+
+    #[test]
+    fn k_picks_the_engine_unless_one_is_forced() {
+        assert!(!KmeansConfig::new(TREE_AUTO_MIN_K - 1).uses_tree());
+        assert!(KmeansConfig::new(TREE_AUTO_MIN_K).uses_tree());
+        let huge = KmeansConfig::new(1_000_000);
+        assert!(!huge.force_assign(AssignMode::Blocked).uses_tree());
+        assert!(KmeansConfig::new(1)
+            .force_assign(AssignMode::Tree)
+            .uses_tree());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   [`server_distance_weights`]), k-means++ (ablation), or explicit
 //!   seeds.
 //! * [`quality`] — average group interaction cost (the paper's accuracy
-//!   metric), silhouettes, size stats.
+//!   metric).
 //! * [`hierarchical`] — agglomerative clustering over raw dissimilarity
 //!   matrices, used as an ablation baseline.
 //!
@@ -19,9 +19,9 @@
 //! kernels in the Lloyd loop stream over flat memory. [`kmeans()`] also
 //! prunes re-assignment scans with Hamerly-style distance bounds while
 //! producing output identical to the retained naive implementation
-//! [`kmeans_reference()`]; at large k the surviving scans route through
-//! the KD-tree over centers in [`tree`] (see [`AssignMode`]), still bit
-//! identical.
+//! [`kmeans_reference()`]; from [`TREE_AUTO_MIN_K`] centers up the
+//! surviving scans route through the KD-tree over centers in [`tree`],
+//! still bit identical.
 //!
 //! # Examples
 //!
@@ -55,7 +55,6 @@ pub mod kmeans;
 pub mod masked;
 pub mod medoids;
 pub mod minibatch;
-pub mod model_selection;
 pub mod quality;
 pub mod tree;
 
@@ -69,11 +68,7 @@ pub use kmeans::{
 pub use masked::{kmeans_masked, kmeans_masked_observed, masked_sq_l2};
 pub use medoids::{pam, Medoids};
 pub use minibatch::{kmeans_minibatch, kmeans_variant, KmeansVariant, MiniBatchConfig};
-pub use model_selection::{suggest_k, KSelection};
-pub use quality::{
-    average_group_interaction_cost, euclidean_cost, group_interaction_cost, group_size_stats,
-    mean_silhouette,
-};
-pub use tree::{
-    take_tree_build_ms, AssignMode, CenterTree, NeighbourTiles, NEIGHBOURS, TREE_AUTO_MIN_K,
-};
+pub use quality::{average_group_interaction_cost, group_interaction_cost};
+#[doc(hidden)]
+pub use tree::AssignMode;
+pub use tree::{take_tree_build_ms, CenterTree, NeighbourTiles, NEIGHBOURS, TREE_AUTO_MIN_K};

@@ -158,7 +158,7 @@ pub fn kmeans_masked_observed<R: Rng + ?Sized>(
             o.metrics.inc("kmeans.iterations");
             o.metrics.add("kmeans.reassigned", reassigned as u64);
         }
-        if reassigned <= config.threshold() {
+        if reassigned == 0 {
             converged = true;
             break;
         }

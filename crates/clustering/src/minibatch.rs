@@ -21,8 +21,8 @@
 //!   on the seed and the iteration number — never on thread count.
 //! * **Assignment** of the batch fans out over fixed
 //!   [`ecg_par::chunk_ranges`] chunks (shared immutable centers —
-//!   blocked kernel or center tree per the configured
-//!   [`crate::AssignMode`], bit-identical either way — and per-slot
+//!   blocked kernel or center tree by k, bit-identical either way —
+//!   and per-slot
 //!   writes) and is reassembled in input order.
 //! * **The Sculley update** (`counts[c] += 1; η = 1/counts[c];
 //!   c += η·(p − c)`) is inherently order-sensitive in f64, so it runs
@@ -194,7 +194,7 @@ pub fn kmeans_minibatch<R: Rng + ?Sized>(
     // so sampling is independent of thread count.
     let master: u64 = rng.gen();
 
-    let mut scanner = CenterScanner::stage(&centers, config.assign_mode());
+    let mut scanner = CenterScanner::stage(&centers, config.uses_tree());
     let mut counts = vec![0usize; k];
     let mut batch = Vec::with_capacity(mb.batch_size);
     for iteration in 0..mb.iterations {

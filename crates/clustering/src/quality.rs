@@ -3,38 +3,14 @@
 //! The paper's headline accuracy metric is the **average group
 //! interaction cost** (§2): the interaction cost of a group is the mean
 //! pairwise cost between its members, and the network-wide figure is the
-//! mean over groups. This module computes that plus standard clustering
-//! diagnostics (within-cluster scatter, silhouette) used by the ablation
-//! benches.
+//! mean over groups.
 //!
 //! The O(Σ|g|²) pairwise sums fan out across [`ecg_par`] workers with
-//! the crate's standing determinism contract: each order-sensitive f64
-//! chain (a group's pairwise sum, a point's silhouette) is computed
-//! whole inside one work item, and the cross-item reduction folds the
-//! returned values sequentially in input order — so every metric here
-//! is bit-identical to its original sequential loop at any thread
-//! count.
-
-use crate::kmeans::sq_l2;
-use ecg_coords::FeatureMatrix;
-
-/// Euclidean pairwise cost over a [`FeatureMatrix`]: `cost(a, b)` is the
-/// L2 distance between rows `a` and `b`. Plugs flat point storage
-/// straight into the closure-based metrics in this module without
-/// materializing per-pair vectors.
-///
-/// # Examples
-///
-/// ```
-/// use ecg_clustering::{euclidean_cost, FeatureMatrix};
-///
-/// let m = FeatureMatrix::from_rows(&[vec![0.0, 0.0], vec![3.0, 4.0]]);
-/// let cost = euclidean_cost(&m);
-/// assert_eq!(cost(0, 1), 5.0);
-/// ```
-pub fn euclidean_cost(points: &FeatureMatrix) -> impl Fn(usize, usize) -> f64 + '_ {
-    |a, b| sq_l2(points.row(a), points.row(b)).sqrt()
-}
+//! the crate's standing determinism contract: each group's
+//! order-sensitive f64 pairwise sum is computed whole inside one work
+//! item, and the cross-item reduction folds the returned values
+//! sequentially in group order — so the metric is bit-identical to its
+//! sequential loop at any thread count.
 
 /// Group interaction cost of one group: the mean of `cost(a, b)` over all
 /// unordered member pairs (§2's `GICost`).
@@ -76,82 +52,6 @@ pub fn average_group_interaction_cost(
         group_interaction_cost(g, &cost)
     });
     per_group.into_iter().sum::<f64>() / groups.len() as f64
-}
-
-/// Mean silhouette coefficient of a clustering under an arbitrary
-/// dissimilarity, in `[-1, 1]`; higher is better.
-///
-/// Points in singleton clusters contribute a silhouette of zero (the
-/// standard convention). Returns `0.0` when there are fewer than two
-/// clusters or fewer than two points.
-pub fn mean_silhouette(groups: &[Vec<usize>], cost: impl Fn(usize, usize) -> f64 + Sync) -> f64 {
-    let total: usize = groups.iter().map(Vec::len).sum();
-    if groups.len() < 2 || total < 2 {
-        return 0.0;
-    }
-    // One work item per point, in (group, member) order. Each point's
-    // O(total) silhouette runs whole inside its item; `None` marks the
-    // points the sequential loop skipped (singletons, no finite `b`,
-    // zero denominator), so the ordered fold below performs exactly the
-    // same f64 additions in the same order as the original single loop.
-    let pairs: Vec<(usize, usize)> = groups
-        .iter()
-        .enumerate()
-        .flat_map(|(gi, group)| group.iter().map(move |&p| (gi, p)))
-        .collect();
-    let contributions: Vec<Vec<Option<f64>>> = ecg_par::par_chunk_map(pairs.len(), |range| {
-        pairs[range]
-            .iter()
-            .map(|&(gi, p)| {
-                let group = &groups[gi];
-                if group.len() < 2 {
-                    return None; // silhouette 0 for singletons
-                }
-                // a = mean intra-cluster dissimilarity.
-                let a = group
-                    .iter()
-                    .filter(|&&q| q != p)
-                    .map(|&q| cost(p, q))
-                    .sum::<f64>()
-                    / (group.len() - 1) as f64;
-                // b = min over other clusters of mean dissimilarity.
-                let mut b = f64::INFINITY;
-                for (gj, other) in groups.iter().enumerate() {
-                    if gj == gi || other.is_empty() {
-                        continue;
-                    }
-                    let mean = other.iter().map(|&q| cost(p, q)).sum::<f64>() / other.len() as f64;
-                    b = b.min(mean);
-                }
-                if b.is_finite() {
-                    let denom = a.max(b);
-                    if denom > 0.0 {
-                        return Some((b - a) / denom);
-                    }
-                }
-                None
-            })
-            .collect()
-    });
-    let mut sum = 0.0;
-    for s in contributions.into_iter().flatten().flatten() {
-        sum += s;
-    }
-    sum / total as f64
-}
-
-/// Size statistics of a group set: (min, mean, max) member counts.
-///
-/// Returns `(0, 0.0, 0)` for an empty group set.
-pub fn group_size_stats(groups: &[Vec<usize>]) -> (usize, f64, usize) {
-    if groups.is_empty() {
-        return (0, 0.0, 0);
-    }
-    let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
-    let min = *sizes.iter().min().expect("non-empty");
-    let max = *sizes.iter().max().expect("non-empty");
-    let mean = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
-    (min, mean, max)
 }
 
 #[cfg(test)]
@@ -197,46 +97,5 @@ mod tests {
             average_group_interaction_cost(&good, line_cost)
                 < average_group_interaction_cost(&bad, line_cost)
         );
-    }
-
-    #[test]
-    fn silhouette_high_for_separated_clusters() {
-        let groups = vec![vec![0, 1, 2], vec![100, 101, 102]];
-        let s = mean_silhouette(&groups, line_cost);
-        assert!(s > 0.9, "silhouette {s}");
-    }
-
-    #[test]
-    fn silhouette_low_for_shuffled_clusters() {
-        let groups = vec![vec![0, 100, 2], vec![1, 101, 102]];
-        let s = mean_silhouette(&groups, line_cost);
-        assert!(s < 0.5, "silhouette {s}");
-    }
-
-    #[test]
-    fn silhouette_degenerate_cases() {
-        assert_eq!(mean_silhouette(&[], line_cost), 0.0);
-        assert_eq!(mean_silhouette(&[vec![1, 2, 3]], line_cost), 0.0);
-        // Singletons contribute zero.
-        let s = mean_silhouette(&[vec![0], vec![9]], line_cost);
-        assert_eq!(s, 0.0);
-    }
-
-    #[test]
-    fn euclidean_cost_matches_l2() {
-        let m = FeatureMatrix::from_rows(&[vec![0.0, 0.0], vec![3.0, 4.0], vec![3.0, 0.0]]);
-        let cost = euclidean_cost(&m);
-        assert_eq!(cost(0, 1), 5.0);
-        assert_eq!(cost(0, 2), 3.0);
-        assert_eq!(cost(1, 1), 0.0);
-        // Symmetric, so the closure-based metrics behave.
-        assert_eq!(cost(1, 2), cost(2, 1));
-    }
-
-    #[test]
-    fn size_stats() {
-        let groups = vec![vec![1], vec![2, 3], vec![4, 5, 6]];
-        assert_eq!(group_size_stats(&groups), (1, 2.0, 3));
-        assert_eq!(group_size_stats(&[]), (0, 0.0, 0));
     }
 }

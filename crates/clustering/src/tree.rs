@@ -160,7 +160,7 @@ use ecg_coords::{FeatureMatrix, LANE_WIDTH};
 use std::cell::Cell;
 use std::time::Instant;
 
-/// Below this k, [`AssignMode::Auto`] stays on the flat blocked scan:
+/// Below this k the assignment scans stay on the flat blocked scan:
 /// a tree over a handful of centers costs more in traversal overhead
 /// than the scan it replaces (the paper-scale experiments run k ≤ 40).
 /// Set by a sweep of Lloyd K-means time over k ∈ {16 … 200} at
@@ -169,55 +169,19 @@ use std::time::Instant;
 /// k = 50 it is level at N = 5k, and below that it loses.
 pub const TREE_AUTO_MIN_K: usize = 64;
 
-/// Which nearest-center engine the assignment scans use.
-///
-/// All three produce bit-identical clusterings (the tree's exactness
-/// contract is the point of [`CenterTree`]); the mode only moves
-/// wall-clock. `Auto` — the default — picks the tree once k reaches
-/// [`TREE_AUTO_MIN_K`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// A nearest-center engine forced on the assignment scans, whatever
+/// k is: the hook the engine-equality tests and `bench_scale`'s
+/// crossover sweep reach each engine through. Both produce bit-identical
+/// clusterings (the tree's exactness contract is the point of
+/// [`CenterTree`]); unforced, the scans take the tree from
+/// [`TREE_AUTO_MIN_K`] centers up and the blocked scan below.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AssignMode {
-    /// Blocked scan below [`TREE_AUTO_MIN_K`] centers, tree at or
-    /// above it.
-    #[default]
-    Auto,
-    /// Always the flat blocked scan ([`BlockedCenters`]).
+    /// The flat blocked scan ([`BlockedCenters`]).
     Blocked,
-    /// Always the KD-tree ([`CenterTree`]).
+    /// The KD-tree ([`CenterTree`]).
     Tree,
-}
-
-impl AssignMode {
-    /// The mode's name, for output and the command line.
-    pub fn name(self) -> &'static str {
-        match self {
-            AssignMode::Auto => "auto",
-            AssignMode::Blocked => "blocked",
-            AssignMode::Tree => "tree",
-        }
-    }
-
-    /// Whether this mode routes a `k`-center scan through the tree.
-    #[inline]
-    pub fn uses_tree(self, k: usize) -> bool {
-        match self {
-            AssignMode::Auto => k >= TREE_AUTO_MIN_K,
-            AssignMode::Blocked => false,
-            AssignMode::Tree => true,
-        }
-    }
-}
-
-impl std::str::FromStr for AssignMode {
-    type Err = String;
-
-    /// The inverse of [`AssignMode::name`].
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        [AssignMode::Auto, AssignMode::Blocked, AssignMode::Tree]
-            .into_iter()
-            .find(|mode| mode.name() == s)
-            .ok_or_else(|| format!("assign mode must be auto, blocked, or tree, got {s:?}"))
-    }
 }
 
 thread_local! {
@@ -782,7 +746,7 @@ impl NeighbourTiles {
 const NEIGHBOUR_MIN_SCANS_PER_CENTER: usize = 16;
 
 /// The nearest-center engine an assignment scan runs on: the flat
-/// blocked kernel or the KD-tree, per [`AssignMode`]. Both arms return
+/// blocked kernel or the KD-tree. Both arms return
 /// bit-identical triples, so callers are free to switch on k.
 // One scanner lives on the stack per clustering run and its arms are
 // matched on every scan: boxing the tree arm buys nothing.
@@ -803,9 +767,10 @@ pub(crate) enum CenterScanner {
 }
 
 impl CenterScanner {
-    /// Stages `centers` on the engine `mode` selects for this k.
-    pub(crate) fn stage(centers: &FeatureMatrix, mode: AssignMode) -> Self {
-        if mode.uses_tree(centers.len()) {
+    /// Stages `centers` on the KD-tree when `tree`, else on the blocked
+    /// kernel.
+    pub(crate) fn stage(centers: &FeatureMatrix, tree: bool) -> Self {
+        if tree {
             CenterScanner::Tree {
                 tree: CenterTree::new(centers),
                 near: NeighbourTiles::default(),
@@ -1424,7 +1389,7 @@ mod tests {
         let mut gen = StdRng::seed_from_u64(0x6A7E);
         let centers = planar_fixture(&mut gen, 100);
         let floor = NEIGHBOUR_MIN_SCANS_PER_CENTER * 100;
-        let mut scanner = CenterScanner::stage(&centers, AssignMode::Tree);
+        let mut scanner = CenterScanner::stage(&centers, true);
         let p = centers.row(3).to_vec();
         // No tables before the first refresh, nor on too few scans.
         assert!(!scanner.rescan(&p, 3, 0.0).1);
@@ -1442,23 +1407,11 @@ mod tests {
         assert!(!scanner.refresh_neighbours(&centers, floor, Some(floor / 2 - 1)));
         assert!(!scanner.refresh_neighbours(&centers, 100 * floor, None));
         // The blocked engine and a k no larger than one table: never.
-        let mut blocked = CenterScanner::stage(&centers, AssignMode::Blocked);
+        let mut blocked = CenterScanner::stage(&centers, false);
         assert!(!blocked.refresh_neighbours(&centers, floor, None));
         let few = planar_fixture(&mut gen, NEIGHBOURS);
-        let mut small = CenterScanner::stage(&few, AssignMode::Tree);
+        let mut small = CenterScanner::stage(&few, true);
         assert!(!small.refresh_neighbours(&few, 1_000_000, None));
-    }
-
-    #[test]
-    fn assign_mode_resolution() {
-        assert!(!AssignMode::Auto.uses_tree(TREE_AUTO_MIN_K - 1));
-        assert!(AssignMode::Auto.uses_tree(TREE_AUTO_MIN_K));
-        assert!(!AssignMode::Blocked.uses_tree(1_000_000));
-        assert!(AssignMode::Tree.uses_tree(1));
-        assert_eq!("tree".parse::<AssignMode>(), Ok(AssignMode::Tree));
-        assert_eq!("blocked".parse::<AssignMode>(), Ok(AssignMode::Blocked));
-        assert_eq!("auto".parse::<AssignMode>(), Ok(AssignMode::Auto));
-        assert!("kd".parse::<AssignMode>().is_err());
     }
 
     #[test]
@@ -1467,15 +1420,12 @@ mod tests {
         let centers = rand_matrix(&mut gen, 129, 6, 40.0);
         let points = rand_matrix(&mut gen, 60, 6, 60.0);
         let _ = take_tree_build_ms();
-        let tree = CenterScanner::stage(&centers, AssignMode::Tree);
-        let blocked = CenterScanner::stage(&centers, AssignMode::Blocked);
-        let auto = CenterScanner::stage(&centers, AssignMode::Auto);
-        assert!(matches!(auto, CenterScanner::Tree { .. }));
+        let tree = CenterScanner::stage(&centers, true);
+        let blocked = CenterScanner::stage(&centers, false);
         for p in points.iter_rows() {
             assert_eq!(tree.scan(p), blocked.scan(p));
-            assert_eq!(auto.scan(p), blocked.scan(p));
         }
-        // Two tree builds happened above; the drain sees them once.
+        // A tree build happened above; the drain sees it once.
         assert!(take_tree_build_ms() >= 0.0);
         assert_eq!(take_tree_build_ms(), 0.0);
     }

@@ -5,7 +5,8 @@
 //! representation wherein the feature vector of a cache `Ec_j` contains
 //! the network distance values between the cache and various landmark
 //! points" (§3.2). Positional dissimilarity between two nodes is the L2
-//! distance between their feature vectors.
+//! distance between their feature vectors, which K-means computes over
+//! the rows of a [`FeatureMatrix`].
 
 use crate::matrix::FeatureMatrix;
 use crate::probe::{Draws, Prober};
@@ -22,8 +23,6 @@ use std::ops::Index;
 /// use ecg_coords::FeatureVector;
 ///
 /// let a = FeatureVector::new(vec![3.0, 4.0]);
-/// let b = FeatureVector::new(vec![0.0, 0.0]);
-/// assert_eq!(a.l2_distance(&b), 5.0);
 /// assert_eq!(a.dim(), 2);
 /// assert_eq!(a[1], 4.0);
 /// ```
@@ -61,74 +60,6 @@ impl FeatureVector {
     /// The raw component slice, in landmark order.
     pub fn as_slice(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Euclidean (L2) distance to another feature vector — the paper's
-    /// positional-dissimilarity measure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn l2_distance(&self, other: &FeatureVector) -> f64 {
-        assert_eq!(
-            self.dim(),
-            other.dim(),
-            "feature vectors must share a landmark set"
-        );
-        self.values
-            .iter()
-            .zip(&other.values)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// Component-wise mean of a non-empty set of vectors — the cluster
-    /// centroid computation K-means uses.
-    ///
-    /// Returns `None` if `vectors` is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors disagree on dimension.
-    pub fn mean<'a, I>(vectors: I) -> Option<FeatureVector>
-    where
-        I: IntoIterator<Item = &'a FeatureVector>,
-    {
-        let mut acc = Vec::new();
-        FeatureVector::mean_into(vectors, &mut acc).then_some(FeatureVector { values: acc })
-    }
-
-    /// Accumulates the component-wise mean into a caller-provided buffer
-    /// (cleared and resized as needed), avoiding the per-call allocation
-    /// of [`FeatureVector::mean`]. Returns `false` (leaving `acc` empty)
-    /// if `vectors` is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors disagree on dimension.
-    pub fn mean_into<'a, I>(vectors: I, acc: &mut Vec<f64>) -> bool
-    where
-        I: IntoIterator<Item = &'a FeatureVector>,
-    {
-        acc.clear();
-        let mut iter = vectors.into_iter();
-        let Some(first) = iter.next() else {
-            return false;
-        };
-        acc.extend_from_slice(&first.values);
-        let mut count = 1usize;
-        for v in iter {
-            assert_eq!(v.dim(), acc.len(), "mixed dimensions in mean");
-            for (a, b) in acc.iter_mut().zip(&v.values) {
-                *a += b;
-            }
-            count += 1;
-        }
-        for a in acc.iter_mut() {
-            *a /= count as f64;
-        }
-        true
     }
 }
 
@@ -265,48 +196,9 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn l2_distance_matches_pythagoras() {
-        let a = FeatureVector::new(vec![1.0, 2.0, 2.0]);
-        let b = FeatureVector::new(vec![1.0, 0.0, 0.0]);
-        assert!((a.l2_distance(&b) - 8f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distance_is_symmetric_and_zero_on_self() {
-        let a = FeatureVector::new(vec![5.0, 1.0]);
-        let b = FeatureVector::new(vec![2.0, 9.0]);
-        assert_eq!(a.l2_distance(&b), b.l2_distance(&a));
-        assert_eq!(a.l2_distance(&a), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "landmark set")]
-    fn mismatched_dims_panic() {
-        let a = FeatureVector::new(vec![1.0]);
-        let b = FeatureVector::new(vec![1.0, 2.0]);
-        let _ = a.l2_distance(&b);
-    }
-
-    #[test]
     #[should_panic(expected = "finite")]
     fn rejects_nan_component() {
         let _ = FeatureVector::new(vec![f64::NAN]);
-    }
-
-    #[test]
-    fn mean_averages_componentwise() {
-        let vs = [
-            FeatureVector::new(vec![0.0, 4.0]),
-            FeatureVector::new(vec![2.0, 0.0]),
-            FeatureVector::new(vec![4.0, 2.0]),
-        ];
-        let m = FeatureVector::mean(vs.iter()).unwrap();
-        assert_eq!(m.as_slice(), &[2.0, 2.0]);
-    }
-
-    #[test]
-    fn mean_of_empty_is_none() {
-        assert_eq!(FeatureVector::mean([].iter()), None);
     }
 
     #[test]
@@ -346,19 +238,6 @@ mod tests {
         for (i, fv) in fvs.iter().enumerate() {
             assert_eq!(fm.row(i), fv.as_slice());
         }
-    }
-
-    #[test]
-    fn mean_into_reuses_buffer_and_matches_mean() {
-        let vs = [
-            FeatureVector::new(vec![0.0, 4.0]),
-            FeatureVector::new(vec![2.0, 0.0]),
-        ];
-        let mut buf = vec![99.0; 7];
-        assert!(FeatureVector::mean_into(vs.iter(), &mut buf));
-        assert_eq!(buf, vec![1.0, 2.0]);
-        assert!(!FeatureVector::mean_into([].iter(), &mut buf));
-        assert!(buf.is_empty());
     }
 
     #[test]

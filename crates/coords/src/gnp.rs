@@ -129,11 +129,6 @@ impl GnpConfig {
         self.max_iterations = iters;
         self
     }
-
-    /// Dimensionality of the embedding space.
-    pub fn dims(&self) -> usize {
-        self.dimensions
-    }
 }
 
 /// Squared relative error between a predicted and a measured distance.

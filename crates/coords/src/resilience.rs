@@ -66,12 +66,14 @@ impl Measurement {
     }
 
     /// `true` when every probe was lost but the link is not known dead.
-    pub fn is_timeout(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_timeout(&self) -> bool {
         matches!(self, Measurement::Timeout)
     }
 
     /// `true` when the link is known dead.
-    pub fn is_unreachable(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_unreachable(&self) -> bool {
         matches!(self, Measurement::Unreachable)
     }
 }
@@ -145,16 +147,6 @@ impl ProbeFaults {
     /// `true` when no faults are injected.
     pub fn is_empty(&self) -> bool {
         self.down.is_empty() && self.blackholes.is_empty()
-    }
-
-    /// The crashed nodes, ascending.
-    pub fn down_nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.down.iter().copied()
-    }
-
-    /// Number of black-holed links.
-    pub fn blackhole_count(&self) -> usize {
-        self.blackholes.len()
     }
 }
 
@@ -248,11 +240,6 @@ impl RetryPolicy {
         self.multiplier
             .saturating_pow(attempt - 1)
             .saturating_mul(self.base_backoff_ms)
-    }
-
-    /// Total virtual backoff if every retry is exhausted.
-    pub fn total_backoff_ms(&self) -> u64 {
-        (1..=self.max_retries).fold(0u64, |acc, a| acc.saturating_add(self.backoff_before_ms(a)))
     }
 }
 
@@ -385,8 +372,6 @@ mod tests {
         assert!(f.link_dead(4, 1));
         assert!(!f.link_dead(1, 3));
         assert!(!f.is_empty());
-        assert_eq!(f.down_nodes().collect::<Vec<_>>(), vec![2]);
-        assert_eq!(f.blackhole_count(), 1);
         assert!(ProbeFaults::default().is_empty());
     }
 
@@ -399,8 +384,6 @@ mod tests {
         assert_eq!(p.backoff_before_ms(1), 10);
         assert_eq!(p.backoff_before_ms(2), 30);
         assert_eq!(p.backoff_before_ms(3), 90);
-        assert_eq!(p.total_backoff_ms(), 130);
-        assert_eq!(RetryPolicy::none().total_backoff_ms(), 0);
     }
 
     #[test]
@@ -422,7 +405,7 @@ mod tests {
             .base_backoff_ms(u64::MAX)
             .multiplier(2);
         assert_eq!(p.backoff_before_ms(100), u64::MAX);
-        assert_eq!(p.total_backoff_ms(), u64::MAX);
+        assert_eq!(p.backoff_before_ms(200), u64::MAX);
     }
 
     #[test]

@@ -1,44 +1,13 @@
 //! Property-based tests for the position-estimation crate.
 
 use ecg_coords::simplex::{minimize, SimplexOptions};
-use ecg_coords::{build_feature_vectors, FeatureVector, ProbeConfig, Prober};
+use ecg_coords::{build_feature_vectors, ProbeConfig, Prober};
 use ecg_topology::RttMatrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn arb_feature_vector(dim: usize) -> impl Strategy<Value = FeatureVector> {
-    proptest::collection::vec(0.0f64..500.0, dim).prop_map(FeatureVector::new)
-}
-
 proptest! {
-    #[test]
-    fn l2_is_a_metric(
-        a in arb_feature_vector(4),
-        b in arb_feature_vector(4),
-        c in arb_feature_vector(4),
-    ) {
-        // Non-negativity and identity.
-        prop_assert!(a.l2_distance(&b) >= 0.0);
-        prop_assert!(a.l2_distance(&a) < 1e-12);
-        // Symmetry.
-        prop_assert!((a.l2_distance(&b) - b.l2_distance(&a)).abs() < 1e-12);
-        // Triangle inequality.
-        prop_assert!(a.l2_distance(&c) <= a.l2_distance(&b) + b.l2_distance(&c) + 1e-9);
-    }
-
-    #[test]
-    fn mean_lies_within_componentwise_bounds(
-        vs in proptest::collection::vec(arb_feature_vector(3), 1..10)
-    ) {
-        let mean = FeatureVector::mean(vs.iter()).unwrap();
-        for k in 0..3 {
-            let lo = vs.iter().map(|v| v[k]).fold(f64::INFINITY, f64::min);
-            let hi = vs.iter().map(|v| v[k]).fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(mean[k] >= lo - 1e-9 && mean[k] <= hi + 1e-9);
-        }
-    }
-
     #[test]
     fn noiseless_probing_reproduces_matrix(seed in any::<u64>(), n in 2usize..10) {
         let m = RttMatrix::from_fn(n, |i, j| ((i + 1) * (j + 2)) as f64);

@@ -367,13 +367,6 @@ pub struct ResilientLandmarkSelection {
     pub replaced: Vec<usize>,
 }
 
-impl ResilientLandmarkSelection {
-    /// Number of landmark slots that failed over to a replacement.
-    pub fn failover_count(&self) -> usize {
-        self.replaced.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,7 +558,7 @@ mod tests {
                 let (plain, retried) = (run(None), run(Some(&policy)));
                 assert_eq!(retried, plain, "{selector} seed {seed}");
                 assert!(plain.0.dead_nodes.is_empty());
-                assert_eq!(plain.0.failover_count(), 0);
+                assert_eq!(plain.0.replaced.len(), 0);
             }
         }
     }
@@ -583,7 +576,7 @@ mod tests {
         let sel = select_retried(&p, 3, 5, &RetryPolicy::default(), 1);
         assert_eq!(sel.dead_nodes, vec![5]);
         assert_eq!(sel.replaced, vec![5]);
-        assert_eq!(sel.failover_count(), 1);
+        assert_eq!(sel.replaced.len(), 1);
         assert_eq!(sel.selection.landmarks.len(), 3);
         assert_eq!(sel.selection.landmarks[0], 0);
         assert!(!sel.selection.landmarks.contains(&5), "dead landmark kept");

@@ -102,7 +102,7 @@ pub struct SchemeConfig {
     init: GroupInit,
     kmeans_max_iterations: usize,
     kmeans_variant: KmeansVariant,
-    kmeans_assign: AssignMode,
+    forced_assign: Option<AssignMode>,
     max_group_size: Option<usize>,
     resilience: Option<ResilienceConfig>,
 }
@@ -122,7 +122,7 @@ impl SchemeConfig {
             init: GroupInit::Uniform,
             kmeans_max_iterations: 100,
             kmeans_variant: KmeansVariant::Lloyd,
-            kmeans_assign: AssignMode::Auto,
+            forced_assign: None,
             max_group_size: None,
             resilience: None,
         }
@@ -154,12 +154,6 @@ impl SchemeConfig {
     /// Sets the PLSet multiplier `M`.
     pub fn plset_multiplier(mut self, m: usize) -> Self {
         self.plset_multiplier = m;
-        self
-    }
-
-    /// Sets the number of groups `K`.
-    pub fn groups_count(mut self, k: usize) -> Self {
-        self.groups = k;
         self
     }
 
@@ -204,25 +198,15 @@ impl SchemeConfig {
         self
     }
 
-    /// The configured K-means engine.
-    pub fn kmeans_variant_config(&self) -> &KmeansVariant {
-        &self.kmeans_variant
-    }
-
-    /// Selects the nearest-center engine for the K-means assignment
-    /// scans: the flat blocked kernel, the KD-tree over centers, or
-    /// (the default) automatic selection on k. Every mode yields a
-    /// bit-identical clustering — the tree's exactness contract (see
-    /// `ecg_clustering::tree`) is proptest-pinned — so this knob moves
-    /// wall-clock only and is safe on the paper-exact paths too.
-    pub fn kmeans_assign(mut self, mode: AssignMode) -> Self {
-        self.kmeans_assign = mode;
+    /// Runs every K-means assignment scan on `engine`, whatever K is:
+    /// the hook the end-to-end tree == blocked test and `bench_scale`'s
+    /// crossover sweep reach both engines through. Unforced, the scans
+    /// take the KD-tree from `ecg_clustering::TREE_AUTO_MIN_K` groups
+    /// up; the grouping is the same bits either way.
+    #[doc(hidden)]
+    pub fn force_assign(mut self, engine: AssignMode) -> Self {
+        self.forced_assign = Some(engine);
         self
-    }
-
-    /// The configured nearest-center engine.
-    pub fn kmeans_assign_config(&self) -> AssignMode {
-        self.kmeans_assign
     }
 
     /// Caps every group at `max` members (an extension beyond the
@@ -261,11 +245,6 @@ impl SchemeConfig {
     /// Number of groups `K`.
     pub fn groups(&self) -> usize {
         self.groups
-    }
-
-    /// Number of landmarks `L`.
-    pub fn landmark_count(&self) -> usize {
-        self.landmarks
     }
 }
 
@@ -477,33 +456,6 @@ impl GfCoordinator {
     /// The configuration in use.
     pub fn config(&self) -> &SchemeConfig {
         &self.config
-    }
-
-    /// Sweeps candidate group counts on this network and returns the
-    /// silhouette-best `K` (see
-    /// [`ecg_clustering::model_selection::suggest_k`]).
-    ///
-    /// Landmark selection and position estimation run once; only the
-    /// clustering is repeated per candidate, so the probing cost is the
-    /// same as a single [`GfCoordinator::form_groups`] call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemeError`] if the pipeline fails or no candidate is
-    /// usable for the network size.
-    pub fn suggest_groups<R: Rng + ?Sized>(
-        &self,
-        network: &EdgeNetwork,
-        candidates: &[usize],
-        rng: &mut R,
-    ) -> Result<ecg_clustering::KSelection, SchemeError> {
-        // Reuse the pipeline with K = 1 (always valid) to obtain the
-        // position estimates, then sweep.
-        let probe_run = GfCoordinator::new(self.config.clone().groups_count(1));
-        let outcome = probe_run.form_groups(network, rng)?;
-        let initializer = self.config.init.initializer(outcome.server_distances_ms());
-        ecg_clustering::suggest_k(outcome.points(), candidates, &initializer, 3, rng)
-            .map_err(SchemeError::Clustering)
     }
 
     /// Runs the full pipeline and returns the cooperative groups.
@@ -738,9 +690,11 @@ impl GfCoordinator {
         let _ = take_tree_build_ms();
         let clustering_started = Instant::now();
         let initializer = cfg.init.initializer(kept_dists);
-        let kmeans_config = KmeansConfig::new(cfg.groups)
-            .max_iterations(cfg.kmeans_max_iterations)
-            .assign(cfg.kmeans_assign);
+        let mut kmeans_config =
+            KmeansConfig::new(cfg.groups).max_iterations(cfg.kmeans_max_iterations);
+        if let Some(engine) = cfg.forced_assign {
+            kmeans_config = kmeans_config.force_assign(engine);
+        }
         let clustering = match (cfg.max_group_size, &cfg.kmeans_variant) {
             // The size-capped variant has no masked twin: the cap path
             // clusters the raw rows, placeholders included.
@@ -908,8 +862,8 @@ pub struct FormationTimings {
     /// K-means clustering (whichever [`KmeansVariant`] ran).
     pub clustering_ms: f64,
     /// Of `clustering_ms`, the time spent (re)building the KD-tree
-    /// over centers — 0 when the scans ran on the blocked kernel (see
-    /// [`SchemeConfig::kmeans_assign`]). The remainder of
+    /// over centers — 0 when the scans ran on the blocked kernel (below
+    /// `ecg_clustering::TREE_AUTO_MIN_K` groups). The remainder of
     /// `clustering_ms` is queries and center updates.
     pub tree_build_ms: f64,
     /// End-to-end formation time.
@@ -1167,30 +1121,6 @@ mod tests {
         let outcome = coord.form_groups(&net, &mut rng).unwrap();
         // Selection probes + 6 caches × 3 landmarks feature probes.
         assert!(outcome.probes_sent() >= 18);
-    }
-
-    #[test]
-    fn suggest_groups_finds_the_natural_k() {
-        // The Figure 1 network has three natural pairs: K = 3 should
-        // win the silhouette sweep.
-        let net = figure1_network();
-        let coord = GfCoordinator::new(noiseless(
-            SchemeConfig::sl(1).landmarks(3).plset_multiplier(2),
-        ));
-        let mut hits = 0;
-        let seeds = 10;
-        for seed in 0..seeds {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let sel = coord.suggest_groups(&net, &[2, 3, 4], &mut rng).unwrap();
-            assert_eq!(sel.scores.len(), 3);
-            if sel.k == 3 {
-                hits += 1;
-            }
-        }
-        assert!(
-            hits * 2 > seeds,
-            "K = 3 chosen on only {hits}/{seeds} seeds"
-        );
     }
 
     #[test]

@@ -172,48 +172,6 @@ pub struct DriftSample {
     pub drift: f64,
 }
 
-/// Membership pressure accumulated by a [`ChurnDriver`] — the
-/// churn-side analogue of [`ecg_core::FormationHealth`], consumed by
-/// re-formation policies deciding whether incremental maintenance is
-/// still good enough.
-///
-/// The load-bearing signal is [`skipped_retirements`]: a retirement was
-/// *refused* because it would have dissolved a group, so the membership
-/// the maintainer serves has drifted from what the fault plan says is
-/// actually alive. A policy seeing this should re-form rather than keep
-/// repairing.
-///
-/// [`skipped_retirements`]: MembershipPressure::skipped_retirements
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MembershipPressure {
-    /// Membership removals applied (crashes + permanent retirements).
-    pub retirements: u64,
-    /// Recoveries re-admitted into a group.
-    pub readmissions: u64,
-    /// Retirements refused because they would have emptied a group; the
-    /// affected caches are still nominally grouped while actually down.
-    pub skipped_retirements: u64,
-}
-
-impl MembershipPressure {
-    /// True when churn has forced the driver off the happy path —
-    /// currently, when any retirement had to be skipped. Mirrors
-    /// [`ecg_core::FormationHealth::is_degraded`].
-    pub fn is_elevated(&self) -> bool {
-        self.skipped_retirements > 0
-    }
-}
-
-impl std::fmt::Display for MembershipPressure {
-    fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            out,
-            "{} retired, {} readmitted, {} retirements skipped",
-            self.retirements, self.readmissions, self.skipped_retirements
-        )
-    }
-}
-
 /// Replays a [`FaultPlan`]'s membership changes through group
 /// maintenance.
 ///
@@ -401,24 +359,10 @@ impl ChurnDriver {
         self.skipped_retirements
     }
 
-    /// The accumulated [`MembershipPressure`], for re-formation
-    /// policies.
-    pub fn pressure(&self) -> MembershipPressure {
-        MembershipPressure {
-            retirements: self.retirements,
-            readmissions: self.readmissions,
-            skipped_retirements: self.skipped_retirements,
-        }
-    }
-
     /// The maintained grouping state.
-    pub fn maintainer(&self) -> &GroupMaintainer {
+    #[cfg(test)]
+    pub(crate) fn maintainer(&self) -> &GroupMaintainer {
         &self.maintainer
-    }
-
-    /// Unwraps the driver, returning the maintained state.
-    pub fn into_maintainer(self) -> GroupMaintainer {
-        self.maintainer
     }
 }
 
@@ -574,20 +518,7 @@ mod tests {
         assert_eq!(driver.retirements(), members.len() as u64 - 1);
         assert_eq!(driver.skipped_retirements(), 1);
         assert_eq!(driver.maintainer().groups()[0].len(), 1);
-        // The skip surfaces as elevated membership pressure, so a
-        // re-formation policy can see that served membership has
-        // diverged from ground truth.
-        let pressure = driver.pressure();
-        assert!(pressure.is_elevated());
-        assert_eq!(
-            pressure,
-            MembershipPressure {
-                retirements: members.len() as u64 - 1,
-                readmissions: 0,
-                skipped_retirements: 1,
-            }
-        );
-        assert!(pressure.to_string().contains("1 retirements skipped"));
+        assert_eq!(driver.readmissions(), 0);
     }
 
     #[test]
@@ -627,18 +558,16 @@ mod tests {
     }
 
     #[test]
-    fn pressure_stays_flat_without_skips() {
+    fn nothing_is_skipped_when_no_group_empties() {
         let (network, maintainer) = network_and_maintainer();
         let plan = FaultPlan::new().crash(CacheId(0), 1_000.0, 2_000.0);
         let mut driver = ChurnDriver::new(maintainer);
         driver
             .apply(&network, &plan, &mut StdRng::seed_from_u64(8))
             .expect("apply succeeds");
-        let pressure = driver.pressure();
-        assert!(!pressure.is_elevated());
-        assert_eq!(pressure.retirements, 1);
-        assert_eq!(pressure.readmissions, 1);
-        assert_eq!(pressure.skipped_retirements, 0);
+        assert_eq!(driver.retirements(), 1);
+        assert_eq!(driver.readmissions(), 1);
+        assert_eq!(driver.skipped_retirements(), 0);
     }
 
     #[test]

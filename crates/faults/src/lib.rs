@@ -56,7 +56,7 @@ pub mod formation;
 pub mod json;
 pub mod plan;
 
-pub use churn::{serving_map, ChurnConfig, ChurnDriver, DriftSample, MembershipPressure};
+pub use churn::{serving_map, ChurnConfig, ChurnDriver, DriftSample};
 pub use formation::FormationFaults;
 pub use json::report_to_json;
 pub use plan::{FaultPlan, PlanParseError};

@@ -55,7 +55,7 @@ impl std::fmt::Display for ReformDecision {
 }
 
 /// Degradation signals summarizing one maintenance window, fed to
-/// [`ReformPolicy::decide`] and recorded verbatim in the timeline.
+/// [`PolicyState::decide`] and recorded verbatim in the timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowSignals {
     /// Interaction-cost drift ratio at the window end (`1.0` = at the
@@ -68,9 +68,8 @@ pub struct WindowSignals {
     pub landmark_retirements: u64,
     /// Recoveries re-admitted this window.
     pub readmissions: u64,
-    /// Retirements refused because they would have emptied a group —
-    /// membership pressure in the
-    /// [`ecg_faults::MembershipPressure`] sense.
+    /// Retirements refused because they would have emptied a group:
+    /// the served membership has drifted from what is actually alive.
     pub skipped_retirements: u64,
     /// Formation-time landmarks whose cache is currently down or
     /// retired.
@@ -99,7 +98,7 @@ impl Default for WindowSignals {
     }
 }
 
-/// What [`ReformPolicy::decide`] concluded, including whether a more
+/// What [`PolicyState::decide`] concluded, including whether a more
 /// expensive action was demoted by cooldown or budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyVerdict {
@@ -220,22 +219,6 @@ impl ReformPolicy {
             budget_span_windows: 1,
             react_to_health: false,
         }
-    }
-
-    /// Sets the hysteresis band: re-formation arms at `enter`× drift
-    /// and disarms below `exit`×.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1.0 <= exit <= enter` (infinities allowed).
-    pub fn drift_band(mut self, enter: f64, exit: f64) -> Self {
-        assert!(
-            exit >= 1.0 && enter >= exit && !enter.is_nan(),
-            "need 1 <= exit <= enter"
-        );
-        self.drift_enter = enter;
-        self.drift_exit = exit;
-        self
     }
 
     /// Sets the drift ratio above which a *full* re-formation is
@@ -373,7 +356,8 @@ impl PolicyState {
     }
 
     /// Whether the drift hysteresis is currently latched.
-    pub fn is_latched(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_latched(&self) -> bool {
         self.latched
     }
 

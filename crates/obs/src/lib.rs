@@ -13,7 +13,7 @@
 //!   in (simulated milliseconds, K-means iterations, probes sent) —
 //!   never elapsed real time.
 //! * [`EventTrace`] — a bounded ring buffer of structured
-//!   [`TraceEvent`]s with JSON-lines and aligned-table exporters.
+//!   [`TraceEvent`]s, serialized with the rest of the bundle.
 //!
 //! [`Obs`] bundles the three and serializes them with [`Obs::to_json`];
 //! two runs with the same seeds produce byte-identical JSON.

@@ -53,14 +53,6 @@ impl FieldValue {
             FieldValue::Str(s) => w.str(s),
         };
     }
-
-    fn render(&self) -> String {
-        match self {
-            FieldValue::U64(v) => v.to_string(),
-            FieldValue::F64(v) => v.to_string(),
-            FieldValue::Str(s) => (*s).to_owned(),
-        }
-    }
 }
 
 /// One structured trace event.
@@ -191,67 +183,6 @@ impl EventTrace {
         self.dropped += other.dropped;
     }
 
-    /// Renders the retained events as JSON lines (one event object per
-    /// line, trailing newline after each).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in &self.events {
-            let mut w = JsonWriter::new();
-            event.write_json(&mut w);
-            out.push_str(&w.finish());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders the retained events as an aligned text table.
-    pub fn to_table(&self) -> String {
-        let header = ["seq", "t", "component", "kind", "fields"];
-        let mut rows: Vec<[String; 5]> = Vec::with_capacity(self.events.len());
-        for e in &self.events {
-            let fields = e
-                .fields
-                .iter()
-                .map(|(name, value)| format!("{name}={}", value.render()))
-                .collect::<Vec<_>>()
-                .join(" ");
-            rows.push([
-                e.seq.to_string(),
-                e.t.to_string(),
-                e.component.to_owned(),
-                e.kind.to_owned(),
-                fields,
-            ]);
-        }
-        let mut widths = header.map(str::len);
-        for row in &rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let render_row = |out: &mut String, cells: &[String; 5]| {
-            for (i, (cell, w)) in cells.iter().zip(widths).enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                out.push_str(cell);
-                // Left-align: pad all but the last column.
-                if i + 1 < cells.len() {
-                    for _ in cell.len()..w {
-                        out.push(' ');
-                    }
-                }
-            }
-            out.push('\n');
-        };
-        render_row(&mut out, &header.map(str::to_owned));
-        for row in &rows {
-            render_row(&mut out, row);
-        }
-        out
-    }
-
     /// Appends the trace as a JSON object
     /// `{"capacity":..,"recorded":..,"dropped":..,"events":[...]}`.
     pub(crate) fn write_json(&self, w: &mut JsonWriter) {
@@ -300,32 +231,16 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_and_json_shapes() {
+    fn json_shape() {
         let mut trace = EventTrace::new(4);
         trace.push(1.5, "sim", "crash", vec![("cache", 3u64.into())]);
-        assert_eq!(
-            trace.to_jsonl(),
-            "{\"seq\":0,\"t\":1.5,\"component\":\"sim\",\"kind\":\"crash\",\
-             \"fields\":{\"cache\":3}}\n"
-        );
         let mut w = JsonWriter::new();
         trace.write_json(&mut w);
-        assert!(w
-            .finish()
-            .starts_with("{\"capacity\":4,\"recorded\":1,\"dropped\":0,"));
-    }
-
-    #[test]
-    fn table_renders_aligned_columns() {
-        let mut trace = EventTrace::new(4);
-        trace.push(0.0, "maintenance", "retire", vec![("cache", 12u64.into())]);
-        trace.push(10.0, "sim", "up", vec![("ok", "yes".into())]);
-        let table = trace.to_table();
-        let lines: Vec<&str> = table.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("seq"));
-        assert!(lines[1].contains("maintenance") && lines[1].contains("cache=12"));
-        assert!(lines[2].contains("ok=yes"));
+        assert_eq!(
+            w.finish(),
+            "{\"capacity\":4,\"recorded\":1,\"dropped\":0,\"events\":[{\"seq\":0,\"t\":1.5,\
+             \"component\":\"sim\",\"kind\":\"crash\",\"fields\":{\"cache\":3}}]}"
+        );
     }
 
     #[test]

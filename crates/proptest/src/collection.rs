@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::ops::{Range, RangeInclusive};
 
-/// A length specification accepted by [`vec`].
+/// A length specification accepted by [`vec()`].
 pub trait SizeRange {
     /// Draws a length.
     fn sample_len(&self, rng: &mut StdRng) -> usize;
@@ -29,7 +29,7 @@ impl SizeRange for RangeInclusive<usize> {
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S, L> {
     element: S,

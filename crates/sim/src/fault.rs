@@ -150,7 +150,8 @@ pub struct FaultCarryState {
 impl FaultCarryState {
     /// `true` when nothing needs re-announcing: no cache is down or
     /// retired and no brownout is open.
-    pub fn is_clean(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_clean(&self) -> bool {
         self.down.is_empty() && self.retired.is_empty() && self.brownout_factor.is_none()
     }
 }

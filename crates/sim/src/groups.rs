@@ -137,11 +137,6 @@ impl GroupMap {
             .copied()
             .filter(move |&p| p != cache)
     }
-
-    /// Mean group size.
-    pub fn mean_group_size(&self) -> f64 {
-        self.cache_count() as f64 / self.group_count() as f64
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +154,6 @@ mod tests {
         assert_eq!(map.cache_count(), 4);
         assert_eq!(map.group_of(CacheId(3)), 1);
         assert_eq!(map.peers(CacheId(1)).collect::<Vec<_>>(), [CacheId(0)]);
-        assert_eq!(map.mean_group_size(), 2.0);
     }
 
     #[test]

@@ -88,12 +88,6 @@ impl LatencyModel {
         self.peer_query_cost_ms * peer_count as f64
     }
 
-    /// Latency of one control round trip (query + reply) over a link
-    /// with the given RTT.
-    pub fn control_round_trip(&self, rtt_ms: f64) -> f64 {
-        rtt_ms
-    }
-
     /// Latency of transferring `size_bytes` over a link with the given
     /// RTT: one RTT of protocol overhead plus serialization time.
     pub fn transfer(&self, rtt_ms: f64, size_bytes: u64) -> f64 {
@@ -129,12 +123,6 @@ mod tests {
             .bandwidth_mbps(8.0)
             .origin_processing_ms(3.0);
         assert!((m.origin_fetch(10.0, 1_000) - 14.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn control_round_trip_is_one_rtt() {
-        let m = LatencyModel::default();
-        assert_eq!(m.control_round_trip(17.5), 17.5);
     }
 
     #[test]

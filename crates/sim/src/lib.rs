@@ -16,6 +16,9 @@
 //! * [`GroupMap`] — validated cache-to-group partition.
 //! * [`fault`] — fault schedules: cache crashes/recoveries/retirements
 //!   and origin brownouts, injected through [`SimPlan::faults`].
+//! * [`place`] — in-group replica placement: the single-holder
+//!   baseline, adaptive replication and power-of-d-choices, picked by
+//!   [`SimConfig::placement`].
 //! * [`simulate`] — **the** entry point: a [`SimPlan`] (what is
 //!   simulated), a [`GroupMap`] and a [`RunContext`] (how). Its
 //!   timeline form [`simulate_epochs`] takes a sequence of
@@ -80,6 +83,7 @@ mod holders;
 pub mod latency;
 pub mod metrics;
 pub mod origin;
+pub mod place;
 mod shim;
 mod sim;
 mod stream;
@@ -105,6 +109,7 @@ pub use driver::{simulate, RunContext, RunStats, SimPlan};
 /// assert!(p50 >= 2.0 && p50 <= 4.0);
 /// ```
 pub use ecg_obs::Histogram as LatencyHistogram;
+pub use epoch::{simulate_epochs, EpochReplayError, ReplayEpoch};
 pub use fault::{FaultCarryState, FaultError, FaultEvent, FaultKind, FaultSchedule};
 pub use groups::{GroupMap, GroupMapError};
 pub use latency::LatencyModel;
@@ -113,10 +118,7 @@ pub use metrics::{
     WindowAggregate,
 };
 pub use origin::OriginServer;
-// Re-exported so simulation configs can pick a placement policy without
-// a direct `ecg-place` dependency.
-pub use ecg_place::{AdaptiveConfig, DChoicesConfig, PlacementKind};
-pub use epoch::{simulate_epochs, EpochReplayError, ReplayEpoch};
+pub use place::{AdaptiveConfig, DChoicesConfig, PlacementKind};
 #[doc(hidden)]
 pub use shim::simulate_observed;
 #[doc(hidden)]

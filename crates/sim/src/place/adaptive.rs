@@ -23,7 +23,7 @@
 //!   not evicted eagerly, they simply stop being refreshed and age out
 //!   under the cache's own replacement policy.
 
-use crate::policy::{holder_count, Candidate, PeerHitAction, PlacementPolicy};
+use super::policy::{holder_count, Candidate, PeerHitAction, PlacementPolicy};
 use ecg_topology::CacheId;
 use ecg_workload::DocId;
 
@@ -66,21 +66,6 @@ impl AdaptiveConfig {
         self
     }
 
-    /// Sets the promote/demote score thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= demote <= promote` and both are finite.
-    pub fn thresholds(mut self, promote: f64, demote: f64) -> Self {
-        assert!(
-            promote.is_finite() && demote.is_finite() && 0.0 <= demote && demote <= promote,
-            "need 0 <= demote <= promote"
-        );
-        self.promote = promote;
-        self.demote = demote;
-        self
-    }
-
     /// Sets the in-group replica cap.
     ///
     /// # Panics
@@ -107,7 +92,7 @@ struct DocState {
 /// # Examples
 ///
 /// ```
-/// use ecg_place::{AdaptiveConfig, AdaptiveReplication, Candidate, PeerHitAction, PlacementPolicy};
+/// use ecg_sim::place::{AdaptiveConfig, AdaptiveReplication, Candidate, PeerHitAction, PlacementPolicy};
 /// use ecg_topology::CacheId;
 /// use ecg_workload::DocId;
 ///
@@ -163,13 +148,15 @@ impl AdaptiveReplication {
     }
 
     /// The current rate score of `doc` (undecayed since its last
-    /// observation) — exposed for tests and instrumentation.
-    pub fn score(&self, doc: DocId) -> f64 {
+    /// observation).
+    #[cfg(test)]
+    fn score(&self, doc: DocId) -> f64 {
         self.docs[doc.index()].score
     }
 
     /// Whether `doc` is currently promoted to replicating.
-    pub fn is_promoted(&self, doc: DocId) -> bool {
+    #[cfg(test)]
+    fn is_promoted(&self, doc: DocId) -> bool {
         self.docs[doc.index()].promoted
     }
 }
@@ -238,9 +225,11 @@ mod tests {
 
     #[test]
     fn hysteresis_promotes_and_demotes() {
-        let cfg = AdaptiveConfig::default()
-            .tau_ms(1_000.0)
-            .thresholds(2.5, 1.2);
+        let cfg = AdaptiveConfig {
+            promote: 2.5,
+            demote: 1.2,
+            ..AdaptiveConfig::default().tau_ms(1_000.0)
+        };
         let mut p = AdaptiveReplication::new(cfg, 2);
         // Rapid-fire requests push the score over the promote bar.
         for i in 0..4 {
@@ -293,11 +282,5 @@ mod tests {
     fn origin_fetch_places_on_requester() {
         let mut p = AdaptiveReplication::new(AdaptiveConfig::default(), 2);
         assert_eq!(p.on_origin_fetch(DocId(1), 0.0, &cands(0)), CacheId(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "demote")]
-    fn inverted_thresholds_rejected() {
-        let _ = AdaptiveConfig::default().thresholds(1.0, 2.0);
     }
 }

@@ -24,7 +24,7 @@
 //!   depends only on the decision index — bit-identical replays
 //!   regardless of thread count or interleaved experiments.
 
-use crate::policy::{Candidate, PeerHitAction, PlacementPolicy};
+use super::policy::{Candidate, PeerHitAction, PlacementPolicy};
 use ecg_par::derive_seed;
 use ecg_topology::CacheId;
 use ecg_workload::DocId;
@@ -70,7 +70,7 @@ impl DChoicesConfig {
 /// # Examples
 ///
 /// ```
-/// use ecg_place::{Candidate, DChoicesConfig, PlacementPolicy, ProximityDChoices};
+/// use ecg_sim::place::{Candidate, DChoicesConfig, PlacementPolicy, ProximityDChoices};
 /// use ecg_topology::CacheId;
 /// use ecg_workload::DocId;
 ///

@@ -17,11 +17,11 @@
 //!   toward the requester's network vicinity and place the copy on the
 //!   least-loaded of them, balancing occupancy across members.
 //!
-//! This crate defines the [`PlacementPolicy`] trait the simulator
+//! This module defines the [`PlacementPolicy`] trait the simulator
 //! consults on every group-internal hit and miss, plus the three
 //! implementations ([`SingleHolder`], [`AdaptiveReplication`],
 //! [`ProximityDChoices`]) and the [`PlacementKind`] configuration enum
-//! that `ecg-sim` carries in its `SimConfig`.
+//! that [`SimConfig`](crate::SimConfig) carries.
 //!
 //! Everything is deterministic: [`AdaptiveReplication`] draws no
 //! randomness at all (its request-rate estimator is a pure function of
@@ -33,11 +33,11 @@
 //! # Examples
 //!
 //! ```
-//! use ecg_place::{Candidate, PeerHitAction, PlacementKind, PlacementPolicy};
+//! use ecg_sim::place::{Candidate, PeerHitAction, PlacementKind, PlacementPolicy};
 //! use ecg_topology::CacheId;
 //! use ecg_workload::DocId;
 //!
-//! let mut policy = PlacementKind::adaptive().build(8, 100);
+//! let mut policy = PlacementKind::adaptive().build(100);
 //! let candidates = vec![
 //!     Candidate { cache: CacheId(0), rtt_ms: 0.0, used_bytes: 10, holds: false },
 //!     Candidate { cache: CacheId(1), rtt_ms: 5.0, used_bytes: 900, holds: true },
@@ -46,12 +46,6 @@
 //! let action = policy.on_peer_hit(DocId(3), 0.0, &candidates, CacheId(1));
 //! assert_eq!(action, PeerHitAction::ServeRemote);
 //! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-// Library code must attach context to failures (`expect`/`Result`), not
-// panic opaquely; tests may still unwrap.
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod adaptive;
 pub mod dchoices;

@@ -1,7 +1,7 @@
 //! The placement-policy trait, its inputs, and the configuration enum.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveReplication};
-use crate::dchoices::{DChoicesConfig, ProximityDChoices};
+use super::adaptive::{AdaptiveConfig, AdaptiveReplication};
+use super::dchoices::{DChoicesConfig, ProximityDChoices};
 use ecg_topology::CacheId;
 use ecg_workload::DocId;
 
@@ -104,7 +104,7 @@ impl PlacementPolicy for SingleHolder {
 
 /// Which placement policy a simulation runs, with its parameters.
 ///
-/// `Copy` so it can ride inside `ecg-sim`'s `SimConfig`; the simulator
+/// `Copy` so it can ride inside [`SimConfig`](crate::SimConfig); the simulator
 /// builds the stateful [`PlacementPolicy`] instance from it at the
 /// start of each replay via [`PlacementKind::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -146,10 +146,9 @@ impl PlacementKind {
         matches!(self, PlacementKind::SingleHolder)
     }
 
-    /// Builds the stateful policy instance for a run over `caches`
-    /// caches and `docs` documents.
-    pub fn build(&self, caches: usize, docs: usize) -> Box<dyn PlacementPolicy> {
-        let _ = caches;
+    /// Builds the stateful policy instance for a run over a catalog of
+    /// `docs` documents.
+    pub fn build(&self, docs: usize) -> Box<dyn PlacementPolicy> {
         match *self {
             PlacementKind::SingleHolder => Box::new(SingleHolder),
             PlacementKind::Adaptive(config) => Box::new(AdaptiveReplication::new(config, docs)),
@@ -235,7 +234,7 @@ mod tests {
             PlacementKind::adaptive(),
             PlacementKind::d_choices(),
         ] {
-            let mut p = kind.build(8, 50);
+            let mut p = kind.build(50);
             p.on_local_hit(DocId(0), 1.0);
             let target = p.on_origin_fetch(DocId(0), 2.0, &c);
             assert!(c.iter().any(|cand| cand.cache == target), "{kind:?}");

@@ -68,10 +68,10 @@ use crate::holders::{HolderIndex, PeerMasks};
 use crate::latency::LatencyModel;
 use crate::metrics::{MetricsRecorder, ServedBy};
 use crate::origin::OriginServer;
+use crate::place::{Candidate, PeerHitAction, PlacementKind, PlacementPolicy};
 use crate::time::SimTime;
 use ecg_cache::{CacheStats, DocumentCache, LookupOutcome, PolicyKind};
 use ecg_obs::Obs;
-use ecg_place::{Candidate, PeerHitAction, PlacementKind, PlacementPolicy};
 use ecg_topology::{CacheId, EdgeNetwork};
 use ecg_workload::{DocId, DocumentCatalog, TraceEvent};
 use std::fmt;
@@ -196,7 +196,7 @@ impl SimConfig {
     }
 
     /// Sets the in-group placement/replication policy (see
-    /// [`ecg_place`]). The default [`PlacementKind::SingleHolder`] is
+    /// [`crate::place`]). The default [`PlacementKind::SingleHolder`] is
     /// short-circuited entirely, so baseline runs are bit-identical to
     /// builds that predate placement support.
     pub fn placement(mut self, placement: PlacementKind) -> Self {
@@ -678,12 +678,12 @@ pub(crate) fn kernel(
     // With the policies goes the `Tallies::replica_counts` row they
     // feed: one slot per possible holder count, 0..=largest group.
     let mut placements = (!config.placement.is_single_holder()).then(|| {
-        let sizes = groups.groups().iter().map(Vec::len);
-        let policies: Vec<Box<dyn PlacementPolicy>> = sizes
-            .clone()
-            .map(|members| config.placement.build(members, catalog.len()))
+        let policies: Vec<Box<dyn PlacementPolicy>> = groups
+            .groups()
+            .iter()
+            .map(|_| config.placement.build(catalog.len()))
             .collect();
-        (policies, vec![0u64; sizes.max().unwrap_or(0) + 1])
+        (policies, vec![0u64; largest_group + 1])
     });
     // Candidate scratch reused across every placement decision.
     let mut candidates_scratch: Vec<Candidate> = Vec::new();

@@ -120,7 +120,6 @@ impl std::error::Error for AddEdgeError {}
 /// g.add_edge(NodeId(1), NodeId(2), 7.5);
 /// assert_eq!(g.node_count(), 3);
 /// assert_eq!(g.edge_count(), 2);
-/// assert_eq!(g.degree(NodeId(1)), 2);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Graph {
@@ -232,15 +231,6 @@ impl Graph {
         &self.adjacency[node.index()]
     }
 
-    /// Degree (number of incident edges) of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn degree(&self, node: NodeId) -> usize {
-        self.adjacency[node.index()].len()
-    }
-
     /// Iterates over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.node_count()).map(NodeId)
@@ -312,11 +302,6 @@ impl Graph {
         }
         components
     }
-
-    /// Sum of all edge latencies in milliseconds.
-    pub fn total_latency_ms(&self) -> f64 {
-        self.edges().map(|e| e.latency_ms).sum()
-    }
 }
 
 #[cfg(test)]
@@ -356,8 +341,8 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 3.0);
         assert!(g.has_edge(NodeId(0), NodeId(1)));
         assert!(g.has_edge(NodeId(1), NodeId(0)));
-        assert_eq!(g.degree(NodeId(0)), 1);
-        assert_eq!(g.degree(NodeId(1)), 1);
+        assert_eq!(g.neighbors(NodeId(0)).len(), 1);
+        assert_eq!(g.neighbors(NodeId(1)).len(), 1);
     }
 
     #[test]
@@ -408,14 +393,6 @@ mod tests {
         assert_eq!(comps.len(), 2);
         assert_eq!(comps[0], vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(comps[1], vec![NodeId(3)]);
-    }
-
-    #[test]
-    fn total_latency_sums_edges() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), 1.5);
-        g.add_edge(NodeId(1), NodeId(2), 2.5);
-        assert!((g.total_latency_ms() - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -307,43 +307,6 @@ impl EdgeNetwork {
             cache_nodes: Vec::new(),
         }
     }
-
-    /// Returns a new network with cache `removed` deleted; caches after
-    /// it shift down by one id. The leave operation for dynamic
-    /// deployments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `removed` is out of range or the network would drop to
-    /// zero caches.
-    pub fn with_removed_cache(&self, removed: CacheId) -> EdgeNetwork {
-        let mut out = EdgeNetwork {
-            rtt: self.rtt.clone(),
-            origin_node: self.origin_node,
-            cache_nodes: Vec::new(),
-        };
-        out.remove_cache(removed);
-        out
-    }
-
-    /// Removes cache `removed` in place; caches after it shift down by
-    /// one id. Unlike [`with_removed_cache`](Self::with_removed_cache)
-    /// this compacts the RTT matrix within its existing buffer, so a
-    /// maintenance sweep that retires many caches performs no per-step
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `removed` is out of range or the network would drop to
-    /// zero caches.
-    pub fn remove_cache(&mut self, removed: CacheId) {
-        let n = self.cache_count();
-        assert!(removed.index() < n, "cache {removed} out of range");
-        assert!(n > 1, "cannot remove the last cache");
-        self.rtt.remove_index(removed.index() + 1);
-        // Node provenance is no longer meaningful once ids shift.
-        self.cache_nodes.clear();
-    }
 }
 
 #[cfg(test)]
@@ -480,48 +443,10 @@ mod tests {
     }
 
     #[test]
-    fn with_removed_cache_shifts_ids() {
-        let net = EdgeNetwork::from_rtt_matrix(paper_figure1());
-        let shrunk = net.with_removed_cache(CacheId(1)); // drop Ec1
-        assert_eq!(shrunk.cache_count(), 5);
-        // Ec0 keeps id 0; Ec2 becomes id 1.
-        assert_eq!(shrunk.cache_to_origin(CacheId(0)), 12.0);
-        assert_eq!(shrunk.cache_to_origin(CacheId(1)), 12.0); // was Ec2
-        assert_eq!(
-            shrunk.cache_to_cache(CacheId(1), CacheId(2)),
-            net.cache_to_cache(CacheId(2), CacheId(3))
-        );
-    }
-
-    #[test]
-    fn remove_cache_in_place_matches_with_removed_cache() {
-        let net = EdgeNetwork::from_rtt_matrix(paper_figure1());
-        let mut swept = net.clone();
-        // Retire caches one by one and compare against the allocating
-        // variant at every step.
-        let mut expected = net;
-        for victim in [3usize, 0, 2] {
-            expected = expected.with_removed_cache(CacheId(victim));
-            swept.remove_cache(CacheId(victim));
-            assert_eq!(swept, expected);
-        }
-        assert_eq!(swept.cache_count(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "one RTT per existing cache")]
     fn with_added_cache_checks_arity() {
         let net = EdgeNetwork::from_rtt_matrix(paper_figure1());
         let _ = net.with_added_cache(1.0, &[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "last cache")]
-    fn cannot_remove_last_cache() {
-        let mut m = RttMatrix::zeros(2);
-        m.set(0, 1, 5.0);
-        let net = EdgeNetwork::from_rtt_matrix(m);
-        let _ = net.with_removed_cache(CacheId(0));
     }
 
     #[test]

@@ -269,66 +269,6 @@ impl RttMatrix {
         }
     }
 
-    /// Removes node `idx` in place: row and column `idx` are deleted and
-    /// later nodes shift down by one, with no new allocation. The
-    /// zero-copy counterpart of `submatrix(&all_but_idx)` for repeated
-    /// shrinking sweeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn remove_index(&mut self, idx: usize) {
-        let n = self.n;
-        assert!(idx < n, "rtt index out of range");
-        // Forward in-place compaction: the write cursor never overtakes
-        // the read cursor.
-        let mut w = 0;
-        for i in 0..n {
-            if i == idx {
-                continue;
-            }
-            for j in 0..n {
-                if j == idx {
-                    continue;
-                }
-                self.data[w] = self.data[i * n + j];
-                w += 1;
-            }
-        }
-        self.n = n - 1;
-        self.data.truncate(w);
-    }
-
-    /// Mean RTT over all unordered distinct pairs, or `None` if `n < 2`.
-    pub fn mean_off_diagonal(&self) -> Option<f64> {
-        if self.n < 2 {
-            return None;
-        }
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                sum += self.get(i, j);
-                count += 1;
-            }
-        }
-        Some(sum / count as f64)
-    }
-
-    /// Maximum off-diagonal RTT, or `None` if `n < 2`.
-    pub fn max_off_diagonal(&self) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                let v = self.get(i, j);
-                if best.is_none_or(|b| v > b) {
-                    best = Some(v);
-                }
-            }
-        }
-        best
-    }
-
     /// Indices of the `k` nodes nearest to `from` (excluding `from`),
     /// sorted by ascending RTT. Returns fewer than `k` if the matrix is
     /// small.
@@ -455,34 +395,6 @@ mod tests {
         assert_eq!(out.get(1, 1), 0.0);
         assert_eq!(out.get(0, 1), 0.0); // Ec0 to itself
         assert_eq!(out.get(0, 2), m.get(1, 3));
-    }
-
-    #[test]
-    fn remove_index_matches_submatrix() {
-        let m = paper_figure1();
-        let mut shrunk = m.clone();
-        shrunk.remove_index(2);
-        let keep: Vec<usize> = (0..7).filter(|&i| i != 2).collect();
-        assert_eq!(shrunk, m.submatrix(&keep));
-        // Repeated sweep down to two nodes, always consistent.
-        while shrunk.len() > 2 {
-            let before = shrunk.clone();
-            shrunk.remove_index(0);
-            let keep: Vec<usize> = (1..before.len()).collect();
-            assert_eq!(shrunk, before.submatrix(&keep));
-        }
-    }
-
-    #[test]
-    fn mean_and_max_off_diagonal() {
-        let mut m = RttMatrix::zeros(3);
-        m.set(0, 1, 2.0);
-        m.set(0, 2, 4.0);
-        m.set(1, 2, 6.0);
-        assert_eq!(m.mean_off_diagonal(), Some(4.0));
-        assert_eq!(m.max_off_diagonal(), Some(6.0));
-        assert_eq!(RttMatrix::zeros(1).mean_off_diagonal(), None);
-        assert_eq!(RttMatrix::zeros(0).max_off_diagonal(), None);
     }
 
     #[test]

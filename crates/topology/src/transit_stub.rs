@@ -74,12 +74,14 @@ pub enum NodeKind {
 
 impl NodeKind {
     /// Returns `true` for transit (backbone) nodes.
-    pub fn is_transit(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_transit(&self) -> bool {
         matches!(self, NodeKind::Transit { .. })
     }
 
     /// Returns `true` for stub (edge) nodes.
-    pub fn is_stub(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_stub(&self) -> bool {
         matches!(self, NodeKind::Stub { .. })
     }
 }

@@ -210,15 +210,6 @@ impl DocumentCatalog {
         self.docs.iter()
     }
 
-    /// Mean document size in bytes — the "average sized document" the
-    /// paper's interaction cost is defined over.
-    pub fn mean_size_bytes(&self) -> f64 {
-        if self.docs.is_empty() {
-            return 0.0;
-        }
-        self.docs.iter().map(|d| d.size_bytes as f64).sum::<f64>() / self.docs.len() as f64
-    }
-
     /// Total origin update rate (updates per second across all docs).
     pub fn total_update_rate_per_sec(&self) -> f64 {
         self.docs.iter().map(|d| d.update_rate_per_sec).sum()
@@ -300,7 +291,6 @@ mod tests {
             },
         ];
         let cat = DocumentCatalog::from_documents(docs);
-        assert_eq!(cat.mean_size_bytes(), 200.0);
         assert_eq!(cat.total_update_rate_per_sec(), 0.75);
     }
 

@@ -152,22 +152,11 @@ impl RequestConfig {
         self
     }
 
-    /// The configured similarity.
-    pub fn similarity_value(&self) -> f64 {
-        self.similarity
-    }
-
     /// The configured Zipf popularity exponent. Consumers that share one
     /// [`ZipfSampler`] across shards (see
     /// [`RequestConfig::stream_cache`]) build it with this value.
     pub fn zipf_exponent_value(&self) -> f64 {
         self.zipf_exponent
-    }
-
-    /// Expected number of requests over `caches` caches and
-    /// `duration_ms` milliseconds (ignoring modulation).
-    pub fn expected_requests(&self, caches: usize, duration_ms: f64) -> f64 {
-        self.rate_per_sec_per_cache * caches as f64 * duration_ms / 1_000.0
     }
 
     /// Generates the merged, time-sorted request stream for `caches`
@@ -420,7 +409,8 @@ mod tests {
         let cfg = RequestConfig::default().rate_per_sec_per_cache(5.0);
         let mut rng = StdRng::seed_from_u64(2);
         let reqs = cfg.generate(&cat, 4, 100_000.0, &mut rng);
-        let expected = cfg.expected_requests(4, 100_000.0);
+        // 5 requests/s on each of 4 caches for 100 s.
+        let expected = 2_000.0;
         let actual = reqs.len() as f64;
         assert!(
             (actual - expected).abs() / expected < 0.1,
@@ -626,7 +616,8 @@ mod tests {
             assert!(pair[0].time_ms <= pair[1].time_ms);
         }
         assert!(reqs.iter().all(|r| r.cache < 4 && r.doc.index() < 100));
-        let expected = cfg.expected_requests(4, 100_000.0);
+        // 5 requests/s on each of 4 caches for 100 s.
+        let expected = 2_000.0;
         let actual = reqs.len() as f64;
         assert!(
             (actual - expected).abs() / expected < 0.1,

@@ -37,17 +37,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.requests.len()
     );
 
-    // A data-driven starting point: sweep K on clustering silhouette
-    // before paying for any simulation.
-    let suggestion = GfCoordinator::new(SchemeConfig::sl(1)).suggest_groups(
-        &network,
-        &[4, 8, 12, 16, 24, 32],
-        &mut rng,
-    )?;
-    println!(
-        "silhouette sweep suggests K = {} (score {:.3})",
-        suggestion.k, suggestion.score
-    );
     println!(
         "\n{:>4} {:>14} {:>14} {:>12}",
         "K", "SL (ms)", "SDSL (ms)", "SDSL gain"

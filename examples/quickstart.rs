@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .generate(&mut rng);
     let trace = workload.merged_trace();
     // The plan says what is simulated; the context says how (here: on
-    // the worker pool, unobserved). The grouping is the only variable.
+    // scoped worker threads, unobserved). The grouping is the only variable.
     let plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace);
     let mut ctx = RunContext::pooled();
 

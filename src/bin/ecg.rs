@@ -21,7 +21,7 @@
 //!   groups and prints the latency/hit-rate report.
 //! * `replay` runs the same entry point ([`simulate`]) over a
 //!   *streamed* workload, an implicit synthetic oracle and contiguous
-//!   groups on the worker pool — the large-N counterpart of
+//!   groups on `ecg-par`'s scoped threads — the large-N counterpart of
 //!   `simulate`, byte-identical output at any thread count.
 //! * `lifecycle` runs the [`FormationSupervisor`] over a generated
 //!   churn schedule: windows tick, caches crash/recover/retire, and a
@@ -156,8 +156,7 @@ const PLSET: Flag = flag("plset-multiplier", "M", Any);
 const MAX_GROUP_SIZE: Flag = flag("max-group-size", "S", COUNT);
 const MINIBATCH: Flag = flag("minibatch", "true|false", Any);
 const BATCH_SIZE: Flag = flag("batch-size", "B", COUNT);
-const ITERS: Flag = flag("iters", "I", Any);
-const ASSIGN: Flag = flag("assign", "auto|blocked|tree", Any);
+const ITERS: Flag = flag("iters", "I", COUNT);
 const TRACE: Flag = flag("trace", "FILE", Any);
 const DOCS: Flag = flag("docs", "D", COUNT);
 const DURATION: Flag = flag("duration-secs", "T", Positive);
@@ -218,7 +217,7 @@ const COMMANDS: &[Command] = &[
     Command { name: "scale", run: scale_cmd, about: "", flags: &[
         (CACHES, D("10000")), (GROUPS, Unset), (SCHEME, D("sdsl")), (THETA, D("1")),
         (LANDMARKS, D("8")), (PLSET, D("4")), (SEED, D("1")), (MINIBATCH, D("false")),
-        (BATCH_SIZE, D("2048")), (ITERS, D("40")), (ASSIGN, D("auto")),
+        (BATCH_SIZE, D("2048")), (ITERS, D("40")),
     ] },
     Command { name: "gen-trace", run: gen_trace, about: "", flags: &[
         (CACHES, D("100")), (DOCS, D("1500")), (DURATION, D("120")), (RATE, D("2")),
@@ -235,7 +234,7 @@ const COMMANDS: &[Command] = &[
         (CACHES, D("200")), (GROUP_SIZE, D("25")), (DOCS, D("1500")), (DURATION, D("60")),
         (RATE, D("2")), (CAPACITY, D("512")), (POLICY, D("utility")),
         (PLACEMENT, D("single-holder")), (SEED, D("1")), (THREADS, Unset), (VERIFY, D("false")),
-    ], about: "streams the workload group by group on the worker pool; verifying also \
+    ], about: "streams the workload group by group on scoped worker threads; verifying also \
         simulates the materialized trace serially and asserts a bit-identical report \
         (small N only). Timings go to stderr." },
     Command { name: "lifecycle", run: lifecycle_cmd, flags: &[
@@ -458,10 +457,9 @@ fn scale_cmd(opts: &Opts) -> Result<(), String> {
     let minibatch: bool = opts.get(&MINIBATCH)?;
     let batch_size: usize = opts.get(&BATCH_SIZE)?;
     let iters: usize = opts.get(&ITERS)?;
-    let assign: AssignMode = opts.get(&ASSIGN)?;
 
     let k = opts.opt(&GROUPS)?.unwrap_or((caches / 100).max(2));
-    let mut scheme = scheme(opts, k)?.kmeans_assign(assign);
+    let mut scheme = scheme(opts, k)?;
     if minibatch {
         scheme = scheme.kmeans_variant(KmeansVariant::MiniBatch(
             MiniBatchConfig::default()
@@ -486,10 +484,9 @@ fn scale_cmd(opts: &Opts) -> Result<(), String> {
         "full-batch Lloyd".into()
     };
     println!(
-        "{} caches -> {} groups ({engine}, {} assign), sizes min/mean/max {}/{:.1}/{}",
+        "{} caches -> {} groups ({engine}), sizes min/mean/max {}/{:.1}/{}",
         caches,
         outcome.groups().len(),
-        assign.name(),
         sizes.iter().min().copied().unwrap_or(0),
         caches as f64 / sizes.len().max(1) as f64,
         sizes.iter().max().copied().unwrap_or(0),
@@ -607,7 +604,7 @@ fn simulate_cmd(opts: &Opts) -> Result<(), String> {
 }
 
 /// `simulate` over a streamed workload, an implicit synthetic RTT
-/// oracle and contiguous groups, on the worker pool: the large-N
+/// oracle and contiguous groups, on scoped threads: the large-N
 /// counterpart of the `simulate` subcommand. Nothing global is
 /// materialized — each shard regenerates its members' request streams
 /// from the master seed — so stdout is byte-identical at any
@@ -1277,32 +1274,35 @@ mod tests {
             "10",
         ]))
         .unwrap();
-        // Forced tree assignment must run (and match the other engines
-        // bit for bit — pinned by the scaled-pipeline suite).
+        // k = 70 clusters on the KD-tree, the engine picked by k alone.
         run(&argv(&[
             "scale",
             "--caches",
-            "300",
+            "700",
             "--groups",
-            "6",
+            "70",
             "--landmarks",
             "6",
             "--seed",
             "2",
-            "--assign",
-            "tree",
         ]))
         .unwrap();
-        assert!(run(&argv(&[
-            "scale",
-            "--minibatch",
-            "true",
-            "--batch-size",
-            "0"
-        ]))
-        .is_err());
+        // Zero mini-batch iterations would print the seeding as a
+        // formed grouping.
+        for flag in ["batch-size", "iters"] {
+            let err = run(&argv(&[
+                "scale",
+                "--minibatch",
+                "true",
+                &format!("--{flag}"),
+                "0",
+            ]));
+            assert_eq!(err, Err(format!("--{flag} must be positive")));
+        }
         assert!(run(&argv(&["scale", "--scheme", "bogus"])).is_err());
-        assert!(run(&argv(&["scale", "--assign", "kd"])).is_err());
+        // The engine is not a user option.
+        let err = run(&argv(&["scale", "--assign", "tree"])).unwrap_err();
+        assert_eq!(err, "unknown flag --assign for `ecg scale`");
     }
 
     #[test]

@@ -23,12 +23,11 @@
 //! | [`clustering`] | `ecg-clustering` | K-means, initializers, quality metrics |
 //! | [`workload`] | `ecg-workload` | Zipf catalogs, request/update streams, traces |
 //! | [`cache`] | `ecg-cache` | utility/LRU/LFU/GDSF document caches |
-//! | [`place`] | `ecg-place` | in-group replica placement policies |
-//! | [`sim`] | `ecg-sim` | the discrete-event network simulator: one entry point over materialized or streamed traces, one grouping or a timeline |
+//! | [`sim`] | `ecg-sim` | the discrete-event network simulator: one entry point over materialized or streamed traces, one grouping or a timeline; in-group replica placement ([`sim::place`]) |
 //! | [`core`] | `ecg-core` | the SL and SDSL schemes themselves |
 //! | [`faults`] | `ecg-faults` | fault plans, churn generation, degradation reporting |
 //! | [`lifecycle`] | `ecg-lifecycle` | continuous re-formation: supervisor, policies, epoch timelines |
-//! | [`par`] | `ecg-par` | deterministic fixed-chunk parallel kernels and the worker pool |
+//! | [`par`] | `ecg-par` | deterministic fixed-chunk parallel kernels on scoped threads |
 //! | [`cli`] | — | the one command-line flag parser of the workspace's binaries |
 //!
 //! ## Quickstart
@@ -74,7 +73,6 @@ pub use ecg_faults as faults;
 pub use ecg_lifecycle as lifecycle;
 pub use ecg_obs as obs;
 pub use ecg_par as par;
-pub use ecg_place as place;
 pub use ecg_sim as sim;
 pub use ecg_topology as topology;
 pub use ecg_workload as workload;
@@ -82,7 +80,7 @@ pub use ecg_workload as workload;
 /// One-import convenience: the types a typical user touches.
 pub mod prelude {
     pub use ecg_cache::{DocumentCache, PolicyKind};
-    pub use ecg_clustering::{AssignMode, KmeansVariant, MiniBatchConfig};
+    pub use ecg_clustering::{KmeansVariant, MiniBatchConfig};
     pub use ecg_coords::{ProbeConfig, Prober};
     pub use ecg_core::{
         FormationTimings, GfCoordinator, GroupInit, GroupMaintainer, GroupingOutcome,
@@ -93,10 +91,10 @@ pub mod prelude {
         FormationSupervisor, FormationTimeline, ReformDecision, ReformPolicy, SupervisorConfig,
     };
     pub use ecg_obs::Obs;
-    pub use ecg_place::{AdaptiveConfig, DChoicesConfig, PlacementKind};
     pub use ecg_sim::{
-        simulate, simulate_epochs, GroupMap, LatencyModel, ReplayEpoch, RunContext, RunStats,
-        SimConfig, SimPlan, SimReport, StreamedWorkload,
+        simulate, simulate_epochs, AdaptiveConfig, DChoicesConfig, GroupMap, LatencyModel,
+        PlacementKind, ReplayEpoch, RunContext, RunStats, SimConfig, SimPlan, SimReport,
+        StreamedWorkload,
     };
     pub use ecg_topology::{
         CacheId, EdgeNetwork, OriginPlacement, RttMatrix, RttSource, SyntheticRtt,

@@ -21,7 +21,6 @@ const POLICIES: [PolicyKind; 4] = [
     PolicyKind::Utility,
     PolicyKind::Gdsf,
 ];
-const ASSIGNS: [AssignMode; 3] = [AssignMode::Auto, AssignMode::Blocked, AssignMode::Tree];
 
 fn placements() -> [PlacementKind; 3] {
     [
@@ -49,9 +48,6 @@ fn every_name_parses_back_to_its_value() {
     for kind in placements() {
         assert_eq!(kind.name().parse(), Ok(kind));
     }
-    for mode in ASSIGNS {
-        assert_eq!(mode.name().parse(), Ok(mode));
-    }
     for (name, preset) in reform_presets() {
         assert_eq!(name.parse(), Ok(preset), "{name}");
     }
@@ -60,10 +56,9 @@ fn every_name_parses_back_to_its_value() {
     assert_eq!("dchoices".parse(), Ok(PlacementKind::d_choices()));
     assert_eq!("transit".parse(), Ok(OriginPlacement::TransitNode));
     assert_eq!("stub".parse(), Ok(OriginPlacement::StubNode));
-    for bad in ["", "LRU", "d_choices", "hold-only", "auto "] {
+    for bad in ["", "LRU", "d_choices", "hold-only", "static "] {
         assert!(bad.parse::<PolicyKind>().is_err(), "{bad:?}");
         assert!(bad.parse::<PlacementKind>().is_err(), "{bad:?}");
-        assert!(bad.parse::<AssignMode>().is_err(), "{bad:?}");
         assert!(bad.parse::<ReformPolicy>().is_err(), "{bad:?}");
         assert!(bad.parse::<OriginPlacement>().is_err(), "{bad:?}");
     }
@@ -134,7 +129,6 @@ proptest! {
     fn damaged_names_are_refused_or_name_a_value(edits in arb_edits()) {
         let names = POLICIES.iter().map(|k| k.name())
             .chain(placements().map(|k| k.name()))
-            .chain(ASSIGNS.iter().map(|m| m.name()))
             .chain(reform_presets().map(|(name, _)| name))
             .chain(["dchoices", "transit", "stub"]);
         for name in names {
@@ -144,9 +138,6 @@ proptest! {
             }
             if let Ok(kind) = name.parse::<PlacementKind>() {
                 prop_assert_eq!(kind.name().parse(), Ok(kind));
-            }
-            if let Ok(mode) = name.parse::<AssignMode>() {
-                prop_assert_eq!(mode.name().parse(), Ok(mode));
             }
             if let Ok(policy) = name.parse::<ReformPolicy>() {
                 let presets = reform_presets();

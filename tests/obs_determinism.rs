@@ -15,8 +15,8 @@ use rand::SeedableRng;
 const CACHES: usize = 30;
 const DURATION_MS: f64 = 40_000.0;
 
-/// Runs the full observed pipeline from a seed — the simulation on the
-/// worker pool when `pooled`, else on this thread — and returns the
+/// Runs the full observed pipeline from a seed — the simulation on
+/// scoped worker threads when `pooled`, else on this thread — and returns the
 /// serialized metrics document.
 fn observed_run(seed: u64, pooled: bool) -> String {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -5,6 +5,7 @@
 //! (GIC, `GroupMap`) as `form_groups`', and every `SchemeConfig` field
 //! must mean the same thing at both.
 
+use edge_cache_groups::clustering::AssignMode;
 use edge_cache_groups::core::{ResilienceConfig, SchemeError};
 use edge_cache_groups::prelude::*;
 use rand::rngs::StdRng;
@@ -75,18 +76,18 @@ fn tree_and_blocked_assignment_agree_over_many_seeds_and_threads() {
     // distances — `PartialEq` covers all fields). This pins the
     // KD-tree's bit-exactness contract end to end through the scaled
     // pipeline, not just at the kernel boundary, and simultaneously
-    // re-checks thread-count invariance for both engines. k = 60 keeps
-    // the forced-tree runs below the `Auto` threshold on purpose: the
-    // knob, not the heuristic, decides the engine under test.
+    // re-checks thread-count invariance for both engines. k = 60 sits
+    // below the k that picks the tree on its own, so the hidden
+    // `force_assign` hook, not k, decides the engine under test.
     for seed in 0..30u64 {
         let n = 240;
         let net = SyntheticRttConfig::default().generate(n + 1, 31_000 + seed);
-        let run = |assign: AssignMode, threads: usize| {
+        let run = |engine: AssignMode, threads: usize| {
             let scheme = SchemeConfig::sdsl(60, 1.0)
                 .landmarks(6)
                 .plset_multiplier(4)
                 .kmeans_max_iterations(15)
-                .kmeans_assign(assign)
+                .force_assign(engine)
                 .probe(ProbeConfig::noiseless());
             edge_cache_groups::par::set_max_threads(Some(threads));
             let formed = GfCoordinator::new(scheme)
@@ -96,12 +97,12 @@ fn tree_and_blocked_assignment_agree_over_many_seeds_and_threads() {
             formed.outcome
         };
         let base = run(AssignMode::Blocked, 1);
-        for assign in [AssignMode::Blocked, AssignMode::Tree] {
+        for engine in [AssignMode::Blocked, AssignMode::Tree] {
             for threads in [1, 2, 8] {
-                let outcome = run(assign, threads);
+                let outcome = run(engine, threads);
                 assert_eq!(
                     outcome, base,
-                    "outcome diverged: seed {seed}, {assign:?}, {threads} threads"
+                    "outcome diverged: seed {seed}, {engine:?}, {threads} threads"
                 );
             }
         }

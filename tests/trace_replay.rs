@@ -3,7 +3,7 @@
 //! The paper's simulator is log-file-driven; these tests check that a
 //! workload written to the text trace format replays to bit-identical
 //! simulation results, and that every way of running `simulate` — on
-//! the caller's thread or on the worker pool, over a materialized or a
+//! the caller's thread or on scoped worker threads, over a materialized or a
 //! streamed trace, observed or not — is bit-identical, report and
 //! observability document, to the time-major reference oracle
 //! ([`simulate_time_major`]) on every input it accepts — across
@@ -68,7 +68,7 @@ fn oracle(
     simulate_time_major(network, groups, catalog, trace, sim, schedule, None)
 }
 
-/// `plan` under `groups` on the worker pool at `threads` threads.
+/// `plan` under `groups` on scoped worker threads, `threads` of them.
 fn pooled_at(
     threads: usize,
     plan: &SimPlan<'_>,

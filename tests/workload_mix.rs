@@ -1,7 +1,7 @@
 //! Workload-mix assertions at scale.
 //!
 //! Runs flash-crowd and diurnal request mixes over N = 10 000 caches —
-//! streamed, on the worker pool — and checks the merged report's
+//! streamed, on `ecg-par`'s scoped threads — and checks the merged report's
 //! invariants: sane hit rates, ordered latency percentiles, and the
 //! load shifts each modulation is supposed to cause. Nothing here pins
 //! exact values — these are the structural properties any correct
