@@ -265,7 +265,8 @@ fn run() -> Result<(), String> {
         group.bench_function("pruned_flat", |b| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(7);
-                kmeans(&pts, config, &Initializer::KmeansPlusPlus, &mut rng).expect("clustering")
+                kmeans(&pts, config, &Initializer::KmeansPlusPlus, &mut rng, None)
+                    .expect("clustering")
             })
         });
         group.finish();

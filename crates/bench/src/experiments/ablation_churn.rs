@@ -139,7 +139,7 @@ pub fn run(run: &mut Run) {
         let max_drift = cell.maintainer.map(|m| {
             let mut driver = ChurnDriver::new(m);
             driver
-                .apply_observed(
+                .apply(
                     &scenario.network,
                     &cell.plan,
                     &mut StdRng::seed_from_u64(2_000 + cell.churn_per_hour as u64),

@@ -79,7 +79,7 @@ pub fn run(run: &mut Run) {
             };
             network = network.with_added_cache(to_origin, &rtts);
             maintainer
-                .admit_observed(&network, &mut rng, run.obs())
+                .admit(&network, &mut rng, run.obs())
                 .expect("admission");
         }
 

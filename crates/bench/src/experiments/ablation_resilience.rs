@@ -97,12 +97,7 @@ pub fn run(run: &mut Run) {
         for seed in 0..REPEATS {
             let mut form_rng = StdRng::seed_from_u64(3_000 + seed);
             let outcome = coordinator
-                .form_groups_faulted_observed(
-                    &network,
-                    &probe_faults,
-                    &mut form_rng,
-                    cell_obs.as_mut(),
-                )
+                .form_groups_faulted(&network, &probe_faults, &mut form_rng, cell_obs.as_mut())
                 .expect("faulted formation");
             result.gic_ms.push(interaction_cost_ms(&outcome, &network));
             if let Some(health) = outcome.health() {

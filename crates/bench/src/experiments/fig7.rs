@@ -16,7 +16,7 @@
 //! Run with `cargo run --release -p ecg-bench -- run fig7 [--metrics-out <path>]`.
 
 use crate::{f2, mean, Run, Scenario, Table};
-use ecg_clustering::{average_group_interaction_cost, kmeans_observed, Initializer, KmeansConfig};
+use ecg_clustering::{average_group_interaction_cost, kmeans, Initializer, KmeansConfig};
 use ecg_coords::{
     build_feature_vectors, embed_network, FeatureMatrix, GnpConfig, ProbeConfig, Prober,
 };
@@ -76,7 +76,7 @@ pub fn run(run: &mut Run) {
 
         for (ki, &k) in ks.iter().enumerate() {
             for (points, out) in [(&fv_points, &mut fv_gic), (&gnp_points, &mut gnp_gic)] {
-                let clustering = kmeans_observed(
+                let clustering = kmeans(
                     points,
                     KmeansConfig::new(k),
                     &Initializer::RandomRepresentative,

@@ -240,6 +240,18 @@ impl std::error::Error for KmeansError {}
 /// when its current center is the *unique* strict nearest), so the
 /// result is identical to [`kmeans_reference`] in every field.
 ///
+/// With a bundle it records per-iteration convergence stats:
+/// `kmeans.*` counters (iterations, reassignments, Hamerly-pruned
+/// points, bound-tightened points, exact scans), a `kmeans` phase span
+/// whose work is the iteration count, and one `kmeans`/`iter` trace
+/// event per iteration keyed by iteration number (never wall clock). An
+/// iteration whose exact scans ran on neighbour tables ([`crate::tree`])
+/// also records how many they settled and how many fell through to the
+/// tree, as `kmeans.neighbour_hits` / `kmeans.neighbour_fallbacks` and
+/// two more fields on its event; other iterations record neither.
+/// Instrumentation never draws from the RNG, so the clustering is
+/// identical either way.
+///
 /// # Errors
 ///
 /// Returns [`KmeansError`] if there are fewer points than clusters or
@@ -261,6 +273,7 @@ impl std::error::Error for KmeansError {}
 ///     KmeansConfig::new(2),
 ///     &Initializer::RandomRepresentative,
 ///     &mut rng,
+///     None,
 /// )?;
 /// let a = result.assignments();
 /// assert_eq!(a[0], a[1]);
@@ -269,27 +282,6 @@ impl std::error::Error for KmeansError {}
 /// # Ok::<(), ecg_clustering::KmeansError>(())
 /// ```
 pub fn kmeans<R: Rng + ?Sized>(
-    points: &FeatureMatrix,
-    config: KmeansConfig,
-    initializer: &Initializer,
-    rng: &mut R,
-) -> Result<Clustering, KmeansError> {
-    kmeans_observed(points, config, initializer, rng, None)
-}
-
-/// Like [`kmeans`], but records per-iteration convergence stats into an
-/// observability bundle when one is supplied: `kmeans.*` counters
-/// (iterations, reassignments, Hamerly-pruned points, bound-tightened
-/// points, exact scans), a `kmeans` phase span whose work is the
-/// iteration count, and one `kmeans`/`iter` trace event per iteration
-/// keyed by iteration number (never wall clock). An iteration whose
-/// exact scans ran on neighbour tables ([`crate::tree`]) also records
-/// how many they settled and how many fell through to the tree, as
-/// `kmeans.neighbour_hits` / `kmeans.neighbour_fallbacks` and two more
-/// fields on its event; other iterations record neither. With
-/// `obs = None` this is exactly [`kmeans`]; instrumentation never draws
-/// from the RNG, so the clustering is identical either way.
-pub fn kmeans_observed<R: Rng + ?Sized>(
     points: &FeatureMatrix,
     config: KmeansConfig,
     initializer: &Initializer,
@@ -815,6 +807,7 @@ mod tests {
             KmeansConfig::new(3),
             &Initializer::RandomRepresentative,
             &mut rng,
+            None,
         )
         .unwrap();
         assert!(r.converged());
@@ -845,6 +838,7 @@ mod tests {
                 KmeansConfig::new(4),
                 &Initializer::RandomRepresentative,
                 &mut rng,
+                None,
             )
             .unwrap();
             assert!(
@@ -865,6 +859,7 @@ mod tests {
             KmeansConfig::new(6),
             &Initializer::RandomRepresentative,
             &mut rng,
+            None,
         )
         .unwrap();
         let mut sizes = r.cluster_sizes();
@@ -881,6 +876,7 @@ mod tests {
             KmeansConfig::new(1),
             &Initializer::RandomRepresentative,
             &mut rng,
+            None,
         )
         .unwrap();
         assert_eq!(r.cluster_sizes(), vec![pts.len()]);
@@ -898,6 +894,7 @@ mod tests {
             KmeansConfig::new(2),
             &Initializer::RandomRepresentative,
             &mut rng,
+            None,
         )
         .unwrap_err();
         assert_eq!(err, KmeansError::TooFewPoints { points: 1, k: 2 });
@@ -914,6 +911,7 @@ mod tests {
                 KmeansConfig::new(3),
                 &Initializer::Provided(vec![0, 5, 10]),
                 &mut rng,
+                None,
             )
             .unwrap()
         };
@@ -929,6 +927,7 @@ mod tests {
             KmeansConfig::new(3),
             &Initializer::RandomRepresentative,
             &mut rng,
+            None,
         )
         .unwrap();
         let mut all: Vec<usize> = r.clusters().into_iter().flatten().collect();
@@ -970,6 +969,7 @@ mod tests {
                     KmeansConfig::new(k),
                     &Initializer::RandomRepresentative,
                     &mut rng_a,
+                    None,
                 )
                 .unwrap();
                 let slow = kmeans_reference(
@@ -1002,6 +1002,7 @@ mod tests {
                 KmeansConfig::new(5),
                 &Initializer::RandomRepresentative,
                 &mut rng_a,
+                None,
             )
             .unwrap();
             let slow = kmeans_reference(
@@ -1042,12 +1043,13 @@ mod tests {
                 KmeansConfig::new(3),
                 &Initializer::RandomRepresentative,
                 &mut rng,
+                None,
             )
             .unwrap()
         };
         let mut rng = StdRng::seed_from_u64(3);
         let mut obs = Obs::new();
-        let observed = kmeans_observed(
+        let observed = kmeans(
             &pts,
             KmeansConfig::new(3),
             &Initializer::RandomRepresentative,

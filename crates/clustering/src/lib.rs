@@ -36,6 +36,7 @@
 //!     KmeansConfig::new(2),
 //!     &Initializer::RandomRepresentative,
 //!     &mut rng,
+//!     None,
 //! )?;
 //! assert_eq!(result.cluster_sizes(), vec![2, 2]);
 //! # Ok::<(), ecg_clustering::KmeansError>(())
@@ -62,10 +63,8 @@ pub use balanced::{kmeans_capped, CapError};
 pub use blocked::BlockedCenters;
 pub use ecg_coords::FeatureMatrix;
 pub use init::{server_distance_weights, Initializer};
-pub use kmeans::{
-    kmeans, kmeans_observed, kmeans_reference, Clustering, KmeansConfig, KmeansError,
-};
-pub use masked::{kmeans_masked, kmeans_masked_observed, masked_sq_l2};
+pub use kmeans::{kmeans, kmeans_reference, Clustering, KmeansConfig, KmeansError};
+pub use masked::{kmeans_masked, masked_sq_l2};
 pub use medoids::{pam, Medoids};
 pub use minibatch::{kmeans_minibatch, kmeans_variant, KmeansVariant, MiniBatchConfig};
 pub use quality::{average_group_interaction_cost, group_interaction_cost};

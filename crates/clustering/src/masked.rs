@@ -71,7 +71,10 @@ pub fn masked_sq_l2(p: &[f64], observed: &[bool], center: &[f64]) -> f64 {
 /// distance, center-update, and repair rules).
 ///
 /// With a fully-observed mask the result is bit-identical to
-/// [`crate::kmeans()`] for the same inputs and RNG state.
+/// [`crate::kmeans()`] for the same inputs and RNG state. With a bundle
+/// it records `kmeans.*` counters (iterations, reassignments,
+/// masked-cell count); instrumentation never draws from the RNG, so the
+/// clustering is identical either way.
 ///
 /// # Errors
 ///
@@ -82,24 +85,6 @@ pub fn masked_sq_l2(p: &[f64], observed: &[bool], center: &[f64]) -> f64 {
 /// Panics if `mask` does not match `points` in shape, or any row has
 /// zero observed components (quarantine such rows before clustering).
 pub fn kmeans_masked<R: Rng + ?Sized>(
-    points: &FeatureMatrix,
-    mask: &FeatureMask,
-    config: KmeansConfig,
-    initializer: &Initializer,
-    rng: &mut R,
-) -> Result<Clustering, KmeansError> {
-    kmeans_masked_observed(points, mask, config, initializer, rng, None)
-}
-
-/// Like [`kmeans_masked`], but records `kmeans.*` counters (iterations,
-/// reassignments, masked-cell count) into an observability bundle when
-/// one is supplied. Instrumentation never draws from the RNG, so the
-/// clustering is identical either way.
-///
-/// # Errors
-///
-/// Exactly as [`kmeans_masked`].
-pub fn kmeans_masked_observed<R: Rng + ?Sized>(
     points: &FeatureMatrix,
     mask: &FeatureMask,
     config: KmeansConfig,
@@ -325,6 +310,7 @@ mod tests {
             KmeansConfig::new(2),
             &Initializer::RandomRepresentative,
             &mut StdRng::seed_from_u64(3),
+            None,
         )
         .unwrap();
         let masked = kmeans_masked(
@@ -333,6 +319,7 @@ mod tests {
             KmeansConfig::new(2),
             &Initializer::RandomRepresentative,
             &mut StdRng::seed_from_u64(3),
+            None,
         )
         .unwrap();
         assert_eq!(plain, masked);
@@ -355,6 +342,7 @@ mod tests {
             KmeansConfig::new(2),
             &Initializer::Provided(vec![0, 3]),
             &mut StdRng::seed_from_u64(0),
+            None,
         )
         .unwrap();
         let a = r.assignments();
@@ -375,6 +363,7 @@ mod tests {
             KmeansConfig::new(1),
             &Initializer::Provided(vec![0]),
             &mut StdRng::seed_from_u64(0),
+            None,
         )
         .unwrap();
         // dim 0: mean(2, 4) = 3; dim 1: only point 0 observed it -> 10.
@@ -402,6 +391,7 @@ mod tests {
             KmeansConfig::new(1),
             &Initializer::RandomRepresentative,
             &mut StdRng::seed_from_u64(0),
+            None,
         );
     }
 
@@ -415,6 +405,7 @@ mod tests {
             KmeansConfig::new(2),
             &Initializer::RandomRepresentative,
             &mut StdRng::seed_from_u64(0),
+            None,
         )
         .unwrap_err();
         assert_eq!(err, KmeansError::TooFewPoints { points: 1, k: 2 });
@@ -431,10 +422,11 @@ mod tests {
             KmeansConfig::new(2),
             &Initializer::RandomRepresentative,
             &mut StdRng::seed_from_u64(9),
+            None,
         )
         .unwrap();
         let mut obs = Obs::new();
-        let observed = kmeans_masked_observed(
+        let observed = kmeans_masked(
             &points,
             &mask,
             KmeansConfig::new(2),
@@ -470,6 +462,7 @@ mod tests {
             KmeansConfig::new(3),
             &Initializer::Provided(vec![0, 1, 2]),
             &mut StdRng::seed_from_u64(0),
+            None,
         )
         .unwrap();
         let sizes = r.cluster_sizes();

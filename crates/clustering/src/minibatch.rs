@@ -131,7 +131,7 @@ pub fn kmeans_variant<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Clustering, KmeansError> {
     match variant {
-        KmeansVariant::Lloyd => crate::kmeans(points, config, initializer, rng),
+        KmeansVariant::Lloyd => crate::kmeans(points, config, initializer, rng, None),
         KmeansVariant::MiniBatch(mb) => kmeans_minibatch(points, config, *mb, initializer, rng),
     }
 }
@@ -326,6 +326,7 @@ mod tests {
             KmeansConfig::new(3),
             &Initializer::RandomRepresentative,
             &mut rng_b,
+            None,
         )
         .unwrap();
         assert_eq!(via_variant, direct);

@@ -3,8 +3,8 @@
 use ecg_clustering::hierarchical::{agglomerative, Linkage};
 use ecg_clustering::{
     average_group_interaction_cost, group_interaction_cost, kmeans, kmeans_capped, kmeans_masked,
-    kmeans_minibatch, kmeans_observed, kmeans_reference, server_distance_weights, AssignMode,
-    BlockedCenters, CenterTree, FeatureMatrix, Initializer, KmeansConfig, MiniBatchConfig,
+    kmeans_minibatch, kmeans_reference, server_distance_weights, AssignMode, BlockedCenters,
+    CenterTree, FeatureMatrix, Initializer, KmeansConfig, MiniBatchConfig,
 };
 use ecg_coords::FeatureMask;
 use proptest::prelude::*;
@@ -84,7 +84,7 @@ proptest! {
             &points,
             KmeansConfig::new(k),
             &Initializer::RandomRepresentative,
-            &mut rng,
+            &mut rng, None,
         ).unwrap();
         // Every point assigned to a valid cluster.
         prop_assert_eq!(r.assignments().len(), points.len());
@@ -107,7 +107,7 @@ proptest! {
             &points,
             KmeansConfig::new(k),
             &Initializer::RandomRepresentative,
-            &mut rng,
+            &mut rng, None,
         ).unwrap();
         if !r.converged() {
             // Iteration cap hit: the invariant may not hold yet.
@@ -140,7 +140,7 @@ proptest! {
             &points,
             KmeansConfig::new(k),
             &Initializer::RandomRepresentative,
-            &mut rng_fast,
+            &mut rng_fast, None,
         ).unwrap();
         let reference = kmeans_reference(
             &points,
@@ -271,7 +271,7 @@ proptest! {
                 &points,
                 KmeansConfig::new(k),
                 &Initializer::RandomRepresentative,
-                &mut StdRng::seed_from_u64(seed),
+                &mut StdRng::seed_from_u64(seed), None,
             ).unwrap();
             ecg_par::set_max_threads(None);
             r
@@ -310,14 +310,14 @@ proptest! {
             &points,
             KmeansConfig::new(k),
             &Initializer::RandomRepresentative,
-            &mut StdRng::seed_from_u64(seed),
+            &mut StdRng::seed_from_u64(seed), None,
         ).unwrap();
         let masked = kmeans_masked(
             &points,
             &mask,
             KmeansConfig::new(k),
             &Initializer::RandomRepresentative,
-            &mut StdRng::seed_from_u64(seed),
+            &mut StdRng::seed_from_u64(seed), None,
         ).unwrap();
         prop_assert_eq!(masked.assignments(), full.assignments());
         for (a, b) in masked.centers().as_flat().iter().zip(full.centers().as_flat()) {
@@ -354,7 +354,7 @@ proptest! {
             &mask,
             KmeansConfig::new(k),
             &Initializer::RandomRepresentative,
-            &mut StdRng::seed_from_u64(seed),
+            &mut StdRng::seed_from_u64(seed), None,
         ).unwrap();
         prop_assert_eq!(r.assignments().len(), n);
         let sizes = r.cluster_sizes();
@@ -427,7 +427,7 @@ proptest! {
                 &points,
                 KmeansConfig::new(k).force_assign(engine),
                 &Initializer::RandomRepresentative,
-                &mut StdRng::seed_from_u64(seed),
+                &mut StdRng::seed_from_u64(seed), None,
             ).unwrap()
         };
         let tree = run(AssignMode::Tree);
@@ -537,6 +537,7 @@ fn multi_chunk_parallel_kmeans_matches_reference_bit_for_bit() {
             config,
             &Initializer::RandomRepresentative,
             &mut StdRng::seed_from_u64(5),
+            None,
         )
         .unwrap();
         ecg_par::set_max_threads(None);
@@ -604,6 +605,7 @@ fn multi_chunk_quality_metrics_are_thread_count_invariant() {
         KmeansConfig::new(12),
         &Initializer::RandomRepresentative,
         &mut StdRng::seed_from_u64(3),
+        None,
     )
     .unwrap();
     let groups = clustering.clusters();
@@ -659,7 +661,7 @@ fn observed_lloyd(
     seed: u64,
 ) -> (ecg_clustering::Clustering, ecg_obs::Obs) {
     let mut obs = ecg_obs::Obs::new();
-    let clustering = kmeans_observed(
+    let clustering = kmeans(
         points,
         config,
         initializer,

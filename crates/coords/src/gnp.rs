@@ -342,16 +342,17 @@ pub fn embed_network<R: Rng + ?Sized>(
     let mut landmark_rtts = vec![vec![0.0; l]; l];
     for i in 0..l {
         for j in (i + 1)..l {
-            let rtt = prober.measure(landmarks[i], landmarks[j], rng);
+            let rtt = prober.measure(landmarks[i], landmarks[j], rng, None);
             landmark_rtts[i][j] = rtt;
             landmark_rtts[j][i] = rtt;
         }
     }
     let model = GnpModel::fit_landmarks(config, &landmark_rtts, rng);
+    let mut rtts = Vec::with_capacity(landmarks.len());
     nodes
         .iter()
         .map(|&node| {
-            let rtts = prober.measure_all(node, landmarks, rng);
+            prober.measure_all(node, landmarks, rng, &mut rtts, None);
             model.embed_node(&rtts, rng)
         })
         .collect()

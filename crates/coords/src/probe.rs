@@ -220,7 +220,7 @@ struct ProbeTally {
 /// let matrix = paper_figure1();
 /// let prober = Prober::new(&matrix, ProbeConfig::noiseless());
 /// let mut rng = StdRng::seed_from_u64(1);
-/// assert_eq!(prober.measure(1, 2, &mut rng), 4.0);
+/// assert_eq!(prober.measure(1, 2, &mut rng, None), 4.0);
 /// ```
 #[derive(Debug)]
 pub struct Prober<'a> {
@@ -323,13 +323,23 @@ impl<'a> Prober<'a> {
     /// [`ProbeConfig::timeout`]; use [`Prober::measure_outcome`] to
     /// tell those cases apart.
     ///
-    /// Probing yourself returns `0.0` without sending probes.
+    /// Probing yourself returns `0.0` without sending probes. With a
+    /// bundle the measurement is recorded as
+    /// [`Prober::measure_outcome`] records it: a timed-out or
+    /// unreachable measurement is counted, not sampled into
+    /// `probe.rtt_ms`.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range of the wrapped matrix.
-    pub fn measure<R: Rng + ?Sized>(&self, a: usize, b: usize, rng: &mut R) -> f64 {
-        self.measure_outcome(a, b, rng)
+    pub fn measure<R: Rng + ?Sized>(
+        &self,
+        a: usize,
+        b: usize,
+        rng: &mut R,
+        obs: Option<&mut Obs>,
+    ) -> f64 {
+        self.measure_outcome(a, b, rng, obs)
             .value_or(self.config.timeout_ms)
     }
 
@@ -342,17 +352,54 @@ impl<'a> Prober<'a> {
     ///
     /// Probing yourself returns `Ok(0.0)` without sending probes.
     ///
+    /// With a bundle the attempt is recorded: `probe.measurements` /
+    /// `probe.sent` / `probe.lost` counters, a `probe.rtt_ms` histogram
+    /// for successful measurements, and `probe.timeouts` /
+    /// `probe.unreachable` counters for the failure outcomes.
+    /// Instrumentation never touches the RNG stream.
+    ///
     /// # Panics
     ///
     /// Panics if an index is out of range of the wrapped matrix.
-    pub fn measure_outcome<R: Rng + ?Sized>(&self, a: usize, b: usize, rng: &mut R) -> Measurement {
-        self.tallied(|tally| self.measure_tallied(a, b, rng, tally))
+    pub fn measure_outcome<R: Rng + ?Sized>(
+        &self,
+        a: usize,
+        b: usize,
+        rng: &mut R,
+        obs: Option<&mut Obs>,
+    ) -> Measurement {
+        self.tallied(|tally| self.measure_tallied(a, b, rng, obs, tally))
     }
 
     /// [`Prober::measure_outcome`] with the probes it sent and lost
     /// added to `tally` instead of the shared counters (see
     /// [`Prober::tallied`]).
     fn measure_tallied<R: Rng + ?Sized>(
+        &self,
+        a: usize,
+        b: usize,
+        rng: &mut R,
+        obs: Option<&mut Obs>,
+        tally: &mut ProbeTally,
+    ) -> Measurement {
+        let before = *tally;
+        let outcome = self.draw_tallied(a, b, rng, tally);
+        if let Some(obs) = obs {
+            obs.metrics.inc("probe.measurements");
+            obs.metrics.add("probe.sent", tally.sent - before.sent);
+            obs.metrics.add("probe.lost", tally.lost - before.lost);
+            match outcome {
+                Measurement::Ok(rtt) => obs.metrics.observe("probe.rtt_ms", rtt),
+                Measurement::Timeout => obs.metrics.inc("probe.timeouts"),
+                Measurement::Unreachable => obs.metrics.inc("probe.unreachable"),
+            }
+        }
+        outcome
+    }
+
+    /// The probes of one measurement: the draws and the outcome, its
+    /// probes added to `tally`.
+    fn draw_tallied<R: Rng + ?Sized>(
         &self,
         a: usize,
         b: usize,
@@ -408,46 +455,6 @@ impl<'a> Prober<'a> {
         result
     }
 
-    /// Like [`Prober::measure_outcome`], but records the attempt into an
-    /// observability bundle when one is supplied: `probe.measurements` /
-    /// `probe.sent` / `probe.lost` counters, a `probe.rtt_ms` histogram
-    /// for successful measurements, and `probe.timeouts` /
-    /// `probe.unreachable` counters for the failure outcomes.
-    /// Instrumentation never touches the RNG stream.
-    pub fn measure_outcome_observed<R: Rng + ?Sized>(
-        &self,
-        a: usize,
-        b: usize,
-        rng: &mut R,
-        obs: Option<&mut Obs>,
-    ) -> Measurement {
-        self.tallied(|tally| self.measure_observed_tallied(a, b, rng, obs, tally))
-    }
-
-    /// [`Prober::measure_outcome_observed`] over [`Prober::measure_tallied`].
-    fn measure_observed_tallied<R: Rng + ?Sized>(
-        &self,
-        a: usize,
-        b: usize,
-        rng: &mut R,
-        obs: Option<&mut Obs>,
-        tally: &mut ProbeTally,
-    ) -> Measurement {
-        let before = *tally;
-        let outcome = self.measure_tallied(a, b, rng, tally);
-        if let Some(obs) = obs {
-            obs.metrics.inc("probe.measurements");
-            obs.metrics.add("probe.sent", tally.sent - before.sent);
-            obs.metrics.add("probe.lost", tally.lost - before.lost);
-            match outcome {
-                Measurement::Ok(rtt) => obs.metrics.observe("probe.rtt_ms", rtt),
-                Measurement::Timeout => obs.metrics.inc("probe.timeouts"),
-                Measurement::Unreachable => obs.metrics.inc("probe.unreachable"),
-            }
-        }
-        outcome
-    }
-
     /// Measures with bounded retries under `policy`.
     ///
     /// The first attempt consumes the caller's RNG exactly like
@@ -460,20 +467,11 @@ impl<'a> Prober<'a> {
     /// stream therefore advances by the same amount no matter how many
     /// retries run. [`Measurement::Unreachable`] gives up immediately:
     /// a dead link cannot be retried into answering.
+    ///
+    /// With a bundle every attempt is recorded as
+    /// [`Prober::measure_outcome`] records it, plus `probe.retries` and
+    /// `probe.gave_up` counters.
     pub fn measure_retry<R: Rng + ?Sized>(
-        &self,
-        a: usize,
-        b: usize,
-        policy: &RetryPolicy,
-        rng: &mut R,
-    ) -> Measurement {
-        self.measure_retry_observed(a, b, policy, rng, None)
-    }
-
-    /// Like [`Prober::measure_retry`], but records every attempt via
-    /// [`Prober::measure_outcome_observed`] plus `probe.retries` and
-    /// `probe.gave_up` counters when a bundle is supplied.
-    pub fn measure_retry_observed<R: Rng + ?Sized>(
         &self,
         a: usize,
         b: usize,
@@ -484,7 +482,7 @@ impl<'a> Prober<'a> {
         self.tallied(|tally| self.measure_retry_tallied(a, b, policy, rng, obs, tally))
     }
 
-    /// [`Prober::measure_retry_observed`] over [`Prober::measure_tallied`].
+    /// [`Prober::measure_retry`] over [`Prober::measure_tallied`].
     fn measure_retry_tallied<R: Rng + ?Sized>(
         &self,
         a: usize,
@@ -494,7 +492,7 @@ impl<'a> Prober<'a> {
         mut obs: Option<&mut Obs>,
         tally: &mut ProbeTally,
     ) -> Measurement {
-        let first = self.measure_observed_tallied(a, b, rng, obs.as_deref_mut(), tally);
+        let first = self.measure_tallied(a, b, rng, obs.as_deref_mut(), tally);
         match first {
             Measurement::Ok(_) => return first,
             Measurement::Unreachable => {
@@ -517,8 +515,7 @@ impl<'a> Prober<'a> {
                 o.metrics.inc("probe.retries");
             }
             let mut retry_rng = StdRng::seed_from_u64(derive_seed(master, u64::from(attempt)));
-            let outcome =
-                self.measure_observed_tallied(a, b, &mut retry_rng, obs.as_deref_mut(), tally);
+            let outcome = self.measure_tallied(a, b, &mut retry_rng, obs.as_deref_mut(), tally);
             match outcome {
                 Measurement::Ok(_) => return outcome,
                 Measurement::Unreachable => {
@@ -540,35 +537,24 @@ impl<'a> Prober<'a> {
         Measurement::Timeout
     }
 
-    /// Like [`Prober::measure`], but records the measurement into an
-    /// observability bundle when one is supplied, as
-    /// [`Prober::measure_outcome_observed`] does: a timed-out or
-    /// unreachable measurement is counted, not sampled into
-    /// `probe.rtt_ms`. With `obs = None` this is exactly
-    /// [`Prober::measure`] — instrumentation never touches the RNG
-    /// stream either way.
-    pub fn measure_observed<R: Rng + ?Sized>(
-        &self,
-        a: usize,
-        b: usize,
-        rng: &mut R,
-        obs: Option<&mut Obs>,
-    ) -> f64 {
-        self.measure_outcome_observed(a, b, rng, obs)
-            .value_or(self.config.timeout_ms)
-    }
-
-    /// Measures the RTT from `from` to every node in `targets`, in order.
+    /// Measures the RTT from `from` to every node in `targets`, in
+    /// order, each as [`Prober::measure`] does (and records it, with a
+    /// bundle), into `out` (cleared first, so a caller that probes
+    /// repeatedly reuses one buffer).
     pub fn measure_all<R: Rng + ?Sized>(
         &self,
         from: usize,
         targets: &[usize],
         rng: &mut R,
-    ) -> Vec<f64> {
-        targets
-            .iter()
-            .map(|&t| self.measure(from, t, rng))
-            .collect()
+        out: &mut Vec<f64>,
+        mut obs: Option<&mut Obs>,
+    ) {
+        out.clear();
+        out.extend(
+            targets
+                .iter()
+                .map(|&t| self.measure(from, t, rng, obs.as_deref_mut())),
+        );
     }
 
     /// Measures a `rows × width` batch — cell `(r, c)` probes the pair
@@ -634,30 +620,13 @@ impl<'a> Prober<'a> {
     ) -> (f64, bool) {
         match policy {
             None => {
-                let outcome = self.measure_tallied(a, b, rng, tally);
+                let outcome = self.draw_tallied(a, b, rng, tally);
                 (outcome.value_or(self.config.timeout_ms), true)
             }
             Some(policy) => {
                 let retried = self.measure_retry_tallied(a, b, policy, rng, obs, tally);
                 (retried.value_or(0.0), retried.is_ok())
             }
-        }
-    }
-
-    /// [`Prober::measure_all`] into a caller-provided buffer (cleared
-    /// first), via [`Prober::measure_observed`] when a bundle is supplied.
-    pub fn measure_all_into_observed<R: Rng + ?Sized>(
-        &self,
-        from: usize,
-        targets: &[usize],
-        rng: &mut R,
-        out: &mut Vec<f64>,
-        mut obs: Option<&mut Obs>,
-    ) {
-        out.clear();
-        out.reserve(targets.len());
-        for &t in targets {
-            out.push(self.measure_observed(from, t, rng, obs.as_deref_mut()));
         }
     }
 }
@@ -676,7 +645,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         for i in 0..7 {
             for j in 0..7 {
-                assert_eq!(p.measure(i, j, &mut rng), m.get(i, j));
+                assert_eq!(p.measure(i, j, &mut rng, None), m.get(i, j));
             }
         }
     }
@@ -686,7 +655,7 @@ mod tests {
         let m = paper_figure1();
         let p = Prober::new(&m, ProbeConfig::default());
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(p.measure(3, 3, &mut rng), 0.0);
+        assert_eq!(p.measure(3, 3, &mut rng, None), 0.0);
         assert_eq!(p.probes_sent(), 0);
     }
 
@@ -695,8 +664,8 @@ mod tests {
         let m = paper_figure1();
         let p = Prober::new(&m, ProbeConfig::default().probes_per_measurement(4));
         let mut rng = StdRng::seed_from_u64(0);
-        p.measure(0, 1, &mut rng);
-        p.measure(1, 2, &mut rng);
+        p.measure(0, 1, &mut rng, None);
+        p.measure(1, 2, &mut rng, None);
         assert_eq!(p.probes_sent(), 8);
     }
 
@@ -710,7 +679,7 @@ mod tests {
                 .noise_sigma(0.05),
         );
         let mut rng = StdRng::seed_from_u64(7);
-        let measured = p.measure(0, 1, &mut rng);
+        let measured = p.measure(0, 1, &mut rng, None);
         let truth = m.get(0, 1);
         assert!(
             (measured - truth).abs() / truth < 0.05,
@@ -732,7 +701,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(99);
             let mut err = 0.0;
             for _ in 0..200 {
-                err += (p.measure(0, 1, &mut rng) - truth).abs();
+                err += (p.measure(0, 1, &mut rng, None) - truth).abs();
             }
             err / 200.0
         };
@@ -744,7 +713,8 @@ mod tests {
         let m = paper_figure1();
         let p = Prober::new(&m, ProbeConfig::noiseless());
         let mut rng = StdRng::seed_from_u64(0);
-        let v = p.measure_all(1, &[0, 2, 3], &mut rng);
+        let mut v = vec![99.0];
+        p.measure_all(1, &[0, 2, 3], &mut rng, &mut v, None);
         assert_eq!(v, vec![12.0, 4.0, 17.0]);
     }
 
@@ -769,7 +739,7 @@ mod tests {
                 .loss_rate(0.3),
         );
         let mut rng = StdRng::seed_from_u64(11);
-        let measured = p.measure(0, 1, &mut rng);
+        let measured = p.measure(0, 1, &mut rng, None);
         // Survivors are noiseless, so the average is exact truth.
         assert_eq!(measured, m.get(0, 1));
         assert_eq!(p.probes_sent(), 200);
@@ -789,7 +759,7 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(0);
         // With 99.9% loss the 3 probes are all lost essentially always.
-        let measured = p.measure(0, 1, &mut rng);
+        let measured = p.measure(0, 1, &mut rng, None);
         assert_eq!(measured, 750.0);
         assert_eq!(p.probes_lost(), 3);
     }
@@ -803,12 +773,18 @@ mod tests {
         let a = {
             let p = Prober::new(&m, cfg);
             let mut rng = StdRng::seed_from_u64(42);
-            (p.measure(0, 1, &mut rng), p.measure(2, 3, &mut rng))
+            (
+                p.measure(0, 1, &mut rng, None),
+                p.measure(2, 3, &mut rng, None),
+            )
         };
         let b = {
             let p = Prober::new(&m, cfg.loss_rate(0.0));
             let mut rng = StdRng::seed_from_u64(42);
-            (p.measure(0, 1, &mut rng), p.measure(2, 3, &mut rng))
+            (
+                p.measure(0, 1, &mut rng, None),
+                p.measure(2, 3, &mut rng, None),
+            )
         };
         assert_eq!(a, b);
     }
@@ -820,14 +796,17 @@ mod tests {
         let plain = {
             let p = Prober::new(&m, cfg);
             let mut rng = StdRng::seed_from_u64(5);
-            (p.measure(0, 1, &mut rng), p.measure(2, 3, &mut rng))
+            (
+                p.measure(0, 1, &mut rng, None),
+                p.measure(2, 3, &mut rng, None),
+            )
         };
         let p = Prober::new(&m, cfg);
         let mut rng = StdRng::seed_from_u64(5);
         let mut obs = Obs::new();
         let observed = (
-            p.measure_observed(0, 1, &mut rng, Some(&mut obs)),
-            p.measure_observed(2, 3, &mut rng, Some(&mut obs)),
+            p.measure(0, 1, &mut rng, Some(&mut obs)),
+            p.measure(2, 3, &mut rng, Some(&mut obs)),
         );
         // Identical RNG stream: instrumentation must not perturb it.
         assert_eq!(plain, observed);
@@ -850,7 +829,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut obs = Obs::new();
         let mut out = Vec::new();
-        p.measure_all_into_observed(0, &[1], &mut rng, &mut out, Some(&mut obs));
+        p.measure_all(0, &[1], &mut rng, &mut out, Some(&mut obs));
+        assert_eq!(out, [p.config().timeout()]);
         assert_eq!(obs.metrics.counter("probe.lost"), 3);
         assert_eq!(obs.metrics.counter("probe.timeouts"), 1);
     }
@@ -870,9 +850,9 @@ mod tests {
             ),
         ] {
             let mut obs = Obs::new();
-            let rtt = p.measure_observed(0, 1, &mut StdRng::seed_from_u64(0), Some(&mut obs));
+            let rtt = p.measure(0, 1, &mut StdRng::seed_from_u64(0), Some(&mut obs));
             assert_eq!(rtt, p.config().timeout(), "{counter}");
-            assert_eq!(p.measure(0, 1, &mut StdRng::seed_from_u64(0)), rtt);
+            assert_eq!(p.measure(0, 1, &mut StdRng::seed_from_u64(0), None), rtt);
             assert_eq!(obs.metrics.counter(counter), 1);
             let failures = ["probe.timeouts", "probe.unreachable"].map(|c| obs.metrics.counter(c));
             assert_eq!(failures.iter().sum::<u64>(), 1, "{counter}");
@@ -895,7 +875,10 @@ mod tests {
                 .loss_rate(0.999),
         );
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(p.measure_outcome(0, 1, &mut rng), Measurement::Timeout);
+        assert_eq!(
+            p.measure_outcome(0, 1, &mut rng, None),
+            Measurement::Timeout
+        );
     }
 
     #[test]
@@ -905,7 +888,10 @@ mod tests {
         let p = Prober::with_faults(&m, ProbeConfig::default(), faults);
         let mut rng = StdRng::seed_from_u64(3);
         let before = rng.clone();
-        assert_eq!(p.measure_outcome(1, 2, &mut rng), Measurement::Unreachable);
+        assert_eq!(
+            p.measure_outcome(1, 2, &mut rng, None),
+            Measurement::Unreachable
+        );
         // No randomness consumed for a known-dead link.
         let mut before = before;
         assert_eq!(rng.gen::<u64>(), before.gen::<u64>());
@@ -914,7 +900,7 @@ mod tests {
         assert_eq!(p.probes_lost(), 3);
         // Legacy f64 API maps it onto the timeout sentinel.
         let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(p.measure(1, 2, &mut rng), p.config().timeout());
+        assert_eq!(p.measure(1, 2, &mut rng, None), p.config().timeout());
     }
 
     #[test]
@@ -923,8 +909,11 @@ mod tests {
         let faults = ProbeFaults::new().blackhole(1, 2);
         let p = Prober::with_faults(&m, ProbeConfig::noiseless(), faults);
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(p.measure_outcome(2, 1, &mut rng).is_unreachable());
-        assert_eq!(p.measure_outcome(1, 3, &mut rng), Measurement::Ok(17.0));
+        assert!(p.measure_outcome(2, 1, &mut rng, None).is_unreachable());
+        assert_eq!(
+            p.measure_outcome(1, 3, &mut rng, None),
+            Measurement::Ok(17.0)
+        );
     }
 
     #[test]
@@ -934,12 +923,18 @@ mod tests {
         let a = {
             let p = Prober::new(&m, cfg);
             let mut rng = StdRng::seed_from_u64(8);
-            (p.measure(0, 1, &mut rng), p.measure(2, 3, &mut rng))
+            (
+                p.measure(0, 1, &mut rng, None),
+                p.measure(2, 3, &mut rng, None),
+            )
         };
         let b = {
             let p = Prober::with_faults(&m, cfg, ProbeFaults::default());
             let mut rng = StdRng::seed_from_u64(8);
-            (p.measure(0, 1, &mut rng), p.measure(2, 3, &mut rng))
+            (
+                p.measure(0, 1, &mut rng, None),
+                p.measure(2, 3, &mut rng, None),
+            )
         };
         assert_eq!(a, b);
     }
@@ -950,13 +945,20 @@ mod tests {
         let cfg = ProbeConfig::default().probes_per_measurement(4);
         let p = Prober::new(&m, cfg);
         let mut rng_a = StdRng::seed_from_u64(21);
-        let plain = (p.measure(0, 1, &mut rng_a), p.measure(2, 3, &mut rng_a));
+        let plain = (
+            p.measure(0, 1, &mut rng_a, None),
+            p.measure(2, 3, &mut rng_a, None),
+        );
         let after_plain: u64 = rng_a.gen();
         let mut rng_b = StdRng::seed_from_u64(21);
         let policy = RetryPolicy::default();
         let retried = (
-            p.measure_retry(0, 1, &policy, &mut rng_b).value().unwrap(),
-            p.measure_retry(2, 3, &policy, &mut rng_b).value().unwrap(),
+            p.measure_retry(0, 1, &policy, &mut rng_b, None)
+                .value()
+                .unwrap(),
+            p.measure_retry(2, 3, &policy, &mut rng_b, None)
+                .value()
+                .unwrap(),
         );
         assert_eq!(plain, retried);
         // The caller's stream is in the same state afterwards.
@@ -979,13 +981,13 @@ mod tests {
         for seed in 0..200 {
             let probe_a = Prober::new(&m, cfg);
             let mut rng = StdRng::seed_from_u64(seed);
-            let plain = probe_a.measure_outcome(0, 1, &mut rng);
+            let plain = probe_a.measure_outcome(0, 1, &mut rng, None);
             if !plain.is_timeout() {
                 continue;
             }
             let probe_b = Prober::new(&m, cfg);
             let mut rng = StdRng::seed_from_u64(seed);
-            let retried = probe_b.measure_retry(0, 1, &policy, &mut rng);
+            let retried = probe_b.measure_retry(0, 1, &policy, &mut rng, None);
             if let Measurement::Ok(v) = retried {
                 assert_eq!(v, m.get(0, 1));
                 assert!(probe_b.retries() >= 1);
@@ -1005,7 +1007,7 @@ mod tests {
         let p = Prober::with_faults(&m, ProbeConfig::default(), faults);
         let mut rng = StdRng::seed_from_u64(0);
         let policy = RetryPolicy::default().retries(10);
-        let out = p.measure_retry(0, 1, &policy, &mut rng);
+        let out = p.measure_retry(0, 1, &policy, &mut rng, None);
         assert!(out.is_unreachable());
         assert_eq!(p.retries(), 0, "dead links must not be retried");
         assert_eq!(p.gave_up(), 1);
@@ -1026,7 +1028,7 @@ mod tests {
             .retries(3)
             .base_backoff_ms(10)
             .multiplier(2);
-        let out = p.measure_retry(0, 1, &policy, &mut rng);
+        let out = p.measure_retry(0, 1, &policy, &mut rng, None);
         assert!(out.is_timeout());
         assert_eq!(p.retries(), 3);
         assert_eq!(p.gave_up(), 1);
@@ -1045,7 +1047,13 @@ mod tests {
         let drain = |retries: u32| -> u64 {
             let p = Prober::new(&m, cfg);
             let mut rng = StdRng::seed_from_u64(17);
-            let _ = p.measure_retry(0, 1, &RetryPolicy::default().retries(retries), &mut rng);
+            let _ = p.measure_retry(
+                0,
+                1,
+                &RetryPolicy::default().retries(retries),
+                &mut rng,
+                None,
+            );
             rng.gen()
         };
         assert_eq!(drain(1), drain(10));
@@ -1061,12 +1069,12 @@ mod tests {
         let plain = {
             let p = Prober::new(&m, cfg);
             let mut rng = StdRng::seed_from_u64(4);
-            p.measure_retry(0, 1, &policy, &mut rng)
+            p.measure_retry(0, 1, &policy, &mut rng, None)
         };
         let p = Prober::new(&m, cfg);
         let mut rng = StdRng::seed_from_u64(4);
         let mut obs = Obs::new();
-        let observed = p.measure_retry_observed(0, 1, &policy, &mut rng, Some(&mut obs));
+        let observed = p.measure_retry(0, 1, &policy, &mut rng, Some(&mut obs));
         assert_eq!(plain, observed);
         assert_eq!(obs.metrics.counter("probe.retries"), 2);
         assert_eq!(obs.metrics.counter("probe.gave_up"), 1);
@@ -1081,7 +1089,7 @@ mod tests {
         let p = Prober::with_faults(&m, ProbeConfig::default(), faults);
         let mut rng = StdRng::seed_from_u64(0);
         let mut obs = Obs::new();
-        let out = p.measure_retry_observed(0, 1, &RetryPolicy::default(), &mut rng, Some(&mut obs));
+        let out = p.measure_retry(0, 1, &RetryPolicy::default(), &mut rng, Some(&mut obs));
         assert!(out.is_unreachable());
         assert_eq!(obs.metrics.counter("probe.unreachable"), 1);
         assert_eq!(obs.metrics.counter("probe.gave_up"), 1);
@@ -1109,8 +1117,8 @@ mod tests {
                 for c in 0..3 {
                     let (a, b) = pair(r, c);
                     expected.push(match policy {
-                        None => replay.measure(a, b, &mut rng),
-                        Some(p) => replay.measure_retry(a, b, p, &mut rng).value_or(0.0),
+                        None => replay.measure(a, b, &mut rng, None),
+                        Some(p) => replay.measure_retry(a, b, p, &mut rng, None).value_or(0.0),
                     });
                 }
             }

@@ -122,7 +122,7 @@ pub fn run_vivaldi<R: Rng + ?Sized>(
             if j >= i {
                 j += 1;
             }
-            let rtt = prober.measure(nodes[i], nodes[j], rng);
+            let rtt = prober.measure(nodes[i], nodes[j], rng, None);
             update(&mut states, i, j, rtt, config, rng);
         }
     }

@@ -15,7 +15,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for i in 0..n {
             for j in 0..n {
-                prop_assert_eq!(prober.measure(i, j, &mut rng), m.get(i, j));
+                prop_assert_eq!(prober.measure(i, j, &mut rng, None), m.get(i, j));
             }
         }
     }
@@ -32,7 +32,7 @@ proptest! {
         );
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..20 {
-            let v = prober.measure(0, 3, &mut rng);
+            let v = prober.measure(0, 3, &mut rng, None);
             prop_assert!(v > 0.0);
             prop_assert!(v.is_finite());
             // exp(σz) with |z| < 6 virtually always: generous envelope.

@@ -132,7 +132,7 @@ pub struct PartialReformOutcome {
 ///     12.5,
 ///     &[1.0, 4.5, 18.0, 15.0, 18.0, 15.0],
 /// );
-/// let group = maintainer.admit(&grown, &mut rng)?;
+/// let group = maintainer.admit(&grown, &mut rng, None)?;
 /// // It lands in Ec0's group.
 /// assert_eq!(group, maintainer.group_of(ecg_topology::CacheId(0)).unwrap());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -219,30 +219,16 @@ impl GroupMaintainer {
     /// exactly the assignment rule the clustering itself used, so
     /// admission is consistent with formation.
     ///
-    /// Returns the group index it joined.
+    /// Returns the group index it joined. With a bundle it records a
+    /// `maintenance.admissions` counter, the newcomer's landmark probes
+    /// (`probe.*`), and a `maintenance`/`admit` trace event;
+    /// instrumentation never draws from the RNG.
     ///
     /// # Errors
     ///
     /// Returns [`MaintenanceError::CacheCountMismatch`] if `network`
     /// does not contain exactly one more cache than currently tracked.
     pub fn admit<R: Rng + ?Sized>(
-        &mut self,
-        network: &EdgeNetwork,
-        rng: &mut R,
-    ) -> Result<usize, MaintenanceError> {
-        self.admit_observed(network, rng, None)
-    }
-
-    /// Like [`GroupMaintainer::admit`], but records a
-    /// `maintenance.admissions` counter, the newcomer's landmark probes
-    /// (`probe.*`), and a `maintenance`/`admit` trace event when an
-    /// observability bundle is supplied. With `obs = None` this is
-    /// exactly [`GroupMaintainer::admit`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`GroupMaintainer::admit`].
-    pub fn admit_observed<R: Rng + ?Sized>(
         &mut self,
         network: &EdgeNetwork,
         rng: &mut R,
@@ -287,13 +273,8 @@ impl GroupMaintainer {
         obs: Option<&mut Obs>,
     ) -> usize {
         let prober = Prober::new(network.rtt_matrix(), self.probe);
-        prober.measure_all_into_observed(
-            cache.index() + 1,
-            &self.landmarks,
-            rng,
-            &mut self.fv_scratch,
-            obs,
-        );
+        let from = cache.index() + 1;
+        prober.measure_all(from, &self.landmarks, rng, &mut self.fv_scratch, obs);
         let fv = &self.fv_scratch;
         self.centers
             .iter_rows()
@@ -316,7 +297,9 @@ impl GroupMaintainer {
     /// K-means center; conditions may have changed since it left, so it
     /// does not simply resume its old membership.
     ///
-    /// Returns the group index it joined.
+    /// Returns the group index it joined. With a bundle it records a
+    /// `maintenance.readmissions` counter, the returning cache's landmark
+    /// probes (`probe.*`), and a `maintenance`/`readmit` trace event.
     ///
     /// # Errors
     ///
@@ -327,24 +310,6 @@ impl GroupMaintainer {
     /// * [`MaintenanceError::AlreadyActive`] if `cache` is currently in
     ///   a group.
     pub fn readmit<R: Rng + ?Sized>(
-        &mut self,
-        network: &EdgeNetwork,
-        cache: CacheId,
-        rng: &mut R,
-    ) -> Result<usize, MaintenanceError> {
-        self.readmit_observed(network, cache, rng, None)
-    }
-
-    /// Like [`GroupMaintainer::readmit`], but records a
-    /// `maintenance.readmissions` counter, the returning cache's landmark
-    /// probes (`probe.*`), and a `maintenance`/`readmit` trace event when
-    /// an observability bundle is supplied. With `obs = None` this is
-    /// exactly [`GroupMaintainer::readmit`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`GroupMaintainer::readmit`].
-    pub fn readmit_observed<R: Rng + ?Sized>(
         &mut self,
         network: &EdgeNetwork,
         cache: CacheId,
@@ -595,19 +560,12 @@ impl GroupMaintainer {
             .iter()
             .flat_map(|&g| self.groups[g].iter().copied())
             .collect();
+        let prober = Prober::new(network.rtt_matrix(), self.probe);
         let mut features: Vec<Vec<f64>> = Vec::with_capacity(members.len());
-        {
-            let prober = Prober::new(network.rtt_matrix(), self.probe);
-            for &c in &members {
-                prober.measure_all_into_observed(
-                    c.index() + 1,
-                    &self.landmarks,
-                    rng,
-                    &mut self.fv_scratch,
-                    obs.as_deref_mut(),
-                );
-                features.push(self.fv_scratch.clone());
-            }
+        for c in &members {
+            let fv = &mut self.fv_scratch;
+            prober.measure_all(c.index() + 1, &self.landmarks, rng, fv, obs.as_deref_mut());
+            features.push(fv.clone());
         }
 
         // Warm-started Lloyd over just these members, seeded from the
@@ -798,7 +756,7 @@ mod tests {
         let (network, mut m, mut rng) = formed();
         // Newcomer adjacent to the Ec4/Ec5 pair.
         let grown = network.with_added_cache(8.2, &[14.4, 11.3, 14.4, 11.3, 1.0, 1.0]);
-        let g = m.admit(&grown, &mut rng).unwrap();
+        let g = m.admit(&grown, &mut rng, None).unwrap();
         assert_eq!(g, m.group_of(CacheId(4)).unwrap());
         assert_eq!(m.group_of(CacheId(6)), Some(g));
         assert_eq!(m.active_caches(), 7);
@@ -808,7 +766,7 @@ mod tests {
     #[test]
     fn admit_requires_grown_network() {
         let (network, mut m, mut rng) = formed();
-        let err = m.admit(&network, &mut rng).unwrap_err();
+        let err = m.admit(&network, &mut rng, None).unwrap_err();
         assert!(matches!(err, MaintenanceError::CacheCountMismatch { .. }));
     }
 
@@ -869,7 +827,7 @@ mod tests {
         let original_group = m.group_of(CacheId(0)).unwrap();
         m.retire(CacheId(0)).unwrap();
         assert_eq!(m.active_caches(), 5);
-        let g = m.readmit(&network, CacheId(0), &mut rng).unwrap();
+        let g = m.readmit(&network, CacheId(0), &mut rng, None).unwrap();
         // Noiseless probing at an unchanged position: it rejoins its
         // original group.
         assert_eq!(g, original_group);
@@ -885,17 +843,17 @@ mod tests {
     fn readmit_rejects_active_and_unknown_caches() {
         let (network, mut m, mut rng) = formed();
         assert_eq!(
-            m.readmit(&network, CacheId(0), &mut rng),
+            m.readmit(&network, CacheId(0), &mut rng, None),
             Err(MaintenanceError::AlreadyActive(CacheId(0)))
         );
         assert_eq!(
-            m.readmit(&network, CacheId(9), &mut rng),
+            m.readmit(&network, CacheId(9), &mut rng, None),
             Err(MaintenanceError::UnknownCache(CacheId(9)))
         );
         let grown = network.with_added_cache(1.0, &[1.0; 6]);
         m.retire(CacheId(0)).unwrap();
         assert!(matches!(
-            m.readmit(&grown, CacheId(0), &mut rng),
+            m.readmit(&grown, CacheId(0), &mut rng, None),
             Err(MaintenanceError::CacheCountMismatch { .. })
         ));
     }
@@ -905,7 +863,7 @@ mod tests {
         let (network, mut m, mut rng) = formed();
         let before: Vec<usize> = m.groups().iter().map(Vec::len).collect();
         let grown = network.with_added_cache(8.2, &[14.4, 11.3, 14.4, 11.3, 1.0, 1.0]);
-        let g = m.admit(&grown, &mut rng).unwrap();
+        let g = m.admit(&grown, &mut rng, None).unwrap();
         assert_eq!(m.groups()[g].len(), before[g] + 1);
         m.retire(CacheId(6)).unwrap();
         let after: Vec<usize> = m.groups().iter().map(Vec::len).collect();
@@ -975,7 +933,7 @@ mod tests {
         let (network, mut m, mut rng) = formed();
         // A newcomer far from everyone joins some group and stretches it.
         let grown = network.with_added_cache(200.0, &[190.0; 6]);
-        m.admit(&grown, &mut rng).unwrap();
+        m.admit(&grown, &mut rng, None).unwrap();
         let drift = m.drift(&grown).unwrap();
         assert!(drift > 1.5, "drift {drift}");
         assert!(m.needs_reformation(&grown, 1.2).unwrap());
@@ -985,7 +943,7 @@ mod tests {
     fn reform_resets_drift() {
         let (network, mut m, mut rng) = formed();
         let grown = network.with_added_cache(200.0, &[190.0; 6]);
-        m.admit(&grown, &mut rng).unwrap();
+        m.admit(&grown, &mut rng, None).unwrap();
         let coordinator = GfCoordinator::new(
             SchemeConfig::sl(3)
                 .landmarks(3)
@@ -1005,18 +963,16 @@ mod tests {
         let grown = network.with_added_cache(8.2, &[14.4, 11.3, 14.4, 11.3, 1.0, 1.0]);
         let mut obs = Obs::new();
 
-        let ga = plain.admit(&grown, &mut rng_a).unwrap();
+        let ga = plain.admit(&grown, &mut rng_a, None).unwrap();
         plain.retire(CacheId(0)).unwrap();
-        let ra = plain.readmit(&grown, CacheId(0), &mut rng_a).unwrap();
+        let ra = plain.readmit(&grown, CacheId(0), &mut rng_a, None).unwrap();
 
-        let gb = observed
-            .admit_observed(&grown, &mut rng_b, Some(&mut obs))
-            .unwrap();
+        let gb = observed.admit(&grown, &mut rng_b, Some(&mut obs)).unwrap();
         observed
             .retire_observed(CacheId(0), Some(&mut obs))
             .unwrap();
         let rb = observed
-            .readmit_observed(&grown, CacheId(0), &mut rng_b, Some(&mut obs))
+            .readmit(&grown, CacheId(0), &mut rng_b, Some(&mut obs))
             .unwrap();
 
         // Instrumentation must not perturb maintenance decisions.
@@ -1075,7 +1031,7 @@ mod tests {
         // Stretch one group with a far-away newcomer, then repair only
         // that group: the other groups' membership must be untouched.
         let grown = network.with_added_cache(200.0, &[190.0; 6]);
-        let g = m.admit(&grown, &mut rng).unwrap();
+        let g = m.admit(&grown, &mut rng, None).unwrap();
         let others: Vec<Vec<CacheId>> = m
             .groups()
             .iter()
@@ -1115,7 +1071,7 @@ mod tests {
         assert!(!m.landmarks().contains(&dead));
         // Admission still works against the pruned landmark set.
         let grown = network.with_added_cache(8.2, &[14.4, 11.3, 14.4, 11.3, 1.0, 1.0]);
-        m.admit(&grown, &mut rng).unwrap();
+        m.admit(&grown, &mut rng, None).unwrap();
         assert_eq!(m.active_caches(), 7);
     }
 
@@ -1143,8 +1099,8 @@ mod tests {
         let grown = network.with_added_cache(200.0, &[190.0; 6]);
         let mut rng_a = StdRng::seed_from_u64(42);
         let mut rng_b = StdRng::seed_from_u64(42);
-        let ga = plain.admit(&grown, &mut rng_a).unwrap();
-        let gb = observed.admit(&grown, &mut rng_b).unwrap();
+        let ga = plain.admit(&grown, &mut rng_a, None).unwrap();
+        let gb = observed.admit(&grown, &mut rng_b, None).unwrap();
         assert_eq!(ga, gb);
 
         let mut obs = Obs::new();

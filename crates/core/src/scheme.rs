@@ -13,9 +13,9 @@
 use crate::health::{FormationHealth, ResilienceConfig};
 use crate::landmarks::{cache_count, select, LandmarkError, LandmarkSelection, LandmarkSelector};
 use ecg_clustering::{
-    kmeans_capped, kmeans_masked_observed, kmeans_observed, kmeans_variant,
-    server_distance_weights, take_tree_build_ms, AssignMode, CapError, Initializer, KmeansConfig,
-    KmeansError, KmeansVariant,
+    kmeans, kmeans_capped, kmeans_masked, kmeans_variant, server_distance_weights,
+    take_tree_build_ms, AssignMode, CapError, Initializer, KmeansConfig, KmeansError,
+    KmeansVariant,
 };
 use ecg_coords::{
     build_features, embed_network, run_vivaldi, Draws, FeatureMask, FeatureMatrix, GnpConfig,
@@ -492,7 +492,7 @@ impl GfCoordinator {
         rng: &mut R,
         obs: Option<&mut Obs>,
     ) -> Result<GroupingOutcome, SchemeError> {
-        self.form_groups_faulted_observed(network, &ProbeFaults::default(), rng, obs)
+        self.form_groups_faulted(network, &ProbeFaults::default(), rng, obs)
     }
 
     /// Runs the pipeline against a network with injected probe faults
@@ -512,6 +512,12 @@ impl GfCoordinator {
     /// An empty fault set leaves both bit-identical to
     /// [`GfCoordinator::form_groups`].
     ///
+    /// With a bundle it records what
+    /// [`GfCoordinator::form_groups_observed`] records; a resilient run
+    /// additionally records the per-probe `probe.*` counters,
+    /// `landmarks.dead` / `landmarks.failovers` and `scheme.quarantined`
+    /// / `scheme.failovers`.
+    ///
     /// # Errors
     ///
     /// Exactly as [`GfCoordinator::form_groups`]; additionally, if
@@ -519,24 +525,6 @@ impl GfCoordinator {
     /// [`SchemeError::TooManyGroups`] reports the post-quarantine
     /// count.
     pub fn form_groups_faulted<R: Rng + ?Sized>(
-        &self,
-        network: &EdgeNetwork,
-        faults: &ProbeFaults,
-        rng: &mut R,
-    ) -> Result<GroupingOutcome, SchemeError> {
-        self.form_groups_faulted_observed(network, faults, rng, None)
-    }
-
-    /// [`GfCoordinator::form_groups_faulted`] with optional
-    /// observability (see [`GfCoordinator::form_groups_observed`]; a
-    /// resilient run additionally records the per-probe `probe.*`
-    /// counters, `landmarks.dead` / `landmarks.failovers` and
-    /// `scheme.quarantined` / `scheme.failovers`).
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`GfCoordinator::form_groups_faulted`].
-    pub fn form_groups_faulted_observed<R: Rng + ?Sized>(
         &self,
         network: &EdgeNetwork,
         faults: &ProbeFaults,
@@ -699,7 +687,7 @@ impl GfCoordinator {
             // The size-capped variant has no masked twin: the cap path
             // clusters the raw rows, placeholders included.
             (Some(cap), _) => kmeans_capped(kept_points, kmeans_config, &initializer, cap, rng)?,
-            (None, _) if !kept_mask.is_fully_observed() => kmeans_masked_observed(
+            (None, _) if !kept_mask.is_fully_observed() => kmeans_masked(
                 kept_points,
                 kept_mask,
                 kmeans_config,
@@ -708,7 +696,7 @@ impl GfCoordinator {
                 draws.obs(),
             )?,
             (None, KmeansVariant::Lloyd) => {
-                kmeans_observed(kept_points, kmeans_config, &initializer, rng, draws.obs())?
+                kmeans(kept_points, kmeans_config, &initializer, rng, draws.obs())?
             }
             (None, variant) => {
                 kmeans_variant(kept_points, kmeans_config, variant, &initializer, rng)?
@@ -1206,7 +1194,7 @@ mod tests {
         ));
         let faults = ecg_coords::ProbeFaults::new().node_down(3);
         let outcome = coord
-            .form_groups_faulted(&net, &faults, &mut StdRng::seed_from_u64(4))
+            .form_groups_faulted(&net, &faults, &mut StdRng::seed_from_u64(4), None)
             .unwrap();
         assert!(outcome.health().is_none());
         assert_eq!(outcome.groups().len(), 3);
@@ -1226,7 +1214,7 @@ mod tests {
         let faults = ecg_coords::ProbeFaults::new().node_down(3);
         for seed in 0..10u64 {
             let outcome = coord
-                .form_groups_faulted(&net, &faults, &mut StdRng::seed_from_u64(seed))
+                .form_groups_faulted(&net, &faults, &mut StdRng::seed_from_u64(seed), None)
                 .unwrap();
             let health = outcome.health().expect("health report");
             assert!(health.is_degraded(), "seed {seed}");

@@ -94,7 +94,7 @@ proptest! {
                     Err(e) => prop_assert!(false, "unexpected retire error {e}"),
                 },
                 // Readmit an arbitrary cache (usually a retired one).
-                2 => match m.readmit(&network, cache, &mut rng) {
+                2 => match m.readmit(&network, cache, &mut rng, None) {
                     Ok(_) | Err(MaintenanceError::AlreadyActive(_)) => {}
                     Err(e) => prop_assert!(false, "unexpected readmit error {e}"),
                 },
@@ -104,7 +104,7 @@ proptest! {
                         (0..n).map(|_| rng.gen_range(1.0..50.0)).collect();
                     let origin = rng.gen_range(1.0..50.0);
                     network = network.with_added_cache(origin, &rtts);
-                    m.admit(&network, &mut rng).unwrap();
+                    m.admit(&network, &mut rng, None).unwrap();
                 }
             }
             assert_consistent(&m);

@@ -7,12 +7,13 @@
 //! recovered ones — and records how the average interaction cost drifts
 //! away from its formation-time baseline as membership churns.
 
-use ecg_core::maintenance::{GroupMaintainer, MaintenanceError};
+use ecg_core::maintenance::{GroupMaintainer, MaintenanceError, RetireOutcome};
 use ecg_obs::Obs;
 use ecg_sim::fault::FaultKind;
 use ecg_sim::GroupMap;
 use ecg_topology::{CacheId, EdgeNetwork};
 use rand::Rng;
+use std::collections::BTreeSet;
 
 use crate::plan::FaultPlan;
 
@@ -172,14 +173,168 @@ pub struct DriftSample {
     pub drift: f64,
 }
 
+/// The caches a fault script has taken out of service so far, and the
+/// one step that carries a fault event into a maintained grouping.
+///
+/// Churn replay ([`ChurnDriver::apply`]) and the lifecycle supervisor
+/// both apply membership events through [`Membership::apply`], in the
+/// order the simulator fires them
+/// ([`FaultSchedule::in_firing_order`](ecg_sim::FaultSchedule::in_firing_order)),
+/// so they settle every churn race the same way, and the way the
+/// simulator's fault state does:
+///
+/// * a crash or a retirement takes the cache out of its group, unless
+///   that would empty the group: then it stays nominally grouped
+///   ([`MembershipChange::Kept`]), as a deployment that refuses to
+///   dissolve a group implicitly would keep it;
+/// * a retired cache stays out for good: a later recovery of it is
+///   ignored, and a later crash of it takes nothing more out of service;
+/// * a recovery re-admits the cache into the nearest group, unless it
+///   never left.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Membership {
+    /// Crashed and not yet recovered; never a retired cache.
+    down: BTreeSet<usize>,
+    /// Retired for good.
+    retired: BTreeSet<usize>,
+}
+
+/// What [`Membership::apply`] did to the maintained grouping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MembershipChange {
+    /// The cache left its group.
+    Left(RetireOutcome),
+    /// The cache went out of service but stays in `group`: taking it
+    /// out would have emptied the group.
+    Kept {
+        /// The cache that stays.
+        cache: CacheId,
+        /// The group it stays in.
+        group: usize,
+    },
+    /// The cache came back and joined `group`.
+    Rejoined {
+        /// The group it joined.
+        group: usize,
+    },
+    /// The grouping is unchanged: a brownout, an outage of a cache that
+    /// is already out, or a recovery of a retired cache or of one that
+    /// never left.
+    Unchanged,
+}
+
+impl Membership {
+    /// Applies one fault event to `maintainer`: crashes and retirements
+    /// through [`GroupMaintainer::retire_observed`], recoveries through
+    /// [`GroupMaintainer::readmit`], both recording into `obs` when a
+    /// bundle is supplied.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`MaintenanceError`] on structural mismatches (a
+    /// network that does not cover the maintained caches, a recovery of
+    /// a cache the maintainer does not track); the churn races above are
+    /// never errors.
+    pub fn apply<R: Rng + ?Sized>(
+        &mut self,
+        maintainer: &mut GroupMaintainer,
+        network: &EdgeNetwork,
+        kind: FaultKind,
+        rng: &mut R,
+        obs: Option<&mut Obs>,
+    ) -> Result<MembershipChange, MaintenanceError> {
+        match kind {
+            FaultKind::CacheDown { cache } | FaultKind::CacheRetire { cache } => {
+                if let FaultKind::CacheRetire { .. } = kind {
+                    self.down.remove(&cache.index());
+                    self.retired.insert(cache.index());
+                } else if !self.retired.contains(&cache.index()) {
+                    self.down.insert(cache.index());
+                }
+                take_out(maintainer, cache, obs)
+            }
+            FaultKind::CacheUp { cache } => {
+                self.down.remove(&cache.index());
+                if self.retired.contains(&cache.index()) {
+                    return Ok(MembershipChange::Unchanged);
+                }
+                match maintainer.readmit(network, cache, rng, obs) {
+                    Ok(group) => Ok(MembershipChange::Rejoined { group }),
+                    // It was kept, so it never left.
+                    Err(MaintenanceError::AlreadyActive(_)) => Ok(MembershipChange::Unchanged),
+                    Err(e) => Err(e),
+                }
+            }
+            FaultKind::BrownoutStart { .. } | FaultKind::BrownoutEnd => {
+                Ok(MembershipChange::Unchanged)
+            }
+        }
+    }
+
+    /// Takes every out-of-service cache out of a freshly formed
+    /// `maintainer` (one that groups every cache) and returns the group
+    /// of each cache it had to keep.
+    ///
+    /// # Errors
+    ///
+    /// As [`Membership::apply`].
+    pub fn retire_from(
+        &self,
+        maintainer: &mut GroupMaintainer,
+        mut obs: Option<&mut Obs>,
+    ) -> Result<Vec<usize>, MaintenanceError> {
+        let mut kept = Vec::new();
+        for cache in self.out_of_service() {
+            if let MembershipChange::Kept { group, .. } =
+                take_out(maintainer, cache, obs.as_deref_mut())?
+            {
+                kept.push(group);
+            }
+        }
+        Ok(kept)
+    }
+
+    /// The caches out of service (down or retired), ascending.
+    fn out_of_service(&self) -> impl Iterator<Item = CacheId> + '_ {
+        self.down.union(&self.retired).map(|&c| CacheId(c))
+    }
+
+    /// Whether `cache` is down or retired.
+    pub fn is_out(&self, cache: CacheId) -> bool {
+        self.down.contains(&cache.index()) || self.retired.contains(&cache.index())
+    }
+
+    /// How many caches are out of service.
+    pub fn out_count(&self) -> usize {
+        self.down.len() + self.retired.len()
+    }
+}
+
+/// Takes `cache` out of its group, unless that would empty it
+/// ([`MembershipChange::Kept`]) or the cache is already out
+/// ([`MembershipChange::Unchanged`]).
+fn take_out(
+    maintainer: &mut GroupMaintainer,
+    cache: CacheId,
+    obs: Option<&mut Obs>,
+) -> Result<MembershipChange, MaintenanceError> {
+    match maintainer.retire_observed(cache, obs) {
+        Ok(out) => Ok(MembershipChange::Left(out)),
+        Err(MaintenanceError::WouldEmptyGroup { group }) => {
+            Ok(MembershipChange::Kept { cache, group })
+        }
+        Err(MaintenanceError::UnknownCache(_)) => Ok(MembershipChange::Unchanged),
+        Err(e) => Err(e),
+    }
+}
+
 /// Replays a [`FaultPlan`]'s membership changes through group
 /// maintenance.
 ///
-/// Crashes and retirements call [`GroupMaintainer::retire`]; recoveries
-/// call [`GroupMaintainer::readmit`]. After every applied change the
-/// driver samples [`GroupMaintainer::drift`], yielding a time series of
-/// how far churn has pushed the grouping from its formation-time
-/// interaction cost.
+/// Every event goes through [`Membership::apply`], the step the
+/// lifecycle supervisor takes too. After every change the driver samples
+/// [`GroupMaintainer::drift`], yielding a time series of how far churn
+/// has pushed the grouping from its formation-time interaction cost.
 #[derive(Debug, Clone)]
 pub struct ChurnDriver {
     maintainer: GroupMaintainer,
@@ -201,44 +356,27 @@ impl ChurnDriver {
         }
     }
 
-    /// Applies every membership-affecting event of `plan` in time order.
+    /// Applies every membership-affecting event of `plan` through
+    /// [`Membership::apply`], in the order the simulator fires them.
     ///
     /// A retirement that would empty its group is skipped (counted in
-    /// [`skipped_retirements`](Self::skipped_retirements)) — the cache
-    /// stays nominally grouped, mirroring a deployment that refuses to
-    /// dissolve a group implicitly. A retired cache stays out for good:
-    /// a later recovery of it is ignored, as the simulator ignores it.
+    /// [`skipped_retirements`](Self::skipped_retirements)): the cache
+    /// stays nominally grouped. A retired cache stays out for good.
     /// Brownouts don't touch membership and are ignored.
+    ///
+    /// With a bundle it records churn telemetry: `churn.retirements` /
+    /// `churn.readmissions` / `churn.skipped_retirements` counters, a
+    /// `churn.max_drift` high-water gauge, `churn` trace events keyed by
+    /// the fault's simulated time (with the post-change drift ratio),
+    /// plus the underlying `maintenance.*` and `probe.*` streams from
+    /// the maintainer. Instrumentation never draws from the RNG.
     ///
     /// # Errors
     ///
     /// [`MaintenanceError::UnknownCache`] before anything is applied if
     /// the plan names a cache the maintainer does not track; otherwise
-    /// propagates [`MaintenanceError`] on structural mismatches
-    /// (network/maintainer size disagreement), and never errors on the
-    /// expected churn races handled above.
+    /// as [`Membership::apply`].
     pub fn apply<R: Rng + ?Sized>(
-        &mut self,
-        network: &EdgeNetwork,
-        plan: &FaultPlan,
-        rng: &mut R,
-    ) -> Result<(), MaintenanceError> {
-        self.apply_observed(network, plan, rng, None)
-    }
-
-    /// Like [`ChurnDriver::apply`], but records churn telemetry into an
-    /// observability bundle when one is supplied: `churn.retirements` /
-    /// `churn.readmissions` / `churn.skipped_retirements` counters, a
-    /// `churn.max_drift` high-water gauge, `churn` trace events keyed by
-    /// the fault's simulated time (with the post-change drift ratio),
-    /// plus the underlying `maintenance.*` and `probe.*` streams from
-    /// the maintainer. With `obs = None` this is exactly
-    /// [`ChurnDriver::apply`]; instrumentation never draws from the RNG.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`ChurnDriver::apply`].
-    pub fn apply_observed<R: Rng + ?Sized>(
         &mut self,
         network: &EdgeNetwork,
         plan: &FaultPlan,
@@ -246,8 +384,7 @@ impl ChurnDriver {
         mut obs: Option<&mut Obs>,
     ) -> Result<(), MaintenanceError> {
         let caches = self.maintainer.cache_count();
-        let mut events: Vec<_> = plan.events().to_vec();
-        for event in &events {
+        for event in plan.events() {
             if let FaultKind::CacheDown { cache }
             | FaultKind::CacheUp { cache }
             | FaultKind::CacheRetire { cache } = event.kind
@@ -257,75 +394,49 @@ impl ChurnDriver {
                 }
             }
         }
-        events.sort_by(|a, b| {
-            a.time_ms
-                .partial_cmp(&b.time_ms)
-                .expect("times are not NaN")
-        });
-        let mut retired = vec![false; caches];
-        for event in &events {
-            let applied = match event.kind {
-                FaultKind::CacheDown { cache } | FaultKind::CacheRetire { cache } => {
-                    if let FaultKind::CacheRetire { .. } = event.kind {
-                        retired[cache.index()] = true;
-                    }
-                    match self.maintainer.retire_observed(cache, obs.as_deref_mut()) {
-                        Ok(_) => true,
-                        Err(MaintenanceError::WouldEmptyGroup { .. }) => {
-                            self.skipped_retirements += 1;
-                            if let Some(o) = obs.as_deref_mut() {
-                                o.metrics.inc("churn.skipped_retirements");
-                                o.trace.push(
-                                    event.time_ms,
-                                    "churn",
-                                    "skipped_retire",
-                                    vec![("cache", cache.index().into())],
-                                );
-                            }
-                            false
-                        }
-                        // Already out (e.g. crash of a retired cache).
-                        Err(MaintenanceError::UnknownCache(_)) => false,
-                        Err(e) => return Err(e),
-                    }
-                }
-                FaultKind::CacheUp { cache } if retired[cache.index()] => false,
-                FaultKind::CacheUp { cache } => {
-                    match self
-                        .maintainer
-                        .readmit_observed(network, cache, rng, obs.as_deref_mut())
-                    {
-                        Ok(_) => true,
-                        // Its retirement was skipped, so it never left.
-                        Err(MaintenanceError::AlreadyActive(_)) => false,
-                        Err(e) => return Err(e),
-                    }
-                }
-                FaultKind::BrownoutStart { .. } | FaultKind::BrownoutEnd => false,
-            };
-            if applied {
-                let kind = if let FaultKind::CacheUp { .. } = event.kind {
-                    self.readmissions += 1;
-                    "readmit"
-                } else {
+        let mut membership = Membership::default();
+        for event in plan.schedule().in_firing_order() {
+            let change = membership.apply(
+                &mut self.maintainer,
+                network,
+                event.kind,
+                rng,
+                obs.as_deref_mut(),
+            )?;
+            let (kind, counter) = match change {
+                MembershipChange::Left(_) => {
                     self.retirements += 1;
-                    "retire"
-                };
-                let drift = self.maintainer.drift(network)?;
-                self.drift_series.push(DriftSample {
-                    time_ms: event.time_ms,
-                    drift,
-                });
-                if let Some(o) = obs.as_deref_mut() {
-                    o.metrics.inc(if kind == "readmit" {
-                        "churn.readmissions"
-                    } else {
-                        "churn.retirements"
-                    });
-                    o.metrics.max_gauge("churn.max_drift", drift);
-                    o.trace
-                        .push(event.time_ms, "churn", kind, vec![("drift", drift.into())]);
+                    ("retire", "churn.retirements")
                 }
+                MembershipChange::Rejoined { .. } => {
+                    self.readmissions += 1;
+                    ("readmit", "churn.readmissions")
+                }
+                MembershipChange::Kept { cache, .. } => {
+                    self.skipped_retirements += 1;
+                    if let Some(o) = obs.as_deref_mut() {
+                        o.metrics.inc("churn.skipped_retirements");
+                        o.trace.push(
+                            event.time_ms,
+                            "churn",
+                            "skipped_retire",
+                            vec![("cache", cache.index().into())],
+                        );
+                    }
+                    continue;
+                }
+                MembershipChange::Unchanged => continue,
+            };
+            let drift = self.maintainer.drift(network)?;
+            self.drift_series.push(DriftSample {
+                time_ms: event.time_ms,
+                drift,
+            });
+            if let Some(o) = obs.as_deref_mut() {
+                o.metrics.inc(counter);
+                o.metrics.max_gauge("churn.max_drift", drift);
+                o.trace
+                    .push(event.time_ms, "churn", kind, vec![("drift", drift.into())]);
             }
         }
         Ok(())
@@ -488,7 +599,7 @@ mod tests {
         let mut driver = ChurnDriver::new(maintainer);
         let mut rng = StdRng::seed_from_u64(2);
         driver
-            .apply(&network, &plan, &mut rng)
+            .apply(&network, &plan, &mut rng, None)
             .expect("apply succeeds");
         assert_eq!(driver.retirements(), 1);
         assert_eq!(driver.readmissions(), 1);
@@ -513,7 +624,7 @@ mod tests {
         }
         let mut driver = ChurnDriver::new(maintainer);
         driver
-            .apply(&network, &plan, &mut StdRng::seed_from_u64(4))
+            .apply(&network, &plan, &mut StdRng::seed_from_u64(4), None)
             .expect("apply succeeds");
         assert_eq!(driver.retirements(), members.len() as u64 - 1);
         assert_eq!(driver.skipped_retirements(), 1);
@@ -532,7 +643,7 @@ mod tests {
             .retire(cache, 1_000.0);
         let mut driver = ChurnDriver::new(maintainer);
         driver
-            .apply(&network, &plan, &mut StdRng::seed_from_u64(3))
+            .apply(&network, &plan, &mut StdRng::seed_from_u64(3), None)
             .expect("apply succeeds");
         assert_eq!(driver.maintainer().group_of(cache), None);
         assert_eq!(driver.retirements(), 1);
@@ -550,7 +661,7 @@ mod tests {
                 .crash(unknown, 500.0, 1_000.0),
         ] {
             let mut driver = ChurnDriver::new(maintainer.clone());
-            let result = driver.apply(&network, &plan, &mut StdRng::seed_from_u64(5));
+            let result = driver.apply(&network, &plan, &mut StdRng::seed_from_u64(5), None);
             assert_eq!(result, Err(MaintenanceError::UnknownCache(unknown)));
             assert_eq!(driver.maintainer(), &maintainer);
             assert!(driver.drift_series().is_empty());
@@ -563,7 +674,7 @@ mod tests {
         let plan = FaultPlan::new().crash(CacheId(0), 1_000.0, 2_000.0);
         let mut driver = ChurnDriver::new(maintainer);
         driver
-            .apply(&network, &plan, &mut StdRng::seed_from_u64(8))
+            .apply(&network, &plan, &mut StdRng::seed_from_u64(8), None)
             .expect("apply succeeds");
         assert_eq!(driver.retirements(), 1);
         assert_eq!(driver.readmissions(), 1);
@@ -580,13 +691,13 @@ mod tests {
 
         let mut plain = ChurnDriver::new(maintainer.clone());
         plain
-            .apply(&network, &plan, &mut StdRng::seed_from_u64(13))
+            .apply(&network, &plan, &mut StdRng::seed_from_u64(13), None)
             .expect("apply succeeds");
 
         let mut obs = Obs::new();
         let mut observed = ChurnDriver::new(maintainer);
         observed
-            .apply_observed(
+            .apply(
                 &network,
                 &plan,
                 &mut StdRng::seed_from_u64(13),
@@ -640,6 +751,72 @@ mod tests {
     }
 
     #[test]
+    fn churn_replay_follows_the_simulators_firing_order() {
+        // The retirement is pushed first, 0.4 ns after the recovery: the
+        // simulator fires both in the same microsecond, in push order, so
+        // the cache is retired before it could come back.
+        let (network, maintainer) = network_and_maintainer();
+        let cache = CacheId(0);
+        let plan = FaultPlan::new()
+            .retire(cache, 6_000.000_000_4)
+            .crash(cache, 1_000.0, 5_000.0);
+        assert_eq!(plan.schedule().down_caches_at(7_000.0), [cache]);
+        let mut driver = ChurnDriver::new(maintainer);
+        driver
+            .apply(&network, &plan, &mut StdRng::seed_from_u64(3), None)
+            .expect("apply succeeds");
+        assert_eq!(driver.retirements(), 1);
+        assert_eq!(driver.readmissions(), 0);
+        assert_eq!(driver.maintainer().group_of(cache), None);
+    }
+
+    #[test]
+    fn a_crash_of_a_retired_cache_takes_nothing_more_out_of_service() {
+        // Retired, then "crashed", then "recovered": one cache out of
+        // service throughout, as the simulator's fault state counts it.
+        let (network, mut maintainer) = network_and_maintainer();
+        let mut membership = Membership::default();
+        let mut rng = StdRng::seed_from_u64(1);
+        let cache = CacheId(0);
+        let mut changes = Vec::new();
+        for kind in [
+            FaultKind::CacheRetire { cache },
+            FaultKind::CacheDown { cache },
+            FaultKind::CacheUp { cache },
+        ] {
+            let change = membership.apply(&mut maintainer, &network, kind, &mut rng, None);
+            changes.push(change.expect("churn races are not errors"));
+            assert_eq!(membership.out_count(), 1);
+            assert_eq!(membership.out_of_service().collect::<Vec<_>>(), [cache]);
+        }
+        assert!(matches!(changes[0], MembershipChange::Left(_)));
+        assert_eq!(changes[1..], [MembershipChange::Unchanged; 2]);
+        assert_eq!(maintainer.group_of(cache), None);
+    }
+
+    #[test]
+    fn a_fresh_grouping_loses_what_is_out_of_service() {
+        // Both members of one pair go down; the second is kept (its group
+        // would empty). Taken out of a fresh grouping, the same happens.
+        let (network, maintainer) = network_and_maintainer();
+        let pair = maintainer.groups()[0].clone();
+        let mut membership = Membership::default();
+        let mut serving = maintainer.clone();
+        let mut rng = StdRng::seed_from_u64(2);
+        for &cache in &pair {
+            let kind = FaultKind::CacheDown { cache };
+            membership
+                .apply(&mut serving, &network, kind, &mut rng, None)
+                .expect("churn races are not errors");
+        }
+        let mut fresh = maintainer;
+        let kept = membership.retire_from(&mut fresh, None).expect("retire");
+        assert_eq!(kept, [0]);
+        assert_eq!(fresh, serving);
+        assert!(pair.iter().all(|&c| membership.is_out(c)));
+    }
+
+    #[test]
     fn serving_map_covers_full_id_space_with_singletons() {
         let (network, maintainer) = network_and_maintainer();
         let n = maintainer.cache_count();
@@ -647,7 +824,7 @@ mod tests {
         let plan = FaultPlan::new().retire(victim, 5_000.0);
         let mut driver = ChurnDriver::new(maintainer);
         driver
-            .apply(&network, &plan, &mut StdRng::seed_from_u64(6))
+            .apply(&network, &plan, &mut StdRng::seed_from_u64(6), None)
             .expect("apply succeeds");
         let map = serving_map(driver.maintainer());
         assert_eq!(map.cache_count(), n);

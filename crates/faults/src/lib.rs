@@ -13,8 +13,10 @@
 //!   and its replay through [`ecg_core::maintenance`]: crashed caches
 //!   are retired from their groups, recovered ones re-admitted, and the
 //!   interaction-cost drift of the surviving grouping is tracked as a
-//!   time series ([`DriftSample`]). [`serving_map`] is the partition a
-//!   maintained grouping serves, for the simulator.
+//!   time series ([`DriftSample`]). Each event goes through
+//!   [`Membership::apply`], the membership step the lifecycle supervisor
+//!   takes too. [`serving_map`] is the partition a maintained grouping
+//!   serves, for the simulator.
 //! * [`report_to_json`] — the deterministic (byte-stable) JSON form of
 //!   an [`ecg_sim::SimReport`], written through [`ecg_obs::json`]; the
 //!   churn and lifecycle ablations embed it in their result files.
@@ -56,7 +58,7 @@ pub mod formation;
 pub mod json;
 pub mod plan;
 
-pub use churn::{serving_map, ChurnConfig, ChurnDriver, DriftSample};
+pub use churn::{serving_map, ChurnConfig, ChurnDriver, DriftSample, Membership, MembershipChange};
 pub use formation::FormationFaults;
 pub use json::report_to_json;
 pub use plan::{FaultPlan, PlanParseError};

@@ -39,7 +39,7 @@ fn form(network: &EdgeNetwork, faults: &ProbeFaults, loss: f64, cell_seed: u64) 
         .resilience(ResilienceConfig::default());
     let mut rng = StdRng::seed_from_u64(cell_seed);
     GfCoordinator::new(config)
-        .form_groups_faulted(network, faults, &mut rng)
+        .form_groups_faulted(network, faults, &mut rng, None)
         .expect("faulted formation must still produce a grouping")
 }
 

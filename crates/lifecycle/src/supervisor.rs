@@ -3,7 +3,9 @@
 //! [`FormationSupervisor::run`] forms groups once at time zero, then
 //! advances a virtual clock in fixed maintenance windows over a
 //! [`FaultSchedule`]. Each window applies the membership events that
-//! fired (crashes retire, recoveries re-admit), summarizes the damage
+//! fired (crashes retire, recoveries re-admit) through
+//! [`ecg_faults::Membership`], the step churn replay takes too,
+//! summarizes the damage
 //! into [`WindowSignals`], asks the [`ReformPolicy`] what to do, and
 //! executes the verdict — repair, partial re-formation (escalating to
 //! full when too few landmarks survive), full re-formation, or nothing.
@@ -22,9 +24,9 @@ use ecg_coords::ProbeConfig;
 use ecg_core::{
     FormationHealth, GfCoordinator, GroupMaintainer, MaintenanceError, SchemeConfig, SchemeError,
 };
-use ecg_faults::{serving_map, FormationFaults};
+use ecg_faults::{serving_map, FormationFaults, Membership, MembershipChange};
 use ecg_obs::Obs;
-use ecg_sim::{FaultError, FaultKind, FaultSchedule};
+use ecg_sim::{FaultError, FaultSchedule};
 use ecg_topology::{CacheId, EdgeNetwork};
 use rand::Rng;
 
@@ -211,27 +213,18 @@ impl FormationSupervisor {
         let n = network.cache_count();
         schedule.validate(n)?;
 
-        let mut events = schedule.events().to_vec();
-        events.sort_by(|a, b| {
-            a.time_ms
-                .partial_cmp(&b.time_ms)
-                .expect("validated times are not NaN")
-        });
+        let events = schedule.in_firing_order();
 
         // Initial formation at time zero, under whatever is already
         // faulted at that instant.
         let faults = FormationFaults::from_schedule(schedule, 0.0).to_probe_faults();
-        let outcome = self.coordinator.form_groups_faulted_observed(
-            network,
-            &faults,
-            rng,
-            obs.as_deref_mut(),
-        )?;
+        let outcome =
+            self.coordinator
+                .form_groups_faulted(network, &faults, rng, obs.as_deref_mut())?;
         let mut last_health = outcome.health().cloned();
         let mut maintainer = GroupMaintainer::new(network, outcome, self.probe);
 
-        let mut down: BTreeSet<usize> = BTreeSet::new();
-        let mut gone: BTreeSet<usize> = BTreeSet::new();
+        let mut membership = Membership::default();
         // Groups touched by membership changes since the last
         // re-formation — the targets of the next partial one.
         let mut dirty: BTreeSet<usize> = BTreeSet::new();
@@ -263,55 +256,37 @@ impl FormationSupervisor {
             while next_event < events.len() && events[next_event].time_ms < te {
                 let event = events[next_event];
                 next_event += 1;
-                match event.kind {
-                    FaultKind::CacheDown { cache } | FaultKind::CacheRetire { cache } => {
-                        if matches!(event.kind, FaultKind::CacheRetire { .. }) {
-                            down.remove(&cache.index());
-                            gone.insert(cache.index());
-                        } else {
-                            down.insert(cache.index());
+                let change = membership.apply(
+                    &mut maintainer,
+                    network,
+                    event.kind,
+                    rng,
+                    obs.as_deref_mut(),
+                )?;
+                match change {
+                    MembershipChange::Left(out) => {
+                        signals.retirements += 1;
+                        if out.was_landmark {
+                            signals.landmark_retirements += 1;
                         }
-                        match maintainer.retire_observed(cache, obs.as_deref_mut()) {
-                            Ok(out) => {
-                                signals.retirements += 1;
-                                if out.was_landmark {
-                                    signals.landmark_retirements += 1;
-                                }
-                                dirty.insert(out.group);
-                            }
-                            Err(MaintenanceError::WouldEmptyGroup { group }) => {
-                                signals.skipped_retirements += 1;
-                                dirty.insert(group);
-                            }
-                            // Already out (e.g. retirement of a cache
-                            // that is currently down).
-                            Err(MaintenanceError::UnknownCache(_)) => {}
-                            Err(e) => return Err(e.into()),
-                        }
+                        dirty.insert(out.group);
                     }
-                    FaultKind::CacheUp { cache } => {
-                        down.remove(&cache.index());
-                        if gone.contains(&cache.index()) {
-                            continue;
-                        }
-                        match maintainer.readmit_observed(network, cache, rng, obs.as_deref_mut()) {
-                            Ok(group) => {
-                                signals.readmissions += 1;
-                                dirty.insert(group);
-                            }
-                            // Its retirement was skipped: it never left.
-                            Err(MaintenanceError::AlreadyActive(_)) => {}
-                            Err(e) => return Err(e.into()),
-                        }
+                    MembershipChange::Kept { group, .. } => {
+                        signals.skipped_retirements += 1;
+                        dirty.insert(group);
                     }
-                    FaultKind::BrownoutStart { .. } | FaultKind::BrownoutEnd => {}
+                    MembershipChange::Rejoined { group } => {
+                        signals.readmissions += 1;
+                        dirty.insert(group);
+                    }
+                    MembershipChange::Unchanged => {}
                 }
             }
 
             // Summarize the window and decide.
             signals.drift = maintainer.drift(network)?;
-            signals.dead_landmarks = dead_landmarks(&maintainer, &down, &gone).len();
-            signals.down_caches = down.len() + gone.len();
+            signals.dead_landmarks = dead_landmarks(&maintainer, &membership).len();
+            signals.down_caches = membership.out_count();
             signals.health_degraded = last_health
                 .as_ref()
                 .is_some_and(FormationHealth::is_degraded);
@@ -334,7 +309,7 @@ impl FormationSupervisor {
                         .filter(|&g| g < maintainer.groups().len())
                         .collect()
                 };
-                let dead = dead_landmarks(&maintainer, &down, &gone);
+                let dead = dead_landmarks(&maintainer, &membership);
                 match maintainer.reform_partial_observed(
                     network,
                     &degraded,
@@ -357,7 +332,7 @@ impl FormationSupervisor {
             if decision == ReformDecision::FullReform {
                 did_full = true;
                 let faults = FormationFaults::from_schedule(schedule, te).to_probe_faults();
-                let outcome = self.coordinator.form_groups_faulted_observed(
+                let outcome = self.coordinator.form_groups_faulted(
                     network,
                     &faults,
                     rng,
@@ -366,19 +341,11 @@ impl FormationSupervisor {
                 last_health = outcome.health().cloned();
                 maintainer = GroupMaintainer::new(network, outcome, self.probe);
                 dirty.clear();
-                // The fresh grouping covers all n caches; re-retire the
-                // ones that are still out of service.
-                for &c in down.union(&gone) {
-                    match maintainer.retire_observed(CacheId(c), obs.as_deref_mut()) {
-                        Ok(_) => {}
-                        Err(MaintenanceError::WouldEmptyGroup { group }) => {
-                            pending_skips += 1;
-                            dirty.insert(group);
-                        }
-                        Err(MaintenanceError::UnknownCache(_)) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
+                // The fresh grouping covers all n caches; take the ones
+                // still out of service back out.
+                let kept = membership.retire_from(&mut maintainer, obs.as_deref_mut())?;
+                pending_skips += kept.len() as u64;
+                dirty.extend(kept);
             }
 
             // A new epoch starts only when the action actually changed
@@ -444,16 +411,12 @@ impl FormationSupervisor {
 /// Formation-time landmark node ids whose cache is currently out of
 /// service (node 0 is the origin and can never die; node `l >= 1` is
 /// cache `l - 1`).
-fn dead_landmarks(
-    maintainer: &GroupMaintainer,
-    down: &BTreeSet<usize>,
-    gone: &BTreeSet<usize>,
-) -> Vec<usize> {
+fn dead_landmarks(maintainer: &GroupMaintainer, membership: &Membership) -> Vec<usize> {
     maintainer
         .landmarks()
         .iter()
         .copied()
-        .filter(|&l| l >= 1 && (down.contains(&(l - 1)) || gone.contains(&(l - 1))))
+        .filter(|&l| l >= 1 && membership.is_out(CacheId(l - 1)))
         .collect()
 }
 
@@ -476,7 +439,7 @@ fn repair_pass<R: Rng + ?Sized>(
             continue;
         }
         maintainer.retire_observed(cache, obs.as_deref_mut())?;
-        maintainer.readmit_observed(network, cache, rng, obs.as_deref_mut())?;
+        maintainer.readmit(network, cache, rng, obs.as_deref_mut())?;
     }
     Ok(())
 }
@@ -485,6 +448,7 @@ fn repair_pass<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use ecg_faults::FaultPlan;
+    use ecg_sim::FaultKind;
     use ecg_topology::fixtures::paper_figure1;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -613,6 +577,27 @@ mod tests {
             "partial re-form must escalate when no cache landmark survives"
         );
         assert!(timeline.decision_count(ReformDecision::FullReform) > 0);
+    }
+
+    #[test]
+    fn a_crash_of_a_retired_cache_is_counted_once() {
+        // Cache 4 retires at 5 s, then "crashes" at 7 s with no recovery
+        // inside the first window: one cache is out of service, not two.
+        let network = network();
+        let schedule = FaultPlan::new()
+            .retire(CacheId(4), 5_000.0)
+            .crash(CacheId(4), 7_000.0, 30_000.0)
+            .schedule();
+        let mut rng = StdRng::seed_from_u64(2);
+        let timeline = supervisor(ReformPolicy::hold_only())
+            .run(&network, &schedule, 20_000.0, &mut rng)
+            .expect("run succeeds");
+        let down: Vec<usize> = timeline
+            .decisions()
+            .iter()
+            .map(|d| d.signals.down_caches)
+            .collect();
+        assert_eq!(down, [1, 1]);
     }
 
     #[test]

@@ -275,13 +275,21 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
-    /// The kinds of the events whose time `keep` accepts, in the order a
-    /// run fires them: by time quantised to the simulator's clock, ties
-    /// in push order.
-    fn fired(&self, keep: impl Fn(f64) -> bool) -> Vec<FaultKind> {
-        let order = fault_order(self)
+    /// The scheduled events in the order a run fires them: by time
+    /// quantised to the simulator's clock, ties in push order. Churn
+    /// replay and the lifecycle supervisor apply membership changes in
+    /// this order too, so all three agree on every race.
+    pub fn in_firing_order(&self) -> Vec<FaultEvent> {
+        fault_order(self)
             .into_iter()
-            .map(|(_, idx)| self.events[idx]);
+            .map(|(_, idx)| self.events[idx])
+            .collect()
+    }
+
+    /// The kinds of the events whose time `keep` accepts, in firing
+    /// order.
+    fn fired(&self, keep: impl Fn(f64) -> bool) -> Vec<FaultKind> {
+        let order = self.in_firing_order().into_iter();
         order.filter(|e| keep(e.time_ms)).map(|e| e.kind).collect()
     }
 

@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .retirement_fraction(0.1)
         .generate(caches, duration_ms, &mut rng);
     let mut driver = ChurnDriver::new(maintainer);
-    driver.apply(&network, &churn_plan, &mut rng)?;
+    driver.apply(&network, &churn_plan, &mut rng, None)?;
     println!(
         "\nchurn: {} removals, {} re-admissions, {} skipped \
          (would empty a group); max drift {:.3}",

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect();
         let to_origin = network.cache_to_origin(anchor) + rng.gen_range(0.5..2.0);
         network = network.with_added_cache(to_origin, &rtts);
-        let group = maintainer.admit(&network, &mut rng)?;
+        let group = maintainer.admit(&network, &mut rng, None)?;
         let drift = maintainer.drift(&network)?;
         println!(
             "join {:>2}: Ec{} near {} -> group {} (drift {:.3})",

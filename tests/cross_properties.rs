@@ -121,7 +121,7 @@ proptest! {
                 let rtts: Vec<f64> =
                     (0..n).map(|_| rng.gen_range(1.0..150.0)).collect();
                 network = network.with_added_cache(rng.gen_range(5.0..150.0), &rtts);
-                maintainer.admit(&network, &mut rng).unwrap();
+                maintainer.admit(&network, &mut rng, None).unwrap();
             } else {
                 let candidates: Vec<CacheId> = (0..network.cache_count())
                     .map(CacheId)

@@ -54,7 +54,7 @@ fn observed_run(seed: u64, pooled: bool) -> String {
         .expect("simulation succeeds");
     let maintainer = GroupMaintainer::new(&network, outcome, ProbeConfig::default());
     ChurnDriver::new(maintainer)
-        .apply_observed(&network, &plan, &mut rng, Some(&mut obs))
+        .apply(&network, &plan, &mut rng, Some(&mut obs))
         .expect("churn replay succeeds");
     obs.to_json()
 }
