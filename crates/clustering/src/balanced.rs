@@ -3,14 +3,19 @@
 //! Cooperative groups carry per-member management overhead (membership
 //! state, freshness multicast fan-out), so operators often need a hard
 //! ceiling on group size. This module provides a capacity-constrained
-//! K-means: the iteration loop is the standard one, but each assignment
-//! phase fills clusters greedily in *regret* order — points that lose
-//! the most by missing their nearest center choose first — so no
-//! cluster exceeds the cap. An extension beyond the paper.
+//! K-means: it runs the crate's one Lloyd loop, and only its assignment
+//! step differs — points that lose the most by missing their nearest
+//! center (*regret*) choose first, and each takes the nearest center
+//! with room, so no cluster exceeds the cap. Distances, center updates
+//! and the empty-cluster repair read the feature mask, like
+//! [`crate::kmeans_masked`]'s. An extension beyond the paper.
 
 use crate::init::Initializer;
-use crate::kmeans::{sq_l2, Clustering, KmeansConfig, KmeansError};
-use ecg_coords::FeatureMatrix;
+use crate::kmeans::{seed_centers, Clustering, KmeansConfig, KmeansError};
+use crate::lloyd::{lloyd, nearest, Assign, Cells};
+use crate::masked::check_mask;
+use ecg_coords::{FeatureMask, FeatureMatrix};
+use ecg_obs::Obs;
 use rand::Rng;
 
 /// Error from [`kmeans_capped`].
@@ -53,24 +58,34 @@ impl From<KmeansError> for CapError {
     }
 }
 
-/// Runs K-means with a hard per-cluster size cap.
+/// Runs K-means with a hard per-cluster size cap over the observed
+/// cells of `points` per `mask`.
 ///
-/// Identical to [`crate::kmeans()`] except for the assignment phase:
-/// points are processed in descending *regret* (the cost gap between
-/// their nearest and second-nearest centers) and each takes its nearest
-/// center that still has room. Every cluster ends up non-empty and at
-/// most `max_size` large.
+/// Identical to [`crate::kmeans_masked`] except for the assignment
+/// step: points are processed in descending *regret* (the cost gap
+/// between their nearest and second-nearest centers) and each takes its
+/// nearest center that still has room. A cluster that step leaves empty
+/// is the loop's repair's to fill, and the repair only moves a point
+/// into an empty cluster, so every cluster ends up non-empty and at
+/// most `max_size` large. With a cap of at least the point count no
+/// center is ever full, and the result is [`crate::kmeans_masked`]'s.
 ///
 /// # Errors
 ///
 /// Returns [`CapError::InsufficientCapacity`] if `k × max_size <
 /// points`, or a wrapped [`KmeansError`] for the usual input problems.
 ///
+/// # Panics
+///
+/// As [`crate::kmeans_masked`]: if `mask` does not match `points` in
+/// shape, or a row has zero observed components.
+///
 /// # Examples
 ///
 /// ```
 /// use ecg_clustering::balanced::kmeans_capped;
 /// use ecg_clustering::{FeatureMatrix, Initializer, KmeansConfig};
+/// use ecg_coords::FeatureMask;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// // Six co-located points, 2 clusters, cap 3: forced 3/3 split.
@@ -78,6 +93,7 @@ impl From<KmeansError> for CapError {
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let r = kmeans_capped(
 ///     &points,
+///     &FeatureMask::all_observed(6, 1),
 ///     KmeansConfig::new(2),
 ///     &Initializer::RandomRepresentative,
 ///     3,
@@ -90,11 +106,13 @@ impl From<KmeansError> for CapError {
 /// ```
 pub fn kmeans_capped<R: Rng + ?Sized>(
     points: &FeatureMatrix,
+    mask: &FeatureMask,
     config: KmeansConfig,
     initializer: &Initializer,
     max_size: usize,
     rng: &mut R,
 ) -> Result<Clustering, CapError> {
+    check_mask(points, mask);
     let n = points.len();
     let k = config.k();
     if k.saturating_mul(max_size) < n {
@@ -104,146 +122,63 @@ pub fn kmeans_capped<R: Rng + ?Sized>(
             max_size,
         });
     }
-    if n < k {
-        return Err(KmeansError::TooFewPoints { points: n, k }.into());
-    }
-
-    let seeds = initializer.select(points, k, rng)?;
-    let mut centers = FeatureMatrix::with_capacity(k, points.dim());
-    for &i in &seeds {
-        centers.push_row(points.row(i));
-    }
-    let mut assignments = capped_assignment(points, &centers, max_size);
-
-    let mut iterations = 0;
-    let mut converged = false;
-    while iterations < config.iteration_cap() {
-        iterations += 1;
-        update_centers(points, &assignments, &mut centers);
-        let next = capped_assignment(points, &centers, max_size);
-        let reassigned = next
-            .iter()
-            .zip(&assignments)
-            .filter(|(a, b)| a != b)
-            .count();
-        assignments = next;
-        if reassigned == 0 {
-            converged = true;
-            break;
-        }
-    }
-    update_centers(points, &assignments, &mut centers);
-
-    Ok(Clustering::from_parts(
-        assignments,
-        centers,
-        iterations,
-        converged,
-    ))
+    let centers = seed_centers(points, k, initializer, rng)?;
+    let mut step = CappedFill { max_size };
+    Ok(lloyd(points, mask, centers, config, &mut step, None))
 }
 
-/// Capacity-respecting assignment: regret-ordered greedy fill.
-///
-/// Guarantees every cluster gets at least one point when `n >= k` by
-/// reserving: after the greedy pass, empty clusters steal the point
-/// (from an over-1 cluster) nearest to their center.
-fn capped_assignment(
-    points: &FeatureMatrix,
-    centers: &FeatureMatrix,
+/// The capacity-respecting assignment step: regret-ordered greedy fill.
+struct CappedFill {
     max_size: usize,
-) -> Vec<usize> {
-    let n = points.len();
-    let k = centers.len();
-    // Order points by descending regret.
-    let mut order: Vec<usize> = (0..n).collect();
-    let regret = |p: &[f64]| -> f64 {
-        let mut best = f64::INFINITY;
-        let mut second = f64::INFINITY;
-        for c in centers.iter_rows() {
-            let d = sq_l2(p, c);
-            if d < best {
-                second = best;
-                best = d;
-            } else if d < second {
-                second = d;
-            }
-        }
-        if second.is_finite() {
-            second - best
-        } else {
-            0.0
-        }
-    };
-    let regrets: Vec<f64> = points.iter_rows().map(regret).collect();
-    order.sort_by(|&a, &b| {
-        regrets[b]
-            .partial_cmp(&regrets[a])
-            .expect("regrets are not NaN")
-            .then(a.cmp(&b))
-    });
-
-    let mut counts = vec![0usize; k];
-    let mut assignments = vec![usize::MAX; n];
-    for &i in &order {
-        // Nearest center with room.
-        let mut best: Option<(usize, f64)> = None;
-        for (c, center) in centers.iter_rows().enumerate() {
-            if counts[c] >= max_size {
-                continue;
-            }
-            let d = sq_l2(points.row(i), center);
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((c, d));
-            }
-        }
-        let (c, _) = best.expect("capacity was pre-checked");
-        assignments[i] = c;
-        counts[c] += 1;
-    }
-
-    // Repair empties: give each empty cluster the nearest point from a
-    // donor with more than one member.
-    while let Some(empty) = counts.iter().position(|&c| c == 0) {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, p) in points.iter_rows().enumerate() {
-            if counts[assignments[i]] <= 1 {
-                continue;
-            }
-            let d = sq_l2(p, centers.row(empty));
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((i, d));
-            }
-        }
-        let (i, _) = best.expect("n >= k guarantees a donor");
-        counts[assignments[i]] -= 1;
-        assignments[i] = empty;
-        counts[empty] += 1;
-    }
-    assignments
 }
 
-/// Flat-storage center update, accumulating in point-index order.
-fn update_centers(points: &FeatureMatrix, assignments: &[usize], centers: &mut FeatureMatrix) {
-    let dim = points.dim();
-    let k = centers.len();
-    let mut sums = vec![0.0f64; k * dim];
-    let mut counts = vec![0usize; k];
-    for (p, &c) in points.iter_rows().zip(assignments) {
-        counts[c] += 1;
-        for (s, v) in sums[c * dim..(c + 1) * dim].iter_mut().zip(p) {
-            *s += v;
-        }
-    }
-    for c in 0..k {
-        if counts[c] > 0 {
-            for (cv, sv) in centers
-                .row_mut(c)
-                .iter_mut()
-                .zip(&sums[c * dim..(c + 1) * dim])
-            {
-                *cv = sv / counts[c] as f64;
+impl<C: Cells> Assign<C> for CappedFill {
+    fn reassign(
+        &mut self,
+        points: &FeatureMatrix,
+        cells: &C,
+        centers: &FeatureMatrix,
+        assignments: &mut [usize],
+        _: &[usize],
+        _: Option<&mut Obs>,
+    ) -> usize {
+        // Points by descending regret, ties by index (with one center
+        // every regret is infinite: index order).
+        let mut order: Vec<(f64, usize)> = (0..points.len())
+            .map(|i| {
+                let (_, best, second) = nearest(cells, i, points.row(i), centers);
+                (second - best, i)
+            })
+            .collect();
+        order.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .expect("regrets are not NaN")
+                .then(a.1.cmp(&b.1))
+        });
+
+        let mut counts = vec![0usize; centers.len()];
+        let mut reassigned = 0;
+        for &(_, i) in &order {
+            // Nearest center with room.
+            let p = points.row(i);
+            let mut best: Option<(usize, f64)> = None;
+            for (c, center) in centers.iter_rows().enumerate() {
+                if counts[c] >= self.max_size {
+                    continue;
+                }
+                let d = cells.sq_dist(i, p, center);
+                if best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((c, d));
+                }
+            }
+            let (c, _) = best.expect("capacity was pre-checked");
+            counts[c] += 1;
+            if assignments[i] != c {
+                assignments[i] = c;
+                reassigned += 1;
             }
         }
+        reassigned
     }
 }
 
@@ -252,6 +187,10 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn full(pts: &FeatureMatrix) -> FeatureMask {
+        FeatureMask::all_observed(pts.len(), pts.dim())
+    }
 
     fn blobs() -> FeatureMatrix {
         // 8 points near 0, 2 points near 100: uncapped K-means would
@@ -272,6 +211,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let r = kmeans_capped(
                 &pts,
+                &full(&pts),
                 KmeansConfig::new(2),
                 &Initializer::RandomRepresentative,
                 6,
@@ -290,6 +230,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let r = kmeans_capped(
             &pts,
+            &full(&pts),
             KmeansConfig::new(2),
             &Initializer::RandomRepresentative,
             10,
@@ -302,11 +243,47 @@ mod tests {
     }
 
     #[test]
+    fn a_cap_of_at_least_n_is_plain_kmeans_bit_for_bit() {
+        // Separated blobs: with no center ever full, the capped step
+        // assigns like the exact scan, and the rest is the same loop.
+        let mut pts = FeatureMatrix::new(2);
+        for (cx, cy) in [(0.0, 0.0), (50.0, 0.0), (0.0, 50.0)] {
+            for d in 0..6 {
+                pts.push_row(&[cx + d as f64 * 0.3, cy + (d % 4) as f64 * 0.2]);
+            }
+        }
+        for k in [3, 5] {
+            for (seed, cap) in (0..10).zip([18, 19, 100].into_iter().cycle()) {
+                let config = KmeansConfig::new(k);
+                let init = Initializer::RandomRepresentative;
+                let plain =
+                    crate::kmeans(&pts, config, &init, &mut StdRng::seed_from_u64(seed), None)
+                        .unwrap();
+                let capped = kmeans_capped(
+                    &pts,
+                    &full(&pts),
+                    config,
+                    &init,
+                    cap,
+                    &mut StdRng::seed_from_u64(seed),
+                )
+                .unwrap();
+                assert_eq!(capped, plain, "k {k}, seed {seed}, cap {cap}");
+                let bits = |c: &Clustering| -> Vec<u64> {
+                    c.centers().as_flat().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&capped), bits(&plain));
+            }
+        }
+    }
+
+    #[test]
     fn tight_cap_forces_overflow_to_other_cluster() {
         let pts = blobs();
         let mut rng = StdRng::seed_from_u64(4);
         let r = kmeans_capped(
             &pts,
+            &full(&pts),
             KmeansConfig::new(2),
             &Initializer::RandomRepresentative,
             5,
@@ -324,6 +301,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let err = kmeans_capped(
             &pts,
+            &full(&pts),
             KmeansConfig::new(2),
             &Initializer::RandomRepresentative,
             4,
@@ -340,6 +318,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let r = kmeans_capped(
             &pts,
+            &full(&pts),
             KmeansConfig::new(3),
             &Initializer::RandomRepresentative,
             3,
@@ -356,6 +335,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let err = kmeans_capped(
             &pts,
+            &full(&pts),
             KmeansConfig::new(2),
             &Initializer::RandomRepresentative,
             5,

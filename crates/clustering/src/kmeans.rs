@@ -13,8 +13,9 @@
 //! centers — or, at large k, through the KD-tree over centers in
 //! [`crate::tree`], whose branch-and-bound query returns the identical
 //! triple while visiting only a few tiles (from
-//! [`crate::TREE_AUTO_MIN_K`] centers up). The Lloyd loop uses
-//! Hamerly-style upper/lower distance bounds ("Making k-means even
+//! [`crate::TREE_AUTO_MIN_K`] centers up). [`kmeans`]' step of the
+//! crate's one Lloyd loop (`lloyd.rs`) uses Hamerly-style upper/lower
+//! distance bounds ("Making k-means even
 //! faster", SDM 2010) to skip the k-way scan for points whose assignment
 //! provably cannot change; every surviving candidate is settled with
 //! exact distances, so [`kmeans`] produces assignments, centers,
@@ -37,6 +38,7 @@
 //! order to preserve exact equality with [`kmeans_reference`].
 
 use crate::init::Initializer;
+use crate::lloyd::{lloyd, AllObserved, Assign};
 use crate::tree::{AssignMode, CenterScanner, TREE_AUTO_MIN_K};
 use ecg_coords::FeatureMatrix;
 use ecg_obs::Obs;
@@ -126,30 +128,13 @@ impl KmeansConfig {
 /// Result of a K-means run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Clustering {
-    assignments: Vec<usize>,
-    centers: FeatureMatrix,
-    iterations: usize,
-    converged: bool,
+    pub(crate) assignments: Vec<usize>,
+    pub(crate) centers: FeatureMatrix,
+    pub(crate) iterations: usize,
+    pub(crate) converged: bool,
 }
 
 impl Clustering {
-    /// Assembles a clustering from raw parts (used by the size-capped
-    /// variant in [`crate::balanced`] and the mini-batch variant in
-    /// [`crate::minibatch`]).
-    pub(crate) fn from_parts(
-        assignments: Vec<usize>,
-        centers: FeatureMatrix,
-        iterations: usize,
-        converged: bool,
-    ) -> Self {
-        Clustering {
-            assignments,
-            centers,
-            iterations,
-            converged,
-        }
-    }
-
     /// Cluster index of each input point, in input order.
     pub fn assignments(&self) -> &[usize] {
         &self.assignments
@@ -286,75 +271,126 @@ pub fn kmeans<R: Rng + ?Sized>(
     config: KmeansConfig,
     initializer: &Initializer,
     rng: &mut R,
-    mut obs: Option<&mut Obs>,
+    obs: Option<&mut Obs>,
 ) -> Result<Clustering, KmeansError> {
-    let n = points.len();
-    let k = config.k;
-    if n < k {
-        return Err(KmeansError::TooFewPoints { points: n, k });
-    }
+    let centers = seed_centers(points, config.k, initializer, rng)?;
+    Ok(exact_lloyd(points, centers, config, obs))
+}
 
-    // Initialization phase. The initializer is the only RNG consumer, so
-    // the stream stays aligned with `kmeans_reference`.
+/// Runs the Lloyd loop of [`kmeans`] from `centers` instead of seeded
+/// ones — a warm start, e.g. from the centers of groups being
+/// re-formed. It draws nothing; started from the rows [`kmeans`]'
+/// initializer picks, it returns what [`kmeans`] returns, bit for bit.
+///
+/// # Errors
+///
+/// [`KmeansError::TooFewPoints`] if there are fewer points than
+/// centers, and [`KmeansError::BadInitializer`] if `centers` does not
+/// hold `config.k()` rows of the points' dimension.
+pub fn kmeans_warm(
+    points: &FeatureMatrix,
+    centers: FeatureMatrix,
+    config: KmeansConfig,
+) -> Result<Clustering, KmeansError> {
+    let (k, dim) = (centers.len(), centers.dim());
+    if k != config.k || dim != points.dim() {
+        let want = (config.k, points.dim());
+        let msg = format!("{k} starting centers of dimension {dim}, not {want:?}");
+        return Err(KmeansError::BadInitializer(msg));
+    }
+    if points.len() < k {
+        return Err(KmeansError::TooFewPoints {
+            points: points.len(),
+            k,
+        });
+    }
+    Ok(exact_lloyd(points, centers, config, None))
+}
+
+/// The `k` starting centers `initializer` picks from `points`: the RNG
+/// draws of every K-means variant but the mini-batch one.
+pub(crate) fn seed_centers<R: Rng + ?Sized>(
+    points: &FeatureMatrix,
+    k: usize,
+    initializer: &Initializer,
+    rng: &mut R,
+) -> Result<FeatureMatrix, KmeansError> {
+    if points.len() < k {
+        return Err(KmeansError::TooFewPoints {
+            points: points.len(),
+            k,
+        });
+    }
     let seeds = initializer.select(points, k, rng)?;
     let mut centers = FeatureMatrix::with_capacity(k, points.dim());
     for &i in &seeds {
         centers.push_row(points.row(i));
     }
+    Ok(centers)
+}
 
-    // Centers staged on the nearest-center engine for this k: the
-    // blocked kernel ([`crate::blocked`]) or the KD-tree over centers
-    // ([`crate::tree`]). Both return bit-identical (best, d², second
-    // d²) triples, so the engine choice moves wall-clock only.
-    let mut scanner = CenterScanner::stage(&centers, config.uses_tree());
+/// The Lloyd loop over fully observed points with the exact scan step.
+pub(crate) fn exact_lloyd(
+    points: &FeatureMatrix,
+    centers: FeatureMatrix,
+    config: KmeansConfig,
+    obs: Option<&mut Obs>,
+) -> Clustering {
+    let mut step = ExactScan {
+        // The blocked kernel or the KD-tree: bit-identical (best, d²,
+        // second d²) triples, so k's choice moves wall-clock only.
+        scanner: CenterScanner::stage(&centers, config.uses_tree()),
+        // No bound holds yet: the initial assignment scans every point.
+        upper: vec![f64::INFINITY; points.len()],
+        lower: vec![f64::NEG_INFINITY; points.len()],
+        previous: centers.clone(),
+        movement: vec![0.0; centers.len()],
+        iteration: 0,
+        last_exact_scans: 0,
+        last_neighbour_hits: None,
+    };
+    lloyd(points, &AllObserved, centers, config, &mut step, obs)
+}
 
-    let mut assignments = vec![0usize; n];
-    // Hamerly bounds, in the metric (sqrt) domain where the triangle
-    // inequality holds: `upper[i] >= d(i, center[assignments[i]])` and
-    // `lower[i] <= min over other centers of d(i, center)`.
-    let mut upper = vec![0.0f64; n];
-    let mut lower = vec![0.0f64; n];
-    ecg_par::par_map(
-        scan_chunks(&mut assignments, &mut upper, &mut lower),
-        |(start, a_chunk, u_chunk, l_chunk)| {
-            let cells = a_chunk.iter_mut().zip(u_chunk.iter_mut().zip(l_chunk));
-            for (off, (a, (u, l))) in cells.enumerate() {
-                let (best, best_d2, second_d2) = scanner.scan(points.row(start + off));
-                *a = best;
-                *u = best_d2.sqrt();
-                *l = second_d2.sqrt();
-            }
-        },
-    );
+/// The assignment step of [`kmeans`]: nearest-center scans pruned by
+/// Hamerly bounds.
+struct ExactScan {
+    scanner: CenterScanner,
+    /// Hamerly bounds, in the metric (sqrt) domain where the triangle
+    /// inequality holds: `upper[i] >= d(i, center[assignments[i]])` and
+    /// `lower[i] <= min over other centers of d(i, center)`.
+    upper: Vec<f64>,
+    lower: Vec<f64>,
+    /// The centers of the last scan phase.
+    previous: FeatureMatrix,
+    movement: Vec<f64>,
+    /// Scan phases run so far (the initial assignment is phase 0): the
+    /// trace key.
+    iteration: usize,
+    /// What the last scan phase did, for `refresh_neighbours`.
+    last_exact_scans: usize,
+    last_neighbour_hits: Option<usize>,
+}
 
-    // Iterative phase.
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut previous_centers = centers.clone();
-    let mut movement = vec![0.0f64; k];
-    let mut stolen: Vec<usize> = Vec::new();
-    let mut update = CenterUpdateScratch::new(k, points.dim());
-    // What the last scan phase did, for `refresh_neighbours`: the
-    // initial pass scanned every point, on no neighbour tables.
-    let mut last_exact_scans = n;
-    let mut last_neighbour_hits: Option<usize> = None;
-    while iterations < config.max_iterations {
-        iterations += 1;
-        previous_centers.clone_from(&centers);
-        update.update_centers(points, &assignments, &mut centers);
-        repair_empty_clusters(
-            points,
-            &mut assignments,
-            &mut centers,
-            &mut update.counts,
-            &mut stolen,
-        );
-        scanner.refill(&centers);
+impl Assign<AllObserved> for ExactScan {
+    fn reassign(
+        &mut self,
+        points: &FeatureMatrix,
+        _: &AllObserved,
+        centers: &FeatureMatrix,
+        assignments: &mut [usize],
+        stolen: &[usize],
+        obs: Option<&mut Obs>,
+    ) -> usize {
+        self.scanner.refill(centers);
         // Where the centers are separated, most exact scans below are
         // settled from the few centers around the point's own
         // ([`crate::tree::NeighbourTiles`]) — same triple, no traversal.
-        let neighbours =
-            scanner.refresh_neighbours(&centers, last_exact_scans, last_neighbour_hits);
+        let neighbours = self.scanner.refresh_neighbours(
+            centers,
+            self.last_exact_scans,
+            self.last_neighbour_hits,
+        );
 
         // How far each center travelled this iteration (including any
         // repair re-seeding); by the triangle inequality a point's
@@ -365,8 +401,8 @@ pub fn kmeans<R: Rng + ?Sized>(
         // fast-moving center (a blob being split) collapses every
         // point's lower bound and disables pruning globally.
         let (mut max_move, mut second_move, mut max_mover) = (0.0f64, 0.0f64, 0usize);
-        for (c, m) in movement.iter_mut().enumerate() {
-            *m = sq_l2(previous_centers.row(c), centers.row(c)).sqrt();
+        for (c, m) in self.movement.iter_mut().enumerate() {
+            *m = sq_l2(self.previous.row(c), centers.row(c)).sqrt();
             if *m > max_move {
                 second_move = max_move;
                 max_move = *m;
@@ -375,10 +411,10 @@ pub fn kmeans<R: Rng + ?Sized>(
                 second_move = *m;
             }
         }
-        for i in 0..n {
-            let a = assignments[i];
-            upper[i] += movement[a];
-            lower[i] -= if a == max_mover {
+        self.previous.clone_from(centers);
+        for (i, &a) in assignments.iter().enumerate() {
+            self.upper[i] += self.movement[a];
+            self.lower[i] -= if a == max_mover {
                 second_move
             } else {
                 max_move
@@ -386,17 +422,18 @@ pub fn kmeans<R: Rng + ?Sized>(
         }
         // Points the repair moved were re-assigned outside the scan;
         // their bounds no longer describe their cluster. Force an exact
-        // re-scan next phase.
-        for &i in &stolen {
-            upper[i] = f64::INFINITY;
-            lower[i] = f64::NEG_INFINITY;
+        // re-scan this phase.
+        for &i in stolen {
+            self.upper[i] = f64::INFINITY;
+            self.lower[i] = f64::NEG_INFINITY;
         }
 
         // Per-point scans are independent (shared immutable centers,
         // per-point bound slots) and the counters are integers, so the
         // chunked fan-out below reproduces the sequential loop exactly.
+        let scanner = &self.scanner;
         let partials = ecg_par::par_map(
-            scan_chunks(&mut assignments, &mut upper, &mut lower),
+            scan_chunks(assignments, &mut self.upper, &mut self.lower),
             |(start, a_chunk, u_chunk, l_chunk)| {
                 let mut counts = ScanCounts::default();
                 let cells = a_chunk.iter_mut().zip(u_chunk.iter_mut().zip(l_chunk));
@@ -442,11 +479,9 @@ pub fn kmeans<R: Rng + ?Sized>(
         } = partials
             .into_iter()
             .fold(ScanCounts::default(), |s, c| s + c);
-        last_exact_scans = exact_scans;
-        last_neighbour_hits = neighbours.then_some(neighbour_hits);
-        if let Some(o) = obs.as_deref_mut() {
-            o.metrics.inc("kmeans.iterations");
-            o.metrics.add("kmeans.reassigned", reassigned as u64);
+        self.last_exact_scans = exact_scans;
+        self.last_neighbour_hits = neighbours.then_some(neighbour_hits);
+        if let Some(o) = obs {
             o.metrics.add("kmeans.pruned", pruned as u64);
             o.metrics.add("kmeans.tightened", tightened as u64);
             o.metrics.add("kmeans.exact_scans", exact_scans as u64);
@@ -468,40 +503,12 @@ pub fn kmeans<R: Rng + ?Sized>(
                 fields.push(("neighbour_hits", neighbour_hits.into()));
                 fields.push(("neighbour_fallbacks", fallbacks.into()));
             }
-            o.trace.push(iterations as f64, "kmeans", "iter", fields);
+            o.trace
+                .push(self.iteration as f64, "kmeans", "iter", fields);
         }
-        if reassigned == 0 {
-            converged = true;
-            break;
-        }
+        self.iteration += 1;
+        reassigned
     }
-
-    // Termination phase: make centers consistent with final assignments
-    // and guarantee no empty groups.
-    update.update_centers(points, &assignments, &mut centers);
-    repair_empty_clusters(
-        points,
-        &mut assignments,
-        &mut centers,
-        &mut update.counts,
-        &mut stolen,
-    );
-
-    if let Some(o) = obs {
-        o.metrics.inc("kmeans.runs");
-        if converged {
-            o.metrics.inc("kmeans.converged");
-        }
-        let mut span = o.phases.span("kmeans");
-        span.add_work(iterations as f64);
-    }
-
-    Ok(Clustering {
-        assignments,
-        centers,
-        iterations,
-        converged,
-    })
 }
 
 /// The pre-optimization naive K-means, retained verbatim as the
@@ -614,103 +621,6 @@ fn scan_chunks<'s>(
         .zip(upper.chunks_mut(chunk).zip(lower.chunks_mut(chunk)))
         .map(|((r, a), (u, l))| (r.start, a, u, l))
         .collect()
-}
-
-/// Reusable buffers for the center update so the Lloyd loop allocates
-/// nothing per iteration.
-struct CenterUpdateScratch {
-    sums: Vec<f64>,
-    counts: Vec<usize>,
-    dim: usize,
-}
-
-impl CenterUpdateScratch {
-    fn new(k: usize, dim: usize) -> Self {
-        CenterUpdateScratch {
-            sums: vec![0.0; k * dim],
-            counts: vec![0; k],
-            dim,
-        }
-    }
-
-    /// Recomputes each center as the mean of its assigned points,
-    /// accumulating in point-index order so the floating-point results
-    /// match the reference implementation bit for bit. Centers of empty
-    /// clusters are left untouched (repair handles them).
-    fn update_centers(
-        &mut self,
-        points: &FeatureMatrix,
-        assignments: &[usize],
-        centers: &mut FeatureMatrix,
-    ) {
-        let dim = self.dim;
-        self.sums.fill(0.0);
-        self.counts.fill(0);
-        for (p, &c) in points.iter_rows().zip(assignments) {
-            self.counts[c] += 1;
-            for (s, v) in self.sums[c * dim..(c + 1) * dim].iter_mut().zip(p) {
-                *s += v;
-            }
-        }
-        for c in 0..centers.len() {
-            if self.counts[c] > 0 {
-                let inv = self.counts[c] as f64;
-                for (center_v, sum_v) in centers
-                    .row_mut(c)
-                    .iter_mut()
-                    .zip(&self.sums[c * dim..(c + 1) * dim])
-                {
-                    *center_v = sum_v / inv;
-                }
-            }
-        }
-    }
-}
-
-/// Re-seeds every empty cluster on the point farthest from its current
-/// center, stealing it from its (necessarily non-empty) donor cluster.
-/// `counts` must hold the size of every cluster on entry — the center
-/// update has just tallied them — and is kept current across steals, so
-/// a call that finds nothing empty costs one pass over `k`, not `n`.
-/// The indices of stolen points are collected into `stolen` (cleared
-/// first) so the caller can invalidate their distance bounds. Shared
-/// with the mini-batch variant ([`crate::minibatch`]), which has the
-/// same no-empty-groups obligation.
-pub(crate) fn repair_empty_clusters(
-    points: &FeatureMatrix,
-    assignments: &mut [usize],
-    centers: &mut FeatureMatrix,
-    counts: &mut [usize],
-    stolen: &mut Vec<usize>,
-) {
-    debug_assert_eq!(counts.len(), centers.len());
-    stolen.clear();
-    while let Some(empty) = counts.iter().position(|&c| c == 0) {
-        // Farthest point from its own center, from a cluster with > 1
-        // members so the donor does not become empty itself.
-        let mut donor: Option<(usize, f64)> = None;
-        for (i, p) in points.iter_rows().enumerate() {
-            let c = assignments[i];
-            if counts[c] <= 1 {
-                continue;
-            }
-            let d = sq_l2(p, centers.row(c));
-            if donor.is_none_or(|(_, bd)| d > bd) {
-                donor = Some((i, d));
-            }
-        }
-        let Some((idx, _)) = donor else {
-            // All clusters are singletons or empty and nothing can move;
-            // only possible when n < k, which the entry point rejects.
-            return;
-        };
-        counts[assignments[idx]] -= 1;
-        counts[empty] += 1;
-        assignments[idx] = empty;
-        let row = points.row(idx).to_vec();
-        centers.set_row(empty, &row);
-        stolen.push(idx);
-    }
 }
 
 /// Index of the center nearest to `p` (ties break to the lower index) —

@@ -5,7 +5,13 @@
 //! *initialization*. This crate keeps that split explicit:
 //!
 //! * [`kmeans()`] — the assign/update loop with the paper's termination
-//!   condition and empty-cluster repair.
+//!   condition and empty-cluster repair; [`kmeans_warm`] runs the same
+//!   loop from given centers.
+//! * [`kmeans_masked`] / [`kmeans_capped`] — the same loop over
+//!   partially observed points, and under a group-size cap. There is
+//!   one Lloyd loop in the crate, with one center update and one
+//!   empty-cluster repair (both mask-aware); the variants differ only
+//!   in how a phase assigns points to centers.
 //! * [`Initializer`] — uniform seeding (SL), weighted seeding (SDSL via
 //!   [`server_distance_weights`]), k-means++ (ablation), or explicit
 //!   seeds.
@@ -53,6 +59,7 @@ pub mod blocked;
 pub mod hierarchical;
 pub mod init;
 pub mod kmeans;
+mod lloyd;
 pub mod masked;
 pub mod medoids;
 pub mod minibatch;
@@ -63,7 +70,7 @@ pub use balanced::{kmeans_capped, CapError};
 pub use blocked::BlockedCenters;
 pub use ecg_coords::FeatureMatrix;
 pub use init::{server_distance_weights, Initializer};
-pub use kmeans::{kmeans, kmeans_reference, Clustering, KmeansConfig, KmeansError};
+pub use kmeans::{kmeans, kmeans_reference, kmeans_warm, Clustering, KmeansConfig, KmeansError};
 pub use masked::{kmeans_masked, masked_sq_l2};
 pub use medoids::{pam, Medoids};
 pub use minibatch::{kmeans_minibatch, kmeans_variant, KmeansVariant, MiniBatchConfig};

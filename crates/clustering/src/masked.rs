@@ -5,26 +5,30 @@
 //! can be *missing* (a probe timed out after retries, or a landmark was
 //! unreachable); the accompanying [`FeatureMask`] marks which cells
 //! hold real measurements. [`kmeans_masked`] clusters such points
-//! without letting the `0.0` placeholders distort geometry:
+//! without letting the `0.0` placeholders distort geometry. It runs the
+//! crate's one Lloyd loop, whose center update and empty-cluster repair
+//! read the mask:
 //!
 //! * **Distance** — the squared L2 distance between a point and a
 //!   center is computed over the point's *observed* components only and
 //!   rescaled by `dim / observed` so partially-observed points remain
 //!   comparable to fully-observed ones (the standard expected-distance
-//!   estimate under missing-completely-at-random components).
+//!   estimate under missing-completely-at-random components). The
+//!   rescaled distance is not a metric, so the assignment step is a
+//!   naive scan: no Hamerly bound or KD-tree can prune it.
 //! * **Center update** — each center component is the mean of the
 //!   component over the cluster members that *observed* it; a component
 //!   no member observed keeps its previous value.
-//! * **Empty-cluster repair** — identical policy to [`crate::kmeans()`]:
+//! * **Empty-cluster repair** — the policy of [`crate::kmeans()`]:
 //!   re-seed on the point currently farthest (in masked distance) from
 //!   its own center; the stolen point's unobserved components keep the
 //!   center's previous values.
 //!
-//! With a fully-observed mask every one of those rules degenerates to
-//! the plain algorithm, arithmetic operation for arithmetic operation —
-//! [`kmeans_masked`] is then **bit-identical** to [`crate::kmeans()`] /
-//! [`crate::kmeans_reference`] (see the property test). The RNG is
-//! consumed by the initializer only, exactly like the plain variants.
+//! A fully-observed mask takes [`crate::kmeans()`]'s exact scan step,
+//! so [`kmeans_masked`] is then **bit-identical** to [`crate::kmeans()`]
+//! / [`crate::kmeans_reference`], telemetry included (see the property
+//! test). The RNG is consumed by the initializer only, exactly like the
+//! plain variants.
 //!
 //! Rows with *zero* observed components carry no positional information
 //! at all and must be quarantined by the caller before clustering (the
@@ -32,7 +36,8 @@
 //! group); passing one here panics.
 
 use crate::init::Initializer;
-use crate::kmeans::{Clustering, KmeansConfig, KmeansError};
+use crate::kmeans::{exact_lloyd, seed_centers, Clustering, KmeansConfig, KmeansError};
+use crate::lloyd::{lloyd, nearest, Assign, Cells};
 use ecg_coords::{FeatureMask, FeatureMatrix};
 use ecg_obs::Obs;
 use rand::Rng;
@@ -70,11 +75,11 @@ pub fn masked_sq_l2(p: &[f64], observed: &[bool], center: &[f64]) -> f64 {
 /// observed components per `mask` (see the module docs for the masked
 /// distance, center-update, and repair rules).
 ///
-/// With a fully-observed mask the result is bit-identical to
-/// [`crate::kmeans()`] for the same inputs and RNG state. With a bundle
-/// it records `kmeans.*` counters (iterations, reassignments,
-/// masked-cell count); instrumentation never draws from the RNG, so the
-/// clustering is identical either way.
+/// With a fully-observed mask this is [`crate::kmeans()`]: the same
+/// result and the same telemetry for the same inputs and RNG state.
+/// Otherwise, with a bundle it records `kmeans.*` counters
+/// (iterations, reassignments, masked-cell count); instrumentation
+/// never draws from the RNG, so the clustering is identical either way.
 ///
 /// # Errors
 ///
@@ -92,194 +97,63 @@ pub fn kmeans_masked<R: Rng + ?Sized>(
     rng: &mut R,
     mut obs: Option<&mut Obs>,
 ) -> Result<Clustering, KmeansError> {
-    let n = points.len();
-    let dim = points.dim();
-    assert_eq!(mask.len(), n, "mask rows must match points");
-    assert_eq!(mask.dim(), dim, "mask dimension must match points");
-    for i in 0..n {
-        assert!(
-            mask.observed_count(i) > 0,
-            "row {i} has no observed components; quarantine it before clustering"
-        );
+    let full = check_mask(points, mask);
+    // Note the initializer sees the raw rows (placeholders included);
+    // only RandomRepresentative and Weighted are placeholder-blind —
+    // k-means++ reads point values and is therefore not recommended on
+    // degraded masks.
+    let centers = seed_centers(points, config.k(), initializer, rng)?;
+    if full {
+        return Ok(exact_lloyd(points, centers, config, obs));
     }
-    let k = config.k();
-    if n < k {
-        return Err(KmeansError::TooFewPoints { points: n, k });
+    if let Some(o) = obs.as_deref_mut() {
+        o.metrics
+            .add("kmeans.masked_cells", mask.masked_cells() as u64);
     }
+    Ok(lloyd(points, mask, centers, config, &mut NearestScan, obs))
+}
 
-    // Initialization: the only RNG consumer, stream-aligned with the
-    // plain variants. Note the initializer sees the raw rows
-    // (placeholders included); only RandomRepresentative and Weighted
-    // are placeholder-blind — k-means++ reads point values and is
-    // therefore not recommended on degraded masks.
-    let seeds = initializer.select(points, k, rng)?;
-    let mut centers = FeatureMatrix::with_capacity(k, dim);
-    for &i in &seeds {
-        centers.push_row(points.row(i));
+/// Asserts that `mask` matches `points` in shape and that every row
+/// observes a component (not checked row by row when the mask is full);
+/// returns whether the mask is fully observed.
+pub(crate) fn check_mask(points: &FeatureMatrix, mask: &FeatureMask) -> bool {
+    assert_eq!(mask.len(), points.len(), "mask rows must match points");
+    assert_eq!(mask.dim(), points.dim(), "mask dimension must match points");
+    let full = mask.is_fully_observed();
+    if !full {
+        for i in 0..mask.len() {
+            assert!(
+                mask.observed_count(i) > 0,
+                "row {i} has no observed components; quarantine it before clustering"
+            );
+        }
     }
+    full
+}
 
-    let mut assignments = vec![0usize; n];
-    for (i, slot) in assignments.iter_mut().enumerate() {
-        *slot = nearest_center_masked(points.row(i), mask.row(i), &centers);
-    }
+/// The assignment step under missing cells: every point scans every
+/// center.
+struct NearestScan;
 
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut scratch = MaskedUpdateScratch::new(k, dim);
-    while iterations < config.iteration_cap() {
-        iterations += 1;
-        scratch.update_centers(points, mask, &assignments, &mut centers);
-        repair_empty_clusters_masked(points, mask, &mut assignments, &mut centers);
-
-        let mut reassigned = 0usize;
+impl<C: Cells> Assign<C> for NearestScan {
+    fn reassign(
+        &mut self,
+        points: &FeatureMatrix,
+        cells: &C,
+        centers: &FeatureMatrix,
+        assignments: &mut [usize],
+        _: &[usize],
+        _: Option<&mut Obs>,
+    ) -> usize {
+        let mut reassigned = 0;
         for (i, slot) in assignments.iter_mut().enumerate() {
-            let best = nearest_center_masked(points.row(i), mask.row(i), &centers);
+            let (best, _, _) = nearest(cells, i, points.row(i), centers);
             if best != *slot {
                 *slot = best;
                 reassigned += 1;
             }
         }
-        if let Some(o) = obs.as_deref_mut() {
-            o.metrics.inc("kmeans.iterations");
-            o.metrics.add("kmeans.reassigned", reassigned as u64);
-        }
-        if reassigned == 0 {
-            converged = true;
-            break;
-        }
-    }
-
-    scratch.update_centers(points, mask, &assignments, &mut centers);
-    repair_empty_clusters_masked(points, mask, &mut assignments, &mut centers);
-
-    if let Some(o) = obs {
-        o.metrics.inc("kmeans.runs");
-        o.metrics
-            .add("kmeans.masked_cells", mask.masked_cells() as u64);
-        if converged {
-            o.metrics.inc("kmeans.converged");
-        }
-        let mut span = o.phases.span("kmeans");
-        span.add_work(iterations as f64);
-    }
-
-    Ok(Clustering::from_parts(
-        assignments,
-        centers,
-        iterations,
-        converged,
-    ))
-}
-
-/// Index of the center nearest to `p` under the masked distance (ties
-/// break to the lower index, like the plain scans).
-fn nearest_center_masked(p: &[f64], observed: &[bool], centers: &FeatureMatrix) -> usize {
-    let mut best = 0usize;
-    let mut best_d = f64::INFINITY;
-    for (c, center) in centers.iter_rows().enumerate() {
-        let d = masked_sq_l2(p, observed, center);
-        if d < best_d {
-            best_d = d;
-            best = c;
-        }
-    }
-    best
-}
-
-/// Reusable per-component sum/count buffers for the masked center
-/// update.
-struct MaskedUpdateScratch {
-    sums: Vec<f64>,
-    counts: Vec<usize>,
-    dim: usize,
-}
-
-impl MaskedUpdateScratch {
-    fn new(k: usize, dim: usize) -> Self {
-        MaskedUpdateScratch {
-            sums: vec![0.0; k * dim],
-            counts: vec![0; k * dim],
-            dim,
-        }
-    }
-
-    /// Each center component becomes the mean over the cluster members
-    /// that observed it, accumulated in point-index order (bit-stable);
-    /// components with no observing member keep their previous value.
-    fn update_centers(
-        &mut self,
-        points: &FeatureMatrix,
-        mask: &FeatureMask,
-        assignments: &[usize],
-        centers: &mut FeatureMatrix,
-    ) {
-        let dim = self.dim;
-        self.sums.fill(0.0);
-        self.counts.fill(0);
-        for (i, (p, &c)) in points.iter_rows().zip(assignments).enumerate() {
-            let observed = mask.row(i);
-            let base = c * dim;
-            for j in 0..dim {
-                if observed[j] {
-                    self.sums[base + j] += p[j];
-                    self.counts[base + j] += 1;
-                }
-            }
-        }
-        for c in 0..centers.len() {
-            let base = c * dim;
-            let row = centers.row_mut(c);
-            for (j, v) in row.iter_mut().enumerate() {
-                if self.counts[base + j] > 0 {
-                    *v = self.sums[base + j] / self.counts[base + j] as f64;
-                }
-            }
-        }
-    }
-}
-
-/// Masked-distance twin of the plain empty-cluster repair: re-seed each
-/// empty cluster on the point farthest from its own center among
-/// clusters with more than one member. The stolen point's unobserved
-/// components keep the center's previous values.
-fn repair_empty_clusters_masked(
-    points: &FeatureMatrix,
-    mask: &FeatureMask,
-    assignments: &mut [usize],
-    centers: &mut FeatureMatrix,
-) {
-    let k = centers.len();
-    loop {
-        let mut counts = vec![0usize; k];
-        for &c in assignments.iter() {
-            counts[c] += 1;
-        }
-        let Some(empty) = counts.iter().position(|&c| c == 0) else {
-            return;
-        };
-        let mut donor: Option<(usize, f64)> = None;
-        for (i, p) in points.iter_rows().enumerate() {
-            let c = assignments[i];
-            if counts[c] <= 1 {
-                continue;
-            }
-            let d = masked_sq_l2(p, mask.row(i), centers.row(c));
-            if donor.is_none_or(|(_, bd)| d > bd) {
-                donor = Some((i, d));
-            }
-        }
-        let Some((idx, _)) = donor else {
-            return;
-        };
-        assignments[idx] = empty;
-        let observed: Vec<bool> = mask.row(idx).to_vec();
-        let row: Vec<f64> = points.row(idx).to_vec();
-        let center = centers.row_mut(empty);
-        for j in 0..row.len() {
-            if observed[j] {
-                center[j] = row[j];
-            }
-        }
+        reassigned
     }
 }
 

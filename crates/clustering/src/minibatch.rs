@@ -33,7 +33,8 @@
 //! determinism tests pin at 1, 2, and 8 threads.
 
 use crate::init::Initializer;
-use crate::kmeans::{repair_empty_clusters, Clustering, KmeansConfig, KmeansError};
+use crate::kmeans::{seed_centers, Clustering, KmeansConfig, KmeansError};
+use crate::lloyd::{repair_empty_clusters, AllObserved};
 use crate::tree::CenterScanner;
 use ecg_coords::FeatureMatrix;
 use rand::rngs::StdRng;
@@ -181,15 +182,7 @@ pub fn kmeans_minibatch<R: Rng + ?Sized>(
 ) -> Result<Clustering, KmeansError> {
     let n = points.len();
     let k = config.k();
-    if n < k {
-        return Err(KmeansError::TooFewPoints { points: n, k });
-    }
-
-    let seeds = initializer.select(points, k, rng)?;
-    let mut centers = FeatureMatrix::with_capacity(k, points.dim());
-    for &i in &seeds {
-        centers.push_row(points.row(i));
-    }
+    let mut centers = seed_centers(points, k, initializer, rng)?;
     // One master draw; each iteration's batch stream is derived from it,
     // so sampling is independent of thread count.
     let master: u64 = rng.gen();
@@ -242,18 +235,19 @@ pub fn kmeans_minibatch<R: Rng + ?Sized>(
     let mut stolen = Vec::new();
     repair_empty_clusters(
         points,
+        &AllObserved,
         &mut assignments,
         &mut centers,
         &mut sizes,
         &mut stolen,
     );
 
-    Ok(Clustering::from_parts(
+    Ok(Clustering {
         assignments,
         centers,
-        mb.iterations,
-        true,
-    ))
+        iterations: mb.iterations,
+        converged: true,
+    })
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 use ecg_clustering::hierarchical::{agglomerative, Linkage};
 use ecg_clustering::{
     average_group_interaction_cost, group_interaction_cost, kmeans, kmeans_capped, kmeans_masked,
-    kmeans_minibatch, kmeans_reference, server_distance_weights, AssignMode, BlockedCenters,
-    CenterTree, FeatureMatrix, Initializer, KmeansConfig, MiniBatchConfig,
+    kmeans_minibatch, kmeans_reference, kmeans_warm, server_distance_weights, AssignMode,
+    BlockedCenters, CenterTree, FeatureMatrix, Initializer, KmeansConfig, MiniBatchConfig,
+    TREE_AUTO_MIN_K,
 };
 use ecg_coords::FeatureMask;
 use proptest::prelude::*;
@@ -241,6 +242,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let r = kmeans_capped(
             &points,
+            &FeatureMask::all_observed(n, points.dim()),
             KmeansConfig::new(k),
             &Initializer::RandomRepresentative,
             max_size,
@@ -503,6 +505,7 @@ proptest! {
         // cap = n is never binding.
         let r = kmeans_capped(
             &points,
+            &FeatureMask::all_observed(n, points.dim()),
             KmeansConfig::new(k),
             &Initializer::RandomRepresentative,
             n,
@@ -563,6 +566,40 @@ fn multi_chunk_parallel_kmeans_matches_reference_bit_for_bit() {
         assert_eq!(a.to_bits(), b.to_bits());
     }
     assert_eq!(par.iterations(), reference.iterations());
+}
+
+#[test]
+fn a_warm_start_from_the_seed_rows_is_kmeans_bit_for_bit() {
+    // Multi-chunk, on both engines (the blocked scan below
+    // `TREE_AUTO_MIN_K`, the KD-tree from it), at 1 and 8 threads.
+    let points = big_points(700, 29);
+    for k in [25, TREE_AUTO_MIN_K] {
+        let config = KmeansConfig::new(k);
+        let init = Initializer::RandomRepresentative;
+        let seeds = init
+            .select(&points, k, &mut StdRng::seed_from_u64(3))
+            .unwrap();
+        let mut start = FeatureMatrix::new(points.dim());
+        for &i in &seeds {
+            start.push_row(points.row(i));
+        }
+        for threads in [1, 8] {
+            ecg_par::set_max_threads(Some(threads));
+            let plain =
+                kmeans(&points, config, &init, &mut StdRng::seed_from_u64(3), None).unwrap();
+            let warm = kmeans_warm(&points, start.clone(), config).unwrap();
+            ecg_par::set_max_threads(None);
+            assert_eq!(warm, plain, "k = {k}, {threads} threads");
+            for (a, b) in warm
+                .centers()
+                .as_flat()
+                .iter()
+                .zip(plain.centers().as_flat())
+            {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
 }
 
 #[test]

@@ -16,6 +16,7 @@
 //!   re-run of the scheme once incremental decay crosses a threshold.
 
 use crate::scheme::{GroupingOutcome, SchemeError};
+use ecg_clustering::{kmeans_warm, KmeansConfig};
 use ecg_coords::{FeatureMatrix, ProbeConfig, Prober};
 use ecg_obs::Obs;
 use ecg_topology::{CacheId, EdgeNetwork};
@@ -50,6 +51,10 @@ pub enum MaintenanceError {
         /// Landmarks that would survive the prune.
         surviving: usize,
     },
+    /// The group centers are not feature vectors over the landmark set
+    /// (an embedded representation formed them), so a partial
+    /// re-formation cannot compare re-probed members with them.
+    NotFeatureVectors,
 }
 
 impl fmt::Display for MaintenanceError {
@@ -74,6 +79,9 @@ impl fmt::Display for MaintenanceError {
                     f,
                     "only {surviving} landmarks would survive the prune; re-form fully"
                 )
+            }
+            MaintenanceError::NotFeatureVectors => {
+                write!(f, "centers are not landmark feature vectors; re-form fully")
             }
         }
     }
@@ -104,7 +112,9 @@ pub struct PartialReformOutcome {
     pub regrouped: usize,
     /// Of those, how many ended up in a different group.
     pub moved: usize,
-    /// Lloyd iterations of the local re-clustering.
+    /// Iterations of the local re-clustering's Lloyd loop
+    /// ([`ecg_clustering::Clustering::iterations`]); 0 when no group
+    /// was degraded.
     pub iterations: usize,
 }
 
@@ -481,9 +491,11 @@ impl GroupMaintainer {
     /// 2. **Re-probe the degraded members.** Each member of a degraded
     ///    group measures the surviving landmark set afresh.
     /// 3. **Warm-started local Lloyd.** The degraded groups' (pruned)
-    ///    centers seed a K-means over just those members; empty
-    ///    clusters deterministically steal the point farthest from its
-    ///    center, so no degraded group ever ends up empty.
+    ///    centers start [`ecg_clustering::kmeans_warm`] over just those
+    ///    members: formation's Lloyd loop, whose repair runs after each
+    ///    center update — a group left empty steals the member farthest
+    ///    from its own updated center and is re-centered on it — so no
+    ///    degraded group ever ends up empty.
     ///
     /// The drift baseline is re-anchored to the post-repair cost, so
     /// [`GroupMaintainer::drift`] measures decay since *this* repair.
@@ -497,6 +509,8 @@ impl GroupMaintainer {
     /// * [`MaintenanceError::TooFewLandmarks`] if fewer than two
     ///   landmarks would survive the prune — the caller should escalate
     ///   to [`GroupMaintainer::reform`]. The maintainer is untouched.
+    /// * [`MaintenanceError::NotFeatureVectors`] if the grouping was
+    ///   formed over an embedded representation; untouched as well.
     pub fn reform_partial<R: Rng + ?Sized>(
         &mut self,
         network: &EdgeNetwork,
@@ -535,6 +549,9 @@ impl GroupMaintainer {
         if let Some(&bad) = degraded.iter().find(|&&g| g >= self.groups.len()) {
             return Err(MaintenanceError::UnknownGroup(bad));
         }
+        if self.centers.dim() != self.landmarks.len() {
+            return Err(MaintenanceError::NotFeatureVectors);
+        }
         let keep: Vec<usize> = (0..self.landmarks.len())
             .filter(|&i| !dead_landmarks.contains(&self.landmarks[i]))
             .collect();
@@ -561,112 +578,41 @@ impl GroupMaintainer {
             .flat_map(|&g| self.groups[g].iter().copied())
             .collect();
         let prober = Prober::new(network.rtt_matrix(), self.probe);
-        let mut features: Vec<Vec<f64>> = Vec::with_capacity(members.len());
+        let mut features = FeatureMatrix::with_capacity(members.len(), self.landmarks.len());
         for c in &members {
             let fv = &mut self.fv_scratch;
             prober.measure_all(c.index() + 1, &self.landmarks, rng, fv, obs.as_deref_mut());
-            features.push(fv.clone());
+            features.push_row(fv);
         }
 
-        // Warm-started Lloyd over just these members, seeded from the
-        // degraded groups' surviving center coordinates.
-        let k = degraded.len();
-        let mut centers: Vec<Vec<f64>> = degraded
-            .iter()
-            .map(|&g| self.centers.row(g).to_vec())
-            .collect();
-        let mut assign = vec![0usize; members.len()];
-        let mut iterations = 0usize;
-        for round in 0..50 {
-            let mut changed = false;
-            for (i, fv) in features.iter().enumerate() {
-                let best = centers
-                    .iter()
-                    .enumerate()
-                    .map(|(j, c)| (j, sq_dist(c, fv)))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("distances are not NaN"))
-                    .map(|(j, _)| j)
-                    .unwrap_or(0);
-                if assign[i] != best || round == 0 {
-                    assign[i] = best;
-                    changed = true;
-                }
+        // Warm-started K-means over just these members, from the
+        // degraded groups' surviving center coordinates; then write the
+        // repaired membership and centers back.
+        let (mut moved, mut iterations) = (0usize, 0usize);
+        if !degraded.is_empty() {
+            let mut start = FeatureMatrix::with_capacity(degraded.len(), self.centers.dim());
+            for &g in &degraded {
+                start.push_row(self.centers.row(g));
             }
-            // Deterministic empty-cluster fixup: in cluster-index order,
-            // an empty cluster steals the point farthest from its own
-            // center among clusters that can spare one (first index wins
-            // ties).
-            loop {
-                let mut sizes = vec![0usize; k];
-                for &a in &assign {
-                    sizes[a] += 1;
+            let config = KmeansConfig::new(degraded.len()).max_iterations(50);
+            let clustering = kmeans_warm(&features, start, config)
+                .expect("degraded groups are non-empty: a member per center");
+            iterations = clustering.iterations();
+            let mut new_groups: Vec<Vec<CacheId>> = vec![Vec::new(); degraded.len()];
+            for (&c, &slot) in members.iter().zip(clustering.assignments()) {
+                let g = degraded[slot];
+                if self.assignments[c.index()] != Some(g) {
+                    moved += 1;
                 }
-                let Some(empty) = (0..k).find(|&j| sizes[j] == 0) else {
-                    break;
-                };
-                let mut donor: Option<(f64, usize)> = None;
-                for (i, fv) in features.iter().enumerate() {
-                    if sizes[assign[i]] < 2 {
-                        continue;
-                    }
-                    let d = sq_dist(&centers[assign[i]], fv);
-                    if donor.is_none_or(|(bd, _)| d > bd) {
-                        donor = Some((d, i));
-                    }
-                }
-                let Some((_, i)) = donor else { break };
-                assign[i] = empty;
-                changed = true;
+                new_groups[slot].push(c);
+                self.assignments[c.index()] = Some(g);
             }
-            iterations = round + 1;
-            if !changed {
-                break;
-            }
-            let dim = self.centers.dim();
-            for (j, center) in centers.iter_mut().enumerate() {
-                let mut sum = vec![0.0f64; dim];
-                let mut count = 0usize;
-                for (i, fv) in features.iter().enumerate() {
-                    if assign[i] == j {
-                        count += 1;
-                        for (s, v) in sum.iter_mut().zip(fv) {
-                            *s += v;
-                        }
-                    }
-                }
-                if count > 0 {
-                    for s in &mut sum {
-                        *s /= count as f64;
-                    }
-                    *center = sum;
-                }
+            let centers = clustering.centers().iter_rows();
+            for ((&g, group), center) in degraded.iter().zip(new_groups).zip(centers) {
+                self.groups[g] = group;
+                self.centers.row_mut(g).copy_from_slice(center);
             }
         }
-
-        // Write the repaired membership and centers back.
-        let mut moved = 0usize;
-        let mut new_groups: Vec<Vec<CacheId>> = vec![Vec::new(); k];
-        for (i, &c) in members.iter().enumerate() {
-            let g = degraded[assign[i]];
-            if self.assignments[c.index()] != Some(g) {
-                moved += 1;
-            }
-            new_groups[assign[i]].push(c);
-            self.assignments[c.index()] = Some(g);
-        }
-        for (slot, &g) in degraded.iter().enumerate() {
-            self.groups[g] = std::mem::take(&mut new_groups[slot]);
-        }
-        let rows: Vec<Vec<f64>> = self
-            .centers
-            .iter_rows()
-            .enumerate()
-            .map(|(g, row)| match degraded.iter().position(|&d| d == g) {
-                Some(slot) => centers[slot].clone(),
-                None => row.to_vec(),
-            })
-            .collect();
-        self.centers = FeatureMatrix::from_rows(&rows);
 
         // Re-anchor the drift baseline to the repaired grouping.
         self.formation_cost = self.current_cost(|a, b| network.cache_to_cache(a, b));
@@ -709,11 +655,6 @@ impl GroupMaintainer {
         let outcome = coordinator.form_groups(network, rng)?;
         Ok(GroupMaintainer::new(network, outcome, self.probe))
     }
-}
-
-/// Squared Euclidean distance between two equal-length vectors.
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 #[cfg(test)]
@@ -1089,6 +1030,72 @@ mod tests {
         assert_eq!(m, before);
         let err = m.reform_partial(&network, &[9], &[], &mut rng).unwrap_err();
         assert_eq!(err, MaintenanceError::UnknownGroup(9));
+        assert_eq!(m, before);
+    }
+
+    #[test]
+    fn partial_reform_of_no_group_only_prunes() {
+        let (network, mut m, mut rng) = formed();
+        let (groups, centers) = (m.groups().to_vec(), m.centers.clone());
+        let out = m.reform_partial(&network, &[], &[], &mut rng).unwrap();
+        assert_eq!(out, PartialReformOutcome::default());
+        assert_eq!((m.groups(), &m.centers), (&groups[..], &centers));
+    }
+
+    #[test]
+    fn a_degraded_group_whose_center_attracts_no_member_is_refilled() {
+        let (network, mut m, mut rng) = formed();
+        // Ec0 and Ec1 move next to Ec2 and Ec3: re-probed, all four
+        // members of the two degraded groups sit nearer the second
+        // group's center, and the first group's attracts none.
+        let mut rtt = network.rtt_matrix().clone();
+        for x in [0, 3, 4, 5, 6] {
+            rtt.set(1, x, rtt.get(3, x) + 0.5);
+            rtt.set(2, x, rtt.get(4, x) + 0.5);
+        }
+        let moved = EdgeNetwork::from_rtt_matrix(rtt);
+        let degraded = [
+            m.group_of(CacheId(0)).unwrap(),
+            m.group_of(CacheId(2)).unwrap(),
+        ];
+        let prober = Prober::new(moved.rtt_matrix(), ProbeConfig::noiseless());
+        let mut fv = Vec::new();
+        for c in [0, 1, 2, 3] {
+            prober.measure_all(c + 1, &m.landmarks, &mut rng, &mut fv, None);
+            let d = |g: usize| -> f64 {
+                let center = m.centers.row(g);
+                center.iter().zip(&fv).map(|(a, b)| (a - b) * (a - b)).sum()
+            };
+            assert!(d(degraded[1]) < d(degraded[0]), "cache {c}");
+        }
+
+        m.reform_partial(&moved, &degraded, &[], &mut rng).unwrap();
+        for g in degraded {
+            assert!(!m.groups()[g].is_empty(), "group {g} ended empty");
+        }
+        assert_eq!(m.active_caches(), 6);
+    }
+
+    #[test]
+    fn partial_reform_over_embedded_positions_is_a_typed_error() {
+        use crate::scheme::Representation;
+        use ecg_coords::GnpConfig;
+        let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
+        let mut rng = StdRng::seed_from_u64(5);
+        let gnp = Representation::Gnp(GnpConfig::default().dimensions(2).restarts(1));
+        let outcome = GfCoordinator::new(
+            SchemeConfig::sl(3)
+                .landmarks(3)
+                .probe(ProbeConfig::noiseless())
+                .representation(gnp),
+        )
+        .form_groups(&network, &mut rng)
+        .unwrap();
+        let mut m = GroupMaintainer::new(&network, outcome, ProbeConfig::noiseless());
+        let before = m.clone();
+        let err = m.reform_partial(&network, &[0], &[], &mut rng).unwrap_err();
+        assert_eq!(err, MaintenanceError::NotFeatureVectors);
+        assert!(err.to_string().contains("re-form fully"), "{err}");
         assert_eq!(m, before);
     }
 

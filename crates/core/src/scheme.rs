@@ -13,9 +13,8 @@
 use crate::health::{FormationHealth, ResilienceConfig};
 use crate::landmarks::{cache_count, select, LandmarkError, LandmarkSelection, LandmarkSelector};
 use ecg_clustering::{
-    kmeans, kmeans_capped, kmeans_masked, kmeans_variant, server_distance_weights,
-    take_tree_build_ms, AssignMode, CapError, Initializer, KmeansConfig, KmeansError,
-    KmeansVariant,
+    kmeans_capped, kmeans_masked, kmeans_variant, server_distance_weights, take_tree_build_ms,
+    AssignMode, CapError, Initializer, KmeansConfig, KmeansError, KmeansVariant,
 };
 use ecg_coords::{
     build_features, embed_network, run_vivaldi, Draws, FeatureMask, FeatureMatrix, GnpConfig,
@@ -255,6 +254,8 @@ pub enum SchemeError {
     Landmarks(LandmarkError),
     /// Clustering failed.
     Clustering(KmeansError),
+    /// Zero groups were requested.
+    NoGroups,
     /// More groups than caches were requested.
     TooManyGroups {
         /// Groups requested.
@@ -278,6 +279,7 @@ impl fmt::Display for SchemeError {
         match self {
             SchemeError::Landmarks(e) => write!(f, "landmark selection failed: {e}"),
             SchemeError::Clustering(e) => write!(f, "clustering failed: {e}"),
+            SchemeError::NoGroups => write!(f, "cannot form zero groups"),
             SchemeError::TooManyGroups { groups, caches } => {
                 write!(f, "cannot form {groups} groups from {caches} caches")
             }
@@ -298,7 +300,9 @@ impl std::error::Error for SchemeError {
         match self {
             SchemeError::Landmarks(e) => Some(e),
             SchemeError::Clustering(e) => Some(e),
-            SchemeError::TooManyGroups { .. } | SchemeError::CapTooTight { .. } => None,
+            SchemeError::NoGroups
+            | SchemeError::TooManyGroups { .. }
+            | SchemeError::CapTooTight { .. } => None,
         }
     }
 }
@@ -462,8 +466,9 @@ impl GfCoordinator {
     ///
     /// # Errors
     ///
-    /// Returns [`SchemeError`] if the network is too small for the
-    /// requested landmarks or groups, or clustering fails.
+    /// Returns [`SchemeError`] if zero groups are requested, the network
+    /// is too small for the requested landmarks or groups, or clustering
+    /// fails.
     pub fn form_groups<R: Rng + ?Sized>(
         &self,
         network: &EdgeNetwork,
@@ -580,6 +585,9 @@ impl GfCoordinator {
         rng: &mut R,
     ) -> Result<(GroupingOutcome, FormationTimings), SchemeError> {
         let cfg = &self.config;
+        if cfg.groups == 0 {
+            return Err(SchemeError::NoGroups);
+        }
         let policy = cfg.resilience.as_ref().map(ResilienceConfig::retry_policy);
         let n = cache_count(prober)?;
         if cfg.groups > n {
@@ -683,11 +691,21 @@ impl GfCoordinator {
         if let Some(engine) = cfg.forced_assign {
             kmeans_config = kmeans_config.force_assign(engine);
         }
+        // `kmeans_masked` on a fully observed mask is `kmeans`; the
+        // mini-batch variant has no masked form.
         let clustering = match (cfg.max_group_size, &cfg.kmeans_variant) {
-            // The size-capped variant has no masked twin: the cap path
-            // clusters the raw rows, placeholders included.
-            (Some(cap), _) => kmeans_capped(kept_points, kmeans_config, &initializer, cap, rng)?,
-            (None, _) if !kept_mask.is_fully_observed() => kmeans_masked(
+            (Some(cap), _) => kmeans_capped(
+                kept_points,
+                kept_mask,
+                kmeans_config,
+                &initializer,
+                cap,
+                rng,
+            )?,
+            (None, variant @ KmeansVariant::MiniBatch(_)) if kept_mask.is_fully_observed() => {
+                kmeans_variant(kept_points, kmeans_config, variant, &initializer, rng)?
+            }
+            (None, _) => kmeans_masked(
                 kept_points,
                 kept_mask,
                 kmeans_config,
@@ -695,12 +713,6 @@ impl GfCoordinator {
                 rng,
                 draws.obs(),
             )?,
-            (None, KmeansVariant::Lloyd) => {
-                kmeans(kept_points, kmeans_config, &initializer, rng, draws.obs())?
-            }
-            (None, variant) => {
-                kmeans_variant(kept_points, kmeans_config, variant, &initializer, rng)?
-            }
         };
         if let Some(o) = draws.obs() {
             o.phases
@@ -1087,6 +1099,70 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("10 groups"));
+    }
+
+    #[test]
+    fn zero_groups_are_an_error_before_any_probe() {
+        let net = figure1_network();
+        for cfg in [SchemeConfig::sl(0), SchemeConfig::sdsl(0, 1.5)] {
+            let err = GfCoordinator::new(cfg.landmarks(3))
+                .form_groups(&net, &mut StdRng::seed_from_u64(0))
+                .unwrap_err();
+            assert_eq!(err, SchemeError::NoGroups);
+            assert!(err.to_string().contains("zero groups"), "{err}");
+        }
+        let mut obs = Obs::new();
+        GfCoordinator::new(SchemeConfig::sl(0))
+            .form_groups_observed(&net, &mut StdRng::seed_from_u64(0), Some(&mut obs))
+            .unwrap_err();
+        assert_eq!(obs.metrics.counter("probe.sent"), 0);
+        assert!(obs.trace.is_empty());
+    }
+
+    #[test]
+    fn scaled_pipeline_rejects_zero_groups() {
+        use ecg_topology::SyntheticRttConfig;
+        let net = SyntheticRttConfig::default().generate(11, 1);
+        for cfg in [SchemeConfig::sl(0), SchemeConfig::sdsl(0, 1.5)] {
+            let err = GfCoordinator::new(cfg.landmarks(4))
+                .form_groups_scaled(&net, &mut StdRng::seed_from_u64(0))
+                .unwrap_err();
+            assert_eq!(err, SchemeError::NoGroups);
+        }
+    }
+
+    #[test]
+    fn a_loose_cap_clusters_the_observed_cells_like_the_uncapped_run() {
+        // Black-holed probe paths leave masked cells whose placeholder
+        // is 0 ms. A cap of N never binds, so the capped formation must
+        // measure the observed cells only, exactly like the uncapped
+        // (masked) one — not read a placeholder as a 0 ms measurement.
+        use crate::health::ResilienceConfig;
+        let net = figure1_network();
+        let base = noiseless(SchemeConfig::sl(3).landmarks(3).plset_multiplier(2))
+            .resilience(ResilienceConfig::default());
+        let faults = ecg_coords::ProbeFaults::new()
+            .blackhole(1, 5)
+            .blackhole(2, 6)
+            .blackhole(3, 1)
+            .blackhole(4, 6)
+            .blackhole(6, 3);
+        let form = |cfg: SchemeConfig, seed: u64| {
+            GfCoordinator::new(cfg)
+                .form_groups_faulted(&net, &faults, &mut StdRng::seed_from_u64(seed), None)
+                .unwrap()
+        };
+        let mut masked_runs = 0;
+        for seed in 0..20u64 {
+            let uncapped = form(base.clone(), seed);
+            let capped = form(base.clone().max_group_size(6), seed);
+            let health = uncapped.health().expect("resilient run");
+            masked_runs += usize::from(health.masked_cells > 0);
+            assert_eq!(capped.groups(), uncapped.groups(), "seed {seed}");
+            assert_eq!(capped.centers(), uncapped.centers(), "seed {seed}");
+            assert_eq!(capped.kmeans_iterations(), uncapped.kmeans_iterations());
+        }
+        assert!(masked_runs > 0, "no run had a masked cell");
     }
 
     #[test]

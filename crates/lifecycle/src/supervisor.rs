@@ -320,9 +320,13 @@ impl FormationSupervisor {
                     Ok(_) => {
                         dirty.clear();
                     }
-                    // Too few landmarks would survive the prune: the
-                    // grouping cannot be repaired locally any more.
-                    Err(MaintenanceError::TooFewLandmarks { .. }) => {
+                    // Too few landmarks would survive the prune, or the
+                    // positions are embedded: the grouping cannot be
+                    // repaired locally.
+                    Err(
+                        MaintenanceError::TooFewLandmarks { .. }
+                        | MaintenanceError::NotFeatureVectors,
+                    ) => {
                         escalated = true;
                         decision = ReformDecision::FullReform;
                     }
@@ -527,6 +531,37 @@ mod tests {
     }
 
     #[test]
+    fn embedded_positions_escalate_to_full_reformation() {
+        use ecg_coords::GnpConfig;
+        use ecg_core::Representation;
+        let gnp = Representation::Gnp(GnpConfig::default().dimensions(2).restarts(1));
+        let sup = FormationSupervisor::new(
+            SupervisorConfig::new(
+                SchemeConfig::sl(3)
+                    .landmarks(3)
+                    .plset_multiplier(2)
+                    .representation(gnp),
+            )
+            .probe(ProbeConfig::noiseless())
+            .policy(ReformPolicy::eager()),
+        );
+        let schedule = FaultPlan::new()
+            .crash(CacheId(0), 11_000.0, 60_000.0)
+            .retire(CacheId(3), 21_000.0)
+            .schedule();
+        let timeline = sup
+            .run(
+                &network(),
+                &schedule,
+                80_000.0,
+                &mut StdRng::seed_from_u64(11),
+            )
+            .expect("embedded positions re-form fully");
+        assert!(timeline.reformations() > 0);
+        assert_eq!(timeline.decision_count(ReformDecision::PartialReform), 0);
+    }
+
+    #[test]
     fn static_policy_never_changes_the_grouping() {
         let network = network();
         let schedule = FaultPlan::new()
@@ -598,6 +633,22 @@ mod tests {
             .map(|d| d.signals.down_caches)
             .collect();
         assert_eq!(down, [1, 1]);
+    }
+
+    #[test]
+    fn zero_groups_are_a_typed_error() {
+        let sup = FormationSupervisor::new(
+            SupervisorConfig::new(SchemeConfig::sl(0).landmarks(3)).probe(ProbeConfig::noiseless()),
+        );
+        let err = sup
+            .run(
+                &network(),
+                &FaultSchedule::new(),
+                10_000.0,
+                &mut StdRng::seed_from_u64(1),
+            )
+            .unwrap_err();
+        assert_eq!(err, LifecycleError::Scheme(SchemeError::NoGroups));
     }
 
     #[test]
