@@ -99,6 +99,13 @@ impl Histogram {
         self.record_n(value, 1);
     }
 
+    /// Forgets every sample, keeping the bins' range and buffer: equal
+    /// to a new histogram of the same shape.
+    pub fn clear(&mut self) {
+        self.bins.fill(0);
+        self.count = 0;
+    }
+
     /// Records `count` samples of the same `value`: what `count` calls
     /// of [`record`](Self::record) leave, for one bin lookup. Bins only
     /// count, so it does not matter when, relative to other samples, a
@@ -312,6 +319,16 @@ mod tests {
         // Median sits between the two clusters.
         let p50 = a.percentile(0.5).unwrap();
         assert!((10.0..=110.0).contains(&p50), "p50 {p50}");
+    }
+
+    #[test]
+    fn a_cleared_histogram_is_a_new_one() {
+        let mut h = Histogram::new(1.0, 100.0, 8);
+        for i in 0..20 {
+            h.record(i as f64 * 7.0);
+        }
+        h.clear();
+        assert_eq!(h, Histogram::new(1.0, 100.0, 8));
     }
 
     #[test]

@@ -36,13 +36,13 @@ use crate::fault::{FaultKind, FaultSchedule};
 use crate::groups::GroupMap;
 use crate::metrics::{DegradationMetrics, MetricsRecorder};
 use crate::sim::{
-    check_inputs, dense_layout, kernel, GroupOutcome, Lookup, SimConfig, SimError, SimReport,
-    Tallies,
+    check_inputs, dense_layout, kernel, GroupOutcome, KernelStore, Lookup, SimConfig, SimError,
+    SimReport, Tallies,
 };
 use crate::stream::{self, RequestBuffers, StreamedWorkload};
-use ecg_cache::{CacheStats, DocumentCache};
+use ecg_cache::CacheStats;
 use ecg_obs::Obs;
-use ecg_topology::{CacheId, EdgeNetwork, RttSource};
+use ecg_topology::{CacheId, EdgeNetwork, RttMatrix, RttSource};
 use ecg_workload::{DocumentCatalog, TraceEvent, ZipfSampler};
 use std::cell::RefCell;
 use std::time::Instant;
@@ -409,14 +409,18 @@ enum GroupEvents<'a> {
 }
 
 /// What a worker thread keeps across the groups it runs, so a group
-/// pays for its own work and not for its buffers: the record block a
-/// walk reads through, the caches a kernel run takes its members' from,
-/// and the buffers a streamed group's requests are ordered in. Nothing
-/// a run reports depends on what an earlier group left here.
+/// pays for its own work and not for its buffers: the matrix its
+/// sub-topology is written into, the record block a walk reads through,
+/// what a kernel run takes from its [`KernelStore`], and the buffers a
+/// streamed group's requests are ordered in. Nothing a run reports
+/// depends on what an earlier group left here.
 #[derive(Debug, Default)]
 struct GroupStore {
+    /// The `[origin, members…]` node list of the last sub-topology.
+    nodes: Vec<usize>,
+    rtt: RttMatrix,
     block: RecordBlock,
-    caches: Vec<DocumentCache>,
+    kernel: KernelStore,
     requests: RequestBuffers,
 }
 
@@ -430,6 +434,21 @@ impl GroupStore {
             static STORE: RefCell<GroupStore> = RefCell::new(GroupStore::default());
         }
         STORE.with_borrow_mut(run)
+    }
+
+    /// A group's edge network: one batched
+    /// [`RttSource::submatrix_into`] query over `[origin, members…]`
+    /// (node 0 is the origin, node `i + 1` cache `i`), in member-list
+    /// order so local cache `i` is `members[i]` and equal-RTT peer ties
+    /// resolve as in the full network — written into the store's
+    /// matrix, which the store takes back once the group has run.
+    fn member_network(&mut self, rtt: &dyn RttSource, members: &[CacheId]) -> EdgeNetwork {
+        self.nodes.clear();
+        self.nodes.push(0);
+        self.nodes.extend(members.iter().map(|m| m.index() + 1));
+        let mut block = std::mem::take(&mut self.rtt);
+        rtt.submatrix_into(&self.nodes, &mut block);
+        EdgeNetwork::from_rtt_matrix(block)
     }
 }
 
@@ -480,8 +499,8 @@ impl<'a> GroupRun<'a> {
     fn group(&self, g: usize, forced: Option<Lookup>) -> GroupOutcome {
         let members = &self.groups.groups()[g];
         let (catalog, config, schedule) = (self.plan.catalog, self.plan.config, &self.schedules[g]);
-        let network = member_network(self.plan.rtt, members);
         GroupStore::on_this_thread(|store| {
+            let network = store.member_network(self.plan.rtt, members);
             let (walk, requests) = match &self.events {
                 GroupEvents::Planned(trace, plan) => {
                     let (local_of, block) = (&self.local_of, &mut store.block);
@@ -507,7 +526,7 @@ impl<'a> GroupRun<'a> {
                 });
             let events = walk.trace_events();
             let one_group = GroupMap::one_group(members.len());
-            kernel(
+            let outcome = kernel(
                 &network,
                 &one_group,
                 catalog,
@@ -516,13 +535,16 @@ impl<'a> GroupRun<'a> {
                 config,
                 schedule,
                 lookup,
-                &mut store.caches,
-            )
+                &mut store.kernel,
+            );
+            store.rtt = network.into_rtt_matrix();
+            outcome
         })
     }
 
     /// The group-order fold (the order every `f64` chain was validated
-    /// against), consuming each outcome as the iterator yields it.
+    /// against), consuming each outcome as the iterator yields it and
+    /// handing its recorder to the folding thread's store.
     fn fold(&self, outcomes: impl Iterator<Item = GroupOutcome>) -> GroupOutcome {
         let mut metrics = MetricsRecorder::new(self.groups.cache_count());
         metrics.degradation = DegradationMetrics::new(self.plan.schedule.timeline_bucket());
@@ -540,20 +562,11 @@ impl<'a> GroupRun<'a> {
             // Every group applies the full update log, so all agree.
             report.origin_updates = outcome.report.origin_updates;
             tallies.absorb(outcome.tallies);
+            let recorder = Some(outcome.report.metrics);
+            GroupStore::on_this_thread(|store| store.kernel.recorder = recorder);
         }
         GroupOutcome { report, tallies }
     }
-}
-
-/// A group's edge network: one batched [`RttSource::submatrix`] query
-/// over `[origin, members…]` (node 0 is the origin, node `i + 1` cache
-/// `i`), in member-list order so local cache `i` is `members[i]` and
-/// equal-RTT peer ties resolve as in the full network.
-fn member_network(rtt: &dyn RttSource, members: &[CacheId]) -> EdgeNetwork {
-    let mut nodes = Vec::with_capacity(members.len() + 1);
-    nodes.push(0);
-    nodes.extend(members.iter().map(|m| m.index() + 1));
-    EdgeNetwork::from_rtt_matrix(rtt.submatrix(&nodes))
 }
 
 /// Every group's fault script from one pass over the global schedule:
@@ -847,7 +860,7 @@ mod tests {
     fn member_network_reads_origin_and_member_rows() {
         let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
         let members = [CacheId(2), CacheId(0)];
-        let sub = member_network(network.rtt_matrix(), &members);
+        let sub = GroupStore::default().member_network(network.rtt_matrix(), &members);
         assert_eq!(sub.cache_count(), 2);
         assert_eq!(
             sub.cache_to_origin(CacheId(0)),
@@ -868,8 +881,9 @@ mod tests {
         let rtt = SyntheticRttConfig::default().generate(9, 5);
         let full = RttMatrix::from_fn(9, |a, b| rtt.rtt_ms(a, b));
         let members = [CacheId(5), CacheId(0), CacheId(7)];
-        let via_oracle = member_network(&rtt, &members);
-        assert_eq!(via_oracle, member_network(&full, &members));
+        let mut store = GroupStore::default();
+        let via_oracle = store.member_network(&rtt, &members);
+        assert_eq!(via_oracle, store.member_network(&full, &members));
         assert_eq!(
             via_oracle,
             EdgeNetwork::from_rtt_matrix(full.submatrix(&[0, 6, 1, 8]))

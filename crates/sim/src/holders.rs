@@ -33,7 +33,7 @@ use ecg_workload::DocId;
 /// index in sync with every membership change: inserts, policy
 /// evictions, stale/expired drops, pushed invalidations, and crash
 /// purges.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct HolderIndex {
     caches: usize,
     words_per_doc: usize,
@@ -46,14 +46,25 @@ impl HolderIndex {
     /// # Panics
     ///
     /// Panics if `caches == 0`.
+    #[cfg(test)]
     pub(crate) fn new(docs: usize, caches: usize) -> Self {
+        let mut index = HolderIndex::default();
+        index.reset(docs, caches);
+        index
+    }
+
+    /// Empties the index and re-lays it out for `docs` documents over
+    /// `caches` caches, keeping its buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `caches == 0`.
+    pub(crate) fn reset(&mut self, docs: usize, caches: usize) {
         assert!(caches > 0, "need at least one cache");
-        let words_per_doc = caches.div_ceil(64);
-        HolderIndex {
-            caches,
-            words_per_doc,
-            bits: vec![0; docs * words_per_doc],
-        }
+        self.caches = caches;
+        self.words_per_doc = caches.div_ceil(64);
+        self.bits.clear();
+        self.bits.resize(docs * self.words_per_doc, 0);
     }
 
     fn locate(&self, doc: DocId, cache: CacheId) -> (usize, u64) {
@@ -178,7 +189,7 @@ impl HolderIndex {
 
 /// Precomputed per-cache bitmask of that cache's group peers, laid out
 /// to line up word-for-word with [`HolderIndex::doc_words`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct PeerMasks {
     words_per: usize,
     masks: Vec<u64>,
@@ -186,10 +197,20 @@ pub(crate) struct PeerMasks {
 
 impl PeerMasks {
     /// Builds the peer masks for a group partition.
+    #[cfg(test)]
     pub(crate) fn from_groups(groups: &GroupMap) -> Self {
+        let mut masks = PeerMasks::default();
+        masks.reset(groups);
+        masks
+    }
+
+    /// Rebuilds the masks for a group partition, keeping the buffer.
+    pub(crate) fn reset(&mut self, groups: &GroupMap) {
         let n = groups.cache_count();
         let words_per = n.div_ceil(64);
-        let mut masks = vec![0u64; n * words_per];
+        self.words_per = words_per;
+        self.masks.clear();
+        self.masks.resize(n * words_per, 0);
         let mut group_mask = vec![0u64; words_per];
         for members in groups.groups() {
             group_mask.fill(0);
@@ -198,12 +219,11 @@ impl PeerMasks {
             }
             // Each member's row is the group's mask minus its own bit.
             for m in members {
-                let row = &mut masks[m.index() * words_per..][..words_per];
+                let row = &mut self.masks[m.index() * words_per..][..words_per];
                 row.copy_from_slice(&group_mask);
                 row[m.index() / 64] &= !(1 << (m.index() % 64));
             }
         }
-        PeerMasks { words_per, masks }
     }
 
     /// The peer mask of `cache`.
@@ -335,6 +355,31 @@ mod tests {
                 expected[p.index() / 64] |= 1 << (p.index() % 64);
             }
             assert_eq!(masks.mask(c), expected.as_slice(), "{c}");
+        }
+    }
+
+    #[test]
+    fn a_reset_index_and_reset_masks_are_new_ones() {
+        let big = GroupMap::new(130, vec![(0..130).rev().map(CacheId).collect()]).unwrap();
+        let small = GroupMap::new(
+            5,
+            vec![
+                vec![CacheId(3), CacheId(0)],
+                vec![CacheId(1), CacheId(4), CacheId(2)],
+            ],
+        )
+        .unwrap();
+        let mut idx = HolderIndex::new(9, 130);
+        let mut masks = PeerMasks::from_groups(&big);
+        for c in [0, 64, 129] {
+            idx.set(DocId(8), CacheId(c));
+        }
+        // Shrunk, then grown back: as new every time.
+        for (docs, groups) in [(3, &small), (9, &big)] {
+            idx.reset(docs, groups.cache_count());
+            masks.reset(groups);
+            assert_eq!(idx, HolderIndex::new(docs, groups.cache_count()));
+            assert_eq!(masks, PeerMasks::from_groups(groups));
         }
     }
 

@@ -399,6 +399,48 @@ impl MetricsRecorder {
         }
     }
 
+    /// Forgets everything recorded and re-lays the recorder out for
+    /// `cache_count` caches and timeline buckets of `bucket_width_ms`,
+    /// keeping its buffers: equal to a new recorder for `cache_count`
+    /// caches given `DegradationMetrics::new(bucket_width_ms)`.
+    pub(crate) fn reset(&mut self, cache_count: usize, bucket_width_ms: f64) {
+        // Named field by field, so a new field cannot be missed.
+        let MetricsRecorder {
+            per_cache,
+            histogram,
+            peer_bytes,
+            origin_bytes,
+            control_messages,
+            invalidations_sent,
+            stale_served,
+            replicas_created,
+            replicas_suppressed,
+            remote_placements,
+            degradation,
+        } = self;
+        per_cache.clear();
+        per_cache.resize(cache_count, CacheAggregate::default());
+        histogram.clear();
+        for counter in [
+            peer_bytes,
+            origin_bytes,
+            control_messages,
+            invalidations_sent,
+            stale_served,
+            replicas_created,
+            replicas_suppressed,
+            remote_placements,
+        ] {
+            *counter = 0;
+        }
+        let mut timeline = std::mem::take(&mut degradation.timeline);
+        timeline.clear();
+        *degradation = DegradationMetrics {
+            timeline,
+            ..DegradationMetrics::new(bucket_width_ms)
+        };
+    }
+
     /// Returns `true` if an active (non-single-holder) placement policy
     /// took any decision during the run.
     pub fn saw_placement(&self) -> bool {
@@ -819,6 +861,25 @@ mod tests {
         let shard = MetricsRecorder::new(2);
         let mut merged = MetricsRecorder::new(4);
         merged.merge_shard(&[CacheId(0)], &shard);
+    }
+
+    #[test]
+    fn a_reset_recorder_is_a_new_one() {
+        let mut used = MetricsRecorder::new(5);
+        used.record(CacheId(4), 12.0, ServedBy::Peer);
+        used.record(CacheId(0), 3.0, ServedBy::Origin);
+        used.peer_bytes = 7;
+        used.remote_placements = 2;
+        used.degradation = DegradationMetrics::new(100.0);
+        used.degradation.record(450.0, 3.0, true, false, true);
+        used.degradation.crashes = 1;
+        // Shrunk, grown and re-bucketed: as new every time.
+        for (caches, bucket) in [(3, 250.0), (8, 100.0)] {
+            used.reset(caches, bucket);
+            let mut fresh = MetricsRecorder::new(caches);
+            fresh.degradation = DegradationMetrics::new(bucket);
+            assert_eq!(used, fresh);
+        }
     }
 
     #[test]

@@ -25,6 +25,15 @@ impl OriginServer {
         }
     }
 
+    /// Returns the server to [`OriginServer::new`]'s state for
+    /// `catalog`, keeping its version table's buffer.
+    pub(crate) fn reset(&mut self, catalog: &DocumentCatalog) {
+        self.versions.clear();
+        self.versions.resize(catalog.len(), 1);
+        self.updates_applied = 0;
+        self.fetches_served = 0;
+    }
+
     /// Current version of `doc`.
     ///
     /// # Panics
@@ -96,6 +105,19 @@ mod tests {
         assert_eq!(o.version(DocId(1)), 3);
         assert_eq!(o.version(DocId(2)), 2);
         assert_eq!(o.updates_applied(), 3);
+    }
+
+    #[test]
+    fn a_reset_origin_is_a_new_one() {
+        let mut o = origin(6);
+        o.apply_update(DocId(4));
+        o.serve_fetch(DocId(1));
+        let fresh = origin(3);
+        let cat = CatalogConfig::default()
+            .documents(3)
+            .generate(&mut StdRng::seed_from_u64(0));
+        o.reset(&cat);
+        assert_eq!(o, fresh);
     }
 
     #[test]

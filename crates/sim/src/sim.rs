@@ -46,7 +46,9 @@
 //!   until one has a servable copy;
 //! * *how long the last negative reply takes* — each cache's slowest
 //!   alive-peer RTT, memoised and recomputed only after a crash,
-//!   recovery or retirement in its group (one epoch bump per fault).
+//!   recovery or retirement in its group (one epoch bump per fault);
+//!   for a group-major run's one whole group it is the maximum of the
+//!   requester's contiguous matrix row.
 //!
 //! Per kernel run, [`dense_layout`] picks how, with the same holder and
 //! `sim.holder.*` tallies either way: **sparse** ([`Lookup::Ranked`])
@@ -399,7 +401,7 @@ pub fn simulate_time_major(
         config,
         schedule,
         Lookup::Ranked,
-        &mut Vec::new(),
+        &mut KernelStore::default(),
     );
     Ok(run.finish(obs, config, schedule, trace.len()))
 }
@@ -584,10 +586,8 @@ impl Tallies {
 /// thread ran it. `lookup` says how cooperative misses find a copy;
 /// the report is the same bits whichever it is.
 ///
-/// The run's `n` caches are the first `n` of `pool` (grown to `n` if
-/// shorter), each [`DocumentCache::reset`] to the run's layout first:
-/// a pool kept across runs lends them its buffers, and whatever an
-/// earlier run left in them is gone before the first event.
+/// Everything the run keeps besides its events comes out of `store`
+/// (see [`KernelStore`]), reset to the run's layout first.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn kernel(
     network: &EdgeNetwork,
@@ -598,11 +598,18 @@ pub(crate) fn kernel(
     config: SimConfig,
     schedule: &FaultSchedule,
     lookup: Lookup,
-    pool: &mut Vec<DocumentCache>,
+    store: &mut KernelStore,
 ) -> GroupOutcome {
     let n = network.cache_count();
     debug_assert_eq!(groups.cache_count(), n);
     let dense = lookup == Lookup::NearestFirst;
+    let KernelStore {
+        caches: pool,
+        origin,
+        index: holder_index,
+        masks,
+        recorder,
+    } = store;
 
     let (capacity, policy) = (config.cache_capacity_bytes, config.policy);
     let layout = dense.then_some(catalog.len());
@@ -613,9 +620,10 @@ pub(crate) fn kernel(
     for cache in caches.iter_mut() {
         cache.reset(capacity, policy, layout);
     }
-    let mut origin = OriginServer::new(catalog);
-    let mut metrics = MetricsRecorder::new(n);
-    metrics.degradation = crate::metrics::DegradationMetrics::new(schedule.timeline_bucket());
+    let origin = origin.get_or_insert_with(|| OriginServer::new(catalog));
+    origin.reset(catalog);
+    let mut metrics = recorder.take().unwrap_or_else(|| MetricsRecorder::new(0));
+    metrics.reset(n, schedule.timeline_bucket());
     // Degradation accumulates per group and is folded in group order
     // after the loop. Groups are independent between re-formation
     // events, so this makes every f64 sum reconstructible by the
@@ -642,10 +650,9 @@ pub(crate) fn kernel(
     // in sync on insert/evict/invalidate/crash below; `None` under
     // `Lookup::Scan`.
     let mut index = (lookup != Lookup::Scan).then(|| {
-        (
-            HolderIndex::new(catalog.len(), n),
-            PeerMasks::from_groups(groups),
-        )
+        holder_index.reset(catalog.len(), n);
+        masks.reset(groups);
+        (holder_index, &*masks)
     });
     // Each cache's position in its group's member list: the tie-break
     // between equal-RTT holders, which a member-order scan gets for free.
@@ -999,7 +1006,7 @@ pub(crate) fn kernel(
                                         &mut candidates_scratch,
                                         network,
                                         caches,
-                                        index.as_ref().map(|(idx, _)| idx),
+                                        index.as_ref().map(|(idx, _)| &**idx),
                                         &live.down,
                                         cache,
                                         members,
@@ -1023,7 +1030,7 @@ pub(crate) fn kernel(
                                 if keep_replica {
                                     insert_tracked(
                                         &mut caches[cache.index()],
-                                        index.as_mut().map(|(idx, _)| idx),
+                                        index.as_mut().map(|(idx, _)| &mut **idx),
                                         &mut evicted_scratch,
                                         cache,
                                         doc,
@@ -1059,7 +1066,7 @@ pub(crate) fn kernel(
                                         &mut candidates_scratch,
                                         network,
                                         caches,
-                                        index.as_ref().map(|(idx, _)| idx),
+                                        index.as_ref().map(|(idx, _)| &**idx),
                                         &live.down,
                                         cache,
                                         members,
@@ -1085,7 +1092,7 @@ pub(crate) fn kernel(
                                 }
                                 insert_tracked(
                                     &mut caches[target.index()],
-                                    index.as_mut().map(|(idx, _)| idx),
+                                    index.as_mut().map(|(idx, _)| &mut **idx),
                                     &mut evicted_scratch,
                                     target,
                                     doc,
@@ -1179,6 +1186,27 @@ pub(crate) fn kernel(
     }
 }
 
+/// What a kernel run takes from its caller instead of allocating, so a
+/// caller that runs one group after another pays for these buffers once
+/// per thread rather than once per group: the caches, the origin's
+/// version table, the holder index and peer masks, and the recorder of
+/// a run its caller has folded and handed back. A run takes its `n`
+/// caches from the front of the pool (grown to `n` if shorter) and
+/// resets every piece to its own layout before the first event —
+/// [`DocumentCache::reset`], [`OriginServer::reset`],
+/// [`HolderIndex::reset`], [`PeerMasks::reset`],
+/// [`MetricsRecorder::reset`] — so nothing it reports depends on what
+/// an earlier run left here.
+#[derive(Debug, Default)]
+pub(crate) struct KernelStore {
+    caches: Vec<DocumentCache>,
+    origin: Option<OriginServer>,
+    index: HolderIndex,
+    masks: PeerMasks,
+    /// A folded run's recorder, for the next run to reset.
+    pub(crate) recorder: Option<MetricsRecorder>,
+}
+
 /// The traffic rule: a run of `members` caches fed `requests` requests
 /// over `docs` documents is dense iff `requests ≥ members · max(members
 /// − 1, ⌈docs / 8⌉)`. The terms pay for the peer orders (`4 · m(m − 1)`
@@ -1261,13 +1289,15 @@ impl Liveness {
 
     /// The RTT from `cache` to its slowest alive peer (0 with none):
     /// how long a group-wide miss waits for the last negative reply.
-    /// Walks `members` (group `g`'s list) only when a fault has changed
-    /// the group since the last call for this cache — and then gathers
-    /// from the requester's matrix row into four independent maxima
-    /// (`max` is exact and order-free, so the value does not depend on
-    /// the split), without the liveness test while the group is whole.
-    /// The requester need not be skipped: its own RTT is the zero
-    /// diagonal, and it is alive.
+    /// Computed only when a fault has changed the group since the last
+    /// call for this cache. While the group is whole and is every cache
+    /// of the run — a group-major run's one group — its replies are the
+    /// requester's matrix row itself, read in one contiguous pass of
+    /// four independent maxima (a maximum is exact and order-free, so
+    /// the value does not depend on the split); otherwise the alive
+    /// members' entries are gathered from the row. The requester need
+    /// not be skipped: its own RTT is the zero diagonal, and it is
+    /// alive.
     fn slowest_reply(
         &mut self,
         cache: CacheId,
@@ -1281,29 +1311,38 @@ impl Liveness {
         }
         // Matrix node 0 is the origin; cache `c` is node `c + 1`.
         let row = &network.rtt_matrix().row(cache.index() + 1)[1..];
-        let mut lanes = [0.0f64; 4];
-        if self.down_in_group[g] == 0 {
-            let quads = members.chunks_exact(4);
-            for p in quads.remainder() {
-                lanes[0] = lanes[0].max(row[p.index()]);
+        let slowest = if self.down_in_group[g] == 0 && members.len() == row.len() {
+            let mut lanes = [0.0f64; 4];
+            let quads = row.chunks_exact(4);
+            for &reply in quads.remainder() {
+                lanes[0] = later_of(lanes[0], reply);
             }
             for quad in quads {
-                for (lane, p) in lanes.iter_mut().zip(quad) {
-                    *lane = lane.max(row[p.index()]);
+                for (lane, &reply) in lanes.iter_mut().zip(quad) {
+                    *lane = later_of(*lane, reply);
                 }
             }
+            later_of(later_of(lanes[0], lanes[1]), later_of(lanes[2], lanes[3]))
         } else {
-            for (i, p) in members.iter().enumerate() {
-                let reply = if self.down[p.index()] {
-                    0.0
-                } else {
-                    row[p.index()]
-                };
-                lanes[i % 4] = lanes[i % 4].max(reply);
-            }
-        }
-        let slowest = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
+            members
+                .iter()
+                .filter(|p| !self.down[p.index()])
+                .fold(0.0, |slowest, p| later_of(slowest, row[p.index()]))
+        };
         self.slowest_memo[cache.index()] = (self.epoch[g], slowest);
+        slowest
+    }
+}
+
+/// The later of two replies' RTTs: `f64::max` for the finite,
+/// non-negative values a matrix holds, as a compare and select. With no
+/// NaN to handle, the lanes of [`Liveness::slowest_reply`] stay in
+/// vector registers (`max` is ≈ 4× slower there).
+#[inline]
+fn later_of(slowest: f64, reply: f64) -> f64 {
+    if reply > slowest {
+        reply
+    } else {
         slowest
     }
 }

@@ -236,6 +236,12 @@ impl EdgeNetwork {
         &self.rtt
     }
 
+    /// Unwraps the matrix over `[origin, Ec_0, …, Ec_{N-1}]`, e.g. to
+    /// refill its storage with the next network's RTTs.
+    pub fn into_rtt_matrix(self) -> RttMatrix {
+        self.rtt
+    }
+
     /// Topology node the origin was placed on, if placed on a topology.
     pub fn origin_node(&self) -> Option<NodeId> {
         self.origin_node

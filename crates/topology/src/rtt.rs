@@ -31,26 +31,36 @@ pub trait RttSource: fmt::Debug + Sync {
     /// Panics if an index is out of range.
     fn rtt_ms(&self, a: usize, b: usize) -> f64;
 
-    /// The dense sub-matrix over `nodes`, in the given order: entry
-    /// `(a, b)` is `rtt_ms(nodes[a], nodes[b])`, the diagonal is zero.
-    /// This is the batched form of the pairwise query — one call builds a
-    /// group's whole `[origin, members…]` topology for the simulator.
+    /// Fills `out` with the dense sub-matrix over `nodes`, in the given
+    /// order: entry `(a, b)` is `rtt_ms(nodes[a], nodes[b])`, the
+    /// diagonal is zero. This is the batched form of the pairwise query —
+    /// one call builds a group's whole `[origin, members…]` topology for
+    /// the simulator — and it writes into caller-owned storage: whatever
+    /// `out` held before, and at whatever size, only its buffer is kept,
+    /// so a caller building one block after another allocates for the
+    /// largest only.
     ///
     /// The default asks `rtt_ms` once per unordered pair. An
     /// implementation may override it to fill the block faster, but is
-    /// obliged to return **bit-identical** entries (`to_bits()`-equal to
+    /// obliged to produce **bit-identical** entries (`to_bits()`-equal to
     /// the default's, repeated nodes and `nodes.len() < 2` included) and
-    /// to keep every check `rtt_ms` makes: consumers rely on the two
-    /// forms being interchangeable, and the equivalence of a group-major
-    /// simulation to a whole-map one rests on it.
+    /// to keep every check `rtt_ms` and [`RttMatrix::set`] make: consumers
+    /// rely on the two forms being interchangeable, and the equivalence of
+    /// a group-major simulation to a whole-map one rests on it.
     ///
     /// # Panics
     ///
     /// Panics if a node is out of range, as `rtt_ms` does (the default
     /// meets a node only through a pair, so a lone out-of-range node in
-    /// a one-element list passes it unnoticed).
-    fn submatrix(&self, nodes: &[usize]) -> RttMatrix {
-        RttMatrix::from_fn(nodes.len(), |a, b| self.rtt_ms(nodes[a], nodes[b]))
+    /// a one-element list passes it unnoticed), or if an entry is
+    /// negative or not finite.
+    fn submatrix_into(&self, nodes: &[usize], out: &mut RttMatrix) {
+        out.fill_rows(nodes.len(), |a, upper| {
+            let later = &nodes[a + 1..];
+            for (entry, &b) in upper.iter_mut().zip(later) {
+                *entry = self.rtt_ms(nodes[a], b);
+            }
+        });
     }
 }
 
@@ -63,10 +73,24 @@ impl RttSource for RttMatrix {
         self.get(a, b)
     }
 
-    fn submatrix(&self, nodes: &[usize]) -> RttMatrix {
-        // The inherent row-gather: stored entries are already symmetric
-        // and validated, so copying them equals re-deriving them.
-        RttMatrix::submatrix(self, nodes)
+    /// The row gather: stored entries are already symmetric and
+    /// validated, so copying them equals re-deriving them. Every index
+    /// is checked before any row is read (an index is also a column).
+    fn submatrix_into(&self, nodes: &[usize], out: &mut RttMatrix) {
+        assert!(nodes.iter().all(|&i| i < self.n), "rtt index out of range");
+        let n = nodes.len();
+        out.n = n;
+        out.data.clear();
+        out.data.reserve(n * n);
+        for &i in nodes {
+            let row = &self.data[i * self.n..(i + 1) * self.n];
+            out.data.extend(nodes.iter().map(|&j| row[j]));
+        }
+        // A repeated node puts an off-diagonal source entry on the
+        // diagonal; pin it back to zero.
+        for a in 0..n {
+            out.data[a * n + a] = 0.0;
+        }
     }
 }
 
@@ -88,7 +112,7 @@ impl RttSource for RttMatrix {
 /// assert_eq!(m.get(2, 2), 0.0);
 /// assert_eq!(m.len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RttMatrix {
     n: usize,
     data: Vec<f64>,
@@ -117,33 +141,38 @@ impl RttMatrix {
         m
     }
 
-    /// Completes a row-major `n × n` block whose strict upper triangle
-    /// the caller has filled: mirrors it into the lower half, zeroes the
-    /// diagonal, and makes the check [`RttMatrix::set`] makes per entry
-    /// over the whole block at once — so a batched producer need not go
-    /// through `set` pair by pair.
+    /// Refills `self` as an `n × n` block in one pass over its rows:
+    /// `upper(a, row)` writes entries `(a, a + 1)`, …, `(a, n − 1)` into
+    /// `row`, which is then checked as [`RttMatrix::set`] checks an
+    /// entry and mirrored into column `a` while it is still in cache; the
+    /// diagonal is zero. Only the buffer of the old contents is kept, and
+    /// nothing is zeroed that is about to be written.
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != n * n` or an upper-triangle entry is
-    /// negative or not finite.
-    pub(crate) fn from_upper_triangle(n: usize, mut data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), n * n, "block is not {n} x {n}");
+    /// Panics if an entry is negative or not finite.
+    pub(crate) fn fill_rows(&mut self, n: usize, mut upper: impl FnMut(usize, &mut [f64])) {
+        self.n = n;
+        self.data.resize(n * n, 0.0);
+        let mut invalid = 0;
         for a in 0..n {
-            data[a * n + a] = 0.0;
-            for b in (a + 1)..n {
-                data[b * n + a] = data[a * n + b];
+            let (through_a, below) = self.data.split_at_mut((a + 1) * n);
+            let row = &mut through_a[a * n + a..];
+            row[0] = 0.0;
+            let row = &mut row[1..];
+            upper(a, row);
+            // `0 <= v <= MAX` is `set`'s "finite and non-negative" (NaN
+            // fails both comparisons). Counted, not short-circuited: a
+            // branch-free pass vectorizes.
+            invalid += row
+                .iter()
+                .filter(|v| !(0.0..=f64::MAX).contains(*v))
+                .count();
+            for (lower, &v) in below.chunks_exact_mut(n).zip(&*row) {
+                lower[a] = v;
             }
         }
-        // `0 <= v <= MAX` is `set`'s "finite and non-negative" (NaN fails
-        // both comparisons). Counted, not short-circuited: a branch-free
-        // pass vectorizes.
-        let invalid = data
-            .iter()
-            .filter(|v| !(0.0..=f64::MAX).contains(*v))
-            .count();
         assert!(invalid == 0, "rtt must be finite and non-negative");
-        RttMatrix { n, data }
     }
 
     /// Builds an RTT matrix from per-source *one-way* latency rows, i.e.
@@ -225,7 +254,8 @@ impl RttMatrix {
         self.data[j * self.n + i] = rtt_ms;
     }
 
-    /// Extracts the sub-matrix over `indices`, in the given order.
+    /// Extracts the sub-matrix over `indices`, in the given order: a new
+    /// matrix from [`RttSource::submatrix_into`].
     ///
     /// Entry `(a, b)` of the result is `self.get(indices[a], indices[b])`.
     ///
@@ -236,37 +266,6 @@ impl RttMatrix {
         let mut out = RttMatrix::zeros(0);
         self.submatrix_into(indices, &mut out);
         out
-    }
-
-    /// [`RttMatrix::submatrix`] into a caller-owned matrix, reusing its
-    /// storage when the capacity suffices. Repeated extraction (e.g. a
-    /// maintenance sweep removing caches one at a time) then re-copies
-    /// entries into one buffer instead of allocating a fresh matrix per
-    /// call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn submatrix_into(&self, indices: &[usize], out: &mut RttMatrix) {
-        let n = indices.len();
-        out.n = n;
-        out.data.clear();
-        out.data.reserve(n * n);
-        // Checked before any row is read: an index is also a column.
-        assert!(
-            indices.iter().all(|&i| i < self.n),
-            "rtt index out of range"
-        );
-        for &i in indices {
-            let row = &self.data[i * self.n..(i + 1) * self.n];
-            out.data.extend(indices.iter().map(|&j| row[j]));
-        }
-        // Symmetry and a zero diagonal are inherited from `self`, except
-        // for repeated indices, where the diagonal picks up off-diagonal
-        // source entries; pin it back to zero.
-        for a in 0..n {
-            out.data[a * n + a] = 0.0;
-        }
     }
 
     /// Indices of the `k` nodes nearest to `from` (excluding `from`),
@@ -342,18 +341,28 @@ mod tests {
     }
 
     #[test]
-    fn from_upper_triangle_mirrors_and_pins_the_diagonal() {
-        // Lower half and diagonal hold junk the constructor must not keep.
-        let block = vec![9.0, 1.0, 2.0, 9.0, 9.0, 3.0, 9.0, 9.0, 9.0];
-        let m = RttMatrix::from_upper_triangle(3, block);
-        assert_eq!(m, RttMatrix::from_fn(3, |i, j| (i + j) as f64));
-        assert_eq!(RttMatrix::from_upper_triangle(0, Vec::new()).len(), 0);
+    fn fill_rows_mirrors_and_pins_the_diagonal_over_any_old_contents() {
+        let expected = RttMatrix::from_fn(3, |i, j| (i + j) as f64);
+        // A larger, a smaller and an equal old block, full of junk the
+        // refill must not keep.
+        for old in [9, 2, 3] {
+            let mut m = RttMatrix::from_fn(old, |_, _| 9.0);
+            m.fill_rows(3, |a, row| {
+                for (b, v) in row.iter_mut().enumerate() {
+                    *v = (2 * a + 1 + b) as f64;
+                }
+            });
+            assert_eq!(m, expected);
+        }
+        let mut m = RttMatrix::zeros(4);
+        m.fill_rows(0, |_, _| unreachable!());
+        assert_eq!(m, RttMatrix::zeros(0));
     }
 
     #[test]
     #[should_panic(expected = "finite and non-negative")]
-    fn from_upper_triangle_rejects_what_set_rejects() {
-        let _ = RttMatrix::from_upper_triangle(2, vec![0.0, f64::NAN, 0.0, 0.0]);
+    fn fill_rows_rejects_what_set_rejects() {
+        RttMatrix::zeros(0).fill_rows(2, |_, row| row.fill(f64::NAN));
     }
 
     #[test]

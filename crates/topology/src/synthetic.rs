@@ -170,47 +170,50 @@ impl RttSource for SyntheticRtt {
     }
 
     /// Gathers the listed nodes' coordinates and access penalties into
-    /// contiguous buffers once, then fills the upper triangle row by row
-    /// with `pair_rtt` — no per-pair range check, virtual call or
-    /// scattered read, and nothing in the loop body to stop it
-    /// vectorizing. `RttMatrix::from_upper_triangle` validates and
-    /// mirrors it, which is exact because `pair_rtt` is symmetric.
-    fn submatrix(&self, nodes: &[usize]) -> RttMatrix {
+    /// contiguous buffers once, then fills the block row by row with
+    /// `pair_rtt` — no per-pair range check, virtual call or scattered
+    /// read, and nothing in the loop body to stop it vectorizing.
+    /// [`RttMatrix`] checks and mirrors each row as it is written, which
+    /// is exact because `pair_rtt` is symmetric.
+    fn submatrix_into(&self, nodes: &[usize], out: &mut RttMatrix) {
         let n = nodes.len();
-        let mut xs = Vec::with_capacity(n);
-        let mut ys = Vec::with_capacity(n);
-        let mut access = Vec::with_capacity(n);
-        for &node in nodes {
+        let mut gathered = vec![0.0; 3 * n];
+        let (xs, rest) = gathered.split_at_mut(n);
+        let (ys, access) = rest.split_at_mut(n);
+        for (i, &node) in nodes.iter().enumerate() {
             assert!(node < self.positions.len(), "rtt index out of range");
-            let (x, y) = self.positions[node];
-            xs.push(x);
-            ys.push(y);
-            access.push(self.access_ms[node]);
+            (xs[i], ys[i]) = self.positions[node];
+            access[i] = self.access_ms[node];
         }
-        let mut data = vec![0.0; n * n];
-        for a in 0..n {
+        let (xs, ys, access) = (&*xs, &*ys, &*access);
+        out.fill_rows(n, |a, upper| {
             let (ax, ay, access_a) = (xs[a], ys[a], access[a]);
             let later = a + 1..n;
-            let row = &mut data[a * n..(a + 1) * n];
-            for (((out, &bx), &by), &access_b) in row[later.clone()]
+            for (((entry, &bx), &by), &access_b) in upper
                 .iter_mut()
                 .zip(&xs[later.clone()])
                 .zip(&ys[later.clone()])
                 .zip(&access[later])
             {
-                *out = pair_rtt(ax, ay, access_a, bx, by, access_b);
+                *entry = pair_rtt(ax, ay, access_a, bx, by, access_b);
             }
-        }
+        });
         // A node listed twice is at distance zero from itself, not two
-        // access links away.
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if nodes[b] == nodes[a] {
-                    data[a * n + b] = 0.0;
+        // access links away. A strictly ascending list — a group's usual
+        // member order — repeats nothing; otherwise sorting the
+        // `(node, position)` pairs puts every repeat next to its first
+        // listing.
+        if !nodes.is_sorted_by(|a, b| a < b) {
+            let mut by_node: Vec<(usize, usize)> = nodes.iter().copied().zip(0..).collect();
+            by_node.sort_unstable();
+            for repeats in by_node.chunk_by(|a, b| a.0 == b.0) {
+                for (i, &(_, a)) in repeats.iter().enumerate() {
+                    for &(_, b) in &repeats[i + 1..] {
+                        out.set(a, b, 0.0);
+                    }
                 }
             }
         }
-        RttMatrix::from_upper_triangle(n, data)
     }
 }
 

@@ -32,7 +32,7 @@ fn arb_connected_graph() -> impl Strategy<Value = Graph> {
 }
 
 /// An oracle that implements only the two required methods — the shape
-/// of the benchmark's call-counting wrapper — so `submatrix` is the
+/// of the benchmark's call-counting wrapper — so `submatrix_into` is the
 /// trait's default.
 #[derive(Debug)]
 struct PairwiseOnly<'a>(&'a dyn RttSource);
@@ -48,17 +48,17 @@ impl RttSource for PairwiseOnly<'_> {
 }
 
 /// Node lists the batched query must handle: node 0 first (the replay
-/// shape), repeated nodes, and the degenerate lengths 1 and 2.
+/// shape), repeated nodes, and the degenerate lengths 0, 1 and 2.
 fn arb_node_list(nodes: usize, seed: u64) -> Vec<usize> {
     use rand::Rng;
     let mut rng = StdRng::seed_from_u64(seed);
-    let len = match rng.gen_range(0..4) {
-        0 => 1,
+    let len = match rng.gen_range(0..5) {
+        0 => rng.gen_range(0..3),
         1 => 2,
         _ => rng.gen_range(1..40),
     };
     let mut list: Vec<usize> = (0..len).map(|_| rng.gen_range(0..nodes)).collect();
-    if rng.gen_bool(0.5) {
+    if len > 0 && rng.gen_bool(0.5) {
         list[0] = 0;
     }
     if len > 2 && rng.gen_bool(0.5) {
@@ -67,7 +67,29 @@ fn arb_node_list(nodes: usize, seed: u64) -> Vec<usize> {
     list
 }
 
-/// `sub` is bit-for-bit the pairwise matrix over `nodes`, symmetric,
+/// `source`'s block over `nodes`, filled into storage `dirty` left
+/// behind: another list's block over the same source.
+fn block_over(source: &dyn RttSource, dirty: &[usize], nodes: &[usize]) -> RttMatrix {
+    let mut out = RttMatrix::zeros(0);
+    source.submatrix_into(dirty, &mut out);
+    source.submatrix_into(nodes, &mut out);
+    out
+}
+
+/// A list longer and a list shorter than `list` over `nodes` nodes, to
+/// dirty the storage a block is filled into.
+fn dirtying_lists(nodes: usize, list: &[usize]) -> [Vec<usize>; 2] {
+    let longer = (0..list.len() + 7).map(|i| (i * 13 + 5) % nodes).collect();
+    let shorter = list
+        .iter()
+        .rev()
+        .skip(1)
+        .map(|&i| (i + 1) % nodes)
+        .collect();
+    [longer, shorter]
+}
+
+/// `sub` is bit for bit the pairwise matrix over `nodes`, symmetric,
 /// with a zero diagonal.
 fn assert_is_pairwise_block(source: &dyn RttSource, nodes: &[usize], sub: &RttMatrix) {
     let pairwise = RttMatrix::from_fn(nodes.len(), |a, b| source.rtt_ms(nodes[a], nodes[b]));
@@ -85,27 +107,32 @@ fn assert_is_pairwise_block(source: &dyn RttSource, nodes: &[usize], sub: &RttMa
     }
 }
 
+/// Storage a larger block left dirty, for the out-of-range checks.
+fn dirty_storage() -> RttMatrix {
+    RttMatrix::from_fn(6, |a, b| (a * b) as f64 + 1.0)
+}
+
 #[test]
 #[should_panic(expected = "rtt index out of range")]
 fn synthetic_submatrix_rejects_an_out_of_range_node_like_rtt_ms() {
     let net = SyntheticRttConfig::default().generate(10, 1);
     // Length 1: the pairwise default would never evaluate a pair, the
     // override still range-checks what it gathers.
-    let _ = net.submatrix(&[10]);
+    net.submatrix_into(&[10], &mut dirty_storage());
 }
 
 #[test]
 #[should_panic(expected = "rtt index out of range")]
 fn matrix_submatrix_rejects_an_out_of_range_node_like_rtt_ms() {
     let full = RttMatrix::from_fn(4, |a, b| (a + b) as f64);
-    let _ = RttSource::submatrix(&full, &[0, 4]);
+    full.submatrix_into(&[0, 4], &mut dirty_storage());
 }
 
 #[test]
 #[should_panic(expected = "rtt index out of range")]
 fn default_submatrix_rejects_an_out_of_range_node_like_rtt_ms() {
     let net = SyntheticRttConfig::default().generate(10, 1);
-    let _ = PairwiseOnly(&net).submatrix(&[0, 10]);
+    PairwiseOnly(&net).submatrix_into(&[0, 10], &mut dirty_storage());
 }
 
 proptest! {
@@ -117,20 +144,30 @@ proptest! {
     ) {
         let synthetic = SyntheticRttConfig::default().generate(nodes, net_seed);
         let list = arb_node_list(nodes, list_seed);
-        // The override, bit-equal to the pairwise definition.
-        let batched = synthetic.submatrix(&list);
+        // The override, bit-equal to the pairwise definition, into
+        // fresh storage and into storage a longer and a shorter list
+        // left dirty.
+        let mut batched = RttMatrix::zeros(0);
+        synthetic.submatrix_into(&list, &mut batched);
         assert_is_pairwise_block(&synthetic, &list, &batched);
         // A wrapper with only the required methods gets the default and
         // the same matrix.
-        prop_assert_eq!(&PairwiseOnly(&synthetic).submatrix(&list), &batched);
+        let pairwise = PairwiseOnly(&synthetic);
+        for dirty in dirtying_lists(nodes, &list) {
+            prop_assert_eq!(&block_over(&synthetic, &dirty, &list), &batched);
+            prop_assert_eq!(&block_over(&pairwise, &dirty, &list), &batched);
+        }
 
         // A materialized matrix answers through its row gather.
         let dense_nodes = nodes.min(40);
         let dense = RttMatrix::from_fn(dense_nodes, |a, b| synthetic.rtt_ms(a, b));
         let list = arb_node_list(dense_nodes, list_seed);
-        let gathered = RttSource::submatrix(&dense, &list);
+        let gathered = dense.submatrix(&list);
         assert_is_pairwise_block(&dense, &list, &gathered);
-        prop_assert_eq!(&PairwiseOnly(&dense).submatrix(&list), &gathered);
+        for dirty in dirtying_lists(dense_nodes, &list) {
+            prop_assert_eq!(&block_over(&dense, &dirty, &list), &gathered);
+            prop_assert_eq!(&block_over(&PairwiseOnly(&dense), &dirty, &list), &gathered);
+        }
     }
 
     #[test]

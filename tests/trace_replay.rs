@@ -199,9 +199,9 @@ impl RttSource for CountingRtt<'_> {
         self.inner.rtt_ms(a, b)
     }
 
-    fn submatrix(&self, nodes: &[usize]) -> RttMatrix {
+    fn submatrix_into(&self, nodes: &[usize], out: &mut RttMatrix) {
         self.submatrix_queries.fetch_add(1, Ordering::Relaxed);
-        self.inner.submatrix(nodes)
+        self.inner.submatrix_into(nodes, out)
     }
 }
 
