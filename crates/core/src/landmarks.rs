@@ -10,7 +10,8 @@
 //!    bounds the probing overhead to `O((M·L)²)` instead of `O(N²)`.
 //! 3. `L-1` caches are picked from the PLSet greedily, each maximizing
 //!    the current `MinDist(LmSet)` (the minimum pairwise distance within
-//!    the landmark set).
+//!    the landmark set) — one pass over the PLSet per pick, on a dense
+//!    table of the measured pairs.
 //!
 //! The module also implements the two comparison selectors of §5.1:
 //! uniform random selection, and the adversarial *Min-Dist* selector
@@ -18,7 +19,6 @@
 
 use ecg_coords::{Draws, Prober, RetryPolicy};
 use rand::Rng;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Strategy for choosing the landmark set.
@@ -100,7 +100,9 @@ pub struct LandmarkSelection {
     /// the random selector, which probes nothing).
     pub plset: Vec<usize>,
     /// `MinDist(LmSet)` of the final set under the *measured* distances,
-    /// or `None` for the random selector (it never measures).
+    /// or `None` for the random selector (it never measures) and for a
+    /// set that failover shrank to the origin alone (no pair, so no
+    /// minimum).
     pub min_dist_ms: Option<f64>,
 }
 
@@ -231,60 +233,59 @@ pub(crate) fn select<R: Rng + ?Sized>(
 
     // Phase 1: draw the PLSet — M·(L-1) distinct caches (capped at N).
     // The potential landmarks then measure their distances to each
-    // other and to the origin.
+    // other and to the origin. From here on a node is its position in
+    // `nodes`; a PLSet member none of whose pairs was observed is dead.
     let plset = draw_caches(caches, m.saturating_mul(l - 1).min(caches), rng);
-    let mut nodes = vec![0usize];
-    nodes.extend_from_slice(&plset);
-    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(nodes.len() * (nodes.len() - 1) / 2);
-    for (a_pos, &a) in nodes.iter().enumerate() {
-        pairs.extend(nodes[a_pos + 1..].iter().map(|&b| (a, b)));
-    }
+    let nodes: Vec<usize> = std::iter::once(0).chain(plset.iter().copied()).collect();
+    let w = nodes.len();
+    let pairs: Vec<(usize, usize)> = (0..w)
+        .flat_map(|a| (a + 1..w).map(move |b| (a, b)))
+        .collect();
+    let pair = |p: usize| (nodes[pairs[p].0], nodes[pairs[p].1]);
     let (values, observed) =
-        prober.measure_batch(pairs.len(), 1, |p, _| pairs[p], policy, draws, rng);
-    let timeout = prober.config().timeout();
-    let key = |a: usize, b: usize| (a.min(b), a.max(b));
-    let measured: HashMap<(usize, usize), (f64, bool)> = pairs
-        .iter()
-        .zip(values.iter().zip(&observed))
-        .map(|(&(a, b), (&v, &ok))| (key(a, b), (if ok { v } else { timeout }, ok)))
-        .collect();
-    let dist = |a: usize, b: usize| -> f64 { measured[&key(a, b)].0 };
-    let mut dead_nodes: Vec<usize> = plset
-        .iter()
-        .copied()
-        .filter(|&n| nodes.iter().all(|&o| o == n || !measured[&key(n, o)].1))
-        .collect();
-    dead_nodes.sort_unstable();
-    let is_dead = |n: &usize| dead_nodes.binary_search(n).is_ok();
+        prober.measure_batch(pairs.len(), 1, |p, _| pair(p), policy, draws, rng);
+    let mut dist = vec![0.0; w * w];
+    let mut alive: Vec<bool> = (0..w).map(|i| i == 0).collect();
+    for (&(a, b), (&v, &ok)) in pairs.iter().zip(values.iter().zip(&observed)) {
+        let d = if ok { v } else { prober.config().timeout() };
+        (dist[a * w + b], dist[b * w + a]) = (d, d);
+        (alive[a], alive[b]) = (alive[a] || ok, alive[b] || ok);
+    }
+    let dist = |a: usize, b: usize| dist[a * w + b];
 
     // Phase 2: greedy max–min (SL) or min (Min-Dist baseline) over the
     // full PLSet, re-run over the survivors while a dead member holds a
     // slot (at most once: the second pass sees no dead candidate).
     let maximize = selector == LandmarkSelector::GreedyMaxMin;
+    let is_dead = |&i: &usize| !alive[i];
     let mut lm_set = vec![0usize];
-    let mut remaining = plset.clone();
+    let mut remaining: Vec<usize> = (1..w).collect();
     let mut replaced: Vec<usize> = Vec::new();
     loop {
-        max_min_fill(&mut lm_set, &mut remaining, l, maximize, &dist);
+        max_min_fill(&mut lm_set, &mut remaining, l, maximize, dist);
         let evicted = replaced.len();
         replaced.extend(lm_set.iter().copied().filter(is_dead));
         if replaced.len() == evicted {
             break;
         }
-        lm_set.retain(|n| !is_dead(n));
-        remaining.retain(|n| !is_dead(n));
+        lm_set.retain(|i| !is_dead(i));
+        remaining.retain(|i| !is_dead(i));
     }
-    replaced.sort_unstable();
 
-    let min_dist = pairwise_min_dist(&lm_set, &dist);
+    let min_dist_ms = pairwise_min_dist(&lm_set, dist);
+    let ids = |positions: Vec<usize>| -> Vec<usize> {
+        let mut ids: Vec<usize> = positions.into_iter().map(|i| nodes[i]).collect();
+        ids.sort_unstable();
+        ids
+    };
     Ok(ResilientLandmarkSelection {
         selection: LandmarkSelection {
-            landmarks: lm_set,
+            landmarks: lm_set.iter().map(|&i| nodes[i]).collect(),
             plset,
-            min_dist_ms: Some(min_dist),
+            min_dist_ms,
         },
-        dead_nodes,
-        replaced,
+        dead_nodes: ids((1..w).filter(is_dead).collect()),
+        replaced: ids(replaced),
     })
 }
 
@@ -295,60 +296,43 @@ pub(crate) fn select<R: Rng + ?Sized>(
 ///
 /// Candidates are scored by their min distance to the set — equivalent
 /// to scoring `MinDist(LmSet ∪ {cand})`, because the set's own MinDist
-/// is fixed within a step. Exact-tie scores elect the earliest
-/// remaining-position candidate (the comparator reverses the index, and
-/// `max_by` keeps the last maximum).
-///
-/// The arg-max runs over fixed [`ecg_par::chunk_ranges`] chunks with an
-/// in-order reduction of the per-chunk winners; paper-scale PLSets (tens
-/// of candidates) are one chunk, run inline. The comparator is a *total*
-/// order on `(position, score)` pairs (distinct positions never compare
-/// equal), so the maximum is unique and the chunked reduction returns
-/// exactly the flat sequential winner — bit-identical at any thread
-/// count, which the equivalence tests pin.
+/// is fixed within a step. Each candidate keeps that score as a running
+/// minimum and folds in only the newly elected member, so a step costs
+/// one pass over the candidates; `min` is order-free, so the score is
+/// exactly the full re-scoring's. Exact-tie scores elect the earliest
+/// remaining position (a later candidate must score strictly better).
 fn max_min_fill(
     lm_set: &mut Vec<usize>,
     remaining: &mut Vec<usize>,
     target: usize,
     maximize: bool,
-    dist: &(impl Fn(usize, usize) -> f64 + Sync),
+    dist: impl Fn(usize, usize) -> f64,
 ) {
-    let better = |a: &(usize, f64), b: &(usize, f64)| {
-        let ord = a.1.partial_cmp(&b.1).expect("distances are not NaN");
-        if maximize { ord } else { ord.reverse() }
-            // Stable preference for the earliest candidate on ties comes
-            // from max_by keeping the *last* max; reverse the index to
-            // prefer the first.
-            .then_with(|| b.0.cmp(&a.0))
-    };
+    let better = |a: f64, b: f64| if maximize { a > b } else { a < b };
+    let mut to_set = vec![f64::INFINITY; remaining.len()];
+    let mut folded = 0; // members of `lm_set` already folded into `to_set`
     while lm_set.len() < target && !remaining.is_empty() {
-        let score = |pos: usize| {
-            let cand = remaining[pos];
-            let to_set = lm_set
-                .iter()
-                .map(|&s| dist(s, cand))
-                .fold(f64::INFINITY, f64::min);
-            (pos, to_set)
-        };
-        let (best_pos, _) = ecg_par::par_chunk_map(remaining.len(), |range| {
-            range.map(score).max_by(better).expect("chunk is non-empty")
-        })
-        .into_iter()
-        .max_by(better)
-        .expect("PLSet has candidates");
-        lm_set.push(remaining.swap_remove(best_pos));
+        for &s in &lm_set[folded..] {
+            for (score, &c) in to_set.iter_mut().zip(&*remaining) {
+                *score = score.min(dist(s, c));
+            }
+        }
+        folded = lm_set.len();
+        let best =
+            (1..to_set.len()).fold(0, |b, p| if better(to_set[p], to_set[b]) { p } else { b });
+        to_set.swap_remove(best);
+        lm_set.push(remaining.swap_remove(best));
     }
 }
 
-/// `MinDist(LmSet)` — the minimum pairwise measured distance.
-fn pairwise_min_dist(lm_set: &[usize], dist: &impl Fn(usize, usize) -> f64) -> f64 {
-    let mut min_dist = f64::INFINITY;
-    for (a_pos, &a) in lm_set.iter().enumerate() {
-        for &b in lm_set.iter().skip(a_pos + 1) {
-            min_dist = min_dist.min(dist(a, b));
-        }
-    }
-    min_dist
+/// `MinDist(LmSet)` — the minimum pairwise measured distance, or `None`
+/// for a set of fewer than two members, which has no pair.
+fn pairwise_min_dist(lm_set: &[usize], dist: impl Fn(usize, usize) -> f64) -> Option<f64> {
+    let pairs = lm_set
+        .iter()
+        .enumerate()
+        .flat_map(|(a_pos, &a)| lm_set[a_pos + 1..].iter().map(move |&b| (a, b)));
+    pairs.map(|(a, b)| dist(a, b)).reduce(f64::min)
 }
 
 /// A landmark selection plus what the failure-detection pass saw —
@@ -608,6 +592,20 @@ mod tests {
     }
 
     #[test]
+    fn retried_selection_survives_every_cache_down() {
+        use ecg_coords::ProbeFaults;
+        let m = paper_figure1();
+        let faults = (1..=6).fold(ProbeFaults::new(), ProbeFaults::node_down);
+        let p = Prober::with_faults(&m, ProbeConfig::noiseless(), faults);
+        let sel = select_retried(&p, 4, 5, &RetryPolicy::none(), 0);
+        // The origin alone is left: no pair, so no MinDist.
+        assert_eq!(sel.selection.landmarks, vec![0]);
+        assert_eq!(sel.dead_nodes, vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(sel.replaced.len(), 3);
+        assert_eq!(sel.selection.min_dist_ms, None);
+    }
+
+    #[test]
     fn zero_node_prober_is_a_typed_error() {
         // `RttMatrix::zeros(0)` is constructible; `node_count() - 1`
         // used to overflow on it.
@@ -680,11 +678,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_argmax_branch_matches_sequential_at_bench_scale() {
-        // l=4, m=200 over a 700-cache synthetic network: the PLSet has
-        // 600 candidates, three chunks, so the greedy fill's arg-max
-        // fans out — and must elect the same winners at any thread count
-        // (total order on (position, score)).
+    fn a_600_member_plset_selects_alike_at_any_thread_count() {
+        // l=4, m=200 over a 700-cache synthetic network: 600 candidates,
+        // so the PLSet's 180 300 pairs are measured in many spans — and
+        // the same winners must be elected at any thread count.
         use ecg_topology::SyntheticRttConfig;
         let net = SyntheticRttConfig::default().generate(701, 42);
         let run = |threads: Option<usize>| {
@@ -720,37 +717,204 @@ mod tests {
     }
 
     #[test]
-    fn chunked_fill_elects_the_flat_argmax_winners() {
-        // 1 000 candidates (four chunks) on distances that repeat every
-        // 7 values, so exact ties straddle the chunk boundaries and the
-        // earliest-position tie-break decides most steps.
-        let dist = |a: usize, b: usize| ((a * 31 + b * 17) % 7) as f64;
+    fn incremental_fill_elects_the_full_rescoring_winners() {
+        // 1 000 candidates on distances that repeat every 7 values, so
+        // exact ties are everywhere and the earliest-position tie-break
+        // decides most steps; the second round starts from a set of
+        // several members, as a failover re-run does.
+        let dist = |a: usize, b: usize| ((a.min(b) * 31 + a.max(b) * 17) % 7) as f64;
         for maximize in [true, false] {
-            let mut lm_set = vec![0usize];
-            let mut remaining: Vec<usize> = (1..=1_000).collect();
-            max_min_fill(&mut lm_set, &mut remaining, 8, maximize, &dist);
+            for start in [vec![0usize], vec![0, 500, 3]] {
+                let fresh =
+                    || -> Vec<usize> { (1..=1_000).filter(|c| !start.contains(c)).collect() };
+                let mut lm_set = start.clone();
+                let mut remaining = fresh();
+                max_min_fill(&mut lm_set, &mut remaining, 12, maximize, dist);
 
-            // Reference: one flat pass over every remaining position.
-            let mut flat_set = vec![0usize];
-            let mut flat_remaining: Vec<usize> = (1..=1_000).collect();
-            while flat_set.len() < 8 {
+                let mut flat_set = start.clone();
+                let mut flat_remaining = fresh();
+                reference::fill(&mut flat_set, &mut flat_remaining, 12, maximize, &dist);
+                assert_eq!(lm_set, flat_set, "maximize={maximize}");
+                assert_eq!(remaining, flat_remaining, "maximize={maximize}");
+            }
+        }
+    }
+
+    /// The selector as it was before the dense table and the running
+    /// minima: node-id pair lookups in a map, and a fill that re-scores
+    /// every candidate against the whole set at every step.
+    mod reference {
+        use super::*;
+        use std::collections::HashMap;
+
+        /// One full re-scoring per step; exact ties elect the earliest
+        /// remaining position.
+        pub(super) fn fill(
+            lm_set: &mut Vec<usize>,
+            remaining: &mut Vec<usize>,
+            target: usize,
+            maximize: bool,
+            dist: &impl Fn(usize, usize) -> f64,
+        ) {
+            while lm_set.len() < target && !remaining.is_empty() {
                 let score = |pos: usize| {
-                    let cand = flat_remaining[pos];
-                    flat_set
-                        .iter()
-                        .map(|&s| dist(s, cand))
-                        .fold(f64::INFINITY, f64::min)
+                    let to_set = lm_set.iter().map(|&s| dist(s, remaining[pos]));
+                    to_set.fold(f64::INFINITY, f64::min)
                 };
-                let best = (0..flat_remaining.len())
+                let best = (0..remaining.len())
                     .max_by(|&a, &b| {
-                        let ord = score(a).total_cmp(&score(b));
+                        let ord = score(a).partial_cmp(&score(b)).unwrap();
                         if maximize { ord } else { ord.reverse() }.then(b.cmp(&a))
                     })
                     .unwrap();
-                flat_set.push(flat_remaining.swap_remove(best));
+                lm_set.push(remaining.swap_remove(best));
             }
-            assert_eq!(lm_set, flat_set, "maximize={maximize}");
         }
+
+        /// [`select`] for the two greedy selectors on valid arguments.
+        pub(super) fn select<R: Rng + ?Sized>(
+            prober: &Prober<'_>,
+            selector: LandmarkSelector,
+            l: usize,
+            m: usize,
+            policy: Option<&RetryPolicy>,
+            draws: &mut Draws<'_>,
+            rng: &mut R,
+        ) -> ResilientLandmarkSelection {
+            let caches = prober.node_count() - 1;
+            let plset = draw_caches(caches, (m * (l - 1)).min(caches), rng);
+            let mut nodes = vec![0usize];
+            nodes.extend_from_slice(&plset);
+            let mut pairs = Vec::new();
+            for (a_pos, &a) in nodes.iter().enumerate() {
+                pairs.extend(nodes[a_pos + 1..].iter().map(|&b| (a, b)));
+            }
+            let (values, observed) =
+                prober.measure_batch(pairs.len(), 1, |p, _| pairs[p], policy, draws, rng);
+            let timeout = prober.config().timeout();
+            let key = |a: usize, b: usize| (a.min(b), a.max(b));
+            let measured: HashMap<(usize, usize), (f64, bool)> = pairs
+                .iter()
+                .zip(values.iter().zip(&observed))
+                .map(|(&(a, b), (&v, &ok))| (key(a, b), (if ok { v } else { timeout }, ok)))
+                .collect();
+            let dist = |a: usize, b: usize| measured[&key(a, b)].0;
+            let mut dead_nodes: Vec<usize> = plset
+                .iter()
+                .copied()
+                .filter(|&n| nodes.iter().all(|&o| o == n || !measured[&key(n, o)].1))
+                .collect();
+            dead_nodes.sort_unstable();
+            let is_dead = |n: &usize| dead_nodes.binary_search(n).is_ok();
+
+            let maximize = selector == LandmarkSelector::GreedyMaxMin;
+            let mut lm_set = vec![0usize];
+            let mut remaining = plset.clone();
+            let mut replaced = Vec::new();
+            loop {
+                fill(&mut lm_set, &mut remaining, l, maximize, &dist);
+                let evicted = replaced.len();
+                replaced.extend(lm_set.iter().copied().filter(is_dead));
+                if replaced.len() == evicted {
+                    break;
+                }
+                lm_set.retain(|n| !is_dead(n));
+                remaining.retain(|n| !is_dead(n));
+            }
+            replaced.sort_unstable();
+            let mut min_dist = f64::INFINITY;
+            for (a_pos, &a) in lm_set.iter().enumerate() {
+                for &b in &lm_set[a_pos + 1..] {
+                    min_dist = min_dist.min(dist(a, b));
+                }
+            }
+            ResilientLandmarkSelection {
+                selection: LandmarkSelection {
+                    min_dist_ms: (lm_set.len() > 1).then_some(min_dist),
+                    landmarks: lm_set,
+                    plset,
+                },
+                dead_nodes,
+                replaced,
+            }
+        }
+    }
+
+    #[test]
+    fn select_equals_the_full_rescoring_reference() {
+        use ecg_coords::ProbeFaults;
+        let configs = [
+            ProbeConfig::noiseless(),
+            ProbeConfig::default(),
+            ProbeConfig::default().loss_rate(0.4),
+        ];
+        let policies = [
+            None,
+            Some(RetryPolicy::none()),
+            Some(RetryPolicy::default()),
+        ];
+        let mut cases = 0;
+        for seed in 0..24u64 {
+            // A symmetric matrix on four distinct distances, so exact
+            // ties decide many elections, with a fifth of the caches down
+            // and a few links black-holed.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(3..=28);
+            let matrix =
+                ecg_topology::RttMatrix::from_fn(n, |_, _| f64::from(rng.gen_range(1..=4u32) * 10));
+            let mut faults = ProbeFaults::new();
+            for node in 1..n {
+                if rng.gen_bool(0.2) {
+                    faults = faults.node_down(node);
+                }
+                if rng.gen_bool(0.1) {
+                    faults = faults.blackhole(node, rng.gen_range(0..n));
+                }
+            }
+            let l = rng.gen_range(2..=n.min(7));
+            let m = rng.gen_range(1..=4);
+            for (config, policy, selector, per_row) in configs.iter().flat_map(|&config| {
+                policies.iter().flat_map(move |&policy| {
+                    [LandmarkSelector::GreedyMaxMin, LandmarkSelector::MinDist]
+                        .into_iter()
+                        .flat_map(move |s| {
+                            [false, true].map(|per_row| (config, policy, s, per_row))
+                        })
+                })
+            }) {
+                let run = |reference: bool| {
+                    let p = Prober::with_faults(&matrix, config, faults.clone());
+                    let mut rng = StdRng::seed_from_u64(seed + 100);
+                    let mut draws = if per_row {
+                        Draws::PerRow
+                    } else {
+                        Draws::Shared(None)
+                    };
+                    let policy = policy.as_ref();
+                    let sel = if reference {
+                        reference::select(&p, selector, l, m, policy, &mut draws, &mut rng)
+                    } else {
+                        select(&p, selector, l, m, policy, &mut draws, &mut rng).unwrap()
+                    };
+                    let bits = sel.selection.min_dist_ms.map(f64::to_bits);
+                    (sel, bits, rng.gen::<u64>(), p.probes_sent())
+                };
+                let expected = run(true);
+                for threads in [1, 2, 8] {
+                    ecg_par::set_max_threads(Some(threads));
+                    let got = run(false);
+                    ecg_par::set_max_threads(None);
+                    assert_eq!(
+                        got, expected,
+                        "seed {seed} n {n} l {l} m {m} {selector} {policy:?} per_row {per_row} \
+                         threads {threads}"
+                    );
+                }
+                cases += usize::from(!expected.0.dead_nodes.is_empty());
+            }
+        }
+        // The faults are not vacuous: many runs declared a member dead.
+        assert!(cases > 100, "{cases} runs with a dead PLSet member");
     }
 
     #[test]

@@ -19,11 +19,12 @@
 //! Only *who* runs an item is left to scheduling: a parallel call spawns
 //! scoped workers ([`std::thread::scope`]) that take items off a shared
 //! atomic next-index beside the calling thread, and joins them before it
-//! returns. That is sound *because* nothing order-sensitive happens at
-//! scheduling granularity. A parallel call made from inside another one
-//! (a K-means run inside a sweep cell) runs inline on the thread that
-//! made it, so one call tree never runs on more than [`max_threads`]
-//! threads.
+//! returns — at most one thread per two items, so a two-chunk scan runs
+//! on the caller. That is sound *because* nothing order-sensitive
+//! happens at scheduling granularity. A parallel call made from inside
+//! another one (a K-means run inside a sweep cell) runs inline on the
+//! thread that made it, so one call tree never runs on more than
+//! [`max_threads`] threads.
 //!
 //! Thread count resolution, in precedence order: the programmatic
 //! [`set_max_threads`] override (used by benchmark sweeps), the
@@ -114,14 +115,17 @@ impl Drop for InCall {
     }
 }
 
-/// Applies `f` to every item on up to [`max_threads`] threads (never
-/// more than there are items), returning results in input order.
+/// Applies `f` to every item on up to [`max_threads`] threads, returning
+/// results in input order.
 ///
 /// Workers self-schedule items off a shared atomic index, so long and
 /// short items balance automatically; the output order is the input
-/// order regardless. With one resolved thread, or when called from
-/// inside another parallel call, this is a plain sequential `map` on
-/// the calling thread — no spawns, no locks.
+/// order regardless. A thread is only worth its spawn if it gets at
+/// least two items of its own, so at most `n / 2` threads run `n`
+/// items. When that leaves one thread (one to three items, or one
+/// resolved thread), or when called from inside another parallel call,
+/// this is a plain sequential `map` on the calling thread — no spawns,
+/// no locks.
 ///
 /// # Panics
 ///
@@ -142,8 +146,8 @@ where
     par_map_with(items, max_threads(), f)
 }
 
-/// [`par_map`] on at most `threads` threads, the caller's included:
-/// never more threads than items, as the extra ones would idle.
+/// [`par_map`] on at most `threads` threads, the caller's included, and
+/// never more than half as many threads as items.
 ///
 /// # Panics
 ///
@@ -157,7 +161,8 @@ where
 {
     assert!(threads > 0, "need at least one thread");
     let n = items.len();
-    if threads == 1 || n <= 1 || IN_CALL.get() {
+    let threads = threads.min(n / 2);
+    if threads <= 1 || IN_CALL.get() {
         return items.into_iter().map(f).collect();
     }
     let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
@@ -184,7 +189,7 @@ where
         }
     };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..threads.min(n)).map(|_| scope.spawn(worker)).collect();
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
         worker();
         // A bare `scope` would re-panic with a generic message; joining
         // here keeps the first failed worker's own payload.
@@ -291,15 +296,46 @@ mod tests {
 
     #[test]
     fn explicit_thread_counts_agree() {
-        let items: Vec<usize> = (0..503).collect();
-        let seq = par_map_with(items.clone(), 1, |i| i * i);
-        for threads in [2, 3, 8, 64] {
-            assert_eq!(
-                par_map_with(items.clone(), threads, |i| i * i),
-                seq,
-                "threads={threads}"
-            );
+        for n in (1..=9).chain([503]) {
+            let items: Vec<usize> = (0..n).collect();
+            let seq = par_map_with(items.clone(), 1, |i| i * i);
+            for threads in [2, 3, 8, 64] {
+                assert_eq!(
+                    par_map_with(items.clone(), threads, |i| i * i),
+                    seq,
+                    "n={n} threads={threads}"
+                );
+            }
         }
+    }
+
+    /// The threads that ran `n` items at `threads`, with every item
+    /// waiting until a second thread has joined or a second has passed,
+    /// so a call that may fan out does.
+    fn threads_running(n: usize, threads: usize) -> HashSet<std::thread::ThreadId> {
+        let ids = Mutex::new(HashSet::new());
+        let started = std::time::Instant::now();
+        par_map_with((0..n).collect::<Vec<usize>>(), threads, |_| {
+            ids.lock().unwrap().insert(std::thread::current().id());
+            while ids.lock().unwrap().len() < 2 && started.elapsed().as_secs() < 1 {
+                std::thread::yield_now();
+            }
+        });
+        ids.into_inner().unwrap()
+    }
+
+    #[test]
+    fn a_thread_is_spawned_only_for_two_items_of_its_own() {
+        let caller = std::thread::current().id();
+        for n in [2, 3] {
+            let ids = threads_running(n, 2);
+            assert_eq!(ids, HashSet::from([caller]), "n={n} ran off the caller");
+        }
+        for n in [4, 5, 9] {
+            assert_eq!(threads_running(n, 2).len(), 2, "n={n} did not fan out");
+        }
+        // Eight threads get four items apiece at most: 9 items run on 4.
+        assert!(threads_running(9, 8).len() <= 4);
     }
 
     #[test]

@@ -92,11 +92,9 @@ pub fn dijkstra(graph: &Graph, source: NodeId) -> Vec<f64> {
 
 /// Shortest one-way latencies from every node in `sources`.
 ///
-/// Splits `sources` into one run of consecutive sources per
-/// [`ecg_par::max_threads`] thread and runs each run's Dijkstras on an
-/// [`ecg_par`] worker. Rows are returned in `sources` order; each row is
-/// an independent Dijkstra run, so the result is identical at any
-/// thread count.
+/// Each source's Dijkstra run is one work item on [`ecg_par`] workers.
+/// Rows are returned in `sources` order; each row is an independent
+/// Dijkstra run, so the result is identical at any thread count.
 ///
 /// # Panics
 ///
@@ -105,16 +103,7 @@ pub fn multi_source_latencies(graph: &Graph, sources: &[NodeId]) -> Vec<Vec<f64>
     for &s in sources {
         assert!(s.index() < graph.node_count(), "source {s} out of range");
     }
-    let mut rows: Vec<Vec<f64>> = vec![Vec::new(); sources.len()];
-    let chunk = sources.len().div_ceil(ecg_par::max_threads()).max(1);
-    let work: Vec<(&mut [Vec<f64>], &[NodeId])> =
-        rows.chunks_mut(chunk).zip(sources.chunks(chunk)).collect();
-    ecg_par::par_map(work, |(row_chunk, src_chunk)| {
-        for (row, &src) in row_chunk.iter_mut().zip(src_chunk) {
-            *row = dijkstra(graph, src);
-        }
-    });
-    rows
+    ecg_par::par_map(sources.to_vec(), |src| dijkstra(graph, src))
 }
 
 /// Builds the all-pairs round-trip-time matrix of `graph`.
