@@ -1,24 +1,19 @@
 //! Hot-path performance baseline: K-means, group formation, trace
 //! replay.
 //!
-//! Times the optimized hot paths against their retained reference
-//! implementations:
+//! Times the optimized hot paths, against their retained reference
+//! implementations where the library keeps one:
 //!
 //! * `kmeans/reference` vs `kmeans/pruned_flat` — the naive ragged-row
 //!   Lloyd loop against the flat-storage, bound-pruned one (identical
 //!   output, see `ecg_clustering::kmeans_reference`);
 //! * `group_formation/sl_end_to_end` — the full SL pipeline (probing,
 //!   feature matrix, clustering) as an absolute figure;
-//! * `trace_replay/scan_all` vs `trace_replay/holder_index` — the
-//!   simulator's cooperative-miss path probing every peer's cache map
-//!   against the document→holder bitset (identical reports; the scan is
-//!   forced through `ecg_sim::RunContext::force_lookup`);
-//! * `sim_order/time_major` vs `sim_order/group_major` — one pass of the
-//!   event loop over the whole map (the reference oracle,
-//!   `ecg_sim::simulate_time_major`) against `simulate`'s group-major
-//!   driver, on a partitioned network large enough that the whole map's
-//!   working set outgrows the cache and one group's does not (identical
-//!   reports);
+//! * `trace_replay/holder_index` — the simulator's cooperative-miss
+//!   path on one big group whose caches mostly miss, as an absolute
+//!   figure;
+//! * `sim_order/group_major` — `simulate` on a partitioned network of
+//!   the paper's shape, many groups of ~20, as an absolute figure;
 //! * `utility_victim/reference_scan_*` vs `utility_victim/fast_*` — an
 //!   insert that evicts 1, 2 or 8 of 69 residents under the utility
 //!   policy: `DocumentCache::insert` (one approximate pass over the
@@ -44,9 +39,7 @@ use ecg_cache::{DocumentCache, Entry, PolicyKind};
 use ecg_clustering::{kmeans, kmeans_reference, FeatureMatrix, Initializer, KmeansConfig};
 use ecg_core::{GfCoordinator, SchemeConfig};
 use ecg_obs::json::JsonWriter;
-use ecg_sim::{
-    simulate, simulate_time_major, FaultSchedule, GroupMap, Lookup, RunContext, SimConfig,
-};
+use ecg_sim::{simulate, GroupMap, RunContext, SimConfig};
 use ecg_topology::CacheId;
 use ecg_workload::DocId;
 use edge_cache_groups::cli::{finish, Args};
@@ -298,20 +291,14 @@ fn run() -> Result<(), String> {
             .sample_size(sizes.samples)
             .throughput(Throughput::Elements(scenario.trace.len() as u64));
         let plan = scenario.plan(base);
-        for (name, forced) in [("scan_all", Some(Lookup::Scan)), ("holder_index", None)] {
-            let context = || match forced {
-                Some(lookup) => RunContext::serial().force_lookup(lookup),
-                None => RunContext::serial(),
-            };
-            group.bench_function(name, |b| {
-                b.iter(|| simulate(&plan, &groups, &mut context()).expect("simulation"))
-            });
-        }
+        group.bench_function("holder_index", |b| {
+            b.iter(|| simulate(&plan, &groups, &mut RunContext::serial()).expect("simulation"))
+        });
         group.finish();
     }
 
-    // Execution order: the paper's shape — many groups of ~20 — time-major
-    // over the whole map against group-major, one group live at a time.
+    // Execution order: the paper's shape — many groups of ~20 — one group
+    // live at a time.
     {
         let scenario = Scenario::build(sizes.order_caches, sizes.order_duration_ms, 77);
         let members: Vec<CacheId> = (0..sizes.order_caches).map(CacheId).collect();
@@ -319,28 +306,11 @@ fn run() -> Result<(), String> {
             .chunks(sizes.order_group_size)
             .map(<[CacheId]>::to_vec);
         let groups = GroupMap::new(sizes.order_caches, lists.collect()).expect("chunks partition");
-        let config = SimConfig::default();
-        let schedule = FaultSchedule::new();
         let mut group = c.benchmark_group("sim_order");
         group
             .sample_size(sizes.samples)
             .throughput(Throughput::Elements(scenario.trace.len() as u64));
-        let (network, catalog) = (&scenario.network, &scenario.workload.catalog);
-        group.bench_function("time_major", |b| {
-            b.iter(|| {
-                simulate_time_major(
-                    network,
-                    &groups,
-                    catalog,
-                    &scenario.trace,
-                    config,
-                    &schedule,
-                    None,
-                )
-                .expect("simulation")
-            })
-        });
-        let plan = scenario.plan(config);
+        let plan = scenario.plan(SimConfig::default());
         group.bench_function("group_major", |b| {
             b.iter(|| simulate(&plan, &groups, &mut RunContext::serial()).expect("simulation"))
         });
@@ -396,13 +366,7 @@ fn run() -> Result<(), String> {
     };
     let kmeans_speedup =
         median_of(stats, "kmeans/reference") / median_of(stats, "kmeans/pruned_flat");
-    let replay_speedup =
-        median_of(stats, "trace_replay/scan_all") / median_of(stats, "trace_replay/holder_index");
-    let order_speedup =
-        median_of(stats, "sim_order/time_major") / median_of(stats, "sim_order/group_major");
     println!("\nkmeans speedup (pruned_flat vs reference):    {kmeans_speedup:.2}x");
-    println!("trace replay speedup (holder_index vs scan):  {replay_speedup:.2}x");
-    println!("sim order speedup (group- vs time-major):     {order_speedup:.2}x");
     for burst in [1, 2, 8] {
         let speedup = victim_speedup(burst);
         println!("utility victim speedup, {burst} per insert:         {speedup:.2}x");
@@ -435,8 +399,6 @@ fn run() -> Result<(), String> {
         });
         w.key("speedups").object(|w| {
             w.key("kmeans").f64(kmeans_speedup);
-            w.key("trace_replay").f64(replay_speedup);
-            w.key("sim_order").f64(order_speedup);
             for burst in [1, 2, 8] {
                 w.key(&format!("utility_victim_burst_{burst}"))
                     .f64(victim_speedup(burst));

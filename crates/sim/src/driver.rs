@@ -23,13 +23,13 @@
 //! by-position [`TracePlan`] — or, for a streamed source, the one
 //! shared Zipf sampler and the update log's records — and the fault
 //! split. Every group then goes through one walk, [`GroupWalk`], and
-//! one call of the kernel. Per-group outcomes are
-//! folded in group order — the order every `f64` chain of the
-//! time-major loop already follows — so the merged [`SimReport`] is
-//! bit-identical to [`crate::simulate_time_major`] however the groups
-//! were scheduled: serially, each folded as it finishes so one group's
-//! caches are live at a time, or fanned over [`ecg_par`] workers and
-//! folded after.
+//! one call of the kernel. Per-group outcomes are folded in group
+//! order, so every `f64` chain of the merged [`SimReport`] is the same
+//! however the groups were scheduled: serially, each folded as it
+//! finishes so one group's caches are live at a time, or fanned over
+//! [`ecg_par`] workers and folded after. The crate's integration tests
+//! hold the result to an independent spec that replays the whole trace
+//! in one loop and folds its per-group degradation the same way.
 
 use crate::event::{local_ids, log_records, GroupWalk, Record, RecordBlock, TracePlan};
 use crate::fault::{FaultKind, FaultSchedule};
@@ -216,9 +216,8 @@ impl<'o> RunContext<'o> {
     }
 
     /// Every kernel run takes `lookup`, whatever its traffic: the hook
-    /// tests and benches reach the reference scan and hold both layouts
-    /// to the oracle through. The report is the same bits whichever
-    /// lookup ran; the scan leaves the `sim.holder.*` counters at zero.
+    /// tests hold both layouts to the spec through. The report and the
+    /// observability document are the same bits whichever lookup ran.
     #[doc(hidden)]
     pub fn force_lookup(mut self, lookup: Lookup) -> Self {
         self.exec.forced = Some(lookup);
@@ -453,10 +452,9 @@ impl GroupStore {
 }
 
 impl<'a> GroupRun<'a> {
-    /// Validates the inputs as [`crate::simulate_time_major`] does —
-    /// map, then schedule, then the trace event by event (for a
-    /// streamed source: the catalog and the update log) — and plans the
-    /// run.
+    /// Validates the inputs in the order [`simulate`] documents — map,
+    /// then schedule, then the trace event by event (for a streamed
+    /// source: the catalog and the update log) — and plans the run.
     fn new(plan: &'a SimPlan<'a>, groups: &'a GroupMap) -> Result<Self, SimError> {
         let schedule = plan.schedule;
         check_inputs(plan.rtt.node_count().saturating_sub(1), groups, schedule)?;
@@ -611,7 +609,6 @@ fn member_schedules(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulate_time_major;
     use ecg_topology::fixtures::paper_figure1;
     use ecg_topology::{RttMatrix, SyntheticRttConfig};
     use ecg_workload::{generate_updates, merge_streams, CatalogConfig, RequestConfig};
@@ -641,63 +638,6 @@ mod tests {
         .expect("valid partition")
     }
 
-    /// `groups` under `schedule` over the fixture: the entry point on
-    /// the caller's thread and on the pool, with and without a bundle,
-    /// against the time-major reference run — report and document.
-    fn assert_every_context_matches_the_oracle(groups: &GroupMap, schedule: &FaultSchedule) {
-        let (network, catalog, trace) = fixture();
-        let config = SimConfig::default();
-        let mut oracle_obs = Obs::new();
-        let oracle = simulate_time_major(
-            &network,
-            groups,
-            &catalog,
-            &trace,
-            config,
-            schedule,
-            Some(&mut oracle_obs),
-        )
-        .unwrap();
-        let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace).faults(schedule);
-        for context in [RunContext::serial, RunContext::pooled] {
-            let mut ctx = context();
-            assert_eq!(simulate(&plan, groups, &mut ctx).unwrap(), oracle);
-            assert_eq!(ctx.stats().shards, groups.group_count());
-            assert!(ctx.stats().shard_events >= trace.len() as u64);
-            assert!(ctx.stats().total_ms() >= 0.0);
-            let mut obs = Obs::new();
-            let mut ctx = context().observe(Some(&mut obs));
-            assert_eq!(simulate(&plan, groups, &mut ctx).unwrap(), oracle);
-            assert_eq!(obs.to_json(), oracle_obs.to_json());
-        }
-    }
-
-    #[test]
-    fn serial_and_pooled_match_the_oracle_bit_for_bit() {
-        assert_every_context_matches_the_oracle(&two_groups(), &FaultSchedule::new());
-    }
-
-    #[test]
-    fn serial_and_pooled_match_the_oracle_under_faults() {
-        let mut schedule = FaultSchedule::new().failover_penalty_ms(5.0);
-        schedule.push(4_000.0, FaultKind::CacheDown { cache: CacheId(2) });
-        schedule.push(9_000.0, FaultKind::CacheUp { cache: CacheId(2) });
-        schedule.push(6_000.0, FaultKind::BrownoutStart { factor: 2.5 });
-        schedule.push(12_000.0, FaultKind::BrownoutEnd);
-        schedule.push(15_000.0, FaultKind::CacheRetire { cache: CacheId(5) });
-        assert_every_context_matches_the_oracle(&two_groups(), &schedule);
-    }
-
-    #[test]
-    fn singleton_groups_shard_per_cache() {
-        assert_every_context_matches_the_oracle(&GroupMap::singletons(6), &FaultSchedule::new());
-    }
-
-    #[test]
-    fn one_group_in_id_order_is_a_group_like_any_other() {
-        assert_every_context_matches_the_oracle(&GroupMap::one_group(6), &FaultSchedule::new());
-    }
-
     #[test]
     fn run_stats_count_the_shards_that_went_dense() {
         // 3 members, ~240 requests each group, 120 documents: the rule
@@ -721,9 +661,8 @@ mod tests {
         let report = simulate(&plan, &GroupMap::one_group(6), &mut ctx).unwrap();
         assert!(report.metrics.total_requests() > 0);
         assert_eq!((ctx.stats().shards, ctx.stats().dense_shards), (1, 0));
-        // A forced lookup overrides the rule, and the reference scan
-        // is not dense.
-        for (lookup, dense) in [(Lookup::NearestFirst, 1), (Lookup::Scan, 0)] {
+        // A forced lookup overrides the rule.
+        for (lookup, dense) in [(Lookup::NearestFirst, 1), (Lookup::Ranked, 0)] {
             let mut ctx = RunContext::serial().force_lookup(lookup);
             let forced = simulate(&plan, &GroupMap::one_group(6), &mut ctx);
             assert_eq!(forced.as_ref(), Ok(&report));
@@ -732,7 +671,7 @@ mod tests {
     }
 
     #[test]
-    fn the_entry_point_rejects_what_the_oracle_rejects() {
+    fn the_entry_point_rejects_a_bad_map_or_schedule() {
         let (network, catalog, trace) = fixture();
         let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace);
         let err = simulate(&plan, &GroupMap::one_group(5), &mut RunContext::pooled()).unwrap_err();
@@ -755,16 +694,14 @@ mod tests {
                 TraceEvent::Request(r) => r.time_ms = bad,
                 TraceEvent::Update(u) => u.time_ms = bad,
             }
-            // Same error from the time-major oracle and before any
-            // shard starts.
+            // The event's own error, before any shard starts.
             let expected = SimError::EventTimeInvalid { index: victim };
-            let (config, schedule) = (SimConfig::default(), FaultSchedule::new());
-            let mono =
-                simulate_time_major(&network, &groups, &catalog, &trace, config, &schedule, None);
-            assert_eq!(mono.unwrap_err(), expected, "{bad}");
             let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace);
-            let pooled = simulate(&plan, &groups, &mut RunContext::pooled());
-            assert_eq!(pooled.unwrap_err(), expected, "{bad}");
+            for context in [RunContext::serial, RunContext::pooled] {
+                let mut ctx = context();
+                assert_eq!(simulate(&plan, &groups, &mut ctx).unwrap_err(), expected);
+                assert_eq!(ctx.stats().shards, 0, "{bad}");
+            }
 
             // Streamed input: requests are generated, the update log is
             // the caller's.

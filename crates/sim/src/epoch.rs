@@ -14,7 +14,7 @@
 //!
 //! ## Boundary semantics
 //!
-//! * **Validate, then segment.** Timeline, schedule and trace are
+//! * **Validate, then segment.** The epochs, schedule and trace are
 //!   checked before anything is cut, with [`crate::simulate`]'s
 //!   precedence and the caller's trace positions in the error — an
 //!   event whose time is NaN, negative or infinite lies in no

@@ -3,22 +3,20 @@
 //! A run interleaves the workload trace with the fault schedule by
 //! `(time quantised to µs, faults before trace events, input order)`:
 //! at equal instants a crash lands before the requests of that instant,
-//! and same-instant trace events keep their trace order. Two
-//! crate-internal walks produce that order without copying the trace:
-//!
-//! * `Timeline` walks a **whole trace** in place, merged with the short,
-//!   time-sorted fault list; only a trace that is not already ordered
-//!   pays for one stable index sort. The time-major oracle runs on it.
-//! * `GroupWalk` walks **one group's share**, planned or streamed: two
-//!   lanes, the group's requests and the update log every group
-//!   replays, each in processing order, merged by `(time, key)`. A
-//!   planned lane is `u32` positions out of a `TracePlan`, keyed by
-//!   position — the stable sort's order, 4 bytes of plan per event. A
-//!   streamed lane is records built ahead: the members' regenerated
-//!   requests keyed by time, and the run's one copy of the log
-//!   (`log_records`), keyed so the merge takes `merge_streams`'
-//!   decisions. Either way the group sees the exact subsequence of the
-//!   whole-trace walk.
+//! and same-instant trace events keep their trace order. One
+//! crate-internal walk, `GroupWalk`, produces that order for **one
+//! group's share** of a run without copying the trace, planned or
+//! streamed: two lanes, the group's requests and the update log every
+//! group replays, each in processing order, merged by `(time, key)`,
+//! with the group's short, time-sorted fault list. A planned lane is
+//! `u32` positions out of a `TracePlan`, keyed by position — the stable
+//! sort's order, 4 bytes of plan per event; only a trace that is not
+//! already ordered pays for one stable index sort. A streamed lane is
+//! records built ahead: the members' regenerated requests keyed by
+//! time, and the run's one copy of the log (`log_records`), keyed so the
+//! merge takes `merge_streams`' decisions. Either way the group sees the
+//! exact subsequence of the whole run's order (the unit tests hold both
+//! to a plain stable sort of the whole trace and schedule).
 //!
 //! A planned group's events lie scattered through the trace — with 25
 //! groups, some 800 bytes apart — so reading them one at a time is one
@@ -107,8 +105,8 @@ fn scan_trace(
     Ok(ordered)
 }
 
-/// The trace checks of [`Timeline::new`] on their own, with the same
-/// errors: what a timeline run makes once, over the caller's whole
+/// The trace checks of [`TracePlan::build`] on their own, with the
+/// same errors: what a timeline run makes once, over the caller's whole
 /// trace, before it cuts the trace into segments.
 pub(crate) fn validate_trace(
     caches: usize,
@@ -201,11 +199,19 @@ pub(crate) struct TracePlan {
 }
 
 impl TracePlan {
-    /// Validates `trace` (as [`Timeline::new`] does, with the same
-    /// errors) and splits it over `groups`: the one pass that validates
-    /// and quantises every event also counts each list's length, so the
-    /// lists are sized exactly; a second loop, which only routes
-    /// positions, fills them in processing order.
+    /// Validates `trace` against a catalog of `docs` documents and
+    /// `schedule`'s horizon ([`FaultSchedule::horizon`]) and splits it
+    /// over `groups`: the one pass that validates and quantises every
+    /// event also counts each list's length, so the lists are sized
+    /// exactly; a second loop, which only routes positions, fills them
+    /// in processing order. `schedule` must already have passed
+    /// [`FaultSchedule::validate`].
+    ///
+    /// # Errors
+    ///
+    /// The first trace event, in trace order, with an unknown cache or
+    /// document, a negative / NaN / infinite timestamp, or one at or
+    /// past the horizon.
     pub(crate) fn build(
         groups: &GroupMap,
         docs: usize,
@@ -248,75 +254,6 @@ impl TracePlan {
     /// How many requests group `g` has.
     pub(crate) fn request_count(&self, g: usize) -> usize {
         self.starts[g + 1] - self.starts[g]
-    }
-}
-
-/// The events of one run over a whole trace — the trace plus the fault
-/// schedule — in processing order, yielded lazily as `(time, event)`.
-pub(crate) struct Timeline<'a> {
-    trace: &'a [TraceEvent],
-    /// `None` walks the trace in place; otherwise its positions stably
-    /// sorted by time.
-    order: Option<Vec<u32>>,
-    next: usize,
-    faults: FaultCursor,
-}
-
-impl<'a> Timeline<'a> {
-    /// Validates `trace` against a network of `caches` caches, a
-    /// catalog of `docs` documents and `schedule`'s horizon, and fixes
-    /// the processing order, in one pass over the trace. `schedule`
-    /// must already have passed [`FaultSchedule::validate`] (its times
-    /// are then finite).
-    ///
-    /// # Errors
-    ///
-    /// The first trace event, in trace order, with an unknown cache or
-    /// document, a negative / NaN / infinite timestamp, or one at or
-    /// past the horizon.
-    pub(crate) fn new(
-        caches: usize,
-        docs: usize,
-        trace: &'a [TraceEvent],
-        schedule: &FaultSchedule,
-    ) -> Result<Self, SimError> {
-        let ordered = scan_trace(caches, docs, schedule, trace, |_| {})?;
-        Ok(Timeline {
-            trace,
-            order: processing_order(trace, ordered),
-            next: 0,
-            faults: FaultCursor::new(schedule),
-        })
-    }
-
-    /// Number of trace events in the run (yielded or not), faults
-    /// excluded.
-    pub(crate) fn trace_events(&self) -> usize {
-        self.trace.len()
-    }
-}
-
-impl Iterator for Timeline<'_> {
-    type Item = (SimTime, Event);
-
-    fn next(&mut self) -> Option<(SimTime, Event)> {
-        let head = match &self.order {
-            None => self.trace.get(self.next),
-            Some(order) => order.get(self.next).map(|&p| &self.trace[p as usize]),
-        };
-        let at = head.map(|event| SimTime::from_valid_ms(event.time_ms()));
-        if let Some(fault) = self.faults.due(at) {
-            return Some(fault);
-        }
-        self.next += 1;
-        let event = match *head? {
-            TraceEvent::Request(r) => Event::ClientRequest {
-                cache: CacheId(r.cache),
-                doc: r.doc,
-            },
-            TraceEvent::Update(u) => Event::OriginUpdate { doc: u.doc },
-        };
-        Some((at?, event))
     }
 }
 
@@ -664,6 +601,17 @@ mod tests {
         }
     }
 
+    /// The simulator event a trace event becomes.
+    fn event_of(event: &TraceEvent) -> Event {
+        match *event {
+            TraceEvent::Request(r) => Event::ClientRequest {
+                cache: CacheId(r.cache),
+                doc: r.doc,
+            },
+            TraceEvent::Update(u) => Event::OriginUpdate { doc: u.doc },
+        }
+    }
+
     /// What the heap-based loop processed: faults scheduled first, then
     /// the trace, popped until empty.
     fn heap_order(trace: &[TraceEvent], schedule: &FaultSchedule) -> Vec<(SimTime, Event)> {
@@ -672,16 +620,27 @@ mod tests {
             queue.schedule(SimTime::from_ms(fault.time_ms), Event::Fault { idx });
         }
         for event in trace {
-            let scheduled = match *event {
-                TraceEvent::Request(r) => Event::ClientRequest {
-                    cache: CacheId(r.cache),
-                    doc: r.doc,
-                },
-                TraceEvent::Update(u) => Event::OriginUpdate { doc: u.doc },
-            };
-            queue.schedule(SimTime::from_ms(event.time_ms()), scheduled);
+            queue.schedule(SimTime::from_ms(event.time_ms()), event_of(event));
         }
         std::iter::from_fn(|| queue.pop()).collect()
+    }
+
+    /// The order a run processes `trace` and `schedule` in, as one plain
+    /// stable sort of both: by quantised time, faults before trace
+    /// events, then position in the input. The reference every walk is
+    /// held to.
+    fn stable_order(trace: &[TraceEvent], schedule: &FaultSchedule) -> Vec<(SimTime, Event)> {
+        let faults = schedule.events().iter().enumerate();
+        let faults =
+            faults.map(|(idx, f)| ((SimTime::from_ms(f.time_ms), 0), Event::Fault { idx }));
+        let events = trace
+            .iter()
+            .map(|e| ((SimTime::from_ms(e.time_ms()), 1), event_of(e)));
+        let mut all: Vec<_> = faults.chain(events).collect();
+        all.sort_by_key(|&(key, _)| key);
+        all.into_iter()
+            .map(|((at, _), event)| (at, event))
+            .collect()
     }
 
     fn request(time_ms: f64, cache: usize, doc: usize) -> TraceEvent {
@@ -699,12 +658,15 @@ mod tests {
         })
     }
 
-    fn walked_in_place(timeline: &Timeline<'_>) -> bool {
-        timeline.order.is_none()
-    }
-
-    fn docs_of(timeline: Timeline<'_>) -> Vec<usize> {
-        timeline
+    /// The one walk of a map that is one group in id order, so local
+    /// ids are global ones: the whole run's order.
+    fn whole_walk(caches: usize, trace: &[TraceEvent], schedule: &FaultSchedule) -> Vec<usize> {
+        let groups = GroupMap::one_group(caches);
+        let plan = TracePlan::build(&groups, usize::MAX, schedule, trace).unwrap();
+        let walked = walk_group(trace, &plan, 0, &local_ids(&groups), schedule, 128);
+        assert_eq!(walked, stable_order(trace, schedule));
+        walked
+            .into_iter()
             .map(|(_, event)| match event {
                 Event::ClientRequest { doc, .. } | Event::OriginUpdate { doc } => doc.index(),
                 Event::Fault { idx } => 100 + idx,
@@ -737,10 +699,12 @@ mod tests {
         schedule.push(2.0, FaultKind::CacheDown { cache: CacheId(1) });
         schedule.push(0.5, FaultKind::CacheDown { cache: CacheId(0) });
         schedule.push(9.0, FaultKind::CacheUp { cache: CacheId(0) });
-        let timeline = Timeline::new(2, 3, &trace, &schedule).unwrap();
-        assert!(walked_in_place(&timeline), "no copy for an ordered trace");
-        assert_eq!(timeline.trace_events(), 3);
-        assert_eq!(docs_of(timeline), vec![101, 0, 100, 1, 2, 102]);
+        let ordered = scan_trace(2, 3, &schedule, &trace, |_| {}).unwrap();
+        assert!(ordered, "no copy for an ordered trace");
+        assert_eq!(
+            whole_walk(2, &trace, &schedule),
+            vec![101, 0, 100, 1, 2, 102]
+        );
     }
 
     #[test]
@@ -752,23 +716,24 @@ mod tests {
             update(2.0, 2),
             request(0.0, 0, 3),
         ];
-        let timeline = Timeline::new(1, 4, &trace, &FaultSchedule::new()).unwrap();
-        assert!(!walked_in_place(&timeline));
-        assert_eq!(docs_of(timeline), vec![3, 1, 2, 0]);
+        let schedule = FaultSchedule::new();
+        assert!(!scan_trace(1, 4, &schedule, &trace, |_| {}).unwrap());
+        assert_eq!(whole_walk(1, &trace, &schedule), vec![3, 1, 2, 0]);
     }
 
     #[test]
     fn hostile_events_are_typed_errors_in_trace_order() {
         let schedule = FaultSchedule::new();
+        let one = GroupMap::one_group(1);
         for bad in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
             let trace = vec![request(0.0, 0, 0), update(bad, 0), request(bad, 0, 0)];
-            let err = Timeline::new(1, 1, &trace, &schedule).err();
+            let err = TracePlan::build(&one, 1, &schedule, &trace).err();
             assert_eq!(err, Some(SimError::EventTimeInvalid { index: 1 }), "{bad}");
         }
         // References are checked before the timestamp of the same event.
-        let err = Timeline::new(1, 1, &[request(f64::NAN, 3, 0)], &schedule).err();
+        let err = TracePlan::build(&one, 1, &schedule, &[request(f64::NAN, 3, 0)]).err();
         assert_eq!(err, Some(SimError::RequestCacheOutOfRange { cache: 3 }));
-        let err = Timeline::new(1, 1, &[update(f64::NAN, 7)], &schedule).err();
+        let err = TracePlan::build(&one, 1, &schedule, &[update(f64::NAN, 7)]).err();
         assert_eq!(err, Some(SimError::DocOutOfRange { doc: 7 }));
     }
 
@@ -823,8 +788,8 @@ mod tests {
         schedule: &FaultSchedule,
     ) -> Vec<(SimTime, Event)> {
         let members = &groups.groups()[g];
-        Timeline::new(groups.cache_count(), usize::MAX, trace, schedule)
-            .unwrap()
+        stable_order(trace, schedule)
+            .into_iter()
             .filter_map(|(at, event)| match event {
                 Event::ClientRequest { cache, doc } => {
                     let local = members.iter().position(|&m| m == cache)?;
@@ -1060,11 +1025,13 @@ mod tests {
             }
         }
 
-        /// Times sit on a 0.4 µs grid over a short range, so neighbours
-        /// collide once quantised to whole µs and exact duplicates are
-        /// common — among trace events, among faults, and across both.
+        /// The stable sort the walks are held to, and the walk of one
+        /// group in id order, pop what the binary heap popped. Times sit
+        /// on a 0.4 µs grid over a short range, so neighbours collide
+        /// once quantised to whole µs and exact duplicates are common —
+        /// among trace events, among faults, and across both.
         #[test]
-        fn timeline_yields_the_heap_pop_order(
+        fn the_stable_sort_and_the_whole_walk_are_the_heap_pop_order(
             ticks in proptest::collection::vec(0u32..300, 0..80),
             fault_ticks in proptest::collection::vec(0u32..300, 0..10),
             presorted in any::<bool>(),
@@ -1089,13 +1056,16 @@ mod tests {
             for &tick in &fault_ticks {
                 schedule.push(ms(tick), FaultKind::CacheDown { cache: CacheId(0) });
             }
-            let timeline = Timeline::new(4, trace.len(), &trace, &schedule).unwrap();
+            let ordered = scan_trace(4, trace.len(), &schedule, &trace, |_| {}).unwrap();
             if presorted {
-                prop_assert!(walked_in_place(&timeline));
+                prop_assert!(ordered, "a sorted trace is walked in place");
             }
-            prop_assert_eq!(timeline.trace_events(), trace.len());
-            let merged: Vec<(SimTime, Event)> = timeline.collect();
-            prop_assert_eq!(merged, heap_order(&trace, &schedule));
+            let heap = heap_order(&trace, &schedule);
+            prop_assert_eq!(&stable_order(&trace, &schedule), &heap);
+            let groups = GroupMap::one_group(4);
+            let plan = TracePlan::build(&groups, trace.len(), &schedule, &trace).unwrap();
+            let walked = walk_group(&trace, &plan, 0, &local_ids(&groups), &schedule, 16);
+            prop_assert_eq!(walked, heap);
         }
     }
 }

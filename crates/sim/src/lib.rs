@@ -40,10 +40,15 @@
 //! ([`RunContext::serial`]), or as work items on [`ecg_par`]'s scoped
 //! threads ([`RunContext::pooled`]); the choice changes wall-clock time
 //! and peak memory, never a byte of the report or of the observability
-//! document, both of which are bit-identical to one time-major pass
-//! over the whole map (kept, hidden, as the reference oracle the tests
-//! compare against). Every group, planned or streamed, goes through
-//! the same walk of its requests and the update log.
+//! document. Every group, planned or streamed, goes through the same
+//! walk of its requests and the update log.
+//!
+//! What the event loop decides is checked against an independent
+//! reference simulator, the spec in this crate's integration tests
+//! (`tests/spec`): one loop over the whole trace in time order, full
+//! member-order scans of each group's alive peers, and state of its own
+//! — no holder index, store or plan. Every way of running [`simulate`]
+//! must match it, report bit for bit and request-path counters exactly.
 //!
 //! # Examples
 //!
@@ -122,7 +127,7 @@ pub use place::{AdaptiveConfig, DChoicesConfig, PlacementKind};
 #[doc(hidden)]
 pub use shim::simulate_observed;
 #[doc(hidden)]
-pub use sim::{simulate_time_major, Lookup};
+pub use sim::Lookup;
 pub use sim::{FreshnessProtocol, SimConfig, SimError, SimReport};
 pub use stream::StreamedWorkload;
 pub use time::SimTime;

@@ -14,7 +14,9 @@ use ecg_workload::DocId;
 /// place copies on members that can actually serve them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
-    /// The member's cache id.
+    /// The member's id within its group: the simulator runs one group
+    /// at a time, and `CacheId(i)` is the `i`-th entry of the group's
+    /// member list. An id tie-break therefore follows member order.
     pub cache: CacheId,
     /// Round-trip time from the requesting cache, ms (0 for the
     /// requester itself).

@@ -4,9 +4,10 @@
 //! network and records the paper's client-side metric (average cache
 //! latency) plus hit-rate and traffic breakdowns. [`crate::simulate`]
 //! hands its inputs to the group-major driver (`crate::driver`), which
-//! calls the event loop here — `kernel` — once per group; the loop
-//! itself runs whatever map it is given, which is how
-//! `simulate_time_major` keeps the whole-map pass as the reference.
+//! calls the event loop here — `kernel` — once per group. What the loop
+//! decides is held to an independent reference simulator, the spec in
+//! the crate's integration tests (`tests/spec`), which replays the whole
+//! trace in one loop with member-order scans.
 //!
 //! ## Cooperative miss handling
 //!
@@ -55,15 +56,13 @@
 //! ranks the alive holders collected from the set bits; **dense**
 //! ([`Lookup::NearestFirst`]) walks the requester's peers, sorted by the
 //! key once per run, over caches addressed by document id
-//! ([`DocumentCache::with_doc_index`]). Multicast invalidation walks the
-//! document's holder bits. [`Lookup::Scan`] keeps the per-member walks
-//! as the reference the tests reach through the one hidden hook,
-//! [`crate::RunContext::force_lookup`]; the time-major oracle ranks.
-//! The run's events are never copied: [`Timeline`] walks the oracle's
-//! whole trace in place and [`crate::event::GroupWalk`] every group's
-//! share through a small block of records, merged with the fault list.
+//! ([`DocumentCache::with_doc_index`]). Tests force either through the
+//! one hidden hook, [`crate::RunContext::force_lookup`]. Multicast
+//! invalidation walks the document's holder bits. The run's events are
+//! never copied: [`crate::event::GroupWalk`] reads every group's share
+//! through a small block of records, merged with the fault list.
 
-use crate::event::{fault_order, Event, Timeline};
+use crate::event::{fault_order, Event};
 use crate::fault::{FaultError, FaultKind, FaultSchedule};
 use crate::groups::GroupMap;
 use crate::holders::{HolderIndex, PeerMasks};
@@ -75,7 +74,7 @@ use crate::time::SimTime;
 use ecg_cache::{CacheStats, DocumentCache, LookupOutcome, PolicyKind};
 use ecg_obs::Obs;
 use ecg_topology::{CacheId, EdgeNetwork};
-use ecg_workload::{DocId, DocumentCatalog, TraceEvent};
+use ecg_workload::{DocId, DocumentCatalog};
 use std::fmt;
 
 /// How cached copies learn about origin updates.
@@ -103,13 +102,11 @@ pub enum FreshnessProtocol {
 }
 
 /// How a kernel run's cooperative misses find a peer copy: the value of
-/// the hidden [`crate::RunContext::force_lookup`] hook. Every lookup
-/// produces the same report.
+/// the hidden [`crate::RunContext::force_lookup`] hook. Both lookups
+/// produce the same report and the same `sim.holder.*` counters.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
-    /// Probe every alive peer's cache, in member order: the reference.
-    Scan,
     /// Rank the alive holders the document's holder bits name: the
     /// sparse layout.
     Ranked,
@@ -364,48 +361,6 @@ impl fmt::Display for SimReport {
     }
 }
 
-/// The whole map in one time-major pass of the kernel: every cache's
-/// events interleaved in trace order, all `N` caches live at once — how
-/// every run executed before the group-major driver. Kept reachable as
-/// the **reference oracle** the driver is proven against (tests and the
-/// `bench_hotpaths` row), with the ranked lookup; same report, same
-/// [`SimError`]s and the same observability document as
-/// [`crate::simulate`] over the same trace, to the byte.
-///
-/// # Errors
-///
-/// Exactly as [`crate::simulate`].
-#[doc(hidden)]
-pub fn simulate_time_major(
-    network: &EdgeNetwork,
-    groups: &GroupMap,
-    catalog: &DocumentCatalog,
-    trace: &[TraceEvent],
-    config: SimConfig,
-    schedule: &FaultSchedule,
-    obs: Option<&mut Obs>,
-) -> Result<SimReport, SimError> {
-    let n = network.cache_count();
-    check_inputs(n, groups, schedule)?;
-    // Validates the trace and fixes the processing order. At equal
-    // timestamps faults come first, so a request at the crash time
-    // already sees the cache down.
-    let timeline = Timeline::new(n, catalog.len(), trace, schedule)?;
-    let trace_events = timeline.trace_events();
-    let run = kernel(
-        network,
-        groups,
-        catalog,
-        timeline,
-        trace_events,
-        config,
-        schedule,
-        Lookup::Ranked,
-        &mut KernelStore::default(),
-    );
-    Ok(run.finish(obs, config, schedule, trace.len()))
-}
-
 /// The checks every run makes before it reads the trace: the map covers
 /// the network, the schedule is valid.
 pub(crate) fn check_inputs(
@@ -576,10 +531,10 @@ impl Tallies {
     }
 }
 
-/// The event loop: replays `events` — a whole trace's [`Timeline`], or
-/// one group's share of one ([`crate::event::GroupWalk`]), `trace_events`
-/// of them from the trace — against `groups` over `network`. Inputs are
-/// already validated (either walk only exists for a valid trace,
+/// The event loop: replays `events` — one group's share of a trace
+/// ([`crate::event::GroupWalk`]), `trace_events` of them from the trace —
+/// against `groups` over `network`. Inputs are already validated (a
+/// walk only exists for a valid trace,
 /// `schedule` passed [`FaultSchedule::validate`], `groups` covers
 /// `network`). It writes no telemetry itself: everything observable
 /// comes back as [`Tallies`], so a run observes the same whichever
@@ -606,7 +561,7 @@ pub(crate) fn kernel(
     let KernelStore {
         caches: pool,
         origin,
-        index: holder_index,
+        index: idx,
         masks,
         recorder,
     } = store;
@@ -647,13 +602,9 @@ pub(crate) fn kernel(
 
     // Holder index: mirrors cache membership so the cooperative-miss
     // path tests a bit instead of probing every peer's cache map. Kept
-    // in sync on insert/evict/invalidate/crash below; `None` under
-    // `Lookup::Scan`.
-    let mut index = (lookup != Lookup::Scan).then(|| {
-        holder_index.reset(catalog.len(), n);
-        masks.reset(groups);
-        (holder_index, &*masks)
-    });
+    // in sync on insert/evict/invalidate/crash below.
+    idx.reset(catalog.len(), n);
+    masks.reset(groups);
     // Each cache's position in its group's member list: the tie-break
     // between equal-RTT holders, which a member-order scan gets for free.
     let mut position = vec![0usize; n];
@@ -713,8 +664,8 @@ pub(crate) fn kernel(
     for (now, event) in events {
         last_event_ms = now.as_ms();
         match event {
-            Event::Fault { idx } => {
-                match schedule.events()[idx].kind {
+            Event::Fault { idx: fault } => {
+                match schedule.events()[fault].kind {
                     FaultKind::CacheDown { cache } => {
                         let c = cache.index();
                         if !live.down[c] {
@@ -722,9 +673,7 @@ pub(crate) fn kernel(
                             deg_groups[groups.group_of(cache)].crashes += 1;
                             lost_stats += caches[c].stats();
                             caches[c].reset(capacity, policy, layout);
-                            if let Some((idx, _)) = index.as_mut() {
-                                idx.clear_cache(cache);
-                            }
+                            idx.clear_cache(cache);
                         }
                     }
                     FaultKind::CacheUp { cache } => {
@@ -745,9 +694,7 @@ pub(crate) fn kernel(
                                 live.set_down(cache, groups.group_of(cache), true);
                                 lost_stats += caches[c].stats();
                                 caches[c].reset(capacity, policy, layout);
-                                if let Some((idx, _)) = index.as_mut() {
-                                    idx.clear_cache(cache);
-                                }
+                                idx.clear_cache(cache);
                             }
                         }
                     }
@@ -759,26 +706,14 @@ pub(crate) fn kernel(
                 origin.apply_update(doc);
                 if freshness == FreshnessProtocol::OriginMulticast {
                     // Idealized push invalidation: drop every copy now;
-                    // one control message per holding cache. The index
-                    // names the holders; without it every cache is
-                    // asked.
-                    match index.as_mut() {
-                        Some((idx, _)) => {
-                            for holder in idx.holders(doc) {
-                                if caches[holder.index()].remove(doc).is_some() {
-                                    metrics.invalidations_sent += 1;
-                                }
-                            }
-                            idx.clear_doc(doc);
-                        }
-                        None => {
-                            for cache in caches.iter_mut() {
-                                if cache.remove(doc).is_some() {
-                                    metrics.invalidations_sent += 1;
-                                }
-                            }
+                    // one control message per holding cache, which the
+                    // index names.
+                    for holder in idx.holders(doc) {
+                        if caches[holder.index()].remove(doc).is_some() {
+                            metrics.invalidations_sent += 1;
                         }
                     }
+                    idx.clear_doc(doc);
                 }
             }
             Event::ClientRequest { cache, doc } => {
@@ -792,14 +727,7 @@ pub(crate) fn kernel(
                 // A request is "degraded" when its group is not whole —
                 // some member (including the home cache) down or retired
                 // — or an origin brownout is active.
-                let group_degraded = brownout > 1.0
-                    || match &index {
-                        Some(_) => live.down_in_group[g] > 0,
-                        None => {
-                            live.down[cache.index()]
-                                || groups.peers(cache).any(|p| live.down[p.index()])
-                        }
-                    };
+                let group_degraded = brownout > 1.0 || live.down_in_group[g] > 0;
 
                 if live.down[cache.index()] {
                     // Home cache is dead: the client times out on it and
@@ -828,9 +756,7 @@ pub(crate) fn kernel(
                         match caches[cache.index()].lookup(doc, current_version, now_ms) {
                             LookupOutcome::Hit => Some(current_version),
                             LookupOutcome::Stale => {
-                                if let Some((idx, _)) = index.as_mut() {
-                                    idx.clear(doc, cache);
-                                }
+                                idx.clear(doc, cache);
                                 None
                             }
                             LookupOutcome::Miss => None,
@@ -841,9 +767,7 @@ pub(crate) fn kernel(
                         if served.is_none() {
                             // Either absent or just dropped as expired;
                             // clearing an unset bit is a no-op.
-                            if let Some((idx, _)) = index.as_mut() {
-                                idx.clear(doc, cache);
-                            }
+                            idx.clear(doc, cache);
                         }
                         served
                     }
@@ -864,124 +788,78 @@ pub(crate) fn kernel(
                         // and how many peers are alive to be queried.
                         // Down peers never are: the failure detector has
                         // already dropped them from the membership view,
-                        // so the group degrades to the survivors.
-                        let alive;
+                        // so the group degrades to the survivors. The
+                        // requester is alive, so every down member is a
+                        // peer.
+                        let alive = members.len() - 1 - live.down_in_group[g];
                         let mut holder: Option<(CacheId, f64, u64)> = None;
-                        // The slowest alive peer's RTT, when the lookup
-                        // walked the members anyway.
-                        let mut scanned_slowest = None;
-                        match &index {
-                            Some((idx, masks)) => {
-                                // The requester is alive, so every down
-                                // member is a peer.
-                                alive = members.len() - 1 - live.down_in_group[g];
-                                holder_group_checks += 1;
-                                // Only the servable holder smallest in
-                                // `(rtt, position)` is ever used, so probe
-                                // in that order and stop at the first
-                                // servable copy; a stale or expired one
-                                // falls through to the next nearest.
-                                // Probe and peer-serve bookkeeping are one
-                                // search of the holder's cache.
-                                let serve = |holder: &mut DocumentCache| {
-                                    serve_from_peer(holder, freshness, doc, current_version, now_ms)
-                                };
-                                // Matrix node 0 is the origin; cache `c`
-                                // is node `c + 1`.
-                                let rtts = &network.rtt_matrix().row(cache.index() + 1)[1..];
-                                let mut may_hold = false;
-                                match &peer_order {
-                                    // Dense: the requester's peers are
-                                    // already in that order.
-                                    Some(order) => {
-                                        may_hold = idx.any_among(doc, masks.mask(cache));
-                                        let words = idx.doc_words(doc);
-                                        let held = |&p: &usize| words[p / 64] >> (p % 64) & 1 != 0;
-                                        holder = order
-                                            .row(cache, members.len() - 1)
-                                            .take_while(|_| may_hold)
-                                            .filter(|p| held(p) && !live.down[*p])
-                                            .find_map(|p| {
-                                                let v = serve(&mut caches[p])?;
-                                                Some((CacheId(p), rtts[p], v))
-                                            });
-                                    }
-                                    // Sparse: collect the alive holders —
-                                    // the nearest of all is known by the
-                                    // time they are collected — and rank.
-                                    None => {
-                                        holder_scratch.clear();
-                                        let mut nearest = (0, FARTHEST);
-                                        idx.for_each_holder_among(doc, masks.mask(cache), |p| {
-                                            may_hold = true;
-                                            if !live.down[p.index()] {
-                                                let key = holder_key(
-                                                    rtts[p.index()],
-                                                    position[p.index()],
-                                                );
-                                                if key < nearest.1 {
-                                                    nearest = (holder_scratch.len(), key);
-                                                }
-                                                holder_scratch.push((key, p));
-                                            }
-                                        });
-                                        while !holder_scratch.is_empty() {
-                                            let (_, p) = holder_scratch.swap_remove(nearest.0);
-                                            if let Some(v) = serve(&mut caches[p.index()]) {
-                                                holder = Some((p, rtts[p.index()], v));
-                                                break;
-                                            }
-                                            nearest = (0, FARTHEST);
-                                            for (i, &(key, _)) in holder_scratch.iter().enumerate()
-                                            {
-                                                if key < nearest.1 {
-                                                    nearest = (i, key);
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                // A member-order scan of a group that may
-                                // hold the document bit-tests every alive
-                                // peer; the counters keep that meaning.
-                                holder_ruled_out += u64::from(!may_hold);
-                                if may_hold {
-                                    holder_bit_tests += alive as u64;
-                                }
+                        holder_group_checks += 1;
+                        // Only the servable holder smallest in `(rtt,
+                        // position)` is ever used, so probe in that order
+                        // and stop at the first servable copy; a stale or
+                        // expired one falls through to the next nearest.
+                        // Probe and peer-serve bookkeeping are one search
+                        // of the holder's cache.
+                        let serve = |holder: &mut DocumentCache| {
+                            serve_from_peer(holder, freshness, doc, current_version, now_ms)
+                        };
+                        // Matrix node 0 is the origin; cache `c` is node
+                        // `c + 1`.
+                        let rtts = &network.rtt_matrix().row(cache.index() + 1)[1..];
+                        let mut may_hold = false;
+                        match &peer_order {
+                            // Dense: the requester's peers are already in
+                            // that order.
+                            Some(order) => {
+                                may_hold = idx.any_among(doc, masks.mask(cache));
+                                let words = idx.doc_words(doc);
+                                let held = |&p: &usize| words[p / 64] >> (p % 64) & 1 != 0;
+                                holder = order
+                                    .row(cache, members.len() - 1)
+                                    .take_while(|_| may_hold)
+                                    .filter(|p| held(p) && !live.down[*p])
+                                    .find_map(|p| {
+                                        let v = serve(&mut caches[p])?;
+                                        Some((CacheId(p), rtts[p], v))
+                                    });
                             }
+                            // Sparse: collect the alive holders — the
+                            // nearest of all is known by the time they are
+                            // collected — and rank.
                             None => {
-                                // The reference: ask every alive peer, in
-                                // member order, so an equal-RTT tie goes
-                                // to the earlier member.
-                                let mut alive_peers = 0;
-                                let mut slowest_reply = 0.0f64;
-                                for p in groups.peers(cache) {
-                                    if live.down[p.index()] {
-                                        continue;
+                                holder_scratch.clear();
+                                let mut nearest = (0, FARTHEST);
+                                idx.for_each_holder_among(doc, masks.mask(cache), |p| {
+                                    may_hold = true;
+                                    if !live.down[p.index()] {
+                                        let key = holder_key(rtts[p.index()], position[p.index()]);
+                                        if key < nearest.1 {
+                                            nearest = (holder_scratch.len(), key);
+                                        }
+                                        holder_scratch.push((key, p));
                                     }
-                                    alive_peers += 1;
-                                    let rtt = network.cache_to_cache(cache, p);
-                                    slowest_reply = slowest_reply.max(rtt);
-                                    if let Some(v) = servable_version(
-                                        &caches[p.index()],
-                                        freshness,
-                                        doc,
-                                        current_version,
-                                        now_ms,
-                                    ) {
-                                        if holder.is_none_or(|(_, best, _)| rtt < best) {
-                                            holder = Some((p, rtt, v));
+                                });
+                                while !holder_scratch.is_empty() {
+                                    let (_, p) = holder_scratch.swap_remove(nearest.0);
+                                    if let Some(v) = serve(&mut caches[p.index()]) {
+                                        holder = Some((p, rtts[p.index()], v));
+                                        break;
+                                    }
+                                    nearest = (0, FARTHEST);
+                                    for (i, &(key, _)) in holder_scratch.iter().enumerate() {
+                                        if key < nearest.1 {
+                                            nearest = (i, key);
                                         }
                                     }
                                 }
-                                // The scan only probed; the index
-                                // path's probe is the serve itself.
-                                if let Some((peer, _, v)) = holder {
-                                    caches[peer.index()].note_peer_serve(doc, v, now_ms);
-                                }
-                                alive = alive_peers;
-                                scanned_slowest = Some(slowest_reply);
                             }
+                        }
+                        // The counters keep a member-order scan's meaning:
+                        // a lookup that some peer may answer bit-tests
+                        // every alive peer.
+                        holder_ruled_out += u64::from(!may_hold);
+                        if may_hold {
+                            holder_bit_tests += alive as u64;
                         }
                         deg_groups[g].peer_queries_skipped += (members.len() - 1 - alive) as u64;
                         // One query out and one reply back per peer; the
@@ -1006,7 +884,7 @@ pub(crate) fn kernel(
                                         &mut candidates_scratch,
                                         network,
                                         caches,
-                                        index.as_ref().map(|(idx, _)| &**idx),
+                                        idx,
                                         &live.down,
                                         cache,
                                         members,
@@ -1030,7 +908,7 @@ pub(crate) fn kernel(
                                 if keep_replica {
                                     insert_tracked(
                                         &mut caches[cache.index()],
-                                        index.as_mut().map(|(idx, _)| &mut **idx),
+                                        idx,
                                         &mut evicted_scratch,
                                         cache,
                                         doc,
@@ -1049,9 +927,7 @@ pub(crate) fn kernel(
                                 let rtt_origin = network.cache_to_origin(cache);
                                 // The requester gave up only once the
                                 // slowest alive peer had said no.
-                                let slowest_reply = scanned_slowest.unwrap_or_else(|| {
-                                    live.slowest_reply(cache, g, members, network)
-                                });
+                                let slowest_reply = live.slowest_reply(cache, g, members, network);
                                 let latency = fanout
                                     + slowest_reply
                                     + model.origin_fetch(rtt_origin, size) * brownout;
@@ -1066,7 +942,7 @@ pub(crate) fn kernel(
                                         &mut candidates_scratch,
                                         network,
                                         caches,
-                                        index.as_ref().map(|(idx, _)| &**idx),
+                                        idx,
                                         &live.down,
                                         cache,
                                         members,
@@ -1092,7 +968,7 @@ pub(crate) fn kernel(
                                 }
                                 insert_tracked(
                                     &mut caches[target.index()],
-                                    index.as_mut().map(|(idx, _)| &mut **idx),
+                                    idx,
                                     &mut evicted_scratch,
                                     target,
                                     doc,
@@ -1145,19 +1021,17 @@ pub(crate) fn kernel(
     }
 
     if cfg!(debug_assertions) {
-        if let Some((idx, _)) = &index {
-            // The index must mirror cache membership exactly at all
-            // times; check the final state in debug builds.
-            for (c, cache) in caches.iter().enumerate() {
-                for d in 0..catalog.len() {
-                    // Any cached copy has version >= 0, so this is a
-                    // pure presence test.
-                    debug_assert_eq!(
-                        idx.holds(DocId(d), CacheId(c)),
-                        cache.holds_fresh(DocId(d), 0),
-                        "holder index out of sync for doc {d} at cache {c}"
-                    );
-                }
+        // The index must mirror cache membership exactly at all times;
+        // check the final state in debug builds.
+        for (c, cache) in caches.iter().enumerate() {
+            for d in 0..catalog.len() {
+                // Any cached copy has version >= 0, so this is a pure
+                // presence test.
+                debug_assert_eq!(
+                    idx.holds(DocId(d), CacheId(c)),
+                    cache.holds_fresh(DocId(d), 0),
+                    "holder index out of sync for doc {d} at cache {c}"
+                );
             }
         }
     }
@@ -1347,24 +1221,6 @@ fn later_of(slowest: f64, reply: f64) -> f64 {
     }
 }
 
-/// The version `holder` would serve for `doc` under the freshness
-/// protocol, if it holds a servable copy: the peer-side probe of a
-/// cooperative lookup.
-fn servable_version(
-    holder: &DocumentCache,
-    freshness: FreshnessProtocol,
-    doc: DocId,
-    current_version: u64,
-    now_ms: f64,
-) -> Option<u64> {
-    match freshness {
-        FreshnessProtocol::InvalidateOnAccess | FreshnessProtocol::OriginMulticast => holder
-            .holds_fresh(doc, current_version)
-            .then_some(current_version),
-        FreshnessProtocol::TtlLease { ttl_ms } => holder.holds_unexpired(doc, now_ms, ttl_ms),
-    }
-}
-
 /// What a cooperative lookup orders a document's holders by: RTT from
 /// the requester, then position in the group's member list — the
 /// tie-break a member-order scan gets for free. The RTT is held as its
@@ -1385,10 +1241,12 @@ fn holder_key(rtt_ms: f64, position: usize) -> HolderKey {
     ((rtt_ms + 0.0).to_bits(), position)
 }
 
-/// [`servable_version`] of `holder` and, when there is one, the
-/// bookkeeping of serving it to a peer: under the version-checked
-/// protocols [`DocumentCache::note_peer_serve`] is the probe too, so the
-/// holder's cache is searched once.
+/// The version `holder` would serve for `doc` under the freshness
+/// protocol, if it holds a servable copy — the peer-side probe of a
+/// cooperative lookup — and, when there is one, the bookkeeping of
+/// serving it to a peer: under the version-checked protocols
+/// [`DocumentCache::note_peer_serve`] is the probe too, so the holder's
+/// cache is searched once.
 fn serve_from_peer(
     holder: &mut DocumentCache,
     freshness: FreshnessProtocol,
@@ -1412,27 +1270,21 @@ fn serve_from_peer(
 /// requester first (RTT 0), then its *alive* group peers (`members`
 /// minus the requester) in group order. The policy interface takes the
 /// whole list, so an active placement policy still costs one member
-/// walk per decision. `holds` is presence (fresh or stale) — read from
-/// the holder index when one is maintained, and from the cache maps
-/// under [`Lookup::Scan`]; the index mirrors cache membership
-/// exactly, so both lookup strategies feed policies identical candidate
-/// lists.
+/// walk per decision. `holds` is presence (fresh or stale), read from
+/// the holder index, which mirrors cache membership exactly.
 #[allow(clippy::too_many_arguments)]
 fn build_candidates(
     out: &mut Vec<Candidate>,
     network: &EdgeNetwork,
     caches: &[DocumentCache],
-    index: Option<&HolderIndex>,
+    index: &HolderIndex,
     down: &[bool],
     cache: CacheId,
     members: &[CacheId],
     doc: DocId,
 ) {
     out.clear();
-    let holds = |c: CacheId| match index {
-        Some(idx) => idx.holds(doc, c),
-        None => caches[c.index()].contains(doc),
-    };
+    let holds = |c: CacheId| index.holds(doc, c);
     out.push(Candidate {
         cache,
         rtt_ms: 0.0,
@@ -1453,13 +1305,12 @@ fn build_candidates(
 }
 
 /// Inserts a fetched copy into `cache_store`, keeping the holder index
-/// (when one is maintained) in sync with the insert and any policy
-/// evictions it triggers. `evicted` is caller-owned scratch reused
-/// across the whole event loop.
+/// in sync with the insert and any policy evictions it triggers.
+/// `evicted` is caller-owned scratch reused across the whole event loop.
 #[allow(clippy::too_many_arguments)]
 fn insert_tracked(
     cache_store: &mut DocumentCache,
-    index: Option<&mut HolderIndex>,
+    index: &mut HolderIndex,
     evicted: &mut Vec<DocId>,
     home: CacheId,
     doc: DocId,
@@ -1469,32 +1320,20 @@ fn insert_tracked(
     update_rate_per_sec: f64,
     now_ms: f64,
 ) {
-    match index {
-        None => cache_store.insert(
-            doc,
-            version,
-            size_bytes,
-            fetch_cost_ms,
-            update_rate_per_sec,
-            now_ms,
-        ),
-        Some(idx) => {
-            let cached = cache_store.insert_with_evicted(
-                doc,
-                version,
-                size_bytes,
-                fetch_cost_ms,
-                update_rate_per_sec,
-                now_ms,
-                evicted,
-            );
-            for &victim in evicted.iter() {
-                idx.clear(victim, home);
-            }
-            if cached {
-                idx.set(doc, home);
-            }
-        }
+    let cached = cache_store.insert_with_evicted(
+        doc,
+        version,
+        size_bytes,
+        fetch_cost_ms,
+        update_rate_per_sec,
+        now_ms,
+        evicted,
+    );
+    for &victim in evicted.iter() {
+        index.clear(victim, home);
+    }
+    if cached {
+        index.set(doc, home);
     }
 }
 
@@ -1503,7 +1342,7 @@ mod tests {
     use super::*;
     use crate::{simulate, RunContext, SimPlan};
     use ecg_topology::fixtures::paper_figure1;
-    use ecg_workload::{merge_streams, CatalogConfig, DocId, Request, Update};
+    use ecg_workload::{merge_streams, CatalogConfig, DocId, Request, TraceEvent, Update};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1538,19 +1377,6 @@ mod tests {
         obs: Option<&mut Obs>,
     ) -> Result<SimReport, SimError> {
         let ctx = RunContext::serial().observe(obs);
-        sim_in(ctx, net, groups, cat, trace, config, schedule)
-    }
-
-    /// [`sim_faulted`] through the reference scan.
-    fn scanned(
-        net: &EdgeNetwork,
-        groups: &GroupMap,
-        cat: &DocumentCatalog,
-        trace: &[TraceEvent],
-        config: SimConfig,
-        schedule: &FaultSchedule,
-    ) -> Result<SimReport, SimError> {
-        let ctx = RunContext::serial().force_lookup(Lookup::Scan);
         sim_in(ctx, net, groups, cat, trace, config, schedule)
     }
 
@@ -1885,7 +1711,7 @@ mod tests {
         ];
         let expected = [(2usize, 17.0), (1, 4.0), (2, 17.0), (1, 4.0)];
         let model = LatencyModel::default();
-        for lookup in [Lookup::Ranked, Lookup::NearestFirst, Lookup::Scan] {
+        for lookup in [Lookup::Ranked, Lookup::NearestFirst] {
             let config = SimConfig::default();
             // Latency of request k = Ec0's latency sum over the first
             // k + 1 requests minus the sum over the first k.
@@ -1950,8 +1776,7 @@ mod tests {
             (report, obs.metrics.counter("sim.holder.bit_tests"))
         };
         let (indexed, bit_tests) = run(Lookup::Ranked);
-        let (scanned, _) = run(Lookup::Scan);
-        assert_eq!(indexed, scanned);
+        assert_eq!(run(Lookup::NearestFirst), (indexed.clone(), bit_tests));
         assert_eq!(indexed.metrics.per_cache()[0].peer_hits, 1);
         assert_eq!(indexed.metrics.per_cache()[2].local_hits, 1);
         // Three misses saw a holder in the group, each with 3 alive
@@ -1983,7 +1808,6 @@ mod tests {
         };
         let ranked = run(Lookup::Ranked);
         assert_eq!(ranked, run(Lookup::NearestFirst));
-        assert_eq!(ranked, run(Lookup::Scan));
         ranked
     }
 
@@ -2255,8 +2079,7 @@ mod tests {
     }
 
     /// A shared update-heavy workload with tiny caches: plenty of peer
-    /// hits, policy evictions, and stale drops to stress the holder
-    /// index against the full scan.
+    /// hits, policy evictions, and stale drops.
     fn churny_trace(seed: u64, horizon_ms: f64) -> (DocumentCatalog, Vec<TraceEvent>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let cat = CatalogConfig::default()
@@ -2270,49 +2093,6 @@ mod tests {
             .generate(&cat, 6, horizon_ms, &mut rng);
         let updates = ecg_workload::generate_updates(&cat, horizon_ms, &mut rng);
         (cat, merge_streams(&requests, &updates))
-    }
-
-    #[test]
-    fn holder_index_matches_scan_for_every_protocol() {
-        let net = network();
-        let (cat, trace) = churny_trace(11, 120_000.0);
-        for groups in [GroupMap::one_group(6), pair_groups()] {
-            for freshness in [
-                FreshnessProtocol::InvalidateOnAccess,
-                FreshnessProtocol::OriginMulticast,
-                FreshnessProtocol::TtlLease { ttl_ms: 20_000.0 },
-            ] {
-                // Small caches force constant evictions.
-                let base = SimConfig::default()
-                    .cache_capacity_bytes(64 << 10)
-                    .freshness(freshness);
-                let none = FaultSchedule::new();
-                let scanned = scanned(&net, &groups, &cat, &trace, base, &none).unwrap();
-                let indexed = sim(&net, &groups, &cat, &trace, base).unwrap();
-                assert_eq!(scanned, indexed, "diverged under {freshness:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn holder_index_matches_scan_under_faults() {
-        let net = network();
-        let (cat, trace) = churny_trace(13, 120_000.0);
-        let mut schedule = FaultSchedule::new().failover_penalty_ms(20.0);
-        schedule.push(10_000.0, FaultKind::CacheDown { cache: CacheId(2) });
-        schedule.push(30_000.0, FaultKind::CacheUp { cache: CacheId(2) });
-        schedule.push(40_000.0, FaultKind::CacheRetire { cache: CacheId(5) });
-        schedule.push(60_000.0, FaultKind::BrownoutStart { factor: 2.5 });
-        schedule.push(80_000.0, FaultKind::BrownoutEnd);
-        let groups = GroupMap::one_group(6);
-        let base = SimConfig::default().cache_capacity_bytes(64 << 10);
-        let scanned = scanned(&net, &groups, &cat, &trace, base, &schedule).unwrap();
-        let indexed = sim_faulted(&net, &groups, &cat, &trace, base, &schedule).unwrap();
-        assert_eq!(scanned, indexed);
-        // The fault machinery was actually exercised.
-        assert!(indexed.metrics.degradation.saw_faults());
-        assert!(indexed.metrics.degradation.failovers > 0);
-        assert!(indexed.cache_stats.evictions > 0);
     }
 
     #[test]
@@ -2655,23 +2435,6 @@ mod tests {
         // d-choices never replicates on peer hits.
         assert_eq!(a.metrics.replicas_created, 0);
         assert!(a.metrics.replicas_suppressed > 0);
-    }
-
-    #[test]
-    fn placement_sees_identical_candidates_under_both_lookups() {
-        let net = network();
-        let (cat, trace) = churny_trace(37, 120_000.0);
-        for placement in [PlacementKind::adaptive(), PlacementKind::d_choices()] {
-            for groups in [GroupMap::one_group(6), pair_groups()] {
-                let base = SimConfig::default()
-                    .cache_capacity_bytes(64 << 10)
-                    .placement(placement);
-                let none = FaultSchedule::new();
-                let scanned = scanned(&net, &groups, &cat, &trace, base, &none).unwrap();
-                let indexed = sim(&net, &groups, &cat, &trace, base).unwrap();
-                assert_eq!(scanned, indexed, "diverged under {placement:?}");
-            }
-        }
     }
 
     #[test]

@@ -1,12 +1,17 @@
-//! Property-based tests for the simulator.
+//! Property-based tests for the simulator: every way of running it is
+//! held to the spec (`spec/mod.rs`), an independent reference
+//! simulator over the public API.
+
+mod spec;
 
 use ecg_cache::PolicyKind;
 use ecg_obs::Obs;
 use ecg_sim::{
-    simulate, simulate_epochs, simulate_time_major, CacheAggregate, EpochReplayError, FaultKind,
+    simulate, simulate_epochs, CacheAggregate, DChoicesConfig, EpochReplayError, FaultKind,
     FaultSchedule, FreshnessProtocol, GroupMap, LatencyModel, Lookup, PlacementKind, ReplayEpoch,
     RunContext, SimConfig, SimError, SimPlan, SimReport, StreamedWorkload,
 };
+use ecg_topology::fixtures::paper_figure1;
 use ecg_topology::{CacheId, EdgeNetwork, RttMatrix};
 use ecg_workload::{
     generate_updates, merge_streams, CatalogConfig, DocId, DocumentCatalog, Request, RequestConfig,
@@ -15,6 +20,7 @@ use ecg_workload::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use spec::Settings;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -193,8 +199,11 @@ fn shaped_partition(shape: usize, seed: u64, n: usize) -> GroupMap {
 }
 
 /// A run's report and, from the same inputs run again under
-/// observation, its metrics document.
-type Observed = Result<(SimReport, String), SimError>;
+/// observation, its bundle.
+type Observed = Result<(SimReport, Obs), SimError>;
+
+/// What the spec says a run must do.
+type Spec = Result<spec::Outcome, SimError>;
 
 /// Runs `run` without a bundle and with one; the reports must agree.
 fn plain_and_observed(
@@ -204,7 +213,34 @@ fn plain_and_observed(
     let mut obs = Obs::new();
     let observed = run(Some(&mut obs))?;
     assert_eq!(plain, observed, "observation changed the report");
-    Ok((plain, obs.to_json()))
+    Ok((plain, obs))
+}
+
+/// `outcome` with its bundle as the bytes of its document: what two
+/// ways of running one plan must agree on.
+fn document(outcome: &Observed) -> Result<(&SimReport, String), &SimError> {
+    outcome
+        .as_ref()
+        .map(|(report, obs)| (report, obs.to_json()))
+}
+
+/// Holds a run of the entry point to `spec`: the same error, or the
+/// same report bit for bit and, in its bundle, every request-path
+/// counter the spec derives.
+fn assert_matches_spec(outcome: &Observed, spec: &Spec, what: &str) {
+    match (outcome, spec) {
+        (Ok((report, obs)), Ok(spec)) => {
+            assert_eq!(report, &spec.report, "{what}: the report is not the spec's");
+            let wrong = spec.counter_mismatches(obs);
+            assert!(wrong.is_empty(), "{what}: (counter, run, spec) {wrong:?}");
+        }
+        (Err(run), Err(spec)) => assert_eq!(run, spec, "{what}"),
+        (run, spec) => panic!(
+            "{what}: the run gave {:?}, the spec {:?}",
+            run.as_ref().err(),
+            spec.as_ref().err()
+        ),
+    }
 }
 
 /// The entry point on the caller's thread, fault-free and unobserved.
@@ -219,18 +255,6 @@ fn sim(
     simulate(&plan, groups, &mut RunContext::serial())
 }
 
-/// The time-major reference run.
-fn oracle(
-    net: &EdgeNetwork,
-    groups: &GroupMap,
-    cat: &DocumentCatalog,
-    trace: &[TraceEvent],
-    config: SimConfig,
-    schedule: &FaultSchedule,
-) -> Observed {
-    plain_and_observed(|obs| simulate_time_major(net, groups, cat, trace, config, schedule, obs))
-}
-
 /// The entry point on the caller's thread.
 fn serial(plan: &SimPlan<'_>, groups: &GroupMap) -> Observed {
     plain_and_observed(|obs| simulate(plan, groups, &mut RunContext::serial().observe(obs)))
@@ -238,7 +262,7 @@ fn serial(plan: &SimPlan<'_>, groups: &GroupMap) -> Observed {
 
 /// Every way of running `plan` under `groups` — the caller's thread,
 /// the pool at 1, 2 and 8 threads; each plain and observed — as
-/// `(label, outcome)`.
+/// `(label, outcome)`, the caller's thread first.
 fn every_context(plan: &SimPlan<'_>, groups: &GroupMap) -> Vec<(String, Observed)> {
     let mut outcomes = vec![("serial".to_string(), serial(plan, groups))];
     for threads in [1usize, 2, 8] {
@@ -252,73 +276,99 @@ fn every_context(plan: &SimPlan<'_>, groups: &GroupMap) -> Vec<(String, Observed
     outcomes
 }
 
-/// One group in id order is a group like any other. It used to run on
-/// the caller's matrix and trace with the time-major oracle's
-/// allocations, to the byte; it now pays what every group-major run
-/// pays — 4 bytes of plan per trace event, the per-cache recorder the
-/// fold merges into — and, for the first group on its thread only, the
-/// thread's group store: the `(N + 1)²` sub-matrix, one block of
-/// gathered records, the holder index and peer masks, the kernel's
-/// recorder, and caches whose buffers grow as the oracle's do (the
-/// caches evict, so that includes the score keys of every evicting
-/// cache, 24 bytes per slab slot). A later run on the thread finds the
-/// store warm and allocates none of that again, whichever order the one
-/// group's members are listed in. (That is the sparse layout, the
-/// oracle's own; the dense one adds at most 36 bytes per request on
-/// top, below.)
+/// Runs `plan` under `groups` in every context and holds each run to
+/// `spec`, and its document to the one `materialized` — the same plan
+/// over its trace, or over the trace its streamed workload materializes
+/// — writes on the caller's thread, byte for byte.
+fn assert_every_context_matches(
+    plan: &SimPlan<'_>,
+    materialized: &SimPlan<'_>,
+    groups: &GroupMap,
+    spec: &Spec,
+    what: &str,
+) {
+    let reference = serial(materialized, groups);
+    for (context, outcome) in every_context(plan, groups) {
+        assert_matches_spec(&outcome, spec, &format!("{what}, {context}"));
+        let (run, materialized) = (document(&outcome), document(&reference));
+        assert_eq!(run, materialized, "{what}, {context}: document");
+    }
+}
+
+/// One group in id order is a group like any other. A run pays what
+/// every group-major run pays — 4 bytes of plan per trace event, the
+/// per-cache recorder the fold merges into, per-member bookkeeping —
+/// and, for the first group on its thread only, the thread's group
+/// store: the `(N + 1)²` sub-matrix, one block of gathered records, the
+/// holder index and peer masks, the kernel's recorder, and caches whose
+/// buffers grow with their contents (the caches evict, so that includes
+/// the score keys of every evicting cache, 24 bytes per slab slot). A
+/// later run on the thread finds the store warm and allocates none of
+/// that again, whichever order the one group's members are listed in.
+/// (That is the sparse layout; the dense one adds at most 36 bytes per
+/// request on top, below.)
 #[test]
-fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
+fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_a_warm_run() {
     let caches = 12;
     let net = arb_network(3, caches);
     let mut rng = StdRng::seed_from_u64(4);
     let cat = CatalogConfig::default().documents(40).generate(&mut rng);
     let requests = RequestConfig::default().generate(&cat, caches, 10_000.0, &mut rng);
     let trace = merge_streams(&requests, &generate_updates(&cat, 10_000.0, &mut rng));
-    let config = SimConfig::default().cache_capacity_bytes(48 << 10);
-    let schedule = FaultSchedule::new();
+    let settings = Settings {
+        capacity_bytes: 48 << 10,
+        ..Settings::default()
+    };
+    let config = settings.config();
     let in_order = GroupMap::one_group(caches);
     let backwards = shaped_partition(1, 0, caches);
     let plan = SimPlan::new(net.rtt_matrix(), &cat, &trace).config(config);
+    let schedule = FaultSchedule::new();
+    let spec = spec::run(&net, &in_order, &cat, &trace, settings, &schedule).unwrap();
+    assert!(spec.report.cache_stats.evictions > 0);
 
-    let time_major =
-        || simulate_time_major(&net, &in_order, &cat, &trace, config, &schedule, None).unwrap();
-    // Unmeasured: leaves the thread's eviction score buffer at the size
-    // every later run needs.
-    assert!(time_major().cache_stats.evictions > 0);
-    let (oracle, oracle_bytes) = allocated_by(time_major);
     let positions = 4 * trace.len() as u64;
     let sub_matrix = 8 * ((caches + 1) * (caches + 1)) as u64;
     // Two lanes of 128 records of 24 bytes.
     let record_block = 2 * 128 * 24;
+    let holder_index = 8 * cat.len() as u64;
     let sparse = || RunContext::serial().force_lookup(Lookup::Ranked);
-    let (cold, cold_bytes) = allocated_by(|| simulate(&plan, &in_order, &mut sparse()).unwrap());
-    assert_eq!(cold, oracle);
-    let extra = cold_bytes - oracle_bytes;
-    let budget = positions + sub_matrix + record_block;
-    assert!(extra >= budget, "{extra} B");
-    assert!(extra < budget + (4 << 10), "{extra} B");
+    // A thread of its own, so the store starts cold; the spec's caches
+    // evicted on it first, which leaves the thread's eviction score
+    // buffer at the size every later run needs.
+    let (cold, cold_bytes) = std::thread::scope(|scope| {
+        let cold = scope.spawn(|| {
+            spec::run(&net, &in_order, &cat, &trace, settings, &schedule).unwrap();
+            allocated_by(|| simulate(&plan, &in_order, &mut sparse()).unwrap())
+        });
+        cold.join().unwrap()
+    });
+    assert_eq!(cold, spec.report);
+    // The warm runs below allocate none of the store.
+    let store = sub_matrix + record_block + holder_index;
 
-    // Warm, the run costs less than the oracle, plan included: the
-    // oracle grows its caches and builds its index, origin and
-    // recorder, the store lends its own. What is left is the plan, the
-    // recorder the fold merges into (a row per cache and a 257-bin
-    // latency histogram) and ≈ 1.7 KiB of per-member bookkeeping —
-    // liveness, positions, the one-group map, the fault script — less
-    // than that plus the smallest thing the store lends, the holder
-    // index (one word per document at 12 caches): a warm run that
-    // allocated a sub-matrix, an index or a kernel recorder would not
-    // fit.
+    // Warm, what is left is the plan, the recorder the fold merges into
+    // (a row per cache and a 257-bin latency histogram) and ≈ 1.7 KiB
+    // of per-member bookkeeping — liveness, positions, the one-group
+    // map, the fault script — less than that plus the smallest thing
+    // the store lends, the holder index (one word per document at 12
+    // caches): a warm run that allocated a sub-matrix, an index or a
+    // kernel recorder would not fit.
     let fold_recorder = (caches * std::mem::size_of::<CacheAggregate>() + 8 * 257) as u64;
     let bookkeeping = 1_900;
     let warm_budget = positions + fold_recorder + bookkeeping;
-    let holder_index = 8 * cat.len() as u64;
+    // Unmeasured: this thread's store and score buffer go warm.
+    simulate(&plan, &in_order, &mut sparse()).unwrap();
     let mut warm_runs = Vec::new();
     for groups in [&in_order, &backwards] {
         let (warm, warm_bytes) = allocated_by(|| simulate(&plan, groups, &mut sparse()).unwrap());
         assert_eq!(
             warm.metrics.total_requests(),
-            oracle.metrics.total_requests()
+            spec.report.metrics.total_requests()
         );
+        if groups == &in_order {
+            assert_eq!(warm, cold);
+        }
         assert!(
             warm_bytes <= warm_budget,
             "{warm_bytes} B > {warm_budget} B"
@@ -327,7 +377,10 @@ fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
             warm_bytes + holder_index > warm_budget,
             "{warm_bytes} B: the budget no longer catches a holder index"
         );
-        assert!(warm_bytes < oracle_bytes, "{warm_bytes} B");
+        assert!(
+            warm_bytes + store <= cold_bytes,
+            "{warm_bytes} B warm, {cold_bytes} B cold: the store was not lent"
+        );
         warm_runs.push(warm_bytes);
 
         // The traffic clears the rule, so the run goes dense: peer
@@ -351,10 +404,10 @@ fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_the_oracle() {
 /// group is a singleton (K = N), so every sub-topology is a 2 × 2 block
 /// written into storage kept for 13 × 13, and a streamed run with no
 /// request at all — only the update log — over singletons and over one
-/// group. Each equals the time-major oracle over its materialized trace,
-/// serial and pooled, at 1 and 8 threads.
+/// group. Each equals the spec over its materialized trace, serial and
+/// pooled, at 1 and 8 threads.
 #[test]
-fn a_warm_store_runs_singletons_and_an_empty_stream_like_the_oracle() {
+fn a_warm_store_runs_singletons_and_an_empty_stream_like_the_spec() {
     let caches = 12;
     let net = arb_network(31, caches);
     let mut rng = StdRng::seed_from_u64(32);
@@ -362,9 +415,12 @@ fn a_warm_store_runs_singletons_and_an_empty_stream_like_the_oracle() {
     let duration = 15_000.0;
     let updates = generate_updates(&cat, duration, &mut rng);
     let rtt = net.rtt_matrix();
-    let config = SimConfig::default()
-        .cache_capacity_bytes(64 << 10)
-        .warmup_ms(1_000.0);
+    let settings = Settings {
+        capacity_bytes: 64 << 10,
+        warmup_ms: 1_000.0,
+        ..Settings::default()
+    };
+    let config = settings.config();
     let requests = RequestConfig::default().rate_per_sec_per_cache(4.0);
     let busy = StreamedWorkload::new(requests, 33, duration).updates(&updates);
     let silent = StreamedWorkload::new(requests, 34, 0.0).updates(&updates);
@@ -379,11 +435,14 @@ fn a_warm_store_runs_singletons_and_an_empty_stream_like_the_oracle() {
     ] {
         let plan = SimPlan::streamed(rtt, &cat, workload).config(config);
         let materialized = workload.materialize_trace(&cat, caches);
-        let reference = oracle(&net, groups, &cat, &materialized, config, &no_faults);
-        let (report, _) = reference.as_ref().expect("a valid run");
+        let spec = spec::run(&net, groups, &cat, &materialized, settings, &no_faults);
+        let report = &spec.as_ref().expect("a valid run").report;
         let silent_run = workload.duration_ms() == 0.0;
         assert_eq!(report.metrics.total_requests() == 0, silent_run);
         assert_eq!(report.origin_updates, updates.len() as u64);
+        // The document of the materialized trace.
+        let over_trace = SimPlan::new(rtt, &cat, &materialized).config(config);
+        let reference = document(&serial(&over_trace, groups)).unwrap().1;
         for threads in [1usize, 8] {
             ecg_par::set_max_threads(Some(threads));
             simulate(&warm_up, &one, &mut RunContext::serial()).unwrap();
@@ -393,15 +452,14 @@ fn a_warm_store_runs_singletons_and_an_empty_stream_like_the_oracle() {
                 simulate(&plan, groups, &mut RunContext::pooled().observe(obs))
             });
             ecg_par::set_max_threads(None);
-            let shape = (groups.group_count(), silent_run, threads);
-            assert_eq!(
-                serial, reference,
-                "serial, (groups, silent, threads) {shape:?}"
+            let shape = format!(
+                "(groups, silent, threads) {:?}",
+                (groups.group_count(), silent_run, threads)
             );
-            assert_eq!(
-                pooled, reference,
-                "pooled, (groups, silent, threads) {shape:?}"
-            );
+            assert_matches_spec(&serial, &spec, &format!("serial, {shape}"));
+            assert_matches_spec(&pooled, &spec, &format!("pooled, {shape}"));
+            assert_eq!(document(&serial).unwrap().1, reference, "serial, {shape}");
+            assert_eq!(document(&pooled).unwrap().1, reference, "pooled, {shape}");
         }
     }
 }
@@ -534,7 +592,8 @@ fn a_reused_group_store_is_a_fresh_one() {
             let outcome = run(&cases[case], pooled);
             ecg_par::set_max_threads(None);
             assert_eq!(
-                outcome, fresh[case],
+                document(&outcome),
+                document(&fresh[case]),
                 "case {case}, round {round}, order {order:?}"
             );
         }
@@ -582,12 +641,13 @@ fn a_far_future_event_is_a_typed_error_not_an_allocation() {
             }),
         ]
     };
-    // Every way in: the oracle, the one-grouping run serial and pooled,
-    // a timeline run (whose error names the caller's trace position).
+    // Every way in: the one-grouping run serial and pooled, a timeline
+    // run (whose error names the caller's trace position) — and the
+    // spec.
     let every_entry_point = |trace: &[TraceEvent], schedule: &FaultSchedule| {
-        let config = SimConfig::default();
         let plan = SimPlan::new(net.rtt_matrix(), &cat, trace).faults(schedule);
-        let reference = simulate_time_major(&net, &groups, &cat, trace, config, schedule, None);
+        let spec = spec::run(&net, &groups, &cat, trace, Settings::default(), schedule);
+        let reference = spec.map(|outcome| outcome.report);
         for context in [RunContext::serial, RunContext::pooled] {
             assert_eq!(simulate(&plan, &groups, &mut context()), reference);
             let timeline = simulate_epochs(&plan, &epochs, &mut context());
@@ -667,20 +727,406 @@ fn a_far_future_event_is_a_typed_error_not_an_allocation() {
     );
 }
 
+/// `trace` under `schedule` on the caller's thread, plain and observed,
+/// held to the spec; returns the report.
+fn serial_matches_spec(
+    net: &EdgeNetwork,
+    groups: &GroupMap,
+    cat: &DocumentCatalog,
+    trace: &[TraceEvent],
+    settings: Settings,
+    schedule: &FaultSchedule,
+) -> SimReport {
+    let plan = SimPlan::new(net.rtt_matrix(), cat, trace)
+        .config(settings.config())
+        .faults(schedule);
+    let outcome = serial(&plan, groups);
+    let spec = spec::run(net, groups, cat, trace, settings, schedule);
+    let what = format!("{:?} / {:?}", settings.freshness, settings.placement);
+    assert_matches_spec(&outcome, &spec, &what);
+    outcome.unwrap().0
+}
+
+/// The paper's Figure 1 network under 20 s of traffic: 120 documents,
+/// four requests a second at each of the six caches, and the catalog's
+/// update stream.
+fn figure1_fixture() -> (EdgeNetwork, DocumentCatalog, Vec<TraceEvent>) {
+    let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
+    let mut rng = StdRng::seed_from_u64(11);
+    let catalog = CatalogConfig::default().documents(120).generate(&mut rng);
+    let requests = RequestConfig::default()
+        .rate_per_sec_per_cache(4.0)
+        .generate(&catalog, 6, 20_000.0, &mut rng);
+    let updates = generate_updates(&catalog, 20_000.0, &mut rng);
+    (network, catalog, merge_streams(&requests, &updates))
+}
+
+/// The fixture's six caches in two groups of three, by parity.
+fn two_groups() -> GroupMap {
+    let members = |ids: [usize; 3]| ids.into_iter().map(CacheId).collect();
+    GroupMap::new(6, vec![members([0, 2, 4]), members([1, 3, 5])]).unwrap()
+}
+
+/// The fixture's six caches in three pairs.
+fn pair_groups() -> GroupMap {
+    let pair = |a: usize| vec![CacheId(a), CacheId(a + 1)];
+    GroupMap::new(6, vec![pair(0), pair(2), pair(4)]).unwrap()
+}
+
+/// A shared update-heavy workload over the fixture's six caches for
+/// small caches: plenty of peer hits, policy evictions, and stale drops.
+fn churny_trace(seed: u64, horizon_ms: f64) -> (DocumentCatalog, Vec<TraceEvent>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cat = CatalogConfig::default()
+        .documents(60)
+        .dynamic_fraction(0.8)
+        .dynamic_update_rate_per_sec(0.05)
+        .generate(&mut rng);
+    let requests = RequestConfig::default()
+        .rate_per_sec_per_cache(5.0)
+        .similarity(1.0)
+        .generate(&cat, 6, horizon_ms, &mut rng);
+    let updates = generate_updates(&cat, horizon_ms, &mut rng);
+    (cat, merge_streams(&requests, &updates))
+}
+
+/// The fixture and the simulator's named corners, each in every context
+/// — the caller's thread and the pool at 1, 2 and 8 threads, plain and
+/// observed — against the spec, in one document byte for byte: two
+/// groups with and without faults, K = N and K = 1, caches smaller than
+/// the smallest document, every cache down from the first instant to
+/// the end, an empty and an updates-only trace, a retirement of a cache
+/// that is already down followed by its recovery, and a brownout that
+/// never ends.
+#[test]
+fn serial_and_pooled_match_the_spec_bit_for_bit() {
+    let (net, cat, trace) = figure1_fixture();
+    let updates_only: Vec<TraceEvent> = trace
+        .iter()
+        .filter(|event| matches!(event, TraceEvent::Update(_)))
+        .copied()
+        .collect();
+    let smallest = (0..cat.len())
+        .map(|d| cat.document(DocId(d)).size_bytes)
+        .min()
+        .unwrap();
+    let schedule = |faults: &[(f64, FaultKind)]| {
+        let mut schedule = FaultSchedule::new().failover_penalty_ms(5.0);
+        for &(at, kind) in faults {
+            schedule.push(at, kind);
+        }
+        schedule
+    };
+    let (down, up) = (
+        |c| FaultKind::CacheDown { cache: CacheId(c) },
+        |c| FaultKind::CacheUp { cache: CacheId(c) },
+    );
+    let faulted = schedule(&[
+        (4_000.0, down(2)),
+        (9_000.0, up(2)),
+        (6_000.0, FaultKind::BrownoutStart { factor: 2.5 }),
+        (12_000.0, FaultKind::BrownoutEnd),
+        (15_000.0, FaultKind::CacheRetire { cache: CacheId(5) }),
+    ]);
+    let all_down = schedule(&(0..6).map(|c| (0.0, down(c))).collect::<Vec<_>>());
+    let retired_while_down = schedule(&[
+        (3_000.0, down(2)),
+        (6_000.0, FaultKind::CacheRetire { cache: CacheId(2) }),
+        (9_000.0, up(2)),
+    ]);
+    let browned_out = schedule(&[(0.0, FaultKind::BrownoutStart { factor: 3.0 })]);
+    let none = FaultSchedule::new();
+    let default = Settings::default();
+    let starved = Settings {
+        capacity_bytes: smallest - 1,
+        ..default
+    };
+    let multicast = Settings {
+        freshness: FreshnessProtocol::OriginMulticast,
+        ..default
+    };
+    let cases: [(&str, GroupMap, &[TraceEvent], Settings, &FaultSchedule); 10] = [
+        ("two groups", two_groups(), &trace, default, &none),
+        (
+            "two groups, faulted",
+            two_groups(),
+            &trace,
+            default,
+            &faulted,
+        ),
+        ("K = N", GroupMap::singletons(6), &trace, default, &none),
+        ("K = 1", GroupMap::one_group(6), &trace, default, &none),
+        (
+            "capacity below every document",
+            two_groups(),
+            &trace,
+            starved,
+            &none,
+        ),
+        ("every cache down", two_groups(), &trace, default, &all_down),
+        ("empty trace", two_groups(), &[], default, &faulted),
+        (
+            "updates only",
+            two_groups(),
+            &updates_only,
+            multicast,
+            &faulted,
+        ),
+        (
+            "retired while down",
+            two_groups(),
+            &trace,
+            default,
+            &retired_while_down,
+        ),
+        (
+            "brownout throughout",
+            two_groups(),
+            &trace,
+            default,
+            &browned_out,
+        ),
+    ];
+    for (name, groups, trace, settings, schedule) in &cases {
+        let plan = SimPlan::new(net.rtt_matrix(), &cat, trace)
+            .config(settings.config())
+            .faults(schedule);
+        let spec = spec::run(&net, groups, &cat, trace, *settings, schedule);
+        assert_every_context_matches(&plan, &plan, groups, &spec, name);
+        for context in [RunContext::serial, RunContext::pooled] {
+            let mut ctx = context();
+            simulate(&plan, groups, &mut ctx).unwrap();
+            assert_eq!(ctx.stats().shards, groups.group_count(), "{name}");
+            assert!(ctx.stats().shard_events >= trace.len() as u64, "{name}");
+            assert!(ctx.stats().total_ms() >= 0.0, "{name}");
+        }
+
+        // What makes each corner the corner it is.
+        let spec = spec.unwrap();
+        let (report, count) = (&spec.report, |name: &str| spec.counters[name]);
+        let requests = report.metrics.total_requests();
+        let deg = &report.metrics.degradation;
+        let served_in_group = |r: &SimReport| {
+            let caches = r.metrics.per_cache().iter();
+            caches.map(|a| a.local_hits + a.peer_hits).sum::<u64>()
+        };
+        match *name {
+            "capacity below every document" => {
+                assert_eq!(report.cache_stats.insertions, 0);
+                assert_eq!(served_in_group(report), 0);
+                assert_eq!(report.origin_fetches, requests);
+            }
+            "every cache down" => {
+                assert!(requests > 0);
+                assert_eq!((deg.failovers, deg.degraded.requests), (requests, requests));
+                assert_eq!(count("sim.failovers"), requests);
+                assert_eq!(count("sim.holder.group_checks"), 0);
+            }
+            "empty trace" => assert_eq!((requests, report.origin_updates), (0, 0)),
+            "updates only" => {
+                assert_eq!(requests, 0);
+                assert_eq!(report.origin_updates, updates_only.len() as u64);
+                assert!(report.origin_updates > 0);
+            }
+            "retired while down" => {
+                assert_eq!((deg.crashes, deg.retirements, deg.recoveries), (1, 1, 0));
+                assert!(deg.degraded.requests > 0);
+            }
+            "brownout throughout" => {
+                assert_eq!(deg.degraded.requests, requests);
+                assert_eq!(deg.healthy.requests, 0);
+            }
+            _ => assert!(served_in_group(report) > 0, "{name}"),
+        }
+    }
+}
+
+/// Every freshness protocol on the fixture's network, over one group
+/// and three pairs, with small caches.
+#[test]
+fn the_request_path_equals_the_spec_for_every_protocol() {
+    let net = EdgeNetwork::from_rtt_matrix(paper_figure1());
+    let (cat, trace) = churny_trace(11, 120_000.0);
+    for groups in [GroupMap::one_group(6), pair_groups()] {
+        for freshness in [
+            FreshnessProtocol::InvalidateOnAccess,
+            FreshnessProtocol::OriginMulticast,
+            FreshnessProtocol::TtlLease { ttl_ms: 20_000.0 },
+        ] {
+            // Small caches force constant evictions.
+            let settings = Settings {
+                capacity_bytes: 64 << 10,
+                freshness,
+                ..Settings::default()
+            };
+            serial_matches_spec(&net, &groups, &cat, &trace, settings, &FaultSchedule::new());
+        }
+    }
+}
+
+#[test]
+fn the_request_path_equals_the_spec_under_faults() {
+    let net = EdgeNetwork::from_rtt_matrix(paper_figure1());
+    let (cat, trace) = churny_trace(13, 120_000.0);
+    let mut schedule = FaultSchedule::new().failover_penalty_ms(20.0);
+    schedule.push(10_000.0, FaultKind::CacheDown { cache: CacheId(2) });
+    schedule.push(30_000.0, FaultKind::CacheUp { cache: CacheId(2) });
+    schedule.push(40_000.0, FaultKind::CacheRetire { cache: CacheId(5) });
+    schedule.push(60_000.0, FaultKind::BrownoutStart { factor: 2.5 });
+    schedule.push(80_000.0, FaultKind::BrownoutEnd);
+    let settings = Settings {
+        capacity_bytes: 64 << 10,
+        ..Settings::default()
+    };
+    let groups = GroupMap::one_group(6);
+    let report = serial_matches_spec(&net, &groups, &cat, &trace, settings, &schedule);
+    // The fault machinery was actually exercised.
+    assert!(report.metrics.degradation.saw_faults());
+    assert!(report.metrics.degradation.failovers > 0);
+    assert!(report.cache_stats.evictions > 0);
+}
+
+/// Active placement policies decide over the spec's candidate lists.
+#[test]
+fn placement_sees_the_specs_candidates() {
+    let net = EdgeNetwork::from_rtt_matrix(paper_figure1());
+    let (cat, trace) = churny_trace(37, 120_000.0);
+    let none = FaultSchedule::new();
+    for placement in [PlacementKind::adaptive(), PlacementKind::d_choices()] {
+        for groups in [GroupMap::one_group(6), pair_groups()] {
+            let settings = Settings {
+                capacity_bytes: 64 << 10,
+                placement,
+                ..Settings::default()
+            };
+            let report = serial_matches_spec(&net, &groups, &cat, &trace, settings, &none);
+            assert!(report.metrics.saw_placement(), "{placement:?}");
+        }
+    }
+
+    // A tie the policy breaks by cache id: every member 20 ms from the
+    // others, the requester loaded and its two peers empty, all three
+    // sampled (d = 3). A policy sees members by position, so the peer
+    // listed first in [2, 1, 0] — cache 1, not the lower id 0 — takes
+    // the copy of document 1, and then serves it locally.
+    let flat = EdgeNetwork::from_rtt_matrix(RttMatrix::from_fn(4, |_, _| 20.0));
+    let descending = GroupMap::new(3, vec![(0..3).rev().map(CacheId).collect()]).unwrap();
+    let cat = CatalogConfig::default()
+        .documents(2)
+        .dynamic_fraction(0.0)
+        .generate(&mut StdRng::seed_from_u64(1));
+    let request = |time_ms, cache, doc| {
+        TraceEvent::Request(Request {
+            time_ms,
+            cache,
+            doc: DocId(doc),
+        })
+    };
+    let trace = [request(0.0, 2, 0), request(10.0, 2, 1), request(20.0, 1, 1)];
+    let settings = Settings {
+        placement: PlacementKind::DChoices(DChoicesConfig::default().d(3)),
+        ..Settings::default()
+    };
+    let report = serial_matches_spec(&flat, &descending, &cat, &trace, settings, &none);
+    assert_eq!(report.metrics.remote_placements, 1);
+    assert_eq!(report.metrics.per_cache()[1].local_hits, 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The group-major driver — per-group position plan or regenerated
-    /// streams, sub-topology, fault split, pool fan-out, group-order
-    /// fold, one observability flush — reports and observes exactly what
-    /// one time-major pass over the whole map does, however it is run:
-    /// on the caller's thread or on the pool at 1, 2 and 8 threads, with
-    /// or without a bundle, over a materialized trace or over the
-    /// streamed workload it materializes; a one-epoch timeline is the
-    /// same run again, and a timeline of several epochs does not depend
-    /// on the context either.
+    /// The directory path (holder bits, down counts, memoised slowest
+    /// reply) reports exactly what the spec's member-order scan does,
+    /// and its `sim.holder.*` counters are the scan's, exactly: one
+    /// group check per cooperative lookup, one lookup ruled out per miss
+    /// no peer held a copy for, and a bit test per alive peer of every
+    /// other lookup.
     #[test]
-    fn group_major_driver_equals_the_time_major_oracle(
+    fn holder_counters_equal_the_specs_scan(
+        seed in any::<u64>(),
+        caches in 3usize..14,
+    ) {
+        let net = grid_network(seed, caches);
+        let groups = shuffled_partition(seed.wrapping_add(1), caches, 3);
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2));
+        let cat = CatalogConfig::default()
+            .documents(50)
+            .dynamic_fraction(0.6)
+            .dynamic_update_rate_per_sec(0.05)
+            .generate(&mut rng);
+        let duration = 40_000.0;
+        let mut requests = RequestConfig::default()
+            .rate_per_sec_per_cache(4.0)
+            .similarity(1.0)
+            .generate(&cat, caches, duration, &mut rng);
+        let mut updates = generate_updates(&cat, duration, &mut rng);
+        // Every one-group partition (a third of the cases) and most
+        // others have a group to plant in.
+        let planted =
+            plant_stale_nearest(&net, &groups, cat.len(), duration, &mut requests, &mut updates);
+        prop_assert!(planted || groups.group_count() > 1);
+        let trace = merge_streams(&requests, &updates);
+        let schedule = arb_schedule(seed.wrapping_add(3), caches, duration);
+        for freshness in [
+            FreshnessProtocol::InvalidateOnAccess,
+            FreshnessProtocol::OriginMulticast,
+            FreshnessProtocol::TtlLease { ttl_ms: 8_000.0 },
+        ] {
+            for placement in [
+                PlacementKind::SingleHolder,
+                PlacementKind::adaptive(),
+                PlacementKind::d_choices(),
+            ] {
+                // Small caches: evictions keep the holder sets moving.
+                let settings = Settings {
+                    capacity_bytes: 96 << 10,
+                    freshness,
+                    placement,
+                    ..Settings::default()
+                };
+                let plan = SimPlan::new(net.rtt_matrix(), &cat, &trace)
+                    .config(settings.config())
+                    .faults(&schedule);
+                let outcome = serial(&plan, &groups);
+                let spec = spec::run(&net, &groups, &cat, &trace, settings, &schedule);
+                assert_matches_spec(&outcome, &spec, &format!("{freshness:?} / {placement:?}"));
+                let (report, obs) = outcome.unwrap();
+                prop_assert!(report.metrics.degradation.recoveries > 0);
+                prop_assert!(report.metrics.degradation.retirements > 0);
+                // Every counter the spec derives: groups, totals, holder
+                // work, failovers, messages, staleness, decisions.
+                let counters = spec.unwrap().counters;
+                prop_assert_eq!(counters.len(), 3 * groups.group_count() + 10);
+                let sim = |name: &str| obs.metrics.counter(&format!("sim.{name}"));
+                prop_assert_eq!(
+                    sim("holder.group_checks"),
+                    sim("peer_hits") + sim("coop_misses")
+                );
+                prop_assert!(sim("holder.ruled_out") <= sim("coop_misses"));
+            }
+        }
+    }
+}
+
+proptest! {
+    // With the 24 × 9 runs above, 32 × (18 + 12) + 216 = 1 176 generated
+    // runs are held to the spec.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The simulator — per-group position plan or regenerated streams,
+    /// sub-topology, fault split, pool fan-out, group-order fold, one
+    /// observability flush — reports what the spec reports, bit for bit,
+    /// and counts the request path as the spec does, however it is run:
+    /// on the caller's thread or on the pool at 1, 2 and 8 threads, with
+    /// or without a bundle (one document, byte for byte), over a
+    /// materialized trace or over the streamed workload it
+    /// materializes. Partitions cover K = 1 and K = N; traces cover the
+    /// empty and the updates-only one. A one-epoch timeline is the same
+    /// run again, and a timeline of several epochs does not depend on
+    /// the context either. Each case is 18 runs (3 freshness protocols
+    /// × 3 placements × 2 sources).
+    #[test]
+    fn the_simulator_equals_its_spec(
         seed in any::<u64>(),
         caches in 1usize..14,
         shape in 0usize..5,
@@ -764,11 +1210,14 @@ proptest! {
                 PlacementKind::adaptive(),
                 PlacementKind::d_choices(),
             ] {
-                let config = SimConfig::default()
-                    .cache_capacity_bytes(96 << 10)
-                    .warmup_ms(duration / 8.0)
-                    .freshness(freshness)
-                    .placement(placement);
+                let settings = Settings {
+                    capacity_bytes: 96 << 10,
+                    warmup_ms: duration / 8.0,
+                    freshness,
+                    placement,
+                    ..Settings::default()
+                };
+                let config = settings.config();
                 let rtt = net.rtt_matrix();
                 let sources = [
                     (SimPlan::new(rtt, &cat, &trace), &trace),
@@ -776,20 +1225,12 @@ proptest! {
                 ];
                 for (plan, materialized) in sources {
                     let plan = plan.config(config).faults(&schedule);
-                    let reference =
-                        oracle(&net, &groups, &cat, materialized, config, &schedule);
-                    for (context, outcome) in every_context(&plan, &groups) {
-                        prop_assert_eq!(
-                            &outcome, &reference,
-                            "{} diverged under {:?} / {:?}",
-                            context, freshness, placement
-                        );
-                    }
-                    // The reference scan, through the hook: the same
-                    // report (its document counts no holder work).
-                    let mut scan = RunContext::serial().force_lookup(Lookup::Scan);
-                    let scanned = simulate(&plan, &groups, &mut scan);
-                    prop_assert_eq!(scanned, reference.map(|(report, _)| report));
+                    let over_trace = SimPlan::new(rtt, &cat, materialized)
+                        .config(config)
+                        .faults(&schedule);
+                    let spec = spec::run(&net, &groups, &cat, materialized, settings, &schedule);
+                    let what = format!("{freshness:?} / {placement:?}");
+                    assert_every_context_matches(&plan, &over_trace, &groups, &spec, &what);
                 }
                 // Timelines, over the materialized trace.
                 let plan = SimPlan::new(rtt, &cat, &trace).config(config).faults(&schedule);
@@ -806,22 +1247,28 @@ proptest! {
                     })
                 };
                 let flat = serial(&plan, &groups);
-                prop_assert_eq!(&timeline(&one_epoch, false), &flat);
-                prop_assert_eq!(&timeline(&one_epoch, true), &flat);
+                prop_assert_eq!(document(&timeline(&one_epoch, false)), document(&flat));
+                prop_assert_eq!(document(&timeline(&one_epoch, true)), document(&flat));
                 let on_this_thread = timeline(&three_epochs, false);
                 for threads in [1usize, 2, 8] {
                     ecg_par::set_max_threads(Some(threads));
                     let pooled = timeline(&three_epochs, true);
                     ecg_par::set_max_threads(None);
-                    prop_assert_eq!(&pooled, &on_this_thread, "{} threads", threads);
+                    prop_assert_eq!(
+                        document(&pooled),
+                        document(&on_this_thread),
+                        "{} threads",
+                        threads
+                    );
                 }
             }
         }
     }
 
     /// Both layouts of the cooperative lookup — forced on every kernel
-    /// run, and as the traffic rule picks them — report and observe
-    /// exactly what the time-major oracle (always sparse) does: random
+    /// run, and as the traffic rule picks them — report what the spec
+    /// reports and count the request path as it does, in one document
+    /// byte for byte: random
     /// groups down to one member, RTTs all equal or on a three-value
     /// grid so member position breaks the ties, updates that leave the
     /// nearest holder stale so the walk falls through to the next, down
@@ -829,7 +1276,7 @@ proptest! {
     /// active placement policy, over a trace and over a streamed source,
     /// on the caller's thread and on the pool.
     #[test]
-    fn dense_and_sparse_layouts_equal_the_time_major_oracle(
+    fn dense_and_sparse_layouts_equal_the_spec(
         seed in any::<u64>(),
         caches in 1usize..13,
         shape in 0usize..5,
@@ -874,11 +1321,14 @@ proptest! {
             FreshnessProtocol::TtlLease { ttl_ms: 6_000.0 },
         ] {
             for placement in [PlacementKind::SingleHolder, PlacementKind::adaptive()] {
-                let config = SimConfig::default()
-                    .cache_capacity_bytes(64 << 10)
-                    .warmup_ms(duration / 8.0)
-                    .freshness(freshness)
-                    .placement(placement);
+                let settings = Settings {
+                    capacity_bytes: 64 << 10,
+                    warmup_ms: duration / 8.0,
+                    freshness,
+                    placement,
+                    ..Settings::default()
+                };
+                let config = settings.config();
                 let rtt = net.rtt_matrix();
                 let sources = [
                     (SimPlan::new(rtt, &cat, &trace), &trace),
@@ -886,7 +1336,13 @@ proptest! {
                 ];
                 for (plan, materialized) in sources {
                     let plan = plan.config(config).faults(&schedule);
-                    let reference = oracle(&net, &groups, &cat, materialized, config, &schedule);
+                    let spec = spec::run(&net, &groups, &cat, materialized, settings, &schedule);
+                    // The document the materialized trace writes on the
+                    // caller's thread, as the rule picks the layouts.
+                    let over_trace = SimPlan::new(rtt, &cat, materialized)
+                        .config(config)
+                        .faults(&schedule);
+                    let reference = document(&serial(&over_trace, &groups)).unwrap().1;
                     for forced in [Some(Lookup::NearestFirst), Some(Lookup::Ranked), None] {
                         for pooled in [false, true] {
                             let mut dense_shards = 0;
@@ -901,11 +1357,11 @@ proptest! {
                                 dense_shards = ctx.stats().dense_shards;
                                 report
                             });
-                            prop_assert_eq!(
-                                &outcome, &reference,
-                                "layout {:?}, pooled {} under {:?} / {:?}",
-                                forced, pooled, freshness, placement
+                            let what = format!(
+                                "layout {forced:?}, pooled {pooled} under {freshness:?} / {placement:?}"
                             );
+                            assert_matches_spec(&outcome, &spec, &what);
+                            prop_assert_eq!(&document(&outcome).unwrap().1, &reference, "{}", what);
                             match forced {
                                 Some(Lookup::NearestFirst) => {
                                     prop_assert_eq!(dense_shards, groups.group_count())
@@ -976,13 +1432,13 @@ proptest! {
                 (TraceEvent::Update(u), _) => u.time_ms = bad_time,
             }
         }
-        let config = SimConfig::default();
+        let settings = Settings::default();
         let schedule = FaultSchedule::new();
         let plan = SimPlan::new(net.rtt_matrix(), &cat, &trace);
-        let reference = oracle(&net, &groups, &cat, &trace, config, &schedule);
+        let reference = spec::run(&net, &groups, &cat, &trace, settings, &schedule);
         prop_assert!(reference.is_err());
         for (context, outcome) in every_context(&plan, &groups) {
-            prop_assert_eq!(&outcome, &reference, "{}", context);
+            prop_assert_eq!(outcome.as_ref().err(), reference.as_ref().err(), "{}", context);
         }
         let epochs = [
             ReplayEpoch::new(0.0, groups.clone()),
@@ -1011,98 +1467,13 @@ proptest! {
         let mut bad_schedule = FaultSchedule::new();
         bad_schedule.push(1.0, FaultKind::CacheDown { cache: CacheId(caches) });
         let plan = plan.faults(&bad_schedule);
-        let reference = oracle(&net, &groups, &cat, &trace, config, &bad_schedule);
+        let reference = spec::run(&net, &groups, &cat, &trace, settings, &bad_schedule);
         prop_assert!(matches!(reference, Err(SimError::Fault(_))));
         for (context, outcome) in every_context(&plan, &groups) {
-            prop_assert_eq!(&outcome, &reference, "{}", context);
+            prop_assert_eq!(outcome.as_ref().err(), reference.as_ref().err(), "{}", context);
         }
         let timeline = simulate_epochs(&plan, &epochs, &mut RunContext::pooled());
         prop_assert_eq!(timeline, Err(EpochReplayError::Sim(reference.unwrap_err())));
-    }
-
-    /// The directory path (holder bits, down counts, memoised slowest
-    /// reply) reports exactly what asking every member does.
-    #[test]
-    fn holder_index_path_equals_the_full_scan(
-        seed in any::<u64>(),
-        caches in 3usize..14,
-    ) {
-        let net = grid_network(seed, caches);
-        let groups = shuffled_partition(seed.wrapping_add(1), caches, 3);
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(2));
-        let cat = CatalogConfig::default()
-            .documents(50)
-            .dynamic_fraction(0.6)
-            .dynamic_update_rate_per_sec(0.05)
-            .generate(&mut rng);
-        let duration = 40_000.0;
-        let mut requests = RequestConfig::default()
-            .rate_per_sec_per_cache(4.0)
-            .similarity(1.0)
-            .generate(&cat, caches, duration, &mut rng);
-        let mut updates = generate_updates(&cat, duration, &mut rng);
-        // Every one-group partition (a third of the cases) and most
-        // others have a group to plant in.
-        let planted =
-            plant_stale_nearest(&net, &groups, cat.len(), duration, &mut requests, &mut updates);
-        prop_assert!(planted || groups.group_count() > 1);
-        let trace = merge_streams(&requests, &updates);
-        let schedule = arb_schedule(seed.wrapping_add(3), caches, duration);
-        for freshness in [
-            FreshnessProtocol::InvalidateOnAccess,
-            FreshnessProtocol::OriginMulticast,
-            FreshnessProtocol::TtlLease { ttl_ms: 8_000.0 },
-        ] {
-            for placement in [
-                PlacementKind::SingleHolder,
-                PlacementKind::adaptive(),
-                PlacementKind::d_choices(),
-            ] {
-                // Small caches: evictions keep the holder sets moving.
-                let base = SimConfig::default()
-                    .cache_capacity_bytes(96 << 10)
-                    .freshness(freshness)
-                    .placement(placement);
-                let run = |forced: Option<Lookup>| {
-                    let mut obs = Obs::new();
-                    let plan = SimPlan::new(net.rtt_matrix(), &cat, &trace)
-                        .config(base)
-                        .faults(&schedule);
-                    let ctx = RunContext::serial();
-                    let ctx = match forced {
-                        Some(lookup) => ctx.force_lookup(lookup),
-                        None => ctx,
-                    };
-                    let mut ctx = ctx.observe(Some(&mut obs));
-                    let report = simulate(&plan, &groups, &mut ctx).unwrap();
-                    let sim = |name: &str| obs.metrics.counter(&format!("sim.{name}"));
-                    let holder = [
-                        sim("holder.group_checks"),
-                        sim("holder.ruled_out"),
-                        sim("holder.bit_tests"),
-                    ];
-                    (report, holder, sim("peer_hits"), sim("coop_misses"))
-                };
-                let (indexed, [group_checks, ruled_out, bit_tests], peer_hits, coop_misses) =
-                    run(None);
-                let (scanned, scan_counters, ..) = run(Some(Lookup::Scan));
-                prop_assert_eq!(
-                    &indexed,
-                    &scanned,
-                    "diverged under {:?} / {:?}", freshness, placement
-                );
-                prop_assert!(indexed.metrics.degradation.recoveries > 0);
-                prop_assert!(indexed.metrics.degradation.retirements > 0);
-                // One group check per cooperative lookup, whichever way
-                // it ended; a lookup not ruled out bit-tests at least
-                // the holder it saw, and only such a lookup can end in a
-                // peer hit.
-                prop_assert_eq!(group_checks, peer_hits + coop_misses);
-                prop_assert!(bit_tests >= group_checks - ruled_out);
-                prop_assert!(peer_hits <= group_checks - ruled_out);
-                prop_assert_eq!(scan_counters, [0, 0, 0]);
-            }
-        }
     }
 
     #[test]

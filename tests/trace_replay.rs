@@ -3,18 +3,17 @@
 //! The paper's simulator is log-file-driven; these tests check that a
 //! workload written to the text trace format replays to bit-identical
 //! simulation results, and that every way of running `simulate` — on
-//! the caller's thread or on scoped worker threads, over a materialized or a
+//! scoped worker threads at any thread count, over a materialized or a
 //! streamed trace, observed or not — is bit-identical, report and
-//! observability document, to the time-major reference oracle
-//! ([`simulate_time_major`]) on every input it accepts — across
-//! placement policies, freshness protocols, fault schedules, and
-//! thread counts; and that a timeline run does not depend on the
-//! thread count either.
+//! observability document, to the serial run over the materialized
+//! trace, on formed networks and sporting-event workloads — across
+//! placement policies, freshness protocols, fault schedules, and thread
+//! counts; and that a timeline run does not depend on the thread count
+//! either. The serial run is itself held to an independent reference
+//! simulator in `ecg-sim`'s own tests.
 
 use edge_cache_groups::prelude::*;
-use edge_cache_groups::sim::{
-    simulate_time_major, FaultKind, FaultSchedule, FreshnessProtocol, SimError,
-};
+use edge_cache_groups::sim::{FaultKind, FaultSchedule, FreshnessProtocol, SimError};
 use edge_cache_groups::workload::{
     generate_updates, read_trace, write_trace, DocumentCatalog, TraceEvent, Update,
 };
@@ -55,17 +54,13 @@ fn persisted_trace_replays_identically() {
     assert_eq!(run(&trace), run(&reloaded));
 }
 
-/// The reference every run is held to: one time-major pass of the
-/// event loop over the whole map.
-fn oracle(
-    network: &EdgeNetwork,
-    groups: &GroupMap,
-    catalog: &DocumentCatalog,
-    trace: &[TraceEvent],
-    sim: SimConfig,
-    schedule: &FaultSchedule,
-) -> Result<SimReport, SimError> {
-    simulate_time_major(network, groups, catalog, trace, sim, schedule, None)
+/// The reference every run is held to: `plan` under `groups` on the
+/// caller's thread, observed — the report and its document.
+fn serial_reference(plan: &SimPlan<'_>, groups: &GroupMap) -> (SimReport, String) {
+    let mut obs = Obs::new();
+    let ctx = &mut RunContext::serial().observe(Some(&mut obs));
+    let report = simulate(plan, groups, ctx).expect("sim");
+    (report, obs.to_json())
 }
 
 /// `plan` under `groups` on scoped worker threads, `threads` of them.
@@ -118,27 +113,16 @@ fn sharded_replay_matches_monolithic_across_placements_and_threads() {
         PlacementKind::d_choices(),
     ] {
         let sim = SimConfig::default().placement(placement).warmup_ms(2_000.0);
-        let monolithic = oracle(
-            &network,
-            &groups,
-            &catalog,
-            &trace,
-            sim,
-            &FaultSchedule::new(),
-        )
-        .expect("sim");
         let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace).config(sim);
-        assert_eq!(
-            simulate(&plan, &groups, &mut RunContext::serial()).expect("sim"),
-            monolithic,
-            "simulate diverged ({placement:?})"
-        );
+        let (monolithic, document) = serial_reference(&plan, &groups);
         for threads in [1usize, 2, 8] {
-            let sharded = pooled_at(threads, &plan, &groups, None).expect("replay");
+            let mut obs = Obs::new();
+            let sharded = pooled_at(threads, &plan, &groups, Some(&mut obs)).expect("replay");
             assert_eq!(
                 sharded, monolithic,
                 "sharded replay diverged ({placement:?}, {threads} threads)"
             );
+            assert_eq!(obs.to_json(), document, "{placement:?}, {threads} threads");
         }
     }
 }
@@ -161,21 +145,19 @@ fn sharded_replay_matches_monolithic_under_faults_and_freshness() {
         FreshnessProtocol::TtlLease { ttl_ms: 2_000.0 },
     ] {
         let sim = SimConfig::default().freshness(freshness);
-        let monolithic = oracle(&network, &groups, &catalog, &trace, sim, &schedule).expect("sim");
         let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace)
             .config(sim)
             .faults(&schedule);
-        assert_eq!(
-            simulate(&plan, &groups, &mut RunContext::serial()).expect("sim"),
-            monolithic,
-            "simulate diverged under faults ({freshness:?})"
-        );
+        let (monolithic, document) = serial_reference(&plan, &groups);
+        assert!(monolithic.metrics.degradation.saw_faults());
         for threads in [1usize, 2, 8] {
-            let sharded = pooled_at(threads, &plan, &groups, None).expect("replay");
+            let mut obs = Obs::new();
+            let sharded = pooled_at(threads, &plan, &groups, Some(&mut obs)).expect("replay");
             assert_eq!(
                 sharded, monolithic,
                 "sharded replay diverged under faults ({freshness:?}, {threads} threads)"
             );
+            assert_eq!(obs.to_json(), document, "{freshness:?}, {threads} threads");
         }
     }
 }
@@ -251,19 +233,13 @@ fn streamed_replay_matches_monolithic_on_materialized_inputs() {
         submatrix_queries: AtomicUsize::new(0),
     };
     for schedule in [FaultSchedule::new(), faulted] {
-        // The oracle's document too: a streamed, pooled run writes the
-        // `sim.*` document of the materialized whole-map run.
-        let mut oracle_obs = Obs::new();
-        let monolithic = simulate_time_major(
-            &full,
-            &map,
-            &catalog,
-            &trace,
-            sim,
-            &schedule,
-            Some(&mut oracle_obs),
-        )
-        .expect("sim");
+        // The document too: a streamed, pooled run writes the `sim.*`
+        // document of the serial run over the materialized trace and
+        // the materialized matrix.
+        let materialized = SimPlan::new(full.rtt_matrix(), &catalog, &trace)
+            .config(sim)
+            .faults(&schedule);
+        let (monolithic, document) = serial_reference(&materialized, &map);
         let plan = SimPlan::streamed(&counted, &catalog, &workload)
             .config(sim)
             .faults(&schedule);
@@ -276,7 +252,7 @@ fn streamed_replay_matches_monolithic_on_materialized_inputs() {
                 "streamed replay diverged ({} fault events, {threads} threads)",
                 schedule.len()
             );
-            assert_eq!(obs.to_json(), oracle_obs.to_json(), "{threads} threads");
+            assert_eq!(obs.to_json(), document, "{threads} threads");
         }
     }
     // A shard is one batched sub-topology query and one kernel run on
@@ -363,13 +339,12 @@ fn streamed_replay_over_an_unsorted_update_log_matches_its_materialized_trace() 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The load-bearing contract: on ANY input the time-major oracle
-    /// accepts, `simulate` is bit-identical to it, report and
-    /// observability document, serial or pooled — whatever the group
-    /// shapes, placement policy, freshness protocol, fault script or
-    /// thread count; a one-epoch timeline is that run again, and a
-    /// timeline that changes grouping mid-trace does not depend on the
-    /// thread count.
+    /// The load-bearing contract: on any input, `simulate` on the pool
+    /// is bit-identical to the serial run, report and observability
+    /// document — whatever the group shapes, placement policy,
+    /// freshness protocol, fault script or thread count; a one-epoch
+    /// timeline is that run again, and a timeline that changes grouping
+    /// mid-trace does not depend on the thread count.
     #[test]
     fn sharded_replay_is_bit_identical_on_arbitrary_inputs(
         seed in any::<u64>(),
@@ -432,19 +407,10 @@ proptest! {
             schedule.push(0.7 * duration, FaultKind::BrownoutEnd);
         }
         let trace = workload.merged_trace();
-        let mut oracle_obs = Obs::new();
-        let monolithic = simulate_time_major(
-            &network, &map, &workload.catalog, &trace, sim, &schedule, Some(&mut oracle_obs),
-        ).unwrap();
-        let document = oracle_obs.to_json();
         let plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace)
             .config(sim)
             .faults(&schedule);
-        let mut obs = Obs::new();
-        let simulated =
-            simulate(&plan, &map, &mut RunContext::serial().observe(Some(&mut obs))).unwrap();
-        prop_assert_eq!(&simulated, &monolithic);
-        prop_assert_eq!(&obs.to_json(), &document);
+        let (monolithic, document) = serial_reference(&plan, &map);
         // Mid-trace the grouping changes to singletons and back.
         let one_epoch = [ReplayEpoch::new(0.0, map.clone())];
         let three_epochs = [
