@@ -8,7 +8,7 @@
 //! of probes.
 
 use crate::resilience::{Measurement, ProbeFaults, RetryPolicy};
-use ecg_obs::Obs;
+use ecg_obs::{Histogram, Obs};
 use ecg_par::{derive_seed, par_map, DEFAULT_CHUNK};
 use ecg_topology::RttSource;
 use rand::rngs::StdRng;
@@ -196,6 +196,53 @@ struct ProbeTally {
     lost: u64,
 }
 
+/// What one call's measurements record into a bundle, gathered apart
+/// and added to it once by [`ProbeRecord::flush`]. Counters are sums,
+/// histogram bins are counts and the registry's keys are ordered maps,
+/// so the document is the one recording each measurement as it happens
+/// would write.
+#[derive(Debug, Default)]
+struct ProbeRecord {
+    measurements: u64,
+    sent: u64,
+    lost: u64,
+    /// `probe.rtt_ms`, made by the first successful measurement.
+    rtt_ms: Option<Histogram>,
+    timeouts: u64,
+    unreachable: u64,
+    retries: u64,
+    gave_up: u64,
+}
+
+impl ProbeRecord {
+    /// Adds the record to `obs`: `probe.measurements` / `probe.sent` /
+    /// `probe.lost` when anything was measured, `probe.rtt_ms` when
+    /// something answered, and each outcome counter that is not zero —
+    /// the keys a measurement-by-measurement recording creates.
+    fn flush(self, obs: &mut Obs) {
+        if self.measurements == 0 {
+            return;
+        }
+        let metrics = &mut obs.metrics;
+        metrics.add("probe.measurements", self.measurements);
+        metrics.add("probe.sent", self.sent);
+        metrics.add("probe.lost", self.lost);
+        if let Some(rtt_ms) = &self.rtt_ms {
+            metrics.merge_histogram("probe.rtt_ms", rtt_ms);
+        }
+        for (name, count) in [
+            ("probe.timeouts", self.timeouts),
+            ("probe.unreachable", self.unreachable),
+            ("probe.retries", self.retries),
+            ("probe.gave_up", self.gave_up),
+        ] {
+            if count > 0 {
+                metrics.add(name, count);
+            }
+        }
+    }
+}
+
 /// A simulated prober over a ground-truth RTT oracle.
 ///
 /// The ground truth is any [`RttSource`] — a dense
@@ -368,30 +415,35 @@ impl<'a> Prober<'a> {
         rng: &mut R,
         obs: Option<&mut Obs>,
     ) -> Measurement {
-        self.tallied(|tally| self.measure_tallied(a, b, rng, obs, tally))
+        self.tallied(obs, |record, tally| {
+            self.measure_tallied(a, b, rng, record, tally)
+        })
     }
 
     /// [`Prober::measure_outcome`] with the probes it sent and lost
-    /// added to `tally` instead of the shared counters (see
-    /// [`Prober::tallied`]).
+    /// added to `tally` instead of the shared counters, and what it
+    /// records to `record` instead of a bundle (see [`Prober::tallied`]).
     fn measure_tallied<R: Rng + ?Sized>(
         &self,
         a: usize,
         b: usize,
         rng: &mut R,
-        obs: Option<&mut Obs>,
+        record: Option<&mut ProbeRecord>,
         tally: &mut ProbeTally,
     ) -> Measurement {
         let before = *tally;
         let outcome = self.draw_tallied(a, b, rng, tally);
-        if let Some(obs) = obs {
-            obs.metrics.inc("probe.measurements");
-            obs.metrics.add("probe.sent", tally.sent - before.sent);
-            obs.metrics.add("probe.lost", tally.lost - before.lost);
+        if let Some(record) = record {
+            record.measurements += 1;
+            record.sent += tally.sent - before.sent;
+            record.lost += tally.lost - before.lost;
             match outcome {
-                Measurement::Ok(rtt) => obs.metrics.observe("probe.rtt_ms", rtt),
-                Measurement::Timeout => obs.metrics.inc("probe.timeouts"),
-                Measurement::Unreachable => obs.metrics.inc("probe.unreachable"),
+                Measurement::Ok(rtt) => record
+                    .rtt_ms
+                    .get_or_insert_with(Histogram::default)
+                    .record(rtt),
+                Measurement::Timeout => record.timeouts += 1,
+                Measurement::Unreachable => record.unreachable += 1,
             }
         }
         outcome
@@ -441,16 +493,25 @@ impl<'a> Prober<'a> {
         }
     }
 
-    /// Runs `measure` against a fresh tally, then adds what it counted
-    /// to the shared counters — once, however many measurements ran.
-    fn tallied<T>(&self, measure: impl FnOnce(&mut ProbeTally) -> T) -> T {
+    /// Runs `measure` against a fresh tally, and a fresh record when
+    /// there is a bundle, then adds what they counted to the shared
+    /// counters and to `obs` — once each, however many measurements ran.
+    fn tallied<T>(
+        &self,
+        obs: Option<&mut Obs>,
+        measure: impl FnOnce(Option<&mut ProbeRecord>, &mut ProbeTally) -> T,
+    ) -> T {
         let mut tally = ProbeTally::default();
-        let result = measure(&mut tally);
+        let mut record = obs.is_some().then(ProbeRecord::default);
+        let result = measure(record.as_mut(), &mut tally);
         if tally.sent > 0 {
             self.probes_sent.fetch_add(tally.sent, Ordering::Relaxed);
         }
         if tally.lost > 0 {
             self.probes_lost.fetch_add(tally.lost, Ordering::Relaxed);
+        }
+        if let (Some(obs), Some(record)) = (obs, record) {
+            record.flush(obs);
         }
         result
     }
@@ -479,7 +540,9 @@ impl<'a> Prober<'a> {
         rng: &mut R,
         obs: Option<&mut Obs>,
     ) -> Measurement {
-        self.tallied(|tally| self.measure_retry_tallied(a, b, policy, rng, obs, tally))
+        self.tallied(obs, |record, tally| {
+            self.measure_retry_tallied(a, b, policy, rng, record, tally)
+        })
     }
 
     /// [`Prober::measure_retry`] over [`Prober::measure_tallied`].
@@ -489,16 +552,16 @@ impl<'a> Prober<'a> {
         b: usize,
         policy: &RetryPolicy,
         rng: &mut R,
-        mut obs: Option<&mut Obs>,
+        mut record: Option<&mut ProbeRecord>,
         tally: &mut ProbeTally,
     ) -> Measurement {
-        let first = self.measure_tallied(a, b, rng, obs.as_deref_mut(), tally);
+        let first = self.measure_tallied(a, b, rng, record.as_deref_mut(), tally);
         match first {
             Measurement::Ok(_) => return first,
             Measurement::Unreachable => {
                 self.gave_up.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = obs {
-                    o.metrics.inc("probe.gave_up");
+                if let Some(record) = record {
+                    record.gave_up += 1;
                 }
                 return first;
             }
@@ -511,19 +574,19 @@ impl<'a> Prober<'a> {
             self.retries.fetch_add(1, Ordering::Relaxed);
             self.backoff_ms
                 .fetch_add(policy.backoff_before_ms(attempt), Ordering::Relaxed);
-            if let Some(o) = obs.as_deref_mut() {
-                o.metrics.inc("probe.retries");
+            if let Some(record) = record.as_deref_mut() {
+                record.retries += 1;
             }
             let mut retry_rng = StdRng::seed_from_u64(derive_seed(master, u64::from(attempt)));
-            let outcome = self.measure_tallied(a, b, &mut retry_rng, obs.as_deref_mut(), tally);
+            let outcome = self.measure_tallied(a, b, &mut retry_rng, record.as_deref_mut(), tally);
             match outcome {
                 Measurement::Ok(_) => return outcome,
                 Measurement::Unreachable => {
                     // Faults are fixed for the prober's lifetime, so a
                     // dead link cannot come back; stop retrying.
                     self.gave_up.fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = obs {
-                        o.metrics.inc("probe.gave_up");
+                    if let Some(record) = record {
+                        record.gave_up += 1;
                     }
                     return outcome;
                 }
@@ -531,30 +594,32 @@ impl<'a> Prober<'a> {
             }
         }
         self.gave_up.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = obs {
-            o.metrics.inc("probe.gave_up");
+        if let Some(record) = record {
+            record.gave_up += 1;
         }
         Measurement::Timeout
     }
 
     /// Measures the RTT from `from` to every node in `targets`, in
-    /// order, each as [`Prober::measure`] does (and records it, with a
-    /// bundle), into `out` (cleared first, so a caller that probes
-    /// repeatedly reuses one buffer).
+    /// order, each as [`Prober::measure`] does, into `out` (cleared
+    /// first, so a caller that probes repeatedly reuses one buffer).
+    /// With a bundle the call's measurements are recorded as
+    /// [`Prober::measure_outcome`] records one, added to it once.
     pub fn measure_all<R: Rng + ?Sized>(
         &self,
         from: usize,
         targets: &[usize],
         rng: &mut R,
         out: &mut Vec<f64>,
-        mut obs: Option<&mut Obs>,
+        obs: Option<&mut Obs>,
     ) {
         out.clear();
-        out.extend(
-            targets
-                .iter()
-                .map(|&t| self.measure(from, t, rng, obs.as_deref_mut())),
-        );
+        self.tallied(obs, |mut record, tally| {
+            out.extend(targets.iter().map(|&t| {
+                self.measure_tallied(from, t, rng, record.as_deref_mut(), tally)
+                    .value_or(self.config.timeout_ms)
+            }));
+        });
     }
 
     /// Measures a `rows × width` batch — cell `(r, c)` probes the pair
@@ -576,14 +641,12 @@ impl<'a> Prober<'a> {
         let mut values = vec![0.0; rows * width];
         let mut observed = vec![true; rows * width];
         match draws {
-            Draws::Shared(obs) => {
+            Draws::Shared(obs) => self.tallied(obs.as_deref_mut(), |mut record, tally| {
                 for (i, (v, o)) in values.iter_mut().zip(&mut observed).enumerate() {
                     let ab = pair(i / width, i % width);
-                    (*v, *o) = self.tallied(|tally| {
-                        self.measure_cell(ab, policy, rng, obs.as_deref_mut(), tally)
-                    });
+                    (*v, *o) = self.measure_cell(ab, policy, rng, record.as_deref_mut(), tally);
                 }
-            }
+            }),
             Draws::PerRow => {
                 let master: u64 = rng.gen();
                 // Workers fill disjoint spans of whole rows in place.
@@ -592,7 +655,7 @@ impl<'a> Prober<'a> {
                 par_map(spans.enumerate().collect(), |(s, (values, observed))| {
                     // One add per span: a shared counter bumped per
                     // measurement is a cache line the workers fight over.
-                    self.tallied(|tally| {
+                    self.tallied(None, |_, tally| {
                         let rows = values.chunks_mut(width).zip(observed.chunks_mut(width));
                         for (r, (values, observed)) in (s * DEFAULT_CHUNK..).zip(rows) {
                             let mut rng = StdRng::seed_from_u64(derive_seed(master, r as u64));
@@ -615,7 +678,7 @@ impl<'a> Prober<'a> {
         (a, b): (usize, usize),
         policy: Option<&RetryPolicy>,
         rng: &mut R,
-        obs: Option<&mut Obs>,
+        record: Option<&mut ProbeRecord>,
         tally: &mut ProbeTally,
     ) -> (f64, bool) {
         match policy {
@@ -624,7 +687,7 @@ impl<'a> Prober<'a> {
                 (outcome.value_or(self.config.timeout_ms), true)
             }
             Some(policy) => {
-                let retried = self.measure_retry_tallied(a, b, policy, rng, obs, tally);
+                let retried = self.measure_retry_tallied(a, b, policy, rng, record, tally);
                 (retried.value_or(0.0), retried.is_ok())
             }
         }
@@ -1094,6 +1157,84 @@ mod tests {
         assert_eq!(obs.metrics.counter("probe.unreachable"), 1);
         assert_eq!(obs.metrics.counter("probe.gave_up"), 1);
         assert_eq!(obs.metrics.counter("probe.retries"), 0);
+    }
+
+    /// What recording one measurement as it happens writes: the keyed
+    /// updates a call's [`ProbeRecord`] adds up instead.
+    fn record_one(obs: &mut Obs, outcome: Measurement, sent: u64, lost: u64) {
+        obs.metrics.inc("probe.measurements");
+        obs.metrics.add("probe.sent", sent);
+        obs.metrics.add("probe.lost", lost);
+        match outcome {
+            Measurement::Ok(rtt) => obs.metrics.observe("probe.rtt_ms", rtt),
+            Measurement::Timeout => obs.metrics.inc("probe.timeouts"),
+            Measurement::Unreachable => obs.metrics.inc("probe.unreachable"),
+        }
+    }
+
+    #[test]
+    fn a_call_records_what_recording_each_measurement_records() {
+        // Lossy probes over a dead link, with a self-probe: every outcome
+        // and every key shows up.
+        let m = paper_figure1();
+        let config = ProbeConfig::noiseless()
+            .probes_per_measurement(2)
+            .loss_rate(0.6);
+        let faults = ProbeFaults::default().blackhole(0, 3);
+        let targets = [1, 0, 3, 2, 4, 5, 6, 1, 2, 4, 5, 6];
+
+        let batched = Prober::with_faults(&m, config, faults.clone());
+        let mut obs = Obs::new();
+        let mut out = Vec::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        batched.measure_all(0, &targets, &mut rng, &mut out, Some(&mut obs));
+
+        let single = Prober::with_faults(&m, config, faults.clone());
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut expected = Obs::new();
+        let mut values = Vec::new();
+        for &t in &targets {
+            let (sent, lost) = (single.probes_sent(), single.probes_lost());
+            let outcome = single.measure_outcome(0, t, &mut rng, None);
+            let (sent, lost) = (single.probes_sent() - sent, single.probes_lost() - lost);
+            record_one(&mut expected, outcome, sent, lost);
+            values.push(outcome.value_or(single.config().timeout()));
+        }
+        assert_eq!(out, values);
+        assert_eq!(obs.to_json(), expected.to_json());
+        for key in ["probe.timeouts", "probe.unreachable"] {
+            assert!(obs.metrics.counter(key) > 0, "{key}");
+        }
+
+        // A retried batch on the shared stream records what one
+        // retried measurement per cell records.
+        let policy = RetryPolicy::default().retries(2);
+        let pair = |r: usize, c: usize| (r % 7, (r + c + 1) % 7);
+        let batched = Prober::with_faults(&m, config, faults.clone());
+        let mut obs = Obs::new();
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut draws = Draws::Shared(Some(&mut obs));
+        let (values, observed) =
+            batched.measure_batch(7, 3, pair, Some(&policy), &mut draws, &mut rng);
+        let single = Prober::with_faults(&m, config, faults);
+        let mut expected = Obs::new();
+        let mut rng = StdRng::seed_from_u64(8);
+        for (i, (&value, &seen)) in values.iter().zip(&observed).enumerate() {
+            let (a, b) = pair(i / 3, i % 3);
+            let outcome = single.measure_retry(a, b, &policy, &mut rng, Some(&mut expected));
+            assert_eq!((value, seen), (outcome.value_or(0.0), outcome.is_ok()));
+        }
+        assert_eq!(obs.to_json(), expected.to_json());
+        for key in ["probe.retries", "probe.gave_up"] {
+            assert!(obs.metrics.counter(key) > 0, "{key}");
+        }
+
+        // Nothing measured, nothing recorded.
+        let mut empty = Obs::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        batched.measure_all(0, &[], &mut rng, &mut out, Some(&mut empty));
+        assert!(out.is_empty());
+        assert!(empty.metrics.is_empty());
     }
 
     #[test]

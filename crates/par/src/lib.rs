@@ -10,8 +10,9 @@
 //!    partial sum, a derived RNG stream) is computed over the same
 //!    index ranges whether one thread runs or sixteen do.
 //! 2. **Input-order reduction** — [`par_map`] and [`par_chunk_map`]
-//!    return results in input/chunk order; callers fold partials in
-//!    that order, so floating-point summation chains are fixed.
+//!    return results in input/chunk order, and [`par_fold`] folds each
+//!    result in that order as soon as the ones before it are in, so
+//!    floating-point summation chains are fixed.
 //! 3. **Derived RNG streams** — [`derive_seed`] turns one master seed
 //!    into an independent per-item stream, so randomized per-item work
 //!    consumes no shared generator and is scheduling-invariant.
@@ -37,6 +38,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -125,7 +127,7 @@ impl Drop for InCall {
 /// items. When that leaves one thread (one to three items, or one
 /// resolved thread), or when called from inside another parallel call,
 /// this is a plain sequential `map` on the calling thread — no spawns,
-/// no locks.
+/// no locks. It is [`par_fold`] pushing each result onto a `Vec`.
 ///
 /// # Panics
 ///
@@ -159,19 +161,89 @@ where
     U: Send,
     F: Fn(T) -> U + Sync,
 {
+    let out = Vec::with_capacity(items.len());
+    par_fold_with(items, threads, out, f, |out, result| out.push(result))
+}
+
+/// Applies `map` to every item on up to [`max_threads`] threads, as
+/// [`par_map`] does, and folds each result into `acc` with `fold` as
+/// soon as every result before it has been folded: the fold sees every
+/// result exactly once, in input order, so an order-sensitive
+/// accumulation comes out the same at any thread count.
+///
+/// The fold runs on whichever thread completes the next result in
+/// order, never on two threads at once. A result that finishes ahead of
+/// its turn waits in a reorder buffer, which is empty again when the
+/// call returns; so what the call holds at once is the items being
+/// mapped, the results that finished out of order, and `acc` — not
+/// every result. It runs inline, as a plain sequential fold on the
+/// calling thread, exactly when [`par_map`] would.
+///
+/// # Panics
+///
+/// Propagates a panic from `map` or `fold`, with its own payload.
+///
+/// # Examples
+///
+/// ```
+/// // A running digest that depends on the order of its inputs.
+/// let digest = ecg_par::par_fold((1u64..=100).collect(), 0u64, |x| x * x, |acc, sq| {
+///     *acc = acc.wrapping_mul(31).wrapping_add(sq)
+/// });
+/// let sequential = (1u64..=100).fold(0u64, |acc, x| acc.wrapping_mul(31).wrapping_add(x * x));
+/// assert_eq!(digest, sequential);
+/// ```
+pub fn par_fold<T, U, A, F, G>(items: Vec<T>, acc: A, map: F, fold: G) -> A
+where
+    T: Send,
+    U: Send,
+    A: Send,
+    F: Fn(T) -> U + Sync,
+    G: FnMut(&mut A, U) + Send,
+{
+    par_fold_with(items, max_threads(), acc, map, fold)
+}
+
+/// [`par_fold`] on at most `threads` threads, the caller's included, and
+/// never more than half as many threads as items: at `threads == 1` it
+/// is the sequential fold on the calling thread.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`; re-raises a panic from `map` or `fold`
+/// with its own payload.
+pub fn par_fold_with<T, U, A, F, G>(
+    items: Vec<T>,
+    threads: usize,
+    mut acc: A,
+    map: F,
+    mut fold: G,
+) -> A
+where
+    T: Send,
+    U: Send,
+    A: Send,
+    F: Fn(T) -> U + Sync,
+    G: FnMut(&mut A, U) + Send,
+{
     assert!(threads > 0, "need at least one thread");
     let n = items.len();
     let threads = threads.min(n / 2);
     if threads <= 1 || IN_CALL.get() {
-        return items.into_iter().map(f).collect();
+        for item in items {
+            fold(&mut acc, map(item));
+        }
+        return acc;
     }
     let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let out: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    let order = Mutex::new(Reorder::default());
+    // Locked only by the thread that set `Reorder::folding`.
+    let folder = Mutex::new((acc, fold));
 
     // The caller and `threads - 1` scoped workers all run this
     // self-scheduling loop, each marked as inside the call so that a
-    // parallel call made from an item runs inline.
+    // parallel call made from an item (or from the fold) runs inline.
     let worker = || {
         let _in_call = InCall::enter();
         loop {
@@ -184,8 +256,23 @@ where
                 .expect("work slot lock")
                 .take()
                 .expect("each slot is taken once");
-            let result = f(item);
-            *out[i].lock().expect("out slot lock") = Some(result);
+            let result = map(item);
+            let mut pending = order.lock().expect("reorder lock");
+            pending.park(i, result);
+            if pending.folding {
+                // The folding thread looks again before it stops.
+                continue;
+            }
+            pending.folding = true;
+            while let Some(ready) = pending.take_next() {
+                drop(pending);
+                let mut folder = folder.lock().expect("fold lock");
+                let (acc, fold) = &mut *folder;
+                fold(acc, ready);
+                drop(folder);
+                pending = order.lock().expect("reorder lock");
+            }
+            pending.folding = false;
         }
     };
     std::thread::scope(|scope| {
@@ -200,13 +287,52 @@ where
         }
     });
 
-    out.into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("out slot lock")
-                .expect("every slot was filled")
-        })
-        .collect()
+    let order = order.into_inner().expect("reorder lock");
+    assert!(
+        order.next == n && order.early.is_empty(),
+        "every result was folded"
+    );
+    folder.into_inner().expect("fold lock").0
+}
+
+/// The results of a [`par_fold_with`] call that finished ahead of their
+/// turn, and whose turn it is.
+struct Reorder<U> {
+    /// Input index of the next result the fold takes.
+    next: usize,
+    /// Slot `k` holds result `next + k` once it has finished.
+    early: VecDeque<Option<U>>,
+    /// Set while a thread runs the fold.
+    folding: bool,
+}
+
+impl<U> Default for Reorder<U> {
+    fn default() -> Self {
+        Reorder {
+            next: 0,
+            early: VecDeque::new(),
+            folding: false,
+        }
+    }
+}
+
+impl<U> Reorder<U> {
+    /// Parks result `i`, which has not been folded yet.
+    fn park(&mut self, i: usize, result: U) {
+        let slot = i - self.next;
+        if self.early.len() <= slot {
+            self.early.resize_with(slot + 1, || None);
+        }
+        self.early[slot] = Some(result);
+    }
+
+    /// The next result in input order, if it has finished.
+    fn take_next(&mut self) -> Option<U> {
+        let ready = self.early.front_mut()?.take()?;
+        self.early.pop_front();
+        self.next += 1;
+        Some(ready)
+    }
 }
 
 /// Splits `0..n` into consecutive ranges of [`DEFAULT_CHUNK`] (the last
@@ -466,6 +592,175 @@ mod tests {
         assert!(!IN_CALL.get());
         let out = par_map_with((0..300).collect::<Vec<usize>>(), 4, |i| i + 1);
         assert_eq!(out, (1..=300).collect::<Vec<_>>());
+    }
+
+    /// Spins for `units` steps: items of uneven cost, so results finish
+    /// out of input order when several threads run them.
+    fn spin(units: u64) -> u64 {
+        (0..units * 200).fold(units, |acc, x| std::hint::black_box(acc ^ x))
+    }
+
+    /// An order-sensitive digest step: any reordering changes the value.
+    fn digest(acc: &mut u64, value: u64) {
+        *acc = acc.wrapping_mul(0x100_0000_01B3).wrapping_add(value);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn par_fold_folds_in_input_order_like_the_sequential_fold(
+            len in proptest::prop_oneof![0usize..3, 3usize..300],
+            costs in proptest::collection::vec(0u64..40, 1..16),
+        ) {
+            let items: Vec<u64> = (0..len as u64).collect();
+            let cost = |i: u64| costs[i as usize % costs.len()];
+            let sequential = items.iter().fold((0u64, Vec::new()), |(mut acc, mut seen), &i| {
+                digest(&mut acc, spin(cost(i)) ^ i);
+                seen.push(i);
+                (acc, seen)
+            });
+            for threads in [1, 2, 8] {
+                let folded = par_fold_with(
+                    items.clone(),
+                    threads,
+                    (0u64, Vec::new()),
+                    |i| (i, spin(cost(i)) ^ i),
+                    |(acc, seen), (i, value)| {
+                        digest(acc, value);
+                        seen.push(i);
+                    },
+                );
+                proptest::prop_assert_eq!(&folded, &sequential, "threads={}", threads);
+            }
+        }
+    }
+
+    #[test]
+    fn par_fold_at_the_default_thread_count_matches_par_map() {
+        let items: Vec<u64> = (0..500).collect();
+        let mapped = par_map(items.clone(), |i| spin(i % 7) ^ i);
+        let folded = par_fold(items, Vec::new(), |i| spin(i % 7) ^ i, |out, v| out.push(v));
+        assert_eq!(folded, mapped);
+    }
+
+    #[test]
+    fn a_call_nested_in_par_fold_runs_inline() {
+        let threads = 4;
+        let inline = |label: &str| {
+            let caller = std::thread::current().id();
+            let ids = par_fold_with(
+                (0..64).collect::<Vec<usize>>(),
+                threads,
+                HashSet::new(),
+                |_| std::thread::current().id(),
+                |ids, id| {
+                    ids.insert(id);
+                },
+            );
+            assert_eq!(ids, HashSet::from([caller]), "{label} fanned out");
+        };
+        par_fold_with(
+            (0..16).collect::<Vec<usize>>(),
+            threads,
+            (),
+            |_| inline("a call from map"),
+            |(), ()| inline("a call from fold"),
+        );
+    }
+
+    /// The payload `run` panicked with, as text.
+    fn panic_message(run: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(run).expect_err("the call panics");
+        match payload.downcast::<String>() {
+            Ok(text) => *text,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map(|text| text.to_string())
+                .expect("a text payload"),
+        }
+    }
+
+    #[test]
+    fn a_panic_in_map_or_fold_re_raises_with_its_own_payload() {
+        for threads in [1, 4] {
+            let from_map = panic_message(|| {
+                par_fold_with(
+                    (0..64).collect::<Vec<usize>>(),
+                    threads,
+                    0,
+                    |i| {
+                        assert!(i != 41, "map failed on item {i}");
+                        i
+                    },
+                    |acc, i| *acc += i,
+                );
+            });
+            assert_eq!(from_map, "map failed on item 41", "threads={threads}");
+            let from_fold = panic_message(|| {
+                par_fold_with(
+                    (0..64).collect::<Vec<usize>>(),
+                    threads,
+                    0,
+                    |i| i,
+                    |acc, i| {
+                        assert!(i != 17, "fold failed on result {i}");
+                        *acc += i;
+                    },
+                );
+            });
+            assert_eq!(from_fold, "fold failed on result 17", "threads={threads}");
+            assert!(!IN_CALL.get());
+        }
+    }
+
+    /// A result that counts how many of its kind are alive.
+    struct Counted<'a>(&'a AtomicU64);
+
+    impl<'a> Counted<'a> {
+        fn new(live: &'a AtomicU64) -> Self {
+            live.fetch_add(1, Ordering::SeqCst);
+            Counted(live)
+        }
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn the_reorder_buffer_is_empty_when_the_call_returns() {
+        let live = AtomicU64::new(0);
+        for threads in [2, 8] {
+            // Early items cost the most, so later ones finish first and
+            // wait for their turn.
+            let folds = par_fold_with(
+                (0..200u64).collect::<Vec<_>>(),
+                threads,
+                0usize,
+                |i| {
+                    spin(200u64.saturating_sub(i * 4));
+                    Counted::new(&live)
+                },
+                |folds, result| {
+                    drop(result);
+                    *folds += 1;
+                },
+            );
+            assert_eq!(folds, 200, "threads={threads}");
+            assert_eq!(live.load(Ordering::SeqCst), 0, "threads={threads}");
+        }
+        let mut buffer = Reorder::default();
+        buffer.park(2, 'c');
+        buffer.park(0, 'a');
+        assert_eq!(buffer.take_next(), Some('a'));
+        assert_eq!(buffer.take_next(), None);
+        buffer.park(1, 'b');
+        assert_eq!(
+            (buffer.take_next(), buffer.take_next()),
+            (Some('b'), Some('c'))
+        );
+        assert!(buffer.early.is_empty() && buffer.next == 3);
     }
 
     #[test]

@@ -24,12 +24,13 @@
 //! shared Zipf sampler and the update log's records — and the fault
 //! split. Every group then goes through one walk, [`GroupWalk`], and
 //! one call of the kernel. Per-group outcomes are folded in group
-//! order, so every `f64` chain of the merged [`SimReport`] is the same
-//! however the groups were scheduled: serially, each folded as it
-//! finishes so one group's caches are live at a time, or fanned over
-//! [`ecg_par`] workers and folded after. The crate's integration tests
-//! hold the result to an independent spec that replays the whole trace
-//! in one loop and folds its per-group degradation the same way.
+//! order as they finish ([`ecg_par::par_fold_with`], at one thread when
+//! serial), so every `f64` chain of the merged [`SimReport`] is the same
+//! however the groups were scheduled, and a run holds at once only the
+//! groups running, the outcomes that finished ahead of their turn, and
+//! the fold's one `N`-row recorder. The crate's integration tests hold
+//! the result to an independent spec that replays the whole trace in
+//! one loop and folds its per-group degradation the same way.
 
 use crate::event::{local_ids, log_records, GroupWalk, Record, RecordBlock, TracePlan};
 use crate::fault::{FaultKind, FaultSchedule};
@@ -106,10 +107,12 @@ impl<'a> SimPlan<'a> {
 
     /// A plan over a streamed `workload`: each group regenerates its
     /// members' request streams from the workload's master seed and
-    /// interleaves the shared update log, so peak memory is bounded by
-    /// the groups in flight. The run is bit-identical — report and
-    /// observability document — to one over
-    /// [`StreamedWorkload::materialize_trace`].
+    /// interleaves the shared update log, so no trace is ever held: at
+    /// once a run holds the groups running (one per thread, each with
+    /// its members' requests), the outcomes that finished ahead of their
+    /// turn in the group-order fold, and the fold's one `N`-row
+    /// recorder. The run is bit-identical — report and observability
+    /// document — to one over [`StreamedWorkload::materialize_trace`].
     pub fn streamed(
         rtt: &'a dyn RttSource,
         catalog: &'a DocumentCatalog,
@@ -165,10 +168,15 @@ pub struct RunStats {
     pub shard_events: u64,
     /// Input validation and planning, ms.
     pub plan_ms: f64,
-    /// Sub-topology construction and simulation of every group, ms
-    /// (a serial run folds each group as it finishes, inside this).
+    /// Sub-topology construction and simulation of every group, ms: the
+    /// wall time from the first group's start to the last fold's end,
+    /// less [`RunStats::merge_ms`].
     pub shards_ms: f64,
-    /// The group-order fold of a pooled run, ms.
+    /// The group-order fold, ms: the time spent adding outcomes to the
+    /// run's, summed over the outcomes. A pooled run folds on whichever
+    /// thread finishes the next outcome in order while the others keep
+    /// simulating, so this is folding work, overlapped with the shards,
+    /// not wall time of its own.
     pub merge_ms: f64,
 }
 
@@ -186,8 +194,8 @@ impl RunStats {
 ///
 /// Serial suits a caller that is itself one cell of a parallel sweep
 /// (and keeps one group's caches live at a time); pooled suits one big
-/// run. The report and the bundle are the same bytes either way, at
-/// any `ECG_THREADS`.
+/// run (and keeps one group's caches live per thread). The report and
+/// the bundle are the same bytes either way, at any `ECG_THREADS`.
 #[derive(Debug, Default)]
 pub struct RunContext<'o> {
     obs: Option<&'o mut Obs>,
@@ -200,6 +208,18 @@ pub struct RunContext<'o> {
 pub(crate) struct Execution {
     pooled: bool,
     forced: Option<Lookup>,
+}
+
+impl Execution {
+    /// The threads a run's groups may use: the caller's alone when
+    /// serial, else [`ecg_par::max_threads`].
+    fn threads(self) -> usize {
+        if self.pooled {
+            ecg_par::max_threads()
+        } else {
+            1
+        }
+    }
 }
 
 impl<'o> RunContext<'o> {
@@ -340,9 +360,10 @@ pub fn simulate(
 }
 
 /// One grouping of `plan`, group-major: validated and planned once,
-/// every group through the kernel as `exec` says, and folded in group
-/// order. Adds its counts and stage times to `stats`; the caller flushes
-/// the telemetry.
+/// then one parallel fold over the groups — each through the kernel,
+/// on the threads `exec` allows, added in group order as it finishes.
+/// Adds its counts and stage times to `stats`; the caller flushes the
+/// telemetry.
 pub(crate) fn run(
     plan: &SimPlan<'_>,
     groups: &GroupMap,
@@ -355,19 +376,20 @@ pub(crate) fn run(
 
     let t1 = Instant::now();
     let shards = groups.group_count();
-    let merged = if exec.pooled {
-        let outcomes = ecg_par::par_map((0..shards).collect(), |g| run.group(g, exec.forced));
-        stats.shards_ms += ms_since(t1);
-        let t2 = Instant::now();
-        let merged = run.fold(outcomes.into_iter());
-        stats.merge_ms += ms_since(t2);
-        merged
-    } else {
-        // Folded as they finish: one group's caches are live at a time.
-        let merged = run.fold((0..shards).map(|g| run.group(g, exec.forced)));
-        stats.shards_ms += ms_since(t1);
-        merged
-    };
+    let mut merge_ms = 0.0;
+    let merged = ecg_par::par_fold_with(
+        (0..shards).collect(),
+        exec.threads(),
+        run.start(),
+        |g| (g, run.group(g, exec.forced)),
+        |merged, (g, outcome)| {
+            let t2 = Instant::now();
+            run.add(merged, g, outcome);
+            merge_ms += ms_since(t2);
+        },
+    );
+    stats.shards_ms += ms_since(t1) - merge_ms;
+    stats.merge_ms += merge_ms;
     stats.shards += shards;
     stats.dense_shards += merged.tallies.dense_runs;
     stats.shard_events += merged.tallies.trace_events;
@@ -379,7 +401,7 @@ fn ms_since(start: Instant) -> f64 {
 }
 
 /// A validated, planned run whose groups can be simulated in any order
-/// and on any thread, then folded.
+/// and on any thread, and are folded in group order.
 #[derive(Debug)]
 struct GroupRun<'a> {
     plan: &'a SimPlan<'a>,
@@ -407,12 +429,17 @@ enum GroupEvents<'a> {
     },
 }
 
-/// What a worker thread keeps across the groups it runs, so a group
-/// pays for its own work and not for its buffers: the matrix its
-/// sub-topology is written into, the record block a walk reads through,
-/// what a kernel run takes from its [`KernelStore`], and the buffers a
-/// streamed group's requests are ordered in. Nothing a run reports
-/// depends on what an earlier group left here.
+/// What a thread keeps across the groups it runs, so a group pays for
+/// its own work and not for its buffers: the matrix its sub-topology is
+/// written into, the record block a walk reads through, what a kernel
+/// run takes from its [`KernelStore`] (the recorder included, handed
+/// back by the fold when this thread folded the outcome that held it),
+/// and the buffers a streamed group's requests are ordered in. Each
+/// piece keeps the size of the largest group the thread has run. A
+/// scoped worker's store lives for one parallel call; the store of the
+/// thread that calls [`simulate`] lives as long as that thread, so its
+/// later runs start warm. Nothing a run reports depends on what an
+/// earlier group left here.
 #[derive(Debug, Default)]
 struct GroupStore {
     /// The `[origin, members…]` node list of the last sub-topology.
@@ -426,8 +453,8 @@ struct GroupStore {
 impl GroupStore {
     /// Runs `run` with the calling thread's store, built by the thread's
     /// first group and reused by all its later ones. The store is
-    /// borrowed for exactly one kernel run, which makes no parallel or
-    /// nested simulation call of its own.
+    /// borrowed for one kernel run, which makes no parallel or nested
+    /// simulation call of its own, or for one hand-back of a recorder.
     fn on_this_thread<T>(run: impl FnOnce(&mut GroupStore) -> T) -> T {
         thread_local! {
             static STORE: RefCell<GroupStore> = RefCell::new(GroupStore::default());
@@ -523,10 +550,9 @@ impl<'a> GroupRun<'a> {
                     Lookup::Ranked
                 });
             let events = walk.trace_events();
-            let one_group = GroupMap::one_group(members.len());
             let outcome = kernel(
                 &network,
-                &one_group,
+                members.len(),
                 catalog,
                 walk,
                 events,
@@ -540,30 +566,38 @@ impl<'a> GroupRun<'a> {
         })
     }
 
-    /// The group-order fold (the order every `f64` chain was validated
-    /// against), consuming each outcome as the iterator yields it and
-    /// handing its recorder to the folding thread's store.
-    fn fold(&self, outcomes: impl Iterator<Item = GroupOutcome>) -> GroupOutcome {
+    /// The group-order fold's empty accumulator: one recorder over the
+    /// network's `N` caches, which every group's rows are merged into.
+    fn start(&self) -> GroupOutcome {
         let mut metrics = MetricsRecorder::new(self.groups.cache_count());
         metrics.degradation = DegradationMetrics::new(self.plan.schedule.timeline_bucket());
-        let mut report = SimReport {
-            metrics,
-            cache_stats: CacheStats::default(),
-            origin_updates: 0,
-            origin_fetches: 0,
-        };
-        let mut tallies = Tallies::default();
-        for (members, outcome) in self.groups.groups().iter().zip(outcomes) {
-            report.metrics.merge_shard(members, &outcome.report.metrics);
-            report.cache_stats += outcome.report.cache_stats;
-            report.origin_fetches += outcome.report.origin_fetches;
-            // Every group applies the full update log, so all agree.
-            report.origin_updates = outcome.report.origin_updates;
-            tallies.absorb(outcome.tallies);
-            let recorder = Some(outcome.report.metrics);
-            GroupStore::on_this_thread(|store| store.kernel.recorder = recorder);
+        GroupOutcome {
+            report: SimReport {
+                metrics,
+                cache_stats: CacheStats::default(),
+                origin_updates: 0,
+                origin_fetches: 0,
+            },
+            tallies: Tallies::default(),
         }
-        GroupOutcome { report, tallies }
+    }
+
+    /// Adds group `g`'s outcome to `merged`, the groups before it already
+    /// folded in group order (the order every `f64` chain was validated
+    /// against), and hands the outcome's recorder to the folding thread's
+    /// store for its next group.
+    fn add(&self, merged: &mut GroupOutcome, g: usize, outcome: GroupOutcome) {
+        let report = &mut merged.report;
+        report
+            .metrics
+            .merge_shard(&self.groups.groups()[g], &outcome.report.metrics);
+        report.cache_stats += outcome.report.cache_stats;
+        report.origin_fetches += outcome.report.origin_fetches;
+        // Every group applies the full update log, so all agree.
+        report.origin_updates = outcome.report.origin_updates;
+        merged.tallies.absorb(outcome.tallies);
+        let recorder = Some(outcome.report.metrics);
+        GroupStore::on_this_thread(|store| store.kernel.recorder = recorder);
     }
 }
 

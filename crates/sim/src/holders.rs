@@ -23,7 +23,6 @@
 //! check, and an absent bit skips a probe that would have returned
 //! "not held" anyway.
 
-use crate::groups::GroupMap;
 use ecg_topology::CacheId;
 use ecg_workload::DocId;
 
@@ -187,8 +186,9 @@ impl HolderIndex {
     }
 }
 
-/// Precomputed per-cache bitmask of that cache's group peers, laid out
-/// to line up word-for-word with [`HolderIndex::doc_words`].
+/// Precomputed per-cache bitmask of that cache's peers — every other
+/// cache of the run's one group — laid out to line up word-for-word
+/// with [`HolderIndex::doc_words`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub(crate) struct PeerMasks {
     words_per: usize,
@@ -196,33 +196,28 @@ pub(crate) struct PeerMasks {
 }
 
 impl PeerMasks {
-    /// Builds the peer masks for a group partition.
+    /// Builds the peer masks of one group of `caches` caches.
     #[cfg(test)]
-    pub(crate) fn from_groups(groups: &GroupMap) -> Self {
+    pub(crate) fn new(caches: usize) -> Self {
         let mut masks = PeerMasks::default();
-        masks.reset(groups);
+        masks.reset(caches);
         masks
     }
 
-    /// Rebuilds the masks for a group partition, keeping the buffer.
-    pub(crate) fn reset(&mut self, groups: &GroupMap) {
-        let n = groups.cache_count();
-        let words_per = n.div_ceil(64);
+    /// Rebuilds the masks for one group of `caches` caches, keeping the
+    /// buffer.
+    pub(crate) fn reset(&mut self, caches: usize) {
+        let words_per = caches.div_ceil(64);
         self.words_per = words_per;
         self.masks.clear();
-        self.masks.resize(n * words_per, 0);
-        let mut group_mask = vec![0u64; words_per];
-        for members in groups.groups() {
-            group_mask.fill(0);
-            for m in members {
-                group_mask[m.index() / 64] |= 1 << (m.index() % 64);
+        self.masks.resize(caches * words_per, u64::MAX);
+        let tail = caches % 64;
+        for (c, row) in self.masks.chunks_exact_mut(words_per.max(1)).enumerate() {
+            // Each row is the group's mask minus the cache's own bit.
+            if tail != 0 {
+                row[words_per - 1] = (1 << tail) - 1;
             }
-            // Each member's row is the group's mask minus its own bit.
-            for m in members {
-                let row = &mut self.masks[m.index() * words_per..][..words_per];
-                row.copy_from_slice(&group_mask);
-                row[m.index() / 64] &= !(1 << (m.index() % 64));
-            }
+            row[c / 64] &= !(1 << (c % 64));
         }
     }
 
@@ -282,53 +277,35 @@ mod tests {
 
     #[test]
     fn peer_masks_select_exactly_the_peers() {
-        let groups =
-            GroupMap::new(70, vec![(0..69).map(CacheId).collect(), vec![CacheId(69)]]).unwrap();
-        let masks = PeerMasks::from_groups(&groups);
+        let masks = PeerMasks::new(70);
         let mut idx = HolderIndex::new(1, 70);
         let peer_holds =
             |idx: &HolderIndex, c: CacheId| !among(idx, DocId(0), masks.mask(c)).is_empty();
 
-        // A copy on a peer is visible through the mask.
+        // A copy on a peer is visible through the mask, across words.
         idx.set(DocId(0), CacheId(68));
         assert!(peer_holds(&idx, CacheId(3)));
         // A cache's own copy is not a *peer* copy.
         assert!(!peer_holds(&idx, CacheId(68)));
-        // The singleton has no peers at all.
-        assert!(!peer_holds(&idx, CacheId(69)));
-
-        // A copy on the singleton is invisible to the big group.
-        idx.clear(DocId(0), CacheId(68));
-        idx.set(DocId(0), CacheId(69));
-        assert!(!peer_holds(&idx, CacheId(3)));
+        // A lone cache has no peers at all.
+        let alone = PeerMasks::new(1);
+        idx.set(DocId(0), CacheId(0));
+        assert!(among(&idx, DocId(0), alone.mask(CacheId(0))).is_empty());
     }
 
     #[test]
     fn holder_walks_list_set_bits_in_ascending_order() {
-        let groups = GroupMap::new(
-            200,
-            vec![
-                // Shuffled on purpose: the mask is a set, not a list.
-                [130, 3, 64, 199, 63].map(CacheId).to_vec(),
-                (0..200)
-                    .filter(|c| ![130, 3, 64, 199, 63].contains(c))
-                    .map(CacheId)
-                    .collect(),
-            ],
-        )
-        .unwrap();
-        let masks = PeerMasks::from_groups(&groups);
+        let masks = PeerMasks::new(200);
         let mut idx = HolderIndex::new(2, 200);
         for c in [3, 5, 63, 64, 130, 199] {
             idx.set(DocId(1), CacheId(c));
         }
         let all: Vec<usize> = idx.holders(DocId(1)).map(|c| c.index()).collect();
         assert_eq!(all, vec![3, 5, 63, 64, 130, 199]);
-        // Cache 64's peers: its group minus itself; cache 5 is in the
-        // other group and never shows.
+        // Cache 64's peers: every holder but itself.
         assert_eq!(
             among(&idx, DocId(1), masks.mask(CacheId(64))),
-            [3, 63, 130, 199]
+            [3, 5, 63, 130, 199]
         );
         assert!(among(&idx, DocId(0), masks.mask(CacheId(64))).is_empty());
         assert_eq!(idx.holders(DocId(0)).count(), 0);
@@ -339,47 +316,32 @@ mod tests {
     }
 
     #[test]
-    fn peer_masks_match_the_member_lists() {
-        let groups = GroupMap::new(
-            70,
-            vec![
-                vec![CacheId(69), CacheId(0), CacheId(65)],
-                (1..65).chain(66..69).map(CacheId).collect(),
-            ],
-        )
-        .unwrap();
-        let masks = PeerMasks::from_groups(&groups);
-        for c in (0..70).map(CacheId) {
-            let mut expected = vec![0u64; 2];
-            for p in groups.peers(c) {
-                expected[p.index() / 64] |= 1 << (p.index() % 64);
+    fn peer_masks_hold_every_other_cache() {
+        for caches in [1, 2, 63, 64, 65, 70, 128, 130] {
+            let masks = PeerMasks::new(caches);
+            for c in 0..caches {
+                let mut expected = vec![0u64; caches.div_ceil(64)];
+                for p in (0..caches).filter(|&p| p != c) {
+                    expected[p / 64] |= 1 << (p % 64);
+                }
+                assert_eq!(masks.mask(CacheId(c)), expected.as_slice(), "{caches}: {c}");
             }
-            assert_eq!(masks.mask(c), expected.as_slice(), "{c}");
         }
     }
 
     #[test]
     fn a_reset_index_and_reset_masks_are_new_ones() {
-        let big = GroupMap::new(130, vec![(0..130).rev().map(CacheId).collect()]).unwrap();
-        let small = GroupMap::new(
-            5,
-            vec![
-                vec![CacheId(3), CacheId(0)],
-                vec![CacheId(1), CacheId(4), CacheId(2)],
-            ],
-        )
-        .unwrap();
         let mut idx = HolderIndex::new(9, 130);
-        let mut masks = PeerMasks::from_groups(&big);
+        let mut masks = PeerMasks::new(130);
         for c in [0, 64, 129] {
             idx.set(DocId(8), CacheId(c));
         }
         // Shrunk, then grown back: as new every time.
-        for (docs, groups) in [(3, &small), (9, &big)] {
-            idx.reset(docs, groups.cache_count());
-            masks.reset(groups);
-            assert_eq!(idx, HolderIndex::new(docs, groups.cache_count()));
-            assert_eq!(masks, PeerMasks::from_groups(groups));
+        for (docs, caches) in [(3, 5), (9, 130), (1, 1)] {
+            idx.reset(docs, caches);
+            masks.reset(caches);
+            assert_eq!(idx, HolderIndex::new(docs, caches));
+            assert_eq!(masks, PeerMasks::new(caches));
         }
     }
 

@@ -38,7 +38,10 @@
 //! not the network's. The groups run one after another on the caller's
 //! thread, at most one group's caches live at a time
 //! ([`RunContext::serial`]), or as work items on [`ecg_par`]'s scoped
-//! threads ([`RunContext::pooled`]); the choice changes wall-clock time
+//! threads ([`RunContext::pooled`]), each folded in as soon as the
+//! groups before it have been. At once a run holds the groups running
+//! (one per thread), the results that finished ahead of their turn, and
+//! the fold's one `N`-row recorder. The choice changes wall-clock time
 //! and peak memory, never a byte of the report or of the observability
 //! document. Every group, planned or streamed, goes through the same
 //! walk of its requests and the update log.

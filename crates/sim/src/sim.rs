@@ -4,10 +4,11 @@
 //! network and records the paper's client-side metric (average cache
 //! latency) plus hit-rate and traffic breakdowns. [`crate::simulate`]
 //! hands its inputs to the group-major driver (`crate::driver`), which
-//! calls the event loop here — `kernel` — once per group. What the loop
-//! decides is held to an independent reference simulator, the spec in
-//! the crate's integration tests (`tests/spec`), which replays the whole
-//! trace in one loop with member-order scans.
+//! calls the event loop here — `kernel` — once per group, over that
+//! group's caches alone: local cache `i` is the group's `i`-th member.
+//! What the loop decides is held to an independent reference simulator,
+//! the spec in the crate's integration tests (`tests/spec`), which
+//! replays the whole trace in one loop with member-order scans.
 //!
 //! ## Cooperative miss handling
 //!
@@ -36,20 +37,20 @@
 //! answers the same questions from state it keeps current instead of
 //! walking the member list:
 //!
-//! * *who is alive* — a per-group count of down members, adjusted at
+//! * *who is alive* — a count of the group's down members, adjusted at
 //!   fault events, gives the fan-out size and the healthy/degraded
 //!   split in O(1);
 //! * *who can answer* — the document's holder bits (`HolderIndex`)
 //!   ANDed with the requester's peer mask: `words_per_doc` ANDs rule a
 //!   group out, and otherwise the alive holders are tried nearest first
-//!   — equal-RTT ties going to the earlier position in the group's
-//!   member list, as in a member-order scan — one cache probe each,
-//!   until one has a servable copy;
+//!   — equal-RTT ties going to the lower local id, the earlier position
+//!   in the group's member list, as in a member-order scan — one cache
+//!   probe each, until one has a servable copy;
 //! * *how long the last negative reply takes* — each cache's slowest
 //!   alive-peer RTT, memoised and recomputed only after a crash,
-//!   recovery or retirement in its group (one epoch bump per fault);
-//!   for a group-major run's one whole group it is the maximum of the
-//!   requester's contiguous matrix row.
+//!   recovery or retirement in the group (one epoch bump per fault);
+//!   while no member is down it is the maximum of the requester's
+//!   contiguous matrix row.
 //!
 //! Per kernel run, [`dense_layout`] picks how, with the same holder and
 //! `sim.holder.*` tallies either way: **sparse** ([`Lookup::Ranked`])
@@ -67,9 +68,9 @@ use crate::fault::{FaultError, FaultKind, FaultSchedule};
 use crate::groups::GroupMap;
 use crate::holders::{HolderIndex, PeerMasks};
 use crate::latency::LatencyModel;
-use crate::metrics::{MetricsRecorder, ServedBy};
+use crate::metrics::{DegradationMetrics, MetricsRecorder, ServedBy};
 use crate::origin::OriginServer;
-use crate::place::{Candidate, PeerHitAction, PlacementKind, PlacementPolicy};
+use crate::place::{Candidate, PeerHitAction, PlacementKind};
 use crate::time::SimTime;
 use ecg_cache::{CacheStats, DocumentCache, LookupOutcome, PolicyKind};
 use ecg_obs::Obs;
@@ -411,8 +412,8 @@ impl GroupOutcome {
 /// simulation and flushed by [`Tallies::flush`].
 #[derive(Debug, Default)]
 pub(crate) struct Tallies {
-    /// Per group of the map the kernel ran: requests served locally, by
-    /// a peer, by the origin — warm-up included.
+    /// Per group, in run order (one row per kernel run): requests served
+    /// locally, by a peer, by the origin — warm-up included.
     group_outcomes: Vec<[u64; 3]>,
     failovers: u64,
     /// `sim.holder.{group_checks, ruled_out, bit_tests}`.
@@ -533,12 +534,11 @@ impl Tallies {
 
 /// The event loop: replays `events` — one group's share of a trace
 /// ([`crate::event::GroupWalk`]), `trace_events` of them from the trace —
-/// against `groups` over `network`. Inputs are already validated (a
-/// walk only exists for a valid trace,
-/// `schedule` passed [`FaultSchedule::validate`], `groups` covers
-/// `network`). It writes no telemetry itself: everything observable
-/// comes back as [`Tallies`], so a run observes the same whichever
-/// thread ran it. `lookup` says how cooperative misses find a copy;
+/// against the group's `n` members, the caches of `network`. Inputs are
+/// already validated (a walk only exists for a valid trace, `schedule`
+/// passed [`FaultSchedule::validate`]). It writes no telemetry itself:
+/// everything observable comes back as [`Tallies`], so a run observes
+/// the same whichever thread ran it. `lookup` says how cooperative misses find a copy;
 /// the report is the same bits whichever it is.
 ///
 /// Everything the run keeps besides its events comes out of `store`
@@ -546,7 +546,7 @@ impl Tallies {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn kernel(
     network: &EdgeNetwork,
-    groups: &GroupMap,
+    n: usize,
     catalog: &DocumentCatalog,
     events: impl Iterator<Item = (SimTime, Event)>,
     trace_events: usize,
@@ -555,8 +555,7 @@ pub(crate) fn kernel(
     lookup: Lookup,
     store: &mut KernelStore,
 ) -> GroupOutcome {
-    let n = network.cache_count();
-    debug_assert_eq!(groups.cache_count(), n);
+    debug_assert_eq!(network.cache_count(), n);
     let dense = lookup == Lookup::NearestFirst;
     let KernelStore {
         caches: pool,
@@ -579,14 +578,10 @@ pub(crate) fn kernel(
     origin.reset(catalog);
     let mut metrics = recorder.take().unwrap_or_else(|| MetricsRecorder::new(0));
     metrics.reset(n, schedule.timeline_bucket());
-    // Degradation accumulates per group and is folded in group order
-    // after the loop. Groups are independent between re-formation
-    // events, so this makes every f64 sum reconstructible by the
-    // group-major driver, which runs one group per kernel call and
-    // merges the recorders through the same fold.
-    let mut deg_groups: Vec<crate::metrics::DegradationMetrics> = (0..groups.group_count())
-        .map(|_| crate::metrics::DegradationMetrics::new(schedule.timeline_bucket()))
-        .collect();
+    // Degradation accumulates apart and is folded into the recorder
+    // after the loop, as the driver folds each group's recorder into
+    // the run's: every f64 sum is then one group's chain.
+    let mut degradation = DegradationMetrics::new(schedule.timeline_bucket());
     let model = config.latency;
     let warmup = SimTime::from_ms(config.warmup_ms);
 
@@ -595,7 +590,7 @@ pub(crate) fn kernel(
     // recovering.
     // Crashed caches lose their contents immediately; their stats so far
     // are folded into `lost_stats` so the report still covers them.
-    let mut live = Liveness::new(groups);
+    let mut live = Liveness::new(n);
     let mut retired = vec![false; n];
     let mut brownout = 1.0f64;
     let mut lost_stats = CacheStats::default();
@@ -604,45 +599,27 @@ pub(crate) fn kernel(
     // path tests a bit instead of probing every peer's cache map. Kept
     // in sync on insert/evict/invalidate/crash below.
     idx.reset(catalog.len(), n);
-    masks.reset(groups);
-    // Each cache's position in its group's member list: the tie-break
-    // between equal-RTT holders, which a member-order scan gets for free.
-    let mut position = vec![0usize; n];
-    for members in groups.groups() {
-        for (at, m) in members.iter().enumerate() {
-            position[m.index()] = at;
-        }
-    }
-    let peer_order = dense.then(|| PeerOrder::new(network, groups, &position));
+    masks.reset(n);
+    let peer_order = dense.then(|| PeerOrder::new(network));
     // Eviction scratch reused across every insert in the event loop.
     let mut evicted_scratch: Vec<DocId> = Vec::new();
     // The alive holders of one sparse cooperative lookup, each under its
     // nearest-first key; reused the same way, and sized once for the
-    // largest group's peers rather than grown lookup by lookup.
-    let largest_group = groups.groups().iter().map(Vec::len).max().unwrap_or(0);
-    let mut holder_scratch: Vec<(HolderKey, CacheId)> =
-        Vec::with_capacity(largest_group.saturating_sub(1));
+    // group's peers rather than grown lookup by lookup.
+    let mut holder_scratch: Vec<(HolderKey, CacheId)> = Vec::with_capacity(n.saturating_sub(1));
 
-    // Placement policies, one instance per group. `None` for the
-    // single-holder baseline: the historical copy flow (replicate on
-    // peer hit, cache at the requester on origin fetch) is hard-coded
-    // below, so the baseline pays no candidate assembly and stays
-    // bit-identical to builds that predate placement support. Placement
-    // is an in-group mechanism — candidates only ever span one group —
-    // so per-group state (rate estimators, RNG decision counters) keeps
-    // one group's traffic from steering another's replicas and makes
-    // each group's decision stream a pure function of that group's
-    // events (the property sharded replay relies on).
-    // With the policies goes the `Tallies::replica_counts` row they
-    // feed: one slot per possible holder count, 0..=largest group.
-    let mut placements = (!config.placement.is_single_holder()).then(|| {
-        let policies: Vec<Box<dyn PlacementPolicy>> = groups
-            .groups()
-            .iter()
-            .map(|_| config.placement.build(catalog.len()))
-            .collect();
-        (policies, vec![0u64; largest_group + 1])
-    });
+    // The group's placement policy. `None` for the single-holder
+    // baseline: the historical copy flow (replicate on peer hit, cache
+    // at the requester on origin fetch) is hard-coded below, so the
+    // baseline pays no candidate assembly and stays bit-identical to
+    // builds that predate placement support. Placement is an in-group
+    // mechanism — candidates only ever span one group — so a policy's
+    // state (rate estimators, RNG decision counters) is a pure function
+    // of its own group's events (the property group-major runs rely
+    // on). With the policy goes the `Tallies::replica_counts` row it
+    // feeds: one slot per possible holder count, 0..=n.
+    let mut placement = (!config.placement.is_single_holder())
+        .then(|| (config.placement.build(catalog.len()), vec![0u64; n + 1]));
     // Candidate scratch reused across every placement decision.
     let mut candidates_scratch: Vec<Candidate> = Vec::new();
     let mut place_decisions = 0u64;
@@ -653,7 +630,7 @@ pub(crate) fn kernel(
     let mut local_hits_recorded = 0u64;
 
     // Observability tallies (see `Tallies`).
-    let mut group_outcomes = vec![[0u64; 3]; groups.group_count()];
+    let mut group_outcome = [0u64; 3];
     let mut obs_failovers = 0u64;
     let mut holder_group_checks = 0u64;
     let mut holder_ruled_out = 0u64;
@@ -669,8 +646,8 @@ pub(crate) fn kernel(
                     FaultKind::CacheDown { cache } => {
                         let c = cache.index();
                         if !live.down[c] {
-                            live.set_down(cache, groups.group_of(cache), true);
-                            deg_groups[groups.group_of(cache)].crashes += 1;
+                            live.set_down(cache, true);
+                            degradation.crashes += 1;
                             lost_stats += caches[c].stats();
                             caches[c].reset(capacity, policy, layout);
                             idx.clear_cache(cache);
@@ -681,17 +658,17 @@ pub(crate) fn kernel(
                         if live.down[c] && !retired[c] {
                             // Cold restart: contents were purged at the
                             // crash, so the cache rejoins empty.
-                            live.set_down(cache, groups.group_of(cache), false);
-                            deg_groups[groups.group_of(cache)].recoveries += 1;
+                            live.set_down(cache, false);
+                            degradation.recoveries += 1;
                         }
                     }
                     FaultKind::CacheRetire { cache } => {
                         let c = cache.index();
                         if !retired[c] {
                             retired[c] = true;
-                            deg_groups[groups.group_of(cache)].retirements += 1;
+                            degradation.retirements += 1;
                             if !live.down[c] {
-                                live.set_down(cache, groups.group_of(cache), true);
+                                live.set_down(cache, true);
                                 lost_stats += caches[c].stats();
                                 caches[c].reset(capacity, policy, layout);
                                 idx.clear_cache(cache);
@@ -722,12 +699,10 @@ pub(crate) fn kernel(
                 let size = catalog.document(doc).size_bytes;
                 let update_rate = catalog.document(doc).update_rate_per_sec;
 
-                let g = groups.group_of(cache);
-
                 // A request is "degraded" when its group is not whole —
                 // some member (including the home cache) down or retired
                 // — or an origin brownout is active.
-                let group_degraded = brownout > 1.0 || live.down_in_group[g] > 0;
+                let group_degraded = brownout > 1.0 || live.down_count > 0;
 
                 if live.down[cache.index()] {
                     // Home cache is dead: the client times out on it and
@@ -741,9 +716,8 @@ pub(crate) fn kernel(
                     obs_failovers += 1;
                     if now >= warmup {
                         metrics.record(cache, latency, ServedBy::Origin);
-                        let deg = &mut deg_groups[g];
-                        deg.failovers += 1;
-                        deg.record(now_ms, latency, false, false, true);
+                        degradation.failovers += 1;
+                        degradation.record(now_ms, latency, false, false, true);
                     }
                     continue;
                 }
@@ -774,16 +748,15 @@ pub(crate) fn kernel(
                 };
 
                 if local_hit.is_some() {
-                    if let Some((policies, _)) = placements.as_mut() {
+                    if let Some((policy, _)) = placement.as_mut() {
                         // Pure popularity signal for the rate estimator.
-                        policies[g].on_local_hit(doc, now_ms);
+                        policy.on_local_hit(doc, now_ms);
                     }
                 }
 
                 let (latency, served_by, served_version) = match local_hit {
                     Some(v) => (model.local_hit(), ServedBy::Local, v),
                     None => {
-                        let members = &groups.groups()[g];
                         // Nearest peer holding a servable copy, if any,
                         // and how many peers are alive to be queried.
                         // Down peers never are: the failure detector has
@@ -791,11 +764,11 @@ pub(crate) fn kernel(
                         // so the group degrades to the survivors. The
                         // requester is alive, so every down member is a
                         // peer.
-                        let alive = members.len() - 1 - live.down_in_group[g];
+                        let alive = n - 1 - live.down_count;
                         let mut holder: Option<(CacheId, f64, u64)> = None;
                         holder_group_checks += 1;
                         // Only the servable holder smallest in `(rtt,
-                        // position)` is ever used, so probe in that order
+                        // id)` is ever used, so probe in that order
                         // and stop at the first servable copy; a stale or
                         // expired one falls through to the next nearest.
                         // Probe and peer-serve bookkeeping are one search
@@ -815,7 +788,7 @@ pub(crate) fn kernel(
                                 let words = idx.doc_words(doc);
                                 let held = |&p: &usize| words[p / 64] >> (p % 64) & 1 != 0;
                                 holder = order
-                                    .row(cache, members.len() - 1)
+                                    .row(cache)
                                     .take_while(|_| may_hold)
                                     .filter(|p| held(p) && !live.down[*p])
                                     .find_map(|p| {
@@ -832,7 +805,7 @@ pub(crate) fn kernel(
                                 idx.for_each_holder_among(doc, masks.mask(cache), |p| {
                                     may_hold = true;
                                     if !live.down[p.index()] {
-                                        let key = holder_key(rtts[p.index()], position[p.index()]);
+                                        let key = holder_key(rtts[p.index()], p.index());
                                         if key < nearest.1 {
                                             nearest = (holder_scratch.len(), key);
                                         }
@@ -861,7 +834,7 @@ pub(crate) fn kernel(
                         if may_hold {
                             holder_bit_tests += alive as u64;
                         }
-                        deg_groups[g].peer_queries_skipped += (members.len() - 1 - alive) as u64;
+                        degradation.peer_queries_skipped += live.down_count as u64;
                         // One query out and one reply back per peer; the
                         // fan-out itself costs per-member processing time.
                         metrics.control_messages += 2 * alive as u64;
@@ -878,8 +851,7 @@ pub(crate) fn kernel(
                                 // an active policy decides whether the
                                 // requester keeps the copy.
                                 let mut keep_replica = true;
-                                if let Some((policies, replica_counts)) = placements.as_mut() {
-                                    let policy = &mut policies[g];
+                                if let Some((policy, replica_counts)) = placement.as_mut() {
                                     build_candidates(
                                         &mut candidates_scratch,
                                         network,
@@ -887,7 +859,6 @@ pub(crate) fn kernel(
                                         idx,
                                         &live.down,
                                         cache,
-                                        members,
                                         doc,
                                     );
                                     place_decisions += 1;
@@ -927,7 +898,7 @@ pub(crate) fn kernel(
                                 let rtt_origin = network.cache_to_origin(cache);
                                 // The requester gave up only once the
                                 // slowest alive peer had said no.
-                                let slowest_reply = live.slowest_reply(cache, g, members, network);
+                                let slowest_reply = live.slowest_reply(cache, network);
                                 let latency = fanout
                                     + slowest_reply
                                     + model.origin_fetch(rtt_origin, size) * brownout;
@@ -936,8 +907,7 @@ pub(crate) fn kernel(
                                 // copy to a better-placed member (the
                                 // requester still serves the client).
                                 let mut target = cache;
-                                if let Some((policies, replica_counts)) = placements.as_mut() {
-                                    let policy = &mut policies[g];
+                                if let Some((policy, replica_counts)) = placement.as_mut() {
                                     build_candidates(
                                         &mut candidates_scratch,
                                         network,
@@ -945,7 +915,6 @@ pub(crate) fn kernel(
                                         idx,
                                         &live.down,
                                         cache,
-                                        members,
                                         doc,
                                     );
                                     place_decisions += 1;
@@ -988,7 +957,7 @@ pub(crate) fn kernel(
                     ServedBy::Peer => 1,
                     ServedBy::Origin => 2,
                 };
-                group_outcomes[g][outcome_slot] += 1;
+                group_outcome[outcome_slot] += 1;
                 if now >= warmup {
                     let stale = served_version < current_version;
                     if served_by == ServedBy::Local {
@@ -1000,7 +969,7 @@ pub(crate) fn kernel(
                     if stale {
                         metrics.stale_served += 1;
                     }
-                    deg_groups[g].record(
+                    degradation.record(
                         now_ms,
                         latency,
                         served_by != ServedBy::Origin,
@@ -1014,11 +983,7 @@ pub(crate) fn kernel(
 
     metrics.bin_latencies(model.local_hit(), local_hits_recorded);
 
-    // Fold the per-group degradation recorders in group order. The same
-    // fold over per-shard recorders reproduces these sums bit for bit.
-    for deg in &deg_groups {
-        metrics.degradation.merge_from(deg);
-    }
+    metrics.degradation.merge_from(&degradation);
 
     if cfg!(debug_assertions) {
         // The index must mirror cache membership exactly at all times;
@@ -1048,11 +1013,11 @@ pub(crate) fn kernel(
             origin_fetches: origin.fetches_served(),
         },
         tallies: Tallies {
-            group_outcomes,
+            group_outcomes: vec![group_outcome],
             failovers: obs_failovers,
             holder: [holder_group_checks, holder_ruled_out, holder_bit_tests],
             place_decisions,
-            replica_counts: placements.map(|(_, counts)| counts).unwrap_or_default(),
+            replica_counts: placement.map(|(_, counts)| counts).unwrap_or_default(),
             last_event_ms,
             trace_events: trace_events as u64,
             dense_runs: usize::from(dense),
@@ -1061,11 +1026,11 @@ pub(crate) fn kernel(
 }
 
 /// What a kernel run takes from its caller instead of allocating, so a
-/// caller that runs one group after another pays for these buffers once
-/// per thread rather than once per group: the caches, the origin's
-/// version table, the holder index and peer masks, and the recorder of
-/// a run its caller has folded and handed back. A run takes its `n`
-/// caches from the front of the pool (grown to `n` if shorter) and
+/// thread that runs one group after another pays for these buffers once
+/// rather than once per group: the caches, the origin's version table,
+/// the holder index and peer masks, and the recorder of an earlier run
+/// that this thread has folded into the run's result and handed back
+/// (a run finding none allocates one). A run takes its `n` caches from the front of the pool (grown to `n` if shorter) and
 /// resets every piece to its own layout before the first event —
 /// [`DocumentCache::reset`], [`OriginServer::reset`],
 /// [`HolderIndex::reset`], [`PeerMasks::reset`],
@@ -1091,101 +1056,93 @@ pub(crate) fn dense_layout(members: usize, requests: usize, docs: usize) -> bool
     requests >= members.saturating_mul(per_member)
 }
 
-/// Every cache's group peers, nearest first by [`holder_key`]: the order
-/// a dense run's lookups try them in. Cache `c`'s row starts at `c ×
-/// stride`, the largest group's peer count (no padding in one group).
+/// Every cache's peers — the group's other members — nearest first by
+/// [`holder_key`]: the order a dense run's lookups try them in. Cache
+/// `c`'s row is the `n − 1` entries from `c × (n − 1)`.
 struct PeerOrder {
     peers: Vec<u32>,
     stride: usize,
 }
 
 impl PeerOrder {
-    fn new(network: &EdgeNetwork, groups: &GroupMap, position: &[usize]) -> Self {
-        let stride = groups.groups().iter().map(Vec::len).max().unwrap_or(1) - 1;
-        let mut peers = Vec::with_capacity(groups.cache_count() * stride);
-        let id = |p: CacheId| u32::try_from(p.index()).expect("a run has < 2^32 caches");
-        for c in 0..groups.cache_count() {
+    fn new(network: &EdgeNetwork) -> Self {
+        let n = network.cache_count();
+        let stride = n.saturating_sub(1);
+        let mut peers = Vec::with_capacity(n * stride);
+        let id = |p: usize| u32::try_from(p).expect("a run has < 2^32 caches");
+        for c in 0..n {
             let (rtts, row) = (&network.rtt_matrix().row(c + 1)[1..], peers.len());
-            peers.extend(groups.peers(CacheId(c)).map(id));
-            // Keys are distinct (positions are), so the order is total.
-            peers[row..]
-                .sort_unstable_by_key(|&p| holder_key(rtts[p as usize], position[p as usize]));
-            peers.resize(row + stride, 0);
+            peers.extend((0..n).filter(|&p| p != c).map(id));
+            // Keys are distinct (ids are), so the order is total.
+            peers[row..].sort_unstable_by_key(|&p| holder_key(rtts[p as usize], p as usize));
         }
         PeerOrder { peers, stride }
     }
 
-    /// `cache`'s first `len` peers, nearest first.
-    fn row(&self, cache: CacheId, len: usize) -> impl Iterator<Item = usize> + '_ {
-        let row = &self.peers[cache.index() * self.stride..][..len];
+    /// `cache`'s peers, nearest first.
+    fn row(&self, cache: CacheId) -> impl Iterator<Item = usize> + '_ {
+        let row = &self.peers[cache.index() * self.stride..][..self.stride];
         row.iter().map(|&p| p as usize)
     }
 }
 
-/// Which caches are down, per cache and counted per group, plus what
-/// the miss path derives from it. Adjusted only at fault events, so a
-/// request reads its group's health without walking the member list.
+/// Which of the group's caches are down, and how many, plus what the
+/// miss path derives from it. Adjusted only at fault events, so a
+/// request reads the group's health without walking the member list.
 struct Liveness {
     /// `down[c]`: crashed and not yet recovered, or retired.
     down: Vec<bool>,
-    /// Members of each group currently down.
-    down_in_group: Vec<usize>,
-    /// Per group, bumped whenever a member goes down or comes back;
-    /// starts at 1 so a zeroed memo stamp means "never computed".
-    epoch: Vec<u64>,
-    /// Per cache: the group epoch its slowest alive-peer RTT was
-    /// computed at, and that RTT.
+    /// Members currently down.
+    down_count: usize,
+    /// Bumped whenever a member goes down or comes back; starts at 1 so
+    /// a zeroed memo stamp means "never computed".
+    epoch: u64,
+    /// Per cache: the epoch its slowest alive-peer RTT was computed at,
+    /// and that RTT.
     slowest_memo: Vec<(u64, f64)>,
 }
 
 impl Liveness {
-    fn new(groups: &GroupMap) -> Self {
+    fn new(caches: usize) -> Self {
         Liveness {
-            down: vec![false; groups.cache_count()],
-            down_in_group: vec![0; groups.group_count()],
-            epoch: vec![1; groups.group_count()],
-            slowest_memo: vec![(0, 0.0); groups.cache_count()],
+            down: vec![false; caches],
+            down_count: 0,
+            epoch: 1,
+            slowest_memo: vec![(0, 0.0); caches],
         }
     }
 
-    /// Records that `cache`, a member of group `g`, went down or came
-    /// back. Callers check the transition is real.
-    fn set_down(&mut self, cache: CacheId, g: usize, down: bool) {
+    /// Records that `cache` went down or came back. Callers check the
+    /// transition is real.
+    fn set_down(&mut self, cache: CacheId, down: bool) {
         debug_assert_ne!(self.down[cache.index()], down);
         self.down[cache.index()] = down;
         if down {
-            self.down_in_group[g] += 1;
+            self.down_count += 1;
         } else {
-            self.down_in_group[g] -= 1;
+            self.down_count -= 1;
         }
-        self.epoch[g] += 1;
+        self.epoch += 1;
     }
 
     /// The RTT from `cache` to its slowest alive peer (0 with none):
     /// how long a group-wide miss waits for the last negative reply.
     /// Computed only when a fault has changed the group since the last
-    /// call for this cache. While the group is whole and is every cache
-    /// of the run — a group-major run's one group — its replies are the
+    /// call for this cache. While the group is whole its replies are the
     /// requester's matrix row itself, read in one contiguous pass of
     /// four independent maxima (a maximum is exact and order-free, so
     /// the value does not depend on the split); otherwise the alive
     /// members' entries are gathered from the row. The requester need
     /// not be skipped: its own RTT is the zero diagonal, and it is
     /// alive.
-    fn slowest_reply(
-        &mut self,
-        cache: CacheId,
-        g: usize,
-        members: &[CacheId],
-        network: &EdgeNetwork,
-    ) -> f64 {
+    fn slowest_reply(&mut self, cache: CacheId, network: &EdgeNetwork) -> f64 {
         let (stamp, memo) = self.slowest_memo[cache.index()];
-        if stamp == self.epoch[g] {
+        if stamp == self.epoch {
             return memo;
         }
         // Matrix node 0 is the origin; cache `c` is node `c + 1`.
         let row = &network.rtt_matrix().row(cache.index() + 1)[1..];
-        let slowest = if self.down_in_group[g] == 0 && members.len() == row.len() {
+        let slowest = if self.down_count == 0 {
             let mut lanes = [0.0f64; 4];
             let quads = row.chunks_exact(4);
             for &reply in quads.remainder() {
@@ -1198,12 +1155,12 @@ impl Liveness {
             }
             later_of(later_of(lanes[0], lanes[1]), later_of(lanes[2], lanes[3]))
         } else {
-            members
-                .iter()
-                .filter(|p| !self.down[p.index()])
-                .fold(0.0, |slowest, p| later_of(slowest, row[p.index()]))
+            row.iter()
+                .zip(&self.down)
+                .filter(|(_, &down)| !down)
+                .fold(0.0, |slowest, (&reply, _)| later_of(slowest, reply))
         };
-        self.slowest_memo[cache.index()] = (self.epoch[g], slowest);
+        self.slowest_memo[cache.index()] = (self.epoch, slowest);
         slowest
     }
 }
@@ -1222,7 +1179,7 @@ fn later_of(slowest: f64, reply: f64) -> f64 {
 }
 
 /// What a cooperative lookup orders a document's holders by: RTT from
-/// the requester, then position in the group's member list — the
+/// the requester, then local id — the group's member-list position, the
 /// tie-break a member-order scan gets for free. The RTT is held as its
 /// bit pattern, which for the finite non-negative values a matrix
 /// holds orders exactly as the number does, so picking the nearest is
@@ -1233,12 +1190,12 @@ type HolderKey = (u64, usize);
 /// Past every holder's key: where a search for the nearest starts.
 const FARTHEST: HolderKey = (u64::MAX, usize::MAX);
 
-/// The [`HolderKey`] of a holder at `rtt_ms` and member-list `position`.
+/// The [`HolderKey`] of holder `id` at `rtt_ms`.
 #[inline]
-fn holder_key(rtt_ms: f64, position: usize) -> HolderKey {
+fn holder_key(rtt_ms: f64, id: usize) -> HolderKey {
     debug_assert!(rtt_ms.is_finite() && rtt_ms >= 0.0);
     // Adding zero folds a negative zero into the positive one.
-    ((rtt_ms + 0.0).to_bits(), position)
+    ((rtt_ms + 0.0).to_bits(), id)
 }
 
 /// The version `holder` would serve for `doc` under the freshness
@@ -1267,8 +1224,8 @@ fn serve_from_peer(
 }
 
 /// Assembles the candidate list a placement decision sees: the
-/// requester first (RTT 0), then its *alive* group peers (`members`
-/// minus the requester) in group order. The policy interface takes the
+/// requester first (RTT 0), then its *alive* group peers (every other
+/// cache of the run) in group order. The policy interface takes the
 /// whole list, so an active placement policy still costs one member
 /// walk per decision. `holds` is presence (fresh or stale), read from
 /// the holder index, which mirrors cache membership exactly.
@@ -1280,7 +1237,6 @@ fn build_candidates(
     index: &HolderIndex,
     down: &[bool],
     cache: CacheId,
-    members: &[CacheId],
     doc: DocId,
 ) {
     out.clear();
@@ -1291,7 +1247,7 @@ fn build_candidates(
         used_bytes: caches[cache.index()].used_bytes(),
         holds: holds(cache),
     });
-    for &p in members {
+    for p in (0..caches.len()).map(CacheId) {
         if p == cache || down[p.index()] {
             continue;
         }

@@ -5,8 +5,9 @@
 //! seed ([`ecg_workload::RequestConfig::stream_cache`] is a pure
 //! function of `(master, cache)`) and orders them into the request lane
 //! of its walk; the update lane is the run's one copy of the shared
-//! log ([`crate::event::log_records`]). Peak memory is therefore bounded
-//! by the requests of the shards in flight, not by `N × requests`.
+//! log ([`crate::event::log_records`]). The requests a run holds at once
+//! are therefore those of the groups running — one group per thread —
+//! not `N × requests`.
 //!
 //! ## Ordering contract
 //!

@@ -348,14 +348,13 @@ fn the_whole_network_is_one_plan_and_one_sub_matrix_away_from_a_warm_run() {
     let store = sub_matrix + record_block + holder_index;
 
     // Warm, what is left is the plan, the recorder the fold merges into
-    // (a row per cache and a 257-bin latency histogram) and ≈ 1.7 KiB
-    // of per-member bookkeeping — liveness, positions, the one-group
-    // map, the fault script — less than that plus the smallest thing
-    // the store lends, the holder index (one word per document at 12
-    // caches): a warm run that allocated a sub-matrix, an index or a
+    // (a row per cache and a 257-bin latency histogram) and ≈ 1.3 KiB
+    // of per-member bookkeeping — liveness and the fault script — less
+    // than that plus the smallest thing the store lends, the holder
+    // index (one word per document at 12 caches): a warm run that allocated a sub-matrix, an index or a
     // kernel recorder would not fit.
     let fold_recorder = (caches * std::mem::size_of::<CacheAggregate>() + 8 * 257) as u64;
-    let bookkeeping = 1_900;
+    let bookkeeping = 1_400;
     let warm_budget = positions + fold_recorder + bookkeeping;
     // Unmeasured: this thread's store and score buffer go warm.
     simulate(&plan, &in_order, &mut sparse()).unwrap();
