@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ecg_bench::Scenario;
 use ecg_coords::{ProbeConfig, Prober};
-use ecg_core::{select_landmarks, GfCoordinator, LandmarkSelector, SchemeConfig};
+use ecg_core::{form, select_landmarks, FormContext, FormPlan, LandmarkSelector, SchemeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,7 +27,7 @@ fn bench_selectors(c: &mut Criterion) {
 }
 
 fn bench_full_pipeline(c: &mut Criterion) {
-    let mut group = c.benchmark_group("form_groups");
+    let mut group = c.benchmark_group("form");
     group.sample_size(10);
     for &n in &[100usize, 300] {
         let network = Scenario::network_only(n, 6);
@@ -36,9 +36,15 @@ fn bench_full_pipeline(c: &mut Criterion) {
             ("sdsl", SchemeConfig::sdsl(n / 10, 1.0)),
         ] {
             group.bench_with_input(BenchmarkId::new(name, n), &network, |b, network| {
-                let coord = GfCoordinator::new(scheme.clone());
                 let mut rng = StdRng::seed_from_u64(4);
-                b.iter(|| coord.form_groups(network, &mut rng).expect("formation"))
+                b.iter(|| {
+                    form(
+                        &FormPlan::new(network.rtt_matrix(), &scheme),
+                        &mut FormContext::new(),
+                        &mut rng,
+                    )
+                    .expect("formation")
+                })
             });
         }
     }

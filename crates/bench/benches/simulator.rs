@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ecg_bench::Scenario;
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use ecg_sim::{simulate, GroupMap, RunContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,9 +13,15 @@ fn bench_replay(c: &mut Criterion) {
     for &caches in &[50usize, 150] {
         let scenario = Scenario::build(caches, 60_000.0, 13);
         let mut rng = StdRng::seed_from_u64(2);
-        let outcome = GfCoordinator::new(SchemeConfig::sl(caches / 10))
-            .form_groups(&scenario.network, &mut rng)
-            .expect("formation");
+        let outcome = form(
+            &FormPlan::new(
+                scenario.network.rtt_matrix(),
+                &SchemeConfig::sl(caches / 10),
+            ),
+            &mut FormContext::new(),
+            &mut rng,
+        )
+        .expect("formation");
         let map = GroupMap::new(caches, outcome.groups().to_vec()).expect("groups");
         let config = scenario.sim_config(60_000.0);
         group.throughput(Throughput::Elements(scenario.trace.len() as u64));

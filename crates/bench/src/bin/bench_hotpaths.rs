@@ -37,7 +37,7 @@ use criterion::{Criterion, SampleStats, Throughput};
 use ecg_bench::{write_host_context, Scenario};
 use ecg_cache::{DocumentCache, Entry, PolicyKind};
 use ecg_clustering::{kmeans, kmeans_reference, FeatureMatrix, Initializer, KmeansConfig};
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use ecg_obs::json::JsonWriter;
 use ecg_sim::{simulate, GroupMap, RunContext, SimConfig};
 use ecg_topology::CacheId;
@@ -268,14 +268,21 @@ fn run() -> Result<(), String> {
     // Group formation end-to-end: probing + feature matrix + clustering.
     {
         let network = Scenario::network_only(sizes.formation_caches, 4_242);
-        let coord = GfCoordinator::new(SchemeConfig::sl(sizes.formation_caches / 10));
+        let scheme = SchemeConfig::sl(sizes.formation_caches / 10);
         let mut group = c.benchmark_group("group_formation");
         group
             .sample_size(sizes.samples)
             .throughput(Throughput::Elements(sizes.formation_caches as u64));
         group.bench_function("sl_end_to_end", |b| {
             let mut rng = StdRng::seed_from_u64(11);
-            b.iter(|| coord.form_groups(&network, &mut rng).expect("formation"))
+            b.iter(|| {
+                form(
+                    &FormPlan::new(network.rtt_matrix(), &scheme),
+                    &mut FormContext::new(),
+                    &mut rng,
+                )
+                .expect("formation")
+            })
         });
         group.finish();
     }

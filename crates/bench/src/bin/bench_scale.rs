@@ -1,14 +1,16 @@
 //! Large-N scaling sweep for full SL / SDSL group formation.
 //!
-//! Drives the formation pipeline through its large-N entry point
-//! ([`ecg_core::GfCoordinator::form_groups_scaled`]) — landmark
-//! selection and feature matrix construction on per-row derived RNG
-//! streams, K-means through the configured engine — plus the group
+//! Drives the formation pipeline through [`ecg_core::form`] under a
+//! per-row plan ([`ecg_core::FormPlan::per_row`]) — landmark selection
+//! and feature matrix construction on per-row derived RNG streams,
+//! K-means through the configured engine — plus the group
 //! interaction cost metric, over an
 //! implicit [`SyntheticRtt`] oracle (O(n) state, so N = 100 000 fits
 //! where a dense RTT matrix would need ~80 GB), sweeping
 //! N × variant × assignment engine × thread counts through
-//! [`ecg_par::set_max_threads`].
+//! [`ecg_par::set_max_threads`]. A full run takes the thread counts
+//! 1, 2, 4, … up to the host's logical CPUs, and never fewer than
+//! `[1, 2]`, so every configuration is checked at two counts at least.
 //!
 //! Every configuration is also a determinism check: the run at each
 //! thread count must reproduce the first run's assignments and the
@@ -54,12 +56,12 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use ecg_bench::write_host_context;
+use ecg_bench::{logical_cpus, write_host_context};
 use ecg_clustering::{
     server_distance_weights, AssignMode, CenterTree, Initializer, KmeansVariant, MiniBatchConfig,
     NeighbourTiles, NEIGHBOURS,
 };
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use ecg_obs::json::JsonWriter;
 use ecg_topology::{RttSource, SyntheticRtt, SyntheticRttConfig};
 use edge_cache_groups::cli::{finish, Args};
@@ -176,15 +178,14 @@ fn run_formation(
     }
 
     let mut rng = StdRng::seed_from_u64(1_000 + n as u64);
-    let formed = GfCoordinator::new(config)
-        .form_groups_scaled(net, &mut rng)
-        .expect("scaled formation");
+    let mut ctx = FormContext::new();
+    let formed =
+        form(&FormPlan::new(net, &config).per_row(), &mut ctx, &mut rng).expect("scaled formation");
 
     // Caches are nodes 1..=n of the oracle (node 0 is the origin).
     let t = Instant::now();
-    let gic_value = formed
-        .outcome
-        .average_interaction_cost(|a, b| net.rtt_ms(a.index() + 1, b.index() + 1));
+    let gic_value =
+        formed.average_interaction_cost(|a, b| net.rtt_ms(a.index() + 1, b.index() + 1));
     let gic_ms = ms(t);
 
     // Side measurements of two K-means stages, taken on the formed
@@ -192,13 +193,12 @@ fn run_formation(
     // scheme's initializer; and, where Lloyd's exact scans run on
     // neighbour tables, one table build over the final centers and the
     // share of all points whose two-nearest query those tables settle.
-    let points = formed.outcome.points();
+    let points = formed.points();
     let initializer = match scheme {
         Scheme::Sl => Initializer::RandomRepresentative,
-        Scheme::Sdsl(theta) => Initializer::Weighted(server_distance_weights(
-            formed.outcome.server_distances_ms(),
-            theta,
-        )),
+        Scheme::Sdsl(theta) => {
+            Initializer::Weighted(server_distance_weights(formed.server_distances_ms(), theta))
+        }
     };
     let t = Instant::now();
     initializer
@@ -208,14 +208,14 @@ fn run_formation(
     let tabled =
         engine.variant == Variant::Lloyd && engine.assign == AssignMode::Tree && k > NEIGHBOURS;
     let (neighbour_build_ms, neighbour_share) = if tabled {
-        let centers = formed.outcome.centers();
+        let centers = formed.centers();
         let tree = CenterTree::new(centers);
         let t = Instant::now();
         let tables = NeighbourTiles::new(centers, &tree);
         let build_ms = ms(t);
         let settled = points
             .iter_rows()
-            .zip(formed.outcome.assignments())
+            .zip(formed.assignments())
             .filter(|&(p, &a)| {
                 let d2: f64 = p
                     .iter()
@@ -231,7 +231,7 @@ fn run_formation(
     };
     ecg_par::set_max_threads(None);
 
-    let timings = formed.timings;
+    let timings = ctx.stats();
     RunResult {
         scheme: scheme.name(),
         variant: engine.variant.name(),
@@ -239,7 +239,7 @@ fn run_formation(
         n,
         threads,
         k,
-        landmarks: formed.outcome.landmarks().landmarks.len(),
+        landmarks: formed.landmarks().landmarks.len(),
         landmarks_ms: timings.landmarks_ms,
         features_ms: timings.features_ms,
         kmeans_ms: timings.clustering_ms,
@@ -250,7 +250,7 @@ fn run_formation(
         gic_ms,
         total_ms: timings.total_ms + gic_ms,
         gic_value,
-        assignments: formed.outcome.assignments().to_vec(),
+        assignments: formed.assignments().to_vec(),
     }
 }
 
@@ -338,7 +338,14 @@ fn run() -> Result<(), String> {
         (None, Variant::Lloyd, _) => lloyd_sizes,
         (None, Variant::MiniBatch, _) => minibatch_sizes,
     };
-    let thread_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
+    let thread_counts: Vec<usize> = if quick {
+        vec![1, 2]
+    } else {
+        let cpus = logical_cpus().max(2);
+        std::iter::successors(Some(1), |&t| Some(t * 2))
+            .take_while(|&t| t <= cpus)
+            .collect()
+    };
 
     let mut all_sizes: Vec<usize> = engines
         .iter()
@@ -364,7 +371,7 @@ fn run() -> Result<(), String> {
                     Variant::Lloyd => &mut lloyd_baseline,
                     Variant::MiniBatch => &mut minibatch_baseline,
                 };
-                for &threads in thread_counts {
+                for &threads in &thread_counts {
                     let run = run_formation(scheme, engine, mb, &net, n, k, threads);
                     eprintln!(
                         "{}/{}/{} n={} k={} threads={}: total {:.0} ms (landmarks {:.0}, features {:.0}, kmeans {:.0} [tree build {:.1}], gic {:.0})",

@@ -17,7 +17,7 @@
 
 use crate::{f2, Run, Scenario, Table};
 use ecg_coords::ProbeConfig;
-use ecg_core::{GfCoordinator, GroupMaintainer, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, GroupMaintainer, SchemeConfig};
 use ecg_faults::json::write_report;
 use ecg_faults::{ChurnConfig, ChurnDriver, FaultPlan};
 use ecg_obs::json::JsonWriter;
@@ -76,12 +76,21 @@ pub fn run(run: &mut Run) {
     let config = scenario.sim_config(DURATION_MS);
 
     let mut rng = StdRng::seed_from_u64(78);
-    let sl = GfCoordinator::new(SchemeConfig::sl(GROUPS))
-        .form_groups_observed(&scenario.network, &mut rng, run.obs())
-        .expect("SL formation");
-    let sdsl = GfCoordinator::new(SchemeConfig::sdsl(GROUPS, 1.0))
-        .form_groups_observed(&scenario.network, &mut rng, run.obs())
-        .expect("SDSL formation");
+    let sl = form(
+        &FormPlan::new(scenario.network.rtt_matrix(), &SchemeConfig::sl(GROUPS)),
+        &mut FormContext::new().observe(run.obs()),
+        &mut rng,
+    )
+    .expect("SL formation");
+    let sdsl = form(
+        &FormPlan::new(
+            scenario.network.rtt_matrix(),
+            &SchemeConfig::sdsl(GROUPS, 1.0),
+        ),
+        &mut FormContext::new().observe(run.obs()),
+        &mut rng,
+    )
+    .expect("SDSL formation");
     let random = random_groups(CACHES, GROUPS, &mut rng);
 
     let schemes: Vec<Scheme> = vec![

@@ -17,7 +17,7 @@
 use crate::{f2, interaction_cost_ms, mean, Run, Scenario, Table};
 use ecg_clustering::average_group_interaction_cost;
 use ecg_clustering::hierarchical::{agglomerative, Linkage};
-use ecg_core::{GfCoordinator, GroupInit, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, GroupInit, SchemeConfig};
 use ecg_sim::LatencyModel;
 use ecg_topology::CacheId;
 use rand::rngs::StdRng;
@@ -46,19 +46,21 @@ pub fn run(run: &mut Run) {
         let mut cells = vec![k.to_string()];
 
         // The three K-means variants go through the full pipeline.
-        for init in [
+        for scheme in [
             SchemeConfig::sl(k),
             SchemeConfig::sl(k).init(GroupInit::KmeansPlusPlus),
             SchemeConfig::sdsl(k, 1.0),
         ] {
-            let coord = GfCoordinator::new(init);
             let gics: Vec<f64> = seeds
                 .iter()
                 .map(|&seed| {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let outcome = coord
-                        .form_groups_observed(&network, &mut rng, run.obs())
-                        .expect("group formation");
+                    let outcome = form(
+                        &FormPlan::new(network.rtt_matrix(), &scheme),
+                        &mut FormContext::new().observe(run.obs()),
+                        &mut rng,
+                    )
+                    .expect("group formation");
                     interaction_cost_ms(&outcome, &network)
                 })
                 .collect();

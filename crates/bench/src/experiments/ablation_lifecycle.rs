@@ -94,7 +94,7 @@ pub fn run(run: &mut Run) {
         let schedule = cell.plan.schedule();
         let mut rng = StdRng::seed_from_u64(2_000 + cell.churn_per_hour as u64);
         let timeline = supervisor
-            .run_observed(
+            .run(
                 &scenario.network,
                 &schedule,
                 DURATION_MS,

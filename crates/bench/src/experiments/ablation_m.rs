@@ -8,7 +8,7 @@
 //! Run with `cargo run --release -p ecg-bench -- run ablation_m [--metrics-out <path>]`.
 
 use crate::{f2, interaction_cost_ms, mean, Run, Scenario, Table};
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,13 +24,16 @@ pub fn run(run: &mut Run) {
     let network = Scenario::network_only(caches, 1_717);
     let mut table = Table::new(["M", "gic_ms", "probes", "min_dist_ms"]);
     for &m in &ms {
-        let coord = GfCoordinator::new(SchemeConfig::sl(k).plset_multiplier(m));
+        let scheme = SchemeConfig::sl(k).plset_multiplier(m);
         let (mut gic, mut probes, mut mindist) = (Vec::new(), Vec::new(), Vec::new());
         for &seed in &seeds {
             let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = coord
-                .form_groups_observed(&network, &mut rng, run.obs())
-                .expect("group formation");
+            let outcome = form(
+                &FormPlan::new(network.rtt_matrix(), &scheme),
+                &mut FormContext::new().observe(run.obs()),
+                &mut rng,
+            )
+            .expect("group formation");
             gic.push(interaction_cost_ms(&outcome, &network));
             probes.push(outcome.probes_sent() as f64);
             mindist.push(outcome.landmarks().min_dist_ms.unwrap_or(0.0));

@@ -11,7 +11,7 @@
 
 use crate::{f2, Run, Table};
 use ecg_coords::ProbeConfig;
-use ecg_core::{GfCoordinator, GroupMaintainer, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, GroupMaintainer, SchemeConfig};
 use ecg_topology::{CacheId, EdgeNetwork, OriginPlacement, TransitStubConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,10 +30,13 @@ pub fn run(run: &mut Run) {
     let topo = TransitStubConfig::for_caches(initial).generate(&mut rng);
     let mut network = EdgeNetwork::place(&topo, initial, OriginPlacement::TransitNode, &mut rng)
         .expect("placement");
-    let coordinator = GfCoordinator::new(SchemeConfig::sdsl(k, 1.0));
-    let outcome = coordinator
-        .form_groups_observed(&network, &mut rng, run.obs())
-        .expect("initial formation");
+    let scheme = SchemeConfig::sdsl(k, 1.0);
+    let outcome = form(
+        &FormPlan::new(network.rtt_matrix(), &scheme),
+        &mut FormContext::new().observe(run.obs()),
+        &mut rng,
+    )
+    .expect("initial formation");
     let mut maintainer = GroupMaintainer::new(&network, outcome, ProbeConfig::default());
 
     let gic_of = |groups: &[Vec<CacheId>], network: &EdgeNetwork| -> f64 {
@@ -90,9 +93,12 @@ pub fn run(run: &mut Run) {
         let mut best: Option<(f64, u64)> = None;
         for attempt in 0..5u64 {
             let mut reform_rng = StdRng::seed_from_u64(900 + wave as u64 * 10 + attempt);
-            let outcome = coordinator
-                .form_groups_observed(&network, &mut reform_rng, run.obs())
-                .expect("re-formation");
+            let outcome = form(
+                &FormPlan::new(network.rtt_matrix(), &scheme),
+                &mut FormContext::new().observe(run.obs()),
+                &mut reform_rng,
+            )
+            .expect("re-formation");
             let gic = gic_of(outcome.groups(), &network);
             if best.is_none_or(|(b, _)| gic < b) {
                 best = Some((gic, outcome.probes_sent()));

@@ -10,7 +10,7 @@
 
 use crate::{f2, interaction_cost_ms, mean, Run, Scenario, Table};
 use ecg_coords::ProbeConfig;
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,20 +30,21 @@ pub fn run(run: &mut Run) {
     for &sigma in &sigmas {
         let mut cells = vec![format!("{:.0}%", sigma * 100.0)];
         for &probes in &probe_counts {
-            let coord = GfCoordinator::new(
-                SchemeConfig::sl(k).probe(
-                    ProbeConfig::default()
-                        .noise_sigma(sigma)
-                        .probes_per_measurement(probes),
-                ),
+            let scheme = SchemeConfig::sl(k).probe(
+                ProbeConfig::default()
+                    .noise_sigma(sigma)
+                    .probes_per_measurement(probes),
             );
             let gics: Vec<f64> = seeds
                 .iter()
                 .map(|&seed| {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let outcome = coord
-                        .form_groups_observed(&network, &mut rng, run.obs())
-                        .expect("group formation");
+                    let outcome = form(
+                        &FormPlan::new(network.rtt_matrix(), &scheme),
+                        &mut FormContext::new().observe(run.obs()),
+                        &mut rng,
+                    )
+                    .expect("group formation");
                     interaction_cost_ms(&outcome, &network)
                 })
                 .collect();

@@ -11,7 +11,7 @@
 //! Run with `cargo run --release -p ecg-bench -- run ablation_origin [--metrics-out <path>]`.
 
 use crate::{f2, mean, Run, Table};
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use ecg_sim::{simulate, GroupMap, RunContext, SimConfig, SimPlan};
 use ecg_topology::{EdgeNetwork, OriginPlacement, TransitStubConfig};
 use ecg_workload::SportingEventConfig;
@@ -52,9 +52,12 @@ pub fn run(run: &mut Run) {
                 .enumerate()
             {
                 let mut form_rng = StdRng::seed_from_u64(seed);
-                let outcome = GfCoordinator::new(scheme)
-                    .form_groups_observed(&network, &mut form_rng, run.obs())
-                    .expect("group formation");
+                let outcome = form(
+                    &FormPlan::new(network.rtt_matrix(), &scheme),
+                    &mut FormContext::new().observe(run.obs()),
+                    &mut form_rng,
+                )
+                .expect("group formation");
                 let map = GroupMap::new(caches, outcome.groups().to_vec()).expect("valid groups");
                 let plan =
                     SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace).config(config);

@@ -23,7 +23,7 @@
 
 use crate::{f2, Run, Table};
 use ecg_cache::PolicyKind;
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use ecg_obs::json::JsonWriter;
 use ecg_sim::{simulate, GroupMap, PlacementKind, RunContext, SimConfig, SimPlan};
 use ecg_topology::{EdgeNetwork, OriginPlacement, TransitStubConfig};
@@ -71,9 +71,12 @@ pub fn run(run: &mut Run) {
     // Groups are formed once (SDSL, the paper's best scheme) and shared
     // by every cell: the ablation varies placement, not formation.
     let mut form_rng = StdRng::seed_from_u64(FORMATION_SEED);
-    let outcome = GfCoordinator::new(SchemeConfig::sdsl(GROUPS, 1.0))
-        .form_groups(&network, &mut form_rng)
-        .expect("group formation");
+    let outcome = form(
+        &FormPlan::new(network.rtt_matrix(), &SchemeConfig::sdsl(GROUPS, 1.0)),
+        &mut FormContext::new(),
+        &mut form_rng,
+    )
+    .expect("group formation");
     let map = GroupMap::new(CACHES, outcome.groups().to_vec()).expect("grouping partitions caches");
 
     run.line(format_args!(

@@ -9,7 +9,7 @@
 
 use crate::{f2, Run, Scenario, Table};
 use ecg_cache::PolicyKind;
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,9 +23,12 @@ pub fn run(run: &mut Run) {
     ));
     let scenario = Scenario::build(caches, duration_ms, 777);
     let mut rng = StdRng::seed_from_u64(88);
-    let outcome = GfCoordinator::new(SchemeConfig::sdsl(k, 1.0))
-        .form_groups_observed(&scenario.network, &mut rng, run.obs())
-        .expect("group formation");
+    let outcome = form(
+        &FormPlan::new(scenario.network.rtt_matrix(), &SchemeConfig::sdsl(k, 1.0)),
+        &mut FormContext::new().observe(run.obs()),
+        &mut rng,
+    )
+    .expect("group formation");
 
     let mut table = Table::new([
         "policy",

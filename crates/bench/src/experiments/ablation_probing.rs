@@ -16,7 +16,7 @@ use crate::{f2, interaction_cost_ms, mean, Run, Scenario, Table};
 use ecg_clustering::average_group_interaction_cost;
 use ecg_clustering::medoids::pam;
 use ecg_coords::{ProbeConfig, Prober};
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use ecg_sim::LatencyModel;
 use ecg_topology::CacheId;
 use rand::rngs::StdRng;
@@ -47,13 +47,16 @@ pub fn run(run: &mut Run) {
         };
 
         // SL through the standard pipeline.
-        let coord = GfCoordinator::new(SchemeConfig::sl(k));
+        let scheme = SchemeConfig::sl(k);
         let (mut sl_gic, mut sl_probes) = (Vec::new(), Vec::new());
         for &seed in &seeds {
             let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = coord
-                .form_groups_observed(&network, &mut rng, run.obs())
-                .expect("formation");
+            let outcome = form(
+                &FormPlan::new(network.rtt_matrix(), &scheme),
+                &mut FormContext::new().observe(run.obs()),
+                &mut rng,
+            )
+            .expect("formation");
             sl_gic.push(interaction_cost_ms(&outcome, &network));
             sl_probes.push(outcome.probes_sent() as f64);
         }

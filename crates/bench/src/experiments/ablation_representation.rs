@@ -9,7 +9,7 @@
 
 use crate::{f2, interaction_cost_ms, mean, Run, Scenario, Table};
 use ecg_coords::{GnpConfig, VivaldiConfig};
-use ecg_core::{GfCoordinator, Representation, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, Representation, SchemeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -42,13 +42,16 @@ pub fn run(run: &mut Run) {
 
     let mut table = Table::new(["representation", "gic_ms", "probes"]);
     for (name, rep) in reps {
-        let coord = GfCoordinator::new(SchemeConfig::sl(k).representation(rep));
+        let scheme = SchemeConfig::sl(k).representation(rep);
         let (mut gic, mut probes) = (Vec::new(), Vec::new());
         for &seed in &seeds {
             let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = coord
-                .form_groups_observed(&network, &mut rng, run.obs())
-                .expect("group formation");
+            let outcome = form(
+                &FormPlan::new(network.rtt_matrix(), &scheme),
+                &mut FormContext::new().observe(run.obs()),
+                &mut rng,
+            )
+            .expect("group formation");
             gic.push(interaction_cost_ms(&outcome, &network));
             probes.push(outcome.probes_sent() as f64);
         }

@@ -21,7 +21,7 @@
 
 use crate::{f2, interaction_cost_ms, mean, Run, Table};
 use ecg_coords::ProbeConfig;
-use ecg_core::{GfCoordinator, ResilienceConfig, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, ResilienceConfig, SchemeConfig};
 use ecg_faults::FormationFaults;
 use ecg_obs::json::JsonWriter;
 use ecg_topology::{CacheId, EdgeNetwork, OriginPlacement, TransitStubConfig};
@@ -91,14 +91,16 @@ pub fn run(run: &mut Run) {
         if cell.resilient {
             config = config.resilience(ResilienceConfig::default());
         }
-        let coordinator = GfCoordinator::new(config);
 
         let mut result = CellResult::default();
         for seed in 0..REPEATS {
             let mut form_rng = StdRng::seed_from_u64(3_000 + seed);
-            let outcome = coordinator
-                .form_groups_faulted(&network, &probe_faults, &mut form_rng, cell_obs.as_mut())
-                .expect("faulted formation");
+            let outcome = form(
+                &FormPlan::new(network.rtt_matrix(), &config).faults(&probe_faults),
+                &mut FormContext::new().observe(cell_obs.as_mut()),
+                &mut form_rng,
+            )
+            .expect("faulted formation");
             result.gic_ms.push(interaction_cost_ms(&outcome, &network));
             if let Some(health) = outcome.health() {
                 result.retries += health.probe_retries;

@@ -9,7 +9,7 @@
 //! Run with `cargo run --release -p ecg-bench -- run ablation_theta [--metrics-out <path>]`.
 
 use crate::{f2, mean, Run, Scenario, Table};
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,13 +35,16 @@ pub fn run(run: &mut Run) {
         "far50_group_size",
     ]);
     for &theta in &thetas {
-        let coord = GfCoordinator::new(SchemeConfig::sdsl(k, theta));
+        let scheme = SchemeConfig::sdsl(k, theta);
         let (mut lat, mut near_sz, mut far_sz) = (Vec::new(), Vec::new(), Vec::new());
         for &seed in &form_seeds {
             let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = coord
-                .form_groups_observed(&scenario.network, &mut rng, run.obs())
-                .expect("group formation");
+            let outcome = form(
+                &FormPlan::new(scenario.network.rtt_matrix(), &scheme),
+                &mut FormContext::new().observe(run.obs()),
+                &mut rng,
+            )
+            .expect("group formation");
             let report = scenario.simulate_groups(outcome.groups(), config, run.obs());
             lat.push(report.average_latency_ms());
             let avg_size_of = |subset: &[ecg_topology::CacheId]| -> f64 {

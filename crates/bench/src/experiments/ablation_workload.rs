@@ -10,7 +10,7 @@
 //! Run with `cargo run --release -p ecg-bench -- run ablation_workload [--metrics-out <path>]`.
 
 use crate::{f2, mean, Run, Table};
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use ecg_sim::{simulate, GroupMap, RunContext, SimConfig, SimPlan};
 use ecg_topology::{EdgeNetwork, OriginPlacement, TransitStubConfig};
 use ecg_workload::{NewsSiteConfig, SportingEventConfig, TraceEvent};
@@ -66,9 +66,12 @@ pub fn run(run: &mut Run) {
                 .enumerate()
             {
                 let mut form_rng = StdRng::seed_from_u64(seed);
-                let outcome = GfCoordinator::new(scheme)
-                    .form_groups_observed(&network, &mut form_rng, run.obs())
-                    .expect("formation");
+                let outcome = form(
+                    &FormPlan::new(network.rtt_matrix(), &scheme),
+                    &mut FormContext::new().observe(run.obs()),
+                    &mut form_rng,
+                )
+                .expect("formation");
                 let map = GroupMap::new(caches, outcome.groups().to_vec()).expect("groups");
                 let plan = SimPlan::new(network.rtt_matrix(), catalog, trace).config(config);
                 let mut ctx = RunContext::serial().observe(run.obs());

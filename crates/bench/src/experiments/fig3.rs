@@ -14,7 +14,7 @@
 //! Run with `cargo run --release -p ecg-bench -- run fig3 [--metrics-out <path>]`.
 
 use crate::{f2, mean, Run, Scenario, Table};
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,9 +40,12 @@ pub fn run(run: &mut Run) {
         let (mut all, mut near_l, mut far_l) = (Vec::new(), Vec::new(), Vec::new());
         for &seed in &form_seeds {
             let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = GfCoordinator::new(SchemeConfig::sl(k))
-                .form_groups_observed(&scenario_ref.network, &mut rng, obs.as_mut())
-                .expect("group formation");
+            let outcome = form(
+                &FormPlan::new(scenario_ref.network.rtt_matrix(), &SchemeConfig::sl(k)),
+                &mut FormContext::new().observe(obs.as_mut()),
+                &mut rng,
+            )
+            .expect("group formation");
             let report = scenario_ref.simulate_groups(outcome.groups(), config, obs.as_mut());
             all.push(report.average_latency_ms());
             near_l.push(report.metrics.mean_latency_of(near_ref).unwrap_or(0.0));

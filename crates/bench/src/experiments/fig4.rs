@@ -12,7 +12,7 @@
 //! Run with `cargo run --release -p ecg-bench -- run fig4 [--metrics-out <path>]`.
 
 use crate::{f2, interaction_cost_ms, mean, Run, Scenario, Table};
-use ecg_core::{GfCoordinator, LandmarkSelector, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, LandmarkSelector, SchemeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,14 +35,17 @@ pub fn run(run: &mut Run) {
         let k = n / 10;
         let mut cols = Vec::new();
         for &selector in &selectors {
-            let coord = GfCoordinator::new(SchemeConfig::sl(k).selector(selector));
+            let scheme = SchemeConfig::sl(k).selector(selector);
             let gics: Vec<f64> = seeds
                 .iter()
                 .map(|&seed| {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let outcome = coord
-                        .form_groups_observed(&network, &mut rng, run.obs())
-                        .expect("group formation");
+                    let outcome = form(
+                        &FormPlan::new(network.rtt_matrix(), &scheme),
+                        &mut FormContext::new().observe(run.obs()),
+                        &mut rng,
+                    )
+                    .expect("group formation");
                     interaction_cost_ms(&outcome, &network)
                 })
                 .collect();

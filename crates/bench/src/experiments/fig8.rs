@@ -10,7 +10,7 @@
 //! Run with `cargo run --release -p ecg-bench -- run fig8 [--metrics-out <path>]`.
 
 use crate::{f2, mean, Run, Scenario, Table};
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,9 +40,12 @@ pub fn run(run: &mut Run) {
                     .enumerate()
                 {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let outcome = GfCoordinator::new(scheme)
-                        .form_groups_observed(&scenario.network, &mut rng, obs.as_mut())
-                        .expect("group formation");
+                    let outcome = form(
+                        &FormPlan::new(scenario.network.rtt_matrix(), &scheme),
+                        &mut FormContext::new().observe(obs.as_mut()),
+                        &mut rng,
+                    )
+                    .expect("group formation");
                     let report = scenario.simulate_groups(outcome.groups(), config, obs.as_mut());
                     latencies[slot].push(report.average_latency_ms());
                 }

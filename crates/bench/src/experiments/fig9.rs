@@ -10,7 +10,7 @@
 //! Run with `cargo run --release -p ecg-bench -- run fig9 [--metrics-out <path>]`.
 
 use crate::{f2, mean, Run, Scenario, Table};
-use ecg_core::{GfCoordinator, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,9 +43,12 @@ pub fn run(run: &mut Run) {
     let scenario_ref = &scenario;
     let results = run.cells(cells, |(k, seed, slot, scheme), obs| {
         let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = GfCoordinator::new(scheme)
-            .form_groups_observed(&scenario_ref.network, &mut rng, obs.as_mut())
-            .expect("group formation");
+        let outcome = form(
+            &FormPlan::new(scenario_ref.network.rtt_matrix(), &scheme),
+            &mut FormContext::new().observe(obs.as_mut()),
+            &mut rng,
+        )
+        .expect("group formation");
         let report = scenario_ref.simulate_groups(outcome.groups(), config, obs.as_mut());
         (k, slot, report.average_latency_ms())
     });

@@ -204,13 +204,18 @@ pub fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
 
+/// The host's logical CPUs, as the standard library reports them (0 when
+/// it cannot tell).
+pub fn logical_cpus() -> usize {
+    std::thread::available_parallelism().map_or(0, usize::from)
+}
+
 /// Writes the host-context members of a timing record into the open
 /// object: logical CPUs, the `ECG_THREADS` override (`null` when
 /// unset) and the size mode. A timing baseline is only comparable to
 /// runs with the same core budget and sizes.
 pub fn write_host_context(w: &mut JsonWriter, ecg_threads_env: Option<&str>, quick: bool) {
-    let logical_cpus = std::thread::available_parallelism().map_or(0, usize::from);
-    w.key("logical_cpus").usize(logical_cpus);
+    w.key("logical_cpus").usize(logical_cpus());
     w.key("ecg_threads_env");
     match ecg_threads_env {
         Some(v) => w.str(v),
@@ -222,7 +227,7 @@ pub fn write_host_context(w: &mut JsonWriter, ecg_threads_env: Option<&str>, qui
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecg_core::{GfCoordinator, SchemeConfig};
+    use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
     use ecg_obs::json::{parse, JsonValue};
 
     #[test]
@@ -238,9 +243,12 @@ mod tests {
     fn scenario_simulation_round_trip() {
         let s = Scenario::build(12, 10_000.0, 1);
         let mut rng = StdRng::seed_from_u64(2);
-        let outcome = GfCoordinator::new(SchemeConfig::sl(3).landmarks(4))
-            .form_groups(&s.network, &mut rng)
-            .unwrap();
+        let outcome = form(
+            &FormPlan::new(s.network.rtt_matrix(), &SchemeConfig::sl(3).landmarks(4)),
+            &mut FormContext::new(),
+            &mut rng,
+        )
+        .unwrap();
         let report = s.simulate_groups(outcome.groups(), s.sim_config(10_000.0), None);
         assert!(report.average_latency_ms() > 0.0);
         let gic = interaction_cost_ms(&outcome, &s.network);

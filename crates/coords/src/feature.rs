@@ -170,22 +170,6 @@ pub fn build_feature_vectors<R: Rng + ?Sized>(
     rows.map(FeatureVector::new).collect()
 }
 
-/// Parallel, thread-count-invariant variant of [`build_feature_matrix`]
-/// for large N: [`build_features`] under [`Draws::PerRow`], so the
-/// result depends only on `(rng state, nodes, landmarks, prober
-/// config)` — never on `ECG_THREADS` or scheduling. With a noisy prober
-/// the measurements are **not** stream-compatible with
-/// [`build_feature_matrix`], which stays the default so historical
-/// experiment outputs keep their bytes.
-pub fn build_feature_matrix_par<R: Rng + ?Sized>(
-    prober: &Prober<'_>,
-    nodes: &[usize],
-    landmarks: &[usize],
-    rng: &mut R,
-) -> FeatureMatrix {
-    build_features(prober, nodes, landmarks, None, &mut Draws::PerRow, rng).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +178,16 @@ mod tests {
     use ecg_topology::fixtures::paper_figure1;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// [`build_features`] without retries under [`Draws::PerRow`].
+    fn build_per_row(
+        prober: &Prober<'_>,
+        nodes: &[usize],
+        landmarks: &[usize],
+        rng: &mut StdRng,
+    ) -> FeatureMatrix {
+        build_features(prober, nodes, landmarks, None, &mut Draws::PerRow, rng).0
+    }
 
     #[test]
     #[should_panic(expected = "finite")]
@@ -250,8 +244,7 @@ mod tests {
         let landmarks = [0usize, 1, 5];
         let nodes: Vec<usize> = (1..7).collect();
         let seq = build_feature_matrix(&prober, &nodes, &landmarks, &mut StdRng::seed_from_u64(9));
-        let par =
-            build_feature_matrix_par(&prober, &nodes, &landmarks, &mut StdRng::seed_from_u64(9));
+        let par = build_per_row(&prober, &nodes, &landmarks, &mut StdRng::seed_from_u64(9));
         assert_eq!(par.len(), seq.len());
         for i in 0..seq.len() {
             assert_eq!(par.row(i), seq.row(i));
@@ -269,12 +262,7 @@ mod tests {
         let nodes: Vec<usize> = (1..7).collect();
         let build = |threads| {
             ecg_par::set_max_threads(Some(threads));
-            let fm = build_feature_matrix_par(
-                &prober,
-                &nodes,
-                &landmarks,
-                &mut StdRng::seed_from_u64(77),
-            );
+            let fm = build_per_row(&prober, &nodes, &landmarks, &mut StdRng::seed_from_u64(77));
             ecg_par::set_max_threads(None);
             fm
         };

@@ -43,17 +43,17 @@ pub mod gnp;
 pub mod matrix;
 pub mod probe;
 pub mod resilience;
+mod shim;
 pub mod simplex;
 pub mod tiles;
 pub mod vivaldi;
 
-pub use feature::{
-    build_feature_matrix, build_feature_matrix_par, build_feature_vectors, build_features,
-    FeatureVector,
-};
+pub use feature::{build_feature_matrix, build_feature_vectors, build_features, FeatureVector};
 pub use gnp::{embed_network, GnpConfig, GnpCoordinates, GnpModel};
 pub use matrix::FeatureMatrix;
 pub use probe::{Draws, ProbeConfig, Prober};
 pub use resilience::{FeatureMask, Measurement, ProbeFaults, RetryPolicy};
+#[doc(hidden)]
+pub use shim::*;
 pub use tiles::{CenterTiles, LANE_WIDTH};
 pub use vivaldi::{mean_relative_error, run_vivaldi, VivaldiConfig, VivaldiNode};

@@ -166,10 +166,10 @@ pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// The *draw discipline* of a [`Prober::measure_batch`] call: fixed by
-/// the formation entry point, never by configuration.
+/// the formation plan, never by configuration.
 pub enum Draws<'o> {
-    /// One shared RNG stream consumed in enumeration order — what every
-    /// matrix-backed entry point, and so every golden, is pinned to.
+    /// One shared RNG stream consumed in enumeration order — the
+    /// formation plan's default, which every golden is pinned to.
     /// Sequential, hence the only variant with per-probe telemetry.
     Shared(Option<&'o mut Obs>),
     /// One `StdRng` per row, seeded [`ecg_par::derive_seed`]`(master,

@@ -1,20 +1,20 @@
 //! Formation-run health reporting for resilient formation runs.
 //!
-//! When a [`GfCoordinator`](crate::GfCoordinator) runs with a
-//! [`ResilienceConfig`], it returns a [`FormationHealth`] alongside the
-//! grouping: how hard the probing layer had to work (retries, virtual
-//! backoff, abandoned measurements), which landmarks were detected dead
-//! and failed over, how many feature cells were never observed, and
-//! which caches were quarantined into the nearest-landmark fallback.
-//! A fault-free run reports [`FormationHealth::is_healthy`] and is
-//! bit-identical to a run without resilience.
+//! When [`crate::form`] runs with a [`ResilienceConfig`], it returns a
+//! [`FormationHealth`] alongside the grouping: how hard the probing
+//! layer had to work (retries, virtual backoff, abandoned
+//! measurements), which landmarks were detected dead and failed over,
+//! how many feature cells were never observed, and which caches were
+//! quarantined into the nearest-landmark fallback. A fault-free run
+//! reports [`FormationHealth::is_healthy`] and is bit-identical to a
+//! run without resilience.
 
 use ecg_coords::RetryPolicy;
 use ecg_topology::CacheId;
 use std::fmt;
 
 /// Tuning for the resilient formation pipeline
-/// ([`crate::GfCoordinator::form_groups_faulted`]).
+/// ([`crate::form`], usually under [`crate::FormPlan::faults`]).
 ///
 /// # Examples
 ///

@@ -130,30 +130,6 @@ pub fn select_landmarks<R: Rng + ?Sized>(
     select(prober, selector, l, m, None, &mut Draws::Shared(None), rng).map(|s| s.selection)
 }
 
-/// Like [`select_landmarks`], but the `O((M·L)²)` PLSet measurement
-/// phase runs under [`Draws::PerRow`]: pair `p` (in the sequential
-/// `(a, b)` enumeration order) draws its probe noise from its own
-/// derived stream on an [`ecg_par`] worker. Results therefore depend
-/// only on the seed, **never on the thread count** — but with a noisy
-/// [`ecg_coords::ProbeConfig`] the measured values (and possibly the
-/// selection) differ from [`select_landmarks`]. Under a noiseless
-/// config a measurement draws nothing, so the selection is
-/// **identical** to the sequential pass (pinned by the equivalence
-/// tests); the `Random` selector measures nothing at all.
-///
-/// # Errors
-///
-/// Exactly as [`select_landmarks`].
-pub fn select_landmarks_par<R: Rng + ?Sized>(
-    prober: &Prober<'_>,
-    selector: LandmarkSelector,
-    l: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<LandmarkSelection, LandmarkError> {
-    select(prober, selector, l, m, None, &mut Draws::PerRow, rng).map(|s| s.selection)
-}
-
 /// Number of caches behind `prober`: every node but the origin.
 pub(crate) fn cache_count(prober: &Prober<'_>) -> Result<usize, LandmarkError> {
     prober
@@ -358,6 +334,18 @@ mod tests {
     use ecg_topology::fixtures::paper_figure1;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// [`select_landmarks`] with the PLSet measured under
+    /// [`Draws::PerRow`], as per-row formation measures it.
+    fn select_per_row(
+        prober: &Prober<'_>,
+        selector: LandmarkSelector,
+        l: usize,
+        m: usize,
+        rng: &mut StdRng,
+    ) -> Result<LandmarkSelection, LandmarkError> {
+        select(prober, selector, l, m, None, &mut Draws::PerRow, rng).map(|s| s.selection)
+    }
 
     /// A prober over the Figure 1 matrix with exact measurements.
     fn prober(m: &ecg_topology::RttMatrix) -> Prober<'_> {
@@ -614,7 +602,7 @@ mod tests {
         for selector in [LandmarkSelector::GreedyMaxMin, LandmarkSelector::Random] {
             let err = select_landmarks(&p, selector, 2, 1, &mut StdRng::seed_from_u64(0));
             assert_eq!(err, Err(LandmarkError::NoOrigin));
-            let err = select_landmarks_par(&p, selector, 2, 1, &mut StdRng::seed_from_u64(0));
+            let err = select_per_row(&p, selector, 2, 1, &mut StdRng::seed_from_u64(0));
             assert_eq!(err, Err(LandmarkError::NoOrigin));
         }
         assert!(LandmarkError::NoOrigin.to_string().contains("no origin"));
@@ -638,8 +626,7 @@ mod tests {
                     select_landmarks(&p, selector, 3, 2, &mut StdRng::seed_from_u64(seed)).unwrap();
                 let p = prober(&m);
                 let par =
-                    select_landmarks_par(&p, selector, 3, 2, &mut StdRng::seed_from_u64(seed))
-                        .unwrap();
+                    select_per_row(&p, selector, 3, 2, &mut StdRng::seed_from_u64(seed)).unwrap();
                 assert_eq!(par, seq, "{selector} seed {seed}");
             }
         }
@@ -657,7 +644,7 @@ mod tests {
         let run_at = |threads: usize, seed: u64| {
             ecg_par::set_max_threads(Some(threads));
             let p = prober_noisy(&m);
-            let sel = select_landmarks_par(
+            let sel = select_per_row(
                 &p,
                 LandmarkSelector::GreedyMaxMin,
                 3,
@@ -687,7 +674,7 @@ mod tests {
         let run = |threads: Option<usize>| {
             ecg_par::set_max_threads(threads);
             let p = Prober::new(&net, ProbeConfig::noiseless());
-            let sel = select_landmarks_par(
+            let sel = select_per_row(
                 &p,
                 LandmarkSelector::GreedyMaxMin,
                 4,

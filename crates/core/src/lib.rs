@@ -23,7 +23,7 @@
 //! # Examples
 //!
 //! ```
-//! use ecg_core::{GfCoordinator, SchemeConfig};
+//! use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 //! use ecg_topology::{EdgeNetwork, OriginPlacement, TransitStubConfig};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -31,8 +31,9 @@
 //! let topo = TransitStubConfig::for_caches(60).generate(&mut rng);
 //! let network = EdgeNetwork::place(&topo, 60, OriginPlacement::TransitNode, &mut rng)?;
 //!
-//! let outcome = GfCoordinator::new(SchemeConfig::sdsl(6, 1.0))
-//!     .form_groups(&network, &mut rng)?;
+//! let config = SchemeConfig::sdsl(6, 1.0);
+//! let plan = FormPlan::new(network.rtt_matrix(), &config);
+//! let outcome = form(&plan, &mut FormContext::new(), &mut rng)?;
 //! let gic = outcome.average_interaction_cost(|a, b| network.cache_to_cache(a, b));
 //! println!("{} groups, avg interaction cost {gic:.1} ms", outcome.groups().len());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -48,14 +49,17 @@ pub mod health;
 pub mod landmarks;
 pub mod maintenance;
 pub mod scheme;
+mod shim;
 
 pub use health::{FormationHealth, ResilienceConfig};
 pub use landmarks::{
-    select_landmarks, select_landmarks_par, LandmarkError, LandmarkSelection, LandmarkSelector,
+    select_landmarks, LandmarkError, LandmarkSelection, LandmarkSelector,
     ResilientLandmarkSelection,
 };
 pub use maintenance::{GroupMaintainer, MaintenanceError, PartialReformOutcome, RetireOutcome};
 pub use scheme::{
-    FormationTimings, GfCoordinator, GroupInit, GroupingOutcome, Representation, ScaledFormation,
+    form, FormContext, FormPlan, FormStats, GroupInit, GroupingOutcome, Representation,
     SchemeConfig, SchemeError,
 };
+#[doc(hidden)]
+pub use shim::*;

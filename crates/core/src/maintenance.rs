@@ -15,7 +15,7 @@
 //!   against the formation-time cost, so operators can trigger a full
 //!   re-run of the scheme once incremental decay crosses a threshold.
 
-use crate::scheme::{GroupingOutcome, SchemeError};
+use crate::scheme::GroupingOutcome;
 use ecg_clustering::{kmeans_warm, KmeansConfig};
 use ecg_coords::{FeatureMatrix, ProbeConfig, Prober};
 use ecg_obs::Obs;
@@ -123,18 +123,17 @@ pub struct PartialReformOutcome {
 /// # Examples
 ///
 /// ```
-/// use ecg_core::{GfCoordinator, GroupMaintainer, SchemeConfig};
+/// use ecg_core::{form, FormContext, FormPlan, GroupMaintainer, SchemeConfig};
 /// use ecg_coords::ProbeConfig;
 /// use ecg_topology::{fixtures::paper_figure1, EdgeNetwork};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
 /// let mut rng = StdRng::seed_from_u64(3);
-/// let outcome = GfCoordinator::new(
-///     SchemeConfig::sl(3).landmarks(3).plset_multiplier(2)
-///         .probe(ProbeConfig::noiseless()),
-/// )
-/// .form_groups(&network, &mut rng)?;
+/// let config = SchemeConfig::sl(3).landmarks(3).plset_multiplier(2)
+///     .probe(ProbeConfig::noiseless());
+/// let plan = FormPlan::new(network.rtt_matrix(), &config);
+/// let outcome = form(&plan, &mut FormContext::new(), &mut rng)?;
 ///
 /// let mut maintainer = GroupMaintainer::new(&network, outcome, ProbeConfig::noiseless());
 /// // A new cache joins 1 ms from Ec0 (and far from everyone else):
@@ -153,7 +152,7 @@ pub struct GroupMaintainer {
     assignments: Vec<Option<usize>>,
     landmarks: Vec<usize>,
     centers: FeatureMatrix,
-    probe: ProbeConfig,
+    pub(crate) probe: ProbeConfig,
     formation_cost: f64,
     retired: Vec<CacheId>,
     /// Probe-scratch buffer reused across admit/readmit calls.
@@ -508,7 +507,8 @@ impl GroupMaintainer {
     ///   index.
     /// * [`MaintenanceError::TooFewLandmarks`] if fewer than two
     ///   landmarks would survive the prune — the caller should escalate
-    ///   to [`GroupMaintainer::reform`]. The maintainer is untouched.
+    ///   to a full re-formation ([`crate::form`]). The maintainer is
+    ///   untouched.
     /// * [`MaintenanceError::NotFeatureVectors`] if the grouping was
     ///   formed over an embedded representation; untouched as well.
     pub fn reform_partial<R: Rng + ?Sized>(
@@ -639,45 +639,35 @@ impl GroupMaintainer {
         }
         Ok(outcome)
     }
-
-    /// Consumes the maintainer and re-forms groups from scratch with the
-    /// given coordinator, returning a fresh maintainer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SchemeError`] from the coordinator.
-    pub fn reform<R: Rng + ?Sized>(
-        self,
-        coordinator: &crate::scheme::GfCoordinator,
-        network: &EdgeNetwork,
-        rng: &mut R,
-    ) -> Result<GroupMaintainer, SchemeError> {
-        let outcome = coordinator.form_groups(network, rng)?;
-        Ok(GroupMaintainer::new(network, outcome, self.probe))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{GfCoordinator, SchemeConfig};
+    use crate::scheme::{form, FormContext, FormPlan, SchemeConfig};
     use ecg_topology::fixtures::paper_figure1;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `form` over the network's matrix on one shared stream, unobserved.
+    fn form_on(network: &EdgeNetwork, cfg: SchemeConfig, rng: &mut StdRng) -> GroupingOutcome {
+        let plan = FormPlan::new(network.rtt_matrix(), &cfg);
+        form(&plan, &mut FormContext::new(), rng).unwrap()
+    }
 
     fn formed() -> (EdgeNetwork, GroupMaintainer, StdRng) {
         let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
         // Find a seed that yields the natural pairs for determinism.
         for seed in 0..100 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = GfCoordinator::new(
+            let outcome = form_on(
+                &network,
                 SchemeConfig::sl(3)
                     .landmarks(3)
                     .plset_multiplier(2)
                     .probe(ProbeConfig::noiseless()),
-            )
-            .form_groups(&network, &mut rng)
-            .unwrap();
+                &mut rng,
+            );
             let mut groups: Vec<Vec<usize>> = outcome
                 .groups()
                 .iter()
@@ -821,14 +811,14 @@ mod tests {
         // so the drift series must be non-decreasing.
         let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
         let mut rng = StdRng::seed_from_u64(0);
-        let outcome = GfCoordinator::new(
+        let outcome = form_on(
+            &network,
             SchemeConfig::sl(1)
                 .landmarks(3)
                 .plset_multiplier(2)
                 .probe(ProbeConfig::noiseless()),
-        )
-        .form_groups(&network, &mut rng)
-        .unwrap();
+            &mut rng,
+        );
         let mut m = GroupMaintainer::new(&network, outcome, ProbeConfig::noiseless());
         let mut last = m.drift(&network).unwrap();
         assert!((last - 1.0).abs() < 1e-9);
@@ -885,13 +875,11 @@ mod tests {
         let (network, mut m, mut rng) = formed();
         let grown = network.with_added_cache(200.0, &[190.0; 6]);
         m.admit(&grown, &mut rng, None).unwrap();
-        let coordinator = GfCoordinator::new(
-            SchemeConfig::sl(3)
-                .landmarks(3)
-                .plset_multiplier(2)
-                .probe(ProbeConfig::noiseless()),
-        );
-        let fresh = m.reform(&coordinator, &grown, &mut rng).unwrap();
+        let cfg = SchemeConfig::sl(3)
+            .landmarks(3)
+            .plset_multiplier(2)
+            .probe(ProbeConfig::noiseless());
+        let fresh = GroupMaintainer::new(&grown, form_on(&grown, cfg, &mut rng), m.probe);
         let drift = fresh.drift(&grown).unwrap();
         assert!((drift - 1.0).abs() < 1e-9);
         assert_eq!(fresh.active_caches(), 7);
@@ -1083,14 +1071,14 @@ mod tests {
         let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
         let mut rng = StdRng::seed_from_u64(5);
         let gnp = Representation::Gnp(GnpConfig::default().dimensions(2).restarts(1));
-        let outcome = GfCoordinator::new(
+        let outcome = form_on(
+            &network,
             SchemeConfig::sl(3)
                 .landmarks(3)
                 .probe(ProbeConfig::noiseless())
                 .representation(gnp),
-        )
-        .form_groups(&network, &mut rng)
-        .unwrap();
+            &mut rng,
+        );
         let mut m = GroupMaintainer::new(&network, outcome, ProbeConfig::noiseless());
         let before = m.clone();
         let err = m.reform_partial(&network, &[0], &[], &mut rng).unwrap_err();

@@ -1,7 +1,7 @@
 //! The SL and SDSL group formation schemes.
 //!
-//! Both schemes share the same three-step pipeline, coordinated by the
-//! [`GfCoordinator`] (the paper's *Group Formation-Coordinator*):
+//! Both schemes share the same three-step pipeline, run by [`form`]
+//! (the paper's *Group Formation-Coordinator*):
 //!
 //! 1. **Landmark selection** (§3.1) — [`crate::landmarks`].
 //! 2. **Position estimation** (§3.2) — landmark feature vectors, or the
@@ -21,7 +21,7 @@ use ecg_coords::{
     GnpCoordinates, ProbeConfig, ProbeFaults, Prober, VivaldiConfig,
 };
 use ecg_obs::Obs;
-use ecg_topology::{CacheId, EdgeNetwork, RttSource};
+use ecg_topology::{CacheId, RttSource};
 use rand::Rng;
 use std::fmt;
 use std::time::Instant;
@@ -189,7 +189,7 @@ impl SchemeConfig {
     /// Selects the K-means engine: full-batch Lloyd (the default — the
     /// paper's algorithm, what every historical experiment output ran)
     /// or the deterministic mini-batch variant for large `N`. Every
-    /// entry point honours it; it yields to a
+    /// plan honours it; it yields to a
     /// [`SchemeConfig::max_group_size`] cap and to a degraded feature
     /// mask, which have one engine each.
     pub fn kmeans_variant(mut self, variant: KmeansVariant) -> Self {
@@ -221,7 +221,7 @@ impl SchemeConfig {
         self
     }
 
-    /// Enables resilient formation, at every entry point: probe retries
+    /// Enables resilient formation, under every plan: probe retries
     /// under the configured policy, landmark failover when a PLSet node
     /// is detected dead, masked clustering over the observed feature
     /// cells, and quarantine of caches below the observation floor.
@@ -247,7 +247,7 @@ impl SchemeConfig {
     }
 }
 
-/// Error from [`GfCoordinator::form_groups`].
+/// Error from [`form`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchemeError {
     /// Landmark selection failed.
@@ -427,379 +427,379 @@ impl GroupingOutcome {
     }
 }
 
-/// The Group Formation-Coordinator: runs the configured scheme against
-/// an edge network.
+/// **What** a formation run computes: the RTT source it probes, the
+/// scheme, the probe faults injected into it and the draw discipline.
+/// Starts with no faults and one shared RNG stream.
+///
+/// The source is any [`RttSource`] spanning `[origin, caches…]` (node 0
+/// is the origin, node `i + 1` cache `i`); a caller holding an
+/// [`EdgeNetwork`](ecg_topology::EdgeNetwork) passes
+/// [`EdgeNetwork::rtt_matrix`](ecg_topology::EdgeNetwork::rtt_matrix).
+#[derive(Debug, Clone, Copy)]
+pub struct FormPlan<'a> {
+    source: &'a dyn RttSource,
+    config: &'a SchemeConfig,
+    faults: Option<&'a ProbeFaults>,
+    per_row: bool,
+}
+
+impl<'a> FormPlan<'a> {
+    /// A plan forming `config`'s groups over `source`.
+    pub fn new(source: &'a dyn RttSource, config: &'a SchemeConfig) -> Self {
+        FormPlan {
+            source,
+            config,
+            faults: None,
+            per_row: false,
+        }
+    }
+
+    /// Injects probe faults (crashed nodes, black-holed links — see
+    /// [`ecg_coords::ProbeFaults`]). Without a
+    /// [`SchemeConfig::resilience`] configuration the pipeline behaves
+    /// exactly like a non-resilient deployment under failure: dead links
+    /// report the probe timeout as their RTT, so crashed caches look
+    /// maximally far and poison landmark selection and feature vectors —
+    /// the baseline the resilience ablation measures against. With
+    /// resilience enabled, probes are retried, dead landmarks fail over,
+    /// unobserved feature cells are masked out of clustering, and the
+    /// outcome carries a [`FormationHealth`]. An empty fault set is the
+    /// fault-free run, bit for bit.
+    pub fn faults(mut self, faults: &'a ProbeFaults) -> Self {
+        self.faults = Some(faults);
+        self
+    }
+
+    /// Runs every batch of probes under [`Draws::PerRow`] — derived
+    /// per-row RNG streams on [`ecg_par`] workers — instead of one
+    /// shared stream, so the result depends only on the seed, never the
+    /// thread count, at any N. Once probes are noisy it is not
+    /// draw-compatible with a shared-stream run, and it records nothing
+    /// into a bundle (see [`FormContext::observe`]).
+    pub fn per_row(mut self) -> Self {
+        self.per_row = true;
+        self
+    }
+}
+
+/// Per-stage wall-clock of the last formation run, in milliseconds;
+/// all zero before the first. Purely observational — the pipeline never
+/// branches on the clock, so timings cannot perturb results.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct FormStats {
+    /// Landmark selection (PLSet probing + greedy fill).
+    pub landmarks_ms: f64,
+    /// Feature-matrix construction (cache-to-landmark probing).
+    pub features_ms: f64,
+    /// K-means clustering (whichever [`KmeansVariant`] ran).
+    pub clustering_ms: f64,
+    /// Of `clustering_ms`, the time spent (re)building the KD-tree
+    /// over centers — 0 when the scans ran on the blocked kernel (below
+    /// `ecg_clustering::TREE_AUTO_MIN_K` groups). The remainder of
+    /// `clustering_ms` is queries and center updates.
+    pub tree_build_ms: f64,
+    /// End-to-end formation time.
+    pub total_ms: f64,
+}
+
+/// **How** a formation run is watched: an optional observability
+/// bundle to record into, and the [`FormStats`] of the last run made
+/// with it.
+#[derive(Debug, Default)]
+pub struct FormContext<'o> {
+    obs: Option<&'o mut Obs>,
+    stats: FormStats,
+}
+
+impl<'o> FormContext<'o> {
+    /// A context recording into no bundle.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records the run's telemetry into `obs` when one is supplied:
+    /// `scheme.landmarks` / `scheme.positions` phase spans whose work is
+    /// the probe packets each step sent, a `scheme.clustering` span
+    /// whose work is the K-means iteration count, the `kmeans.*`
+    /// per-iteration stats (full-batch Lloyd only), the per-probe
+    /// `probe.*` counters, `scheme.*` counters, and one
+    /// `scheme`/`formed` trace event; a resilient run adds
+    /// `landmarks.dead` / `landmarks.failovers` and
+    /// `scheme.quarantined` / `scheme.failovers`. Instrumentation never
+    /// draws from the RNG, so the grouping is identical either way.
+    ///
+    /// A [`FormPlan::per_row`] run measures on worker threads and
+    /// records nothing: the bundle comes back as it went in.
+    pub fn observe(mut self, obs: Option<&'o mut Obs>) -> Self {
+        self.obs = obs;
+        self
+    }
+
+    /// Stage times of the last run made with this context.
+    pub fn stats(&self) -> FormStats {
+        self.stats
+    }
+}
+
+/// Forms `plan`'s cooperative groups: the one formation pipeline —
+/// landmarks → positions → quarantine → K-means → groups — over a
+/// freshly built prober (its counters are read as the run's). What
+/// differs between plans is data handed down to
+/// [`Prober::measure_batch`], not paths: the retry policy (from
+/// [`SchemeConfig::resilience`]; without one every cell comes back
+/// observed, so nothing below is ever masked, quarantined or failed
+/// over) and the draw discipline, which also carries the run's
+/// telemetry bundle when there is one.
+///
+/// # Errors
+///
+/// Returns [`SchemeError`] if zero groups are requested, the source is
+/// too small for the requested landmarks or groups, or clustering
+/// fails; if quarantine leaves fewer participating caches than groups,
+/// a [`SchemeError::TooManyGroups`] reports the post-quarantine count.
 ///
 /// # Examples
 ///
 /// ```
-/// use ecg_core::{GfCoordinator, SchemeConfig};
+/// use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
 /// use ecg_topology::{fixtures::paper_figure1, EdgeNetwork};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
-/// let coordinator = GfCoordinator::new(
-///     SchemeConfig::sl(3).landmarks(3).plset_multiplier(2),
-/// );
+/// let config = SchemeConfig::sl(3).landmarks(3).plset_multiplier(2);
+/// let plan = FormPlan::new(network.rtt_matrix(), &config);
 /// let mut rng = StdRng::seed_from_u64(1);
-/// let outcome = coordinator.form_groups(&network, &mut rng)?;
+/// let outcome = form(&plan, &mut FormContext::new(), &mut rng)?;
 /// assert_eq!(outcome.groups().len(), 3);
 /// # Ok::<(), ecg_core::SchemeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct GfCoordinator {
-    config: SchemeConfig,
-}
-
-impl GfCoordinator {
-    /// Creates a coordinator for the given configuration.
-    pub fn new(config: SchemeConfig) -> Self {
-        GfCoordinator { config }
+pub fn form<R: Rng + ?Sized>(
+    plan: &FormPlan<'_>,
+    ctx: &mut FormContext<'_>,
+    rng: &mut R,
+) -> Result<GroupingOutcome, SchemeError> {
+    let FormContext { obs, stats } = ctx;
+    *stats = FormStats::default();
+    let cfg = plan.config;
+    let faults = plan.faults.cloned().unwrap_or_default();
+    let prober = &Prober::with_faults(plan.source, cfg.probe, faults);
+    let mut draws = if plan.per_row {
+        Draws::PerRow
+    } else {
+        Draws::Shared(obs.as_deref_mut())
+    };
+    if cfg.groups == 0 {
+        return Err(SchemeError::NoGroups);
     }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SchemeConfig {
-        &self.config
-    }
-
-    /// Runs the full pipeline and returns the cooperative groups.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SchemeError`] if zero groups are requested, the network
-    /// is too small for the requested landmarks or groups, or clustering
-    /// fails.
-    pub fn form_groups<R: Rng + ?Sized>(
-        &self,
-        network: &EdgeNetwork,
-        rng: &mut R,
-    ) -> Result<GroupingOutcome, SchemeError> {
-        self.form_groups_observed(network, rng, None)
-    }
-
-    /// Like [`GfCoordinator::form_groups`], but records pipeline
-    /// telemetry into an observability bundle when one is supplied:
-    /// `scheme.landmarks` / `scheme.positions` phase spans whose work is
-    /// the probe packets each step sent, a `scheme.clustering` span
-    /// whose work is the K-means iteration count, the `kmeans.*`
-    /// per-iteration stats (full-batch Lloyd only), `scheme.*`
-    /// counters, and one `scheme`/`formed` trace event. With
-    /// `obs = None` this is exactly [`GfCoordinator::form_groups`];
-    /// instrumentation never draws from the RNG, so the grouping is
-    /// identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`GfCoordinator::form_groups`].
-    pub fn form_groups_observed<R: Rng + ?Sized>(
-        &self,
-        network: &EdgeNetwork,
-        rng: &mut R,
-        obs: Option<&mut Obs>,
-    ) -> Result<GroupingOutcome, SchemeError> {
-        self.form_groups_faulted(network, &ProbeFaults::default(), rng, obs)
-    }
-
-    /// Runs the pipeline against a network with injected probe faults
-    /// (crashed nodes, black-holed links — see
-    /// [`ecg_coords::ProbeFaults`]).
-    ///
-    /// Without a [`SchemeConfig::resilience`] configuration the
-    /// pipeline behaves exactly like a non-resilient deployment under
-    /// failure: dead links report the probe timeout as their RTT, so
-    /// crashed caches look maximally far and poison landmark selection
-    /// and feature vectors — the baseline the resilience ablation
-    /// measures against. With resilience enabled, probes are retried,
-    /// dead landmarks fail over, unobserved feature cells are masked
-    /// out of clustering, and the outcome carries a
-    /// [`FormationHealth`].
-    ///
-    /// An empty fault set leaves both bit-identical to
-    /// [`GfCoordinator::form_groups`].
-    ///
-    /// With a bundle it records what
-    /// [`GfCoordinator::form_groups_observed`] records; a resilient run
-    /// additionally records the per-probe `probe.*` counters,
-    /// `landmarks.dead` / `landmarks.failovers` and `scheme.quarantined`
-    /// / `scheme.failovers`.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`GfCoordinator::form_groups`]; additionally, if
-    /// quarantine leaves fewer participating caches than groups, a
-    /// [`SchemeError::TooManyGroups`] reports the post-quarantine
-    /// count.
-    pub fn form_groups_faulted<R: Rng + ?Sized>(
-        &self,
-        network: &EdgeNetwork,
-        faults: &ProbeFaults,
-        rng: &mut R,
-        obs: Option<&mut Obs>,
-    ) -> Result<GroupingOutcome, SchemeError> {
-        let prober = Prober::with_faults(network.rtt_matrix(), self.config.probe, faults.clone());
-        Ok(self.run(&prober, Draws::Shared(obs), rng)?.0)
-    }
-
-    /// The same pipeline over any [`RttSource`] oracle (e.g. the
-    /// O(n)-state [`ecg_topology::SyntheticRtt`]) instead of a dense
-    /// `EdgeNetwork`, for large N. It differs from
-    /// [`GfCoordinator::form_groups`] in one thing only, the draw
-    /// discipline: every batch of probes runs under
-    /// [`Draws::PerRow`] — derived per-row RNG streams on [`ecg_par`]
-    /// workers — so the result depends only on the seed, never the
-    /// thread count, and is not draw-compatible with the matrix entry
-    /// points once probes are noisy. Every [`SchemeConfig`] field means
-    /// what it means there, [`SchemeConfig::resilience`] included (a
-    /// lossy [`ProbeConfig`] is retried, masked and quarantined at any
-    /// N); there is no per-probe telemetry on worker threads, so the
-    /// run takes no [`Obs`]. The per-stage wall-clock comes back in
-    /// [`FormationTimings`]; timings are measurement-only — no RNG draw
-    /// or control-flow decision reads the clock.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`GfCoordinator::form_groups_faulted`].
-    pub fn form_groups_scaled<R: Rng + ?Sized>(
-        &self,
-        source: &dyn RttSource,
-        rng: &mut R,
-    ) -> Result<ScaledFormation, SchemeError> {
-        let prober = Prober::new(source, self.config.probe);
-        let (outcome, timings) = self.run(&prober, Draws::PerRow, rng)?;
-        Ok(ScaledFormation { outcome, timings })
-    }
-
-    /// The one formation pipeline: landmarks → positions → quarantine →
-    /// K-means → groups, over a freshly built prober (its counters are
-    /// read as the run's). The two things
-    /// that differ between entry points are data handed down to
-    /// [`Prober::measure_batch`], not paths: the retry policy (from
-    /// [`SchemeConfig::resilience`]; without one every cell comes back
-    /// observed, so nothing below is ever masked, quarantined or failed
-    /// over) and the draw discipline `draws`, which also carries the
-    /// run's telemetry bundle when there is one.
-    fn run<R: Rng + ?Sized>(
-        &self,
-        prober: &Prober<'_>,
-        mut draws: Draws<'_>,
-        rng: &mut R,
-    ) -> Result<(GroupingOutcome, FormationTimings), SchemeError> {
-        let cfg = &self.config;
-        if cfg.groups == 0 {
-            return Err(SchemeError::NoGroups);
-        }
-        let policy = cfg.resilience.as_ref().map(ResilienceConfig::retry_policy);
-        let n = cache_count(prober)?;
-        if cfg.groups > n {
-            return Err(SchemeError::TooManyGroups {
-                groups: cfg.groups,
-                caches: n,
-            });
-        }
-        let ms_since = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
-        let started = Instant::now();
-
-        // Stage 1: landmark selection (with failure detection and
-        // failover under a retry policy).
-        let selected = select(
-            prober,
-            cfg.selector,
-            cfg.landmarks.min(n + 1),
-            cfg.plset_multiplier,
-            policy,
-            &mut draws,
-            rng,
-        )?;
-        let landmark_probes = prober.probes_sent();
-        if let Some(o) = draws.obs() {
-            o.phases
-                .span("scheme.landmarks")
-                .add_work(landmark_probes as f64);
-        }
-        let landmarks_ms = ms_since(started);
-
-        // Stage 2: position estimation. Cache Ec_i is node i + 1.
-        // Masking applies to the paper's feature vectors; the embedding
-        // representations keep their own estimators (which substitute
-        // the timeout sentinel for failed measurements) under a
-        // fully-observed mask.
-        let positions_started = Instant::now();
-        let nodes: Vec<usize> = (1..=n).collect();
-        let landmarks = &selected.selection.landmarks;
-        let (points, mask, server_distances_ms) = match cfg.representation {
-            Representation::FeatureVectors => {
-                let (fm, mask) = build_features(prober, &nodes, landmarks, policy, &mut draws, rng);
-                let dists = server_distances(&fm, &mask, prober.config().timeout());
-                (fm, mask, dists)
-            }
-            Representation::Gnp(gnp) => {
-                let coords = embed_network(gnp, prober, &nodes, landmarks, rng);
-                embedded(&coords, prober, &nodes, &mut draws, rng)
-            }
-            Representation::Vivaldi(vivaldi) => {
-                let states = run_vivaldi(vivaldi, prober, &nodes, rng);
-                let coords: Vec<GnpCoordinates> = states.iter().map(|s| s.coords()).collect();
-                embedded(&coords, prober, &nodes, &mut draws, rng)
-            }
-        };
-        if let Some(o) = draws.obs() {
-            o.phases
-                .span("scheme.positions")
-                .add_work((prober.probes_sent() - landmark_probes) as f64);
-        }
-        let features_ms = ms_since(positions_started);
-
-        // Stage 3: quarantine. A cache below the observation floor
-        // carries too little positional signal to cluster; it is routed
-        // to its nearest observed landmark's group instead. The floor
-        // is clamped to the feature dimension so a fully-observed row
-        // is never quarantined.
-        let floor = cfg.resilience.map_or(1, |r| r.min_observed());
-        let floor = floor.min(mask.dim()).max(1);
-        let quarantined: Vec<usize> = (0..n).filter(|&i| mask.observed_count(i) < floor).collect();
-        let kept = || (0..n).filter(|i| quarantined.binary_search(i).is_err());
-        if n - quarantined.len() < cfg.groups {
-            return Err(SchemeError::TooManyGroups {
-                groups: cfg.groups,
-                caches: n - quarantined.len(),
-            });
-        }
-        let subset;
-        let (kept_points, kept_mask, kept_dists) = if quarantined.is_empty() {
-            (&points, &mask, &server_distances_ms)
-        } else {
-            let mut kp = FeatureMatrix::new(points.dim());
-            let mut km = FeatureMask::new(mask.dim());
-            for i in kept() {
-                kp.push_row(points.row(i));
-                km.push_row(mask.row(i));
-            }
-            let kd: Vec<f64> = kept().map(|i| server_distances_ms[i]).collect();
-            subset = (kp, km, kd);
-            (&subset.0, &subset.1, &subset.2)
-        };
-
-        // Stage 4: clustering of the participating caches with the
-        // scheme's initialization. The tree-build accumulator is
-        // drained before the stage so the after-read covers exactly
-        // this clustering's rebuilds.
-        let _ = take_tree_build_ms();
-        let clustering_started = Instant::now();
-        let initializer = cfg.init.initializer(kept_dists);
-        let mut kmeans_config =
-            KmeansConfig::new(cfg.groups).max_iterations(cfg.kmeans_max_iterations);
-        if let Some(engine) = cfg.forced_assign {
-            kmeans_config = kmeans_config.force_assign(engine);
-        }
-        // `kmeans_masked` on a fully observed mask is `kmeans`; the
-        // mini-batch variant has no masked form.
-        let clustering = match (cfg.max_group_size, &cfg.kmeans_variant) {
-            (Some(cap), _) => kmeans_capped(
-                kept_points,
-                kept_mask,
-                kmeans_config,
-                &initializer,
-                cap,
-                rng,
-            )?,
-            (None, variant @ KmeansVariant::MiniBatch(_)) if kept_mask.is_fully_observed() => {
-                kmeans_variant(kept_points, kmeans_config, variant, &initializer, rng)?
-            }
-            (None, _) => kmeans_masked(
-                kept_points,
-                kept_mask,
-                kmeans_config,
-                &initializer,
-                rng,
-                draws.obs(),
-            )?,
-        };
-        if let Some(o) = draws.obs() {
-            o.phases
-                .span("scheme.clustering")
-                .add_work(clustering.iterations() as f64);
-        }
-        let clustering_ms = ms_since(clustering_started);
-        let tree_build_ms = take_tree_build_ms();
-
-        // Map the kept-subset assignments back to cache order, then
-        // place each quarantined cache with its nearest observed
-        // landmark's cache (group 0 if it observed no landmark cache at
-        // all).
-        let mut assignments = vec![usize::MAX; n];
-        for (i, &g) in kept().zip(clustering.assignments()) {
-            assignments[i] = g;
-        }
-        for &i in &quarantined {
-            let nearest = (1..mask.dim())
-                .filter(|&j| mask.is_observed(i, j))
-                .min_by(|&a, &b| points.row(i)[a].total_cmp(&points.row(i)[b]));
-            assignments[i] = nearest
-                .and_then(|j| {
-                    let lm_cache = landmarks.get(j)?.checked_sub(1)?;
-                    let g = assignments[lm_cache];
-                    (g != usize::MAX).then_some(g)
-                })
-                .unwrap_or(0);
-        }
-        let mut groups: Vec<Vec<CacheId>> = vec![Vec::new(); cfg.groups];
-        for (i, &g) in assignments.iter().enumerate() {
-            groups[g].push(CacheId(i));
-        }
-
-        let probes_sent = prober.probes_sent();
-        let kmeans_iterations = clustering.iterations();
-        let health = cfg.resilience.map(|_| FormationHealth {
-            probe_retries: prober.retries(),
-            probe_gave_up: prober.gave_up(),
-            backoff_ms: prober.backoff_ms(),
-            dead_landmarks: selected.dead_nodes,
-            landmark_failovers: selected.replaced.len(),
-            masked_cells: mask.masked_cells(),
-            quarantined: quarantined.into_iter().map(CacheId).collect(),
+    let policy = cfg.resilience.as_ref().map(ResilienceConfig::retry_policy);
+    let n = cache_count(prober)?;
+    if cfg.groups > n {
+        return Err(SchemeError::TooManyGroups {
+            groups: cfg.groups,
+            caches: n,
         });
-        if let Some(o) = draws.obs() {
-            o.metrics.inc("scheme.runs");
-            o.metrics.add("scheme.probes_sent", probes_sent);
-            let mut formed = vec![
-                ("groups", cfg.groups.into()),
-                ("probes_sent", probes_sent.into()),
-                ("kmeans_iterations", kmeans_iterations.into()),
-            ];
-            if let Some(h) = &health {
-                let failovers = h.landmark_failovers as u64;
-                o.metrics
-                    .add("landmarks.dead", h.dead_landmarks.len() as u64);
-                o.metrics.add("landmarks.failovers", failovers);
-                o.metrics
-                    .add("scheme.quarantined", h.quarantined.len() as u64);
-                o.metrics.add("scheme.failovers", failovers);
-                formed.push(("degraded", u64::from(h.is_degraded()).into()));
-            }
-            o.trace
-                .push(kmeans_iterations as f64, "scheme", "formed", formed);
-        }
-
-        let outcome = GroupingOutcome {
-            groups,
-            assignments,
-            landmarks: selected.selection,
-            server_distances_ms,
-            probes_sent,
-            kmeans_iterations,
-            centers: clustering.centers().clone(),
-            points,
-            health,
-        };
-        let timings = FormationTimings {
-            landmarks_ms,
-            features_ms,
-            clustering_ms,
-            tree_build_ms,
-            total_ms: ms_since(started),
-        };
-        Ok((outcome, timings))
     }
+    let ms_since = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+    let started = Instant::now();
+
+    // Stage 1: landmark selection (with failure detection and
+    // failover under a retry policy).
+    let selected = select(
+        prober,
+        cfg.selector,
+        cfg.landmarks.min(n + 1),
+        cfg.plset_multiplier,
+        policy,
+        &mut draws,
+        rng,
+    )?;
+    let landmark_probes = prober.probes_sent();
+    if let Some(o) = draws.obs() {
+        o.phases
+            .span("scheme.landmarks")
+            .add_work(landmark_probes as f64);
+    }
+    let landmarks_ms = ms_since(started);
+
+    // Stage 2: position estimation. Cache Ec_i is node i + 1.
+    // Masking applies to the paper's feature vectors; the embedding
+    // representations keep their own estimators (which substitute
+    // the timeout sentinel for failed measurements) under a
+    // fully-observed mask.
+    let positions_started = Instant::now();
+    let nodes: Vec<usize> = (1..=n).collect();
+    let landmarks = &selected.selection.landmarks;
+    let (points, mask, server_distances_ms) = match cfg.representation {
+        Representation::FeatureVectors => {
+            let (fm, mask) = build_features(prober, &nodes, landmarks, policy, &mut draws, rng);
+            let dists = server_distances(&fm, &mask, prober.config().timeout());
+            (fm, mask, dists)
+        }
+        Representation::Gnp(gnp) => {
+            let coords = embed_network(gnp, prober, &nodes, landmarks, rng);
+            embedded(&coords, prober, &nodes, &mut draws, rng)
+        }
+        Representation::Vivaldi(vivaldi) => {
+            let states = run_vivaldi(vivaldi, prober, &nodes, rng);
+            let coords: Vec<GnpCoordinates> = states.iter().map(|s| s.coords()).collect();
+            embedded(&coords, prober, &nodes, &mut draws, rng)
+        }
+    };
+    if let Some(o) = draws.obs() {
+        o.phases
+            .span("scheme.positions")
+            .add_work((prober.probes_sent() - landmark_probes) as f64);
+    }
+    let features_ms = ms_since(positions_started);
+
+    // Stage 3: quarantine. A cache below the observation floor
+    // carries too little positional signal to cluster; it is routed
+    // to its nearest observed landmark's group instead. The floor
+    // is clamped to the feature dimension so a fully-observed row
+    // is never quarantined.
+    let floor = cfg.resilience.map_or(1, |r| r.min_observed());
+    let floor = floor.min(mask.dim()).max(1);
+    let quarantined: Vec<usize> = (0..n).filter(|&i| mask.observed_count(i) < floor).collect();
+    let kept = || (0..n).filter(|i| quarantined.binary_search(i).is_err());
+    if n - quarantined.len() < cfg.groups {
+        return Err(SchemeError::TooManyGroups {
+            groups: cfg.groups,
+            caches: n - quarantined.len(),
+        });
+    }
+    let subset;
+    let (kept_points, kept_mask, kept_dists) = if quarantined.is_empty() {
+        (&points, &mask, &server_distances_ms)
+    } else {
+        let mut kp = FeatureMatrix::new(points.dim());
+        let mut km = FeatureMask::new(mask.dim());
+        for i in kept() {
+            kp.push_row(points.row(i));
+            km.push_row(mask.row(i));
+        }
+        let kd: Vec<f64> = kept().map(|i| server_distances_ms[i]).collect();
+        subset = (kp, km, kd);
+        (&subset.0, &subset.1, &subset.2)
+    };
+
+    // Stage 4: clustering of the participating caches with the
+    // scheme's initialization. The tree-build accumulator is
+    // drained before the stage so the after-read covers exactly
+    // this clustering's rebuilds.
+    let _ = take_tree_build_ms();
+    let clustering_started = Instant::now();
+    let initializer = cfg.init.initializer(kept_dists);
+    let mut kmeans_config = KmeansConfig::new(cfg.groups).max_iterations(cfg.kmeans_max_iterations);
+    if let Some(engine) = cfg.forced_assign {
+        kmeans_config = kmeans_config.force_assign(engine);
+    }
+    // `kmeans_masked` on a fully observed mask is `kmeans`; the
+    // mini-batch variant has no masked form.
+    let clustering = match (cfg.max_group_size, &cfg.kmeans_variant) {
+        (Some(cap), _) => kmeans_capped(
+            kept_points,
+            kept_mask,
+            kmeans_config,
+            &initializer,
+            cap,
+            rng,
+        )?,
+        (None, variant @ KmeansVariant::MiniBatch(_)) if kept_mask.is_fully_observed() => {
+            kmeans_variant(kept_points, kmeans_config, variant, &initializer, rng)?
+        }
+        (None, _) => kmeans_masked(
+            kept_points,
+            kept_mask,
+            kmeans_config,
+            &initializer,
+            rng,
+            draws.obs(),
+        )?,
+    };
+    if let Some(o) = draws.obs() {
+        o.phases
+            .span("scheme.clustering")
+            .add_work(clustering.iterations() as f64);
+    }
+    let clustering_ms = ms_since(clustering_started);
+    let tree_build_ms = take_tree_build_ms();
+
+    // Map the kept-subset assignments back to cache order, then
+    // place each quarantined cache with its nearest observed
+    // landmark's cache (group 0 if it observed no landmark cache at
+    // all).
+    let mut assignments = vec![usize::MAX; n];
+    for (i, &g) in kept().zip(clustering.assignments()) {
+        assignments[i] = g;
+    }
+    for &i in &quarantined {
+        let nearest = (1..mask.dim())
+            .filter(|&j| mask.is_observed(i, j))
+            .min_by(|&a, &b| points.row(i)[a].total_cmp(&points.row(i)[b]));
+        assignments[i] = nearest
+            .and_then(|j| {
+                let lm_cache = landmarks.get(j)?.checked_sub(1)?;
+                let g = assignments[lm_cache];
+                (g != usize::MAX).then_some(g)
+            })
+            .unwrap_or(0);
+    }
+    let mut groups: Vec<Vec<CacheId>> = vec![Vec::new(); cfg.groups];
+    for (i, &g) in assignments.iter().enumerate() {
+        groups[g].push(CacheId(i));
+    }
+
+    let probes_sent = prober.probes_sent();
+    let kmeans_iterations = clustering.iterations();
+    let health = cfg.resilience.map(|_| FormationHealth {
+        probe_retries: prober.retries(),
+        probe_gave_up: prober.gave_up(),
+        backoff_ms: prober.backoff_ms(),
+        dead_landmarks: selected.dead_nodes,
+        landmark_failovers: selected.replaced.len(),
+        masked_cells: mask.masked_cells(),
+        quarantined: quarantined.into_iter().map(CacheId).collect(),
+    });
+    if let Some(o) = draws.obs() {
+        o.metrics.inc("scheme.runs");
+        o.metrics.add("scheme.probes_sent", probes_sent);
+        let mut formed = vec![
+            ("groups", cfg.groups.into()),
+            ("probes_sent", probes_sent.into()),
+            ("kmeans_iterations", kmeans_iterations.into()),
+        ];
+        if let Some(h) = &health {
+            let failovers = h.landmark_failovers as u64;
+            o.metrics
+                .add("landmarks.dead", h.dead_landmarks.len() as u64);
+            o.metrics.add("landmarks.failovers", failovers);
+            o.metrics
+                .add("scheme.quarantined", h.quarantined.len() as u64);
+            o.metrics.add("scheme.failovers", failovers);
+            formed.push(("degraded", u64::from(h.is_degraded()).into()));
+        }
+        o.trace
+            .push(kmeans_iterations as f64, "scheme", "formed", formed);
+    }
+
+    *stats = FormStats {
+        landmarks_ms,
+        features_ms,
+        clustering_ms,
+        tree_build_ms,
+        total_ms: ms_since(started),
+    };
+    Ok(GroupingOutcome {
+        groups,
+        assignments,
+        landmarks: selected.selection,
+        server_distances_ms,
+        probes_sent,
+        kmeans_iterations,
+        centers: clustering.centers().clone(),
+        points,
+        health,
+    })
 }
 
 /// The server distances SDSL weights by, off the feature matrix:
@@ -850,46 +850,50 @@ fn embedded<R: Rng + ?Sized>(
     (fm, mask, dists)
 }
 
-/// Per-stage wall-clock of a formation run (every run measures it;
-/// [`GfCoordinator::form_groups_scaled`] returns it), in milliseconds. Purely observational — the pipeline never branches
-/// on the clock, so timings cannot perturb results.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FormationTimings {
-    /// Landmark selection (PLSet probing + greedy fill).
-    pub landmarks_ms: f64,
-    /// Feature-matrix construction (cache-to-landmark probing).
-    pub features_ms: f64,
-    /// K-means clustering (whichever [`KmeansVariant`] ran).
-    pub clustering_ms: f64,
-    /// Of `clustering_ms`, the time spent (re)building the KD-tree
-    /// over centers — 0 when the scans ran on the blocked kernel (below
-    /// `ecg_clustering::TREE_AUTO_MIN_K` groups). The remainder of
-    /// `clustering_ms` is queries and center updates.
-    pub tree_build_ms: f64,
-    /// End-to-end formation time.
-    pub total_ms: f64,
-}
-
-/// What [`GfCoordinator::form_groups_scaled`] returns: the grouping
-/// plus its per-stage timings.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaledFormation {
-    /// The grouping, exactly as the matrix entry points shape it.
-    pub outcome: GroupingOutcome,
-    /// Per-stage wall-clock of this run.
-    pub timings: FormationTimings,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ecg_topology::fixtures::paper_figure1;
-    use ecg_topology::RttMatrix;
+    use ecg_topology::{EdgeNetwork, RttMatrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn figure1_network() -> EdgeNetwork {
         EdgeNetwork::from_rtt_matrix(paper_figure1())
+    }
+
+    /// `form` over the network's matrix on one shared stream, unobserved.
+    fn form_on(
+        net: &EdgeNetwork,
+        cfg: &SchemeConfig,
+        rng: &mut StdRng,
+    ) -> Result<GroupingOutcome, SchemeError> {
+        form(
+            &FormPlan::new(net.rtt_matrix(), cfg),
+            &mut FormContext::new(),
+            rng,
+        )
+    }
+
+    /// [`form_on`] with `faults` injected.
+    fn form_faulted(
+        net: &EdgeNetwork,
+        cfg: &SchemeConfig,
+        faults: &ProbeFaults,
+        rng: &mut StdRng,
+    ) -> Result<GroupingOutcome, SchemeError> {
+        let plan = FormPlan::new(net.rtt_matrix(), cfg).faults(faults);
+        form(&plan, &mut FormContext::new(), rng)
+    }
+
+    /// `form` over any source under per-row draws, unobserved.
+    fn form_per_row(
+        source: &dyn RttSource,
+        cfg: &SchemeConfig,
+        rng: &mut StdRng,
+    ) -> Result<GroupingOutcome, SchemeError> {
+        let plan = FormPlan::new(source, cfg).per_row();
+        form(&plan, &mut FormContext::new(), rng)
     }
 
     fn noiseless(cfg: SchemeConfig) -> SchemeConfig {
@@ -899,11 +903,9 @@ mod tests {
     #[test]
     fn sl_forms_k_disjoint_covering_groups() {
         let net = figure1_network();
-        let coord = GfCoordinator::new(noiseless(
-            SchemeConfig::sl(3).landmarks(3).plset_multiplier(2),
-        ));
+        let cfg = noiseless(SchemeConfig::sl(3).landmarks(3).plset_multiplier(2));
         let mut rng = StdRng::seed_from_u64(5);
-        let outcome = coord.form_groups(&net, &mut rng).unwrap();
+        let outcome = form_on(&net, &cfg, &mut rng).unwrap();
         assert_eq!(outcome.groups().len(), 3);
         let mut all: Vec<usize> = outcome
             .groups()
@@ -928,14 +930,12 @@ mod tests {
         // Figure 2 walkthrough produces. K-means is seed-dependent, but
         // a majority of seeds should land exactly there.
         let net = figure1_network();
-        let coord = GfCoordinator::new(noiseless(
-            SchemeConfig::sl(3).landmarks(3).plset_multiplier(2),
-        ));
+        let cfg = noiseless(SchemeConfig::sl(3).landmarks(3).plset_multiplier(2));
         let seeds = 30;
         let mut exact = 0;
         for seed in 0..seeds {
             let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = coord.form_groups(&net, &mut rng).unwrap();
+            let outcome = form_on(&net, &cfg, &mut rng).unwrap();
             let mut sorted: Vec<Vec<usize>> = outcome
                 .groups()
                 .iter()
@@ -959,11 +959,9 @@ mod tests {
     #[test]
     fn server_distances_match_ground_truth_when_noiseless() {
         let net = figure1_network();
-        let coord = GfCoordinator::new(noiseless(
-            SchemeConfig::sl(3).landmarks(3).plset_multiplier(2),
-        ));
+        let cfg = noiseless(SchemeConfig::sl(3).landmarks(3).plset_multiplier(2));
         let mut rng = StdRng::seed_from_u64(2);
-        let outcome = coord.form_groups(&net, &mut rng).unwrap();
+        let outcome = form_on(&net, &cfg, &mut rng).unwrap();
         for (i, &d) in outcome.server_distances_ms().iter().enumerate() {
             assert_eq!(d, net.cache_to_origin(CacheId(i)));
         }
@@ -994,16 +992,14 @@ mod tests {
     #[test]
     fn sdsl_places_smaller_groups_near_origin() {
         let net = gradient_network();
-        let coord = GfCoordinator::new(noiseless(
-            SchemeConfig::sdsl(6, 3.0).landmarks(5).plset_multiplier(2),
-        ));
+        let cfg = noiseless(SchemeConfig::sdsl(6, 3.0).landmarks(5).plset_multiplier(2));
         // Average, over seeds, the size of the group containing the
         // nearest cache vs. the one containing the farthest cache.
         let (mut near_sum, mut far_sum) = (0.0, 0.0);
         let seeds = 40;
         for seed in 0..seeds {
             let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = coord.form_groups(&net, &mut rng).unwrap();
+            let outcome = form_on(&net, &cfg, &mut rng).unwrap();
             let near_group = outcome.group_of(CacheId(0));
             let far_group = outcome.group_of(CacheId(11));
             near_sum += outcome.groups()[near_group].len() as f64;
@@ -1020,20 +1016,15 @@ mod tests {
     fn sdsl_theta_zero_behaves_like_sl_distribution() {
         // θ = 0 gives uniform weights: same initializer family as SL.
         let net = gradient_network();
-        let sl = GfCoordinator::new(noiseless(
-            SchemeConfig::sl(4).landmarks(5).plset_multiplier(2),
-        ));
-        let sdsl0 = GfCoordinator::new(noiseless(
-            SchemeConfig::sdsl(4, 0.0).landmarks(5).plset_multiplier(2),
-        ));
+        let sl = noiseless(SchemeConfig::sl(4).landmarks(5).plset_multiplier(2));
+        let sdsl0 = noiseless(SchemeConfig::sdsl(4, 0.0).landmarks(5).plset_multiplier(2));
         // Not bit-identical (different RNG consumption), but the average
         // interaction costs over seeds should be statistically close.
-        let avg = |coord: &GfCoordinator| -> f64 {
+        let avg = |cfg: &SchemeConfig| -> f64 {
             (0..30)
                 .map(|seed| {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    coord
-                        .form_groups(&net, &mut rng)
+                    form_on(&net, cfg, &mut rng)
                         .unwrap()
                         .average_interaction_cost(|a, b| net.cache_to_cache(a, b))
                 })
@@ -1047,16 +1038,16 @@ mod tests {
     #[test]
     fn gnp_representation_also_forms_valid_groups() {
         let net = figure1_network();
-        let coord = GfCoordinator::new(noiseless(
+        let cfg = noiseless(
             SchemeConfig::sl(3)
                 .landmarks(3)
                 .plset_multiplier(2)
                 .representation(Representation::Gnp(
                     ecg_coords::GnpConfig::default().dimensions(2).restarts(2),
                 )),
-        ));
+        );
         let mut rng = StdRng::seed_from_u64(8);
-        let outcome = coord.form_groups(&net, &mut rng).unwrap();
+        let outcome = form_on(&net, &cfg, &mut rng).unwrap();
         assert_eq!(outcome.groups().len(), 3);
         let total: usize = outcome.groups().iter().map(Vec::len).sum();
         assert_eq!(total, 6);
@@ -1065,7 +1056,7 @@ mod tests {
     #[test]
     fn vivaldi_representation_also_forms_valid_groups() {
         let net = figure1_network();
-        let coord = GfCoordinator::new(noiseless(
+        let cfg = noiseless(
             SchemeConfig::sl(3)
                 .landmarks(3)
                 .plset_multiplier(2)
@@ -1074,9 +1065,9 @@ mod tests {
                         .dimensions(2)
                         .rounds(150),
                 )),
-        ));
+        );
         let mut rng = StdRng::seed_from_u64(12);
-        let outcome = coord.form_groups(&net, &mut rng).unwrap();
+        let outcome = form_on(&net, &cfg, &mut rng).unwrap();
         assert_eq!(outcome.groups().len(), 3);
         let total: usize = outcome.groups().iter().map(Vec::len).sum();
         assert_eq!(total, 6);
@@ -1088,9 +1079,9 @@ mod tests {
     #[test]
     fn too_many_groups_is_an_error() {
         let net = figure1_network();
-        let coord = GfCoordinator::new(SchemeConfig::sl(10).landmarks(3));
+        let cfg = SchemeConfig::sl(10).landmarks(3);
         let mut rng = StdRng::seed_from_u64(0);
-        let err = coord.form_groups(&net, &mut rng).unwrap_err();
+        let err = form_on(&net, &cfg, &mut rng).unwrap_err();
         assert_eq!(
             err,
             SchemeError::TooManyGroups {
@@ -1105,16 +1096,19 @@ mod tests {
     fn zero_groups_are_an_error_before_any_probe() {
         let net = figure1_network();
         for cfg in [SchemeConfig::sl(0), SchemeConfig::sdsl(0, 1.5)] {
-            let err = GfCoordinator::new(cfg.landmarks(3))
-                .form_groups(&net, &mut StdRng::seed_from_u64(0))
-                .unwrap_err();
+            let err = form_on(&net, &cfg.landmarks(3), &mut StdRng::seed_from_u64(0)).unwrap_err();
             assert_eq!(err, SchemeError::NoGroups);
             assert!(err.to_string().contains("zero groups"), "{err}");
         }
         let mut obs = Obs::new();
-        GfCoordinator::new(SchemeConfig::sl(0))
-            .form_groups_observed(&net, &mut StdRng::seed_from_u64(0), Some(&mut obs))
-            .unwrap_err();
+        let cfg = SchemeConfig::sl(0);
+        let mut ctx = FormContext::new().observe(Some(&mut obs));
+        form(
+            &FormPlan::new(net.rtt_matrix(), &cfg),
+            &mut ctx,
+            &mut StdRng::seed_from_u64(0),
+        )
+        .unwrap_err();
         assert_eq!(obs.metrics.counter("probe.sent"), 0);
         assert!(obs.trace.is_empty());
     }
@@ -1124,9 +1118,8 @@ mod tests {
         use ecg_topology::SyntheticRttConfig;
         let net = SyntheticRttConfig::default().generate(11, 1);
         for cfg in [SchemeConfig::sl(0), SchemeConfig::sdsl(0, 1.5)] {
-            let err = GfCoordinator::new(cfg.landmarks(4))
-                .form_groups_scaled(&net, &mut StdRng::seed_from_u64(0))
-                .unwrap_err();
+            let err =
+                form_per_row(&net, &cfg.landmarks(4), &mut StdRng::seed_from_u64(0)).unwrap_err();
             assert_eq!(err, SchemeError::NoGroups);
         }
     }
@@ -1148,9 +1141,7 @@ mod tests {
             .blackhole(4, 6)
             .blackhole(6, 3);
         let form = |cfg: SchemeConfig, seed: u64| {
-            GfCoordinator::new(cfg)
-                .form_groups_faulted(&net, &faults, &mut StdRng::seed_from_u64(seed), None)
-                .unwrap()
+            form_faulted(&net, &cfg, &faults, &mut StdRng::seed_from_u64(seed)).unwrap()
         };
         let mut masked_runs = 0;
         for seed in 0..20u64 {
@@ -1169,20 +1160,18 @@ mod tests {
     fn landmark_count_is_capped_at_network_size() {
         // L = 25 default exceeds 6 caches + origin: capped, not an error.
         let net = figure1_network();
-        let coord = GfCoordinator::new(noiseless(SchemeConfig::sl(2)));
+        let cfg = noiseless(SchemeConfig::sl(2));
         let mut rng = StdRng::seed_from_u64(1);
-        let outcome = coord.form_groups(&net, &mut rng).unwrap();
+        let outcome = form_on(&net, &cfg, &mut rng).unwrap();
         assert_eq!(outcome.landmarks().landmarks.len(), 7);
     }
 
     #[test]
     fn probe_accounting_is_exposed() {
         let net = figure1_network();
-        let coord = GfCoordinator::new(noiseless(
-            SchemeConfig::sl(2).landmarks(3).plset_multiplier(2),
-        ));
+        let cfg = noiseless(SchemeConfig::sl(2).landmarks(3).plset_multiplier(2));
         let mut rng = StdRng::seed_from_u64(1);
-        let outcome = coord.form_groups(&net, &mut rng).unwrap();
+        let outcome = form_on(&net, &cfg, &mut rng).unwrap();
         // Selection probes + 6 caches × 3 landmarks feature probes.
         assert!(outcome.probes_sent() >= 18);
     }
@@ -1190,15 +1179,15 @@ mod tests {
     #[test]
     fn group_size_cap_is_enforced() {
         let net = figure1_network();
-        let coord = GfCoordinator::new(noiseless(
+        let cfg = noiseless(
             SchemeConfig::sl(3)
                 .landmarks(3)
                 .plset_multiplier(2)
                 .max_group_size(2),
-        ));
+        );
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = coord.form_groups(&net, &mut rng).unwrap();
+            let outcome = form_on(&net, &cfg, &mut rng).unwrap();
             let sizes: Vec<usize> = outcome.groups().iter().map(Vec::len).collect();
             assert!(sizes.iter().all(|&s| s == 2), "seed {seed}: {sizes:?}");
         }
@@ -1207,14 +1196,14 @@ mod tests {
     #[test]
     fn impossible_cap_is_an_error() {
         let net = figure1_network();
-        let coord = GfCoordinator::new(noiseless(
+        let cfg = noiseless(
             SchemeConfig::sl(2)
                 .landmarks(3)
                 .plset_multiplier(2)
                 .max_group_size(2),
-        ));
+        );
         let mut rng = StdRng::seed_from_u64(0);
-        let err = coord.form_groups(&net, &mut rng).unwrap_err();
+        let err = form_on(&net, &cfg, &mut rng).unwrap_err();
         assert_eq!(
             err,
             SchemeError::CapTooTight {
@@ -1237,15 +1226,11 @@ mod tests {
         use crate::health::ResilienceConfig;
         let net = figure1_network();
         let base = noiseless(SchemeConfig::sl(3).landmarks(3).plset_multiplier(2));
-        let plain = GfCoordinator::new(base.clone());
-        let resilient = GfCoordinator::new(base.resilience(ResilienceConfig::default()));
+        let plain = base.clone();
+        let resilient = base.resilience(ResilienceConfig::default());
         for seed in 0..25u64 {
-            let a = plain
-                .form_groups(&net, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
-            let b = resilient
-                .form_groups(&net, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
+            let a = form_on(&net, &plain, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let b = form_on(&net, &resilient, &mut StdRng::seed_from_u64(seed)).unwrap();
             assert_eq!(a.groups(), b.groups(), "seed {seed}");
             assert_eq!(a.assignments(), b.assignments());
             assert_eq!(a.landmarks(), b.landmarks());
@@ -1265,13 +1250,9 @@ mod tests {
         // poison the measurements, but the pipeline neither panics nor
         // reports anything.
         let net = figure1_network();
-        let coord = GfCoordinator::new(noiseless(
-            SchemeConfig::sl(3).landmarks(3).plset_multiplier(2),
-        ));
+        let cfg = noiseless(SchemeConfig::sl(3).landmarks(3).plset_multiplier(2));
         let faults = ecg_coords::ProbeFaults::new().node_down(3);
-        let outcome = coord
-            .form_groups_faulted(&net, &faults, &mut StdRng::seed_from_u64(4), None)
-            .unwrap();
+        let outcome = form_faulted(&net, &cfg, &faults, &mut StdRng::seed_from_u64(4)).unwrap();
         assert!(outcome.health().is_none());
         assert_eq!(outcome.groups().len(), 3);
     }
@@ -1280,18 +1261,15 @@ mod tests {
     fn resilient_pipeline_quarantines_a_crashed_cache() {
         use crate::health::ResilienceConfig;
         let net = figure1_network();
-        let coord = GfCoordinator::new(
-            noiseless(SchemeConfig::sl(3).landmarks(3).plset_multiplier(2))
-                .resilience(ResilienceConfig::default()),
-        );
+        let cfg = noiseless(SchemeConfig::sl(3).landmarks(3).plset_multiplier(2))
+            .resilience(ResilienceConfig::default());
         // Node 3 = Ec2 crashes: every probe to it dies, so its feature
         // row has zero observed cells and it must be quarantined (and,
         // if it was drawn into the PLSet, failed over).
         let faults = ecg_coords::ProbeFaults::new().node_down(3);
         for seed in 0..10u64 {
-            let outcome = coord
-                .form_groups_faulted(&net, &faults, &mut StdRng::seed_from_u64(seed), None)
-                .unwrap();
+            let outcome =
+                form_faulted(&net, &cfg, &faults, &mut StdRng::seed_from_u64(seed)).unwrap();
             let health = outcome.health().expect("health report");
             assert!(health.is_degraded(), "seed {seed}");
             assert_eq!(health.quarantined, vec![CacheId(2)], "seed {seed}");
@@ -1314,18 +1292,14 @@ mod tests {
         use crate::health::ResilienceConfig;
         use ecg_coords::RetryPolicy;
         let net = figure1_network();
-        let coord = GfCoordinator::new(
-            SchemeConfig::sl(3)
-                .landmarks(3)
-                .plset_multiplier(2)
-                .probe(ProbeConfig::noiseless().loss_rate(0.45).timeout_ms(500.0))
-                .resilience(ResilienceConfig::default().retry(RetryPolicy::default().retries(4))),
-        );
+        let cfg = SchemeConfig::sl(3)
+            .landmarks(3)
+            .plset_multiplier(2)
+            .probe(ProbeConfig::noiseless().loss_rate(0.45).timeout_ms(500.0))
+            .resilience(ResilienceConfig::default().retry(RetryPolicy::default().retries(4)));
         let mut retried = 0u64;
         for seed in 0..20u64 {
-            let outcome = coord
-                .form_groups(&net, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
+            let outcome = form_on(&net, &cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
             let health = outcome.health().expect("health report");
             retried += health.probe_retries;
             assert!(health.backoff_ms >= health.probe_retries * 50);
@@ -1337,13 +1311,10 @@ mod tests {
     fn scaled_pipeline_forms_valid_groups_with_timings() {
         use ecg_topology::SyntheticRttConfig;
         let net = SyntheticRttConfig::default().generate(301, 9);
-        let coord = GfCoordinator::new(noiseless(
-            SchemeConfig::sl(10).landmarks(8).plset_multiplier(4),
-        ));
-        let formed = coord
-            .form_groups_scaled(&net, &mut StdRng::seed_from_u64(3))
-            .unwrap();
-        let outcome = &formed.outcome;
+        let cfg = noiseless(SchemeConfig::sl(10).landmarks(8).plset_multiplier(4));
+        let plan = FormPlan::new(&net, &cfg).per_row();
+        let mut ctx = FormContext::new();
+        let outcome = &form(&plan, &mut ctx, &mut StdRng::seed_from_u64(3)).unwrap();
         assert_eq!(outcome.groups().len(), 10);
         let mut all: Vec<usize> = outcome
             .groups()
@@ -1361,9 +1332,60 @@ mod tests {
         for (i, &d) in outcome.server_distances_ms().iter().enumerate() {
             assert_eq!(d, net.rtt_ms(i + 1, 0));
         }
-        let t = formed.timings;
+        let t = ctx.stats();
         assert!(t.landmarks_ms >= 0.0 && t.features_ms >= 0.0 && t.clustering_ms >= 0.0);
         assert!(t.total_ms >= t.clustering_ms);
+    }
+
+    #[test]
+    fn stats_are_zero_before_a_run_and_populated_after() {
+        use ecg_topology::SyntheticRttConfig;
+        let net = SyntheticRttConfig::default().generate(2_001, 4);
+        let cfg = SchemeConfig::sl(100).landmarks(8);
+        for plan in [
+            FormPlan::new(&net, &cfg),
+            FormPlan::new(&net, &cfg).per_row(),
+        ] {
+            let mut ctx = FormContext::new();
+            assert_eq!(ctx.stats(), FormStats::default());
+            form(&plan, &mut ctx, &mut StdRng::seed_from_u64(1)).unwrap();
+            let t = ctx.stats();
+            for stage in [t.landmarks_ms, t.features_ms, t.clustering_ms] {
+                assert!(stage > 0.0, "{t:?}");
+            }
+            // k = 100 takes the KD-tree, so the clustering stage rebuilt it.
+            assert!(
+                t.tree_build_ms > 0.0 && t.tree_build_ms <= t.clustering_ms,
+                "{t:?}"
+            );
+            assert!(t.total_ms >= t.landmarks_ms + t.features_ms + t.clustering_ms);
+            // A failed run leaves none of the last run's times behind.
+            let zero = SchemeConfig::sl(0);
+            form(
+                &FormPlan::new(&net, &zero),
+                &mut ctx,
+                &mut StdRng::seed_from_u64(1),
+            )
+            .unwrap_err();
+            assert_eq!(ctx.stats(), FormStats::default());
+        }
+    }
+
+    #[test]
+    fn a_per_row_plan_records_nothing_into_a_bundle() {
+        let net = figure1_network();
+        let cfg = SchemeConfig::sdsl(3, 1.0).landmarks(3).plset_multiplier(2);
+        let plan = FormPlan::new(net.rtt_matrix(), &cfg).per_row();
+        let mut obs = Obs::new();
+        let mut ctx = FormContext::new().observe(Some(&mut obs));
+        let observed = form(&plan, &mut ctx, &mut StdRng::seed_from_u64(6)).unwrap();
+        assert_eq!(obs.to_json(), Obs::new().to_json());
+        let plain = form(
+            &plan,
+            &mut FormContext::new(),
+            &mut StdRng::seed_from_u64(6),
+        );
+        assert_eq!(plain.unwrap(), observed);
     }
 
     #[test]
@@ -1375,19 +1397,15 @@ mod tests {
             KmeansVariant::Lloyd,
             KmeansVariant::MiniBatch(MiniBatchConfig::default().batch_size(128).iterations(15)),
         ] {
-            let coord = GfCoordinator::new(
-                SchemeConfig::sdsl(8, 1.0)
-                    .landmarks(6)
-                    .plset_multiplier(4)
-                    .kmeans_variant(variant),
-            );
+            let cfg = SchemeConfig::sdsl(8, 1.0)
+                .landmarks(6)
+                .plset_multiplier(4)
+                .kmeans_variant(variant);
             let run_at = |threads: usize| {
                 ecg_par::set_max_threads(Some(threads));
-                let formed = coord
-                    .form_groups_scaled(&net, &mut StdRng::seed_from_u64(21))
-                    .unwrap();
+                let formed = form_per_row(&net, &cfg, &mut StdRng::seed_from_u64(21)).unwrap();
                 ecg_par::set_max_threads(None);
-                formed.outcome
+                formed
             };
             let at1 = run_at(1);
             let at4 = run_at(4);
@@ -1410,10 +1428,8 @@ mod tests {
     fn scaled_pipeline_rejects_too_many_groups() {
         use ecg_topology::SyntheticRttConfig;
         let net = SyntheticRttConfig::default().generate(11, 1);
-        let coord = GfCoordinator::new(SchemeConfig::sl(50).landmarks(4));
-        let err = coord
-            .form_groups_scaled(&net, &mut StdRng::seed_from_u64(0))
-            .unwrap_err();
+        let cfg = SchemeConfig::sl(50).landmarks(4);
+        let err = form_per_row(&net, &cfg, &mut StdRng::seed_from_u64(0)).unwrap_err();
         assert_eq!(
             err,
             SchemeError::TooManyGroups {
@@ -1428,9 +1444,9 @@ mod tests {
         // `RttMatrix::zeros(0)` has not even an origin; `node_count() - 1`
         // used to overflow on it (debug) or wrap into a misleading
         // `TooFewLandmarks { requested: 0 }` (release).
-        let err = GfCoordinator::new(SchemeConfig::sl(1))
-            .form_groups_scaled(&RttMatrix::zeros(0), &mut StdRng::seed_from_u64(0))
-            .unwrap_err();
+        let cfg = SchemeConfig::sl(1);
+        let err =
+            form_per_row(&RttMatrix::zeros(0), &cfg, &mut StdRng::seed_from_u64(0)).unwrap_err();
         assert_eq!(err, SchemeError::Landmarks(LandmarkError::NoOrigin));
         assert!(err.to_string().contains("no origin"), "{err}");
     }
@@ -1439,19 +1455,17 @@ mod tests {
     fn scaled_pipeline_honours_the_representation() {
         use ecg_topology::SyntheticRttConfig;
         let net = SyntheticRttConfig::default().generate(41, 5);
-        let coord = GfCoordinator::new(
-            SchemeConfig::sdsl(4, 1.0)
-                .landmarks(5)
-                .plset_multiplier(2)
-                .representation(Representation::Gnp(
-                    ecg_coords::GnpConfig::default().dimensions(2).restarts(1),
-                )),
-        );
+        let cfg = SchemeConfig::sdsl(4, 1.0)
+            .landmarks(5)
+            .plset_multiplier(2)
+            .representation(Representation::Gnp(
+                ecg_coords::GnpConfig::default().dimensions(2).restarts(1),
+            ));
         let run_at = |threads: usize| {
             ecg_par::set_max_threads(Some(threads));
-            let formed = coord.form_groups_scaled(&net, &mut StdRng::seed_from_u64(2));
+            let formed = form_per_row(&net, &cfg, &mut StdRng::seed_from_u64(2));
             ecg_par::set_max_threads(None);
-            formed.unwrap().outcome
+            formed.unwrap()
         };
         let at1 = run_at(1);
         assert_eq!(
@@ -1466,16 +1480,15 @@ mod tests {
     #[test]
     fn observed_form_groups_matches_plain_and_records_pipeline() {
         let net = figure1_network();
-        let coord = GfCoordinator::new(noiseless(
-            SchemeConfig::sdsl(3, 1.0).landmarks(3).plset_multiplier(2),
-        ));
-        let plain = coord
-            .form_groups(&net, &mut StdRng::seed_from_u64(11))
-            .unwrap();
+        let cfg = noiseless(SchemeConfig::sdsl(3, 1.0).landmarks(3).plset_multiplier(2));
+        let plain = form_on(&net, &cfg, &mut StdRng::seed_from_u64(11)).unwrap();
         let mut obs = Obs::new();
-        let observed = coord
-            .form_groups_observed(&net, &mut StdRng::seed_from_u64(11), Some(&mut obs))
-            .unwrap();
+        let observed = form(
+            &FormPlan::new(net.rtt_matrix(), &cfg),
+            &mut FormContext::new().observe(Some(&mut obs)),
+            &mut StdRng::seed_from_u64(11),
+        )
+        .unwrap();
 
         // Instrumentation must not perturb the pipeline.
         assert_eq!(plain.assignments(), observed.assignments());

@@ -7,7 +7,7 @@
 //! both, never neither.
 
 use ecg_coords::ProbeConfig;
-use ecg_core::{GfCoordinator, GroupMaintainer, MaintenanceError, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, GroupMaintainer, MaintenanceError, SchemeConfig};
 use ecg_topology::{CacheId, EdgeNetwork, RttMatrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -73,11 +73,9 @@ proptest! {
         let mut network = network(caches, net_seed);
         let k = k.min(caches / 2);
         let mut rng = StdRng::seed_from_u64(op_seed);
-        let outcome = GfCoordinator::new(
-            SchemeConfig::sl(k).landmarks(4).plset_multiplier(2),
-        )
-        .form_groups(&network, &mut rng)
-        .unwrap();
+        let scheme = SchemeConfig::sl(k).landmarks(4).plset_multiplier(2);
+        let plan = FormPlan::new(network.rtt_matrix(), &scheme);
+        let outcome = form(&plan, &mut FormContext::new(), &mut rng).unwrap();
         let mut m = GroupMaintainer::new(&network, outcome, ProbeConfig::default());
         assert_consistent(&m);
 

@@ -2,7 +2,8 @@
 
 use ecg_coords::{GnpConfig, ProbeConfig, VivaldiConfig};
 use ecg_core::{
-    GfCoordinator, GroupInit, LandmarkSelector, Representation, ResilienceConfig, SchemeConfig,
+    form, FormContext, FormPlan, GroupInit, LandmarkSelector, Representation, ResilienceConfig,
+    SchemeConfig,
 };
 use ecg_topology::{EdgeNetwork, RttMatrix};
 use proptest::prelude::*;
@@ -37,11 +38,13 @@ proptest! {
     ) {
         let n = net.cache_count();
         let k = ((n as f64 * k_frac).ceil() as usize).clamp(1, n);
-        let coord = GfCoordinator::new(
-            SchemeConfig::sl(k).landmarks(5).plset_multiplier(2),
-        );
+        let scheme = SchemeConfig::sl(k).landmarks(5).plset_multiplier(2);
         let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = coord.form_groups(&net, &mut rng).unwrap();
+        let outcome = form(
+            &FormPlan::new(net.rtt_matrix(), &scheme),
+            &mut FormContext::new(),
+            &mut rng,
+        ).unwrap();
         prop_assert_eq!(outcome.groups().len(), k);
         let mut all: Vec<usize> = outcome
             .groups()
@@ -62,11 +65,13 @@ proptest! {
     ) {
         let n = net.cache_count();
         let k = (n / 3).max(1);
-        let coord = GfCoordinator::new(
-            SchemeConfig::sdsl(k, theta).landmarks(5).plset_multiplier(2),
-        );
+        let scheme = SchemeConfig::sdsl(k, theta).landmarks(5).plset_multiplier(2);
         let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = coord.form_groups(&net, &mut rng).unwrap();
+        let outcome = form(
+            &FormPlan::new(net.rtt_matrix(), &scheme),
+            &mut FormContext::new(),
+            &mut rng,
+        ).unwrap();
         let total: usize = outcome.groups().iter().map(Vec::len).sum();
         prop_assert_eq!(total, n);
         prop_assert_eq!(outcome.groups().len(), k);
@@ -77,14 +82,16 @@ proptest! {
         net in arb_edge_network(),
         seed in any::<u64>(),
     ) {
-        let coord = GfCoordinator::new(
-            SchemeConfig::sl(2)
-                .landmarks(4)
-                .plset_multiplier(2)
-                .probe(ProbeConfig::noiseless()),
-        );
+        let scheme = SchemeConfig::sl(2)
+            .landmarks(4)
+            .plset_multiplier(2)
+            .probe(ProbeConfig::noiseless());
         let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = coord.form_groups(&net, &mut rng).unwrap();
+        let outcome = form(
+            &FormPlan::new(net.rtt_matrix(), &scheme),
+            &mut FormContext::new(),
+            &mut rng,
+        ).unwrap();
         for (i, &d) in outcome.server_distances_ms().iter().enumerate() {
             prop_assert_eq!(d, net.cache_to_origin(ecg_topology::CacheId(i)));
         }
@@ -100,14 +107,16 @@ proptest! {
             LandmarkSelector::Random,
             LandmarkSelector::MinDist,
         ] {
-            let coord = GfCoordinator::new(
-                SchemeConfig::sl(2)
-                    .landmarks(4)
-                    .plset_multiplier(3)
-                    .selector(selector),
-            );
+            let scheme = SchemeConfig::sl(2)
+                .landmarks(4)
+                .plset_multiplier(3)
+                .selector(selector);
             let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = coord.form_groups(&net, &mut rng).unwrap();
+            let outcome = form(
+                &FormPlan::new(net.rtt_matrix(), &scheme),
+                &mut FormContext::new(),
+                &mut rng,
+            ).unwrap();
             let lms = &outcome.landmarks().landmarks;
             prop_assert_eq!(lms.len(), 4);
             prop_assert_eq!(lms[0], 0, "origin must lead the landmark set");
@@ -121,14 +130,16 @@ proptest! {
 
     #[test]
     fn determinism_per_seed(net in arb_edge_network(), seed in any::<u64>()) {
-        let coord = GfCoordinator::new(
-            SchemeConfig::sdsl(3.min(net.cache_count()), 1.0)
-                .landmarks(4)
-                .plset_multiplier(2),
-        );
+        let scheme = SchemeConfig::sdsl(3.min(net.cache_count()), 1.0)
+            .landmarks(4)
+            .plset_multiplier(2);
         let run = |s: u64| {
             let mut rng = StdRng::seed_from_u64(s);
-            coord.form_groups(&net, &mut rng).unwrap()
+            form(
+                &FormPlan::new(net.rtt_matrix(), &scheme),
+                &mut FormContext::new(),
+                &mut rng,
+            ).unwrap()
         };
         prop_assert_eq!(run(seed), run(seed));
     }
@@ -169,8 +180,11 @@ proptest! {
             scheme = scheme.max_group_size(n.div_ceil(k) + 1);
         }
         let run = |scheme: SchemeConfig| {
-            GfCoordinator::new(scheme)
-                .form_groups(&net, &mut StdRng::seed_from_u64(seed))
+            form(
+                &FormPlan::new(net.rtt_matrix(), &scheme),
+                &mut FormContext::new(),
+                &mut StdRng::seed_from_u64(seed),
+            )
                 .unwrap()
         };
         let plain = run(scheme.clone());

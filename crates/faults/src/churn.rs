@@ -503,7 +503,7 @@ pub fn serving_map(maintainer: &GroupMaintainer) -> GroupMap {
 mod tests {
     use super::*;
     use ecg_coords::ProbeConfig;
-    use ecg_core::{GfCoordinator, SchemeConfig};
+    use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
     use ecg_topology::fixtures::paper_figure1;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -513,14 +513,13 @@ mod tests {
         let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
         for seed in 0..100 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let outcome = GfCoordinator::new(
-                SchemeConfig::sl(3)
-                    .landmarks(3)
-                    .plset_multiplier(2)
-                    .probe(ProbeConfig::noiseless()),
-            )
-            .form_groups(&network, &mut rng)
-            .expect("formation succeeds");
+            let config = SchemeConfig::sl(3)
+                .landmarks(3)
+                .plset_multiplier(2)
+                .probe(ProbeConfig::noiseless());
+            let plan = FormPlan::new(network.rtt_matrix(), &config);
+            let outcome =
+                form(&plan, &mut FormContext::new(), &mut rng).expect("formation succeeds");
             let mut groups: Vec<Vec<usize>> = outcome
                 .groups()
                 .iter()

@@ -8,7 +8,7 @@
 //! offline while the SL/SDSL pipeline probes the network — it compiles
 //! to the node-index [`ecg_coords::ProbeFaults`] consumed by
 //! [`ecg_coords::Prober`] and, from there, by
-//! [`ecg_core::GfCoordinator::form_groups_faulted`].
+//! [`ecg_core::form`] under [`ecg_core::FormPlan::faults`].
 //!
 //! Fault vocabulary:
 //!

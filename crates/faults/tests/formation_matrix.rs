@@ -3,7 +3,7 @@
 //! Sweeps probe loss × {no faults, landmark crash, correlated
 //! stub-domain outage, everything at once} through the full
 //! [`FormationFaults`] → [`ecg_coords::ProbeFaults`] →
-//! [`GfCoordinator::form_groups_faulted`] path and asserts that every
+//! [`FormPlan::faults`] → [`ecg_core::form`] path and asserts that every
 //! cell completes without panicking, reports a consistent
 //! [`FormationHealth`] (exactly the crashed caches quarantined, dead
 //! landmarks drawn from the crash set, a full partition of the
@@ -15,7 +15,9 @@
 //! binary would race it.
 
 use ecg_coords::{ProbeConfig, ProbeFaults};
-use ecg_core::{FormationHealth, GfCoordinator, GroupingOutcome, ResilienceConfig, SchemeConfig};
+use ecg_core::{
+    FormContext, FormPlan, FormationHealth, GroupingOutcome, ResilienceConfig, SchemeConfig,
+};
 use ecg_faults::FormationFaults;
 use ecg_topology::{CacheId, EdgeNetwork, OriginPlacement, TransitStubConfig, TransitStubTopology};
 use rand::rngs::StdRng;
@@ -38,8 +40,8 @@ fn form(network: &EdgeNetwork, faults: &ProbeFaults, loss: f64, cell_seed: u64) 
         .probe(ProbeConfig::default().loss_rate(loss))
         .resilience(ResilienceConfig::default());
     let mut rng = StdRng::seed_from_u64(cell_seed);
-    GfCoordinator::new(config)
-        .form_groups_faulted(network, faults, &mut rng, None)
+    let plan = FormPlan::new(network.rtt_matrix(), &config).faults(faults);
+    ecg_core::form(&plan, &mut FormContext::new(), &mut rng)
         .expect("faulted formation must still produce a grouping")
 }
 

@@ -39,7 +39,7 @@
 //! );
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let timeline =
-//!     supervisor.run(&network, &FaultSchedule::new(), 60_000.0, &mut rng)?;
+//!     supervisor.run(&network, &FaultSchedule::new(), 60_000.0, &mut rng, None)?;
 //! assert_eq!(timeline.epochs().len(), 1);
 //! assert_eq!(timeline.reformations(), 0);
 //! # Ok::<(), ecg_lifecycle::LifecycleError>(())
@@ -50,6 +50,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod policy;
+mod shim;
 pub mod supervisor;
 pub mod timeline;
 

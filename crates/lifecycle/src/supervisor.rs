@@ -22,7 +22,8 @@ use std::fmt;
 
 use ecg_coords::ProbeConfig;
 use ecg_core::{
-    FormationHealth, GfCoordinator, GroupMaintainer, MaintenanceError, SchemeConfig, SchemeError,
+    form, FormContext, FormPlan, FormationHealth, GroupMaintainer, MaintenanceError, SchemeConfig,
+    SchemeError,
 };
 use ecg_faults::{serving_map, FormationFaults, Membership, MembershipChange};
 use ecg_obs::Obs;
@@ -136,7 +137,7 @@ impl SupervisorConfig {
 /// the supervisor's `health_degraded` signal depends on it.
 #[derive(Debug, Clone)]
 pub struct FormationSupervisor {
-    coordinator: GfCoordinator,
+    scheme: SchemeConfig,
     probe: ProbeConfig,
     step_ms: f64,
     policy: ReformPolicy,
@@ -152,7 +153,7 @@ impl FormationSupervisor {
             .unwrap_or_default();
         let scheme = config.scheme.probe(config.probe).resilience(resilience);
         FormationSupervisor {
-            coordinator: GfCoordinator::new(scheme),
+            scheme,
             probe: config.probe,
             step_ms: config.step_ms,
             policy: config.policy,
@@ -161,6 +162,15 @@ impl FormationSupervisor {
 
     /// Supervises `network` over `schedule` for `horizon_ms` of
     /// simulated time and returns the full timeline.
+    ///
+    /// Records lifecycle telemetry when an observability bundle is
+    /// supplied: `lifecycle.windows` / `lifecycle.epochs` /
+    /// `lifecycle.{holds,repairs,partial_reforms,full_reforms}`
+    /// counters, a `lifecycle.max_drift` high-water gauge, a
+    /// `lifecycle` trace event per decision, a `lifecycle_run` phase
+    /// span, plus the underlying `maintenance.*`, `probe.*`, and
+    /// `scheme.*` streams. Instrumentation never draws from the RNG,
+    /// so the timeline is the same with and without a bundle.
     ///
     /// # Errors
     ///
@@ -173,30 +183,6 @@ impl FormationSupervisor {
     /// * [`LifecycleError::Maintenance`] on structural maintenance
     ///   failures (expected churn races are absorbed, never surfaced).
     pub fn run<R: Rng + ?Sized>(
-        &self,
-        network: &EdgeNetwork,
-        schedule: &FaultSchedule,
-        horizon_ms: f64,
-        rng: &mut R,
-    ) -> Result<FormationTimeline, LifecycleError> {
-        self.run_observed(network, schedule, horizon_ms, rng, None)
-    }
-
-    /// Like [`FormationSupervisor::run`], but records lifecycle
-    /// telemetry when an observability bundle is supplied:
-    /// `lifecycle.windows` / `lifecycle.epochs` /
-    /// `lifecycle.{holds,repairs,partial_reforms,full_reforms}`
-    /// counters, a `lifecycle.max_drift` high-water gauge, a
-    /// `lifecycle` trace event per decision, a `lifecycle_run` phase
-    /// span, plus the underlying `maintenance.*`, `probe.*`, and
-    /// `scheme.*` streams. Instrumentation never draws from the RNG,
-    /// so with `obs = None` this is exactly
-    /// [`FormationSupervisor::run`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`FormationSupervisor::run`].
-    pub fn run_observed<R: Rng + ?Sized>(
         &self,
         network: &EdgeNetwork,
         schedule: &FaultSchedule,
@@ -218,9 +204,9 @@ impl FormationSupervisor {
         // Initial formation at time zero, under whatever is already
         // faulted at that instant.
         let faults = FormationFaults::from_schedule(schedule, 0.0).to_probe_faults();
-        let outcome =
-            self.coordinator
-                .form_groups_faulted(network, &faults, rng, obs.as_deref_mut())?;
+        let plan = FormPlan::new(network.rtt_matrix(), &self.scheme).faults(&faults);
+        let mut ctx = FormContext::new().observe(obs.as_deref_mut());
+        let outcome = form(&plan, &mut ctx, rng)?;
         let mut last_health = outcome.health().cloned();
         let mut maintainer = GroupMaintainer::new(network, outcome, self.probe);
 
@@ -336,12 +322,9 @@ impl FormationSupervisor {
             if decision == ReformDecision::FullReform {
                 did_full = true;
                 let faults = FormationFaults::from_schedule(schedule, te).to_probe_faults();
-                let outcome = self.coordinator.form_groups_faulted(
-                    network,
-                    &faults,
-                    rng,
-                    obs.as_deref_mut(),
-                )?;
+                let plan = FormPlan::new(network.rtt_matrix(), &self.scheme).faults(&faults);
+                let mut ctx = FormContext::new().observe(obs.as_deref_mut());
+                let outcome = form(&plan, &mut ctx, rng)?;
                 last_health = outcome.health().cloned();
                 maintainer = GroupMaintainer::new(network, outcome, self.probe);
                 dirty.clear();
@@ -474,7 +457,7 @@ mod tests {
         let schedule = FaultSchedule::new();
         let mut rng = StdRng::seed_from_u64(7);
         let timeline = supervisor(ReformPolicy::balanced())
-            .run(&network, &schedule, 60_000.0, &mut rng)
+            .run(&network, &schedule, 60_000.0, &mut rng, None)
             .expect("quiet run succeeds");
         assert_eq!(timeline.epochs().len(), 1);
         assert_eq!(timeline.decisions().len(), 6);
@@ -497,7 +480,7 @@ mod tests {
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             supervisor(ReformPolicy::eager())
-                .run(&network, &schedule, 80_000.0, &mut rng)
+                .run(&network, &schedule, 80_000.0, &mut rng, None)
                 .expect("run succeeds")
         };
         let a = run(3);
@@ -516,7 +499,7 @@ mod tests {
             .schedule();
         let mut rng = StdRng::seed_from_u64(11);
         let timeline = supervisor(ReformPolicy::eager())
-            .run(&network, &schedule, 80_000.0, &mut rng)
+            .run(&network, &schedule, 80_000.0, &mut rng, None)
             .expect("churny run succeeds");
         assert!(timeline.reformations() > 0, "landmark loss must re-form");
         assert!(timeline.epochs().len() > 1, "re-formation opens an epoch");
@@ -555,6 +538,7 @@ mod tests {
                 &schedule,
                 80_000.0,
                 &mut StdRng::seed_from_u64(11),
+                None,
             )
             .expect("embedded positions re-form fully");
         assert!(timeline.reformations() > 0);
@@ -571,7 +555,7 @@ mod tests {
             .schedule();
         let mut rng = StdRng::seed_from_u64(11);
         let timeline = supervisor(ReformPolicy::hold_only())
-            .run(&network, &schedule, 80_000.0, &mut rng)
+            .run(&network, &schedule, 80_000.0, &mut rng, None)
             .expect("static run succeeds");
         assert_eq!(timeline.epochs().len(), 1, "static policy never re-forms");
         assert_eq!(timeline.reformations(), 0);
@@ -589,7 +573,7 @@ mod tests {
         let sup = supervisor(ReformPolicy::eager());
         let mut rng = StdRng::seed_from_u64(5);
         let quiet = sup
-            .run(&network, &FaultSchedule::new(), 10_000.0, &mut rng)
+            .run(&network, &FaultSchedule::new(), 10_000.0, &mut rng, None)
             .expect("probe run succeeds");
         let victims: Vec<CacheId> = quiet.epochs()[0]
             .landmarks
@@ -605,7 +589,7 @@ mod tests {
         }
         let mut rng = StdRng::seed_from_u64(5);
         let timeline = sup
-            .run(&network, &plan.schedule(), 40_000.0, &mut rng)
+            .run(&network, &plan.schedule(), 40_000.0, &mut rng, None)
             .expect("escalating run succeeds");
         assert!(
             timeline.decisions().iter().any(|d| d.escalated),
@@ -625,7 +609,7 @@ mod tests {
             .schedule();
         let mut rng = StdRng::seed_from_u64(2);
         let timeline = supervisor(ReformPolicy::hold_only())
-            .run(&network, &schedule, 20_000.0, &mut rng)
+            .run(&network, &schedule, 20_000.0, &mut rng, None)
             .expect("run succeeds");
         let down: Vec<usize> = timeline
             .decisions()
@@ -646,6 +630,7 @@ mod tests {
                 &FaultSchedule::new(),
                 10_000.0,
                 &mut StdRng::seed_from_u64(1),
+                None,
             )
             .unwrap_err();
         assert_eq!(err, LifecycleError::Scheme(SchemeError::NoGroups));
@@ -658,20 +643,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let sup = supervisor(ReformPolicy::balanced());
         assert!(matches!(
-            sup.run(&network, &schedule, 0.0, &mut rng),
+            sup.run(&network, &schedule, 0.0, &mut rng, None),
             Err(LifecycleError::BadHorizon(_))
         ));
         let sup_bad = FormationSupervisor::new(
             SupervisorConfig::new(SchemeConfig::sl(3).landmarks(3)).step_ms(0.0),
         );
         assert!(matches!(
-            sup_bad.run(&network, &schedule, 10_000.0, &mut rng),
+            sup_bad.run(&network, &schedule, 10_000.0, &mut rng, None),
             Err(LifecycleError::BadStep(_))
         ));
         let mut out_of_range = FaultSchedule::new();
         out_of_range.push(1_000.0, FaultKind::CacheDown { cache: CacheId(99) });
         assert!(matches!(
-            sup.run(&network, &out_of_range, 10_000.0, &mut rng),
+            sup.run(&network, &out_of_range, 10_000.0, &mut rng, None),
             Err(LifecycleError::Fault(_))
         ));
     }
@@ -685,12 +670,12 @@ mod tests {
         let sup = supervisor(ReformPolicy::eager());
         let mut rng = StdRng::seed_from_u64(9);
         let plain = sup
-            .run(&network, &schedule, 60_000.0, &mut rng)
+            .run(&network, &schedule, 60_000.0, &mut rng, None)
             .expect("plain run succeeds");
         let mut obs = Obs::new();
         let mut rng = StdRng::seed_from_u64(9);
         let observed = sup
-            .run_observed(&network, &schedule, 60_000.0, &mut rng, Some(&mut obs))
+            .run(&network, &schedule, 60_000.0, &mut rng, Some(&mut obs))
             .expect("observed run succeeds");
         assert_eq!(plain, observed, "observation must not perturb the run");
         assert_eq!(obs.metrics.counter("lifecycle.windows"), 6);

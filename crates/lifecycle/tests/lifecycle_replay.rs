@@ -48,7 +48,7 @@ fn zero_churn_timeline_replays_identically_to_static_groups() {
     let schedule = FaultSchedule::new();
     let mut rng = StdRng::seed_from_u64(7);
     let timeline = supervisor(ReformPolicy::balanced())
-        .run(&network, &schedule, 60_000.0, &mut rng)
+        .run(&network, &schedule, 60_000.0, &mut rng, None)
         .expect("quiet run succeeds");
     assert_eq!(timeline.reformations(), 0);
     assert_eq!(timeline.epochs().len(), 1);
@@ -78,7 +78,7 @@ fn churny_timeline_replay_is_thread_invariant() {
         .schedule();
     let mut rng = StdRng::seed_from_u64(11);
     let timeline = supervisor(ReformPolicy::eager())
-        .run(&network, &schedule, 60_000.0, &mut rng)
+        .run(&network, &schedule, 60_000.0, &mut rng, None)
         .expect("churny run succeeds");
     assert!(timeline.epochs().len() > 1, "churn must open epochs");
 
@@ -108,7 +108,7 @@ fn supervisor_is_thread_count_invariant() {
     let run = || {
         let mut rng = StdRng::seed_from_u64(3);
         supervisor(ReformPolicy::eager())
-            .run(&network, &schedule, 60_000.0, &mut rng)
+            .run(&network, &schedule, 60_000.0, &mut rng, None)
             .expect("run succeeds")
             .to_json()
     };

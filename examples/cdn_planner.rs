@@ -55,8 +55,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let seeds = 3;
             for s in 0..seeds {
                 let mut form_rng = StdRng::seed_from_u64(1_000 + s);
-                let outcome =
-                    GfCoordinator::new(scheme.clone()).form_groups(&network, &mut form_rng)?;
+                let outcome = form(
+                    &FormPlan::new(network.rtt_matrix(), &scheme),
+                    &mut FormContext::new(),
+                    &mut form_rng,
+                )?;
                 let groups = GroupMap::new(caches, outcome.groups().to_vec())?;
                 let report = simulate(&plan, &groups, &mut RunContext::pooled())?;
                 sum += report.average_latency_ms();

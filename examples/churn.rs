@@ -30,7 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Network, groups, workload, fault-free baseline.
     let topo = TransitStubConfig::for_caches(caches).generate(&mut rng);
     let network = EdgeNetwork::place(&topo, caches, OriginPlacement::TransitNode, &mut rng)?;
-    let outcome = GfCoordinator::new(SchemeConfig::sdsl(6, 1.0)).form_groups(&network, &mut rng)?;
+    let outcome = form(
+        &FormPlan::new(network.rtt_matrix(), &SchemeConfig::sdsl(6, 1.0)),
+        &mut FormContext::new(),
+        &mut rng,
+    )?;
     let maintainer = GroupMaintainer::new(&network, outcome.clone(), ProbeConfig::default());
     let groups = GroupMap::new(caches, outcome.groups().to_vec())?;
     let workload = SportingEventConfig::default()

@@ -34,8 +34,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         OriginPlacement::TransitNode,
         &mut rng,
     )?;
-    let coordinator = GfCoordinator::new(SchemeConfig::sdsl(8, 1.0));
-    let outcome = coordinator.form_groups(&network, &mut rng)?;
+    let config = SchemeConfig::sdsl(8, 1.0);
+    let outcome = form(
+        &FormPlan::new(network.rtt_matrix(), &config),
+        &mut FormContext::new(),
+        &mut rng,
+    )?;
     println!(
         "formed {} groups over {} caches (sizes {:?})",
         outcome.groups().len(),
@@ -100,7 +104,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         maintainer.retired().len()
     );
     if maintainer.needs_reformation(&network, threshold)? {
-        let refreshed = maintainer.reform(&coordinator, &network, &mut rng)?;
+        let plan = FormPlan::new(network.rtt_matrix(), &config);
+        let outcome = form(&plan, &mut FormContext::new(), &mut rng)?;
+        let refreshed = GroupMaintainer::new(&network, outcome, ProbeConfig::default());
         println!(
             "re-formed: {} groups (sizes {:?}), drift reset to {:.3}",
             refreshed.groups().len(),

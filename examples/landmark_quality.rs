@@ -45,11 +45,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .noise_sigma(sigma)
                     .probes_per_measurement(3),
             );
-            let coord = GfCoordinator::new(scheme);
             let mut total = 0.0;
             for &seed in &seeds {
                 let mut run_rng = StdRng::seed_from_u64(seed);
-                let outcome = coord.form_groups(&network, &mut run_rng)?;
+                let outcome = form(
+                    &FormPlan::new(network.rtt_matrix(), &scheme),
+                    &mut FormContext::new(),
+                    &mut run_rng,
+                )?;
                 total += outcome.average_interaction_cost(|a, b| network.cache_to_cache(a, b));
             }
             row.push(total / seeds.len() as f64);

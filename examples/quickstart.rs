@@ -30,7 +30,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Form 8 cooperative groups with the SDSL scheme (θ = 1).
-    let outcome = GfCoordinator::new(SchemeConfig::sdsl(8, 1.0)).form_groups(&network, &mut rng)?;
+    let outcome = form(
+        &FormPlan::new(network.rtt_matrix(), &SchemeConfig::sdsl(8, 1.0)),
+        &mut FormContext::new(),
+        &mut rng,
+    )?;
     let gic = outcome.average_interaction_cost(|a, b| network.cache_to_cache(a, b));
     println!(
         "sdsl: {} groups, sizes {:?}, avg group interaction cost {:.1} ms, {} probes",

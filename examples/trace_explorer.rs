@@ -81,7 +81,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Replay it through the simulator on a fresh network.
     let topo = TransitStubConfig::for_caches(caches).generate(&mut rng);
     let network = EdgeNetwork::place(&topo, caches, OriginPlacement::TransitNode, &mut rng)?;
-    let outcome = GfCoordinator::new(SchemeConfig::sl(5)).form_groups(&network, &mut rng)?;
+    let outcome = form(
+        &FormPlan::new(network.rtt_matrix(), &SchemeConfig::sl(5)),
+        &mut FormContext::new(),
+        &mut rng,
+    )?;
     let groups = GroupMap::new(caches, outcome.groups().to_vec())?;
     let plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &reloaded);
     let report = simulate(&plan, &groups, &mut RunContext::pooled())?;

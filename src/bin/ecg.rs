@@ -14,7 +14,7 @@
 //!   the `rtt` text format.
 //! * `form` reads such a matrix, runs SL or SDSL, and writes/prints the
 //!   groups (one line of cache ids per group).
-//! * `scale` runs the large-N pipeline ([`GfCoordinator::form_groups_scaled`])
+//! * `scale` runs the large-N pipeline ([`form`] under a per-row plan)
 //!   over an implicit synthetic RTT oracle — no matrix file, O(n) state —
 //!   and prints per-stage timings plus group-size statistics.
 //! * `simulate` runs a synthetic sporting-event workload over the
@@ -209,7 +209,7 @@ const COMMANDS: &[Command] = &[
     Command { name: "gen-network", run: gen_network, about: "", flags: &[
         (CACHES, D("100")), (SEED, D("1")), (ORIGIN, D("transit")), (OUT, Required),
     ] },
-    Command { name: "form", run: form, about: "", flags: &[
+    Command { name: "form", run: form_cmd, about: "", flags: &[
         (NETWORK, Required), (SCHEME, D("sdsl")), (GROUPS, Unset), (THETA, D("1")),
         (LANDMARKS, D("25")), (PLSET, D("4")), (MAX_GROUP_SIZE, Unset), (SEED, D("1")),
         (OUT, Unset),
@@ -413,7 +413,7 @@ fn scheme(opts: &Opts, k: usize) -> Result<SchemeConfig, String> {
         .plset_multiplier(opts.get(&PLSET)?))
 }
 
-fn form(opts: &Opts) -> Result<(), String> {
+fn form_cmd(opts: &Opts) -> Result<(), String> {
     let network = load_network(&opts.get::<String>(&NETWORK)?)?;
     let k = opts
         .opt(&GROUPS)?
@@ -424,9 +424,12 @@ fn form(opts: &Opts) -> Result<(), String> {
     }
 
     let mut rng = StdRng::seed_from_u64(opts.get(&SEED)?);
-    let outcome = GfCoordinator::new(scheme)
-        .form_groups(&network, &mut rng)
-        .map_err(|e| e.to_string())?;
+    let outcome = form(
+        &FormPlan::new(network.rtt_matrix(), &scheme),
+        &mut FormContext::new(),
+        &mut rng,
+    )
+    .map_err(|e| e.to_string())?;
 
     let rendered = render_groups(outcome.groups());
     match opts.opt::<String>(&OUT)? {
@@ -471,11 +474,10 @@ fn scale_cmd(opts: &Opts) -> Result<(), String> {
     // Node 0 is the origin; the caches are nodes 1..=caches.
     let net = SyntheticRttConfig::default().generate(caches + 1, seed);
     let mut rng = StdRng::seed_from_u64(seed);
-    let formed = GfCoordinator::new(scheme)
-        .form_groups_scaled(&net, &mut rng)
+    let mut ctx = FormContext::new();
+    let outcome = form(&FormPlan::new(&net, &scheme).per_row(), &mut ctx, &mut rng)
         .map_err(|e| e.to_string())?;
 
-    let outcome = &formed.outcome;
     let sizes: Vec<usize> = outcome.groups().iter().map(Vec::len).collect();
     let gic = outcome.average_interaction_cost(|a, b| net.rtt_ms(a.index() + 1, b.index() + 1));
     let engine = if minibatch {
@@ -497,7 +499,7 @@ fn scale_cmd(opts: &Opts) -> Result<(), String> {
         outcome.probes_sent(),
         outcome.kmeans_iterations(),
     );
-    let t = formed.timings;
+    let t = ctx.stats();
     println!(
         "timings: landmarks {:.0} ms, features {:.0} ms, clustering {:.0} ms \
          (tree build {:.1} ms), total {:.0} ms",
@@ -719,7 +721,7 @@ fn lifecycle_cmd(opts: &Opts) -> Result<(), String> {
             .policy(policy),
     );
     let timeline = supervisor
-        .run(&network, &schedule, duration_ms, &mut rng)
+        .run(&network, &schedule, duration_ms, &mut rng, None)
         .map_err(|e| e.to_string())?;
 
     println!(

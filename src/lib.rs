@@ -43,8 +43,12 @@
 //! let network = EdgeNetwork::place(&topo, 80, OriginPlacement::TransitNode, &mut rng)?;
 //!
 //! // 2. Form 8 cooperative groups with the SDSL scheme.
-//! let outcome = GfCoordinator::new(SchemeConfig::sdsl(8, 1.0))
-//!     .form_groups(&network, &mut rng)?;
+//! let config = SchemeConfig::sdsl(8, 1.0);
+//! let outcome = form(
+//!     &FormPlan::new(network.rtt_matrix(), &config),
+//!     &mut FormContext::new(),
+//!     &mut rng,
+//! )?;
 //!
 //! // 3. Evaluate them in simulation on a sporting-event workload.
 //! let workload = SportingEventConfig::default()
@@ -83,8 +87,8 @@ pub mod prelude {
     pub use ecg_clustering::{KmeansVariant, MiniBatchConfig};
     pub use ecg_coords::{ProbeConfig, Prober};
     pub use ecg_core::{
-        FormationTimings, GfCoordinator, GroupInit, GroupMaintainer, GroupingOutcome,
-        LandmarkSelector, Representation, ScaledFormation, SchemeConfig,
+        form, FormContext, FormPlan, FormStats, GroupInit, GroupMaintainer, GroupingOutcome,
+        LandmarkSelector, Representation, SchemeConfig,
     };
     pub use ecg_faults::{ChurnConfig, ChurnDriver, FaultPlan};
     pub use ecg_lifecycle::{

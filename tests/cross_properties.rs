@@ -28,9 +28,9 @@ proptest! {
         } else {
             SchemeConfig::sl(k)
         };
-        let outcome = GfCoordinator::new(scheme.landmarks(6).plset_multiplier(2))
-            .form_groups(&network, &mut rng)
-            .unwrap();
+        let scheme = scheme.landmarks(6).plset_multiplier(2);
+        let plan = FormPlan::new(network.rtt_matrix(), &scheme);
+        let outcome = form(&plan, &mut FormContext::new(), &mut rng).unwrap();
 
         // The outcome is a valid GroupMap partition...
         let map = GroupMap::new(caches, outcome.groups().to_vec()).unwrap();
@@ -67,14 +67,13 @@ proptest! {
         let network = EdgeNetwork::place(
             &topo, caches, OriginPlacement::TransitNode, &mut rng,
         ).unwrap();
-        let coord = GfCoordinator::new(
-            SchemeConfig::sdsl(8, 6.0).landmarks(6).plset_multiplier(2),
-        );
+        let scheme = SchemeConfig::sdsl(8, 6.0).landmarks(6).plset_multiplier(2);
         let mut near_total = 0.0;
         let mut far_total = 0.0;
         for s in 0..10u64 {
             let mut form_rng = StdRng::seed_from_u64(seed.wrapping_add(s));
-            let outcome = coord.form_groups(&network, &mut form_rng).unwrap();
+            let plan = FormPlan::new(network.rtt_matrix(), &scheme);
+            let outcome = form(&plan, &mut FormContext::new(), &mut form_rng).unwrap();
             let near = network.caches_nearest_origin(5);
             let far = network.caches_farthest_origin(5);
             let mean_size = |set: &[CacheId]| -> f64 {
@@ -106,11 +105,9 @@ proptest! {
         let mut network = EdgeNetwork::place(
             &topo, caches, OriginPlacement::TransitNode, &mut rng,
         ).unwrap();
-        let outcome = GfCoordinator::new(
-            SchemeConfig::sl(5).landmarks(5).plset_multiplier(2),
-        )
-        .form_groups(&network, &mut rng)
-        .unwrap();
+        let scheme = SchemeConfig::sl(5).landmarks(5).plset_multiplier(2);
+        let plan = FormPlan::new(network.rtt_matrix(), &scheme);
+        let outcome = form(&plan, &mut FormContext::new(), &mut rng).unwrap();
         let mut maintainer =
             GroupMaintainer::new(&network, outcome, ProbeConfig::default());
 

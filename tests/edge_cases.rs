@@ -163,9 +163,15 @@ fn k_equals_n_grouping_simulates_like_singletons() {
     let net = figure1_network();
     let cat = small_catalog(20);
     let mut rng = StdRng::seed_from_u64(2);
-    let outcome = GfCoordinator::new(SchemeConfig::sl(6).landmarks(3).plset_multiplier(2))
-        .form_groups(&net, &mut rng)
-        .unwrap();
+    let outcome = form(
+        &FormPlan::new(
+            net.rtt_matrix(),
+            &SchemeConfig::sl(6).landmarks(3).plset_multiplier(2),
+        ),
+        &mut FormContext::new(),
+        &mut rng,
+    )
+    .unwrap();
     assert_eq!(outcome.groups().len(), 6);
     assert!(outcome.groups().iter().all(|g| g.len() == 1));
 
@@ -222,9 +228,12 @@ fn scheme_on_two_cache_network() {
     m.set(1, 2, 15.0);
     let net = EdgeNetwork::from_rtt_matrix(m);
     let mut rng = StdRng::seed_from_u64(5);
-    let outcome = GfCoordinator::new(SchemeConfig::sdsl(2, 1.0))
-        .form_groups(&net, &mut rng)
-        .unwrap();
+    let outcome = form(
+        &FormPlan::new(net.rtt_matrix(), &SchemeConfig::sdsl(2, 1.0)),
+        &mut FormContext::new(),
+        &mut rng,
+    )
+    .unwrap();
     assert_eq!(outcome.groups().len(), 2);
     let total: usize = outcome.groups().iter().map(Vec::len).sum();
     assert_eq!(total, 2);

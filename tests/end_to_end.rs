@@ -54,9 +54,12 @@ fn formed_groups_always_feed_the_simulator() {
     let s = setup(1);
     for scheme in [SchemeConfig::sl(10), SchemeConfig::sdsl(10, 1.0)] {
         let mut rng = StdRng::seed_from_u64(2);
-        let outcome = GfCoordinator::new(scheme)
-            .form_groups(&s.network, &mut rng)
-            .expect("formation");
+        let outcome = form(
+            &FormPlan::new(s.network.rtt_matrix(), &scheme),
+            &mut FormContext::new(),
+            &mut rng,
+        )
+        .expect("formation");
         let report = run(&s, outcome.groups());
         assert!(report.average_latency_ms() > 0.0);
         assert_eq!(
@@ -78,9 +81,12 @@ fn formed_groups_always_feed_the_simulator() {
 fn cooperation_beats_isolation_at_scale() {
     let s = setup(3);
     let mut rng = StdRng::seed_from_u64(4);
-    let outcome = GfCoordinator::new(SchemeConfig::sl(10))
-        .form_groups(&s.network, &mut rng)
-        .expect("formation");
+    let outcome = form(
+        &FormPlan::new(s.network.rtt_matrix(), &SchemeConfig::sl(10)),
+        &mut FormContext::new(),
+        &mut rng,
+    )
+    .expect("formation");
     let grouped = run(&s, outcome.groups());
     let isolated = run(
         &s,
@@ -109,9 +115,12 @@ fn sdsl_beats_sl_on_average() {
             .iter()
             .map(|&seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let outcome = GfCoordinator::new(scheme.clone())
-                    .form_groups(&s.network, &mut rng)
-                    .expect("formation");
+                let outcome = form(
+                    &FormPlan::new(s.network.rtt_matrix(), &scheme),
+                    &mut FormContext::new(),
+                    &mut rng,
+                )
+                .expect("formation");
                 run(&s, outcome.groups()).average_latency_ms()
             })
             .sum();
@@ -132,9 +141,15 @@ fn greedy_landmarks_beat_mindist_on_interaction_cost() {
             .iter()
             .map(|&seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let outcome = GfCoordinator::new(SchemeConfig::sl(10).selector(selector))
-                    .form_groups(&s.network, &mut rng)
-                    .expect("formation");
+                let outcome = form(
+                    &FormPlan::new(
+                        s.network.rtt_matrix(),
+                        &SchemeConfig::sl(10).selector(selector),
+                    ),
+                    &mut FormContext::new(),
+                    &mut rng,
+                )
+                .expect("formation");
                 outcome.average_interaction_cost(|a, b| s.network.cache_to_cache(a, b))
             })
             .sum();
@@ -153,9 +168,12 @@ fn whole_pipeline_is_deterministic_per_seed() {
     let build = || {
         let s = setup(9);
         let mut rng = StdRng::seed_from_u64(10);
-        let outcome = GfCoordinator::new(SchemeConfig::sdsl(8, 1.0))
-            .form_groups(&s.network, &mut rng)
-            .expect("formation");
+        let outcome = form(
+            &FormPlan::new(s.network.rtt_matrix(), &SchemeConfig::sdsl(8, 1.0)),
+            &mut FormContext::new(),
+            &mut rng,
+        )
+        .expect("formation");
         let report = run(&s, outcome.groups());
         (outcome, report)
     };

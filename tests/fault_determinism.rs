@@ -26,9 +26,12 @@ fn setup(seed: u64) -> Setup {
     let topo = TransitStubConfig::for_caches(CACHES).generate(&mut rng);
     let network = EdgeNetwork::place(&topo, CACHES, OriginPlacement::TransitNode, &mut rng)
         .expect("placement");
-    let outcome = GfCoordinator::new(SchemeConfig::sl(5))
-        .form_groups(&network, &mut rng)
-        .expect("formation");
+    let outcome = form(
+        &FormPlan::new(network.rtt_matrix(), &SchemeConfig::sl(5)),
+        &mut FormContext::new(),
+        &mut rng,
+    )
+    .expect("formation");
     let groups = GroupMap::new(CACHES, outcome.groups().to_vec()).expect("partition");
     let workload = SportingEventConfig::default()
         .caches(CACHES)

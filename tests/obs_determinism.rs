@@ -37,9 +37,12 @@ fn observed_run(seed: u64, pooled: bool) -> String {
     assert!(!plan.is_empty(), "churn at this rate must produce faults");
 
     let mut obs = Obs::new();
-    let outcome = GfCoordinator::new(SchemeConfig::sdsl(5, 1.0))
-        .form_groups_observed(&network, &mut rng, Some(&mut obs))
-        .expect("formation");
+    let outcome = form(
+        &FormPlan::new(network.rtt_matrix(), &SchemeConfig::sdsl(5, 1.0)),
+        &mut FormContext::new().observe(Some(&mut obs)),
+        &mut rng,
+    )
+    .expect("formation");
     let groups = GroupMap::new(CACHES, outcome.groups().to_vec()).expect("partition");
     let schedule = plan.schedule();
     let sim_plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace)
@@ -115,12 +118,18 @@ fn instrumentation_does_not_perturb_results() {
     let trace = workload.merged_trace();
 
     let mut obs = Obs::new();
-    let plain = GfCoordinator::new(SchemeConfig::sl(5))
-        .form_groups(&network, &mut StdRng::seed_from_u64(17))
-        .expect("plain formation");
-    let observed = GfCoordinator::new(SchemeConfig::sl(5))
-        .form_groups_observed(&network, &mut StdRng::seed_from_u64(17), Some(&mut obs))
-        .expect("observed formation");
+    let plain = form(
+        &FormPlan::new(network.rtt_matrix(), &SchemeConfig::sl(5)),
+        &mut FormContext::new(),
+        &mut StdRng::seed_from_u64(17),
+    )
+    .expect("plain formation");
+    let observed = form(
+        &FormPlan::new(network.rtt_matrix(), &SchemeConfig::sl(5)),
+        &mut FormContext::new().observe(Some(&mut obs)),
+        &mut StdRng::seed_from_u64(17),
+    )
+    .expect("observed formation");
     assert_eq!(plain.groups(), observed.groups());
 
     let groups = GroupMap::new(CACHES, plain.groups().to_vec()).expect("partition");

@@ -62,19 +62,20 @@ fn figure2_feature_vectors_match_paper() {
 #[test]
 fn figure2_clustering_finds_the_three_pairs() {
     let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
-    let coordinator = GfCoordinator::new(
-        SchemeConfig::sl(3)
-            .landmarks(3)
-            .plset_multiplier(2)
-            .probe(ProbeConfig::noiseless()),
-    );
+    let scheme = SchemeConfig::sl(3)
+        .landmarks(3)
+        .plset_multiplier(2)
+        .probe(ProbeConfig::noiseless());
     let mut hits = 0;
     let seeds = 40;
     for seed in 0..seeds {
         let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = coordinator
-            .form_groups(&network, &mut rng)
-            .expect("formation");
+        let outcome = form(
+            &FormPlan::new(network.rtt_matrix(), &scheme),
+            &mut FormContext::new(),
+            &mut rng,
+        )
+        .expect("formation");
         let mut groups: Vec<Vec<usize>> = outcome
             .groups()
             .iter()

@@ -1,9 +1,9 @@
-//! Integration coverage for the formation pipeline's large-N entry point
-//! ([`GfCoordinator::form_groups_scaled`]) through the facade crate: it
+//! Integration coverage for the formation pipeline's large-N form
+//! ([`form`] under [`FormPlan::per_row`]) through the facade crate: it
 //! must agree with itself across thread counts and K-means variants,
 //! its outcome must interoperate with the same downstream machinery
-//! (GIC, `GroupMap`) as `form_groups`', and every `SchemeConfig` field
-//! must mean the same thing at both.
+//! (GIC, `GroupMap`) as a shared-stream run's, and every `SchemeConfig`
+//! field must mean the same thing under both plans.
 
 use edge_cache_groups::clustering::AssignMode;
 use edge_cache_groups::core::{ResilienceConfig, SchemeError};
@@ -11,23 +11,29 @@ use edge_cache_groups::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn form(
+/// A per-row formation of `n` synthetic caches at `threads` threads,
+/// with its stage times.
+fn form_scaled(
     n: usize,
     variant: KmeansVariant,
     threads: usize,
     seed: u64,
-) -> (ScaledFormation, SyntheticRtt) {
-    let (formed, net) = form_with(n, threads, seed, |s| s.kmeans_variant(variant));
-    (formed.expect("scaled formation"), net)
+) -> (GroupingOutcome, FormStats, SyntheticRtt) {
+    let (formed, stats, net) = form_with(n, threads, seed, |s| s.kmeans_variant(variant));
+    (formed.expect("scaled formation"), stats, net)
 }
 
-/// [`form`] with the rest of the `SchemeConfig` open to the caller.
+/// [`form_scaled`] with the rest of the `SchemeConfig` open to the caller.
 fn form_with(
     n: usize,
     threads: usize,
     seed: u64,
     configure: impl Fn(SchemeConfig) -> SchemeConfig,
-) -> (Result<ScaledFormation, SchemeError>, SyntheticRtt) {
+) -> (
+    Result<GroupingOutcome, SchemeError>,
+    FormStats,
+    SyntheticRtt,
+) {
     let net = SyntheticRttConfig::default().generate(n + 1, seed);
     let scheme = configure(
         SchemeConfig::sdsl((n / 50).max(2), 1.0)
@@ -37,10 +43,11 @@ fn form_with(
             .probe(ProbeConfig::noiseless()),
     );
     edge_cache_groups::par::set_max_threads(Some(threads));
-    let formed =
-        GfCoordinator::new(scheme).form_groups_scaled(&net, &mut StdRng::seed_from_u64(seed));
+    let mut ctx = FormContext::new();
+    let plan = FormPlan::new(&net, &scheme).per_row();
+    let formed = form(&plan, &mut ctx, &mut StdRng::seed_from_u64(seed));
     edge_cache_groups::par::set_max_threads(None);
-    (formed, net)
+    (formed, ctx.stats(), net)
 }
 
 #[test]
@@ -49,20 +56,18 @@ fn scaled_formation_is_thread_count_invariant_per_variant() {
         KmeansVariant::Lloyd,
         KmeansVariant::MiniBatch(MiniBatchConfig::default().batch_size(128).iterations(10)),
     ] {
-        let (base, net) = form(600, variant, 1, 77);
-        let gic_base = base
-            .outcome
-            .average_interaction_cost(|a, b| net.rtt_ms(a.index() + 1, b.index() + 1));
+        let (base, _, net) = form_scaled(600, variant, 1, 77);
+        let gic_base =
+            base.average_interaction_cost(|a, b| net.rtt_ms(a.index() + 1, b.index() + 1));
         for threads in [2, 4] {
-            let (wide, _) = form(600, variant, threads, 77);
+            let (wide, _, _) = form_scaled(600, variant, threads, 77);
             assert_eq!(
-                wide.outcome.assignments(),
-                base.outcome.assignments(),
+                wide.assignments(),
+                base.assignments(),
                 "assignments diverged at {threads} threads"
             );
-            let gic = wide
-                .outcome
-                .average_interaction_cost(|a, b| net.rtt_ms(a.index() + 1, b.index() + 1));
+            let gic =
+                wide.average_interaction_cost(|a, b| net.rtt_ms(a.index() + 1, b.index() + 1));
             assert_eq!(gic.to_bits(), gic_base.to_bits());
         }
     }
@@ -90,11 +95,14 @@ fn tree_and_blocked_assignment_agree_over_many_seeds_and_threads() {
                 .force_assign(engine)
                 .probe(ProbeConfig::noiseless());
             edge_cache_groups::par::set_max_threads(Some(threads));
-            let formed = GfCoordinator::new(scheme)
-                .form_groups_scaled(&net, &mut StdRng::seed_from_u64(seed))
-                .expect("scaled formation");
+            let formed = form(
+                &FormPlan::new(&net, &scheme).per_row(),
+                &mut FormContext::new(),
+                &mut StdRng::seed_from_u64(seed),
+            )
+            .expect("scaled formation");
             edge_cache_groups::par::set_max_threads(None);
-            formed.outcome
+            formed
         };
         let base = run(AssignMode::Blocked, 1);
         for engine in [AssignMode::Blocked, AssignMode::Tree] {
@@ -111,8 +119,7 @@ fn tree_and_blocked_assignment_agree_over_many_seeds_and_threads() {
 
 #[test]
 fn scaled_outcome_feeds_downstream_group_machinery() {
-    let (formed, net) = form(400, KmeansVariant::Lloyd, 2, 5);
-    let outcome = &formed.outcome;
+    let (outcome, t, net) = form_scaled(400, KmeansVariant::Lloyd, 2, 5);
 
     // A real partition: every cache in exactly one group.
     let mut seen: Vec<usize> = outcome
@@ -135,7 +142,6 @@ fn scaled_outcome_feeds_downstream_group_machinery() {
     assert_eq!(map.group_count(), outcome.groups().len());
 
     // Timings are populated and internally consistent.
-    let t = formed.timings;
     assert!(t.landmarks_ms >= 0.0 && t.features_ms >= 0.0 && t.clustering_ms >= 0.0);
     assert!(t.total_ms >= t.clustering_ms);
 }
@@ -145,20 +151,19 @@ fn scaled_formation_honours_the_group_size_cap() {
     // 200 caches in 4 groups: uncapped K-means leaves them uneven (one
     // group above 100 at this seed); a cap of 50 leaves no slack at all.
     for threads in [1, 2, 8] {
-        let (formed, _) = form_with(200, threads, 7, |s| s.max_group_size(50));
+        let (formed, _, _) = form_with(200, threads, 7, |s| s.max_group_size(50));
         let sizes: Vec<usize> = formed
             .expect("capped formation")
-            .outcome
             .groups()
             .iter()
             .map(Vec::len)
             .collect();
         assert_eq!(sizes, vec![50; 4], "{threads} threads");
     }
-    let (uncapped, _) = form_with(200, 1, 7, |s| s);
+    let (uncapped, _, _) = form_with(200, 1, 7, |s| s);
     let uncapped = uncapped.expect("uncapped formation");
-    assert!(uncapped.outcome.groups().iter().any(|g| g.len() > 50));
-    let (too_tight, _) = form_with(200, 1, 7, |s| s.max_group_size(49));
+    assert!(uncapped.groups().iter().any(|g| g.len() > 50));
+    let (too_tight, _, _) = form_with(200, 1, 7, |s| s.max_group_size(49));
     assert_eq!(
         too_tight.unwrap_err(),
         SchemeError::CapTooTight {
@@ -178,19 +183,19 @@ fn scaled_formation_is_resilient_under_loss_at_any_thread_count() {
     // and the run reports nothing.
     let lossy = ProbeConfig::default().loss_rate(0.4);
     let resilient = |s: SchemeConfig| s.probe(lossy).resilience(ResilienceConfig::default());
-    let (base, _) = form_with(600, 1, 77, resilient);
-    let base = base.expect("resilient formation").outcome;
+    let (base, _, _) = form_with(600, 1, 77, resilient);
+    let base = base.expect("resilient formation");
     let health = base.health().expect("resilient run reports health");
     assert!(health.probe_retries > 0, "{health}");
     assert!(health.backoff_ms >= health.probe_retries * 50);
     assert_eq!(base.points().len(), 600);
     for threads in [2, 8] {
-        let (wide, _) = form_with(600, threads, 77, resilient);
-        let wide = wide.expect("resilient formation").outcome;
+        let (wide, _, _) = form_with(600, threads, 77, resilient);
+        let wide = wide.expect("resilient formation");
         assert_eq!(wide, base, "outcome diverged at {threads} threads");
     }
-    let (plain, _) = form_with(600, 2, 77, |s| s.probe(lossy));
-    let plain = plain.expect("plain formation").outcome;
+    let (plain, _, _) = form_with(600, 2, 77, |s| s.probe(lossy));
+    let plain = plain.expect("plain formation");
     assert!(plain.health().is_none());
     let timeout = lossy.timeout();
     assert!(plain.points().as_flat().contains(&timeout));
@@ -208,9 +213,12 @@ fn matrix_formation_honours_the_kmeans_variant() {
         .plset_multiplier(2)
         .kmeans_max_iterations(15);
     let form = |scheme: SchemeConfig| {
-        GfCoordinator::new(scheme)
-            .form_groups(&network, &mut StdRng::seed_from_u64(11))
-            .expect("formation")
+        edge_cache_groups::core::form(
+            &FormPlan::new(network.rtt_matrix(), &scheme),
+            &mut FormContext::new(),
+            &mut StdRng::seed_from_u64(11),
+        )
+        .expect("formation")
     };
     let lloyd = form(scheme.clone());
     assert!(lloyd.kmeans_iterations() <= 15);

@@ -43,9 +43,12 @@ fn persisted_trace_replays_identically() {
     assert_eq!(reloaded, trace);
 
     // Both traces produce identical simulation reports.
-    let outcome = GfCoordinator::new(SchemeConfig::sl(5))
-        .form_groups(&network, &mut rng)
-        .expect("formation");
+    let outcome = form(
+        &FormPlan::new(network.rtt_matrix(), &SchemeConfig::sl(5)),
+        &mut FormContext::new(),
+        &mut rng,
+    )
+    .expect("formation");
     let groups = GroupMap::new(caches, outcome.groups().to_vec()).expect("groups");
     let run = |trace: &[TraceEvent]| {
         let plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, trace);
@@ -87,9 +90,15 @@ fn formed_fixture(
     let topo = TransitStubConfig::for_caches(caches).generate(&mut rng);
     let network = EdgeNetwork::place(&topo, caches, OriginPlacement::TransitNode, &mut rng)
         .expect("placement");
-    let outcome = GfCoordinator::new(SchemeConfig::sdsl(k, 1.0).landmarks(6))
-        .form_groups(&network, &mut rng)
-        .expect("formation");
+    let outcome = form(
+        &FormPlan::new(
+            network.rtt_matrix(),
+            &SchemeConfig::sdsl(k, 1.0).landmarks(6),
+        ),
+        &mut FormContext::new(),
+        &mut rng,
+    )
+    .expect("formation");
     let groups = GroupMap::new(caches, outcome.groups().to_vec()).expect("groups");
     let workload = SportingEventConfig::default()
         .caches(caches)
