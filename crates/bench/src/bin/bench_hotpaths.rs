@@ -9,6 +9,11 @@
 //!   output, see `ecg_clustering::kmeans_reference`);
 //! * `group_formation/sl_end_to_end` — the full SL pipeline (probing,
 //!   feature matrix, clustering) as an absolute figure;
+//! * `landmark_selection/greedy_max_min` — the SL landmark selector
+//!   (PLSet probing and the max–min fill) on its own;
+//! * `representation/feature_vectors` vs `representation/gnp_embedding`
+//!   — the paper's cost argument: a feature vector is one probe per
+//!   landmark, a GNP Euclidean embedding is a simplex fit per node;
 //! * `trace_replay/holder_index` — the simulator's cooperative-miss
 //!   path on one big group whose caches mostly miss, as an absolute
 //!   figure;
@@ -21,6 +26,8 @@
 //!   bare slab that scores every resident per victim (identical
 //!   victims, checked before timing).
 //!
+//! Each row is one warm-up call, then `samples` timed calls; every call
+//! reseeds its own RNG, so all of a row's samples time identical work.
 //! Writes the run as machine-readable JSON (per-benchmark stats plus
 //! derived speedups) so regressions can be diffed against the committed
 //! baseline:
@@ -33,11 +40,11 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use criterion::{Criterion, SampleStats, Throughput};
 use ecg_bench::{write_host_context, Scenario};
 use ecg_cache::{DocumentCache, Entry, PolicyKind};
 use ecg_clustering::{kmeans, kmeans_reference, FeatureMatrix, Initializer, KmeansConfig};
-use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
+use ecg_coords::{build_feature_matrix, embed_network, GnpConfig, ProbeConfig, Prober};
+use ecg_core::{form, select_landmarks, FormContext, FormPlan, LandmarkSelector, SchemeConfig};
 use ecg_obs::json::JsonWriter;
 use ecg_sim::{simulate, GroupMap, RunContext, SimConfig};
 use ecg_topology::CacheId;
@@ -45,7 +52,9 @@ use ecg_workload::DocId;
 use edge_cache_groups::cli::{finish, Args};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::process::ExitCode;
+use std::time::Instant;
 
 struct Sizes {
     kmeans_n: usize,
@@ -212,12 +221,88 @@ fn victim_cycles(
     victims
 }
 
-fn median_of(stats: &[SampleStats], name: &str) -> f64 {
-    stats
-        .iter()
-        .find(|s| s.name == name)
-        .unwrap_or_else(|| panic!("benchmark {name} did not run"))
-        .median_ns
+/// One timed row: per-call wall times in nanoseconds, summarised.
+struct Row {
+    name: String,
+    /// Timed calls; the warm-up call is not one of them.
+    samples: usize,
+    mean_ns: f64,
+    median_ns: f64,
+    min_ns: f64,
+    max_ns: f64,
+    /// Elements one call processes, when the row counts any.
+    elements: Option<u64>,
+}
+
+impl Row {
+    /// The statistics of `times_ns`, or `None` if there are no samples.
+    fn from_samples(name: &str, times_ns: &[f64], elements: Option<u64>) -> Option<Row> {
+        if times_ns.is_empty() {
+            return None;
+        }
+        let n = times_ns.len();
+        let mut sorted = times_ns.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let median_ns = if n % 2 == 1 {
+            sorted[n / 2]
+        } else {
+            (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+        };
+        Some(Row {
+            name: name.to_string(),
+            samples: n,
+            mean_ns: times_ns.iter().sum::<f64>() / n as f64,
+            median_ns,
+            min_ns: sorted[0],
+            max_ns: sorted[n - 1],
+            elements,
+        })
+    }
+
+    /// Elements per second at the median call.
+    fn elements_per_sec(&self) -> Option<f64> {
+        Some(self.elements? as f64 / (self.median_ns / 1e9))
+    }
+}
+
+/// Times rows in run order: one warm-up call, then `samples` timed
+/// calls, each result kept alive past its clock reading.
+struct Sampler {
+    samples: usize,
+    rows: Vec<Row>,
+}
+
+impl Sampler {
+    fn time<R>(&mut self, name: &str, elements: Option<u64>, mut call: impl FnMut() -> R) {
+        black_box(call());
+        let times_ns: Vec<f64> = (0..self.samples)
+            .map(|_| {
+                let start = Instant::now();
+                let out = call();
+                let elapsed = start.elapsed();
+                black_box(out);
+                elapsed.as_nanos() as f64
+            })
+            .collect();
+        let Some(row) = Row::from_samples(name, &times_ns, elements) else {
+            return;
+        };
+        println!(
+            "{name:<40} median {:>10.3} ms  min {:>10.3} ms  max {:>10.3} ms",
+            row.median_ns / 1e6,
+            row.min_ns / 1e6,
+            row.max_ns / 1e6
+        );
+        self.rows.push(row);
+    }
+
+    fn median(&self, name: &str) -> f64 {
+        self.rows
+            .iter()
+            .find(|row| row.name == name)
+            .unwrap_or_else(|| panic!("benchmark {name} did not run"))
+            .median_ns
+    }
 }
 
 fn main() -> ExitCode {
@@ -231,7 +316,10 @@ fn run() -> Result<(), String> {
     let out_path = args.value("out").unwrap_or("BENCH_hotpaths.json");
     let sizes = if quick { QUICK } else { FULL };
 
-    let mut c = Criterion::default();
+    let mut sampler = Sampler {
+        samples: sizes.samples,
+        rows: Vec::new(),
+    };
 
     // K-means: the pruned flat-storage loop vs the retained naive one.
     {
@@ -243,48 +331,66 @@ fn run() -> Result<(), String> {
         // bound pruning is designed for.
         let pts = clustered_points(sizes.kmeans_n, sizes.kmeans_dim, sizes.kmeans_k, 30.0, 42);
         let config = KmeansConfig::new(sizes.kmeans_k);
-        let mut group = c.benchmark_group("kmeans");
-        group
-            .sample_size(sizes.samples)
-            .throughput(Throughput::Elements(sizes.kmeans_n as u64));
-        // Reseed inside the body so every sample times identical work.
-        group.bench_function("reference", |b| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(7);
-                kmeans_reference(&pts, config, &Initializer::KmeansPlusPlus, &mut rng)
-                    .expect("clustering")
-            })
+        let elements = Some(sizes.kmeans_n as u64);
+        sampler.time("kmeans/reference", elements, || {
+            let mut rng = StdRng::seed_from_u64(7);
+            kmeans_reference(&pts, config, &Initializer::KmeansPlusPlus, &mut rng)
+                .expect("clustering")
         });
-        group.bench_function("pruned_flat", |b| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(7);
-                kmeans(&pts, config, &Initializer::KmeansPlusPlus, &mut rng, None)
-                    .expect("clustering")
-            })
+        sampler.time("kmeans/pruned_flat", elements, || {
+            let mut rng = StdRng::seed_from_u64(7);
+            kmeans(&pts, config, &Initializer::KmeansPlusPlus, &mut rng, None).expect("clustering")
         });
-        group.finish();
     }
 
     // Group formation end-to-end: probing + feature matrix + clustering.
     {
         let network = Scenario::network_only(sizes.formation_caches, 4_242);
         let scheme = SchemeConfig::sl(sizes.formation_caches / 10);
-        let mut group = c.benchmark_group("group_formation");
-        group
-            .sample_size(sizes.samples)
-            .throughput(Throughput::Elements(sizes.formation_caches as u64));
-        group.bench_function("sl_end_to_end", |b| {
+        let elements = Some(sizes.formation_caches as u64);
+        sampler.time("group_formation/sl_end_to_end", elements, || {
             let mut rng = StdRng::seed_from_u64(11);
-            b.iter(|| {
-                form(
-                    &FormPlan::new(network.rtt_matrix(), &scheme),
-                    &mut FormContext::new(),
-                    &mut rng,
-                )
-                .expect("formation")
-            })
+            form(
+                &FormPlan::new(network.rtt_matrix(), &scheme),
+                &mut FormContext::new(),
+                &mut rng,
+            )
+            .expect("formation")
         });
-        group.finish();
+    }
+
+    // Landmark selection alone: L = 25 of 300 caches, M = 4.
+    {
+        let network = Scenario::network_only(300, 5);
+        sampler.time("landmark_selection/greedy_max_min", Some(300), || {
+            let mut rng = StdRng::seed_from_u64(9);
+            let prober = Prober::new(network.rtt_matrix(), ProbeConfig::default());
+            select_landmarks(&prober, LandmarkSelector::GreedyMaxMin, 25, 4, &mut rng)
+                .expect("selection")
+        });
+    }
+
+    // Position representation for 85 caches against 15 landmarks: the
+    // feature matrix formation builds vs a 7-dimensional GNP embedding.
+    {
+        let network = Scenario::network_only(100, 11);
+        let landmarks: Vec<usize> = (0..15).collect();
+        let nodes: Vec<usize> = (16..=100).collect();
+        let elements = Some(nodes.len() as u64);
+        sampler.time("representation/feature_vectors", elements, || {
+            let mut rng = StdRng::seed_from_u64(1);
+            let prober = Prober::new(network.rtt_matrix(), ProbeConfig::default());
+            build_feature_matrix(&prober, &nodes, &landmarks, &mut rng)
+        });
+        let gnp = GnpConfig::default()
+            .dimensions(7)
+            .restarts(1)
+            .max_iterations(400);
+        sampler.time("representation/gnp_embedding", elements, || {
+            let mut rng = StdRng::seed_from_u64(1);
+            let prober = Prober::new(network.rtt_matrix(), ProbeConfig::default());
+            embed_network(gnp, &prober, &nodes, &landmarks, &mut rng)
+        });
     }
 
     // Trace replay: one big cooperative group, caches small enough that
@@ -292,16 +398,11 @@ fn run() -> Result<(), String> {
     {
         let scenario = Scenario::build(sizes.replay_caches, sizes.replay_duration_ms, 99);
         let groups = GroupMap::one_group(sizes.replay_caches);
-        let base = SimConfig::default().cache_capacity_bytes(128 * 1024);
-        let mut group = c.benchmark_group("trace_replay");
-        group
-            .sample_size(sizes.samples)
-            .throughput(Throughput::Elements(scenario.trace.len() as u64));
-        let plan = scenario.plan(base);
-        group.bench_function("holder_index", |b| {
-            b.iter(|| simulate(&plan, &groups, &mut RunContext::serial()).expect("simulation"))
+        let plan = scenario.plan(SimConfig::default().cache_capacity_bytes(128 * 1024));
+        let elements = Some(scenario.trace.len() as u64);
+        sampler.time("trace_replay/holder_index", elements, || {
+            simulate(&plan, &groups, &mut RunContext::serial()).expect("simulation")
         });
-        group.finish();
     }
 
     // Execution order: the paper's shape — many groups of ~20 — one group
@@ -313,25 +414,18 @@ fn run() -> Result<(), String> {
             .chunks(sizes.order_group_size)
             .map(<[CacheId]>::to_vec);
         let groups = GroupMap::new(sizes.order_caches, lists.collect()).expect("chunks partition");
-        let mut group = c.benchmark_group("sim_order");
-        group
-            .sample_size(sizes.samples)
-            .throughput(Throughput::Elements(scenario.trace.len() as u64));
         let plan = scenario.plan(SimConfig::default());
-        group.bench_function("group_major", |b| {
-            b.iter(|| simulate(&plan, &groups, &mut RunContext::serial()).expect("simulation"))
+        let elements = Some(scenario.trace.len() as u64);
+        sampler.time("sim_order/group_major", elements, || {
+            simulate(&plan, &groups, &mut RunContext::serial()).expect("simulation")
         });
-        group.finish();
     }
 
     // Utility eviction: the cache's approximate pass + exact verification
     // against a scan that scores every resident for every victim.
     {
-        let mut group = c.benchmark_group("utility_victim");
-        group
-            .sample_size(sizes.samples)
-            .throughput(Throughput::Elements(sizes.victim_inserts as u64));
         let capacity_bytes = VICTIM_RESIDENTS * VICTIM_UNIT_BYTES;
+        let elements = Some(sizes.victim_inserts as u64);
         for burst in [1u64, 2, 8] {
             let mut fast = DocumentCache::new(capacity_bytes, PolicyKind::Utility);
             let mut reference = ReferenceSlab {
@@ -347,33 +441,37 @@ fn run() -> Result<(), String> {
                 victim_cycles(&mut reference, burst, warm, &mut reference_clock),
                 "the cache's victims are not the reference scan's"
             );
-            group.bench_function(format!("reference_scan_burst_{burst}"), |b| {
-                b.iter(|| {
-                    victim_cycles(
-                        &mut reference,
-                        burst,
-                        sizes.victim_inserts,
-                        &mut reference_clock,
-                    )
-                })
+            let name = format!("utility_victim/reference_scan_burst_{burst}");
+            sampler.time(&name, elements, || {
+                victim_cycles(
+                    &mut reference,
+                    burst,
+                    sizes.victim_inserts,
+                    &mut reference_clock,
+                )
             });
-            group.bench_function(format!("fast_burst_{burst}"), |b| {
-                b.iter(|| victim_cycles(&mut fast, burst, sizes.victim_inserts, &mut fast_clock))
-            });
+            sampler.time(
+                &format!("utility_victim/fast_burst_{burst}"),
+                elements,
+                || victim_cycles(&mut fast, burst, sizes.victim_inserts, &mut fast_clock),
+            );
         }
-        group.finish();
     }
 
-    let stats = c.stats();
+    let speedup = |reference: &str, fast: &str| sampler.median(reference) / sampler.median(fast);
     let victim_speedup = |burst: u64| {
-        median_of(
-            stats,
+        speedup(
             &format!("utility_victim/reference_scan_burst_{burst}"),
-        ) / median_of(stats, &format!("utility_victim/fast_burst_{burst}"))
+            &format!("utility_victim/fast_burst_{burst}"),
+        )
     };
-    let kmeans_speedup =
-        median_of(stats, "kmeans/reference") / median_of(stats, "kmeans/pruned_flat");
+    let kmeans_speedup = speedup("kmeans/reference", "kmeans/pruned_flat");
+    let gnp_speedup = speedup(
+        "representation/gnp_embedding",
+        "representation/feature_vectors",
+    );
     println!("\nkmeans speedup (pruned_flat vs reference):    {kmeans_speedup:.2}x");
+    println!("GNP embedding cost over feature vectors:       {gnp_speedup:.2}x");
     for burst in [1, 2, 8] {
         let speedup = victim_speedup(burst);
         println!("utility victim speedup, {burst} per insert:         {speedup:.2}x");
@@ -386,19 +484,18 @@ fn run() -> Result<(), String> {
             w.key("threads_used").usize(ecg_par::max_threads());
         });
         w.key("benchmarks").array(|w| {
-            for s in stats {
+            for row in &sampler.rows {
                 w.object(|w| {
-                    w.key("name").str(&s.name);
-                    w.key("samples").usize(s.samples);
-                    w.key("mean_ns").f64(s.mean_ns);
-                    w.key("median_ns").f64(s.median_ns);
-                    w.key("min_ns").f64(s.min_ns);
-                    w.key("max_ns").f64(s.max_ns);
-                    w.key("throughput_per_sec").opt_f64(s.throughput_per_sec());
+                    w.key("name").str(&row.name);
+                    w.key("samples").usize(row.samples);
+                    w.key("mean_ns").f64(row.mean_ns);
+                    w.key("median_ns").f64(row.median_ns);
+                    w.key("min_ns").f64(row.min_ns);
+                    w.key("max_ns").f64(row.max_ns);
+                    w.key("throughput_per_sec").opt_f64(row.elements_per_sec());
                     w.key("throughput_unit");
-                    match s.throughput {
-                        Some(Throughput::Elements(_)) => w.str("elements"),
-                        Some(Throughput::Bytes(_)) => w.str("bytes"),
+                    match row.elements {
+                        Some(_) => w.str("elements"),
                         None => w.null(),
                     };
                 });
@@ -406,6 +503,7 @@ fn run() -> Result<(), String> {
         });
         w.key("speedups").object(|w| {
             w.key("kmeans").f64(kmeans_speedup);
+            w.key("gnp_vs_feature_vectors").f64(gnp_speedup);
             for burst in [1, 2, 8] {
                 w.key(&format!("utility_victim_burst_{burst}"))
                     .f64(victim_speedup(burst));
@@ -417,4 +515,63 @@ fn run() -> Result<(), String> {
     std::fs::write(out_path, doc).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     println!("wrote {out_path}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn median_of_odd_and_even_sample_counts() {
+        let odd = Row::from_samples("odd", &[3.0, 1.0, 2.0], None).unwrap();
+        assert_eq!(odd.median_ns, 2.0);
+        let even = Row::from_samples("even", &[1.0, 4.0, 3.0, 2.0], None).unwrap();
+        assert_eq!(even.median_ns, 2.5);
+    }
+
+    #[test]
+    fn min_max_and_mean() {
+        let row = Row::from_samples("r", &[4.0, 1.0, 7.0], None).unwrap();
+        assert_eq!((row.min_ns, row.max_ns, row.mean_ns), (1.0, 7.0, 4.0));
+        assert_eq!(row.samples, 3);
+    }
+
+    #[test]
+    fn the_warm_up_call_is_not_a_sample() {
+        let mut sampler = Sampler {
+            samples: 5,
+            rows: Vec::new(),
+        };
+        let mut calls = 0;
+        sampler.time("counted", None, || calls += 1);
+        assert_eq!(calls, 6, "one warm-up plus five samples");
+        assert_eq!(sampler.rows[0].samples, 5);
+    }
+
+    #[test]
+    fn elements_per_second_come_from_the_median() {
+        // 500 elements in a 2.5 s median: 200 elements/s.
+        let row = Row::from_samples("r", &[1e9, 3e9, 2e9, 4e9], Some(500)).unwrap();
+        assert!((row.elements_per_sec().unwrap() - 200.0).abs() < 1e-9);
+        // A 1 s median and a 4 s mean: the median sets the rate.
+        let skewed = Row::from_samples("s", &[1e9, 1e9, 10e9], Some(100)).unwrap();
+        assert!((skewed.elements_per_sec().unwrap() - 100.0).abs() < 1e-9);
+        assert_eq!(
+            Row::from_samples("n", &[1.0], None)
+                .unwrap()
+                .elements_per_sec(),
+            None
+        );
+    }
+
+    #[test]
+    fn zero_samples_yield_no_row() {
+        assert!(Row::from_samples("empty", &[], Some(1)).is_none());
+        let mut sampler = Sampler {
+            samples: 0,
+            rows: Vec::new(),
+        };
+        sampler.time("empty", Some(1), || ());
+        assert!(sampler.rows.is_empty());
+    }
 }

@@ -211,11 +211,14 @@ pub fn logical_cpus() -> usize {
 }
 
 /// Writes the host-context members of a timing record into the open
-/// object: logical CPUs, the `ECG_THREADS` override (`null` when
-/// unset) and the size mode. A timing baseline is only comparable to
-/// runs with the same core budget and sizes.
+/// object: logical CPUs, the operating system and CPU architecture, the
+/// `ECG_THREADS` override (`null` when unset) and the size mode. A
+/// timing baseline is only comparable to runs on the same kind of host
+/// with the same core budget and sizes.
 pub fn write_host_context(w: &mut JsonWriter, ecg_threads_env: Option<&str>, quick: bool) {
     w.key("logical_cpus").usize(logical_cpus());
+    w.key("os").str(std::env::consts::OS);
+    w.key("arch").str(std::env::consts::ARCH);
     w.key("ecg_threads_env");
     match ecg_threads_env {
         Some(v) => w.str(v),
@@ -256,13 +259,21 @@ mod tests {
     }
 
     #[test]
-    fn host_context_escapes_the_environment_value() {
+    fn host_context_names_the_host_and_escapes_the_environment_value() {
         let context = |env: Option<&str>| {
             let mut w = JsonWriter::new();
             w.object(|w| write_host_context(w, env, true));
             parse(&w.finish()).expect("the context parses")
         };
         let doc = context(Some("4\"\\x"));
+        assert_eq!(
+            doc.get("os").and_then(JsonValue::as_str),
+            Some(std::env::consts::OS)
+        );
+        assert_eq!(
+            doc.get("arch").and_then(JsonValue::as_str),
+            Some(std::env::consts::ARCH)
+        );
         assert_eq!(
             doc.get("ecg_threads_env").and_then(JsonValue::as_str),
             Some("4\"\\x")

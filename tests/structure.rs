@@ -1,6 +1,6 @@
 //! Structural claims about the source tree, checked on its text: one
 //! entry point per pipeline, one Lloyd loop, one scheduling loop, one
-//! JSON module, no `unsafe`. Each test is one predicate over the files
+//! JSON module, one bench harness, no `unsafe`. Each test is one predicate over the files
 //! it names; the shim modules kept for the end-to-end benchmark's old
 //! signatures (`shim.rs`) are exempt where the claim is about the live
 //! API.
@@ -331,4 +331,33 @@ fn the_library_has_no_unsafe_code() {
         missing.is_empty(),
         "crate roots without {FORBID}: {missing:?}"
     );
+}
+
+#[test]
+fn the_benches_have_one_harness() {
+    // `bench_hotpaths` times its own rows: no manifest pulls in a
+    // benchmarking crate or declares a `cargo bench` target.
+    let mut manifests = vec![root().join("Cargo.toml")];
+    let mut bench_dirs = Vec::new();
+    for entry in fs::read_dir(root().join("crates"))
+        .expect("crates/ is readable")
+        .flatten()
+    {
+        manifests.push(entry.path().join("Cargo.toml"));
+        if entry.path().join("benches").exists() {
+            bench_dirs.push(rel(&entry.path().join("benches")));
+        }
+    }
+    let mut hits = Vec::new();
+    for path in manifests.iter().filter(|path| path.exists()) {
+        for (n, line) in read(path).lines().enumerate() {
+            if line.to_lowercase().contains("criterion")
+                || line.trim_start().starts_with("[[bench]]")
+            {
+                hits.push(format!("{}:{}: {line}", rel(path), n + 1));
+            }
+        }
+    }
+    assert!(hits.is_empty(), "second bench harness: {hits:#?}");
+    assert!(bench_dirs.is_empty(), "cargo bench targets: {bench_dirs:?}");
 }
