@@ -26,8 +26,9 @@
 //!   bare slab that scores every resident per victim (identical
 //!   victims, checked before timing).
 //!
-//! Each row is one warm-up call, then `samples` timed calls; every call
-//! reseeds its own RNG, so all of a row's samples time identical work.
+//! Each row is one warm-up call, then `samples` timed calls of the
+//! shared sampler ([`ecg_bench::sample`]); every call reseeds its own
+//! RNG, so all of a row's samples time identical work.
 //! Writes the run as machine-readable JSON (per-benchmark stats plus
 //! derived speedups) so regressions can be diffed against the committed
 //! baseline:
@@ -40,7 +41,7 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use ecg_bench::{write_host_context, Scenario};
+use ecg_bench::{sample, write_host_context, Scenario, Summary};
 use ecg_cache::{DocumentCache, Entry, PolicyKind};
 use ecg_clustering::{kmeans, kmeans_reference, FeatureMatrix, Initializer, KmeansConfig};
 use ecg_coords::{build_feature_matrix, embed_network, GnpConfig, ProbeConfig, Prober};
@@ -54,7 +55,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
 
 struct Sizes {
     kmeans_n: usize,
@@ -221,79 +221,40 @@ fn victim_cycles(
     victims
 }
 
-/// One timed row: per-call wall times in nanoseconds, summarised.
+/// One timed row: its name, per-call wall times in nanoseconds, and the
+/// elements one call processes, when the row counts any.
 struct Row {
     name: String,
-    /// Timed calls; the warm-up call is not one of them.
-    samples: usize,
-    mean_ns: f64,
-    median_ns: f64,
-    min_ns: f64,
-    max_ns: f64,
-    /// Elements one call processes, when the row counts any.
+    ns: Summary,
     elements: Option<u64>,
 }
 
-impl Row {
-    /// The statistics of `times_ns`, or `None` if there are no samples.
-    fn from_samples(name: &str, times_ns: &[f64], elements: Option<u64>) -> Option<Row> {
-        if times_ns.is_empty() {
-            return None;
-        }
-        let n = times_ns.len();
-        let mut sorted = times_ns.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let median_ns = if n % 2 == 1 {
-            sorted[n / 2]
-        } else {
-            (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-        };
-        Some(Row {
-            name: name.to_string(),
-            samples: n,
-            mean_ns: times_ns.iter().sum::<f64>() / n as f64,
-            median_ns,
-            min_ns: sorted[0],
-            max_ns: sorted[n - 1],
-            elements,
-        })
-    }
-
-    /// Elements per second at the median call.
-    fn elements_per_sec(&self) -> Option<f64> {
-        Some(self.elements? as f64 / (self.median_ns / 1e9))
-    }
-}
-
-/// Times rows in run order: one warm-up call, then `samples` timed
-/// calls, each result kept alive past its clock reading.
+/// Times rows in run order on the shared sampler, each result
+/// `black_box`ed past its clock reading.
 struct Sampler {
     samples: usize,
     rows: Vec<Row>,
 }
 
 impl Sampler {
-    fn time<R>(&mut self, name: &str, elements: Option<u64>, mut call: impl FnMut() -> R) {
-        black_box(call());
-        let times_ns: Vec<f64> = (0..self.samples)
-            .map(|_| {
-                let start = Instant::now();
-                let out = call();
-                let elapsed = start.elapsed();
-                black_box(out);
-                elapsed.as_nanos() as f64
-            })
-            .collect();
-        let Some(row) = Row::from_samples(name, &times_ns, elements) else {
+    fn time<R>(&mut self, name: &str, elements: Option<u64>, call: impl FnMut() -> R) {
+        let times_ns = sample(self.samples, call, |out| {
+            black_box(out);
+        });
+        let Some(ns) = Summary::of(&times_ns) else {
             return;
         };
         println!(
             "{name:<40} median {:>10.3} ms  min {:>10.3} ms  max {:>10.3} ms",
-            row.median_ns / 1e6,
-            row.min_ns / 1e6,
-            row.max_ns / 1e6
+            ns.median / 1e6,
+            ns.min / 1e6,
+            ns.max / 1e6
         );
-        self.rows.push(row);
+        self.rows.push(Row {
+            name: name.to_string(),
+            ns,
+            elements,
+        });
     }
 
     fn median(&self, name: &str) -> f64 {
@@ -301,7 +262,8 @@ impl Sampler {
             .iter()
             .find(|row| row.name == name)
             .unwrap_or_else(|| panic!("benchmark {name} did not run"))
-            .median_ns
+            .ns
+            .median
     }
 }
 
@@ -487,12 +449,13 @@ fn run() -> Result<(), String> {
             for row in &sampler.rows {
                 w.object(|w| {
                     w.key("name").str(&row.name);
-                    w.key("samples").usize(row.samples);
-                    w.key("mean_ns").f64(row.mean_ns);
-                    w.key("median_ns").f64(row.median_ns);
-                    w.key("min_ns").f64(row.min_ns);
-                    w.key("max_ns").f64(row.max_ns);
-                    w.key("throughput_per_sec").opt_f64(row.elements_per_sec());
+                    w.key("samples").usize(row.ns.samples);
+                    w.key("mean_ns").f64(row.ns.mean);
+                    w.key("median_ns").f64(row.ns.median);
+                    w.key("min_ns").f64(row.ns.min);
+                    w.key("max_ns").f64(row.ns.max);
+                    w.key("throughput_per_sec")
+                        .opt_f64(row.elements.map(|e| row.ns.per_second(e)));
                     w.key("throughput_unit");
                     match row.elements {
                         Some(_) => w.str("elements"),
@@ -515,63 +478,4 @@ fn run() -> Result<(), String> {
     std::fs::write(out_path, doc).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     println!("wrote {out_path}");
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn median_of_odd_and_even_sample_counts() {
-        let odd = Row::from_samples("odd", &[3.0, 1.0, 2.0], None).unwrap();
-        assert_eq!(odd.median_ns, 2.0);
-        let even = Row::from_samples("even", &[1.0, 4.0, 3.0, 2.0], None).unwrap();
-        assert_eq!(even.median_ns, 2.5);
-    }
-
-    #[test]
-    fn min_max_and_mean() {
-        let row = Row::from_samples("r", &[4.0, 1.0, 7.0], None).unwrap();
-        assert_eq!((row.min_ns, row.max_ns, row.mean_ns), (1.0, 7.0, 4.0));
-        assert_eq!(row.samples, 3);
-    }
-
-    #[test]
-    fn the_warm_up_call_is_not_a_sample() {
-        let mut sampler = Sampler {
-            samples: 5,
-            rows: Vec::new(),
-        };
-        let mut calls = 0;
-        sampler.time("counted", None, || calls += 1);
-        assert_eq!(calls, 6, "one warm-up plus five samples");
-        assert_eq!(sampler.rows[0].samples, 5);
-    }
-
-    #[test]
-    fn elements_per_second_come_from_the_median() {
-        // 500 elements in a 2.5 s median: 200 elements/s.
-        let row = Row::from_samples("r", &[1e9, 3e9, 2e9, 4e9], Some(500)).unwrap();
-        assert!((row.elements_per_sec().unwrap() - 200.0).abs() < 1e-9);
-        // A 1 s median and a 4 s mean: the median sets the rate.
-        let skewed = Row::from_samples("s", &[1e9, 1e9, 10e9], Some(100)).unwrap();
-        assert!((skewed.elements_per_sec().unwrap() - 100.0).abs() < 1e-9);
-        assert_eq!(
-            Row::from_samples("n", &[1.0], None)
-                .unwrap()
-                .elements_per_sec(),
-            None
-        );
-    }
-
-    #[test]
-    fn zero_samples_yield_no_row() {
-        assert!(Row::from_samples("empty", &[], Some(1)).is_none());
-        let mut sampler = Sampler {
-            samples: 0,
-            rows: Vec::new(),
-        };
-        sampler.time("empty", Some(1), || ());
-        assert!(sampler.rows.is_empty());
-    }
 }

@@ -4,131 +4,190 @@
 //! per-row plan ([`ecg_core::FormPlan::per_row`]) — landmark selection
 //! and feature matrix construction on per-row derived RNG streams,
 //! K-means through the configured engine — plus the group
-//! interaction cost metric, over an
-//! implicit [`SyntheticRtt`] oracle (O(n) state, so N = 100 000 fits
-//! where a dense RTT matrix would need ~80 GB), sweeping
-//! N × variant × assignment engine × thread counts through
-//! [`ecg_par::set_max_threads`]. A full run takes the thread counts
-//! 1, 2, 4, … up to the host's logical CPUs, and never fewer than
-//! `[1, 2]`, so every configuration is checked at two counts at least.
+//! interaction cost metric, over an implicit [`SyntheticRtt`] oracle
+//! (O(n) state, so N = 100 000 fits where a dense RTT matrix would need
+//! ~80 GB). It runs one fixed grid:
 //!
-//! Every configuration is also a determinism check: the run at each
-//! thread count must reproduce the first run's assignments and the
-//! bit-exact GIC value — *across assignment engines too*, because the
-//! KD-tree scan is contractually bit-identical to the blocked scan — or
-//! the binary panics. Optimizations change time, never results.
+//! * every engine at k = N/100, across the thread counts 1, 2, 4, … up
+//!   to the host's logical CPUs (never fewer than `[1, 2]`, so every
+//!   configuration runs at two counts at least): blocked-scan Lloyd at
+//!   N = 5k / 20k / 50k; tree-assign Lloyd one size class higher, to
+//!   N = 100k (k = 1 000), where the flat scan is impractical; and
+//!   mini-batch (batch 2 048 × 40 iterations, on the blocked kernel) at
+//!   N = 20k / 50k / 100k;
+//! * the crossover behind `TREE_AUTO_MIN_K` (DESIGN.md): blocked and
+//!   tree Lloyd at N = 5k / 20k and k = 16 … 200, one thread. Its
+//!   `tree_vs_blocked` entries are the summed SL + SDSL K-means
+//!   medians, tree over blocked.
+//!
+//! The nearest-center engine is forced through the scheme's hidden
+//! hook, whatever k is. Every cell is one warm-up call and then seven
+//! timed calls (three with `--quick`) on the shared sampler
+//! ([`ecg_bench::sample`]), each one formation plus its GIC evaluation; a cell reports the
+//! median total with its min and max, and the median of each formation
+//! stage (`FormContext::stats`) over the same calls. `gic_ms`, `seed_ms`
+//! and `neighbour_build_ms` are side measurements on the formed outcome,
+//! sampled the same way: the GIC evaluation, one seeding draw of the
+//! scheme's initializer and one neighbour-table build over the final
+//! centers; `neighbour_share` is the share of points those tables
+//! settle. The oracle is generated once per N, outside every timing.
+//!
+//! Every call is also a determinism check: it must reproduce the
+//! assignments and the bit-exact GIC of the first call of its K-means
+//! variant at that (scheme, N, k) — across thread counts *and across
+//! assignment engines*, because the KD-tree scan is contractually
+//! bit-identical to the blocked scan — or the binary panics.
+//! Optimizations change time, never results.
 //!
 //! ```text
 //! cargo run --release -p ecg-bench --bin bench_scale             # full, writes BENCH_scale.json
-//! cargo run --release -p ecg-bench --bin bench_scale -- --quick  # CI smoke sizes
-//! cargo run --release -p ecg-bench --bin bench_scale -- --variant minibatch
-//! cargo run --release -p ecg-bench --bin bench_scale -- --assign tree
-//! cargo run --release -p ecg-bench --bin bench_scale -- --mb-batch 4096 --mb-iters 60
+//! cargo run --release -p ecg-bench --bin bench_scale -- --quick  # CI smoke grid
 //! cargo run --release -p ecg-bench --bin bench_scale -- --out /tmp/s.json
-//! cargo run --release -p ecg-bench --bin bench_scale -- --variant lloyd --sizes 5000,20000 --k 16,64,200
 //! ```
 //!
-//! `--variant lloyd|minibatch|both` picks the K-means engine(s);
-//! `--assign blocked|tree|both` picks the nearest-center engine(s) for
-//! the full-batch Lloyd sweep (k = N/100, so N = 50k scans 500 centers
-//! per point — the tree makes that sublinear). The tree sweep goes one
-//! size class higher (to N = 100 000, k = 1 000) where the flat scan is
-//! impractical on small hosts; mini-batch (whose cost is batch-sized,
-//! not N-sized) stays on the blocked kernel for continuity with the
-//! PR 7 baseline. `--mb-batch` and `--mb-iters` tune the mini-batch
-//! schedule. `--sizes` replaces every engine's N list and `--k` runs
-//! each N at the listed group counts instead of k = N/100 — the sweep
-//! behind `TREE_AUTO_MIN_K` (DESIGN.md).
-//!
-//! The synthetic oracle is generated once per N, outside the timing
-//! loop, so per-kernel timings measure formation kernels only — never
-//! topology setup. Tree (re)build time is reported separately from the
-//! kmeans total (`tree_build_ms`: one rebuild per Lloyd iteration plus
-//! the neighbour tables of the iterations that use them). `seed_ms`,
-//! `neighbour_build_ms` and `neighbour_share` are side measurements on
-//! the formed outcome — one seeding draw, one table build over the
-//! final centers, and the share of points those tables settle.
-//!
 //! The emitted JSON records the host context (logical CPUs, the
-//! `ECG_THREADS` environment override, quick/full mode) alongside
-//! per-kernel timings, because wall-clock scaling is only meaningful
-//! relative to the cores the run actually had.
+//! `ECG_THREADS` environment override, quick/full mode) alongside the
+//! timings, because wall-clock scaling is only meaningful relative to
+//! the cores the run actually had.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use ecg_bench::{logical_cpus, write_host_context};
+use ecg_bench::{logical_cpus, sample, write_host_context, Summary};
 use ecg_clustering::{
     server_distance_weights, AssignMode, CenterTree, Initializer, KmeansVariant, MiniBatchConfig,
     NeighbourTiles, NEIGHBOURS,
 };
-use ecg_core::{form, FormContext, FormPlan, SchemeConfig};
+use ecg_core::{form, FormContext, FormPlan, FormStats, SchemeConfig};
 use ecg_obs::json::JsonWriter;
-use ecg_topology::{RttSource, SyntheticRtt, SyntheticRttConfig};
+use ecg_topology::{CacheId, RttSource, SyntheticRtt, SyntheticRttConfig};
 use edge_cache_groups::cli::{finish, Args};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::process::ExitCode;
-use std::time::Instant;
 
-/// One formation scheme to sweep.
-#[derive(Clone, Copy)]
+/// A formation scheme; SDSL runs at θ = 1.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Scheme {
     Sl,
-    /// SDSL with the given θ.
-    Sdsl(f64),
+    Sdsl,
 }
 
-impl Scheme {
-    fn name(self) -> &'static str {
-        match self {
-            Scheme::Sl => "sl",
-            Scheme::Sdsl(_) => "sdsl",
-        }
-    }
-}
+const SCHEMES: [Scheme; 2] = [Scheme::Sl, Scheme::Sdsl];
 
-/// Which K-means engine the run clusters with.
+/// A K-means engine: Lloyd through the blocked scan or the KD-tree, or
+/// mini-batch (its scan is batch-sized) on the blocked kernel.
 #[derive(Clone, Copy, PartialEq)]
-enum Variant {
-    Lloyd,
+enum Engine {
+    Blocked,
+    Tree,
     MiniBatch,
 }
 
-impl Variant {
-    fn name(self) -> &'static str {
-        match self {
-            Variant::Lloyd => "lloyd",
-            Variant::MiniBatch => "minibatch",
-        }
-    }
-}
-
-/// One (K-means engine, nearest-center engine) combination to sweep.
-/// The nearest-center engine is forced through the scheme's hidden
-/// hook, whatever k is, so the sweep can time each engine on every k.
-#[derive(Clone, Copy)]
-struct Engine {
-    variant: Variant,
-    assign: AssignMode,
-}
-
-impl Engine {
-    fn assign_name(self) -> &'static str {
-        match self.assign {
-            AssignMode::Blocked => "blocked",
-            AssignMode::Tree => "tree",
-        }
-    }
-}
-
-struct RunResult {
-    scheme: &'static str,
-    variant: &'static str,
-    assign: &'static str,
+/// One cell of the grid.
+#[derive(Clone, Copy, PartialEq)]
+struct Cell {
+    scheme: Scheme,
+    engine: Engine,
     n: usize,
-    threads: usize,
     k: usize,
+    threads: usize,
+}
+
+impl Cell {
+    fn new(scheme: Scheme, engine: Engine, n: usize, k: usize, threads: usize) -> Cell {
+        Cell {
+            scheme,
+            engine,
+            n,
+            k,
+            threads,
+        }
+    }
+
+    /// The scheme, K-means variant and nearest-center engine names.
+    fn names(self) -> [&'static str; 3] {
+        let scheme = match self.scheme {
+            Scheme::Sl => "sl",
+            Scheme::Sdsl => "sdsl",
+        };
+        match self.engine {
+            Engine::Blocked => [scheme, "lloyd", "blocked"],
+            Engine::Tree => [scheme, "lloyd", "tree"],
+            Engine::MiniBatch => [scheme, "minibatch", "blocked"],
+        }
+    }
+
+    /// How the progress lines and a divergence panic name the cell.
+    fn label(self) -> String {
+        let [scheme, variant, assign] = self.names();
+        let Cell { n, k, threads, .. } = self;
+        format!("{scheme}/{variant}/{assign} n={n} k={k} threads={threads}")
+    }
+}
+
+/// The crossover shape: its N list and its k list.
+fn crossover(quick: bool) -> (&'static [usize], &'static [usize]) {
+    if quick {
+        (&[2_000], &[16, 64])
+    } else {
+        (&[5_000, 20_000], &[16, 25, 32, 50, 64, 100, 200])
+    }
+}
+
+/// The fixed grid, each cell once, in N order so that one oracle
+/// serves every cell of an N.
+fn grid(quick: bool, thread_counts: &[usize]) -> Vec<Cell> {
+    let engines: [(Engine, &[usize]); 3] = if quick {
+        [
+            (Engine::Blocked, &[500, 2_000]),
+            (Engine::Tree, &[500, 2_000, 8_000]),
+            (Engine::MiniBatch, &[20_000]),
+        ]
+    } else {
+        [
+            (Engine::Blocked, &[5_000, 20_000, 50_000]),
+            (Engine::Tree, &[5_000, 20_000, 50_000, 100_000]),
+            (Engine::MiniBatch, &[20_000, 50_000, 100_000]),
+        ]
+    };
+    let mut cells = Vec::new();
+    for (engine, sizes) in engines {
+        for &n in sizes {
+            for scheme in SCHEMES {
+                for &threads in thread_counts {
+                    cells.push(Cell::new(scheme, engine, n, (n / 100).max(2), threads));
+                }
+            }
+        }
+    }
+    let (sizes, ks) = crossover(quick);
+    for &n in sizes {
+        for &k in ks {
+            for engine in [Engine::Blocked, Engine::Tree] {
+                for scheme in SCHEMES {
+                    let cell = Cell::new(scheme, engine, n, k, 1);
+                    if !cells.contains(&cell) {
+                        cells.push(cell);
+                    }
+                }
+            }
+        }
+    }
+    cells.sort_by_key(|cell| cell.n);
+    cells
+}
+
+/// The first call's assignments and GIC, which every later call of a
+/// cell that shares it must reproduce.
+type Baseline = Option<(Vec<usize>, f64)>;
+
+/// One measured cell; times in milliseconds, stage and side times the
+/// medians of their samples.
+struct Run {
+    cell: Cell,
     landmarks: usize,
+    total: Summary,
     landmarks_ms: f64,
     features_ms: f64,
     kmeans_ms: f64,
@@ -137,82 +196,96 @@ struct RunResult {
     neighbour_build_ms: f64,
     neighbour_share: f64,
     gic_ms: f64,
-    total_ms: f64,
     gic_value: f64,
-    assignments: Vec<usize>,
 }
 
-fn ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1_000.0
-}
-
-/// Runs one full formation at a forced thread count through the scaled
-/// pipeline and records its per-kernel timings. All RNG seeds are fixed
-/// per (scheme, n), so two runs that differ only in `threads` — or in
-/// the assignment engine, which draws no RNG — must produce identical
-/// results.
-fn run_formation(
-    scheme: Scheme,
-    engine: Engine,
-    mb: MiniBatchConfig,
-    net: &SyntheticRtt,
-    n: usize,
-    k: usize,
-    threads: usize,
-) -> RunResult {
-    const LANDMARKS: usize = 8;
-    const PLSET_MULTIPLIER: usize = 4;
-    const KMEANS_ITERS: usize = 15;
-
-    ecg_par::set_max_threads(Some(threads));
+/// Samples one cell on `net`, holding every call to `baseline` (set by
+/// the first call when empty): the same assignments, the same GIC bits.
+/// All RNG seeds are fixed per (scheme, n), so the thread count and the
+/// nearest-center engine, which draws no RNG, can change time only.
+fn measure(cell: Cell, net: &SyntheticRtt, samples: usize, baseline: &mut Baseline) -> Run {
+    let (scheme, engine, n, k) = (cell.scheme, cell.engine, cell.n, cell.k);
+    let assign = match engine {
+        Engine::Tree => AssignMode::Tree,
+        _ => AssignMode::Blocked,
+    };
     let mut config = match scheme {
         Scheme::Sl => SchemeConfig::sl(k),
-        Scheme::Sdsl(theta) => SchemeConfig::sdsl(k, theta),
+        Scheme::Sdsl => SchemeConfig::sdsl(k, 1.0),
     }
-    .landmarks(LANDMARKS)
-    .plset_multiplier(PLSET_MULTIPLIER)
-    .kmeans_max_iterations(KMEANS_ITERS)
-    .force_assign(engine.assign);
-    if engine.variant == Variant::MiniBatch {
+    .landmarks(8)
+    .plset_multiplier(4)
+    .kmeans_max_iterations(15)
+    .force_assign(assign);
+    if engine == Engine::MiniBatch {
+        let mb = MiniBatchConfig::default().batch_size(2_048).iterations(40);
         config = config.kmeans_variant(KmeansVariant::MiniBatch(mb));
     }
-
-    let mut rng = StdRng::seed_from_u64(1_000 + n as u64);
-    let mut ctx = FormContext::new();
-    let formed =
-        form(&FormPlan::new(net, &config).per_row(), &mut ctx, &mut rng).expect("scaled formation");
-
+    let plan = FormPlan::new(net, &config).per_row();
     // Caches are nodes 1..=n of the oracle (node 0 is the origin).
-    let t = Instant::now();
-    let gic_value =
-        formed.average_interaction_cost(|a, b| net.rtt_ms(a.index() + 1, b.index() + 1));
-    let gic_ms = ms(t);
+    let rtt = |a: CacheId, b: CacheId| net.rtt_ms(a.index() + 1, b.index() + 1);
+    let at = cell.label();
+    let mut check = |assignments: &[usize], gic: f64| match baseline {
+        None => *baseline = Some((assignments.to_vec(), gic)),
+        Some((expected, expected_gic)) => {
+            assert!(expected == assignments, "{at}: assignments diverged");
+            assert!(
+                expected_gic.to_bits() == gic.to_bits(),
+                "{at}: GIC diverged"
+            );
+        }
+    };
 
-    // Side measurements of two K-means stages, taken on the formed
-    // outcome and outside every total: one seeding draw of this
-    // scheme's initializer; and, where Lloyd's exact scans run on
-    // neighbour tables, one table build over the final centers and the
-    // share of all points whose two-nearest query those tables settle.
+    ecg_par::set_max_threads(Some(cell.threads));
+    let mut stats: Vec<FormStats> = Vec::new();
+    let mut formed = None;
+    let total_ns = sample(
+        samples,
+        || {
+            let mut ctx = FormContext::new();
+            let rng = &mut StdRng::seed_from_u64(1_000 + n as u64);
+            let outcome = form(&plan, &mut ctx, rng).expect("scaled formation");
+            let gic = outcome.average_interaction_cost(rtt);
+            (outcome, ctx.stats(), gic)
+        },
+        |(outcome, stage, gic)| {
+            check(outcome.assignments(), gic);
+            stats.push(stage);
+            formed = Some(outcome);
+        },
+    );
+    let formed = formed.expect("the warm-up call ran");
+    let gic_ns = sample(
+        samples,
+        || formed.average_interaction_cost(rtt),
+        |gic| check(formed.assignments(), gic),
+    );
     let points = formed.points();
     let initializer = match scheme {
         Scheme::Sl => Initializer::RandomRepresentative,
-        Scheme::Sdsl(theta) => {
-            Initializer::Weighted(server_distance_weights(formed.server_distances_ms(), theta))
+        Scheme::Sdsl => {
+            Initializer::Weighted(server_distance_weights(formed.server_distances_ms(), 1.0))
         }
     };
-    let t = Instant::now();
-    initializer
-        .select(points, k, &mut StdRng::seed_from_u64(n as u64))
-        .expect("seeding draw");
-    let seed_ms = ms(t);
-    let tabled =
-        engine.variant == Variant::Lloyd && engine.assign == AssignMode::Tree && k > NEIGHBOURS;
-    let (neighbour_build_ms, neighbour_share) = if tabled {
+    let seed_ns = sample(
+        samples,
+        || initializer.select(points, k, &mut StdRng::seed_from_u64(n as u64)),
+        |seeds| {
+            seeds.expect("seeding draw");
+        },
+    );
+    // Lloyd's exact scans run on neighbour tables on the tree engine
+    // above `NEIGHBOURS` centers.
+    let (neighbour_ns, neighbour_share) = if engine == Engine::Tree && k > NEIGHBOURS {
         let centers = formed.centers();
         let tree = CenterTree::new(centers);
-        let t = Instant::now();
-        let tables = NeighbourTiles::new(centers, &tree);
-        let build_ms = ms(t);
+        let mut tables = None;
+        let ns = sample(
+            samples,
+            || NeighbourTiles::new(centers, &tree),
+            |built| tables = Some(built),
+        );
+        let tables = tables.expect("the warm-up call ran");
         let settled = points
             .iter_rows()
             .zip(formed.assignments())
@@ -225,32 +298,32 @@ fn run_formation(
                 tables.scan(a, d2.sqrt(), p).is_some()
             })
             .count();
-        (build_ms, settled as f64 / n as f64)
+        (ns, settled as f64 / n as f64)
     } else {
-        (0.0, 0.0)
+        (Vec::new(), 0.0)
     };
     ecg_par::set_max_threads(None);
 
-    let timings = ctx.stats();
-    RunResult {
-        scheme: scheme.name(),
-        variant: engine.variant.name(),
-        assign: engine.assign_name(),
-        n,
-        threads,
-        k,
+    let median_ms = |ns: &[f64]| Summary::of(ns).map_or(0.0, |s| s.median / 1e6);
+    // The warm-up call's stages are not samples.
+    let stage = |of: fn(&FormStats) -> f64| {
+        let ms: Vec<f64> = stats[1..].iter().map(of).collect();
+        Summary::of(&ms).map_or(0.0, |s| s.median)
+    };
+    let ms: Vec<f64> = total_ns.iter().map(|ns| ns / 1e6).collect();
+    Run {
+        cell,
         landmarks: formed.landmarks().landmarks.len(),
-        landmarks_ms: timings.landmarks_ms,
-        features_ms: timings.features_ms,
-        kmeans_ms: timings.clustering_ms,
-        tree_build_ms: timings.tree_build_ms,
-        seed_ms,
-        neighbour_build_ms,
+        total: Summary::of(&ms).expect("at least one sample"),
+        landmarks_ms: stage(|s| s.landmarks_ms),
+        features_ms: stage(|s| s.features_ms),
+        kmeans_ms: stage(|s| s.clustering_ms),
+        tree_build_ms: stage(|s| s.tree_build_ms),
+        seed_ms: median_ms(&seed_ns),
+        neighbour_build_ms: median_ms(&neighbour_ns),
         neighbour_share,
-        gic_ms,
-        total_ms: timings.total_ms + gic_ms,
-        gic_value,
-        assignments: formed.assignments().to_vec(),
+        gic_ms: median_ms(&gic_ns),
+        gic_value: baseline.as_ref().expect("set by the first call").1,
     }
 }
 
@@ -259,85 +332,11 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::parse(
-        std::env::args().skip(1),
-        &["quick"],
-        &[
-            "out", "variant", "assign", "mb-batch", "mb-iters", "sizes", "k",
-        ],
-    )?;
+    let args = Args::parse(std::env::args().skip(1), &["quick"], &["out"])?;
     args.no_positionals()?;
     let quick = args.switch("quick");
     let out_path = args.value("out").unwrap_or("BENCH_scale.json");
-    let variants: Vec<Variant> = match args.value("variant") {
-        None | Some("both") => vec![Variant::Lloyd, Variant::MiniBatch],
-        Some("lloyd") => vec![Variant::Lloyd],
-        Some("minibatch") => vec![Variant::MiniBatch],
-        Some(v) => return Err(format!("--variant is lloyd, minibatch or both, not {v:?}")),
-    };
-    let lloyd_assigns: Vec<AssignMode> = match args.value("assign") {
-        None | Some("both") => vec![AssignMode::Blocked, AssignMode::Tree],
-        Some("blocked") => vec![AssignMode::Blocked],
-        Some("tree") => vec![AssignMode::Tree],
-        Some(v) => return Err(format!("--assign is blocked, tree or both, not {v:?}")),
-    };
-    let mb = MiniBatchConfig::default()
-        .batch_size(args.parsed("mb-batch", 2_048)?)
-        .iterations(args.parsed("mb-iters", 40)?);
-    let sizes_override: Option<Vec<usize>> = args.list("sizes")?;
-    let k_override: Option<Vec<usize>> = args.list("k")?;
-    // The (scheme, k) cells run at each N: k = N/100 unless `--k` sweeps it.
-    let schemes = [Scheme::Sl, Scheme::Sdsl(1.0)];
-    let cells_for = |n: usize| -> Vec<(Scheme, usize)> {
-        let default_k = [(n / 100).max(2)];
-        let ks = k_override.as_deref().unwrap_or(&default_k);
-        schemes
-            .iter()
-            .flat_map(|&s| ks.iter().map(move |&k| (s, k)))
-            .collect()
-    };
-
-    // The engine grid: Lloyd sweeps the requested assignment engines;
-    // mini-batch stays on the blocked kernel (its scan is batch-sized,
-    // and the PR 7 baseline numbers were recorded on it).
-    let engines: Vec<Engine> = variants
-        .iter()
-        .flat_map(|&variant| match variant {
-            Variant::Lloyd => lloyd_assigns
-                .iter()
-                .map(|&assign| Engine { variant, assign })
-                .collect::<Vec<_>>(),
-            Variant::MiniBatch => vec![Engine {
-                variant,
-                assign: AssignMode::Blocked,
-            }],
-        })
-        .collect();
-
-    // Mini-batch exists to go past Lloyd's ceiling, so its sweep sits
-    // one size class higher; the tree-assign Lloyd sweep joins it at
-    // N = 100k (k = 1 000), where the flat scan is impractical.
-    let lloyd_sizes: &[usize] = if quick {
-        &[500, 2_000]
-    } else {
-        &[5_000, 20_000, 50_000]
-    };
-    let lloyd_tree_sizes: &[usize] = if quick {
-        &[500, 2_000]
-    } else {
-        &[5_000, 20_000, 50_000, 100_000]
-    };
-    let minibatch_sizes: &[usize] = if quick {
-        &[20_000]
-    } else {
-        &[20_000, 50_000, 100_000]
-    };
-    let sizes_for = |engine: Engine| match (&sizes_override, engine.variant, engine.assign) {
-        (Some(sizes), _, _) => sizes.as_slice(),
-        (None, Variant::Lloyd, AssignMode::Tree) => lloyd_tree_sizes,
-        (None, Variant::Lloyd, _) => lloyd_sizes,
-        (None, Variant::MiniBatch, _) => minibatch_sizes,
-    };
+    let samples = if quick { 3 } else { 7 };
     let thread_counts: Vec<usize> = if quick {
         vec![1, 2]
     } else {
@@ -347,105 +346,66 @@ fn run() -> Result<(), String> {
             .collect()
     };
 
-    let mut all_sizes: Vec<usize> = engines
-        .iter()
-        .flat_map(|&e| sizes_for(e).iter().copied())
-        .collect();
-    all_sizes.sort_unstable();
-    all_sizes.dedup();
-
-    let mut runs: Vec<RunResult> = Vec::new();
-    for &n in &all_sizes {
-        // Node 0 is the origin; n edge caches follow. Generated once
-        // per N, outside the timing loop — kernel timings never include
-        // topology setup.
-        let net = SyntheticRttConfig::default().generate(n + 1, 9_000 + n as u64);
-        for (scheme, k) in cells_for(n) {
-            // One baseline per K-means variant, shared across thread
-            // counts AND assignment engines: the tree scan must
-            // reproduce the blocked scan bit for bit.
-            let mut lloyd_baseline: Option<(Vec<usize>, f64)> = None;
-            let mut minibatch_baseline: Option<(Vec<usize>, f64)> = None;
-            for &engine in engines.iter().filter(|&&e| sizes_for(e).contains(&n)) {
-                let baseline = match engine.variant {
-                    Variant::Lloyd => &mut lloyd_baseline,
-                    Variant::MiniBatch => &mut minibatch_baseline,
-                };
-                for &threads in &thread_counts {
-                    let run = run_formation(scheme, engine, mb, &net, n, k, threads);
-                    eprintln!(
-                        "{}/{}/{} n={} k={} threads={}: total {:.0} ms (landmarks {:.0}, features {:.0}, kmeans {:.0} [tree build {:.1}], gic {:.0})",
-                        run.scheme,
-                        run.variant,
-                        run.assign,
-                        run.n,
-                        run.k,
-                        run.threads,
-                        run.total_ms,
-                        run.landmarks_ms,
-                        run.features_ms,
-                        run.kmeans_ms,
-                        run.tree_build_ms,
-                        run.gic_ms
-                    );
-                    match &*baseline {
-                        None => *baseline = Some((run.assignments.clone(), run.gic_value)),
-                        Some((assignments, gic)) => {
-                            assert_eq!(
-                                assignments, &run.assignments,
-                                "{}/{}/{} n={n}: assignments diverged at {threads} threads",
-                                run.scheme, run.variant, run.assign
-                            );
-                            assert_eq!(
-                                gic.to_bits(),
-                                run.gic_value.to_bits(),
-                                "{}/{}/{} n={n}: GIC diverged at {threads} threads",
-                                run.scheme,
-                                run.variant,
-                                run.assign
-                            );
-                        }
-                    }
-                    runs.push(run);
-                }
-            }
+    let mut runs: Vec<Run> = Vec::new();
+    let mut net: Option<(usize, SyntheticRtt)> = None;
+    // One baseline per (scheme, K-means variant, k) at each N, shared
+    // across thread counts and nearest-center engines.
+    let mut baselines: HashMap<(Scheme, bool, usize), Baseline> = HashMap::new();
+    for cell in grid(quick, &thread_counts) {
+        if net.as_ref().is_none_or(|&(n, _)| n != cell.n) {
+            // Node 0 is the origin; n edge caches follow.
+            let oracle = SyntheticRttConfig::default().generate(cell.n + 1, 9_000 + cell.n as u64);
+            net = Some((cell.n, oracle));
+            baselines.clear();
         }
+        let (_, oracle) = net.as_ref().expect("generated above");
+        let baseline = baselines
+            .entry((cell.scheme, cell.engine == Engine::MiniBatch, cell.k))
+            .or_default();
+        let r = measure(cell, oracle, samples, baseline);
+        eprintln!(
+            "{}: total {:.1} ms [{:.1}, {:.1}] (landmarks {:.1}, features {:.1}, kmeans {:.1} [tree build {:.1}], gic {:.1})",
+            cell.label(), r.total.median, r.total.min, r.total.max,
+            r.landmarks_ms, r.features_ms, r.kmeans_ms, r.tree_build_ms, r.gic_ms
+        );
+        runs.push(r);
     }
 
-    // End-to-end speedups of the widest run vs threads = 1, per
-    // (scheme, variant, assign, n).
-    let max_threads = *thread_counts.last().expect("non-empty thread list");
-    let mut speedups: Vec<(String, f64)> = Vec::new();
-    for &engine in &engines {
-        for &n in sizes_for(engine) {
-            for (scheme, k) in cells_for(n) {
-                let time_at = |threads: usize| {
-                    runs.iter()
-                        .find(|r| {
-                            r.scheme == scheme.name()
-                                && r.variant == engine.variant.name()
-                                && r.assign == engine.assign_name()
-                                && r.n == n
-                                && r.k == k
-                                && r.threads == threads
-                        })
-                        .expect("run present")
-                        .total_ms
-                };
-                // The key names k only when `--k` made it a swept axis.
-                let k_axis = k_override
-                    .as_ref()
-                    .map_or(String::new(), |_| format!("_k{k}"));
-                speedups.push((
-                    format!(
-                        "{}_{}_{}_n{n}{k_axis}_t{max_threads}",
-                        scheme.name(),
-                        engine.variant.name(),
-                        engine.assign_name(),
-                    ),
-                    time_at(1) / time_at(max_threads),
-                ));
-            }
+    let find = |cell: Cell| {
+        runs.iter()
+            .find(|r| r.cell == cell)
+            .expect("the grid ran the cell")
+    };
+    // End-to-end speedups of the widest run over threads = 1.
+    let widest = *thread_counts.last().expect("non-empty thread list");
+    let speedups: Vec<(String, f64)> = runs
+        .iter()
+        .filter(|r| r.cell.threads == widest)
+        .map(|r| {
+            let [scheme, variant, assign] = r.cell.names();
+            let serial = find(Cell::new(
+                r.cell.scheme,
+                r.cell.engine,
+                r.cell.n,
+                r.cell.k,
+                1,
+            ));
+            (
+                format!("{scheme}_{variant}_{assign}_n{}_t{widest}", r.cell.n),
+                serial.total.median / r.total.median,
+            )
+        })
+        .collect();
+    let (sizes, ks) = crossover(quick);
+    let mut tree_vs_blocked: Vec<(String, f64)> = Vec::new();
+    for &n in sizes {
+        for &k in ks {
+            let kmeans_ms = |engine| -> f64 {
+                let cell = |scheme| Cell::new(scheme, engine, n, k, 1);
+                SCHEMES.iter().map(|&s| find(cell(s)).kmeans_ms).sum()
+            };
+            let ratio = kmeans_ms(Engine::Tree) / kmeans_ms(Engine::Blocked);
+            tree_vs_blocked.push((format!("n{n}_k{k}"), ratio));
         }
     }
 
@@ -456,15 +416,19 @@ fn run() -> Result<(), String> {
         });
         w.key("runs").array(|w| {
             for r in &runs {
+                let [scheme, variant, assign] = r.cell.names();
                 w.object(|w| {
-                    w.key("scheme").str(r.scheme);
-                    w.key("variant").str(r.variant);
-                    w.key("assign").str(r.assign);
-                    w.key("n").usize(r.n);
-                    w.key("threads").usize(r.threads);
-                    w.key("k").usize(r.k);
+                    w.key("scheme").str(scheme);
+                    w.key("variant").str(variant);
+                    w.key("assign").str(assign);
+                    w.key("n").usize(r.cell.n);
+                    w.key("threads").usize(r.cell.threads);
+                    w.key("k").usize(r.cell.k);
                     w.key("landmarks").usize(r.landmarks);
-                    w.key("total_ms").f64(r.total_ms);
+                    w.key("samples").usize(r.total.samples);
+                    w.key("total_ms").f64(r.total.median);
+                    w.key("total_ms_min").f64(r.total.min);
+                    w.key("total_ms_max").f64(r.total.max);
                     w.key("kernels").object(|w| {
                         w.key("landmarks_ms").f64(r.landmarks_ms);
                         w.key("features_ms").f64(r.features_ms);
@@ -476,16 +440,21 @@ fn run() -> Result<(), String> {
                         w.key("gic_ms").f64(r.gic_ms);
                     });
                     w.key("gic_value").f64(r.gic_value);
-                    // A diverging run panicked above.
+                    // A diverging call panicked above.
                     w.key("determinism_ok").bool(true);
                 });
             }
         });
-        w.key("end_to_end_speedups").object(|w| {
-            for (name, speedup) in &speedups {
-                w.key(name).f64(*speedup);
-            }
-        });
+        for (name, entries) in [
+            ("end_to_end_speedups", &speedups),
+            ("tree_vs_blocked", &tree_vs_blocked),
+        ] {
+            w.key(name).object(|w| {
+                for (key, value) in entries {
+                    w.key(key).f64(*value);
+                }
+            });
+        }
     });
     let mut doc = w.finish();
     doc.push('\n');

@@ -14,6 +14,8 @@
 //!
 //! Results are printed as aligned text tables (one row per x-axis point,
 //! one column per scheme), which is the `EXPERIMENTS.md` source format.
+//! The timing binaries (`bench_hotpaths`, `bench_scale`) share one
+//! sampler, [`sample`], and its [`Summary`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,8 +32,10 @@ use rand::SeedableRng;
 
 pub mod experiments;
 mod run;
+mod sampler;
 
 pub use run::Run;
+pub use sampler::{sample, Summary};
 
 /// A fully built experiment scenario: network + workload + trace.
 #[derive(Debug, Clone)]

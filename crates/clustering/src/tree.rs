@@ -164,14 +164,16 @@ use std::time::Instant;
 /// a tree over a handful of centers costs more in traversal overhead
 /// than the scan it replaces (the paper-scale experiments run k ≤ 40).
 /// Set by a sweep of Lloyd K-means time over k ∈ {16 … 200} at
-/// N = 5k and 20k (table in DESIGN.md): 64 is the smallest k swept at
-/// which the tree is ≥ 10 % faster at both sizes (13 % and 24 %); at
-/// k = 50 it is level at N = 5k, and below that it loses.
+/// N = 5k and 20k, where 64 was the smallest k swept at which the tree
+/// was ≥ 10 % faster at both sizes. `bench_scale` now records that
+/// sweep (`tree_vs_blocked` in `BENCH_scale.json`, table in DESIGN.md),
+/// and its medians put the tree ahead from k = 25, where the neighbour
+/// tables start; the constant moves only on a re-measurement.
 pub const TREE_AUTO_MIN_K: usize = 64;
 
 /// A nearest-center engine forced on the assignment scans, whatever
-/// k is: the hook the engine-equality tests and `bench_scale`'s
-/// crossover sweep reach each engine through. Both produce bit-identical
+/// k is: the hook the engine-equality tests and `bench_scale`'s fixed
+/// grid (its crossover cells included) reach each engine through. Both produce bit-identical
 /// clusterings (the tree's exactness contract is the point of
 /// [`CenterTree`]); unforced, the scans take the tree from
 /// [`TREE_AUTO_MIN_K`] centers up and the blocked scan below.

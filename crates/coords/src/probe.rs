@@ -170,7 +170,8 @@ pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 pub enum Draws<'o> {
     /// One shared RNG stream consumed in enumeration order — the
     /// formation plan's default, which every golden is pinned to.
-    /// Sequential, hence the only variant with per-probe telemetry.
+    /// Sequential, hence the only variant that carries a bundle; only a
+    /// retried batch records into it (see [`Prober::measure_batch`]).
     Shared(Option<&'o mut Obs>),
     /// One `StdRng` per row, seeded [`ecg_par::derive_seed`]`(master,
     /// row)` from a single `u64` off the caller's stream; rows measured
@@ -626,9 +627,13 @@ impl<'a> Prober<'a> {
     /// `pair(r, c)` — into row-major values and observed flags. Both
     /// formation stages (PLSet pairs, feature rows) go through here, so
     /// only this function knows what they may vary: the [`Draws`] and
-    /// the retry policy. `None` is [`Prober::measure`]: a failure reports
-    /// the timeout sentinel and every cell counts as observed. `Some` is
-    /// [`Prober::measure_retry`]: a failure is an unobserved `0.0`.
+    /// the retry policy. `None` draws as [`Prober::measure`] does: a
+    /// failure reports the timeout sentinel and every cell counts as
+    /// observed. Its probes reach [`Prober::probes_sent`] and
+    /// [`Prober::probes_lost`] only; it records nothing into a
+    /// [`Draws::Shared`] bundle, and the goldens pin that. `Some` is
+    /// [`Prober::measure_retry`], recorded as that records: a failure is
+    /// an unobserved `0.0`.
     pub fn measure_batch<R: Rng + ?Sized>(
         &self,
         rows: usize,
@@ -1235,6 +1240,25 @@ mod tests {
         batched.measure_all(0, &[], &mut rng, &mut out, Some(&mut empty));
         assert!(out.is_empty());
         assert!(empty.metrics.is_empty());
+    }
+
+    #[test]
+    fn an_unretried_shared_batch_counts_its_probes_and_records_nothing() {
+        // Formation without a resilience config measures this way.
+        let m = paper_figure1();
+        let config = ProbeConfig::noiseless()
+            .probes_per_measurement(2)
+            .loss_rate(0.6);
+        let p = Prober::with_faults(&m, config, ProbeFaults::default().blackhole(0, 3));
+        let mut obs = Obs::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let pair = |r: usize, c: usize| (r % 7, (r + c + 1) % 7);
+        let mut draws = Draws::Shared(Some(&mut obs));
+        p.measure_batch(7, 3, pair, None, &mut draws, &mut rng);
+        // 21 measurements, none a self-probe, of two probes each.
+        assert_eq!(p.probes_sent(), 42);
+        assert!(p.probes_lost() > 0);
+        assert_eq!(obs.to_json(), Obs::new().to_json());
     }
 
     #[test]

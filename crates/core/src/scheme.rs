@@ -199,7 +199,8 @@ impl SchemeConfig {
 
     /// Runs every K-means assignment scan on `engine`, whatever K is:
     /// the hook the end-to-end tree == blocked test and `bench_scale`'s
-    /// crossover sweep reach both engines through. Unforced, the scans
+    /// fixed grid (its crossover cells included) reach both engines
+    /// through. Unforced, the scans
     /// take the KD-tree from `ecg_clustering::TREE_AUTO_MIN_K` groups
     /// up; the grouping is the same bits either way.
     #[doc(hidden)]

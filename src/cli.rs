@@ -1,6 +1,7 @@
 //! The one command-line parser of the workspace's binaries (`ecg`,
-//! `ecg-bench`, `bench_scale`, `bench_hotpaths`): each declares the
-//! flags it reads, and anything else — an unknown flag, a missing or
+//! `ecg-bench`, and the timing binaries `bench_scale` and
+//! `bench_hotpaths`, which read `--quick` and `--out` only): each
+//! declares the flags it reads, and anything else — an unknown flag, a missing or
 //! malformed value — is an `Err` naming it, never a panic. [`finish`]
 //! turns that into `error: …` and exit status 2.
 

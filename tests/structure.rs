@@ -335,8 +335,9 @@ fn the_library_has_no_unsafe_code() {
 
 #[test]
 fn the_benches_have_one_harness() {
-    // `bench_hotpaths` times its own rows: no manifest pulls in a
-    // benchmarking crate or declares a `cargo bench` target.
+    // `bench_hotpaths` and `bench_scale` time their own cells: no
+    // manifest pulls in a benchmarking crate or declares a `cargo bench`
+    // target.
     let mut manifests = vec![root().join("Cargo.toml")];
     let mut bench_dirs = Vec::new();
     for entry in fs::read_dir(root().join("crates"))
@@ -360,4 +361,19 @@ fn the_benches_have_one_harness() {
     }
     assert!(hits.is_empty(), "second bench harness: {hits:#?}");
     assert!(bench_dirs.is_empty(), "cargo bench targets: {bench_dirs:?}");
+    // Both timing binaries read the clock through the one sampler.
+    let clocks: Vec<String> = rust_files(&["crates/bench/src"])
+        .iter()
+        .flat_map(|path| {
+            read(path)
+                .matches("Instant::now")
+                .map(|_| rel(path))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert_eq!(
+        clocks,
+        ["crates/bench/src/sampler.rs"],
+        "clock reads outside the sampler"
+    );
 }
