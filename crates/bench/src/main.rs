@@ -5,13 +5,15 @@
 //! the metrics document to PATH. `ecg-bench run --all [--out DIR]` writes
 //! every row's golden files into DIR (default `results/`); with
 //! `--check` it compares them in memory with DIR instead, both ways, and
-//! exits 1 on any difference. Usage errors exit 2.
+//! exits 1 on any difference. Usage errors, and a failed write to stdout
+//! (a closed pipe), exit 2.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 use ecg_bench::experiments::{check, find, EXPERIMENTS};
-use edge_cache_groups::cli::{finish, Args};
+use edge_cache_groups::cli::{finish, stdout_error, Args};
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -20,20 +22,28 @@ const USAGE: &str =
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    finish(match args.next().as_deref() {
+    let mut out = io::stdout().lock();
+    let result = match args.next().as_deref() {
         Some("list") => Args::parse(args, &[], &[])
             .and_then(|a| a.no_positionals())
-            .map(|()| {
-                EXPERIMENTS.iter().for_each(|e| println!("{}", e.name));
-                ExitCode::SUCCESS
-            }),
-        Some("run") => Args::parse(args, &["all", "check"], &["out", "metrics-out"]).and_then(run),
+            .and_then(|()| list(&mut out).map_err(stdout_error)),
+        Some("run") => Args::parse(args, &["all", "check"], &["out", "metrics-out"])
+            .and_then(|args| run(args, &mut out)),
         Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
         None => Err(format!("missing command\n{USAGE}")),
-    })
+    };
+    finish(result.and_then(|code| out.flush().map(|()| code).map_err(stdout_error)))
 }
 
-fn run(args: Args) -> Result<ExitCode, String> {
+fn list(out: &mut impl Write) -> io::Result<ExitCode> {
+    for e in EXPERIMENTS {
+        writeln!(out, "{}", e.name)?;
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `ecg-bench run`: the text of each experiment to `out`.
+fn run(args: Args, out: &mut impl Write) -> Result<ExitCode, String> {
     let metrics_out = args.value("metrics-out");
     if args.switch("all") {
         if let Some(name) = args.positionals().first() {
@@ -45,6 +55,7 @@ fn run(args: Args) -> Result<ExitCode, String> {
         return run_all(
             Path::new(args.value("out").unwrap_or("results")),
             args.switch("check"),
+            out,
         );
     }
     if args.switch("check") || args.value("out").is_some() {
@@ -66,7 +77,9 @@ fn run(args: Args) -> Result<ExitCode, String> {
     for e in rows {
         for (file, contents) in e.execute(metrics_out.is_some()) {
             match metrics_out {
-                _ if file == format!("{}.txt", e.name) => print!("{contents}"),
+                _ if file == format!("{}.txt", e.name) => {
+                    write!(out, "{contents}").map_err(stdout_error)?
+                }
                 Some(path) if file == format!("metrics_{}.json", e.name) => {
                     std::fs::write(path, contents)
                         .map_err(|err| format!("cannot write {path}: {err}"))?;
@@ -81,10 +94,10 @@ fn run(args: Args) -> Result<ExitCode, String> {
 
 /// Every row's golden files: written into `dir`, or with `check_only`
 /// compared with it.
-fn run_all(dir: &Path, check_only: bool) -> Result<ExitCode, String> {
+fn run_all(dir: &Path, check_only: bool, out: &mut impl Write) -> Result<ExitCode, String> {
     let mut produced = BTreeMap::new();
     for e in EXPERIMENTS {
-        println!("=== {}", e.name);
+        writeln!(out, "=== {}", e.name).map_err(stdout_error)?;
         for (name, contents) in e.execute(e.metrics_golden()) {
             if !check_only {
                 write_file(dir, &name, &contents)?;
@@ -93,7 +106,7 @@ fn run_all(dir: &Path, check_only: bool) -> Result<ExitCode, String> {
         }
     }
     if !check_only {
-        println!("all outputs written to {}/", dir.display());
+        writeln!(out, "all outputs written to {}/", dir.display()).map_err(stdout_error)?;
         return Ok(ExitCode::SUCCESS);
     }
     let problems =
@@ -102,10 +115,12 @@ fn run_all(dir: &Path, check_only: bool) -> Result<ExitCode, String> {
     if !problems.is_empty() {
         return Ok(ExitCode::FAILURE);
     }
-    println!(
+    writeln!(
+        out,
         "check passed: outputs match {}/ byte for byte",
         dir.display()
-    );
+    )
+    .map_err(stdout_error)?;
     Ok(ExitCode::SUCCESS)
 }
 

@@ -40,7 +40,7 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use edge_cache_groups::cli::{parse_value, Args};
+use edge_cache_groups::cli::{parse_value, stdout_error, Args};
 use edge_cache_groups::prelude::*;
 use edge_cache_groups::topology::{read_rtt_matrix, write_rtt_matrix};
 use edge_cache_groups::workload::{
@@ -50,24 +50,50 @@ use edge_cache_groups::workload::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if asks_for_help(&args) {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
-    }
-    match run(&args) {
+    let mut out = io::stdout().lock();
+    let result = match asks_for_help(&args) {
+        true => writeln!(out, "{}", usage()).map_err(Error::from),
+        false => run(&args, &mut out),
+    };
+    match result.and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        Err(Error::Stdout(message)) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
+        }
+        Err(Error::Input(message)) => {
             eprintln!("error: {message}");
             eprintln!();
             eprintln!("{}", usage());
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Why a subcommand failed: its input (reported with the usage), or a
+/// write to stdout (a closed pipe, reported alone). A file's I/O error
+/// is an `Input` message naming the file; an `io::Error` that reaches
+/// `?` unnamed is stdout's.
+enum Error {
+    Input(String),
+    Stdout(String),
+}
+
+impl From<String> for Error {
+    fn from(message: String) -> Error {
+        Error::Input(message)
+    }
+}
+
+impl From<io::Error> for Error {
+    fn from(err: io::Error) -> Error {
+        Error::Stdout(stdout_error(err))
     }
 }
 
@@ -194,7 +220,7 @@ struct Command {
     name: &'static str,
     about: &'static str,
     flags: &'static [(Flag, Absent)],
-    run: fn(&Opts) -> Result<(), String>,
+    run: fn(&Opts, &mut dyn Write) -> Result<(), Error>,
 }
 
 impl Command {
@@ -353,36 +379,38 @@ fn parse(args: &[String]) -> Result<Opts, String> {
     Ok(opts)
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+/// Runs the subcommand `args` names, writing its report to `out`.
+fn run(args: &[String], out: &mut dyn Write) -> Result<(), Error> {
     let opts = parse(args)?;
     let threads: Option<usize> = opts.opt(&THREADS)?;
     if threads.is_some() {
         edge_cache_groups::par::set_max_threads(threads);
     }
-    let outcome = (opts.command.run)(&opts);
+    let outcome = (opts.command.run)(&opts, out);
     if threads.is_some() {
         edge_cache_groups::par::set_max_threads(None);
     }
     outcome
 }
 
-fn gen_network(opts: &Opts) -> Result<(), String> {
+fn gen_network(opts: &Opts, out: &mut dyn Write) -> Result<(), Error> {
     let caches: usize = opts.get(&CACHES)?;
     let origin: OriginPlacement = opts.get(&ORIGIN)?;
-    let out: String = opts.get(&OUT)?;
+    let path: String = opts.get(&OUT)?;
 
     let mut rng = StdRng::seed_from_u64(opts.get(&SEED)?);
     let topo = TransitStubConfig::for_caches(caches).generate(&mut rng);
     let network = EdgeNetwork::place(&topo, caches, origin, &mut rng).map_err(|e| e.to_string())?;
 
-    let file = File::create(&out).map_err(|e| format!("cannot create {out}: {e}"))?;
+    let file = File::create(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
     write_rtt_matrix(BufWriter::new(file), network.rtt_matrix())
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
-        "wrote {out}: origin + {} caches, mean origin RTT {:.1} ms",
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    writeln!(
+        out,
+        "wrote {path}: origin + {} caches, mean origin RTT {:.1} ms",
         network.cache_count(),
         network.mean_origin_rtt()
-    );
+    )?;
     Ok(())
 }
 
@@ -413,7 +441,7 @@ fn scheme(opts: &Opts, k: usize) -> Result<SchemeConfig, String> {
         .plset_multiplier(opts.get(&PLSET)?))
 }
 
-fn form_cmd(opts: &Opts) -> Result<(), String> {
+fn form_cmd(opts: &Opts, out: &mut dyn Write) -> Result<(), Error> {
     let network = load_network(&opts.get::<String>(&NETWORK)?)?;
     let k = opts
         .opt(&GROUPS)?
@@ -437,24 +465,25 @@ fn form_cmd(opts: &Opts) -> Result<(), String> {
             let mut file = File::create(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
             file.write_all(rendered.as_bytes())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("wrote {path}");
+            writeln!(out, "wrote {path}")?;
         }
-        None => print!("{rendered}"),
+        None => write!(out, "{rendered}")?,
     }
     let gic = outcome.average_interaction_cost(|a, b| network.cache_to_cache(a, b));
-    println!(
+    writeln!(
+        out,
         "# {} groups, sizes {:?}, avg interaction cost {:.2} ms, {} probes",
         outcome.groups().len(),
         outcome.groups().iter().map(Vec::len).collect::<Vec<_>>(),
         gic,
         outcome.probes_sent(),
-    );
+    )?;
     Ok(())
 }
 
 /// The large-N pipeline over an implicit synthetic RTT oracle: no
 /// matrix file, O(n) state, derived-seed parallel kernels throughout.
-fn scale_cmd(opts: &Opts) -> Result<(), String> {
+fn scale_cmd(opts: &Opts, out: &mut dyn Write) -> Result<(), Error> {
     let caches: usize = opts.get(&CACHES)?;
     let seed: u64 = opts.get(&SEED)?;
     let minibatch: bool = opts.get(&MINIBATCH)?;
@@ -485,26 +514,29 @@ fn scale_cmd(opts: &Opts) -> Result<(), String> {
     } else {
         "full-batch Lloyd".into()
     };
-    println!(
+    writeln!(
+        out,
         "{} caches -> {} groups ({engine}), sizes min/mean/max {}/{:.1}/{}",
         caches,
         outcome.groups().len(),
         sizes.iter().min().copied().unwrap_or(0),
         caches as f64 / sizes.len().max(1) as f64,
         sizes.iter().max().copied().unwrap_or(0),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "avg interaction cost {:.2} ms, {} probes, {} k-means iterations",
         gic,
         outcome.probes_sent(),
         outcome.kmeans_iterations(),
-    );
+    )?;
     let t = ctx.stats();
-    println!(
+    writeln!(
+        out,
         "timings: landmarks {:.0} ms, features {:.0} ms, clustering {:.0} ms \
          (tree build {:.1} ms), total {:.0} ms",
         t.landmarks_ms, t.features_ms, t.clustering_ms, t.tree_build_ms, t.total_ms,
-    );
+    )?;
     Ok(())
 }
 
@@ -547,29 +579,29 @@ fn read_trace_file(path: &str) -> Result<Vec<TraceEvent>, String> {
     read_trace(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
 }
 
-fn gen_trace(opts: &Opts) -> Result<(), String> {
-    let out: String = opts.get(&OUT)?;
+fn gen_trace(opts: &Opts, out: &mut dyn Write) -> Result<(), Error> {
+    let path: String = opts.get(&OUT)?;
     let (_, trace) = build_workload(opts, opts.get(&CACHES)?)?;
-    let file = File::create(&out).map_err(|e| format!("cannot create {out}: {e}"))?;
-    write_trace(BufWriter::new(file), &trace).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}: {} events", trace.len());
+    let file = File::create(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    write_trace(BufWriter::new(file), &trace).map_err(|e| format!("cannot write {path}: {e}"))?;
+    writeln!(out, "wrote {path}: {} events", trace.len())?;
     Ok(())
 }
 
-fn stats_cmd(opts: &Opts) -> Result<(), String> {
+fn stats_cmd(opts: &Opts, out: &mut dyn Write) -> Result<(), Error> {
     let s = TraceStats::compute(&read_trace_file(&opts.get::<String>(&TRACE)?)?);
-    println!("events            {}", s.requests + s.updates);
-    println!("requests          {}", s.requests);
-    println!("updates           {}", s.updates);
-    println!("span              {:.1} s", s.span_ms / 1_000.0);
-    println!("active caches     {}", s.active_caches);
-    println!("distinct docs     {}", s.distinct_docs);
-    println!("busiest cache     {} requests", s.max_cache_load);
+    writeln!(out, "events            {}", s.requests + s.updates)?;
+    writeln!(out, "requests          {}", s.requests)?;
+    writeln!(out, "updates           {}", s.updates)?;
+    writeln!(out, "span              {:.1} s", s.span_ms / 1_000.0)?;
+    writeln!(out, "active caches     {}", s.active_caches)?;
+    writeln!(out, "distinct docs     {}", s.distinct_docs)?;
+    writeln!(out, "busiest cache     {} requests", s.max_cache_load)?;
     if let Some(imbalance) = s.load_imbalance() {
-        println!("load imbalance    {imbalance:.2}x");
+        writeln!(out, "load imbalance    {imbalance:.2}x")?;
     }
-    println!("top doc share     {:.1}%", 100.0 * s.top_doc_share);
-    println!("top-10 share      {:.1}%", 100.0 * s.top10_share);
+    writeln!(out, "top doc share     {:.1}%", 100.0 * s.top_doc_share)?;
+    writeln!(out, "top-10 share      {:.1}%", 100.0 * s.top10_share)?;
     Ok(())
 }
 
@@ -583,7 +615,7 @@ fn sim_config(opts: &Opts, duration_ms: f64) -> Result<SimConfig, String> {
         .warmup_ms(duration_ms / 6.0))
 }
 
-fn simulate_cmd(opts: &Opts) -> Result<(), String> {
+fn simulate_cmd(opts: &Opts, out: &mut dyn Write) -> Result<(), Error> {
     let network = load_network(&opts.get::<String>(&NETWORK)?)?;
     let groups_path: String = opts.get(&GROUPS_FILE)?;
     let text = std::fs::read_to_string(&groups_path)
@@ -601,7 +633,7 @@ fn simulate_cmd(opts: &Opts) -> Result<(), String> {
     let plan = SimPlan::new(network.rtt_matrix(), &catalog, &trace).config(config);
     let report = simulate(&plan, &map, &mut RunContext::pooled()).map_err(|e| e.to_string())?;
 
-    println!("{report}");
+    writeln!(out, "{report}")?;
     Ok(())
 }
 
@@ -611,7 +643,7 @@ fn simulate_cmd(opts: &Opts) -> Result<(), String> {
 /// materialized — each shard regenerates its members' request streams
 /// from the master seed — so stdout is byte-identical at any
 /// `--threads` / `ECG_THREADS` setting.
-fn replay_cmd(opts: &Opts) -> Result<(), String> {
+fn replay_cmd(opts: &Opts, out: &mut dyn Write) -> Result<(), Error> {
     use edge_cache_groups::workload::generate_updates;
     use rand::Rng;
 
@@ -648,11 +680,12 @@ fn replay_cmd(opts: &Opts) -> Result<(), String> {
     let report = simulate(&plan, &map, &mut ctx).map_err(|e| e.to_string())?;
 
     let stats = ctx.stats();
-    println!(
+    writeln!(
+        out,
         "{} caches in {} shards (group size <= {group_size}), {} shard events",
         caches, stats.shards, stats.shard_events
-    );
-    println!("{report}");
+    )?;
+    writeln!(out, "{report}")?;
     eprintln!(
         "timings: plan {:.0} ms, shards {:.0} ms, merge {:.0} ms, total {:.0} ms",
         stats.plan_ms,
@@ -668,9 +701,13 @@ fn replay_cmd(opts: &Opts) -> Result<(), String> {
         let materialized =
             simulate(&plan, &map, &mut RunContext::serial()).map_err(|e| e.to_string())?;
         if materialized != report {
-            return Err("sharded replay diverged from simulate on the materialized trace".into());
+            let diverged = "sharded replay diverged from simulate on the materialized trace";
+            return Err(Error::Input(diverged.into()));
         }
-        println!("verify: sharded report is bit-identical to simulate on the materialized trace");
+        writeln!(
+            out,
+            "verify: sharded report is bit-identical to simulate on the materialized trace"
+        )?;
     }
     Ok(())
 }
@@ -683,7 +720,7 @@ fn replay_cmd(opts: &Opts) -> Result<(), String> {
 /// a fixed order, so
 /// stdout and the `--timeline-out` JSON are byte-identical at any
 /// `--threads` / `ECG_THREADS` setting.
-fn lifecycle_cmd(opts: &Opts) -> Result<(), String> {
+fn lifecycle_cmd(opts: &Opts, out: &mut dyn Write) -> Result<(), Error> {
     let caches: usize = opts.get(&CACHES)?;
     let groups = opts.opt(&GROUPS)?.unwrap_or((caches / 8).max(2));
     let duration_secs: f64 = opts.get(&DURATION)?;
@@ -724,14 +761,16 @@ fn lifecycle_cmd(opts: &Opts) -> Result<(), String> {
         .run(&network, &schedule, duration_ms, &mut rng, None)
         .map_err(|e| e.to_string())?;
 
-    println!(
+    writeln!(
+        out,
         "{caches} caches, K = {groups}, policy {policy_name}: \
          {} windows of {:.0} s over {:.0} s",
         timeline.decisions().len(),
         step_secs,
         duration_secs,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{} epochs | holds {} repairs {} partial {} full {} | max drift {:.2}",
         timeline.epochs().len(),
         timeline.decision_count(ReformDecision::Hold),
@@ -739,7 +778,7 @@ fn lifecycle_cmd(opts: &Opts) -> Result<(), String> {
         timeline.decision_count(ReformDecision::PartialReform),
         timeline.decision_count(ReformDecision::FullReform),
         timeline.max_drift(),
-    );
+    )?;
     for d in timeline.decisions() {
         if d.decision == ReformDecision::Hold && d.demoted_from.is_none() {
             continue;
@@ -749,7 +788,8 @@ fn lifecycle_cmd(opts: &Opts) -> Result<(), String> {
             None => String::new(),
         };
         let escalated = if d.escalated { " (escalated)" } else { "" };
-        println!(
+        writeln!(
+            out,
             "  t={:>5.0}s {}{demoted}{escalated}: drift {:.2}, \
              {} down, {} retired, {} dead landmarks -> epoch {}",
             d.window_end_ms / 1_000.0,
@@ -759,14 +799,14 @@ fn lifecycle_cmd(opts: &Opts) -> Result<(), String> {
             d.signals.retirements,
             d.signals.dead_landmarks,
             d.epoch,
-        );
+        )?;
     }
 
     if let Some(path) = opts.opt::<String>(&TIMELINE_OUT)? {
         let mut json = timeline.to_json();
         json.push('\n');
         std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        writeln!(out, "wrote {path}")?;
     }
 
     if let Some((catalog, trace)) = &workload {
@@ -779,8 +819,8 @@ fn lifecycle_cmd(opts: &Opts) -> Result<(), String> {
             .faults(&schedule);
         let report = simulate_epochs(&plan, &epochs, &mut RunContext::pooled())
             .map_err(|e| e.to_string())?;
-        println!("epoch-spanning replay across {} epochs:", epochs.len());
-        println!("{report}");
+        writeln!(out, "epoch-spanning replay across {} epochs:", epochs.len())?;
+        writeln!(out, "{report}")?;
     }
     Ok(())
 }
@@ -829,6 +869,11 @@ mod tests {
     use super::*;
     use crate::mutation;
     use proptest::prelude::*;
+
+    /// [`super::run`] with its report discarded and its error as text.
+    fn run(args: &[String]) -> Result<(), String> {
+        super::run(args, &mut io::sink()).map_err(|(Error::Input(m) | Error::Stdout(m))| m)
+    }
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()

@@ -3,9 +3,11 @@
 //! `bench_hotpaths`, which read `--quick` and `--out` only): each
 //! declares the flags it reads, and anything else — an unknown flag, a missing or
 //! malformed value — is an `Err` naming it, never a panic. [`finish`]
-//! turns that into `error: …` and exit status 2.
+//! turns that into `error: …` and exit status 2; so does a failed write
+//! to stdout ([`stdout_error`]), such as a closed pipe.
 
 use std::collections::BTreeMap;
+use std::io;
 use std::process::{ExitCode, Termination};
 use std::str::FromStr;
 
@@ -69,25 +71,17 @@ impl Args {
     pub fn value(&self, name: &str) -> Option<&str> {
         self.flags.get(name)?.as_deref()
     }
-
-    /// The value of `--name` parsed as `T`, or `default` when absent.
-    pub fn parsed<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        self.value(name)
-            .map_or(Ok(default), |raw| parse_value(name, raw))
-    }
-
-    /// The value of `--name` as a comma-separated list of `T`, when given.
-    pub fn list<T: FromStr>(&self, name: &str) -> Result<Option<Vec<T>>, String> {
-        self.value(name)
-            .map(|raw| raw.split(',').map(|x| parse_value(name, x)).collect())
-            .transpose()
-    }
 }
 
 /// `raw` parsed as a value of `--name`, or the error that names both.
 pub fn parse_value<T: FromStr>(name: &str, raw: &str) -> Result<T, String> {
     raw.parse()
         .map_err(|_| format!("bad value for --{name}: {raw:?}"))
+}
+
+/// The `Err` for a failed write to stdout (a closed pipe, say).
+pub fn stdout_error(err: io::Error) -> String {
+    format!("cannot write to stdout: {err}")
 }
 
 /// A binary's exit: `Err` prints `error: …` to stderr and exits 2.
@@ -120,12 +114,8 @@ mod tests {
         assert_eq!(args.positionals(), ["fig5", "fig6"]);
         assert!(args.switch("quick") && !args.switch("all"));
         assert_eq!(args.value("out"), Some("dir"));
-        assert_eq!(args.list::<usize>("sizes"), Ok(Some(vec![1, 2])));
-        assert_eq!(
-            args.list::<usize>("out"),
-            Err("bad value for --out: \"dir\"".into())
-        );
-        assert_eq!(args.parsed("missing", 7u32), Ok(7));
+        assert_eq!(args.value("sizes"), Some("1,2"));
+        assert_eq!(args.value("missing"), None);
         assert_eq!(
             args.no_positionals(),
             Err("unexpected argument \"fig5\"".into())
@@ -141,9 +131,8 @@ mod tests {
         assert_eq!(err(&["--out", "--all"]), "flag --out needs a value");
         assert_eq!(err(&["--all", "--all"]), "flag --all given twice");
         assert_eq!(err(&["--out", "a", "--out", "b"]), "flag --out given twice");
-        let sizes = parse(&["--sizes", "1,x"]).expect("parses as a string");
         assert_eq!(
-            sizes.list::<usize>("sizes"),
+            parse_value::<usize>("sizes", "x"),
             Err("bad value for --sizes: \"x\"".into())
         );
     }

@@ -7,7 +7,7 @@
 #[path = "support/mutation.rs"]
 mod mutation;
 
-use edge_cache_groups::cli::Args;
+use edge_cache_groups::cli::{parse_value, Args};
 use edge_cache_groups::prelude::*;
 use edge_cache_groups::topology::{read_graph, read_rtt_matrix, write_graph, write_rtt_matrix};
 use edge_cache_groups::topology::{Graph, NodeId};
@@ -117,10 +117,10 @@ proptest! {
         let args = damaged(line, &edits);
         let args = args.split_whitespace().map(str::to_owned);
         if let Ok(args) = Args::parse(args, &["quick"], &["caches", "theta", "sizes", "minibatch"]) {
-            let _ = args.parsed::<usize>("caches", 0);
-            let _ = args.parsed::<f64>("theta", 0.0);
-            let _ = args.parsed::<bool>("minibatch", false);
-            let _ = args.list::<usize>("sizes");
+            let _ = args.value("caches").map(|raw| parse_value::<usize>("caches", raw));
+            let _ = args.value("theta").map(|raw| parse_value::<f64>("theta", raw));
+            let _ = args.value("minibatch").map(|raw| parse_value::<bool>("minibatch", raw));
+            let _ = args.value("sizes").map(|raw| parse_value::<usize>("sizes", raw));
             let _ = args.no_positionals();
         }
     }

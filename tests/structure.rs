@@ -1,6 +1,7 @@
 //! Structural claims about the source tree, checked on its text: one
 //! entry point per pipeline, one Lloyd loop, one scheduling loop, one
-//! JSON module, one bench harness, no `unsafe`. Each test is one predicate over the files
+//! JSON module, one bench harness, no `unsafe`, and a CI that runs
+//! `cargo test` whole. Each test is one predicate over the files
 //! it names; the shim modules kept for the end-to-end benchmark's old
 //! signatures (`shim.rs`) are exempt where the claim is about the live
 //! API.
@@ -376,4 +377,155 @@ fn the_benches_have_one_harness() {
         ["crates/bench/src/sampler.rs"],
         "clock reads outside the sampler"
     );
+}
+
+/// `ci.yml`'s lines, each with the job it sits in (`None` above `jobs:`).
+fn ci_lines() -> Vec<(Option<String>, String)> {
+    let text = read(&root().join(".github/workflows/ci.yml"));
+    let mut job = None;
+    let mut in_jobs = false;
+    let mut out = Vec::new();
+    for line in text.lines() {
+        if line == "jobs:" {
+            in_jobs = true;
+        } else if in_jobs && indent(line) == 2 && !line.trim().starts_with('#') {
+            job = line.trim().strip_suffix(':').map(str::to_owned);
+        }
+        out.push((job.clone(), line.to_owned()));
+    }
+    out
+}
+
+fn indent(line: &str) -> usize {
+    line.len() - line.trim_start().len()
+}
+
+/// The commands of `ci.yml`'s `run:` steps, one per shell line (a line
+/// continued with a backslash, or a block folded by `>`, is one), each
+/// with the line it starts on and whether it sits in a `for` loop over
+/// thread counts.
+fn ci_commands() -> Vec<(usize, String, bool)> {
+    let lines = ci_lines();
+    let mut commands = Vec::new();
+    let mut n = 0;
+    while n < lines.len() {
+        let line = &lines[n].1;
+        let key = line.trim_start();
+        let Some(script) = key.strip_prefix("- ").unwrap_or(key).strip_prefix("run:") else {
+            n += 1;
+            continue;
+        };
+        let script = script.trim();
+        let mut body: Vec<(usize, String)> = Vec::new();
+        if script == "|" || script == ">" {
+            let key = indent(line);
+            n += 1;
+            while n < lines.len() && (lines[n].1.trim().is_empty() || indent(&lines[n].1) > key) {
+                body.push((n + 1, lines[n].1.trim().to_owned()));
+                n += 1;
+            }
+            if script == ">" {
+                let joined = body
+                    .iter()
+                    .map(|(_, l)| l.as_str())
+                    .collect::<Vec<_>>()
+                    .join(" ");
+                body = vec![(body.first().map_or(n, |(at, _)| *at), joined)];
+            }
+        } else {
+            body.push((n + 1, script.to_owned()));
+            n += 1;
+        }
+        let mut in_loop = false;
+        let mut pending: Option<(usize, String)> = None;
+        for (at, text) in body {
+            if text.starts_with("for ") && text.contains("threads") {
+                in_loop = true;
+            } else if text == "done" || text.starts_with("done ") {
+                in_loop = false;
+            }
+            let (start, mut command) = pending.take().unwrap_or((at, String::new()));
+            command.push_str(text.trim_end_matches('\\'));
+            command.push(' ');
+            if text.ends_with('\\') {
+                pending = Some((start, command));
+            } else {
+                commands.push((start, command, in_loop));
+            }
+        }
+    }
+    commands
+}
+
+/// The test-name filters of a `cargo test` command: its arguments that
+/// are neither options nor option values.
+fn cargo_test_filters(command: &str) -> Vec<&str> {
+    const VALUED: [&str; 9] = [
+        "-p",
+        "--package",
+        "--exclude",
+        "--test",
+        "--bin",
+        "--example",
+        "--manifest-path",
+        "--features",
+        "--target-dir",
+    ];
+    let Some((_, rest)) = command.split_once("cargo test") else {
+        return Vec::new();
+    };
+    let mut filters = Vec::new();
+    let mut args = rest.split_whitespace();
+    while let Some(arg) = args.next() {
+        if matches!(arg, "&&" | ";" | "|" | "||") {
+            break;
+        } else if VALUED.contains(&arg) {
+            args.next();
+        } else if !arg.starts_with('-') {
+            filters.push(arg);
+        }
+    }
+    filters
+}
+
+#[test]
+fn ci_is_cargo_test_plus_the_runs_that_need_a_fresh_build() {
+    // Every predicate is a Rust test (which tier-1 runs), and CI runs
+    // the suites whole on an `ECG_THREADS` matrix. Only the steps over
+    // `benchmark/` output, in `benchmark-smoke`, read a document with a
+    // script.
+    let mut hits = Vec::new();
+    for (n, (job, line)) in ci_lines().iter().enumerate() {
+        let code = line.split(" #").next().unwrap_or("");
+        if code.trim_start().starts_with('#') || job.as_deref() == Some("benchmark-smoke") {
+            continue;
+        }
+        for tool in ["python3", "grep", "diff", "awk"] {
+            if has_word(code, tool) {
+                hits.push(format!("ci.yml:{}: {tool}: {line}", n + 1));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "scripted predicates outside benchmark-smoke: {hits:#?}"
+    );
+
+    // No `cargo test` names the tests it runs or loops over thread counts.
+    let mut runs = 0;
+    for (at, command, in_loop) in ci_commands() {
+        if !command.contains("cargo test") {
+            continue;
+        }
+        runs += 1;
+        let filters = cargo_test_filters(&command);
+        if !filters.is_empty() {
+            hits.push(format!("ci.yml:{at}: filters {filters:?}: {command}"));
+        }
+        if in_loop {
+            hits.push(format!("ci.yml:{at}: in a thread loop: {command}"));
+        }
+    }
+    assert!(runs > 0, "ci.yml runs no cargo test");
+    assert!(hits.is_empty(), "filtered or looped cargo test: {hits:#?}");
 }
