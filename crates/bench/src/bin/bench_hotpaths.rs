@@ -26,12 +26,18 @@
 //!   bare slab that scores every resident per victim (identical
 //!   victims, checked before timing).
 //!
-//! Each row is one warm-up call, then `samples` timed calls of the
-//! shared sampler ([`ecg_bench::sample`]); every call reseeds its own
-//! RNG, so all of a row's samples time identical work.
-//! Writes the run as machine-readable JSON (per-benchmark stats plus
-//! derived speedups) so regressions can be diffed against the committed
-//! baseline:
+//! Each pair of rows above (reference or comparator vs fast) is one
+//! paired run of the shared sampler ([`ecg_bench::sample_pairs`]): a
+//! warm-up call of each side, then `samples` pairs in ABBA order. Both
+//! rows' statistics come from those calls, and the pair's `speedups`
+//! entry is the [`ecg_bench::Ratio`] of the per-pair times (median,
+//! quartiles and the pairs the fast side won), so the host's drift
+//! between the two sides stays out of it. Every other row is one
+//! warm-up call, then `samples` timed calls ([`ecg_bench::sample`]).
+//! Every call reseeds its own RNG, so all of a row's samples time
+//! identical work. Writes the run as machine-readable JSON
+//! (per-benchmark stats plus the paired speedups) so regressions can be
+//! diffed against the committed baseline:
 //!
 //! ```text
 //! cargo run --release -p ecg-bench --bin bench_hotpaths            # full, writes BENCH_hotpaths.json
@@ -41,7 +47,7 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use ecg_bench::{sample, write_host_context, Scenario, Summary};
+use ecg_bench::{sample, sample_pairs, write_host_context, Ratio, Scenario, Summary};
 use ecg_cache::{DocumentCache, Entry, PolicyKind};
 use ecg_clustering::{kmeans, kmeans_reference, FeatureMatrix, Initializer, KmeansConfig};
 use ecg_coords::{build_feature_matrix, embed_network, GnpConfig, ProbeConfig, Prober};
@@ -50,10 +56,11 @@ use ecg_obs::json::JsonWriter;
 use ecg_sim::{simulate, GroupMap, RunContext, SimConfig};
 use ecg_topology::CacheId;
 use ecg_workload::DocId;
-use edge_cache_groups::cli::{finish, Args};
+use edge_cache_groups::cli::{finish, stdout_error, Args};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::io::{self, StdoutLock, Write};
 use std::process::ExitCode;
 
 struct Sizes {
@@ -68,6 +75,7 @@ struct Sizes {
     order_duration_ms: f64,
     /// Evicting inserts per timed sample of `utility_victim`.
     victim_inserts: usize,
+    /// Timed calls per row, and pairs per paired run.
     samples: usize,
 }
 
@@ -230,40 +238,77 @@ struct Row {
 }
 
 /// Times rows in run order on the shared sampler, each result
-/// `black_box`ed past its clock reading.
+/// `black_box`ed past its clock reading, and prints each row and
+/// speed-up as it lands.
 struct Sampler {
     samples: usize,
     rows: Vec<Row>,
+    speedups: Vec<(String, Ratio)>,
+    out: StdoutLock<'static>,
 }
 
 impl Sampler {
-    fn time<R>(&mut self, name: &str, elements: Option<u64>, call: impl FnMut() -> R) {
+    /// Times one row on its own.
+    fn time<R>(
+        &mut self,
+        name: &str,
+        elements: Option<u64>,
+        call: impl FnMut() -> R,
+    ) -> Result<(), String> {
         let times_ns = sample(self.samples, call, |out| {
             black_box(out);
         });
-        let Some(ns) = Summary::of(&times_ns) else {
-            return;
+        self.row(name, elements, &times_ns)
+    }
+
+    /// Times a `slow` and a `fast` row as one paired run of `samples`
+    /// pairs, and records the speed-up `key`: the ratio of the slow
+    /// side's times over the fast side's.
+    fn pair<A, B>(
+        &mut self,
+        key: &str,
+        [slow, fast]: [&str; 2],
+        elements: Option<u64>,
+        call_slow: impl FnMut() -> A,
+        call_fast: impl FnMut() -> B,
+    ) -> Result<(), String> {
+        let (slow_ns, fast_ns) = sample_pairs(
+            self.samples,
+            (call_slow, |out| {
+                black_box(out);
+            }),
+            (call_fast, |out| {
+                black_box(out);
+            }),
+        );
+        self.row(slow, elements, &slow_ns)?;
+        self.row(fast, elements, &fast_ns)?;
+        let Some(ratio) = Ratio::of(&slow_ns, &fast_ns) else {
+            return Ok(());
         };
-        println!(
+        writeln!(self.out, "{:<40} {ratio}", format!("speedup {key}")).map_err(stdout_error)?;
+        self.speedups.push((key.to_string(), ratio));
+        Ok(())
+    }
+
+    fn row(&mut self, name: &str, elements: Option<u64>, times_ns: &[f64]) -> Result<(), String> {
+        let Some(ns) = Summary::of(times_ns) else {
+            return Ok(());
+        };
+        writeln!(
+            self.out,
             "{name:<40} median {:>10.3} ms  min {:>10.3} ms  max {:>10.3} ms",
             ns.median / 1e6,
             ns.min / 1e6,
             ns.max / 1e6
-        );
+        )
+        .map_err(stdout_error)?;
         self.rows.push(Row {
             name: name.to_string(),
             ns,
             elements,
         });
-    }
-
-    fn median(&self, name: &str) -> f64 {
-        self.rows
-            .iter()
-            .find(|row| row.name == name)
-            .unwrap_or_else(|| panic!("benchmark {name} did not run"))
-            .ns
-            .median
+        Ok(())
     }
 }
 
@@ -281,9 +326,11 @@ fn run() -> Result<(), String> {
     let mut sampler = Sampler {
         samples: sizes.samples,
         rows: Vec::new(),
+        speedups: Vec::new(),
+        out: io::stdout().lock(),
     };
 
-    // K-means: the pruned flat-storage loop vs the retained naive one.
+    // K-means: the retained naive loop vs the pruned flat-storage one.
     {
         // One blob per cluster with wide scatter, seeded with K-means++ so
         // each center lands in its own blob: after the first few
@@ -294,15 +341,21 @@ fn run() -> Result<(), String> {
         let pts = clustered_points(sizes.kmeans_n, sizes.kmeans_dim, sizes.kmeans_k, 30.0, 42);
         let config = KmeansConfig::new(sizes.kmeans_k);
         let elements = Some(sizes.kmeans_n as u64);
-        sampler.time("kmeans/reference", elements, || {
-            let mut rng = StdRng::seed_from_u64(7);
-            kmeans_reference(&pts, config, &Initializer::KmeansPlusPlus, &mut rng)
-                .expect("clustering")
-        });
-        sampler.time("kmeans/pruned_flat", elements, || {
-            let mut rng = StdRng::seed_from_u64(7);
-            kmeans(&pts, config, &Initializer::KmeansPlusPlus, &mut rng, None).expect("clustering")
-        });
+        sampler.pair(
+            "kmeans",
+            ["kmeans/reference", "kmeans/pruned_flat"],
+            elements,
+            || {
+                let mut rng = StdRng::seed_from_u64(7);
+                kmeans_reference(&pts, config, &Initializer::KmeansPlusPlus, &mut rng)
+                    .expect("clustering")
+            },
+            || {
+                let mut rng = StdRng::seed_from_u64(7);
+                kmeans(&pts, config, &Initializer::KmeansPlusPlus, &mut rng, None)
+                    .expect("clustering")
+            },
+        )?;
     }
 
     // Group formation end-to-end: probing + feature matrix + clustering.
@@ -318,7 +371,7 @@ fn run() -> Result<(), String> {
                 &mut rng,
             )
             .expect("formation")
-        });
+        })?;
     }
 
     // Landmark selection alone: L = 25 of 300 caches, M = 4.
@@ -329,7 +382,7 @@ fn run() -> Result<(), String> {
             let prober = Prober::new(network.rtt_matrix(), ProbeConfig::default());
             select_landmarks(&prober, LandmarkSelector::GreedyMaxMin, 25, 4, &mut rng)
                 .expect("selection")
-        });
+        })?;
     }
 
     // Position representation for 85 caches against 15 landmarks: the
@@ -339,20 +392,28 @@ fn run() -> Result<(), String> {
         let landmarks: Vec<usize> = (0..15).collect();
         let nodes: Vec<usize> = (16..=100).collect();
         let elements = Some(nodes.len() as u64);
-        sampler.time("representation/feature_vectors", elements, || {
-            let mut rng = StdRng::seed_from_u64(1);
-            let prober = Prober::new(network.rtt_matrix(), ProbeConfig::default());
-            build_feature_matrix(&prober, &nodes, &landmarks, &mut rng)
-        });
         let gnp = GnpConfig::default()
             .dimensions(7)
             .restarts(1)
             .max_iterations(400);
-        sampler.time("representation/gnp_embedding", elements, || {
-            let mut rng = StdRng::seed_from_u64(1);
-            let prober = Prober::new(network.rtt_matrix(), ProbeConfig::default());
-            embed_network(gnp, &prober, &nodes, &landmarks, &mut rng)
-        });
+        sampler.pair(
+            "gnp_vs_feature_vectors",
+            [
+                "representation/gnp_embedding",
+                "representation/feature_vectors",
+            ],
+            elements,
+            || {
+                let mut rng = StdRng::seed_from_u64(1);
+                let prober = Prober::new(network.rtt_matrix(), ProbeConfig::default());
+                embed_network(gnp, &prober, &nodes, &landmarks, &mut rng)
+            },
+            || {
+                let mut rng = StdRng::seed_from_u64(1);
+                let prober = Prober::new(network.rtt_matrix(), ProbeConfig::default());
+                build_feature_matrix(&prober, &nodes, &landmarks, &mut rng)
+            },
+        )?;
     }
 
     // Trace replay: one big cooperative group, caches small enough that
@@ -364,7 +425,7 @@ fn run() -> Result<(), String> {
         let elements = Some(scenario.trace.len() as u64);
         sampler.time("trace_replay/holder_index", elements, || {
             simulate(&plan, &groups, &mut RunContext::serial()).expect("simulation")
-        });
+        })?;
     }
 
     // Execution order: the paper's shape — many groups of ~20 — one group
@@ -380,7 +441,7 @@ fn run() -> Result<(), String> {
         let elements = Some(scenario.trace.len() as u64);
         sampler.time("sim_order/group_major", elements, || {
             simulate(&plan, &groups, &mut RunContext::serial()).expect("simulation")
-        });
+        })?;
     }
 
     // Utility eviction: the cache's approximate pass + exact verification
@@ -403,40 +464,24 @@ fn run() -> Result<(), String> {
                 victim_cycles(&mut reference, burst, warm, &mut reference_clock),
                 "the cache's victims are not the reference scan's"
             );
-            let name = format!("utility_victim/reference_scan_burst_{burst}");
-            sampler.time(&name, elements, || {
-                victim_cycles(
-                    &mut reference,
-                    burst,
-                    sizes.victim_inserts,
-                    &mut reference_clock,
-                )
-            });
-            sampler.time(
-                &format!("utility_victim/fast_burst_{burst}"),
+            sampler.pair(
+                &format!("utility_victim_burst_{burst}"),
+                [
+                    &format!("utility_victim/reference_scan_burst_{burst}"),
+                    &format!("utility_victim/fast_burst_{burst}"),
+                ],
                 elements,
+                || {
+                    victim_cycles(
+                        &mut reference,
+                        burst,
+                        sizes.victim_inserts,
+                        &mut reference_clock,
+                    )
+                },
                 || victim_cycles(&mut fast, burst, sizes.victim_inserts, &mut fast_clock),
-            );
+            )?;
         }
-    }
-
-    let speedup = |reference: &str, fast: &str| sampler.median(reference) / sampler.median(fast);
-    let victim_speedup = |burst: u64| {
-        speedup(
-            &format!("utility_victim/reference_scan_burst_{burst}"),
-            &format!("utility_victim/fast_burst_{burst}"),
-        )
-    };
-    let kmeans_speedup = speedup("kmeans/reference", "kmeans/pruned_flat");
-    let gnp_speedup = speedup(
-        "representation/gnp_embedding",
-        "representation/feature_vectors",
-    );
-    println!("\nkmeans speedup (pruned_flat vs reference):    {kmeans_speedup:.2}x");
-    println!("GNP embedding cost over feature vectors:       {gnp_speedup:.2}x");
-    for burst in [1, 2, 8] {
-        let speedup = victim_speedup(burst);
-        println!("utility victim speedup, {burst} per insert:         {speedup:.2}x");
     }
 
     let mut w = JsonWriter::new();
@@ -465,17 +510,14 @@ fn run() -> Result<(), String> {
             }
         });
         w.key("speedups").object(|w| {
-            w.key("kmeans").f64(kmeans_speedup);
-            w.key("gnp_vs_feature_vectors").f64(gnp_speedup);
-            for burst in [1, 2, 8] {
-                w.key(&format!("utility_victim_burst_{burst}"))
-                    .f64(victim_speedup(burst));
+            for (key, ratio) in &sampler.speedups {
+                ratio.write(w.key(key));
             }
         });
     });
     let mut doc = w.finish();
     doc.push('\n');
     std::fs::write(out_path, doc).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-    Ok(())
+    writeln!(sampler.out, "wrote {out_path}").map_err(stdout_error)?;
+    sampler.out.flush().map_err(stdout_error)
 }

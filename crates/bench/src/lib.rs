@@ -15,7 +15,8 @@
 //! Results are printed as aligned text tables (one row per x-axis point,
 //! one column per scheme), which is the `EXPERIMENTS.md` source format.
 //! The timing binaries (`bench_hotpaths`, `bench_scale`) share one
-//! sampler, [`sample`], and its [`Summary`].
+//! sampler: [`sample`] read by its [`Summary`], and [`sample_pairs`]
+//! read by its [`Ratio`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +36,7 @@ mod run;
 mod sampler;
 
 pub use run::Run;
-pub use sampler::{sample, Summary};
+pub use sampler::{sample, sample_pairs, Ratio, Summary};
 
 /// A fully built experiment scenario: network + workload + trace.
 #[derive(Debug, Clone)]

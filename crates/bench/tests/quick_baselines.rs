@@ -8,7 +8,7 @@
 #[path = "../../../tests/support/doc.rs"]
 mod doc;
 
-use doc::{arr, assert_context, field, keys, num, read, text};
+use doc::{arr, assert_context, assert_ratios, field, keys, num, read, text};
 use ecg_obs::json::JsonValue;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -57,6 +57,7 @@ fn hotpaths_quick_run_has_the_committed_rows() {
         keys(field(&quick, "speedups")),
         keys(field(&committed, "speedups"))
     );
+    assert_ratios(field(&quick, "speedups"), 1.0);
     for row in arr(&quick, "benchmarks") {
         let name = text(row, "name");
         assert!(num(row, "samples") >= 1.0, "{name}");
@@ -72,10 +73,11 @@ fn hotpaths_quick_run_has_the_committed_rows() {
 #[test]
 fn scale_quick_run_covers_the_smoke_grid() {
     // Every call reproduced its variant's first call (the binary panics
-    // otherwise), at 1 and 2 threads. Quick mode runs mini-batch at
-    // N = 20 000 and tree-assign Lloyd up to N = 8 000 (k = 80: k alone
-    // picks the tree there, and its exact scans run on the neighbour
-    // tables).
+    // otherwise), at one thread and at the host's CPUs (two at least),
+    // and on both engines in the crossover's pairs. Quick mode runs
+    // mini-batch at N = 20 000 and tree-assign Lloyd up to N = 8 000
+    // (k = 80: k alone picks the tree there, and its exact scans run on
+    // the neighbour tables).
     let quick = quick_run(env!("CARGO_BIN_EXE_bench_scale"), "scale.json");
     assert_context(&quick);
     let runs = arr(&quick, "runs");
@@ -106,4 +108,6 @@ fn scale_quick_run_covers_the_smoke_grid() {
         );
         assert!(min <= total && total <= max, "{run:?}");
     }
+    assert_ratios(field(&quick, "tree_vs_blocked"), 1.0);
+    assert_ratios(field(&quick, "end_to_end_speedups"), 1.0);
 }

@@ -5,8 +5,9 @@
 //! health context it was born under) and every per-window
 //! [`DecisionRecord`]. Two runs with the same inputs produce equal
 //! timelines, and [`FormationTimeline::to_json`] renders them to
-//! byte-identical strings — the property the CI determinism matrix
-//! diffs across `ECG_THREADS` settings.
+//! byte-identical strings — the property
+//! `tests/cli.rs::lifecycle_timeline_is_thread_invariant` diffs across
+//! `ECG_THREADS` settings.
 
 use ecg_core::FormationHealth;
 use ecg_obs::json::JsonWriter;

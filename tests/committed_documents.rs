@@ -1,12 +1,14 @@
 //! The committed bench baselines and the committed metrics golden are
 //! well-formed: read with `ecg_obs::json`, they hold the invariants the
-//! documentation quotes. (`ecg-bench`'s own tests hold the smoke runs
-//! to these files' row names and regenerate the golden byte for byte.)
+//! documentation quotes. Every ratio in the bench files is a paired run
+//! of at least 10 pairs, the fewest whose quartiles mean something.
+//! (`ecg-bench`'s own tests hold the smoke runs to these files' row
+//! names and regenerate the golden byte for byte.)
 
 #[path = "support/doc.rs"]
 mod doc;
 
-use doc::{arr, assert_context, field, keys, num, read, text};
+use doc::{arr, assert_context, assert_ratios, field, keys, num, read, text};
 use ecg_obs::json::JsonValue;
 use std::path::Path;
 
@@ -28,6 +30,7 @@ fn the_hotpaths_baseline_is_well_formed() {
         );
         assert!(min <= median && median <= max, "{name}");
     }
+    assert_ratios(field(&doc, "speedups"), 10.0);
 }
 
 #[test]
@@ -62,12 +65,12 @@ fn the_scale_baseline_is_full_mode_and_honest_about_its_host() {
         .iter()
         .flat_map(|n| [16, 25, 32, 50, 64, 100, 200].map(|k| format!("n{n}_k{k}")))
         .collect();
-    let found = keys(crossover);
-    assert_eq!(found, expected.iter().map(String::as_str).collect());
-    for key in found {
-        let ratio = num(crossover, key);
-        assert!(ratio.is_finite() && ratio > 0.0, "{key}: {ratio}");
-    }
+    assert_eq!(
+        keys(crossover),
+        expected.iter().map(String::as_str).collect()
+    );
+    assert_ratios(crossover, 10.0);
+    assert_ratios(field(&doc, "end_to_end_speedups"), 10.0);
 }
 
 #[test]

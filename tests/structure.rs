@@ -1,6 +1,7 @@
 //! Structural claims about the source tree, checked on its text: one
 //! entry point per pipeline, one Lloyd loop, one scheduling loop, one
-//! JSON module, one bench harness, no `unsafe`, and a CI that runs
+//! JSON module, one bench harness, no unchecked print to stdout, no
+//! `unsafe`, and a CI that runs
 //! `cargo test` whole. Each test is one predicate over the files
 //! it names; the shim modules kept for the end-to-end benchmark's old
 //! signatures (`shim.rs`) are exempt where the claim is about the live
@@ -377,6 +378,22 @@ fn the_benches_have_one_harness() {
         ["crates/bench/src/sampler.rs"],
         "clock reads outside the sampler"
     );
+}
+
+#[test]
+fn the_binaries_print_through_a_checked_stdout() {
+    // `println!` panics on a closed stdout; the binaries write through
+    // the locked stdout and map a failed write to `cli::stdout_error`.
+    let mut hits = Vec::new();
+    for path in rust_files(&["src/bin", "crates/bench/src"]) {
+        for (n, line) in read(&path).lines().enumerate() {
+            let code = line.split("//").next().unwrap_or_default();
+            if has_word(code, "println!") || has_word(code, "print!") {
+                hits.push(format!("{}:{}: {line}", rel(&path), n + 1));
+            }
+        }
+    }
+    assert!(hits.is_empty(), "unchecked prints: {hits:#?}");
 }
 
 /// `ci.yml`'s lines, each with the job it sits in (`None` above `jobs:`).

@@ -54,3 +54,18 @@ pub fn assert_context(doc: &JsonValue) {
     assert!(num(context, "logical_cpus") >= 0.0);
     assert!(!text(context, "os").is_empty() && !text(context, "arch").is_empty());
 }
+
+/// Every member of the object `ratios` is a paired-sampler ratio
+/// (`ecg_bench::Ratio`): a finite, positive `median` between its
+/// quartiles, and `0 ≤ wins ≤ pairs` with at least `min_pairs` pairs.
+pub fn assert_ratios(ratios: &JsonValue, min_pairs: f64) {
+    for key in keys(ratios) {
+        let ratio = field(ratios, key);
+        let (q1, median, q3) = (num(ratio, "q1"), num(ratio, "median"), num(ratio, "q3"));
+        assert!(median.is_finite() && median > 0.0, "{key}: {ratio:?}");
+        assert!(q1 <= median && median <= q3, "{key}: {ratio:?}");
+        let (wins, pairs) = (num(ratio, "wins"), num(ratio, "pairs"));
+        assert!(0.0 <= wins && wins <= pairs, "{key}: {ratio:?}");
+        assert!(pairs >= min_pairs, "{key}: {ratio:?}");
+    }
+}
