@@ -448,7 +448,7 @@ fn run() -> Result<(), String> {
     for [a, b] in pairs(quick, widest) {
         if net.as_ref().is_none_or(|&(n, _)| n != a.n) {
             // Node 0 is the origin; n edge caches follow.
-            let oracle = SyntheticRttConfig::default().generate(a.n + 1, 9_000 + a.n as u64);
+            let oracle = SyntheticRttConfig.generate(a.n + 1, 9_000 + a.n as u64);
             net = Some((a.n, oracle));
             baselines.clear();
         }

@@ -33,7 +33,7 @@ pub fn run(run: &mut Run) {
          cells = avg group interaction cost (ms)\n"
     ));
     let network = Scenario::network_only(caches, 9_090);
-    let model = LatencyModel::default();
+    let model = LatencyModel;
 
     let mut table = Table::new([
         "K",

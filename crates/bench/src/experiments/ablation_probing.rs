@@ -30,7 +30,7 @@ pub fn run(run: &mut Run) {
     run.line(format_args!(
         "Ablation: landmark probing vs full measurement (K = N/{k_frac})\n"
     ));
-    let model = LatencyModel::default();
+    let model = LatencyModel;
     let mut table = Table::new([
         "caches",
         "SL_gic",

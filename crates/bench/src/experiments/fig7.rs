@@ -39,7 +39,7 @@ pub fn run(run: &mut Run) {
          ({caches} caches, same 25 greedy landmarks, D = 7)\n"
     ));
     let network = Scenario::network_only(caches, 77_000);
-    let model = LatencyModel::default();
+    let model = LatencyModel;
     let cost = |a: usize, b: usize| {
         model.interaction_cost(
             network.cache_to_cache(ecg_topology::CacheId(a), ecg_topology::CacheId(b)),

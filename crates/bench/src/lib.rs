@@ -135,7 +135,7 @@ impl Scenario {
 /// cost is the latency of moving an 8 KiB (average-sized) document
 /// between them under the default latency model.
 pub fn interaction_cost_ms(outcome: &GroupingOutcome, network: &EdgeNetwork) -> f64 {
-    let model = LatencyModel::default();
+    let model = LatencyModel;
     outcome.average_interaction_cost(|a, b| {
         model.interaction_cost(network.cache_to_cache(a, b), 8.0 * 1024.0)
     })

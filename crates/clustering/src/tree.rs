@@ -166,9 +166,11 @@ use std::time::Instant;
 /// Set by a sweep of Lloyd K-means time over k ∈ {16 … 200} at
 /// N = 5k and 20k, where 64 was the smallest k swept at which the tree
 /// was ≥ 10 % faster at both sizes. `bench_scale` now records that
-/// sweep (`tree_vs_blocked` in `BENCH_scale.json`, table in DESIGN.md),
-/// and its medians put the tree ahead from k = 25, where the neighbour
-/// tables start; the constant moves only on a re-measurement.
+/// sweep as paired tree / blocked ratios (`tree_vs_blocked` in
+/// `BENCH_scale.json`, table in DESIGN.md). At k = 25 the tree is ahead
+/// at N = 5 000 (0.87) but not resolved at N = 20 000 (0.996
+/// [0.91–1.10], ahead in 5 of 10 pairs); from k = 32 it is ahead at both
+/// N in every pair. The constant moves only on a re-measurement.
 pub const TREE_AUTO_MIN_K: usize = 64;
 
 /// A nearest-center engine forced on the assignment scans, whatever
@@ -1348,7 +1350,7 @@ mod tests {
                 let mut centers = grid_matrix(&mut gen, k, dim, &grid);
                 for c in 0..k / 4 {
                     let row: Vec<f64> = (0..dim).map(|_| gen.gen_range(-50.0..50.0)).collect();
-                    centers.set_row(c * 4, &row);
+                    centers.row_mut(c * 4).copy_from_slice(&row);
                 }
                 check_neighbour_tiles(&grid_matrix(&mut gen, 30, dim, &grid), &centers, &label);
                 check_neighbour_tiles(&rand_matrix(&mut gen, 30, dim, 60.0), &centers, &label);

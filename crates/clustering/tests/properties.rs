@@ -793,7 +793,7 @@ fn neighbour_rescans_settle_points_the_repair_moved() {
     let mut points = planar_points(450, 0, 0xE0);
     let spot = points.row(0).to_vec();
     for duplicate in 1..5 {
-        points.set_row(duplicate, &spot);
+        points.row_mut(duplicate).copy_from_slice(&spot);
     }
     let seeds = Initializer::Provided((0..25).collect());
     let obs = assert_neighbour_rescans_change_nothing(&points, KmeansConfig::new(25), &seeds, 0);

@@ -148,15 +148,6 @@ impl FeatureMatrix {
         self.rows += 1;
     }
 
-    /// Overwrites row `i` with `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or `row.len() != dim()`.
-    pub fn set_row(&mut self, i: usize, row: &[f64]) {
-        self.row_mut(i).copy_from_slice(row);
-    }
-
     /// Iterates rows in order as flat slices.
     pub fn iter_rows(&self) -> std::slice::ChunksExact<'_, f64> {
         // chunks_exact(0) panics; an empty matrix with dim 0 has no rows
@@ -233,7 +224,7 @@ mod tests {
         m.push_row(&[1.0, 2.0, 3.0]);
         m.push_row(&[4.0, 5.0, 6.0]);
         assert_eq!(m.len(), 2);
-        m.set_row(0, &[9.0, 8.0, 7.0]);
+        m.row_mut(0).copy_from_slice(&[9.0, 8.0, 7.0]);
         assert_eq!(m.row(0), &[9.0, 8.0, 7.0]);
         m.row_mut(1)[2] = 0.0;
         assert_eq!(m.row(1), &[4.0, 5.0, 0.0]);

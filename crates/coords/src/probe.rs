@@ -1044,7 +1044,10 @@ mod tests {
         let cfg = ProbeConfig::noiseless()
             .probes_per_measurement(3)
             .loss_rate(0.6);
-        let policy = RetryPolicy::default().retries(5);
+        let policy = RetryPolicy {
+            max_retries: 5,
+            ..RetryPolicy::default()
+        };
         let mut rescued = false;
         for seed in 0..200 {
             let probe_a = Prober::new(&m, cfg);
@@ -1074,7 +1077,10 @@ mod tests {
         let faults = ProbeFaults::new().node_down(1);
         let p = Prober::with_faults(&m, ProbeConfig::default(), faults);
         let mut rng = StdRng::seed_from_u64(0);
-        let policy = RetryPolicy::default().retries(10);
+        let policy = RetryPolicy {
+            max_retries: 10,
+            ..RetryPolicy::default()
+        };
         let out = p.measure_retry(0, 1, &policy, &mut rng, None);
         assert!(out.is_unreachable());
         assert_eq!(p.retries(), 0, "dead links must not be retried");
@@ -1092,10 +1098,11 @@ mod tests {
                 .loss_rate(0.999),
         );
         let mut rng = StdRng::seed_from_u64(1);
-        let policy = RetryPolicy::default()
-            .retries(3)
-            .base_backoff_ms(10)
-            .multiplier(2);
+        let policy = RetryPolicy {
+            max_retries: 3,
+            base_backoff_ms: 10,
+            multiplier: 2,
+        };
         let out = p.measure_retry(0, 1, &policy, &mut rng, None);
         assert!(out.is_timeout());
         assert_eq!(p.retries(), 3);
@@ -1118,7 +1125,10 @@ mod tests {
             let _ = p.measure_retry(
                 0,
                 1,
-                &RetryPolicy::default().retries(retries),
+                &RetryPolicy {
+                    max_retries: retries,
+                    ..RetryPolicy::default()
+                },
                 &mut rng,
                 None,
             );
@@ -1133,7 +1143,7 @@ mod tests {
         let cfg = ProbeConfig::noiseless()
             .probes_per_measurement(2)
             .loss_rate(0.999);
-        let policy = RetryPolicy::default().retries(2);
+        let policy = RetryPolicy::default();
         let plain = {
             let p = Prober::new(&m, cfg);
             let mut rng = StdRng::seed_from_u64(4);
@@ -1213,7 +1223,7 @@ mod tests {
 
         // A retried batch on the shared stream records what one
         // retried measurement per cell records.
-        let policy = RetryPolicy::default().retries(2);
+        let policy = RetryPolicy::default();
         let pair = |r: usize, c: usize| (r % 7, (r + c + 1) % 7);
         let batched = Prober::with_faults(&m, config, faults.clone());
         let mut obs = Obs::new();

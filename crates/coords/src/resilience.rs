@@ -169,9 +169,9 @@ impl ProbeFaults {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    max_retries: u32,
-    base_backoff_ms: u64,
-    multiplier: u64,
+    pub(crate) max_retries: u32,
+    pub(crate) base_backoff_ms: u64,
+    pub(crate) multiplier: u64,
 }
 
 impl Default for RetryPolicy {
@@ -198,30 +198,6 @@ impl RetryPolicy {
             base_backoff_ms: 0,
             multiplier: 1,
         }
-    }
-
-    /// Sets the number of retries after the initial attempt.
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Sets the backoff before the first retry, in virtual
-    /// milliseconds.
-    pub fn base_backoff_ms(mut self, ms: u64) -> Self {
-        self.base_backoff_ms = ms;
-        self
-    }
-
-    /// Sets the backoff growth factor per retry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `multiplier == 0`.
-    pub fn multiplier(mut self, multiplier: u64) -> Self {
-        assert!(multiplier > 0, "backoff multiplier must be positive");
-        self.multiplier = multiplier;
-        self
     }
 
     /// Number of retries after the initial attempt.
@@ -377,10 +353,11 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially() {
-        let p = RetryPolicy::new()
-            .retries(3)
-            .base_backoff_ms(10)
-            .multiplier(3);
+        let p = RetryPolicy {
+            max_retries: 3,
+            base_backoff_ms: 10,
+            multiplier: 3,
+        };
         assert_eq!(p.backoff_before_ms(1), 10);
         assert_eq!(p.backoff_before_ms(2), 30);
         assert_eq!(p.backoff_before_ms(3), 90);
@@ -393,17 +370,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multiplier")]
-    fn zero_multiplier_rejected() {
-        let _ = RetryPolicy::default().multiplier(0);
-    }
-
-    #[test]
     fn backoff_saturates_instead_of_overflowing() {
-        let p = RetryPolicy::new()
-            .retries(200)
-            .base_backoff_ms(u64::MAX)
-            .multiplier(2);
+        let p = RetryPolicy {
+            max_retries: 200,
+            base_backoff_ms: u64::MAX,
+            multiplier: 2,
+        };
         assert_eq!(p.backoff_before_ms(100), u64::MAX);
         assert_eq!(p.backoff_before_ms(200), u64::MAX);
     }

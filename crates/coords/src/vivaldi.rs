@@ -16,9 +16,12 @@ use rand::Rng;
 pub struct VivaldiConfig {
     dimensions: usize,
     rounds: usize,
-    cc: f64,
-    ce: f64,
 }
+
+/// The Vivaldi paper's coordinate adaptation constant `cc`.
+const CC: f64 = 0.25;
+/// The Vivaldi paper's error adaptation constant `ce`.
+const CE: f64 = 0.25;
 
 impl Default for VivaldiConfig {
     /// The constants from the Vivaldi paper: `cc = ce = 0.25`, 3-D
@@ -27,8 +30,6 @@ impl Default for VivaldiConfig {
         VivaldiConfig {
             dimensions: 3,
             rounds: 100,
-            cc: 0.25,
-            ce: 0.25,
         }
     }
 }
@@ -54,18 +55,6 @@ impl VivaldiConfig {
     /// once against a random peer).
     pub fn rounds(mut self, rounds: usize) -> Self {
         self.rounds = rounds;
-        self
-    }
-
-    /// Sets the coordinate adaptation constant `cc`.
-    pub fn cc(mut self, cc: f64) -> Self {
-        self.cc = cc;
-        self
-    }
-
-    /// Sets the error adaptation constant `ce`.
-    pub fn ce(mut self, ce: f64) -> Self {
-        self.ce = ce;
         self
     }
 }
@@ -123,21 +112,14 @@ pub fn run_vivaldi<R: Rng + ?Sized>(
                 j += 1;
             }
             let rtt = prober.measure(nodes[i], nodes[j], rng, None);
-            update(&mut states, i, j, rtt, config, rng);
+            update(&mut states, i, j, rtt, rng);
         }
     }
     states
 }
 
 /// One Vivaldi update of node `i` against node `j` with measured `rtt`.
-fn update<R: Rng + ?Sized>(
-    states: &mut [VivaldiNode],
-    i: usize,
-    j: usize,
-    rtt: f64,
-    config: VivaldiConfig,
-    rng: &mut R,
-) {
+fn update<R: Rng + ?Sized>(states: &mut [VivaldiNode], i: usize, j: usize, rtt: f64, rng: &mut R) {
     let d = states[i].coords.len();
     let (xi, xj) = (states[i].coords.clone(), states[j].coords.clone());
     let dist: f64 = xi
@@ -157,7 +139,7 @@ fn update<R: Rng + ?Sized>(
     } else {
         0.0
     };
-    states[i].error = (rel * config.ce * w + ei * (1.0 - config.ce * w)).clamp(0.0, 10.0);
+    states[i].error = (rel * CE * w + ei * (1.0 - CE * w)).clamp(0.0, 10.0);
 
     // Unit vector from j to i; random direction if the nodes coincide.
     let mut dir: Vec<f64> = if dist > f64::EPSILON {
@@ -167,7 +149,7 @@ fn update<R: Rng + ?Sized>(
         let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
         v.into_iter().map(|x| x / norm).collect()
     };
-    let delta = config.cc * w * (rtt - dist);
+    let delta = CC * w * (rtt - dist);
     for (c, dval) in states[i].coords.iter_mut().zip(dir.iter_mut()) {
         *c += delta * *dval;
     }

@@ -20,27 +20,25 @@ use std::fmt;
 ///
 /// ```
 /// use ecg_core::ResilienceConfig;
-/// use ecg_coords::RetryPolicy;
 ///
-/// let cfg = ResilienceConfig::default()
-///     .retry(RetryPolicy::default().retries(3))
-///     .min_observed_features(2);
-/// assert_eq!(cfg.retry_policy().max_retries(), 3);
+/// let cfg = ResilienceConfig::default();
+/// assert_eq!(cfg.retry_policy().max_retries(), 2);
+/// assert_eq!(cfg.min_observed(), 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResilienceConfig {
     retry: RetryPolicy,
-    min_observed_features: usize,
 }
 
+/// The quarantine floor: a cache that observed at least one landmark is
+/// still clustered (masked), one that observed none is quarantined.
+const MIN_OBSERVED_FEATURES: usize = 1;
+
 impl Default for ResilienceConfig {
-    /// The default [`RetryPolicy`] and a one-feature quarantine floor:
-    /// a cache that observed at least one landmark is still clustered
-    /// (masked), one that observed none is quarantined.
+    /// The default [`RetryPolicy`] and a one-feature quarantine floor.
     fn default() -> Self {
         ResilienceConfig {
             retry: RetryPolicy::default(),
-            min_observed_features: 1,
         }
     }
 }
@@ -51,26 +49,6 @@ impl ResilienceConfig {
         Self::default()
     }
 
-    /// Sets the probe retry policy.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
-    /// Sets the minimum number of observed feature-vector components a
-    /// cache needs to participate in clustering; below it the cache is
-    /// quarantined to the nearest-landmark fallback group.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min == 0` (a zero-observation row cannot be placed at
-    /// all and is always quarantined).
-    pub fn min_observed_features(mut self, min: usize) -> Self {
-        assert!(min > 0, "quarantine floor must be at least 1");
-        self.min_observed_features = min;
-        self
-    }
-
     /// The probe retry policy.
     pub fn retry_policy(&self) -> &RetryPolicy {
         &self.retry
@@ -78,7 +56,7 @@ impl ResilienceConfig {
 
     /// The quarantine floor.
     pub fn min_observed(&self) -> usize {
-        self.min_observed_features
+        MIN_OBSERVED_FEATURES
     }
 }
 
@@ -163,12 +141,6 @@ mod tests {
         let cfg = ResilienceConfig::new();
         assert_eq!(cfg.retry_policy(), &RetryPolicy::default());
         assert_eq!(cfg.min_observed(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "quarantine floor")]
-    fn zero_quarantine_floor_is_rejected() {
-        let _ = ResilienceConfig::new().min_observed_features(0);
     }
 
     #[test]

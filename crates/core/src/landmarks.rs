@@ -670,7 +670,7 @@ mod tests {
         // so the PLSet's 180 300 pairs are measured in many spans — and
         // the same winners must be elected at any thread count.
         use ecg_topology::SyntheticRttConfig;
-        let net = SyntheticRttConfig::default().generate(701, 42);
+        let net = SyntheticRttConfig.generate(701, 42);
         let run = |threads: Option<usize>| {
             ecg_par::set_max_threads(threads);
             let p = Prober::new(&net, ProbeConfig::noiseless());

@@ -463,20 +463,6 @@ impl GroupMaintainer {
         })
     }
 
-    /// Returns `true` once drift exceeds `threshold` — the signal to run
-    /// the full scheme again.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MaintenanceError`] from [`GroupMaintainer::drift`].
-    pub fn needs_reformation(
-        &self,
-        network: &EdgeNetwork,
-        threshold: f64,
-    ) -> Result<bool, MaintenanceError> {
-        Ok(self.drift(network)? > threshold)
-    }
-
     /// Re-clusters only the groups flagged degraded, in place, while
     /// everything else keeps its membership — the middle ground between
     /// per-cache maintenance and a full re-run of the scheme.
@@ -856,7 +842,6 @@ mod tests {
         let (network, m, _) = formed();
         let drift = m.drift(&network).unwrap();
         assert!((drift - 1.0).abs() < 1e-9, "drift {drift}");
-        assert!(!m.needs_reformation(&network, 1.2).unwrap());
     }
 
     #[test]
@@ -867,7 +852,6 @@ mod tests {
         m.admit(&grown, &mut rng, None).unwrap();
         let drift = m.drift(&grown).unwrap();
         assert!(drift > 1.5, "drift {drift}");
-        assert!(m.needs_reformation(&grown, 1.2).unwrap());
     }
 
     #[test]

@@ -1117,7 +1117,7 @@ mod tests {
     #[test]
     fn scaled_pipeline_rejects_zero_groups() {
         use ecg_topology::SyntheticRttConfig;
-        let net = SyntheticRttConfig::default().generate(11, 1);
+        let net = SyntheticRttConfig.generate(11, 1);
         for cfg in [SchemeConfig::sl(0), SchemeConfig::sdsl(0, 1.5)] {
             let err =
                 form_per_row(&net, &cfg.landmarks(4), &mut StdRng::seed_from_u64(0)).unwrap_err();
@@ -1291,13 +1291,12 @@ mod tests {
     #[test]
     fn resilient_pipeline_retries_through_loss() {
         use crate::health::ResilienceConfig;
-        use ecg_coords::RetryPolicy;
         let net = figure1_network();
         let cfg = SchemeConfig::sl(3)
             .landmarks(3)
             .plset_multiplier(2)
             .probe(ProbeConfig::noiseless().loss_rate(0.45).timeout_ms(500.0))
-            .resilience(ResilienceConfig::default().retry(RetryPolicy::default().retries(4)));
+            .resilience(ResilienceConfig::default());
         let mut retried = 0u64;
         for seed in 0..20u64 {
             let outcome = form_on(&net, &cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
@@ -1311,7 +1310,7 @@ mod tests {
     #[test]
     fn scaled_pipeline_forms_valid_groups_with_timings() {
         use ecg_topology::SyntheticRttConfig;
-        let net = SyntheticRttConfig::default().generate(301, 9);
+        let net = SyntheticRttConfig.generate(301, 9);
         let cfg = noiseless(SchemeConfig::sl(10).landmarks(8).plset_multiplier(4));
         let plan = FormPlan::new(&net, &cfg).per_row();
         let mut ctx = FormContext::new();
@@ -1341,7 +1340,7 @@ mod tests {
     #[test]
     fn stats_are_zero_before_a_run_and_populated_after() {
         use ecg_topology::SyntheticRttConfig;
-        let net = SyntheticRttConfig::default().generate(2_001, 4);
+        let net = SyntheticRttConfig.generate(2_001, 4);
         let cfg = SchemeConfig::sl(100).landmarks(8);
         for plan in [
             FormPlan::new(&net, &cfg),
@@ -1393,7 +1392,7 @@ mod tests {
     fn scaled_pipeline_is_thread_count_invariant_for_both_variants() {
         use ecg_clustering::{KmeansVariant, MiniBatchConfig};
         use ecg_topology::SyntheticRttConfig;
-        let net = SyntheticRttConfig::default().generate(401, 77);
+        let net = SyntheticRttConfig.generate(401, 77);
         for variant in [
             KmeansVariant::Lloyd,
             KmeansVariant::MiniBatch(MiniBatchConfig::default().batch_size(128).iterations(15)),
@@ -1428,7 +1427,7 @@ mod tests {
     #[test]
     fn scaled_pipeline_rejects_too_many_groups() {
         use ecg_topology::SyntheticRttConfig;
-        let net = SyntheticRttConfig::default().generate(11, 1);
+        let net = SyntheticRttConfig.generate(11, 1);
         let cfg = SchemeConfig::sl(50).landmarks(4);
         let err = form_per_row(&net, &cfg, &mut StdRng::seed_from_u64(0)).unwrap_err();
         assert_eq!(
@@ -1455,7 +1454,7 @@ mod tests {
     #[test]
     fn scaled_pipeline_honours_the_representation() {
         use ecg_topology::SyntheticRttConfig;
-        let net = SyntheticRttConfig::default().generate(41, 5);
+        let net = SyntheticRttConfig.generate(41, 5);
         let cfg = SchemeConfig::sdsl(4, 1.0)
             .landmarks(5)
             .plset_multiplier(2)

@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn the_scaled_shim_is_the_per_row_form() {
-        let source = SyntheticRttConfig::default().generate(121, 3);
+        let source = SyntheticRttConfig.generate(121, 3);
         let config = SchemeConfig::sdsl(6, 1.0).landmarks(5).plset_multiplier(3);
         let coordinator = GfCoordinator::new(config.clone());
         at_thread_counts(|threads| {

@@ -253,11 +253,6 @@ impl FaultPlan {
         self.probe_loss_rate
     }
 
-    /// The lost-probe timeout, if [`FaultPlan::probe_loss`] was set.
-    pub fn probe_timeout(&self) -> Option<f64> {
-        self.probe_timeout_ms
-    }
-
     /// Serializes the plan to a deterministic single-line JSON object.
     ///
     /// Equal plans always produce byte-identical strings (fixed key
@@ -565,8 +560,6 @@ mod tests {
         assert_eq!(plan.failover_penalty(), 9.0);
         assert_eq!(plan.timeline_bucket(), 250.0);
         assert_eq!(plan.probe_loss_rate(), 0.1);
-        assert_eq!(plan.probe_timeout(), Some(750.0));
-        assert_eq!(FaultPlan::new().probe_timeout(), None);
     }
 
     #[test]

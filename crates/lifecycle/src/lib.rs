@@ -25,7 +25,6 @@
 //! A quiet network needs exactly one formation:
 //!
 //! ```
-//! use ecg_coords::ProbeConfig;
 //! use ecg_core::SchemeConfig;
 //! use ecg_lifecycle::{FormationSupervisor, SupervisorConfig};
 //! use ecg_sim::FaultSchedule;
@@ -33,10 +32,8 @@
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let network = EdgeNetwork::from_rtt_matrix(paper_figure1());
-//! let supervisor = FormationSupervisor::new(
-//!     SupervisorConfig::new(SchemeConfig::sl(3).landmarks(3))
-//!         .probe(ProbeConfig::noiseless()),
-//! );
+//! let supervisor =
+//!     FormationSupervisor::new(SupervisorConfig::new(SchemeConfig::sl(3).landmarks(3)));
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let timeline =
 //!     supervisor.run(&network, &FaultSchedule::new(), 60_000.0, &mut rng, None)?;

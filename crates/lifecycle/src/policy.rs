@@ -221,50 +221,6 @@ impl ReformPolicy {
         }
     }
 
-    /// Sets the drift ratio above which a *full* re-formation is
-    /// preferred over a partial one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `drift` is below 1 or NaN.
-    pub fn full_reform_drift(mut self, drift: f64) -> Self {
-        assert!(drift >= 1.0 && !drift.is_nan(), "drift must be >= 1");
-        self.full_reform_drift = drift;
-        self
-    }
-
-    /// Sets how many landmark losses (retired landmarks plus currently
-    /// dead ones) in a window trigger a partial re-formation.
-    pub fn landmark_threshold(mut self, count: u64) -> Self {
-        self.landmark_threshold = count;
-        self
-    }
-
-    /// Sets how many skipped retirements in a window trigger a partial
-    /// re-formation.
-    pub fn skip_threshold(mut self, count: u64) -> Self {
-        self.skip_threshold = count;
-        self
-    }
-
-    /// Sets the post-re-formation cooldown, in windows.
-    pub fn cooldown_windows(mut self, windows: u32) -> Self {
-        self.cooldown_windows = windows;
-        self
-    }
-
-    /// Caps re-formations at `budget` per rolling `span` windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `span` is zero.
-    pub fn reform_budget(mut self, budget: u32, span: u32) -> Self {
-        assert!(span > 0, "budget span must be positive");
-        self.reform_budget = budget;
-        self.budget_span_windows = span;
-        self
-    }
-
     /// Fresh per-run mutable state for this policy.
     pub fn state(&self) -> PolicyState {
         PolicyState {
@@ -390,7 +346,11 @@ mod tests {
 
     #[test]
     fn hysteresis_latches_and_releases() {
-        let mut state = ReformPolicy::balanced().cooldown_windows(0).state();
+        let mut state = ReformPolicy {
+            cooldown_windows: 0,
+            ..ReformPolicy::balanced()
+        }
+        .state();
         assert_eq!(state.decide(&drift(1.3)).decision, ReformDecision::Repair);
         assert!(!state.is_latched());
         assert_eq!(
@@ -440,10 +400,13 @@ mod tests {
 
     #[test]
     fn budget_caps_reformations_per_span() {
-        let mut state = ReformPolicy::balanced()
-            .cooldown_windows(0)
-            .reform_budget(2, 6)
-            .state();
+        let mut state = ReformPolicy {
+            cooldown_windows: 0,
+            reform_budget: 2,
+            budget_span_windows: 6,
+            ..ReformPolicy::balanced()
+        }
+        .state();
         let mut reforms = 0;
         let mut demoted = 0;
         for _ in 0..6 {

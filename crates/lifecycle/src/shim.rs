@@ -36,7 +36,6 @@ mod tests {
     use super::*;
     use crate::supervisor::SupervisorConfig;
     use crate::ReformPolicy;
-    use ecg_coords::ProbeConfig;
     use ecg_core::SchemeConfig;
     use ecg_faults::FaultPlan;
     use ecg_topology::{CacheId, OriginPlacement, TransitStubConfig};
@@ -55,7 +54,6 @@ mod tests {
             .schedule();
         let supervisor = FormationSupervisor::new(
             SupervisorConfig::new(SchemeConfig::sdsl(4, 1.0).landmarks(5))
-                .probe(ProbeConfig::default())
                 .policy(ReformPolicy::eager()),
         );
         for threads in [1, 2, 8] {

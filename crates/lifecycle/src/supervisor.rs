@@ -109,13 +109,6 @@ impl SupervisorConfig {
         }
     }
 
-    /// Sets the probe configuration, used both by formation runs and by
-    /// per-cache maintenance probing.
-    pub fn probe(mut self, probe: ProbeConfig) -> Self {
-        self.probe = probe;
-        self
-    }
-
     /// Sets the maintenance window width, ms (validated at run time).
     pub fn step_ms(mut self, ms: f64) -> Self {
         self.step_ms = ms;
@@ -443,12 +436,18 @@ mod tests {
         EdgeNetwork::from_rtt_matrix(paper_figure1())
     }
 
+    fn noiseless(config: SupervisorConfig) -> SupervisorConfig {
+        SupervisorConfig {
+            probe: ProbeConfig::noiseless(),
+            ..config
+        }
+    }
+
     fn supervisor(policy: ReformPolicy) -> FormationSupervisor {
-        FormationSupervisor::new(
+        FormationSupervisor::new(noiseless(
             SupervisorConfig::new(SchemeConfig::sl(3).landmarks(3).plset_multiplier(2))
-                .probe(ProbeConfig::noiseless())
                 .policy(policy),
-        )
+        ))
     }
 
     #[test]
@@ -518,16 +517,15 @@ mod tests {
         use ecg_coords::GnpConfig;
         use ecg_core::Representation;
         let gnp = Representation::Gnp(GnpConfig::default().dimensions(2).restarts(1));
-        let sup = FormationSupervisor::new(
+        let sup = FormationSupervisor::new(noiseless(
             SupervisorConfig::new(
                 SchemeConfig::sl(3)
                     .landmarks(3)
                     .plset_multiplier(2)
                     .representation(gnp),
             )
-            .probe(ProbeConfig::noiseless())
             .policy(ReformPolicy::eager()),
-        );
+        ));
         let schedule = FaultPlan::new()
             .crash(CacheId(0), 11_000.0, 60_000.0)
             .retire(CacheId(3), 21_000.0)
@@ -621,9 +619,9 @@ mod tests {
 
     #[test]
     fn zero_groups_are_a_typed_error() {
-        let sup = FormationSupervisor::new(
-            SupervisorConfig::new(SchemeConfig::sl(0).landmarks(3)).probe(ProbeConfig::noiseless()),
-        );
+        let sup = FormationSupervisor::new(noiseless(SupervisorConfig::new(
+            SchemeConfig::sl(0).landmarks(3),
+        )));
         let err = sup
             .run(
                 &network(),

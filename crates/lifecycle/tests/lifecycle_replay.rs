@@ -6,7 +6,6 @@
 //! a churny stream produces a multi-epoch timeline whose run is
 //! byte-identical across thread counts.
 
-use ecg_coords::ProbeConfig;
 use ecg_core::SchemeConfig;
 use ecg_faults::FaultPlan;
 use ecg_lifecycle::{FormationSupervisor, ReformPolicy, SupervisorConfig};
@@ -29,9 +28,7 @@ fn fixture() -> (EdgeNetwork, ecg_workload::DocumentCatalog, Vec<TraceEvent>) {
 
 fn supervisor(policy: ReformPolicy) -> FormationSupervisor {
     FormationSupervisor::new(
-        SupervisorConfig::new(SchemeConfig::sl(3).landmarks(3).plset_multiplier(2))
-            .probe(ProbeConfig::noiseless())
-            .policy(policy),
+        SupervisorConfig::new(SchemeConfig::sl(3).landmarks(3).plset_multiplier(2)).policy(policy),
     )
 }
 

@@ -849,7 +849,7 @@ mod tests {
 
     #[test]
     fn member_network_is_the_same_over_an_oracle_and_its_materialization() {
-        let rtt = SyntheticRttConfig::default().generate(9, 5);
+        let rtt = SyntheticRttConfig.generate(9, 5);
         let full = RttMatrix::from_fn(9, |a, b| rtt.rtt_ms(a, b));
         let members = [CacheId(5), CacheId(0), CacheId(7)];
         let mut store = GroupStore::default();

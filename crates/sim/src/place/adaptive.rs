@@ -54,30 +54,6 @@ impl Default for AdaptiveConfig {
     }
 }
 
-impl AdaptiveConfig {
-    /// Sets the decay time constant in milliseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless positive and finite.
-    pub fn tau_ms(mut self, tau_ms: f64) -> Self {
-        assert!(tau_ms.is_finite() && tau_ms > 0.0, "tau must be positive");
-        self.tau_ms = tau_ms;
-        self
-    }
-
-    /// Sets the in-group replica cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    pub fn max_replicas(mut self, max: usize) -> Self {
-        assert!(max > 0, "need at least one replica");
-        self.max_replicas = max;
-        self
-    }
-}
-
 /// Per-document estimator state.
 #[derive(Debug, Clone, Copy, Default)]
 struct DocState {
@@ -210,9 +186,17 @@ mod tests {
         v
     }
 
+    /// The default thresholds with a 1 s decay constant.
+    const FAST: AdaptiveConfig = AdaptiveConfig {
+        tau_ms: 1_000.0,
+        promote: 3.0,
+        demote: 1.5,
+        max_replicas: 4,
+    };
+
     #[test]
     fn score_decays_between_requests() {
-        let mut p = AdaptiveReplication::new(AdaptiveConfig::default().tau_ms(1_000.0), 4);
+        let mut p = AdaptiveReplication::new(FAST, 4);
         p.on_local_hit(DocId(0), 0.0);
         assert!((p.score(DocId(0)) - 1.0).abs() < 1e-12);
         p.on_local_hit(DocId(0), 1_000.0);
@@ -228,7 +212,7 @@ mod tests {
         let cfg = AdaptiveConfig {
             promote: 2.5,
             demote: 1.2,
-            ..AdaptiveConfig::default().tau_ms(1_000.0)
+            ..FAST
         };
         let mut p = AdaptiveReplication::new(cfg, 2);
         // Rapid-fire requests push the score over the promote bar.
@@ -244,7 +228,7 @@ mod tests {
 
     #[test]
     fn cold_docs_serve_remote_hot_docs_replicate() {
-        let mut p = AdaptiveReplication::new(AdaptiveConfig::default().tau_ms(1_000.0), 2);
+        let mut p = AdaptiveReplication::new(FAST, 2);
         let c = cands(1);
         assert_eq!(
             p.on_peer_hit(DocId(0), 0.0, &c, CacheId(1)),
@@ -261,7 +245,10 @@ mod tests {
 
     #[test]
     fn replica_cap_stops_growth() {
-        let cfg = AdaptiveConfig::default().tau_ms(1_000.0).max_replicas(3);
+        let cfg = AdaptiveConfig {
+            max_replicas: 3,
+            ..FAST
+        };
         let mut p = AdaptiveReplication::new(cfg, 2);
         for i in 0..10 {
             p.on_local_hit(DocId(0), i as f64);

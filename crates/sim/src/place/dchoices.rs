@@ -46,25 +46,6 @@ impl Default for DChoicesConfig {
     }
 }
 
-impl DChoicesConfig {
-    /// Sets the number of sampled candidates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    pub fn d(mut self, d: usize) -> Self {
-        assert!(d > 0, "need at least one choice");
-        self.d = d;
-        self
-    }
-
-    /// Sets the master RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
 /// Proximity-aware power-of-d-choices placement.
 ///
 /// # Examples
@@ -74,7 +55,7 @@ impl DChoicesConfig {
 /// use ecg_topology::CacheId;
 /// use ecg_workload::DocId;
 ///
-/// let mut policy = ProximityDChoices::new(DChoicesConfig::default().d(3));
+/// let mut policy = ProximityDChoices::new(DChoicesConfig { d: 3, seed: 0 });
 /// let candidates = vec![
 ///     Candidate { cache: CacheId(0), rtt_ms: 0.0, used_bytes: 9_000, holds: false },
 ///     Candidate { cache: CacheId(1), rtt_ms: 2.0, used_bytes: 100, holds: false },
@@ -206,14 +187,14 @@ mod tests {
     fn full_sample_picks_least_loaded() {
         // d >= group size: sampling covers everyone, so the pick is
         // deterministic regardless of the RNG draws.
-        let mut p = ProximityDChoices::new(DChoicesConfig::default().d(8));
+        let mut p = ProximityDChoices::new(DChoicesConfig { d: 8, seed: 0 });
         let c = vec![cand(0, 0.0, 500), cand(1, 9.0, 20), cand(2, 1.0, 300)];
         assert_eq!(p.on_origin_fetch(DocId(0), 0.0, &c), CacheId(1));
     }
 
     #[test]
     fn load_ties_break_by_rtt_then_id() {
-        let mut p = ProximityDChoices::new(DChoicesConfig::default().d(8));
+        let mut p = ProximityDChoices::new(DChoicesConfig { d: 8, seed: 0 });
         let c = vec![cand(2, 4.0, 100), cand(0, 0.0, 100), cand(1, 4.0, 100)];
         // All loads equal: requester (rtt 0) wins.
         assert_eq!(p.on_origin_fetch(DocId(0), 0.0, &c), CacheId(0));
@@ -231,7 +212,7 @@ mod tests {
             cand(3, 12.0, 200),
         ];
         let run = |seed: u64| {
-            let mut p = ProximityDChoices::new(DChoicesConfig::default().seed(seed));
+            let mut p = ProximityDChoices::new(DChoicesConfig { d: 2, seed });
             (0..50)
                 .map(|i| p.on_origin_fetch(DocId(i), i as f64, &c).0)
                 .collect::<Vec<_>>()
@@ -245,7 +226,7 @@ mod tests {
         // With d = 1 the pick is pure proximity-weighted sampling; the
         // rtt-0 requester (weight 1.0) must beat the rtt-99 peer
         // (weight 0.01) almost always.
-        let mut p = ProximityDChoices::new(DChoicesConfig::default().d(1));
+        let mut p = ProximityDChoices::new(DChoicesConfig { d: 1, seed: 0 });
         let c = vec![cand(0, 0.0, 0), cand(1, 99.0, 0)];
         let near = (0..200)
             .filter(|&i| p.on_origin_fetch(DocId(i), 0.0, &c) == CacheId(0))
@@ -257,7 +238,7 @@ mod tests {
     fn spread_beats_requester_only_placement() {
         // Sanity: under repeated fetches with an overloaded requester,
         // d-choices routinely places away from it.
-        let mut p = ProximityDChoices::new(DChoicesConfig::default().d(3));
+        let mut p = ProximityDChoices::new(DChoicesConfig { d: 3, seed: 0 });
         let c = vec![
             cand(0, 0.0, 1_000_000),
             cand(1, 2.0, 10),

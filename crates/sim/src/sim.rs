@@ -121,7 +121,6 @@ pub enum Lookup {
 pub struct SimConfig {
     cache_capacity_bytes: u64,
     policy: PolicyKind,
-    latency: LatencyModel,
     warmup_ms: f64,
     freshness: FreshnessProtocol,
     placement: PlacementKind,
@@ -129,12 +128,11 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     /// 1 MiB per cache, utility-based replacement (the paper's setting),
-    /// default latency model, no warm-up exclusion.
+    /// no warm-up exclusion.
     fn default() -> Self {
         SimConfig {
             cache_capacity_bytes: 1 << 20,
             policy: PolicyKind::Utility,
-            latency: LatencyModel::default(),
             warmup_ms: 0.0,
             freshness: FreshnessProtocol::InvalidateOnAccess,
             placement: PlacementKind::SingleHolder,
@@ -162,12 +160,6 @@ impl SimConfig {
     /// Sets the replacement policy used by every cache.
     pub fn policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the network latency model.
-    pub fn latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
         self
     }
 
@@ -582,7 +574,7 @@ pub(crate) fn kernel(
     // after the loop, as the driver folds each group's recorder into
     // the run's: every f64 sum is then one group's chain.
     let mut degradation = DegradationMetrics::new(schedule.timeline_bucket());
-    let model = config.latency;
+    let model = LatencyModel;
     let warmup = SimTime::from_ms(config.warmup_ms);
 
     // Fault state. `live.down[c]` covers both transient crashes and
@@ -1525,7 +1517,7 @@ mod tests {
         let grouped_latency = report.metrics.per_cache()[0].latency_sum_ms;
         let solo_latency = solo.metrics.per_cache()[0].latency_sum_ms;
         // Extra cost = slowest negative reply (17 ms) + 2-peer fan-out.
-        let fanout = LatencyModel::default().query_fanout(2);
+        let fanout = LatencyModel.query_fanout(2);
         assert!((grouped_latency - solo_latency - 17.0 - fanout).abs() < 1e-6);
     }
 
@@ -1666,7 +1658,7 @@ mod tests {
             request(300.0, 0, 4), // Ec2 retired: Ec1 only
         ];
         let expected = [(2usize, 17.0), (1, 4.0), (2, 17.0), (1, 4.0)];
-        let model = LatencyModel::default();
+        let model = LatencyModel;
         for lookup in [Lookup::Ranked, Lookup::NearestFirst] {
             let config = SimConfig::default();
             // Latency of request k = Ec0's latency sum over the first
@@ -1784,7 +1776,7 @@ mod tests {
         assert_eq!(report.metrics.stale_served, 0);
         let ec0 = report.metrics.per_cache()[0];
         assert_eq!(ec0.peer_hits, 1);
-        let model = LatencyModel::default();
+        let model = LatencyModel;
         let size = catalog(10).document(DocId(5)).size_bytes;
         let want = model.query_fanout(3) + model.transfer(14.4, size);
         assert!((ec0.latency_sum_ms - want).abs() < 1e-9);
@@ -1810,7 +1802,7 @@ mod tests {
         assert_eq!(report.metrics.stale_served, 1);
         let ec0 = report.metrics.per_cache()[0];
         assert_eq!(ec0.peer_hits, 1);
-        let model = LatencyModel::default();
+        let model = LatencyModel;
         let size = catalog(10).document(DocId(5)).size_bytes;
         let want = model.query_fanout(3) + model.transfer(14.4, size);
         assert!((ec0.latency_sum_ms - want).abs() < 1e-9);
@@ -1831,7 +1823,7 @@ mod tests {
         assert_eq!(report.origin_fetches, 2);
         let ec0 = report.metrics.per_cache()[0];
         assert_eq!(ec0.origin_fetches, 1);
-        let model = LatencyModel::default();
+        let model = LatencyModel;
         let size = catalog(10).document(DocId(5)).size_bytes;
         let want = model.query_fanout(3) + 17.0 + model.origin_fetch(12.0, size);
         assert!((ec0.latency_sum_ms - want).abs() < 1e-9);
@@ -1857,9 +1849,7 @@ mod tests {
             .generate(&cat, 6, 600_000.0, &mut rng);
         let updates = ecg_workload::generate_updates(&cat, 600_000.0, &mut rng);
         let trace = merge_streams(&requests, &updates);
-        let config = SimConfig::default()
-            .cache_capacity_bytes(1 << 22)
-            .latency(LatencyModel::default().bandwidth_mbps(100.0));
+        let config = SimConfig::default().cache_capacity_bytes(1 << 22);
 
         let paired = GroupMap::new(
             6,

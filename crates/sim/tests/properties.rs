@@ -8,8 +8,8 @@ use ecg_cache::PolicyKind;
 use ecg_obs::Obs;
 use ecg_sim::{
     simulate, simulate_epochs, CacheAggregate, DChoicesConfig, EpochReplayError, FaultKind,
-    FaultSchedule, FreshnessProtocol, GroupMap, LatencyModel, Lookup, PlacementKind, ReplayEpoch,
-    RunContext, SimConfig, SimError, SimPlan, SimReport, StreamedWorkload,
+    FaultSchedule, FreshnessProtocol, GroupMap, Lookup, PlacementKind, ReplayEpoch, RunContext,
+    SimConfig, SimError, SimPlan, SimReport, StreamedWorkload,
 };
 use ecg_topology::fixtures::paper_figure1;
 use ecg_topology::{CacheId, EdgeNetwork, RttMatrix};
@@ -1023,7 +1023,7 @@ fn placement_sees_the_specs_candidates() {
     };
     let trace = [request(0.0, 2, 0), request(10.0, 2, 1), request(20.0, 1, 1)];
     let settings = Settings {
-        placement: PlacementKind::DChoices(DChoicesConfig::default().d(3)),
+        placement: PlacementKind::DChoices(DChoicesConfig { d: 3, seed: 0 }),
         ..Settings::default()
     };
     let report = serial_matches_spec(&flat, &descending, &cat, &trace, settings, &none);
@@ -1563,26 +1563,6 @@ proptest! {
         prop_assert!(
             fast_report.average_latency_ms() <= slow_report.average_latency_ms() + 1e-9
         );
-    }
-
-    #[test]
-    fn higher_bandwidth_is_never_slower(
-        seed in any::<u64>(),
-        caches in 2usize..6,
-    ) {
-        let net = arb_network(seed, caches);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let cat = CatalogConfig::default().documents(40).generate(&mut rng);
-        let requests = RequestConfig::default().generate(&cat, caches, 20_000.0, &mut rng);
-        let trace = merge_streams(&requests, &[]);
-        let groups = GroupMap::one_group(caches);
-        let slow = sim(&net, &groups, &cat, &trace,
-            SimConfig::default().latency(LatencyModel::default().bandwidth_mbps(5.0)),
-        ).unwrap();
-        let fast = sim(&net, &groups, &cat, &trace,
-            SimConfig::default().latency(LatencyModel::default().bandwidth_mbps(500.0)),
-        ).unwrap();
-        prop_assert!(fast.average_latency_ms() <= slow.average_latency_ms() + 1e-9);
     }
 
     #[test]

@@ -57,8 +57,6 @@ pub struct Settings {
     pub capacity_bytes: u64,
     /// Replacement policy of every cache.
     pub policy: PolicyKind,
-    /// Network cost model.
-    pub latency: LatencyModel,
     /// Requests before this time are not recorded, ms.
     pub warmup_ms: f64,
     /// How copies learn of updates.
@@ -69,13 +67,12 @@ pub struct Settings {
 
 impl Default for Settings {
     /// What [`SimConfig::default`] documents: 1 MiB, utility-based
-    /// replacement, the default latency model, no warm-up, invalidate
-    /// on access, single-holder placement.
+    /// replacement, no warm-up, invalidate on access, single-holder
+    /// placement.
     fn default() -> Self {
         Settings {
             capacity_bytes: 1 << 20,
             policy: PolicyKind::Utility,
-            latency: LatencyModel::default(),
             warmup_ms: 0.0,
             freshness: FreshnessProtocol::InvalidateOnAccess,
             placement: PlacementKind::SingleHolder,
@@ -89,7 +86,6 @@ impl Settings {
         SimConfig::default()
             .cache_capacity_bytes(self.capacity_bytes)
             .policy(self.policy)
-            .latency(self.latency)
             .warmup_ms(self.warmup_ms)
             .freshness(self.freshness)
             .placement(self.placement)
@@ -372,7 +368,7 @@ impl World<'_> {
         let members = &self.groups.groups()[g];
         let current = self.versions[doc.index()];
         let size = self.catalog.document(doc).size_bytes;
-        let model = self.settings.latency;
+        let model = LatencyModel;
         let degraded = self.brownout > 1.0 || members.iter().any(|m| self.down[m.index()]);
         let to_origin = self.network.cache_to_origin(cache);
 
@@ -428,7 +424,7 @@ impl World<'_> {
         let members = &groups.groups()[g];
         let document = self.catalog.document(doc);
         let (size, update_rate) = (document.size_bytes, document.update_rate_per_sec);
-        let model = self.settings.latency;
+        let model = LatencyModel;
 
         // Every alive peer, in member order.
         let (mut alive, mut slowest, mut any_copy) = (0usize, 0.0f64, false);

@@ -40,7 +40,6 @@
 
 pub mod fixtures;
 pub mod graph;
-pub mod graph_io;
 pub mod network;
 pub mod rtt;
 pub mod rtt_io;
@@ -50,7 +49,6 @@ pub mod transit_stub;
 pub mod waxman;
 
 pub use graph::{AddEdgeError, Edge, Graph, Neighbor, NodeId};
-pub use graph_io::{read_graph, write_graph, GraphIoError};
 pub use network::{CacheId, EdgeNetwork, OriginPlacement, PlacementError};
 pub use rtt::{RttMatrix, RttSource};
 pub use rtt_io::{read_rtt_matrix, write_rtt_matrix, RttIoError};

@@ -324,12 +324,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn topo(seed: u64) -> TransitStubTopology {
-        TransitStubConfig::default()
-            .transit_domains(2)
-            .transit_nodes_per_domain(2)
-            .stub_domains_per_transit_node(2)
-            .stub_nodes_per_domain(5)
-            .generate(&mut StdRng::seed_from_u64(seed))
+        TransitStubConfig::for_caches(1).generate(&mut StdRng::seed_from_u64(seed))
     }
 
     #[test]

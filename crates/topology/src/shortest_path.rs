@@ -172,12 +172,7 @@ mod tests {
     #[test]
     fn rtt_satisfies_triangle_inequality() {
         use rand::{rngs::StdRng, SeedableRng};
-        let topo = crate::TransitStubConfig::default()
-            .transit_domains(2)
-            .transit_nodes_per_domain(2)
-            .stub_domains_per_transit_node(2)
-            .stub_nodes_per_domain(3)
-            .generate(&mut StdRng::seed_from_u64(4));
+        let topo = crate::TransitStubConfig::for_caches(1).generate(&mut StdRng::seed_from_u64(4));
         let m = all_pairs_rtt(topo.graph());
         let n = m.len();
         for i in 0..n {

@@ -16,88 +16,37 @@ use crate::rtt::{RttMatrix, RttSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Configuration of the [`SyntheticRtt`] geometric model.
+/// Generator of the [`SyntheticRtt`] geometric model.
+///
+/// The model has one shape, a continental plane: 100 ms of one-way
+/// extent, metro sites of about 64 nodes spread over ±5 ms, and 1–5 ms
+/// access links.
 ///
 /// # Examples
 ///
 /// ```
 /// use ecg_topology::{RttSource, SyntheticRttConfig};
 ///
-/// let net = SyntheticRttConfig::default().generate(1_000, 7);
+/// let net = SyntheticRttConfig.generate(1_000, 7);
 /// assert_eq!(net.node_count(), 1_000);
 /// assert_eq!(net.rtt_ms(3, 3), 0.0);
 /// assert_eq!(net.rtt_ms(1, 2), net.rtt_ms(2, 1));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SyntheticRttConfig {
-    extent_ms: f64,
-    spread_ms: f64,
-    access_min_ms: f64,
-    access_max_ms: f64,
-    nodes_per_site: usize,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SyntheticRttConfig;
 
-impl Default for SyntheticRttConfig {
-    /// A continental plane: 100 ms of one-way extent, metro sites of
-    /// about 64 nodes spread over ±5 ms, and 1–5 ms access links.
-    fn default() -> Self {
-        SyntheticRttConfig {
-            extent_ms: 100.0,
-            spread_ms: 5.0,
-            access_min_ms: 1.0,
-            access_max_ms: 5.0,
-            nodes_per_site: 64,
-        }
-    }
-}
+const EXTENT_MS: f64 = 100.0;
+const SPREAD_MS: f64 = 5.0;
+const ACCESS_MIN_MS: f64 = 1.0;
+const ACCESS_MAX_MS: f64 = 5.0;
+const NODES_PER_SITE: usize = 64;
 
 impl SyntheticRttConfig {
-    /// Creates the default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the one-way plane extent in milliseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ms` is not positive and finite.
-    pub fn extent_ms(mut self, ms: f64) -> Self {
-        assert!(ms.is_finite() && ms > 0.0, "extent must be positive");
-        self.extent_ms = ms;
-        self
-    }
-
-    /// Sets how far nodes scatter around their metro site, in ms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ms` is negative or not finite.
-    pub fn spread_ms(mut self, ms: f64) -> Self {
-        assert!(
-            ms.is_finite() && ms >= 0.0,
-            "spread must be finite and non-negative"
-        );
-        self.spread_ms = ms;
-        self
-    }
-
-    /// Sets the average metro-site population.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0`.
-    pub fn nodes_per_site(mut self, nodes: usize) -> Self {
-        assert!(nodes > 0, "need at least one node per site");
-        self.nodes_per_site = nodes;
-        self
-    }
-
     /// Generates the oracle for `nodes` nodes from a seed. Node `0`
     /// plays the origin-server role downstream consumers expect.
     ///
     /// Generation is O(n) time and memory and depends only on
-    /// `(self, nodes, seed)`.
+    /// `(nodes, seed)`.
     ///
     /// # Panics
     ///
@@ -105,24 +54,19 @@ impl SyntheticRttConfig {
     pub fn generate(&self, nodes: usize, seed: u64) -> SyntheticRtt {
         assert!(nodes > 0, "need at least one node");
         let mut rng = StdRng::seed_from_u64(seed);
-        let site_count = nodes.div_ceil(self.nodes_per_site).max(1);
+        let site_count = nodes.div_ceil(NODES_PER_SITE).max(1);
         let sites: Vec<(f64, f64)> = (0..site_count)
-            .map(|_| {
-                (
-                    rng.gen_range(0.0..self.extent_ms),
-                    rng.gen_range(0.0..self.extent_ms),
-                )
-            })
+            .map(|_| (rng.gen_range(0.0..EXTENT_MS), rng.gen_range(0.0..EXTENT_MS)))
             .collect();
         let mut positions = Vec::with_capacity(nodes);
         let mut access_ms = Vec::with_capacity(nodes);
         for _ in 0..nodes {
             let (sx, sy) = sites[rng.gen_range(0..site_count)];
             positions.push((
-                sx + rng.gen_range(-self.spread_ms..=self.spread_ms),
-                sy + rng.gen_range(-self.spread_ms..=self.spread_ms),
+                sx + rng.gen_range(-SPREAD_MS..=SPREAD_MS),
+                sy + rng.gen_range(-SPREAD_MS..=SPREAD_MS),
             ));
-            access_ms.push(rng.gen_range(self.access_min_ms..=self.access_max_ms));
+            access_ms.push(rng.gen_range(ACCESS_MIN_MS..=ACCESS_MAX_MS));
         }
         SyntheticRtt {
             positions,
@@ -223,16 +167,16 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = SyntheticRttConfig::default().generate(500, 9);
-        let b = SyntheticRttConfig::default().generate(500, 9);
+        let a = SyntheticRttConfig.generate(500, 9);
+        let b = SyntheticRttConfig.generate(500, 9);
         assert_eq!(a, b);
-        let c = SyntheticRttConfig::default().generate(500, 10);
+        let c = SyntheticRttConfig.generate(500, 10);
         assert_ne!(a, c);
     }
 
     #[test]
     fn symmetric_zero_diagonal_and_positive() {
-        let net = SyntheticRttConfig::default().generate(100, 3);
+        let net = SyntheticRttConfig.generate(100, 3);
         for i in (0..100).step_by(7) {
             assert_eq!(net.rtt_ms(i, i), 0.0);
             for j in (0..100).step_by(11) {
@@ -253,7 +197,7 @@ mod tests {
         //                         + (d(c,b) + acc_c + acc_b)
         // because plane distances are a metric and access penalties are
         // non-negative.
-        let net = SyntheticRttConfig::default().generate(40, 5);
+        let net = SyntheticRttConfig.generate(40, 5);
         for a in 0..40 {
             for b in 0..40 {
                 for c in 0..40 {
@@ -270,7 +214,7 @@ mod tests {
     fn memory_is_linear_in_nodes() {
         // 50k nodes is exactly the scale a dense matrix cannot reach;
         // the implicit oracle builds it in O(n).
-        let net = SyntheticRttConfig::default().generate(50_000, 1);
+        let net = SyntheticRttConfig.generate(50_000, 1);
         assert_eq!(net.node_count(), 50_000);
         assert!(net.rtt_ms(0, 49_999) > 0.0);
     }
@@ -278,7 +222,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_rejected() {
-        let net = SyntheticRttConfig::default().generate(10, 1);
+        let net = SyntheticRttConfig.generate(10, 1);
         let _ = net.rtt_ms(0, 10);
     }
 }

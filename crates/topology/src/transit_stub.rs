@@ -108,10 +108,11 @@ pub struct StubDomain {
 
 /// Configuration of the transit-stub generator.
 ///
-/// The defaults produce the mid-size Internet-like topologies used
-/// throughout the reproduction: 4 transit domains of 4 transit nodes, 3
-/// stub domains of 8 nodes per transit node, so 4·4·(1 + 3·8) = 400 nodes
-/// of which 384 are stub nodes.
+/// The backbone has one shape: 4 transit domains of 4 transit nodes,
+/// stub domains of 8 nodes, and fixed per-tier latency bands. Only the
+/// number of stub domains per transit node varies; the default of 3
+/// gives 4·4·(1 + 3·8) = 400 nodes of which 384 are stub nodes, and
+/// [`TransitStubConfig::for_caches`] sizes it to a cache count.
 ///
 /// # Examples
 ///
@@ -126,91 +127,41 @@ pub struct StubDomain {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransitStubConfig {
-    transit_domains: usize,
-    transit_nodes_per_domain: usize,
     stub_domains_per_transit_node: usize,
-    stub_nodes_per_domain: usize,
-    inter_transit: LatencyBand,
-    intra_transit: LatencyBand,
-    transit_stub: LatencyBand,
-    intra_stub: LatencyBand,
-    domain_edge_alpha: f64,
-    waxman_alpha: f64,
-    waxman_beta: f64,
 }
+
+const TRANSIT_DOMAINS: usize = 4;
+const TRANSIT_NODES_PER_DOMAIN: usize = 4;
+const STUB_NODES_PER_DOMAIN: usize = 8;
+const INTER_TRANSIT: LatencyBand = LatencyBand {
+    min_ms: 20.0,
+    max_ms: 80.0,
+};
+const INTRA_TRANSIT: LatencyBand = LatencyBand {
+    min_ms: 5.0,
+    max_ms: 25.0,
+};
+const TRANSIT_STUB: LatencyBand = LatencyBand {
+    min_ms: 2.0,
+    max_ms: 10.0,
+};
+const INTRA_STUB: LatencyBand = LatencyBand {
+    min_ms: 0.5,
+    max_ms: 3.0,
+};
+const DOMAIN_EDGE_ALPHA: f64 = 0.7;
+const WAXMAN_ALPHA: f64 = 0.6;
+const WAXMAN_BETA: f64 = 0.4;
 
 impl Default for TransitStubConfig {
     fn default() -> Self {
         TransitStubConfig {
-            transit_domains: 4,
-            transit_nodes_per_domain: 4,
             stub_domains_per_transit_node: 3,
-            stub_nodes_per_domain: 8,
-            inter_transit: LatencyBand::new(20.0, 80.0),
-            intra_transit: LatencyBand::new(5.0, 25.0),
-            transit_stub: LatencyBand::new(2.0, 10.0),
-            intra_stub: LatencyBand::new(0.5, 3.0),
-            domain_edge_alpha: 0.7,
-            waxman_alpha: 0.6,
-            waxman_beta: 0.4,
         }
     }
 }
 
 impl TransitStubConfig {
-    /// Creates the default configuration; see the type-level docs.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the number of transit domains.
-    pub fn transit_domains(mut self, n: usize) -> Self {
-        self.transit_domains = n;
-        self
-    }
-
-    /// Sets the number of transit nodes per transit domain.
-    pub fn transit_nodes_per_domain(mut self, n: usize) -> Self {
-        self.transit_nodes_per_domain = n;
-        self
-    }
-
-    /// Sets the number of stub domains attached to each transit node.
-    pub fn stub_domains_per_transit_node(mut self, n: usize) -> Self {
-        self.stub_domains_per_transit_node = n;
-        self
-    }
-
-    /// Sets the number of nodes in each stub domain.
-    pub fn stub_nodes_per_domain(mut self, n: usize) -> Self {
-        self.stub_nodes_per_domain = n;
-        self
-    }
-
-    /// Sets the latency band for links between transit domains.
-    pub fn inter_transit(mut self, band: LatencyBand) -> Self {
-        self.inter_transit = band;
-        self
-    }
-
-    /// Sets the latency band for links inside a transit domain.
-    pub fn intra_transit(mut self, band: LatencyBand) -> Self {
-        self.intra_transit = band;
-        self
-    }
-
-    /// Sets the latency band for stub-domain attachment links.
-    pub fn transit_stub(mut self, band: LatencyBand) -> Self {
-        self.transit_stub = band;
-        self
-    }
-
-    /// Sets the latency band for links inside a stub domain.
-    pub fn intra_stub(mut self, band: LatencyBand) -> Self {
-        self.intra_stub = band;
-        self
-    }
-
     /// Returns a configuration guaranteed to contain at least
     /// `cache_count` stub nodes (plus the backbone), scaling the number of
     /// stub domains while keeping the backbone shape fixed.
@@ -218,61 +169,38 @@ impl TransitStubConfig {
     /// This is the sizing helper the experiment harness uses to build
     /// networks of 100–500 edge caches.
     pub fn for_caches(cache_count: usize) -> Self {
-        let cfg = TransitStubConfig::default();
-        let attach_points = cfg.transit_domains * cfg.transit_nodes_per_domain;
-        let per_stub = cfg.stub_nodes_per_domain;
-        // Total stub nodes = attach_points * stubs_per_tn * per_stub.
-        let needed_domains = cache_count.div_ceil(per_stub);
-        let stubs_per_tn = needed_domains.div_ceil(attach_points).max(1);
-        cfg.stub_domains_per_transit_node(stubs_per_tn)
+        let attach_points = TRANSIT_DOMAINS * TRANSIT_NODES_PER_DOMAIN;
+        // Total stub nodes = attach_points * stub domains per transit
+        // node * STUB_NODES_PER_DOMAIN.
+        let needed_domains = cache_count.div_ceil(STUB_NODES_PER_DOMAIN);
+        TransitStubConfig {
+            stub_domains_per_transit_node: needed_domains.div_ceil(attach_points).max(1),
+        }
     }
 
     /// Total number of nodes the configuration will generate.
     pub fn total_nodes(&self) -> usize {
-        let transit = self.transit_domains * self.transit_nodes_per_domain;
-        transit + transit * self.stub_domains_per_transit_node * self.stub_nodes_per_domain
+        let transit = TRANSIT_DOMAINS * TRANSIT_NODES_PER_DOMAIN;
+        transit + self.total_stub_nodes()
     }
 
     /// Total number of stub nodes the configuration will generate.
     pub fn total_stub_nodes(&self) -> usize {
-        self.transit_domains
-            * self.transit_nodes_per_domain
+        TRANSIT_DOMAINS
+            * TRANSIT_NODES_PER_DOMAIN
             * self.stub_domains_per_transit_node
-            * self.stub_nodes_per_domain
+            * STUB_NODES_PER_DOMAIN
     }
 
     /// Generates a transit-stub topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any structural parameter is zero.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> TransitStubTopology {
-        assert!(self.transit_domains > 0, "need at least one transit domain");
-        assert!(
-            self.transit_nodes_per_domain > 0,
-            "need at least one transit node per domain"
-        );
-        assert!(
-            self.stub_domains_per_transit_node > 0,
-            "need at least one stub domain per transit node"
-        );
-        assert!(
-            self.stub_nodes_per_domain > 0,
-            "need at least one node per stub domain"
-        );
-
         let mut graph = Graph::new();
         let mut kinds = Vec::new();
 
         // 1. Transit domains: an intra-domain Waxman graph each.
         let mut transit_nodes_by_domain: Vec<Vec<NodeId>> = Vec::new();
-        for domain in 0..self.transit_domains {
-            let ids = self.splice_waxman(
-                &mut graph,
-                rng,
-                self.transit_nodes_per_domain,
-                self.intra_transit,
-            );
+        for domain in 0..TRANSIT_DOMAINS {
+            let ids = splice_waxman(&mut graph, rng, TRANSIT_NODES_PER_DOMAIN, INTRA_TRANSIT);
             for _ in &ids {
                 kinds.push(NodeKind::Transit { domain });
             }
@@ -280,7 +208,7 @@ impl TransitStubConfig {
         }
 
         // 2. Connect transit domains into a connected top-level graph.
-        self.connect_domains(&mut graph, rng, &transit_nodes_by_domain);
+        connect_domains(&mut graph, rng, &transit_nodes_by_domain);
 
         // 3. Stub domains hanging off every transit node.
         let mut stub_domains = Vec::new();
@@ -288,17 +216,12 @@ impl TransitStubConfig {
             for &tn in domain_nodes {
                 for _ in 0..self.stub_domains_per_transit_node {
                     let stub_id = stub_domains.len();
-                    let ids = self.splice_waxman(
-                        &mut graph,
-                        rng,
-                        self.stub_nodes_per_domain,
-                        self.intra_stub,
-                    );
+                    let ids = splice_waxman(&mut graph, rng, STUB_NODES_PER_DOMAIN, INTRA_STUB);
                     for _ in &ids {
                         kinds.push(NodeKind::Stub { domain: stub_id });
                     }
                     let gateway = ids[rng.gen_range(0..ids.len())];
-                    graph.add_edge(tn, gateway, self.transit_stub.sample(rng));
+                    graph.add_edge(tn, gateway, TRANSIT_STUB.sample(rng));
                     stub_domains.push(StubDomain {
                         id: stub_id,
                         attachment: tn,
@@ -316,66 +239,60 @@ impl TransitStubConfig {
             stub_domains,
         }
     }
+}
 
-    /// Generates a Waxman subgraph whose edges fall in `band` and splices
-    /// it into `graph`, returning the new global node ids.
-    fn splice_waxman<R: Rng + ?Sized>(
-        &self,
-        graph: &mut Graph,
-        rng: &mut R,
-        nodes: usize,
-        band: LatencyBand,
-    ) -> Vec<NodeId> {
-        let (sub, points) = WaxmanConfig::new(nodes)
-            .alpha(self.waxman_alpha)
-            .beta(self.waxman_beta)
-            .generate(rng);
-        let ids: Vec<NodeId> = (0..nodes).map(|_| graph.add_node()).collect();
-        for e in sub.edges() {
-            // Map the unit-square distance onto the band so closer nodes
-            // get proportionally faster links.
-            let d = points[e.a.index()].distance(&points[e.b.index()]);
-            let frac = (d / 2f64.sqrt()).clamp(0.0, 1.0);
-            let latency = band.min_ms + frac * (band.max_ms - band.min_ms);
-            graph.add_edge(ids[e.a.index()], ids[e.b.index()], latency);
-        }
-        ids
+/// Generates a Waxman subgraph whose edges fall in `band` and splices
+/// it into `graph`, returning the new global node ids.
+fn splice_waxman<R: Rng + ?Sized>(
+    graph: &mut Graph,
+    rng: &mut R,
+    nodes: usize,
+    band: LatencyBand,
+) -> Vec<NodeId> {
+    let (sub, points) = WaxmanConfig::new(nodes)
+        .alpha(WAXMAN_ALPHA)
+        .beta(WAXMAN_BETA)
+        .generate(rng);
+    let ids: Vec<NodeId> = (0..nodes).map(|_| graph.add_node()).collect();
+    for e in sub.edges() {
+        // Map the unit-square distance onto the band so closer nodes
+        // get proportionally faster links.
+        let d = points[e.a.index()].distance(&points[e.b.index()]);
+        let frac = (d / 2f64.sqrt()).clamp(0.0, 1.0);
+        let latency = band.min_ms + frac * (band.max_ms - band.min_ms);
+        graph.add_edge(ids[e.a.index()], ids[e.b.index()], latency);
     }
+    ids
+}
 
-    /// Adds inter-domain links between random transit nodes so the domain
-    /// graph is connected plus some redundant shortcuts.
-    fn connect_domains<R: Rng + ?Sized>(
-        &self,
-        graph: &mut Graph,
-        rng: &mut R,
-        domains: &[Vec<NodeId>],
-    ) {
-        let t = domains.len();
-        if t <= 1 {
-            return;
+/// Adds inter-domain links between random transit nodes so the domain
+/// graph is connected plus some redundant shortcuts.
+fn connect_domains<R: Rng + ?Sized>(graph: &mut Graph, rng: &mut R, domains: &[Vec<NodeId>]) {
+    let t = domains.len();
+    if t <= 1 {
+        return;
+    }
+    // Spanning chain in random order guarantees connectivity.
+    let mut order: Vec<usize> = (0..t).collect();
+    for i in (1..t).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
+    let link = |graph: &mut Graph, rng: &mut R, a: usize, b: usize| {
+        let u = domains[a][rng.gen_range(0..domains[a].len())];
+        let v = domains[b][rng.gen_range(0..domains[b].len())];
+        if !graph.has_edge(u, v) {
+            graph.add_edge(u, v, INTER_TRANSIT.sample(rng));
         }
-        // Spanning chain in random order guarantees connectivity.
-        let mut order: Vec<usize> = (0..t).collect();
-        for i in (1..t).rev() {
-            order.swap(i, rng.gen_range(0..=i));
-        }
-        let link = |graph: &mut Graph, rng: &mut R, a: usize, b: usize| {
-            let u = domains[a][rng.gen_range(0..domains[a].len())];
-            let v = domains[b][rng.gen_range(0..domains[b].len())];
-            if !graph.has_edge(u, v) {
-                graph.add_edge(u, v, self.inter_transit.sample(rng));
-            }
-        };
-        for w in order.windows(2) {
-            link(graph, rng, w[0], w[1]);
-        }
-        // Redundant shortcuts with probability `domain_edge_alpha` per
-        // remaining domain pair, mimicking GT-ITM's denser top level.
-        for a in 0..t {
-            for b in (a + 1)..t {
-                if rng.gen::<f64>() < self.domain_edge_alpha {
-                    link(graph, rng, a, b);
-                }
+    };
+    for w in order.windows(2) {
+        link(graph, rng, w[0], w[1]);
+    }
+    // Redundant shortcuts with probability `DOMAIN_EDGE_ALPHA` per
+    // remaining domain pair, mimicking GT-ITM's denser top level.
+    for a in 0..t {
+        for b in (a + 1)..t {
+            if rng.gen::<f64>() < DOMAIN_EDGE_ALPHA {
+                link(graph, rng, a, b);
             }
         }
     }
@@ -431,21 +348,19 @@ mod tests {
     use rand::SeedableRng;
 
     fn small() -> TransitStubConfig {
-        TransitStubConfig::default()
-            .transit_domains(2)
-            .transit_nodes_per_domain(3)
-            .stub_domains_per_transit_node(2)
-            .stub_nodes_per_domain(4)
+        TransitStubConfig {
+            stub_domains_per_transit_node: 1,
+        }
     }
 
     #[test]
     fn node_counts_match_configuration() {
         let cfg = small();
-        assert_eq!(cfg.total_nodes(), 2 * 3 + 2 * 3 * 2 * 4);
+        assert_eq!(cfg.total_nodes(), 4 * 4 + 4 * 4 * 8);
         let topo = cfg.generate(&mut StdRng::seed_from_u64(5));
         assert_eq!(topo.graph().node_count(), cfg.total_nodes());
         assert_eq!(topo.stub_nodes().len(), cfg.total_stub_nodes());
-        assert_eq!(topo.transit_nodes().len(), 6);
+        assert_eq!(topo.transit_nodes().len(), 16);
     }
 
     #[test]
@@ -469,8 +384,8 @@ mod tests {
             .nodes()
             .filter(|&n| topo.kind(n).is_stub())
             .count();
-        assert_eq!(transit, 6);
-        assert_eq!(stub, 48);
+        assert_eq!(transit, 16);
+        assert_eq!(stub, 128);
         assert_eq!(transit + stub, topo.graph().node_count());
     }
 
@@ -530,18 +445,6 @@ mod tests {
     #[should_panic(expected = "invalid latency band")]
     fn inverted_band_panics() {
         let _ = LatencyBand::new(5.0, 1.0);
-    }
-
-    #[test]
-    fn single_domain_topology_works() {
-        let topo = TransitStubConfig::default()
-            .transit_domains(1)
-            .transit_nodes_per_domain(2)
-            .stub_domains_per_transit_node(1)
-            .stub_nodes_per_domain(3)
-            .generate(&mut StdRng::seed_from_u64(8));
-        assert!(topo.graph().is_connected());
-        assert_eq!(topo.graph().node_count(), 2 + 2 * 3);
     }
 
     #[test]

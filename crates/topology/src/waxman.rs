@@ -54,24 +54,22 @@ pub struct WaxmanConfig {
     nodes: usize,
     alpha: f64,
     beta: f64,
-    latency_per_unit_ms: f64,
-    min_latency_ms: f64,
 }
+
+/// Latency of one unit of Euclidean distance: 50 ms across the unit
+/// square, so a typical intra-domain hop costs a few milliseconds.
+const LATENCY_PER_UNIT_MS: f64 = 50.0;
+/// Floor of every edge latency.
+const MIN_LATENCY_MS: f64 = 0.5;
 
 impl WaxmanConfig {
     /// Creates a configuration for a graph with `nodes` nodes and the
     /// customary defaults `alpha = 0.5`, `beta = 0.35`.
-    ///
-    /// Latencies default to `50 ms` across the full unit square with a
-    /// `0.5 ms` floor, so a typical intra-domain hop costs a few
-    /// milliseconds.
     pub fn new(nodes: usize) -> Self {
         WaxmanConfig {
             nodes,
             alpha: 0.5,
             beta: 0.35,
-            latency_per_unit_ms: 50.0,
-            min_latency_ms: 0.5,
         }
     }
 
@@ -87,23 +85,10 @@ impl WaxmanConfig {
         self
     }
 
-    /// Sets how many milliseconds of latency one unit of Euclidean
-    /// distance costs.
-    pub fn latency_per_unit_ms(mut self, ms: f64) -> Self {
-        self.latency_per_unit_ms = ms;
-        self
-    }
-
-    /// Sets the minimum latency assigned to any edge.
-    pub fn min_latency_ms(mut self, ms: f64) -> Self {
-        self.min_latency_ms = ms;
-        self
-    }
-
     /// Generates a connected Waxman graph plus the sampled node positions.
     ///
     /// Edge latency is proportional to the Euclidean distance between the
-    /// endpoints (`latency_per_unit_ms`, floored at `min_latency_ms`), so
+    /// endpoints (50 ms per unit, floored at 0.5 ms), so
     /// the triangle-flavored structure of the plane carries over to the
     /// latency space.
     ///
@@ -145,7 +130,7 @@ impl WaxmanConfig {
     }
 
     fn edge_latency(&self, euclidean: f64) -> f64 {
-        (euclidean * self.latency_per_unit_ms).max(self.min_latency_ms)
+        (euclidean * LATENCY_PER_UNIT_MS).max(MIN_LATENCY_MS)
     }
 
     /// Stitches disconnected components together through their closest
@@ -223,9 +208,9 @@ mod tests {
     #[test]
     fn latencies_respect_floor() {
         let mut rng = StdRng::seed_from_u64(3);
-        let (g, _) = WaxmanConfig::new(30).min_latency_ms(2.0).generate(&mut rng);
+        let (g, _) = WaxmanConfig::new(30).generate(&mut rng);
         for e in g.edges() {
-            assert!(e.latency_ms >= 2.0);
+            assert!(e.latency_ms >= MIN_LATENCY_MS);
         }
     }
 

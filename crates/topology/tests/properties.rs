@@ -115,7 +115,7 @@ fn dirty_storage() -> RttMatrix {
 #[test]
 #[should_panic(expected = "rtt index out of range")]
 fn synthetic_submatrix_rejects_an_out_of_range_node_like_rtt_ms() {
-    let net = SyntheticRttConfig::default().generate(10, 1);
+    let net = SyntheticRttConfig.generate(10, 1);
     // Length 1: the pairwise default would never evaluate a pair, the
     // override still range-checks what it gathers.
     net.submatrix_into(&[10], &mut dirty_storage());
@@ -131,7 +131,7 @@ fn matrix_submatrix_rejects_an_out_of_range_node_like_rtt_ms() {
 #[test]
 #[should_panic(expected = "rtt index out of range")]
 fn default_submatrix_rejects_an_out_of_range_node_like_rtt_ms() {
-    let net = SyntheticRttConfig::default().generate(10, 1);
+    let net = SyntheticRttConfig.generate(10, 1);
     PairwiseOnly(&net).submatrix_into(&[0, 10], &mut dirty_storage());
 }
 
@@ -142,7 +142,7 @@ proptest! {
         net_seed in any::<u64>(),
         list_seed in any::<u64>(),
     ) {
-        let synthetic = SyntheticRttConfig::default().generate(nodes, net_seed);
+        let synthetic = SyntheticRttConfig.generate(nodes, net_seed);
         let list = arb_node_list(nodes, list_seed);
         // The override, bit-equal to the pairwise definition, into
         // fresh storage and into storage a longer and a shorter list
@@ -238,18 +238,8 @@ proptest! {
     }
 
     #[test]
-    fn transit_stub_structure_holds(
-        td in 1usize..4,
-        tn in 1usize..4,
-        sd in 1usize..3,
-        sn in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        let cfg = TransitStubConfig::default()
-            .transit_domains(td)
-            .transit_nodes_per_domain(tn)
-            .stub_domains_per_transit_node(sd)
-            .stub_nodes_per_domain(sn);
+    fn transit_stub_structure_holds(caches in 1usize..300, seed in any::<u64>()) {
+        let cfg = TransitStubConfig::for_caches(caches);
         let topo = cfg.generate(&mut StdRng::seed_from_u64(seed));
         prop_assert!(topo.graph().is_connected());
         prop_assert_eq!(topo.graph().node_count(), cfg.total_nodes());

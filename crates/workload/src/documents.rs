@@ -57,19 +57,20 @@ pub struct Document {
 pub struct CatalogConfig {
     documents: usize,
     size_log_mean: f64,
-    size_log_sigma: f64,
     min_size_bytes: u64,
     dynamic_fraction: f64,
     dynamic_update_rate_per_sec: f64,
     static_update_rate_per_sec: f64,
 }
 
+/// The log-normal shape parameter of document sizes.
+const SIZE_LOG_SIGMA: f64 = 1.0;
+
 impl Default for CatalogConfig {
     fn default() -> Self {
         CatalogConfig {
             documents: 10_000,
             size_log_mean: (8.0 * 1024.0f64).ln(),
-            size_log_sigma: 1.0,
             min_size_bytes: 128,
             dynamic_fraction: 0.1,
             dynamic_update_rate_per_sec: 1.0 / 30.0,
@@ -99,13 +100,6 @@ impl CatalogConfig {
     pub fn median_size_bytes(mut self, bytes: u64) -> Self {
         assert!(bytes > 0, "median size must be positive");
         self.size_log_mean = (bytes as f64).ln();
-        self
-    }
-
-    /// Sets the log-normal shape parameter for sizes.
-    pub fn size_log_sigma(mut self, sigma: f64) -> Self {
-        assert!(sigma.is_finite() && sigma >= 0.0, "sigma must be >= 0");
-        self.size_log_sigma = sigma;
         self
     }
 
@@ -142,7 +136,7 @@ impl CatalogConfig {
         let docs: Vec<Document> = (0..n)
             .map(|i| {
                 let z = standard_normal(rng);
-                let size = (self.size_log_mean + self.size_log_sigma * z).exp().round() as u64;
+                let size = (self.size_log_mean + SIZE_LOG_SIGMA * z).exp().round() as u64;
                 let update_rate = if i < dynamic_count {
                     // Jitter per-document rates ±50% around the mean.
                     self.dynamic_update_rate_per_sec * rng.gen_range(0.5..1.5)

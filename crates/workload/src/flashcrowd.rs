@@ -64,8 +64,6 @@ impl RegionalFlashCrowdWorkload {
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let config = RegionalFlashCrowdConfig::default()
 ///     .caches(12)
-///     .regions(4)
-///     .affected_regions(1)
 ///     .duration_ms(60_000.0);
 /// let workload = config.generate(&mut rng);
 /// assert!(!workload.requests.is_empty());
@@ -131,19 +129,6 @@ impl RegionalFlashCrowdConfig {
         self
     }
 
-    /// Sets the number of contiguous cache regions.
-    pub fn regions(mut self, n: usize) -> Self {
-        assert!(n > 0, "need at least one region");
-        self.regions = n;
-        self
-    }
-
-    /// Sets how many regions (the first blocks) surge.
-    pub fn affected_regions(mut self, n: usize) -> Self {
-        self.affected_regions = n;
-        self
-    }
-
     /// Sets the trace duration in milliseconds.
     pub fn duration_ms(mut self, ms: f64) -> Self {
         assert!(ms.is_finite() && ms > 0.0, "duration must be positive");
@@ -155,43 +140,6 @@ impl RegionalFlashCrowdConfig {
     pub fn rate_per_sec_per_cache(mut self, rate: f64) -> Self {
         assert!(rate.is_finite() && rate > 0.0, "rate must be positive");
         self.rate_per_sec_per_cache = rate;
-        self
-    }
-
-    /// Sets the surge rate multiplier (≥ 1) for affected regions.
-    pub fn surge_multiplier(mut self, m: f64) -> Self {
-        assert!(m.is_finite() && m >= 1.0, "multiplier must be >= 1");
-        self.surge_multiplier = m;
-        self
-    }
-
-    /// Sets the surge window as fractions of the duration.
-    pub fn surge_window(mut self, start_frac: f64, end_frac: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&start_frac)
-                && (0.0..=1.0).contains(&end_frac)
-                && start_frac < end_frac,
-            "need 0 <= start < end <= 1"
-        );
-        self.surge_start_frac = start_frac;
-        self.surge_end_frac = end_frac;
-        self
-    }
-
-    /// Sets the hot-set size (top catalog ranks) and the probability a
-    /// surge request targets it.
-    pub fn hot_set(mut self, docs: usize, share: f64) -> Self {
-        assert!(docs > 0, "need at least one hot document");
-        assert!((0.0..=1.0).contains(&share), "share must be in [0, 1]");
-        self.hot_docs = docs;
-        self.hot_share = share;
-        self
-    }
-
-    /// Sets the baseline cross-cache request similarity in `[0, 1]`.
-    pub fn similarity(mut self, similarity: f64) -> Self {
-        assert!((0.0..=1.0).contains(&similarity), "similarity in [0, 1]");
-        self.similarity = similarity;
         self
     }
 
@@ -321,13 +269,15 @@ mod tests {
     use rand::SeedableRng;
 
     fn small() -> RegionalFlashCrowdConfig {
-        RegionalFlashCrowdConfig::default()
-            .documents(300)
-            .caches(12)
-            .regions(4)
-            .affected_regions(1)
-            .duration_ms(120_000.0)
-            .rate_per_sec_per_cache(4.0)
+        RegionalFlashCrowdConfig {
+            regions: 4,
+            affected_regions: 1,
+            ..RegionalFlashCrowdConfig::default()
+        }
+        .documents(300)
+        .caches(12)
+        .duration_ms(120_000.0)
+        .rate_per_sec_per_cache(4.0)
     }
 
     #[test]
@@ -388,7 +338,11 @@ mod tests {
 
     #[test]
     fn surge_concentrates_on_the_shared_hot_set() {
-        let cfg = small().hot_set(10, 0.8);
+        let cfg = RegionalFlashCrowdConfig {
+            hot_docs: 10,
+            hot_share: 0.8,
+            ..small()
+        };
         let mut rng = StdRng::seed_from_u64(3);
         let w = cfg.generate(&mut rng);
         let (start, end) = cfg.surge_window_ms();
@@ -424,14 +378,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "affected regions")]
     fn too_many_affected_regions_rejected() {
-        let _ = small()
-            .affected_regions(9)
-            .generate(&mut StdRng::seed_from_u64(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "start < end")]
-    fn inverted_surge_window_rejected() {
-        let _ = small().surge_window(0.6, 0.4);
+        let cfg = RegionalFlashCrowdConfig {
+            affected_regions: 9,
+            ..small()
+        };
+        let _ = cfg.generate(&mut StdRng::seed_from_u64(0));
     }
 }

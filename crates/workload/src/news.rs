@@ -108,13 +108,6 @@ impl NewsSiteConfig {
         self
     }
 
-    /// Sets the cross-cache similarity in `[0, 1]`.
-    pub fn similarity(mut self, similarity: f64) -> Self {
-        assert!((0.0..=1.0).contains(&similarity), "similarity in [0, 1]");
-        self.similarity = similarity;
-        self
-    }
-
     /// The catalog configuration: long-tail archive, small hot dynamic
     /// set (front page and tickers) updating every ~60 s.
     pub fn catalog_config(&self) -> CatalogConfig {
@@ -199,12 +192,15 @@ mod tests {
         // Compare top-document request share between presets at matched
         // volume: news must be flatter.
         let mut rng = StdRng::seed_from_u64(3);
-        let news = small().similarity(1.0).generate(&mut rng);
+        let news = NewsSiteConfig {
+            similarity: 1.0,
+            ..small()
+        }
+        .generate(&mut rng);
         let sport = crate::sporting::SportingEventConfig::default()
             .documents(500)
             .caches(6)
             .duration_ms(120_000.0)
-            .similarity(1.0)
             .flash_crowd(false)
             .generate(&mut rng);
         let top_share = |reqs: &[crate::requests::Request]| -> f64 {

@@ -115,13 +115,6 @@ impl SportingEventConfig {
         self
     }
 
-    /// Sets the cross-cache request similarity in `[0, 1]`.
-    pub fn similarity(mut self, similarity: f64) -> Self {
-        assert!((0.0..=1.0).contains(&similarity), "similarity in [0, 1]");
-        self.similarity = similarity;
-        self
-    }
-
     /// Enables or disables the mid-trace flash crowd.
     pub fn flash_crowd(mut self, enabled: bool) -> Self {
         self.flash_crowd = enabled;

@@ -1,9 +1,9 @@
 //! Trace statistics.
 //!
 //! Summarizes a merged trace: volume, per-cache load spread, measured
-//! popularity skew, and update share. Used by `trace_explorer`-style
-//! tooling and for validating that generated workloads have the shape
-//! they were configured for.
+//! popularity skew, and update share. Used by `ecg stats` and for
+//! validating that generated workloads have the shape they were
+//! configured for.
 
 use crate::trace::TraceEvent;
 

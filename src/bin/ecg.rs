@@ -501,7 +501,7 @@ fn scale_cmd(opts: &Opts, out: &mut dyn Write) -> Result<(), Error> {
     }
 
     // Node 0 is the origin; the caches are nodes 1..=caches.
-    let net = SyntheticRttConfig::default().generate(caches + 1, seed);
+    let net = SyntheticRttConfig.generate(caches + 1, seed);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ctx = FormContext::new();
     let outcome = form(&FormPlan::new(&net, &scheme).per_row(), &mut ctx, &mut rng)
@@ -655,7 +655,7 @@ fn replay_cmd(opts: &Opts, out: &mut dyn Write) -> Result<(), Error> {
     let config = sim_config(opts, duration_ms)?;
 
     // Node 0 is the origin; the caches are nodes 1..=caches.
-    let net = SyntheticRttConfig::default().generate(caches + 1, seed);
+    let net = SyntheticRttConfig.generate(caches + 1, seed);
     let groups: Vec<Vec<CacheId>> = (0..caches)
         .collect::<Vec<_>>()
         .chunks(group_size)

@@ -69,6 +69,11 @@
 
 pub mod cli;
 
+/// Compiles and runs the Rust blocks of `README.md` as doc-tests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use ecg_cache as cache;
 pub use ecg_clustering as clustering;
 pub use ecg_coords as coords;

@@ -1,5 +1,5 @@
 //! The readers of outside bytes — the command-line parser, the flag
-//! vocabularies (`FromStr`), and the trace, RTT-matrix and graph file
+//! vocabularies (`FromStr`), and the trace and RTT-matrix file
 //! readers — under byte-level damage: each returns a typed error, or a
 //! value that survives a write/read round trip, and never panics. And
 //! every vocabulary name parses back to the value it names.
@@ -9,8 +9,7 @@ mod mutation;
 
 use edge_cache_groups::cli::{parse_value, Args};
 use edge_cache_groups::prelude::*;
-use edge_cache_groups::topology::{read_graph, read_rtt_matrix, write_graph, write_rtt_matrix};
-use edge_cache_groups::topology::{Graph, NodeId};
+use edge_cache_groups::topology::{read_rtt_matrix, write_rtt_matrix};
 use edge_cache_groups::workload::{read_trace, write_trace, Request, TraceEvent, Update};
 use mutation::{arb_mutation, mutate, Mutation};
 use proptest::prelude::*;
@@ -102,12 +101,6 @@ fn matrix_text(matrix: &RttMatrix) -> String {
     String::from_utf8(out).expect("the writer emits UTF-8")
 }
 
-fn graph_text(graph: &Graph) -> String {
-    let mut out = Vec::new();
-    write_graph(&mut out, graph).expect("in-memory write");
-    String::from_utf8(out).expect("the writer emits UTF-8")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -172,25 +165,6 @@ proptest! {
         if let Ok(read) = read_rtt_matrix(text.as_bytes()) {
             let again = read_rtt_matrix(matrix_text(&read).as_bytes());
             prop_assert_eq!(again.expect("written matrices read back"), read);
-        }
-    }
-
-    #[test]
-    fn damaged_graphs_are_refused_or_round_trip(
-        n in 2usize..8,
-        edges in proptest::collection::vec((0usize..8, 0usize..8, 0.5f64..100.0), 0..12),
-        edits in arb_edits(),
-    ) {
-        let mut graph = Graph::with_nodes(n);
-        for (a, b, latency) in edges {
-            // Out-of-range endpoints, self loops and repeats are refused.
-            let _ = graph.try_add_edge(NodeId(a % n), NodeId(b), latency);
-        }
-        let text = damaged(&graph_text(&graph), &edits);
-        if let Ok(read) = read_graph(text.as_bytes()) {
-            let written = graph_text(&read);
-            let again = read_graph(written.as_bytes()).expect("written graphs read back");
-            prop_assert_eq!(graph_text(&again), written);
         }
     }
 }

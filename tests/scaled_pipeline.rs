@@ -34,7 +34,7 @@ fn form_with(
     FormStats,
     SyntheticRtt,
 ) {
-    let net = SyntheticRttConfig::default().generate(n + 1, seed);
+    let net = SyntheticRttConfig.generate(n + 1, seed);
     let scheme = configure(
         SchemeConfig::sdsl((n / 50).max(2), 1.0)
             .landmarks(6)
@@ -86,7 +86,7 @@ fn tree_and_blocked_assignment_agree_over_many_seeds_and_threads() {
     // `force_assign` hook, not k, decides the engine under test.
     for seed in 0..30u64 {
         let n = 240;
-        let net = SyntheticRttConfig::default().generate(n + 1, 31_000 + seed);
+        let net = SyntheticRttConfig.generate(n + 1, 31_000 + seed);
         let run = |engine: AssignMode, threads: usize| {
             let scheme = SchemeConfig::sdsl(60, 1.0)
                 .landmarks(6)

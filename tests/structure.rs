@@ -1,7 +1,7 @@
 //! Structural claims about the source tree, checked on its text: one
 //! entry point per pipeline, one Lloyd loop, one scheduling loop, one
 //! JSON module, one bench harness, no unchecked print to stdout, no
-//! `unsafe`, and a CI that runs
+//! `unsafe`, no builder setter that only tests call, and a CI that runs
 //! `cargo test` whole. Each test is one predicate over the files
 //! it names; the shim modules kept for the end-to-end benchmark's old
 //! signatures (`shim.rs`) are exempt where the claim is about the live
@@ -394,6 +394,92 @@ fn the_binaries_print_through_a_checked_stdout() {
         }
     }
     assert!(hits.is_empty(), "unchecked prints: {hits:#?}");
+}
+
+/// The builder setters no code outside the tests calls, each with the
+/// reason it stays.
+const SETTERS_ONLY_TESTS_CALL: [(&str, &str); 4] = [
+    (
+        "brownout",
+        "FaultPlan: `from_json` reads brownout windows; this is the plan event's in-code form",
+    ),
+    (
+        "flash_crowd",
+        "SportingEventConfig: tests/cross_properties.rs and tests/trace_replay.rs turn the surge off",
+    ),
+    (
+        "force_lookup",
+        "RunContext: hidden hook that holds the dense and the sparse lookup layout to the spec",
+    ),
+    (
+        "probe_loss",
+        "FaultPlan: `from_json` reads the probe-loss knobs; this is their in-code form",
+    ),
+];
+
+#[test]
+fn every_builder_setter_is_called_outside_the_tests() {
+    // A `pub fn name(mut self, ...)` is an option. It stays only when
+    // code outside the tests sets it as `.name(` (the libraries, the
+    // binaries, `examples/` and the end-to-end benchmark), or when the
+    // list above says why.
+    let mut dirs = crate_srcs();
+    dirs.push("src".into());
+    let dirs: Vec<&str> = dirs.iter().map(String::as_str).collect();
+    let mut setters = Vec::new();
+    for path in rust_files(&dirs) {
+        let text = read(&path);
+        for (i, m) in text.match_indices("pub fn ") {
+            let name = ident_at(&text, i + m.len());
+            let rest = &text[i + m.len() + name.len()..];
+            if let Some(params) = rest.strip_prefix('(') {
+                if params.trim_start().starts_with("mut self") {
+                    setters.push((name.to_string(), rel(&path)));
+                }
+            }
+        }
+    }
+    assert!(
+        setters.len() > 50,
+        "the scan found {} setters",
+        setters.len()
+    );
+
+    let mut caller_dirs = dirs;
+    caller_dirs.extend(["examples", "benchmark/src"]);
+    let callers: Vec<String> = rust_files(&caller_dirs)
+        .iter()
+        .map(|path| {
+            let text = read(path);
+            non_test(&text, false)
+                .into_iter()
+                .filter(|line| !line.trim_start().starts_with("//"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        })
+        .collect();
+    let uncalled: Vec<&(String, String)> = setters
+        .iter()
+        .filter(|(name, _)| {
+            let call = format!(".{name}(");
+            !callers.iter().any(|code| code.contains(&call))
+        })
+        .collect();
+    let listed = |name: &str| SETTERS_ONLY_TESTS_CALL.iter().any(|(n, _)| *n == name);
+    let unlisted: Vec<_> = uncalled.iter().filter(|(name, _)| !listed(name)).collect();
+    assert!(
+        unlisted.is_empty(),
+        "setters only tests call (delete each, or list it with its reason): {unlisted:#?}"
+    );
+    let stale: Vec<&str> = SETTERS_ONLY_TESTS_CALL
+        .iter()
+        .map(|(name, _)| *name)
+        .filter(|name| !uncalled.iter().any(|(n, _)| n == name))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "listed setters that have a caller or are gone: {stale:?}"
+    );
 }
 
 /// `ci.yml`'s lines, each with the job it sits in (`None` above `jobs:`).

@@ -200,7 +200,7 @@ impl RttSource for CountingRtt<'_> {
 fn streamed_replay_matches_monolithic_on_materialized_inputs() {
     let caches = 40;
     let seed = 5u64;
-    let net = SyntheticRttConfig::default().generate(caches + 1, seed);
+    let net = SyntheticRttConfig.generate(caches + 1, seed);
     // Ragged groups whose member lists do not ascend: local ids, peer
     // order and fault routing all go through the member position.
     let groups: Vec<Vec<CacheId>> = (0..caches)
@@ -284,7 +284,7 @@ fn streamed_replay_over_an_unsorted_update_log_matches_its_materialized_trace() 
     let caches = 30;
     let seed = 8u64;
     let duration_ms = 12_000.0;
-    let net = SyntheticRttConfig::default().generate(caches + 1, seed);
+    let net = SyntheticRttConfig.generate(caches + 1, seed);
     let groups: Vec<Vec<CacheId>> = (0..caches)
         .collect::<Vec<_>>()
         .chunks(6)

@@ -22,7 +22,7 @@ const SEED: u64 = 42;
 /// Topology, groups, catalog, updates, and master seed are identical
 /// across calls — only the rate modulation differs.
 fn replay_mix(modulation: RateModulation) -> SimReport {
-    let net = SyntheticRttConfig::default().generate(CACHES + 1, SEED);
+    let net = SyntheticRttConfig.generate(CACHES + 1, SEED);
     let groups: Vec<Vec<CacheId>> = (0..CACHES)
         .collect::<Vec<_>>()
         .chunks(GROUP_SIZE)
