@@ -30,8 +30,14 @@ pub struct ProbeConfig {
     probes: usize,
     noise_sigma: f64,
     loss_rate: f64,
-    timeout_ms: f64,
 }
+
+/// How long a prober waits before declaring a probe lost. It doubles as
+/// the *sentinel RTT* the legacy `f64` API reports when a whole
+/// measurement times out or the target is unreachable; the
+/// outcome-returning API ([`Prober::measure_outcome`] /
+/// [`Prober::measure_retry`]) never reports it as a measurement.
+const TIMEOUT_MS: f64 = 1_000.0;
 
 impl Default for ProbeConfig {
     /// Three probes per measurement with 5% log-normal jitter, no probe
@@ -42,7 +48,6 @@ impl Default for ProbeConfig {
             probes: 3,
             noise_sigma: 0.05,
             loss_rate: 0.0,
-            timeout_ms: 1_000.0,
         }
     }
 }
@@ -60,7 +65,6 @@ impl ProbeConfig {
             probes: 1,
             noise_sigma: 0.0,
             loss_rate: 0.0,
-            timeout_ms: 1_000.0,
         }
     }
 
@@ -117,23 +121,6 @@ impl ProbeConfig {
         self
     }
 
-    /// Sets how long a prober waits before declaring a probe lost.
-    ///
-    /// This value doubles as the *sentinel RTT* the legacy `f64` API
-    /// reports when a whole measurement times out or the target is
-    /// unreachable; the outcome-returning API
-    /// ([`Prober::measure_outcome`] / [`Prober::measure_retry`]) never
-    /// reports it as a measurement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ms` is not positive and finite.
-    pub fn timeout_ms(mut self, ms: f64) -> Self {
-        assert!(ms.is_finite() && ms > 0.0, "timeout must be positive");
-        self.timeout_ms = ms;
-        self
-    }
-
     /// Number of probes averaged per measurement.
     pub fn probes(&self) -> usize {
         self.probes
@@ -149,9 +136,10 @@ impl ProbeConfig {
         self.loss_rate
     }
 
-    /// Probe timeout in milliseconds.
+    /// Probe timeout in milliseconds: 1 s, also the sentinel RTT the
+    /// legacy `f64` API reports for a measurement that timed out.
     pub fn timeout(&self) -> f64 {
-        self.timeout_ms
+        TIMEOUT_MS
     }
 }
 
@@ -387,8 +375,7 @@ impl<'a> Prober<'a> {
         rng: &mut R,
         obs: Option<&mut Obs>,
     ) -> f64 {
-        self.measure_outcome(a, b, rng, obs)
-            .value_or(self.config.timeout_ms)
+        self.measure_outcome(a, b, rng, obs).value_or(TIMEOUT_MS)
     }
 
     /// Measures the RTT between `a` and `b` with an explicit outcome:
@@ -618,7 +605,7 @@ impl<'a> Prober<'a> {
         self.tallied(obs, |mut record, tally| {
             out.extend(targets.iter().map(|&t| {
                 self.measure_tallied(from, t, rng, record.as_deref_mut(), tally)
-                    .value_or(self.config.timeout_ms)
+                    .value_or(TIMEOUT_MS)
             }));
         });
     }
@@ -689,7 +676,7 @@ impl<'a> Prober<'a> {
         match policy {
             None => {
                 let outcome = self.draw_tallied(a, b, rng, tally);
-                (outcome.value_or(self.config.timeout_ms), true)
+                (outcome.value_or(TIMEOUT_MS), true)
             }
             Some(policy) => {
                 let retried = self.measure_retry_tallied(a, b, policy, rng, record, tally);
@@ -822,13 +809,12 @@ mod tests {
             &m,
             ProbeConfig::noiseless()
                 .probes_per_measurement(3)
-                .loss_rate(0.999)
-                .timeout_ms(750.0),
+                .loss_rate(0.999),
         );
         let mut rng = StdRng::seed_from_u64(0);
         // With 99.9% loss the 3 probes are all lost essentially always.
         let measured = p.measure(0, 1, &mut rng, None);
-        assert_eq!(measured, 750.0);
+        assert_eq!(measured, 1_000.0);
         assert_eq!(p.probes_lost(), 3);
     }
 
@@ -1317,12 +1303,6 @@ mod tests {
     #[should_panic(expected = "loss rate")]
     fn bad_loss_rate_rejected() {
         let _ = ProbeConfig::default().loss_rate(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "timeout")]
-    fn bad_timeout_rejected() {
-        let _ = ProbeConfig::default().timeout_ms(0.0);
     }
 
     #[test]

@@ -1295,7 +1295,7 @@ mod tests {
         let cfg = SchemeConfig::sl(3)
             .landmarks(3)
             .plset_multiplier(2)
-            .probe(ProbeConfig::noiseless().loss_rate(0.45).timeout_ms(500.0))
+            .probe(ProbeConfig::noiseless().loss_rate(0.45))
             .resilience(ResilienceConfig::default());
         let mut retried = 0u64;
         for seed in 0..20u64 {

@@ -217,9 +217,8 @@ pub enum MembershipChange {
         /// The group it joined.
         group: usize,
     },
-    /// The grouping is unchanged: a brownout, an outage of a cache that
-    /// is already out, or a recovery of a retired cache or of one that
-    /// never left.
+    /// The grouping is unchanged: an outage of a cache that is already
+    /// out, or a recovery of a retired cache or of one that never left.
     Unchanged,
 }
 
@@ -264,9 +263,6 @@ impl Membership {
                     Err(MaintenanceError::AlreadyActive(_)) => Ok(MembershipChange::Unchanged),
                     Err(e) => Err(e),
                 }
-            }
-            FaultKind::BrownoutStart { .. } | FaultKind::BrownoutEnd => {
-                Ok(MembershipChange::Unchanged)
             }
         }
     }
@@ -356,13 +352,12 @@ impl ChurnDriver {
         }
     }
 
-    /// Applies every membership-affecting event of `plan` through
-    /// [`Membership::apply`], in the order the simulator fires them.
+    /// Applies every event of `plan` through [`Membership::apply`], in
+    /// the order the simulator fires them.
     ///
     /// A retirement that would empty its group is skipped (counted in
     /// [`skipped_retirements`](Self::skipped_retirements)): the cache
     /// stays nominally grouped. A retired cache stays out for good.
-    /// Brownouts don't touch membership and are ignored.
     ///
     /// With a bundle it records churn telemetry: `churn.retirements` /
     /// `churn.readmissions` / `churn.skipped_retirements` counters, a
@@ -385,13 +380,11 @@ impl ChurnDriver {
     ) -> Result<(), MaintenanceError> {
         let caches = self.maintainer.cache_count();
         for event in plan.events() {
-            if let FaultKind::CacheDown { cache }
+            let (FaultKind::CacheDown { cache }
             | FaultKind::CacheUp { cache }
-            | FaultKind::CacheRetire { cache } = event.kind
-            {
-                if cache.index() >= caches {
-                    return Err(MaintenanceError::UnknownCache(cache));
-                }
+            | FaultKind::CacheRetire { cache }) = event.kind;
+            if cache.index() >= caches {
+                return Err(MaintenanceError::UnknownCache(cache));
             }
         }
         let mut membership = Membership::default();

@@ -1,14 +1,13 @@
 //! Fault injection and churn for the edge-cache-group simulator.
 //!
 //! The paper forms cache groups once, over a healthy network. This crate
-//! asks what happens afterwards: caches crash and recover, nodes are
-//! retired for good, the origin browns out, probe traffic gets lossy. It
-//! layers three pieces over the rest of the workspace:
+//! asks what happens afterwards: caches crash and recover, and nodes are
+//! retired for good. It layers these pieces over the rest of the
+//! workspace:
 //!
 //! * [`FaultPlan`] — a builder DSL for fault scripts. Compiles to the
 //!   simulator's [`ecg_sim::FaultSchedule`] (which
-//!   [`ecg_sim::SimPlan::faults`] takes) and can degrade
-//!   maintenance-time probing via [`FaultPlan::probe_config`].
+//!   [`ecg_sim::SimPlan::faults`] takes).
 //! * [`ChurnConfig`] / [`ChurnDriver`] — seeded random churn generation
 //!   and its replay through [`ecg_core::maintenance`]: crashed caches
 //!   are retired from their groups, recovered ones re-admitted, and the
@@ -61,4 +60,4 @@ pub mod plan;
 pub use churn::{serving_map, ChurnConfig, ChurnDriver, DriftSample, Membership, MembershipChange};
 pub use formation::FormationFaults;
 pub use json::report_to_json;
-pub use plan::{FaultPlan, PlanParseError};
+pub use plan::FaultPlan;

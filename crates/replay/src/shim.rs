@@ -194,10 +194,9 @@ mod tests {
             .generate(&catalog, 6, 20_000.0, &mut rng);
         let updates = generate_updates(&catalog, 20_000.0, &mut rng);
         let trace = merge_streams(&requests, &updates);
-        let mut schedule = FaultSchedule::new().failover_penalty_ms(5.0);
+        let mut schedule = FaultSchedule::new();
         schedule.push(4_000.0, FaultKind::CacheDown { cache: CacheId(2) });
         schedule.push(12_000.0, FaultKind::CacheUp { cache: CacheId(2) });
-        schedule.push(6_000.0, FaultKind::BrownoutStart { factor: 2.5 });
         let config = ReplayConfig::new()
             .sim(SimConfig::default().warmup_ms(2_000.0))
             .schedule(schedule);

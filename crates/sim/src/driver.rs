@@ -13,9 +13,9 @@
 //! `c` touches only `c`'s group peers and the origin — so a run is the
 //! kernel ([`crate::sim`]'s event loop) applied to **one group at a
 //! time**: that group's requests plus the full update log, its members'
-//! fault events plus every brownout window, over the RTT sub-matrix of
-//! `[origin, members…]`, with one cache per member. An event's working
-//! set is then its group's, not the network's.
+//! fault events, over the RTT sub-matrix of `[origin, members…]`, with
+//! one cache per member. An event's working set is then its group's,
+//! not the network's.
 //!
 //! Everything that reads the whole network happens once, before the
 //! first group runs: input validation in trace order (the first invalid
@@ -35,7 +35,7 @@
 use crate::event::{local_ids, log_records, GroupWalk, Record, RecordBlock, TracePlan};
 use crate::fault::{FaultKind, FaultSchedule};
 use crate::groups::GroupMap;
-use crate::metrics::{DegradationMetrics, MetricsRecorder};
+use crate::metrics::MetricsRecorder;
 use crate::sim::{
     check_inputs, dense_layout, kernel, GroupOutcome, KernelStore, Lookup, SimConfig, SimError,
     SimReport, Tallies,
@@ -48,7 +48,7 @@ use ecg_workload::{DocumentCatalog, TraceEvent, ZipfSampler};
 use std::cell::RefCell;
 use std::time::Instant;
 
-/// The schedule of a plan nobody gave one: no faults, default knobs.
+/// The schedule of a plan nobody gave one: no faults.
 static NO_FAULTS: FaultSchedule = FaultSchedule::new();
 
 /// Where a run's events come from.
@@ -140,10 +140,10 @@ impl<'a> SimPlan<'a> {
     /// Injects the faults in `schedule` alongside the workload (cache
     /// ids are global). Fault semantics are documented on
     /// [`crate::fault`]; in brief: a down cache serves nothing (its
-    /// clients fail over to the origin, paying the schedule's failover
-    /// penalty), cooperative lookups skip down peers, recovery is cold,
-    /// retirement is permanent, and origin brownouts multiply every
-    /// origin fetch latency. An empty schedule is the fault-free run.
+    /// clients fail over to the origin, paying the latency model's
+    /// failover penalty), cooperative lookups skip down peers, recovery
+    /// is cold, and retirement is permanent. An empty schedule is the
+    /// fault-free run.
     pub fn faults(mut self, schedule: &'a FaultSchedule) -> Self {
         self.schedule = schedule;
         self
@@ -490,10 +490,10 @@ impl<'a> GroupRun<'a> {
         let events = match plan.trace {
             TraceSource::Events(trace) => {
                 let docs = plan.catalog.len();
-                GroupEvents::Planned(trace, TracePlan::build(groups, docs, schedule, trace)?)
+                GroupEvents::Planned(trace, TracePlan::build(groups, docs, trace)?)
             }
             TraceSource::Streamed(workload) => {
-                stream::validate(plan.catalog, &workload, schedule)?;
+                stream::validate(plan.catalog, &workload)?;
                 GroupEvents::Streamed {
                     workload,
                     zipf: ZipfSampler::new(plan.catalog.len(), workload.zipf_exponent()),
@@ -569,11 +569,9 @@ impl<'a> GroupRun<'a> {
     /// The group-order fold's empty accumulator: one recorder over the
     /// network's `N` caches, which every group's rows are merged into.
     fn start(&self) -> GroupOutcome {
-        let mut metrics = MetricsRecorder::new(self.groups.cache_count());
-        metrics.degradation = DegradationMetrics::new(self.plan.schedule.timeline_bucket());
         GroupOutcome {
             report: SimReport {
-                metrics,
+                metrics: MetricsRecorder::new(self.groups.cache_count()),
                 cache_stats: CacheStats::default(),
                 origin_updates: 0,
                 origin_fetches: 0,
@@ -602,40 +600,26 @@ impl<'a> GroupRun<'a> {
 }
 
 /// Every group's fault script from one pass over the global schedule:
-/// a cache event goes to its cache's group re-indexed to the local id,
-/// a brownout event to every group (the origin is shared), all in the
-/// original push order — the kernel's FIFO tie-break at equal instants
-/// is order-preserving on subsequences. Failover penalty and timeline
-/// bucket carry over so degradation metrics bucket identically, events
-/// or no events.
+/// each event goes to its cache's group re-indexed to the local id, in
+/// the original push order — the kernel's FIFO tie-break at equal
+/// instants is order-preserving on subsequences.
 ///
-/// `local_of` is [`local_ids`] of `groups`, read only for cache events:
-/// a caller with an empty schedule need not build it.
+/// `local_of` is [`local_ids`] of `groups`: a caller with an empty
+/// schedule need not build it.
 fn member_schedules(
     schedule: &FaultSchedule,
     groups: &GroupMap,
     local_of: &[u32],
 ) -> Vec<FaultSchedule> {
-    let empty = FaultSchedule::new()
-        .failover_penalty_ms(schedule.failover_penalty())
-        .timeline_bucket_ms(schedule.timeline_bucket());
-    let mut subs = vec![empty; groups.group_count()];
+    let mut subs = vec![FaultSchedule::new(); groups.group_count()];
     for event in schedule.events() {
         let mut kind = event.kind;
-        match &mut kind {
-            FaultKind::CacheDown { cache }
-            | FaultKind::CacheUp { cache }
-            | FaultKind::CacheRetire { cache } => {
-                let group = groups.group_of(*cache);
-                *cache = CacheId(local_of[cache.index()] as usize);
-                subs[group].push(event.time_ms, kind);
-            }
-            FaultKind::BrownoutStart { .. } | FaultKind::BrownoutEnd => {
-                for sub in &mut subs {
-                    sub.push(event.time_ms, kind);
-                }
-            }
-        }
+        let (FaultKind::CacheDown { cache }
+        | FaultKind::CacheUp { cache }
+        | FaultKind::CacheRetire { cache }) = &mut kind;
+        let group = groups.group_of(*cache);
+        *cache = CacheId(local_of[cache.index()] as usize);
+        subs[group].push(event.time_ms, kind);
     }
     subs
 }
@@ -787,42 +771,33 @@ mod tests {
 
     /// The per-shard filter the plan-stage partition replaced, kept as
     /// its oracle: group `g`'s member events re-indexed to local ids
-    /// through an N-entry map of its own, plus every brownout window, in
-    /// push order.
+    /// through an N-entry map of its own, in push order.
     fn member_schedule(schedule: &FaultSchedule, groups: &GroupMap, g: usize) -> FaultSchedule {
         let mut local_of = vec![usize::MAX; groups.cache_count()];
         for (local, &m) in groups.groups()[g].iter().enumerate() {
             local_of[m.index()] = local;
         }
-        let mut sub = FaultSchedule::new()
-            .failover_penalty_ms(schedule.failover_penalty())
-            .timeline_bucket_ms(schedule.timeline_bucket());
+        let mut sub = FaultSchedule::new();
         for event in schedule.events() {
-            match event.kind {
-                FaultKind::CacheDown { cache }
-                | FaultKind::CacheUp { cache }
-                | FaultKind::CacheRetire { cache } => {
-                    let local = local_of[cache.index()];
-                    if local == usize::MAX {
-                        continue;
-                    }
-                    let kind = match event.kind {
-                        FaultKind::CacheDown { .. } => FaultKind::CacheDown {
-                            cache: CacheId(local),
-                        },
-                        FaultKind::CacheUp { .. } => FaultKind::CacheUp {
-                            cache: CacheId(local),
-                        },
-                        _ => FaultKind::CacheRetire {
-                            cache: CacheId(local),
-                        },
-                    };
-                    sub.push(event.time_ms, kind);
-                }
-                FaultKind::BrownoutStart { .. } | FaultKind::BrownoutEnd => {
-                    sub.push(event.time_ms, event.kind);
-                }
+            let (FaultKind::CacheDown { cache }
+            | FaultKind::CacheUp { cache }
+            | FaultKind::CacheRetire { cache }) = event.kind;
+            let local = local_of[cache.index()];
+            if local == usize::MAX {
+                continue;
             }
+            let kind = match event.kind {
+                FaultKind::CacheDown { .. } => FaultKind::CacheDown {
+                    cache: CacheId(local),
+                },
+                FaultKind::CacheUp { .. } => FaultKind::CacheUp {
+                    cache: CacheId(local),
+                },
+                FaultKind::CacheRetire { .. } => FaultKind::CacheRetire {
+                    cache: CacheId(local),
+                },
+            };
+            sub.push(event.time_ms, kind);
         }
         sub
     }
@@ -862,49 +837,36 @@ mod tests {
     }
 
     #[test]
-    fn member_schedules_keep_members_and_brownouts() {
-        let mut schedule = FaultSchedule::new()
-            .failover_penalty_ms(7.0)
-            .timeline_bucket_ms(2_000.0);
+    fn member_schedules_keep_members() {
+        let mut schedule = FaultSchedule::new();
         schedule.push(1.0, FaultKind::CacheDown { cache: CacheId(0) });
         schedule.push(2.0, FaultKind::CacheDown { cache: CacheId(1) });
-        schedule.push(3.0, FaultKind::BrownoutStart { factor: 2.0 });
         schedule.push(4.0, FaultKind::CacheUp { cache: CacheId(0) });
-        schedule.push(5.0, FaultKind::BrownoutEnd);
         schedule.push(6.0, FaultKind::CacheRetire { cache: CacheId(3) });
         let groups = groups();
         let subs = member_schedules(&schedule, &groups, &local_ids(&groups));
         assert_eq!(subs.len(), 2);
-        let sub = &subs[0];
-        assert_eq!(sub.failover_penalty(), 7.0);
-        assert_eq!(sub.timeline_bucket(), 2_000.0);
         // Member order is [2, 0], so global cache 0 is local 1; the
-        // group-1 events (caches 1 and 3) are gone, brownouts stay.
-        let kinds: Vec<FaultKind> = sub.events().iter().map(|e| e.kind).collect();
+        // group-1 events (caches 1 and 3) are gone.
+        let kinds: Vec<FaultKind> = subs[0].events().iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
             vec![
                 FaultKind::CacheDown { cache: CacheId(1) },
-                FaultKind::BrownoutStart { factor: 2.0 },
                 FaultKind::CacheUp { cache: CacheId(1) },
-                FaultKind::BrownoutEnd,
             ]
         );
     }
 
     #[test]
-    fn an_empty_schedule_partitions_without_the_id_map_and_keeps_its_knobs() {
-        let schedule = FaultSchedule::new()
-            .failover_penalty_ms(9.0)
-            .timeline_bucket_ms(750.0);
+    fn an_empty_schedule_partitions_without_the_id_map() {
+        let schedule = FaultSchedule::new();
         let groups = groups();
         let subs = member_schedules(&schedule, &groups, &[]);
         assert_eq!(subs.len(), groups.group_count());
         for (g, sub) in subs.iter().enumerate() {
             assert_eq!(sub, &member_schedule(&schedule, &groups, g));
             assert!(sub.is_empty());
-            assert_eq!(sub.failover_penalty(), 9.0);
-            assert_eq!(sub.timeline_bucket(), 750.0);
         }
     }
 
@@ -932,21 +894,17 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let groups = random_group_map(caches, &mut rng);
-            let mut schedule = FaultSchedule::new()
-                .failover_penalty_ms(rng.gen_range(0.0..20.0))
-                .timeline_bucket_ms(rng.gen_range(1.0..9_000.0));
+            let mut schedule = FaultSchedule::new();
             for _ in 0..events {
                 // A coarse clock makes equal instants (and outright
                 // duplicate events) common; the partition is a pure
                 // routing of events, so it need not be a valid script.
                 let time_ms = f64::from(rng.gen_range(0u32..8)) * 500.0;
                 let cache = CacheId(rng.gen_range(0..caches));
-                let kind = match rng.gen_range(0..5) {
+                let kind = match rng.gen_range(0..3) {
                     0 => FaultKind::CacheDown { cache },
                     1 => FaultKind::CacheUp { cache },
-                    2 => FaultKind::CacheRetire { cache },
-                    3 => FaultKind::BrownoutStart { factor: 2.0 },
-                    _ => FaultKind::BrownoutEnd,
+                    _ => FaultKind::CacheRetire { cache },
                 };
                 schedule.push(time_ms, kind);
                 if rng.gen_bool(0.2) {

@@ -28,7 +28,7 @@
 //!   on the same input.
 //! * **Fault carry-over.** The global [`FaultSchedule`] is split per
 //!   epoch; state that straddles a boundary (a cache still down, a
-//!   retirement, an open brownout) is reconstructed from
+//!   retirement) is reconstructed from
 //!   [`FaultSchedule::carry_state_at`] and re-announced at the epoch
 //!   start *before* any in-window event at the same instant (the
 //!   simulator's FIFO tie-break preserves push order). Re-announcement
@@ -54,7 +54,7 @@ use crate::driver::{self, RunContext, SimPlan, TraceSource};
 use crate::event::validate_trace;
 use crate::fault::{FaultKind, FaultSchedule};
 use crate::groups::GroupMap;
-use crate::metrics::{DegradationMetrics, MetricsRecorder};
+use crate::metrics::MetricsRecorder;
 use crate::sim::{GroupOutcome, SimError, SimReport, Tallies};
 
 /// One serving interval of a formation timeline: from `start_ms` until
@@ -204,7 +204,7 @@ pub fn simulate_epochs(
     let n = plan.rtt.node_count().saturating_sub(1);
     validate_epochs(n, epochs)?;
     plan.schedule.validate(n).map_err(SimError::from)?;
-    validate_trace(n, plan.catalog.len(), plan.schedule, trace)?;
+    validate_trace(n, plan.catalog.len(), trace)?;
 
     let (exec, stats) = ctx.begin(epochs.len());
     let mut tallies = Tallies::default();
@@ -224,7 +224,7 @@ pub fn simulate_epochs(
         segments.push(outcome.report);
     }
 
-    let report = merge_segments(n, plan.schedule.timeline_bucket(), &segments);
+    let report = merge_segments(n, &segments);
     Ok(ctx.finish(GroupOutcome { report, tallies }, plan, trace.len()))
 }
 
@@ -273,22 +273,17 @@ fn validate_epochs(n: usize, epochs: &[ReplayEpoch]) -> Result<(), EpochReplayEr
 }
 
 /// The fault schedule one epoch's segment replays: carried-over state
-/// re-announced at the epoch start, then every in-window event, knobs
-/// preserved. Carry events are pushed *first* so the simulator's FIFO
-/// tie-break applies them before same-instant in-window events.
+/// re-announced at the epoch start, then every in-window event. Carry
+/// events are pushed *first* so the simulator's FIFO tie-break applies
+/// them before same-instant in-window events.
 fn segment_schedule(full: &FaultSchedule, start_ms: f64, end_ms: f64) -> FaultSchedule {
-    let mut seg = FaultSchedule::new()
-        .failover_penalty_ms(full.failover_penalty())
-        .timeline_bucket_ms(full.timeline_bucket());
+    let mut seg = FaultSchedule::new();
     let carry = full.carry_state_at(start_ms);
     for &cache in &carry.retired {
         seg.push(start_ms, FaultKind::CacheRetire { cache });
     }
     for &cache in &carry.down {
         seg.push(start_ms, FaultKind::CacheDown { cache });
-    }
-    if let Some(factor) = carry.brownout_factor {
-        seg.push(start_ms, FaultKind::BrownoutStart { factor });
     }
     for e in full.events() {
         if e.time_ms >= start_ms && e.time_ms < end_ms {
@@ -302,9 +297,8 @@ fn segment_schedule(full: &FaultSchedule, start_ms: f64, end_ms: f64) -> FaultSc
 /// order. Unlike the within-segment shard merge (where every shard
 /// replays the full update log), segments split the update log between
 /// them, so `origin_updates` is summed.
-fn merge_segments(cache_count: usize, bucket_ms: f64, segments: &[SimReport]) -> SimReport {
+fn merge_segments(cache_count: usize, segments: &[SimReport]) -> SimReport {
     let mut metrics = MetricsRecorder::new(cache_count);
-    metrics.degradation = DegradationMetrics::new(bucket_ms);
     let identity: Vec<CacheId> = (0..cache_count).map(CacheId).collect();
     let mut cache_stats = CacheStats::default();
     let mut origin_fetches = 0u64;
@@ -438,12 +432,10 @@ mod tests {
     fn faults_carry_across_epoch_boundaries() {
         let (rtt, catalog, trace) = fixture();
         // Down at 4 s, recovering at 15 s — spanning the 10 s boundary —
-        // plus a brownout open across it and a permanent retirement.
+        // plus a permanent retirement.
         let mut schedule = FaultSchedule::new();
         schedule.push(4_000.0, FaultKind::CacheDown { cache: CacheId(2) });
         schedule.push(15_000.0, FaultKind::CacheUp { cache: CacheId(2) });
-        schedule.push(6_000.0, FaultKind::BrownoutStart { factor: 3.0 });
-        schedule.push(18_000.0, FaultKind::BrownoutEnd);
         schedule.push(2_000.0, FaultKind::CacheRetire { cache: CacheId(5) });
         let plan = SimPlan::new(&rtt, &catalog, &trace).faults(&schedule);
         let epochs = [
@@ -462,8 +454,8 @@ mod tests {
         assert!(d.saw_faults());
         // The document lists the global schedule once, carry events
         // excluded, and one group row per shard in run order.
-        assert_eq!(obs.metrics.counter("sim.fault_events"), 5);
-        assert_eq!(obs.trace.len(), 5);
+        assert_eq!(obs.metrics.counter("sim.fault_events"), 3);
+        assert_eq!(obs.trace.len(), 3);
         let served = |g: usize| -> u64 {
             ["local_hits", "peer_hits", "coop_misses"]
                 .iter()

@@ -28,7 +28,7 @@
 //! misses of one refill overlap and the event loop reads 24-byte
 //! records side by side, whatever the group's size.
 
-use crate::fault::FaultSchedule;
+use crate::fault::{FaultSchedule, HORIZON};
 use crate::groups::GroupMap;
 use crate::sim::SimError;
 use crate::time::SimTime;
@@ -59,8 +59,8 @@ pub enum Event {
 }
 
 /// Validates `trace` against a network of `caches` caches, a catalog of
-/// `docs` documents and the run horizon of `schedule`
-/// ([`FaultSchedule::horizon`]), event by event in trace order —
+/// `docs` documents and the run horizon ([`HORIZON`]), event by event
+/// in trace order —
 /// references first, then the timestamp — handing each valid event to
 /// `visit`. Returns whether the quantised times never decrease, i.e.
 /// whether trace order already is processing order.
@@ -73,11 +73,9 @@ pub enum Event {
 fn scan_trace(
     caches: usize,
     docs: usize,
-    schedule: &FaultSchedule,
     trace: &[TraceEvent],
     mut visit: impl FnMut(&TraceEvent),
 ) -> Result<bool, SimError> {
-    let horizon = schedule.horizon();
     let mut ordered = true;
     let mut previous = SimTime::ZERO;
     for (index, event) in trace.iter().enumerate() {
@@ -95,7 +93,7 @@ fn scan_trace(
         }
         let at =
             SimTime::try_from_ms(event.time_ms()).ok_or(SimError::EventTimeInvalid { index })?;
-        if at >= horizon {
+        if at >= HORIZON {
             return Err(SimError::EventTimeBeyondHorizon { index });
         }
         ordered &= previous <= at;
@@ -111,10 +109,9 @@ fn scan_trace(
 pub(crate) fn validate_trace(
     caches: usize,
     docs: usize,
-    schedule: &FaultSchedule,
     trace: &[TraceEvent],
 ) -> Result<(), SimError> {
-    scan_trace(caches, docs, schedule, trace, |_| {}).map(drop)
+    scan_trace(caches, docs, trace, |_| {}).map(drop)
 }
 
 /// Processing order of a validated trace: every position, in place when
@@ -199,13 +196,11 @@ pub(crate) struct TracePlan {
 }
 
 impl TracePlan {
-    /// Validates `trace` against a catalog of `docs` documents and
-    /// `schedule`'s horizon ([`FaultSchedule::horizon`]) and splits it
-    /// over `groups`: the one pass that validates and quantises every
-    /// event also counts each list's length, so the lists are sized
-    /// exactly; a second loop, which only routes positions, fills them
-    /// in processing order. `schedule` must already have passed
-    /// [`FaultSchedule::validate`].
+    /// Validates `trace` against a catalog of `docs` documents and the
+    /// run horizon ([`HORIZON`]) and splits it over `groups`: the one
+    /// pass that validates and quantises every event also counts each
+    /// list's length, so the lists are sized exactly; a second loop,
+    /// which only routes positions, fills them in processing order.
     ///
     /// # Errors
     ///
@@ -215,7 +210,6 @@ impl TracePlan {
     pub(crate) fn build(
         groups: &GroupMap,
         docs: usize,
-        schedule: &FaultSchedule,
         trace: &[TraceEvent],
     ) -> Result<Self, SimError> {
         let k = groups.group_count();
@@ -225,7 +219,7 @@ impl TracePlan {
             TraceEvent::Request(r) => starts[groups.group_of(CacheId(r.cache)) + 1] += 1,
             TraceEvent::Update(_) => update_count += 1,
         };
-        let ordered = scan_trace(groups.cache_count(), docs, schedule, trace, count)?;
+        let ordered = scan_trace(groups.cache_count(), docs, trace, count)?;
         for g in 0..k {
             starts[g + 1] += starts[g];
         }
@@ -662,7 +656,7 @@ mod tests {
     /// ids are global ones: the whole run's order.
     fn whole_walk(caches: usize, trace: &[TraceEvent], schedule: &FaultSchedule) -> Vec<usize> {
         let groups = GroupMap::one_group(caches);
-        let plan = TracePlan::build(&groups, usize::MAX, schedule, trace).unwrap();
+        let plan = TracePlan::build(&groups, usize::MAX, trace).unwrap();
         let walked = walk_group(trace, &plan, 0, &local_ids(&groups), schedule, 128);
         assert_eq!(walked, stable_order(trace, schedule));
         walked
@@ -699,7 +693,7 @@ mod tests {
         schedule.push(2.0, FaultKind::CacheDown { cache: CacheId(1) });
         schedule.push(0.5, FaultKind::CacheDown { cache: CacheId(0) });
         schedule.push(9.0, FaultKind::CacheUp { cache: CacheId(0) });
-        let ordered = scan_trace(2, 3, &schedule, &trace, |_| {}).unwrap();
+        let ordered = scan_trace(2, 3, &trace, |_| {}).unwrap();
         assert!(ordered, "no copy for an ordered trace");
         assert_eq!(
             whole_walk(2, &trace, &schedule),
@@ -717,23 +711,22 @@ mod tests {
             request(0.0, 0, 3),
         ];
         let schedule = FaultSchedule::new();
-        assert!(!scan_trace(1, 4, &schedule, &trace, |_| {}).unwrap());
+        assert!(!scan_trace(1, 4, &trace, |_| {}).unwrap());
         assert_eq!(whole_walk(1, &trace, &schedule), vec![3, 1, 2, 0]);
     }
 
     #[test]
     fn hostile_events_are_typed_errors_in_trace_order() {
-        let schedule = FaultSchedule::new();
         let one = GroupMap::one_group(1);
         for bad in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
             let trace = vec![request(0.0, 0, 0), update(bad, 0), request(bad, 0, 0)];
-            let err = TracePlan::build(&one, 1, &schedule, &trace).err();
+            let err = TracePlan::build(&one, 1, &trace).err();
             assert_eq!(err, Some(SimError::EventTimeInvalid { index: 1 }), "{bad}");
         }
         // References are checked before the timestamp of the same event.
-        let err = TracePlan::build(&one, 1, &schedule, &[request(f64::NAN, 3, 0)]).err();
+        let err = TracePlan::build(&one, 1, &[request(f64::NAN, 3, 0)]).err();
         assert_eq!(err, Some(SimError::RequestCacheOutOfRange { cache: 3 }));
-        let err = TracePlan::build(&one, 1, &schedule, &[update(f64::NAN, 7)]).err();
+        let err = TracePlan::build(&one, 1, &[update(f64::NAN, 7)]).err();
         assert_eq!(err, Some(SimError::DocOutOfRange { doc: 7 }));
     }
 
@@ -809,7 +802,7 @@ mod tests {
     /// Every group's walk of `trace`, at every lane capacity from 1 to
     /// two past the longest list, equals its share of the whole walk.
     fn assert_walks_match(groups: &GroupMap, trace: &[TraceEvent], schedule: &FaultSchedule) {
-        let plan = TracePlan::build(groups, usize::MAX, schedule, trace).unwrap();
+        let plan = TracePlan::build(groups, usize::MAX, trace).unwrap();
         let local_of = local_ids(groups);
         for g in 0..groups.group_count() {
             let expected = share_of_the_whole_walk(groups, g, trace, schedule);
@@ -837,7 +830,7 @@ mod tests {
             request(5.0, 3, 3),
         ];
         let schedule = FaultSchedule::new();
-        let plan = TracePlan::build(&groups, 7, &schedule, &trace).unwrap();
+        let plan = TracePlan::build(&groups, 7, &trace).unwrap();
         assert_eq!(plan.requests, [2, 3, 0, 5]);
         assert_eq!(plan.starts, [0, 2, 4]);
         assert_eq!(plan.updates, [1, 4]);
@@ -865,7 +858,7 @@ mod tests {
             );
         }
         // Same errors, same precedence as the whole-trace walk.
-        let err = TracePlan::build(&groups, 3, &schedule, &trace).err();
+        let err = TracePlan::build(&groups, 3, &trace).err();
         assert_eq!(err, Some(SimError::DocOutOfRange { doc: 5 }));
     }
 
@@ -908,8 +901,8 @@ mod tests {
         // only. And a trace with nothing but requests, or nothing.
         let no_requests_for_one = vec![update(1.0, 0), request(1.0, 2, 1), update(3.0, 2)];
         let mut schedule = FaultSchedule::new();
-        schedule.push(1.0, FaultKind::BrownoutStart { factor: 2.0 });
-        schedule.push(9.0, FaultKind::BrownoutEnd);
+        schedule.push(1.0, FaultKind::CacheDown { cache: CacheId(0) });
+        schedule.push(9.0, FaultKind::CacheUp { cache: CacheId(0) });
         assert_walks_match(&two, &no_requests_for_one, &schedule);
         assert_walks_match(&two, &[request(1.0, 0, 0), request(1.0, 1, 1)], &schedule);
         assert_walks_match(&two, &[], &schedule);
@@ -963,7 +956,7 @@ mod tests {
                 .collect();
             let mut schedule = FaultSchedule::new();
             for &tick in &fault_ticks {
-                schedule.push(ms(tick), FaultKind::BrownoutEnd);
+                schedule.push(ms(tick), FaultKind::CacheDown { cache: CacheId(0) });
             }
             // Five caches dealt round the groups, member lists descending.
             let mut lists = vec![Vec::new(); stride];
@@ -972,7 +965,7 @@ mod tests {
             }
             lists.retain(|members| !members.is_empty());
             let groups = GroupMap::new(5, lists).unwrap();
-            let plan = TracePlan::build(&groups, trace.len(), &schedule, &trace).unwrap();
+            let plan = TracePlan::build(&groups, trace.len(), &trace).unwrap();
             let local_of = local_ids(&groups);
             for g in 0..groups.group_count() {
                 let expected = share_of_the_whole_walk(&groups, g, &trace, &schedule);
@@ -1056,14 +1049,14 @@ mod tests {
             for &tick in &fault_ticks {
                 schedule.push(ms(tick), FaultKind::CacheDown { cache: CacheId(0) });
             }
-            let ordered = scan_trace(4, trace.len(), &schedule, &trace, |_| {}).unwrap();
+            let ordered = scan_trace(4, trace.len(), &trace, |_| {}).unwrap();
             if presorted {
                 prop_assert!(ordered, "a sorted trace is walked in place");
             }
             let heap = heap_order(&trace, &schedule);
             prop_assert_eq!(&stable_order(&trace, &schedule), &heap);
             let groups = GroupMap::one_group(4);
-            let plan = TracePlan::build(&groups, trace.len(), &schedule, &trace).unwrap();
+            let plan = TracePlan::build(&groups, trace.len(), &trace).unwrap();
             let walked = walk_group(&trace, &plan, 0, &local_ids(&groups), &schedule, 16);
             prop_assert_eq!(walked, heap);
         }

@@ -15,10 +15,11 @@
 ///
 /// The model has one setting: 10 Mbit/s effective per-transfer
 /// bandwidth (1 250 bytes/ms), a 0.2 ms local-hit cost, 2 ms of origin
-/// processing (dynamic pages are generated, not just read), and 0.05 ms
+/// processing (dynamic pages are generated, not just read), 0.05 ms
 /// of per-peer query fan-out cost, which makes *group interaction cost*
 /// grow with group size: every local miss pays `peers × cost` before
-/// any reply can resolve it.
+/// any reply can resolve it, and a 3 ms penalty for a client to detect
+/// that its home cache is down before it fails over to the origin.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyModel;
 
@@ -26,11 +27,18 @@ const BANDWIDTH_BYTES_PER_MS: f64 = 1_250.0;
 const LOCAL_HIT_MS: f64 = 0.2;
 const ORIGIN_PROCESSING_MS: f64 = 2.0;
 const PEER_QUERY_COST_MS: f64 = 0.05;
+const FAILOVER_PENALTY_MS: f64 = 3.0;
 
 impl LatencyModel {
     /// Latency of serving a request from the local cache.
     pub fn local_hit(&self) -> f64 {
         LOCAL_HIT_MS
+    }
+
+    /// Extra latency a client pays to detect that its home cache is
+    /// down before it falls back to the origin.
+    pub fn failover_penalty(&self) -> f64 {
+        FAILOVER_PENALTY_MS
     }
 
     /// Cost of fanning a query out to `peer_count` group members.

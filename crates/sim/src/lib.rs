@@ -14,8 +14,8 @@
 //!   streamed — with the fault schedule, which the event loop walks.
 //! * [`LatencyModel`] — RTT + bandwidth transfer-cost model.
 //! * [`GroupMap`] — validated cache-to-group partition.
-//! * [`fault`] — fault schedules: cache crashes/recoveries/retirements
-//!   and origin brownouts, injected through [`SimPlan::faults`].
+//! * [`fault`] — fault schedules: cache crashes, recoveries and
+//!   retirements, injected through [`SimPlan::faults`].
 //! * [`place`] — in-group replica placement: the single-holder
 //!   baseline, adaptive replication and power-of-d-choices, picked by
 //!   [`SimConfig::placement`].

@@ -5,7 +5,7 @@
 //! keeps per-cache aggregates so the Figure-3 breakdowns (all caches, 50
 //! nearest the origin, 50 farthest) fall out of one run.
 
-use crate::fault::MAX_TIMELINE_BUCKETS;
+use crate::fault::{MAX_TIMELINE_BUCKETS, TIMELINE_BUCKET_MS};
 use crate::groups::GroupMap;
 use ecg_obs::Histogram as LatencyHistogram;
 use ecg_topology::CacheId;
@@ -158,7 +158,7 @@ impl WindowAggregate {
 }
 
 /// One bucket of the degradation time series: the healthy and degraded
-/// request aggregates for `[start_ms, start_ms + bucket_width)`.
+/// request aggregates for `[start_ms, start_ms + 10 s)`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TimelineBucket {
     /// Bucket start time, ms.
@@ -166,20 +166,18 @@ pub struct TimelineBucket {
     /// Requests whose group was fully healthy.
     pub healthy: WindowAggregate,
     /// Requests served while their group was degraded (a member down or
-    /// retired, or an origin brownout active).
+    /// retired).
     pub degraded: WindowAggregate,
 }
 
 /// Fault-impact metrics: every request is classified as *healthy* or
-/// *degraded* (some member of the requester's group down/retired, or an
-/// origin brownout active) and aggregated both overall and as a bucketed
-/// time series.
+/// *degraded* (some member of the requester's group down/retired) and
+/// aggregated both overall and as a time series of 10 s buckets.
 ///
 /// In a fault-free run (an empty schedule) everything lands in the
 /// healthy class and all fault counters stay zero.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DegradationMetrics {
-    bucket_width_ms: f64,
     /// Aggregate over requests served under fully healthy groups.
     pub healthy: WindowAggregate,
     /// Aggregate over requests served under degraded groups.
@@ -198,40 +196,10 @@ pub struct DegradationMetrics {
     timeline: Vec<TimelineBucket>,
 }
 
-impl Default for DegradationMetrics {
-    /// 10 s timeline buckets, nothing recorded.
-    fn default() -> Self {
-        Self::new(10_000.0)
-    }
-}
-
 impl DegradationMetrics {
-    /// Creates an empty recorder with the given timeline bucket width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width_ms` is not positive and finite.
-    pub fn new(bucket_width_ms: f64) -> Self {
-        assert!(
-            bucket_width_ms.is_finite() && bucket_width_ms > 0.0,
-            "bucket width must be > 0"
-        );
-        DegradationMetrics {
-            bucket_width_ms,
-            healthy: WindowAggregate::default(),
-            degraded: WindowAggregate::default(),
-            failovers: 0,
-            peer_queries_skipped: 0,
-            crashes: 0,
-            recoveries: 0,
-            retirements: 0,
-            timeline: Vec::new(),
-        }
-    }
-
     /// The timeline bucket width in ms.
     pub fn bucket_width_ms(&self) -> f64 {
-        self.bucket_width_ms
+        TIMELINE_BUCKET_MS
     }
 
     /// Records one served request into the overall split and its
@@ -255,13 +223,13 @@ impl DegradationMetrics {
             time_ms.is_finite() && time_ms >= 0.0,
             "time must be finite and >= 0, got {time_ms}"
         );
-        let idx = (time_ms / self.bucket_width_ms) as usize;
+        let idx = (time_ms / TIMELINE_BUCKET_MS) as usize;
         assert!(
             idx < MAX_TIMELINE_BUCKETS,
             "time {time_ms} lies past the timeline's {MAX_TIMELINE_BUCKETS} buckets"
         );
         while self.timeline.len() <= idx {
-            let start_ms = self.timeline.len() as f64 * self.bucket_width_ms;
+            let start_ms = self.timeline.len() as f64 * TIMELINE_BUCKET_MS;
             self.timeline.push(TimelineBucket {
                 start_ms,
                 ..Default::default()
@@ -316,15 +284,7 @@ impl DegradationMetrics {
     /// paths perform the identical chain of f64 additions and produce
     /// bit-identical sums. Missing trailing buckets are created empty
     /// before the bucket-wise fold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two recorders use different bucket widths.
     pub fn merge_from(&mut self, other: &DegradationMetrics) {
-        assert_eq!(
-            self.bucket_width_ms, other.bucket_width_ms,
-            "cannot merge degradation timelines with different bucket widths"
-        );
         self.healthy.merge_from(&other.healthy);
         self.degraded.merge_from(&other.degraded);
         self.failovers += other.failovers;
@@ -337,7 +297,7 @@ impl DegradationMetrics {
         let missing = other.timeline.len().saturating_sub(self.timeline.len());
         self.timeline.reserve_exact(missing);
         while self.timeline.len() < other.timeline.len() {
-            let start_ms = self.timeline.len() as f64 * self.bucket_width_ms;
+            let start_ms = self.timeline.len() as f64 * TIMELINE_BUCKET_MS;
             self.timeline.push(TimelineBucket {
                 start_ms,
                 ..Default::default()
@@ -400,10 +360,9 @@ impl MetricsRecorder {
     }
 
     /// Forgets everything recorded and re-lays the recorder out for
-    /// `cache_count` caches and timeline buckets of `bucket_width_ms`,
-    /// keeping its buffers: equal to a new recorder for `cache_count`
-    /// caches given `DegradationMetrics::new(bucket_width_ms)`.
-    pub(crate) fn reset(&mut self, cache_count: usize, bucket_width_ms: f64) {
+    /// `cache_count` caches, keeping its buffers: equal to a new
+    /// recorder for `cache_count` caches.
+    pub(crate) fn reset(&mut self, cache_count: usize) {
         // Named field by field, so a new field cannot be missed.
         let MetricsRecorder {
             per_cache,
@@ -437,7 +396,7 @@ impl MetricsRecorder {
         timeline.clear();
         *degradation = DegradationMetrics {
             timeline,
-            ..DegradationMetrics::new(bucket_width_ms)
+            ..DegradationMetrics::default()
         };
     }
 
@@ -585,9 +544,8 @@ impl MetricsRecorder {
     ///
     /// # Panics
     ///
-    /// Panics if `members` does not match the shard's cache count, a
-    /// member id is out of range, or the degradation bucket widths
-    /// differ.
+    /// Panics if `members` does not match the shard's cache count or a
+    /// member id is out of range.
     pub fn merge_shard(&mut self, members: &[CacheId], shard: &MetricsRecorder) {
         assert_eq!(
             members.len(),
@@ -738,10 +696,10 @@ mod tests {
 
     #[test]
     fn degradation_splits_healthy_and_degraded() {
-        let mut d = DegradationMetrics::new(100.0);
-        d.record(10.0, 5.0, true, false, false);
-        d.record(150.0, 40.0, false, true, true);
-        d.record(160.0, 60.0, false, false, true);
+        let mut d = DegradationMetrics::default();
+        d.record(1_000.0, 5.0, true, false, false);
+        d.record(15_000.0, 40.0, false, true, true);
+        d.record(16_000.0, 60.0, false, false, true);
         assert_eq!(d.healthy.requests, 1);
         assert_eq!(d.degraded.requests, 2);
         assert_eq!(d.healthy.mean_latency_ms(), Some(5.0));
@@ -756,13 +714,13 @@ mod tests {
 
     #[test]
     fn degradation_timeline_buckets_by_time() {
-        let mut d = DegradationMetrics::new(100.0);
-        d.record(10.0, 1.0, true, false, false);
-        d.record(250.0, 2.0, false, false, true);
+        let mut d = DegradationMetrics::default();
+        d.record(1_000.0, 1.0, true, false, false);
+        d.record(25_000.0, 2.0, false, false, true);
         let tl = d.timeline();
         assert_eq!(tl.len(), 3);
         assert_eq!(tl[0].start_ms, 0.0);
-        assert_eq!(tl[1].start_ms, 100.0);
+        assert_eq!(tl[1].start_ms, 10_000.0);
         assert_eq!(tl[0].healthy.requests, 1);
         assert_eq!(tl[1].healthy.requests + tl[1].degraded.requests, 0);
         assert_eq!(tl[2].degraded.requests, 1);
@@ -789,20 +747,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bucket width")]
-    fn zero_bucket_width_panics() {
-        let _ = DegradationMetrics::new(0.0);
-    }
-
-    #[test]
     fn degradation_merge_folds_overall_and_timeline() {
-        let mut a = DegradationMetrics::new(100.0);
-        a.record(10.0, 5.0, true, false, false);
+        let mut a = DegradationMetrics::default();
+        a.record(1_000.0, 5.0, true, false, false);
         a.failovers += 1;
-        let mut b = DegradationMetrics::new(100.0);
-        b.record(250.0, 40.0, false, true, true);
+        let mut b = DegradationMetrics::default();
+        b.record(25_000.0, 40.0, false, true, true);
         b.crashes += 1;
-        let mut merged = DegradationMetrics::new(100.0);
+        let mut merged = DegradationMetrics::default();
         merged.merge_from(&a);
         merged.merge_from(&b);
         assert_eq!(merged.healthy.requests, 1);
@@ -813,18 +765,11 @@ mod tests {
         let tl = merged.timeline();
         assert_eq!(tl.len(), 3);
         assert_eq!(tl[0].healthy.requests, 1);
-        assert_eq!(tl[1].start_ms, 100.0);
+        assert_eq!(tl[1].start_ms, 10_000.0);
         assert_eq!(tl[2].degraded.requests, 1);
         // Fold order equals record order here, so the sums are exact.
         assert_eq!(merged.healthy.latency_sum_ms.to_bits(), 5.0f64.to_bits());
         assert_eq!(merged.degraded.latency_sum_ms.to_bits(), 40.0f64.to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket widths")]
-    fn degradation_merge_rejects_mismatched_buckets() {
-        let mut a = DegradationMetrics::new(100.0);
-        a.merge_from(&DegradationMetrics::new(200.0));
     }
 
     #[test]
@@ -870,15 +815,12 @@ mod tests {
         used.record(CacheId(0), 3.0, ServedBy::Origin);
         used.peer_bytes = 7;
         used.remote_placements = 2;
-        used.degradation = DegradationMetrics::new(100.0);
-        used.degradation.record(450.0, 3.0, true, false, true);
+        used.degradation.record(45_000.0, 3.0, true, false, true);
         used.degradation.crashes = 1;
-        // Shrunk, grown and re-bucketed: as new every time.
-        for (caches, bucket) in [(3, 250.0), (8, 100.0)] {
-            used.reset(caches, bucket);
-            let mut fresh = MetricsRecorder::new(caches);
-            fresh.degradation = DegradationMetrics::new(bucket);
-            assert_eq!(used, fresh);
+        // Shrunk and grown: as new every time.
+        for caches in [3, 8] {
+            used.reset(caches);
+            assert_eq!(used, MetricsRecorder::new(caches));
         }
     }
 

@@ -224,12 +224,10 @@ pub enum SimError {
         index: usize,
     },
     /// A trace event's `time_ms` lies at or past the run horizon: 2¹⁸
-    /// degradation-timeline buckets of the fault schedule's width
-    /// ([`FaultSchedule::timeline_bucket_ms`] — about 30 simulated
-    /// days at the default 10 s). The timeline is dense from time zero
-    /// at 88 bytes a bucket, so the horizon is what bounds the memory a
-    /// single far-future timestamp can make a run allocate (22 MiB per
-    /// timeline at the very most); a longer run asks for wider buckets.
+    /// degradation-timeline buckets of 10 s, about 30 simulated days.
+    /// The timeline is dense from time zero at 88 bytes a bucket, so the
+    /// horizon is what bounds the memory a single far-future timestamp
+    /// can make a run allocate (22 MiB per timeline at the very most).
     /// Fault times past the horizon are [`FaultError::BadTime`].
     EventTimeBeyondHorizon {
         /// Position of the offending event in the trace.
@@ -466,10 +464,6 @@ impl Tallies {
                 FaultKind::CacheRetire { cache } => {
                     ("cache_retire", ("cache", cache.index().into()))
                 }
-                FaultKind::BrownoutStart { factor } => {
-                    ("brownout_start", ("factor", factor.into()))
-                }
-                FaultKind::BrownoutEnd => ("brownout_end", ("factor", 1.0f64.into())),
             };
             o.metrics.inc("sim.fault_events");
             o.trace.push(at.as_ms(), "sim", kind, vec![field]);
@@ -569,11 +563,11 @@ pub(crate) fn kernel(
     let origin = origin.get_or_insert_with(|| OriginServer::new(catalog));
     origin.reset(catalog);
     let mut metrics = recorder.take().unwrap_or_else(|| MetricsRecorder::new(0));
-    metrics.reset(n, schedule.timeline_bucket());
+    metrics.reset(n);
     // Degradation accumulates apart and is folded into the recorder
     // after the loop, as the driver folds each group's recorder into
     // the run's: every f64 sum is then one group's chain.
-    let mut degradation = DegradationMetrics::new(schedule.timeline_bucket());
+    let mut degradation = DegradationMetrics::default();
     let model = LatencyModel;
     let warmup = SimTime::from_ms(config.warmup_ms);
 
@@ -584,7 +578,6 @@ pub(crate) fn kernel(
     // are folded into `lost_stats` so the report still covers them.
     let mut live = Liveness::new(n);
     let mut retired = vec![false; n];
-    let mut brownout = 1.0f64;
     let mut lost_stats = CacheStats::default();
 
     // Holder index: mirrors cache membership so the cooperative-miss
@@ -667,8 +660,6 @@ pub(crate) fn kernel(
                             }
                         }
                     }
-                    FaultKind::BrownoutStart { factor } => brownout = factor,
-                    FaultKind::BrownoutEnd => brownout = 1.0,
                 }
             }
             Event::OriginUpdate { doc } => {
@@ -691,10 +682,9 @@ pub(crate) fn kernel(
                 let size = catalog.document(doc).size_bytes;
                 let update_rate = catalog.document(doc).update_rate_per_sec;
 
-                // A request is "degraded" when its group is not whole —
-                // some member (including the home cache) down or retired
-                // — or an origin brownout is active.
-                let group_degraded = brownout > 1.0 || live.down_count > 0;
+                // A request is "degraded" when its group is not whole:
+                // some member (including the home cache) down or retired.
+                let group_degraded = live.down_count > 0;
 
                 if live.down[cache.index()] {
                     // Home cache is dead: the client times out on it and
@@ -703,8 +693,7 @@ pub(crate) fn kernel(
                     let _ = origin.serve_fetch(doc);
                     metrics.origin_bytes += size;
                     let rtt_origin = network.cache_to_origin(cache);
-                    let latency = schedule.failover_penalty()
-                        + model.origin_fetch(rtt_origin, size) * brownout;
+                    let latency = model.failover_penalty() + model.origin_fetch(rtt_origin, size);
                     obs_failovers += 1;
                     if now >= warmup {
                         metrics.record(cache, latency, ServedBy::Origin);
@@ -891,9 +880,8 @@ pub(crate) fn kernel(
                                 // The requester gave up only once the
                                 // slowest alive peer had said no.
                                 let slowest_reply = live.slowest_reply(cache, network);
-                                let latency = fanout
-                                    + slowest_reply
-                                    + model.origin_fetch(rtt_origin, size) * brownout;
+                                let latency =
+                                    fanout + slowest_reply + model.origin_fetch(rtt_origin, size);
                                 // Single-holder caches at the requester;
                                 // an active policy may divert the new
                                 // copy to a better-placed member (the
@@ -2069,7 +2057,7 @@ mod tests {
     fn down_cache_fails_over_to_origin() {
         let net = network();
         let cat = catalog(10);
-        let mut schedule = FaultSchedule::new().failover_penalty_ms(25.0);
+        let mut schedule = FaultSchedule::new();
         schedule.push(50.0, FaultKind::CacheDown { cache: CacheId(0) });
         // Prime the cache, crash it, then request again: the second
         // request must go to the origin even though the doc was cached.
@@ -2089,10 +2077,11 @@ mod tests {
         assert_eq!(report.metrics.degradation.degraded.requests, 1);
         assert_eq!(report.metrics.per_cache()[0].origin_fetches, 2);
         assert_eq!(report.metrics.per_cache()[0].local_hits, 0);
-        // The failover paid the detection penalty on top of the fetch.
+        // The failover paid the 3 ms detection penalty on top of the
+        // fetch.
         let healthy_fetch = report.metrics.degradation.healthy.latency_sum_ms;
         let failover = report.metrics.degradation.degraded.latency_sum_ms;
-        assert!((failover - healthy_fetch - 25.0).abs() < 1e-9);
+        assert!((failover - healthy_fetch - 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -2174,65 +2163,16 @@ mod tests {
     }
 
     #[test]
-    fn brownout_slows_origin_fetches() {
-        let net = network();
-        let cat = catalog(10);
-        let mut schedule = FaultSchedule::new();
-        schedule.push(0.0, FaultKind::BrownoutStart { factor: 3.0 });
-        schedule.push(50.0, FaultKind::BrownoutEnd);
-        let trace = vec![request(10.0, 0, 3)];
-        let slow = sim_faulted(
-            &net,
-            &GroupMap::singletons(6),
-            &cat,
-            &trace,
-            SimConfig::default(),
-            &schedule,
-        )
-        .unwrap();
-        let fast = sim(
-            &net,
-            &GroupMap::singletons(6),
-            &cat,
-            &trace,
-            SimConfig::default(),
-        )
-        .unwrap();
-        let slow_ms = slow.metrics.per_cache()[0].latency_sum_ms;
-        let fast_ms = fast.metrics.per_cache()[0].latency_sum_ms;
-        assert!(
-            (slow_ms - 3.0 * fast_ms).abs() < 1e-9,
-            "{slow_ms} vs {fast_ms}"
-        );
-        // Brownout requests are classified as degraded.
-        assert_eq!(slow.metrics.degradation.degraded.requests, 1);
-        // After the window ends the penalty disappears.
-        let trace_late = vec![request(100.0, 0, 3)];
-        let late = sim_faulted(
-            &net,
-            &GroupMap::singletons(6),
-            &cat,
-            &trace_late,
-            SimConfig::default(),
-            &schedule,
-        )
-        .unwrap();
-        let late_ms = late.metrics.per_cache()[0].latency_sum_ms;
-        assert!((late_ms - fast_ms).abs() < 1e-9);
-        assert_eq!(late.metrics.degradation.degraded.requests, 0);
-    }
-
-    #[test]
     fn fault_timeline_tracks_outage_window() {
         let net = network();
         let cat = catalog(10);
-        let mut schedule = FaultSchedule::new().timeline_bucket_ms(1_000.0);
-        schedule.push(1_000.0, FaultKind::CacheDown { cache: CacheId(1) });
-        schedule.push(2_000.0, FaultKind::CacheUp { cache: CacheId(1) });
+        let mut schedule = FaultSchedule::new();
+        schedule.push(10_000.0, FaultKind::CacheDown { cache: CacheId(1) });
+        schedule.push(20_000.0, FaultKind::CacheUp { cache: CacheId(1) });
         let trace = vec![
-            request(500.0, 0, 1),   // healthy bucket 0
-            request(1_500.0, 0, 1), // degraded bucket 1 (peer down)
-            request(2_500.0, 0, 1), // healthy bucket 2
+            request(5_000.0, 0, 1),  // healthy bucket 0
+            request(15_000.0, 0, 1), // degraded bucket 1 (peer down)
+            request(25_000.0, 0, 1), // healthy bucket 2
         ];
         let report = sim_faulted(
             &net,

@@ -57,7 +57,7 @@
 //! them, and no group holds a copy of the log.
 
 use crate::event::{time_key, Record};
-use crate::fault::FaultSchedule;
+use crate::fault::HORIZON;
 use crate::sim::SimError;
 use crate::time::SimTime;
 use ecg_topology::CacheId;
@@ -165,30 +165,28 @@ impl<'a> StreamedWorkload<'a> {
 /// What a streamed input adds to the map and schedule checks every run
 /// makes first: a catalog to draw requests from, and update-log
 /// document references and timestamps (requests are in range and finite
-/// by construction) and, like every timestamp of a run, before the
-/// horizon of `schedule`. An event index in the error is a position in
+/// by construction) and, like every timestamp of a run, before the run
+/// horizon ([`HORIZON`]). An event index in the error is a position in
 /// the update log, the only event list this input has — or the log's
 /// length, when it is the generated requests that would cross the
 /// horizon (the workload's duration reaches past it).
 pub(crate) fn validate(
     catalog: &DocumentCatalog,
     workload: &StreamedWorkload<'_>,
-    schedule: &FaultSchedule,
 ) -> Result<(), SimError> {
     if catalog.is_empty() {
         return Err(SimError::EmptyCatalog);
     }
-    let horizon = schedule.horizon();
     for (index, u) in workload.update_log().iter().enumerate() {
         if u.doc.index() >= catalog.len() {
             return Err(SimError::DocOutOfRange { doc: u.doc.index() });
         }
         let at = SimTime::try_from_ms(u.time_ms).ok_or(SimError::EventTimeInvalid { index })?;
-        if at >= horizon {
+        if at >= HORIZON {
             return Err(SimError::EventTimeBeyondHorizon { index });
         }
     }
-    if SimTime::from_ms(workload.duration_ms()) >= horizon {
+    if SimTime::from_ms(workload.duration_ms()) >= HORIZON {
         let index = workload.update_log().len();
         return Err(SimError::EventTimeBeyondHorizon { index });
     }

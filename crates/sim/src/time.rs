@@ -57,28 +57,6 @@ impl SimTime {
         SimTime(round_to_u64(ms * 1_000.0))
     }
 
-    /// The earliest time that reads back as at least `ms` milliseconds:
-    /// [`as_ms`](Self::as_ms) is `>= ms` from it on and for no time
-    /// before it. Quantising a timestamp and dividing it back can carry
-    /// a value just short of `ms` onto it, so a bound on what `as_ms`
-    /// returns is a bound on the quantised time, and this is it. The
-    /// latest time there is when none reads back that large.
-    pub(crate) fn first_reading_at_least_ms(ms: f64) -> Self {
-        let latest = SimTime(u64::MAX);
-        if latest.as_ms() < ms {
-            return latest;
-        }
-        // Within a place or two of the answer; `as_ms` never decreases.
-        let mut t = round_to_u64(ms.max(0.0) * 1_000.0);
-        while t > 0 && SimTime(t - 1).as_ms() >= ms {
-            t -= 1;
-        }
-        while SimTime(t).as_ms() < ms {
-            t += 1;
-        }
-        SimTime(t)
-    }
-
     /// Raw microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -233,40 +211,6 @@ mod tests {
             state ^= state << 17;
             let mantissa = (state >> 12) as f64 / (1u64 << 52) as f64;
             same((1.0 + mantissa) * 2f64.powi((state % 66) as i32 - 2));
-        }
-    }
-
-    #[test]
-    fn the_first_time_reading_at_least_a_bound_is_exactly_that() {
-        for ms in [
-            0.0,
-            0.0004,
-            0.0005,
-            1.0,
-            262_144.0,
-            2_621_440_000.0,
-            2_621_440_000.0f64.next_down(),
-            1e15 / 3.0,
-            9.1e15,
-            1.8e16,
-        ] {
-            let first = SimTime::first_reading_at_least_ms(ms);
-            assert!(first.as_ms() >= ms, "{ms}");
-            assert!(
-                first == SimTime::ZERO || SimTime(first.0 - 1).as_ms() < ms,
-                "{ms}"
-            );
-        }
-        // The case that needs it: a timestamp one place short of a
-        // bound quantises onto the bound.
-        let bound = 2_621_440_000.0f64;
-        assert_eq!(SimTime::from_ms(bound.next_down()).as_ms(), bound);
-        assert!(SimTime::from_ms(bound.next_down()) >= SimTime::first_reading_at_least_ms(bound));
-        for unreachable in [1.9e16, 1e300, f64::INFINITY] {
-            assert_eq!(
-                SimTime::first_reading_at_least_ms(unreachable),
-                SimTime(u64::MAX)
-            );
         }
     }
 

@@ -14,7 +14,7 @@
 //! position in the input. Per request:
 //!
 //! * the home cache is down: the client fails over to the origin and
-//!   pays the schedule's penalty plus the (browned-out) origin fetch;
+//!   pays the latency model's failover penalty plus the origin fetch;
 //! * a servable local copy is a local hit (a stale or expired copy is
 //!   dropped by the lookup);
 //! * otherwise every alive peer of the group is asked, in member order:
@@ -26,9 +26,9 @@
 //!   goes to the requester or wherever an active policy places it.
 //!
 //! Crashes purge a cache, recovery is cold, retirement is permanent; a
-//! request is *degraded* while any member of its group is down or a
-//! brownout is on. Requests before the warm-up cut-off change state but
-//! are not recorded. Each group keeps its own degradation recorder and
+//! request is *degraded* while any member of its group is down.
+//! Requests before the warm-up cut-off change state but are not
+//! recorded. Each group keeps its own degradation recorder and
 //! placement policy; the recorders are folded in group order at the end.
 //! A policy sees a group's members by their position in its member list
 //! — the ids [`ecg_sim::simulate`] hands it, one group at a time — so a
@@ -141,7 +141,6 @@ struct World<'a> {
     groups: &'a GroupMap,
     catalog: &'a DocumentCatalog,
     settings: Settings,
-    schedule: &'a FaultSchedule,
     caches: Vec<DocumentCache>,
     /// The origin's version of every document; versions start at 1.
     versions: Vec<u64>,
@@ -149,8 +148,6 @@ struct World<'a> {
     origin_fetches: u64,
     down: Vec<bool>,
     retired: Vec<bool>,
-    /// Origin slowdown factor, 1 outside a brownout.
-    brownout: f64,
     /// Statistics of caches purged by a crash or retirement.
     lost: CacheStats,
     metrics: MetricsRecorder,
@@ -205,19 +202,15 @@ pub fn run(
         groups,
         catalog,
         settings,
-        schedule,
         caches: (0..n).map(|_| empty_cache(settings)).collect(),
         versions: vec![1; catalog.len()],
         origin_updates: 0,
         origin_fetches: 0,
         down: vec![false; n],
         retired: vec![false; n],
-        brownout: 1.0,
         lost: CacheStats::default(),
         metrics: MetricsRecorder::new(n),
-        degradation: (0..k)
-            .map(|_| DegradationMetrics::new(schedule.timeline_bucket()))
-            .collect(),
+        degradation: vec![DegradationMetrics::default(); k],
         policies: active.then(|| {
             (0..k)
                 .map(|_| settings.placement.build(catalog.len()))
@@ -260,7 +253,7 @@ fn processing_order(
     trace: &[TraceEvent],
     schedule: &FaultSchedule,
 ) -> Result<Vec<(SimTime, Step)>, SimError> {
-    let horizon_ms = schedule.timeline_bucket() * f64::from(1u32 << 18);
+    let horizon_ms = DegradationMetrics::default().bucket_width_ms() * f64::from(1u32 << 18);
     let mut order: Vec<(SimTime, Step)> = schedule
         .events()
         .iter()
@@ -318,8 +311,6 @@ impl World<'_> {
                     }
                 }
             }
-            FaultKind::BrownoutStart { factor } => self.brownout = factor,
-            FaultKind::BrownoutEnd => self.brownout = 1.0,
         }
     }
 
@@ -369,13 +360,12 @@ impl World<'_> {
         let current = self.versions[doc.index()];
         let size = self.catalog.document(doc).size_bytes;
         let model = LatencyModel;
-        let degraded = self.brownout > 1.0 || members.iter().any(|m| self.down[m.index()]);
+        let degraded = members.iter().any(|m| self.down[m.index()]);
         let to_origin = self.network.cache_to_origin(cache);
 
         if self.down[cache.index()] {
             self.origin_fetch(doc);
-            let latency = self.schedule.failover_penalty()
-                + model.origin_fetch(to_origin, size) * self.brownout;
+            let latency = model.failover_penalty() + model.origin_fetch(to_origin, size);
             self.tally.failovers += 1;
             if recorded {
                 self.metrics.record(cache, latency, ServedBy::Origin);
@@ -485,8 +475,7 @@ impl World<'_> {
                 let version = self.origin_fetch(doc);
                 // The requester gave up once the slowest alive peer said no.
                 let to_origin = self.network.cache_to_origin(cache);
-                let latency =
-                    fanout + slowest + model.origin_fetch(to_origin, size) * self.brownout;
+                let latency = fanout + slowest + model.origin_fetch(to_origin, size);
                 let target = self
                     .decide(cache, doc, |policy, candidates| {
                         policy.on_origin_fetch(doc, now_ms, candidates)
@@ -543,7 +532,7 @@ impl World<'_> {
 
     fn finish(self) -> Outcome {
         let mut metrics = self.metrics;
-        metrics.degradation = DegradationMetrics::new(self.schedule.timeline_bucket());
+        metrics.degradation = DegradationMetrics::default();
         for group in &self.degradation {
             metrics.degradation.merge_from(group);
         }

@@ -398,11 +398,7 @@ fn the_binaries_print_through_a_checked_stdout() {
 
 /// The builder setters no code outside the tests calls, each with the
 /// reason it stays.
-const SETTERS_ONLY_TESTS_CALL: [(&str, &str); 4] = [
-    (
-        "brownout",
-        "FaultPlan: `from_json` reads brownout windows; this is the plan event's in-code form",
-    ),
+const SETTERS_ONLY_TESTS_CALL: [(&str, &str); 2] = [
     (
         "flash_crowd",
         "SportingEventConfig: tests/cross_properties.rs and tests/trace_replay.rs turn the surge off",
@@ -410,10 +406,6 @@ const SETTERS_ONLY_TESTS_CALL: [(&str, &str); 4] = [
     (
         "force_lookup",
         "RunContext: hidden hook that holds the dense and the sparse lookup layout to the spec",
-    ),
-    (
-        "probe_loss",
-        "FaultPlan: `from_json` reads the probe-loss knobs; this is their in-code form",
     ),
 ];
 

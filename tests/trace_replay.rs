@@ -139,13 +139,9 @@ fn sharded_replay_matches_monolithic_across_placements_and_threads() {
 #[test]
 fn sharded_replay_matches_monolithic_under_faults_and_freshness() {
     let (network, groups, catalog, trace) = formed_fixture(24, 4, 29);
-    let mut schedule = FaultSchedule::new()
-        .failover_penalty_ms(4.0)
-        .timeline_bucket_ms(5_000.0);
+    let mut schedule = FaultSchedule::new();
     schedule.push(3_000.0, FaultKind::CacheDown { cache: CacheId(2) });
-    schedule.push(6_000.0, FaultKind::BrownoutStart { factor: 2.5 });
     schedule.push(9_000.0, FaultKind::CacheUp { cache: CacheId(2) });
-    schedule.push(11_000.0, FaultKind::BrownoutEnd);
     schedule.push(14_000.0, FaultKind::CacheRetire { cache: CacheId(7) });
 
     for freshness in [
@@ -226,14 +222,10 @@ fn streamed_replay_matches_monolithic_on_materialized_inputs() {
         EdgeNetwork::from_rtt_matrix(RttMatrix::from_fn(caches + 1, |a, b| net.rtt_ms(a, b)));
     let trace = workload.materialize_trace(&catalog, caches);
 
-    let mut faulted = FaultSchedule::new()
-        .failover_penalty_ms(6.0)
-        .timeline_bucket_ms(4_000.0);
+    let mut faulted = FaultSchedule::new();
     faulted.push(2_000.0, FaultKind::CacheDown { cache: CacheId(9) });
     faulted.push(2_000.0, FaultKind::CacheDown { cache: CacheId(30) });
-    faulted.push(4_000.0, FaultKind::BrownoutStart { factor: 3.0 });
     faulted.push(7_000.0, FaultKind::CacheUp { cache: CacheId(9) });
-    faulted.push(8_500.0, FaultKind::BrownoutEnd);
     faulted.push(10_000.0, FaultKind::CacheRetire { cache: CacheId(39) });
 
     let counted = CountingRtt {
@@ -403,17 +395,15 @@ proptest! {
             FreshnessProtocol::TtlLease { ttl_ms: 1_500.0 },
         ][freshness_idx];
         let sim = SimConfig::default().placement(placement).freshness(freshness);
-        let mut schedule = FaultSchedule::new().timeline_bucket_ms(2_000.0);
+        let mut schedule = FaultSchedule::new();
         if faulted {
             // Two same-instant crashes, a retirement of a cache that is
-            // still down, a recovery, and a brownout over all of it.
+            // still down, and a recovery.
             let (a, b) = (CacheId(rng.gen_range(0..caches)), CacheId(caches - 1));
             schedule.push(0.2 * duration, FaultKind::CacheDown { cache: a });
             schedule.push(0.2 * duration, FaultKind::CacheDown { cache: b });
-            schedule.push(0.3 * duration, FaultKind::BrownoutStart { factor: 2.0 });
             schedule.push(0.5 * duration, FaultKind::CacheRetire { cache: b });
             schedule.push(0.6 * duration, FaultKind::CacheUp { cache: a });
-            schedule.push(0.7 * duration, FaultKind::BrownoutEnd);
         }
         let trace = workload.merged_trace();
         let plan = SimPlan::new(network.rtt_matrix(), &workload.catalog, &trace)
