@@ -16,7 +16,7 @@
 
 use crate::{f2, interaction_cost_ms, mean, Run, Scenario, Table};
 use ecg_clustering::average_group_interaction_cost;
-use ecg_clustering::hierarchical::{agglomerative, Linkage};
+use ecg_clustering::hierarchical::agglomerative;
 use ecg_core::{form, FormContext, FormPlan, GroupInit, SchemeConfig};
 use ecg_sim::LatencyModel;
 use ecg_topology::CacheId;
@@ -68,7 +68,7 @@ pub fn run(run: &mut Run) {
         }
 
         // Oracle: agglomerative clustering of the ground-truth RTTs.
-        let clusters = agglomerative(caches, k, Linkage::Average, |a, b| {
+        let clusters = agglomerative(caches, k, |a, b| {
             network.cache_to_cache(CacheId(a), CacheId(b))
         });
         let oracle = average_group_interaction_cost(&clusters, |a, b| {

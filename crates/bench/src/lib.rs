@@ -14,9 +14,11 @@
 //!
 //! Results are printed as aligned text tables (one row per x-axis point,
 //! one column per scheme), which is the `EXPERIMENTS.md` source format.
-//! The timing binaries (`bench_hotpaths`, `bench_scale`) share one
-//! sampler: [`sample`] read by its [`Summary`], and [`sample_pairs`]
-//! read by its [`Ratio`].
+//!
+//! The same binary writes the timing baselines: `ecg-bench time
+//! hotpaths` ([`hotpaths`], `BENCH_hotpaths.json`) and `ecg-bench time
+//! scale` ([`scale`], `BENCH_scale.json`). Both time their calls on one
+//! private sampler, every ratio they record read from one paired run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,11 +34,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 pub mod experiments;
+pub mod hotpaths;
 mod run;
 mod sampler;
+pub mod scale;
 
 pub use run::Run;
-pub use sampler::{sample, sample_pairs, Ratio, Summary};
 
 /// A fully built experiment scenario: network + workload + trace.
 #[derive(Debug, Clone)]
@@ -211,7 +214,7 @@ pub fn f2(v: f64) -> String {
 
 /// The host's logical CPUs, as the standard library reports them (0 when
 /// it cannot tell).
-pub fn logical_cpus() -> usize {
+fn logical_cpus() -> usize {
     std::thread::available_parallelism().map_or(0, usize::from)
 }
 
@@ -220,7 +223,7 @@ pub fn logical_cpus() -> usize {
 /// `ECG_THREADS` override (`null` when unset) and the size mode. A
 /// timing baseline is only comparable to runs on the same kind of host
 /// with the same core budget and sizes.
-pub fn write_host_context(w: &mut JsonWriter, ecg_threads_env: Option<&str>, quick: bool) {
+fn write_host_context(w: &mut JsonWriter, ecg_threads_env: Option<&str>, quick: bool) {
     w.key("logical_cpus").usize(logical_cpus());
     w.key("os").str(std::env::consts::OS);
     w.key("arch").str(std::env::consts::ARCH);

@@ -1,24 +1,29 @@
-//! `ecg-bench`: the one runner of every figure and ablation.
+//! `ecg-bench`: the one runner of every figure and ablation, and of the
+//! timing baselines.
 //!
 //! `ecg-bench list` names them. `ecg-bench run NAME... [--metrics-out
 //! PATH]` prints their text, writes side documents under `results/` and
 //! the metrics document to PATH. `ecg-bench run --all [--out DIR]` writes
 //! every row's golden files into DIR (default `results/`); with
 //! `--check` it compares them in memory with DIR instead, both ways, and
-//! exits 1 on any difference. Usage errors, and a failed write to stdout
-//! (a closed pipe), exit 2.
+//! exits 1 on any difference. `ecg-bench time hotpaths|scale [--quick]
+//! [--out PATH]` times the hot paths or the scaling grid and writes the
+//! document to PATH (default `BENCH_hotpaths.json` or
+//! `BENCH_scale.json`). Usage errors, and a failed write to stdout (a
+//! closed pipe), exit 2.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 use ecg_bench::experiments::{check, find, EXPERIMENTS};
+use ecg_bench::{hotpaths, scale};
 use edge_cache_groups::cli::{finish, stdout_error, Args};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: ecg-bench list | run NAME... [--metrics-out PATH] | run --all [--out DIR] [--check]";
+const USAGE: &str = "usage: ecg-bench list | run NAME... [--metrics-out PATH] \
+     | run --all [--out DIR] [--check] | time hotpaths|scale [--quick] [--out PATH]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -29,6 +34,9 @@ fn main() -> ExitCode {
             .and_then(|()| list(&mut out).map_err(stdout_error)),
         Some("run") => Args::parse(args, &["all", "check"], &["out", "metrics-out"])
             .and_then(|args| run(args, &mut out)),
+        Some("time") => {
+            Args::parse(args, &["quick"], &["out"]).and_then(|args| time(args, &mut out))
+        }
         Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
         None => Err(format!("missing command\n{USAGE}")),
     };
@@ -90,6 +98,24 @@ fn run(args: Args, out: &mut impl Write) -> Result<ExitCode, String> {
         }
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// `ecg-bench time`: one timing baseline, its progress to `out`.
+fn time(args: Args, out: &mut impl Write) -> Result<ExitCode, String> {
+    let [target] = args.positionals() else {
+        return Err(format!(
+            "name one timing target, hotpaths or scale\n{USAGE}"
+        ));
+    };
+    let (quick, path) = (args.switch("quick"), args.value("out"));
+    match target.as_str() {
+        "hotpaths" => hotpaths::run(quick, path.unwrap_or("BENCH_hotpaths.json"), out),
+        "scale" => scale::run(quick, path.unwrap_or("BENCH_scale.json"), out),
+        other => Err(format!(
+            "unknown timing target {other:?} (hotpaths or scale)"
+        )),
+    }
+    .map(|()| ExitCode::SUCCESS)
 }
 
 /// Every row's golden files: written into `dir`, or with `check_only`

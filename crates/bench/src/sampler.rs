@@ -1,5 +1,5 @@
-//! The one clock of the timing binaries (`bench_hotpaths`,
-//! `bench_scale`). [`sample`] warms a call up once, then times it
+//! The one clock of `ecg-bench time` ([`crate::hotpaths`],
+//! [`crate::scale`]). [`sample`] warms a call up once, then times it
 //! `samples` times, read by [`Summary`]. [`sample_pairs`] times two
 //! calls interleaved pair by pair, read by [`Ratio`]: every ratio the
 //! bench files record comes from one paired run, so the host's drift
@@ -25,7 +25,11 @@ fn timed<R>(call: &mut impl FnMut() -> R, keep: &mut impl FnMut(R)) -> f64 {
 /// clock read around each call. Every output goes to `keep` after its
 /// clock reading, the warm-up's first. Returns the timed calls' wall
 /// times in nanoseconds, in call order.
-pub fn sample<R>(samples: usize, mut call: impl FnMut() -> R, mut keep: impl FnMut(R)) -> Vec<f64> {
+pub(crate) fn sample<R>(
+    samples: usize,
+    mut call: impl FnMut() -> R,
+    mut keep: impl FnMut(R),
+) -> Vec<f64> {
     keep(call());
     (0..samples).map(|_| timed(&mut call, &mut keep)).collect()
 }
@@ -35,7 +39,7 @@ pub fn sample<R>(samples: usize, mut call: impl FnMut() -> R, mut keep: impl FnM
 /// call of A, then one of B, then `pairs` pairs in ABBA order: A first
 /// in even pairs, B first in odd ones, so neither side always runs
 /// second. Returns each side's wall times in nanoseconds, in pair order.
-pub fn sample_pairs<A, B>(
+pub(crate) fn sample_pairs<A, B>(
     pairs: usize,
     (mut call_a, mut keep_a): (impl FnMut() -> A, impl FnMut(A)),
     (mut call_b, mut keep_b): (impl FnMut() -> B, impl FnMut(B)),
@@ -74,22 +78,22 @@ fn sorted(values: &[f64]) -> Vec<f64> {
 /// The median, extremes and mean of a set of measurements, in their
 /// unit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
+pub(crate) struct Summary {
     /// How many measurements there were.
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Their arithmetic mean.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Their median: the middle one, or the mean of the middle two.
-    pub median: f64,
+    pub(crate) median: f64,
     /// The smallest.
-    pub min: f64,
+    pub(crate) min: f64,
     /// The largest.
-    pub max: f64,
+    pub(crate) max: f64,
 }
 
 impl Summary {
     /// The statistics of `values`, or `None` if there are none.
-    pub fn of(values: &[f64]) -> Option<Summary> {
+    pub(crate) fn of(values: &[f64]) -> Option<Summary> {
         if values.is_empty() {
             return None;
         }
@@ -105,7 +109,7 @@ impl Summary {
     }
 
     /// `elements` per second at the median, read as nanoseconds.
-    pub fn per_second(&self, elements: u64) -> f64 {
+    pub(crate) fn per_second(&self, elements: u64) -> f64 {
         elements as f64 / (self.median / 1e9)
     }
 }
@@ -113,17 +117,17 @@ impl Summary {
 /// A paired run read as a ratio: the per-pair quotients of a numerator
 /// side over a denominator side, by their median and quartiles.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ratio {
+pub(crate) struct Ratio {
     /// The median per-pair ratio.
-    pub median: f64,
+    median: f64,
     /// The first quartile of the per-pair ratios.
-    pub q1: f64,
+    q1: f64,
     /// The third quartile of the per-pair ratios.
-    pub q3: f64,
+    q3: f64,
     /// How many pairs there were.
-    pub pairs: usize,
+    pairs: usize,
     /// How many pairs read above 1; a tie counts for neither side.
-    pub wins: usize,
+    wins: usize,
 }
 
 impl Ratio {
@@ -134,7 +138,7 @@ impl Ratio {
     /// # Panics
     ///
     /// Panics if the two sides differ in length.
-    pub fn of(numerator: &[f64], denominator: &[f64]) -> Option<Ratio> {
+    pub(crate) fn of(numerator: &[f64], denominator: &[f64]) -> Option<Ratio> {
         assert_eq!(numerator.len(), denominator.len(), "a ratio reads pairs");
         if numerator.is_empty() {
             return None;
@@ -156,7 +160,7 @@ impl Ratio {
 
     /// Writes the ratio as the value of an open key: an object of its
     /// `median`, `q1`, `q3`, `wins` and `pairs`.
-    pub fn write(&self, w: &mut JsonWriter) {
+    pub(crate) fn write(&self, w: &mut JsonWriter) {
         w.object(|w| {
             w.key("median").f64(self.median);
             w.key("q1").f64(self.q1);

@@ -1,6 +1,6 @@
-//! The timing binaries' smoke runs: `bench_hotpaths --quick` and
-//! `bench_scale --quick`, each written into the target's scratch
-//! directory and read back with `ecg_obs::json`. A row cannot be added
+//! The timing baselines' smoke runs: `ecg-bench time hotpaths --quick`
+//! and `ecg-bench time scale --quick`, each written into the target's
+//! scratch directory and read back with `ecg_obs::json`. A row cannot be added
 //! or renamed without regenerating the committed baseline, and the
 //! quick grid is the one the docs describe. (The committed files' own
 //! invariants are a root-package test, `tests/committed_documents.rs`.)
@@ -14,19 +14,19 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Runs the timing binary `exe` with `--quick`, writing `name` into the
+/// Runs `ecg-bench time target --quick`, writing `target.json` into the
 /// scratch directory, and returns the document.
-fn quick_run(exe: &str, name: &str) -> JsonValue {
-    let path =
-        PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("{}_{name}", std::process::id()));
-    let out = Command::new(exe)
-        .args(["--quick", "--out"])
+fn quick_run(target: &str) -> JsonValue {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("{}_{target}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_ecg-bench"))
+        .args(["time", target, "--quick", "--out"])
         .arg(&path)
         .output()
-        .unwrap_or_else(|e| panic!("cannot run {exe}: {e}"));
+        .unwrap_or_else(|e| panic!("cannot run ecg-bench: {e}"));
     assert!(
         out.status.success(),
-        "{exe} --quick failed:\n{}",
+        "time {target} --quick failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let doc = read(&path);
@@ -45,7 +45,7 @@ fn committed(name: &str) -> JsonValue {
 
 #[test]
 fn hotpaths_quick_run_has_the_committed_rows() {
-    let quick = quick_run(env!("CARGO_BIN_EXE_bench_hotpaths"), "hotpaths.json");
+    let quick = quick_run("hotpaths");
     let committed = committed("BENCH_hotpaths.json");
     assert_context(&quick);
     let names = |doc: &JsonValue| -> Vec<String> {
@@ -72,13 +72,13 @@ fn hotpaths_quick_run_has_the_committed_rows() {
 
 #[test]
 fn scale_quick_run_covers_the_smoke_grid() {
-    // Every call reproduced its variant's first call (the binary panics
+    // Every call reproduced its variant's first call (the run panics
     // otherwise), at one thread and at the host's CPUs (two at least),
     // and on both engines in the crossover's pairs. Quick mode runs
     // mini-batch at N = 20 000 and tree-assign Lloyd up to N = 8 000
     // (k = 80: k alone picks the tree there, and its exact scans run on
     // the neighbour tables).
-    let quick = quick_run(env!("CARGO_BIN_EXE_bench_scale"), "scale.json");
+    let quick = quick_run("scale");
     assert_context(&quick);
     let runs = arr(&quick, "runs");
     // The sizes of the runs whose `key` reads `value`.

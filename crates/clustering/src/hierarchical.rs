@@ -7,26 +7,13 @@
 //! RTT space against which the landmark-based schemes' accuracy loss can
 //! be measured.
 
-/// Linkage criterion: how the distance between two clusters is derived
-/// from member distances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Linkage {
-    /// Mean pairwise distance (UPGMA). Matches the group-interaction-cost
-    /// objective most closely; the default.
-    #[default]
-    Average,
-    /// Minimum pairwise distance.
-    Single,
-    /// Maximum pairwise distance.
-    Complete,
-}
-
 /// Clusters `n` items into `k` groups by greedy agglomeration.
 ///
 /// Starts from singletons and repeatedly merges the pair of clusters at
-/// minimum linkage distance until `k` clusters remain. `O(n^3)` with the
-/// naive implementation, which is fine at the experiment scale (≤ 500
-/// caches).
+/// minimum average linkage (the mean pairwise distance, UPGMA: the
+/// linkage closest to the group-interaction-cost objective) until `k`
+/// clusters remain. `O(n^3)` with the naive implementation, which is
+/// fine at the experiment scale (≤ 500 caches).
 ///
 /// Returns the clusters as ascending-sorted index lists, ordered by their
 /// smallest member.
@@ -38,21 +25,14 @@ pub enum Linkage {
 /// # Examples
 ///
 /// ```
-/// use ecg_clustering::hierarchical::{agglomerative, Linkage};
+/// use ecg_clustering::hierarchical::agglomerative;
 ///
 /// // Two tight pairs on a line: 0-1 and 10-11.
 /// let pos = [0.0f64, 1.0, 10.0, 11.0];
-/// let clusters = agglomerative(4, 2, Linkage::Average, |a, b| {
-///     (pos[a] - pos[b]).abs()
-/// });
+/// let clusters = agglomerative(4, 2, |a, b| (pos[a] - pos[b]).abs());
 /// assert_eq!(clusters, vec![vec![0, 1], vec![2, 3]]);
 /// ```
-pub fn agglomerative(
-    n: usize,
-    k: usize,
-    linkage: Linkage,
-    dist: impl Fn(usize, usize) -> f64,
-) -> Vec<Vec<usize>> {
+pub fn agglomerative(n: usize, k: usize, dist: impl Fn(usize, usize) -> f64) -> Vec<Vec<usize>> {
     assert!(k > 0, "need at least one cluster");
     assert!(k <= n, "cannot form {k} clusters from {n} items");
 
@@ -61,7 +41,7 @@ pub fn agglomerative(
         let mut best: Option<(usize, usize, f64)> = None;
         for a in 0..clusters.len() {
             for b in (a + 1)..clusters.len() {
-                let d = cluster_distance(&clusters[a], &clusters[b], linkage, &dist);
+                let d = average_linkage(&clusters[a], &clusters[b], &dist);
                 if best.is_none_or(|(_, _, bd)| d < bd) {
                     best = Some((a, b, d));
                 }
@@ -78,26 +58,15 @@ pub fn agglomerative(
     clusters
 }
 
-fn cluster_distance(
-    a: &[usize],
-    b: &[usize],
-    linkage: Linkage,
-    dist: &impl Fn(usize, usize) -> f64,
-) -> f64 {
-    let pairs = a.iter().flat_map(|&x| b.iter().map(move |&y| dist(x, y)));
-    match linkage {
-        Linkage::Average => {
-            let mut sum = 0.0;
-            let mut count = 0usize;
-            for d in pairs {
-                sum += d;
-                count += 1;
-            }
-            sum / count as f64
-        }
-        Linkage::Single => pairs.fold(f64::INFINITY, f64::min),
-        Linkage::Complete => pairs.fold(f64::NEG_INFINITY, f64::max),
+/// The mean distance over every pair of a member of `a` and one of `b`.
+fn average_linkage(a: &[usize], b: &[usize], dist: &impl Fn(usize, usize) -> f64) -> f64 {
+    let mut sum = 0.0;
+    let mut count = 0usize;
+    for d in a.iter().flat_map(|&x| b.iter().map(move |&y| dist(x, y))) {
+        sum += d;
+        count += 1;
     }
+    sum / count as f64
 }
 
 #[cfg(test)]
@@ -111,40 +80,28 @@ mod tests {
     #[test]
     fn merges_obvious_pairs() {
         let pos = [0.0, 0.5, 20.0, 20.5, 40.0, 40.5];
-        for linkage in [Linkage::Average, Linkage::Single, Linkage::Complete] {
-            let c = agglomerative(6, 3, linkage, line(&pos));
-            assert_eq!(c, vec![vec![0, 1], vec![2, 3], vec![4, 5]], "{linkage:?}");
-        }
+        let c = agglomerative(6, 3, line(&pos));
+        assert_eq!(c, vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
     }
 
     #[test]
     fn k_equals_n_returns_singletons() {
         let pos = [1.0, 2.0, 3.0];
-        let c = agglomerative(3, 3, Linkage::Average, line(&pos));
+        let c = agglomerative(3, 3, line(&pos));
         assert_eq!(c, vec![vec![0], vec![1], vec![2]]);
     }
 
     #[test]
     fn k_one_returns_everything() {
         let pos = [1.0, 5.0, 9.0];
-        let c = agglomerative(3, 1, Linkage::Average, line(&pos));
+        let c = agglomerative(3, 1, line(&pos));
         assert_eq!(c, vec![vec![0, 1, 2]]);
-    }
-
-    #[test]
-    fn single_linkage_chains_where_average_splits() {
-        // A chain 0,1,2,...,5 with equal gaps plus a far point: single
-        // linkage happily merges the chain first.
-        let pos = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 100.0];
-        let c = agglomerative(7, 2, Linkage::Single, line(&pos));
-        assert_eq!(c[0], vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(c[1], vec![6]);
     }
 
     #[test]
     fn clusters_partition_items() {
         let pos: Vec<f64> = (0..12).map(|i| (i * i) as f64).collect();
-        let c = agglomerative(12, 4, Linkage::Complete, line(&pos));
+        let c = agglomerative(12, 4, line(&pos));
         let mut all: Vec<usize> = c.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..12).collect::<Vec<_>>());
@@ -153,12 +110,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot form")]
     fn too_many_clusters_panics() {
-        let _ = agglomerative(2, 3, Linkage::Average, |_, _| 1.0);
+        let _ = agglomerative(2, 3, |_, _| 1.0);
     }
 
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_clusters_panics() {
-        let _ = agglomerative(2, 0, Linkage::Average, |_, _| 1.0);
+        let _ = agglomerative(2, 0, |_, _| 1.0);
     }
 }

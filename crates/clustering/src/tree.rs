@@ -165,7 +165,7 @@ use std::time::Instant;
 /// than the scan it replaces (the paper-scale experiments run k ≤ 40).
 /// Set by a sweep of Lloyd K-means time over k ∈ {16 … 200} at
 /// N = 5k and 20k, where 64 was the smallest k swept at which the tree
-/// was ≥ 10 % faster at both sizes. `bench_scale` now records that
+/// was ≥ 10 % faster at both sizes. `ecg-bench time scale` records that
 /// sweep as paired tree / blocked ratios (`tree_vs_blocked` in
 /// `BENCH_scale.json`, table in DESIGN.md). At k = 25 the tree is ahead
 /// at N = 5 000 (0.87) but not resolved at N = 20 000 (0.996
@@ -174,7 +174,7 @@ use std::time::Instant;
 pub const TREE_AUTO_MIN_K: usize = 64;
 
 /// A nearest-center engine forced on the assignment scans, whatever
-/// k is: the hook the engine-equality tests and `bench_scale`'s fixed
+/// k is: the hook the engine-equality tests and `ecg-bench time scale`'s fixed
 /// grid (its crossover cells included) reach each engine through. Both produce bit-identical
 /// clusterings (the tree's exactness contract is the point of
 /// [`CenterTree`]); unforced, the scans take the tree from

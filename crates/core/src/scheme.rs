@@ -198,7 +198,7 @@ impl SchemeConfig {
     }
 
     /// Runs every K-means assignment scan on `engine`, whatever K is:
-    /// the hook the end-to-end tree == blocked test and `bench_scale`'s
+    /// the hook the end-to-end tree == blocked test and `ecg-bench time scale`'s
     /// fixed grid (its crossover cells included) reach both engines
     /// through. Unforced, the scans
     /// take the KD-tree from `ecg_clustering::TREE_AUTO_MIN_K` groups

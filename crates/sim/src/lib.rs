@@ -122,8 +122,7 @@ pub use fault::{FaultCarryState, FaultError, FaultEvent, FaultKind, FaultSchedul
 pub use groups::{GroupMap, GroupMapError};
 pub use latency::LatencyModel;
 pub use metrics::{
-    CacheAggregate, DegradationMetrics, GroupAggregate, MetricsRecorder, ServedBy, TimelineBucket,
-    WindowAggregate,
+    CacheAggregate, DegradationMetrics, MetricsRecorder, ServedBy, TimelineBucket, WindowAggregate,
 };
 pub use origin::OriginServer;
 pub use place::{AdaptiveConfig, DChoicesConfig, PlacementKind};

@@ -6,7 +6,6 @@
 //! nearest the origin, 50 farthest) fall out of one run.
 
 use crate::fault::{MAX_TIMELINE_BUCKETS, TIMELINE_BUCKET_MS};
-use crate::groups::GroupMap;
 use ecg_obs::Histogram as LatencyHistogram;
 use ecg_topology::CacheId;
 
@@ -55,43 +54,6 @@ impl CacheAggregate {
             None
         } else {
             Some((self.local_hits + self.peer_hits) as f64 / self.requests as f64)
-        }
-    }
-}
-
-/// Aggregates for one cooperative group, derived from its members'
-/// per-cache aggregates by [`MetricsRecorder::per_group`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct GroupAggregate {
-    /// Group index within the [`GroupMap`].
-    pub group: usize,
-    /// Number of member caches.
-    pub members: usize,
-    /// Requests arriving at the group's members.
-    pub requests: u64,
-    /// Sum of member latencies, ms.
-    pub latency_sum_ms: f64,
-    /// Requests answered locally or by a group peer.
-    pub group_hits: u64,
-}
-
-impl GroupAggregate {
-    /// Mean latency over the group's requests, or `None` before any.
-    pub fn mean_latency_ms(&self) -> Option<f64> {
-        if self.requests == 0 {
-            None
-        } else {
-            Some(self.latency_sum_ms / self.requests as f64)
-        }
-    }
-
-    /// The group's hit rate (local + peer), or `None` before any
-    /// request.
-    pub fn group_hit_rate(&self) -> Option<f64> {
-        if self.requests == 0 {
-            None
-        } else {
-            Some(self.group_hits as f64 / self.requests as f64)
         }
     }
 }
@@ -499,35 +461,6 @@ impl MetricsRecorder {
         }
     }
 
-    /// Folds the per-cache aggregates into per-group aggregates under
-    /// the given partition — the per-group view Figures 3's analysis
-    /// wants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map covers a different cache count.
-    pub fn per_group(&self, groups: &GroupMap) -> Vec<GroupAggregate> {
-        assert_eq!(
-            groups.cache_count(),
-            self.per_cache.len(),
-            "group map does not match the recorded cache count"
-        );
-        let mut out: Vec<GroupAggregate> = (0..groups.group_count())
-            .map(|g| GroupAggregate {
-                group: g,
-                members: groups.groups()[g].len(),
-                ..Default::default()
-            })
-            .collect();
-        for (idx, agg) in self.per_cache.iter().enumerate() {
-            let g = groups.group_of(CacheId(idx));
-            out[g].requests += agg.requests;
-            out[g].latency_sum_ms += agg.latency_sum_ms;
-            out[g].group_hits += agg.local_hits + agg.peer_hits;
-        }
-        out
-    }
-
     /// Folds a per-shard recorder into this one, scattering the shard's
     /// local cache rows back to the global ids in `members`.
     ///
@@ -651,40 +584,6 @@ mod tests {
         m.record(CacheId(0), 5.0, ServedBy::Origin);
         assert_eq!(m.group_hit_rate(), Some(0.5));
         assert_eq!(m.per_cache()[0].group_hit_rate(), Some(0.5));
-    }
-
-    #[test]
-    fn per_group_folds_member_aggregates() {
-        let groups =
-            GroupMap::new(3, vec![vec![CacheId(0), CacheId(2)], vec![CacheId(1)]]).unwrap();
-        let mut m = MetricsRecorder::new(3);
-        m.record(CacheId(0), 10.0, ServedBy::Local);
-        m.record(CacheId(2), 30.0, ServedBy::Peer);
-        m.record(CacheId(1), 50.0, ServedBy::Origin);
-        let per_group = m.per_group(&groups);
-        assert_eq!(per_group.len(), 2);
-        assert_eq!(per_group[0].members, 2);
-        assert_eq!(per_group[0].requests, 2);
-        assert_eq!(per_group[0].mean_latency_ms(), Some(20.0));
-        assert_eq!(per_group[0].group_hit_rate(), Some(1.0));
-        assert_eq!(per_group[1].requests, 1);
-        assert_eq!(per_group[1].group_hit_rate(), Some(0.0));
-    }
-
-    #[test]
-    fn per_group_empty_recorder() {
-        let groups = GroupMap::singletons(2);
-        let m = MetricsRecorder::new(2);
-        let per_group = m.per_group(&groups);
-        assert_eq!(per_group.len(), 2);
-        assert!(per_group.iter().all(|g| g.mean_latency_ms().is_none()));
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn per_group_rejects_mismatched_map() {
-        let m = MetricsRecorder::new(3);
-        let _ = m.per_group(&GroupMap::singletons(2));
     }
 
     #[test]

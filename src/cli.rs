@@ -1,10 +1,10 @@
-//! The one command-line parser of the workspace's binaries (`ecg`,
-//! `ecg-bench`, and the timing binaries `bench_scale` and
-//! `bench_hotpaths`, which read `--quick` and `--out` only): each
-//! declares the flags it reads, and anything else — an unknown flag, a missing or
-//! malformed value — is an `Err` naming it, never a panic. [`finish`]
-//! turns that into `error: …` and exit status 2; so does a failed write
-//! to stdout ([`stdout_error`]), such as a closed pipe.
+//! The one command-line parser of the workspace's two binaries, `ecg`
+//! and `ecg-bench` (whose `time hotpaths|scale` reads `--quick` and
+//! `--out` only): each command declares the flags it reads, and
+//! anything else — an unknown flag, a missing or malformed value — is
+//! an `Err` naming it, never a panic. [`finish`] turns that into
+//! `error: …` and exit status 2; so does a failed write to stdout
+//! ([`stdout_error`]), such as a closed pipe.
 
 use std::collections::BTreeMap;
 use std::io;

@@ -337,9 +337,8 @@ fn the_library_has_no_unsafe_code() {
 
 #[test]
 fn the_benches_have_one_harness() {
-    // `bench_hotpaths` and `bench_scale` time their own cells: no
-    // manifest pulls in a benchmarking crate or declares a `cargo bench`
-    // target.
+    // `ecg-bench time hotpaths|scale` times its own cells: no manifest
+    // pulls in a benchmarking crate or declares a `cargo bench` target.
     let mut manifests = vec![root().join("Cargo.toml")];
     let mut bench_dirs = Vec::new();
     for entry in fs::read_dir(root().join("crates"))
@@ -363,7 +362,19 @@ fn the_benches_have_one_harness() {
     }
     assert!(hits.is_empty(), "second bench harness: {hits:#?}");
     assert!(bench_dirs.is_empty(), "cargo bench targets: {bench_dirs:?}");
-    // Both timing binaries read the clock through the one sampler.
+    // A timing tool is an `ecg-bench` subcommand, not a binary of its own.
+    assert!(
+        !root().join("crates/bench/src/bin").exists(),
+        "crates/bench/src/bin/ is back"
+    );
+    let bench_manifest = read(&root().join("crates/bench/Cargo.toml"));
+    assert!(
+        !bench_manifest
+            .lines()
+            .any(|line| line.trim_start().starts_with("[[bin]]")),
+        "crates/bench/Cargo.toml declares a [[bin]]"
+    );
+    // Both timings read the clock through the one sampler.
     let clocks: Vec<String> = rust_files(&["crates/bench/src"])
         .iter()
         .flat_map(|path| {
